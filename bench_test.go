@@ -490,8 +490,10 @@ func BenchmarkRecorder(b *testing.B) {
 // against the same corpus served whole: one query through a single
 // in-process eshd server (the HTTP floor) vs through an eshgw gateway
 // fanning out to two in-process shard servers and merging. The delta
-// is the cluster tax — two HTTP legs, JSON partials, and the exact
-// merge — paid for halving per-node corpus size.
+// is the cluster tax — two HTTP legs, the partial frames, and the exact
+// merge — paid for halving per-node corpus size. On this 7-target micro
+// corpus it is a smoke test; the tax on a paper-sized corpus is eshbench's
+// fleet_warm workload (gateway.tax_ratio).
 func BenchmarkGatewayQuery(b *testing.B) {
 	prog := minic.MustParse(microSrc)
 	q := microProc(b, "clang-3.5")

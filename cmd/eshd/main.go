@@ -16,7 +16,8 @@
 //
 //	POST /v1/query          {"asm": "...", "method": "esh|slog|svcp", "top": 20}
 //	                        append ?trace=1 for a per-stage timing breakdown
-//	POST /v1/query/partial  shard-local partial scores, for an eshgw coordinator
+//	POST /v1/query/partial  shard-local partial scores for an eshgw coordinator: same body as
+//	                        /v1/query, 200-reply is a binary shard.Frame (errors stay JSON)
 //	GET  /v1/targets        indexed procedures with provenance
 //	POST /v1/targets        index new procedures live (requires -wal)
 //	DELETE /v1/targets/{name}  tombstone a target (requires -wal)

@@ -69,8 +69,9 @@ type Config struct {
 	// Logger receives one structured line per request (default
 	// slog.Default).
 	Logger *slog.Logger
-	// Client issues the shard requests (default: http.Client with the
-	// query timeout).
+	// Client issues the shard requests (default: an http.Client with the
+	// query timeout on a transport of its own, which keeps one idle
+	// connection per replica for each of MaxInFlight fan-outs).
 	Client *http.Client
 	// ScrapeInterval is the metrics-federation period: every interval
 	// the gateway scrapes one ready replica per shard's /metrics and
@@ -116,7 +117,14 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.Default()
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.QueryTimeout}
+		// http.DefaultTransport keeps 2 idle connections per host: above
+		// two concurrent fan-outs every further shard leg would redial.
+		// A replica sees at most one leg per in-flight fan-out (plus the
+		// prober and the scraper), so that is the idle pool to keep.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = c.MaxInFlight + 2
+		tr.MaxIdleConns = 0 // no fleet-wide cap under the per-replica one
+		c.Client = &http.Client{Timeout: c.QueryTimeout, Transport: tr}
 	}
 	if c.ScrapeInterval <= 0 {
 		c.ScrapeInterval = 15 * time.Second
@@ -154,6 +162,7 @@ type Gateway struct {
 	retries  *telemetry.Counter
 	latency  *telemetry.Histogram
 	shardLat []*telemetry.Histogram // per shard
+	frameLen []*telemetry.Histogram // per shard, bytes of each winning partial frame
 	started  time.Time
 
 	// Flight recorder and streaming latency quantiles, mirroring the
@@ -233,6 +242,12 @@ func New(cfg Config) (*Gateway, error) {
 			"Per-shard fan-out latency (first winning attempt).", nil,
 			"shard", fmt.Sprint(i))
 	}
+	g.frameLen = make([]*telemetry.Histogram, len(cfg.Shards))
+	for i := range cfg.Shards {
+		g.frameLen[i] = g.reg.Histogram("esh_gw_partial_bytes",
+			"Size of the partial frame a shard leg returned.", frameBuckets,
+			"shard", fmt.Sprint(i))
+	}
 	g.reg.GaugeFunc("esh_gw_healthy_replicas", "Replicas currently passing /readyz.",
 		func() float64 {
 			n := 0
@@ -293,6 +308,10 @@ func New(cfg Config) (*Gateway, error) {
 		"Scraped families dropped from the federated page for type conflicts (cumulative over renders).")
 	return g, nil
 }
+
+// frameBuckets bound esh_gw_partial_bytes: 4 KiB to 256 MiB in ×4 steps
+// (a frame is ~8 bytes × query strands × shard strands).
+var frameBuckets = []float64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
 
 // latencyQuantiles mirrors the server's exported percentile set.
 var latencyQuantiles = [...]float64{0.5, 0.95, 0.99}
@@ -476,6 +495,9 @@ func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []err
 			if st.Snapshot.ShardID != i || st.Snapshot.ShardCount != len(man.Shards) {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("serves shard %d/%d, expected %d/%d", st.Snapshot.ShardID, st.Snapshot.ShardCount, i, len(man.Shards))})
 			}
+			if st.PartialWire != shard.WireVersion {
+				errs = append(errs, &FleetError{i, u, fmt.Errorf("replies in partial wire version %d, this gateway reads %d (0 is the JSON form of older builds)", st.PartialWire, shard.WireVersion)})
+			}
 			if st.Snapshot.Checksum != "" && man.Shards[i].Checksum != "" && st.Snapshot.Checksum != man.Shards[i].Checksum {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("snapshot checksum %.12s…, manifest says %.12s…", st.Snapshot.Checksum, man.Shards[i].Checksum)})
 			}
@@ -538,6 +560,7 @@ type shardReply struct {
 	sid      int
 	partial  *shard.Partial
 	trace    *telemetry.SpanData
+	bytes    int // size of the winning frame
 	replica  string
 	attempts int
 	hedged   bool
@@ -567,6 +590,8 @@ func (g *Gateway) scatter(qctx context.Context, body []byte, wantTrace bool) []s
 			if replies[sid].err == nil {
 				g.shardLat[sid].Observe(elapsed.Seconds())
 				g.shardQ[sid].Observe(elapsed.Seconds())
+				g.frameLen[sid].Observe(float64(replies[sid].bytes))
+				ss.SetAttr("bytes", float64(replies[sid].bytes))
 				ss.AttachRemote(replies[sid].trace)
 			} else {
 				ss.SetAttr("failed", 1)
@@ -590,6 +615,7 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 
 	type attempt struct {
 		reply   *server.PartialResponse
+		bytes   int
 		replica string
 		err     error
 	}
@@ -600,8 +626,8 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 		u := reps[order[launched%len(order)]]
 		launched++
 		go func() {
-			pr, err := g.postPartial(ctx, u, body, wantTrace)
-			results <- attempt{pr, u, err}
+			pr, n, err := g.postPartial(ctx, u, body, wantTrace)
+			results <- attempt{pr, n, u, err}
 		}()
 	}
 	launch()
@@ -614,7 +640,7 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 		select {
 		case a := <-results:
 			if a.err == nil {
-				return shardReply{sid: sid, partial: a.reply.Partial, trace: a.reply.Trace,
+				return shardReply{sid: sid, partial: a.reply.Partial, trace: a.reply.Trace, bytes: a.bytes,
 					replica: a.replica, attempts: launched, hedged: hedged}
 			}
 			lastErr = fmt.Errorf("%s: %w", a.replica, a.err)
@@ -643,15 +669,27 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 	}
 }
 
-// postPartial posts the query to one replica's /v1/query/partial.
-func (g *Gateway) postPartial(ctx context.Context, base string, body []byte, wantTrace bool) (*server.PartialResponse, error) {
+// maxFrameBytes bounds one partial frame the gateway will buffer (a
+// paper-sized corpus ships a few hundred KB per shard).
+const maxFrameBytes = 1 << 30
+
+// framePool recycles the buffers shard replies are read into; decoding
+// copies everything out, so a buffer goes back as soon as it is parsed.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// postPartial posts the query to one replica's /v1/query/partial and
+// decodes the reply frame, returning its size with it. A 200 whose body
+// is not a frame of this build's wire version (a JSON body from an older
+// eshd, say) fails this leg with a *shard.WireVersionError, like any
+// other bad reply: the shard is retried elsewhere or reported missing.
+func (g *Gateway) postPartial(ctx context.Context, base string, body []byte, wantTrace bool) (*server.PartialResponse, int, error) {
 	url := base + "/v1/query/partial"
 	if wantTrace {
 		url += "?trace=1"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if rid := server.RequestID(ctx); rid != "" {
@@ -659,19 +697,28 @@ func (g *Gateway) postPartial(ctx context.Context, base string, body []byte, wan
 	}
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	var pr server.PartialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("decode partial: %w", err)
+	buf := framePool.Get().(*bytes.Buffer)
+	defer framePool.Put(buf)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 && n <= maxFrameBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without regrowing
 	}
-	if pr.Partial == nil {
-		return nil, errors.New("reply carries no partial")
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxFrameBytes+1)); err != nil {
+		return nil, 0, fmt.Errorf("read partial: %w", err)
 	}
-	return &pr, nil
+	if buf.Len() > maxFrameBytes {
+		return nil, 0, fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
+	}
+	pr, err := server.DecodePartialResponse(buf.Bytes())
+	if err != nil {
+		return nil, 0, err
+	}
+	return pr, buf.Len(), nil
 }

@@ -3,13 +3,20 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,6 +340,176 @@ func TestGatewayTrace(t *testing.T) {
 		if c.Children[0].Name != "query_partial" {
 			t.Fatalf("shard span %s grafted %q, want query_partial", c.Name, c.Children[0].Name)
 		}
+		if c.Attrs["bytes"] <= 0 {
+			t.Fatalf("shard span %s carries no frame size: %v", c.Name, c.Attrs)
+		}
+	}
+}
+
+// tracedTransport attaches a client trace to every request it forwards.
+type tracedTransport struct {
+	http.RoundTripper
+	trace *httptrace.ClientTrace
+}
+
+func (t tracedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return t.RoundTripper.RoundTrip(r.WithContext(httptrace.WithClientTrace(r.Context(), t.trace)))
+}
+
+// TestGatewayConnReuse pins the default transport's idle pool to the
+// fan-out width: 200 queries sent 8 at a time through one shard are
+// served over 8 shard connections. The test is a sequence of rounds so
+// that it does not depend on timing: the shard holds each round's legs
+// until all 8 have arrived (8 connections are in use at once), and the
+// next round starts only after the transport has said what it did with
+// each of them. On http.DefaultTransport, which keeps 2 idle connections
+// per host, six of every eight are closed on return and redialed.
+func TestGatewayConnReuse(t *testing.T) {
+	man, shardExs, err := shard.Split(buildCorpus(t).Export(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := core.FromExport(shardExs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, queries = 8, 200
+
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	rendezvous := func() {
+		mu.Lock()
+		g := gate
+		if arrived++; arrived == clients {
+			arrived, gate = 0, make(chan struct{})
+			close(g)
+		}
+		mu.Unlock()
+		<-g
+	}
+	h := server.New(sdb, server.Config{Logger: quietLogger(), MaxInFlight: clients}).Handler()
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rendezvous()
+		h.ServeHTTP(w, r)
+	}))
+	var opened atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	cfg := Config{Manifest: man, Shards: [][]string{{ts.URL}}, Logger: quietLogger()}.withDefaults()
+	returned := make(chan error, clients)
+	cfg.Client.Transport = tracedTransport{cfg.Client.Transport, &httptrace.ClientTrace{
+		PutIdleConn: func(err error) { returned <- err },
+	}}
+	gw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(server.QueryRequest{Asm: gccStyle})
+	for round := 0; round < queries/clients; round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("query = %d: %s", rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+		for c := 0; c < clients; c++ {
+			if err := <-returned; err != nil {
+				t.Fatalf("round %d: a shard connection was not kept for reuse: %v", round, err)
+			}
+		}
+	}
+	if n := opened.Load(); n != clients {
+		t.Fatalf("%d queries, %d at a time, opened %d shard connections, want %d", queries, clients, n, clients)
+	}
+}
+
+// skewedShard fronts a real shard server with a replica of another
+// vintage: /v1/query/partial answers 200 with the given body, /v1/stats
+// reports the given partial wire version, everything else passes through.
+func skewedShard(t *testing.T, real string, wireVersion int, partialBody []byte) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/query/partial":
+			w.Write(partialBody)
+		case "/v1/stats":
+			var st map[string]any
+			getJSON(t, real+"/v1/stats", &st)
+			st["partial_wire_version"] = wireVersion
+			json.NewEncoder(w).Encode(st)
+		default:
+			http.Error(w, "not proxied", http.StatusNotFound)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestGatewayWireVersionSkew covers a shard of another build on a fan-out
+// leg: a JSON body (what eshd replied before frames) and a frame of an
+// unknown version each fail that leg only, with an error naming both
+// versions — so the query falls through to a healthy replica, or
+// degrades to partial when there is none — and CheckFleet reports the
+// replica at startup.
+func TestGatewayWireVersionSkew(t *testing.T) {
+	oldJSON, _ := json.Marshal(server.PartialResponse{Partial: &shard.Partial{ShardCount: 2}})
+	future, err := (&server.PartialResponse{Partial: &shard.Partial{ShardCount: 2}}).AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(future[4:], shard.WireVersion+1)
+
+	for name, tc := range map[string]struct {
+		version int
+		body    []byte
+		wantErr string
+	}{
+		"json body":       {0, oldJSON, "not a frame"},
+		"unknown version": {shard.WireVersion + 1, future, fmt.Sprintf("wire version %d, want %d", shard.WireVersion+1, shard.WireVersion)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Alone on shard 1: the leg fails, the query degrades.
+			f := startFleet(t, 2, func(cfg *Config) {
+				cfg.Shards[1] = []string{skewedShard(t, cfg.Shards[1][0], tc.version, tc.body).URL}
+			})
+			got := decodeResponse(t, postQuery(t, f.gwSrv.URL, gccStyle))
+			if !got.Partial || len(got.MissingShards) != 1 || got.MissingShards[0] != 1 {
+				t.Fatalf("partial=%v missing=%v, want shard 1 missing", got.Partial, got.MissingShards)
+			}
+			leg := f.gw.rec.Recent(1)[0].Shards[1]
+			if !strings.Contains(leg.Err, tc.wantErr) || !strings.Contains(leg.Err, fmt.Sprint(shard.WireVersion)) {
+				t.Fatalf("leg error %q does not name the received and expected wire versions", leg.Err)
+			}
+			_, errs := f.gw.CheckFleet(context.Background())
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), fmt.Sprintf("wire version %d", tc.version)) {
+				t.Fatalf("CheckFleet = %v, want one wire-version error", errs)
+			}
+
+			// Ahead of a healthy replica: the retry wins, bit-identically.
+			f = startFleet(t, 2, func(cfg *Config) {
+				real := cfg.Shards[1][0]
+				cfg.Shards[1] = []string{skewedShard(t, real, tc.version, tc.body).URL, real}
+			})
+			want := decodeResponse(t, postQuery(t, f.single.URL, gccStyle))
+			got = decodeResponse(t, postQuery(t, f.gwSrv.URL, gccStyle))
+			if got.Partial {
+				t.Fatal("flagged partial despite a healthy replica")
+			}
+			requireSameResults(t, want, got, "after skewed replica")
+		})
 	}
 }
 

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 	"testing"
 
 	"repro/internal/index"
@@ -59,14 +61,24 @@ func TestPartialEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial query = %d", resp.StatusCode)
 	}
-	var pr PartialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+	frame, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p := pr.Partial
-	if p == nil {
-		t.Fatal("no partial in response")
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(frame)) {
+		t.Fatalf("Content-Length %q, frame is %d bytes", got, len(frame))
 	}
+	pr, err := DecodePartialResponse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.RequestID == "" || pr.RequestID != resp.Header.Get("X-Request-ID") {
+		t.Fatalf("frame request id %q, header %q", pr.RequestID, resp.Header.Get("X-Request-ID"))
+	}
+	if pr.Trace != nil {
+		t.Fatal("untraced request got a trace section")
+	}
+	p := pr.Partial
 	if p.QueryName != "checksum_gcc" {
 		t.Fatalf("partial query name %q", p.QueryName)
 	}
@@ -90,7 +102,21 @@ func TestPartialEndpoint(t *testing.T) {
 		}
 	}
 
-	// Malformed asm is rejected like on /v1/query.
+	// ?trace=1 carries the span tree in the frame's trace section.
+	resp3, err := http.Post(ts.URL+"/v1/query/partial?trace=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	frame, _ = io.ReadAll(resp3.Body)
+	if pr, err = DecodePartialResponse(frame); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Trace == nil || pr.Trace.Name != "query_partial" || len(pr.Trace.Children) == 0 {
+		t.Fatalf("traced frame carries trace %+v", pr.Trace)
+	}
+
+	// Malformed asm is rejected like on /v1/query, and in JSON.
 	bad, _ := json.Marshal(QueryRequest{Asm: "not asm"})
 	resp2, err := http.Post(ts.URL+"/v1/query/partial", "application/json", bytes.NewReader(bad))
 	if err != nil {
@@ -99,6 +125,10 @@ func TestPartialEndpoint(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad asm partial query = %d, want 400", resp2.StatusCode)
+	}
+	var fail map[string]string
+	if err := json.NewDecoder(resp2.Body).Decode(&fail); err != nil || fail["error"] == "" {
+		t.Fatalf("error reply is not the JSON error shape: %v %v", fail, err)
 	}
 }
 

@@ -470,7 +470,10 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodeQuery reads the request body both query endpoints share. On a
+// malformed or oversized body it counts bad_input, writes the error
+// reply and returns false.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
 	var req QueryRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -478,9 +481,97 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
+		} else {
+			s.fail(w, http.StatusBadRequest, "decode request: %v", err)
 		}
-		s.fail(w, http.StatusBadRequest, "decode request: %v", err)
+		return req, false
+	}
+	return req, true
+}
+
+// runQuery is everything /v1/query and /v1/query/partial do between a
+// decoded request and a reply: parse the procedure, admit it, run the
+// engine call under a root span named span with the query timeout, count
+// the outcome and publish the flight-recorder entry (under kind). On any
+// failure it has written the error reply and returns ok=false; otherwise
+// the caller owns the 200 reply.
+func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText, kind, span string,
+	run func(context.Context, *asm.Proc) (T, error)) (T, *telemetry.Span, bool) {
+	var zero T
+	procs, err := asm.Parse(asmText)
+	if err != nil {
+		s.count("bad_input")
+		s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
+		return zero, nil, false
+	}
+	if len(procs) == 0 {
+		s.count("bad_input")
+		s.fail(w, http.StatusBadRequest, "no procedure in request")
+		return zero, nil, false
+	}
+
+	// Admission: reject rather than queue when the configured number of
+	// queries is already executing — a loaded search service should shed,
+	// not build an unbounded latency backlog.
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.count("rejected")
+		w.Header().Set("Retry-After", "1")
+		s.fail(w, http.StatusTooManyRequests, "too many in-flight queries (limit %d)", s.cfg.MaxInFlight)
+		return zero, nil, false
+	}
+
+	start := time.Now()
+	type result struct {
+		val T
+		err error
+	}
+	done := make(chan result, 1)
+	// The engine runs on a background context (not r.Context()): a query
+	// is not cancellable once started, and the span tree must stay valid
+	// past a client disconnect. The root span covers queueing-free engine
+	// time; the engine hangs the stage spans under it.
+	qctx, root := telemetry.StartSpan(context.Background(), span)
+	go func() {
+		defer func() { <-s.sem }()
+		val, err := run(qctx, procs[0])
+		root.End()
+		done <- result{val, err}
+	}()
+
+	timer := time.NewTimer(s.cfg.QueryTimeout)
+	defer timer.Stop()
+	rid := RequestID(r.Context())
+	select {
+	case out := <-done:
+		if out.err != nil {
+			s.count("failure")
+			s.record(kind, rid, "failure", out.err.Error(), start, root)
+			s.fail(w, http.StatusUnprocessableEntity, "query: %v", out.err)
+			return zero, nil, false
+		}
+		s.count("completed")
+		secs := time.Since(start).Seconds()
+		s.latency.Observe(secs)
+		s.lat.Observe(secs)
+		s.record(kind, rid, "completed", "", start, root)
+		return out.val, root, true
+	case <-timer.C:
+		// The engine query is not cancellable; it keeps running (and
+		// keeps holding its in-flight slot) while the client gets a 504.
+		// The record snapshots the still-running span tree: elapsed time
+		// so far, with whatever stages have finished.
+		s.count("timeout")
+		s.record(kind, rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
+		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
+		return zero, nil, false
+	}
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeQuery(w, r)
+	if !ok {
 		return
 	}
 	m, err := MethodByName(req.Method)
@@ -496,175 +587,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if top > s.cfg.MaxTop {
 		top = s.cfg.MaxTop
 	}
-	procs, err := asm.Parse(req.Asm)
-	if err != nil {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
+	rep, root, ok := runQuery(s, w, r, req.Asm, "query", "query", s.queryFn)
+	if !ok {
 		return
 	}
-	if len(procs) == 0 {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "no procedure in request")
-		return
+	resp := BuildQueryResponse(rep, m, top)
+	resp.RequestID = RequestID(r.Context())
+	if r.URL.Query().Get("trace") == "1" {
+		resp.Trace = root.Snapshot()
 	}
-	wantTrace := r.URL.Query().Get("trace") == "1"
-
-	// Admission: reject rather than queue when the configured number of
-	// queries is already executing — a loaded search service should shed,
-	// not build an unbounded latency backlog.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.count("rejected")
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, "too many in-flight queries (limit %d)", s.cfg.MaxInFlight)
-		return
-	}
-
-	start := time.Now()
-	type result struct {
-		rep *core.Report
-		err error
-	}
-	done := make(chan result, 1)
-	// The engine runs on a background context (not r.Context()): a query
-	// is not cancellable once started, and the span tree must stay valid
-	// past a client disconnect. The root span covers queueing-free engine
-	// time; QueryCtx hangs the stage spans under it.
-	qctx, root := telemetry.StartSpan(context.Background(), "query")
-	go func() {
-		defer func() { <-s.sem }()
-		rep, err := s.queryFn(qctx, procs[0])
-		root.End()
-		done <- result{rep, err}
-	}()
-
-	timer := time.NewTimer(s.cfg.QueryTimeout)
-	defer timer.Stop()
-	rid := RequestID(r.Context())
-	select {
-	case res := <-done:
-		if res.err != nil {
-			s.count("failure")
-			s.record("query", rid, "failure", res.err.Error(), start, root)
-			s.fail(w, http.StatusUnprocessableEntity, "query: %v", res.err)
-			return
-		}
-		s.count("completed")
-		secs := time.Since(start).Seconds()
-		s.latency.Observe(secs)
-		s.lat.Observe(secs)
-		s.record("query", rid, "completed", "", start, root)
-		resp := BuildQueryResponse(res.rep, m, top)
-		resp.RequestID = rid
-		if wantTrace {
-			resp.Trace = root.Snapshot()
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case <-timer.C:
-		// The engine query is not cancellable; it keeps running (and
-		// keeps holding its in-flight slot) while the client gets a 504.
-		// The record snapshots the still-running span tree: elapsed time
-		// so far, with whatever stages have finished.
-		s.count("timeout")
-		s.record("query", rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
-	}
-}
-
-// PartialResponse is the POST /v1/query/partial reply: one shard's
-// contribution to a scattered query, for a gateway to merge. The shard
-// identity inside lets the gateway check the reply against its manifest.
-type PartialResponse struct {
-	RequestID string         `json:"request_id,omitempty"`
-	Partial   *shard.Partial `json:"partial"`
-	// Trace is the per-query span tree, present with ?trace=1; the
-	// gateway grafts it into its fan-out trace.
-	Trace *telemetry.SpanData `json:"trace,omitempty"`
-}
-
-// handlePartial runs the shard-local stages of a query and returns the
-// wire-form partial instead of finalized scores. Request shape is the
-// same as /v1/query (method and top are ignored — ranking happens at
-// the gateway), as are admission, timeout, and outcome accounting.
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.count("bad_input")
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	procs, err := asm.Parse(req.Asm)
-	if err != nil {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
-		return
-	}
-	if len(procs) == 0 {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "no procedure in request")
-		return
-	}
-	wantTrace := r.URL.Query().Get("trace") == "1"
-
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.count("rejected")
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, "too many in-flight queries (limit %d)", s.cfg.MaxInFlight)
-		return
-	}
-
-	start := time.Now()
-	type result struct {
-		qp  *core.QueryPartial
-		err error
-	}
-	done := make(chan result, 1)
-	qctx, root := telemetry.StartSpan(context.Background(), "query_partial")
-	go func() {
-		defer func() { <-s.sem }()
-		qp, err := s.partialFn(qctx, procs[0])
-		root.End()
-		done <- result{qp, err}
-	}()
-
-	timer := time.NewTimer(s.cfg.QueryTimeout)
-	defer timer.Stop()
-	rid := RequestID(r.Context())
-	select {
-	case res := <-done:
-		if res.err != nil {
-			s.count("failure")
-			s.record("partial", rid, "failure", res.err.Error(), start, root)
-			s.fail(w, http.StatusUnprocessableEntity, "query: %v", res.err)
-			return
-		}
-		s.count("completed")
-		secs := time.Since(start).Seconds()
-		s.latency.Observe(secs)
-		s.lat.Observe(secs)
-		s.record("partial", rid, "completed", "", start, root)
-		resp := &PartialResponse{
-			RequestID: rid,
-			Partial:   shard.FromQueryPartial(res.qp, s.db.Shard()),
-		}
-		if wantTrace {
-			resp.Trace = root.Snapshot()
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case <-timer.C:
-		s.count("timeout")
-		s.record("partial", rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
-	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // BuildQueryResponse ranks a report and shapes it as the wire response.
@@ -934,7 +866,11 @@ type StatsResponse struct {
 		ShardCount int    `json:"shard_count"`
 		Generation string `json:"generation,omitempty"`
 	} `json:"snapshot"`
-	VCPCache struct {
+	// PartialWire is the shard.WireVersion of this replica's
+	// /v1/query/partial replies (0 from a pre-frame build, which replied
+	// in JSON); a gateway refuses a replica that speaks another version.
+	PartialWire int `json:"partial_wire_version"`
+	VCPCache    struct {
 		Pairs     int     `json:"pairs"`
 		QueryKeys int     `json:"query_keys"`
 		CapPairs  int     `json:"cap_pairs"`
@@ -1053,6 +989,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Snapshot.ShardID = si.ID
 	resp.Snapshot.ShardCount = si.Count
 	resp.Snapshot.Generation = si.Generation
+	resp.PartialWire = shard.WireVersion
 	resp.VCPCache.Pairs = dbs.VCPCachePairs
 	resp.VCPCache.QueryKeys = dbs.VCPCacheQueries
 	resp.VCPCache.CapPairs = dbs.VCPCacheCap

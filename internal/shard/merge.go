@@ -2,17 +2,17 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 )
 
-// Partial is one shard's contribution to a scattered query, in wire
-// form: the serialization of core.QueryPartial plus the shard identity
-// the coordinator checks against its manifest. JSON float64 round-trips
-// exactly in Go (shortest-representation encoding), so shipping rows as
-// JSON loses no bits.
+// Partial is one shard's contribution to a scattered query: the
+// flattening of core.QueryPartial plus the shard identity the
+// coordinator checks against its manifest. Between eshd and eshgw it
+// travels as a Frame. The JSON tags serve tools that store or inspect
+// partials; float64 round-trips exactly through Go's JSON too
+// (shortest-representation encoding), though only for finite values.
 type Partial struct {
 	ShardID    int    `json:"shard_id"`
 	ShardCount int    `json:"shard_count"`
@@ -133,31 +133,34 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		}
 	}
 
-	// Rebuild the dense global rows. A strand shared by two shards is
-	// written twice with bitwise-equal values (same deterministic pair
-	// computation), so overwrite order is irrelevant.
-	nq := len(first.Weights)
+	// Rebuild the dense global rows in one slab. A strand shared by two
+	// shards is written twice with bitwise-equal values (same
+	// deterministic pair computation), so overwrite order is irrelevant.
+	nq, ng := len(first.Weights), len(man.Counts)
+	slab := make([]float64, nq*ng)
 	rows := make([][]float64, nq)
 	for i := range rows {
-		rows[i] = make([]float64, len(man.Counts))
+		rows[i] = slab[i*ng : (i+1)*ng : (i+1)*ng]
 	}
-	covered := make([]bool, len(man.Counts))
 	for s, p := range byShard {
 		if p == nil {
 			continue
 		}
-		for j, g := range man.Shards[s].Strands {
-			covered[g] = true
-			for i := range rows {
-				rows[i][g] = p.Rows[i][j]
+		strands := man.Shards[s].Strands
+		for i, dst := range rows {
+			for j, v := range p.Rows[i] {
+				dst[strands[j]] = v
 			}
 		}
 	}
 	counts := man.Counts
 	if len(missing) > 0 {
-		counts = make([]int, len(man.Counts))
-		for g, ok := range covered {
-			if ok {
+		counts = make([]int, ng)
+		for s, p := range byShard {
+			if p == nil {
+				continue
+			}
+			for _, g := range man.Shards[s].Strands {
 				counts[g] = man.Counts[g]
 			}
 		}
@@ -165,25 +168,22 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 
 	// Lay the targets out in global corpus order — the single-node
 	// pre-sort order, so the stable GES sort breaks ties identically.
-	type loc struct{ s, k int }
-	at := make(map[int]loc, man.NumTargets)
+	// The manifest assigns every global target to exactly one shard, so
+	// indexing by global target replaces a sort.
+	at := make([]*TargetPartial, man.NumTargets)
 	for s, p := range byShard {
 		if p == nil {
 			continue
 		}
-		for k := range p.Targets {
-			at[man.Shards[s].Targets[k]] = loc{s, k}
+		for k, ti := range man.Shards[s].Targets {
+			at[ti] = &p.Targets[k]
 		}
 	}
-	order := make([]int, 0, len(at))
-	for ti := range at {
-		order = append(order, ti)
-	}
-	sort.Ints(order)
-	targets := make([]core.PartialScore, 0, len(order))
-	for _, ti := range order {
-		l := at[ti]
-		tp := byShard[l.s].Targets[l.k]
+	targets := make([]core.PartialScore, 0, man.NumTargets)
+	for _, tp := range at {
+		if tp == nil {
+			continue // its shard is missing
+		}
 		targets = append(targets, core.PartialScore{
 			Target: &core.Target{
 				Name:       tp.Name,

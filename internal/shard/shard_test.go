@@ -73,7 +73,7 @@ const memStyle = `proc save_pair
 	ret
 endp`
 
-func parse(t *testing.T, src string) *asm.Proc {
+func parse(t testing.TB, src string) *asm.Proc {
 	t.Helper()
 	p, err := asm.ParseProc(src)
 	if err != nil {
@@ -82,7 +82,7 @@ func parse(t *testing.T, src string) *asm.Proc {
 	return p
 }
 
-func buildSmallDB(t *testing.T) *core.DB {
+func buildSmallDB(t testing.TB) *core.DB {
 	t.Helper()
 	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, Workers: 2})
 	for _, src := range []string{gccStyle, iccStyle, memStyle} {
@@ -95,13 +95,14 @@ func buildSmallDB(t *testing.T) *core.DB {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// scatterQuery runs the query through every shard DB and merges —
-// optionally round-tripping each partial through its JSON wire form, so
-// the test proves the serialized path (what eshgw actually sees) loses
-// no bits.
+// scatterQuery runs the query through every shard DB and merges, each
+// partial round-tripped through the frame eshgw actually reads — so the
+// test proves the serialized path loses no bits. The same partials are
+// also round-tripped through their JSON form (what tools and the
+// benchmark's ledger use) and must merge to the identical report.
 func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop int) (*core.Report, []int) {
 	t.Helper()
-	var parts []*Partial
+	var parts, jsonParts []*Partial
 	for s, db := range dbs {
 		if s == drop {
 			continue
@@ -110,21 +111,39 @@ func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop
 		if err != nil {
 			t.Fatalf("shard %d partial query: %v", s, err)
 		}
-		wire, err := json.Marshal(FromQueryPartial(qp, db.Shard()))
+		sent := FromQueryPartial(qp, db.Shard())
+		wire, err := (&Frame{Partial: sent}).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := DecodeFrame(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, f.Partial)
+
+		text, err := json.Marshal(sent)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := &Partial{}
-		dec := json.NewDecoder(bytes.NewReader(wire))
-		if err := dec.Decode(p); err != nil {
+		if err := json.Unmarshal(text, p); err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, p)
+		jsonParts = append(jsonParts, p)
 	}
 	rep, missing, err := Merge(man, parts)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	jsonRep, jsonMissing, err := Merge(man, jsonParts)
+	if err != nil {
+		t.Fatalf("merge of JSON partials: %v", err)
+	}
+	if !reflect.DeepEqual(missing, jsonMissing) {
+		t.Fatalf("missing shards %v via frames, %v via JSON", missing, jsonMissing)
+	}
+	requireIdentical(t, rep, jsonRep, "frame vs JSON wire")
 	return rep, missing
 }
 
@@ -219,7 +238,7 @@ func TestSplitInvariants(t *testing.T) {
 // TestMergeDifferential is the exact-merge guard on hand-written
 // procedures: for N in {1,2,4}, scattering a query over N shard DBs and
 // merging must reproduce the single node's rankings and raw scores to
-// the bit, through the JSON wire form.
+// the bit, through the frame wire form (and its JSON twin).
 func TestMergeDifferential(t *testing.T) {
 	ex := buildSmallDB(t).Export()
 	single, err := core.FromExport(ex)
