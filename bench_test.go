@@ -14,8 +14,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -297,7 +295,8 @@ func BenchmarkFingerprints(b *testing.B) {
 	// flushes them through one suffix execution, the steady-state shape
 	// of the batched γ loop. ns/op is per flush; the ns/γ metric is the
 	// amortized per-correspondence cost the dispatch floor bounds —
-	// compare it across widths (BENCH_kernel.json records the sweep).
+	// compare it across widths (the benchmark ledger's
+	// smt.kernel_ns_per_gamma is the production width's figure).
 	for _, g := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("gamma=%d", g), func(b *testing.B) {
 			kern := prog.AcquireKernelBatch(k, g)
@@ -338,25 +337,12 @@ func BenchmarkFingerprints(b *testing.B) {
 // sound injectability core saves (cumulative calls over all iterations
 // divided by N — the VCP memo cache makes iterations after the first
 // nearly call-free, so compare modes at equal -benchtime).
-// Set ESH_BENCH_GAMMA to sweep the γ-batch width without changing the
-// sub-benchmark names (so baseline comparisons line up across widths);
-// unset, the default width applies.
 func BenchmarkQuery(b *testing.B) {
 	prog := minic.MustParse(microSrc)
 	q := microProc(b, "clang-3.5")
-	gammaW := 0
-	if s := os.Getenv("ESH_BENCH_GAMMA"); s != "" {
-		w, err := strconv.Atoi(s)
-		if err != nil {
-			b.Fatalf("ESH_BENCH_GAMMA=%q: %v", s, err)
-		}
-		gammaW = w
-	}
 	for _, mode := range []string{core.PrefilterOff, core.PrefilterLSH} {
 		b.Run("prefilter="+mode, func(b *testing.B) {
-			opts := core.Options{Prefilter: mode}
-			opts.VCP.GammaBatch = gammaW
-			db := core.NewDB(opts)
+			db := core.NewDB(core.Options{Prefilter: mode})
 			for _, tc := range compile.Toolchains() {
 				p, err := compile.Compile(prog, "bench_fn", tc, compile.O2())
 				if err != nil {
@@ -469,7 +455,7 @@ func BenchmarkRecorder(b *testing.B) {
 		spVCP.SetAttr("pairs", 128)
 		spVCP.SetAttr("pairs_pruned", 64)
 		spVCP.SetAttr("verifier_calls", 900)
-		spVCP.SetAttr("kernel_batch", 1)
+		spVCP.SetAttr("prefilter_lsh", 1)
 		spVCP.End()
 		_, spStats := telemetry.StartSpan(ctx, "stats")
 		spStats.End()

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -17,7 +18,9 @@ import (
 // golden deliberately (UPDATE_GOLDEN=1 go test ./cmd/esh) when one is
 // intended. The same query is then repeated with -prefilter=off, which
 // must print the identical ranking: the CLI-level form of the
-// prefilter's soundness guarantee.
+// prefilter's soundness guarantee. The tail pins the flag surface: the
+// retired -kernel/-gamma-batch are undefined, and an unset engine flag
+// keeps the loaded snapshot's setting.
 func TestCLIGoldenQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and indexes a corpus")
@@ -88,11 +91,45 @@ func TestCLIGoldenQuery(t *testing.T) {
 		t.Errorf("-prefilter=off output differs from the default lsh run:\n--- off ---\n%s--- lsh ---\n%s", off, got)
 	}
 
-	// The same query through the scalar reference kernel: the batched
-	// SoA kernel's fingerprints are byte-identical by contract, so the
-	// printed ranking must be too.
-	scalar := run("-load", snap, "-query", queryPath, "-top", "10", "-kernel", "scalar")
-	if scalar != got {
-		t.Errorf("-kernel=scalar output differs from the default batch run:\n--- scalar ---\n%s--- batch ---\n%s", scalar, got)
+	// The retired speed-only axes are gone from the command line, not
+	// silently accepted.
+	for _, bin := range []string{eshBin, corpusBin} {
+		for _, flag := range []string{"-kernel", "-gamma-batch"} {
+			out, err := exec.Command(bin, flag, "1").CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+				t.Errorf("%s %s: err %v, output %q; want an undefined-flag failure", filepath.Base(bin), flag, err, out)
+			}
+		}
+	}
+
+	// An unset flag keeps the snapshot's setting: a probe-mode snapshot
+	// loaded without -retrieval serves from its persisted probe table
+	// (the vcp stage of -timings says which path ran), -retrieval scan
+	// overrides it, and the ranking is the golden either way.
+	probeSnap := filepath.Join(dir, "probe.eshidx")
+	if out, err := exec.Command(corpusBin, "-save", probeSnap, "-scale", "small", "-synth", "0", "-retrieval", "probe").CombinedOutput(); err != nil {
+		t.Fatalf("eshcorpus -save -retrieval probe: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		extra []string
+		want  string
+	}{
+		{nil, "retrieval_probe=1"},
+		{[]string{"-retrieval", "scan"}, "retrieval_probe=0"},
+	} {
+		args := append([]string{"-load", probeSnap, "-query", queryPath, "-top", "10", "-timings"}, tc.extra...)
+		cmd := exec.Command(eshBin, args...)
+		var timings strings.Builder
+		cmd.Stderr = &timings
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("esh %v: %v\n%s", args, err, timings.String())
+		}
+		if string(out) != got {
+			t.Errorf("esh %v output differs from the golden run:\n%s", args, out)
+		}
+		if !strings.Contains(timings.String(), tc.want) {
+			t.Errorf("esh %v: timings lack %s:\n%s", args, tc.want, timings.String())
+		}
 	}
 }

@@ -5,14 +5,19 @@
 //
 // Usage:
 //
-//	esh -query q.s [-load corpus.eshidx] [dir-or-file.s ...] [-top 20] [-method esh]
+//	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
+//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-prefilter off|lsh] [-lsh-bands 0]
+//	    [-lsh-rows 0] [-lsh-min-containment 0] [-retrieval scan|probe] [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of
 // internal/asm (see Proc.String); a file may contain many procedures.
 // With -demo, esh builds a small demonstration database from the bundled
 // corpus instead of reading files. With -load, the target database is
 // restored from a strand index snapshot written by eshcorpus -save, so
-// the corpus is not re-indexed on every invocation.
+// the corpus is not re-indexed on every invocation. The engine flags
+// (second and third usage lines; package engineflags) override the
+// defaults of a fresh index or the loaded snapshot's own options; an
+// unset flag keeps that base value.
 package main
 
 import (
@@ -27,6 +32,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/engineflags"
 	"repro/internal/index"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -38,36 +44,10 @@ func main() {
 	method := flag.String("method", "esh", "ranking method: esh, slog, svcp")
 	demo := flag.Bool("demo", false, "use the bundled demo corpus as the target database")
 	loadPath := flag.String("load", "", "restore the target database from a strand index snapshot (eshcorpus -save)")
-	workers := flag.Int("workers", 0, "query parallelism (0 = GOMAXPROCS)")
-	pathLen := flag.Int("pathlen", 0, "decompose small procedures over control-flow paths of this many blocks (0 = off)")
-	sigmoidK := flag.Float64("sigmoid-k", 0, "Esh sigmoid steepness (0 = paper's k=10)")
 	timings := flag.Bool("timings", false, "print a per-stage timing and work breakdown to stderr")
 	repeat := flag.Int("repeat", 1, "run the query this many times and print a p50/p95/p99 latency summary with -timings (results print once)")
-	prefilter := flag.String("prefilter", "lsh", "candidate prefilter for the VCP pair loop: off or lsh")
-	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch prefilter (0 = default)")
-	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = default)")
-	lshMinCont := flag.Float64("lsh-min-containment", 0, "enable the heuristic prefilter tier at this estimated-containment threshold (0 = sound tier only; rankings can change when set)")
-	kernel := flag.String("kernel", "", "evaluation kernel for the verifier γ loop: batch or scalar (empty = batch; rankings are identical)")
-	gammaBatch := flag.Int("gamma-batch", 0, "γ-batch width of the batched kernel: correspondences evaluated per kernel dispatch (0 = default 8; rankings are identical at any width)")
-	retrieval := flag.String("retrieval", "scan", "stage-3 candidate retrieval: scan or probe (rankings are identical at sound settings)")
+	engine := engineflags.Register(flag.CommandLine, engineflags.Index|engineflags.Query)
 	flag.Parse()
-
-	prefMode, err := core.NormalizePrefilter(*prefilter)
-	if err != nil {
-		fail("%v", err)
-	}
-	kernMode, err := core.NormalizeKernel(*kernel)
-	if err != nil {
-		fail("%v", err)
-	}
-	gammaW, err := core.NormalizeGammaBatch(*gammaBatch)
-	if err != nil {
-		fail("%v", err)
-	}
-	retrMode, err := core.NormalizeRetrieval(*retrieval)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	var m stats.Method
 	switch *method {
@@ -83,44 +63,20 @@ func main() {
 
 	var db *core.DB
 	if *loadPath != "" {
-		loaded, err := index.LoadFile(*loadPath)
+		var err error
+		db, _, err = index.LoadFileInfoCtx(context.Background(), *loadPath, engine.Load)
 		if err != nil {
 			fail("%v", err)
 		}
-		loaded.SetWorkers(*workers)
-		if si := loaded.Shard(); si.Sharded() {
+		if si := db.Shard(); si.Sharded() {
 			fmt.Fprintf(os.Stderr, "esh: warning: %s is shard %d of %d (generation %s); scores use shard-local statistics — query the fleet through eshgw for corpus-exact scores\n",
 				*loadPath, si.ID, si.Count, si.Generation)
 		}
-		if *pathLen != 0 || *sigmoidK != 0 {
-			fmt.Fprintln(os.Stderr, "esh: -pathlen and -sigmoid-k are fixed at index time; the snapshot's values apply under -load")
-		}
-		if err := loaded.ConfigurePrefilter(prefMode, *lshBands, *lshRows, *lshMinCont); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureKernel(kernMode); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureGammaBatch(gammaW); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureRetrieval(retrMode); err != nil {
-			fail("%v", err)
-		}
-		db = loaded
 	} else {
-		opts := core.Options{
-			Workers:           *workers,
-			PathLen:           *pathLen,
-			SigmoidK:          *sigmoidK,
-			Prefilter:         prefMode,
-			LSHBands:          *lshBands,
-			LSHRows:           *lshRows,
-			LSHMinContainment: *lshMinCont,
-			Retrieval:         retrMode,
+		opts, err := engine.Build()
+		if err != nil {
+			fail("%v", err)
 		}
-		opts.VCP.Kernel = kernMode
-		opts.VCP.GammaBatch = gammaW
 		db = core.NewDB(opts)
 	}
 	var query *asm.Proc

@@ -9,7 +9,12 @@
 //	eshcorpus -describe
 //	eshcorpus -out corpusdir [-scale full] [-patched]
 //	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
+//	          [-prefilter off|lsh] [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0]
+//	          [-retrieval scan|probe]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
+//
+// The engine flags (package engineflags) are baked into the snapshot;
+// esh -load and eshd serve with them unless their own flags override.
 package main
 
 import (
@@ -24,6 +29,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/engineflags"
 	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -36,32 +42,12 @@ func main() {
 	scale := flag.String("scale", "full", "small (3 toolchains), medium (5), full (7)")
 	patched := flag.Bool("patched", true, "include patched variants of the vulnerable procedures")
 	synth := flag.Int("synth", 40, "number of generated decoy packages")
-	pathLen := flag.Int("pathlen", 0, "with -save: decompose small procedures over control-flow paths of this many blocks (0 = off)")
-	sigmoidK := flag.Float64("sigmoid-k", 0, "with -save: Esh sigmoid steepness baked into the snapshot (0 = paper's k=10)")
-	prefilter := flag.String("prefilter", "lsh", "with -save: prefilter mode baked into the snapshot (off or lsh; serve-time flags can override)")
-	lshBands := flag.Int("lsh-bands", 0, "with -save: LSH bands of the sketch prefilter (0 = default)")
-	lshRows := flag.Int("lsh-rows", 0, "with -save: LSH rows per band (0 = default)")
-	lshMinCont := flag.Float64("lsh-min-containment", 0, "with -save: heuristic prefilter tier threshold baked into the snapshot (0 = sound tier only)")
-	kernel := flag.String("kernel", "", "with -save: evaluation kernel baked into the snapshot: batch or scalar (empty = batch; serve-time flags can override)")
-	gammaBatch := flag.Int("gamma-batch", 0, "with -save: γ-batch width baked into the snapshot (0 = default 8; serve-time flags can override)")
-	retrieval := flag.String("retrieval", "scan", "with -save: stage-3 candidate retrieval baked into the snapshot: scan or probe (serve-time flags can override)")
+	engine := engineflags.Register(flag.CommandLine, engineflags.Index)
 	saveShards := flag.Int("save-shards", 0, "with -save: also split the index into this many shard snapshots plus a manifest at <save>.manifest (serve each shard with eshd, coordinate with eshgw)")
 	walPath := flag.String("wal", "", "with -save: fold this write-ahead log (from eshd -wal) into the snapshot before saving")
 	flag.Parse()
 
-	prefMode, err := core.NormalizePrefilter(*prefilter)
-	if err != nil {
-		fail("%v", err)
-	}
-	kernMode, err := core.NormalizeKernel(*kernel)
-	if err != nil {
-		fail("%v", err)
-	}
-	gammaW, err := core.NormalizeGammaBatch(*gammaBatch)
-	if err != nil {
-		fail("%v", err)
-	}
-	retrMode, err := core.NormalizeRetrieval(*retrieval)
+	opts, err := engine.Build()
 	if err != nil {
 		fail("%v", err)
 	}
@@ -122,17 +108,6 @@ func main() {
 
 	if *save != "" {
 		start := time.Now()
-		opts := core.Options{
-			PathLen:           *pathLen,
-			SigmoidK:          *sigmoidK,
-			Prefilter:         prefMode,
-			LSHBands:          *lshBands,
-			LSHRows:           *lshRows,
-			LSHMinContainment: *lshMinCont,
-			Retrieval:         retrMode,
-		}
-		opts.VCP.Kernel = kernMode
-		opts.VCP.GammaBatch = gammaW
 		db := core.NewDB(opts)
 		for _, p := range procs {
 			if err := db.AddTarget(p); err != nil {
@@ -168,7 +143,7 @@ func main() {
 				len(recs), db.WALSeq(), *walPath)
 		}
 		// Build the retrieval table before saving so the snapshot carries
-		// it (format v4) and serve-time probe mode skips the rebuild.
+		// it and a probe-mode load skips the rebuild.
 		rstats := db.RetrievalIndex().Stats()
 		if err := index.SaveFile(*save, db); err != nil {
 			fail("%v", err)

@@ -11,6 +11,12 @@
 //	     [-slow-query-threshold 1s] [-recorder-size 512]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
+//	     [-prefilter off|lsh] [-lsh-bands 0] [-lsh-rows 0]
+//	     [-lsh-min-containment 0] [-retrieval scan|probe]
+//
+// The engine flags (the last two lines and -workers; package
+// engineflags) are applied to the snapshot's own options before the
+// engine is built from it; an unset flag keeps the snapshot's setting.
 //
 // Endpoints:
 //
@@ -63,6 +69,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/engineflags"
 	"repro/internal/index"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -74,20 +81,13 @@ func main() {
 	addr := flag.String("addr", ":8710", "listen address")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-query timeout")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent queries (0 = 2×GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "per-query pair-loop parallelism (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain window")
 	notice := flag.Duration("ready-notice", 0, "hold /readyz at 503 this long before closing the listener, so pollers route away first")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "queries at or above this duration keep their span tree in /debug/slow (negative = disabled)")
 	recorderSize := flag.Int("recorder-size", 0, "flight-recorder ring size (0 = default 512)")
-	prefilter := flag.String("prefilter", "", "candidate prefilter for the VCP pair loop: off or lsh (empty = snapshot's setting)")
-	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch prefilter (0 = snapshot's geometry)")
-	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = snapshot's geometry)")
-	lshMinCont := flag.Float64("lsh-min-containment", -1, "heuristic prefilter tier threshold (0 = sound tier only, -1 = snapshot's setting; rankings can change when > 0)")
-	kernel := flag.String("kernel", "", "evaluation kernel for the verifier γ loop: batch or scalar (empty = snapshot's setting; rankings are identical)")
-	gammaBatch := flag.Int("gamma-batch", 0, "γ-batch width of the batched kernel: correspondences per kernel dispatch (0 = snapshot's setting; rankings are identical at any width)")
-	retrieval := flag.String("retrieval", "", "stage-3 candidate retrieval: scan or probe (empty = snapshot's setting; rankings are identical at sound settings)")
+	engine := engineflags.Register(flag.CommandLine, engineflags.Query)
 	walPath := flag.String("wal", "", "write-ahead log path; enables the live write endpoints (empty = read-only serving)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (acknowledged writes survive power loss) or none (survive process crash only)")
 	compactInterval := flag.Duration("compact-interval", 0, "with -wal: compact this often when writes are pending (0 = no timer)")
@@ -109,41 +109,11 @@ func main() {
 	}
 
 	lctx, loadSpan := telemetry.StartSpan(context.Background(), "startup")
-	db, info, err := index.LoadFileInfoCtx(lctx, *indexPath)
+	db, info, err := index.LoadFileInfoCtx(lctx, *indexPath, engine.Load)
 	loadSpan.End()
 	if err != nil {
 		fail("%v", err)
 	}
-	db.SetWorkers(*workers)
-	mode := *prefilter
-	if mode == "" {
-		mode = db.Options().Prefilter // keep the snapshot's setting
-	}
-	if err := db.ConfigurePrefilter(mode, *lshBands, *lshRows, *lshMinCont); err != nil {
-		fail("%v", err)
-	}
-	kernMode := *kernel
-	if kernMode == "" {
-		kernMode = db.Options().VCP.Kernel // keep the snapshot's setting
-	}
-	if err := db.ConfigureKernel(kernMode); err != nil {
-		fail("%v", err)
-	}
-	gammaW := *gammaBatch
-	if gammaW == 0 {
-		gammaW = db.Options().VCP.GammaBatch // keep the snapshot's setting
-	}
-	if err := db.ConfigureGammaBatch(gammaW); err != nil {
-		fail("%v", err)
-	}
-	retrMode := *retrieval
-	if retrMode == "" {
-		retrMode = db.Options().Retrieval // keep the snapshot's setting
-	}
-	if err := db.ConfigureRetrieval(retrMode); err != nil {
-		fail("%v", err)
-	}
-
 	// With -wal, recover the log, replay any records newer than the
 	// snapshot's high-water mark, and journal all future writes.
 	var wlog *walLog
@@ -195,8 +165,6 @@ func main() {
 		"prefilter", st.Prefilter,
 		"lsh_bands", st.LSHBands,
 		"lsh_rows", st.LSHRows,
-		"kernel", st.Kernel,
-		"gamma_batch", st.GammaBatch,
 		"retrieval", st.Retrieval,
 		"snapshot_version", info.Version,
 		"checksum", info.Checksum,

@@ -21,8 +21,8 @@
 // At startup the gateway checks every replica's /v1/stats against the
 // manifest — fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k — and refuses to start on a mismatch (merged scores would
-// be silently wrong) unless -allow-degraded is set. Kernel and
-// prefilter mode differences are score-neutral and only logged.
+// be silently wrong) unless -allow-degraded is set. Prefilter and
+// retrieval mode differences are score-neutral and only logged.
 //
 // Endpoints:
 //

@@ -54,34 +54,6 @@ func NormalizePrefilter(mode string) (string, error) {
 	return "", fmt.Errorf("core: unknown prefilter mode %q (off, lsh)", mode)
 }
 
-// NormalizeKernel maps a user-facing evaluation-kernel mode string to a
-// canonical value, rejecting unknown modes. Both kernels produce
-// byte-identical fingerprints (the differential suite enforces it), so
-// the mode only affects speed, never rankings.
-func NormalizeKernel(mode string) (string, error) {
-	switch mode {
-	case "", vcp.KernelBatch:
-		return vcp.KernelBatch, nil
-	case vcp.KernelScalar:
-		return vcp.KernelScalar, nil
-	}
-	return "", fmt.Errorf("core: unknown kernel mode %q (batch, scalar)", mode)
-}
-
-// NormalizeGammaBatch maps a user-facing γ-batch width to a canonical
-// value: 0 selects vcp.DefaultGammaBatch, widths above vcp.MaxGammaBatch
-// are rejected. Any width produces byte-identical scores (the
-// differential suite enforces it), so the knob only affects speed.
-func NormalizeGammaBatch(g int) (int, error) {
-	if g == 0 {
-		return vcp.DefaultGammaBatch, nil
-	}
-	if g < 0 || g > vcp.MaxGammaBatch {
-		return 0, fmt.Errorf("core: gamma-batch width %d out of range [1, %d]", g, vcp.MaxGammaBatch)
-	}
-	return g, nil
-}
-
 // Retrieval modes: how stage 3 finds the candidate target strands for
 // each query strand.
 const (
@@ -118,7 +90,8 @@ func NormalizeRetrieval(mode string) (string, error) {
 type Options struct {
 	// VCP holds the verifier and §5.5 heuristic settings.
 	VCP vcp.Config
-	// Workers bounds query parallelism; 0 selects GOMAXPROCS.
+	// Workers bounds query and load parallelism; 0 selects GOMAXPROCS.
+	// It is a deployment setting: snapshots do not carry it.
 	Workers int
 	// SigmoidK overrides the Esh sigmoid steepness (0 = paper's k=10);
 	// it exists for the k-ablation experiment.
@@ -139,8 +112,7 @@ type Options struct {
 	VCPCachePairs int
 	// Prefilter selects the candidate prefilter consulted before the
 	// size-ratio window: PrefilterOff ("" or "off") or PrefilterLSH
-	// ("lsh"). The sketch index is maintained regardless, so the mode
-	// can be flipped at runtime with ConfigurePrefilter.
+	// ("lsh").
 	Prefilter string
 	// LSHBands and LSHRows shape the MinHash signature of the sketch
 	// prefilter (0 selects sketch.DefaultBands / sketch.DefaultRows).
@@ -153,9 +125,9 @@ type Options struct {
 	// to prefilter-off.
 	LSHMinContainment float64
 	// Retrieval selects the stage-3 candidate source: RetrievalScan
-	// ("" or "scan") or RetrievalProbe ("probe"). Like Prefilter it can
-	// be flipped at runtime (ConfigureRetrieval); the probe table is
-	// built lazily on first use and persisted in snapshot format v4.
+	// ("" or "scan") or RetrievalProbe ("probe"). Under probe a loaded
+	// snapshot adopts its persisted table (or rebuilds it); a database
+	// filled by AddTarget builds the table on its first query.
 	Retrieval string
 	// RetrievalMaxDelta bounds how many live-written strands the probe
 	// path may overlay on the immutable retrieval table before the
@@ -208,27 +180,30 @@ func (si ShardInfo) Sharded() bool { return si.Count > 0 }
 
 // DB is an indexed target database. Create with NewDB, populate with
 // AddTarget, then issue Query calls (Query is safe for concurrent use;
-// AddTarget is not). The serve-time reconfiguration calls
-// (ConfigurePrefilter, ConfigureKernel, SetWorkers) are safe to run
-// concurrently with Query: each query snapshots the configuration once
-// at entry and runs to completion under that view.
+// AddTarget is not). The configuration is decided before the DB exists
+// and never changes: opts and sketchCfg are written once, by NewDB.
 type DB struct {
-	// cfgMu guards opts, the sketch state (sketchCfg, sums, sketchIdx),
-	// and — since the live write path landed — the corpus itself (uniq,
-	// counts, targets, total, live, h0Order, generation) against
-	// serve-time mutation racing in-flight queries. Queries take one
-	// RLock at entry to snapshot a consistent view; mutators take the
-	// write lock for the swap. AddTarget still mutates without the lock
-	// — it is documented as not concurrency-safe (bulk indexing).
-	cfgMu sync.RWMutex
 	opts  Options
 	shard ShardInfo
 
+	// newEval builds the evaluator behind every verifier call of the
+	// pair loop: vcp.NewEvaluator. Tests in this package swap in a
+	// reference evaluator; nothing outside it can.
+	newEval func(*vcp.Prepared, vcp.Config) *vcp.Evaluator
+
+	// cfgMu guards the sketch state (sums, sketchIdx, retr) and the
+	// corpus itself (uniq, counts, targets, total, live, h0Order,
+	// generation) against live writes racing in-flight queries. Queries
+	// take one RLock at entry to snapshot a consistent view; mutators
+	// take the write lock for the swap. AddTarget still mutates without
+	// the lock — it is documented as not concurrency-safe (bulk
+	// indexing).
+	cfgMu sync.RWMutex
+
 	// writeMu serializes the live write path (ApplyAdd, ApplyRemove,
-	// Replay*, Compact) and the serve-time reconfiguration calls, and
-	// orders strictly before cfgMu: writers validate and journal under
-	// writeMu alone (queries keep flowing), then apply in memory under
-	// a brief cfgMu write lock. Compact holds writeMu across snapshot
+	// Replay*, Compact), and orders strictly before cfgMu: writers
+	// validate and journal under writeMu alone (queries keep flowing),
+	// then apply in memory under a brief cfgMu write lock. Compact holds writeMu across snapshot
 	// persistence, freezing writers but never readers.
 	writeMu sync.Mutex
 
@@ -266,18 +241,19 @@ type DB struct {
 	// Prefilter state: one sketch summary per unique strand (in uniq
 	// order; MinHash signatures are persisted in snapshots, the rest
 	// is recomputed cheaply) and the banded index over them.
-	// Maintained unconditionally — it is cheap next to verifier
-	// preparation — so Options.Prefilter can be toggled at runtime.
+	// Maintained unconditionally: it is cheap next to verifier
+	// preparation, and snapshots persist the signatures whatever mode
+	// the corpus was indexed under.
 	sketchCfg sketch.Config
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
 
 	// Retrieval state: the immutable probe table over sums, built
-	// lazily (first probe query, ConfigureRetrieval, or snapshot adopt)
-	// and invalidated whenever sums or the banding change. sketchGen
-	// counts those invalidations so a query whose config snapshot
-	// predates a rebuild can detect it and build a private table
-	// instead of caching a stale one.
+	// lazily (first probe query, RetrievalIndex, or snapshot adopt) and
+	// invalidated whenever sums are renumbered. sketchGen counts those
+	// invalidations so a query whose corpus snapshot predates a rebuild
+	// can detect it and build a private table instead of caching a
+	// stale one.
 	retr      *sketch.RetrievalIndex
 	sketchGen uint64
 
@@ -336,27 +312,29 @@ type DB struct {
 // DB's metrics registry.
 var queryStages = [...]string{"decompose", "prepare", "vcp", "score"}
 
-// NewDB returns an empty database.
+// NewDB returns an empty database. It panics on a mode string outside
+// the Prefilter*/Retrieval* constants: modes that arrive from outside
+// the program are validated where they enter (flag parsing, snapshot
+// decoding), so only a caller's bug can get one this far.
 func NewDB(opts Options) *DB {
+	db, err := newDB(opts)
+	if err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// newDB is NewDB reporting a bad mode as an error, for FromExport.
+func newDB(opts Options) (*DB, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	opts.Prefilter, _ = NormalizePrefilter(opts.Prefilter) // unknown modes read as off
-	if opts.Prefilter == "" {
-		opts.Prefilter = PrefilterOff
+	var err error
+	if opts.Prefilter, err = NormalizePrefilter(opts.Prefilter); err != nil {
+		return nil, err
 	}
-	opts.VCP.Kernel, _ = NormalizeKernel(opts.VCP.Kernel) // unknown modes read as batch
-	if opts.VCP.Kernel == "" {
-		opts.VCP.Kernel = vcp.KernelBatch
-	}
-	if g, err := NormalizeGammaBatch(opts.VCP.GammaBatch); err == nil {
-		opts.VCP.GammaBatch = g // out-of-range widths read as the default
-	} else {
-		opts.VCP.GammaBatch = vcp.DefaultGammaBatch
-	}
-	opts.Retrieval, _ = NormalizeRetrieval(opts.Retrieval) // unknown modes read as scan
-	if opts.Retrieval == "" {
-		opts.Retrieval = RetrievalScan
+	if opts.Retrieval, err = NormalizeRetrieval(opts.Retrieval); err != nil {
+		return nil, err
 	}
 	cfg := sketch.Config{
 		Bands:          opts.LSHBands,
@@ -366,13 +344,14 @@ func NewDB(opts Options) *DB {
 	opts.LSHBands, opts.LSHRows = cfg.Bands, cfg.Rows
 	db := &DB{
 		opts:      opts,
+		newEval:   vcp.NewEvaluator,
 		byKey:     map[string]int{},
 		vcpCache:  map[string]map[string][2]float64{},
 		sketchCfg: cfg,
 		sketchIdx: sketch.NewIndex(cfg),
 	}
 	db.initMetrics()
-	return db
+	return db, nil
 }
 
 // initMetrics builds the DB's metrics registry. Index-size gauge funcs
@@ -419,7 +398,7 @@ func (db *DB) initMetrics() {
 		"Wall time per retrieval-table probe (one per probe-mode query strand).",
 		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
 	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
-		"Wall time per retrieval-table build (lazy first probe, ConfigureRetrieval, or sketch rebuild).", nil)
+		"Wall time per retrieval-table build (load under probe mode, lazy first probe, or a live write past the delta bound).", nil)
 	reg.GaugeFunc("esh_lsh_prefilter_enabled", "1 when the LSH prefilter gates the VCP pair loop.", func() float64 {
 		if db.prefilterOn() {
 			return 1
@@ -427,7 +406,7 @@ func (db *DB) initMetrics() {
 		return 0
 	})
 	reg.GaugeFunc("esh_retrieval_probe_enabled", "1 when stage 3 probes the retrieval table instead of scanning all targets.", func() float64 {
-		if db.retrievalOn() {
+		if db.probeOn() {
 			return 1
 		}
 		return 0
@@ -578,57 +557,20 @@ func (db *DB) Tombstones() int {
 	return db.tombstones
 }
 
-// SetWorkers overrides query parallelism (n <= 0 selects GOMAXPROCS).
-// It exists so a snapshot indexed on one machine can serve on another.
-func (db *DB) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	db.opts.Workers = n
-	db.cfgMu.Unlock()
-}
-
 // Options returns the engine options the database was built with.
-func (db *DB) Options() Options {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.opts
-}
+func (db *DB) Options() Options { return db.opts }
 
 // Shard returns the snapshot's shard identity (zero when the corpus is
 // unsharded).
 func (db *DB) Shard() ShardInfo { return db.shard }
 
-// prefilterOn reports whether the LSH prefilter gates the pair loop.
-func (db *DB) prefilterOn() bool {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.opts.Prefilter == PrefilterLSH
-}
-
-// retrievalOn reports whether stage 3 probes the retrieval table.
-func (db *DB) retrievalOn() bool {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.opts.Retrieval == RetrievalProbe
-}
-
 // SketchConfig returns the banding of the DB's sketch index.
-func (db *DB) SketchConfig() sketch.Config {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.sketchCfg
-}
+func (db *DB) SketchConfig() sketch.Config { return db.sketchCfg }
 
-// queryConfig is the per-query view of the reconfigurable state: one
-// consistent snapshot taken at query entry, so serve-time overrides
-// never race an in-flight pair loop.
+// queryConfig is the per-query view of the state live writes mutate:
+// one consistent snapshot taken at query entry, so a write landing
+// mid-query never races the pair loop.
 type queryConfig struct {
-	opts      Options
-	sketchCfg sketch.Config
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
 	retr      *sketch.RetrievalIndex
@@ -648,31 +590,31 @@ type queryConfig struct {
 	pending    int
 }
 
-func (qc *queryConfig) prefilterOn() bool { return qc.opts.Prefilter == PrefilterLSH }
-func (qc *queryConfig) probeOn() bool     { return qc.opts.Retrieval == RetrievalProbe }
+func (db *DB) prefilterOn() bool { return db.opts.Prefilter == PrefilterLSH }
+func (db *DB) probeOn() bool     { return db.opts.Retrieval == RetrievalProbe }
 
 func (db *DB) snapshotConfig() queryConfig {
 	db.cfgMu.RLock()
 	qc := queryConfig{
-		opts: db.opts, sketchCfg: db.sketchCfg, sums: db.sums,
+		sums:      db.sums,
 		sketchIdx: db.sketchIdx, retr: db.retr, sketchGen: db.sketchGen,
 		uniq: db.uniq, counts: db.counts, targets: db.targets,
 		live: db.live, h0Order: db.h0Order,
 		generation: db.generation, pending: db.pendingWrites,
 	}
 	db.cfgMu.RUnlock()
-	if qc.probeOn() && qc.retr == nil {
+	if db.probeOn() && qc.retr == nil {
 		qc.retr = db.retrievalFor(&qc)
 	}
 	return qc
 }
 
-// retrievalFor resolves the probe table for a query's configuration
-// snapshot, building and caching it on first use. If the sketch state
-// moved on between the snapshot and the build (a concurrent
-// ConfigurePrefilter geometry change), the shared cache is left alone
-// and the query gets a private table over its own snapshot view, so the
-// query still runs under one consistent configuration.
+// retrievalFor resolves the probe table for a query's corpus snapshot,
+// building and caching it on first use. If the sketch state moved on
+// between the snapshot and the build (a concurrent compaction or write),
+// the shared cache is left alone and the query gets a private table over
+// its own snapshot view, so the query still runs against one consistent
+// corpus.
 func (db *DB) retrievalFor(qc *queryConfig) *sketch.RetrievalIndex {
 	db.cfgMu.Lock()
 	// The length check matters under live writes: sums is append-only
@@ -691,7 +633,7 @@ func (db *DB) retrievalFor(qc *queryConfig) *sketch.RetrievalIndex {
 	}
 	db.cfgMu.Unlock()
 	start := time.Now()
-	r := sketch.BuildRetrieval(qc.sums, qc.sketchCfg)
+	r := sketch.BuildRetrieval(qc.sums, db.sketchCfg)
 	db.hRetrBuild.Observe(time.Since(start).Seconds())
 	return r
 }
@@ -727,109 +669,6 @@ func (db *DB) Signatures() []sketch.Signature {
 	return sigs
 }
 
-// ConfigurePrefilter sets the prefilter mode and, optionally, a new
-// sketch geometry (bands/rows <= 0 keep the current values) or
-// heuristic-tier threshold (minCont < 0 keeps the current value; 0
-// disables the tier). Changing the geometry recomputes every signature
-// and rebuilds the LSH index. Like SetWorkers it exists for serve-time
-// overrides of snapshot-baked options; it is safe to call concurrently
-// with Query (in-flight queries finish under the configuration they
-// started with).
-func (db *DB) ConfigurePrefilter(mode string, bands, rows int, minCont float64) error {
-	m, err := NormalizePrefilter(mode)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.opts.Prefilter = m
-	cfg := db.sketchCfg
-	if bands > 0 {
-		cfg.Bands = bands
-	}
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if minCont >= 0 {
-		cfg.MinContainment = minCont
-	}
-	cfg = cfg.Normalized()
-	if cfg == db.sketchCfg {
-		return nil
-	}
-	db.opts.LSHBands, db.opts.LSHRows = cfg.Bands, cfg.Rows
-	db.opts.LSHMinContainment = cfg.MinContainment
-	db.sketchCfg = cfg
-	sigs := make([]sketch.Signature, len(db.sums))
-	for i := range db.sums {
-		sigs[i] = db.sums[i].Sig
-	}
-	db.rebuildSketches(sigs)
-	return nil
-}
-
-// ConfigureKernel sets the evaluation kernel mode (batch or scalar) for
-// subsequent queries. Fingerprints are identical under both kernels, so
-// the switch needs no index rebuild and never changes rankings; like
-// SetWorkers it exists for serve-time overrides of snapshot-baked
-// options and is safe to call concurrently with Query.
-func (db *DB) ConfigureKernel(mode string) error {
-	m, err := NormalizeKernel(mode)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	db.opts.VCP.Kernel = m
-	db.cfgMu.Unlock()
-	return nil
-}
-
-// ConfigureGammaBatch sets the γ-batch width for subsequent queries
-// (0 = default). Every width produces byte-identical rankings — batching
-// only changes how many correspondences one kernel dispatch carries —
-// so, like ConfigureKernel, the switch needs no rebuild and is safe to
-// call concurrently with Query.
-func (db *DB) ConfigureGammaBatch(g int) error {
-	n, err := NormalizeGammaBatch(g)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	db.opts.VCP.GammaBatch = n
-	db.cfgMu.Unlock()
-	return nil
-}
-
-// ConfigureRetrieval sets the stage-3 candidate source (scan or probe)
-// for subsequent queries. Switching to probe builds the retrieval table
-// if it is not already resident (adopted from a v4 snapshot or built by
-// an earlier probe). Like ConfigurePrefilter it is safe to call
-// concurrently with Query: in-flight queries finish under the mode they
-// started with.
-func (db *DB) ConfigureRetrieval(mode string) error {
-	m, err := NormalizeRetrieval(mode)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.opts.Retrieval = m
-	if m == RetrievalProbe && db.retr == nil {
-		start := time.Now()
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(start).Seconds())
-	}
-	return nil
-}
-
 // RetrievalIndex returns the probe table over the current corpus,
 // building it if necessary. The returned index is immutable; it is what
 // the snapshot writer persists and eshcorpus prints build stats from.
@@ -846,17 +685,14 @@ func (db *DB) RetrievalIndex() *sketch.RetrievalIndex {
 	return db.retr
 }
 
-// rebuildSketches rebuilds the summary table and LSH index over every
-// unique strand. When sigs is non-nil and geometrically compatible the
-// persisted signatures are adopted as-is (the snapshot-restore path);
-// otherwise signatures are re-MinHashed. The rest of each summary
-// (feature-set size, typed input counts) is always recomputed — those
-// walks are cheap next to MinHashing, so they are not persisted.
-func (db *DB) rebuildSketches(sigs []sketch.Signature) {
+// rebuildSketches builds the summary table and LSH index over every
+// unique strand of a snapshot being restored. Persisted signatures that
+// match the configured geometry are adopted as-is; otherwise (geometry
+// overridden at load) signatures are re-MinHashed. The rest of each
+// summary (feature-set size, typed input counts) is always recomputed —
+// those walks are cheap next to MinHashing, so they are not persisted.
+func (db *DB) rebuildSketches(strands []ExportStrand) {
 	start := time.Now()
-	if sigs != nil && len(sigs) != len(db.uniq) {
-		sigs = nil
-	}
 	sums := make([]sketch.Summary, len(db.uniq))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, db.opts.Workers)
@@ -866,11 +702,8 @@ func (db *DB) rebuildSketches(sigs []sketch.Signature) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var sig sketch.Signature
-			if sigs != nil {
-				sig = sigs[i] // AdoptSignature re-MinHashes on length mismatch
-			}
-			sums[i] = sketch.AdoptSignature(s, sig, db.sketchCfg)
+			// AdoptSignature re-MinHashes on length mismatch.
+			sums[i] = sketch.AdoptSignature(s, strands[i].Sig, db.sketchCfg)
 		}(i, p.S)
 	}
 	wg.Wait()
@@ -884,10 +717,9 @@ func (db *DB) rebuildSketches(sigs []sketch.Signature) {
 	db.hSketchBuild.Observe(time.Since(start).Seconds())
 }
 
-// invalidateRetrieval drops the probe table after the summaries or the
-// banding change; the next probe-mode query (or ConfigureRetrieval)
-// rebuilds it. Callers hold cfgMu, or are AddTarget (documented as not
-// concurrency-safe).
+// invalidateRetrieval drops the probe table after the summaries
+// change; the next probe-mode query (or RetrievalIndex) rebuilds it.
+// Callers are AddTarget and FromExport (neither concurrency-safe).
 func (db *DB) invalidateRetrieval() {
 	db.retr = nil
 	db.sketchGen++
@@ -952,19 +784,16 @@ type DBStats struct {
 	RetrievalTableMaxPost    int
 	RetrievalTableMeanPost   float64
 	RetrievalTableSkew       float64
-	// Kernel is the active evaluation-kernel mode (batch or scalar);
-	// KernelNanos the cumulative wall time γ loops spent inside it;
-	// KernelPrefixInstrs / KernelInstrs the γ-invariant and total
-	// compiled instruction counts across prepared strands (their ratio
-	// is the fraction of evaluation work hoisted out of the γ loop).
-	Kernel             string
+	// KernelNanos is the cumulative wall time γ loops spent inside the
+	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
+	// γ-invariant and total compiled instruction counts across prepared
+	// strands (their ratio is the fraction of evaluation work hoisted
+	// out of the γ loop).
 	KernelNanos        uint64
 	KernelPrefixInstrs uint64
 	KernelInstrs       uint64
-	// GammaBatch is the configured γ-batch width G; GammaBatches the
-	// cumulative kernel flushes and GammaBatchRows the correspondences
-	// those flushes carried (rows/(G·batches) is the mean occupancy).
-	GammaBatch     int
+	// GammaBatches is the cumulative kernel flushes and GammaBatchRows
+	// the correspondences those flushes carried.
 	GammaBatches   uint64
 	GammaBatchRows uint64
 	// Queries is the number of Query calls answered; StageSeconds holds
@@ -987,11 +816,6 @@ func (s DBStats) VCPCacheHitRate() float64 {
 // time); the cache counters are read under the cache lock.
 func (db *DB) Stats() DBStats {
 	db.cfgMu.RLock()
-	prefilter := db.opts.Prefilter
-	kernel := db.opts.VCP.Kernel
-	gammaBatch := db.opts.VCP.GammaBatch
-	retrieval := db.opts.Retrieval
-	skCfg := db.sketchCfg
 	retr := db.retr
 	nTargets := len(db.targets)
 	nUniq := len(db.uniq)
@@ -1017,21 +841,19 @@ func (db *DB) Stats() DBStats {
 		VCPPairsPruned:           db.mPairsPruned.Value(),
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
-		Prefilter:                prefilter,
-		LSHBands:                 skCfg.Bands,
-		LSHRows:                  skCfg.Rows,
-		LSHMinContainment:        skCfg.MinContainment,
+		Prefilter:                db.opts.Prefilter,
+		LSHBands:                 db.sketchCfg.Bands,
+		LSHRows:                  db.sketchCfg.Rows,
+		LSHMinContainment:        db.sketchCfg.MinContainment,
 		LSHPairsSkipped:          db.mLSHSkipped.Value(),
 		LSHDeadDirections:        db.mDeadDirs.Value(),
-		Retrieval:                retrieval,
+		Retrieval:                db.opts.Retrieval,
 		RetrievalProbes:          db.mProbes.Value(),
 		RetrievalCandidates:      db.mProbeCands.Value(),
 		RetrievalSoundCandidates: db.mProbeSound.Value(),
-		Kernel:                   kernel,
 		KernelNanos:              db.mKernelNanos.Value(),
 		KernelPrefixInstrs:       db.mPrefixInstrs.Value(),
 		KernelInstrs:             db.mKernelInstrs.Value(),
-		GammaBatch:               gammaBatch,
 		GammaBatches:             db.mGammaBatches.Value(),
 		GammaBatchRows:           db.mGammaRows.Value(),
 		Queries:                  db.mQueries.Value(),
@@ -1064,8 +886,7 @@ func (db *DB) cacheCap() int {
 
 // decompose runs the front half of the pipeline on one procedure and
 // returns its strands that survive the minimum-size filter, plus the
-// block count. Options are passed explicitly so the query path can run
-// against its entry-time configuration snapshot.
+// block count.
 func decompose(p *asm.Proc, opts Options) ([]*strand.Strand, int, error) {
 	g, err := cfg.Build(p)
 	if err != nil {
@@ -1255,7 +1076,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 
 	// Stage 1: decompose — disassembly → CFG → lift → strands.
 	_, spDec := telemetry.StartSpan(ctx, "decompose")
-	kept, nBlocks, err := decompose(p, qc.opts)
+	kept, nBlocks, err := decompose(p, db.opts)
 	db.observeStage("decompose", spDec.End())
 	if err != nil {
 		return nil, fmt.Errorf("core: query %s: %w", p.Name, err)
@@ -1267,7 +1088,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 		Source:     p.Source,
 		NumBlocks:  nBlocks,
 		NumStrands: len(kept),
-		SigmoidK:   qc.opts.SigmoidK,
+		SigmoidK:   db.opts.SigmoidK,
 	}
 
 	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
@@ -1288,7 +1109,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 			qs[i].weight++
 			continue
 		}
-		prep := vcp.Prepare(s, qc.opts.VCP)
+		prep := vcp.Prepare(s, db.opts.VCP)
 		if prep.Err() != nil {
 			spPrep.End()
 			return nil, fmt.Errorf("core: prepare query strand: %w", prep.Err())
@@ -1311,21 +1132,12 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	// query of few large strands still saturates every worker and the
 	// goroutine count is bounded by Workers rather than the strand count.
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
-	// Pin the engine path this query actually ran under to the span:
-	// serve-time reconfiguration (ConfigureKernel/ConfigurePrefilter)
-	// can flip db.opts before anyone inspects the trace, so record
-	// the entry-time snapshot rather than the live options.
-	if qc.opts.VCP.Kernel == vcp.KernelScalar {
-		spVCP.SetAttr("kernel_batch", 0)
-	} else {
-		spVCP.SetAttr("kernel_batch", 1)
-	}
-	if qc.prefilterOn() {
+	if db.prefilterOn() {
 		spVCP.SetAttr("prefilter_lsh", 1)
 	} else {
 		spVCP.SetAttr("prefilter_lsh", 0)
 	}
-	if qc.probeOn() {
+	if db.probeOn() {
 		spVCP.SetAttr("retrieval_probe", 1)
 	} else {
 		spVCP.SetAttr("retrieval_probe", 0)
@@ -1415,7 +1227,7 @@ type rowStats struct {
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes
 	gammaRows   int64 // correspondences those flushes carried
-	gammaWidth  int   // configured γ-batch width (for occupancy)
+	gammaSlots  int64 // rows those flushes had room for (for occupancy)
 }
 
 // merge folds a chunk's local counts into the row accumulator. The
@@ -1433,9 +1245,7 @@ func (rs *rowStats) merge(d rowStats) {
 	rs.kernelNanos += d.kernelNanos
 	rs.gammaB += d.gammaB
 	rs.gammaRows += d.gammaRows
-	if d.gammaWidth > rs.gammaWidth {
-		rs.gammaWidth = d.gammaWidth
-	}
+	rs.gammaSlots += d.gammaSlots
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
@@ -1451,7 +1261,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
 		db.mGammaRows.Add(uint64(rs.gammaRows))
-		db.hGammaOccup.Observe(float64(rs.gammaRows) / (float64(rs.gammaWidth) * float64(rs.gammaB)))
+		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
 	}
 	if rs.lshOn {
 		db.mLSHSkipped.Add(uint64(rs.lshSkipped))
@@ -1522,7 +1332,7 @@ func pairChunk(nq, n, workers int) int {
 // writes the fresh entries back to the shared cache.
 type vcpRowState struct {
 	q        *vcp.Prepared
-	qc       *queryConfig // the query's entry-time configuration snapshot
+	qc       *queryConfig // the query's entry-time corpus snapshot
 	fwd, rev []float64
 
 	// Probe mode: the retrieved candidate ids, filled at row setup
@@ -1558,7 +1368,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 	rows = make([][]float64, len(qs))
 	revRows = make([][]float64, len(qs))
 	states := make([]*vcpRowState, len(qs))
-	probe := qc.probeOn() && qc.retr != nil
+	probe := db.probeOn() && qc.retr != nil
 	totalPairs := 0
 	var scratch []bool
 	if probe {
@@ -1578,7 +1388,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 			// it is never touched (its row entries stay zero, exactly
 			// like a scan-mode prefilter skip).
 			st.probed = true
-			st.qSum = sketch.Summarize(q.S, qc.sketchCfg)
+			st.qSum = sketch.Summarize(q.S, db.sketchCfg)
 			start := time.Now()
 			st.candIDs, st.rs.soundCands = qc.retr.Probe(st.qSum, scratch, nil)
 			// Delta overlay: strands written live since the table was
@@ -1601,7 +1411,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 	if probe {
 		db.putMark(scratch)
 	}
-	size := pairChunk(1, totalPairs, qc.opts.Workers)
+	size := pairChunk(1, totalPairs, db.opts.Workers)
 	type chunk struct{ row, lo, hi int }
 	var chunks []chunk
 	for i, st := range states {
@@ -1625,7 +1435,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(qc.opts.Workers, len(chunks)); w++ {
+	for w := 0; w < min(db.opts.Workers, len(chunks)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -1657,17 +1467,17 @@ func (db *DB) initRow(st *vcpRowState) {
 	}
 	db.mu.Unlock()
 
-	st.ratio = st.qc.opts.VCP.SizeRatio
+	st.ratio = db.opts.VCP.SizeRatio
 	if st.ratio <= 0 {
 		st.ratio = vcp.Default().SizeRatio
 	}
 	// In probe mode the candidate set was retrieved at row setup (it
 	// determined the chunk cuts); the scan-mode prefilter has nothing
 	// left to mark.
-	if !st.probed && st.qc.prefilterOn() {
+	if !st.probed && db.prefilterOn() {
 		st.rs.lshOn = true
 		st.cand = db.getMark(len(st.qc.uniq))
-		st.qSum = sketch.Summarize(st.q.S, st.qc.sketchCfg)
+		st.qSum = sketch.Summarize(st.q.S, db.sketchCfg)
 		st.rs.lshCands = st.qc.sketchIdx.Candidates(st.qSum, st.cand)
 	}
 }
@@ -1685,7 +1495,6 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	q := st.q
 	qKey := q.Key()
 	var rs rowStats
-	rs.gammaWidth = st.qc.opts.VCP.GammaBatch
 	var fresh map[string][2]float64
 	// One forward-direction evaluator for the whole chunk: the query
 	// strand's kernel — and its evaluated γ-invariant prefix — persists
@@ -1693,9 +1502,17 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	// (Chunks of one row run on concurrent workers and kernels are not
 	// concurrency-safe, so the unit of reuse is the chunk, not the row.)
 	// The reverse direction swaps the query to the target strand each
-	// pair, so it keeps the per-call path; the pool makes that cheap.
-	fwdEval := vcp.NewEvaluator(q, st.qc.opts.VCP)
+	// pair, so it acquires per pair; the pool makes that cheap.
+	fwdEval := db.newEval(q, db.opts.VCP)
 	defer fwdEval.Close()
+	count := func(vst vcp.Stats) {
+		rs.calls++
+		rs.gamma += vst.Correspondences
+		rs.kernelNanos += vst.KernelNanos
+		rs.gammaB += vst.Batches
+		rs.gammaRows += vst.BatchRows
+		rs.gammaSlots += vst.BatchSlots
+	}
 	for k := lo; k < hi; k++ {
 		j := k
 		if st.candIDs != nil {
@@ -1740,22 +1557,16 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 			if fwdLive {
 				fv, fst := fwdEval.Compute(u)
 				v[0] = fv
-				rs.calls++
-				rs.gamma += fst.Correspondences
-				rs.kernelNanos += fst.KernelNanos
-				rs.gammaB += fst.Batches
-				rs.gammaRows += fst.BatchRows
+				count(fst)
 			} else {
 				rs.deadDirs++
 			}
 			if revLive {
-				rv, rst := vcp.ComputeWithStats(u, q, st.qc.opts.VCP)
+				revEval := db.newEval(u, db.opts.VCP)
+				rv, rst := revEval.Compute(q)
+				revEval.Close()
 				v[1] = rv
-				rs.calls++
-				rs.gamma += rst.Correspondences
-				rs.kernelNanos += rst.KernelNanos
-				rs.gammaB += rst.Batches
-				rs.gammaRows += rst.BatchRows
+				count(rst)
 			} else {
 				rs.deadDirs++
 			}

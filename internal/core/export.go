@@ -28,21 +28,21 @@ type Export struct {
 	Strands []ExportStrand
 	Targets []ExportTarget
 	// Retrieval, when non-nil, is the probe table's persistable band
-	// structure (snapshot format v4). Nil means "not built" — an
-	// importer that needs the table rebuilds it from the strands, which
-	// is deterministic and yields an identical table.
+	// structure. Nil means "not built" — an importer that needs the
+	// table rebuilds it from the strands, which is deterministic and
+	// yields an identical table.
 	Retrieval *sketch.RetrievalTable
 	// Generation is the compaction generation of the exported corpus
 	// and WALSeq its journal high-water mark: a snapshot at (g, s)
 	// already contains every write with sequence <= s, so startup replay
-	// skips them (snapshot format v5; both zero before).
+	// skips them.
 	Generation uint64
 	WALSeq     uint64
 }
 
 // ExportStrand is one unique strand, its corpus multiplicity, and its
-// MinHash signature (may be nil on import — e.g. a version-1 snapshot —
-// in which case it is recomputed).
+// MinHash signature (may be nil on import — a snapshot whose sketch
+// section was written empty — in which case it is recomputed).
 type ExportStrand struct {
 	S     *strand.Strand
 	Count int
@@ -56,10 +56,7 @@ type ExportTarget struct {
 	NumBlocks  int
 	NumStrands int
 	StrandIdx  []int
-	// StrandMult[k] is the target's multiplicity of StrandIdx[k]. Nil on
-	// import (a pre-v3 snapshot) defaults every multiplicity to 1 —
-	// which only skews a direct query's H0 weighting on that snapshot,
-	// never a gateway merge (the manifest carries the union counts).
+	// StrandMult[k] is the target's multiplicity of StrandIdx[k].
 	StrandMult []int
 }
 
@@ -113,10 +110,15 @@ func (db *DB) exportLocked() *Export {
 
 // FromExport rebuilds a queryable DB from exported state, re-preparing
 // every strand (compilation + fingerprints are deterministic, so the
-// rebuilt DB produces reports identical to the original). Preparation
-// runs in parallel under Opts.Workers.
+// rebuilt DB produces reports identical to the original). ex.Opts is the
+// whole configuration of the new DB — a loader that overrides a
+// snapshot's options edits it before calling — and preparation runs in
+// parallel under Opts.Workers.
 func FromExport(ex *Export) (*DB, error) {
-	db := NewDB(ex.Opts)
+	db, err := newDB(ex.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: import: %w", err)
+	}
 	if ex.Shard.Sharded() && (ex.Shard.ID < 0 || ex.Shard.ID >= ex.Shard.Count) {
 		return nil, fmt.Errorf("core: import: shard id %d out of range [0,%d)", ex.Shard.ID, ex.Shard.Count)
 	}
@@ -161,15 +163,11 @@ func FromExport(ex *Export) (*DB, error) {
 
 	// Adopt persisted sketch signatures when they match the configured
 	// geometry; recompute otherwise (deterministic, so equivalent).
-	sigs := make([]sketch.Signature, len(ex.Strands))
-	for i, es := range ex.Strands {
-		sigs[i] = es.Sig
-	}
-	db.rebuildSketches(sigs)
+	db.rebuildSketches(ex.Strands)
 
 	// Adopt the persisted probe table when present and consistent with
 	// the summaries just rebuilt; otherwise fall back to rebuilding it
-	// (pre-v4 snapshots, banding overridden at load, or a corrupt
+	// (saved without one, banding overridden at load, or a corrupt
 	// table). Eager only under probe mode — scan-mode databases build
 	// the table lazily if it is ever needed.
 	if ex.Retrieval != nil {
@@ -181,16 +179,8 @@ func FromExport(ex *Export) (*DB, error) {
 		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
 	}
 
-	// Per-target multiplicities: all-or-nothing per snapshot (the v3
-	// writer always emits them). When present they must reproduce the
-	// per-strand counts exactly — the invariant a shard split relies on.
-	haveMults := len(ex.Targets) > 0
-	for _, et := range ex.Targets {
-		if et.StrandMult == nil {
-			haveMults = false
-			break
-		}
-	}
+	// Per-target multiplicities must reproduce the per-strand counts
+	// exactly — the invariant a shard split relies on.
 	multSum := make([]int, len(db.uniq))
 	for ti, et := range ex.Targets {
 		t := &Target{
@@ -199,7 +189,7 @@ func FromExport(ex *Export) (*DB, error) {
 			NumBlocks:  et.NumBlocks,
 			NumStrands: et.NumStrands,
 		}
-		if et.StrandMult != nil && len(et.StrandMult) != len(et.StrandIdx) {
+		if len(et.StrandMult) != len(et.StrandIdx) {
 			return nil, fmt.Errorf("core: import target %d (%s): %d multiplicities for %d strand indices",
 				ti, et.Name, len(et.StrandMult), len(et.StrandIdx))
 		}
@@ -213,12 +203,9 @@ func FromExport(ex *Export) (*DB, error) {
 				return nil, fmt.Errorf("core: import target %d (%s): duplicate strand index %d", ti, et.Name, idx)
 			}
 			seen[idx] = true
-			m := 1
-			if et.StrandMult != nil {
-				m = et.StrandMult[k]
-				if m < 1 {
-					return nil, fmt.Errorf("core: import target %d (%s): multiplicity %d for strand %d", ti, et.Name, m, idx)
-				}
+			m := et.StrandMult[k]
+			if m < 1 {
+				return nil, fmt.Errorf("core: import target %d (%s): multiplicity %d for strand %d", ti, et.Name, m, idx)
 			}
 			t.strandMult = append(t.strandMult, m)
 			multSum[idx] += m
@@ -226,11 +213,9 @@ func FromExport(ex *Export) (*DB, error) {
 		t.strandIdx = append(t.strandIdx, et.StrandIdx...)
 		db.targets = append(db.targets, t)
 	}
-	if haveMults {
-		for j, want := range db.counts {
-			if multSum[j] != want {
-				return nil, fmt.Errorf("core: import: strand %d multiplicities sum to %d, count is %d", j, multSum[j], want)
-			}
+	for j, want := range db.counts {
+		if multSum[j] != want {
+			return nil, fmt.Errorf("core: import: strand %d multiplicities sum to %d, count is %d", j, multSum[j], want)
 		}
 	}
 	return db, nil

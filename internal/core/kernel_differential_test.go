@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,28 +12,27 @@ import (
 	"repro/internal/vcp"
 )
 
-// The batched SoA kernel is an optimisation, not a new verifier: under
-// -kernel=batch every fingerprint — and therefore every VCP, every GES
-// score and every ranking — must be byte-identical to -kernel=scalar.
-// This harness builds the same corpus into a scalar DB and a batch DB,
-// runs vulnerability queries through both, and compares rankings AND
-// raw scores; it also pins that the batch engine actually engaged (γ
-// time was attributed to the kernel and a nonzero instruction prefix
-// was hoisted) and that flipping the kernel at runtime with
-// ConfigureKernel keeps the answers fixed.
+// The batched SoA kernel is an optimisation, not a new verifier: every
+// fingerprint — and therefore every VCP, every GES score and every
+// ranking — must be byte-identical to the scalar interpreter's. This
+// harness builds the same corpus into a production DB and a DB whose
+// evaluator factory is the scalar reference (the one seam, reachable
+// from this package's tests only), runs vulnerability queries through
+// both, and compares rankings, raw scores and γ counts; it also pins
+// that the batch engine actually engaged (γ time was attributed to the
+// kernel, batches were flushed and a nonzero instruction prefix was
+// hoisted).
 func TestKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential kernel run is slow")
 	}
 	procs := buildDiffCorpus(t)
 
-	scalarOpts := Options{}
-	scalarOpts.VCP.Kernel = vcp.KernelScalar
-	dbScalar := NewDB(scalarOpts)
-	dbBatch := NewDB(Options{}) // batch is the default
-	if got := dbBatch.Stats().Kernel; got != vcp.KernelBatch {
-		t.Fatalf("default kernel = %q, want %q", got, vcp.KernelBatch)
+	dbScalar := NewDB(Options{})
+	dbScalar.newEval = func(q *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
+		return vcp.NewReferenceEvaluator(q, cfg, 0)
 	}
+	dbBatch := NewDB(Options{})
 	fillDB(t, dbScalar, procs)
 	fillDB(t, dbBatch, procs)
 
@@ -67,7 +67,10 @@ func TestKernelDifferential(t *testing.T) {
 		var drift []string
 		for i := range repScalar.Results {
 			s, b := repScalar.Results[i], repBatch.Results[i]
-			if s.Target.Name != b.Target.Name || s.GES != b.GES || s.SLOG != b.SLOG || s.SVCP != b.SVCP {
+			if s.Target.Name != b.Target.Name ||
+				math.Float64bits(s.GES) != math.Float64bits(b.GES) ||
+				math.Float64bits(s.SLOG) != math.Float64bits(b.SLOG) ||
+				math.Float64bits(s.SVCP) != math.Float64bits(b.SVCP) {
 				drift = append(drift, fmt.Sprintf(
 					"  %-52s scalar GES=%.9f batch GES=%.9f", s.Target.Name, s.GES, b.GES))
 			}
@@ -75,23 +78,6 @@ func TestKernelDifferential(t *testing.T) {
 		if len(drift) > 0 {
 			t.Errorf("query %s: %d targets with non-identical scores:\n%s",
 				v.Alias, len(drift), strings.Join(drift[:min(5, len(drift))], "\n"))
-		}
-
-		// Runtime flip on the scalar DB: same answers through the batch
-		// kernel against the same prepared index (the γ counts must stay
-		// identical too, or the caches diverge between modes).
-		if err := dbScalar.ConfigureKernel(vcp.KernelBatch); err != nil {
-			t.Fatal(err)
-		}
-		repFlip, err := dbScalar.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (flipped): %v", v.Alias, err)
-		}
-		if rankingNames(repFlip, stats.Esh) != rankingNames(repScalar, stats.Esh) {
-			t.Errorf("query %s: ranking changed after ConfigureKernel(batch)", v.Alias)
-		}
-		if err := dbScalar.ConfigureKernel(vcp.KernelScalar); err != nil {
-			t.Fatal(err)
 		}
 	}
 
@@ -102,6 +88,12 @@ func TestKernelDifferential(t *testing.T) {
 	}
 	if bs.KernelNanos == 0 || ss.KernelNanos == 0 {
 		t.Error("kernel time telemetry not recorded")
+	}
+	if ss.GammaBatches != 0 {
+		t.Errorf("scalar reference flushed %d γ batches", ss.GammaBatches)
+	}
+	if bs.GammaBatches == 0 || bs.GammaBatchRows < bs.GammaBatches {
+		t.Errorf("batch engine not engaged: %d batches, %d rows", bs.GammaBatches, bs.GammaBatchRows)
 	}
 	if bs.KernelInstrs == 0 || bs.KernelPrefixInstrs == 0 {
 		t.Errorf("hoisting telemetry empty: prefix=%d total=%d",

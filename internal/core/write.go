@@ -15,7 +15,7 @@ import (
 // fixed order:
 //
 //   - writeMu serializes writers (ApplyAdd, ApplyRemove, Replay*,
-//     Compact, Export, the Configure* calls). Validation, journaling and
+//     Compact, Export, RetrievalIndex). Validation, journaling and
 //     sketch building all happen under writeMu alone, so queries keep
 //     flowing through the expensive part of a write.
 //   - cfgMu (held second, briefly) publishes the new state. Everything a

@@ -266,7 +266,6 @@ func New(cfg Config) (*Gateway, error) {
 		"Unix time the process started.").Set(float64(g.started.UnixNano()) / 1e9)
 	g.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
 		"go_version", runtime.Version(),
-		"kernel", cfg.Manifest.Kernel,
 		"prefilter", cfg.Manifest.Prefilter,
 		"retrieval", cfg.Manifest.Retrieval).Set(1)
 
@@ -477,7 +476,7 @@ func (e *FleetError) Error() string {
 // CheckFleet asks every replica for /v1/stats and verifies it against
 // the manifest: fleet generation, shard coordinates, and snapshot
 // checksum must match exactly (a mismatch means merged scores would be
-// silently wrong); kernel and prefilter mode mismatches are
+// silently wrong); prefilter and retrieval mode mismatches are
 // score-neutral by the differential suites, so they come back as
 // warnings, not errors.
 func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []error) {
@@ -509,9 +508,6 @@ func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []err
 			}
 			if st.Engine.SigmoidK != man.SigmoidK {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("sigmoid k=%g, manifest says %g", st.Engine.SigmoidK, man.SigmoidK)})
-			}
-			if st.Engine.Kernel != man.Kernel {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): kernel %q, manifest built with %q (score-neutral)", i, u, st.Engine.Kernel, man.Kernel))
 			}
 			if st.Prefilter.Mode != man.Prefilter {
 				warnings = append(warnings, fmt.Sprintf("shard %d (%s): prefilter %q, manifest built with %q (score-neutral)", i, u, st.Prefilter.Mode, man.Prefilter))

@@ -37,26 +37,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Magic identifies snapshot files; Version is the current format.
-// Version 2 added the sketch section (per-strand MinHash signatures for
-// the LSH prefilter) and the prefilter/lshbands/lshrows option keys;
-// version 3 added the shard-identity record and the per-target strand
-// multiplicity section (what lets a corpus split into shards whose
-// local strand counts sum exactly to the union's); version 4 added the
-// retrieval section (the banded-LSH probe table's posting slabs, with
-// their own checksum) and the retrieval option key; version 5 added the
-// wal record (compaction generation + journal high-water mark, what
-// lets a restarting daemon skip already-folded journal records) and the
-// retrmaxdelta option key. Older versions still load: signatures are
-// recomputed, multiplicities default to 1, the probe table is rebuilt
-// from the strands (deterministically, so probe-mode answers are
-// identical either way), and generation and high-water mark default to
-// zero (replay everything).
+// Magic identifies snapshot files; Version is the one format read and
+// written. Besides the options, strands and targets it carries the
+// shard-identity record, the wal record (compaction generation +
+// journal high-water mark, what lets a restarting daemon skip
+// already-folded journal records), per-strand MinHash signatures,
+// per-target strand multiplicities (what lets a corpus split into
+// shards whose local strand counts sum exactly to the union's) and the
+// banded-LSH probe table's posting slabs with their own checksum.
+// Versions 1–4 are refused: no fleet holds them.
 const (
-	Magic      = "eshidx"
-	Version    = 5
-	MinVersion = 1
+	Magic   = "eshidx"
+	Version = 5
 )
+
+// Override adjusts the options a snapshot was saved with before the
+// engine is built from them (core.FromExport) — how a binary's
+// explicitly-set flags reach a loaded database. Nil keeps the
+// snapshot's options.
+type Override func(core.Options) (core.Options, error)
 
 // Info identifies one snapshot: the format version, body size, body
 // checksum, and the shard identity baked into it. The checksum is what
@@ -164,22 +163,17 @@ func saveFileExport(path string, ex *core.Export) (Info, error) {
 
 // Load reads a snapshot and rebuilds a queryable database, re-preparing
 // every strand. The rebuilt DB answers Query identically to the one that
-// was saved. It is LoadCtx with a background context.
+// was saved.
 func Load(r io.Reader) (*core.DB, error) {
-	return LoadCtx(context.Background(), r)
-}
-
-// LoadCtx reads a snapshot and rebuilds a queryable database, recording
-// an "index.load" telemetry span (with decode and prepare child spans)
-// under the one carried by ctx, if any.
-func LoadCtx(ctx context.Context, r io.Reader) (*core.DB, error) {
-	db, _, err := LoadInfoCtx(ctx, r)
+	db, _, err := LoadInfoCtx(context.Background(), r, nil)
 	return db, err
 }
 
-// LoadInfoCtx is LoadCtx returning the snapshot's identity alongside
-// the rebuilt database.
-func LoadInfoCtx(ctx context.Context, r io.Reader) (*core.DB, Info, error) {
+// LoadInfoCtx is Load with the options override applied between decode
+// and engine construction, returning the snapshot's identity alongside
+// the rebuilt database. It records an "index.load" telemetry span (with
+// decode and prepare child spans) under the one carried by ctx, if any.
+func LoadInfoCtx(ctx context.Context, r io.Reader, override Override) (*core.DB, Info, error) {
 	lctx, sp := telemetry.StartSpan(ctx, "index.load")
 	defer func() { mLoadSeconds.Observe(sp.End().Seconds()) }()
 
@@ -191,6 +185,11 @@ func LoadInfoCtx(ctx context.Context, r io.Reader) (*core.DB, Info, error) {
 	}
 	sp.SetAttr("strands", float64(len(ex.Strands)))
 	sp.SetAttr("targets", float64(len(ex.Targets)))
+	if override != nil {
+		if ex.Opts, err = override(ex.Opts); err != nil {
+			return nil, Info{}, fmt.Errorf("index: %w", err)
+		}
+	}
 
 	// FromExport re-prepares every strand for the verifier — usually the
 	// dominant cost of a load, hence its own child span.
@@ -208,21 +207,22 @@ func LoadFile(path string) (*core.DB, error) {
 	return LoadFileCtx(context.Background(), path)
 }
 
-// LoadFileCtx loads a snapshot from path with LoadCtx tracing.
+// LoadFileCtx loads a snapshot from path with LoadInfoCtx tracing.
 func LoadFileCtx(ctx context.Context, path string) (*core.DB, error) {
-	db, _, err := LoadFileInfoCtx(ctx, path)
+	db, _, err := LoadFileInfoCtx(ctx, path, nil)
 	return db, err
 }
 
-// LoadFileInfoCtx loads a snapshot from path, returning its identity
-// (version, checksum, shard) for serving-side exposition.
-func LoadFileInfoCtx(ctx context.Context, path string) (*core.DB, Info, error) {
+// LoadFileInfoCtx loads a snapshot from path under the options override,
+// returning its identity (version, checksum, shard) for serving-side
+// exposition.
+func LoadFileInfoCtx(ctx context.Context, path string, override Override) (*core.DB, Info, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	db, info, err := LoadInfoCtx(ctx, bufio.NewReaderSize(f, 1<<20))
+	db, info, err := LoadInfoCtx(ctx, bufio.NewReaderSize(f, 1<<20), override)
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("index: load %s: %w", path, err)
 	}
@@ -251,8 +251,8 @@ func LoadExportInfo(r io.Reader) (*core.Export, Info, error) {
 	if magic != Magic {
 		return nil, Info{}, fmt.Errorf("index: not a snapshot (magic %q)", magic)
 	}
-	if version < MinVersion || version > Version {
-		return nil, Info{}, fmt.Errorf("index: unsupported format version %d (have %d..%d)", version, MinVersion, Version)
+	if version != Version {
+		return nil, Info{}, fmt.Errorf("index: unsupported format version %d (have %d)", version, Version)
 	}
 	body, err := io.ReadAll(br)
 	if err != nil {
@@ -266,7 +266,7 @@ func LoadExportInfo(r io.Reader) (*core.Export, Info, error) {
 		return nil, Info{}, fmt.Errorf("index: checksum mismatch: snapshot is corrupted")
 	}
 	mSnapshotBytes.Set(float64(len(body)))
-	ex, err := decodeBody(body, version)
+	ex, err := decodeBody(body)
 	if err != nil {
 		return nil, Info{}, err
 	}
@@ -297,18 +297,19 @@ func codeType(c int) (ivl.Type, error) {
 func encodeBody(ex *core.Export) []byte {
 	var b bytes.Buffer
 	o := ex.Opts
-	fmt.Fprintf(&b, "options workers=%d sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s kernel=%s retrieval=%s retrmaxdelta=%d gammabatch=%d\n",
-		o.Workers, ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks, o.VCPCachePairs,
+	// Options.Workers is a deployment setting, not corpus state: the
+	// loading process picks it.
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s retrmaxdelta=%d\n",
+		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks, o.VCPCachePairs,
 		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.VCP.Kernel, o.Retrieval,
-		o.RetrievalMaxDelta, o.VCP.GammaBatch)
+		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval,
+		o.RetrievalMaxDelta)
 
-	// Shard identity (format version 3). All zero/empty for an unsharded
-	// corpus.
+	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
 
-	// Write-path watermark (format version 5): the compaction generation
-	// and the journal sequence already folded into this snapshot.
+	// Write-path watermark: the compaction generation and the journal
+	// sequence already folded into this snapshot.
 	fmt.Fprintf(&b, "wal %d %d\n", ex.Generation, ex.WALSeq)
 
 	fmt.Fprintf(&b, "strands %d\n", len(ex.Strands))
@@ -340,7 +341,7 @@ func encodeBody(ex *core.Export) []byte {
 		b.WriteByte('\n')
 	}
 
-	// Sketch section (format version 2): per-strand MinHash signatures
+	// Sketch section: per-strand MinHash signatures
 	// so a load can rebuild the LSH prefilter without recomputing
 	// features. Written empty (count 0) when any signature is missing
 	// or inconsistent; the loader recomputes in that case.
@@ -361,37 +362,10 @@ func encodeBody(ex *core.Export) []byte {
 		b.WriteByte('\n')
 	}
 
-	// Multiplicity section (format version 3): per-target strand
-	// multiplicities, written only when they are present and exactly
-	// reproduce the per-strand counts (the invariant shard splitting
-	// depends on). A database rebuilt from a pre-v3 snapshot carries
-	// fabricated all-ones multiplicities, so re-saving it must not
-	// persist them as if they were real — it writes a zero count and
-	// the loader falls back to the same all-ones default.
-	nm := len(ex.Targets)
-	multSum := make([]int, len(ex.Strands))
+	// Multiplicity section: per-target strand multiplicities, which sum
+	// to the per-strand counts (core.FromExport checks it on load).
+	fmt.Fprintf(&b, "mults %d\n", len(ex.Targets))
 	for _, t := range ex.Targets {
-		if t.StrandMult == nil || len(t.StrandMult) != len(t.StrandIdx) {
-			nm = 0
-			break
-		}
-		for k, idx := range t.StrandIdx {
-			if idx >= 0 && idx < len(multSum) {
-				multSum[idx] += t.StrandMult[k]
-			}
-		}
-	}
-	if nm > 0 {
-		for j, es := range ex.Strands {
-			if multSum[j] != es.Count {
-				nm = 0
-				break
-			}
-		}
-	}
-	fmt.Fprintf(&b, "mults %d\n", nm)
-	for i := 0; i < nm; i++ {
-		t := ex.Targets[i]
 		fmt.Fprintf(&b, "m %d", len(t.StrandMult))
 		for _, m := range t.StrandMult {
 			fmt.Fprintf(&b, " %d", m)
@@ -399,7 +373,7 @@ func encodeBody(ex *core.Export) []byte {
 		b.WriteByte('\n')
 	}
 
-	// Retrieval section (format version 4): the probe table's band
+	// Retrieval section: the probe table's band	// Retrieval section (format version 4): the probe table's band
 	// posting slabs with their own checksum, so a load can adopt the
 	// table instead of re-sorting it. Written empty (count 0) when the
 	// table was never built, or disagrees with the snapshot's strand
@@ -528,7 +502,7 @@ func (d *decoder) record(tag string, minFields int) ([]string, error) {
 	return toks[1:], nil
 }
 
-func decodeBody(body []byte, version int) (*core.Export, error) {
+func decodeBody(body []byte) (*core.Export, error) {
 	lines := strings.Split(string(body), "\n")
 	if n := len(lines); n > 0 && lines[n-1] == "" {
 		lines = lines[:n-1]
@@ -536,37 +510,11 @@ func decodeBody(body []byte, version int) (*core.Export, error) {
 	d := &decoder{lines: lines}
 	ex := &core.Export{}
 
-	if err := d.decodeOptions(ex); err != nil {
-		return nil, err
-	}
-	if version >= 3 {
-		if err := d.decodeShard(ex); err != nil {
-			return nil, err
-		}
-	}
-	if version >= 5 {
-		if err := d.decodeWAL(ex); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.decodeStrands(ex); err != nil {
-		return nil, err
-	}
-	if err := d.decodeTargets(ex); err != nil {
-		return nil, err
-	}
-	if version >= 2 {
-		if err := d.decodeSketch(ex); err != nil {
-			return nil, err
-		}
-	}
-	if version >= 3 {
-		if err := d.decodeMults(ex); err != nil {
-			return nil, err
-		}
-	}
-	if version >= 4 {
-		if err := d.decodeRetrieval(ex); err != nil {
+	for _, section := range []func(*core.Export) error{
+		d.decodeOptions, d.decodeShard, d.decodeWAL, d.decodeStrands,
+		d.decodeTargets, d.decodeSketch, d.decodeMults, d.decodeRetrieval,
+	} {
+		if err := section(ex); err != nil {
 			return nil, err
 		}
 	}
@@ -576,7 +524,7 @@ func decodeBody(body []byte, version int) (*core.Export, error) {
 	return ex, nil
 }
 
-// decodeRetrieval reads the version-4 retrieval section. A zero strand
+// decodeRetrieval reads the retrieval section. A zero strand
 // count means the probe table was not persisted; core.FromExport
 // rebuilds it on demand. The decoded table's internal consistency
 // (sorted keys, monotonic offsets, id ranges, checksum) is validated by
@@ -655,7 +603,7 @@ func (d *decoder) decodeRetrieval(ex *core.Export) error {
 	return nil
 }
 
-// decodeShard reads the version-3 shard identity record.
+// decodeShard reads the shard identity record.
 func (d *decoder) decodeShard(ex *core.Export) error {
 	toks, err := d.record("shard", 3)
 	if err != nil {
@@ -675,7 +623,7 @@ func (d *decoder) decodeShard(ex *core.Export) error {
 	return nil
 }
 
-// decodeWAL reads the version-5 write-path watermark record: the
+// decodeWAL reads the write-path watermark record: the
 // compaction generation and the journal sequence number already folded
 // into the snapshot (startup replay skips records at or below it).
 func (d *decoder) decodeWAL(ex *core.Export) error {
@@ -695,9 +643,7 @@ func (d *decoder) decodeWAL(ex *core.Export) error {
 	return nil
 }
 
-// decodeMults reads the version-3 multiplicity section. A zero target
-// count means multiplicities were not persisted; core.FromExport
-// defaults them to 1.
+// decodeMults reads the multiplicity section: one record per target.
 func (d *decoder) decodeMults(ex *core.Export) error {
 	toks, err := d.record("mults", 1)
 	if err != nil {
@@ -708,7 +654,7 @@ func (d *decoder) decodeMults(ex *core.Export) error {
 		return err
 	}
 	n := nums[0]
-	if n != 0 && n != len(ex.Targets) {
+	if n != len(ex.Targets) {
 		return d.errf("mults section has %d records for %d targets", n, len(ex.Targets))
 	}
 	for i := 0; i < n; i++ {
@@ -731,7 +677,7 @@ func (d *decoder) decodeMults(ex *core.Export) error {
 	return nil
 }
 
-// decodeSketch reads the version-2 sketch section. A zero strand count
+// decodeSketch reads the sketch section. A zero strand count
 // means signatures were not persisted; core.FromExport recomputes them.
 func (d *decoder) decodeSketch(ex *core.Export) error {
 	toks, err := d.record("sketch", 3)
@@ -797,8 +743,6 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			return f
 		}
 		switch key {
-		case "workers":
-			ex.Opts.Workers = atoi()
 		case "sigmoidk":
 			ex.Opts.SigmoidK = atof()
 		case "pathlen":
@@ -816,24 +760,22 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 		case "vcpmaxcorr":
 			ex.Opts.VCP.MaxCorrespondences = atoi()
 		case "prefilter":
-			ex.Opts.Prefilter = val
+			ex.Opts.Prefilter, ierr = core.NormalizePrefilter(val)
 		case "lshbands":
 			ex.Opts.LSHBands = atoi()
 		case "lshrows":
 			ex.Opts.LSHRows = atoi()
 		case "lshmincont":
 			ex.Opts.LSHMinContainment = atof()
-		case "kernel":
-			ex.Opts.VCP.Kernel = val
 		case "retrieval":
-			ex.Opts.Retrieval = val
+			ex.Opts.Retrieval, ierr = core.NormalizeRetrieval(val)
 		case "retrmaxdelta":
 			ex.Opts.RetrievalMaxDelta = atoi()
-		case "gammabatch":
-			ex.Opts.VCP.GammaBatch = atoi()
 		default:
 			// Unknown keys are ignored so minor option additions do not
-			// invalidate old readers within a format version.
+			// invalidate old readers within a format version — and so
+			// files that still carry the retired workers=, kernel= and
+			// gammabatch= keys keep loading.
 		}
 		if ierr != nil {
 			return d.errf("bad option value %q: %v", kv, ierr)

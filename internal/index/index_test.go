@@ -2,9 +2,11 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,64 +148,110 @@ func TestRoundTripStable(t *testing.T) {
 
 func TestOptionsPersist(t *testing.T) {
 	db := core.NewDB(core.Options{
-		VCP:      vcp.Config{MinVars: 3, SizeRatio: 0.25, GammaBatch: 16},
+		VCP:      vcp.Config{MinVars: 3, SizeRatio: 0.25},
 		SigmoidK: 7.5,
 		PathLen:  2,
+		Workers:  runtime.GOMAXPROCS(0) + 3,
 	})
 	if err := db.AddTarget(parse(t, iccStyle)); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Load(bytes.NewReader(saveBytes(t, db)))
+	snap := saveBytes(t, db)
+	db2, err := Load(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, want := db2.Options(), db.Options()
 	if got.SigmoidK != want.SigmoidK || got.PathLen != want.PathLen ||
-		got.VCP.MinVars != want.VCP.MinVars || got.VCP.SizeRatio != want.VCP.SizeRatio ||
-		got.VCP.GammaBatch != 16 {
+		got.VCP.MinVars != want.VCP.MinVars || got.VCP.SizeRatio != want.VCP.SizeRatio {
 		t.Fatalf("options %+v, want %+v", got, want)
+	}
+	// Workers is the loading process's to choose: the build host's value
+	// is not in the file, and a load-time override bounds the load too.
+	if bytes.Contains(snap, []byte("workers=")) || got.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("build host's workers leaked into the snapshot: loaded Workers = %d", got.Workers)
+	}
+	db3, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), func(o core.Options) (core.Options, error) {
+		o.Workers = 3
+		return o, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db3.Options().Workers; got != 3 {
+		t.Fatalf("Workers after override = %d, want 3", got)
 	}
 }
 
-// TestGammaBatchOptionCompat: snapshots written before the gammabatch
-// option existed must still load — the unknown-key-tolerant options
-// decoder leaves the width zero and NewDB normalizes it to the default.
-func TestGammaBatchOptionCompat(t *testing.T) {
-	snap := saveBytes(t, buildDB(t))
+// rewrite passes each body line of a snapshot through edit and
+// recomputes the header under the given format version — how these
+// tests synthesize foreign snapshots without checked-in fixtures.
+func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string) []byte {
+	t.Helper()
 	nl := bytes.IndexByte(snap, '\n')
 	if nl < 0 {
 		t.Fatal("snapshot has no header line")
 	}
-	var out []string
-	stripped := false
-	for _, ln := range strings.Split(string(snap[nl+1:]), "\n") {
-		if tag, _, _ := strings.Cut(ln, " "); tag == "options" {
-			var kept []string
-			for _, tok := range strings.Fields(ln) {
-				if strings.HasPrefix(tok, "gammabatch=") {
-					stripped = true
-					continue
-				}
-				kept = append(kept, tok)
-			}
-			ln = strings.Join(kept, " ")
-		}
-		out = append(out, ln)
+	lines := strings.Split(string(snap[nl+1:]), "\n")
+	for i, ln := range lines {
+		lines[i] = edit(ln)
 	}
-	if !stripped {
-		t.Fatal("snapshot options line does not carry gammabatch=")
-	}
-	body := strings.Join(out, "\n")
+	body := strings.Join(lines, "\n")
 	sum := sha256.Sum256([]byte(body))
-	old := fmt.Sprintf("%s %d %d %s\n%s", Magic, Version, len(body), hex.EncodeToString(sum[:]), body)
+	return []byte(fmt.Sprintf("%s %d %d %s\n%s", Magic, version, len(body), hex.EncodeToString(sum[:]), body))
+}
 
-	db2, err := Load(strings.NewReader(old))
+// TestRetiredOptionKeys: snapshots written while workers=, kernel= and
+// gammabatch= were still option keys keep loading (unknown keys are
+// ignored), answer identically, and re-save without them.
+func TestRetiredOptionKeys(t *testing.T) {
+	db := buildDB(t)
+	snap := saveBytes(t, db)
+	old := rewrite(t, snap, Version, func(ln string) string {
+		if strings.HasPrefix(ln, "options ") {
+			ln += " workers=1 kernel=scalar gammabatch=16"
+		}
+		return ln
+	})
+	db2, err := Load(bytes.NewReader(old))
 	if err != nil {
-		t.Fatalf("load pre-gammabatch snapshot: %v", err)
+		t.Fatalf("load snapshot with retired keys: %v", err)
 	}
-	if got := db2.Options().VCP.GammaBatch; got != vcp.DefaultGammaBatch {
-		t.Fatalf("GammaBatch after old-snapshot load = %d, want default %d",
-			got, vcp.DefaultGammaBatch)
+	compareQueries(t, db, db2)
+	if !bytes.Equal(saveBytes(t, db2), snap) {
+		t.Fatal("re-saved snapshot differs from one that never had the retired keys")
+	}
+}
+
+// TestBadBodyRejected: a mode string nothing defines must not be read
+// as the slow path, and a snapshot without per-target multiplicities
+// must not be read as all-ones; like a malformed value, each fails with
+// its line.
+func TestBadBodyRejected(t *testing.T) {
+	snap := saveBytes(t, buildDB(t))
+	for _, tc := range []struct{ from, to, want string }{
+		{"prefilter=off", "prefilter=lhs", `line 1: bad option value "prefilter=lhs"`},
+		{"retrieval=scan", "retrieval=prob", `line 1: bad option value "retrieval=prob"`},
+		{"lshbands=", "lshbands=x", `line 1: bad option value "lshbands=x`},
+		{"mults 2", "mults 0", "mults section has 0 records for 2 targets"},
+	} {
+		if !bytes.Contains(snap, []byte(tc.from)) {
+			t.Fatalf("%s: snapshot has no %q to corrupt", tc.to, tc.from)
+		}
+		bad := rewrite(t, snap, Version, func(ln string) string { return strings.Replace(ln, tc.from, tc.to, 1) })
+		_, err := Load(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.to, err, tc.want)
+		}
+	}
+}
+
+// TestOldVersionRefused: formats before 5 are no longer decoded.
+func TestOldVersionRefused(t *testing.T) {
+	old := rewrite(t, saveBytes(t, buildDB(t)), Version-1, func(ln string) string { return ln })
+	_, err := Load(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "unsupported format version 4") {
+		t.Fatalf("v4 snapshot: error %v, want unsupported format version", err)
 	}
 }
 
@@ -264,8 +312,8 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 // buildProbeDB is buildDB in probe retrieval mode, which makes Export
-// carry the built probe table so the snapshot exercises the version-4
-// retrieval section.
+// carry the built probe table so the snapshot exercises the retrieval
+// section.
 func buildProbeDB(t *testing.T) *core.DB {
 	t.Helper()
 	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, Retrieval: core.RetrievalProbe})
@@ -277,7 +325,7 @@ func buildProbeDB(t *testing.T) *core.DB {
 	return db
 }
 
-// TestRetrievalTableRoundTrip checks the version-4 retrieval section:
+// TestRetrievalTableRoundTrip checks the retrieval section:
 // a probe-mode save persists the table, a load adopts it byte-for-byte
 // (same slab checksum as the builder produced), and the re-saved
 // snapshot is a fixed point.
@@ -313,74 +361,36 @@ func TestRetrievalTableRoundTrip(t *testing.T) {
 	compareQueries(t, db, db2)
 }
 
-// downgrade rewrites a current-version snapshot as an older format:
-// it strips the sections (and option keys) that version did not have
-// and recomputes the header. This is how the compat tests synthesize
-// genuine old snapshots without checking in binary fixtures.
-func downgrade(t *testing.T, snap []byte, version int) []byte {
-	t.Helper()
-	nl := bytes.IndexByte(snap, '\n')
-	if nl < 0 {
-		t.Fatal("snapshot has no header line")
-	}
-	var out []string
-	for _, ln := range strings.Split(string(snap[nl+1:]), "\n") {
-		tag, _, _ := strings.Cut(ln, " ")
-		switch {
-		case tag == "options" && version < 4:
-			var kept []string
-			for _, tok := range strings.Fields(ln) {
-				if !strings.HasPrefix(tok, "retrieval=") {
-					kept = append(kept, tok)
-				}
-			}
-			ln = strings.Join(kept, " ")
-		case version < 5 && tag == "wal":
-			continue
-		case version < 4 && (tag == "retrieval" || tag == "rd" || tag == "rk" || tag == "ro" || tag == "ri"):
-			continue
-		case version < 3 && (tag == "shard" || tag == "mults" || tag == "m"):
-			continue
-		}
-		out = append(out, ln)
-	}
-	body := strings.Join(out, "\n")
-	sum := sha256.Sum256([]byte(body))
-	return []byte(fmt.Sprintf("%s %d %d %s\n%s", Magic, version, len(body), hex.EncodeToString(sum[:]), body))
-}
+// TestProbeOverrideRebuildsTable: a snapshot saved in scan mode carries
+// no probe table; loading it with retrieval overridden to probe rebuilds
+// one identical to the table a probe-mode save persists, so probe-mode
+// answers do not depend on how the snapshot was written.
+func TestProbeOverrideRebuildsTable(t *testing.T) {
+	probeDB := buildProbeDB(t)
+	want := probeDB.RetrievalIndex().Checksum()
 
-// TestOldVersionsLoad checks that version-2 and version-3 snapshots
-// (no retrieval section, and for v2 no shard/multiplicity records)
-// still load, and that the probe table rebuilt from their strands is
-// identical to the one a current snapshot persists — so probe-mode
-// answers do not depend on the snapshot's age.
-func TestOldVersionsLoad(t *testing.T) {
-	db := buildProbeDB(t)
-	want := db.RetrievalIndex().Checksum()
-	snap := saveBytes(t, db)
-
-	for _, v := range []int{2, 3} {
-		old := downgrade(t, snap, v)
-		ex, err := LoadExport(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("load v%d export: %v", v, err)
-		}
-		if ex.Retrieval != nil {
-			t.Fatalf("v%d snapshot decoded a retrieval table it cannot contain", v)
-		}
-		db2, err := Load(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("load v%d: %v", v, err)
-		}
-		if db2.NumTargets() != db.NumTargets() || db2.NumUniqueStrands() != db.NumUniqueStrands() {
-			t.Fatalf("v%d: reloaded shape %d/%d, want %d/%d", v,
-				db2.NumTargets(), db2.NumUniqueStrands(), db.NumTargets(), db.NumUniqueStrands())
-		}
-		if got := db2.RetrievalIndex().Checksum(); got != want {
-			t.Fatalf("v%d: rebuilt table checksum %016x, persisted-table build %016x", v, got, want)
-		}
-		compareQueries(t, db, db2)
+	snap := saveBytes(t, buildDB(t))
+	ex, err := LoadExport(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if ex.Retrieval != nil || ex.Opts.Retrieval != core.RetrievalScan {
+		t.Fatalf("scan-mode snapshot carries a probe table or mode %q", ex.Opts.Retrieval)
+	}
+	db2, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), func(o core.Options) (core.Options, error) {
+		o.Retrieval = core.RetrievalProbe
+		return o, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.Stats(); got.Retrieval != core.RetrievalProbe || got.RetrievalTableBuckets == 0 {
+		t.Fatalf("after override: retrieval %q with %d table buckets, want a resident probe table", got.Retrieval, got.RetrievalTableBuckets)
+	}
+	if got := db2.RetrievalIndex().Checksum(); got != want {
+		t.Fatalf("rebuilt table checksum %016x, persisted-table build %016x", got, want)
+	}
+	compareQueries(t, probeDB, db2)
 }
 
 // compareQueries runs the shared query set against both databases and

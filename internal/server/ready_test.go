@@ -153,9 +153,6 @@ func TestStatsSnapshotBlock(t *testing.T) {
 	if st.Snapshot.ShardCount != 0 {
 		t.Fatalf("unsharded corpus reports shard count %d", st.Snapshot.ShardCount)
 	}
-	if st.Engine.Kernel == "" {
-		t.Fatal("stats omit kernel mode")
-	}
 	if st.Prefilter.Mode == "" {
 		t.Fatal("stats omit prefilter mode")
 	}

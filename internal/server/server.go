@@ -28,7 +28,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/vcp"
 	"repro/internal/wal"
 )
 
@@ -178,7 +177,6 @@ func New(db *core.DB, cfg Config) *Server {
 		"Unix time the process started.").Set(float64(s.started.UnixNano()) / 1e9)
 	s.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
 		"go_version", runtime.Version(),
-		"kernel", db.Options().VCP.Kernel,
 		"prefilter", db.Options().Prefilter,
 		"retrieval", db.Options().Retrieval).Set(1)
 
@@ -393,34 +391,10 @@ func (s *Server) record(kind, rid, outcome, errMsg string, start time.Time, root
 		Outcome:    outcome,
 		Err:        errMsg,
 		Generation: s.db.Shard().Generation,
-		Kernel:     opts.VCP.Kernel,
 		Prefilter:  opts.Prefilter,
 		Retrieval:  opts.Retrieval,
 	}
-	snap := root.Snapshot()
-	rec.FillFromTrace(snap)
-	// The vcp span carries the entry-time engine configuration, which
-	// beats the live options under concurrent reconfiguration.
-	if v := snap.Find("vcp"); v != nil {
-		if kb, ok := v.Attrs["kernel_batch"]; ok {
-			rec.Kernel = vcp.KernelScalar
-			if kb != 0 {
-				rec.Kernel = vcp.KernelBatch
-			}
-		}
-		if pf, ok := v.Attrs["prefilter_lsh"]; ok {
-			rec.Prefilter = core.PrefilterOff
-			if pf != 0 {
-				rec.Prefilter = core.PrefilterLSH
-			}
-		}
-		if rp, ok := v.Attrs["retrieval_probe"]; ok {
-			rec.Retrieval = core.RetrievalScan
-			if rp != 0 {
-				rec.Retrieval = core.RetrievalProbe
-			}
-		}
-	}
+	rec.FillFromTrace(root.Snapshot())
 	if s.rec.Record(rec) {
 		s.slowQ.Inc()
 		s.cfg.Logger.Warn("slow query",
@@ -907,7 +881,7 @@ type StatsResponse struct {
 		TableSkew       float64 `json:"table_skew"`
 	} `json:"retrieval"`
 	// Engine aggregates pipeline work across all queries: verifier
-	// effort, pruning effectiveness, evaluation-kernel mode and time,
+	// effort, pruning effectiveness, evaluation-kernel time,
 	// γ-invariant hoisting coverage, and cumulative per-stage wall time.
 	Engine struct {
 		Queries                 uint64             `json:"queries"`
@@ -915,11 +889,9 @@ type StatsResponse struct {
 		VerifierCalls           uint64             `json:"verifier_calls"`
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
 		SigmoidK                float64            `json:"sigmoid_k"`
-		Kernel                  string             `json:"kernel"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
 		KernelPrefixInstrs      uint64             `json:"kernel_prefix_instrs"`
 		KernelInstrs            uint64             `json:"kernel_instrs"`
-		GammaBatch              int                `json:"gamma_batch"`
 		GammaBatches            uint64             `json:"gamma_batches"`
 		GammaBatchRows          uint64             `json:"gamma_batch_rows"`
 		StageSeconds            map[string]float64 `json:"stage_seconds"`
@@ -1016,11 +988,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.VerifierCalls = dbs.VerifierCalls
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
 	resp.Engine.SigmoidK = s.db.Options().SigmoidK
-	resp.Engine.Kernel = dbs.Kernel
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9
 	resp.Engine.KernelPrefixInstrs = dbs.KernelPrefixInstrs
 	resp.Engine.KernelInstrs = dbs.KernelInstrs
-	resp.Engine.GammaBatch = dbs.GammaBatch
 	resp.Engine.GammaBatches = dbs.GammaBatches
 	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
 	resp.Engine.StageSeconds = dbs.StageSeconds

@@ -33,8 +33,8 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s kernel=%s prefilter=%s lshmincont=%s retrieval=%s\n",
-		ftoa(m.SigmoidK), m.Kernel, m.Prefilter, ftoa(m.LSHMinContainment), m.Retrieval)
+	fmt.Fprintf(&b, "opts sigmoidk=%s prefilter=%s lshmincont=%s retrieval=%s\n",
+		ftoa(m.SigmoidK), m.Prefilter, ftoa(m.LSHMinContainment), m.Retrieval)
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "counts %d", len(m.Counts))
 	for _, c := range m.Counts {
@@ -207,17 +207,15 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		switch key {
 		case "sigmoidk":
 			m.SigmoidK, err = strconv.ParseFloat(val, 64)
-		case "kernel":
-			m.Kernel = val
 		case "prefilter":
-			m.Prefilter = val
+			m.Prefilter, err = core.NormalizePrefilter(val)
 		case "lshmincont":
 			m.LSHMinContainment, err = strconv.ParseFloat(val, 64)
 		case "retrieval":
-			m.Retrieval = val
+			m.Retrieval, err = core.NormalizeRetrieval(val)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: manifest: bad option %q: %w", kv, err)
+			return nil, fmt.Errorf("shard: manifest line %d: bad option %q: %w", pos, kv, err)
 		}
 	}
 

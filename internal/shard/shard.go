@@ -35,14 +35,13 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK, Kernel, Prefilter, LSHMinContainment and Retrieval
-	// record the engine options the corpus was built with. SigmoidK and
+	// SigmoidK, Prefilter, LSHMinContainment and Retrieval record the
+	// engine options the corpus was built with. SigmoidK and
 	// LSHMinContainment affect scores, so a coordinator refuses shards
-	// reporting different values; Kernel, Prefilter (sound mode) and
-	// Retrieval do not — the differential suites enforce it — so
-	// mismatches there are only warnings.
+	// reporting different values; Prefilter (sound mode) and Retrieval
+	// do not — the differential suites enforce it — so mismatches there
+	// are only warnings.
 	SigmoidK          float64
-	Kernel            string
 	Prefilter         string
 	LSHMinContainment float64
 	Retrieval         string
@@ -114,7 +113,6 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 
 	man := &Manifest{
 		SigmoidK:          ex.Opts.SigmoidK,
-		Kernel:            ex.Opts.VCP.Kernel,
 		Prefilter:         ex.Opts.Prefilter,
 		LSHMinContainment: ex.Opts.LSHMinContainment,
 		Retrieval:         ex.Opts.Retrieval,

@@ -3,10 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -20,7 +22,7 @@ import (
 // loadShard loads one shard snapshot and verifies it against the
 // manifest checksum — the trust chain eshd+eshgw rely on.
 func loadShard(path, wantSum string) (*core.DB, error) {
-	db, info, err := index.LoadFileInfoCtx(context.Background(), path)
+	db, info, err := index.LoadFileInfoCtx(context.Background(), path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -345,6 +347,20 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
+	}
+	// A manifest written while kernel= was still an option key loads to
+	// the same value; a mode string nothing defines is refused.
+	reopts := func(from, to string) []byte {
+		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+		body = bytes.Replace(body, []byte(from), []byte(to), 1)
+		sum := sha256.Sum256(body)
+		return append([]byte(fmt.Sprintf("%s %d %d %x\n", ManifestMagic, ManifestVersion, len(body), sum)), body...)
+	}
+	if old, err := ReadManifest(bytes.NewReader(reopts(" prefilter=", " kernel=batch prefilter="))); err != nil || !reflect.DeepEqual(man, old) {
+		t.Fatalf("manifest with a retired kernel= key: %v\nwant %+v\ngot  %+v", err, man, old)
+	}
+	if _, err := ReadManifest(bytes.NewReader(reopts("retrieval=scan", "retrieval=prob"))); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("manifest with retrieval=prob: error %v, want a line-2 refusal", err)
 	}
 	// Corruption must be detected.
 	raw := buf.Bytes()

@@ -441,8 +441,8 @@ func hashString(s string) uint64 {
 // This is the scalar reference path: one interpreter pass per sample
 // over boxed ivl.Value registers. The batched SoA kernel (kernel.go) is
 // the production path; this implementation is kept as the differential
-// oracle behind -kernel=scalar and as the fallback for the rare
-// programs the kernel's static typing rejects.
+// oracle tests reach through vcp.NewReferenceEvaluator and as the
+// fallback for the rare programs the kernel's static typing rejects.
 func (p *Program) Fingerprints(slotOf []int, k int) []uint64 {
 	fps := make([]uint64, len(p.defRegs))
 	regs := make([]ivl.Value, p.nregs)

@@ -24,10 +24,9 @@ type QueryRecord struct {
 	// timeout, partial.
 	Outcome string `json:"outcome"`
 	Err     string `json:"error,omitempty"`
-	// Generation / Kernel / Prefilter / Retrieval pin the corpus and
-	// engine configuration the query ran under.
+	// Generation / Prefilter / Retrieval pin the corpus and engine
+	// configuration the query ran under.
 	Generation string `json:"generation,omitempty"`
-	Kernel     string `json:"kernel,omitempty"`
 	Prefilter  string `json:"prefilter,omitempty"`
 	Retrieval  string `json:"retrieval,omitempty"`
 	// StageMS breaks the duration down by pipeline stage (decompose,

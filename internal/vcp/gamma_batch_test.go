@@ -3,9 +3,9 @@ package vcp_test
 // Differential guard for γ-batching at the corpus level: the batch
 // width G is a dispatch knob, not a semantic one, so every width must
 // produce Float64bits-identical VCP values and identical γ counts
-// against the scalar reference over real lifted strand pairs — through
-// both the one-shot ComputeWithStats path and the persistent Evaluator
-// that core's pair loop uses.
+// against the scalar reference over real lifted strand pairs, through
+// the persistent Evaluator that core's pair loop uses. Widths other than
+// the production one are reachable only via vcp.NewReferenceEvaluator.
 
 import (
 	"math"
@@ -28,12 +28,12 @@ func TestGammaBatchDifferential(t *testing.T) {
 		strands = strands[:16]
 	}
 
-	scalarCfg := vcp.Config{Kernel: vcp.KernelScalar}
-	scalarPrep := make([]*vcp.Prepared, len(strands))
+	cfg := vcp.Config{}
+	prep := make([]*vcp.Prepared, len(strands))
 	for i, s := range strands {
-		scalarPrep[i] = vcp.Prepare(s, scalarCfg)
-		if err := scalarPrep[i].Err(); err != nil {
-			t.Fatalf("prepare %d (scalar): %v", i, err)
+		prep[i] = vcp.Prepare(s, cfg)
+		if err := prep[i].Err(); err != nil {
+			t.Fatalf("prepare %d: %v", i, err)
 		}
 	}
 	// Scalar reference, computed once.
@@ -44,25 +44,19 @@ func TestGammaBatchDifferential(t *testing.T) {
 	refs := make([][]ref, len(strands))
 	for i := range strands {
 		refs[i] = make([]ref, len(strands))
+		ev := vcp.NewReferenceEvaluator(prep[i], cfg, 0)
 		for j := range strands {
-			v, st := vcp.ComputeWithStats(scalarPrep[i], scalarPrep[j], scalarCfg)
+			v, st := ev.Compute(prep[j])
 			refs[i][j] = ref{v, st}
 		}
+		ev.Close()
 	}
 
 	for _, g := range []int{1, 2, 8, 16} {
-		cfg := vcp.Config{Kernel: vcp.KernelBatch, GammaBatch: g}
-		prep := make([]*vcp.Prepared, len(strands))
-		for i, s := range strands {
-			prep[i] = vcp.Prepare(s, cfg)
-			if err := prep[i].Err(); err != nil {
-				t.Fatalf("prepare %d (G=%d): %v", i, g, err)
-			}
-		}
 		for i := range strands {
 			// The Evaluator persists one kernel across every pairing of
 			// this query — exactly core's stage-3 loop shape.
-			ev := vcp.NewEvaluator(prep[i], cfg)
+			ev := vcp.NewReferenceEvaluator(prep[i], cfg, g)
 			for j := range strands {
 				v, st := ev.Compute(prep[j])
 				want := refs[i][j]
@@ -77,7 +71,7 @@ func TestGammaBatchDifferential(t *testing.T) {
 					t.Fatalf("pair (%d,%d) G=%d: %d batch rows < %d counted γ",
 						i, j, g, st.BatchRows, st.Correspondences)
 				}
-				if st.BatchRows > st.Batches*int64(g) {
+				if st.BatchSlots != st.Batches*int64(g) || st.BatchRows > st.BatchSlots {
 					t.Fatalf("pair (%d,%d) G=%d: %d rows over %d batches exceeds width",
 						i, j, g, st.BatchRows, st.Batches)
 				}

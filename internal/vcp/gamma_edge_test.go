@@ -43,16 +43,16 @@ func gammaTarget(scale uint64) *strand.Strand {
 
 // gammaRun computes VCP(q, t) under the width, asserting score parity
 // with the scalar reference inline.
-func gammaRun(t *testing.T, q, tgt *strand.Strand, g int, base Config) (float64, Stats) {
+func gammaRun(t *testing.T, q, tgt *strand.Strand, g int, cfg Config) (float64, Stats) {
 	t.Helper()
-	cfg := base
-	cfg.Kernel = KernelBatch
-	cfg.GammaBatch = g
-	v, st := ComputeWithStats(Prepare(q, cfg), Prepare(tgt, cfg), cfg)
+	pq, pt := Prepare(q, cfg), Prepare(tgt, cfg)
+	ev := NewReferenceEvaluator(pq, cfg, g)
+	defer ev.Close()
+	v, st := ev.Compute(pt)
 
-	sc := base
-	sc.Kernel = KernelScalar
-	vs, ss := ComputeWithStats(Prepare(q, sc), Prepare(tgt, sc), sc)
+	sc := NewReferenceEvaluator(pq, cfg, 0)
+	defer sc.Close()
+	vs, ss := sc.Compute(pt)
 	if math.Float64bits(v) != math.Float64bits(vs) {
 		t.Fatalf("G=%d: VCP %v != scalar %v", g, v, vs)
 	}

@@ -3,9 +3,9 @@ package vcp_test
 // Differential guard for the batched evaluation kernel at the corpus
 // level: over real lifted strands (not just generated programs), the
 // batched kernel must produce byte-identical fingerprints to the scalar
-// reference under every γ assignment the VCP search would try, and
-// ComputeWithStats must return identical values and work counts under
-// -kernel=scalar and -kernel=batch.
+// reference under every γ assignment the VCP search would try, and the
+// production evaluator must return the values and work counts of the
+// scalar reference evaluator.
 
 import (
 	"testing"
@@ -144,30 +144,30 @@ func TestKernelDifferentialCorpus(t *testing.T) {
 		progs[i].ReleaseKernel(kern)
 	}
 
-	// End-to-end VCP parity: identical values and γ counts under both
-	// kernels, preparations included.
-	scalarCfg := vcp.Config{Kernel: vcp.KernelScalar}
-	batchCfg := vcp.Config{Kernel: vcp.KernelBatch}
-	scalarPrep := make([]*vcp.Prepared, len(strands))
-	batchPrep := make([]*vcp.Prepared, len(strands))
+	// End-to-end VCP parity: identical values and γ counts from the
+	// production evaluator and the scalar reference.
+	cfg := vcp.Config{}
+	prep := make([]*vcp.Prepared, len(strands))
 	for i, s := range strands {
-		scalarPrep[i] = vcp.Prepare(s, scalarCfg)
-		batchPrep[i] = vcp.Prepare(s, batchCfg)
-		if err := scalarPrep[i].Err(); err != nil {
+		prep[i] = vcp.Prepare(s, cfg)
+		if err := prep[i].Err(); err != nil {
 			t.Fatalf("prepare %d: %v", i, err)
-		}
-		if err := batchPrep[i].Err(); err != nil {
-			t.Fatalf("prepare %d (batch): %v", i, err)
 		}
 	}
 	for i := range strands {
+		scalar := vcp.NewReferenceEvaluator(prep[i], cfg, 0)
 		for j := range strands {
-			vs, ss := vcp.ComputeWithStats(scalarPrep[i], scalarPrep[j], scalarCfg)
-			vb, sb := vcp.ComputeWithStats(batchPrep[i], batchPrep[j], batchCfg)
+			vs, ss := scalar.Compute(prep[j])
+			vb, sb := vcp.ComputeWithStats(prep[i], prep[j], cfg)
 			if vs != vb || ss.Correspondences != sb.Correspondences {
-				t.Fatalf("pair (%d,%d): scalar (%v, %d γ) vs batch (%v, %d γ)",
+				t.Fatalf("pair (%d,%d): scalar (%v, %d γ) vs production (%v, %d γ)",
 					i, j, vs, ss.Correspondences, vb, sb.Correspondences)
 			}
+			if ss.Batches != 0 || (sb.Correspondences > 0 && sb.Batches == 0) {
+				t.Fatalf("pair (%d,%d): reference flushed %d batches, production %d for %d γ",
+					i, j, ss.Batches, sb.Batches, sb.Correspondences)
+			}
 		}
+		scalar.Close()
 	}
 }

@@ -20,18 +20,6 @@ import (
 	"repro/internal/strand"
 )
 
-// Evaluation kernel modes: how the γ loop evaluates compiled strands.
-const (
-	// KernelBatch is the batched structure-of-arrays kernel (smt.Kernel):
-	// one instruction dispatch per lane vector, γ-invariant prefix
-	// hoisting, pooled allocation-free buffers. The default.
-	KernelBatch = "batch"
-	// KernelScalar is the scalar reference interpreter
-	// (smt.Program.Fingerprints): one full pass per sample. Kept as the
-	// differential oracle and escape hatch.
-	KernelScalar = "scalar"
-)
-
 // Config tunes the VCP computation. The zero value selects the paper's
 // settings via Default.
 type Config struct {
@@ -45,28 +33,17 @@ type Config struct {
 	SizeRatio float64
 	// MaxCorrespondences caps the γ enumeration per strand pair.
 	MaxCorrespondences int
-	// Kernel selects the evaluation kernel: KernelBatch ("" or "batch")
-	// or KernelScalar. Both produce byte-identical fingerprints; the
-	// choice never affects rankings.
-	Kernel string
-	// GammaBatch is the γ-batch width G: the batched kernel accumulates
-	// up to G complete correspondences and evaluates them through one
-	// suffix execution over G×Samples lanes. 0 selects
-	// DefaultGammaBatch; 1 evaluates per correspondence (the classic
-	// path). Any width produces byte-identical scores and identical
-	// Correspondences counts — batching changes dispatch, not semantics.
-	GammaBatch int
 }
 
-// DefaultGammaBatch is the γ-batch width used when Config.GammaBatch is
-// zero: wide enough to amortize instruction dispatch and overlap the
-// fingerprint fold chains, narrow enough that a typical pair (a handful
-// of correspondences) still fills most of its final batch.
-const DefaultGammaBatch = 8
-
-// MaxGammaBatch bounds the configurable width; beyond this the lane
-// buffers outgrow L1 for typical strands and wider stops paying.
-const MaxGammaBatch = 64
+// gammaWidth is the γ-batch width G: the batched kernel accumulates up
+// to G complete correspondences and evaluates them through one suffix
+// execution over G×Samples lanes. 8 is wide enough to amortize
+// instruction dispatch and overlap the fingerprint fold chains, narrow
+// enough that a typical pair (a handful of correspondences) still fills
+// most of its final batch. Every width produces byte-identical scores
+// and Correspondences counts (NewReferenceEvaluator is how tests vary
+// it) — batching changes dispatch, not semantics.
+const gammaWidth = 8
 
 // Default returns the configuration used in the paper's experiments.
 func Default() Config {
@@ -92,15 +69,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxCorrespondences <= 0 {
 		c.MaxCorrespondences = d.MaxCorrespondences
-	}
-	if c.Kernel == "" {
-		c.Kernel = KernelBatch
-	}
-	if c.GammaBatch <= 0 {
-		c.GammaBatch = DefaultGammaBatch
-	}
-	if c.GammaBatch > MaxGammaBatch {
-		c.GammaBatch = MaxGammaBatch
 	}
 	return c
 }
@@ -214,30 +182,23 @@ func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	for i := range identity {
 		identity[i] = i
 	}
+	// The batched SoA kernel (smt.Kernel) serves every program its
+	// static typing accepts; the scalar interpreter is the fallback for
+	// the rest. Both produce byte-identical fingerprints.
 	var fps []uint64
-	if useBatch(prog, cfg) {
+	if prog.BatchOK() {
 		kern := prog.AcquireKernel(cfg.Samples)
 		fps = kern.Fingerprints(identity)
-		p.fpSet = make(map[uint64]bool, len(fps))
-		for _, h := range fps {
-			p.fpSet[h] = true
-		}
-		prog.ReleaseKernel(kern)
+		defer prog.ReleaseKernel(kern) // fps aliases kernel buffers
 	} else {
 		fps = prog.Fingerprints(identity, cfg.Samples)
-		p.fpSet = make(map[uint64]bool, len(fps))
-		for _, h := range fps {
-			p.fpSet[h] = true
-		}
+	}
+	p.fpSet = make(map[uint64]bool, len(fps))
+	for _, h := range fps {
+		p.fpSet[h] = true
 	}
 	p.sigs = roleSignatures(s)
 	return p
-}
-
-// useBatch reports whether the batched SoA kernel serves this program
-// under the configuration.
-func useBatch(prog *smt.Program, cfg Config) bool {
-	return cfg.Kernel != KernelScalar && prog.BatchOK()
 }
 
 // Key returns the canonical structural key of the underlying strand.
@@ -272,14 +233,15 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // spent strictly inside kernel/interpreter evaluation — batch flushes
 // or scalar interpreter passes — excluding candidate ordering, the
 // enumeration itself, and fpSet matching, so the metric built on it
-// does not overcount. Batches counts kernel flushes and BatchRows the
-// correspondences they carried; BatchRows/(GammaBatch·Batches) is the
-// mean batch occupancy.
+// does not overcount. Batches counts kernel flushes, BatchRows the
+// correspondences they carried and BatchSlots the rows they had room
+// for (width × Batches); BatchRows/BatchSlots is the mean occupancy.
 type Stats struct {
 	Correspondences int
 	KernelNanos     int64
 	Batches         int64
 	BatchRows       int64
+	BatchSlots      int64
 }
 
 // Compute returns VCP(q, t): the maximal fraction of q's variables with
@@ -311,14 +273,23 @@ type Evaluator struct {
 	g    int
 }
 
-// NewEvaluator prepares a reusable evaluator for the query strand.
-// Callers must Close it to return the kernel to the program pool.
+// NewEvaluator prepares a reusable evaluator for the query strand: the
+// batched kernel at gammaWidth, or the scalar interpreter for a program
+// the kernel's static typing rejects. Callers must Close it to return
+// the kernel to the program pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
-	cfg = cfg.normalized()
-	ev := &Evaluator{q: q, cfg: cfg, g: 1}
-	if q.err == nil && q.prog != nil && useBatch(q.prog, cfg) {
-		ev.g = cfg.GammaBatch
-		ev.kern = q.prog.AcquireKernelBatch(cfg.Samples, ev.g)
+	return NewReferenceEvaluator(q, cfg, gammaWidth)
+}
+
+// NewReferenceEvaluator is NewEvaluator at a chosen γ-batch width; width
+// 0 forces the scalar interpreter (one full pass per sample, one
+// evaluation per correspondence). It exists so tests can hold the
+// production path to its references; nothing a binary or an input can
+// set reaches it.
+func NewReferenceEvaluator(q *Prepared, cfg Config, width int) *Evaluator {
+	ev := &Evaluator{q: q, cfg: cfg.normalized(), g: width}
+	if width > 0 && q.err == nil && q.prog != nil && q.prog.BatchOK() {
+		ev.kern = q.prog.AcquireKernelBatch(ev.cfg.Samples, width)
 	}
 	return ev
 }
@@ -333,7 +304,7 @@ func (ev *Evaluator) Close() {
 
 // Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
 // and Correspondences counts are Float64bits-identical across every
-// GammaBatch width and the scalar interpreter: γ candidates are
+// γ-batch width and the scalar interpreter: γ candidates are
 // enumerated in the same order, a batch row buffered after a perfect
 // match or past the MaxCorrespondences cap is discarded uncounted at
 // flush — exactly the candidates the unbatched loop would never have
@@ -395,10 +366,10 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	}
 
 	if ev.kern == nil {
-		// Scalar reference interpreter: one full pass per sample, one
-		// evaluation per correspondence. Only the interpreter call is
-		// timed (satellite of the overcounting fix: candidate ordering
-		// and fpSet matching used to pollute KernelNanos).
+		// Scalar interpreter: one full pass per sample, one evaluation
+		// per correspondence. Only the interpreter call is timed
+		// (candidate ordering and fpSet matching stay out of
+		// KernelNanos).
 		var rec func(i int)
 		rec = func(i int) {
 			if best >= 1.0 || tried >= cfg.MaxCorrespondences {
@@ -442,6 +413,7 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 		st.KernelNanos += time.Since(t0).Nanoseconds()
 		st.Batches++
 		st.BatchRows += int64(rows)
+		st.BatchSlots += int64(g)
 		nd := len(fps) / rows
 		for r := 0; r < rows; r++ {
 			// A perfect match or the cap mid-batch discards the
