@@ -144,6 +144,15 @@ type Options struct {
 // the low hundreds of MB even with long canonical keys.
 const DefaultVCPCachePairs = 1 << 21
 
+// memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
+// charged to (vcp.MemoPool): the indexed strands' memos, which persist
+// across queries, and each in-flight query's own, which are released
+// when it returns. It is a constant, not a setting: past the corpus's
+// working set more budget buys nothing, below it the cost is
+// re-evaluation, never a different answer (DESIGN §10.8 has the measured
+// budget-vs-qps curve this value was read off).
+const memoBudgetBytes = 128 << 20
+
 // DefaultRetrievalMaxDelta is the default Options.RetrievalMaxDelta: a
 // few hundred overlay strands cost microseconds per probe, far below
 // one verifier call, while keeping write-time table rebuilds rare.
@@ -190,6 +199,11 @@ type DB struct {
 	// pair loop: vcp.NewEvaluator. Tests in this package swap in a
 	// reference evaluator; nothing outside it can.
 	newEval func(*vcp.Prepared, vcp.Config) *vcp.Evaluator
+
+	// memo is the byte budget shared by the γ-fingerprint memos of every
+	// strand this DB prepares (see prepare); tests in this package shrink
+	// it before indexing.
+	memo *vcp.MemoPool
 
 	// cfgMu guards the sketch state (sums, sketchIdx, retr) and the
 	// corpus itself (uniq, counts, targets, total, live, h0Order,
@@ -288,6 +302,8 @@ type DB struct {
 	mLSHSkipped    *telemetry.Counter
 	mDeadDirs      *telemetry.Counter
 	mKernelNanos   *telemetry.Counter
+	mMemoHits      *telemetry.Counter
+	mMemoMisses    *telemetry.Counter
 	mPrefixInstrs  *telemetry.Counter
 	mKernelInstrs  *telemetry.Counter
 	mGammaBatches  *telemetry.Counter
@@ -345,6 +361,7 @@ func newDB(opts Options) (*DB, error) {
 	db := &DB{
 		opts:      opts,
 		newEval:   vcp.NewEvaluator,
+		memo:      vcp.NewMemoPool(memoBudgetBytes),
 		byKey:     map[string]int{},
 		vcpCache:  map[string]map[string][2]float64{},
 		sketchCfg: cfg,
@@ -375,13 +392,24 @@ func (db *DB) initMetrics() {
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
 	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
 	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
-	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel.")
+	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
+	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
+	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored.")
+	reg.CounterFunc("esh_vcp_memo_evictions_total", "Strands whose γ-fingerprint memo was dropped to keep esh_vcp_memo_bytes within budget.", func() float64 {
+		return float64(db.memo.Stats().Evictions)
+	})
+	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by γ-fingerprint memos (indexed strands plus in-flight queries); never above esh_vcp_memo_budget_bytes.", func() float64 {
+		return float64(db.memo.Stats().Bytes)
+	})
+	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte budget of the γ-fingerprint memos.", func() float64 {
+		return float64(db.memo.Stats().Budget)
+	})
 	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared strands (hoisted out of the γ loop by the batched kernel).")
 	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared strands.")
 	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel flushes (one suffix execution each; correspondences/batches is the mean rows per flush).")
-	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes (includes rows discarded uncounted after a perfect match or the cap).")
+	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes: γ-fingerprint memo misses only (includes rows discarded uncounted after a perfect match or the cap).")
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
-		"Mean γ-batch fill fraction at flush, observed once per query strand row (rows carried / (width × flushes)).",
+		"Mean γ-batch fill fraction at flush, observed once per query strand row (memo-miss rows carried / (width × flushes)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
 	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
 		"LSH candidate-set size per query strand (prefilter on).",
@@ -796,6 +824,16 @@ type DBStats struct {
 	// the correspondences those flushes carried.
 	GammaBatches   uint64
 	GammaBatchRows uint64
+	// MemoHits / MemoMisses split the enumerated correspondences by
+	// whether a strand's γ-fingerprint memo already held their
+	// fingerprints (only misses reach the kernel); MemoBytes is what the
+	// memos hold now, never above the fixed MemoBudget; MemoEvictions
+	// counts strands whose memo was dropped to stay within it.
+	MemoHits      uint64
+	MemoMisses    uint64
+	MemoEvictions uint64
+	MemoBytes     int64
+	MemoBudget    int64
 	// Queries is the number of Query calls answered; StageSeconds holds
 	// the cumulative wall-clock seconds each pipeline stage has consumed
 	// across them.
@@ -815,6 +853,7 @@ func (s DBStats) VCPCacheHitRate() float64 {
 // state are read under cfgMu (the live write path mutates them at serve
 // time); the cache counters are read under the cache lock.
 func (db *DB) Stats() DBStats {
+	memo := db.memo.Stats()
 	db.cfgMu.RLock()
 	retr := db.retr
 	nTargets := len(db.targets)
@@ -856,6 +895,11 @@ func (db *DB) Stats() DBStats {
 		KernelInstrs:             db.mKernelInstrs.Value(),
 		GammaBatches:             db.mGammaBatches.Value(),
 		GammaBatchRows:           db.mGammaRows.Value(),
+		MemoHits:                 db.mMemoHits.Value(),
+		MemoMisses:               db.mMemoMisses.Value(),
+		MemoEvictions:            memo.Evictions,
+		MemoBytes:                memo.Bytes,
+		MemoBudget:               memo.Budget,
 		Queries:                  db.mQueries.Value(),
 		StageSeconds:             make(map[string]float64, len(queryStages)),
 	}
@@ -925,6 +969,14 @@ func decompose(p *asm.Proc, opts Options) ([]*strand.Strand, int, error) {
 	return kept, len(g.Blocks), nil
 }
 
+// prepare builds a strand's verifier preparation, its γ-fingerprint memo
+// charged to the DB's budget.
+func (db *DB) prepare(s *strand.Strand) *vcp.Prepared {
+	p := vcp.Prepare(s, db.opts.VCP)
+	db.memo.Attach(p)
+	return p
+}
+
 // AddTarget indexes one target procedure.
 func (db *DB) AddTarget(p *asm.Proc) error {
 	kept, nBlocks, err := decompose(p, db.opts)
@@ -942,7 +994,7 @@ func (db *DB) AddTarget(p *asm.Proc) error {
 		key := s.CanonicalKey()
 		idx, ok := db.byKey[key]
 		if !ok {
-			prep := vcp.Prepare(s, db.opts.VCP)
+			prep := db.prepare(s)
 			if prep.Err() != nil {
 				return fmt.Errorf("core: prepare strand of %s: %w", p.Name, prep.Err())
 			}
@@ -1109,7 +1161,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 			qs[i].weight++
 			continue
 		}
-		prep := vcp.Prepare(s, db.opts.VCP)
+		prep := db.prepare(s)
 		if prep.Err() != nil {
 			spPrep.End()
 			return nil, fmt.Errorf("core: prepare query strand: %w", prep.Err())
@@ -1147,6 +1199,9 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 		preps[i] = q.prep
 	}
 	rows, revRows := db.vcpRows(preps, spVCP, qc)
+	// The query strands' memos die with the query; the target strands'
+	// stay warm for the next one.
+	db.memo.Release(preps...)
 	db.observeStage("vcp", spVCP.End())
 
 	qp.Weights = make([]float64, len(qs))
@@ -1228,6 +1283,8 @@ type rowStats struct {
 	gammaB      int64 // γ-batch kernel flushes
 	gammaRows   int64 // correspondences those flushes carried
 	gammaSlots  int64 // rows those flushes had room for (for occupancy)
+	memoHits    int64 // enumeration leaves answered by a γ-fingerprint memo
+	memoMisses  int64 // enumeration leaves evaluated by the kernel
 }
 
 // merge folds a chunk's local counts into the row accumulator. The
@@ -1246,6 +1303,8 @@ func (rs *rowStats) merge(d rowStats) {
 	rs.gammaB += d.gammaB
 	rs.gammaRows += d.gammaRows
 	rs.gammaSlots += d.gammaSlots
+	rs.memoHits += d.memoHits
+	rs.memoMisses += d.memoMisses
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
@@ -1258,6 +1317,8 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mVerifierCalls.Add(uint64(rs.calls))
 	db.mGamma.Add(uint64(rs.gamma))
 	db.mKernelNanos.Add(uint64(rs.kernelNanos))
+	db.mMemoHits.Add(uint64(rs.memoHits))
+	db.mMemoMisses.Add(uint64(rs.memoMisses))
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
 		db.mGammaRows.Add(uint64(rs.gammaRows))
@@ -1302,6 +1363,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	sp.AddAttr("kernel_nanos", float64(rs.kernelNanos))
 	sp.AddAttr("gamma_batches", float64(rs.gammaB))
 	sp.AddAttr("gamma_batch_rows", float64(rs.gammaRows))
+	sp.AddAttr("memo_hits", float64(rs.memoHits))
 }
 
 // maxPairChunk caps the number of target strands one work-queue item
@@ -1496,15 +1558,19 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	qKey := q.Key()
 	var rs rowStats
 	var fresh map[string][2]float64
-	// One forward-direction evaluator for the whole chunk: the query
-	// strand's kernel — and its evaluated γ-invariant prefix — persists
-	// across every pair here instead of being re-acquired per pair.
-	// (Chunks of one row run on concurrent workers and kernels are not
-	// concurrency-safe, so the unit of reuse is the chunk, not the row.)
-	// The reverse direction swaps the query to the target strand each
-	// pair, so it acquires per pair; the pool makes that cheap.
+	// Two evaluators for the whole chunk, so the γ search's scratch is
+	// allocated once per chunk, not per pair. The forward one stays on
+	// the query strand: once a memo miss makes it acquire q's kernel, the
+	// kernel — and its evaluated γ-invariant prefix — persists across
+	// every pair here. (Chunks of one row run on concurrent workers and
+	// evaluators are not concurrency-safe, so the unit of reuse is the
+	// chunk, not the row.) The reverse one is rebound to each target
+	// strand in turn; it acquires that strand's kernel only if the
+	// strand's memo misses, which on a warm corpus it rarely does.
 	fwdEval := db.newEval(q, db.opts.VCP)
 	defer fwdEval.Close()
+	revEval := db.newEval(q, db.opts.VCP)
+	defer revEval.Close()
 	count := func(vst vcp.Stats) {
 		rs.calls++
 		rs.gamma += vst.Correspondences
@@ -1512,6 +1578,8 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 		rs.gammaB += vst.Batches
 		rs.gammaRows += vst.BatchRows
 		rs.gammaSlots += vst.BatchSlots
+		rs.memoHits += vst.MemoHits
+		rs.memoMisses += vst.MemoMisses
 	}
 	for k := lo; k < hi; k++ {
 		j := k
@@ -1562,9 +1630,8 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 				rs.deadDirs++
 			}
 			if revLive {
-				revEval := db.newEval(u, db.opts.VCP)
+				revEval.Reset(u)
 				rv, rst := revEval.Compute(q)
-				revEval.Close()
 				v[1] = rv
 				count(rst)
 			} else {

@@ -136,7 +136,7 @@ func FromExport(ex *Export) (*DB, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			db.uniq[i] = vcp.Prepare(s, db.opts.VCP)
+			db.uniq[i] = db.prepare(s)
 		}(i, es.S)
 	}
 	wg.Wait()

@@ -1,0 +1,96 @@
+package core
+
+import (
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/compile"
+	"repro/internal/corpus"
+	"repro/internal/vcp"
+)
+
+// TestMemoAccounting drives the γ-fingerprint memo's budget through the
+// engine: a DB whose pool is far too small for one query evicts strands
+// while that query is still enumerating against them, and must return
+// reports bit-identical to a DB that never evicts; the gauge, sampled
+// while the queries run, never reads above the budget; and when a query
+// returns, nothing it charged for its own strands is left on the account.
+func TestMemoAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus queries are slow")
+	}
+	procs := buildDiffCorpus(t)
+	roomy := NewDB(Options{})
+	tight := NewDB(Options{})
+	tight.memo = vcp.NewMemoPool(64 << 10) // before indexing: prepare attaches to it
+	fillDB(t, roomy, procs)
+	fillDB(t, tight, procs)
+
+	stop := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond): // pace the sampler: it shares two cores with the queries
+			}
+			if s := tight.Stats(); s.MemoBytes > s.MemoBudget {
+				t.Errorf("memo gauge %d over budget %d", s.MemoBytes, s.MemoBudget)
+				return
+			}
+		}
+	}()
+
+	qtc, _ := compile.ByName("clang-3.5")
+	for _, v := range corpus.Vulns()[:2] {
+		q, err := corpus.CompileVuln(v, qtc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := roomy.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tight.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Results {
+			w, g := want.Results[i], got.Results[i]
+			if w.Target.Name != g.Target.Name ||
+				math.Float64bits(w.GES) != math.Float64bits(g.GES) ||
+				math.Float64bits(w.SLOG) != math.Float64bits(g.SLOG) ||
+				math.Float64bits(w.SVCP) != math.Float64bits(g.SVCP) {
+				t.Fatalf("query %s result %d: evicting DB %+v != roomy DB %+v", v.Alias, i, g, w)
+			}
+		}
+	}
+	close(stop)
+	sampler.Wait()
+
+	rs, ts := roomy.Stats(), tight.Stats()
+	if rs.VerifierCorrespondences != ts.VerifierCorrespondences {
+		t.Errorf("γ counts diverge: roomy=%d tight=%d", rs.VerifierCorrespondences, ts.VerifierCorrespondences)
+	}
+	if ts.MemoEvictions == 0 || rs.MemoEvictions != 0 {
+		t.Errorf("evictions: tight=%d (want > 0), roomy=%d (want 0)", ts.MemoEvictions, rs.MemoEvictions)
+	}
+	if rs.MemoHits == 0 || rs.MemoMisses != rs.GammaBatchRows || rs.MemoMisses >= ts.MemoMisses {
+		t.Errorf("memo traffic: roomy %d hits, %d misses, %d kernel rows; tight %d misses",
+			rs.MemoHits, rs.MemoMisses, rs.GammaBatchRows, ts.MemoMisses)
+	}
+	if rs.MemoBytes == 0 || rs.MemoBudget != memoBudgetBytes {
+		t.Errorf("roomy gauge %d of budget %d", rs.MemoBytes, rs.MemoBudget)
+	}
+	// Everything still charged belongs to an indexed strand: the
+	// queries' own strands were released when they returned.
+	roomy.memo.Release(roomy.uniq...)
+	if left := roomy.Stats().MemoBytes; left != 0 {
+		t.Errorf("%d memo bytes still charged to strands of finished queries", left)
+	}
+}

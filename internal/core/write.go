@@ -138,7 +138,7 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		if _, ok := newByKey[key]; ok {
 			continue
 		}
-		prep := vcp.Prepare(s, db.opts.VCP)
+		prep := db.prepare(s)
 		if prep.Err() != nil {
 			return 0, fmt.Errorf("core: add %s: prepare strand: %w", p.Name, prep.Err())
 		}
@@ -485,6 +485,16 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 		db.hRetrBuild.Observe(time.Since(rStart).Seconds())
 	}
 
+	// Strands the remap drops take their γ-fingerprint memos with them.
+	var dropped []*vcp.Prepared
+	if !lv.identity {
+		for _, p := range db.uniq {
+			if _, kept := lv.byKey[p.Key()]; !kept {
+				dropped = append(dropped, p)
+			}
+		}
+	}
+
 	db.cfgMu.Lock()
 	db.uniq = lv.uniq
 	db.counts = lv.counts
@@ -501,6 +511,7 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.pendingWrites = 0
 	db.generation = gen
 	db.cfgMu.Unlock()
+	db.memo.Release(dropped...)
 
 	db.mCompactions.Inc()
 	db.hCompact.Observe(time.Since(start).Seconds())

@@ -895,6 +895,18 @@ type StatsResponse struct {
 		GammaBatches            uint64             `json:"gamma_batches"`
 		GammaBatchRows          uint64             `json:"gamma_batch_rows"`
 		StageSeconds            map[string]float64 `json:"stage_seconds"`
+		// Memo is the γ-fingerprint memo: correspondences answered from
+		// it (hits) or evaluated by the kernel and stored (misses — what
+		// kernel_seconds and the gamma_batch figures cover), the bytes it
+		// holds against its fixed budget, and strands evicted to stay
+		// within it.
+		Memo struct {
+			Hits        uint64 `json:"hits"`
+			Misses      uint64 `json:"misses"`
+			Evictions   uint64 `json:"evictions"`
+			Bytes       int64  `json:"bytes"`
+			BudgetBytes int64  `json:"budget_bytes"`
+		} `json:"memo"`
 	} `json:"engine"`
 	Queries struct {
 		Completed uint64 `json:"completed"`
@@ -993,6 +1005,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.KernelInstrs = dbs.KernelInstrs
 	resp.Engine.GammaBatches = dbs.GammaBatches
 	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
+	resp.Engine.Memo.Hits = dbs.MemoHits
+	resp.Engine.Memo.Misses = dbs.MemoMisses
+	resp.Engine.Memo.Evictions = dbs.MemoEvictions
+	resp.Engine.Memo.Bytes = dbs.MemoBytes
+	resp.Engine.Memo.BudgetBytes = dbs.MemoBudget
 	resp.Engine.StageSeconds = dbs.StageSeconds
 
 	resp.Queries.Completed = s.outcomes["completed"].Value()

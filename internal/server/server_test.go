@@ -321,6 +321,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"esh_vcp_cache_pairs ",
 		"esh_index_targets 2",
 		"esh_verifier_calls_total",
+		"# TYPE esh_vcp_memo_hits_total counter",
+		"# TYPE esh_vcp_memo_misses_total counter",
+		"# TYPE esh_vcp_memo_evictions_total counter",
+		"# TYPE esh_vcp_memo_bytes gauge",
+		"# TYPE esh_vcp_memo_budget_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -483,5 +488,9 @@ func TestStatsAfterQueries(t *testing.T) {
 	}
 	if st.Engine.VerifierCalls == 0 {
 		t.Error("verifier calls not reported")
+	}
+	if m := st.Engine.Memo; m.Hits+m.Misses == 0 || m.Misses != st.Engine.GammaBatchRows ||
+		m.Bytes <= 0 || m.Bytes > m.BudgetBytes {
+		t.Errorf("memo block %+v (gamma_batch_rows %d)", m, st.Engine.GammaBatchRows)
 	}
 }

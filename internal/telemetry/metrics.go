@@ -240,6 +240,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	m.gf = fn
 }
 
+// CounterFunc registers a counter whose value is read at scrape time
+// from a monotonic count kept elsewhere.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	m := r.get(name, help, "counter", labels, func() *metric { return &metric{} })
+	m.gf = fn
+}
+
 // Histogram returns the histogram for name+labels, registering it on
 // first use with the given bucket upper bounds (nil selects DefBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {

@@ -44,6 +44,7 @@ type QueryRecord struct {
 	KernelMS        float64 `json:"kernel_ms,omitempty"`
 	GammaBatches    int64   `json:"gamma_batches,omitempty"`
 	GammaBatchRows  int64   `json:"gamma_batch_rows,omitempty"`
+	MemoHits        int64   `json:"memo_hits,omitempty"`
 	// Shards holds the per-shard fan-out outcomes of a gateway query.
 	Shards []ShardOutcome `json:"shards,omitempty"`
 	// Slow marks records at or above the recorder's threshold; only
@@ -89,6 +90,8 @@ func (rec *QueryRecord) adoptAttrs(attrs map[string]float64) {
 			rec.GammaBatches += int64(v)
 		case "gamma_batch_rows":
 			rec.GammaBatchRows += int64(v)
+		case "memo_hits":
+			rec.MemoHits += int64(v)
 		}
 	}
 }

@@ -83,7 +83,11 @@ type Prepared struct {
 	prog *smt.Program
 	// fpSet is the set of variable-vector fingerprints under the
 	// identity slot assignment (target-side matching).
-	fpSet map[uint64]bool
+	fpSet fpSet
+	// memo holds the fingerprints of every slot assignment evaluated so
+	// far with this strand on the query side (see memo.go). It is shared
+	// by every Evaluator over this Prepared.
+	memo *memo
 	// sigs holds one syntactic role signature per input (by input
 	// index): a hash of the operator contexts the input appears in.
 	// Matching inputs across strands almost always have equal
@@ -193,10 +197,8 @@ func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	} else {
 		fps = prog.Fingerprints(identity, cfg.Samples)
 	}
-	p.fpSet = make(map[uint64]bool, len(fps))
-	for _, h := range fps {
-		p.fpSet[h] = true
-	}
+	p.fpSet = newFPSet(fps)
+	p.memo = &memo{nIn: len(s.Inputs), nd: len(fps), samples: cfg.Samples}
 	p.sigs = roleSignatures(s)
 	return p
 }
@@ -228,20 +230,28 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 
 // Stats reports the work one Compute call performed, for telemetry:
 // Correspondences is the number of input correspondences γ whose
-// evaluation vectors were computed and matched (each one is a
-// probabilistic-verifier invocation); KernelNanos is the wall time
-// spent strictly inside kernel/interpreter evaluation — batch flushes
-// or scalar interpreter passes — excluding candidate ordering, the
-// enumeration itself, and fpSet matching, so the metric built on it
-// does not overcount. Batches counts kernel flushes, BatchRows the
-// correspondences they carried and BatchSlots the rows they had room
-// for (width × Batches); BatchRows/BatchSlots is the mean occupancy.
+// evaluation vectors were matched against the target (each one is a
+// probabilistic-verifier invocation, whether its vector was computed
+// here or found in the memo); KernelNanos is the wall time spent
+// strictly inside kernel/interpreter evaluation — batch flushes or
+// scalar interpreter passes — excluding candidate ordering, the
+// enumeration itself, memo traffic and fpSet matching, so the metric
+// built on it does not overcount. MemoHits and MemoMisses split the
+// enumeration leaves the batched path buffered by whether the memo
+// already held their fingerprints; only misses reach the kernel.
+// Batches counts kernel flushes (a buffer of nothing but hits runs
+// none), BatchRows the miss rows they carried and BatchSlots the rows
+// they had room for (width × Batches); BatchRows/BatchSlots is the mean
+// occupancy. Leaves buffered past a perfect match or the cap are
+// discarded uncounted, so BatchRows + MemoHits ≥ Correspondences.
 type Stats struct {
 	Correspondences int
 	KernelNanos     int64
 	Batches         int64
 	BatchRows       int64
 	BatchSlots      int64
+	MemoHits        int64
+	MemoMisses      int64
 }
 
 // Compute returns VCP(q, t): the maximal fraction of q's variables with
@@ -262,39 +272,78 @@ func ComputeWithStats(q, t *Prepared, cfg Config) (float64, Stats) {
 }
 
 // Evaluator computes VCP(q, ·) for one query strand against many
-// targets, holding the query's evaluation kernel — and its evaluated
-// γ-invariant prefix — across pairs. One acquire per query row instead
-// of one per pair; the prefix is re-evaluated only when the pooled
-// kernel's shape actually changes. Not safe for concurrent use.
+// targets. It owns every buffer the γ search needs, so a pair whose
+// correspondences are all in q's memo allocates nothing and never
+// touches a kernel; the kernel is acquired on the first memo miss and
+// then held — with its evaluated γ-invariant prefix — until Close or
+// Reset. Not safe for concurrent use (the Prepareds it reads are).
 type Evaluator struct {
-	q    *Prepared
-	cfg  Config
-	kern *smt.Kernel
-	g    int
+	q   *Prepared
+	cfg Config
+	// width is the requested γ-batch width and g the effective one:
+	// leaves are buffered and scored g at a time; g = 0 is the scalar
+	// interpreter, which buffers nothing and never consults the memo.
+	width, g int
+	useMemo  bool
+	kern     *smt.Kernel
+
+	// State of the Compute call in progress.
+	t     *Prepared
+	best  float64
+	tried int
+	st    Stats
+
+	// Scratch, grown on demand and reused across pairs. assignment maps
+	// q input index → target slot; slot candidates for input i are
+	// cands[candOff[i]:candOff[i+1]]. rows buffers up to g complete
+	// assignments (row r at rows[r*nIn:]) and hash[r] its memo hash;
+	// hit[r] is row r's memoized fingerprints, nil for a miss and between
+	// flushes; missIdx lists the nil rows in order — the r-th of them is
+	// kernel row r.
+	assignment []int
+	usedSlot   []bool
+	cands      []int
+	candOff    []int
+	rows       []int
+	buffered   int
+	hash       []uint64
+	hit        [][]uint64
+	missIdx    []int
 }
 
 // NewEvaluator prepares a reusable evaluator for the query strand: the
-// batched kernel at gammaWidth, or the scalar interpreter for a program
-// the kernel's static typing rejects. Callers must Close it to return
-// the kernel to the program pool.
+// batched kernel at gammaWidth behind the strand's memo, or the scalar
+// interpreter for a program the kernel's static typing rejects. Callers
+// must Close it to return any held kernel to the program pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
 	return NewReferenceEvaluator(q, cfg, gammaWidth)
 }
 
 // NewReferenceEvaluator is NewEvaluator at a chosen γ-batch width; width
 // 0 forces the scalar interpreter (one full pass per sample, one
-// evaluation per correspondence). It exists so tests can hold the
-// production path to its references; nothing a binary or an input can
-// set reaches it.
+// evaluation per correspondence, no memo). It exists so tests can hold
+// the production path to its references; nothing a binary or an input
+// can set reaches it.
 func NewReferenceEvaluator(q *Prepared, cfg Config, width int) *Evaluator {
-	ev := &Evaluator{q: q, cfg: cfg.normalized(), g: width}
-	if width > 0 && q.err == nil && q.prog != nil && q.prog.BatchOK() {
-		ev.kern = q.prog.AcquireKernelBatch(ev.cfg.Samples, width)
-	}
+	ev := &Evaluator{cfg: cfg.normalized(), width: width}
+	ev.Reset(q)
 	return ev
 }
 
-// Close releases the held kernel. The evaluator must not be used after.
+// Reset rebinds the evaluator to another query strand, keeping its
+// configuration, width and scratch; a kernel held for the previous
+// strand goes back to that strand's pool.
+func (ev *Evaluator) Reset(q *Prepared) {
+	ev.Close()
+	ev.q = q
+	ev.g, ev.useMemo = 0, false
+	if ev.width > 0 && q.err == nil && q.prog.BatchOK() {
+		ev.g = ev.width
+		ev.useMemo = q.memo.samples == ev.cfg.Samples
+	}
+}
+
+// Close releases the held kernel, if any. Only Reset may follow.
 func (ev *Evaluator) Close() {
 	if ev.kern != nil {
 		ev.q.prog.ReleaseKernel(ev.kern)
@@ -302,157 +351,187 @@ func (ev *Evaluator) Close() {
 	}
 }
 
+// sized returns s with length n, reallocating only when it must.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
 // and Correspondences counts are Float64bits-identical across every
-// γ-batch width and the scalar interpreter: γ candidates are
-// enumerated in the same order, a batch row buffered after a perfect
-// match or past the MaxCorrespondences cap is discarded uncounted at
-// flush — exactly the candidates the unbatched loop would never have
-// evaluated — and fingerprints per row are bit-equal to a lone
-// evaluation under that row's assignment.
+// γ-batch width, a cold, warm or evicted memo, and the scalar
+// interpreter: γ candidates are enumerated in the same order and scored
+// in that order, a buffered leaf past a perfect match or the
+// MaxCorrespondences cap is discarded uncounted at flush — exactly the
+// candidates the unbatched loop would never have evaluated — and the
+// fingerprints scored for a leaf are bit-equal to a lone evaluation
+// under its assignment, whether they come from the kernel or the memo.
 func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
-	q, cfg := ev.q, ev.cfg
+	q := ev.q
 	if q.err != nil || t.err != nil || q.S.NumVars() == 0 {
 		return 0, Stats{}
 	}
-	if len(q.S.Inputs) > len(t.S.Inputs) {
+	qIn, tIn := q.S.Inputs, t.S.Inputs
+	if len(qIn) > len(tIn) {
 		return 0, Stats{} // γ must be injective and total on q's inputs
 	}
+	ev.t, ev.best, ev.tried, ev.st = t, 0, 0, Stats{}
 
-	// Enumerate injective type-preserving assignments of q inputs to
-	// target slots.
-	qIn := q.S.Inputs
-	tIn := t.S.Inputs
-	assignment := make([]int, len(qIn)) // q input index -> target slot
-	usedSlot := make([]bool, len(tIn))
-	best := 0.0
-	tried := 0
-	var st Stats
-	nVars := float64(q.S.NumVars())
+	ev.assignment = sized(ev.assignment, len(qIn))
+	ev.usedSlot = sized(ev.usedSlot, len(tIn))
+	clear(ev.usedSlot)
+	ev.rows = sized(ev.rows, ev.g*len(qIn))
+	ev.hash = sized(ev.hash, ev.g)
+	ev.hit = sized(ev.hit, ev.g)
 
 	// Candidate slots per query input, equal-role-signature slots first:
 	// matching inputs across real compilations almost always play the
 	// same syntactic role, so the right correspondence is found within
 	// the first few attempts and the cap rarely bites.
-	candidates := make([][]int, len(qIn))
+	ev.candOff = sized(ev.candOff, len(qIn)+1)
+	ev.cands = ev.cands[:0]
 	for i := range qIn {
-		var same, other []int
-		for slot := 0; slot < len(tIn); slot++ {
-			if tIn[slot].Type != qIn[i].Type {
-				continue
-			}
-			if q.sigs[i] == t.sigs[slot] {
-				same = append(same, slot)
-			} else {
-				other = append(other, slot)
-			}
-		}
-		candidates[i] = append(same, other...)
-	}
-
-	// score matches one correspondence's fingerprints against the
-	// target set and advances best. Counting (tried++) happens at the
-	// caller so both paths charge correspondences identically.
-	score := func(fps []uint64) {
-		matched := 0
-		for _, h := range fps {
-			if t.fpSet[h] {
-				matched++
-			}
-		}
-		if v := float64(matched) / nVars; v > best {
-			best = v
-		}
-	}
-
-	if ev.kern == nil {
-		// Scalar interpreter: one full pass per sample, one evaluation
-		// per correspondence. Only the interpreter call is timed
-		// (candidate ordering and fpSet matching stay out of
-		// KernelNanos).
-		var rec func(i int)
-		rec = func(i int) {
-			if best >= 1.0 || tried >= cfg.MaxCorrespondences {
-				return
-			}
-			if i == len(qIn) {
-				tried++
-				t0 := time.Now()
-				fps := q.prog.Fingerprints(assignment, cfg.Samples)
-				st.KernelNanos += time.Since(t0).Nanoseconds()
-				score(fps)
-				return
-			}
-			for _, slot := range candidates[i] {
-				if usedSlot[slot] {
-					continue
+		ev.candOff[i] = len(ev.cands)
+		for _, same := range [2]bool{true, false} {
+			for slot := range tIn {
+				if tIn[slot].Type == qIn[i].Type && (q.sigs[i] == t.sigs[slot]) == same {
+					ev.cands = append(ev.cands, slot)
 				}
-				usedSlot[slot] = true
-				assignment[i] = slot
-				rec(i + 1)
-				usedSlot[slot] = false
 			}
 		}
-		rec(0)
-		st.Correspondences = tried
-		return best, st
+	}
+	ev.candOff[len(qIn)] = len(ev.cands)
+
+	ev.enumerate(0)
+	ev.flush() // partial final buffer
+	ev.t = nil
+	ev.st.Correspondences = ev.tried
+	return ev.best, ev.st
+}
+
+// enumerate extends the partial assignment at query input i through
+// every injective type-preserving completion, in candidate order.
+func (ev *Evaluator) enumerate(i int) {
+	// Buffered leaves count against the cap so enumeration halts at
+	// exactly the candidate where the unbuffered loop would.
+	if ev.best >= 1.0 || ev.tried+ev.buffered >= ev.cfg.MaxCorrespondences {
+		return
+	}
+	if i == len(ev.assignment) {
+		ev.leaf()
+		return
+	}
+	for _, slot := range ev.cands[ev.candOff[i]:ev.candOff[i+1]] {
+		if ev.usedSlot[slot] {
+			continue
+		}
+		ev.usedSlot[slot] = true
+		ev.assignment[i] = slot
+		ev.enumerate(i + 1)
+		ev.usedSlot[slot] = false
+	}
+}
+
+// leaf takes one complete assignment: the scalar interpreter evaluates
+// and scores it on the spot (only the interpreter call is timed); the
+// batched path buffers it and flushes every g leaves.
+func (ev *Evaluator) leaf() {
+	if ev.g == 0 {
+		ev.tried++
+		t0 := time.Now()
+		fps := ev.q.prog.Fingerprints(ev.assignment, ev.cfg.Samples)
+		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
+		ev.score(fps)
+		return
+	}
+	copy(ev.rows[ev.buffered*len(ev.assignment):], ev.assignment)
+	ev.buffered++
+	if ev.buffered == ev.g {
+		ev.flush()
+	}
+}
+
+// flush resolves the buffered leaves — memo hits under one read lock,
+// the misses through ONE kernel suffix execution over misses·k lanes,
+// their rows then copied into the memo — and scores all of them in
+// enumeration order. The order is what keeps the result exact: best and
+// tried must advance leaf by leaf as the unbuffered loop's would, so
+// that a perfect match or the cap discards exactly the leaves behind it.
+func (ev *Evaluator) flush() {
+	n := ev.buffered
+	if n == 0 {
+		return
+	}
+	ev.buffered = 0
+	m, nIn := ev.q.memo, len(ev.assignment)
+	if ev.useMemo {
+		m.mu.RLock()
+		for r := 0; r < n; r++ {
+			a := ev.rows[r*nIn : (r+1)*nIn]
+			ev.hash[r] = hashSlots(a)
+			ev.hit[r] = m.find(a, ev.hash[r])
+		}
+		m.mu.RUnlock()
+	}
+	ev.missIdx = ev.missIdx[:0]
+	for r := 0; r < n; r++ {
+		if ev.hit[r] == nil { // without the memo every leaf is a miss
+			ev.missIdx = append(ev.missIdx, r)
+		}
+	}
+	misses := len(ev.missIdx)
+	ev.st.MemoHits += int64(n - misses)
+	ev.st.MemoMisses += int64(misses)
+
+	var fresh []uint64
+	if misses > 0 {
+		if ev.kern == nil {
+			ev.kern = ev.q.prog.AcquireKernelBatch(ev.cfg.Samples, ev.g)
+		}
+		for r, i := range ev.missIdx {
+			ev.kern.BindRow(r, ev.rows[i*nIn:(i+1)*nIn])
+		}
+		t0 := time.Now()
+		fresh = ev.kern.FingerprintsRows(misses)
+		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
+		ev.st.Batches++
+		ev.st.BatchRows += int64(misses)
+		ev.st.BatchSlots += int64(ev.g)
+		if ev.useMemo {
+			m.add(ev.rows, ev.missIdx, ev.hash, fresh)
+		}
 	}
 
-	// The batched γ loop: complete assignments accumulate into kernel
-	// rows and flush through ONE suffix execution over buffered·k lanes.
-	kern, g := ev.kern, ev.g
-	buffered := 0
-	flush := func() {
-		if buffered == 0 {
-			return
+	for r := 0; r < n; r++ {
+		fps := ev.hit[r]
+		ev.hit[r] = nil // do not pin an evicted slab past this pair
+		if fps == nil {
+			fps, fresh = fresh[:m.nd], fresh[m.nd:]
 		}
-		rows := buffered
-		buffered = 0
-		t0 := time.Now()
-		fps := kern.FingerprintsRows(rows)
-		st.KernelNanos += time.Since(t0).Nanoseconds()
-		st.Batches++
-		st.BatchRows += int64(rows)
-		st.BatchSlots += int64(g)
-		nd := len(fps) / rows
-		for r := 0; r < rows; r++ {
-			// A perfect match or the cap mid-batch discards the
-			// remaining rows uncounted: the unbatched loop would have
-			// stopped before evaluating them.
-			if best >= 1.0 || tried >= cfg.MaxCorrespondences {
-				break
-			}
-			tried++
-			score(fps[r*nd : (r+1)*nd])
+		// A perfect match or the cap mid-buffer discards the remaining
+		// leaves uncounted: the unbuffered loop would have stopped
+		// before evaluating them.
+		if ev.best >= 1.0 || ev.tried >= ev.cfg.MaxCorrespondences {
+			continue
+		}
+		ev.tried++
+		ev.score(fps)
+	}
+}
+
+// score matches one correspondence's fingerprints against the target
+// set and advances best. Counting (tried++) happens at the caller so
+// both paths charge correspondences identically.
+func (ev *Evaluator) score(fps []uint64) {
+	matched := 0
+	for _, h := range fps {
+		if ev.t.fpSet.has(h) {
+			matched++
 		}
 	}
-	var rec func(i int)
-	rec = func(i int) {
-		// Count buffered rows against the cap so enumeration halts at
-		// exactly the candidate where the unbatched loop would.
-		if best >= 1.0 || tried+buffered >= cfg.MaxCorrespondences {
-			return
-		}
-		if i == len(qIn) {
-			kern.BindRow(buffered, assignment)
-			buffered++
-			if buffered == g {
-				flush()
-			}
-			return
-		}
-		for _, slot := range candidates[i] {
-			if usedSlot[slot] {
-				continue
-			}
-			usedSlot[slot] = true
-			assignment[i] = slot
-			rec(i + 1)
-			usedSlot[slot] = false
-		}
+	if v := float64(matched) / float64(ev.q.S.NumVars()); v > ev.best {
+		ev.best = v
 	}
-	rec(0)
-	flush() // partial final batch
-	st.Correspondences = tried
-	return best, st
 }

@@ -233,3 +233,27 @@ func TestPrepareErrorPropagates(t *testing.T) {
 		t.Errorf("VCP against broken target = %v, want 0", got)
 	}
 }
+
+// TestFPSet pins the flat fingerprint set against a map on the inputs
+// its encoding has to get right: the zero fingerprint (zero also marks
+// an empty slot), duplicates, colliding low bits, and the empty set.
+func TestFPSet(t *testing.T) {
+	for _, fps := range [][]uint64{
+		nil,
+		{0},
+		{0, 0, 5, 5},
+		{8, 16, 24, 32, 40, 48, 56, 64, 72}, // equal low bits: one long probe run
+		{1, 2, 3, ^uint64(0), 1 << 63},
+	} {
+		set := newFPSet(fps)
+		want := map[uint64]bool{}
+		for _, h := range fps {
+			want[h] = true
+		}
+		for _, h := range append([]uint64{0, 4, 7, 80, 1<<63 + 1}, fps...) {
+			if set.has(h) != want[h] {
+				t.Fatalf("set %v: has(%d) = %v", fps, h, set.has(h))
+			}
+		}
+	}
+}
