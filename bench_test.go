@@ -341,7 +341,12 @@ func BenchmarkFingerprints(b *testing.B) {
 // nearly call-free, so compare modes at equal -benchtime). memo-hits/op
 // and kernel-rows/op split the first iteration's correspondences by
 // where their fingerprints came from: a strand's γ-fingerprint memo, or
-// a kernel evaluation that then fills it.
+// a kernel evaluation that then fills it. prepares/op and
+// rows-complete/op say how the iterations split between the two paths:
+// only the first prepares query strands (the ones with pairs to verify),
+// every later one finds all its rows complete in the row cache — so at N
+// iterations prepares/op falls as 1/N and rows-complete/op tends to the
+// query's unique strand count.
 func BenchmarkQuery(b *testing.B) {
 	prog := minic.MustParse(microSrc)
 	q := microProc(b, "clang-3.5")
@@ -369,6 +374,8 @@ func BenchmarkQuery(b *testing.B) {
 			b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
 			b.ReportMetric(float64(st.MemoHits)/float64(b.N), "memo-hits/op")
 			b.ReportMetric(float64(st.GammaBatchRows)/float64(b.N), "kernel-rows/op")
+			b.ReportMetric(float64(st.QueryPrepares)/float64(b.N), "prepares/op")
+			b.ReportMetric(float64(st.VCPRowsComplete)/float64(b.N), "rows-complete/op")
 		})
 	}
 }

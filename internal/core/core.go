@@ -103,12 +103,12 @@ type Options struct {
 	PathLen int
 	// PathMaxBlocks bounds the path explosion (0 selects 12).
 	PathMaxBlocks int
-	// VCPCachePairs bounds the cross-query VCP memo cache to roughly
-	// this many cached strand-pair results, so a long-running server
-	// does not grow without limit. 0 selects DefaultVCPCachePairs; a
-	// negative value disables the bound. Eviction is FIFO over query
-	// strands: the cache may transiently exceed the bound by one query
-	// strand's row.
+	// VCPCachePairs bounds the cross-query VCP row cache to this many
+	// row entries held (the sum of its rows' widths, one entry per
+	// unique target strand per cached query strand), so a long-running
+	// server does not grow without limit. 0 selects DefaultVCPCachePairs;
+	// a negative value disables the bound. Eviction is FIFO over whole
+	// rows: the cache may exceed the bound by the one row just written.
 	VCPCachePairs int
 	// Prefilter selects the candidate prefilter consulted before the
 	// size-ratio window: PrefilterOff ("" or "off") or PrefilterLSH
@@ -139,9 +139,8 @@ type Options struct {
 	RetrievalMaxDelta int
 }
 
-// DefaultVCPCachePairs is the default vcpCache bound: at 16 bytes per
-// cached pair (plus key overhead) this keeps the steady-state cache in
-// the low hundreds of MB even with long canonical keys.
+// DefaultVCPCachePairs is the default vcpCache bound: at 16 bytes and
+// three bits per row entry the cache's ceiling is 32.75 MiB.
 const DefaultVCPCachePairs = 1 << 21
 
 // memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
@@ -276,14 +275,19 @@ type DB struct {
 	// query of many strands does not allocate one per strand.
 	markPool sync.Pool
 
-	// vcpCache memoizes forward and reverse VCP by (query strand key,
-	// target strand key). It is bounded by Options.VCPCachePairs with
-	// FIFO eviction at query-strand granularity: cacheOrder records
-	// query keys in insertion order, cachePairs counts cached pairs.
-	mu         sync.Mutex
-	vcpCache   map[string]map[string][2]float64
-	cacheOrder []string
-	cachePairs int
+	// vcpCache holds one dense row per query-strand key (rowcache.go):
+	// forward and reverse VCP indexed by unique-strand number. It is
+	// bounded by Options.VCPCachePairs with FIFO eviction of whole rows:
+	// cacheOrder records keys in insertion order, cacheEntries is Σ row
+	// widths. rowEpoch names the strand numbering the rows are indexed
+	// by; only a renumbering Compact moves it, holding cfgMu and mu both,
+	// so it may be read under either (queries snapshot it under cfgMu and
+	// compare under mu).
+	mu           sync.Mutex
+	vcpCache     map[string]*vcpRow
+	cacheOrder   []string
+	cacheEntries int
+	rowEpoch     uint64
 
 	// Telemetry: a per-DB registry so multiple databases in one process
 	// (tests, blue/green index swaps) do not share counters. Per-pair
@@ -294,6 +298,8 @@ type DB struct {
 	mCacheHits     *telemetry.Counter
 	mCacheMisses   *telemetry.Counter
 	mCacheEvict    *telemetry.Counter
+	mRows          [3]*telemetry.Counter // by rowState
+	mPrepares      *telemetry.Counter
 	mPairsPruned   *telemetry.Counter
 	mPairsIdent    *telemetry.Counter
 	mVerifierCalls *telemetry.Counter
@@ -363,7 +369,7 @@ func newDB(opts Options) (*DB, error) {
 		newEval:   vcp.NewEvaluator,
 		memo:      vcp.NewMemoPool(memoBudgetBytes),
 		byKey:     map[string]int{},
-		vcpCache:  map[string]map[string][2]float64{},
+		vcpCache:  map[string]*vcpRow{},
 		sketchCfg: cfg,
 		sketchIdx: sketch.NewIndex(cfg),
 	}
@@ -386,6 +392,12 @@ func (db *DB) initMetrics() {
 	db.mCacheHits = reg.Counter("esh_vcp_cache_hits_total", "VCP memo cache hits (pair results reused).")
 	db.mCacheMisses = reg.Counter("esh_vcp_cache_misses_total", "VCP memo cache misses (pair results computed).")
 	db.mCacheEvict = reg.Counter("esh_vcp_cache_evictions_total", "Query-strand rows evicted from the VCP cache.")
+	for st, name := range rowStateNames {
+		db.mRows[st] = reg.Counter("esh_vcp_cache_rows_total",
+			"Query strands by the state of their cached VCP row at lookup: complete (handed out as is), partial (some columns still owed) or absent.",
+			"state", name)
+	}
+	db.mPrepares = reg.Counter("esh_query_strands_prepared_total", "Query strands that reached vcp.Prepare (only those with at least one pair left to verify).")
 	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations (two per cache miss: forward and reverse).")
@@ -439,10 +451,10 @@ func (db *DB) initMetrics() {
 		}
 		return 0
 	})
-	reg.GaugeFunc("esh_vcp_cache_pairs", "Strand-pair results currently cached.", func() float64 {
+	reg.GaugeFunc("esh_vcp_cache_pairs", "Row entries held by the VCP cache (the sum of its rows' widths).", func() float64 {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		return float64(db.cachePairs)
+		return float64(db.cacheEntries)
 	})
 	reg.GaugeFunc("esh_vcp_cache_query_strands", "Distinct query strands with cached rows.", func() float64 {
 		db.mu.Lock()
@@ -616,6 +628,8 @@ type queryConfig struct {
 	h0Order    []int32
 	generation uint64
 	pending    int
+	// rowEpoch is the strand numbering uniq is in (see DB.rowEpoch).
+	rowEpoch uint64
 }
 
 func (db *DB) prefilterOn() bool { return db.opts.Prefilter == PrefilterLSH }
@@ -629,6 +643,7 @@ func (db *DB) snapshotConfig() queryConfig {
 		uniq: db.uniq, counts: db.counts, targets: db.targets,
 		live: db.live, h0Order: db.h0Order,
 		generation: db.generation, pending: db.pendingWrites,
+		rowEpoch: db.rowEpoch,
 	}
 	db.cfgMu.RUnlock()
 	if db.probeOn() && qc.retr == nil {
@@ -768,16 +783,21 @@ type DBStats struct {
 	WALSeq        uint64
 	PendingWrites int
 	Tombstones    int
-	// VCPCachePairs is the number of cached strand-pair results;
-	// VCPCacheQueries the number of distinct query strands they span.
+	// VCPCachePairs is the number of row entries the VCP cache holds
+	// (the sum of its rows' widths — what VCPCacheCap bounds);
+	// VCPCacheQueries the number of rows, one per distinct query strand.
 	VCPCachePairs   int
 	VCPCacheQueries int
 	VCPCacheCap     int
 	VCPCacheEvicted uint64
 	// Lifetime cache traffic: hits reused a cached pair result, misses
-	// computed one (two verifier calls each).
-	VCPCacheHits   uint64
-	VCPCacheMisses uint64
+	// computed one (two verifier calls each). VCPRowsComplete counts
+	// query strands whose cached row answered every pair, QueryPrepares
+	// those that reached vcp.Prepare because some pair needed a verifier.
+	VCPCacheHits    uint64
+	VCPCacheMisses  uint64
+	VCPRowsComplete uint64
+	QueryPrepares   uint64
 	// VCPPairsPruned counts pairs rejected by the size-ratio window;
 	// VerifierCalls counts vcp.Compute invocations;
 	// VerifierCorrespondences counts γ evaluations inside them.
@@ -877,6 +897,8 @@ func (db *DB) Stats() DBStats {
 		VCPCacheEvicted:          db.mCacheEvict.Value(),
 		VCPCacheHits:             db.mCacheHits.Value(),
 		VCPCacheMisses:           db.mCacheMisses.Value(),
+		VCPRowsComplete:          db.mRows[rowComplete].Value(),
+		QueryPrepares:            db.mPrepares.Value(),
 		VCPPairsPruned:           db.mPairsPruned.Value(),
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
@@ -914,7 +936,7 @@ func (db *DB) Stats() DBStats {
 		s.StageSeconds[st] = db.stageHist[st].Sum()
 	}
 	db.mu.Lock()
-	s.VCPCachePairs = db.cachePairs
+	s.VCPCachePairs = db.cacheEntries
 	s.VCPCacheQueries = len(db.vcpCache)
 	db.mu.Unlock()
 	return s
@@ -1144,45 +1166,34 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	}
 
 	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
-	// LES weight) and build their verifier preparations. The dedup order
-	// is first-seen, which is deterministic in the query text — every
-	// shard handed the same query builds the same row order, so a
-	// coordinator can merge rows by index.
+	// LES weight). The dedup order is first-seen, which is deterministic
+	// in the query text — every shard handed the same query builds the
+	// same row order, so a coordinator can merge rows by index. Verifier
+	// preparation is not done here: stage 3 prepares a strand only once
+	// it has found a pair the strand must be verified against.
 	_, spPrep := telemetry.StartSpan(ctx, "prepare")
-	type qstrand struct {
-		prep   *vcp.Prepared
-		weight float64
-	}
-	var qs []*qstrand
+	var qs []*strand.Strand
 	qIdx := map[string]int{}
+	qp.Weights = make([]float64, 0, len(kept))
 	for _, s := range kept {
 		key := s.CanonicalKey()
 		if i, ok := qIdx[key]; ok {
-			qs[i].weight++
+			qp.Weights[i]++
 			continue
 		}
-		prep := db.prepare(s)
-		if prep.Err() != nil {
-			spPrep.End()
-			return nil, fmt.Errorf("core: prepare query strand: %w", prep.Err())
-		}
-		pre, tot := prep.InstrCounts()
-		db.mPrefixInstrs.Add(uint64(pre))
-		db.mKernelInstrs.Add(uint64(tot))
 		qIdx[key] = len(qs)
-		qs = append(qs, &qstrand{prep: prep, weight: 1})
+		qs = append(qs, s)
+		qp.Weights = append(qp.Weights, 1)
 	}
 	spPrep.SetAttr("unique_strands", float64(len(qs)))
 	db.observeStage("prepare", spPrep.End())
 
-	// Stage 3: vcp — for each unique query strand, compute the VCP row
-	// against every unique target strand, in both directions. The
-	// forward direction VCP(sq, st) drives S-LOG and Esh; the reverse
-	// direction VCP(st, sq) drives the paper's S-VCP definition (§6.2),
-	// which sums over target strands. The rows are cut into pair-level
-	// chunks and drained by a bounded worker pool (see vcpRows), so a
-	// query of few large strands still saturates every worker and the
-	// goroutine count is bounded by Workers rather than the strand count.
+	// Stage 3: vcp — for each unique query strand, the VCP row against
+	// every unique target strand, in both directions. The forward
+	// direction VCP(sq, st) drives S-LOG and Esh; the reverse direction
+	// VCP(st, sq) drives the paper's S-VCP definition (§6.2), which sums
+	// over target strands. Rows come from the row cache where it has them;
+	// the pairs it does not know are verified (see vcpRows).
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
 	if db.prefilterOn() {
 		spVCP.SetAttr("prefilter_lsh", 1)
@@ -1194,19 +1205,10 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	} else {
 		spVCP.SetAttr("retrieval_probe", 0)
 	}
-	preps := make([]*vcp.Prepared, len(qs))
-	for i, q := range qs {
-		preps[i] = q.prep
-	}
-	rows, revRows := db.vcpRows(preps, spVCP, qc)
-	// The query strands' memos die with the query; the target strands'
-	// stay warm for the next one.
-	db.memo.Release(preps...)
+	rows, revRows, err := db.vcpRows(qs, spVCP, qc)
 	db.observeStage("vcp", spVCP.End())
-
-	qp.Weights = make([]float64, len(qs))
-	for i, q := range qs {
-		qp.Weights[i] = q.weight
+	if err != nil {
+		return nil, err
 	}
 	qp.Rows = rows
 
@@ -1232,26 +1234,25 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	// surviving targets in add order are exactly the target order a
 	// from-scratch rebuild of the live corpus would produce.
 	qp.Targets = make([]PartialScore, 0, len(qc.targets))
+	maxVCPs := make([]float64, len(qc.targets)*len(qs)) // every target's MaxVCP, one allocation
 	for ti, t := range qc.targets {
 		if qc.live != nil && !qc.live[ti] {
 			continue
 		}
-		maxVCPs := make([]float64, len(qs))
-		for i := range qs {
-			best := 0.0
-			row := rows[i]
+		best := maxVCPs[:len(qs):len(qs)]
+		maxVCPs = maxVCPs[len(qs):]
+		for i, row := range rows {
 			for _, j := range t.strandIdx {
-				if row[j] > best {
-					best = row[j]
+				if row[j] > best[i] {
+					best[i] = row[j]
 				}
 			}
-			maxVCPs[i] = best
 		}
 		svcp := 0.0
 		for _, j := range t.strandIdx {
 			svcp += maxRev[j]
 		}
-		qp.Targets = append(qp.Targets, PartialScore{Target: t, SVCP: svcp, MaxVCP: maxVCPs})
+		qp.Targets = append(qp.Targets, PartialScore{Target: t, SVCP: svcp, MaxVCP: best})
 	}
 	qp.DataGeneration = qc.generation
 	qp.PendingWrites = qc.pending
@@ -1260,13 +1261,25 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	return qp, nil
 }
 
+// rowState classifies a query strand by what the row cache held for it.
+type rowState uint8
+
+const (
+	rowComplete rowState = iota // every pair the query needs is cached
+	rowPartial                  // a row exists but some pairs are still owed
+	rowAbsent                   // no row
+)
+
+var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", rowAbsent: "absent"}
+
 // rowStats is the per-row telemetry accumulator: each chunk counts its
-// work locally and merges under the row lock; the completed row flushes
-// once, so the pair loop never touches an atomic or a span lock.
+// verifier work locally, the chunks of a row are folded once the queue
+// has drained, and the row flushes once — so the pair loop never touches
+// an atomic or a span lock.
 type rowStats struct {
+	state       rowState
 	pairs       int   // unique target strands examined
 	lshSkipped  int   // skipped by the LSH prefilter
-	lshCands    int   // LSH candidate-set size (valid when lshOn)
 	lshOn       bool  // prefilter consulted for this row
 	probeOn     bool  // candidates came from a retrieval-table probe
 	probeCands  int   // retrieved candidate-set size (valid when probeOn)
@@ -1287,15 +1300,8 @@ type rowStats struct {
 	memoMisses  int64 // enumeration leaves evaluated by the kernel
 }
 
-// merge folds a chunk's local counts into the row accumulator. The
-// row-wide fields (pairs, lshOn, lshCands) are set at init time and left
-// alone here.
-func (rs *rowStats) merge(d rowStats) {
-	rs.lshSkipped += d.lshSkipped
-	rs.pruned += d.pruned
-	rs.identical += d.identical
-	rs.hits += d.hits
-	rs.misses += d.misses
+// addWork folds one chunk's verifier work into the row accumulator.
+func (rs *rowStats) addWork(d rowStats) {
 	rs.calls += d.calls
 	rs.deadDirs += d.deadDirs
 	rs.gamma += d.gamma
@@ -1308,8 +1314,11 @@ func (rs *rowStats) merge(d rowStats) {
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
-// a live trace, to the shared vcp stage span.
+// a live trace, to the shared vcp stage span. The per-pair counters count
+// pairs resolved that way, whether this query walked them or a cached
+// row's tallies vouch for them.
 func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
+	db.mRows[rs.state].Inc()
 	db.mPairsPruned.Add(uint64(rs.pruned))
 	db.mPairsIdent.Add(uint64(rs.identical))
 	db.mCacheHits.Add(uint64(rs.hits))
@@ -1324,9 +1333,11 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		db.mGammaRows.Add(uint64(rs.gammaRows))
 		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
 	}
+	// Every column the prefilter did not skip was a candidate.
+	lshCands := rs.pairs - rs.lshSkipped
 	if rs.lshOn {
 		db.mLSHSkipped.Add(uint64(rs.lshSkipped))
-		db.hLSHCands.Observe(float64(rs.lshCands))
+		db.hLSHCands.Observe(float64(lshCands))
 	}
 	if rs.probeOn {
 		db.mProbes.Inc()
@@ -1341,10 +1352,13 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	if sp == nil {
 		return
 	}
+	if rs.state == rowComplete {
+		sp.AddAttr("rows_complete", 1)
+	}
 	sp.AddAttr("pairs", float64(rs.pairs))
 	if rs.lshOn {
 		sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
-		sp.AddAttr("lsh_candidates", float64(rs.lshCands))
+		sp.AddAttr("lsh_candidates", float64(lshCands))
 	}
 	if rs.probeOn {
 		sp.AddAttr("retrieval_candidates", float64(rs.probeCands))
@@ -1366,211 +1380,362 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	sp.AddAttr("memo_hits", float64(rs.memoHits))
 }
 
-// maxPairChunk caps the number of target strands one work-queue item
-// covers, so the per-chunk bookkeeping (row lock, once-init check)
-// stays noise next to the verifier calls inside. Below the cap the
-// chunk size adapts to the workload — see pairChunk.
+// maxPairChunk caps the number of pairs one work-queue item covers, so
+// the per-chunk bookkeeping (two evaluators) stays noise next to the
+// verifier calls inside. Below the cap the chunk size adapts to the
+// workload — see pairChunk.
 const maxPairChunk = 64
 
-// pairChunk picks the work-queue chunk size for a query of nq strands
-// against n targets: small enough that even a single-strand query
-// against a small index cuts into several chunks per worker (so the
-// machine saturates on the pair population, not the strand count),
-// capped at maxPairChunk for large corpora.
-func pairChunk(nq, n, workers int) int {
-	chunk := (nq*n + 4*workers - 1) / (4 * workers)
+// minFanOut is the number of pairs to verify below which the calling
+// goroutine drains the queue alone: a few dozen verifier calls are shorter
+// than the wait for a second core on a machine that is serving writes too,
+// so a query that extends its rows by the strands of one new target costs
+// the same whatever else is running.
+const minFanOut = 32
+
+// pairChunk picks the work-queue chunk size for n pairs to verify: small
+// enough that even a few pairs cut into several chunks per worker (so the
+// machine saturates on the pair population, not the strand count), capped
+// at maxPairChunk for large corpora.
+func pairChunk(n, workers int) int {
+	chunk := (n + 4*workers - 1) / (4 * workers)
 	if chunk < 1 {
 		chunk = 1
 	}
 	return min(chunk, maxPairChunk)
 }
 
-// vcpRowState carries one query strand's row through the pair-level
-// work queue. The once-init populates the row-wide inputs (cache
-// snapshot, prefilter candidate set, size ratio) on whichever worker
-// touches the row first; chunks then run lock-free over disjoint target
-// ranges, merging their telemetry and fresh cache entries under the row
-// lock; the worker that finishes the last chunk flushes the stats and
-// writes the fresh entries back to the shared cache.
+// vcpRowState carries one query strand through stage 3: the row the cache
+// held at entry, the rows handed to stage 4, and — when the cache did not
+// know every pair — the verify list and the private successor row the
+// results are published in.
 type vcpRowState struct {
+	s        *strand.Strand
+	base     *vcpRow   // the cached row at entry (nil: none, or another epoch's)
+	next     *vcpRow   // private successor of base; nil when nothing new was learnt
+	fwd, rev []float64 // n wide; aliases base or next in scan mode, read-only then
+	// verify lists the columns whose pair needs the verifier; the pair
+	// queue is cut over these lists, so a chunk is all verifier work. q is
+	// prepared only when the list is non-empty. sketched says qSum is
+	// valid and the one-direction injectability test applies.
+	verify   []int32
 	q        *vcp.Prepared
-	qc       *queryConfig // the query's entry-time corpus snapshot
-	fwd, rev []float64
-
-	// Probe mode: the retrieved candidate ids, filled at row setup
-	// (before chunking — the chunk cuts cover this list, not [0, n)).
-	// nil in scan mode. probed distinguishes "probe mode, no
-	// candidates" from "scan mode".
-	candIDs []int32
-	probed  bool
-
-	init   sync.Once
-	cached map[string][2]float64 // shared-cache snapshot, read-only after init
-	cand   []bool                // prefilter candidates (nil when off or probing)
-	qSum   sketch.Summary
-	ratio  float64
-
-	mu      sync.Mutex
-	fresh   map[string][2]float64 // pairs computed by this row's chunks
-	rs      rowStats
-	pending atomic.Int32 // chunks not yet finished
+	qSum     sketch.Summary
+	sketched bool
+	rs       rowStats
 }
 
-// vcpRows computes VCP(q, u) and VCP(u, q) for every (query strand q,
-// unique target strand u) pair, applying the §5.5 size window and the
-// cross-query memo cache. All rows are cut into pairChunkSize chunks up
-// front and drained through one shared queue by min(Workers, chunks)
-// goroutines, so parallelism comes from the pair population rather than
-// the strand count: a query with fewer strands than workers no longer
-// leaves cores idle, and a query with thousands of strands no longer
-// spawns a goroutine per strand. Work counts flow into sp (the shared
-// vcp stage span) and the DB counters once per row.
-func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64) {
+// vcpRows produces VCP(q, u) and VCP(u, q) for every (query strand q,
+// unique target strand u) pair of the query's corpus view, in four steps:
+//
+//  1. fetch every query strand's cached row in one visit to the cache;
+//  2. plan: a complete row is handed out as it is — no copy, no sketch, no
+//     per-pair test; otherwise only the columns the row does not know go
+//     through the cheap filters (dead, identical, prefilter, size window),
+//     and what survives is the strand's verify list;
+//  3. verify: prepare the strands that have a list, cut the lists into
+//     chunks and drain them with min(Workers, chunks) goroutines — none
+//     when every list is empty;
+//  4. publish the successor rows, and flush each row's counts into sp (the
+//     shared vcp stage span) and the DB counters.
+//
+// The returned rows may be cached rows shared with other queries: they are
+// read-only (DESIGN §10.9).
+func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64, err error) {
 	n := len(qc.uniq)
-	rows = make([][]float64, len(qs))
-	revRows = make([][]float64, len(qs))
-	states := make([]*vcpRowState, len(qs))
+	states := make([]vcpRowState, len(qs))
+	for i, s := range qs {
+		states[i].s = s
+	}
+	db.lookupRows(states, qc.rowEpoch)
+
 	probe := db.probeOn() && qc.retr != nil
-	totalPairs := 0
-	var scratch []bool
-	if probe {
+	var scratch []bool // prefilter candidate marks / probe dedup
+	if probe || db.prefilterOn() {
 		scratch = db.getMark(n)
+		defer db.putMark(scratch)
 	}
-	for i, q := range qs {
-		st := &vcpRowState{
-			q:     q,
-			qc:    qc,
-			fwd:   make([]float64, n),
-			rev:   make([]float64, n),
-			fresh: map[string][2]float64{},
-		}
+	var todo []int32
+	toVerify := 0
+	for i := range states {
+		st := &states[i]
 		if probe {
-			// Probe the retrieval table up front: the chunk cuts below
-			// cover the retrieved candidate list, so everything outside
-			// it is never touched (its row entries stay zero, exactly
-			// like a scan-mode prefilter skip).
-			st.probed = true
-			st.qSum = sketch.Summarize(q.S, db.sketchCfg)
-			start := time.Now()
-			st.candIDs, st.rs.soundCands = qc.retr.Probe(st.qSum, scratch, nil)
-			// Delta overlay: strands written live since the table was
-			// built (sketch.RetrievalIndex.ProbeDelta has the contract).
-			var deltaSound int
-			st.candIDs, deltaSound = qc.retr.ProbeDelta(st.qSum, qc.sums[:n], qc.counts, st.candIDs)
-			st.rs.soundCands += deltaSound
-			st.rs.probeNanos = time.Since(start).Nanoseconds()
-			st.rs.probeOn = true
-			st.rs.probeCands = len(st.candIDs)
-			st.rs.pairs = len(st.candIDs)
-			totalPairs += len(st.candIDs)
+			db.planProbe(st, qc, scratch)
 		} else {
-			st.rs.pairs = n
-			totalPairs += n
+			todo = db.planScan(st, qc, scratch, todo[:0])
 		}
-		states[i] = st
-		rows[i], revRows[i] = st.fwd, st.rev
+		toVerify += len(st.verify)
 	}
-	if probe {
-		db.putMark(scratch)
-	}
-	size := pairChunk(1, totalPairs, db.opts.Workers)
-	type chunk struct{ row, lo, hi int }
-	var chunks []chunk
-	for i, st := range states {
-		rowLen := n
-		if st.probed {
-			rowLen = len(st.candIDs)
-		}
-		if rowLen == 0 {
-			// No chunk will ever touch this row: flush its telemetry
-			// (probe latency, empty candidate set) here.
-			db.flushRowStats(st.rs, sp)
+
+	// The deferred half of stage 2: only a strand that meets a verifier
+	// is prepared. Its γ-fingerprint memo is charged to the DB's budget
+	// and dies with the query; the target strands' stay warm for the next.
+	var prepared []*vcp.Prepared
+	defer func() { db.memo.Release(prepared...) }()
+	var chunks []verifyRange
+	size := pairChunk(toVerify, db.opts.Workers)
+	for i := range states {
+		st := &states[i]
+		if len(st.verify) == 0 {
 			continue
 		}
-		st.pending.Store(int32((rowLen + size - 1) / size))
-		for lo := 0; lo < rowLen; lo += size {
-			chunks = append(chunks, chunk{row: i, lo: lo, hi: min(lo+size, rowLen)})
+		st.q = db.prepare(st.s)
+		prepared = append(prepared, st.q)
+		db.mPrepares.Inc()
+		pre, tot := st.q.InstrCounts()
+		db.mPrefixInstrs.Add(uint64(pre))
+		db.mKernelInstrs.Add(uint64(tot))
+		if st.q.Err() != nil {
+			return nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
+		}
+		for lo := 0; lo < len(st.verify); lo += size {
+			chunks = append(chunks, verifyRange{row: i, lo: lo, hi: min(lo+size, len(st.verify))})
 		}
 	}
-	if len(chunks) == 0 {
-		return rows, revRows
+	workers := min(db.opts.Workers, len(chunks))
+	if toVerify < minFanOut {
+		workers = min(workers, 1)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(db.opts.Workers, len(chunks)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					return
+	sp.SetAttr("workers", float64(workers))
+	if workers > 0 {
+		db.verifyChunks(states, chunks, workers, qc)
+	}
+
+	rows = make([][]float64, len(qs))
+	revRows = make([][]float64, len(qs))
+	for i := range states {
+		st := &states[i]
+		if probe && len(st.verify) > 0 {
+			// A probe-mode row records verifier results only.
+			st.next = st.base.grow(n)
+			for _, j := range st.verify {
+				st.next.fwd[j], st.next.rev[j] = st.fwd[j], st.rev[j]
+				st.next.set(int(j), kindVerified)
+			}
+		}
+		rows[i], revRows[i] = st.fwd, st.rev
+		db.flushRowStats(st.rs, sp)
+	}
+	db.publishRows(states, qc.rowEpoch)
+	return rows, revRows, nil
+}
+
+// sizeRatio resolves the configured §5.5 size window.
+func (db *DB) sizeRatio() float64 {
+	if r := db.opts.VCP.SizeRatio; r > 0 {
+		return r
+	}
+	return vcp.Default().SizeRatio
+}
+
+// planScan resolves a scan-mode row as far as it can without a verifier.
+// The identical-key short circuit stays ahead of the prefilter so an exact
+// structural match can never be lost to sketch noise. todo is scratch,
+// returned for reuse.
+func (db *DB) planScan(st *vcpRowState, qc *queryConfig, cand []bool, todo []int32) []int32 {
+	n := len(qc.uniq)
+	todo = st.base.unknown(n, qc.counts, todo)
+	row := st.base
+	switch {
+	case row == nil:
+		st.rs.state = rowAbsent
+	case len(todo) == 0 && len(row.fwd) >= n:
+		st.rs.state = rowComplete
+	default:
+		// Columns still owed — or none, but the row predates live adds
+		// whose strands have since died, and is simply too short.
+		st.rs.state = rowPartial
+	}
+	// A row that learnt a value while its strand was live keeps it when
+	// the strand dies. No score reads a dead column (h0Order lists live
+	// strands only and stage 4 walks live targets' strand lists), but
+	// QueryPartial.Rows is handed to callers and must not depend on what
+	// the cache happened to know: the first query to meet such a row
+	// forgets its dead columns in the successor it publishes, and every
+	// later one is handed that row as it is. (A forgotten column is
+	// verified again if a re-add brings the strand back.)
+	stale := qc.live != nil && row.showsDead(qc.counts)
+	if st.rs.state != rowComplete || stale {
+		row = st.base.grow(n)
+		st.next = row
+		if stale {
+			for j := range row.fwd[:n] {
+				if qc.counts[j] == 0 && row.has(j) {
+					row.forget(j)
 				}
-				db.vcpChunk(states[chunks[c].row], chunks[c].lo, chunks[c].hi, sp)
+			}
+		}
+		key, ratio := st.s.CanonicalKey(), db.sizeRatio()
+		// With the prefilter on, everything unmarked is skipped: pairs
+		// that are injectability-dead in both directions, plus — with the
+		// heuristic tier enabled — pairs the LSH/containment tests
+		// consider dissimilar.
+		if db.prefilterOn() && len(todo) > 0 {
+			st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
+			qc.sketchIdx.CandidatesAmong(st.qSum, todo, cand)
+		}
+		for _, j32 := range todo {
+			j := int(j32)
+			u := qc.uniq[j]
+			switch {
+			case u.Key() == key:
+				row.fwd[j], row.rev[j] = 1.0, 1.0 // identical strands match exactly
+				row.set(j, kindIdentical)
+			case st.sketched && !cand[j]:
+				row.set(j, kindSkipped)
+			case !vcp.SizeCompatible(st.s, u.S, ratio): // symmetric: gates both directions
+				row.set(j, kindPruned)
+			default:
+				// Known once the queue has drained, which is before
+				// anyone else can see the row.
+				row.set(j, kindVerified)
+				st.verify = append(st.verify, j32)
+			}
+			if st.sketched {
+				cand[j] = false // leave the pooled marks clear
+			}
+		}
+	}
+	st.fwd, st.rev = row.fwd[:n:n], row.rev[:n:n]
+	st.rs.pairs = n
+	st.rs.lshOn = db.prefilterOn()
+	st.rs.identical = row.tally[kindIdentical]
+	st.rs.lshSkipped = row.tally[kindSkipped]
+	st.rs.pruned = row.tally[kindPruned]
+	st.rs.misses = len(st.verify)
+	st.rs.hits = row.tally[kindVerified] - st.rs.misses
+	return todo
+}
+
+// planProbe probes the retrieval table for the row's candidates and runs
+// the cheap filters over them; everything outside the candidate list is
+// never touched (its entries stay zero, exactly like a scan-mode prefilter
+// skip), so the work stays sublinear in the corpus. The cached row is
+// consulted per surviving candidate and the output row is private:
+// a candidate set can shrink when the table is rebuilt at heuristic
+// settings, and a column outside it must read zero whatever the cache
+// knows.
+func (db *DB) planProbe(st *vcpRowState, qc *queryConfig, scratch []bool) {
+	n := len(qc.uniq)
+	st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
+	start := time.Now()
+	cands, sound := qc.retr.Probe(st.qSum, scratch, nil)
+	// Delta overlay: strands written live since the table was built
+	// (sketch.RetrievalIndex.ProbeDelta has the contract).
+	cands, deltaSound := qc.retr.ProbeDelta(st.qSum, qc.sums[:n], qc.counts, cands)
+	st.rs.probeNanos = time.Since(start).Nanoseconds()
+	st.rs.probeOn = true
+	st.rs.probeCands = len(cands)
+	st.rs.soundCands = sound + deltaSound
+	st.rs.pairs = len(cands)
+
+	vals := make([]float64, 2*n)
+	st.fwd, st.rev = vals[:n:n], vals[n:]
+	key, ratio := st.s.CanonicalKey(), db.sizeRatio()
+	for _, j32 := range cands {
+		j := int(j32)
+		// Dead strands (every owning target tombstoned) are skipped
+		// before any work — including the identical short circuit — so
+		// scan and probe hand the verifier the same live pair set.
+		if qc.counts[j] == 0 {
+			continue
+		}
+		u := qc.uniq[j]
+		switch {
+		case u.Key() == key:
+			st.fwd[j], st.rev[j] = 1.0, 1.0
+			st.rs.identical++
+		case !vcp.SizeCompatible(st.s, u.S, ratio):
+			st.rs.pruned++
+		case st.base.has(j):
+			st.fwd[j], st.rev[j] = st.base.fwd[j], st.base.rev[j]
+			st.rs.hits++
+		default:
+			st.verify = append(st.verify, j32)
+		}
+	}
+	st.rs.misses = len(st.verify)
+	switch {
+	case st.base == nil:
+		st.rs.state = rowAbsent
+	case len(st.verify) > 0:
+		st.rs.state = rowPartial
+	}
+}
+
+// verifyRange is one item of the pair queue: verify[lo:hi] of a row.
+type verifyRange struct{ row, lo, hi int }
+
+// verifyChunks drains the pair queue with the given number of workers
+// and folds each chunk's work into its row's stats. Parallelism comes from
+// the pair population rather than the strand count: a query with fewer
+// strands than workers leaves no core idle, and one with thousands of
+// strands spawns no goroutine per strand. A single worker is the calling
+// goroutine itself.
+//
+// Each worker owns two evaluators for the whole drain, so the γ search's
+// scratch is allocated once per worker, not per chunk or pair. The forward
+// one is bound to the chunk's query strand: once a memo miss makes it
+// acquire that strand's kernel, the kernel — and its evaluated γ-invariant
+// prefix — persists until the worker moves to another row. (Evaluators
+// are not concurrency-safe, which is why they are per worker.) The reverse
+// one is rebound to each target strand in turn; it acquires that strand's
+// kernel only if the strand's memo misses, which on a warm corpus it
+// rarely does.
+func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers int, qc *queryConfig) {
+	work := make([]rowStats, len(chunks))
+	var next atomic.Int64
+	drain := func() {
+		var fwdEval, revEval *vcp.Evaluator
+		defer func() {
+			if fwdEval != nil {
+				fwdEval.Close()
+				revEval.Close()
 			}
 		}()
+		row := -1
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= len(chunks) {
+				return
+			}
+			ch := chunks[c]
+			st := &states[ch.row]
+			switch {
+			case fwdEval == nil:
+				fwdEval, revEval = db.newEval(st.q, db.opts.VCP), db.newEval(st.q, db.opts.VCP)
+			case ch.row != row:
+				fwdEval.Reset(st.q)
+			}
+			row = ch.row
+			work[c] = verifyChunk(st, qc, ch.lo, ch.hi, fwdEval, revEval)
+		}
 	}
-	wg.Wait()
-	return rows, revRows
+	if workers == 1 {
+		drain()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain()
+			}()
+		}
+		wg.Wait()
+	}
+	for c, ch := range chunks {
+		states[ch.row].rs.addWork(work[c])
+	}
 }
 
-// initRow populates a row's shared inputs: the memo-cache snapshot and
-// — with the prefilter on — the candidate target set (everything
-// unmarked is skipped in vcpChunk before the size window runs: pairs
-// that are injectability-dead in both directions, plus — with the
-// heuristic tier enabled — pairs the LSH/containment tests consider
-// dissimilar).
-func (db *DB) initRow(st *vcpRowState) {
-	qKey := st.q.Key()
-	db.mu.Lock()
-	st.cached = make(map[string][2]float64, len(db.vcpCache[qKey]))
-	for k, v := range db.vcpCache[qKey] {
-		st.cached[k] = v
-	}
-	db.mu.Unlock()
-
-	st.ratio = db.opts.VCP.SizeRatio
-	if st.ratio <= 0 {
-		st.ratio = vcp.Default().SizeRatio
-	}
-	// In probe mode the candidate set was retrieved at row setup (it
-	// determined the chunk cuts); the scan-mode prefilter has nothing
-	// left to mark.
-	if !st.probed && db.prefilterOn() {
-		st.rs.lshOn = true
-		st.cand = db.getMark(len(st.qc.uniq))
-		st.qSum = sketch.Summarize(st.q.S, db.sketchCfg)
-		st.rs.lshCands = st.qc.sketchIdx.Candidates(st.qSum, st.cand)
-	}
-}
-
-// vcpChunk processes the target strands [lo, hi) of one row: the pair
-// loop body (identical-key short circuit, prefilter, size window, memo
-// cache, verifier calls in both live directions) over a local stats
-// accumulator and fresh-entry map, merged into the row under its lock.
-// The identical-key short circuit stays ahead of the prefilter so an
-// exact structural match can never be lost to sketch noise. The chunk
-// that completes the row triggers finishRow.
-func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
-	st.init.Do(func() { db.initRow(st) })
-
+// verifyChunk runs the verifier, in both live directions, over the pairs
+// verify[lo:hi] of one row and returns the work it did. fwdEval is bound
+// to the row's query strand. Chunks of a row run on concurrent workers and
+// write disjoint columns of a row nobody else can see yet.
+func verifyChunk(st *vcpRowState, qc *queryConfig, lo, hi int, fwdEval, revEval *vcp.Evaluator) rowStats {
 	q := st.q
-	qKey := q.Key()
 	var rs rowStats
-	var fresh map[string][2]float64
-	// Two evaluators for the whole chunk, so the γ search's scratch is
-	// allocated once per chunk, not per pair. The forward one stays on
-	// the query strand: once a memo miss makes it acquire q's kernel, the
-	// kernel — and its evaluated γ-invariant prefix — persists across
-	// every pair here. (Chunks of one row run on concurrent workers and
-	// evaluators are not concurrency-safe, so the unit of reuse is the
-	// chunk, not the row.) The reverse one is rebound to each target
-	// strand in turn; it acquires that strand's kernel only if the
-	// strand's memo misses, which on a warm corpus it rarely does.
-	fwdEval := db.newEval(q, db.opts.VCP)
-	defer fwdEval.Close()
-	revEval := db.newEval(q, db.opts.VCP)
-	defer revEval.Close()
 	count := func(vst vcp.Stats) {
 		rs.calls++
 		rs.gamma += vst.Correspondences
@@ -1581,143 +1746,33 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 		rs.memoHits += vst.MemoHits
 		rs.memoMisses += vst.MemoMisses
 	}
-	for k := lo; k < hi; k++ {
-		j := k
-		if st.candIDs != nil {
-			j = int(st.candIDs[k]) // probe mode: [lo,hi) indexes the candidate list
+	for _, j := range st.verify[lo:hi] {
+		u := qc.uniq[j]
+		// With the prefilter on (or a probed candidate set), a candidate
+		// pair can still be injectability-dead in ONE direction: that
+		// direction's VCP is exactly 0 and its verifier call is skipped.
+		fwdLive, revLive := true, true
+		if st.sketched {
+			uSum := qc.sums[j]
+			fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
 		}
-		// Dead strands (every owning target tombstoned) are skipped
-		// before any work — including the identical short circuit — so
-		// their row entries stay zero and scan and probe hand the
-		// verifier the same live pair set. Nothing downstream reads
-		// them: h0Order excludes dead strands and stage 4 only walks
-		// live targets' strand lists.
-		if st.qc.counts[j] == 0 {
-			continue
-		}
-		u := st.qc.uniq[j]
-		uKey := u.Key()
-		if qKey == uKey {
-			st.fwd[j], st.rev[j] = 1.0, 1.0 // identical strands match exactly
-			rs.identical++
-			continue
-		}
-		if st.cand != nil && !st.cand[j] {
-			rs.lshSkipped++
-			continue
-		}
-		// The size window is symmetric, so it gates both directions.
-		if !vcp.SizeCompatible(q.S, u.S, st.ratio) {
-			rs.pruned++
-			continue
-		}
-		v, hit := st.cached[uKey]
-		if !hit {
-			// With the prefilter on (or a probed candidate set), a
-			// candidate pair can still be injectability-dead in ONE
-			// direction: that direction's VCP is exactly 0 and its
-			// verifier call is skipped.
-			fwdLive, revLive := true, true
-			if st.cand != nil || st.probed {
-				uSum := st.qc.sums[j]
-				fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
-			}
-			if fwdLive {
-				fv, fst := fwdEval.Compute(u)
-				v[0] = fv
-				count(fst)
-			} else {
-				rs.deadDirs++
-			}
-			if revLive {
-				revEval.Reset(u)
-				rv, rst := revEval.Compute(q)
-				v[1] = rv
-				count(rst)
-			} else {
-				rs.deadDirs++
-			}
-			rs.misses++
-			if fresh == nil {
-				fresh = map[string][2]float64{}
-			}
-			fresh[uKey] = v
+		var fv, rv float64
+		if fwdLive {
+			var vst vcp.Stats
+			fv, vst = fwdEval.Compute(u)
+			count(vst)
 		} else {
-			rs.hits++
+			rs.deadDirs++
 		}
-		st.fwd[j], st.rev[j] = v[0], v[1]
-	}
-
-	st.mu.Lock()
-	st.rs.merge(rs)
-	for k, v := range fresh {
-		st.fresh[k] = v
-	}
-	st.mu.Unlock()
-
-	if st.pending.Add(-1) == 0 {
-		db.finishRow(st, sp)
-	}
-}
-
-// finishRow runs once per row, after its last chunk: flush the merged
-// telemetry and write the freshly computed pairs back to the shared
-// memo cache. The cache is read once at init and written back once
-// here, so concurrent chunks never fight over the cache lock inside
-// the pair loop.
-func (db *DB) finishRow(st *vcpRowState, sp *telemetry.Span) {
-	db.flushRowStats(st.rs, sp)
-	if st.cand != nil {
-		db.putMark(st.cand)
-		st.cand = nil
-	}
-	if len(st.fresh) == 0 {
-		return
-	}
-	qKey := st.q.Key()
-	db.mu.Lock()
-	shared := db.vcpCache[qKey]
-	if shared == nil {
-		shared = map[string][2]float64{}
-		db.vcpCache[qKey] = shared
-		db.cacheOrder = append(db.cacheOrder, qKey)
-	}
-	for k, v := range st.fresh {
-		if _, dup := shared[k]; !dup {
-			db.cachePairs++
+		if revLive {
+			revEval.Reset(u)
+			var vst vcp.Stats
+			rv, vst = revEval.Compute(q)
+			count(vst)
+		} else {
+			rs.deadDirs++
 		}
-		shared[k] = v
+		st.fwd[j], st.rev[j] = fv, rv
 	}
-	db.evictLocked(qKey)
-	db.mu.Unlock()
-}
-
-// evictLocked drops whole query-strand rows, oldest first, until the
-// cache is back under its pair bound. The row just written (keep) is
-// spared unless it is the only one left, so a single huge query cannot
-// evict itself into a cold cache on every call. Callers hold db.mu.
-func (db *DB) evictLocked(keep string) {
-	bound := db.cacheCap()
-	if bound < 0 {
-		return
-	}
-	for db.cachePairs > bound && len(db.cacheOrder) > 0 {
-		oldest := db.cacheOrder[0]
-		if oldest == keep && len(db.cacheOrder) == 1 {
-			return
-		}
-		db.cacheOrder = db.cacheOrder[1:]
-		if oldest == keep {
-			db.cacheOrder = append(db.cacheOrder, oldest)
-			continue
-		}
-		db.cachePairs -= len(db.vcpCache[oldest])
-		delete(db.vcpCache, oldest)
-		db.mCacheEvict.Inc()
-	}
-	// Re-base the order slice occasionally so the sliced-off prefix of
-	// the backing array can be collected.
-	if cap(db.cacheOrder) > 2*len(db.cacheOrder)+64 {
-		db.cacheOrder = append([]string(nil), db.cacheOrder...)
-	}
+	return rs
 }

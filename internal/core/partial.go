@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/stats"
@@ -48,7 +49,9 @@ type QueryPartial struct {
 	// same query agree on it, so rows merge by index.
 	Weights []float64
 	// Rows[i][j] = VCP(query strand i, target strand j), dense over
-	// this database's unique-strand index order.
+	// this database's unique-strand index order. Read-only: a row may be
+	// the engine's cached row, shared with every other query of the same
+	// strand.
 	Rows [][]float64
 	// Targets holds the exact per-target reductions, in index order.
 	Targets []PartialScore
@@ -92,7 +95,7 @@ func (qp *QueryPartial) Finalize(counts []int) *Report {
 // order, not the dirty index order with dead strands masked. Dead
 // strands (counts 0) are simply absent from the order.
 func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
-	evidence := make([]stats.StrandEvidence, len(qp.Weights))
+	scorers := make([]stats.Scorer, len(qp.Weights))
 	for i, w := range qp.Weights {
 		h0 := stats.H0Accumulator{K: qp.SigmoidK}
 		row := qp.Rows[i]
@@ -105,7 +108,7 @@ func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
 				h0.Add(row[j], counts[j])
 			}
 		}
-		evidence[i] = h0.Evidence(w)
+		scorers[i] = h0.Evidence(w).Scorer()
 	}
 	rep := &Report{
 		QueryName:  qp.QueryName,
@@ -114,16 +117,19 @@ func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
 		NumStrands: qp.NumStrands,
 		Results:    make([]TargetScore, len(qp.Targets)),
 	}
+	// The two GES sums of stats.GES, term for term in strand order, with
+	// each term taken from the strand's Scorer.
 	for ti, ps := range qp.Targets {
-		rep.Results[ti] = TargetScore{
-			Target: ps.Target,
-			SVCP:   ps.SVCP,
-			SLOG:   stats.GES(stats.SLOG, ps.MaxVCP, evidence),
-			GES:    stats.GES(stats.Esh, ps.MaxVCP, evidence),
+		slog, esh := 0.0, 0.0
+		for i, v := range ps.MaxVCP {
+			s, e := scorers[i].Scores(v)
+			slog += s
+			esh += e
 		}
+		rep.Results[ti] = TargetScore{Target: ps.Target, SVCP: ps.SVCP, SLOG: slog, GES: esh}
 	}
-	sort.SliceStable(rep.Results, func(i, j int) bool {
-		return rep.Results[i].GES > rep.Results[j].GES
+	slices.SortStableFunc(rep.Results, func(a, b TargetScore) int {
+		return cmp.Compare(b.GES, a.GES) // descending
 	})
 	return rep
 }

@@ -1,0 +1,280 @@
+package core
+
+import (
+	"maps"
+	"math/bits"
+)
+
+// pairKind says how a cached column was resolved. The split is what the
+// per-pair telemetry counts; a row keeps it per column (two bits) so a
+// renumbering compaction that drops dead columns can recount its tallies
+// exactly instead of guessing which category each dropped column was in.
+type pairKind uint8
+
+const (
+	kindIdentical pairKind = iota // structurally identical strands: VCP 1 both ways
+	kindSkipped                   // removed by the sketch prefilter: VCP 0 both ways
+	kindPruned                    // outside the §5.5 size window: VCP 0 both ways
+	kindVerified                  // the verifier's answer (a dead direction is its exact 0)
+	numKinds
+)
+
+// vcpRow is one query strand's cached VCP row, dense over unique-strand
+// numbers [0, len(fwd)): fwd[j] = VCP(q, u_j), rev[j] = VCP(u_j, q), both
+// final where known holds bit j and zero elsewhere. A pair's VCP is a pure
+// function of the two strands (DESIGN §10.9), so a known column never goes
+// stale; what can change is the numbering, which DB.rowEpoch tracks.
+//
+// A row is immutable once published: queries hand its slices straight to
+// QueryPartial.Rows, so every change — new columns after a live add,
+// columns resolved by a later query — goes through a private successor
+// (grow) that replaces it in the cache.
+//
+// In probe mode a row records verifier results only (every known column
+// is kindVerified): the retrieved candidates decide which columns a query
+// reads, and the cheap filters are re-run over them.
+type vcpRow struct {
+	fwd, rev []float64
+	// known, kindLo and kindHi are bitsets over the columns: 16 bytes and
+	// three bits per entry is the whole footprint of a row.
+	known, kindLo, kindHi []uint64
+	// tally[k] counts the known columns of kind k, so a complete row
+	// credits the per-pair counters without a walk.
+	tally [numKinds]int
+}
+
+func newVCPRow(n int) *vcpRow {
+	vals := make([]float64, 2*n)
+	words := (n + 63) / 64
+	sets := make([]uint64, 3*words)
+	return &vcpRow{
+		fwd: vals[:n:n], rev: vals[n:],
+		known: sets[:words:words], kindLo: sets[words : 2*words : 2*words], kindHi: sets[2*words:],
+	}
+}
+
+// has reports whether column j is known; a nil row knows nothing.
+func (r *vcpRow) has(j int) bool {
+	return r != nil && j < len(r.fwd) && r.known[j>>6]&(1<<(j&63)) != 0
+}
+
+func (r *vcpRow) kind(j int) pairKind {
+	w, b := j>>6, uint(j&63)
+	return pairKind((r.kindLo[w]>>b)&1 | (r.kindHi[w]>>b)&1<<1)
+}
+
+// set marks column j known as kind k. Only a row still private to its
+// builder may be written.
+func (r *vcpRow) set(j int, k pairKind) {
+	w, b := j>>6, uint64(1)<<(j&63)
+	r.known[w] |= b
+	if k&1 != 0 {
+		r.kindLo[w] |= b
+	}
+	if k&2 != 0 {
+		r.kindHi[w] |= b
+	}
+	r.tally[k]++
+}
+
+// forget makes column j unknown again and zeroes it. Only a row still
+// private to its builder may be written.
+func (r *vcpRow) forget(j int) {
+	r.tally[r.kind(j)]--
+	w, b := j>>6, uint64(1)<<(j&63)
+	r.known[w] &^= b
+	r.kindLo[w] &^= b
+	r.kindHi[w] &^= b
+	r.fwd[j], r.rev[j] = 0, 0
+}
+
+// showsDead reports whether r holds a nonzero forward value in a column
+// whose strand is dead under counts (every owning target tombstoned). Such
+// a row cannot be handed out as it is: see planScan.
+func (r *vcpRow) showsDead(counts []int) bool {
+	if r == nil {
+		return false
+	}
+	for j, v := range r.fwd[:min(len(r.fwd), len(counts))] {
+		if v != 0 && counts[j] == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// resolved returns the number of known columns.
+func (r *vcpRow) resolved() int {
+	if r == nil {
+		return 0
+	}
+	return r.tally[kindIdentical] + r.tally[kindSkipped] + r.tally[kindPruned] + r.tally[kindVerified]
+}
+
+// unknown appends to todo the live columns below n that r has no value
+// for — the walk a query still owes; an empty result means the row is
+// complete for that view. Dead columns (counts 0: every owning target
+// tombstoned) are never owed: nothing downstream reads them, and a column
+// left unknown while dead is verified if a re-add brings it back.
+func (r *vcpRow) unknown(n int, counts []int, todo []int32) []int32 {
+	for w := 0; w<<6 < n; w++ {
+		missing := ^uint64(0)
+		if r != nil && w < len(r.known) {
+			missing = ^r.known[w]
+		}
+		if rest := n - w<<6; rest < 64 {
+			missing &= 1<<rest - 1
+		}
+		for ; missing != 0; missing &= missing - 1 {
+			if j := w<<6 + bits.TrailingZeros64(missing); counts[j] > 0 {
+				todo = append(todo, int32(j))
+			}
+		}
+	}
+	return todo
+}
+
+// grow returns a private copy of r (nil: an empty row) at least n wide.
+func (r *vcpRow) grow(n int) *vcpRow {
+	if r == nil {
+		return newVCPRow(n)
+	}
+	next := newVCPRow(max(n, len(r.fwd)))
+	copy(next.fwd, r.fwd)
+	copy(next.rev, r.rev)
+	copy(next.known, r.known)
+	copy(next.kindLo, r.kindLo)
+	copy(next.kindHi, r.kindHi)
+	next.tally = r.tally
+	return next
+}
+
+// remap renumbers r through a compaction's newIdx table (old strand
+// number → new, -1 for a dropped strand) into a row n wide.
+func (r *vcpRow) remap(newIdx []int, n int) *vcpRow {
+	out := newVCPRow(n)
+	for j := range r.fwd {
+		if k := newIdx[j]; k >= 0 && r.has(j) {
+			out.fwd[k], out.rev[k] = r.fwd[j], r.rev[j]
+			out.set(k, r.kind(j))
+		}
+	}
+	return out
+}
+
+// lookupRows fetches the cached row of every query strand key in one
+// visit to the cache lock. A query whose numbering epoch is not the
+// cache's (it snapshotted the corpus before a renumbering compaction)
+// gets nothing and works from scratch.
+func (db *DB) lookupRows(states []vcpRowState, epoch uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.rowEpoch != epoch {
+		return
+	}
+	for i := range states {
+		states[i].base = db.vcpCache[states[i].s.CanonicalKey()]
+	}
+}
+
+// publishRows installs the successor rows a query built, unless the
+// numbering moved under it (the rows are then indexed by dead numbers and
+// dropped). A successor always replaces the row it was built from. If
+// another query got there first, it replaces that query's row only if it
+// knows more columns, or as many over a wider view: two queries racing from
+// the same base usually resolve the same columns, and whatever one of them
+// loses is an ordinary miss later.
+func (db *DB) publishRows(states []vcpRowState, epoch uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.rowEpoch != epoch {
+		return
+	}
+	for i := range states {
+		next := states[i].next
+		if next == nil {
+			continue
+		}
+		key := states[i].s.CanonicalKey()
+		cur := db.vcpCache[key]
+		if cur != nil && cur != states[i].base && (cur.resolved() > next.resolved() ||
+			cur.resolved() == next.resolved() && len(cur.fwd) >= len(next.fwd)) {
+			continue
+		}
+		if cur == nil {
+			db.cacheOrder = append(db.cacheOrder, key)
+		} else {
+			db.cacheEntries -= len(cur.fwd)
+		}
+		db.vcpCache[key] = next
+		db.cacheEntries += len(next.fwd)
+		db.evictLocked(key)
+	}
+}
+
+// evictLocked drops whole rows, oldest first, until the cache is back
+// under its entry bound. The row just written (keep) is spared unless it
+// is the only one left, so a single huge query cannot evict itself into a
+// cold cache on every call. Callers hold db.mu.
+func (db *DB) evictLocked(keep string) {
+	bound := db.cacheCap()
+	if bound < 0 {
+		return
+	}
+	for db.cacheEntries > bound && len(db.cacheOrder) > 0 {
+		oldest := db.cacheOrder[0]
+		if oldest == keep && len(db.cacheOrder) == 1 {
+			return
+		}
+		db.cacheOrder = db.cacheOrder[1:]
+		if oldest == keep {
+			db.cacheOrder = append(db.cacheOrder, oldest)
+			continue
+		}
+		db.cacheEntries -= len(db.vcpCache[oldest].fwd)
+		delete(db.vcpCache, oldest)
+		db.mCacheEvict.Inc()
+	}
+	// Re-base the order slice occasionally so the sliced-off prefix of
+	// the backing array can be collected.
+	if cap(db.cacheOrder) > 2*len(db.cacheOrder)+64 {
+		db.cacheOrder = append([]string(nil), db.cacheOrder...)
+	}
+}
+
+// remappedRows renumbers every cached row for a renumbering compaction.
+// It runs under writeMu only: the heavy copy happens while queries keep
+// using — and publishing to — the old cache; installRemapped swaps the
+// result in together with the new numbering. Rows published in between
+// are not carried over (an ordinary miss later).
+func (db *DB) remappedRows(newIdx []int, n int) map[string]*vcpRow {
+	db.mu.Lock()
+	rows := maps.Clone(db.vcpCache)
+	db.mu.Unlock()
+	for k, r := range rows {
+		rows[k] = r.remap(newIdx, n)
+	}
+	return rows
+}
+
+// installRemapped replaces the cache with rows in the new numbering and
+// moves the epoch. The caller holds cfgMu for writing, so no query can
+// pair the new numbering with the old cache or the reverse.
+func (db *DB) installRemapped(rows map[string]*vcpRow) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.rowEpoch++
+	// Walk the FIFO order, not rows: a key evicted since remappedRows
+	// copied the cache must stay gone.
+	db.vcpCache = make(map[string]*vcpRow, len(rows))
+	order := db.cacheOrder[:0]
+	db.cacheEntries = 0
+	for _, k := range db.cacheOrder {
+		if r := rows[k]; r != nil {
+			db.vcpCache[k] = r
+			order = append(order, k)
+			db.cacheEntries += len(r.fwd)
+		}
+	}
+	db.cacheOrder = order
+}

@@ -174,12 +174,19 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		for _, sum := range newSums {
 			newIdx.Add(sum)
 		}
-		if db.retr != nil {
+		// A probe-mode query may be installing its lazily built table
+		// right now (retrievalFor, under cfgMu): read the pointer under
+		// the lock. Either table is sound for the new strands — they are
+		// past its length, so the delta overlay covers them.
+		db.cfgMu.RLock()
+		retr := db.retr
+		db.cfgMu.RUnlock()
+		if retr != nil {
 			maxDelta := db.opts.RetrievalMaxDelta
 			if maxDelta == 0 {
 				maxDelta = DefaultRetrievalMaxDelta
 			}
-			if db.retr.Stale(len(newSums), maxDelta) {
+			if retr.Stale(len(newSums), maxDelta) {
 				start := time.Now()
 				newRetr = sketch.BuildRetrieval(newSums, db.sketchCfg)
 				db.hRetrBuild.Observe(time.Since(start).Seconds())
@@ -341,9 +348,11 @@ func (db *DB) computeH0Order() []int32 {
 // corpus: dead targets dropped, dead strands dropped, surviving strands
 // renumbered into the first-seen order a from-scratch rebuild would use.
 // identity reports that no remapping was needed (no tombstones) and the
-// slices alias the DB's own.
+// slices alias the DB's own; otherwise newIdx maps each old strand number
+// to its new one (-1 for a dropped strand).
 type liveView struct {
 	identity bool
+	newIdx   []int
 	uniq     []*vcp.Prepared
 	counts   []int
 	sums     []sketch.Summary
@@ -371,6 +380,7 @@ func (db *DB) buildLiveView() liveView {
 		newIdx[j] = k
 	}
 	lv := liveView{
+		newIdx: newIdx,
 		uniq:   make([]*vcp.Prepared, len(order)),
 		counts: make([]int, len(order)),
 		sums:   make([]sketch.Summary, len(order)),
@@ -432,6 +442,7 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.cfgMu.RLock()
 	pending, tombs := db.pendingWrites, db.tombstones
 	gen, hwm = db.generation, db.walSeq
+	retr := db.retr // queries install a lazily built table under cfgMu
 	db.cfgMu.RUnlock()
 	if pending == 0 && tombs == 0 {
 		return gen, hwm, nil
@@ -470,7 +481,7 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	// probe table depend on strand numbering, so a non-identity remap
 	// invalidates both.
 	newIdx := db.sketchIdx
-	newRetr := db.retr
+	newRetr := retr
 	if !lv.identity {
 		newIdx = sketch.NewIndex(db.sketchCfg)
 		for _, sum := range lv.sums {
@@ -478,21 +489,26 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 		}
 		newRetr = nil
 	}
-	if (db.retr != nil || db.opts.Retrieval == RetrievalProbe) &&
+	if (retr != nil || db.opts.Retrieval == RetrievalProbe) &&
 		(newRetr == nil || newRetr.Len() != len(lv.sums)) {
 		rStart := time.Now()
 		newRetr = sketch.BuildRetrieval(lv.sums, db.sketchCfg)
 		db.hRetrBuild.Observe(time.Since(rStart).Seconds())
 	}
 
-	// Strands the remap drops take their γ-fingerprint memos with them.
+	// Strands the remap drops take their γ-fingerprint memos with them,
+	// and the cached VCP rows, indexed by strand number, are carried into
+	// the new numbering (last, so the window in which a freshly published
+	// row misses the carry-over is the row copy alone).
 	var dropped []*vcp.Prepared
+	var rows map[string]*vcpRow
 	if !lv.identity {
-		for _, p := range db.uniq {
-			if _, kept := lv.byKey[p.Key()]; !kept {
+		for j, p := range db.uniq {
+			if lv.newIdx[j] < 0 {
 				dropped = append(dropped, p)
 			}
 		}
+		rows = db.remappedRows(lv.newIdx, len(lv.uniq))
 	}
 
 	db.cfgMu.Lock()
@@ -510,6 +526,9 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.tombstones = 0
 	db.pendingWrites = 0
 	db.generation = gen
+	if !lv.identity {
+		db.installRemapped(rows)
+	}
 	db.cfgMu.Unlock()
 	db.memo.Release(dropped...)
 

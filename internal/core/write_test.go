@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -160,6 +163,9 @@ func diffReports(t *testing.T, label string, got, want *Report) {
 
 func writeTestOptions(mode string) Options {
 	opts := Options{VCP: vcp.Config{MinVars: 3}}
+	if mode == "lsh" {
+		opts.Prefilter = PrefilterLSH
+	}
 	if mode == "probe" {
 		// Sound tier only: the probe differential claim is bit-identity,
 		// which the heuristic tier deliberately trades away.
@@ -168,46 +174,244 @@ func writeTestOptions(mode string) Options {
 	return opts
 }
 
+// TestWriteDifferential checks, after every step of every script, that
+// the live corpus answers like a from-scratch rebuild of the survivors —
+// and asks each question twice, so the second answer comes from the row
+// cache the steps before have been filling. Cached rows are indexed by
+// strand number, so each kind of step is a hazard of its own: an add
+// appends columns (the row is extended, only the tail walked), a delete
+// leaves known columns dead and a re-add revives columns a row may have
+// skipped while they were dead (they must be verified, not read as 0), a
+// delete of the newest target leaves a row shorter than the corpus with
+// nothing owed, and a compaction after a delete renumbers everything (the
+// remapped row must equal a recomputed one).
 func TestWriteDifferential(t *testing.T) {
 	scripts := []struct {
 		name string
 		ops  []wop
+		// quiet lists the steps after which no query is issued, so the
+		// next step meets the rows the step before left.
+		quiet []int
 	}{
-		{"adds-only", synthOps(1, 2, 3, 4)},
-		{"add-del", append(synthOps(1, 2, 3), delOp("synth_2"))},
-		{"del-then-add-back", append(append(synthOps(1, 2, 3), delOp("synth_2")), addOp(genProc(2)))},
-		{"del-first-target", append(synthOps(1, 2, 3), delOp("synth_1"))},
-		{"del-all-then-add", append(append(synthOps(1, 2), delOp("synth_1"), delOp("synth_2")), synthOps(3, 4)...)},
-		{"compact-mid-stream", append(append(synthOps(1, 2, 3), delOp("synth_1"), compactOp()), synthOps(5, 6)...)},
-		{"compact-twice", append(append(append(synthOps(1, 2), compactOp(), delOp("synth_2")), synthOps(3)...), compactOp(), delOp("synth_1"))},
-		{"multiblock-mix", append([]wop{addOp(iccStyle), addOp(unrelated)}, append(synthOps(7, 8), delOp("strlen_like"), compactOp(), addOp(unrelated))...)},
-		{"shared-strands", []wop{addOp(iccStyle), addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")), delOp("checksum_icc"), addOp(unrelated)}},
+		{"adds-only", synthOps(1, 2, 3, 4), nil},
+		{"add-del", append(synthOps(1, 2, 3), delOp("synth_2")), nil},
+		// The rows are two targets wide when a third comes and goes: too
+		// short for the corpus, with nothing owed.
+		{"add-del-newest", append(append(synthOps(1, 2, 3), delOp("synth_3")), synthOps(4)...), []int{2}},
+		{"del-then-add-back", append(append(synthOps(1, 2, 3), delOp("synth_2")), addOp(genProc(2))), nil},
+		// The rows are first built while synth_2's strands are dead.
+		{"del-then-add-back-unseen", append(append(synthOps(1, 2, 3), delOp("synth_2")), addOp(genProc(2))), []int{0, 1, 2}},
+		{"del-first-target", append(synthOps(1, 2, 3), delOp("synth_1")), nil},
+		{"del-all-then-add", append(append(synthOps(1, 2), delOp("synth_1"), delOp("synth_2")), synthOps(3, 4)...), nil},
+		{"compact-mid-stream", append(append(synthOps(1, 2, 3), delOp("synth_1"), compactOp()), synthOps(5, 6)...), nil},
+		// The rows meet the compaction with columns known while live and
+		// dead by now.
+		{"compact-after-unseen-del", append(append(synthOps(1, 2, 3), delOp("synth_2"), compactOp()), synthOps(2)...), []int{3}},
+		{"compact-twice", append(append(append(synthOps(1, 2), compactOp(), delOp("synth_2")), synthOps(3)...), compactOp(), delOp("synth_1")), nil},
+		{"multiblock-mix", append([]wop{addOp(iccStyle), addOp(unrelated)}, append(synthOps(7, 8), delOp("strlen_like"), compactOp(), addOp(unrelated))...), nil},
+		{"shared-strands", []wop{addOp(iccStyle), addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")), delOp("checksum_icc"), addOp(unrelated)}, nil},
 	}
-	queries := []string{gccStyle, genProc(3), unrelated}
+	queries := []string{gccStyle, genProc(3), genProc(2), unrelated}
 
-	for _, mode := range []string{"scan", "probe"} {
+	for _, mode := range []string{"scan", "lsh", "probe"} {
 		for _, sc := range scripts {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				opts := writeTestOptions(mode)
 				live := NewDB(opts)
-				applyScript(t, live, sc.ops, false)
-				fresh := buildFresh(t, opts, survivors(t, sc.ops))
-
-				if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
-					t.Fatalf("live corpus has %d live targets, fresh rebuild %d",
-						live.NumTargets()-live.Tombstones(), fresh.NumTargets())
+				for step := range sc.ops {
+					prefix := sc.ops[:step+1]
+					applyScript(t, live, prefix[step:], false)
+					if slices.Contains(sc.quiet, step) {
+						continue
+					}
+					fresh := buildFresh(t, opts, survivors(t, prefix))
+					if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
+						t.Fatalf("step %d: live corpus has %d live targets, fresh rebuild %d",
+							step, live.NumTargets()-live.Tombstones(), fresh.NumTargets())
+					}
+					// The same steps with no query in between: what the
+					// write path answers from an empty row cache.
+					unqueried := NewDB(opts)
+					applyScript(t, unqueried, prefix, false)
+					for qi, qsrc := range queries {
+						q := parse(t, qsrc)
+						walkedBefore := pairCounts(fresh)
+						want, err := fresh.Query(q)
+						if err != nil {
+							t.Fatalf("step %d query %d (fresh): %v", step, qi, err)
+						}
+						walked := pairCounts(fresh).sub(walkedBefore)
+						for _, pass := range []string{"first", "cached"} {
+							before, creditedBefore := live.Stats(), pairCounts(live)
+							got, err := live.Query(q)
+							if err != nil {
+								t.Fatalf("step %d query %d (%s): %v", step, qi, pass, err)
+							}
+							diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
+							after := live.Stats()
+							if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
+								t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
+									step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
+							}
+							// Without tombstones the per-pair counters read what
+							// a walk of every pair reads, although nothing was
+							// walked: the rows' tallies vouch for the pairs.
+							if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
+								t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
+							}
+							if pass == "cached" && mode != "probe" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
+								t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
+									step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
+							}
+						}
+						// Rows are handed to callers: they must not depend
+						// on what the cache knew — a dead column reads 0.
+						warm, err := live.PartialQueryCtx(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold, err := unqueried.PartialQueryCtx(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						diffRows(t, fmt.Sprintf("step %d query %d", step, qi), warm.Rows, cold.Rows)
+					}
 				}
-				for qi, qsrc := range queries {
-					q := parse(t, qsrc)
-					got, err := live.Query(q)
-					if err != nil {
-						t.Fatalf("query %d (live): %v", qi, err)
+			})
+		}
+	}
+}
+
+// pairCount is the per-pair telemetry a query moves: how each pair was
+// resolved. resolved is hits plus misses — a cold walk verifies what a
+// cached row remembers.
+type pairCount struct{ identical, skipped, pruned, resolved uint64 }
+
+func pairCounts(db *DB) pairCount {
+	return pairCount{
+		identical: db.mPairsIdent.Value(),
+		skipped:   db.mLSHSkipped.Value(),
+		pruned:    db.mPairsPruned.Value(),
+		resolved:  db.mCacheHits.Value() + db.mCacheMisses.Value(),
+	}
+}
+
+func (a pairCount) sub(b pairCount) pairCount {
+	return pairCount{a.identical - b.identical, a.skipped - b.skipped, a.pruned - b.pruned, a.resolved - b.resolved}
+}
+
+// dedupStrands returns the query's unique strands, as stage 2 sees them.
+func dedupStrands(t *testing.T, db *DB, q *asm.Proc) map[string]bool {
+	t.Helper()
+	kept, _, err := decompose(q, db.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, s := range kept {
+		keys[s.CanonicalKey()] = true
+	}
+	return keys
+}
+
+// diffRows fails unless two sets of VCP rows are bit-identical.
+func diffRows(t *testing.T, label string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d is %d wide, want %d", label, i, len(got[i]), len(want[i]))
+		}
+		for j := range got[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s: row %d column %d = %v, want %v", label, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestWriteDifferentialStaleEpoch is the renumbering hazard seen from a
+// query already in flight: it took its corpus snapshot before a
+// compaction renumbered the strands and finishes after it. Its answer
+// must be the one its snapshot implies, its rows — indexed by the old
+// numbers — must not reach the remapped cache, and later queries must
+// still answer like a rebuild, from that cache.
+func TestWriteDifferentialStaleEpoch(t *testing.T) {
+	ops := append(synthOps(1, 2, 3, 4), delOp("synth_1"))
+	warmups := []string{genProc(3), gccStyle}
+	for _, mode := range []string{"scan", "lsh", "probe"} {
+		// "lookup-after": the compaction lands between the snapshot and
+		// the cache lookup, so the query sees another epoch's cache and
+		// works from scratch. "publish-after": it lands while the query is
+		// verifying, after a lookup that found the old epoch's rows.
+		for _, when := range []string{"lookup-after", "publish-after"} {
+			t.Run(mode+"/"+when, func(t *testing.T) {
+				opts := writeTestOptions(mode)
+				live := NewDB(opts)
+				applyScript(t, live, ops, false)
+				fresh := buildFresh(t, opts, survivors(t, ops))
+				for _, src := range warmups {
+					if _, err := live.Query(parse(t, src)); err != nil {
+						t.Fatal(err)
 					}
-					want, err := fresh.Query(q)
-					if err != nil {
-						t.Fatalf("query %d (fresh): %v", qi, err)
+				}
+				compact := func() {
+					if _, _, err := live.Compact(nil, nil); err != nil {
+						t.Error(err)
 					}
-					diffReports(t, fmt.Sprintf("query %d", qi), got, want)
+				}
+				// genProc(2) is not cached: the in-flight query has pairs
+				// to verify and rows to publish.
+				q := parse(t, genProc(2))
+				qc := live.snapshotConfig()
+				if when == "lookup-after" {
+					compact()
+				} else {
+					var once sync.Once
+					live.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
+						once.Do(compact)
+						return vcp.NewEvaluator(p, cfg)
+					}
+				}
+				qp, err := live.partialQuery(context.Background(), q, &qc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live.DataGeneration() != 1 {
+					t.Fatalf("the compaction did not land mid-query (generation %d)", live.DataGeneration())
+				}
+				want, err := fresh.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, "in-flight query", qp.FinalizeOrder(qc.counts, qc.h0Order), want)
+				live.mu.Lock()
+				for key := range dedupStrands(t, live, q) {
+					if _, cached := live.vcpCache[key]; cached {
+						t.Errorf("a row indexed by the old numbering reached the remapped cache")
+					}
+				}
+				live.mu.Unlock()
+
+				// The remapped rows answer the warm-up queries without a
+				// verifier, and everything still equals the rebuild.
+				for _, src := range append(warmups, genProc(2)) {
+					p := parse(t, src)
+					before := live.Stats()
+					got, err := live.Query(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Query(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffReports(t, "after compaction: "+p.Name, got, want)
+					if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
+						t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
+					}
 				}
 			})
 		}

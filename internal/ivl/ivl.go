@@ -11,6 +11,7 @@ package ivl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -196,6 +197,54 @@ func (e CallExpr) String() string {
 		parts[i] = a.String()
 	}
 	return fmt.Sprintf("%s(%s)", e.Sym, strings.Join(parts, ", "))
+}
+
+// AppendRenamed appends to dst exactly what Rename(e, ·).String() would
+// render, with name appending each variable's new name — without building
+// the renamed tree or going through fmt. It is the strand canonical key's
+// printer (strand.CanonicalKey), so its output is snapshot content: the
+// String methods above are the reference it is pinned to.
+func AppendRenamed(dst []byte, e Expr, name func(dst []byte, v Var) []byte) []byte {
+	switch t := e.(type) {
+	case VarExpr:
+		return name(dst, t.V)
+	case ConstExpr:
+		return strconv.AppendUint(append(dst, "0x"...), t.Val, 16)
+	case UnExpr:
+		return appendArgs(append(dst, t.Op.String()...), name, t.X)
+	case BinExpr:
+		dst = AppendRenamed(append(dst, '('), t.X, name)
+		dst = append(append(append(dst, ' '), t.Op.String()...), ' ')
+		return append(AppendRenamed(dst, t.Y, name), ')')
+	case IteExpr:
+		return appendArgs(append(dst, "ite"...), name, t.Cond, t.Then, t.Else)
+	case TruncExpr:
+		return appendArgs(appendSized(dst, "trunc", t.Bits), name, t.X)
+	case SextExpr:
+		return appendArgs(appendSized(dst, "sext", t.Bits), name, t.X)
+	case LoadExpr:
+		return appendArgs(appendSized(dst, "load", t.W*8), name, t.Mem, t.Addr)
+	case StoreExpr:
+		return appendArgs(appendSized(dst, "store", t.W*8), name, t.Mem, t.Addr, t.Val)
+	case CallExpr:
+		return appendArgs(append(dst, t.Sym...), name, t.Args...)
+	}
+	return append(dst, e.String()...)
+}
+
+func appendSized(dst []byte, op string, n uint) []byte {
+	return strconv.AppendUint(append(dst, op...), uint64(n), 10)
+}
+
+func appendArgs(dst []byte, name func([]byte, Var) []byte, es ...Expr) []byte {
+	dst = append(dst, '(')
+	for i, a := range es {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendRenamed(dst, a, name)
+	}
+	return append(dst, ')')
 }
 
 // Convenience constructors.

@@ -306,3 +306,30 @@ func TestQuickMemRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendRenamedMatchesString pins the fmt-free printer to the String
+// methods over every node kind, renamed and not.
+func TestAppendRenamedMatchesString(t *testing.T) {
+	x, y, m := IntVar("x"), IntVar("y"), V(Var{Name: "m", Type: Mem})
+	exprs := []Expr{
+		x, C(0), C(0xdeadbeef), Un(Neg, x), Un(BoolNot, Bin(Eq, x, y)),
+		Bin(Add, Bin(Mul, x, C(3)), Un(Not, y)),
+		IteExpr{Cond: Bin(ULt, x, y), Then: x, Else: C(1)},
+		TruncExpr{Bits: 32, X: x}, SextExpr{Bits: 8, X: Bin(LShr, y, C(7))},
+		LoadExpr{Mem: m, Addr: Bin(Add, x, C(8)), W: 4},
+		StoreExpr{Mem: m, Addr: x, Val: y, W: 1},
+		CallExpr{Sym: "call/2", Args: []Expr{x, LoadExpr{Mem: m, Addr: y, W: 8}}},
+		CallExpr{Sym: "call/0"},
+	}
+	upper := func(v Var) Var { return Var{Name: "r_" + v.Name, Type: v.Type} }
+	for _, e := range exprs {
+		same := AppendRenamed(nil, e, func(dst []byte, v Var) []byte { return append(dst, v.Name...) })
+		if string(same) != e.String() {
+			t.Errorf("identity: got %s, String() is %s", same, e)
+		}
+		renamed := AppendRenamed([]byte("k="), e, func(dst []byte, v Var) []byte { return append(dst, upper(v).Name...) })
+		if want := "k=" + Rename(e, upper).String(); string(renamed) != want {
+			t.Errorf("renamed: got %s, want %s", renamed, want)
+		}
+	}
+}

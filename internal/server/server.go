@@ -852,6 +852,9 @@ type StatsResponse struct {
 		Hits      uint64  `json:"hits"`
 		Misses    uint64  `json:"misses"`
 		HitRate   float64 `json:"hit_rate"`
+		// RowsComplete counts query strands answered entirely from their
+		// cached row (no pair walked, no strand prepared).
+		RowsComplete uint64 `json:"rows_complete"`
 	} `json:"vcp_cache"`
 	// Prefilter reports the LSH sketch prefilter: active mode, sketch
 	// geometry, the heuristic-tier containment threshold (0 = sound
@@ -981,6 +984,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.VCPCache.Hits = dbs.VCPCacheHits
 	resp.VCPCache.Misses = dbs.VCPCacheMisses
 	resp.VCPCache.HitRate = dbs.VCPCacheHitRate()
+	resp.VCPCache.RowsComplete = dbs.VCPRowsComplete
 	resp.Prefilter.Mode = dbs.Prefilter
 	resp.Prefilter.LSHBands = dbs.LSHBands
 	resp.Prefilter.LSHRows = dbs.LSHRows

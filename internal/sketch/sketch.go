@@ -376,35 +376,56 @@ func (ix *Index) Add(sum Summary) int {
 // (cfg.MinContainment > 0), a live pair must additionally collide in a
 // band, clear the containment estimate, or involve a tiny feature set.
 func (ix *Index) Candidates(sum Summary, mark []bool) int {
-	if len(sum.Sig) != ix.cfg.Len() {
-		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
-			len(sum.Sig), ix.cfg.Bands, ix.cfg.Rows))
-	}
-	var banded []bool
-	if ix.cfg.MinContainment > 0 {
-		banded = make([]bool, len(ix.sums))
-		for b := range ix.bands {
-			for _, id := range ix.bands[b][ix.bandKey(sum.Sig, b)] {
-				banded[id] = true
-			}
-		}
-	}
-	qSmall := sum.NFeat <= SmallSetFeatures
+	banded := ix.banded(sum)
 	count := 0
-	for id, ts := range ix.sums {
-		if !sum.Injects(ts) && !ts.Injects(sum) {
-			continue // provably zero in both directions
-		}
-		if banded != nil && !banded[id] && !qSmall && ts.NFeat > SmallSetFeatures &&
-			estContainment(sum.Sig, ts.Sig, sum.NFeat, ts.NFeat) < ix.cfg.MinContainment {
-			continue
-		}
-		if !mark[id] {
+	for id := range ix.sums {
+		if ix.candidate(sum, id, banded) && !mark[id] {
 			mark[id] = true
 			count++
 		}
 	}
 	return count
+}
+
+// CandidatesAmong is Candidates restricted to the listed strands: it
+// applies the same rule to each of ids and touches no other entry of
+// mark, so a caller that owes only a few columns pays for those.
+func (ix *Index) CandidatesAmong(sum Summary, ids []int32, mark []bool) {
+	banded := ix.banded(sum)
+	for _, id := range ids {
+		if ix.candidate(sum, int(id), banded) {
+			mark[id] = true
+		}
+	}
+}
+
+// banded marks the strands that share an LSH band bucket with sum; nil
+// at the sound tier, which never consults the bands.
+func (ix *Index) banded(sum Summary) []bool {
+	if len(sum.Sig) != ix.cfg.Len() {
+		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
+			len(sum.Sig), ix.cfg.Bands, ix.cfg.Rows))
+	}
+	if ix.cfg.MinContainment <= 0 {
+		return nil
+	}
+	banded := make([]bool, len(ix.sums))
+	for b := range ix.bands {
+		for _, id := range ix.bands[b][ix.bandKey(sum.Sig, b)] {
+			banded[id] = true
+		}
+	}
+	return banded
+}
+
+// candidate is the candidate rule for one indexed strand.
+func (ix *Index) candidate(sum Summary, id int, banded []bool) bool {
+	ts := ix.sums[id]
+	if !sum.Injects(ts) && !ts.Injects(sum) {
+		return false // provably zero in both directions
+	}
+	return banded == nil || banded[id] || sum.NFeat <= SmallSetFeatures || ts.NFeat <= SmallSetFeatures ||
+		estContainment(sum.Sig, ts.Sig, sum.NFeat, ts.NFeat) >= ix.cfg.MinContainment
 }
 
 // estContainment estimates |A∩B| / min(|A|,|B|) of the two underlying

@@ -167,6 +167,41 @@ func TestIndexHeuristicTierSeparatesDissimilarStrands(t *testing.T) {
 	}
 }
 
+// TestCandidatesAmongMatchesCandidates holds the restricted form to the
+// full scan at both tiers: over any id list it marks exactly the listed
+// strands Candidates marks, and nothing else.
+func TestCandidatesAmongMatchesCandidates(t *testing.T) {
+	for _, cfg := range []Config{Config{}.Normalized(), Config{MinContainment: SuggestedMinContainment}.Normalized()} {
+		strands := []*strand.Strand{
+			mkStrand("a", "b", "c", "d", "e"), memStrand(), arithStrand(),
+			mkStrand("p", "q", "r", "s", "t"), arithStrand(), memStrand(),
+		}
+		ix := NewIndex(cfg)
+		for _, s := range strands {
+			ix.Add(Summarize(s, cfg))
+		}
+		for _, q := range strands {
+			sum := Summarize(q, cfg)
+			want := make([]bool, ix.Len())
+			ix.Candidates(sum, want)
+			for _, ids := range [][]int32{{}, {4}, {1, 3}, {0, 1, 2, 3, 4, 5}} {
+				got := make([]bool, ix.Len())
+				ix.CandidatesAmong(sum, ids, got)
+				listed := make([]bool, ix.Len())
+				for _, id := range ids {
+					listed[id] = true
+				}
+				for id := range got {
+					if got[id] != (want[id] && listed[id]) {
+						t.Errorf("MinContainment %v, ids %v: mark[%d] = %v, Candidates says %v",
+							cfg.MinContainment, ids, id, got[id], want[id])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConfigNormalized(t *testing.T) {
 	c := Config{}.Normalized()
 	if c.Bands != DefaultBands || c.Rows != DefaultRows {

@@ -114,6 +114,55 @@ func GES(m Method, maxVCPs []float64, evidence []StrandEvidence) float64 {
 	return total
 }
 
+// Scorer evaluates one query strand's S-LOG and Esh contributions for
+// many targets: Scores(v) returns exactly Score(SLOG, v, ev) and
+// Score(Esh, v, ev), bit for bit, but takes the two H0 logarithms once
+// (they do not depend on the target) and the best-match logarithms once
+// per distinct v — a strand's best VCPs across a corpus are a handful of
+// fractions, mostly zero. The saving changes no bit because nothing is
+// reassociated: each product Weight × (log − log) is formed from the same
+// operands by the same operations as in LES, only computed less often.
+type Scorer struct {
+	weight, k          float64
+	logH0Raw, logH0Esh float64
+	seen               [maxScored]scored
+	nSeen              int
+}
+
+type scored struct{ v, slog, esh float64 }
+
+// maxScored bounds the distinct values a Scorer remembers, so a strand
+// with unusually many keeps the lookup a short scan (and a Scorer needs
+// no allocation of its own).
+const maxScored = 32
+
+// Scorer returns the evaluator for this strand's evidence.
+func (ev StrandEvidence) Scorer() Scorer {
+	return Scorer{
+		weight:   ev.Weight,
+		k:        ev.k(),
+		logH0Raw: math.Log(math.Max(ev.H0Raw, Epsilon)),
+		logH0Esh: math.Log(math.Max(ev.H0Esh, Epsilon)),
+	}
+}
+
+// Scores returns the strand's S-LOG and Esh contributions against a
+// target whose best VCP for it is maxVCP.
+func (sc *Scorer) Scores(maxVCP float64) (slog, esh float64) {
+	for _, s := range sc.seen[:sc.nSeen] {
+		if s.v == maxVCP {
+			return s.slog, s.esh
+		}
+	}
+	slog = sc.weight * (math.Log(math.Max(maxVCP, Epsilon)) - sc.logH0Raw)
+	esh = sc.weight * (math.Log(math.Max(SigmoidWithK(maxVCP, sc.k), Epsilon)) - sc.logH0Esh)
+	if sc.nSeen < maxScored {
+		sc.seen[sc.nSeen] = scored{maxVCP, slog, esh}
+		sc.nSeen++
+	}
+	return slog, esh
+}
+
 // H0Accumulator incrementally estimates Pr(sq|H0) for one query strand as
 // the corpus-weighted mean of Pr(sq|st) over every target strand
 // (§3.3.2), tracked for both the sigmoid and the raw probability model.
@@ -122,16 +171,26 @@ type H0Accumulator struct {
 	K              float64
 	sumEsh, sumRaw float64
 	count          float64
+	sigmoid0       float64 // SigmoidWithK(0, k), once Add has met a zero
 }
 
-// Add records a VCP observation with the given corpus multiplicity.
+// Add records a VCP observation with the given corpus multiplicity. Most
+// of a row is zero (skipped, pruned or unmatched pairs), so the sigmoid of
+// zero is taken once; the sums see the same terms in the same order.
 func (h *H0Accumulator) Add(vcp float64, multiplicity int) {
 	k := h.K
 	if k == 0 {
 		k = DefaultSigmoidK
 	}
+	pr := h.sigmoid0
+	if vcp != 0 {
+		pr = SigmoidWithK(vcp, k)
+	} else if pr == 0 { // a sigmoid is never zero: not taken yet
+		pr = SigmoidWithK(0, k)
+		h.sigmoid0 = pr
+	}
 	w := float64(multiplicity)
-	h.sumEsh += SigmoidWithK(vcp, k) * w
+	h.sumEsh += pr * w
 	h.sumRaw += vcp * w
 	h.count += w
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +145,63 @@ func TestGESDiscriminates(t *testing.T) {
 	for _, m := range []Method{SVCP, SLOG, Esh} {
 		if GES(m, full, evs) <= GES(m, none, evs) {
 			t.Errorf("%v: full match does not outscore no match", m)
+		}
+	}
+}
+
+// referenceAdd is H0Accumulator.Add as first written: one sigmoid per
+// observation. The production Add takes the sigmoid of zero once.
+func referenceAdd(h *H0Accumulator, vcp float64, multiplicity int) {
+	k := h.K
+	if k == 0 {
+		k = DefaultSigmoidK
+	}
+	w := float64(multiplicity)
+	h.sumEsh += SigmoidWithK(vcp, k) * w
+	h.sumRaw += vcp * w
+	h.count += w
+}
+
+// TestHoistedFinalizeBitIdentical holds the two Finalize shortcuts — the
+// zero-column sigmoid in Add and the per-strand Scorer — to the plain
+// per-observation code, Float64bits for Float64bits, on rows shaped like
+// the engine's: mostly zero, a handful of distinct fractions.
+func TestHoistedFinalizeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []float64{0, 1, 10, 40, 1e6} {
+		for trial := 0; trial < 50; trial++ {
+			den := float64(5 + rng.Intn(40))
+			got, want := H0Accumulator{K: k}, H0Accumulator{K: k}
+			for j := 0; j < 300; j++ {
+				v := 0.0
+				if rng.Intn(4) == 0 {
+					v = float64(rng.Intn(int(den)+1)) / den
+				}
+				mult := rng.Intn(5)
+				got.Add(v, mult)
+				referenceAdd(&want, v, mult)
+			}
+			ev, wantEv := got.Evidence(float64(1+rng.Intn(3))), want.Evidence(1)
+			wantEv.Weight = ev.Weight
+			if math.Float64bits(ev.H0Esh) != math.Float64bits(wantEv.H0Esh) ||
+				math.Float64bits(ev.H0Raw) != math.Float64bits(wantEv.H0Raw) {
+				t.Fatalf("k=%v: H0 (%x, %x), reference (%x, %x)", k,
+					math.Float64bits(ev.H0Esh), math.Float64bits(ev.H0Raw),
+					math.Float64bits(wantEv.H0Esh), math.Float64bits(wantEv.H0Raw))
+			}
+			sc := ev.Scorer()
+			// More distinct values than the Scorer remembers, each asked
+			// for repeatedly.
+			for n := 0; n < 4*maxScored; n++ {
+				v := float64(rng.Intn(2*maxScored)) / float64(2*maxScored)
+				slog, esh := sc.Scores(v)
+				if ws := Score(SLOG, v, ev); math.Float64bits(slog) != math.Float64bits(ws) {
+					t.Fatalf("k=%v v=%v: S-LOG %x, Score %x", k, v, math.Float64bits(slog), math.Float64bits(ws))
+				}
+				if we := Score(Esh, v, ev); math.Float64bits(esh) != math.Float64bits(we) {
+					t.Fatalf("k=%v v=%v: Esh %x, Score %x", k, v, math.Float64bits(esh), math.Float64bits(we))
+				}
+			}
 		}
 	}
 }

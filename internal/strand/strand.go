@@ -8,7 +8,9 @@ package strand
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/ivl"
 	"repro/internal/lift"
@@ -22,6 +24,9 @@ type Strand struct {
 	BlockIndex int
 	Stmts      []ivl.Stmt
 	Inputs     []ivl.Var
+
+	keyOnce sync.Once
+	key     string // CanonicalKey, built once
 }
 
 // NumVars returns the number of non-input variables the strand defines —
@@ -152,33 +157,41 @@ func FromProc(p *lift.Proc) []*Strand {
 // CanonicalKey returns an alpha-renaming-invariant structural key for the
 // strand: variables are numbered in order of first appearance, so two
 // strands that differ only in variable names share a key. Used for strand
-// deduplication and verifier-result caching.
+// deduplication and verifier-result caching. The key is built on first
+// use and kept: a strand must not change once it has been asked for it
+// (extraction and snapshot decoding both finish a strand before handing
+// it out).
 func (s *Strand) CanonicalKey() string {
-	names := map[string]string{}
-	next := 0
-	canon := func(v ivl.Var) ivl.Var {
-		n, ok := names[v.Name]
-		if !ok {
-			n = fmt.Sprintf("x%d", next)
-			next++
-			names[v.Name] = n
+	s.keyOnce.Do(s.buildKey)
+	return s.key
+}
+
+// buildKey renders the key. Numbering follows first appearance in the
+// order inputs, then per statement the right-hand side's references
+// before the defined variable — although the statement prints the
+// definition first — which is why the right-hand side is walked once to
+// number and once to print.
+func (s *Strand) buildKey() {
+	num := make(map[string]int, len(s.Inputs)+len(s.Stmts))
+	number := func(v ivl.Var) {
+		if _, ok := num[v.Name]; !ok {
+			num[v.Name] = len(num)
 		}
-		return ivl.Var{Name: n, Type: v.Type}
 	}
-	var b strings.Builder
+	name := func(dst []byte, v ivl.Var) []byte {
+		number(v)
+		return strconv.AppendInt(append(dst, 'x'), int64(num[v.Name]), 10)
+	}
+	var b []byte
 	for _, in := range s.Inputs {
-		b.WriteString(canon(in).Name)
-		b.WriteByte(':')
-		b.WriteString(in.Type.String())
-		b.WriteByte(';')
+		b = append(name(b, in), ':')
+		b = append(append(b, in.Type.String()...), ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for _, st := range s.Stmts {
-		rhs := ivl.Rename(st.Rhs, canon)
-		b.WriteString(canon(st.Dst).Name)
-		b.WriteByte('=')
-		b.WriteString(rhs.String())
-		b.WriteByte(';')
+		ivl.WalkVars(st.Rhs, number)
+		b = append(name(b, st.Dst), '=')
+		b = append(ivl.AppendRenamed(b, st.Rhs, name), ';')
 	}
-	return b.String()
+	s.key = string(b)
 }

@@ -41,6 +41,7 @@ type QueryRecord struct {
 	Correspondences int64   `json:"correspondences,omitempty"`
 	CacheHits       int64   `json:"cache_hits,omitempty"`
 	CacheMisses     int64   `json:"cache_misses,omitempty"`
+	RowsComplete    int64   `json:"rows_complete,omitempty"`
 	KernelMS        float64 `json:"kernel_ms,omitempty"`
 	GammaBatches    int64   `json:"gamma_batches,omitempty"`
 	GammaBatchRows  int64   `json:"gamma_batch_rows,omitempty"`
@@ -84,6 +85,8 @@ func (rec *QueryRecord) adoptAttrs(attrs map[string]float64) {
 			rec.CacheHits += int64(v)
 		case "cache_misses":
 			rec.CacheMisses += int64(v)
+		case "rows_complete":
+			rec.RowsComplete += int64(v)
 		case "kernel_nanos":
 			rec.KernelMS += v / 1e6
 		case "gamma_batches":
