@@ -136,6 +136,17 @@ func TestClusterE2E(t *testing.T) {
 	if _, ok := gw["partial"]; ok {
 		t.Fatalf("complete fleet flagged partial: %s", gw["partial"])
 	}
+	// The wire form is the compact encoding, and asking again — every
+	// eshd now holds the text's plan — gives the same bytes.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, single["results"]); err != nil || compact.String() != string(single["results"]) {
+		t.Fatalf("results are not compact JSON (%v):\n%s", err, single["results"])
+	}
+	for _, addr := range []string{singleAddr, gwAddr} {
+		if _, again := post(addr); string(again["results"]) != string(single["results"]) {
+			t.Fatalf("%s: the repeated query's results differ:\n%s", addr, again["results"])
+		}
+	}
 
 	// Kill shard 1: the gateway must degrade, not fail.
 	shardProcs[1].Process.Signal(syscall.SIGKILL)

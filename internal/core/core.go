@@ -234,10 +234,13 @@ type DB struct {
 	// would assign, which is what keeps post-tombstone scores
 	// bit-identical to that rebuild (float addition is order-
 	// sensitive, so masking dead strands is not enough — see
-	// FinalizeOrder). Both are copy-on-write: mutators install fresh
+	// QueryPartial.finalize). Both are copy-on-write: mutators install fresh
 	// slices under cfgMu so snapshotted queries keep a stable view.
 	live    []bool
 	h0Order []int32
+	// countsVer moves with every change of counts or h0Order: an H0
+	// estimate stamped with it (vcpRow.h0) is good for as long as it stands.
+	countsVer uint64
 
 	// Write-path bookkeeping: the data generation (bumped by every
 	// compaction), the WAL high-water mark (sequence of the last
@@ -626,6 +629,7 @@ type queryConfig struct {
 	targets    []*Target
 	live       []bool
 	h0Order    []int32
+	countsVer  uint64
 	generation uint64
 	pending    int
 	// rowEpoch is the strand numbering uniq is in (see DB.rowEpoch).
@@ -641,7 +645,7 @@ func (db *DB) snapshotConfig() queryConfig {
 		sums:      db.sums,
 		sketchIdx: db.sketchIdx, retr: db.retr, sketchGen: db.sketchGen,
 		uniq: db.uniq, counts: db.counts, targets: db.targets,
-		live: db.live, h0Order: db.h0Order,
+		live: db.live, h0Order: db.h0Order, countsVer: db.countsVer,
 		generation: db.generation, pending: db.pendingWrites,
 		rowEpoch: db.rowEpoch,
 	}
@@ -1011,6 +1015,7 @@ func (db *DB) AddTarget(p *asm.Proc) error {
 		NumBlocks:  nBlocks,
 		NumStrands: len(kept),
 	}
+	db.countsVer++
 	pos := map[int]int{} // unique-strand index -> position in t.strandIdx
 	for _, s := range kept {
 		key := s.CanonicalKey()
@@ -1108,46 +1113,53 @@ func (db *DB) Query(p *asm.Proc) (*Report, error) {
 // attached — strand pairs examined, cache hits and misses, verifier
 // invocations — so callers can report a per-query stage breakdown.
 // Stage durations also feed the DB's stage histograms regardless of
-// whether ctx carries a span.
-//
-// QueryCtx is PartialQueryCtx finalized against the database's own
-// corpus counts; running the identical code path for the sharded and
-// unsharded cases is what makes a gateway merge provably score-identical
-// to a single node.
+// whether ctx carries a span. It is Plan followed by RunPlan.
 func (db *DB) QueryCtx(ctx context.Context, p *asm.Proc) (*Report, error) {
-	qc := db.snapshotConfig()
-	qp, err := db.partialQuery(ctx, p, &qc)
+	pl, err := db.Plan(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	// Finalize against the same snapshot the pair loop ran under: a live
-	// write between the two would otherwise hand Finalize counts that
-	// are longer (or, post-tombstone, differently weighted) than the
-	// rows. With tombstones present, h0Order replays the H0 sums in the
-	// first-seen order a from-scratch rebuild of the live targets would
-	// use, keeping scores bit-identical to that rebuild.
-	return qp.FinalizeOrder(qc.counts, qc.h0Order), nil
+	return db.RunPlan(ctx, pl)
 }
 
-// PartialQueryCtx runs the query pipeline up to (but excluding) the
-// corpus-wide H0 estimate: decompose, prepare, the VCP pair loop, and
-// the order-insensitive per-target reductions (best forward VCP per
-// query strand, S-VCP). The returned QueryPartial carries everything a
-// coordinator needs to merge this shard's view with others' and produce
-// scores bit-identical to a single node holding the union corpus — see
-// QueryPartial.Finalize for the exactness argument.
+// PartialQueryCtx is Plan followed by RunPlanPartial.
 func (db *DB) PartialQueryCtx(ctx context.Context, p *asm.Proc) (*QueryPartial, error) {
-	qc := db.snapshotConfig()
-	return db.partialQuery(ctx, p, &qc)
+	pl, err := db.Plan(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return db.RunPlanPartial(ctx, pl)
 }
 
-// partialQuery is the shared pipeline body behind QueryCtx and
-// PartialQueryCtx: both snapshot the configuration exactly once and run
-// every stage — and, for QueryCtx, finalization — against that view, so
-// a live write landing mid-query can never mix two corpus states.
-func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*QueryPartial, error) {
-	db.mQueries.Inc()
+// QueryPlan is stages 1–2 of the pipeline as a value: the query's unique
+// strands in first-seen order, canonical keys built, and their
+// multiplicities. It depends on the procedure and on the DB's options,
+// which never change — not on the corpus — so it stays valid across any
+// number of writes and compactions. It is immutable: concurrent queries of
+// the same procedure share one.
+type QueryPlan struct {
+	QueryName  string
+	Source     asm.Provenance
+	NumBlocks  int
+	NumStrands int // query strands surviving the size filter
+	weights    []float64
+	strands    []*strand.Strand
+}
 
+// Bytes estimates the memory the plan keeps alive, for a holder with a byte
+// budget. A strand's statements are the expression trees its canonical key
+// prints; 12 bytes of heap per byte of key is their measured ratio on the
+// corpus generator's procedures, rounded up.
+func (pl *QueryPlan) Bytes() int {
+	n := 128
+	for _, s := range pl.strands {
+		n += 128 + 12*len(s.CanonicalKey())
+	}
+	return n
+}
+
+// Plan runs stages 1–2 on a query procedure.
+func (db *DB) Plan(ctx context.Context, p *asm.Proc) (*QueryPlan, error) {
 	// Stage 1: decompose — disassembly → CFG → lift → strands.
 	_, spDec := telemetry.StartSpan(ctx, "decompose")
 	kept, nBlocks, err := decompose(p, db.opts)
@@ -1157,13 +1169,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	}
 	spDec.SetAttr("blocks", float64(nBlocks))
 	spDec.SetAttr("strands", float64(len(kept)))
-	qp := &QueryPartial{
-		QueryName:  p.Name,
-		Source:     p.Source,
-		NumBlocks:  nBlocks,
-		NumStrands: len(kept),
-		SigmoidK:   db.opts.SigmoidK,
-	}
+	pl := &QueryPlan{QueryName: p.Name, Source: p.Source, NumBlocks: nBlocks, NumStrands: len(kept)}
 
 	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
 	// LES weight). The dedup order is first-seen, which is deterministic
@@ -1172,21 +1178,80 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	// preparation is not done here: stage 3 prepares a strand only once
 	// it has found a pair the strand must be verified against.
 	_, spPrep := telemetry.StartSpan(ctx, "prepare")
-	var qs []*strand.Strand
 	qIdx := map[string]int{}
-	qp.Weights = make([]float64, 0, len(kept))
 	for _, s := range kept {
 		key := s.CanonicalKey()
 		if i, ok := qIdx[key]; ok {
-			qp.Weights[i]++
+			pl.weights[i]++
 			continue
 		}
-		qIdx[key] = len(qs)
-		qs = append(qs, s)
-		qp.Weights = append(qp.Weights, 1)
+		qIdx[key] = len(pl.strands)
+		pl.strands = append(pl.strands, s)
+		pl.weights = append(pl.weights, 1)
 	}
-	spPrep.SetAttr("unique_strands", float64(len(qs)))
+	spPrep.SetAttr("unique_strands", float64(len(pl.strands)))
 	db.observeStage("prepare", spPrep.End())
+	return pl, nil
+}
+
+// TracePlanReuse stands in for Plan when the caller runs a plan kept from
+// an earlier call: it records the two stages as spans of no work, marked
+// plan_memo_hit, so a query's trace and flight record name four stages
+// however its plan was come by. The stage histograms are left alone: they
+// count the decompositions that ran.
+func (db *DB) TracePlanReuse(ctx context.Context) {
+	for _, stage := range queryStages[:2] {
+		_, sp := telemetry.StartSpan(ctx, stage)
+		sp.SetAttr("plan_memo_hit", 1)
+		sp.End()
+	}
+}
+
+// RunPlan runs stages 3–4 of a planned query and finalizes against the
+// database's own corpus counts: RunPlanPartial plus finalize, the code a
+// gateway runs over merged shard partials, which is what makes a merge
+// provably score-identical to a single node.
+func (db *DB) RunPlan(ctx context.Context, pl *QueryPlan) (*Report, error) {
+	qc := db.snapshotConfig()
+	qp, cached, err := db.partialQuery(ctx, pl, &qc)
+	if err != nil {
+		return nil, err
+	}
+	// Against the same snapshot the pair loop ran under: a live write
+	// between the two would otherwise hand finalize counts that are longer
+	// (or, post-tombstone, differently weighted) than the rows.
+	return qp.finalize(qc.counts, qc.h0Order, cached, qc.countsVer), nil
+}
+
+// RunPlanPartial runs the planned query up to (but excluding) the
+// corpus-wide H0 estimate: the VCP pair loop and the order-insensitive
+// per-target reductions (best forward VCP per query strand, S-VCP). The
+// returned QueryPartial carries everything a coordinator needs to merge
+// this shard's view with others' and produce scores bit-identical to a
+// single node holding the union corpus — see QueryPartial.Finalize for the
+// exactness argument.
+func (db *DB) RunPlanPartial(ctx context.Context, pl *QueryPlan) (*QueryPartial, error) {
+	qc := db.snapshotConfig()
+	qp, _, err := db.partialQuery(ctx, pl, &qc)
+	return qp, err
+}
+
+// partialQuery is the pipeline from the plan on, shared by RunPlan and
+// RunPlanPartial: both snapshot the configuration exactly once and run
+// every stage — and, for RunPlan, finalization — against that view, so a
+// live write landing mid-query can never mix two corpus states. cached is
+// vcpRows's, for finalize.
+func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *queryConfig) (*QueryPartial, []*vcpRow, error) {
+	db.mQueries.Inc()
+	qs := pl.strands
+	qp := &QueryPartial{
+		QueryName:  pl.QueryName,
+		Source:     pl.Source,
+		NumBlocks:  pl.NumBlocks,
+		NumStrands: pl.NumStrands,
+		SigmoidK:   db.opts.SigmoidK,
+		Weights:    pl.weights,
+	}
 
 	// Stage 3: vcp — for each unique query strand, the VCP row against
 	// every unique target strand, in both directions. The forward
@@ -1205,10 +1270,10 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	} else {
 		spVCP.SetAttr("retrieval_probe", 0)
 	}
-	rows, revRows, err := db.vcpRows(qs, spVCP, qc)
+	rows, revRows, cached, err := db.vcpRows(qs, spVCP, qc)
 	db.observeStage("vcp", spVCP.End())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	qp.Rows = rows
 
@@ -1258,7 +1323,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	qp.PendingWrites = qc.pending
 	spScore.SetAttr("targets", float64(len(qp.Targets)))
 	db.observeStage("score", spScore.End())
-	return qp, nil
+	return qp, cached, nil
 }
 
 // rowState classifies a query strand by what the row cache held for it.
@@ -1440,8 +1505,9 @@ type vcpRowState struct {
 //     shared vcp stage span) and the DB counters.
 //
 // The returned rows may be cached rows shared with other queries: they are
-// read-only (DESIGN §10.9).
-func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64, err error) {
+// read-only (DESIGN §10.9). cached[i] is the cached row rows[i] is, if it
+// is one.
+func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64, cached []*vcpRow, err error) {
 	n := len(qc.uniq)
 	states := make([]vcpRowState, len(qs))
 	for i, s := range qs {
@@ -1486,7 +1552,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) 
 		db.mPrefixInstrs.Add(uint64(pre))
 		db.mKernelInstrs.Add(uint64(tot))
 		if st.q.Err() != nil {
-			return nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
+			return nil, nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
 		}
 		for lo := 0; lo < len(st.verify); lo += size {
 			chunks = append(chunks, verifyRange{row: i, lo: lo, hi: min(lo+size, len(st.verify))})
@@ -1503,6 +1569,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) 
 
 	rows = make([][]float64, len(qs))
 	revRows = make([][]float64, len(qs))
+	cached = make([]*vcpRow, len(qs))
 	for i := range states {
 		st := &states[i]
 		if probe && len(st.verify) > 0 {
@@ -1514,10 +1581,14 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) 
 			}
 		}
 		rows[i], revRows[i] = st.fwd, st.rev
+		// Scan mode only: a probe-mode row is always the query's own.
+		if !probe && st.rs.state == rowComplete && st.next == nil {
+			cached[i] = st.base // handed out as it is
+		}
 		db.flushRowStats(st.rs, sp)
 	}
 	db.publishRows(states, qc.rowEpoch)
-	return rows, revRows, nil
+	return rows, revRows, cached, nil
 }
 
 // sizeRatio resolves the configured §5.5 size window.

@@ -46,7 +46,8 @@ type QueryPartial struct {
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,
 	// which depends only on the query text — all databases handed the
-	// same query agree on it, so rows merge by index.
+	// same query agree on it, so rows merge by index. Read-only: the
+	// slice is the query plan's, shared by every query of the procedure.
 	Weights []float64
 	// Rows[i][j] = VCP(query strand i, target strand j), dense over
 	// this database's unique-strand index order. Read-only: a row may be
@@ -81,44 +82,56 @@ type PartialScore struct {
 // pure function of (qp, counts): the single-node Query path and a
 // coordinator that reassembled global rows from shards call it with
 // bit-identical inputs and therefore produce bit-identical scores and
-// (stable-sorted) rankings.
+// rankings.
 func (qp *QueryPartial) Finalize(counts []int) *Report {
-	return qp.FinalizeOrder(counts, nil)
+	return qp.finalize(counts, nil, nil, 0)
 }
 
-// FinalizeOrder is Finalize with an explicit H0 accumulation order:
-// order[k] is the index (into counts and each row) of the k-th strand to
-// fold into the H0 mean. nil means index order — plain Finalize. The
-// live write path uses it after tombstones: floating-point addition is
-// order-sensitive, so bit-identity with a from-scratch rebuild of the
-// surviving corpus requires replaying the rebuild's first-seen strand
-// order, not the dirty index order with dead strands masked. Dead
-// strands (counts 0) are simply absent from the order.
-func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
+// finalize is Finalize as the database calls it on its own partial.
+//
+// order, when non-nil, is the H0 accumulation order: order[k] indexes the
+// k-th strand to fold into the H0 mean. The live write path sets it after
+// tombstones: floating-point addition is order-sensitive, so bit-identity
+// with a from-scratch rebuild of the surviving corpus requires replaying
+// the rebuild's first-seen strand order, not the dirty index order with
+// dead strands (counts 0, absent from order) masked.
+//
+// cached[i], when non-nil, is the cached row Rows[i] was handed out of, and
+// ver the version of counts and order (DB.countsVer). The strand's H0 means
+// are read off the row if it holds them for ver and left with it otherwise:
+// the same accumulator over the same columns in the same order, so the same
+// bits, summed once per write instead of once per query.
+func (qp *QueryPartial) finalize(counts []int, order []int32, cached []*vcpRow, ver uint64) *Report {
 	scorers := make([]stats.Scorer, len(qp.Weights))
 	for i, w := range qp.Weights {
-		h0 := stats.H0Accumulator{K: qp.SigmoidK}
-		row := qp.Rows[i]
-		if order == nil {
-			for j, v := range row {
-				h0.Add(v, counts[j])
+		var row *vcpRow
+		if cached != nil {
+			row = cached[i]
+		}
+		ev, ok := row.h0At(ver)
+		if !ok {
+			h0 := stats.H0Accumulator{K: qp.SigmoidK}
+			if order == nil {
+				for j, v := range qp.Rows[i] {
+					h0.Add(v, counts[j])
+				}
+			} else {
+				for _, j := range order {
+					h0.Add(qp.Rows[i][j], counts[j])
+				}
 			}
-		} else {
-			for _, j := range order {
-				h0.Add(row[j], counts[j])
+			ev = h0.Evidence(0)
+			if row != nil {
+				row.h0.Store(&rowH0{ver, ev})
 			}
 		}
-		scorers[i] = h0.Evidence(w).Scorer()
-	}
-	rep := &Report{
-		QueryName:  qp.QueryName,
-		Source:     qp.Source,
-		NumBlocks:  qp.NumBlocks,
-		NumStrands: qp.NumStrands,
-		Results:    make([]TargetScore, len(qp.Targets)),
+		ev.Weight = w
+		scorers[i] = ev.Scorer()
 	}
 	// The two GES sums of stats.GES, term for term in strand order, with
 	// each term taken from the strand's Scorer.
+	scored := make([]TargetScore, len(qp.Targets))
+	rank := make([]int32, len(qp.Targets))
 	for ti, ps := range qp.Targets {
 		slog, esh := 0.0, 0.0
 		for i, v := range ps.MaxVCP {
@@ -126,10 +139,26 @@ func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
 			slog += s
 			esh += e
 		}
-		rep.Results[ti] = TargetScore{Target: ps.Target, SVCP: ps.SVCP, SLOG: slog, GES: esh}
+		scored[ti] = TargetScore{Target: ps.Target, SVCP: ps.SVCP, SLOG: slog, GES: esh}
+		rank[ti] = int32(ti)
 	}
-	slices.SortStableFunc(rep.Results, func(a, b TargetScore) int {
-		return cmp.Compare(b.GES, a.GES) // descending
+	// Descending GES, ties in target order: what a stable sort of the
+	// results gives, from an unstable sort of their 4-byte positions.
+	slices.SortFunc(rank, func(a, b int32) int {
+		if c := cmp.Compare(scored[b].GES, scored[a].GES); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	rep := &Report{
+		QueryName:  qp.QueryName,
+		Source:     qp.Source,
+		NumBlocks:  qp.NumBlocks,
+		NumStrands: qp.NumStrands,
+		Results:    make([]TargetScore, len(rank)),
+	}
+	for k, ti := range rank {
+		rep.Results[k] = scored[ti]
+	}
 	return rep
 }

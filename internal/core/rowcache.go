@@ -3,6 +3,9 @@ package core
 import (
 	"maps"
 	"math/bits"
+	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // pairKind says how a cached column was resolved. The split is what the
@@ -41,6 +44,25 @@ type vcpRow struct {
 	// tally[k] counts the known columns of kind k, so a complete row
 	// credits the per-pair counters without a walk.
 	tally [numKinds]int
+	// h0 is the one thing a published row still learns: its H0 estimate
+	// (weight unset) under the counts of DB.countsVer == ver, left by the
+	// last query to finalize over it.
+	h0 atomic.Pointer[rowH0]
+}
+
+type rowH0 struct {
+	ver uint64
+	ev  stats.StrandEvidence
+}
+
+// h0At returns the row's H0 estimate for version ver, if it holds that one.
+func (r *vcpRow) h0At(ver uint64) (stats.StrandEvidence, bool) {
+	if r != nil {
+		if h := r.h0.Load(); h != nil && h.ver == ver {
+			return h.ev, true
+		}
+	}
+	return stats.StrandEvidence{}, false
 }
 
 func newVCPRow(n int) *vcpRow {

@@ -104,11 +104,45 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			_, sp := telemetry.StartSpan(context.Background(), "vcp")
 			if allocs := testing.AllocsPerRun(50, func() {
 				qc := db.snapshotConfig()
-				if _, _, err := db.vcpRows(kept, sp, &qc); err != nil {
+				if _, _, _, err := db.vcpRows(kept, sp, &qc); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs > 6 {
 				t.Errorf("stage 3 over %d cached rows allocates %.0f objects, want at most 6", len(kept), allocs)
+			}
+
+			// The other half of a warm query is its plan: run again from a
+			// kept one, nothing is decomposed (the stage histogram counts
+			// the decompositions that ran), the trace still names four
+			// stages, and the whole engine call — stages 3–4, Finalize,
+			// the ranking — allocates a few dozen objects, none per pair or per target.
+			pl, err := db.Plan(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decomposed := db.stageHist["decompose"].Count()
+			ctx, root := telemetry.StartSpan(context.Background(), "query")
+			db.TracePlanReuse(ctx)
+			kept2, err := db.RunPlan(ctx, pl)
+			root.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReports(t, "kept plan vs cold", kept2, cold)
+			tr := root.Snapshot()
+			if len(tr.Children) != len(queryStages) || tr.Children[0].Attrs["plan_memo_hit"] != 1 || tr.Children[1].Attrs["plan_memo_hit"] != 1 {
+				t.Errorf("a query from a kept plan traces %d stages, the first two %v and %v", len(tr.Children), tr.Children[0].Attrs, tr.Children[1].Attrs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				db.TracePlanReuse(context.Background())
+				if _, err := db.RunPlan(context.Background(), pl); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 48 {
+				t.Errorf("a warm query from a kept plan allocates %.0f objects, want at most 48", allocs)
+			}
+			if n := db.stageHist["decompose"].Count(); n != decomposed {
+				t.Errorf("queries from a kept plan decomposed %d times", n-decomposed)
 			}
 
 			// Forget exactly one verified pair of one strand.

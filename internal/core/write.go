@@ -246,6 +246,7 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		}
 	}
 	db.counts = newCounts
+	db.countsVer++
 	db.targets = append(db.targets, t)
 	if db.live != nil {
 		db.live = append(db.live, true)
@@ -303,6 +304,7 @@ func (db *DB) applyRemove(name string, journal bool, replaySeq uint64) (int, err
 		}
 	}
 	db.counts = newCounts
+	db.countsVer++
 	db.live = newLive
 	db.tombstones += len(hits)
 	db.h0Order = db.computeH0Order()
@@ -523,6 +525,7 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.sketchGen++ // stale snapshots must not adopt a remapped table
 	db.live = nil
 	db.h0Order = nil
+	db.countsVer++
 	db.tombstones = 0
 	db.pendingWrites = 0
 	db.generation = gen

@@ -218,6 +218,16 @@ func TestWriteDifferential(t *testing.T) {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				opts := writeTestOptions(mode)
 				live := NewDB(opts)
+				// Planned against the empty corpus and run after every
+				// step: nothing in a plan depends on the corpus, so a
+				// server may keep one for as long as it likes.
+				plans := make([]*QueryPlan, len(queries))
+				for qi, qsrc := range queries {
+					var err error
+					if plans[qi], err = live.Plan(context.Background(), parse(t, qsrc)); err != nil {
+						t.Fatal(err)
+					}
+				}
 				for step := range sc.ops {
 					prefix := sc.ops[:step+1]
 					applyScript(t, live, prefix[step:], false)
@@ -264,6 +274,14 @@ func TestWriteDifferential(t *testing.T) {
 									step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
 							}
 						}
+						// The third answer is the one a serving daemon gives:
+						// from the kept plan, over rows that now carry their
+						// H0 estimate (the "cached" pass left it with them).
+						planned, err := live.RunPlan(context.Background(), plans[qi])
+						if err != nil {
+							t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
+						}
+						diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
 						// Rows are handed to callers: they must not depend
 						// on what the cache knew — a dead column reads 0.
 						warm, err := live.PartialQueryCtx(context.Background(), q)
@@ -350,6 +368,13 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 			t.Run(mode+"/"+when, func(t *testing.T) {
 				opts := writeTestOptions(mode)
 				live := NewDB(opts)
+				// genProc(2) is not cached: the in-flight query has pairs
+				// to verify and rows to publish. Its plan is older than
+				// every target.
+				pl, err := live.Plan(context.Background(), parse(t, genProc(2)))
+				if err != nil {
+					t.Fatal(err)
+				}
 				applyScript(t, live, ops, false)
 				fresh := buildFresh(t, opts, survivors(t, ops))
 				for _, src := range warmups {
@@ -362,8 +387,6 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				// genProc(2) is not cached: the in-flight query has pairs
-				// to verify and rows to publish.
 				q := parse(t, genProc(2))
 				qc := live.snapshotConfig()
 				if when == "lookup-after" {
@@ -375,7 +398,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 						return vcp.NewEvaluator(p, cfg)
 					}
 				}
-				qp, err := live.partialQuery(context.Background(), q, &qc)
+				qp, _, err := live.partialQuery(context.Background(), pl, &qc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -386,7 +409,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffReports(t, "in-flight query", qp.FinalizeOrder(qc.counts, qc.h0Order), want)
+				diffReports(t, "in-flight query", qp.finalize(qc.counts, qc.h0Order, nil, 0), want)
 				live.mu.Lock()
 				for key := range dedupStrands(t, live, q) {
 					if _, cached := live.vcpCache[key]; cached {

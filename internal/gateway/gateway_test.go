@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/vcp"
 )
 
@@ -211,6 +212,67 @@ func TestGatewayDifferential(t *testing.T) {
 				t.Fatalf("n=%d: complete fleet flagged partial (missing %v)", n, got.MissingShards)
 			}
 			requireSameResults(t, want, got, q[:20])
+		}
+	}
+}
+
+// rawResults posts a query and returns the reply's results array as the
+// server wrote it.
+func rawResults(t *testing.T, url, asmText string) []byte {
+	t.Helper()
+	resp := postQuery(t, url, asmText)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("query = %d, %v: %s", resp.StatusCode, err, body)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil || compact.String()+"\n" != string(body) {
+		t.Fatalf("reply is not compact JSON and a newline (%v):\n%s", err, body)
+	}
+	var reply struct {
+		Results json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	return reply.Results
+}
+
+// TestResultsBytesAgree pins the wire form of an answer: the results array
+// is the same bytes — the compact encoding, floats in their shortest exact
+// form, so byte equality is bit equality — whether it comes from a single
+// node, from a shard asked directly (a one-shard fleet's shard holds the
+// whole corpus), from the gateway, or from encoding an in-process QueryCtx
+// (what eshbench's oracle does), and whether the daemon planned the text
+// for this request or found its plan memoized.
+func TestResultsBytesAgree(t *testing.T) {
+	oracle := buildCorpus(t)
+	for _, n := range []int{1, 2} {
+		f := startFleet(t, n, nil)
+		for _, q := range []string{gccStyle, memStyle} {
+			p, err := asm.ParseProc(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := oracle.QueryCtx(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(server.BuildQueryResponse(rep, stats.Esh, 100).Results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			urls := map[string]string{"single node": f.single.URL, "gateway": f.gwSrv.URL}
+			if n == 1 {
+				urls["shard, direct"] = f.shardSrv[0].URL
+			}
+			for who, url := range urls {
+				for _, pass := range []string{"planned", "memoized"} {
+					if got := rawResults(t, url, q); !bytes.Equal(got, want) {
+						t.Errorf("n=%d %s (%s): results\n%s\nthe oracle encodes\n%s", n, who, pass, got, want)
+					}
+				}
+			}
 		}
 	}
 }

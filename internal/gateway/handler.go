@@ -92,16 +92,8 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func (g *Gateway) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	server.WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (g *Gateway) count(result string) { g.outcomes[result].Inc() }
@@ -151,7 +143,7 @@ func (g *Gateway) record(rid, outcome, errMsg string, start time.Time, root *tel
 }
 
 func (g *Gateway) handleSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, &server.SlowResponse{
+	server.WriteJSON(w, http.StatusOK, &server.SlowResponse{
 		ThresholdMS: float64(g.rec.SlowThreshold().Microseconds()) / 1000,
 		Total:       g.rec.SlowTotal(),
 		Recorded:    g.rec.Total(),
@@ -166,7 +158,7 @@ func (g *Gateway) handleRecent(w http.ResponseWriter, r *http.Request) {
 			n = parsed
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"total":   g.rec.Total(),
 		"records": g.rec.Recent(n),
 	})
@@ -217,7 +209,7 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 		fleet.Shards[sid] = sh
 	}
-	writeJSON(w, http.StatusOK, fleet)
+	server.WriteJSON(w, http.StatusOK, fleet)
 }
 
 // quantileMS reads one quantile as milliseconds, mapping the empty
@@ -339,7 +331,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if wantTrace {
 		resp.Trace = root.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // StatsResponse is the gateway's GET /v1/stats reply.
@@ -429,7 +421,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Recorder.Records = g.rec.Total()
 	resp.Recorder.Slow = g.rec.SlowTotal()
 	resp.Recorder.ThresholdMS = float64(g.rec.SlowThreshold().Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics renders the federated exposition: the gateway's own

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
@@ -40,14 +39,14 @@ func getJSON(t *testing.T, url string, out any) {
 func TestSlowQueryCaptureWithoutTrace(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SlowQueryThreshold = 5 * time.Millisecond
-	_, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *core.QueryPlan) (*core.Report, error) {
 		// Simulate an engine with one instrumented stage, like QueryCtx.
 		_, sp := telemetry.StartSpan(ctx, "vcp")
 		sp.SetAttr("pairs", 42)
 		sp.SetAttr("verifier_calls", 7)
 		time.Sleep(20 * time.Millisecond)
 		sp.End()
-		return &core.Report{QueryName: p.Name}, nil
+		return &core.Report{QueryName: p.QueryName}, nil
 	})
 
 	// Plain query: no trace parameter anywhere.
@@ -149,7 +148,7 @@ func TestPartialSlowFailureCapture(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SlowQueryThreshold = 5 * time.Millisecond
 	s := New(testDB(t), cfg)
-	s.partialFn = func(ctx context.Context, p *asm.Proc) (*core.QueryPartial, error) {
+	s.partialFn = func(ctx context.Context, p *core.QueryPlan) (*core.QueryPartial, error) {
 		time.Sleep(20 * time.Millisecond)
 		return nil, fmt.Errorf("verifier backend lost")
 	}

@@ -1,0 +1,89 @@
+package server
+
+import (
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/telemetry"
+)
+
+// planMemoBudget bounds what the plan memo is charged: request texts plus
+// core.QueryPlan.Bytes of their plans. A constant, not a setting: an entry
+// is 10–50 KB for the corpus's procedures, so it covers a hot set of several
+// hundred, and below a workload's hot set the cost is re-planning, never a
+// different answer. An entry above planMemoMaxEntry is not admitted: the
+// text is the client's (up to MaxBodyBytes), and one such body must not
+// flush the procedures worth keeping.
+const (
+	planMemoBudget   = 16 << 20
+	planMemoMaxEntry = planMemoBudget / 8
+)
+
+// planMemo maps a request's asm text to the plan built from it, first in
+// first out under planMemoBudget. The map's hashing and key comparison are
+// the hash and the full-text equality: two texts share a plan only if they
+// are the same bytes. Only a text that parsed and decomposed gets in, and
+// nothing on the write path comes near it.
+type planMemo struct {
+	mu    sync.Mutex
+	plans map[string]*core.QueryPlan
+	order []string // texts in insertion order, oldest first
+	bytes int
+
+	hits, misses, evictions *telemetry.Counter
+}
+
+func (m *planMemo) init(reg *telemetry.Registry) {
+	m.plans = map[string]*core.QueryPlan{}
+	m.hits = reg.Counter("esh_plan_memo_hits_total", "Queries whose plan (pipeline stages 1-2) came from the plan memo: no parse, no decompose.")
+	m.misses = reg.Counter("esh_plan_memo_misses_total", "Queries whose request text the plan memo did not hold.")
+	m.evictions = reg.Counter("esh_plan_memo_evictions_total", "Plans dropped, oldest first, to keep esh_plan_memo_bytes within budget.")
+	reg.GaugeFunc("esh_plan_memo_bytes", "Bytes charged to the plan memo (request texts plus plan estimates); never above its fixed budget.",
+		func() float64 { return float64(m.held()) })
+}
+
+func (m *planMemo) held() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bytes
+}
+
+func planCost(text string, pl *core.QueryPlan) int { return len(text) + pl.Bytes() }
+
+// get returns the plan memoized for text, or nil.
+func (m *planMemo) get(text string) *core.QueryPlan {
+	m.mu.Lock()
+	pl := m.plans[text]
+	m.mu.Unlock()
+	if pl == nil {
+		m.misses.Inc()
+	} else {
+		m.hits.Inc()
+	}
+	return pl
+}
+
+// put memoizes pl for text unless the entry is too large to admit or a
+// concurrent request of the same text got there first.
+func (m *planMemo) put(text string, pl *core.QueryPlan) {
+	cost := planCost(text, pl)
+	if cost > planMemoMaxEntry {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.plans[text] != nil {
+		return
+	}
+	m.plans[text] = pl
+	m.order = append(m.order, text)
+	m.bytes += cost
+	for m.bytes > planMemoBudget {
+		oldest := m.order[0]
+		m.order[0] = "" // the backing array must not keep the text alive
+		m.order = m.order[1:]
+		m.bytes -= planCost(oldest, m.plans[oldest])
+		delete(m.plans, oldest)
+		m.evictions.Inc()
+	}
+}

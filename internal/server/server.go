@@ -114,10 +114,12 @@ type Server struct {
 	// SetSnapshotInfo while /v1/stats reads it.
 	snapMu   sync.RWMutex
 	snapshot index.Info
-	// queryFn indirects db.QueryCtx so tests can inject slow or failing
-	// queries deterministically; partialFn likewise for db.PartialQueryCtx.
-	queryFn   func(context.Context, *asm.Proc) (*core.Report, error)
-	partialFn func(context.Context, *asm.Proc) (*core.QueryPartial, error)
+	// queryFn indirects db.RunPlan so tests can inject slow or failing
+	// queries deterministically; partialFn likewise for db.RunPlanPartial.
+	queryFn   func(context.Context, *core.QueryPlan) (*core.Report, error)
+	partialFn func(context.Context, *core.QueryPlan) (*core.QueryPartial, error)
+	// plans keeps the plans of request texts already answered.
+	plans planMemo
 
 	// ready gates /readyz: true once the snapshot is loaded and
 	// serving, flipped false by SetReady during graceful drain so load
@@ -154,8 +156,8 @@ func New(db *core.DB, cfg Config) *Server {
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		snapshot:  cfg.Snapshot,
-		queryFn:   db.QueryCtx,
-		partialFn: db.PartialQueryCtx,
+		queryFn:   db.RunPlan,
+		partialFn: db.RunPlanPartial,
 		reg:       telemetry.NewRegistry(),
 		started:   time.Now(),
 	}
@@ -179,6 +181,8 @@ func New(db *core.DB, cfg Config) *Server {
 		"go_version", runtime.Version(),
 		"prefilter", db.Options().Prefilter,
 		"retrieval", db.Options().Retrieval).Set(1)
+
+	s.plans.init(s.reg)
 
 	s.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
 	s.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)
@@ -311,16 +315,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a reply, for the gateway too: the compact
+// encoding/json form and a newline (`| jq .` to read it).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // a write error means the client went away
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // QueryRequest is the POST /v1/query body.
@@ -420,7 +424,7 @@ type SlowResponse struct {
 }
 
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, &SlowResponse{
+	WriteJSON(w, http.StatusOK, &SlowResponse{
 		ThresholdMS: float64(s.rec.SlowThreshold().Microseconds()) / 1000,
 		Total:       s.rec.SlowTotal(),
 		Recorded:    s.rec.Total(),
@@ -438,7 +442,7 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 			n = parsed
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"total":   s.rec.Total(),
 		"records": s.rec.Recent(n),
 	})
@@ -464,24 +468,31 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (QueryReque
 }
 
 // runQuery is everything /v1/query and /v1/query/partial do between a
-// decoded request and a reply: parse the procedure, admit it, run the
-// engine call under a root span named span with the query timeout, count
-// the outcome and publish the flight-recorder entry (under kind). On any
-// failure it has written the error reply and returns ok=false; otherwise
-// the caller owns the 200 reply.
+// decoded request and a reply: find the text's plan or parse the procedure,
+// admit it, plan it if need be and run the engine call under a root span
+// named span with the query timeout, count the outcome and publish the
+// flight-recorder entry (under kind). On any failure it has written the
+// error reply and returns ok=false; otherwise the caller owns the 200 reply.
 func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText, kind, span string,
-	run func(context.Context, *asm.Proc) (T, error)) (T, *telemetry.Span, bool) {
+	run func(context.Context, *core.QueryPlan) (T, error)) (T, *telemetry.Span, bool) {
 	var zero T
-	procs, err := asm.Parse(asmText)
-	if err != nil {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
-		return zero, nil, false
-	}
-	if len(procs) == 0 {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "no procedure in request")
-		return zero, nil, false
+	// Nothing before the pair loop depends on the corpus: a text answered
+	// before skips the parser here and stages 1–2 below.
+	memoized := s.plans.get(asmText)
+	var proc *asm.Proc
+	if memoized == nil {
+		procs, err := asm.Parse(asmText)
+		if err != nil {
+			s.count("bad_input")
+			s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
+			return zero, nil, false
+		}
+		if len(procs) == 0 {
+			s.count("bad_input")
+			s.fail(w, http.StatusBadRequest, "no procedure in request")
+			return zero, nil, false
+		}
+		proc = procs[0]
 	}
 
 	// Admission: reject rather than queue when the configured number of
@@ -509,9 +520,18 @@ func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText,
 	qctx, root := telemetry.StartSpan(context.Background(), span)
 	go func() {
 		defer func() { <-s.sem }()
-		val, err := run(qctx, procs[0])
+		var out result
+		pl := memoized
+		if pl != nil {
+			s.db.TracePlanReuse(qctx)
+		} else if pl, out.err = s.db.Plan(qctx, proc); out.err == nil {
+			s.plans.put(asmText, pl)
+		}
+		if out.err == nil {
+			out.val, out.err = run(qctx, pl)
+		}
 		root.End()
-		done <- result{val, err}
+		done <- out
 	}()
 
 	timer := time.NewTimer(s.cfg.QueryTimeout)
@@ -570,7 +590,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" {
 		resp.Trace = root.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // BuildQueryResponse ranks a report and shapes it as the wire response.
@@ -585,10 +605,12 @@ func BuildQueryResponse(rep *core.Report, m stats.Method, top int) *QueryRespons
 		NumStrands: rep.NumStrands,
 		Results:    []QueryResult{},
 	}
-	for i, ts := range rep.Rank(m) {
-		if i >= top {
-			break
-		}
+	// A report is ranked by GES already; only the other methods re-sort.
+	ranked := rep.Results
+	if m != stats.Esh {
+		ranked = rep.Rank(m)
+	}
+	for i, ts := range ranked[:min(top, len(ranked))] {
 		resp.Results = append(resp.Results, QueryResult{
 			Rank:      i + 1,
 			Target:    ts.Target.Name,
@@ -627,7 +649,7 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 			NumStrands: t.NumStrands,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"targets": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"targets": out})
 }
 
 // SetSnapshotInfo replaces the snapshot identity reported by /v1/stats.
@@ -729,7 +751,7 @@ func (s *Server) handleAddTarget(w http.ResponseWriter, r *http.Request) {
 			s.record("write", rid, "failure", err.Error(), start, root)
 			s.fillWriteState(resp)
 			status := writeStatus(err)
-			writeJSON(w, status, map[string]any{
+			WriteJSON(w, status, map[string]any{
 				"error":   err.Error(),
 				"added":   resp.Added,
 				"wal_seq": resp.WALSeq,
@@ -742,7 +764,7 @@ func (s *Server) handleAddTarget(w http.ResponseWriter, r *http.Request) {
 	root.End()
 	s.record("write", rid, "completed", "", start, root)
 	s.fillWriteState(resp)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDeleteTarget serves DELETE /v1/targets/{name}: tombstone every
@@ -770,7 +792,7 @@ func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 	s.record("delete", rid, "completed", "", start, root)
 	resp := &WriteResponse{Removed: n}
 	s.fillWriteState(resp)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCompact serves POST /v1/compact: fold the journal and
@@ -797,7 +819,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.record("compact", rid, "completed", "", start, root)
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"generation":     gen,
 		"wal_seq":        hwm,
 		"pending_writes": s.db.PendingWrites(),
@@ -856,6 +878,15 @@ type StatsResponse struct {
 		// cached row (no pair walked, no strand prepared).
 		RowsComplete uint64 `json:"rows_complete"`
 	} `json:"vcp_cache"`
+	// PlanMemo is the request-text → plan memo in front of the engine: a
+	// hit skipped the parser and pipeline stages 1–2.
+	PlanMemo struct {
+		Hits        uint64 `json:"hits"`
+		Misses      uint64 `json:"misses"`
+		Evictions   uint64 `json:"evictions"`
+		Bytes       int    `json:"bytes"`
+		BudgetBytes int    `json:"budget_bytes"`
+	} `json:"plan_memo"`
 	// Prefilter reports the LSH sketch prefilter: active mode, sketch
 	// geometry, the heuristic-tier containment threshold (0 = sound
 	// tier only), and how much work it removed before the verifier —
@@ -985,6 +1016,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.VCPCache.Misses = dbs.VCPCacheMisses
 	resp.VCPCache.HitRate = dbs.VCPCacheHitRate()
 	resp.VCPCache.RowsComplete = dbs.VCPRowsComplete
+	resp.PlanMemo.Hits = s.plans.hits.Value()
+	resp.PlanMemo.Misses = s.plans.misses.Value()
+	resp.PlanMemo.Evictions = s.plans.evictions.Value()
+	resp.PlanMemo.Bytes = s.plans.held()
+	resp.PlanMemo.BudgetBytes = planMemoBudget
 	resp.Prefilter.Mode = dbs.Prefilter
 	resp.Prefilter.LSHBands = dbs.LSHBands
 	resp.Prefilter.LSHRows = dbs.LSHRows
@@ -1040,5 +1076,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Recorder.Records = s.rec.Total()
 	resp.Recorder.Slow = s.rec.SlowTotal()
 	resp.Recorder.ThresholdMS = float64(s.rec.SlowThreshold().Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -89,7 +89,7 @@ func quietConfig() Config {
 
 // newTestServer starts an httptest server; queryFn (optional) replaces
 // the engine query before the listener accepts traffic.
-func newTestServer(t *testing.T, db *core.DB, cfg Config, queryFn func(context.Context, *asm.Proc) (*core.Report, error)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, db *core.DB, cfg Config, queryFn func(context.Context, *core.QueryPlan) (*core.Report, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quietConfig().Logger
@@ -215,9 +215,9 @@ func TestQueryTimeout(t *testing.T) {
 	cfg.QueryTimeout = 20 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
-	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *core.QueryPlan) (*core.Report, error) {
 		<-release
-		return &core.Report{QueryName: p.Name}, nil
+		return &core.Report{QueryName: p.QueryName}, nil
 	})
 
 	resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle})
@@ -234,10 +234,10 @@ func TestInFlightLimit(t *testing.T) {
 	cfg.QueryTimeout = 5 * time.Second
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *core.QueryPlan) (*core.Report, error) {
 		started <- struct{}{}
 		<-release
-		return &core.Report{QueryName: p.Name}, nil
+		return &core.Report{QueryName: p.QueryName}, nil
 	})
 
 	var wg sync.WaitGroup
@@ -326,6 +326,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE esh_vcp_memo_evictions_total counter",
 		"# TYPE esh_vcp_memo_bytes gauge",
 		"# TYPE esh_vcp_memo_budget_bytes gauge",
+		"# TYPE esh_plan_memo_hits_total counter",
+		"esh_plan_memo_misses_total 1",
+		"# TYPE esh_plan_memo_evictions_total counter",
+		"# TYPE esh_plan_memo_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
