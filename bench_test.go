@@ -247,9 +247,9 @@ func BenchmarkVCP(b *testing.B) {
 // BenchmarkFingerprints measures one γ-loop evaluation of a compiled
 // strand — the innermost verifier operation — under the scalar
 // reference interpreter and the batched SoA kernel. The batch
-// sub-benchmark holds a pooled kernel across iterations the way
-// vcp.ComputeWithStats holds one across a γ enumeration, so its
-// allocs/op is the γ-loop allocation count (the kernel contract is 0).
+// sub-benchmark holds one bound kernel across iterations the way a
+// vcp.Evaluator holds one across a γ enumeration, so its allocs/op is
+// the γ-loop allocation count (the kernel contract is 0).
 func BenchmarkFingerprints(b *testing.B) {
 	p := microProc(b, "gcc-4.9")
 	g, _ := cfg.Build(p)
@@ -282,9 +282,10 @@ func BenchmarkFingerprints(b *testing.B) {
 		}
 	})
 	b.Run("kernel=batch", func(b *testing.B) {
-		kern := prog.AcquireKernel(k)
-		defer prog.ReleaseKernel(kern)
-		kern.Fingerprints(slots) // evaluate the γ-invariant prefix once, as Compute does
+		kern := smt.AcquireKernel()
+		defer smt.ReleaseKernel(kern)
+		kern.Bind(prog, k, 1)
+		kern.Fingerprints(slots) // evaluate the γ-invariant prefix once per bind, as Compute does
 		pre, tot := prog.InstrCounts()
 		b.ReportMetric(float64(pre)/float64(tot), "prefix-frac")
 		b.ReportAllocs()
@@ -294,15 +295,16 @@ func BenchmarkFingerprints(b *testing.B) {
 		}
 	})
 	// The γ-batch sweep: each iteration binds G distinct assignments and
-	// flushes them through one suffix execution, the steady-state shape
-	// of the batched γ loop. ns/op is per flush; the ns/γ metric is the
-	// amortized per-correspondence cost the dispatch floor bounds —
-	// compare it across widths (the benchmark ledger's
-	// smt.kernel_ns_per_gamma is the production width's figure).
+	// flushes them through one suffix execution and folds what varies,
+	// the steady-state shape of the production γ loop. ns/op is per
+	// flush; the ns/γ metric is the amortized per-correspondence cost the
+	// dispatch floor bounds — compare it across widths (the benchmark
+	// ledger's smt.kernel_ns_per_gamma is the production width's figure).
 	for _, g := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("gamma=%d", g), func(b *testing.B) {
-			kern := prog.AcquireKernelBatch(k, g)
-			defer prog.ReleaseKernel(kern)
+			kern := smt.AcquireKernel()
+			defer smt.ReleaseKernel(kern)
+			kern.Bind(prog, k, g)
 			rows := make([][]int, g)
 			for r := range rows {
 				// Distinct rotations: every row is a different γ, so the
@@ -316,14 +318,14 @@ func BenchmarkFingerprints(b *testing.B) {
 			for r, sl := range rows {
 				kern.BindRow(r, sl)
 			}
-			kern.FingerprintsRows(g) // prefix + lane warm-up outside the timer
+			kern.VaryingRows(g) // prefix + lane warm-up outside the timer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for r, sl := range rows {
 					kern.BindRow(r, sl)
 				}
-				kern.FingerprintsRows(g)
+				kern.VaryingRows(g)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g), "ns/γ")

@@ -416,6 +416,9 @@ func (db *DB) initMetrics() {
 	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by γ-fingerprint memos (indexed strands plus in-flight queries); never above esh_vcp_memo_budget_bytes.", func() float64 {
 		return float64(db.memo.Stats().Bytes)
 	})
+	reg.GaugeFunc("esh_engine_memo_entries", "Slot assignments the γ-fingerprint memos remember; esh_vcp_memo_bytes over this is the cost of one.", func() float64 {
+		return float64(db.memo.Stats().Entries)
+	})
 	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte budget of the γ-fingerprint memos.", func() float64 {
 		return float64(db.memo.Stats().Budget)
 	})
@@ -851,12 +854,14 @@ type DBStats struct {
 	// MemoHits / MemoMisses split the enumerated correspondences by
 	// whether a strand's γ-fingerprint memo already held their
 	// fingerprints (only misses reach the kernel); MemoBytes is what the
-	// memos hold now, never above the fixed MemoBudget; MemoEvictions
-	// counts strands whose memo was dropped to stay within it.
+	// memos hold now, never above the fixed MemoBudget, and MemoEntries
+	// the assignments they remember for it; MemoEvictions counts strands
+	// whose memo was dropped to stay within the budget.
 	MemoHits      uint64
 	MemoMisses    uint64
 	MemoEvictions uint64
 	MemoBytes     int64
+	MemoEntries   int64
 	MemoBudget    int64
 	// Queries is the number of Query calls answered; StageSeconds holds
 	// the cumulative wall-clock seconds each pipeline stage has consumed
@@ -925,6 +930,7 @@ func (db *DB) Stats() DBStats {
 		MemoMisses:               db.mMemoMisses.Value(),
 		MemoEvictions:            memo.Evictions,
 		MemoBytes:                memo.Bytes,
+		MemoEntries:              memo.Entries,
 		MemoBudget:               memo.Budget,
 		Queries:                  db.mQueries.Value(),
 		StageSeconds:             make(map[string]float64, len(queryStages)),
@@ -1745,13 +1751,14 @@ type verifyRange struct{ row, lo, hi int }
 // goroutine itself.
 //
 // Each worker owns two evaluators for the whole drain, so the γ search's
-// scratch is allocated once per worker, not per chunk or pair. The forward
-// one is bound to the chunk's query strand: once a memo miss makes it
-// acquire that strand's kernel, the kernel — and its evaluated γ-invariant
-// prefix — persists until the worker moves to another row. (Evaluators
-// are not concurrency-safe, which is why they are per worker.) The reverse
-// one is rebound to each target strand in turn; it acquires that strand's
-// kernel only if the strand's memo misses, which on a warm corpus it
+// scratch — each evaluator's kernel included — belongs to the worker and
+// is sized by the largest strand it meets, not by how many. The forward
+// one stays on the chunk's query strand: once a memo miss has bound its
+// kernel to that strand's program, the binding — and its evaluated
+// γ-invariant prefix — persists until the worker moves to another row.
+// (Evaluators are not concurrency-safe, which is why they are per worker.)
+// The reverse one is moved to each target strand in turn; its kernel is
+// re-bound only if that strand's memo misses, which on a warm corpus it
 // rarely does.
 func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers int, qc *queryConfig) {
 	work := make([]rowStats, len(chunks))

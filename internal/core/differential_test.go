@@ -23,18 +23,24 @@ import (
 // work that is provably zero, so a single nonzero value is a bug, not a
 // tuning tradeoff.
 
-func buildDiffCorpus(t *testing.T) []*asm.Proc {
+// testToolchains looks the named toolchains up.
+func testToolchains(t *testing.T, names ...string) []compile.Toolchain {
 	t.Helper()
 	var tcs []compile.Toolchain
-	for _, n := range []string{"gcc-4.9", "clang-3.5", "icc-15.0.1"} {
+	for _, n := range names {
 		tc, ok := compile.ByName(n)
 		if !ok {
 			t.Fatalf("unknown toolchain %q", n)
 		}
 		tcs = append(tcs, tc)
 	}
+	return tcs
+}
+
+func buildDiffCorpus(t *testing.T) []*asm.Proc {
+	t.Helper()
 	procs, err := corpus.Build(corpus.BuildConfig{
-		Toolchains:     tcs,
+		Toolchains:     testToolchains(t, "gcc-4.9", "clang-3.5", "icc-15.0.1"),
 		IncludePatched: true,
 		SynthVariants:  0,
 	})

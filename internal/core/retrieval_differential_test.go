@@ -224,14 +224,7 @@ func TestProbeScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling smoke builds two corpora")
 	}
-	var tcs []compile.Toolchain
-	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
-		tc, ok := compile.ByName(n)
-		if !ok {
-			t.Fatalf("unknown toolchain %q", n)
-		}
-		tcs = append(tcs, tc)
-	}
+	tcs := testToolchains(t, "gcc-4.9", "clang-3.5")
 	build := func(synth int) *DB {
 		procs, err := corpus.Build(corpus.BuildConfig{
 			Toolchains:     tcs,

@@ -268,6 +268,7 @@ func New(cfg Config) (*Gateway, error) {
 		"go_version", runtime.Version(),
 		"prefilter", cfg.Manifest.Prefilter,
 		"retrieval", cfg.Manifest.Retrieval).Set(1)
+	telemetry.RegisterRuntime(g.reg)
 
 	g.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
 	g.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)

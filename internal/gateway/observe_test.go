@@ -69,6 +69,15 @@ func TestGatewayFederation(t *testing.T) {
 		t.Fatalf("esh_build_info merge: %+v", bi)
 	}
 
+	// So do the Go runtime series both daemons register: the process
+	// health of the gateway and of every shard on one page.
+	for _, name := range []string{"esh_go_heap_inuse_bytes", "esh_go_heap_released_bytes",
+		"esh_go_gc_cycles_total", "esh_go_gc_pause_cpu_seconds_total", "esh_go_goroutines"} {
+		if f, ok := byName[name]; !ok || len(f.Samples) != 3 {
+			t.Fatalf("%s merge: %+v, want the gateway's sample plus one per shard", name, f)
+		}
+	}
+
 	// The gateway's own quantile gauges are present and positive.
 	qf, ok := byName["esh_gw_query_quantile_seconds"]
 	if !ok || len(qf.Samples) != 3 {

@@ -243,4 +243,16 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if fr, ok := byName["esh_flight_recorder_records"]; !ok || fr.Samples[0].Value != 1 {
 		t.Errorf("esh_flight_recorder_records: %+v", fr)
 	}
+	// Process health: the Go runtime series, and the memo's entry count
+	// beside its bytes so bytes per entry can be read off one scrape.
+	if gr, ok := byName["esh_go_goroutines"]; !ok || !(gr.Samples[0].Value >= 1) {
+		t.Errorf("esh_go_goroutines: %+v", gr)
+	}
+	if hp, ok := byName["esh_go_heap_inuse_bytes"]; !ok || !(hp.Samples[0].Value > 0) {
+		t.Errorf("esh_go_heap_inuse_bytes: %+v", hp)
+	}
+	me, mb := byName["esh_engine_memo_entries"], byName["esh_vcp_memo_bytes"]
+	if me == nil || mb == nil || me.Type != "gauge" || !(me.Samples[0].Value > 0) || !(mb.Samples[0].Value > me.Samples[0].Value) {
+		t.Errorf("memo entries %+v against bytes %+v: want entries > 0 and more bytes than entries", me, mb)
+	}
 }

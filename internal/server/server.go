@@ -182,6 +182,8 @@ func New(db *core.DB, cfg Config) *Server {
 		"prefilter", db.Options().Prefilter,
 		"retrieval", db.Options().Retrieval).Set(1)
 
+	telemetry.RegisterRuntime(s.reg)
+
 	s.plans.init(s.reg)
 
 	s.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
@@ -932,13 +934,14 @@ type StatsResponse struct {
 		// Memo is the γ-fingerprint memo: correspondences answered from
 		// it (hits) or evaluated by the kernel and stored (misses — what
 		// kernel_seconds and the gamma_batch figures cover), the bytes it
-		// holds against its fixed budget, and strands evicted to stay
-		// within it.
+		// holds against its fixed budget for how many remembered
+		// assignments (entries), and strands evicted to stay within it.
 		Memo struct {
 			Hits        uint64 `json:"hits"`
 			Misses      uint64 `json:"misses"`
 			Evictions   uint64 `json:"evictions"`
 			Bytes       int64  `json:"bytes"`
+			Entries     int64  `json:"entries"`
 			BudgetBytes int64  `json:"budget_bytes"`
 		} `json:"memo"`
 	} `json:"engine"`
@@ -1049,6 +1052,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.Memo.Misses = dbs.MemoMisses
 	resp.Engine.Memo.Evictions = dbs.MemoEvictions
 	resp.Engine.Memo.Bytes = dbs.MemoBytes
+	resp.Engine.Memo.Entries = dbs.MemoEntries
 	resp.Engine.Memo.BudgetBytes = dbs.MemoBudget
 	resp.Engine.StageSeconds = dbs.StageSeconds
 

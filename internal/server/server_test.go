@@ -494,7 +494,7 @@ func TestStatsAfterQueries(t *testing.T) {
 		t.Error("verifier calls not reported")
 	}
 	if m := st.Engine.Memo; m.Hits+m.Misses == 0 || m.Misses != st.Engine.GammaBatchRows ||
-		m.Bytes <= 0 || m.Bytes > m.BudgetBytes {
+		m.Bytes <= 0 || m.Bytes > m.BudgetBytes || m.Entries <= 0 || uint64(m.Entries) > m.Misses {
 		t.Errorf("memo block %+v (gamma_batch_rows %d)", m, st.Engine.GammaBatchRows)
 	}
 }

@@ -2,8 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ivl"
 )
@@ -18,8 +16,11 @@ import (
 // in well-formed IVL), and a reordering of the code into a γ-invariant
 // prefix — instructions whose transitive operands touch no input slot,
 // so their values cannot depend on the slot assignment — followed by the
-// γ-dependent suffix. The prefix is evaluated once per kernel; only the
-// suffix re-runs per correspondence.
+// γ-dependent suffix. Only the suffix re-runs per correspondence.
+//
+// A Program is immutable once compiled and owns no evaluation state:
+// the lane buffers and arena live in whichever Kernel is bound to it at
+// the moment (Kernel.Bind).
 type Program struct {
 	Inputs []ivl.Var // in slot-assignment order
 	code   []cinstr
@@ -27,6 +28,15 @@ type Program struct {
 	// defRegs lists, for each original SSA assignment in order, the
 	// register holding its value and whether it is memory-typed.
 	defRegs []defInfo
+	// varRegs and varying describe the definitions by what a score needs
+	// of them: varRegs[i] is the i-th distinct γ-dependent register among
+	// defRegs (first-definition order) and varying[i] names its first
+	// definition and how many definitions it holds; constDefs indexes the
+	// definitions whose register is γ-invariant. Σ Mult + len(constDefs)
+	// = len(defRegs).
+	varRegs   []defInfo
+	varying   []DefClass
+	constDefs []int
 	// memReg is the static type per register (true = memory). Valid for
 	// all registers when batchOK; the scalar path never consults it.
 	memReg []bool
@@ -39,40 +49,16 @@ type Program struct {
 	// integer branches, or integer operators applied to memories) keep
 	// the dynamic scalar semantics and fall back to Fingerprints.
 	batchOK bool
-	// suffixOps is the static opcode histogram of the γ-dependent
-	// suffix; ReleaseKernel multiplies it by the kernel's run count to
-	// feed the package-wide dynamic-frequency profile.
-	suffixOps [nOpcodes]uint64
-	// kpool recycles kernels (lane buffers + memory arena) across
-	// fingerprint calls so the γ loop is allocation-free.
-	kpool sync.Pool
 }
 
-// nOpcodes sizes per-opcode tables; cCall is the last opcode.
-const nOpcodes = int(cCall) + 1
-
-// opProfile accumulates the measured dynamic execution frequency per
-// opcode across every kernel released in the process: for each released
-// kernel, (suffix opcode histogram) × (suffix runs since acquire). It
-// guides the profile-driven suffix scheduler for programs compiled
-// later — γ-dependent instructions of hot opcodes are issued first so
-// their lane sweeps stream back-to-back.
-var opProfile [nOpcodes]atomic.Uint64
-
-// flushProfile folds runs suffix executions of this program into the
-// package opcode profile.
-func (p *Program) flushProfile(runs uint64) {
-	for op, c := range p.suffixOps {
-		if c != 0 {
-			opProfile[op].Add(c * runs)
-		}
-	}
-}
+// DefClass is one distinct γ-dependent register among a program's
+// definitions: Def is the index of the first definition it holds, Mult
+// how many definitions hold it (a copy `a := b` defines no new register).
+type DefClass struct{ Def, Mult int }
 
 type defInfo struct {
 	reg   int
 	isMem bool
-	name  string
 }
 
 type copcode uint8
@@ -235,7 +221,7 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 			return nil, err
 		}
 		regOf[s.Dst.Name] = r
-		p.defRegs = append(p.defRegs, defInfo{reg: r, isMem: s.Dst.Type == ivl.Mem, name: s.Dst.Name})
+		p.defRegs = append(p.defRegs, defInfo{reg: r, isMem: s.Dst.Type == ivl.Mem})
 	}
 	p.analyze()
 	return p, nil
@@ -345,73 +331,23 @@ func (p *Program) analyze() {
 	}
 	p.prefixLen = len(prefix)
 	p.code = append(prefix, suffix...)
-	for _, in := range suffix {
-		p.suffixOps[in.op]++
-	}
-	p.scheduleSuffix()
-}
 
-// scheduleSuffix reorders the γ-dependent suffix by measured dynamic
-// opcode frequency: a greedy list scheduler that repeatedly issues the
-// ready instruction (all suffix-internal operands already issued) whose
-// opcode has the highest profile weight, breaking ties by original
-// position. Reordering preserves all data dependencies — every register
-// is written exactly once and operands are only reordered after their
-// writers — so values and fingerprints are unchanged. With a cold
-// (all-zero) profile every weight ties and the tie-break reproduces the
-// original order exactly, making fresh processes deterministic.
-func (p *Program) scheduleSuffix() {
-	suffix := p.code[p.prefixLen:]
-	n := len(suffix)
-	if n <= 1 {
-		return
-	}
-	var w [nOpcodes]uint64
-	cold := true
-	for op := range w {
-		if w[op] = opProfile[op].Load(); w[op] != 0 {
-			cold = false
+	// Definitions by what varies: a γ-invariant definition's fingerprint
+	// is a constant of the strand, and definitions sharing a register
+	// share a fingerprint under every assignment.
+	classOf := make([]int, p.nregs) // register → index into varying, +1
+	for d, di := range p.defRegs {
+		if !dep[di.reg] {
+			p.constDefs = append(p.constDefs, d)
+			continue
 		}
-	}
-	if cold {
-		return
-	}
-	// Suffix-internal dependencies. Operands written by the prefix or
-	// bound as inputs are live from the start and impose no ordering.
-	writer := make(map[int]int, n)
-	for i := range suffix {
-		writer[suffix[i].dst] = i
-	}
-	pending := make([]int, n)
-	users := make([][]int, n)
-	var sbuf [8]int
-	for i := range suffix {
-		for _, s := range suffix[i].srcs(sbuf[:0]) {
-			if j, ok := writer[s]; ok && j != i {
-				pending[i]++
-				users[j] = append(users[j], i)
-			}
+		if classOf[di.reg] == 0 {
+			p.varRegs = append(p.varRegs, di)
+			p.varying = append(p.varying, DefClass{Def: d})
+			classOf[di.reg] = len(p.varying)
 		}
+		p.varying[classOf[di.reg]-1].Mult++
 	}
-	sched := make([]cinstr, 0, n)
-	done := make([]bool, n)
-	for len(sched) < n {
-		best := -1
-		for i := 0; i < n; i++ {
-			if done[i] || pending[i] > 0 {
-				continue
-			}
-			if best < 0 || w[suffix[i].op] > w[suffix[best].op] {
-				best = i
-			}
-		}
-		done[best] = true
-		sched = append(sched, suffix[best])
-		for _, u := range users[best] {
-			pending[u]--
-		}
-	}
-	copy(suffix, sched)
 }
 
 // BatchOK reports whether the batched SoA kernel supports this program.
@@ -423,6 +359,16 @@ func (p *Program) BatchOK() bool { return p.batchOK }
 func (p *Program) InstrCounts() (prefix, total int) {
 	return p.prefixLen, len(p.code)
 }
+
+// Varying returns the distinct γ-dependent definition registers, in the
+// order Kernel.VaryingRows reports their fingerprints. The slice is the
+// program's own: read-only.
+func (p *Program) Varying() []DefClass { return p.varying }
+
+// ConstDefs returns the indices of the γ-invariant definitions: their
+// fingerprints depend on the sample count only, not on the assignment.
+// The slice is the program's own: read-only.
+func (p *Program) ConstDefs() []int { return p.constDefs }
 
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)

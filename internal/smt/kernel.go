@@ -13,25 +13,37 @@ package smt
 // scalar path). Memory-typedness is static at compile time (Program.
 // memReg), so the per-instruction lane loops carry no type tests.
 //
-// Kernels are pooled per Program and reused across γ correspondences:
-// the γ-invariant prefix (Program.prefixLen) is evaluated once per
-// kernel lifetime — its lanes depend on neither the slot assignment nor
-// the sample index — and each Run resets the arena to the prefix
-// watermark, refills the input lanes, and re-executes only the suffix.
-// After warm-up the whole γ loop performs zero heap allocations.
+// A kernel belongs to whoever evaluates, not to what is evaluated: it is
+// a machine that is re-bound (Bind) to each program its owner meets,
+// keeping its lane buffers and arena — they only ever grow — so scratch
+// is sized by the largest program a worker has seen, not by the number
+// of programs in the corpus. Owners that evaluate for a moment (Prepare,
+// the verifier's sampling engine) borrow one from the package pool
+// (AcquireKernel/ReleaseKernel); a vcp.Evaluator keeps one from its first
+// memo miss until Close. Between binds, a kernel is reused across γ
+// correspondences: the γ-invariant prefix (Program.prefixLen) — its lanes
+// depend on neither the slot assignment nor the sample index — is
+// evaluated once per bind and batch row, and each run resets the arena
+// to the persistent watermark, refills the input lanes whose binding
+// changed, and re-executes only the suffix. Between binds the γ loop
+// performs zero heap allocations.
 //
-// γ-batched lanes: a kernel acquired with AcquireKernelBatch(k, g)
-// carries g×k lanes per register — g complete γ candidate assignments
-// side by side, each owning a contiguous k-lane row. BindRow stages one
-// assignment per row; RunRows executes the compiled suffix ONCE over
-// all staged rows (one instruction dispatch per g·k lanes instead of
-// per k), and FingerprintsRows extracts one fingerprint vector per row,
-// folding the per-row hash chains interleaved so their serial
-// multiply/mix latencies overlap across rows. A partial batch (rows <
-// g) executes only rows·k lanes — the trailing rows cost nothing.
-// g = 1 degenerates to the classic Run/Fingerprints path bit for bit.
+// γ-batched lanes: a kernel bound with Bind(p, k, g) carries g×k lanes
+// per register — g complete γ candidate assignments side by side, each
+// owning a contiguous k-lane row. BindRow stages one assignment per row;
+// RunRows executes the compiled suffix ONCE over all staged rows (one
+// instruction dispatch per g·k lanes instead of per k), and
+// FingerprintsRows extracts one fingerprint vector per row, folding the
+// per-row hash chains interleaved so their serial multiply/mix latencies
+// overlap across rows. A partial batch (rows < g) executes only rows·k
+// lanes — the trailing rows cost nothing. g = 1 degenerates to the
+// classic Run/Fingerprints path bit for bit.
 
-import "repro/internal/ivl"
+import (
+	"sync"
+
+	"repro/internal/ivl"
+)
 
 // memNode is one node of the kernel's arena-backed memory: either a
 // background root (parent < 0) or a store overlay. Semantics and hash
@@ -57,10 +69,10 @@ const memHashTag = 0xDEAD_BEEF_CAFE_F00D
 // paths.
 const fpPrime = 0x100_0000_01b3
 
-// Kernel is a reusable SoA evaluation state for one Program at a fixed
-// sample count and γ-batch width. It is not safe for concurrent use;
-// acquire one per goroutine via Program.AcquireKernel (g = 1) or
-// Program.AcquireKernelBatch.
+// Kernel is a reusable SoA evaluation machine. Bind points it at a
+// Program with a sample count and γ-batch width; everything from BindRow
+// to DefBits then refers to that binding, until the next Bind. The zero
+// Kernel is ready to Bind. Not safe for concurrent use: one per goroutine.
 type Kernel struct {
 	p *Program
 	// k is the samples-per-row count; g the γ-batch width (rows); lanes
@@ -69,26 +81,28 @@ type Kernel struct {
 	k, g, lanes int
 	// ints holds the integer lanes, lanes per register.
 	ints []uint64
-	// mems holds the memory lanes as arena indices (allocated only when
-	// the program touches memory).
+	// mems holds the memory lanes as arena indices (sized only when the
+	// bound program touches memory).
 	mems []int32
 	// arena is the memory store-node arena. The first persist nodes are
-	// permanent — the γ-invariant prefix's nodes plus one interned block
-	// of k background roots per input slot seen (rootBase maps slot to
-	// the block's first index) — and survive every run; the arena is
-	// truncated back to persist at the start of each Run, discarding only
-	// the transient store overlays the previous suffix execution built.
-	arena       []memNode
-	prefixArena int
-	persist     int
-	rootBase    map[int]int32
-	prefixDone  bool
-	// fps is the fingerprint scratch returned by Fingerprints and
-	// FingerprintsRows (rows*ndefs entries, row-major).
+	// permanent for the binding — the γ-invariant prefix's nodes for the
+	// rows evaluated so far plus one interned block of k background roots
+	// per input slot seen (rootBase maps slot to the block's first index)
+	// — and survive every run; the arena is truncated back to persist at
+	// the start of each RunRows, discarding only the transient store
+	// overlays the previous suffix execution built.
+	arena    []memNode
+	persist  int
+	rootBase map[int]int32
+	// prefixRows counts the batch rows whose lanes hold the evaluated
+	// prefix: a row pays for it the first time a run reaches that far.
+	prefixRows int
+	// fps is the fingerprint scratch returned by Fingerprints,
+	// FingerprintsRows and VaryingRows (row-major).
 	fps []uint64
 	// accs is the interleaved-fold accumulator scratch (g entries).
 	accs []uint64
-	// argHash is scratch for cCall argument hashing.
+	// argHash is scratch for cCall argument hashing (lanes entries).
 	argHash []uint64
 	// rowSlots stages the slot assignment per (row, input) between
 	// BindRow and RunRows.
@@ -101,86 +115,62 @@ type Kernel struct {
 	// be refilled — the delta-refill that makes consecutive γ
 	// assignments sharing most bindings nearly free to stage.
 	lastSlot []int
-	// runs counts suffix executions since the last profile flush; it
-	// feeds the opcode-frequency profile on ReleaseKernel.
-	runs uint64
 }
 
-// AcquireKernel returns a pooled kernel for the program, sized for k
-// samples at γ-batch width 1. Callers must ReleaseKernel it when done;
-// the kernel keeps its evaluated γ-invariant prefix across
-// acquire/release cycles.
-func (p *Program) AcquireKernel(k int) *Kernel {
-	return p.AcquireKernelBatch(k, 1)
+// kernelPool lends kernels to owners that evaluate one program for a
+// moment. It is the only pool: its population follows the number of
+// goroutines evaluating at once, never the number of programs.
+var kernelPool = sync.Pool{New: func() any { return new(Kernel) }}
+
+// AcquireKernel borrows a kernel, bound to nothing, from the package
+// pool. Callers Bind it before use and ReleaseKernel it when done.
+func AcquireKernel() *Kernel { return kernelPool.Get().(*Kernel) }
+
+// ReleaseKernel returns a kernel to the package pool with its buffers;
+// slices it handed out (Fingerprints, DefBits) die with the release.
+func ReleaseKernel(kn *Kernel) {
+	kn.p = nil // a pooled kernel must not keep a program alive
+	kernelPool.Put(kn)
 }
 
-// AcquireKernelBatch returns a pooled kernel carrying g×k lanes per
-// register: g γ candidate rows of k samples each. g < 1 is treated as 1.
-func (p *Program) AcquireKernelBatch(k, g int) *Kernel {
+// sized returns s with length n, reallocating only when it must; the
+// contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Bind points the kernel at program p for k samples × g batch rows
+// (g < 1 is treated as 1) and forgets everything the previous binding
+// left that a run could read: the evaluated prefix, the arena with its
+// interned roots, and every remembered slot binding. Buffers are kept
+// and only grow. Register lanes keep stale values from earlier programs,
+// which is safe for the reason partial batches are: a lane is written —
+// by the prefix, the input refill or an earlier suffix instruction —
+// before anything reads it.
+func (kn *Kernel) Bind(p *Program, k, g int) {
 	if g < 1 {
 		g = 1
 	}
-	kn, _ := p.kpool.Get().(*Kernel)
-	if kn == nil {
-		kn = &Kernel{p: p}
+	kn.p, kn.k, kn.g, kn.lanes = p, k, g, g*k
+	n := p.nregs * kn.lanes
+	kn.ints = sized(kn.ints, n)
+	if p.hasMem {
+		kn.mems = sized(kn.mems, n)
 	}
-	kn.ensure(k, g)
-	return kn
-}
-
-// ReleaseKernel returns a kernel to the program's pool, folding the
-// kernel's dynamic execution counts into the package opcode profile
-// that guides suffix scheduling for later compilations.
-func (p *Program) ReleaseKernel(kn *Kernel) {
-	if kn.runs > 0 {
-		p.flushProfile(kn.runs)
-		kn.runs = 0
-	}
-	p.kpool.Put(kn)
-}
-
-// ensure sizes the lane buffers for k samples × g rows, preserving them
-// (and the prefix evaluation) when the kernel was last used with the
-// same shape.
-func (kn *Kernel) ensure(k, g int) {
-	if kn.k == k && kn.g == g {
-		return
-	}
-	kn.k, kn.g = k, g
-	kn.lanes = g * k
-	kn.prefixDone = false
-	n := kn.p.nregs * kn.lanes
-	if cap(kn.ints) < n {
-		kn.ints = make([]uint64, n)
-	}
-	kn.ints = kn.ints[:n]
-	if kn.p.hasMem {
-		if cap(kn.mems) < n {
-			kn.mems = make([]int32, n)
-		}
-		kn.mems = kn.mems[:n]
-	}
-	nfp := len(kn.p.defRegs) * g
-	if cap(kn.fps) < nfp {
-		kn.fps = make([]uint64, nfp)
-	}
-	kn.fps = kn.fps[:nfp]
-	if cap(kn.accs) < g {
-		kn.accs = make([]uint64, g)
-	}
-	kn.accs = kn.accs[:g]
-	ns := len(kn.p.Inputs) * g
-	if cap(kn.rowSlots) < ns {
-		kn.rowSlots = make([]int, ns)
-	}
-	kn.rowSlots = kn.rowSlots[:ns]
-	if cap(kn.lastSlot) < ns {
-		kn.lastSlot = make([]int, ns)
-	}
-	kn.lastSlot = kn.lastSlot[:ns]
+	kn.fps = sized(kn.fps, len(p.defRegs)*g)
+	kn.accs = sized(kn.accs, g)
+	kn.argHash = sized(kn.argHash, kn.lanes)
+	kn.rowSlots = sized(kn.rowSlots, len(p.Inputs)*g)
+	kn.lastSlot = sized(kn.lastSlot, len(p.Inputs)*g)
 	for i := range kn.lastSlot {
 		kn.lastSlot[i] = -1
 	}
+	kn.arena = kn.arena[:0]
+	kn.persist, kn.prefixRows = 0, 0
+	clear(kn.rootBase)
 }
 
 // BatchWidth returns the kernel's γ-batch width g.
@@ -195,8 +185,7 @@ func (kn *Kernel) BindRow(r int, slotOf []int) {
 }
 
 // Run evaluates the program over all k samples with input i bound to
-// slot slotOf[i], using batch row 0. The γ-invariant prefix is
-// evaluated at most once per kernel; Run re-executes only the suffix.
+// slot slotOf[i], using batch row 0.
 func (kn *Kernel) Run(slotOf []int) {
 	kn.BindRow(0, slotOf)
 	kn.RunRows(1)
@@ -205,21 +194,18 @@ func (kn *Kernel) Run(slotOf []int) {
 // RunRows evaluates the compiled code over batch rows [0, rows), whose
 // assignments must have been staged with BindRow: one suffix execution
 // — one instruction dispatch per rows·k lanes — covering every staged γ
-// candidate. Integer input rows whose slot binding is unchanged since
-// their last run are not refilled.
+// candidate. Rows this binding has not run before first get the
+// γ-invariant prefix (it depends on neither slots nor samples, so it
+// stays valid in a row's lanes until the next Bind); input rows whose
+// slot binding is unchanged since their last run are not refilled.
 func (kn *Kernel) RunRows(rows int) {
-	if !kn.prefixDone {
-		kn.arena = kn.arena[:0]
-		// The prefix depends on neither slots nor samples: evaluate it
-		// across ALL g rows once, so any later rows count finds it live.
-		kn.exec(0, kn.p.prefixLen, kn.lanes)
-		kn.prefixArena = len(kn.arena)
-		kn.persist = kn.prefixArena
-		clear(kn.rootBase)
-		kn.prefixDone = true
-	}
 	kn.arena = kn.arena[:kn.persist]
 	k, L := kn.k, kn.lanes
+	if rows > kn.prefixRows {
+		kn.exec(0, kn.p.prefixLen, kn.prefixRows*k, rows*k)
+		kn.prefixRows = rows
+		kn.persist = len(kn.arena)
+	}
 	nIn := len(kn.p.Inputs)
 	for r := 0; r < rows; r++ {
 		base := r * nIn
@@ -240,8 +226,7 @@ func (kn *Kernel) RunRows(rows int) {
 			}
 		}
 	}
-	kn.exec(kn.p.prefixLen, len(kn.p.code), rows*k)
-	kn.runs++
+	kn.exec(kn.p.prefixLen, len(kn.p.code), 0, rows*k)
 }
 
 // internRoots returns the arena index of slot's block of k background
@@ -273,10 +258,10 @@ func (kn *Kernel) internRoots(slot int) int32 {
 // one value-vector fingerprint per original SSA definition, in
 // definition order — byte-identical to Program.Fingerprints. The
 // returned slice is the kernel's scratch buffer: it is overwritten by
-// the next call and must not be retained past ReleaseKernel.
+// the next call and must not be retained past the next Bind or release.
 func (kn *Kernel) Fingerprints(slotOf []int) []uint64 {
-	kn.Run(slotOf)
-	return kn.foldRows(1)
+	kn.BindRow(0, slotOf)
+	return kn.FingerprintsRows(1)
 }
 
 // FingerprintsRows executes rows staged γ candidates in one batch and
@@ -286,21 +271,33 @@ func (kn *Kernel) Fingerprints(slotOf []int) []uint64 {
 // slice is kernel scratch, overwritten by the next call.
 func (kn *Kernel) FingerprintsRows(rows int) []uint64 {
 	kn.RunRows(rows)
-	return kn.foldRows(rows)
+	return kn.foldRows(kn.p.defRegs, rows)
 }
 
-// foldRows reduces each active row's lane vectors to per-definition
-// fingerprints. The per-row fold is a serial hash chain (multiply, xor,
-// mix per sample); folding rows interleaved — inner loop over rows —
-// overlaps those chains' latencies, which is where most of the γ-batch
-// amortization comes from.
-func (kn *Kernel) foldRows(rows int) []uint64 {
+// VaryingRows is FingerprintsRows reduced to what varies with the
+// assignment: entry [r*len(Varying) + i] is row r's fingerprint of the
+// program's i-th distinct γ-dependent definition register (the
+// fingerprint FingerprintsRows reports for definition Varying()[i].Def
+// and for every other definition that register holds). γ-invariant
+// definitions are not folded at all. This is the form the production γ
+// loop scores and memoizes.
+func (kn *Kernel) VaryingRows(rows int) []uint64 {
+	kn.RunRows(rows)
+	return kn.foldRows(kn.p.varRegs, rows)
+}
+
+// foldRows reduces each active row's lane vectors of the listed
+// registers to fingerprints. The per-row fold is a serial hash chain
+// (multiply, xor, mix per sample); folding rows interleaved — inner loop
+// over rows — overlaps those chains' latencies, which is where most of
+// the γ-batch amortization comes from.
+func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 	k, L := kn.k, kn.lanes
-	nd := len(kn.p.defRegs)
+	nd := len(regs)
 	fps := kn.fps[:rows*nd]
 	accs := kn.accs[:rows]
-	for d := range kn.p.defRegs {
-		di := &kn.p.defRegs[d]
+	for d := range regs {
+		di := &regs[d]
 		base := di.reg * L
 		if di.isMem {
 			switch rows {
@@ -463,14 +460,15 @@ func (kn *Kernel) load(idx int32, addr uint64, w uint) uint64 {
 	return v
 }
 
-// exec runs code[lo:hi] over the first nl of each register's lanes: one
+// exec runs code[lo:hi] over lanes [l0, l1) of each register: one
 // dispatch per instruction, one tight loop per lane vector. The lane
-// stride is kn.lanes (g×k); a partial γ batch passes nl = rows·k so the
-// unused trailing rows cost nothing. Lanes beyond nl may hold stale
-// values (including dangling arena indices from a previous, longer run);
-// they are never read, because every consumer — exec itself, foldRows,
-// DefBits — bounds its sweeps by the same active lane count.
-func (kn *Kernel) exec(lo, hi, nl int) {
+// stride is kn.lanes (g×k); a partial γ batch passes l1 = rows·k so the
+// unused trailing rows cost nothing. Lanes beyond the range may hold
+// stale values (including dangling arena indices from a previous, longer
+// run or an earlier binding); they are never read, because every
+// consumer — exec itself, foldRows, DefBits — bounds its sweeps by the
+// same active lane count.
+func (kn *Kernel) exec(lo, hi, l0, l1 int) {
 	L := kn.lanes
 	code := kn.p.code
 	memReg := kn.p.memReg
@@ -479,19 +477,19 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 		d := in.dst * L
 		switch in.op {
 		case cConst:
-			lane := kn.ints[d : d+nl]
+			lane := kn.ints[d+l0 : d+l1]
 			v := in.val
 			for s := range lane {
 				lane[s] = v
 			}
 		case cBin:
 			if memReg[in.a] || memReg[in.b] {
-				kn.execBinMem(in, d, nl)
+				kn.execBinMem(in, d, l0, l1)
 				continue
 			}
-			evalBinLanes(in.bin, kn.ints[d:d+nl], kn.ints[in.a*L:in.a*L+nl], kn.ints[in.b*L:in.b*L+nl])
+			evalBinLanes(in.bin, kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1])
 		case cUn:
-			dst, x := kn.ints[d:d+nl], kn.ints[in.a*L:in.a*L+nl]
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
 			switch in.un {
 			case ivl.Not:
 				for s := range dst {
@@ -507,10 +505,10 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 				}
 			}
 		case cIte:
-			c := kn.ints[in.c*L : in.c*L+nl]
+			c := kn.ints[in.c*L+l0 : in.c*L+l1]
 			if memReg[in.dst] {
-				dst := kn.mems[d : d+nl]
-				a, b := kn.mems[in.a*L:in.a*L+nl], kn.mems[in.b*L:in.b*L+nl]
+				dst := kn.mems[d+l0 : d+l1]
+				a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
 				for s := range dst {
 					if c[s] != 0 {
 						dst[s] = a[s]
@@ -519,8 +517,8 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 					}
 				}
 			} else {
-				dst := kn.ints[d : d+nl]
-				a, b := kn.ints[in.a*L:in.a*L+nl], kn.ints[in.b*L:in.b*L+nl]
+				dst := kn.ints[d+l0 : d+l1]
+				a, b := kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
 				for s := range dst {
 					if c[s] != 0 {
 						dst[s] = a[s]
@@ -530,7 +528,7 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 				}
 			}
 		case cTrunc:
-			dst, x := kn.ints[d:d+nl], kn.ints[in.a*L:in.a*L+nl]
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
 			if in.bits >= 64 {
 				copy(dst, x)
 			} else {
@@ -540,29 +538,29 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 				}
 			}
 		case cSext:
-			dst, x := kn.ints[d:d+nl], kn.ints[in.a*L:in.a*L+nl]
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
 			sh := 64 - in.bits
 			for s := range dst {
 				dst[s] = uint64(int64(x[s]<<sh) >> sh)
 			}
 		case cLoad:
-			dst := kn.ints[d : d+nl]
-			m, a := kn.mems[in.a*L:in.a*L+nl], kn.ints[in.b*L:in.b*L+nl]
+			dst := kn.ints[d+l0 : d+l1]
+			m, a := kn.mems[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
 			w := in.w
 			for s := range dst {
 				dst[s] = kn.load(m[s], a[s], w)
 			}
 		case cStore:
-			dst := kn.mems[d : d+nl]
-			m := kn.mems[in.a*L : in.a*L+nl]
-			a, v := kn.ints[in.b*L:in.b*L+nl], kn.ints[in.c*L:in.c*L+nl]
+			dst := kn.mems[d+l0 : d+l1]
+			m := kn.mems[in.a*L+l0 : in.a*L+l1]
+			a, v := kn.ints[in.b*L+l0:in.b*L+l1], kn.ints[in.c*L+l0:in.c*L+l1]
 			w := in.w
 			// One overlay per lane, appended as a block: grow the arena
 			// once and write by index, so the hot store loop carries no
 			// per-lane append or capacity checks. Semantics and hash
 			// construction mirror ivl.MemVal.Store exactly.
 			arena := kn.arena
-			base := len(arena)
+			base, nl := len(arena), l1-l0
 			if cap(arena) < base+nl {
 				na := make([]memNode, base, 2*cap(arena)+nl)
 				copy(na, arena)
@@ -586,34 +584,31 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 			}
 			kn.arena = arena
 		case cCall:
-			if cap(kn.argHash) < L {
-				kn.argHash = make([]uint64, L)
-			}
-			h := kn.argHash[:nl]
+			h := kn.argHash[:l1-l0]
 			sym := in.sym
 			for s := range h {
 				h[s] = sym
 			}
 			for _, ar := range in.args {
 				if memReg[ar] {
-					lane := kn.mems[ar*L : ar*L+nl]
+					lane := kn.mems[ar*L+l0 : ar*L+l1]
 					for s := range h {
 						h[s] = mix64(h[s] ^ kn.arena[lane[s]].hash)
 					}
 				} else {
-					lane := kn.ints[ar*L : ar*L+nl]
+					lane := kn.ints[ar*L+l0 : ar*L+l1]
 					for s := range h {
 						h[s] = mix64(h[s] ^ lane[s])
 					}
 				}
 			}
 			if in.memC {
-				dst := kn.mems[d : d+nl]
+				dst := kn.mems[d+l0 : d+l1]
 				for s := range dst {
 					dst[s] = kn.newRoot(h[s])
 				}
 			} else {
-				copy(kn.ints[d:d+nl], h)
+				copy(kn.ints[d+l0:d+l1], h)
 			}
 		}
 	}
@@ -622,9 +617,9 @@ func (kn *Kernel) exec(lo, hi, nl int) {
 // execBinMem handles the rare cBin whose operands include a memory
 // value: only (in)equality is meaningful; everything else yields 0, as
 // in the scalar path.
-func (kn *Kernel) execBinMem(in *cinstr, d, nl int) {
+func (kn *Kernel) execBinMem(in *cinstr, d, l0, l1 int) {
 	L := kn.lanes
-	dst := kn.ints[d : d+nl]
+	dst := kn.ints[d+l0 : d+l1]
 	memA, memB := kn.p.memReg[in.a], kn.p.memReg[in.b]
 	if in.bin != ivl.Eq && in.bin != ivl.Ne {
 		for s := range dst {
@@ -640,7 +635,7 @@ func (kn *Kernel) execBinMem(in *cinstr, d, nl int) {
 		}
 		return
 	}
-	a, b := kn.mems[in.a*L:in.a*L+nl], kn.mems[in.b*L:in.b*L+nl]
+	a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
 	for s := range dst {
 		eq := kn.arena[a[s]].hash == kn.arena[b[s]].hash
 		if in.bin == ivl.Ne {

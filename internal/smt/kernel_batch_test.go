@@ -3,6 +3,8 @@ package smt
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/ivl"
 )
 
 // TestKernelBatchRowsMatchScalar: FingerprintsRows over every batch
@@ -21,7 +23,7 @@ func TestKernelBatchRowsMatchScalar(t *testing.T) {
 			t.Fatalf("trial %d: well-typed program rejected", trial)
 		}
 		for _, g := range []int{1, 2, 3, 8, 16} {
-			kern := prog.AcquireKernelBatch(DefaultSamples, g)
+			kern := bindKernel(prog, DefaultSamples, g)
 			if kern.BatchWidth() != g {
 				t.Fatalf("BatchWidth = %d, want %d", kern.BatchWidth(), g)
 			}
@@ -50,7 +52,7 @@ func TestKernelBatchRowsMatchScalar(t *testing.T) {
 					}
 				}
 			}
-			prog.ReleaseKernel(kern)
+			ReleaseKernel(kern)
 		}
 	}
 }
@@ -67,8 +69,8 @@ func TestKernelBatchDeltaRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	const g = 4
-	kern := prog.AcquireKernelBatch(DefaultSamples, g)
-	defer prog.ReleaseKernel(kern)
+	kern := bindKernel(prog, DefaultSamples, g)
+	defer ReleaseKernel(kern)
 	base := randomSlots(rng, len(inputs))
 	for flush := 0; flush < 10; flush++ {
 		staged := make([][]int, g)
@@ -96,9 +98,9 @@ func TestKernelBatchDeltaRefill(t *testing.T) {
 	}
 }
 
-// TestKernelBatchReshape: one pooled kernel re-acquired with different
-// (samples, width) shapes must resize and re-evaluate its prefix
-// correctly each time.
+// TestKernelBatchReshape: one kernel re-bound with different (samples,
+// width) shapes must resize and re-evaluate its prefix correctly each
+// time.
 func TestKernelBatchReshape(t *testing.T) {
 	rng := rand.New(rand.NewSource(717171))
 	stmts, inputs := randomKernelStrand(rng, 3, 10)
@@ -111,7 +113,7 @@ func TestKernelBatchReshape(t *testing.T) {
 		{DefaultSamples, 16}, {DefaultSamples, 1},
 	}
 	for _, sh := range shapes {
-		kern := prog.AcquireKernelBatch(sh.k, sh.g)
+		kern := bindKernel(prog, sh.k, sh.g)
 		rows := 1 + rng.Intn(sh.g)
 		staged := make([][]int, rows)
 		for r := range staged {
@@ -129,7 +131,7 @@ func TestKernelBatchReshape(t *testing.T) {
 				}
 			}
 		}
-		prog.ReleaseKernel(kern)
+		ReleaseKernel(kern)
 	}
 }
 
@@ -143,8 +145,8 @@ func TestKernelBatchAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const g = 8
-	kern := prog.AcquireKernelBatch(DefaultSamples, g)
-	defer prog.ReleaseKernel(kern)
+	kern := bindKernel(prog, DefaultSamples, g)
+	defer ReleaseKernel(kern)
 	slotSets := make([][]int, g)
 	for r := range slotSets {
 		slotSets[r] = randomSlots(rng, len(inputs))
@@ -163,45 +165,98 @@ func TestKernelBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestScheduleSuffixProfileStable: compiling the same strand with a cold
-// and a deliberately hot opcode profile may reorder the suffix, but
-// fingerprints must be identical — the scheduler respects all data
-// dependencies.
-func TestScheduleSuffixProfileStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(919191))
-	for trial := 0; trial < 40; trial++ {
-		stmts, inputs := randomKernelStrand(rng, 3, 12)
-		before, err := CompileStrand(stmts, inputs)
+// TestVaryingRowsMatchPerDefinition pins the reduced fingerprint form to
+// the per-definition one: Varying and ConstDefs together account for
+// every definition exactly once, VaryingRows reports — at every width and
+// fill level — the scalar reference's fingerprint of each class's first
+// definition, every other definition of the class has that fingerprint
+// too, and a γ-invariant definition's fingerprint does not move with the
+// assignment. The first program is hand-built around the two shapes
+// random programs rarely produce: copies (several definitions in one
+// register, one of them an input's) and constant-only definitions.
+func TestVaryingRowsMatchPerDefinition(t *testing.T) {
+	iv := func(n string) ivl.Var { return ivl.Var{Name: n, Type: ivl.Int} }
+	type strandCase struct {
+		stmts  []ivl.Stmt
+		inputs []ivl.Var
+	}
+	cases := []strandCase{{
+		stmts: []ivl.Stmt{
+			ivl.Assign(iv("c1"), ivl.Bin(ivl.Mul, ivl.C(7), ivl.C(9))),
+			ivl.Assign(iv("d1"), ivl.Bin(ivl.Add, ivl.IntVar("x"), ivl.IntVar("c1"))),
+			ivl.Assign(iv("d2"), ivl.IntVar("d1")), // copy of a definition
+			ivl.Assign(iv("d3"), ivl.IntVar("y")),  // copy of an input
+			ivl.Assign(iv("d4"), ivl.IntVar("d2")),
+			ivl.Assign(iv("c2"), ivl.IntVar("c1")), // copy of a constant
+			ivl.Assign(iv("d5"), ivl.Bin(ivl.Xor, ivl.IntVar("d3"), ivl.IntVar("d4"))),
+		},
+		inputs: []ivl.Var{iv("x"), iv("y")},
+	}}
+	rng := rand.New(rand.NewSource(212121))
+	for i := 0; i < 60; i++ {
+		stmts, inputs := randomKernelStrand(rng, 1+rng.Intn(4), 4+rng.Intn(14))
+		cases = append(cases, strandCase{stmts, inputs})
+	}
+	for ci, c := range cases {
+		prog, err := CompileStrand(c.stmts, c.inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Heat the profile: run and release a kernel many times so the
-		// dynamic counts dwarf whatever other tests contributed.
-		slots := randomSlots(rng, len(inputs))
-		for i := 0; i < 8; i++ {
-			kern := before.AcquireKernel(DefaultSamples)
-			for j := 0; j < 64; j++ {
-				kern.Fingerprints(slots)
-			}
-			before.ReleaseKernel(kern)
+		classes, consts := prog.Varying(), prog.ConstDefs()
+		covered := len(consts)
+		for _, cl := range classes {
+			covered += cl.Mult
 		}
-		after, err := CompileStrand(stmts, inputs)
-		if err != nil {
-			t.Fatal(err)
+		if covered != len(c.stmts) {
+			t.Fatalf("case %d: Σ mult + consts = %d, want %d definitions", ci, covered, len(c.stmts))
 		}
-		for g := 0; g < 4; g++ {
-			sl := randomSlots(rng, len(inputs))
-			want := before.Fingerprints(sl, DefaultSamples)
-			got := after.Fingerprints(sl, DefaultSamples)
-			kern := after.AcquireKernel(DefaultSamples)
-			kfps := kern.Fingerprints(sl)
-			for d := range want {
-				if got[d] != want[d] || kfps[d] != want[d] {
-					t.Fatalf("trial %d γ %d def %d: pre-profile %#x post-profile %#x kernel %#x",
-						trial, g, d, want[d], got[d], kfps[d])
+		if ci == 0 && (len(classes) != 3 || classes[0].Mult != 3 || classes[1].Mult != 1 || len(consts) != 2) {
+			t.Fatalf("hand-built case: classes %+v consts %v, want mults 3,1,1 and 2 constants", classes, consts)
+		}
+		var constWant []uint64
+		for _, g := range []int{1, 3, 8} {
+			kern := bindKernel(prog, DefaultSamples, g)
+			for flush := 0; flush < 2; flush++ {
+				rows := 1 + rng.Intn(g)
+				staged := make([][]int, rows)
+				for r := range staged {
+					staged[r] = randomSlots(rng, len(c.inputs))
+					kern.BindRow(r, staged[r])
+				}
+				got := kern.VaryingRows(rows)
+				if len(got) != rows*len(classes) {
+					t.Fatalf("case %d g=%d: %d reduced fingerprints for %d rows × %d classes", ci, g, len(got), rows, len(classes))
+				}
+				for r := range staged {
+					want := prog.Fingerprints(staged[r], DefaultSamples)
+					for i, cl := range classes {
+						if got[r*len(classes)+i] != want[cl.Def] {
+							t.Fatalf("case %d g=%d row %d class %d: reduced %#x, scalar def %d %#x",
+								ci, g, r, i, got[r*len(classes)+i], cl.Def, want[cl.Def])
+						}
+						same := 0
+						for d := cl.Def; d < len(want); d++ {
+							if want[d] == want[cl.Def] {
+								same++
+							}
+						}
+						if same < cl.Mult {
+							t.Fatalf("case %d class %d: %d definitions carry its fingerprint, multiplicity says %d", ci, i, same, cl.Mult)
+						}
+					}
+					if constWant == nil {
+						for _, d := range consts {
+							constWant = append(constWant, want[d])
+						}
+					}
+					for j, d := range consts {
+						if want[d] != constWant[j] {
+							t.Fatalf("case %d: γ-invariant def %d moved with the assignment", ci, d)
+						}
+					}
 				}
 			}
-			after.ReleaseKernel(kern)
+			ReleaseKernel(kern)
 		}
 	}
 }

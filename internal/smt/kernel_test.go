@@ -88,6 +88,15 @@ func randomKernelStrand(rng *rand.Rand, nIn, nStmts int) ([]ivl.Stmt, []ivl.Var)
 	return stmts, inputs
 }
 
+// bindKernel borrows a pooled kernel and binds it to prog. The pool
+// hands a goroutine its last kernel back, so tests that cycle through
+// programs this way also walk one kernel through every re-bind.
+func bindKernel(prog *Program, k, g int) *Kernel {
+	kn := AcquireKernel()
+	kn.Bind(prog, k, g)
+	return kn
+}
+
 // randomSlots returns a random (not necessarily injective) slot
 // assignment, the way γ enumeration rebinds query inputs to target
 // slots.
@@ -115,7 +124,7 @@ func TestKernelMatchesScalar(t *testing.T) {
 		if !prog.BatchOK() {
 			t.Fatalf("trial %d: well-typed program rejected by the kernel's static typing", trial)
 		}
-		kern := prog.AcquireKernel(DefaultSamples)
+		kern := bindKernel(prog, DefaultSamples, 1)
 		for g := 0; g < 6; g++ {
 			slots := randomSlots(rng, len(inputs))
 			want := prog.Fingerprints(slots, DefaultSamples)
@@ -127,7 +136,7 @@ func TestKernelMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		prog.ReleaseKernel(kern)
+		ReleaseKernel(kern)
 	}
 }
 
@@ -153,8 +162,8 @@ func TestKernelPrefixHoisting(t *testing.T) {
 	if prefix == 0 || prefix >= total {
 		t.Fatalf("prefix/total = %d/%d, want a proper split", prefix, total)
 	}
-	kern := prog.AcquireKernel(DefaultSamples)
-	defer prog.ReleaseKernel(kern)
+	kern := bindKernel(prog, DefaultSamples, 1)
+	defer ReleaseKernel(kern)
 	for _, slots := range [][]int{{0}, {1}, {2}} {
 		want := prog.Fingerprints(slots, DefaultSamples)
 		got := kern.Fingerprints(slots)
@@ -176,8 +185,8 @@ func TestKernelGammaLoopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kern := prog.AcquireKernel(DefaultSamples)
-	defer prog.ReleaseKernel(kern)
+	kern := bindKernel(prog, DefaultSamples, 1)
+	defer ReleaseKernel(kern)
 	slotSets := [][]int{}
 	for i := 0; i < 4; i++ {
 		slotSets = append(slotSets, randomSlots(rng, len(inputs)))
@@ -195,8 +204,8 @@ func TestKernelGammaLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestKernelPoolReuse: acquire/release cycles must keep results stable
-// (the pooled kernel keeps its prefix evaluation and buffers).
+// TestKernelPoolReuse: acquire/bind/release cycles must keep results
+// stable (the pooled kernel keeps its buffers, and nothing else).
 func TestKernelPoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	stmts, inputs := randomKernelStrand(rng, 3, 10)
@@ -207,19 +216,19 @@ func TestKernelPoolReuse(t *testing.T) {
 	slots := randomSlots(rng, len(inputs))
 	want := prog.Fingerprints(slots, DefaultSamples)
 	for i := 0; i < 5; i++ {
-		kern := prog.AcquireKernel(DefaultSamples)
+		kern := bindKernel(prog, DefaultSamples, 1)
 		got := kern.Fingerprints(slots)
 		for d := range want {
 			if got[d] != want[d] {
 				t.Fatalf("cycle %d def %d: batch %#x scalar %#x", i, d, got[d], want[d])
 			}
 		}
-		prog.ReleaseKernel(kern)
+		ReleaseKernel(kern)
 	}
 }
 
-// TestKernelSampleCountChange: a pooled kernel re-acquired with a
-// different sample count must resize correctly.
+// TestKernelSampleCountChange: a kernel re-bound with a different sample
+// count must resize correctly.
 func TestKernelSampleCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	stmts, inputs := randomKernelStrand(rng, 2, 8)
@@ -230,14 +239,14 @@ func TestKernelSampleCountChange(t *testing.T) {
 	slots := randomSlots(rng, len(inputs))
 	for _, k := range []int{DefaultSamples, 7, DefaultSamples, 3} {
 		want := prog.Fingerprints(slots, k)
-		kern := prog.AcquireKernel(k)
+		kern := bindKernel(prog, k, 1)
 		got := kern.Fingerprints(slots)
 		for d := range want {
 			if got[d] != want[d] {
 				t.Fatalf("k=%d def %d: batch %#x scalar %#x", k, d, got[d], want[d])
 			}
 		}
-		prog.ReleaseKernel(kern)
+		ReleaseKernel(kern)
 	}
 }
 
@@ -287,8 +296,8 @@ func FuzzKernel(f *testing.F) {
 			t.Fatal("generated well-typed program rejected by static typing")
 		}
 		srng := rand.New(rand.NewSource(int64(slotSeed)))
-		kern := prog.AcquireKernel(DefaultSamples)
-		defer prog.ReleaseKernel(kern)
+		kern := bindKernel(prog, DefaultSamples, 1)
+		defer ReleaseKernel(kern)
 		for g := 0; g < 3; g++ {
 			slots := randomSlots(srng, len(inputs))
 			want := prog.Fingerprints(slots, DefaultSamples)
@@ -303,8 +312,8 @@ func FuzzKernel(f *testing.F) {
 		// γ-batched rows: a partial batch through one suffix execution
 		// must match the scalar reference per row.
 		width := 2 + int(progSeed%7)
-		bkern := prog.AcquireKernelBatch(DefaultSamples, width)
-		defer prog.ReleaseKernel(bkern)
+		bkern := bindKernel(prog, DefaultSamples, width)
+		defer ReleaseKernel(bkern)
 		rows := 1 + int(slotSeed%uint64(width))
 		staged := make([][]int, rows)
 		for r := 0; r < rows; r++ {
@@ -319,6 +328,39 @@ func FuzzKernel(f *testing.F) {
 				if fps[r*nd+d] != want[d] {
 					t.Fatalf("row %d def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d width=%d)",
 						r, d, fps[r*nd+d], want[d], progSeed, slotSeed, width)
+				}
+			}
+		}
+		// Re-bind: the same batched kernel, still holding the first
+		// program's lanes, arena, interned roots and slot bindings, moves
+		// to an unrelated program at another width and then back. Both
+		// forms — per definition and reduced to what varies — must match
+		// the scalar reference as if the kernel were new.
+		other, otherIn := randomKernelStrand(srng, 1+srng.Intn(5), 1+srng.Intn(20))
+		oprog, err := CompileStrand(other, otherIn)
+		if err != nil {
+			t.Fatalf("generated program failed to compile: %v", err)
+		}
+		for _, step := range []struct {
+			p *Program
+			g int
+		}{{oprog, 1 + int(slotSeed%5)}, {prog, width}} {
+			bkern.Bind(step.p, DefaultSamples, step.g)
+			slots := randomSlots(srng, len(step.p.Inputs))
+			want := step.p.Fingerprints(slots, DefaultSamples)
+			bkern.BindRow(0, slots)
+			got := bkern.FingerprintsRows(1)
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("after re-bind, def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
+						d, got[d], want[d], progSeed, slotSeed)
+				}
+			}
+			got = bkern.VaryingRows(1)
+			for i, c := range step.p.Varying() {
+				if got[i] != want[c.Def] {
+					t.Fatalf("after re-bind, varying %d (def %d): batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
+						i, c.Def, got[i], want[c.Def], progSeed, slotSeed)
 				}
 			}
 		}

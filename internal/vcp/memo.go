@@ -3,44 +3,72 @@ package vcp
 import "sync"
 
 // The γ-fingerprint memo. A correspondence γ binds each input of the
-// evaluated strand to a sample slot, and the strand's per-definition
-// fingerprints under γ are a pure function of (compiled program, slot
-// assignment, sample count): the kernel's BindRow/FillSlotBits/
-// SlotMemSeed never see the other strand of the pair. Every pair that
-// enumerates the same assignment therefore recomputes the same vector.
-// The memo stores it once per (strand, assignment); Evaluator.Compute
-// consults it at every enumeration leaf and sends only the misses
-// through the kernel.
+// evaluated strand to a sample slot, and the strand's fingerprints under
+// γ are a pure function of (compiled program, slot assignment, sample
+// count): the kernel's BindRow/FillSlotBits/SlotMemSeed never see the
+// other strand of the pair. Every pair that enumerates the same
+// assignment therefore recomputes the same vector. The memo stores it
+// once per (strand, assignment); Evaluator.Compute consults it at every
+// enumeration leaf and sends only the misses through the kernel.
+//
+// An entry holds only what varies with the assignment: one fingerprint
+// per distinct γ-dependent definition register (smt.Program.Varying).
+// Definitions that share a register are scored through the class's
+// multiplicity, and γ-invariant definitions are constants of the strand
+// kept once on the Prepared — neither is stored per entry.
 
 // memo maps slot assignments of one strand's inputs to the strand's
-// fingerprints under them. Entries are append-only and never rewritten,
-// so a fingerprint slice handed out by find stays valid after the lock
-// is dropped — through slab growth (the old array stays reachable from
-// the slice) and through eviction (reset drops the slabs, it does not
-// reuse them).
+// reduced fingerprints under them. Entries are append-only, never
+// rewritten and never moved: they live in chunks that are filled once
+// and then only read, so a fingerprint slice handed out by find stays
+// valid after the lock is dropped — while later entries go to new chunks,
+// and through eviction (reset drops the chunks, it does not reuse them).
 type memo struct {
-	// nIn and nd are the strand's input and definition counts; samples
-	// is the sample count the owning Prepared was built with. An
-	// evaluator configured for another sample count bypasses the memo.
-	nIn, nd, samples int
-	// pool, when non-nil, is charged for every byte the slabs hold.
+	// nIn is the strand's input count and nd the length of its reduced
+	// fingerprint vector (both may be 0).
+	nIn, nd int
+	// pool, when non-nil, is charged for every byte the memo holds.
 	pool *MemoPool
 
 	mu sync.RWMutex
-	// Entry e is the assignment keys[e*nIn:(e+1)*nIn] with fingerprints
-	// fps[e*nd:(e+1)*nd]. table is open-addressed over entry index + 1
-	// (0 = empty) with linear probing; its length is a power of two at
-	// least twice the entry count.
-	keys  []int32
-	fps   []uint64
-	table []int32
-	n     int
+	// chunks holds the entries; the last chunk has tailLen of its tailCap
+	// entry places filled, every earlier one is full. table is
+	// open-addressed over entry reference + 1 (0 = empty) with linear
+	// probing; its length is a power of two at least twice the entry
+	// count n. bytes is what chunks and table hold (see footprint); it
+	// changes only when a chunk is added or the table doubles.
+	chunks           []memoChunk
+	tailLen, tailCap int
+	table            []int32
+	n                int
+	bytes            int64
 
 	// charged is what pool.bytes currently includes for this memo and
 	// queued whether pool.order lists it; both are guarded by pool.mu.
 	charged int64
 	queued  bool
 }
+
+// memoChunk is one run of entries: entry o is the assignment
+// keys[o*nIn:(o+1)*nIn] (kept for exact comparison: a hash alone would
+// make exactness probabilistic) with fingerprints fps[o*nd:(o+1)*nd].
+// Both arrays are allocated at their final capacity.
+type memoChunk struct {
+	keys []int32
+	fps  []uint64
+}
+
+// An entry reference is chunk<<memoChunkBits | place. A chunk holds a
+// quarter of the entries before it — the slack the budget pays for stays
+// under a fifth of the memo, as when slabs grew by a quarter — between
+// memoMinChunk, so a strand with a handful of assignments pays for a
+// handful, and 1<<memoChunkBits, so a large memo's slack is bounded in
+// absolute terms too.
+const (
+	memoChunkBits   = 8
+	memoMinChunk    = 4
+	memoChunkHeader = 48 // two slice headers
+)
 
 // hashSlots hashes a slot assignment; []int (the enumeration's form) and
 // []int32 (the stored form) hash alike, so growth can rehash stored keys.
@@ -52,100 +80,120 @@ func hashSlots[T int | int32](a []T) uint64 {
 	return h ^ h>>29
 }
 
-// find returns the memoized fingerprints of assignment a (hash h), or
-// nil. Callers hold mu.
-func (m *memo) find(a []int, h uint64) []uint64 {
+// entry returns the key and fingerprints of entry reference ref.
+func (m *memo) entry(ref int32) ([]int32, []uint64) {
+	c, o := &m.chunks[ref>>memoChunkBits], int(ref&(1<<memoChunkBits-1))
+	return c.keys[o*m.nIn : (o+1)*m.nIn], c.fps[o*m.nd : (o+1)*m.nd : (o+1)*m.nd]
+}
+
+// find returns the memoized fingerprints of assignment a (hash h) and
+// whether the memo holds it: a strand with no γ-dependent definition has
+// an empty vector, so the slice alone cannot say. Callers hold mu.
+func (m *memo) find(a []int, h uint64) ([]uint64, bool) {
 	if len(m.table) == 0 {
-		return nil
+		return nil, false
 	}
 	mask := uint64(len(m.table) - 1)
 probe:
 	for i := h & mask; ; i = (i + 1) & mask {
-		e := int(m.table[i]) - 1
-		if e < 0 {
-			return nil
+		ref := m.table[i] - 1
+		if ref < 0 {
+			return nil, false
 		}
-		key := m.keys[e*m.nIn : (e+1)*m.nIn]
+		key, fps := m.entry(ref)
 		for j, s := range a {
 			if key[j] != int32(s) {
 				continue probe
 			}
 		}
-		return m.fps[e*m.nd : (e+1)*m.nd : (e+1)*m.nd]
+		return fps, true
 	}
 }
 
 // add stores freshly computed fingerprint rows: the r-th is buffer row
 // i = idx[r], with assignment rows[i*nIn:], hash hashes[i] and
-// fingerprints fresh[r*nd:]. A row another evaluator stored in the meantime is
-// skipped. The pool, if any, is charged afterwards — outside mu, so
-// the lock order is always pool.mu before memo.mu.
+// fingerprints fresh[r*nd:]. A row another evaluator stored in the
+// meantime is skipped. The pool, if any, is charged only when the
+// footprint moved, and afterwards — outside mu, so the lock order is
+// always pool.mu before memo.mu.
 func (m *memo) add(rows []int, idx []int, hashes []uint64, fresh []uint64) {
 	m.mu.Lock()
+	before := m.bytes
 	for r, i := range idx {
 		a := rows[i*m.nIn : (i+1)*m.nIn]
-		if m.find(a, hashes[i]) != nil {
+		if _, ok := m.find(a, hashes[i]); ok {
 			continue
 		}
 		if 2*(m.n+1) > len(m.table) {
 			m.grow()
 		}
-		m.keys = room(m.keys, m.nIn)
-		for _, s := range a {
-			m.keys = append(m.keys, int32(s))
+		if m.tailLen == m.tailCap {
+			m.addChunk()
 		}
-		m.fps = append(room(m.fps, m.nd), fresh[r*m.nd:(r+1)*m.nd]...)
+		c := &m.chunks[len(m.chunks)-1]
+		for _, s := range a {
+			c.keys = append(c.keys, int32(s))
+		}
+		c.fps = append(c.fps, fresh[r*m.nd:(r+1)*m.nd]...)
+		m.place(hashes[i], int32((len(m.chunks)-1)<<memoChunkBits|m.tailLen)+1)
+		m.tailLen++
 		m.n++
-		m.place(hashes[i], int32(m.n))
 	}
+	grew := m.bytes != before
 	m.mu.Unlock()
-	if m.pool != nil {
+	if grew && m.pool != nil {
 		m.pool.charge(m)
 	}
 }
 
-// room returns s with capacity for n more elements. It grows a full slab
-// by a quarter, not append's doubling: every slab byte is charged to the
-// pool's budget, and slack is budget that holds no fingerprints.
-func room[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	out := make([]T, len(s), max(len(s)+n, cap(s)+cap(s)/4))
-	copy(out, s)
-	return out
+// addChunk appends an empty chunk with room for a quarter of the entries
+// held so far, within [memoMinChunk, 1<<memoChunkBits].
+func (m *memo) addChunk() {
+	n := min(max(m.n/4, memoMinChunk), 1<<memoChunkBits)
+	m.chunks = append(m.chunks, memoChunk{
+		keys: make([]int32, 0, n*m.nIn),
+		fps:  make([]uint64, 0, n*m.nd),
+	})
+	m.tailLen, m.tailCap = 0, n
+	m.bytes += int64(n*(4*m.nIn+8*m.nd)) + memoChunkHeader
 }
 
-// place writes entry reference ref at the first free probe position.
-func (m *memo) place(h uint64, ref int32) {
+// place writes table value v at the first free probe position.
+func (m *memo) place(h uint64, v int32) {
 	mask := uint64(len(m.table) - 1)
 	i := h & mask
 	for m.table[i] != 0 {
 		i = (i + 1) & mask
 	}
-	m.table[i] = ref
+	m.table[i] = v
 }
 
 // grow doubles the table (from 8) and re-places every entry.
 func (m *memo) grow() {
-	m.table = make([]int32, max(8, 2*len(m.table)))
-	for e := 0; e < m.n; e++ {
-		m.place(hashSlots(m.keys[e*m.nIn:(e+1)*m.nIn]), int32(e+1))
+	old := m.table
+	m.table = make([]int32, max(8, 2*len(old)))
+	m.bytes += int64(4 * (len(m.table) - len(old)))
+	for _, v := range old {
+		if v != 0 {
+			key, _ := m.entry(v - 1)
+			m.place(hashSlots(key), v)
+		}
 	}
 }
 
-// footprint is the bytes the slabs hold (capacity, not length: that is
-// what the heap pays for).
+// footprint is the bytes the chunks and the table hold (capacity, not
+// length: that is what the heap pays for).
 func (m *memo) footprint() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return int64(4*cap(m.keys) + 8*cap(m.fps) + 4*cap(m.table))
+	return m.bytes
 }
 
-// reset forgets every entry and lets the slabs go.
+// reset forgets every entry and lets the chunks go.
 func (m *memo) reset() {
 	m.mu.Lock()
-	m.keys, m.fps, m.table, m.n = nil, nil, nil, 0
+	m.chunks, m.table = nil, nil
+	m.tailLen, m.tailCap, m.n, m.bytes = 0, 0, 0, 0
 	m.mu.Unlock()
 }
 
@@ -165,8 +213,11 @@ type MemoPool struct {
 
 // MemoPoolStats is a point-in-time reading of a MemoPool.
 type MemoPoolStats struct {
-	// Bytes is the slab bytes currently charged; it never exceeds Budget.
+	// Bytes is the memo bytes currently charged; it never exceeds Budget.
 	Bytes, Budget int64
+	// Entries counts the assignments the charged memos hold, so
+	// Bytes/Entries is the cost of remembering one.
+	Entries int64
 	// Evictions counts strands whose memo was dropped to make room.
 	Evictions uint64
 }
@@ -210,11 +261,17 @@ func (mp *MemoPool) Release(ps ...*Prepared) {
 	mp.order = kept
 }
 
-// Stats reads the pool's gauge and eviction count.
+// Stats reads the pool's gauge, entry count and eviction count.
 func (mp *MemoPool) Stats() MemoPoolStats {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	return MemoPoolStats{Bytes: mp.bytes, Budget: mp.budget, Evictions: mp.evictions}
+	st := MemoPoolStats{Bytes: mp.bytes, Budget: mp.budget, Evictions: mp.evictions}
+	for _, m := range mp.order {
+		m.mu.RLock()
+		st.Entries += int64(m.n)
+		m.mu.RUnlock()
+	}
+	return st
 }
 
 // charge brings the pool's account of m up to its current footprint and

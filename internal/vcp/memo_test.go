@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ivl"
+	"repro/internal/strand"
 	"repro/internal/vcp"
 )
 
@@ -20,15 +22,38 @@ type memoRef struct {
 	gamma int
 }
 
-// memoFixture prepares n corpus strands twice — once for the scalar
-// reference pass it runs here, once (fresh, memos empty, attached to
-// pool when non-nil) for the caller.
+// constantStrands are the two shapes whose reduced fingerprint vector is
+// empty — no input at all, and inputs that no definition reads — so a
+// memo entry of theirs is a key with nothing behind it. The corpus has
+// none; a memo that told "found" by the slice re-evaluated them on every
+// leaf forever.
+func constantStrands() []*strand.Strand {
+	iv := func(n string) ivl.Var { return ivl.Var{Name: n, Type: ivl.Int} }
+	body := func(seed uint64) []ivl.Stmt {
+		return []ivl.Stmt{
+			ivl.Assign(iv("c1"), ivl.Bin(ivl.Mul, ivl.C(seed), ivl.C(9))),
+			ivl.Assign(iv("c2"), ivl.Bin(ivl.Add, ivl.IntVar("c1"), ivl.C(1))),
+			ivl.Assign(iv("c3"), ivl.Un(ivl.Not, ivl.IntVar("c2"))),
+			ivl.Assign(iv("c4"), ivl.Bin(ivl.Xor, ivl.IntVar("c1"), ivl.IntVar("c3"))),
+			ivl.Assign(iv("c5"), ivl.IntVar("c2")),
+		}
+	}
+	return []*strand.Strand{
+		{ProcName: "constant/no-inputs", Stmts: body(7)},
+		{ProcName: "constant/unread-inputs", Stmts: body(11), Inputs: []ivl.Var{iv("x"), iv("y")}},
+	}
+}
+
+// memoFixture prepares n corpus strands plus constantStrands twice — once
+// for the scalar reference pass it runs here, once (fresh, memos empty,
+// attached to pool when non-nil) for the caller.
 func memoFixture(t *testing.T, n int, pool *vcp.MemoPool) ([]*vcp.Prepared, [][]memoRef) {
 	t.Helper()
 	strands := corpusStrands(t)
 	if len(strands) > n {
 		strands = strands[:n]
 	}
+	strands = append(strands, constantStrands()...)
 	cfg := vcp.Config{}
 	refPrep := make([]*vcp.Prepared, len(strands))
 	prep := make([]*vcp.Prepared, len(strands))

@@ -84,9 +84,20 @@ type Prepared struct {
 	// fpSet is the set of variable-vector fingerprints under the
 	// identity slot assignment (target-side matching).
 	fpSet fpSet
-	// memo holds the fingerprints of every slot assignment evaluated so
-	// far with this strand on the query side (see memo.go). It is shared
-	// by every Evaluator over this Prepared.
+	// varying and consts split the strand's definitions by what a score
+	// needs of them on the query side: varying lists the distinct
+	// γ-dependent definition registers with the number of definitions
+	// each holds, consts the fingerprints of the γ-invariant definitions
+	// — constants of the strand at samples, the Prepare-time sample
+	// count. A correspondence matches consts-in-target (the same for
+	// every γ of a pair) + Σ Mult over the varying fingerprints in the
+	// target: every definition counted exactly once.
+	varying []smt.DefClass
+	consts  []uint64
+	samples int
+	// memo holds the varying fingerprints of every slot assignment
+	// evaluated so far with this strand on the query side (see memo.go).
+	// It is shared by every Evaluator over this Prepared.
 	memo *memo
 	// sigs holds one syntactic role signature per input (by input
 	// index): a hash of the operator contexts the input appears in.
@@ -191,14 +202,19 @@ func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	// the rest. Both produce byte-identical fingerprints.
 	var fps []uint64
 	if prog.BatchOK() {
-		kern := prog.AcquireKernel(cfg.Samples)
+		kern := smt.AcquireKernel()
+		defer smt.ReleaseKernel(kern) // fps aliases kernel buffers
+		kern.Bind(prog, cfg.Samples, 1)
 		fps = kern.Fingerprints(identity)
-		defer prog.ReleaseKernel(kern) // fps aliases kernel buffers
 	} else {
 		fps = prog.Fingerprints(identity, cfg.Samples)
 	}
 	p.fpSet = newFPSet(fps)
-	p.memo = &memo{nIn: len(s.Inputs), nd: len(fps), samples: cfg.Samples}
+	p.varying, p.samples = prog.Varying(), cfg.Samples
+	for _, d := range prog.ConstDefs() {
+		p.consts = append(p.consts, fps[d])
+	}
+	p.memo = &memo{nIn: len(s.Inputs), nd: len(p.varying)}
 	p.sigs = roleSignatures(s)
 	return p
 }
@@ -233,7 +249,8 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // evaluation vectors were matched against the target (each one is a
 // probabilistic-verifier invocation, whether its vector was computed
 // here or found in the memo); KernelNanos is the wall time spent
-// strictly inside kernel/interpreter evaluation — batch flushes or
+// strictly inside kernel/interpreter evaluation — batch flushes,
+// including binding the kernel to the strand and staging the rows, or
 // scalar interpreter passes — excluding candidate ordering, the
 // enumeration itself, memo traffic and fpSet matching, so the metric
 // built on it does not overcount. MemoHits and MemoMisses split the
@@ -271,12 +288,14 @@ func ComputeWithStats(q, t *Prepared, cfg Config) (float64, Stats) {
 	return ev.Compute(t)
 }
 
-// Evaluator computes VCP(q, ·) for one query strand against many
-// targets. It owns every buffer the γ search needs, so a pair whose
-// correspondences are all in q's memo allocates nothing and never
-// touches a kernel; the kernel is acquired on the first memo miss and
-// then held — with its evaluated γ-invariant prefix — until Close or
-// Reset. Not safe for concurrent use (the Prepareds it reads are).
+// Evaluator computes VCP(q, ·) for one query strand at a time against
+// many targets. It owns every buffer the γ search needs — the kernel
+// included — so a pair whose correspondences are all in q's memo
+// allocates nothing and never touches a kernel. The kernel is taken from
+// smt's pool on the evaluator's first memo miss and kept across Reset
+// until Close; it is bound to a strand's program at that strand's first
+// miss, so scratch follows the evaluators at work, not the strands they
+// have met. Not safe for concurrent use (the Prepareds it reads are).
 type Evaluator struct {
 	q   *Prepared
 	cfg Config
@@ -284,22 +303,25 @@ type Evaluator struct {
 	// leaves are buffered and scored g at a time; g = 0 is the scalar
 	// interpreter, which buffers nothing and never consults the memo.
 	width, g int
-	useMemo  bool
-	kern     *smt.Kernel
+	// kern is the evaluator's kernel (nil until the first miss) and bound
+	// whether it is bound to q's program.
+	kern  *smt.Kernel
+	bound bool
 
 	// State of the Compute call in progress.
-	t     *Prepared
-	best  float64
-	tried int
-	st    Stats
+	t         *Prepared
+	constHits int // q.consts found in t: the γ-independent part of every score
+	best      float64
+	tried     int
+	st        Stats
 
 	// Scratch, grown on demand and reused across pairs. assignment maps
 	// q input index → target slot; slot candidates for input i are
 	// cands[candOff[i]:candOff[i+1]]. rows buffers up to g complete
 	// assignments (row r at rows[r*nIn:]) and hash[r] its memo hash;
-	// hit[r] is row r's memoized fingerprints, nil for a miss and between
-	// flushes; missIdx lists the nil rows in order — the r-th of them is
-	// kernel row r.
+	// hit[r] is row r's varying fingerprints during a flush (nil between
+	// flushes), from the memo or — for the rows missIdx lists, the r-th of
+	// them being kernel row r — fresh from the kernel.
 	assignment []int
 	usedSlot   []bool
 	cands      []int
@@ -314,7 +336,7 @@ type Evaluator struct {
 // NewEvaluator prepares a reusable evaluator for the query strand: the
 // batched kernel at gammaWidth behind the strand's memo, or the scalar
 // interpreter for a program the kernel's static typing rejects. Callers
-// must Close it to return any held kernel to the program pool.
+// must Close it to return its kernel, if it took one, to smt's pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
 	return NewReferenceEvaluator(q, cfg, gammaWidth)
 }
@@ -330,24 +352,25 @@ func NewReferenceEvaluator(q *Prepared, cfg Config, width int) *Evaluator {
 	return ev
 }
 
-// Reset rebinds the evaluator to another query strand, keeping its
-// configuration, width and scratch; a kernel held for the previous
-// strand goes back to that strand's pool.
+// Reset moves the evaluator to another query strand, keeping its
+// configuration, width, scratch and kernel; the kernel is re-bound when
+// the new strand first misses its memo. The memo and the strand's
+// constant fingerprints are at the Prepare-time sample count, so an
+// evaluator configured for another count runs the scalar interpreter.
 func (ev *Evaluator) Reset(q *Prepared) {
-	ev.Close()
-	ev.q = q
-	ev.g, ev.useMemo = 0, false
-	if ev.width > 0 && q.err == nil && q.prog.BatchOK() {
+	ev.q, ev.bound = q, false
+	ev.g = 0
+	if ev.width > 0 && q.err == nil && q.prog.BatchOK() && q.samples == ev.cfg.Samples {
 		ev.g = ev.width
-		ev.useMemo = q.memo.samples == ev.cfg.Samples
 	}
 }
 
-// Close releases the held kernel, if any. Only Reset may follow.
+// Close returns the evaluator's kernel, if it took one, to smt's pool.
+// Only Reset may follow.
 func (ev *Evaluator) Close() {
 	if ev.kern != nil {
-		ev.q.prog.ReleaseKernel(ev.kern)
-		ev.kern = nil
+		smt.ReleaseKernel(ev.kern)
+		ev.kern, ev.bound = nil, false
 	}
 }
 
@@ -378,6 +401,12 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 		return 0, Stats{} // γ must be injective and total on q's inputs
 	}
 	ev.t, ev.best, ev.tried, ev.st = t, 0, 0, Stats{}
+	ev.constHits = 0
+	for _, h := range q.consts {
+		if t.fpSet.has(h) {
+			ev.constHits++
+		}
+	}
 
 	ev.assignment = sized(ev.assignment, len(qIn))
 	ev.usedSlot = sized(ev.usedSlot, len(tIn))
@@ -443,7 +472,13 @@ func (ev *Evaluator) leaf() {
 		t0 := time.Now()
 		fps := ev.q.prog.Fingerprints(ev.assignment, ev.cfg.Samples)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
-		ev.score(fps)
+		matched := 0
+		for _, h := range fps { // per definition: the reference form
+			if ev.t.fpSet.has(h) {
+				matched++
+			}
+		}
+		ev.advance(matched)
 		return
 	}
 	copy(ev.rows[ev.buffered*len(ev.assignment):], ev.assignment)
@@ -465,51 +500,49 @@ func (ev *Evaluator) flush() {
 		return
 	}
 	ev.buffered = 0
-	m, nIn := ev.q.memo, len(ev.assignment)
-	if ev.useMemo {
-		m.mu.RLock()
-		for r := 0; r < n; r++ {
-			a := ev.rows[r*nIn : (r+1)*nIn]
-			ev.hash[r] = hashSlots(a)
-			ev.hit[r] = m.find(a, ev.hash[r])
-		}
-		m.mu.RUnlock()
-	}
+	q := ev.q
+	m, nIn := q.memo, len(ev.assignment)
 	ev.missIdx = ev.missIdx[:0]
+	m.mu.RLock()
 	for r := 0; r < n; r++ {
-		if ev.hit[r] == nil { // without the memo every leaf is a miss
+		a := ev.rows[r*nIn : (r+1)*nIn]
+		ev.hash[r] = hashSlots(a)
+		var ok bool
+		if ev.hit[r], ok = m.find(a, ev.hash[r]); !ok {
 			ev.missIdx = append(ev.missIdx, r)
 		}
 	}
+	m.mu.RUnlock()
 	misses := len(ev.missIdx)
 	ev.st.MemoHits += int64(n - misses)
 	ev.st.MemoMisses += int64(misses)
 
-	var fresh []uint64
 	if misses > 0 {
+		t0 := time.Now()
 		if ev.kern == nil {
-			ev.kern = ev.q.prog.AcquireKernelBatch(ev.cfg.Samples, ev.g)
+			ev.kern = smt.AcquireKernel()
+		}
+		if !ev.bound {
+			ev.kern.Bind(q.prog, ev.cfg.Samples, ev.g)
+			ev.bound = true
 		}
 		for r, i := range ev.missIdx {
 			ev.kern.BindRow(r, ev.rows[i*nIn:(i+1)*nIn])
 		}
-		t0 := time.Now()
-		fresh = ev.kern.FingerprintsRows(misses)
+		fresh := ev.kern.VaryingRows(misses)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
 		ev.st.Batches++
 		ev.st.BatchRows += int64(misses)
 		ev.st.BatchSlots += int64(ev.g)
-		if ev.useMemo {
-			m.add(ev.rows, ev.missIdx, ev.hash, fresh)
+		m.add(ev.rows, ev.missIdx, ev.hash, fresh)
+		for r, i := range ev.missIdx {
+			ev.hit[i] = fresh[r*m.nd : (r+1)*m.nd]
 		}
 	}
 
 	for r := 0; r < n; r++ {
 		fps := ev.hit[r]
-		ev.hit[r] = nil // do not pin an evicted slab past this pair
-		if fps == nil {
-			fps, fresh = fresh[:m.nd], fresh[m.nd:]
-		}
+		ev.hit[r] = nil // do not pin an evicted chunk past this pair
 		// A perfect match or the cap mid-buffer discards the remaining
 		// leaves uncounted: the unbuffered loop would have stopped
 		// before evaluating them.
@@ -517,20 +550,20 @@ func (ev *Evaluator) flush() {
 			continue
 		}
 		ev.tried++
-		ev.score(fps)
+		matched := ev.constHits
+		for i, h := range fps {
+			if ev.t.fpSet.has(h) {
+				matched += q.varying[i].Mult
+			}
+		}
+		ev.advance(matched)
 	}
 }
 
-// score matches one correspondence's fingerprints against the target
-// set and advances best. Counting (tried++) happens at the caller so
-// both paths charge correspondences identically.
-func (ev *Evaluator) score(fps []uint64) {
-	matched := 0
-	for _, h := range fps {
-		if ev.t.fpSet.has(h) {
-			matched++
-		}
-	}
+// advance takes the number of q's definitions one correspondence matched
+// in the target and raises best to its proportion. Counting (tried++)
+// happens at the caller so both paths charge correspondences identically.
+func (ev *Evaluator) advance(matched int) {
 	if v := float64(matched) / float64(ev.q.S.NumVars()); v > ev.best {
 		ev.best = v
 	}

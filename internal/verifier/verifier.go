@@ -205,8 +205,9 @@ func sampleKernel(inputs []ivl.Var, slots []int, assigns, asserts []ivl.Stmt, sa
 	if err != nil || !prog.BatchOK() {
 		return nil, false
 	}
-	kern := prog.AcquireKernel(samples)
-	defer prog.ReleaseKernel(kern)
+	kern := smt.AcquireKernel()
+	defer smt.ReleaseKernel(kern)
+	kern.Bind(prog, samples, 1)
 	kern.Run(slots)
 	holds := make([]bool, len(asserts))
 	base := len(assigns)
