@@ -148,8 +148,8 @@ const DefaultVCPCachePairs = 1 << 21
 // across queries, and each in-flight query's own, which are released
 // when it returns. It is a constant, not a setting: past the corpus's
 // working set more budget buys nothing, below it the cost is
-// re-evaluation, never a different answer (DESIGN §10.8 has the measured
-// budget-vs-qps curve this value was read off).
+// re-evaluation, never a different answer (DESIGN §10.6; CHANGES.md has
+// the measured budget-vs-qps curve this value was read off).
 const memoBudgetBytes = 128 << 20
 
 // DefaultRetrievalMaxDelta is the default Options.RetrievalMaxDelta: a
@@ -1511,7 +1511,7 @@ type vcpRowState struct {
 //     shared vcp stage span) and the DB counters.
 //
 // The returned rows may be cached rows shared with other queries: they are
-// read-only (DESIGN §10.9). cached[i] is the cached row rows[i] is, if it
+// read-only (DESIGN §10.7). cached[i] is the cached row rows[i] is, if it
 // is one.
 func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64, cached []*vcpRow, err error) {
 	n := len(qc.uniq)

@@ -25,7 +25,7 @@ const (
 // vcpRow is one query strand's cached VCP row, dense over unique-strand
 // numbers [0, len(fwd)): fwd[j] = VCP(q, u_j), rev[j] = VCP(u_j, q), both
 // final where known holds bit j and zero elsewhere. A pair's VCP is a pure
-// function of the two strands (DESIGN §10.9), so a known column never goes
+// function of the two strands (DESIGN §10.7), so a known column never goes
 // stale; what can change is the numbering, which DB.rowEpoch tracks.
 //
 // A row is immutable once published: queries hand its slices straight to

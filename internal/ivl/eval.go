@@ -321,35 +321,14 @@ func EvalBin(op BinOp, a, b uint64) uint64 {
 }
 
 // RunStmts executes a straight-line statement list, extending env with
-// each assignment. Assumes and asserts are evaluated: a false assume stops
-// execution (returning false for feasible); assert failures are recorded
-// in failed (by statement index) when failed is non-nil.
-func RunStmts(stmts []Stmt, env Env, failed map[int]bool) (feasible bool, err error) {
-	for i, s := range stmts {
-		switch s.Kind {
-		case SAssign:
-			v, err := Eval(s.Rhs, env)
-			if err != nil {
-				return false, err
-			}
-			env[s.Dst.Name] = v
-		case SAssume:
-			v, err := Eval(s.Rhs, env)
-			if err != nil {
-				return false, err
-			}
-			if v.Bits == 0 {
-				return false, nil
-			}
-		case SAssert:
-			v, err := Eval(s.Rhs, env)
-			if err != nil {
-				return false, err
-			}
-			if v.Bits == 0 && failed != nil {
-				failed[i] = true
-			}
+// each assignment.
+func RunStmts(stmts []Stmt, env Env) error {
+	for _, s := range stmts {
+		v, err := Eval(s.Rhs, env)
+		if err != nil {
+			return err
 		}
+		env[s.Dst.Name] = v
 	}
-	return true, nil
+	return nil
 }

@@ -4,9 +4,10 @@
 // statements over 64-bit bitvector variables, an explicit memory variable,
 // and uninterpreted function applications for procedure calls.
 //
-// The package plays the role BoogieIVL plays in the paper: strands are
-// extracted from IVL statement lists, and the verifier (package verifier)
-// decides equivalence queries phrased as assume/assert IVL programs.
+// The package plays the role BoogieIVL plays in the paper, minus its
+// assume/assert statements: strands are extracted from IVL statement
+// lists, package smt compiles them, and package vcp decides variable
+// equivalence by comparing sampled input/output fingerprints.
 package ivl
 
 import (
@@ -102,9 +103,6 @@ func (o BinOp) IsCommutative() bool {
 	}
 	return false
 }
-
-// IsComparison reports whether the operator yields a 0/1 truth value.
-func (o BinOp) IsComparison() bool { return o >= Eq }
 
 // Expr is an IVL expression tree node.
 type Expr interface {
@@ -264,60 +262,16 @@ func Bin(op BinOp, x, y Expr) Expr { return BinExpr{Op: op, X: x, Y: y} }
 // Un builds a unary expression.
 func Un(op UnOp, x Expr) Expr { return UnExpr{Op: op, X: x} }
 
-// StmtKind discriminates statement variants.
-type StmtKind uint8
-
-// Statement kinds.
-const (
-	SAssign StmtKind = iota
-	SAssume
-	SAssert
-)
-
-// Stmt is an IVL statement: an SSA assignment, or an assume/assert of a
-// condition expression.
+// Stmt is an IVL statement: one SSA assignment.
 type Stmt struct {
-	Kind StmtKind
-	Dst  Var  // SAssign target
-	Rhs  Expr // SAssign right-hand side, or SAssume/SAssert condition
+	Dst Var
+	Rhs Expr
 }
 
 // Assign builds an assignment statement.
-func Assign(dst Var, rhs Expr) Stmt { return Stmt{Kind: SAssign, Dst: dst, Rhs: rhs} }
+func Assign(dst Var, rhs Expr) Stmt { return Stmt{Dst: dst, Rhs: rhs} }
 
-// Assume builds an assumption statement.
-func Assume(cond Expr) Stmt { return Stmt{Kind: SAssume, Rhs: cond} }
-
-// Assert builds an assertion statement.
-func Assert(cond Expr) Stmt { return Stmt{Kind: SAssert, Rhs: cond} }
-
-func (s Stmt) String() string {
-	switch s.Kind {
-	case SAssume:
-		return fmt.Sprintf("assume %s", s.Rhs)
-	case SAssert:
-		return fmt.Sprintf("assert %s", s.Rhs)
-	default:
-		return fmt.Sprintf("%s := %s", s.Dst, s.Rhs)
-	}
-}
-
-// Proc is a straight-line IVL procedure (the non-branching Boogie subset
-// the paper lifts into).
-type Proc struct {
-	Name  string
-	Stmts []Stmt
-}
-
-func (p *Proc) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "procedure %s {\n", p.Name)
-	for _, s := range p.Stmts {
-		fmt.Fprintf(&b, "\t%s;\n", s)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
+func (s Stmt) String() string { return fmt.Sprintf("%s := %s", s.Dst, s.Rhs) }
 
 // FreeVars returns the variables referenced in e, in first-use order.
 func FreeVars(e Expr) []Var {
@@ -394,30 +348,4 @@ func Rename(e Expr, fn func(Var) Var) Expr {
 		return CallExpr{Sym: t.Sym, Args: args}
 	}
 	return e
-}
-
-// Size returns the node count of the expression tree.
-func Size(e Expr) int {
-	n := 1
-	switch t := e.(type) {
-	case UnExpr:
-		n += Size(t.X)
-	case BinExpr:
-		n += Size(t.X) + Size(t.Y)
-	case IteExpr:
-		n += Size(t.Cond) + Size(t.Then) + Size(t.Else)
-	case TruncExpr:
-		n += Size(t.X)
-	case SextExpr:
-		n += Size(t.X)
-	case LoadExpr:
-		n += Size(t.Mem) + Size(t.Addr)
-	case StoreExpr:
-		n += Size(t.Mem) + Size(t.Addr) + Size(t.Val)
-	case CallExpr:
-		for _, a := range t.Args {
-			n += Size(a)
-		}
-	}
-	return n
 }

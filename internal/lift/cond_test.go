@@ -180,7 +180,7 @@ endp`, cc)
 					env[v.Name] = ivl.IntValue(0)
 				}
 			}
-			if ok, err := ivl.RunStmts(lb.Stmts, env, nil); err != nil || !ok {
+			if err := ivl.RunStmts(lb.Stmts, env); err != nil {
 				t.Fatal(err)
 			}
 			if env[condVar.Name].Bits != want {

@@ -36,9 +36,6 @@ endp`)
 	b := lp.Blocks[0]
 	defined := map[string]bool{}
 	for _, s := range b.Stmts {
-		if s.Kind != ivl.SAssign {
-			continue
-		}
 		if defined[s.Dst.Name] {
 			t.Fatalf("variable %q defined twice (not SSA)", s.Dst.Name)
 		}
@@ -104,7 +101,7 @@ func TestLiftStoreCreatesNewMem(t *testing.T) {
 endp`)
 	memDefs := 0
 	for _, s := range lp.Blocks[0].Stmts {
-		if s.Kind == ivl.SAssign && s.Dst.Type == ivl.Mem {
+		if s.Dst.Type == ivl.Mem {
 			memDefs++
 		}
 	}
@@ -168,9 +165,6 @@ func TestLiftCallUninterpreted(t *testing.T) {
 endp`)
 	var call, callmem bool
 	for _, s := range lp.Blocks[0].Stmts {
-		if s.Kind != ivl.SAssign {
-			continue
-		}
 		if ce, ok := s.Rhs.(ivl.CallExpr); ok {
 			switch ce.Sym {
 			case "call/1":
@@ -204,10 +198,8 @@ endp`)
 	// The first block must contain a signed-less condition.
 	found := false
 	for _, s := range lp.Blocks[0].Stmts {
-		if s.Kind == ivl.SAssign {
-			if be, ok := s.Rhs.(ivl.BinExpr); ok && be.Op == ivl.SLt {
-				found = true
-			}
+		if be, ok := s.Rhs.(ivl.BinExpr); ok && be.Op == ivl.SLt {
+			found = true
 		}
 	}
 	if !found {
@@ -247,8 +239,8 @@ func evalBlock(t *testing.T, src string, init map[asm.Reg]uint64) (ivl.Env, *Blo
 		reg := regFromInputName(v.Name)
 		env[v.Name] = ivl.IntValue(init[reg])
 	}
-	if ok, err := ivl.RunStmts(lb.Stmts, env, nil); err != nil || !ok {
-		t.Fatalf("RunStmts: ok=%v err=%v", ok, err)
+	if err := ivl.RunStmts(lb.Stmts, env); err != nil {
+		t.Fatalf("RunStmts: %v", err)
 	}
 	return env, lb
 }
@@ -267,7 +259,7 @@ func lastRegValue(env ivl.Env, lb *Block, reg asm.Reg) (uint64, bool) {
 	name := ""
 	prefix := reg.Name(asm.Width8) + "_"
 	for _, s := range lb.Stmts {
-		if s.Kind == ivl.SAssign && s.Dst.Type == ivl.Int &&
+		if s.Dst.Type == ivl.Int &&
 			len(s.Dst.Name) > len(prefix) && s.Dst.Name[:len(prefix)] == prefix {
 			name = s.Dst.Name
 		}
@@ -384,8 +376,8 @@ endp`
 			env[v.Name] = ivl.IntValue(base)
 		}
 	}
-	if ok, err := ivl.RunStmts(lb.Stmts, env, nil); err != nil || !ok {
-		t.Fatalf("RunStmts: %v %v", ok, err)
+	if err := ivl.RunStmts(lb.Stmts, env); err != nil {
+		t.Fatalf("RunStmts: %v", err)
 	}
 	for _, reg := range []asm.Reg{asm.RAX, asm.RDX} {
 		got, ok := lastRegValue(env, lb, reg)
@@ -407,7 +399,7 @@ func TestLiftTempPerOperation(t *testing.T) {
 endp`)
 	temps := 0
 	for _, s := range lp.Blocks[0].Stmts {
-		if s.Kind == ivl.SAssign && s.Dst.Name[0] == 'v' {
+		if s.Dst.Name[0] == 'v' {
 			temps++
 		}
 	}

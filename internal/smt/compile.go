@@ -213,9 +213,6 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 	}
 
 	for _, s := range stmts {
-		if s.Kind != ivl.SAssign {
-			return nil, fmt.Errorf("smt: CompileStrand expects assignments, got %v", s)
-		}
 		r, err := compile(s.Rhs)
 		if err != nil {
 			return nil, err

@@ -143,10 +143,4 @@ func TestCompileStrandErrors(t *testing.T) {
 	}, nil); err == nil {
 		t.Error("unbound variable not rejected")
 	}
-	// Non-assignment statement.
-	if _, err := CompileStrand([]ivl.Stmt{
-		ivl.Assert(ivl.C(1)),
-	}, nil); err == nil {
-		t.Error("assert not rejected")
-	}
 }

@@ -17,8 +17,8 @@ package smt
 // a machine that is re-bound (Bind) to each program its owner meets,
 // keeping its lane buffers and arena — they only ever grow — so scratch
 // is sized by the largest program a worker has seen, not by the number
-// of programs in the corpus. Owners that evaluate for a moment (Prepare,
-// the verifier's sampling engine) borrow one from the package pool
+// of programs in the corpus. An owner that evaluates for a moment
+// (vcp.Prepare) borrows one from the package pool
 // (AcquireKernel/ReleaseKernel); a vcp.Evaluator keeps one from its first
 // memo miss until Close. Between binds, a kernel is reused across γ
 // correspondences: the γ-invariant prefix (Program.prefixLen) — its lanes
@@ -71,7 +71,7 @@ const fpPrime = 0x100_0000_01b3
 
 // Kernel is a reusable SoA evaluation machine. Bind points it at a
 // Program with a sample count and γ-batch width; everything from BindRow
-// to DefBits then refers to that binding, until the next Bind. The zero
+// to VaryingRows then refers to that binding, until the next Bind. The zero
 // Kernel is ready to Bind. Not safe for concurrent use: one per goroutine.
 type Kernel struct {
 	p *Program
@@ -127,7 +127,8 @@ var kernelPool = sync.Pool{New: func() any { return new(Kernel) }}
 func AcquireKernel() *Kernel { return kernelPool.Get().(*Kernel) }
 
 // ReleaseKernel returns a kernel to the package pool with its buffers;
-// slices it handed out (Fingerprints, DefBits) die with the release.
+// slices it handed out (Fingerprints and its Rows forms) die with the
+// release.
 func ReleaseKernel(kn *Kernel) {
 	kn.p = nil // a pooled kernel must not keep a program alive
 	kernelPool.Put(kn)
@@ -182,13 +183,6 @@ func (kn *Kernel) BatchWidth() int { return kn.g }
 func (kn *Kernel) BindRow(r int, slotOf []int) {
 	nIn := len(kn.p.Inputs)
 	copy(kn.rowSlots[r*nIn:(r+1)*nIn], slotOf)
-}
-
-// Run evaluates the program over all k samples with input i bound to
-// slot slotOf[i], using batch row 0.
-func (kn *Kernel) Run(slotOf []int) {
-	kn.BindRow(0, slotOf)
-	kn.RunRows(1)
 }
 
 // RunRows evaluates the compiled code over batch rows [0, rows), whose
@@ -394,14 +388,6 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 	return fps
 }
 
-// DefBits returns the integer lane vector of the d-th SSA definition's
-// batch row 0 after a Run. Valid only for integer-typed definitions;
-// the slice aliases kernel state and is overwritten by the next Run.
-func (kn *Kernel) DefBits(d int) []uint64 {
-	r := kn.p.defRegs[d].reg
-	return kn.ints[r*kn.lanes : r*kn.lanes+kn.k]
-}
-
 // newRoot appends a background memory root and returns its index.
 func (kn *Kernel) newRoot(seed uint64) int32 {
 	idx := int32(len(kn.arena))
@@ -466,8 +452,8 @@ func (kn *Kernel) load(idx int32, addr uint64, w uint) uint64 {
 // unused trailing rows cost nothing. Lanes beyond the range may hold
 // stale values (including dangling arena indices from a previous, longer
 // run or an earlier binding); they are never read, because every
-// consumer — exec itself, foldRows, DefBits — bounds its sweeps by the
-// same active lane count.
+// consumer — exec itself and foldRows — bounds its sweeps by the same
+// active lane count.
 func (kn *Kernel) exec(lo, hi, l0, l1 int) {
 	L := kn.lanes
 	code := kn.p.code

@@ -1,10 +1,17 @@
+// Package smt is what stands where the paper's Boogie/Z3 verifier stood,
+// and it is not a theorem prover: it decides nothing symbolically. It
+// holds a deterministic battery of input sample vectors (this file), a
+// compiler from strands to flat register code (compile.go) and a batched
+// kernel that evaluates that code over the battery and folds each
+// variable's value vector into a 64-bit fingerprint (kernel.go). Package
+// vcp calls two variables equivalent when their fingerprints are equal —
+// equivalence by sampled input/output behaviour. Variables that differ on
+// some battery vector are told apart unless the fold collides; variables
+// that differ only off the battery are not. How often either happens on
+// real strands is not measured (DESIGN.md §6).
 package smt
 
-import (
-	"fmt"
-
-	"repro/internal/ivl"
-)
+import "repro/internal/ivl"
 
 // specials are adversarial input values: identities, annihilators, sign
 // and width boundaries, and values sitting just below the sign boundary
@@ -35,8 +42,9 @@ const DefaultSamples = allSameSpecials + rotatedSpecials + randomSamples
 
 // SlotValue returns the deterministic input value for the given sample
 // index and input slot. Two strands whose inputs are matched to the same
-// slot see identical values in every sample — this is how the input
-// equality assumptions of the verifier query are realized.
+// slot see identical values in every sample — this is all a
+// correspondence γ does to equate a query input with a target input (the
+// paper states it as an assume; here there is no statement for it).
 func SlotValue(sample, slot int, typ ivl.Type) ivl.Value {
 	if typ == ivl.Mem {
 		return ivl.MemValue(ivl.NewMem(SlotMemSeed(sample, slot)))
@@ -107,9 +115,6 @@ func VectorHashes(stmts []ivl.Stmt, inputs []ivl.Var,
 			env[in.Name] = inputVals(s, in)
 		}
 		for _, st := range stmts {
-			if st.Kind != ivl.SAssign {
-				return nil, fmt.Errorf("smt: VectorHashes expects pure assignments, got %v", st)
-			}
 			v, err := ivl.Eval(st.Rhs, env)
 			if err != nil {
 				return nil, err

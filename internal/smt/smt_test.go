@@ -1,208 +1,10 @@
 package smt
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ivl"
 )
-
-func x() ivl.Expr { return ivl.IntVar("x") }
-func y() ivl.Expr { return ivl.IntVar("y") }
-
-func TestNormalizeConstFold(t *testing.T) {
-	tests := []struct {
-		e    ivl.Expr
-		want uint64
-	}{
-		{ivl.Bin(ivl.Add, ivl.C(2), ivl.C(3)), 5},
-		{ivl.Bin(ivl.Mul, ivl.C(6), ivl.C(7)), 42},
-		{ivl.Bin(ivl.Sub, ivl.C(10), ivl.C(4)), 6},
-		{ivl.Bin(ivl.Xor, ivl.C(0xFF), ivl.C(0x0F)), 0xF0},
-		{ivl.Un(ivl.Not, ivl.C(0)), ^uint64(0)},
-		{ivl.Un(ivl.Neg, ivl.C(1)), ^uint64(0)},
-		{ivl.TruncExpr{Bits: 8, X: ivl.C(0x1FF)}, 0xFF},
-		{ivl.SextExpr{Bits: 8, X: ivl.C(0x80)}, ^uint64(0x7F)},
-		{ivl.Bin(ivl.SLt, ivl.C(1), ivl.C(2)), 1},
-		{ivl.IteExpr{Cond: ivl.C(1), Then: ivl.C(5), Else: ivl.C(6)}, 5},
-	}
-	for _, tt := range tests {
-		n := Normalize(tt.e)
-		c, ok := n.(ivl.ConstExpr)
-		if !ok || c.Val != tt.want {
-			t.Errorf("Normalize(%s) = %s, want %#x", tt.e, n, tt.want)
-		}
-	}
-}
-
-func TestNormalizeIdentities(t *testing.T) {
-	idCases := []struct {
-		name string
-		a, b ivl.Expr
-	}{
-		{"x+0", ivl.Bin(ivl.Add, x(), ivl.C(0)), x()},
-		{"x*1", ivl.Bin(ivl.Mul, x(), ivl.C(1)), x()},
-		{"x&~0", ivl.Bin(ivl.And, x(), ivl.C(^uint64(0))), x()},
-		{"x|0", ivl.Bin(ivl.Or, x(), ivl.C(0)), x()},
-		{"x^0", ivl.Bin(ivl.Xor, x(), ivl.C(0)), x()},
-		{"x^x", ivl.Bin(ivl.Xor, x(), x()), ivl.C(0)},
-		{"x&x", ivl.Bin(ivl.And, x(), x()), x()},
-		{"x|x", ivl.Bin(ivl.Or, x(), x()), x()},
-		{"x*0", ivl.Bin(ivl.Mul, x(), ivl.C(0)), ivl.C(0)},
-		{"x&0", ivl.Bin(ivl.And, x(), ivl.C(0)), ivl.C(0)},
-		{"x<<0", ivl.Bin(ivl.Shl, x(), ivl.C(0)), x()},
-		{"x>>64", ivl.Bin(ivl.LShr, x(), ivl.C(64)), x()}, // shift counts masked mod 64
-		{"not not x", ivl.Un(ivl.Not, ivl.Un(ivl.Not, x())), x()},
-		{"x-x", ivl.Bin(ivl.Sub, x(), x()), ivl.C(0)},
-		{"x==x", ivl.Bin(ivl.Eq, x(), x()), ivl.C(1)},
-		{"x!=x", ivl.Bin(ivl.Ne, x(), x()), ivl.C(0)},
-		{"ite(c,x,x)", ivl.IteExpr{Cond: y(), Then: x(), Else: x()}, x()},
-		{"trunc64", ivl.TruncExpr{Bits: 64, X: x()}, x()},
-		{"trunc8(trunc16)", ivl.TruncExpr{Bits: 16, X: ivl.TruncExpr{Bits: 8, X: x()}},
-			ivl.TruncExpr{Bits: 8, X: x()}},
-	}
-	for _, tt := range idCases {
-		got := Normalize(tt.a)
-		want := Normalize(tt.b)
-		if got.String() != want.String() {
-			t.Errorf("%s: Normalize = %s, want %s", tt.name, got, want)
-		}
-	}
-}
-
-func TestNormalizeCommutativity(t *testing.T) {
-	pairs := [][2]ivl.Expr{
-		{ivl.Bin(ivl.Add, x(), y()), ivl.Bin(ivl.Add, y(), x())},
-		{ivl.Bin(ivl.Mul, x(), y()), ivl.Bin(ivl.Mul, y(), x())},
-		{ivl.Bin(ivl.And, x(), y()), ivl.Bin(ivl.And, y(), x())},
-		{ivl.Bin(ivl.Eq, x(), y()), ivl.Bin(ivl.Eq, y(), x())},
-		// associativity: (x+y)+1 == x+(y+1)
-		{ivl.Bin(ivl.Add, ivl.Bin(ivl.Add, x(), y()), ivl.C(1)),
-			ivl.Bin(ivl.Add, x(), ivl.Bin(ivl.Add, y(), ivl.C(1)))},
-		// x - y == x + (-1)*y
-		{ivl.Bin(ivl.Sub, x(), y()),
-			ivl.Bin(ivl.Add, x(), ivl.Un(ivl.Neg, y()))},
-		// lea vs add chain: (x + x) == 2*x? Not implemented (like-term
-		// collection); but x+y+3+4 == x+7+y must hold:
-		{ivl.Bin(ivl.Add, ivl.Bin(ivl.Add, ivl.Bin(ivl.Add, x(), y()), ivl.C(3)), ivl.C(4)),
-			ivl.Bin(ivl.Add, ivl.Bin(ivl.Add, x(), ivl.C(7)), y())},
-		// comparison orientation: x > y == y < x
-		{ivl.Bin(ivl.SGt, x(), y()), ivl.Bin(ivl.SLt, y(), x())},
-		{ivl.Bin(ivl.UGe, x(), y()), ivl.Bin(ivl.ULe, y(), x())},
-	}
-	for _, p := range pairs {
-		if !Equivalent(p[0], p[1]) {
-			t.Errorf("not equivalent: %s vs %s\n  -> %s\n  -> %s",
-				p[0], p[1], Normalize(p[0]), Normalize(p[1]))
-		}
-	}
-}
-
-func TestNormalizeDistinguishes(t *testing.T) {
-	pairs := [][2]ivl.Expr{
-		{ivl.Bin(ivl.Add, x(), ivl.C(1)), ivl.Bin(ivl.Add, x(), ivl.C(2))},
-		{ivl.Bin(ivl.Add, x(), y()), ivl.Bin(ivl.Sub, x(), y())},
-		{ivl.Bin(ivl.SLt, x(), y()), ivl.Bin(ivl.ULt, x(), y())},
-		{x(), y()},
-	}
-	for _, p := range pairs {
-		if Equivalent(p[0], p[1]) {
-			t.Errorf("wrongly equivalent: %s vs %s", p[0], p[1])
-		}
-	}
-}
-
-func TestNormalizeStoreForwarding(t *testing.T) {
-	mem := ivl.VarExpr{V: ivl.Var{Name: "m", Type: ivl.Mem}}
-	addr := ivl.Bin(ivl.Add, x(), ivl.C(8))
-	st := ivl.StoreExpr{Mem: mem, Addr: addr, Val: y(), W: 8}
-	ld := ivl.LoadExpr{Mem: st, Addr: addr, W: 8}
-	if got := Normalize(ld); got.String() != y().String() {
-		t.Errorf("store-forward failed: %s", got)
-	}
-	// Disjoint offsets bypass the store.
-	ld2 := ivl.LoadExpr{Mem: st, Addr: ivl.Bin(ivl.Add, x(), ivl.C(32)), W: 8}
-	n2 := Normalize(ld2)
-	if l, ok := n2.(ivl.LoadExpr); !ok || l.Mem.String() != mem.String() {
-		t.Errorf("disjoint store not bypassed: %s", n2)
-	}
-	// Unknown aliasing keeps the store.
-	ld3 := ivl.LoadExpr{Mem: st, Addr: y(), W: 8}
-	if l, ok := Normalize(ld3).(ivl.LoadExpr); !ok {
-		t.Errorf("aliasing load wrongly simplified")
-	} else if _, isStore := l.Mem.(ivl.StoreExpr); !isStore {
-		t.Errorf("aliasing store wrongly bypassed: %s", l)
-	}
-	// Narrow load of a wider store reads the value prefix.
-	ld4 := ivl.LoadExpr{Mem: st, Addr: addr, W: 4}
-	if got := Normalize(ld4); got.String() != Normalize(ivl.TruncExpr{Bits: 32, X: y()}).String() {
-		t.Errorf("narrow forward = %s", got)
-	}
-}
-
-// randomExpr builds a random expression over variables a,b,c.
-func randomExpr(rng *rand.Rand, depth int) ivl.Expr {
-	vars := []string{"a", "b", "c"}
-	if depth <= 0 || rng.Intn(4) == 0 {
-		if rng.Intn(3) == 0 {
-			return ivl.C(rng.Uint64() >> uint(rng.Intn(60)))
-		}
-		return ivl.IntVar(vars[rng.Intn(len(vars))])
-	}
-	ops := []ivl.BinOp{ivl.Add, ivl.Sub, ivl.Mul, ivl.And, ivl.Or, ivl.Xor,
-		ivl.Shl, ivl.LShr, ivl.AShr, ivl.Eq, ivl.Ne, ivl.SLt, ivl.ULe, ivl.SDiv, ivl.SRem}
-	switch rng.Intn(7) {
-	case 0:
-		return ivl.Un([]ivl.UnOp{ivl.Not, ivl.Neg, ivl.BoolNot}[rng.Intn(3)], randomExpr(rng, depth-1))
-	case 1:
-		return ivl.TruncExpr{Bits: []uint{8, 16, 32}[rng.Intn(3)], X: randomExpr(rng, depth-1)}
-	case 2:
-		return ivl.SextExpr{Bits: []uint{8, 16, 32}[rng.Intn(3)], X: randomExpr(rng, depth-1)}
-	case 3:
-		return ivl.IteExpr{Cond: randomExpr(rng, depth-1), Then: randomExpr(rng, depth-1), Else: randomExpr(rng, depth-1)}
-	default:
-		return ivl.Bin(ops[rng.Intn(len(ops))], randomExpr(rng, depth-1), randomExpr(rng, depth-1))
-	}
-}
-
-// TestQuickNormalizePreservesSemantics is the core soundness property:
-// normalization never changes the value of an expression.
-func TestQuickNormalizePreservesSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 3000; i++ {
-		e := randomExpr(rng, 4)
-		n := Normalize(e)
-		for trial := 0; trial < 8; trial++ {
-			env := ivl.Env{
-				"a": ivl.IntValue(SlotValue(trial*3+i%7, 0, ivl.Int).Bits),
-				"b": ivl.IntValue(rng.Uint64()),
-				"c": ivl.IntValue(uint64(rng.Intn(5))),
-			}
-			want, err1 := ivl.Eval(e, env)
-			got, err2 := ivl.Eval(n, env)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("error mismatch: %v vs %v\n%s\n%s", err1, err2, e, n)
-			}
-			if err1 == nil && want.Bits != got.Bits {
-				t.Fatalf("normalization changed semantics:\n  %s = %#x\n  %s = %#x\n  env=%v",
-					e, want.Bits, n, got.Bits, env)
-			}
-		}
-	}
-}
-
-// TestQuickNormalizeIdempotent: Normalize(Normalize(e)) == Normalize(e).
-func TestQuickNormalizeIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for i := 0; i < 1000; i++ {
-		e := randomExpr(rng, 4)
-		n1 := Normalize(e)
-		n2 := Normalize(n1)
-		if n1.String() != n2.String() {
-			t.Fatalf("not idempotent:\n  e  = %s\n  n1 = %s\n  n2 = %s", e, n1, n2)
-		}
-	}
-}
 
 func TestSlotValueDeterministic(t *testing.T) {
 	for s := 0; s < DefaultSamples; s++ {

@@ -157,3 +157,60 @@ func TestVCPPropertiesNoInputs(t *testing.T) {
 		t.Fatalf("VCP(const, const) = %v, want 1", v)
 	}
 }
+
+// TestAcceptedPairsHoldOffTheBattery is the one check that looks outside
+// the sample battery: a one-definition pair that is equivalent by
+// construction (x*2 + (y-c) against (y + -c) + (x<<1); x and y are the
+// same input in half the trials) must score 1, the same pair broken by a
+// small added constant must score 0, and whatever the engine accepts
+// must also agree under ivl.Eval on fresh random inputs. It fails if
+// the battery or the fingerprint fold ever accepts a broken pair.
+func TestAcceptedPairsHoldOffTheBattery(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	cfg := Config{MinVars: 1}
+	names := [2][2]string{{"qx", "qy"}, {"tx", "ty"}}
+	for trial := 0; trial < 200; trial++ {
+		broken := trial%2 == 1
+		nIn := 1 + rng.Intn(2)
+		c := uint64(rng.Intn(64) + 1)
+		x := func(side int) ivl.Expr { return ivl.IntVar(names[side][0]) }
+		y := func(side int) ivl.Expr { return ivl.IntVar(names[side][nIn-1]) }
+		qExpr := ivl.Bin(ivl.Add, ivl.Bin(ivl.Mul, x(0), ivl.C(2)), ivl.Bin(ivl.Sub, y(0), ivl.C(c)))
+		tExpr := ivl.Bin(ivl.Add, ivl.Bin(ivl.Add, y(1), ivl.C(-c)), ivl.Bin(ivl.Shl, x(1), ivl.C(1)))
+		if broken {
+			tExpr = ivl.Bin(ivl.Add, tExpr, ivl.C(uint64(rng.Intn(5)+1)))
+		}
+		q := mkStrand(names[0][:nIn], ivl.Assign(iv("qv"), qExpr))
+		tg := mkStrand(names[1][:nIn], ivl.Assign(iv("tv"), tExpr))
+		pq, pt := Prepare(q, cfg), Prepare(tg, cfg)
+		if pq.Err() != nil || pt.Err() != nil {
+			t.Fatalf("trial %d: Prepare: %v, %v", trial, pq.Err(), pt.Err())
+		}
+		got := Compute(pq, pt, cfg)
+		if got == 1 {
+			for check := 0; check < 50; check++ {
+				env := ivl.Env{}
+				for i := 0; i < nIn; i++ {
+					v := ivl.IntValue(rng.Uint64())
+					env[names[0][i]], env[names[1][i]] = v, v
+				}
+				qv, err1 := ivl.Eval(qExpr, env)
+				tv, err2 := ivl.Eval(tExpr, env)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("trial %d: eval: %v, %v", trial, err1, err2)
+				}
+				if qv.Bits != tv.Bits {
+					t.Fatalf("trial %d: accepted, but %s = %#x and %s = %#x on %v",
+						trial, qExpr, qv.Bits, tExpr, tv.Bits, env)
+				}
+			}
+		}
+		want := 1.0
+		if broken {
+			want = 0
+		}
+		if got != want {
+			t.Fatalf("trial %d (broken=%v): VCP = %v, want %v", trial, broken, got, want)
+		}
+	}
+}

@@ -164,6 +164,71 @@ func TestComputeDifferent(t *testing.T) {
 	}
 }
 
+// TestComputeVerdicts pins what the sample battery and the fold decide on
+// small hand-built pairs, through the production path.
+func TestComputeVerdicts(t *testing.T) {
+	x, y := ivl.IntVar("x"), ivl.IntVar("y")
+	mem := func(n string) ivl.Var { return ivl.Var{Name: n, Type: ivl.Mem} }
+	// Paper Fig. 4: v2 = v1 + c; v3 = v2 ^ v1; v4 = v3 & v2; v5 = v4 <s 0.
+	fig4 := func(in string, c uint64) *strand.Strand {
+		v1 := ivl.IntVar(in)
+		return mkStrand([]string{in},
+			ivl.Assign(iv(in+"2"), ivl.Bin(ivl.Add, v1, ivl.C(c))),
+			ivl.Assign(iv(in+"3"), ivl.Bin(ivl.Xor, ivl.IntVar(in+"2"), v1)),
+			ivl.Assign(iv(in+"4"), ivl.Bin(ivl.And, ivl.IntVar(in+"3"), ivl.IntVar(in+"2"))),
+			ivl.Assign(iv(in+"5"), ivl.Bin(ivl.SLt, ivl.IntVar(in+"4"), ivl.C(0))),
+		)
+	}
+	store := func(m, a, v string) *strand.Strand {
+		return &strand.Strand{
+			Inputs: []ivl.Var{mem(m), iv(a), iv(v)},
+			Stmts: []ivl.Stmt{ivl.Assign(mem(m+"1"), ivl.StoreExpr{
+				Mem: ivl.V(mem(m)), Addr: ivl.IntVar(a), Val: ivl.IntVar(v), W: 8})},
+		}
+	}
+	// one is a strand of a single definition over one input.
+	one := func(in string, rhs ivl.Expr) *strand.Strand {
+		return mkStrand([]string{in}, ivl.Assign(iv("d"+in), rhs))
+	}
+	call := func(in string) *strand.Strand {
+		return one(in, ivl.CallExpr{Sym: "call/1", Args: []ivl.Expr{ivl.IntVar(in)}})
+	}
+	chain := func(in string, last uint64) *strand.Strand {
+		return mkStrand([]string{in},
+			ivl.Assign(iv(in+"a"), ivl.Bin(ivl.Add, ivl.IntVar(in), ivl.C(1))),
+			ivl.Assign(iv(in+"b"), ivl.Bin(ivl.Mul, ivl.IntVar(in+"a"), ivl.C(2))),
+			ivl.Assign(iv(in+"c"), ivl.Bin(ivl.Xor, ivl.IntVar(in+"b"), ivl.C(last))),
+		)
+	}
+	tests := []struct {
+		name string
+		q, t *strand.Strand
+		want float64
+	}{
+		{"fig4", fig4("q", 1), fig4("t", 16), 0},
+		{"equal-stores", store("mq", "aq", "vq"), store("mt", "at", "vt"), 1},
+		{"congruent-calls", call("aq"), call("at"), 1},
+		{"zero-only-difference", one("x", ivl.Bin(ivl.Ne, x, ivl.C(0))), one("y", ivl.C(1)), 0},
+		{"distributive",
+			one("x", ivl.Bin(ivl.Mul, ivl.Bin(ivl.Add, x, ivl.C(1)), ivl.C(2))),
+			one("y", ivl.Bin(ivl.Add, ivl.Bin(ivl.Mul, y, ivl.C(2)), ivl.C(2))), 1},
+		{"x+1-vs-x+2", one("x", ivl.Bin(ivl.Add, x, ivl.C(1))), one("y", ivl.Bin(ivl.Add, y, ivl.C(2))), 0},
+		{"two-of-three", chain("q", 0x55), chain("t", 0x66), 2.0 / 3.0},
+	}
+	cfg := Config{MinVars: 1}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			q, tg := Prepare(tt.q, cfg), Prepare(tt.t, cfg)
+			if q.Err() != nil || tg.Err() != nil { // a failed Prepare scores 0 too
+				t.Fatalf("Prepare: %v, %v", q.Err(), tg.Err())
+			}
+			if got := Compute(q, tg, cfg); got != tt.want {
+				t.Errorf("VCP = %v, want %v", got, tt.want)
+			}
+		})
+	}
+}
+
 func TestComputeCrossCompilerStrengthReduction(t *testing.T) {
 	// gcc-style: shl; icc-style: imul; clang-style: lea with scale.
 	shl := liftFirstStrand(t, "proc a\n\tmov rax, rdi\n\tshl rax, 3\n\tadd rax, rsi\n\tret\nendp")
