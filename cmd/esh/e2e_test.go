@@ -19,8 +19,9 @@ import (
 // intended. The same query is then repeated with -prefilter=off, which
 // must print the identical ranking: the CLI-level form of the
 // prefilter's soundness guarantee. The tail pins the flag surface: the
-// retired -kernel/-gamma-batch are undefined, and an unset engine flag
-// keeps the loaded snapshot's setting.
+// retired -kernel/-gamma-batch are undefined, an unset engine flag keeps
+// the loaded snapshot's setting, and -retrieval probe selects the probe
+// at the heuristic tier only.
 func TestCLIGoldenQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and indexes a corpus")
@@ -102,20 +103,24 @@ func TestCLIGoldenQuery(t *testing.T) {
 		}
 	}
 
-	// An unset flag keeps the snapshot's setting: a probe-mode snapshot
-	// loaded without -retrieval serves from its persisted probe table
-	// (the vcp stage of -timings says which path ran), -retrieval scan
-	// overrides it, and the ranking is the golden either way.
+	// Retrieval is the heuristic tier's setting, and an unset flag keeps
+	// the snapshot's: a snapshot saved with -retrieval probe scans at its
+	// own sound settings and prints the golden (the vcp stage of -timings
+	// says which loop ran), probes once -lsh-min-containment puts it on
+	// the heuristic tier — without -retrieval being repeated — and scans
+	// there too when -retrieval scan overrides it.
 	probeSnap := filepath.Join(dir, "probe.eshidx")
 	if out, err := exec.Command(corpusBin, "-save", probeSnap, "-scale", "small", "-synth", "0", "-retrieval", "probe").CombinedOutput(); err != nil {
 		t.Fatalf("eshcorpus -save -retrieval probe: %v\n%s", err, out)
 	}
 	for _, tc := range []struct {
-		extra []string
-		want  string
+		extra  []string
+		want   string
+		golden bool
 	}{
-		{nil, "retrieval_probe=1"},
-		{[]string{"-retrieval", "scan"}, "retrieval_probe=0"},
+		{nil, "retrieval_probe=0", true},
+		{[]string{"-lsh-min-containment", "0.45"}, "retrieval_probe=1", false},
+		{[]string{"-lsh-min-containment", "0.45", "-retrieval", "scan"}, "retrieval_probe=0", false},
 	} {
 		args := append([]string{"-load", probeSnap, "-query", queryPath, "-top", "10", "-timings"}, tc.extra...)
 		cmd := exec.Command(eshBin, args...)
@@ -125,7 +130,7 @@ func TestCLIGoldenQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("esh %v: %v\n%s", args, err, timings.String())
 		}
-		if string(out) != got {
+		if tc.golden && string(out) != got {
 			t.Errorf("esh %v output differs from the golden run:\n%s", args, out)
 		}
 		if !strings.Contains(timings.String(), tc.want) {

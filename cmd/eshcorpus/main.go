@@ -15,6 +15,8 @@
 //
 // The engine flags (package engineflags) are baked into the snapshot;
 // esh -load and eshd serve with them unless their own flags override.
+// The snapshot records the -retrieval setting, never a probe table: a
+// probing daemon derives its table from the signatures when it loads.
 package main
 
 import (
@@ -142,16 +144,11 @@ func main() {
 			fmt.Printf("folded %d WAL records (high-water mark %d) from %s\n",
 				len(recs), db.WALSeq(), *walPath)
 		}
-		// Build the retrieval table before saving so the snapshot carries
-		// it and a probe-mode load skips the rebuild.
-		rstats := db.RetrievalIndex().Stats()
 		if err := index.SaveFile(*save, db); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("indexed %d procedures (%d unique strands) in %s; snapshot saved to %s\n",
 			db.NumTargets(), db.NumUniqueStrands(), time.Since(start).Round(time.Millisecond), *save)
-		fmt.Printf("retrieval table: %d buckets over %d bands (%d rows), postings max %d mean %.2f skew %.2f, %d small-strand entries, checksum %016x\n",
-			rstats.Buckets, rstats.Bands, rstats.Rows, rstats.MaxPosting, rstats.MeanPosting, rstats.Skew, rstats.Small, rstats.Checksum)
 		if *saveShards > 0 {
 			manifest := *save + ".manifest"
 			man, err := shard.SaveShards(manifest, db.Export(), *saveShards)

@@ -17,6 +17,8 @@
 // The engine flags (the last two lines and -workers; package
 // engineflags) are applied to the snapshot's own options before the
 // engine is built from it; an unset flag keeps the snapshot's setting.
+// -retrieval is the heuristic tier's setting: at -lsh-min-containment 0
+// the engine scans whatever it says, and no probe table is built.
 //
 // Endpoints:
 //
@@ -180,6 +182,9 @@ func main() {
 		}
 	}
 	logger.Info("index loaded", attrs...)
+	if st.Retrieval == core.RetrievalProbe && st.LSHMinContainment == 0 {
+		logger.Info("retrieval=probe has no effect at -lsh-min-containment 0: the sound tier scans and builds no probe table")
+	}
 
 	if *pprofAddr != "" {
 		pprofMux := http.NewServeMux()

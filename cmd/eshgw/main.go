@@ -20,9 +20,11 @@
 //
 // At startup the gateway checks every replica's /v1/stats against the
 // manifest — fleet generation, shard coordinates, snapshot checksum,
-// sigmoid k — and refuses to start on a mismatch (merged scores would
-// be silently wrong) unless -allow-degraded is set. Prefilter and
-// retrieval mode differences are score-neutral and only logged.
+// sigmoid k, the heuristic-tier threshold — and refuses to start on a
+// mismatch (merged scores would be silently wrong) unless
+// -allow-degraded is set. At sound settings a prefilter mode difference
+// is score-neutral and only logged, and the retrieval mode has no
+// effect; at the heuristic tier both must match the manifest.
 //
 // Endpoints:
 //

@@ -62,15 +62,16 @@ const (
 	// empty string select this mode; per-query cost grows linearly with
 	// the corpus.
 	RetrievalScan = "scan"
-	// RetrievalProbe probes the banded-LSH retrieval table (package
-	// sketch, RetrievalIndex) for each query strand's candidate set and
-	// runs injectability, the size window, and the verifier only on
-	// retrieved pairs. At sound settings (LSHMinContainment == 0) the
-	// probe returns exactly the injectability-live set, so rankings are
-	// byte-identical to scan mode; with the heuristic tier enabled the
-	// probe returns band-bucket collisions (a subset of the scan-mode
-	// heuristic rule) and per-query cost becomes roughly independent of
-	// corpus size.
+	// RetrievalProbe is the heuristic tier's stage 3: with
+	// LSHMinContainment > 0 it probes the banded-LSH retrieval table
+	// (package sketch, RetrievalIndex) for each query strand's candidate
+	// set — band-bucket collisions, a subset of the scan-mode heuristic
+	// rule — and runs injectability, the size window, and the verifier
+	// only on retrieved pairs, so per-query cost becomes roughly
+	// independent of corpus size. At sound settings (LSHMinContainment
+	// == 0) it selects nothing: the sound candidate set is every
+	// injectability-live strand, a constant fraction of the corpus no
+	// index makes sublinear, so the engine scans and no table exists.
 	RetrievalProbe = "probe"
 )
 
@@ -124,19 +125,12 @@ type Options struct {
 	// default 0 keeps the prefilter sound: rankings are byte-identical
 	// to prefilter-off.
 	LSHMinContainment float64
-	// Retrieval selects the stage-3 candidate source: RetrievalScan
-	// ("" or "scan") or RetrievalProbe ("probe"). Under probe a loaded
-	// snapshot adopts its persisted table (or rebuilds it); a database
-	// filled by AddTarget builds the table on its first query.
+	// Retrieval selects the heuristic tier's stage-3 candidate source:
+	// RetrievalScan ("" or "scan") or RetrievalProbe ("probe"). It takes
+	// effect with LSHMinContainment > 0 only; a probing database builds
+	// its table when it is loaded, or on its first query when it was
+	// filled by AddTarget.
 	Retrieval string
-	// RetrievalMaxDelta bounds how many live-written strands the probe
-	// path may overlay on the immutable retrieval table before the
-	// table is rebuilt eagerly at write time. Overlay strands are
-	// tested per query strand with the sound injectability rule, so
-	// correctness never depends on this knob — only the probe's
-	// sublinearity does. 0 selects DefaultRetrievalMaxDelta; negative
-	// defers every rebuild to compaction.
-	RetrievalMaxDelta int
 }
 
 // DefaultVCPCachePairs is the default vcpCache bound: at 16 bytes and
@@ -152,10 +146,11 @@ const DefaultVCPCachePairs = 1 << 21
 // the measured budget-vs-qps curve this value was read off).
 const memoBudgetBytes = 128 << 20
 
-// DefaultRetrievalMaxDelta is the default Options.RetrievalMaxDelta: a
-// few hundred overlay strands cost microseconds per probe, far below
+// retrievalMaxDelta bounds how many live-written strands the probe path
+// overlays on the immutable retrieval table before a write rebuilds it:
+// a few hundred overlay strands cost microseconds per probe, far below
 // one verifier call, while keeping write-time table rebuilds rare.
-const DefaultRetrievalMaxDelta = 256
+const retrievalMaxDelta = 256
 
 // Target is one indexed procedure.
 type Target struct {
@@ -264,14 +259,17 @@ type DB struct {
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
 
-	// Retrieval state: the immutable probe table over sums, built
-	// lazily (first probe query, RetrievalIndex, or snapshot adopt) and
-	// invalidated whenever sums are renumbered. sketchGen counts those
+	// Retrieval state: the immutable probe table over sums. It exists
+	// only under probeOn() — built at load, by the first probing query
+	// or by a compaction, rebuilt by a write once more than retrMaxDelta
+	// strands have arrived since (tests in this package shrink it) — and
+	// is invalidated whenever sums are renumbered. sketchGen counts those
 	// invalidations so a query whose corpus snapshot predates a rebuild
 	// can detect it and build a private table instead of caching a
 	// stale one.
-	retr      *sketch.RetrievalIndex
-	sketchGen uint64
+	retr         *sketch.RetrievalIndex
+	retrMaxDelta int
+	sketchGen    uint64
 
 	// markPool recycles the n-wide []bool scratch slices stage 3 uses
 	// for prefilter candidate marking and probe deduplication, so a
@@ -375,6 +373,8 @@ func newDB(opts Options) (*DB, error) {
 		vcpCache:  map[string]*vcpRow{},
 		sketchCfg: cfg,
 		sketchIdx: sketch.NewIndex(cfg),
+
+		retrMaxDelta: retrievalMaxDelta,
 	}
 	db.initMetrics()
 	return db, nil
@@ -444,7 +444,7 @@ func (db *DB) initMetrics() {
 		"Wall time per retrieval-table probe (one per probe-mode query strand).",
 		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
 	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
-		"Wall time per retrieval-table build (load under probe mode, lazy first probe, or a live write past the delta bound).", nil)
+		"Wall time per retrieval-table build (load under probe mode, lazy first probe, a live write past the delta bound, or a compaction).", nil)
 	reg.GaugeFunc("esh_lsh_prefilter_enabled", "1 when the LSH prefilter gates the VCP pair loop.", func() float64 {
 		if db.prefilterOn() {
 			return 1
@@ -640,7 +640,13 @@ type queryConfig struct {
 }
 
 func (db *DB) prefilterOn() bool { return db.opts.Prefilter == PrefilterLSH }
-func (db *DB) probeOn() bool     { return db.opts.Retrieval == RetrievalProbe }
+
+// probeOn reports whether stage 3 probes a retrieval table: the
+// heuristic tier's loop, and the one condition under which a table is
+// ever built.
+func (db *DB) probeOn() bool {
+	return db.opts.Retrieval == RetrievalProbe && db.sketchCfg.MinContainment > 0
+}
 
 func (db *DB) snapshotConfig() queryConfig {
 	db.cfgMu.RLock()
@@ -673,19 +679,23 @@ func (db *DB) retrievalFor(qc *queryConfig) *sketch.RetrievalIndex {
 	// a shared table built now would probe out of the query's range.
 	if db.sketchGen == qc.sketchGen && len(db.sums) == len(qc.sums) {
 		if db.retr == nil {
-			start := time.Now()
-			db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-			db.hRetrBuild.Observe(time.Since(start).Seconds())
+			db.retr = db.buildRetrieval(db.sums)
 		}
 		r := db.retr
 		db.cfgMu.Unlock()
 		return r
 	}
 	db.cfgMu.Unlock()
+	return db.buildRetrieval(qc.sums)
+}
+
+// buildRetrieval builds a probe table over sums. Every table comes from
+// here, so esh_retrieval_table_build_seconds counts them all.
+func (db *DB) buildRetrieval(sums []sketch.Summary) *sketch.RetrievalIndex {
 	start := time.Now()
-	r := sketch.BuildRetrieval(qc.sums, db.sketchCfg)
+	rx := sketch.BuildRetrieval(sums, db.sketchCfg)
 	db.hRetrBuild.Observe(time.Since(start).Seconds())
-	return r
+	return rx
 }
 
 // getMark fetches an all-false scratch slice of length n from the pool.
@@ -705,34 +715,6 @@ func (db *DB) putMark(m []bool) {
 	m = m[:cap(m)]
 	clear(m)
 	db.markPool.Put(&m)
-}
-
-// Signatures returns the per-unique-strand MinHash signatures in index
-// order (do not modify). Used by the snapshot writer.
-func (db *DB) Signatures() []sketch.Signature {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	sigs := make([]sketch.Signature, len(db.sums))
-	for i := range db.sums {
-		sigs[i] = db.sums[i].Sig
-	}
-	return sigs
-}
-
-// RetrievalIndex returns the probe table over the current corpus,
-// building it if necessary. The returned index is immutable; it is what
-// the snapshot writer persists and eshcorpus prints build stats from.
-func (db *DB) RetrievalIndex() *sketch.RetrievalIndex {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	if db.retr == nil {
-		start := time.Now()
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(start).Seconds())
-	}
-	return db.retr
 }
 
 // rebuildSketches builds the summary table and LSH index over every
@@ -768,7 +750,7 @@ func (db *DB) rebuildSketches(strands []ExportStrand) {
 }
 
 // invalidateRetrieval drops the probe table after the summaries
-// change; the next probe-mode query (or RetrievalIndex) rebuilds it.
+// change; the next probing query rebuilds it.
 // Callers are AddTarget and FromExport (neither concurrency-safe).
 func (db *DB) invalidateRetrieval() {
 	db.retr = nil
@@ -823,14 +805,15 @@ type DBStats struct {
 	LSHMinContainment float64
 	LSHPairsSkipped   uint64
 	LSHDeadDirections uint64
-	// Retrieval is the active stage-3 candidate source (RetrievalScan
-	// or RetrievalProbe). RetrievalProbes counts probe-mode query
+	// Retrieval is the configured stage-3 candidate source
+	// (RetrievalScan or RetrievalProbe; probe takes effect with
+	// LSHMinContainment > 0). RetrievalProbes counts probed query
 	// strands; RetrievalCandidates their cumulative retrieved
 	// candidates; RetrievalSoundCandidates the cumulative
 	// injectability-live set sizes (candidates/sound is the recall
-	// proxy at heuristic settings — at sound settings the two are
-	// equal). The table-shape fields are zero until the probe table has
-	// been built (lazily, on first probe use).
+	// proxy). The table-shape fields are zero while no probe table
+	// exists: always at sound settings and in scan mode, and before the
+	// first probe of a database filled by AddTarget.
 	Retrieval                string
 	RetrievalProbes          uint64
 	RetrievalCandidates      uint64

@@ -27,11 +27,6 @@ type Export struct {
 	// strands by position, and reports must be reproducible).
 	Strands []ExportStrand
 	Targets []ExportTarget
-	// Retrieval, when non-nil, is the probe table's persistable band
-	// structure. Nil means "not built" — an importer that needs the
-	// table rebuilds it from the strands, which is deterministic and
-	// yields an identical table.
-	Retrieval *sketch.RetrievalTable
 	// Generation is the compaction generation of the exported corpus
 	// and WALSeq its journal high-water mark: a snapshot at (g, s)
 	// already contains every write with sequence <= s, so startup replay
@@ -86,13 +81,6 @@ func (db *DB) exportLocked() *Export {
 	ex.Strands = make([]ExportStrand, len(lv.uniq))
 	for i, p := range lv.uniq {
 		ex.Strands[i] = ExportStrand{S: p.S, Count: lv.counts[i], Sig: lv.sums[i].Sig}
-	}
-	if lv.identity && db.retr != nil && db.retr.Len() == len(lv.sums) {
-		// The resident probe table only describes the unremapped index;
-		// a dirty export leaves Retrieval nil and importers rebuild it
-		// deterministically from the strands.
-		tab := db.retr.Table()
-		ex.Retrieval = &tab
 	}
 	ex.Targets = make([]ExportTarget, len(lv.targets))
 	for i, t := range lv.targets {
@@ -165,18 +153,11 @@ func FromExport(ex *Export) (*DB, error) {
 	// geometry; recompute otherwise (deterministic, so equivalent).
 	db.rebuildSketches(ex.Strands)
 
-	// Adopt the persisted probe table when present and consistent with
-	// the summaries just rebuilt; otherwise fall back to rebuilding it
-	// (saved without one, banding overridden at load, or a corrupt
-	// table). Eager only under probe mode — scan-mode databases build
-	// the table lazily if it is ever needed.
-	if ex.Retrieval != nil {
-		if rx, err := sketch.FromTable(*ex.Retrieval, db.sums, db.sketchCfg); err == nil {
-			db.retr = rx
-		}
-	}
-	if db.opts.Retrieval == RetrievalProbe && db.retr == nil {
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
+	// The probe table is derived state, never part of an export: a
+	// probing database builds it here, so a served snapshot's first query
+	// does not pay for it; any other builds none.
+	if db.probeOn() {
+		db.retr = db.buildRetrieval(db.sums)
 	}
 
 	// Per-target multiplicities must reproduce the per-strand counts

@@ -24,7 +24,7 @@ func TestSharedPlanReadOnly(t *testing.T) {
 	for _, mode := range []string{"lsh", "probe"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := writeTestOptions(mode)
-			db := NewDB(opts)
+			db := newWriteDB(mode)
 			ops := append(synthOps(1, 2, 3), addOp(iccStyle))
 			applyScript(t, db, ops, false)
 			q := parse(t, threeChains)

@@ -281,7 +281,7 @@ func TestDeadColumnsForgottenOnce(t *testing.T) {
 func TestSharedRowReadOnly(t *testing.T) {
 	for _, mode := range []string{"lsh", "probe"} {
 		t.Run(mode, func(t *testing.T) {
-			db := NewDB(writeTestOptions(mode))
+			db := newWriteDB(mode)
 			applyScript(t, db, append(synthOps(1, 2, 3), addOp(iccStyle)), false)
 			queries := []*asm.Proc{parse(t, gccStyle), parse(t, genProc(2))}
 

@@ -15,9 +15,9 @@ import (
 // fixed order:
 //
 //   - writeMu serializes writers (ApplyAdd, ApplyRemove, Replay*,
-//     Compact, Export, RetrievalIndex). Validation, journaling and
-//     sketch building all happen under writeMu alone, so queries keep
-//     flowing through the expensive part of a write.
+//     Compact, Export). Validation, journaling and sketch building all
+//     happen under writeMu alone, so queries keep flowing through the
+//     expensive part of a write.
 //   - cfgMu (held second, briefly) publishes the new state. Everything a
 //     query reads is snapshotted once at entry under cfgMu.RLock; writers
 //     install fresh slices (copy-on-write) or append beyond the lengths
@@ -155,11 +155,10 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 	// probe table is rebuilt eagerly rather than growing the per-query
 	// delta overlay without bound.
 	var (
-		newUniq  []*vcp.Prepared
-		newSums  []sketch.Summary
-		newIdx   *sketch.Index
-		newRetr  *sketch.RetrievalIndex
-		haveRetr bool
+		newUniq []*vcp.Prepared
+		newSums []sketch.Summary
+		newIdx  *sketch.Index
+		newRetr *sketch.RetrievalIndex
 	)
 	if len(news) > 0 {
 		newUniq = make([]*vcp.Prepared, 0, len(db.uniq)+len(news))
@@ -181,17 +180,8 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		db.cfgMu.RLock()
 		retr := db.retr
 		db.cfgMu.RUnlock()
-		if retr != nil {
-			maxDelta := db.opts.RetrievalMaxDelta
-			if maxDelta == 0 {
-				maxDelta = DefaultRetrievalMaxDelta
-			}
-			if retr.Stale(len(newSums), maxDelta) {
-				start := time.Now()
-				newRetr = sketch.BuildRetrieval(newSums, db.sketchCfg)
-				db.hRetrBuild.Observe(time.Since(start).Seconds())
-				haveRetr = true
-			}
+		if retr != nil && retr.Stale(len(newSums), db.retrMaxDelta) {
+			newRetr = db.buildRetrieval(newSums)
 		}
 	}
 
@@ -217,7 +207,7 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		db.uniq = newUniq
 		db.sums = newSums
 		db.sketchIdx = newIdx
-		if haveRetr {
+		if newRetr != nil {
 			db.retr = newRetr
 		}
 		for _, pd := range news {
@@ -444,7 +434,6 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.cfgMu.RLock()
 	pending, tombs := db.pendingWrites, db.tombstones
 	gen, hwm = db.generation, db.walSeq
-	retr := db.retr // queries install a lazily built table under cfgMu
 	db.cfgMu.RUnlock()
 	if pending == 0 && tombs == 0 {
 		return gen, hwm, nil
@@ -479,23 +468,20 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	}
 
 	// Rebuild the derived structures over the remapped corpus (outside
-	// cfgMu — queries keep running on the old state). The LSH index and
-	// probe table depend on strand numbering, so a non-identity remap
-	// invalidates both.
+	// cfgMu — queries keep running on the old state). The LSH index
+	// depends on strand numbering, so a non-identity remap invalidates
+	// it; a probing database's table is rebuilt either way, which also
+	// folds the delta overlay in.
 	newIdx := db.sketchIdx
-	newRetr := retr
 	if !lv.identity {
 		newIdx = sketch.NewIndex(db.sketchCfg)
 		for _, sum := range lv.sums {
 			newIdx.Add(sum)
 		}
-		newRetr = nil
 	}
-	if (retr != nil || db.opts.Retrieval == RetrievalProbe) &&
-		(newRetr == nil || newRetr.Len() != len(lv.sums)) {
-		rStart := time.Now()
-		newRetr = sketch.BuildRetrieval(lv.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(rStart).Seconds())
+	var newRetr *sketch.RetrievalIndex
+	if db.probeOn() {
+		newRetr = db.buildRetrieval(lv.sums)
 	}
 
 	// Strands the remap drops take their γ-fingerprint memos with them,

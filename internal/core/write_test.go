@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/sketch"
 	"repro/internal/vcp"
 	"repro/internal/wal"
 )
@@ -167,11 +168,26 @@ func writeTestOptions(mode string) Options {
 		opts.Prefilter = PrefilterLSH
 	}
 	if mode == "probe" {
-		// Sound tier only: the probe differential claim is bit-identity,
-		// which the heuristic tier deliberately trades away.
+		// A table exists at the heuristic tier only.
 		opts.Retrieval = RetrievalProbe
+		opts.LSHMinContainment = sketch.SuggestedMinContainment
 	}
 	return opts
+}
+
+// newWriteDB returns an empty database under writeTestOptions(mode). In
+// probe mode every add that brings a strand rebuilds the table, so each
+// query probes a table over its whole corpus and the claim is the same
+// bit-identity as in the other modes. Between rebuilds the delta overlay
+// passes the strands written since on injectability alone: a superset of
+// what a rebuilt table retrieves — never a lost pair, but not the
+// rebuild's exact set (TestWriteDifferentialEagerRebuild).
+func newWriteDB(mode string) *DB {
+	db := NewDB(writeTestOptions(mode))
+	if mode == "probe" {
+		db.retrMaxDelta = 0
+	}
+	return db
 }
 
 // TestWriteDifferential checks, after every step of every script, that
@@ -217,7 +233,7 @@ func TestWriteDifferential(t *testing.T) {
 		for _, sc := range scripts {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				opts := writeTestOptions(mode)
-				live := NewDB(opts)
+				live := newWriteDB(mode)
 				// Planned against the empty corpus and run after every
 				// step: nothing in a plan depends on the corpus, so a
 				// server may keep one for as long as it likes.
@@ -241,7 +257,7 @@ func TestWriteDifferential(t *testing.T) {
 					}
 					// The same steps with no query in between: what the
 					// write path answers from an empty row cache.
-					unqueried := NewDB(opts)
+					unqueried := newWriteDB(mode)
 					applyScript(t, unqueried, prefix, false)
 					for qi, qsrc := range queries {
 						q := parse(t, qsrc)
@@ -367,7 +383,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 		for _, when := range []string{"lookup-after", "publish-after"} {
 			t.Run(mode+"/"+when, func(t *testing.T) {
 				opts := writeTestOptions(mode)
-				live := NewDB(opts)
+				live := newWriteDB(mode)
 				// genProc(2) is not cached: the in-flight query has pairs
 				// to verify and rows to publish. Its plan is older than
 				// every target.
@@ -487,7 +503,7 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 						ops = append(ops, compactOp())
 					}
 				}
-				live := NewDB(opts)
+				live := newWriteDB(mode)
 				applyScript(t, live, ops, true)
 				fresh := buildFresh(t, opts, survivors(t, ops))
 				for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
@@ -507,29 +523,62 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestWriteDifferentialEagerRebuild forces the probe path's eager
-// retrieval-table rebuild (RetrievalMaxDelta=1 rebuilds on nearly every
-// add) and the deferred path (negative leaves the delta to the overlay
-// until compaction); both must stay bit-identical.
+// TestWriteDifferentialEagerRebuild is the probe path between rebuilds,
+// which newWriteDB's always-current table leaves out. Adds land on a built
+// table: with retrMaxDelta 1 the write that brings the second strand since
+// the build rebuilds it, with -1 the overlay runs until the compaction.
+// Whatever the table covers, the overlay loses no pair — every VCP is the
+// rebuild's or, where the rebuild's table retrieves nothing, more — and the
+// compaction's rebuild brings every score back to the rebuild's bits.
 func TestWriteDifferentialEagerRebuild(t *testing.T) {
 	for _, maxDelta := range []int{1, -1} {
 		t.Run(fmt.Sprintf("maxdelta=%d", maxDelta), func(t *testing.T) {
 			opts := writeTestOptions("probe")
-			opts.RetrievalMaxDelta = maxDelta
-			ops := append(append(synthOps(1, 2, 3), delOp("synth_2")), synthOps(4, 5)...)
 			live := NewDB(opts)
+			live.retrMaxDelta = maxDelta
+			ops := synthOps(1, 2, 3)
 			applyScript(t, live, ops, false)
-			fresh := buildFresh(t, writeTestOptions("probe"), survivors(t, ops))
 			q := parse(t, gccStyle)
-			got, err := live.Query(q)
+			if _, err := live.Query(q); err != nil { // the first probe builds the table
+				t.Fatal(err)
+			}
+			built := live.hRetrBuild.Count()
+			more := append(synthOps(4, 5, 6), addOp(iccStyle), addOp(unrelated))
+			applyScript(t, live, more, false)
+			ops = append(ops, more...)
+			if rebuilt := live.hRetrBuild.Count() - built; (rebuilt > 0) != (maxDelta == 1) {
+				t.Fatalf("%d table rebuilds while the adds landed", rebuilt)
+			}
+
+			fresh := buildFresh(t, opts, survivors(t, ops))
+			got, err := live.PartialQueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Query(q)
+			want, err := fresh.PartialQueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffReports(t, "eager-rebuild", got, want)
+			for i := range want.Rows {
+				for j, w := range want.Rows[i] {
+					if g := got.Rows[i][j]; math.Float64bits(g) != math.Float64bits(w) && w != 0 {
+						t.Fatalf("row %d column %d = %v over the overlay, the rebuild has %v", i, j, g, w)
+					}
+				}
+			}
+
+			if _, _, err := live.Compact(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			compacted, err := live.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuild, err := fresh.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReports(t, "after the compaction", compacted, rebuild)
 		})
 	}
 }

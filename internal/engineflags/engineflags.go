@@ -56,7 +56,7 @@ func Register(fs *flag.FlagSet, scope Scope) *Flags {
 	fs.IntVar(&f.set.LSHBands, "lsh-bands", 0, "LSH bands of the sketch prefilter (0 = default; unset under a snapshot: its geometry)")
 	fs.IntVar(&f.set.LSHRows, "lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = default; unset under a snapshot: its geometry)")
 	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic prefilter tier at this estimated-containment threshold (0 = sound tier only; rankings can change when > 0)")
-	fs.StringVar(&f.set.Retrieval, "retrieval", "", "stage-3 candidate retrieval: scan or probe (unset: scan for a fresh index, else the snapshot's; rankings are identical at sound settings)")
+	fs.StringVar(&f.set.Retrieval, "retrieval", "", "stage-3 candidate retrieval: scan or probe (unset: scan for a fresh index, else the snapshot's; takes effect at the heuristic tier, -lsh-min-containment > 0 — sound settings always scan)")
 	return f
 }
 

@@ -475,11 +475,15 @@ func (e *FleetError) Error() string {
 }
 
 // CheckFleet asks every replica for /v1/stats and verifies it against
-// the manifest: fleet generation, shard coordinates, and snapshot
-// checksum must match exactly (a mismatch means merged scores would be
-// silently wrong); prefilter and retrieval mode mismatches are
-// score-neutral by the differential suites, so they come back as
-// warnings, not errors.
+// the manifest: fleet generation, shard coordinates, snapshot checksum,
+// sigmoid k and the heuristic-tier threshold must match exactly (a
+// mismatch means merged scores would be silently wrong). Prefilter and
+// retrieval mode pick between loops that return the same bits at sound
+// settings — the differential suites enforce it — so with a sound
+// manifest a prefilter mismatch is a warning and a retrieval mismatch
+// nothing at all (the setting has no effect there); at the heuristic
+// tier each mode has its own candidate rule and either mismatch is an
+// error.
 func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []error) {
 	man := g.cfg.Manifest
 	for i, reps := range g.cfg.Shards {
@@ -510,13 +514,21 @@ func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []err
 			if st.Engine.SigmoidK != man.SigmoidK {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("sigmoid k=%g, manifest says %g", st.Engine.SigmoidK, man.SigmoidK)})
 			}
+			if st.Prefilter.MinContainment != man.LSHMinContainment {
+				errs = append(errs, &FleetError{i, u, fmt.Errorf("lsh min containment %g, manifest says %g", st.Prefilter.MinContainment, man.LSHMinContainment)})
+			}
+			heuristic := man.LSHMinContainment > 0
 			if st.Prefilter.Mode != man.Prefilter {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): prefilter %q, manifest built with %q (score-neutral)", i, u, st.Prefilter.Mode, man.Prefilter))
+				if heuristic {
+					errs = append(errs, &FleetError{i, u, fmt.Errorf("prefilter %q, manifest built with %q at the heuristic tier", st.Prefilter.Mode, man.Prefilter)})
+				} else {
+					warnings = append(warnings, fmt.Sprintf("shard %d (%s): prefilter %q, manifest built with %q (score-neutral)", i, u, st.Prefilter.Mode, man.Prefilter))
+				}
 			}
 			// Pre-retrieval manifests and replicas report "", which
-			// means scan — normalize so mixed-age fleets don't warn.
-			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); got != want {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): retrieval %q, manifest built with %q (score-neutral)", i, u, got, want))
+			// means scan.
+			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); heuristic && got != want {
+				errs = append(errs, &FleetError{i, u, fmt.Errorf("retrieval %q, manifest built with %q at the heuristic tier", got, want)})
 			}
 		}
 	}

@@ -597,6 +597,62 @@ func TestCheckFleet(t *testing.T) {
 	if _, errs := bad.CheckFleet(context.Background()); len(errs) == 0 {
 		t.Fatal("cross-wired fleet passed verification")
 	}
+
+	// The tier is part of the fleet's identity: a replica started at
+	// another -lsh-min-containment merges heuristic scores into sound
+	// ones. The stage-3 modes are checked where they change answers —
+	// at the heuristic tier — and not where they cannot.
+	_, shardExs, err := shard.Split(buildCorpus(t).Export(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := func(s int, edit func(*core.Options)) string {
+		t.Helper()
+		se := *shardExs[s]
+		edit(&se.Opts)
+		sdb, err := core.FromExport(&se)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(server.New(sdb, server.Config{Logger: quietLogger()}).Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	heuristic := func(o *core.Options) { o.LSHMinContainment = 0.45 }
+	heuristicProbe := func(o *core.Options) { o.LSHMinContainment, o.Retrieval = 0.45, core.RetrievalProbe }
+	heuristicMan := *f.man
+	heuristicMan.LSHMinContainment = 0.45
+	for _, tc := range []struct {
+		name    string
+		man     *shard.Manifest
+		shards  [2]func(*core.Options)
+		wantErr string // "" = the fleet passes, with no warning
+	}{
+		{"sound fleet, one replica at the heuristic tier", f.man,
+			[2]func(*core.Options){func(*core.Options) {}, heuristic}, "lsh min containment 0.45, manifest says 0"},
+		{"sound fleet, one replica set to probe", f.man,
+			[2]func(*core.Options){func(*core.Options) {}, func(o *core.Options) { o.Retrieval = core.RetrievalProbe }}, ""},
+		{"heuristic fleet", &heuristicMan,
+			[2]func(*core.Options){heuristic, heuristic}, ""},
+		{"heuristic fleet, one replica probing", &heuristicMan,
+			[2]func(*core.Options){heuristic, heuristicProbe}, `retrieval "probe", manifest built with "scan"`},
+	} {
+		gw, err := New(Config{
+			Manifest: tc.man,
+			Shards:   [][]string{{replica(0, tc.shards[0])}, {replica(1, tc.shards[1])}},
+			Logger:   quietLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warnings, errs := gw.CheckFleet(context.Background())
+		switch {
+		case tc.wantErr == "" && (len(errs) != 0 || len(warnings) != 0):
+			t.Errorf("%s: errors %v, warnings %v; want neither", tc.name, errs, warnings)
+		case tc.wantErr != "" && (len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.wantErr)):
+			t.Errorf("%s: errors %v, want one saying %q", tc.name, errs, tc.wantErr)
+		}
+	}
 }
 
 // TestGatewayReadyz exercises the prober: all up → ready; a dead shard

@@ -42,13 +42,14 @@ import (
 // shard-identity record, the wal record (compaction generation +
 // journal high-water mark, what lets a restarting daemon skip
 // already-folded journal records), per-strand MinHash signatures,
-// per-target strand multiplicities (what lets a corpus split into
-// shards whose local strand counts sum exactly to the union's) and the
-// banded-LSH probe table's posting slabs with their own checksum.
-// Versions 1–4 are refused: no fleet holds them.
+// and per-target strand multiplicities (what lets a corpus split into
+// shards whose local strand counts sum exactly to the union's). The
+// banded-LSH probe table is derived state and not in the file: a
+// probing database builds it from the signatures when it loads.
+// Versions 1–5 are refused: no fleet holds them.
 const (
 	Magic   = "eshidx"
-	Version = 5
+	Version = 6
 )
 
 // Override adjusts the options a snapshot was saved with before the
@@ -299,11 +300,10 @@ func encodeBody(ex *core.Export) []byte {
 	o := ex.Opts
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s retrmaxdelta=%d\n",
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
 		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks, o.VCPCachePairs,
 		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval,
-		o.RetrievalMaxDelta)
+		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -369,42 +369,6 @@ func encodeBody(ex *core.Export) []byte {
 		fmt.Fprintf(&b, "m %d", len(t.StrandMult))
 		for _, m := range t.StrandMult {
 			fmt.Fprintf(&b, " %d", m)
-		}
-		b.WriteByte('\n')
-	}
-
-	// Retrieval section: the probe table's band	// Retrieval section (format version 4): the probe table's band
-	// posting slabs with their own checksum, so a load can adopt the
-	// table instead of re-sorting it. Written empty (count 0) when the
-	// table was never built, or disagrees with the snapshot's strand
-	// count or banding; the loader rebuilds in that case (the table is
-	// a deterministic function of the strands, so answers match).
-	rt := ex.Retrieval
-	if rt != nil && (rt.N != len(ex.Strands) || rt.Bands != cfg.Bands || rt.Rows != cfg.Rows) {
-		rt = nil
-	}
-	if rt == nil {
-		fmt.Fprintf(&b, "retrieval 0 %d %d 0\n", cfg.Bands, cfg.Rows)
-	} else {
-		fmt.Fprintf(&b, "retrieval %d %d %d %016x\n", rt.N, rt.Bands, rt.Rows, rt.Checksum)
-		fmt.Fprintf(&b, "rd %d", len(rt.BandDir))
-		for _, v := range rt.BandDir {
-			fmt.Fprintf(&b, " %d", v)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "rk %d", len(rt.BandKeys))
-		for _, v := range rt.BandKeys {
-			fmt.Fprintf(&b, " %x", v)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "ro %d", len(rt.BandOffs))
-		for _, v := range rt.BandOffs {
-			fmt.Fprintf(&b, " %d", v)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "ri %d", len(rt.BandIDs))
-		for _, v := range rt.BandIDs {
-			fmt.Fprintf(&b, " %d", v)
 		}
 		b.WriteByte('\n')
 	}
@@ -512,7 +476,7 @@ func decodeBody(body []byte) (*core.Export, error) {
 
 	for _, section := range []func(*core.Export) error{
 		d.decodeOptions, d.decodeShard, d.decodeWAL, d.decodeStrands,
-		d.decodeTargets, d.decodeSketch, d.decodeMults, d.decodeRetrieval,
+		d.decodeTargets, d.decodeSketch, d.decodeMults,
 	} {
 		if err := section(ex); err != nil {
 			return nil, err
@@ -522,85 +486,6 @@ func decodeBody(body []byte) (*core.Export, error) {
 		return nil, d.errf("trailing data after final section")
 	}
 	return ex, nil
-}
-
-// decodeRetrieval reads the retrieval section. A zero strand
-// count means the probe table was not persisted; core.FromExport
-// rebuilds it on demand. The decoded table's internal consistency
-// (sorted keys, monotonic offsets, id ranges, checksum) is validated by
-// sketch.FromTable at adopt time.
-func (d *decoder) decodeRetrieval(ex *core.Export) error {
-	toks, err := d.record("retrieval", 4)
-	if err != nil {
-		return err
-	}
-	nums, err := d.ints(toks[:3])
-	if err != nil {
-		return err
-	}
-	n, bands, rows := nums[0], nums[1], nums[2]
-	if bands <= 0 || rows <= 0 {
-		return d.errf("bad retrieval banding %dx%d", bands, rows)
-	}
-	if n == 0 {
-		return nil
-	}
-	if n != len(ex.Strands) {
-		return d.errf("retrieval section covers %d strands, snapshot has %d", n, len(ex.Strands))
-	}
-	checksum, err := strconv.ParseUint(toks[3], 16, 64)
-	if err != nil {
-		return d.errf("bad retrieval checksum %q", toks[3])
-	}
-	int32List := func(tag string) ([]int32, error) {
-		toks, err := d.record(tag, 1)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := d.ints(toks)
-		if err != nil {
-			return nil, err
-		}
-		if vals[0] != len(vals)-1 {
-			return nil, d.errf("%q list has %d entries, header says %d", tag, len(vals)-1, vals[0])
-		}
-		out := make([]int32, len(vals)-1)
-		for i, v := range vals[1:] {
-			out[i] = int32(v)
-		}
-		return out, nil
-	}
-	tab := sketch.RetrievalTable{N: n, Bands: bands, Rows: rows, Checksum: checksum}
-	if tab.BandDir, err = int32List("rd"); err != nil {
-		return err
-	}
-	ktoks, err := d.record("rk", 1)
-	if err != nil {
-		return err
-	}
-	kn, err := d.ints(ktoks[:1])
-	if err != nil {
-		return err
-	}
-	if kn[0] != len(ktoks)-1 {
-		return d.errf("\"rk\" list has %d entries, header says %d", len(ktoks)-1, kn[0])
-	}
-	tab.BandKeys = make([]uint64, len(ktoks)-1)
-	for i, t := range ktoks[1:] {
-		v, err := strconv.ParseUint(t, 16, 64)
-		if err != nil {
-			return d.errf("bad retrieval band key %q", t)
-		}
-		tab.BandKeys[i] = v
-	}
-	if tab.BandOffs, err = int32List("ro"); err != nil {
-		return err
-	}
-	if tab.BandIDs, err = int32List("ri"); err != nil {
-		return err
-	}
-	ex.Retrieval = &tab
-	return nil
 }
 
 // decodeShard reads the shard identity record.
@@ -769,13 +654,11 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			ex.Opts.LSHMinContainment = atof()
 		case "retrieval":
 			ex.Opts.Retrieval, ierr = core.NormalizeRetrieval(val)
-		case "retrmaxdelta":
-			ex.Opts.RetrievalMaxDelta = atoi()
 		default:
 			// Unknown keys are ignored so minor option additions do not
 			// invalidate old readers within a format version — and so
-			// files that still carry the retired workers=, kernel= and
-			// gammabatch= keys keep loading.
+			// files that still carry the retired workers=, kernel=,
+			// gammabatch= and retrmaxdelta= keys keep loading.
 		}
 		if ierr != nil {
 			return d.errf("bad option value %q: %v", kv, ierr)

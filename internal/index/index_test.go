@@ -6,12 +6,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/sketch"
 	"repro/internal/vcp"
 )
 
@@ -201,15 +206,16 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 	return []byte(fmt.Sprintf("%s %d %d %s\n%s", Magic, version, len(body), hex.EncodeToString(sum[:]), body))
 }
 
-// TestRetiredOptionKeys: snapshots written while workers=, kernel= and
-// gammabatch= were still option keys keep loading (unknown keys are
-// ignored), answer identically, and re-save without them.
+// TestRetiredOptionKeys: snapshots that carry workers=, kernel=,
+// gammabatch= or retrmaxdelta=, option keys of earlier builds, keep
+// loading (unknown keys are ignored), answer identically, and re-save
+// without them.
 func TestRetiredOptionKeys(t *testing.T) {
 	db := buildDB(t)
 	snap := saveBytes(t, db)
 	old := rewrite(t, snap, Version, func(ln string) string {
 		if strings.HasPrefix(ln, "options ") {
-			ln += " workers=1 kernel=scalar gammabatch=16"
+			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64"
 		}
 		return ln
 	})
@@ -246,12 +252,13 @@ func TestBadBodyRejected(t *testing.T) {
 	}
 }
 
-// TestOldVersionRefused: formats before 5 are no longer decoded.
+// TestOldVersionRefused: formats before 6 are no longer decoded — v5,
+// the last to carry a retrieval section, included.
 func TestOldVersionRefused(t *testing.T) {
 	old := rewrite(t, saveBytes(t, buildDB(t)), Version-1, func(ln string) string { return ln })
 	_, err := Load(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "unsupported format version 4") {
-		t.Fatalf("v4 snapshot: error %v, want unsupported format version", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported format version 5") {
+		t.Fatalf("v5 snapshot: error %v, want unsupported format version", err)
 	}
 }
 
@@ -311,86 +318,215 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// buildProbeDB is buildDB in probe retrieval mode, which makes Export
-// carry the built probe table so the snapshot exercises the retrieval
-// section.
-func buildProbeDB(t *testing.T) *core.DB {
+// compiledCorpus is a C1-shaped corpus at half scale: every package of the
+// test-bed compiled by two of the simulated toolchains (226 procedures).
+func compiledCorpus(t *testing.T) []*asm.Proc {
 	t.Helper()
-	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, Retrieval: core.RetrievalProbe})
-	for _, src := range []string{iccStyle, memStyle} {
-		if err := db.AddTarget(parse(t, src)); err != nil {
+	if testing.Short() {
+		t.Skip("compiles and indexes a corpus")
+	}
+	var tcs []compile.Toolchain
+	for _, name := range []string{"gcc-4.9", "clang-3.5"} {
+		tc, ok := compile.ByName(name)
+		if !ok {
+			t.Fatalf("toolchain %s missing", name)
+		}
+		tcs = append(tcs, tc)
+	}
+	procs, err := corpus.Build(corpus.BuildConfig{Toolchains: tcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return procs
+}
+
+func fill(t *testing.T, db *core.DB, procs []*asm.Proc) *core.DB {
+	t.Helper()
+	for _, p := range procs {
+		if err := db.AddTarget(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db
 }
 
-// TestRetrievalTableRoundTrip checks the retrieval section:
-// a probe-mode save persists the table, a load adopts it byte-for-byte
-// (same slab checksum as the builder produced), and the re-saved
-// snapshot is a fixed point.
-func TestRetrievalTableRoundTrip(t *testing.T) {
-	db := buildProbeDB(t)
-	want := db.RetrievalIndex().Checksum()
-	snap := saveBytes(t, db)
-
-	ex, err := LoadExport(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Retrieval == nil {
-		t.Fatal("probe-mode snapshot did not persist the retrieval table")
-	}
-	if ex.Retrieval.N != len(ex.Strands) {
-		t.Fatalf("persisted table covers %d strands, snapshot has %d", ex.Retrieval.N, len(ex.Strands))
-	}
-	if ex.Retrieval.Checksum != want {
-		t.Fatalf("persisted table checksum %016x, builder produced %016x", ex.Retrieval.Checksum, want)
-	}
-
-	db2, err := Load(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.RetrievalIndex().Checksum(); got != want {
-		t.Fatalf("adopted table checksum %016x, want %016x", got, want)
-	}
-	if snap2 := saveBytes(t, db2); !bytes.Equal(snap, snap2) {
-		t.Fatal("probe-mode snapshot is not a save/load fixed point")
-	}
-	compareQueries(t, db, db2)
+// novelProc is a small procedure whose strand no other i shares.
+func novelProc(i int) string {
+	return fmt.Sprintf(`proc novel_%d
+	mov rax, rdi
+	imul rax, %d
+	add rax, 0x%x
+	mov rcx, rax
+	shr rcx, %d
+	xor rax, rcx
+	add rax, rsi
+	mov rdx, rax
+	and rdx, 0x%x
+	add rax, rdx
+	ret
+endp`, i, 3+2*i, 0x11+i*7, 1+(i%7), 0xff+i)
 }
 
-// TestProbeOverrideRebuildsTable: a snapshot saved in scan mode carries
-// no probe table; loading it with retrieval overridden to probe rebuilds
-// one identical to the table a probe-mode save persists, so probe-mode
-// answers do not depend on how the snapshot was written.
-func TestProbeOverrideRebuildsTable(t *testing.T) {
-	probeDB := buildProbeDB(t)
-	want := probeDB.RetrievalIndex().Checksum()
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-	snap := saveBytes(t, buildDB(t))
-	ex, err := LoadExport(bytes.NewReader(snap))
-	if err != nil {
+// hasRetrievalRecord reports whether a snapshot body carries a record
+// tagged "retrieval" (the options line's retrieval= key is not one).
+func hasRetrievalRecord(snap []byte) bool {
+	return bytes.Contains(snap, []byte("\nretrieval "))
+}
+
+// compactInto compacts db, returning the snapshot the compaction persists.
+func compactInto(t *testing.T, db *core.DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, _, err := db.Compact(func(ex *core.Export) error {
+		_, err := SaveExportCtx(context.Background(), &buf, ex)
+		return err
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ex.Retrieval != nil || ex.Opts.Retrieval != core.RetrievalScan {
-		t.Fatalf("scan-mode snapshot carries a probe table or mode %q", ex.Opts.Retrieval)
+	if buf.Len() == 0 {
+		t.Fatal("the compaction persisted nothing")
 	}
-	db2, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), func(o core.Options) (core.Options, error) {
-		o.Retrieval = core.RetrievalProbe
+	return buf.Bytes()
+}
+
+// TestSoundDatabaseCarriesNoProbeTable: the probe table is heuristic-tier
+// state. A database at sound settings — the default deployment, or one
+// whose -retrieval says probe — scans, so nothing it does may build a
+// table or put one in a snapshot: not the save, not the load, not a
+// stream of live adds long enough to outrun any delta bound, not the
+// compaction. The hazard is derived state creeping back into the file or
+// into a deployment that never reads it.
+func TestSoundDatabaseCarriesNoProbeTable(t *testing.T) {
+	procs := compiledCorpus(t)
+	for _, retrieval := range []string{core.RetrievalScan, core.RetrievalProbe} {
+		t.Run(retrieval, func(t *testing.T) {
+			saved := saveBytes(t, fill(t, core.NewDB(core.Options{Prefilter: core.PrefilterLSH, Retrieval: retrieval}), procs))
+			db, err := Load(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := db.NumUniqueStrands()
+			for i := 0; i < 300; i++ {
+				if err := db.ApplyAdd(parse(t, novelProc(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if grew := db.NumUniqueStrands() - before; grew < 300 {
+				t.Fatalf("test premise broken: 300 adds brought %d novel strands", grew)
+			}
+			if _, err := db.Query(procs[0]); err != nil {
+				t.Fatal(err)
+			}
+			compacted := compactInto(t, db)
+			if _, err := db.Query(procs[0]); err != nil {
+				t.Fatal(err)
+			}
+
+			st := db.Stats()
+			if st.Retrieval != retrieval || st.LSHMinContainment != 0 {
+				t.Fatalf("test premise broken: retrieval %q at containment %g", st.Retrieval, st.LSHMinContainment)
+			}
+			if st.RetrievalTableBuckets != 0 || st.RetrievalProbes != 0 {
+				t.Errorf("a sound database holds a probe table of %d buckets and probed it %d times", st.RetrievalTableBuckets, st.RetrievalProbes)
+			}
+			if builds := db.Metrics().Histogram("esh_retrieval_table_build_seconds", "", nil).Count(); builds != 0 {
+				t.Errorf("esh_retrieval_table_build_seconds counts %d builds, want 0", builds)
+			}
+			if hasRetrievalRecord(saved) || hasRetrievalRecord(compacted) {
+				t.Error("a snapshot carries a retrieval record")
+			}
+		})
+	}
+}
+
+// TestProbeOverrideRebuildsTable: a probing database derives its table,
+// so its answers cannot depend on how it was reached. The same corpus
+// under the same heuristic-probe options, reached three ways — indexed
+// by AddTarget; loaded from a snapshot a scan-mode database saved, with
+// the options overridden at load; loaded from a snapshot of half of it,
+// the rest added live and compacted — must retrieve identical candidate
+// sets and return bit-identical rows and scores.
+func TestProbeOverrideRebuildsTable(t *testing.T) {
+	procs := compiledCorpus(t)
+	probing := func(o core.Options) (core.Options, error) {
+		o.Retrieval, o.LSHMinContainment = core.RetrievalProbe, sketch.SuggestedMinContainment
 		return o, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if got := db2.Stats(); got.Retrieval != core.RetrievalProbe || got.RetrievalTableBuckets == 0 {
-		t.Fatalf("after override: retrieval %q with %d table buckets, want a resident probe table", got.Retrieval, got.RetrievalTableBuckets)
+	load := func(snap []byte) *core.DB {
+		t.Helper()
+		if hasRetrievalRecord(snap) {
+			t.Fatal("a snapshot carries a retrieval record")
+		}
+		db, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), probing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := db.Stats(); st.Retrieval != core.RetrievalProbe || st.RetrievalTableBuckets == 0 {
+			t.Fatalf("after override: retrieval %q with %d table buckets, want a resident probe table", st.Retrieval, st.RetrievalTableBuckets)
+		}
+		return db
 	}
-	if got := db2.RetrievalIndex().Checksum(); got != want {
-		t.Fatalf("rebuilt table checksum %016x, persisted-table build %016x", got, want)
+
+	opts, _ := probing(core.Options{})
+	indexed := fill(t, core.NewDB(opts), procs)
+	loaded := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs)))
+	grown := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs[:len(procs)/2])))
+	for _, p := range procs[len(procs)/2:] {
+		if err := grown.ApplyAdd(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	compareQueries(t, probeDB, db2)
+	if hasRetrievalRecord(compactInto(t, grown)) {
+		t.Fatal("the compaction's snapshot carries a retrieval record")
+	}
+
+	others := map[string]*core.DB{"loaded": loaded, "loaded, grown and compacted": grown}
+	qtc, _ := compile.ByName("clang-3.5")
+	for _, v := range corpus.Vulns()[:3] {
+		q, err := corpus.CompileVuln(v, qtc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := indexed.PartialQueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := indexed.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, db := range others {
+			got, err := db.PartialQueryCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A column outside the candidate set reads zero, so equal
+			// rows are equal candidate sets with equal VCPs.
+			for i := range want.Rows {
+				if !slices.EqualFunc(got.Rows[i], want.Rows[i], sameBits) {
+					t.Fatalf("%s, query %s: row %d differs from the indexed database's", name, v.Alias, i)
+				}
+			}
+			b, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReports(t, "indexed vs "+name, a, b)
+		}
+	}
+	want := indexed.Stats()
+	if want.RetrievalProbes == 0 || want.RetrievalCandidates >= want.RetrievalSoundCandidates {
+		t.Fatalf("test premise broken: %d probes retrieved %d of %d sound candidates; the heuristic probe is to drop some",
+			want.RetrievalProbes, want.RetrievalCandidates, want.RetrievalSoundCandidates)
+	}
+	for name, db := range others {
+		if got := db.Stats(); got.RetrievalCandidates != want.RetrievalCandidates || got.RetrievalTableBuckets != want.RetrievalTableBuckets {
+			t.Errorf("%s: %d candidates from a table of %d buckets, the indexed database %d from %d", name,
+				got.RetrievalCandidates, got.RetrievalTableBuckets, want.RetrievalCandidates, want.RetrievalTableBuckets)
+		}
+	}
 }
 
 // compareQueries runs the shared query set against both databases and
@@ -406,15 +542,21 @@ func compareQueries(t *testing.T, db, db2 *core.DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r1.Results) != len(r2.Results) {
-			t.Fatalf("result count %d vs %d", len(r1.Results), len(r2.Results))
-		}
-		for i := range r1.Results {
-			a, b := r1.Results[i], r2.Results[i]
-			if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG || a.SVCP != b.SVCP {
-				t.Fatalf("rank %d: (%s %v %v %v) vs (%s %v %v %v)",
-					i, a.Target.Name, a.GES, a.SLOG, a.SVCP, b.Target.Name, b.GES, b.SLOG, b.SVCP)
-			}
+		compareReports(t, "saved vs loaded", r1, r2)
+	}
+}
+
+// compareReports demands identical rankings and scores.
+func compareReports(t *testing.T, label string, r1, r2 *core.Report) {
+	t.Helper()
+	if len(r1.Results) != len(r2.Results) {
+		t.Fatalf("%s, query %s: result count %d vs %d", label, r1.QueryName, len(r1.Results), len(r2.Results))
+	}
+	for i := range r1.Results {
+		a, b := r1.Results[i], r2.Results[i]
+		if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG || a.SVCP != b.SVCP {
+			t.Fatalf("%s, query %s, rank %d: (%s %v %v %v) vs (%s %v %v %v)", label, r1.QueryName,
+				i, a.Target.Name, a.GES, a.SLOG, a.SVCP, b.Target.Name, b.GES, b.SLOG, b.SVCP)
 		}
 	}
 }

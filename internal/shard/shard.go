@@ -38,9 +38,10 @@ type Manifest struct {
 	// SigmoidK, Prefilter, LSHMinContainment and Retrieval record the
 	// engine options the corpus was built with. SigmoidK and
 	// LSHMinContainment affect scores, so a coordinator refuses shards
-	// reporting different values; Prefilter (sound mode) and Retrieval
-	// do not — the differential suites enforce it — so mismatches there
-	// are only warnings.
+	// reporting different values. At LSHMinContainment 0 Prefilter does
+	// not — the differential suites enforce it — so a mismatch is only
+	// a warning, and Retrieval has no effect; above 0 each mode has its
+	// own candidate rule and a mismatch in either is refused too.
 	SigmoidK          float64
 	Prefilter         string
 	LSHMinContainment float64

@@ -1,35 +1,32 @@
 // Retrieval index: the LSH sketches promoted from a per-pair prefilter
 // to a top-level ANN structure probed at query time. Where Index walks
 // every indexed summary and asks "is this pair a candidate?", the
-// RetrievalIndex inverts the loop: posting lists keyed by typed-input
-// class and by LSH band bucket are built once over all target strands,
-// and a query strand probes them for its candidate set without touching
-// the rest of the corpus.
+// RetrievalIndex inverts the loop: posting lists keyed by LSH band
+// bucket are built once over all target strands, and a query strand
+// probes them for its candidate set without touching the rest of the
+// corpus.
 //
-// The probe rule mirrors the candidate rule's two tiers:
-//
-// Sound tier (MinContainment == 0): candidates are exactly the strands
-// whose typed input counts inject into the query's or vice versa — the
-// union of the live typed-input classes. Typed counts partition strands
-// into few classes (one per distinct (ints, mems) pair), so the probe
-// enumerates classes, not strands, and returns the same set Candidates
-// would mark: rankings stay byte-identical to the exhaustive loop.
-//
-// Heuristic tier (MinContainment > 0): candidates are exactly the
-// strands sharing at least one band bucket with the query, filtered to
-// the injectability-live set. This is a strict subset of the scan-mode
-// heuristic rule, which additionally rescues non-colliding pairs via
-// the containment estimate and always-passes small-feature-set strands
-// on either side. None of those escapes has a sublinear analogue —
-// each is a per-target decision that needs the full scan, so keeping
-// any of them would make the candidate set grow linearly with the
-// corpus and defeat the probe. An identical target strand still always
-// self-retrieves — identical signatures collide in every band — and
-// the resulting recall gap is pinned by the differential harness.
+// The table belongs to the heuristic tier (MinContainment > 0) and has
+// one rule: candidates are exactly the strands sharing at least one
+// band bucket with the query, filtered to the injectability-live set.
+// The sound candidate set — every injectability-live strand — is a
+// constant fraction of the corpus that no index makes sublinear, so
+// sound settings scan and never build a table. The probe's set is a
+// strict subset of the scan-mode heuristic rule, which additionally
+// rescues non-colliding pairs via the containment estimate and
+// always-passes small-feature-set strands on either side. None of those
+// escapes has a sublinear analogue — each is a per-target decision that
+// needs the full scan, so keeping any of them would make the candidate
+// set grow linearly with the corpus and defeat the probe. An identical
+// target strand still always self-retrieves — identical signatures
+// collide in every band — and the resulting recall gap is pinned by the
+// differential harness.
 //
 // All posting lists live in flat slabs ([]int32 id runs addressed by
 // offset) rather than per-bucket map slices: the table is immutable
-// after build, cheap to persist, and probe touches contiguous memory.
+// after build and probe touches contiguous memory. It is derived state:
+// a deterministic function of the summaries, built when a probing
+// database is loaded or first probed, never persisted.
 package sketch
 
 import (
@@ -37,29 +34,26 @@ import (
 	"sort"
 )
 
-// retrClass is one typed-input class: the strands whose inputs are
-// exactly nInt bitvectors and nMem memories. Posting lists are disjoint
-// across classes (each strand has one typed-count pair).
+// retrClass counts the strands of one typed-input class: those whose
+// inputs are exactly nInt bitvectors and nMem memories.
 type retrClass struct {
 	nInt, nMem int32
-	off, n     int32 // posting run classIDs[off : off+n]
+	n          int32
 }
 
 // RetrievalIndex is an immutable probe table over strand summaries.
-// Build it with BuildRetrieval (or adopt a persisted table with
-// FromTable); Probe is safe for concurrent use.
+// Build it with BuildRetrieval; Probe is safe for concurrent use.
 type RetrievalIndex struct {
 	cfg Config
 	n   int
 
-	// Sound tier: typed-input classes, sorted by (nInt, nMem), with
-	// one flat id slab.
-	classes  []retrClass
-	classIDs []int32
+	// Typed-input class sizes, sorted by (nInt, nMem): what Probe sums
+	// for the size of the sound candidate set without walking strands.
+	classes []retrClass
 
-	// Heuristic tier: per-band sorted bucket directories over one flat
-	// id slab. Band b's buckets are bandKeys[bandDir[b]:bandDir[b+1]]
-	// (sorted, unique); bucket i's posting run is
+	// Per-band sorted bucket directories over one flat id slab. Band
+	// b's buckets are bandKeys[bandDir[b]:bandDir[b+1]] (sorted,
+	// unique); bucket i's posting run is
 	// bandIDs[bandOffs[i]:bandOffs[i+1]] (bandOffs has a final
 	// sentinel).
 	bandDir  []int32
@@ -67,17 +61,8 @@ type RetrievalIndex struct {
 	bandOffs []int32
 	bandIDs  []int32
 
-	// small lists the strands the scan-mode heuristic would always pass
-	// (NFeat <= SmallSetFeatures). The probe does NOT consult it — an
-	// always-pass list is a linear floor on candidate-set growth — but
-	// its size is surfaced through Stats as a recall-gap indicator.
-	small []int32
-
-	// Typed counts and feature-set sizes in SoA form for the probe's
-	// liveness filter.
-	nInt, nMem, nFeat []int32
-
-	checksum uint64
+	// Typed counts in SoA form for the probe's liveness filter.
+	nInt, nMem []int32
 }
 
 // bandKeyFor hashes one band's rows of a signature. Shared with
@@ -94,17 +79,16 @@ func bandKeyFor(sig Signature, rows, b int) uint64 {
 
 // BuildRetrieval constructs the probe table over sums under cfg. It is
 // deterministic: the same summaries in the same order always produce
-// the same table (and checksum), which is what lets a persisted table
-// and a load-time rebuild be used interchangeably.
+// the same table, which is what lets every way of reaching a corpus —
+// bulk indexing, a loaded snapshot, a compaction — probe identically.
 func BuildRetrieval(sums []Summary, cfg Config) *RetrievalIndex {
 	cfg = cfg.Normalized()
 	k := cfg.Len()
 	rx := &RetrievalIndex{
-		cfg:   cfg,
-		n:     len(sums),
-		nInt:  make([]int32, len(sums)),
-		nMem:  make([]int32, len(sums)),
-		nFeat: make([]int32, len(sums)),
+		cfg:  cfg,
+		n:    len(sums),
+		nInt: make([]int32, len(sums)),
+		nMem: make([]int32, len(sums)),
 	}
 	for id, s := range sums {
 		if len(s.Sig) != k {
@@ -113,13 +97,8 @@ func BuildRetrieval(sums []Summary, cfg Config) *RetrievalIndex {
 		}
 		rx.nInt[id] = int32(s.NInt)
 		rx.nMem[id] = int32(s.NMem)
-		rx.nFeat[id] = int32(s.NFeat)
-		if s.NFeat <= SmallSetFeatures {
-			rx.small = append(rx.small, int32(id))
-		}
 	}
-
-	rx.rebuildClasses()
+	rx.countClasses()
 
 	// Band buckets: sort (key, id) pairs per band, then cut runs into
 	// the shared slab.
@@ -154,7 +133,6 @@ func BuildRetrieval(sums []Summary, cfg Config) *RetrievalIndex {
 		rx.bandDir[b+1] = int32(len(rx.bandKeys))
 	}
 	rx.bandOffs = append(rx.bandOffs, int32(len(rx.bandIDs))) // sentinel
-	rx.checksum = rx.computeChecksum()
 	return rx
 }
 
@@ -176,15 +154,16 @@ func (rx *RetrievalIndex) Stale(total, maxDelta int) bool {
 // ProbeDelta extends a Probe result with the delta overlay: strands
 // with ids in [Len(), len(sums)) — written live after the table was
 // built; the corpus arrays are append-only within a generation — are
-// tested by the same typed-input injectability criterion the sound
-// tier stores, skipping ids whose counts entry is zero (tombstoned
-// remnants). ids must be a Probe result over this table, so the
-// returned slice stays sorted and duplicate-free (all delta ids are
-// larger than any table id). Returns the extended ids and the number
-// of sound candidates appended. The overlay is a superset guarantee
-// for the heuristic tier (every delta strand passes, band-collision
-// untested) and exact for the sound tier, so sound-tier rankings stay
-// bit-identical to a scan.
+// tested for typed-input injectability alone, skipping ids whose counts
+// entry is zero (tombstoned remnants). ids must be a Probe result over
+// this table, so the returned slice stays sorted and duplicate-free
+// (all delta ids are larger than any table id). Returns the extended
+// ids and the number of sound candidates appended. The overlay is a
+// superset of what a rebuilt table returns — every live delta strand
+// passes, its band collisions untested — so a strand written since the
+// build is never lost to the probe, and until the next rebuild (Stale,
+// or a compaction) a query may verify a few pairs a fresh table would
+// not have retrieved.
 func (rx *RetrievalIndex) ProbeDelta(sum Summary, sums []Summary, counts []int, ids []int32) ([]int32, int) {
 	sound := 0
 	for j := rx.n; j < len(sums); j++ {
@@ -199,36 +178,18 @@ func (rx *RetrievalIndex) ProbeDelta(sum Summary, sums []Summary, counts []int, 
 	return ids, sound
 }
 
-// Config returns the banding configuration the table was built under.
-func (rx *RetrievalIndex) Config() Config { return rx.cfg }
-
-// Checksum returns the table checksum (a pure function of the band
-// structures and dimensions).
-func (rx *RetrievalIndex) Checksum() uint64 { return rx.checksum }
-
-func (rx *RetrievalIndex) computeChecksum() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-		h = splitmix64(h)
+// bucket returns the posting run of the band-b bucket sig falls in: nil
+// when no indexed strand shares it.
+func (rx *RetrievalIndex) bucket(sig Signature, b int) []int32 {
+	key := bandKeyFor(sig, rx.cfg.Rows, b)
+	lo, hi := rx.bandDir[b], rx.bandDir[b+1]
+	keys := rx.bandKeys[lo:hi]
+	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
+	if i == len(keys) || keys[i] != key {
+		return nil
 	}
-	mix(uint64(rx.n))
-	mix(uint64(rx.cfg.Bands))
-	mix(uint64(rx.cfg.Rows))
-	for _, v := range rx.bandDir {
-		mix(uint64(uint32(v)))
-	}
-	for _, v := range rx.bandKeys {
-		mix(v)
-	}
-	for _, v := range rx.bandOffs {
-		mix(uint64(uint32(v)))
-	}
-	for _, v := range rx.bandIDs {
-		mix(uint64(uint32(v)))
-	}
-	return h
+	bi := int(lo) + i
+	return rx.bandIDs[rx.bandOffs[bi]:rx.bandOffs[bi+1]]
 }
 
 func (rx *RetrievalIndex) live(sum Summary, id int32) bool {
@@ -238,75 +199,41 @@ func (rx *RetrievalIndex) live(sum Summary, id int32) bool {
 }
 
 // Probe appends the candidate ids for the query strand summarized by
-// sum to out and returns the (sorted, duplicate-free) result along with
-// the size of the sound candidate set — the injectability-live strand
-// count, which the heuristic tier's result is a subset of (the ratio is
-// the engine's recall proxy). scratch must be at least Len() long and
-// all-false; it is restored to all-false before returning. At sound
-// settings (MinContainment == 0) the returned set is exactly the set
-// Candidates would mark.
+// sum to out — the strands sharing a band bucket with it, filtered to
+// the injectability-live set — and returns the (sorted, duplicate-free)
+// result along with the size of the sound candidate set: the
+// injectability-live strand count, which the result is a subset of (the
+// ratio is the engine's recall proxy). scratch must be at least Len()
+// long and all-false; it is restored to all-false before returning.
 func (rx *RetrievalIndex) Probe(sum Summary, scratch []bool, out []int32) (ids []int32, sound int) {
 	if len(sum.Sig) != rx.cfg.Len() {
 		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
 			len(sum.Sig), rx.cfg.Bands, rx.cfg.Rows))
 	}
 	qi, qm := int32(sum.NInt), int32(sum.NMem)
-	liveClass := func(c retrClass) bool {
-		return (qi <= c.nInt && qm <= c.nMem) || (c.nInt <= qi && c.nMem <= qm)
-	}
 	for _, c := range rx.classes {
-		if liveClass(c) {
+		if (qi <= c.nInt && qm <= c.nMem) || (c.nInt <= qi && c.nMem <= qm) {
 			sound += int(c.n)
 		}
 	}
-	// Sound tier: the union of live class runs IS the candidate set.
-	// Class runs are disjoint, so no dedup is needed.
-	if rx.cfg.MinContainment <= 0 {
-		for _, c := range rx.classes {
-			if liveClass(c) {
-				out = append(out, rx.classIDs[c.off:c.off+c.n]...)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, sound
-	}
-	// Heuristic tier: band-bucket collisions, deduplicated through
-	// scratch and filtered to the live set.
+	// Band-bucket collisions, deduplicated through scratch and filtered
+	// to the live set.
 	start := len(out)
-	collect := func(id int32) {
-		if !scratch[id] {
-			scratch[id] = true
-			if rx.live(sum, id) {
-				out = append(out, id)
-			}
-		}
-	}
 	for b := 0; b < rx.cfg.Bands; b++ {
-		key := bandKeyFor(sum.Sig, rx.cfg.Rows, b)
-		lo, hi := rx.bandDir[b], rx.bandDir[b+1]
-		keys := rx.bandKeys[lo:hi]
-		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
-		if i == len(keys) || keys[i] != key {
-			continue
-		}
-		bi := int(lo) + i
-		for _, id := range rx.bandIDs[rx.bandOffs[bi]:rx.bandOffs[bi+1]] {
-			collect(id)
+		for _, id := range rx.bucket(sum.Sig, b) {
+			if !scratch[id] {
+				scratch[id] = true
+				if rx.live(sum, id) {
+					out = append(out, id)
+				}
+			}
 		}
 	}
 	// Un-mark everything touched: live hits are in out, the dead ones
 	// must be rediscovered by re-walking the same buckets. Cheaper than
 	// clearing all of scratch when candidate sets are small.
 	for b := 0; b < rx.cfg.Bands; b++ {
-		key := bandKeyFor(sum.Sig, rx.cfg.Rows, b)
-		lo, hi := rx.bandDir[b], rx.bandDir[b+1]
-		keys := rx.bandKeys[lo:hi]
-		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
-		if i == len(keys) || keys[i] != key {
-			continue
-		}
-		bi := int(lo) + i
-		for _, id := range rx.bandIDs[rx.bandOffs[bi]:rx.bandOffs[bi+1]] {
+		for _, id := range rx.bucket(sum.Sig, b) {
 			scratch[id] = false
 		}
 	}
@@ -319,29 +246,15 @@ func (rx *RetrievalIndex) Probe(sum Summary, scratch []bool, out []int32) (ids [
 // banding (one giant bucket) shows up as posting-list skew long before
 // it shows up as query latency.
 type RetrievalStats struct {
-	Strands     int
-	Bands       int
-	Rows        int
-	Classes     int     // distinct typed-input classes
 	Buckets     int     // non-empty band buckets
 	MaxPosting  int     // longest posting list
 	MeanPosting float64 // mean posting-list length
 	Skew        float64 // MaxPosting / MeanPosting (1 = perfectly even)
-	Small       int     // tiny-feature strands the scan-mode escape would always pass
-	Checksum    uint64
 }
 
 // Stats returns the table's shape summary.
 func (rx *RetrievalIndex) Stats() RetrievalStats {
-	st := RetrievalStats{
-		Strands:  rx.n,
-		Bands:    rx.cfg.Bands,
-		Rows:     rx.cfg.Rows,
-		Classes:  len(rx.classes),
-		Buckets:  len(rx.bandKeys),
-		Small:    len(rx.small),
-		Checksum: rx.checksum,
-	}
+	st := RetrievalStats{Buckets: len(rx.bandKeys)}
 	for i := range rx.bandKeys {
 		n := int(rx.bandOffs[i+1] - rx.bandOffs[i])
 		if n > st.MaxPosting {
@@ -355,120 +268,9 @@ func (rx *RetrievalIndex) Stats() RetrievalStats {
 	return st
 }
 
-// RetrievalTable is the persistable form of the band structures: plain
-// slices with no behavior, encoded into snapshot format v4 by
-// internal/index. The typed-input classes and small-set list are NOT
-// part of the table — they are O(n) derivations of the summaries, which
-// the snapshot already persists, and FromTable rebuilds them on adopt.
-type RetrievalTable struct {
-	Bands, Rows int
-	N           int
-	BandDir     []int32
-	BandKeys    []uint64
-	BandOffs    []int32
-	BandIDs     []int32
-	Checksum    uint64
-}
-
-// Table returns the index's persistable band structures. The slices
-// alias the index; treat them as read-only.
-func (rx *RetrievalIndex) Table() RetrievalTable {
-	return RetrievalTable{
-		Bands:    rx.cfg.Bands,
-		Rows:     rx.cfg.Rows,
-		N:        rx.n,
-		BandDir:  rx.bandDir,
-		BandKeys: rx.bandKeys,
-		BandOffs: rx.bandOffs,
-		BandIDs:  rx.bandIDs,
-		Checksum: rx.checksum,
-	}
-}
-
-// FromTable adopts a persisted band table, skipping the build-time
-// sort, and rebuilds the summary-derived parts (classes, small list,
-// typed counts) from sums. The table is validated structurally and
-// against its checksum; any mismatch — including a table persisted
-// under a different banding than cfg — is an error, and the caller
-// should fall back to BuildRetrieval.
-func FromTable(tab RetrievalTable, sums []Summary, cfg Config) (*RetrievalIndex, error) {
-	cfg = cfg.Normalized()
-	if tab.Bands != cfg.Bands || tab.Rows != cfg.Rows {
-		return nil, fmt.Errorf("sketch: retrieval table banding %dx%d does not match config %dx%d",
-			tab.Bands, tab.Rows, cfg.Bands, cfg.Rows)
-	}
-	if tab.N != len(sums) {
-		return nil, fmt.Errorf("sketch: retrieval table covers %d strands, have %d summaries", tab.N, len(sums))
-	}
-	if len(tab.BandDir) != tab.Bands+1 || tab.BandDir[0] != 0 || int(tab.BandDir[tab.Bands]) != len(tab.BandKeys) {
-		return nil, fmt.Errorf("sketch: retrieval table band directory is malformed")
-	}
-	if len(tab.BandOffs) != len(tab.BandKeys)+1 || len(tab.BandIDs) != tab.N*tab.Bands ||
-		(len(tab.BandOffs) > 0 && int(tab.BandOffs[len(tab.BandOffs)-1]) != len(tab.BandIDs)) {
-		return nil, fmt.Errorf("sketch: retrieval table posting slab is malformed")
-	}
-	for b := 0; b < tab.Bands; b++ {
-		lo, hi := tab.BandDir[b], tab.BandDir[b+1]
-		if lo > hi || int(hi) > len(tab.BandKeys) {
-			return nil, fmt.Errorf("sketch: retrieval table band %d directory out of range", b)
-		}
-		for i := lo + 1; i < hi; i++ {
-			if tab.BandKeys[i-1] >= tab.BandKeys[i] {
-				return nil, fmt.Errorf("sketch: retrieval table band %d keys are not sorted", b)
-			}
-		}
-	}
-	for i := 1; i < len(tab.BandOffs); i++ {
-		if tab.BandOffs[i-1] > tab.BandOffs[i] {
-			return nil, fmt.Errorf("sketch: retrieval table posting offsets are not monotonic")
-		}
-	}
-	for _, id := range tab.BandIDs {
-		if id < 0 || int(id) >= tab.N {
-			return nil, fmt.Errorf("sketch: retrieval table posting id %d out of range [0,%d)", id, tab.N)
-		}
-	}
-
-	// Rebuild the summary-derived parts by building a fresh index over
-	// an empty band set: cheapest is to reuse BuildRetrieval's class
-	// machinery via a throwaway build over the typed counts only. The
-	// class/small rebuild is O(n); the band sort it skips is the
-	// O(n·B·log n) part.
-	rx := &RetrievalIndex{
-		cfg:      cfg,
-		n:        tab.N,
-		bandDir:  tab.BandDir,
-		bandKeys: tab.BandKeys,
-		bandOffs: tab.BandOffs,
-		bandIDs:  tab.BandIDs,
-		nInt:     make([]int32, len(sums)),
-		nMem:     make([]int32, len(sums)),
-		nFeat:    make([]int32, len(sums)),
-	}
-	for id, s := range sums {
-		if len(s.Sig) != cfg.Len() {
-			return nil, fmt.Errorf("sketch: summary %d signature length %d does not match config %dx%d",
-				id, len(s.Sig), cfg.Bands, cfg.Rows)
-		}
-		rx.nInt[id] = int32(s.NInt)
-		rx.nMem[id] = int32(s.NMem)
-		rx.nFeat[id] = int32(s.NFeat)
-		if s.NFeat <= SmallSetFeatures {
-			rx.small = append(rx.small, int32(id))
-		}
-	}
-	rx.rebuildClasses()
-	rx.checksum = rx.computeChecksum()
-	if tab.Checksum != 0 && rx.checksum != tab.Checksum {
-		return nil, fmt.Errorf("sketch: retrieval table checksum mismatch: table says %016x, content hashes to %016x",
-			tab.Checksum, rx.checksum)
-	}
-	return rx, nil
-}
-
-// rebuildClasses fills the typed-input class runs from the SoA count
-// arrays (shared by BuildRetrieval's logic and FromTable's adopt path).
-func (rx *RetrievalIndex) rebuildClasses() {
+// countClasses fills the typed-input class sizes from the SoA count
+// arrays.
+func (rx *RetrievalIndex) countClasses() {
 	type classKey struct{ nInt, nMem int32 }
 	counts := map[classKey]int32{}
 	for id := 0; id < rx.n; id++ {
@@ -485,18 +287,4 @@ func (rx *RetrievalIndex) rebuildClasses() {
 		}
 		return a.nMem < b.nMem
 	})
-	classAt := make(map[classKey]int, len(rx.classes))
-	var off int32
-	for i := range rx.classes {
-		rx.classes[i].off = off
-		off += rx.classes[i].n
-		classAt[classKey{rx.classes[i].nInt, rx.classes[i].nMem}] = i
-	}
-	rx.classIDs = make([]int32, rx.n)
-	cursor := make([]int32, len(rx.classes))
-	for id := 0; id < rx.n; id++ {
-		ci := classAt[classKey{rx.nInt[id], rx.nMem[id]}]
-		rx.classIDs[rx.classes[ci].off+cursor[ci]] = int32(id)
-		cursor[ci]++
-	}
 }
