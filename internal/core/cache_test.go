@@ -3,19 +3,22 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fifo"
 	"repro/internal/vcp"
 )
 
-// TestVCPCacheEviction checks that the cross-query memo cache stays
-// bounded: with a tiny pair cap, querying two different procedures must
-// trigger eviction and keep occupancy at (or under) one query's row.
+// TestVCPCacheEviction checks that the row cache stays bounded: with a
+// budget of one row, querying two different procedures must trigger
+// eviction and end holding the last row published.
 func TestVCPCacheEviction(t *testing.T) {
-	db := NewDB(Options{VCP: vcp.Config{MinVars: 3}, VCPCachePairs: 2})
+	db := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
 	for _, src := range []string{iccStyle, unrelated} {
 		if err := db.AddTarget(parse(t, src)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	width := int64(db.NumUniqueStrands())
+	db.rows = fifo.New[string, *vcpRow](width, nil)
 	if _, err := db.Query(parse(t, gccStyle)); err != nil {
 		t.Fatal(err)
 	}
@@ -23,22 +26,15 @@ func TestVCPCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := db.Stats()
-	if s.VCPCacheEvicted == 0 {
-		t.Fatalf("no evictions with cap 2: %+v", s)
-	}
-	if s.VCPCacheCap != 2 {
-		t.Fatalf("cap = %d, want 2", s.VCPCacheCap)
-	}
-	// Bound may be transiently exceeded by one query strand's row, never
-	// by more: every retained row belongs to a live query strand key.
-	if s.VCPCacheQueries > s.VCPCachePairs {
-		t.Fatalf("more query keys than pairs: %+v", s)
+	if c := s.VCPCache; c.Evictions == 0 || c.Budget != width || c.Held != width || c.Entries != 1 {
+		t.Fatalf("cache reads %+v, want evictions and the one %d-wide row its budget has room for", c, width)
 	}
 }
 
-// TestVCPCacheUnbounded checks that a negative cap disables eviction.
-func TestVCPCacheUnbounded(t *testing.T) {
-	db := NewDB(Options{VCP: vcp.Config{MinVars: 3}, VCPCachePairs: -1})
+// TestVCPCacheRoomy checks that under the production budget nothing is
+// evicted and every row of the query is held.
+func TestVCPCacheRoomy(t *testing.T) {
+	db := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
 	for _, src := range []string{iccStyle, unrelated} {
 		if err := db.AddTarget(parse(t, src)); err != nil {
 			t.Fatal(err)
@@ -48,19 +44,20 @@ func TestVCPCacheUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := db.Stats()
-	if s.VCPCacheEvicted != 0 {
-		t.Fatalf("unexpected evictions: %+v", s)
+	if c := s.VCPCache; c.Evictions != 0 || c.Budget != rowCachePairs {
+		t.Fatalf("unexpected evictions or budget: %+v", c)
 	}
-	if s.VCPCachePairs == 0 {
-		t.Fatal("cache did not populate")
+	if c := s.VCPCache; c.Held == 0 || c.Held != int64(c.Entries*db.NumUniqueStrands()) {
+		t.Fatalf("cache did not populate with full-width rows: %+v", c)
 	}
 }
 
 // TestQueryAfterEvictionDeterministic checks that eviction never changes
 // scores, only recomputation cost.
 func TestQueryAfterEvictionDeterministic(t *testing.T) {
-	bounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}, VCPCachePairs: 1})
-	unbounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}, VCPCachePairs: -1})
+	bounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
+	bounded.rows = fifo.New[string, *vcpRow](1, nil) // below one row: nothing is ever kept
+	unbounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
 	for _, src := range []string{iccStyle, unrelated} {
 		if err := bounded.AddTarget(parse(t, src)); err != nil {
 			t.Fatal(err)

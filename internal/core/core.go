@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
+	"repro/internal/fifo"
 	"repro/internal/lift"
 	"repro/internal/sketch"
 	"repro/internal/stats"
@@ -104,13 +105,6 @@ type Options struct {
 	PathLen int
 	// PathMaxBlocks bounds the path explosion (0 selects 12).
 	PathMaxBlocks int
-	// VCPCachePairs bounds the cross-query VCP row cache to this many
-	// row entries held (the sum of its rows' widths, one entry per
-	// unique target strand per cached query strand), so a long-running
-	// server does not grow without limit. 0 selects DefaultVCPCachePairs;
-	// a negative value disables the bound. Eviction is FIFO over whole
-	// rows: the cache may exceed the bound by the one row just written.
-	VCPCachePairs int
 	// Prefilter selects the candidate prefilter consulted before the
 	// size-ratio window: PrefilterOff ("" or "off") or PrefilterLSH
 	// ("lsh").
@@ -133,10 +127,6 @@ type Options struct {
 	Retrieval string
 }
 
-// DefaultVCPCachePairs is the default vcpCache bound: at 16 bytes and
-// three bits per row entry the cache's ceiling is 32.75 MiB.
-const DefaultVCPCachePairs = 1 << 21
-
 // memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
 // charged to (vcp.MemoPool): the indexed strands' memos, which persist
 // across queries, and each in-flight query's own, which are released
@@ -145,6 +135,13 @@ const DefaultVCPCachePairs = 1 << 21
 // re-evaluation, never a different answer (DESIGN §10.6; CHANGES.md has
 // the measured budget-vs-qps curve this value was read off).
 const memoBudgetBytes = 128 << 20
+
+// rowCachePairs is the row cache's budget in row entries (the sum of its
+// rows' widths: one entry per unique target strand per cached query
+// strand). At 16 bytes and three bits an entry the ceiling is 32.75 MiB; a
+// constant for the same reason as memoBudgetBytes — below a workload's hot
+// set the cost is re-verification, never a different answer.
+const rowCachePairs = 1 << 21
 
 // retrievalMaxDelta bounds how many live-written strands the probe path
 // overlays on the immutable retrieval table before a write rebuilds it:
@@ -276,19 +273,16 @@ type DB struct {
 	// query of many strands does not allocate one per strand.
 	markPool sync.Pool
 
-	// vcpCache holds one dense row per query-strand key (rowcache.go):
-	// forward and reverse VCP indexed by unique-strand number. It is
-	// bounded by Options.VCPCachePairs with FIFO eviction of whole rows:
-	// cacheOrder records keys in insertion order, cacheEntries is Σ row
-	// widths. rowEpoch names the strand numbering the rows are indexed
-	// by; only a renumbering Compact moves it, holding cfgMu and mu both,
-	// so it may be read under either (queries snapshot it under cfgMu and
-	// compare under mu).
-	mu           sync.Mutex
-	vcpCache     map[string]*vcpRow
-	cacheOrder   []string
-	cacheEntries int
-	rowEpoch     uint64
+	// rows holds one dense row per query-strand key (rowcache.go): forward
+	// and reverse VCP indexed by unique-strand number, each row charged its
+	// width against rowCachePairs (tests in this package swap in a smaller
+	// store). rowEpoch names the strand numbering the rows are indexed by;
+	// only a renumbering Compact moves it, holding cfgMu and mu both, so it
+	// may be read under either (queries snapshot it under cfgMu and compare
+	// under mu).
+	mu       sync.Mutex
+	rows     *fifo.Store[string, *vcpRow]
+	rowEpoch uint64
 
 	// Telemetry: a per-DB registry so multiple databases in one process
 	// (tests, blue/green index swaps) do not share counters. Per-pair
@@ -298,7 +292,6 @@ type DB struct {
 	stageHist      map[string]*telemetry.Histogram
 	mCacheHits     *telemetry.Counter
 	mCacheMisses   *telemetry.Counter
-	mCacheEvict    *telemetry.Counter
 	mRows          [3]*telemetry.Counter // by rowState
 	mPrepares      *telemetry.Counter
 	mPairsPruned   *telemetry.Counter
@@ -370,7 +363,7 @@ func newDB(opts Options) (*DB, error) {
 		newEval:   vcp.NewEvaluator,
 		memo:      vcp.NewMemoPool(memoBudgetBytes),
 		byKey:     map[string]int{},
-		vcpCache:  map[string]*vcpRow{},
+		rows:      fifo.New[string, *vcpRow](rowCachePairs, nil),
 		sketchCfg: cfg,
 		sketchIdx: sketch.NewIndex(cfg),
 
@@ -378,148 +371,6 @@ func newDB(opts Options) (*DB, error) {
 	}
 	db.initMetrics()
 	return db, nil
-}
-
-// initMetrics builds the DB's metrics registry. Index-size gauge funcs
-// take cfgMu.RLock: the live write path mutates those fields at serve
-// time, so a scrape concurrent with ApplyAdd must see a consistent view.
-func (db *DB) initMetrics() {
-	reg := telemetry.NewRegistry()
-	db.reg = reg
-	db.stageHist = make(map[string]*telemetry.Histogram, len(queryStages))
-	for _, st := range queryStages {
-		db.stageHist[st] = reg.Histogram("esh_query_stage_seconds",
-			"Wall time per query pipeline stage.", nil, "stage", st)
-	}
-	db.mQueries = reg.Counter("esh_engine_queries_total", "Queries answered by the engine.")
-	db.mCacheHits = reg.Counter("esh_vcp_cache_hits_total", "VCP memo cache hits (pair results reused).")
-	db.mCacheMisses = reg.Counter("esh_vcp_cache_misses_total", "VCP memo cache misses (pair results computed).")
-	db.mCacheEvict = reg.Counter("esh_vcp_cache_evictions_total", "Query-strand rows evicted from the VCP cache.")
-	for st, name := range rowStateNames {
-		db.mRows[st] = reg.Counter("esh_vcp_cache_rows_total",
-			"Query strands by the state of their cached VCP row at lookup: complete (handed out as is), partial (some columns still owed) or absent.",
-			"state", name)
-	}
-	db.mPrepares = reg.Counter("esh_query_strands_prepared_total", "Query strands that reached vcp.Prepare (only those with at least one pair left to verify).")
-	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
-	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
-	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations (two per cache miss: forward and reverse).")
-	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
-	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
-	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
-	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
-	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
-	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored.")
-	reg.CounterFunc("esh_vcp_memo_evictions_total", "Strands whose γ-fingerprint memo was dropped to keep esh_vcp_memo_bytes within budget.", func() float64 {
-		return float64(db.memo.Stats().Evictions)
-	})
-	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by γ-fingerprint memos (indexed strands plus in-flight queries); never above esh_vcp_memo_budget_bytes.", func() float64 {
-		return float64(db.memo.Stats().Bytes)
-	})
-	reg.GaugeFunc("esh_engine_memo_entries", "Slot assignments the γ-fingerprint memos remember; esh_vcp_memo_bytes over this is the cost of one.", func() float64 {
-		return float64(db.memo.Stats().Entries)
-	})
-	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte budget of the γ-fingerprint memos.", func() float64 {
-		return float64(db.memo.Stats().Budget)
-	})
-	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared strands (hoisted out of the γ loop by the batched kernel).")
-	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared strands.")
-	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel flushes (one suffix execution each; correspondences/batches is the mean rows per flush).")
-	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes: γ-fingerprint memo misses only (includes rows discarded uncounted after a perfect match or the cap).")
-	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
-		"Mean γ-batch fill fraction at flush, observed once per query strand row (memo-miss rows carried / (width × flushes)).",
-		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
-	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
-		"LSH candidate-set size per query strand (prefilter on).",
-		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
-	db.hSketchBuild = reg.Histogram("esh_sketch_build_seconds",
-		"Wall time spent computing MinHash sketches and LSH buckets (per target at index time, per rebuild at load time).", nil)
-	db.mProbes = reg.Counter("esh_retrieval_probes_total", "Probe-mode candidate retrievals (one per query strand).")
-	db.mProbeCands = reg.Counter("esh_retrieval_candidates_total", "Candidate target strands retrieved by probe-mode queries.")
-	db.mProbeSound = reg.Counter("esh_retrieval_sound_candidates_total", "Injectability-live target strands for probe-mode query strands (the sound candidate set the heuristic tier's retrieval is a subset of; candidates/sound is the recall proxy).")
-	db.hProbeCands = reg.Histogram("esh_retrieval_candidate_set_size",
-		"Retrieved candidate-set size per probe-mode query strand.",
-		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
-	db.hProbeLatency = reg.Histogram("esh_retrieval_probe_seconds",
-		"Wall time per retrieval-table probe (one per probe-mode query strand).",
-		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
-	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
-		"Wall time per retrieval-table build (load under probe mode, lazy first probe, a live write past the delta bound, or a compaction).", nil)
-	reg.GaugeFunc("esh_lsh_prefilter_enabled", "1 when the LSH prefilter gates the VCP pair loop.", func() float64 {
-		if db.prefilterOn() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("esh_retrieval_probe_enabled", "1 when stage 3 probes the retrieval table instead of scanning all targets.", func() float64 {
-		if db.probeOn() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("esh_vcp_cache_pairs", "Row entries held by the VCP cache (the sum of its rows' widths).", func() float64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return float64(db.cacheEntries)
-	})
-	reg.GaugeFunc("esh_vcp_cache_query_strands", "Distinct query strands with cached rows.", func() float64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return float64(len(db.vcpCache))
-	})
-	reg.GaugeFunc("esh_vcp_cache_hit_ratio", "Lifetime VCP cache hit ratio.", func() float64 {
-		h, m := db.mCacheHits.Value(), db.mCacheMisses.Value()
-		if h+m == 0 {
-			return 0
-		}
-		return float64(h) / float64(h+m)
-	})
-	reg.GaugeFunc("esh_index_targets", "Indexed target procedures.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(len(db.targets))
-	})
-	reg.GaugeFunc("esh_index_unique_strands", "Distinct strands in the index.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(len(db.uniq))
-	})
-	reg.GaugeFunc("esh_index_total_strands", "Corpus strand count |T| (H0 denominator).", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.total)
-	})
-	db.mWritesAdd = reg.Counter("esh_writes_applied_total", "Live corpus writes applied in memory.", "op", "add")
-	db.mWritesDel = reg.Counter("esh_writes_applied_total", "Live corpus writes applied in memory.", "op", "delete")
-	db.mCompactions = reg.Counter("esh_compactions_total", "Compactions folding live writes and tombstones into a new snapshot generation.")
-	db.hCompact = reg.Histogram("esh_compaction_seconds",
-		"Wall time per compaction (remap + snapshot persistence + swap).", nil)
-	reg.GaugeFunc("esh_index_generation", "Data generation: bumped by every compaction.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.generation)
-	})
-	reg.GaugeFunc("esh_index_pending_writes", "Live writes applied since the last compaction (or load).", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.pendingWrites)
-	})
-	reg.GaugeFunc("esh_index_tombstones", "Tombstoned (dead but uncompacted) targets.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.tombstones)
-	})
-}
-
-// Metrics returns the DB's metrics registry, for exposition alongside
-// server-level metrics.
-func (db *DB) Metrics() *telemetry.Registry { return db.reg }
-
-// observeStage records one stage duration into the per-stage histogram.
-func (db *DB) observeStage(stage string, d time.Duration) {
-	if h := db.stageHist[stage]; h != nil {
-		h.Observe(d.Seconds())
-	}
 }
 
 // NumTargets returns the number of indexed procedures (live and
@@ -755,192 +606,6 @@ func (db *DB) rebuildSketches(strands []ExportStrand) {
 func (db *DB) invalidateRetrieval() {
 	db.retr = nil
 	db.sketchGen++
-}
-
-// DBStats is a point-in-time snapshot of database and cache occupancy,
-// safe to collect concurrently with Query.
-type DBStats struct {
-	Targets       int
-	UniqueStrands int
-	TotalStrands  int
-	// Live write-path state: LiveTargets excludes tombstoned targets;
-	// Generation is the compaction generation; WALSeq the sequence of
-	// the last applied journal record; PendingWrites/Tombstones the
-	// uncompacted write and tombstone counts.
-	LiveTargets   int
-	Generation    uint64
-	WALSeq        uint64
-	PendingWrites int
-	Tombstones    int
-	// VCPCachePairs is the number of row entries the VCP cache holds
-	// (the sum of its rows' widths — what VCPCacheCap bounds);
-	// VCPCacheQueries the number of rows, one per distinct query strand.
-	VCPCachePairs   int
-	VCPCacheQueries int
-	VCPCacheCap     int
-	VCPCacheEvicted uint64
-	// Lifetime cache traffic: hits reused a cached pair result, misses
-	// computed one (two verifier calls each). VCPRowsComplete counts
-	// query strands whose cached row answered every pair, QueryPrepares
-	// those that reached vcp.Prepare because some pair needed a verifier.
-	VCPCacheHits    uint64
-	VCPCacheMisses  uint64
-	VCPRowsComplete uint64
-	QueryPrepares   uint64
-	// VCPPairsPruned counts pairs rejected by the size-ratio window;
-	// VerifierCalls counts vcp.Compute invocations;
-	// VerifierCorrespondences counts γ evaluations inside them.
-	VCPPairsPruned          uint64
-	VerifierCalls           uint64
-	VerifierCorrespondences uint64
-	// Prefilter is the active mode (PrefilterOff or PrefilterLSH);
-	// LSHBands/LSHRows the sketch geometry; LSHMinContainment the
-	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
-	// the pairs the prefilter removed before any verifier work;
-	// LSHDeadDirections the single verifier directions skipped on
-	// surviving pairs because the typed inputs cannot inject.
-	Prefilter         string
-	LSHBands          int
-	LSHRows           int
-	LSHMinContainment float64
-	LSHPairsSkipped   uint64
-	LSHDeadDirections uint64
-	// Retrieval is the configured stage-3 candidate source
-	// (RetrievalScan or RetrievalProbe; probe takes effect with
-	// LSHMinContainment > 0). RetrievalProbes counts probed query
-	// strands; RetrievalCandidates their cumulative retrieved
-	// candidates; RetrievalSoundCandidates the cumulative
-	// injectability-live set sizes (candidates/sound is the recall
-	// proxy). The table-shape fields are zero while no probe table
-	// exists: always at sound settings and in scan mode, and before the
-	// first probe of a database filled by AddTarget.
-	Retrieval                string
-	RetrievalProbes          uint64
-	RetrievalCandidates      uint64
-	RetrievalSoundCandidates uint64
-	RetrievalTableBuckets    int
-	RetrievalTableMaxPost    int
-	RetrievalTableMeanPost   float64
-	RetrievalTableSkew       float64
-	// KernelNanos is the cumulative wall time γ loops spent inside the
-	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
-	// γ-invariant and total compiled instruction counts across prepared
-	// strands (their ratio is the fraction of evaluation work hoisted
-	// out of the γ loop).
-	KernelNanos        uint64
-	KernelPrefixInstrs uint64
-	KernelInstrs       uint64
-	// GammaBatches is the cumulative kernel flushes and GammaBatchRows
-	// the correspondences those flushes carried.
-	GammaBatches   uint64
-	GammaBatchRows uint64
-	// MemoHits / MemoMisses split the enumerated correspondences by
-	// whether a strand's γ-fingerprint memo already held their
-	// fingerprints (only misses reach the kernel); MemoBytes is what the
-	// memos hold now, never above the fixed MemoBudget, and MemoEntries
-	// the assignments they remember for it; MemoEvictions counts strands
-	// whose memo was dropped to stay within the budget.
-	MemoHits      uint64
-	MemoMisses    uint64
-	MemoEvictions uint64
-	MemoBytes     int64
-	MemoEntries   int64
-	MemoBudget    int64
-	// Queries is the number of Query calls answered; StageSeconds holds
-	// the cumulative wall-clock seconds each pipeline stage has consumed
-	// across them.
-	Queries      uint64
-	StageSeconds map[string]float64
-}
-
-// VCPCacheHitRate returns hits/(hits+misses), or 0 before any traffic.
-func (s DBStats) VCPCacheHitRate() float64 {
-	if s.VCPCacheHits+s.VCPCacheMisses == 0 {
-		return 0
-	}
-	return float64(s.VCPCacheHits) / float64(s.VCPCacheHits+s.VCPCacheMisses)
-}
-
-// Stats returns current occupancy counters. Index sizes and write-path
-// state are read under cfgMu (the live write path mutates them at serve
-// time); the cache counters are read under the cache lock.
-func (db *DB) Stats() DBStats {
-	memo := db.memo.Stats()
-	db.cfgMu.RLock()
-	retr := db.retr
-	nTargets := len(db.targets)
-	nUniq := len(db.uniq)
-	total := db.total
-	tombstones := db.tombstones
-	generation := db.generation
-	walSeq := db.walSeq
-	pending := db.pendingWrites
-	db.cfgMu.RUnlock()
-	s := DBStats{
-		Targets:                  nTargets,
-		UniqueStrands:            nUniq,
-		TotalStrands:             total,
-		LiveTargets:              nTargets - tombstones,
-		Generation:               generation,
-		WALSeq:                   walSeq,
-		PendingWrites:            pending,
-		Tombstones:               tombstones,
-		VCPCacheCap:              db.cacheCap(),
-		VCPCacheEvicted:          db.mCacheEvict.Value(),
-		VCPCacheHits:             db.mCacheHits.Value(),
-		VCPCacheMisses:           db.mCacheMisses.Value(),
-		VCPRowsComplete:          db.mRows[rowComplete].Value(),
-		QueryPrepares:            db.mPrepares.Value(),
-		VCPPairsPruned:           db.mPairsPruned.Value(),
-		VerifierCalls:            db.mVerifierCalls.Value(),
-		VerifierCorrespondences:  db.mGamma.Value(),
-		Prefilter:                db.opts.Prefilter,
-		LSHBands:                 db.sketchCfg.Bands,
-		LSHRows:                  db.sketchCfg.Rows,
-		LSHMinContainment:        db.sketchCfg.MinContainment,
-		LSHPairsSkipped:          db.mLSHSkipped.Value(),
-		LSHDeadDirections:        db.mDeadDirs.Value(),
-		Retrieval:                db.opts.Retrieval,
-		RetrievalProbes:          db.mProbes.Value(),
-		RetrievalCandidates:      db.mProbeCands.Value(),
-		RetrievalSoundCandidates: db.mProbeSound.Value(),
-		KernelNanos:              db.mKernelNanos.Value(),
-		KernelPrefixInstrs:       db.mPrefixInstrs.Value(),
-		KernelInstrs:             db.mKernelInstrs.Value(),
-		GammaBatches:             db.mGammaBatches.Value(),
-		GammaBatchRows:           db.mGammaRows.Value(),
-		MemoHits:                 db.mMemoHits.Value(),
-		MemoMisses:               db.mMemoMisses.Value(),
-		MemoEvictions:            memo.Evictions,
-		MemoBytes:                memo.Bytes,
-		MemoEntries:              memo.Entries,
-		MemoBudget:               memo.Budget,
-		Queries:                  db.mQueries.Value(),
-		StageSeconds:             make(map[string]float64, len(queryStages)),
-	}
-	if retr != nil {
-		rst := retr.Stats()
-		s.RetrievalTableBuckets = rst.Buckets
-		s.RetrievalTableMaxPost = rst.MaxPosting
-		s.RetrievalTableMeanPost = rst.MeanPosting
-		s.RetrievalTableSkew = rst.Skew
-	}
-	for _, st := range queryStages {
-		s.StageSeconds[st] = db.stageHist[st].Sum()
-	}
-	db.mu.Lock()
-	s.VCPCachePairs = db.cacheEntries
-	s.VCPCacheQueries = len(db.vcpCache)
-	db.mu.Unlock()
-	return s
-}
-
-// cacheCap resolves the configured vcpCache bound (< 0: unbounded).
-func (db *DB) cacheCap() int {
-	if db.opts.VCPCachePairs == 0 {
-		return DefaultVCPCachePairs
-	}
-	return db.opts.VCPCachePairs
 }
 
 // decompose runs the front half of the pipeline on one procedure and
@@ -1313,125 +978,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *queryConfig) 
 	spScore.SetAttr("targets", float64(len(qp.Targets)))
 	db.observeStage("score", spScore.End())
 	return qp, cached, nil
-}
-
-// rowState classifies a query strand by what the row cache held for it.
-type rowState uint8
-
-const (
-	rowComplete rowState = iota // every pair the query needs is cached
-	rowPartial                  // a row exists but some pairs are still owed
-	rowAbsent                   // no row
-)
-
-var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", rowAbsent: "absent"}
-
-// rowStats is the per-row telemetry accumulator: each chunk counts its
-// verifier work locally, the chunks of a row are folded once the queue
-// has drained, and the row flushes once — so the pair loop never touches
-// an atomic or a span lock.
-type rowStats struct {
-	state       rowState
-	pairs       int   // unique target strands examined
-	lshSkipped  int   // skipped by the LSH prefilter
-	lshOn       bool  // prefilter consulted for this row
-	probeOn     bool  // candidates came from a retrieval-table probe
-	probeCands  int   // retrieved candidate-set size (valid when probeOn)
-	soundCands  int   // injectability-live set size (valid when probeOn)
-	probeNanos  int64 // wall time inside the probe (valid when probeOn)
-	pruned      int   // rejected by the size-ratio window
-	identical   int   // short-circuited as structurally identical
-	hits        int   // cache hits (pair results reused)
-	misses      int   // cache misses (pair results computed)
-	calls       int   // vcp.Compute invocations (up to two per miss)
-	deadDirs    int   // per-direction calls avoided as provably zero
-	gamma       int   // input correspondences evaluated inside them
-	kernelNanos int64 // wall time inside the evaluation kernel
-	gammaB      int64 // γ-batch kernel flushes
-	gammaRows   int64 // correspondences those flushes carried
-	gammaSlots  int64 // rows those flushes had room for (for occupancy)
-	memoHits    int64 // enumeration leaves answered by a γ-fingerprint memo
-	memoMisses  int64 // enumeration leaves evaluated by the kernel
-}
-
-// addWork folds one chunk's verifier work into the row accumulator.
-func (rs *rowStats) addWork(d rowStats) {
-	rs.calls += d.calls
-	rs.deadDirs += d.deadDirs
-	rs.gamma += d.gamma
-	rs.kernelNanos += d.kernelNanos
-	rs.gammaB += d.gammaB
-	rs.gammaRows += d.gammaRows
-	rs.gammaSlots += d.gammaSlots
-	rs.memoHits += d.memoHits
-	rs.memoMisses += d.memoMisses
-}
-
-// flush adds the row's counts to the DB counters and, when sp is part of
-// a live trace, to the shared vcp stage span. The per-pair counters count
-// pairs resolved that way, whether this query walked them or a cached
-// row's tallies vouch for them.
-func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
-	db.mRows[rs.state].Inc()
-	db.mPairsPruned.Add(uint64(rs.pruned))
-	db.mPairsIdent.Add(uint64(rs.identical))
-	db.mCacheHits.Add(uint64(rs.hits))
-	db.mCacheMisses.Add(uint64(rs.misses))
-	db.mVerifierCalls.Add(uint64(rs.calls))
-	db.mGamma.Add(uint64(rs.gamma))
-	db.mKernelNanos.Add(uint64(rs.kernelNanos))
-	db.mMemoHits.Add(uint64(rs.memoHits))
-	db.mMemoMisses.Add(uint64(rs.memoMisses))
-	if rs.gammaB > 0 {
-		db.mGammaBatches.Add(uint64(rs.gammaB))
-		db.mGammaRows.Add(uint64(rs.gammaRows))
-		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
-	}
-	// Every column the prefilter did not skip was a candidate.
-	lshCands := rs.pairs - rs.lshSkipped
-	if rs.lshOn {
-		db.mLSHSkipped.Add(uint64(rs.lshSkipped))
-		db.hLSHCands.Observe(float64(lshCands))
-	}
-	if rs.probeOn {
-		db.mProbes.Inc()
-		db.mProbeCands.Add(uint64(rs.probeCands))
-		db.mProbeSound.Add(uint64(rs.soundCands))
-		db.hProbeCands.Observe(float64(rs.probeCands))
-		db.hProbeLatency.Observe(float64(rs.probeNanos) / 1e9)
-	}
-	if rs.lshOn || rs.probeOn {
-		db.mDeadDirs.Add(uint64(rs.deadDirs))
-	}
-	if sp == nil {
-		return
-	}
-	if rs.state == rowComplete {
-		sp.AddAttr("rows_complete", 1)
-	}
-	sp.AddAttr("pairs", float64(rs.pairs))
-	if rs.lshOn {
-		sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
-		sp.AddAttr("lsh_candidates", float64(lshCands))
-	}
-	if rs.probeOn {
-		sp.AddAttr("retrieval_candidates", float64(rs.probeCands))
-		sp.AddAttr("retrieval_sound_candidates", float64(rs.soundCands))
-		sp.AddAttr("probe_nanos", float64(rs.probeNanos))
-	}
-	if rs.lshOn || rs.probeOn {
-		sp.AddAttr("dead_directions", float64(rs.deadDirs))
-	}
-	sp.AddAttr("pairs_pruned", float64(rs.pruned))
-	sp.AddAttr("pairs_identical", float64(rs.identical))
-	sp.AddAttr("cache_hits", float64(rs.hits))
-	sp.AddAttr("cache_misses", float64(rs.misses))
-	sp.AddAttr("verifier_calls", float64(rs.calls))
-	sp.AddAttr("correspondences", float64(rs.gamma))
-	sp.AddAttr("kernel_nanos", float64(rs.kernelNanos))
-	sp.AddAttr("gamma_batches", float64(rs.gammaB))
-	sp.AddAttr("gamma_batch_rows", float64(rs.gammaRows))
-	sp.AddAttr("memo_hits", float64(rs.memoHits))
 }
 
 // maxPairChunk caps the number of pairs one work-queue item covers, so

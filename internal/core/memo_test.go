@@ -39,8 +39,8 @@ func TestMemoAccounting(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond): // pace the sampler: it shares two cores with the queries
 			}
-			if s := tight.Stats(); s.MemoBytes > s.MemoBudget {
-				t.Errorf("memo gauge %d over budget %d", s.MemoBytes, s.MemoBudget)
+			if s := tight.Stats(); s.Memo.Held > s.Memo.Budget {
+				t.Errorf("memo gauge %d over budget %d", s.Memo.Held, s.Memo.Budget)
 				return
 			}
 		}
@@ -77,20 +77,20 @@ func TestMemoAccounting(t *testing.T) {
 	if rs.VerifierCorrespondences != ts.VerifierCorrespondences {
 		t.Errorf("γ counts diverge: roomy=%d tight=%d", rs.VerifierCorrespondences, ts.VerifierCorrespondences)
 	}
-	if ts.MemoEvictions == 0 || rs.MemoEvictions != 0 {
-		t.Errorf("evictions: tight=%d (want > 0), roomy=%d (want 0)", ts.MemoEvictions, rs.MemoEvictions)
+	if ts.Memo.Evictions == 0 || rs.Memo.Evictions != 0 {
+		t.Errorf("evictions: tight=%d (want > 0), roomy=%d (want 0)", ts.Memo.Evictions, rs.Memo.Evictions)
 	}
 	if rs.MemoHits == 0 || rs.MemoMisses != rs.GammaBatchRows || rs.MemoMisses >= ts.MemoMisses {
 		t.Errorf("memo traffic: roomy %d hits, %d misses, %d kernel rows; tight %d misses",
 			rs.MemoHits, rs.MemoMisses, rs.GammaBatchRows, ts.MemoMisses)
 	}
-	if rs.MemoBytes == 0 || rs.MemoBudget != memoBudgetBytes {
-		t.Errorf("roomy gauge %d of budget %d", rs.MemoBytes, rs.MemoBudget)
+	if rs.Memo.Held == 0 || rs.Memo.Budget != memoBudgetBytes {
+		t.Errorf("roomy gauge %d of budget %d", rs.Memo.Held, rs.Memo.Budget)
 	}
 	// Everything still charged belongs to an indexed strand: the
 	// queries' own strands were released when they returned.
 	roomy.memo.Release(roomy.uniq...)
-	if left := roomy.Stats().MemoBytes; left != 0 {
+	if left := roomy.Stats().Memo.Held; left != 0 {
 		t.Errorf("%d memo bytes still charged to strands of finished queries", left)
 	}
 }

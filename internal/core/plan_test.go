@@ -167,7 +167,7 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 				db.mu.Lock()
 				defer db.mu.Unlock()
 				for _, s := range pl.strands {
-					row := db.vcpCache[s.CanonicalKey()]
+					row, _ := db.rows.Get(s.CanonicalKey())
 					ev, ok := row.h0At(qc.countsVer)
 					if !ok {
 						t.Fatalf("%s: a row queried three times holds no estimate for version %d", label, qc.countsVer)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math/bits"
 	"sync/atomic"
 
@@ -195,7 +194,7 @@ func (db *DB) lookupRows(states []vcpRowState, epoch uint64) {
 		return
 	}
 	for i := range states {
-		states[i].base = db.vcpCache[states[i].s.CanonicalKey()]
+		states[i].base, _ = db.rows.Get(states[i].s.CanonicalKey())
 	}
 }
 
@@ -205,7 +204,7 @@ func (db *DB) lookupRows(states []vcpRowState, epoch uint64) {
 // another query got there first, it replaces that query's row only if it
 // knows more columns, or as many over a wider view: two queries racing from
 // the same base usually resolve the same columns, and whatever one of them
-// loses is an ordinary miss later.
+// loses is an ordinary miss later. A row is charged its width.
 func (db *DB) publishRows(states []vcpRowState, epoch uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -218,49 +217,12 @@ func (db *DB) publishRows(states []vcpRowState, epoch uint64) {
 			continue
 		}
 		key := states[i].s.CanonicalKey()
-		cur := db.vcpCache[key]
+		cur, _ := db.rows.Get(key)
 		if cur != nil && cur != states[i].base && (cur.resolved() > next.resolved() ||
 			cur.resolved() == next.resolved() && len(cur.fwd) >= len(next.fwd)) {
 			continue
 		}
-		if cur == nil {
-			db.cacheOrder = append(db.cacheOrder, key)
-		} else {
-			db.cacheEntries -= len(cur.fwd)
-		}
-		db.vcpCache[key] = next
-		db.cacheEntries += len(next.fwd)
-		db.evictLocked(key)
-	}
-}
-
-// evictLocked drops whole rows, oldest first, until the cache is back
-// under its entry bound. The row just written (keep) is spared unless it
-// is the only one left, so a single huge query cannot evict itself into a
-// cold cache on every call. Callers hold db.mu.
-func (db *DB) evictLocked(keep string) {
-	bound := db.cacheCap()
-	if bound < 0 {
-		return
-	}
-	for db.cacheEntries > bound && len(db.cacheOrder) > 0 {
-		oldest := db.cacheOrder[0]
-		if oldest == keep && len(db.cacheOrder) == 1 {
-			return
-		}
-		db.cacheOrder = db.cacheOrder[1:]
-		if oldest == keep {
-			db.cacheOrder = append(db.cacheOrder, oldest)
-			continue
-		}
-		db.cacheEntries -= len(db.vcpCache[oldest].fwd)
-		delete(db.vcpCache, oldest)
-		db.mCacheEvict.Inc()
-	}
-	// Re-base the order slice occasionally so the sliced-off prefix of
-	// the backing array can be collected.
-	if cap(db.cacheOrder) > 2*len(db.cacheOrder)+64 {
-		db.cacheOrder = append([]string(nil), db.cacheOrder...)
+		db.rows.Put(key, next, int64(len(next.fwd)))
 	}
 }
 
@@ -271,7 +233,8 @@ func (db *DB) evictLocked(keep string) {
 // are not carried over (an ordinary miss later).
 func (db *DB) remappedRows(newIdx []int, n int) map[string]*vcpRow {
 	db.mu.Lock()
-	rows := maps.Clone(db.vcpCache)
+	rows := make(map[string]*vcpRow, db.rows.Stats().Entries)
+	db.rows.Each(func(k string, r *vcpRow) { rows[k] = r })
 	db.mu.Unlock()
 	for k, r := range rows {
 		rows[k] = r.remap(newIdx, n)
@@ -286,17 +249,13 @@ func (db *DB) installRemapped(rows map[string]*vcpRow) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.rowEpoch++
-	// Walk the FIFO order, not rows: a key evicted since remappedRows
-	// copied the cache must stay gone.
-	db.vcpCache = make(map[string]*vcpRow, len(rows))
-	order := db.cacheOrder[:0]
-	db.cacheEntries = 0
-	for _, k := range db.cacheOrder {
+	// Walk the store, not rows: a key evicted since remappedRows copied the
+	// cache must stay gone, and the survivors keep their age.
+	db.rows.Each(func(k string, _ *vcpRow) {
 		if r := rows[k]; r != nil {
-			db.vcpCache[k] = r
-			order = append(order, k)
-			db.cacheEntries += len(r.fwd)
+			db.rows.Put(k, r, int64(len(r.fwd)))
+		} else {
+			db.rows.Drop(k)
 		}
-	}
-	db.cacheOrder = order
+	})
 }

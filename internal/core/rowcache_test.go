@@ -82,7 +82,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			diffReports(t, "warm vs cold", warm, cold)
 			after := db.Stats()
 			if after.QueryPrepares != before.QueryPrepares || evals != 0 || attrs["workers"] != 0 ||
-				after.VerifierCalls != before.VerifierCalls || after.MemoBytes != before.MemoBytes {
+				after.VerifierCalls != before.VerifierCalls || after.Memo.Held != before.Memo.Held {
 				t.Errorf("warm query: %d prepares, %d evaluators, %v workers, %d verifier calls",
 					after.QueryPrepares-before.QueryPrepares, evals, attrs["workers"], after.VerifierCalls-before.VerifierCalls)
 			}
@@ -148,15 +148,15 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			// Forget exactly one verified pair of one strand.
 			db.mu.Lock()
 			var key string
-			for k, r := range db.vcpCache {
+			db.rows.Each(func(k string, r *vcpRow) {
 				if r.tally[kindVerified] > 0 && (key == "" || k < key) {
 					key = k
 				}
-			}
+			})
 			if key == "" {
 				t.Fatal("no cached row holds a verified pair")
 			}
-			old := db.vcpCache[key]
+			old, _ := db.rows.Get(key)
 			j := -1
 			for c := range old.fwd {
 				if old.has(c) && old.kind(c) == kindVerified {
@@ -171,7 +171,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 					holed.set(c, old.kind(c))
 				}
 			}
-			db.vcpCache[key] = holed
+			db.rows.Put(key, holed, int64(len(holed.fwd)))
 			db.mu.Unlock()
 
 			evals = 0
@@ -191,7 +191,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			// alone whatever Workers allows.
 			db.mu.Lock()
 			forgotten := 0
-			for k, r := range db.vcpCache {
+			db.rows.Each(func(k string, r *vcpRow) {
 				holed := r.grow(len(r.fwd))
 				for c := range r.fwd {
 					if r.has(c) && r.kind(c) == kindVerified {
@@ -199,8 +199,8 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 						forgotten++
 					}
 				}
-				db.vcpCache[k] = holed
-			}
+				db.rows.Put(k, holed, int64(len(holed.fwd)))
+			})
 			db.mu.Unlock()
 			if forgotten < 2 || forgotten >= minFanOut {
 				t.Fatalf("test premise broken: %d verified pairs cached, want 2..%d", forgotten, minFanOut-1)
@@ -236,11 +236,11 @@ func TestDeadColumnsForgottenOnce(t *testing.T) {
 		qc := db.snapshotConfig()
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		for _, r := range db.vcpCache {
+		db.rows.Each(func(_ string, r *vcpRow) {
 			if r.showsDead(qc.counts) {
 				n++
 			}
-		}
+		})
 		return n
 	}
 	if stale() == 0 {

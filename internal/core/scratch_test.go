@@ -32,7 +32,7 @@ func TestColdQueryScratchBounded(t *testing.T) {
 		}
 		return procs
 	}
-	db := NewDB(Options{VCPCachePairs: -1, Workers: 2})
+	db := NewDB(Options{Workers: 2})
 	fillDB(t, db, build("gcc-4.9", "clang-3.5"))
 	queries := build("icc-15.0.1")
 	if len(queries) > 20 {
@@ -52,7 +52,7 @@ func TestColdQueryScratchBounded(t *testing.T) {
 	heapLessMemo := func() int64 {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc) - db.Stats().MemoBytes
+		return int64(ms.HeapAlloc) - db.Stats().Memo.Held
 	}
 	loaded := heapLessMemo()
 	allocBefore := ms.TotalAlloc
@@ -64,12 +64,12 @@ func TestColdQueryScratchBounded(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	perQuery := (ms.TotalAlloc - allocBefore) / uint64(len(queries))
 	st := db.Stats()
-	if st.MemoMisses == 0 || st.MemoBytes == 0 {
-		t.Fatalf("queries were not cold: %d memo misses, %d memo bytes", st.MemoMisses, st.MemoBytes)
+	if st.MemoMisses == 0 || st.Memo.Held == 0 {
+		t.Fatalf("queries were not cold: %d memo misses, %d memo bytes", st.MemoMisses, st.Memo.Held)
 	}
 	left := heapLessMemo() - loaded
 	t.Logf("%d cold queries: %d KiB allocated per query; heap beyond the memo moved by %d KiB (memo %d KiB, %d entries)",
-		len(queries), perQuery>>10, left>>10, st.MemoBytes>>10, st.MemoEntries)
+		len(queries), perQuery>>10, left>>10, st.Memo.Held>>10, st.MemoAssignments)
 
 	// What may stay is the package pool's few kernels, each grown to the
 	// largest program its worker met (about 1 MiB here).

@@ -428,7 +428,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 				diffReports(t, "in-flight query", qp.finalize(qc.counts, qc.h0Order, nil, 0), want)
 				live.mu.Lock()
 				for key := range dedupStrands(t, live, q) {
-					if _, cached := live.vcpCache[key]; cached {
+					if _, cached := live.rows.Get(key); cached {
 						t.Errorf("a row indexed by the old numbering reached the remapped cache")
 					}
 				}

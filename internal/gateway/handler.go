@@ -39,38 +39,15 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/query", g.handleQuery)
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /v1/fleet", g.handleFleet)
-	mux.HandleFunc("GET /debug/slow", g.handleSlow)
-	mux.HandleFunc("GET /debug/queries", g.handleRecent)
+	mux.HandleFunc("GET /debug/slow", server.SlowHandler(g.rec))
+	mux.HandleFunc("GET /debug/queries", server.RecentHandler(g.rec))
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", g.handleReady)
-	return g.logged(mux)
-}
-
-// logged mirrors the server's request-ID/logging middleware so gateway
-// and shard log lines correlate on the same token (the gateway forwards
-// its ID in X-Request-ID on every fan-out leg).
-func (g *Gateway) logged(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" || len(rid) > 128 {
-			rid = server.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
-		r = r.WithContext(server.WithRequestID(r.Context(), rid))
-		next.ServeHTTP(w, r)
-		g.cfg.Logger.Info("request",
-			"request_id", rid,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"dur_ms", float64(time.Since(start).Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
-	})
+	return server.Logged(g.cfg.Logger, mux)
 }
 
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -140,28 +117,6 @@ func (g *Gateway) record(rid, outcome, errMsg string, start time.Time, root *tel
 			"stage_ms", fmt.Sprintf("%v", rec.StageMS),
 		)
 	}
-}
-
-func (g *Gateway) handleSlow(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, &server.SlowResponse{
-		ThresholdMS: float64(g.rec.SlowThreshold().Microseconds()) / 1000,
-		Total:       g.rec.SlowTotal(),
-		Recorded:    g.rec.Total(),
-		Records:     g.rec.Slow(),
-	})
-}
-
-func (g *Gateway) handleRecent(w http.ResponseWriter, r *http.Request) {
-	n := 100
-	if v := r.URL.Query().Get("n"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"total":   g.rec.Total(),
-		"records": g.rec.Recent(n),
-	})
 }
 
 // handleFleet serves GET /v1/fleet: the JSON fleet-health view —

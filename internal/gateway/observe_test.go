@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -193,6 +195,33 @@ esh_index_targets 2
 	}
 	if s1.UptimeSeconds != 0 {
 		t.Errorf("broken shard reports uptime %g", s1.UptimeSeconds)
+	}
+}
+
+// TestGatewayRequestLogStatus: eshgw's request line comes from the one
+// middleware both daemons share, so it says what was answered. (Served
+// without a listener: the line is written after the handler returns, which
+// over HTTP is after the client has its reply.)
+func TestGatewayRequestLogStatus(t *testing.T) {
+	var log bytes.Buffer
+	h := startFleet(t, 1, func(c *Config) { c.Logger = slog.New(slog.NewJSONHandler(&log, nil)) }).gw.Handler()
+	for _, tc := range []struct {
+		path   string
+		status int
+	}{{"/healthz", http.StatusOK}, {"/v1/nowhere", http.StatusNotFound}} {
+		log.Reset()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", tc.path, nil))
+		var line struct {
+			Msg, Path string
+			Status    int
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal(log.Bytes(), &line); err != nil {
+			t.Fatalf("GET %s logged %q: %v", tc.path, log.String(), err)
+		}
+		if line.Msg != "request" || line.Path != tc.path || line.Status != tc.status || line.RequestID == "" {
+			t.Errorf("GET %s answered %d, logged %q", tc.path, tc.status, log.String())
+		}
 	}
 }
 

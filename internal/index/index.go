@@ -300,8 +300,8 @@ func encodeBody(ex *core.Export) []byte {
 	o := ex.Opts
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
-		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks, o.VCPCachePairs,
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
+		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
 		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
 		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval)
 
@@ -634,8 +634,6 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			ex.Opts.PathLen = atoi()
 		case "pathmaxblocks":
 			ex.Opts.PathMaxBlocks = atoi()
-		case "cachepairs":
-			ex.Opts.VCPCachePairs = atoi()
 		case "vcpsamples":
 			ex.Opts.VCP.Samples = atoi()
 		case "vcpminvars":
@@ -658,7 +656,7 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			// Unknown keys are ignored so minor option additions do not
 			// invalidate old readers within a format version — and so
 			// files that still carry the retired workers=, kernel=,
-			// gammabatch= and retrmaxdelta= keys keep loading.
+			// gammabatch=, retrmaxdelta= and cachepairs= keys keep loading.
 		}
 		if ierr != nil {
 			return d.errf("bad option value %q: %v", kv, ierr)

@@ -207,15 +207,17 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 }
 
 // TestRetiredOptionKeys: snapshots that carry workers=, kernel=,
-// gammabatch= or retrmaxdelta=, option keys of earlier builds, keep
-// loading (unknown keys are ignored), answer identically, and re-save
-// without them.
+// gammabatch=, retrmaxdelta= or cachepairs=, option keys of earlier
+// builds, keep loading (unknown keys are ignored), answer identically,
+// and re-save without them. The row cache's bound is no longer the
+// file's to set: a database loaded from cachepairs=7 serves under the
+// constant.
 func TestRetiredOptionKeys(t *testing.T) {
 	db := buildDB(t)
 	snap := saveBytes(t, db)
 	old := rewrite(t, snap, Version, func(ln string) string {
 		if strings.HasPrefix(ln, "options ") {
-			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64"
+			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7"
 		}
 		return ln
 	})
@@ -224,6 +226,9 @@ func TestRetiredOptionKeys(t *testing.T) {
 		t.Fatalf("load snapshot with retired keys: %v", err)
 	}
 	compareQueries(t, db, db2)
+	if c := db2.Stats().VCPCache; c.Budget != 1<<21 || c.Held == 0 {
+		t.Fatalf("row cache after serving a snapshot that says cachepairs=7: %+v, want rows held under the fixed 2^21", c)
+	}
 	if !bytes.Equal(saveBytes(t, db2), snap) {
 		t.Fatal("re-saved snapshot differs from one that never had the retired keys")
 	}

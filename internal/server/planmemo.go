@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fifo"
 	"repro/internal/telemetry"
 )
 
@@ -19,41 +20,38 @@ const (
 	planMemoMaxEntry = planMemoBudget / 8
 )
 
-// planMemo maps a request's asm text to the plan built from it, first in
-// first out under planMemoBudget. The map's hashing and key comparison are
-// the hash and the full-text equality: two texts share a plan only if they
-// are the same bytes. Only a text that parsed and decomposed gets in, and
-// nothing on the write path comes near it.
+// planMemo maps a request's asm text to the plan built from it: a
+// fifo.Store under planMemoBudget. The store's map does the hashing and the
+// full-text equality: two texts share a plan only if they are the same
+// bytes. Only a text that parsed and decomposed gets in, and nothing on the
+// write path comes near it.
 type planMemo struct {
 	mu    sync.Mutex
-	plans map[string]*core.QueryPlan
-	order []string // texts in insertion order, oldest first
-	bytes int
+	plans *fifo.Store[string, *core.QueryPlan]
 
-	hits, misses, evictions *telemetry.Counter
+	hits, misses *telemetry.Counter
 }
 
 func (m *planMemo) init(reg *telemetry.Registry) {
-	m.plans = map[string]*core.QueryPlan{}
+	m.plans = fifo.New[string, *core.QueryPlan](planMemoBudget, nil)
 	m.hits = reg.Counter("esh_plan_memo_hits_total", "Queries whose plan (pipeline stages 1-2) came from the plan memo: no parse, no decompose.")
 	m.misses = reg.Counter("esh_plan_memo_misses_total", "Queries whose request text the plan memo did not hold.")
-	m.evictions = reg.Counter("esh_plan_memo_evictions_total", "Plans dropped, oldest first, to keep esh_plan_memo_bytes within budget.")
+	reg.CounterFunc("esh_plan_memo_evictions_total", "Plans dropped, oldest first, to keep esh_plan_memo_bytes within budget.",
+		func() float64 { return float64(m.stats().Evictions) })
 	reg.GaugeFunc("esh_plan_memo_bytes", "Bytes charged to the plan memo (request texts plus plan estimates); never above its fixed budget.",
-		func() float64 { return float64(m.held()) })
+		func() float64 { return float64(m.stats().Held) })
 }
 
-func (m *planMemo) held() int {
+func (m *planMemo) stats() fifo.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.bytes
+	return m.plans.Stats()
 }
-
-func planCost(text string, pl *core.QueryPlan) int { return len(text) + pl.Bytes() }
 
 // get returns the plan memoized for text, or nil.
 func (m *planMemo) get(text string) *core.QueryPlan {
 	m.mu.Lock()
-	pl := m.plans[text]
+	pl, _ := m.plans.Get(text)
 	m.mu.Unlock()
 	if pl == nil {
 		m.misses.Inc()
@@ -66,24 +64,13 @@ func (m *planMemo) get(text string) *core.QueryPlan {
 // put memoizes pl for text unless the entry is too large to admit or a
 // concurrent request of the same text got there first.
 func (m *planMemo) put(text string, pl *core.QueryPlan) {
-	cost := planCost(text, pl)
+	cost := len(text) + pl.Bytes()
 	if cost > planMemoMaxEntry {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.plans[text] != nil {
-		return
-	}
-	m.plans[text] = pl
-	m.order = append(m.order, text)
-	m.bytes += cost
-	for m.bytes > planMemoBudget {
-		oldest := m.order[0]
-		m.order[0] = "" // the backing array must not keep the text alive
-		m.order = m.order[1:]
-		m.bytes -= planCost(oldest, m.plans[oldest])
-		delete(m.plans, oldest)
-		m.evictions.Inc()
+	if _, ok := m.plans.Get(text); !ok {
+		m.plans.Put(text, pl, int64(cost))
 	}
 }

@@ -158,7 +158,7 @@ func TestPlanMemoBudget(t *testing.T) {
 	pad := strings.Repeat("; sixty-four bytes of commentary that the parser reads and drops\n", 1<<14)
 	held := func() int {
 		t.Helper()
-		n := s.plans.held()
+		n := int(s.plans.stats().Held)
 		if n > planMemoBudget {
 			t.Fatalf("plan memo holds %d bytes, budget %d", n, planMemoBudget)
 		}
@@ -203,16 +203,16 @@ func TestPlanMemoBudget(t *testing.T) {
 		miss(big(i))
 	}
 	hot()
-	if n := s.plans.evictions.Value(); n < bodies-planMemoBudget>>20 {
+	if n := s.plans.stats().Evictions; n < bodies-planMemoBudget>>20 {
 		t.Errorf("%d MiB-sized texts through a %d MiB budget evicted %d plans", bodies, planMemoBudget>>20, n)
 	}
 	if hits := s.plans.hits.Value(); hits < bodies-bodies/8 {
 		t.Errorf("the hot text hit %d times in %d, want at least %d", hits, bodies, bodies-bodies/8)
 	}
 
-	before, evicted := held(), s.plans.evictions.Value()
+	before, evicted := held(), s.plans.stats().Evictions
 	miss(big(bodies) + pad + pad)
-	if held() != before || s.plans.evictions.Value() != evicted {
+	if held() != before || s.plans.stats().Evictions != evicted {
 		t.Errorf("a text above the admission bound moved the memo from %d to %d bytes", before, held())
 	}
 }

@@ -214,15 +214,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/targets/{name}", s.handleDeleteTarget)
 	mux.HandleFunc("POST /v1/compact", s.handleCompact)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /debug/slow", s.handleSlow)
-	mux.HandleFunc("GET /debug/queries", s.handleRecent)
+	mux.HandleFunc("GET /debug/slow", SlowHandler(s.rec))
+	mux.HandleFunc("GET /debug/queries", RecentHandler(s.rec))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	return s.logged(mux)
+	return Logged(s.cfg.Logger, mux)
 }
 
 // SetReady flips the /readyz state. cmd/eshd calls SetReady(false) at
@@ -256,8 +256,8 @@ func (w *statusWriter) WriteHeader(code int) {
 
 type requestIDKey struct{}
 
-// NewRequestID returns a fresh request ID: 8 random bytes, hex-encoded.
-func NewRequestID() string {
+// newRequestID returns a fresh request ID: 8 random bytes, hex-encoded.
+func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "unknown"
@@ -278,22 +278,24 @@ func WithRequestID(ctx context.Context, rid string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, rid)
 }
 
-// logged assigns every request an ID (the client's X-Request-ID when
-// present, otherwise generated), echoes it in the response header, and
-// emits one structured log line carrying it — so a log line, a traced
-// response and a client retry all correlate on one token.
-func (s *Server) logged(next http.Handler) http.Handler {
+// Logged is the request middleware of both daemons: it assigns every
+// request an ID (the client's X-Request-ID when present, otherwise
+// generated), echoes it in the response header, and emits one structured
+// log line carrying it and the status answered — so a log line, a traced
+// response and a client retry all correlate on one token, and a gateway's
+// line with its shards' (it forwards the ID on every fan-out leg).
+func Logged(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-ID")
 		if rid == "" || len(rid) > 128 {
-			rid = NewRequestID()
+			rid = newRequestID()
 		}
 		w.Header().Set("X-Request-ID", rid)
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, rid))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		s.cfg.Logger.Info("request",
+		logger.Info("request",
 			"request_id", rid,
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -425,29 +427,34 @@ type SlowResponse struct {
 	Records     []*telemetry.QueryRecord `json:"records"`
 }
 
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, &SlowResponse{
-		ThresholdMS: float64(s.rec.SlowThreshold().Microseconds()) / 1000,
-		Total:       s.rec.SlowTotal(),
-		Recorded:    s.rec.Total(),
-		Records:     s.rec.Slow(),
-	})
+// SlowHandler serves GET /debug/slow off rec, on either daemon.
+func SlowHandler(rec *telemetry.Recorder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, &SlowResponse{
+			ThresholdMS: float64(rec.SlowThreshold().Microseconds()) / 1000,
+			Total:       rec.SlowTotal(),
+			Recorded:    rec.Total(),
+			Records:     rec.Slow(),
+		})
+	}
 }
 
-// handleRecent serves GET /debug/queries: the most recent flight-recorder
-// entries (trace-stripped unless slow), newest first. ?n= bounds the
-// count (default 100).
-func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
-	n := 100
-	if v := r.URL.Query().Get("n"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
+// RecentHandler serves GET /debug/queries off rec, on either daemon: the
+// most recent flight-recorder entries (trace-stripped unless slow), newest
+// first. ?n= bounds the count (default 100).
+func RecentHandler(rec *telemetry.Recorder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := 100
+		if v := r.URL.Query().Get("n"); v != "" {
+			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
+				n = parsed
+			}
 		}
+		WriteJSON(w, http.StatusOK, map[string]any{
+			"total":   rec.Total(),
+			"records": rec.Recent(n),
+		})
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"total":   s.rec.Total(),
-		"records": s.rec.Recent(n),
-	})
 }
 
 // decodeQuery reads the request body both query endpoints share. On a
@@ -1011,19 +1018,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Snapshot.ShardCount = si.Count
 	resp.Snapshot.Generation = si.Generation
 	resp.PartialWire = shard.WireVersion
-	resp.VCPCache.Pairs = dbs.VCPCachePairs
-	resp.VCPCache.QueryKeys = dbs.VCPCacheQueries
-	resp.VCPCache.CapPairs = dbs.VCPCacheCap
-	resp.VCPCache.Evicted = dbs.VCPCacheEvicted
+	resp.VCPCache.Pairs = int(dbs.VCPCache.Held)
+	resp.VCPCache.QueryKeys = dbs.VCPCache.Entries
+	resp.VCPCache.CapPairs = int(dbs.VCPCache.Budget)
+	resp.VCPCache.Evicted = dbs.VCPCache.Evictions
 	resp.VCPCache.Hits = dbs.VCPCacheHits
 	resp.VCPCache.Misses = dbs.VCPCacheMisses
 	resp.VCPCache.HitRate = dbs.VCPCacheHitRate()
 	resp.VCPCache.RowsComplete = dbs.VCPRowsComplete
 	resp.PlanMemo.Hits = s.plans.hits.Value()
 	resp.PlanMemo.Misses = s.plans.misses.Value()
-	resp.PlanMemo.Evictions = s.plans.evictions.Value()
-	resp.PlanMemo.Bytes = s.plans.held()
-	resp.PlanMemo.BudgetBytes = planMemoBudget
+	plans := s.plans.stats()
+	resp.PlanMemo.Evictions = plans.Evictions
+	resp.PlanMemo.Bytes = int(plans.Held)
+	resp.PlanMemo.BudgetBytes = int(plans.Budget)
 	resp.Prefilter.Mode = dbs.Prefilter
 	resp.Prefilter.LSHBands = dbs.LSHBands
 	resp.Prefilter.LSHRows = dbs.LSHRows
@@ -1050,10 +1058,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
 	resp.Engine.Memo.Hits = dbs.MemoHits
 	resp.Engine.Memo.Misses = dbs.MemoMisses
-	resp.Engine.Memo.Evictions = dbs.MemoEvictions
-	resp.Engine.Memo.Bytes = dbs.MemoBytes
-	resp.Engine.Memo.Entries = dbs.MemoEntries
-	resp.Engine.Memo.BudgetBytes = dbs.MemoBudget
+	resp.Engine.Memo.Evictions = dbs.Memo.Evictions
+	resp.Engine.Memo.Bytes = dbs.Memo.Held
+	resp.Engine.Memo.Entries = dbs.MemoAssignments
+	resp.Engine.Memo.BudgetBytes = dbs.Memo.Budget
 	resp.Engine.StageSeconds = dbs.StageSeconds
 
 	resp.Queries.Completed = s.outcomes["completed"].Value()

@@ -1,6 +1,11 @@
 package vcp
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/fifo"
+)
 
 // The γ-fingerprint memo. A correspondence γ binds each input of the
 // evaluated strand to a sample slot, and the strand's fingerprints under
@@ -27,7 +32,8 @@ type memo struct {
 	// nIn is the strand's input count and nd the length of its reduced
 	// fingerprint vector (both may be 0).
 	nIn, nd int
-	// pool, when non-nil, is charged for every byte the memo holds.
+	// pool, when non-nil, is charged for every byte the memo holds and
+	// counts every entry.
 	pool *MemoPool
 
 	mu sync.RWMutex
@@ -42,11 +48,6 @@ type memo struct {
 	table            []int32
 	n                int
 	bytes            int64
-
-	// charged is what pool.bytes currently includes for this memo and
-	// queued whether pool.order lists it; both are guarded by pool.mu.
-	charged int64
-	queued  bool
 }
 
 // memoChunk is one run of entries: entry o is the assignment
@@ -118,7 +119,7 @@ probe:
 // always pool.mu before memo.mu.
 func (m *memo) add(rows []int, idx []int, hashes []uint64, fresh []uint64) {
 	m.mu.Lock()
-	before := m.bytes
+	before, had := m.bytes, m.n
 	for r, i := range idx {
 		a := rows[i*m.nIn : (i+1)*m.nIn]
 		if _, ok := m.find(a, hashes[i]); ok {
@@ -140,6 +141,9 @@ func (m *memo) add(rows []int, idx []int, hashes []uint64, fresh []uint64) {
 		m.n++
 	}
 	grew := m.bytes != before
+	if m.pool != nil {
+		m.pool.assignments.Add(int64(m.n - had))
+	}
 	m.mu.Unlock()
 	if grew && m.pool != nil {
 		m.pool.charge(m)
@@ -189,42 +193,32 @@ func (m *memo) footprint() int64 {
 	return m.bytes
 }
 
-// reset forgets every entry and lets the chunks go.
+// reset forgets every entry and lets the chunks go. Only a pool resets
+// the memos attached to it.
 func (m *memo) reset() {
 	m.mu.Lock()
+	m.pool.assignments.Add(-int64(m.n))
 	m.chunks, m.table = nil, nil
 	m.tailLen, m.tailCap, m.n, m.bytes = 0, 0, 0, 0
 	m.mu.Unlock()
 }
 
 // MemoPool is one byte budget shared by the γ-fingerprint memos of every
-// Prepared attached to it. When a charge takes the pool over budget,
-// whole strands' memos are dropped oldest-first (in order of first
-// charge) until it fits; dropping a memo only costs re-evaluation, never
-// correctness. Safe for concurrent use.
+// Prepared attached to it: a fifo.Store of whole strands' memos, each
+// charged its footprint, aged from its first charge. An evicted memo is
+// emptied, which only costs re-evaluation, never correctness. Safe for
+// concurrent use.
 type MemoPool struct {
-	budget int64
-
-	mu        sync.Mutex
-	bytes     int64   // Σ charged over order
-	order     []*memo // memos holding bytes, oldest first
-	evictions uint64
-}
-
-// MemoPoolStats is a point-in-time reading of a MemoPool.
-type MemoPoolStats struct {
-	// Bytes is the memo bytes currently charged; it never exceeds Budget.
-	Bytes, Budget int64
-	// Entries counts the assignments the charged memos hold, so
-	// Bytes/Entries is the cost of remembering one.
-	Entries int64
-	// Evictions counts strands whose memo was dropped to make room.
-	Evictions uint64
+	mu      sync.Mutex
+	charged *fifo.Store[*memo, struct{}]
+	// assignments is Σ memo.n over the attached memos, kept by add and
+	// reset so that reading it walks nothing.
+	assignments atomic.Int64
 }
 
 // NewMemoPool returns a pool that keeps its memos within budget bytes.
 func NewMemoPool(budget int64) *MemoPool {
-	return &MemoPool{budget: budget}
+	return &MemoPool{charged: fifo.New(budget, func(m *memo, _ struct{}) { m.reset() })}
 }
 
 // Attach makes the pool account for p's memo. Call it before p is
@@ -241,76 +235,35 @@ func (mp *MemoPool) Attach(p *Prepared) {
 func (mp *MemoPool) Release(ps ...*Prepared) {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	dropped := false
 	for _, p := range ps {
-		if p.memo != nil && p.memo.queued {
-			mp.dropLocked(p.memo)
-			dropped = true
+		if p.memo != nil && mp.charged.Drop(p.memo) {
+			p.memo.reset()
 		}
 	}
-	if !dropped {
-		return
-	}
-	kept := mp.order[:0]
-	for _, m := range mp.order {
-		if m.queued {
-			kept = append(kept, m)
-		}
-	}
-	clear(mp.order[len(kept):])
-	mp.order = kept
 }
 
-// Stats reads the pool's gauge, entry count and eviction count.
-func (mp *MemoPool) Stats() MemoPoolStats {
+// Stats reads the pool's account: bytes held of the budget, memos holding
+// them, memos evicted.
+func (mp *MemoPool) Stats() fifo.Stats {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	st := MemoPoolStats{Bytes: mp.bytes, Budget: mp.budget, Evictions: mp.evictions}
-	for _, m := range mp.order {
-		m.mu.RLock()
-		st.Entries += int64(m.n)
-		m.mu.RUnlock()
-	}
-	return st
+	return mp.charged.Stats()
 }
 
-// charge brings the pool's account of m up to its current footprint and
-// evicts until the budget holds again. The footprint is read here, under
-// mp.mu, rather than passed in: an eviction between the caller's add and
-// this call has already zeroed the account, and a stale figure would
-// charge bytes that no longer exist.
+// Assignments counts the slot assignments the attached memos remember, so
+// Stats().Held over it is the cost of remembering one.
+func (mp *MemoPool) Assignments() int64 { return mp.assignments.Load() }
+
+// charge brings the pool's account of m up to its current footprint. The
+// footprint is read here, under mp.mu, rather than passed in: an eviction
+// between the caller's add and this call has already emptied m, and a
+// stale figure would charge bytes that no longer exist.
 func (mp *MemoPool) charge(m *memo) {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
-	size := m.footprint()
-	mp.bytes += size - m.charged
-	m.charged = size
-	if !m.queued && size > 0 {
-		mp.order = append(mp.order, m)
-		m.queued = true
+	if size := m.footprint(); size > 0 {
+		mp.charged.Put(m, struct{}{}, size)
 	}
-	// Oldest first, sparing the memo just charged while anything else can
-	// go; when it alone exceeds the budget it goes too.
-	for mp.bytes > mp.budget && len(mp.order) > 0 {
-		victim := mp.order[0]
-		mp.order[0] = nil
-		mp.order = mp.order[1:]
-		if victim == m && len(mp.order) > 0 {
-			mp.order = append(mp.order, victim)
-			continue
-		}
-		mp.dropLocked(victim)
-		mp.evictions++
-	}
-}
-
-// dropLocked empties m and removes its charge; the caller takes it off
-// mp.order.
-func (mp *MemoPool) dropLocked(m *memo) {
-	mp.bytes -= m.charged
-	m.charged = 0
-	m.queued = false
-	m.reset()
 }
 
 // fpSet is an immutable open-addressed set of fingerprints: a flat

@@ -121,8 +121,8 @@ func TestMemoDifferential(t *testing.T) {
 						hits += st.MemoHits
 						batches += st.Batches
 						if pool != nil {
-							if ps := pool.Stats(); ps.Bytes > ps.Budget {
-								t.Fatalf("%s pair (%d,%d): memo gauge %d over budget %d", pass, i, j, ps.Bytes, ps.Budget)
+							if ps := pool.Stats(); ps.Held > ps.Budget {
+								t.Fatalf("%s pair (%d,%d): memo gauge %d over budget %d", pass, i, j, ps.Held, ps.Budget)
 							}
 						}
 					}
@@ -139,10 +139,11 @@ func TestMemoDifferential(t *testing.T) {
 				t.Fatalf("budget %d evicted nothing", tc.budget)
 			}
 			// Releasing every strand must return the account to zero:
-			// charges and evictions balanced exactly.
+			// charges and evictions balanced exactly, entries counted in
+			// and out.
 			pool.Release(prep...)
-			if ps := pool.Stats(); ps.Bytes != 0 {
-				t.Fatalf("%d bytes still charged after releasing every strand", ps.Bytes)
+			if ps := pool.Stats(); ps.Held != 0 || ps.Entries != 0 || pool.Assignments() != 0 {
+				t.Fatalf("%+v and %d assignments still charged after releasing every strand", ps, pool.Assignments())
 			}
 		})
 	}
@@ -181,8 +182,8 @@ func TestMemoSharedPrepared(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if ps := pool.Stats(); ps.Bytes > ps.Budget {
-		t.Fatalf("memo gauge %d over budget %d", ps.Bytes, ps.Budget)
+	if ps := pool.Stats(); ps.Held > ps.Budget {
+		t.Fatalf("memo gauge %d over budget %d", ps.Held, ps.Budget)
 	}
 }
 
