@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/vcp"
@@ -39,7 +39,7 @@ func testToolchains(t *testing.T, names ...string) []compile.Toolchain {
 
 func buildDiffCorpus(t *testing.T) []*asm.Proc {
 	t.Helper()
-	procs, err := corpus.Build(corpus.BuildConfig{
+	procs, err := testcorpus.Build(testcorpus.BuildConfig{
 		Toolchains:     testToolchains(t, "gcc-4.9", "clang-3.5", "icc-15.0.1"),
 		IncludePatched: true,
 		SynthVariants:  0,
@@ -83,12 +83,12 @@ func TestPrefilterDifferential(t *testing.T) {
 	if !ok {
 		t.Fatal("query toolchain missing")
 	}
-	vulns := corpus.Vulns()
+	vulns := testcorpus.Vulns()
 	if len(vulns) > 3 {
 		vulns = vulns[:3]
 	}
 	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatalf("compile query %s: %v", v.Alias, err)
 		}
@@ -170,13 +170,13 @@ func auditDroppedPairs(t *testing.T, db *DB, q *asm.Proc, alias string) {
 			t.Fatalf("prepare query strand: %v", prep.Err())
 		}
 		qSum := sketch.Summarize(s, db.sketchCfg)
-		mark := make([]bool, len(db.uniq))
-		db.sketchIdx.Candidates(qSum, mark)
-		for j, u := range db.uniq {
+		c, mark := db.corpus.Load(), make([]bool, db.NumUniqueStrands())
+		c.sketchIdx.Candidates(qSum, mark)
+		for j, u := range c.uniq {
 			if u.Key() == key || !vcp.SizeCompatible(s, u.S, ratio) {
 				continue
 			}
-			uSum := db.sums[j]
+			uSum := c.sums[j]
 			if !mark[j] {
 				// Skipped outright: must be zero in both directions.
 				dropped++

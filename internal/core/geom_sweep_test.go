@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/ivl"
 	"repro/internal/sketch"
 	"repro/internal/vcp"
@@ -16,14 +16,14 @@ func TestGeomSweep(t *testing.T) {
 	if os.Getenv("RUN_GEOM_SWEEP") == "" {
 		t.Skip("set RUN_GEOM_SWEEP=1")
 	}
-	procs := buildDiffCorpus(t)
 	base := NewDB(Options{})
-	fillDB(t, base, procs)
+	fillDB(t, base, buildDiffCorpus(t))
+	uniq := base.corpus.Load().uniq
 
 	qtc, _ := compile.ByName("clang-3.5")
 	var queries []*vcp.Prepared
-	for _, v := range corpus.Vulns()[:3] {
-		q, err := corpus.CompileVuln(v, qtc, false)
+	for _, v := range testcorpus.Vulns()[:3] {
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestGeomSweep(t *testing.T) {
 	}
 	var eligible []pair
 	for _, qp := range queries {
-		for j, u := range base.uniq {
+		for j, u := range uniq {
 			if u.Key() == qp.Key() || !vcp.SizeCompatible(qp.S, u.S, ratio) {
 				continue
 			}
@@ -85,7 +85,7 @@ func TestGeomSweep(t *testing.T) {
 	}
 	fwdDead, revDead, bothDead, unsound := 0, 0, 0, 0
 	for _, p := range eligible {
-		u := base.uniq[p.j]
+		u := uniq[p.j]
 		fd, rd := !fits(p.q, u), !fits(u, p.q)
 		if fd {
 			fwdDead++
@@ -118,7 +118,7 @@ func TestGeomSweep(t *testing.T) {
 		}
 		nHigh++
 		fq := sketch.Features(p.q.S)
-		fu := sketch.Features(base.uniq[p.j].S)
+		fu := sketch.Features(uniq[p.j].S)
 		inter := 0
 		set := map[uint64]bool{}
 		for _, f := range fq {
@@ -138,7 +138,7 @@ func TestGeomSweep(t *testing.T) {
 		}
 		if nHigh <= 25 {
 			t.Logf("high pair: fv=%.2f rv=%.2f qvars=%d uvars=%d qfeat=%d ufeat=%d inter=%d jacc=%.2f cont=%.2f",
-				p.fv, p.rv, p.q.S.NumVars(), base.uniq[p.j].S.NumVars(),
+				p.fv, p.rv, p.q.S.NumVars(), uniq[p.j].S.NumVars(),
 				len(fq), len(fu), inter,
 				float64(inter)/float64(len(fq)+len(fu)-inter),
 				float64(inter)/float64(minf))
@@ -172,9 +172,9 @@ func TestGeomSweep(t *testing.T) {
 	{
 		cfg := sketch.Config{Bands: 24, Rows: 3}.Normalized()
 		qsigs := map[*vcp.Prepared]sketch.Signature{}
-		usigs := make([]sketch.Signature, len(base.uniq))
-		ufeat := make([]int, len(base.uniq))
-		for j, u := range base.uniq {
+		usigs := make([]sketch.Signature, len(uniq))
+		ufeat := make([]int, len(uniq))
+		for j, u := range uniq {
 			usigs[j] = sketch.Compute(u.S, cfg)
 			ufeat[j] = len(sketch.Features(u.S))
 		}
@@ -188,12 +188,12 @@ func TestGeomSweep(t *testing.T) {
 		for _, C := range []float64{0.30, 0.35, 0.40, 0.45, 0.50} {
 			hcfg := sketch.Config{Bands: 24, Rows: 3, MinContainment: C}.Normalized()
 			idx := sketch.NewIndex(hcfg)
-			for _, u := range base.uniq {
+			for _, u := range uniq {
 				idx.Add(sketch.Summarize(u.S, hcfg))
 			}
 			marks := map[*vcp.Prepared][]bool{}
 			for _, qp := range queries {
-				m := make([]bool, len(base.uniq))
+				m := make([]bool, len(uniq))
 				idx.Candidates(sketch.Summarize(qp.S, hcfg), m)
 				marks[qp] = m
 			}
@@ -216,7 +216,7 @@ func TestGeomSweep(t *testing.T) {
 		// Noise-free ceiling: gate on EXACT feature containment.
 		exactCont := func(qp *vcp.Prepared, j int) float64 {
 			fq := sketch.Features(qp.S)
-			fu := sketch.Features(base.uniq[j].S)
+			fu := sketch.Features(uniq[j].S)
 			set := map[uint64]bool{}
 			for _, f := range fq {
 				set[f] = true
@@ -287,12 +287,12 @@ func TestGeomSweep(t *testing.T) {
 	} {
 		cfg = cfg.Normalized()
 		idx := sketch.NewIndex(cfg)
-		for _, u := range base.uniq {
+		for _, u := range uniq {
 			idx.Add(sketch.Summarize(u.S, cfg))
 		}
 		marks := map[*vcp.Prepared][]bool{}
 		for _, qp := range queries {
-			m := make([]bool, len(base.uniq))
+			m := make([]bool, len(uniq))
 			idx.Candidates(sketch.Summarize(qp.S, cfg), m)
 			marks[qp] = m
 		}

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// answer is what RunPlan computes, with the pieces kept: the corpus version
+// the query loaded, its partial, and the report finalized over that version.
+type answer struct {
+	query int
+	qc    *corpus
+	qp    *QueryPartial
+	rep   *Report
+}
+
+func answerPlan(db *DB, query int, pl *QueryPlan) (answer, error) {
+	qc := db.corpus.Load()
+	qp, cached, err := db.partialQuery(context.Background(), pl, qc)
+	if err != nil {
+		return answer{}, err
+	}
+	return answer{query, qc, qp, qp.finalize(qc, cached)}, nil
+}
+
+// TestEveryAnswerOneVersion is the history check the sharing tests leave
+// out: they assert no race, no failure and a final state equal to a rebuild;
+// this asserts that every answer returned while writes were landing is the
+// answer of one version of the corpus. A fixed script of adds, deletes and
+// compactions is run serially first, recording after each step the
+// (DataGeneration, PendingWrites) stamp — one writer, so a stamp names a
+// step — and what a from-scratch rebuild of the survivors answers. The same
+// script then runs against four readers, and each partial they were handed
+// must carry a stamp the serial run produced and equal that step's rebuild
+// bit for bit: rows (the rebuild's column k is the live corpus's h0Order[k],
+// and a dead column reads zero), per-target reductions, finalized scores and
+// ranking.
+func TestEveryAnswerOneVersion(t *testing.T) {
+	script := append(synthOps(1, 2, 3), addOp(iccStyle))
+	const setup = 4 // steps applied before the readers start
+	for i := 10; i < 18; i++ {
+		script = append(script, addOp(genProc(i)))
+		if i%2 == 1 {
+			script = append(script, delOp(fmt.Sprintf("synth_%d", i)))
+		}
+		if i%4 == 3 {
+			script = append(script, delOp(fmt.Sprintf("synth_%d", i-1)), compactOp())
+		}
+	}
+	// A counts-only add, a delete of a target that shares its strands, and a
+	// compaction with no tombstone to drop (nothing is renumbered).
+	script = append(script, addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")),
+		delOp("checksum_icc"), compactOp(), addOp(unrelated), compactOp())
+	queries := []string{gccStyle, genProc(2)}
+
+	type stamp struct {
+		generation uint64
+		pending    int
+	}
+	for _, mode := range []string{"lsh", "probe"} {
+		t.Run(mode, func(t *testing.T) {
+			opts := writeTestOptions(mode)
+			serial := newWriteDB(mode)
+			plans := make([]*QueryPlan, len(queries))
+			for qi, src := range queries {
+				var err error
+				if plans[qi], err = serial.Plan(context.Background(), parse(t, src)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := map[stamp][]answer{}
+			for step := range script {
+				applyScript(t, serial, script[step:step+1], false)
+				ws := serial.WriteState()
+				at := stamp{ws.Generation, ws.PendingWrites}
+				if _, seen := want[at]; seen {
+					t.Fatalf("test premise broken: step %d repeats the stamp %+v", step, at)
+				}
+				fresh := buildFresh(t, opts, survivors(t, script[:step+1]))
+				for qi, pl := range plans {
+					a, err := answerPlan(fresh, qi, pl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[at] = append(want[at], a)
+				}
+			}
+
+			live := newWriteDB(mode)
+			applyScript(t, live, script[:setup], false)
+			done := make(chan struct{})
+			var served atomic.Int64
+			var mu sync.Mutex
+			var got []answer
+			var readers sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				readers.Add(1)
+				go func(r int) {
+					defer readers.Done()
+					for i := r; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						a, err := answerPlan(live, i%len(plans), plans[i%len(plans)])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						got = append(got, a)
+						mu.Unlock()
+						served.Add(1)
+					}
+				}(r)
+			}
+			for step := setup; step < len(script); step++ {
+				applyScript(t, live, script[step:step+1], false)
+				for until := served.Load() + 8; served.Load() < until && !t.Failed(); {
+					runtime.Gosched()
+				}
+			}
+			close(done)
+			readers.Wait()
+
+			seen := map[stamp]bool{}
+			for n, g := range got {
+				at := stamp{g.qp.DataGeneration, g.qp.PendingWrites}
+				steps, ok := want[at]
+				if !ok {
+					t.Fatalf("answer %d carries the stamp %+v, which no step of the serial run produced", n, at)
+				}
+				seen[at] = true
+				diffAnswer(t, fmt.Sprintf("answer %d (query %d at %+v)", n, g.query, at), g, steps[g.query])
+			}
+			if len(seen) < 3 {
+				t.Fatalf("test premise broken: %d answers saw only %d of %d versions", len(got), len(seen), len(script)-setup+1)
+			}
+		})
+	}
+}
+
+// diffAnswer fails unless got, computed over a live corpus version, equals
+// what the rebuild of that version's survivors answered.
+func diffAnswer(t *testing.T, label string, got, want answer) {
+	t.Helper()
+	bits := math.Float64bits
+	order := got.qc.h0Order
+	if len(got.qp.Rows) != len(want.qp.Rows) {
+		t.Fatalf("%s: %d rows, the rebuild has %d", label, len(got.qp.Rows), len(want.qp.Rows))
+	}
+	for i, wrow := range want.qp.Rows {
+		grow := got.qp.Rows[i]
+		if live := len(grow); order != nil && len(order) != len(wrow) || order == nil && live != len(wrow) {
+			t.Fatalf("%s: row %d covers %d strands (%d live), the rebuild has %d", label, i, live, len(order), len(wrow))
+		}
+		nonzero := 0
+		for k, w := range wrow {
+			j := k
+			if order != nil {
+				j = int(order[k])
+			}
+			if bits(grow[j]) != bits(w) {
+				t.Fatalf("%s: row %d column %d = %v, the rebuild's column %d has %v", label, i, j, grow[j], k, w)
+			}
+			if w != 0 {
+				nonzero++
+			}
+		}
+		for _, g := range grow {
+			if g != 0 {
+				nonzero--
+			}
+		}
+		if nonzero != 0 {
+			t.Fatalf("%s: row %d shows %d values in dead columns", label, i, -nonzero)
+		}
+	}
+	if len(got.qp.Targets) != len(want.qp.Targets) {
+		t.Fatalf("%s: %d targets, the rebuild has %d", label, len(got.qp.Targets), len(want.qp.Targets))
+	}
+	for ti, w := range want.qp.Targets {
+		g := got.qp.Targets[ti]
+		if g.Target.Name != w.Target.Name || bits(g.SVCP) != bits(w.SVCP) || len(g.MaxVCP) != len(w.MaxVCP) {
+			t.Fatalf("%s: target %d is %s with S-VCP %v, the rebuild has %s with %v", label, ti, g.Target.Name, g.SVCP, w.Target.Name, w.SVCP)
+		}
+		for i := range w.MaxVCP {
+			if bits(g.MaxVCP[i]) != bits(w.MaxVCP[i]) {
+				t.Fatalf("%s: target %s best VCP of strand %d = %v, the rebuild has %v", label, g.Target.Name, i, g.MaxVCP[i], w.MaxVCP[i])
+			}
+		}
+	}
+	diffReports(t, label, got.rep, want.rep)
+}

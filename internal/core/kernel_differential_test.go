@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/stats"
 	"repro/internal/vcp"
 )
@@ -40,12 +40,12 @@ func TestKernelDifferential(t *testing.T) {
 	if !ok {
 		t.Fatal("query toolchain missing")
 	}
-	vulns := corpus.Vulns()
+	vulns := testcorpus.Vulns()
 	if len(vulns) > 3 {
 		vulns = vulns[:3]
 	}
 	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatalf("compile query %s: %v", v.Alias, err)
 		}

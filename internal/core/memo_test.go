@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/vcp"
 )
 
@@ -47,8 +47,8 @@ func TestMemoAccounting(t *testing.T) {
 	}()
 
 	qtc, _ := compile.ByName("clang-3.5")
-	for _, v := range corpus.Vulns()[:2] {
-		q, err := corpus.CompileVuln(v, qtc, false)
+	for _, v := range testcorpus.Vulns()[:2] {
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestMemoAccounting(t *testing.T) {
 	}
 	// Everything still charged belongs to an indexed strand: the
 	// queries' own strands were released when they returned.
-	roomy.memo.Release(roomy.uniq...)
+	roomy.memo.Release(roomy.corpus.Load().uniq...)
 	if left := roomy.Stats().Memo.Held; left != 0 {
 		t.Errorf("%d memo bytes still charged to strands of finished queries", left)
 	}

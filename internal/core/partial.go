@@ -84,24 +84,26 @@ type PartialScore struct {
 // bit-identical inputs and therefore produce bit-identical scores and
 // rankings.
 func (qp *QueryPartial) Finalize(counts []int) *Report {
-	return qp.finalize(counts, nil, nil, 0)
+	return qp.finalize(&corpus{counts: counts}, nil)
 }
 
-// finalize is Finalize as the database calls it on its own partial.
+// finalize is Finalize as the database calls it on its own partial, over
+// the corpus version c the partial was computed against.
 //
-// order, when non-nil, is the H0 accumulation order: order[k] indexes the
-// k-th strand to fold into the H0 mean. The live write path sets it after
-// tombstones: floating-point addition is order-sensitive, so bit-identity
-// with a from-scratch rebuild of the surviving corpus requires replaying
-// the rebuild's first-seen strand order, not the dirty index order with
-// dead strands (counts 0, absent from order) masked.
+// c.h0Order, when non-nil, is the H0 accumulation order: its k-th entry
+// indexes the k-th strand to fold into the H0 mean. The live write path sets
+// it after tombstones: floating-point addition is order-sensitive, so
+// bit-identity with a from-scratch rebuild of the surviving corpus requires
+// replaying the rebuild's first-seen strand order, not the dirty index order
+// with dead strands (counts 0, absent from the order) masked.
 //
-// cached[i], when non-nil, is the cached row Rows[i] was handed out of, and
-// ver the version of counts and order (DB.countsVer). The strand's H0 means
-// are read off the row if it holds them for ver and left with it otherwise:
-// the same accumulator over the same columns in the same order, so the same
-// bits, summed once per write instead of once per query.
-func (qp *QueryPartial) finalize(counts []int, order []int32, cached []*vcpRow, ver uint64) *Report {
+// cached[i], when non-nil, is the cached row Rows[i] was handed out of. The
+// strand's H0 means are read off the row if it holds them for c.countsVer
+// and left with it otherwise: the same accumulator over the same columns in
+// the same order, so the same bits, summed once per write instead of once
+// per query.
+func (qp *QueryPartial) finalize(c *corpus, cached []*vcpRow) *Report {
+	counts, order, ver := c.counts, c.h0Order, c.countsVer
 	scorers := make([]stats.Scorer, len(qp.Weights))
 	for i, w := range qp.Weights {
 		var row *vcpRow

@@ -158,7 +158,7 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 					}
 					diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
 				}
-				qc := db.snapshotConfig()
+				qc := db.corpus.Load()
 				if (qc.h0Order != nil) != wantOrder || qc.countsVer == lastVer {
 					t.Fatalf("%s: test premise broken: h0Order set %v, counts version %d after %d",
 						label, qc.h0Order != nil, qc.countsVer, lastVer)

@@ -1,0 +1,714 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/asm"
+	"repro/internal/sketch"
+	"repro/internal/stats"
+	"repro/internal/strand"
+	"repro/internal/telemetry"
+	"repro/internal/vcp"
+)
+
+// This file is the query pipeline: the result types, stages 1–2 as a plan,
+// and stages 3–4 run over one corpus version.
+
+// queryStages names the Query pipeline stages, in execution order. Each
+// has a span in the per-query trace and a duration histogram in the
+// DB's metrics registry.
+var queryStages = [...]string{"decompose", "prepare", "vcp", "score"}
+
+// TargetScore is one row of a query result: the three method scores for
+// one target, plus ground-truth provenance for evaluation.
+type TargetScore struct {
+	Target *Target
+	SVCP   float64
+	SLOG   float64
+	GES    float64 // the full Esh score
+}
+
+// Score returns the score under the requested method.
+func (ts TargetScore) Score(m stats.Method) float64 {
+	switch m {
+	case stats.SVCP:
+		return ts.SVCP
+	case stats.SLOG:
+		return ts.SLOG
+	default:
+		return ts.GES
+	}
+}
+
+// Report is the result of one query against the database.
+type Report struct {
+	QueryName  string
+	Source     asm.Provenance
+	NumBlocks  int
+	NumStrands int // query strands surviving the size filter
+	// Results holds one entry per target, sorted by descending GES.
+	Results []TargetScore
+}
+
+// Rank returns the results re-sorted by the given method's score
+// (descending). The receiver is unchanged.
+func (r *Report) Rank(m stats.Method) []TargetScore {
+	out := make([]TargetScore, len(r.Results))
+	copy(out, r.Results)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score(m) > out[j].Score(m) })
+	return out
+}
+
+// Query scores every indexed target against the query procedure. It is
+// QueryCtx with a background context (metrics are still recorded; no
+// trace tree is reachable by the caller).
+func (db *DB) Query(p *asm.Proc) (*Report, error) {
+	return db.QueryCtx(context.Background(), p)
+}
+
+// QueryCtx scores every indexed target against the query procedure.
+// Each pipeline stage (decompose, prepare, vcp, score) is recorded as a
+// child of the telemetry span carried by ctx (if any) with work counts
+// attached — strand pairs examined, cache hits and misses, verifier
+// invocations — so callers can report a per-query stage breakdown.
+// Stage durations also feed the DB's stage histograms regardless of
+// whether ctx carries a span. It is Plan followed by RunPlan.
+func (db *DB) QueryCtx(ctx context.Context, p *asm.Proc) (*Report, error) {
+	pl, err := db.Plan(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return db.RunPlan(ctx, pl)
+}
+
+// PartialQueryCtx is Plan followed by RunPlanPartial.
+func (db *DB) PartialQueryCtx(ctx context.Context, p *asm.Proc) (*QueryPartial, error) {
+	pl, err := db.Plan(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return db.RunPlanPartial(ctx, pl)
+}
+
+// QueryPlan is stages 1–2 of the pipeline as a value: the query's unique
+// strands in first-seen order, canonical keys built, and their
+// multiplicities. It depends on the procedure and on the DB's options,
+// which never change — not on the corpus — so it stays valid across any
+// number of writes and compactions. It is immutable: concurrent queries of
+// the same procedure share one.
+type QueryPlan struct {
+	QueryName  string
+	Source     asm.Provenance
+	NumBlocks  int
+	NumStrands int // query strands surviving the size filter
+	weights    []float64
+	strands    []*strand.Strand
+}
+
+// Bytes estimates the memory the plan keeps alive, for a holder with a byte
+// budget. A strand's statements are the expression trees its canonical key
+// prints; 12 bytes of heap per byte of key is their measured ratio on the
+// corpus generator's procedures, rounded up.
+func (pl *QueryPlan) Bytes() int {
+	n := 128
+	for _, s := range pl.strands {
+		n += 128 + 12*len(s.CanonicalKey())
+	}
+	return n
+}
+
+// Plan runs stages 1–2 on a query procedure.
+func (db *DB) Plan(ctx context.Context, p *asm.Proc) (*QueryPlan, error) {
+	// Stage 1: decompose — disassembly → CFG → lift → strands.
+	_, spDec := telemetry.StartSpan(ctx, "decompose")
+	kept, nBlocks, err := decompose(p, db.opts)
+	db.observeStage("decompose", spDec.End())
+	if err != nil {
+		return nil, fmt.Errorf("core: query %s: %w", p.Name, err)
+	}
+	spDec.SetAttr("blocks", float64(nBlocks))
+	spDec.SetAttr("strands", float64(len(kept)))
+	pl := &QueryPlan{QueryName: p.Name, Source: p.Source, NumBlocks: nBlocks, NumStrands: len(kept)}
+
+	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
+	// LES weight). The dedup order is first-seen, which is deterministic
+	// in the query text — every shard handed the same query builds the
+	// same row order, so a coordinator can merge rows by index. Verifier
+	// preparation is not done here: stage 3 prepares a strand only once
+	// it has found a pair the strand must be verified against.
+	_, spPrep := telemetry.StartSpan(ctx, "prepare")
+	qIdx := map[string]int{}
+	for _, s := range kept {
+		key := s.CanonicalKey()
+		if i, ok := qIdx[key]; ok {
+			pl.weights[i]++
+			continue
+		}
+		qIdx[key] = len(pl.strands)
+		pl.strands = append(pl.strands, s)
+		pl.weights = append(pl.weights, 1)
+	}
+	spPrep.SetAttr("unique_strands", float64(len(pl.strands)))
+	db.observeStage("prepare", spPrep.End())
+	return pl, nil
+}
+
+// TracePlanReuse stands in for Plan when the caller runs a plan kept from
+// an earlier call: it records the two stages as spans of no work, marked
+// plan_memo_hit, so a query's trace and flight record name four stages
+// however its plan was come by. The stage histograms are left alone: they
+// count the decompositions that ran.
+func (db *DB) TracePlanReuse(ctx context.Context) {
+	for _, stage := range queryStages[:2] {
+		_, sp := telemetry.StartSpan(ctx, stage)
+		sp.SetAttr("plan_memo_hit", 1)
+		sp.End()
+	}
+}
+
+// RunPlan runs stages 3–4 of a planned query and finalizes against the
+// database's own corpus counts: RunPlanPartial plus finalize, the code a
+// gateway runs over merged shard partials, which is what makes a merge
+// provably score-identical to a single node.
+func (db *DB) RunPlan(ctx context.Context, pl *QueryPlan) (*Report, error) {
+	qc := db.corpus.Load()
+	qp, cached, err := db.partialQuery(ctx, pl, qc)
+	if err != nil {
+		return nil, err
+	}
+	// Against the same version the pair loop ran under: a live write
+	// between the two would otherwise hand finalize counts that are longer
+	// (or, post-tombstone, differently weighted) than the rows.
+	return qp.finalize(qc, cached), nil
+}
+
+// RunPlanPartial runs the planned query up to (but excluding) the
+// corpus-wide H0 estimate: the VCP pair loop and the order-insensitive
+// per-target reductions (best forward VCP per query strand, S-VCP). The
+// returned QueryPartial carries everything a coordinator needs to merge
+// this shard's view with others' and produce scores bit-identical to a
+// single node holding the union corpus — see QueryPartial.Finalize for the
+// exactness argument.
+func (db *DB) RunPlanPartial(ctx context.Context, pl *QueryPlan) (*QueryPartial, error) {
+	qp, _, err := db.partialQuery(ctx, pl, db.corpus.Load())
+	return qp, err
+}
+
+// partialQuery is the pipeline from the plan on, shared by RunPlan and
+// RunPlanPartial: both load the corpus exactly once and run every stage —
+// and, for RunPlan, finalization — against that version qc, so a live
+// write landing mid-query can never mix two corpus states. cached is
+// vcpRows's, for finalize.
+func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*QueryPartial, []*vcpRow, error) {
+	db.mQueries.Inc()
+	qs := pl.strands
+	qp := &QueryPartial{
+		QueryName:  pl.QueryName,
+		Source:     pl.Source,
+		NumBlocks:  pl.NumBlocks,
+		NumStrands: pl.NumStrands,
+		SigmoidK:   db.opts.SigmoidK,
+		Weights:    pl.weights,
+	}
+
+	// Stage 3: vcp — for each unique query strand, the VCP row against
+	// every unique target strand, in both directions. The forward
+	// direction VCP(sq, st) drives S-LOG and Esh; the reverse direction
+	// VCP(st, sq) drives the paper's S-VCP definition (§6.2), which sums
+	// over target strands. Rows come from the row cache where it has them;
+	// the pairs it does not know are verified (see vcpRows).
+	_, spVCP := telemetry.StartSpan(ctx, "vcp")
+	if db.prefilterOn() {
+		spVCP.SetAttr("prefilter_lsh", 1)
+	} else {
+		spVCP.SetAttr("prefilter_lsh", 0)
+	}
+	if db.probeOn() {
+		spVCP.SetAttr("retrieval_probe", 1)
+	} else {
+		spVCP.SetAttr("retrieval_probe", 0)
+	}
+	rows, revRows, cached, err := db.vcpRows(qs, spVCP, qc)
+	db.observeStage("vcp", spVCP.End())
+	if err != nil {
+		return nil, nil, err
+	}
+	qp.Rows = rows
+
+	// Stage 4: score — the shard-local reductions. Both are exact under
+	// sharding: per-target best-VCP is a max over the target's own
+	// strands, and S-VCP sums maxRev over the target's own strands (a
+	// strand shared between two targets contributes to each target's sum
+	// on whichever shard holds that target, from rows computed against
+	// the full query — so per-shard values equal single-node values).
+	_, spScore := telemetry.StartSpan(ctx, "score")
+
+	// maxRev[j]: the best any query strand contains target strand j.
+	maxRev := make([]float64, len(qc.uniq))
+	for i := range qs {
+		for j, v := range revRows[i] {
+			if v > maxRev[j] {
+				maxRev[j] = v
+			}
+		}
+	}
+
+	// Tombstoned targets are masked here rather than at row level: the
+	// surviving targets in add order are exactly the target order a
+	// from-scratch rebuild of the live corpus would produce.
+	qp.Targets = make([]PartialScore, 0, len(qc.targets))
+	maxVCPs := make([]float64, len(qc.targets)*len(qs)) // every target's MaxVCP, one allocation
+	for ti, t := range qc.targets {
+		if qc.live != nil && !qc.live[ti] {
+			continue
+		}
+		best := maxVCPs[:len(qs):len(qs)]
+		maxVCPs = maxVCPs[len(qs):]
+		for i, row := range rows {
+			for _, j := range t.strandIdx {
+				if row[j] > best[i] {
+					best[i] = row[j]
+				}
+			}
+		}
+		svcp := 0.0
+		for _, j := range t.strandIdx {
+			svcp += maxRev[j]
+		}
+		qp.Targets = append(qp.Targets, PartialScore{Target: t, SVCP: svcp, MaxVCP: best})
+	}
+	qp.DataGeneration = qc.Generation
+	qp.PendingWrites = qc.PendingWrites
+	spScore.SetAttr("targets", float64(len(qp.Targets)))
+	db.observeStage("score", spScore.End())
+	return qp, cached, nil
+}
+
+// getMark fetches an all-false scratch slice of length n from the pool.
+func (db *DB) getMark(n int) []bool {
+	if v := db.markPool.Get(); v != nil {
+		if m := *(v.(*[]bool)); len(m) >= n {
+			return m[:n]
+		}
+	}
+	return make([]bool, n)
+}
+
+// putMark clears a scratch slice and returns it to the pool. The clear
+// costs the same memset the old per-row allocation paid, without the
+// garbage.
+func (db *DB) putMark(m []bool) {
+	m = m[:cap(m)]
+	clear(m)
+	db.markPool.Put(&m)
+}
+
+// maxPairChunk caps the number of pairs one work-queue item covers, so
+// the per-chunk bookkeeping (two evaluators) stays noise next to the
+// verifier calls inside. Below the cap the chunk size adapts to the
+// workload — see pairChunk.
+const maxPairChunk = 64
+
+// minFanOut is the number of pairs to verify below which the calling
+// goroutine drains the queue alone: a few dozen verifier calls are shorter
+// than the wait for a second core on a machine that is serving writes too,
+// so a query that extends its rows by the strands of one new target costs
+// the same whatever else is running.
+const minFanOut = 32
+
+// pairChunk picks the work-queue chunk size for n pairs to verify: small
+// enough that even a few pairs cut into several chunks per worker (so the
+// machine saturates on the pair population, not the strand count), capped
+// at maxPairChunk for large corpora.
+func pairChunk(n, workers int) int {
+	chunk := (n + 4*workers - 1) / (4 * workers)
+	if chunk < 1 {
+		chunk = 1
+	}
+	return min(chunk, maxPairChunk)
+}
+
+// vcpRowState carries one query strand through stage 3: the row the cache
+// held at entry, the rows handed to stage 4, and — when the cache did not
+// know every pair — the verify list and the private successor row the
+// results are published in.
+type vcpRowState struct {
+	s        *strand.Strand
+	base     *vcpRow   // the cached row at entry (nil: none, or another epoch's)
+	next     *vcpRow   // private successor of base; nil when nothing new was learnt
+	fwd, rev []float64 // n wide; aliases base or next in scan mode, read-only then
+	// verify lists the columns whose pair needs the verifier; the pair
+	// queue is cut over these lists, so a chunk is all verifier work. q is
+	// prepared only when the list is non-empty. sketched says qSum is
+	// valid and the one-direction injectability test applies.
+	verify   []int32
+	q        *vcp.Prepared
+	qSum     sketch.Summary
+	sketched bool
+	rs       rowStats
+}
+
+// vcpRows produces VCP(q, u) and VCP(u, q) for every (query strand q,
+// unique target strand u) pair of the query's corpus view, in four steps:
+//
+//  1. fetch every query strand's cached row in one visit to the cache;
+//  2. plan: a complete row is handed out as it is — no copy, no sketch, no
+//     per-pair test; otherwise only the columns the row does not know go
+//     through the cheap filters (dead, identical, prefilter, size window),
+//     and what survives is the strand's verify list;
+//  3. verify: prepare the strands that have a list, cut the lists into
+//     chunks and drain them with min(Workers, chunks) goroutines — none
+//     when every list is empty;
+//  4. publish the successor rows, and flush each row's counts into sp (the
+//     shared vcp stage span) and the DB counters.
+//
+// The returned rows may be cached rows shared with other queries: they are
+// read-only (DESIGN §10.7). cached[i] is the cached row rows[i] is, if it
+// is one.
+func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows, revRows [][]float64, cached []*vcpRow, err error) {
+	n := len(qc.uniq)
+	states := make([]vcpRowState, len(qs))
+	for i, s := range qs {
+		states[i].s = s
+	}
+	db.lookupRows(states, qc.rowEpoch)
+
+	probe := qc.probe != nil
+	var scratch []bool // prefilter candidate marks / probe dedup
+	if probe || db.prefilterOn() {
+		scratch = db.getMark(n)
+		defer db.putMark(scratch)
+	}
+	var todo []int32
+	toVerify := 0
+	for i := range states {
+		st := &states[i]
+		if probe {
+			db.planProbe(st, qc, scratch)
+		} else {
+			todo = db.planScan(st, qc, scratch, todo[:0])
+		}
+		toVerify += len(st.verify)
+	}
+
+	// The deferred half of stage 2: only a strand that meets a verifier
+	// is prepared. Its γ-fingerprint memo is charged to the DB's budget
+	// and dies with the query; the target strands' stay warm for the next.
+	var prepared []*vcp.Prepared
+	defer func() { db.memo.Release(prepared...) }()
+	var chunks []verifyRange
+	size := pairChunk(toVerify, db.opts.Workers)
+	for i := range states {
+		st := &states[i]
+		if len(st.verify) == 0 {
+			continue
+		}
+		st.q = db.prepare(st.s)
+		prepared = append(prepared, st.q)
+		db.mPrepares.Inc()
+		pre, tot := st.q.InstrCounts()
+		db.mPrefixInstrs.Add(uint64(pre))
+		db.mKernelInstrs.Add(uint64(tot))
+		if st.q.Err() != nil {
+			return nil, nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
+		}
+		for lo := 0; lo < len(st.verify); lo += size {
+			chunks = append(chunks, verifyRange{row: i, lo: lo, hi: min(lo+size, len(st.verify))})
+		}
+	}
+	workers := min(db.opts.Workers, len(chunks))
+	if toVerify < minFanOut {
+		workers = min(workers, 1)
+	}
+	sp.SetAttr("workers", float64(workers))
+	if workers > 0 {
+		db.verifyChunks(states, chunks, workers, qc)
+	}
+
+	rows = make([][]float64, len(qs))
+	revRows = make([][]float64, len(qs))
+	cached = make([]*vcpRow, len(qs))
+	for i := range states {
+		st := &states[i]
+		if probe && len(st.verify) > 0 {
+			// A probe-mode row records verifier results only.
+			st.next = st.base.grow(n)
+			for _, j := range st.verify {
+				st.next.fwd[j], st.next.rev[j] = st.fwd[j], st.rev[j]
+				st.next.set(int(j), kindVerified)
+			}
+		}
+		rows[i], revRows[i] = st.fwd, st.rev
+		// Scan mode only: a probe-mode row is always the query's own.
+		if !probe && st.rs.state == rowComplete && st.next == nil {
+			cached[i] = st.base // handed out as it is
+		}
+		db.flushRowStats(st.rs, sp)
+	}
+	db.publishRows(states, qc.rowEpoch)
+	return rows, revRows, cached, nil
+}
+
+// sizeRatio resolves the configured §5.5 size window.
+func (db *DB) sizeRatio() float64 {
+	if r := db.opts.VCP.SizeRatio; r > 0 {
+		return r
+	}
+	return vcp.Default().SizeRatio
+}
+
+// planScan resolves a scan-mode row as far as it can without a verifier.
+// The identical-key short circuit stays ahead of the prefilter so an exact
+// structural match can never be lost to sketch noise. todo is scratch,
+// returned for reuse.
+func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) []int32 {
+	n := len(qc.uniq)
+	todo = st.base.unknown(n, qc.counts, todo)
+	row := st.base
+	switch {
+	case row == nil:
+		st.rs.state = rowAbsent
+	case len(todo) == 0 && len(row.fwd) >= n:
+		st.rs.state = rowComplete
+	default:
+		// Columns still owed — or none, but the row predates live adds
+		// whose strands have since died, and is simply too short.
+		st.rs.state = rowPartial
+	}
+	// A row that learnt a value while its strand was live keeps it when
+	// the strand dies. No score reads a dead column (h0Order lists live
+	// strands only and stage 4 walks live targets' strand lists), but
+	// QueryPartial.Rows is handed to callers and must not depend on what
+	// the cache happened to know: the first query to meet such a row
+	// forgets its dead columns in the successor it publishes, and every
+	// later one is handed that row as it is. (A forgotten column is
+	// verified again if a re-add brings the strand back.)
+	stale := qc.live != nil && row.showsDead(qc.counts)
+	if st.rs.state != rowComplete || stale {
+		row = st.base.grow(n)
+		st.next = row
+		if stale {
+			for j := range row.fwd[:n] {
+				if qc.counts[j] == 0 && row.has(j) {
+					row.forget(j)
+				}
+			}
+		}
+		key, ratio := st.s.CanonicalKey(), db.sizeRatio()
+		// With the prefilter on, everything unmarked is skipped: pairs
+		// that are injectability-dead in both directions, plus — with the
+		// heuristic tier enabled — pairs the LSH/containment tests
+		// consider dissimilar.
+		if db.prefilterOn() && len(todo) > 0 {
+			st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
+			qc.sketchIdx.CandidatesAmong(st.qSum, todo, cand)
+		}
+		for _, j32 := range todo {
+			j := int(j32)
+			u := qc.uniq[j]
+			switch {
+			case u.Key() == key:
+				row.fwd[j], row.rev[j] = 1.0, 1.0 // identical strands match exactly
+				row.set(j, kindIdentical)
+			case st.sketched && !cand[j]:
+				row.set(j, kindSkipped)
+			case !vcp.SizeCompatible(st.s, u.S, ratio): // symmetric: gates both directions
+				row.set(j, kindPruned)
+			default:
+				// Known once the queue has drained, which is before
+				// anyone else can see the row.
+				row.set(j, kindVerified)
+				st.verify = append(st.verify, j32)
+			}
+			if st.sketched {
+				cand[j] = false // leave the pooled marks clear
+			}
+		}
+	}
+	st.fwd, st.rev = row.fwd[:n:n], row.rev[:n:n]
+	st.rs.pairs = n
+	st.rs.lshOn = db.prefilterOn()
+	st.rs.identical = row.tally[kindIdentical]
+	st.rs.lshSkipped = row.tally[kindSkipped]
+	st.rs.pruned = row.tally[kindPruned]
+	st.rs.misses = len(st.verify)
+	st.rs.hits = row.tally[kindVerified] - st.rs.misses
+	return todo
+}
+
+// planProbe probes the retrieval table for the row's candidates and runs
+// the cheap filters over them; everything outside the candidate list is
+// never touched (its entries stay zero, exactly like a scan-mode prefilter
+// skip), so the work stays sublinear in the corpus. The cached row is
+// consulted per surviving candidate and the output row is private:
+// a candidate set can shrink when the table is rebuilt at heuristic
+// settings, and a column outside it must read zero whatever the cache
+// knows.
+func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
+	n := len(qc.uniq)
+	st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
+	start := time.Now()
+	retr := db.table(qc.probe) // over a prefix of qc.sums, whoever built it
+	cands, sound := retr.Probe(st.qSum, scratch, nil)
+	// Delta overlay: the strands past that prefix
+	// (sketch.RetrievalIndex.ProbeDelta has the contract).
+	cands, deltaSound := retr.ProbeDelta(st.qSum, qc.sums[:n], qc.counts, cands)
+	st.rs.probeNanos = time.Since(start).Nanoseconds()
+	st.rs.probeOn = true
+	st.rs.probeCands = len(cands)
+	st.rs.soundCands = sound + deltaSound
+	st.rs.pairs = len(cands)
+
+	vals := make([]float64, 2*n)
+	st.fwd, st.rev = vals[:n:n], vals[n:]
+	key, ratio := st.s.CanonicalKey(), db.sizeRatio()
+	for _, j32 := range cands {
+		j := int(j32)
+		// Dead strands (every owning target tombstoned) are skipped
+		// before any work — including the identical short circuit — so
+		// scan and probe hand the verifier the same live pair set.
+		if qc.counts[j] == 0 {
+			continue
+		}
+		u := qc.uniq[j]
+		switch {
+		case u.Key() == key:
+			st.fwd[j], st.rev[j] = 1.0, 1.0
+			st.rs.identical++
+		case !vcp.SizeCompatible(st.s, u.S, ratio):
+			st.rs.pruned++
+		case st.base.has(j):
+			st.fwd[j], st.rev[j] = st.base.fwd[j], st.base.rev[j]
+			st.rs.hits++
+		default:
+			st.verify = append(st.verify, j32)
+		}
+	}
+	st.rs.misses = len(st.verify)
+	switch {
+	case st.base == nil:
+		st.rs.state = rowAbsent
+	case len(st.verify) > 0:
+		st.rs.state = rowPartial
+	}
+}
+
+// verifyRange is one item of the pair queue: verify[lo:hi] of a row.
+type verifyRange struct{ row, lo, hi int }
+
+// verifyChunks drains the pair queue with the given number of workers
+// and folds each chunk's work into its row's stats. Parallelism comes from
+// the pair population rather than the strand count: a query with fewer
+// strands than workers leaves no core idle, and one with thousands of
+// strands spawns no goroutine per strand. A single worker is the calling
+// goroutine itself.
+//
+// Each worker owns two evaluators for the whole drain, so the γ search's
+// scratch — each evaluator's kernel included — belongs to the worker and
+// is sized by the largest strand it meets, not by how many. The forward
+// one stays on the chunk's query strand: once a memo miss has bound its
+// kernel to that strand's program, the binding — and its evaluated
+// γ-invariant prefix — persists until the worker moves to another row.
+// (Evaluators are not concurrency-safe, which is why they are per worker.)
+// The reverse one is moved to each target strand in turn; its kernel is
+// re-bound only if that strand's memo misses, which on a warm corpus it
+// rarely does.
+func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers int, qc *corpus) {
+	work := make([]rowStats, len(chunks))
+	var next atomic.Int64
+	drain := func() {
+		var fwdEval, revEval *vcp.Evaluator
+		defer func() {
+			if fwdEval != nil {
+				fwdEval.Close()
+				revEval.Close()
+			}
+		}()
+		row := -1
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= len(chunks) {
+				return
+			}
+			ch := chunks[c]
+			st := &states[ch.row]
+			switch {
+			case fwdEval == nil:
+				fwdEval, revEval = db.newEval(st.q, db.opts.VCP), db.newEval(st.q, db.opts.VCP)
+			case ch.row != row:
+				fwdEval.Reset(st.q)
+			}
+			row = ch.row
+			work[c] = verifyChunk(st, qc, ch.lo, ch.hi, fwdEval, revEval)
+		}
+	}
+	if workers == 1 {
+		drain()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain()
+			}()
+		}
+		wg.Wait()
+	}
+	for c, ch := range chunks {
+		states[ch.row].rs.addWork(work[c])
+	}
+}
+
+// verifyChunk runs the verifier, in both live directions, over the pairs
+// verify[lo:hi] of one row and returns the work it did. fwdEval is bound
+// to the row's query strand. Chunks of a row run on concurrent workers and
+// write disjoint columns of a row nobody else can see yet.
+func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, fwdEval, revEval *vcp.Evaluator) rowStats {
+	q := st.q
+	var rs rowStats
+	count := func(vst vcp.Stats) {
+		rs.calls++
+		rs.gamma += vst.Correspondences
+		rs.kernelNanos += vst.KernelNanos
+		rs.gammaB += vst.Batches
+		rs.gammaRows += vst.BatchRows
+		rs.gammaSlots += vst.BatchSlots
+		rs.memoHits += vst.MemoHits
+		rs.memoMisses += vst.MemoMisses
+	}
+	for _, j := range st.verify[lo:hi] {
+		u := qc.uniq[j]
+		// With the prefilter on (or a probed candidate set), a candidate
+		// pair can still be injectability-dead in ONE direction: that
+		// direction's VCP is exactly 0 and its verifier call is skipped.
+		fwdLive, revLive := true, true
+		if st.sketched {
+			uSum := qc.sums[j]
+			fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
+		}
+		var fv, rv float64
+		if fwdLive {
+			var vst vcp.Stats
+			fv, vst = fwdEval.Compute(u)
+			count(vst)
+		} else {
+			rs.deadDirs++
+		}
+		if revLive {
+			revEval.Reset(u)
+			var vst vcp.Stats
+			rv, vst = revEval.Compute(q)
+			count(vst)
+		} else {
+			rs.deadDirs++
+		}
+		st.fwd[j], st.rev[j] = fv, rv
+	}
+	return rs
+}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
@@ -37,12 +37,12 @@ func TestRetrievalDifferential(t *testing.T) {
 	if !ok {
 		t.Fatal("query toolchain missing")
 	}
-	vulns := corpus.Vulns()
+	vulns := testcorpus.Vulns()
 	if len(vulns) > 3 {
 		vulns = vulns[:3]
 	}
 	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatalf("compile query %s: %v", v.Alias, err)
 		}
@@ -125,12 +125,12 @@ func TestRetrievalHeuristicRecall(t *testing.T) {
 	}
 	const topK = 10
 	const minRecall = 0.7
-	vulns := corpus.Vulns()
+	vulns := testcorpus.Vulns()
 	if len(vulns) > 3 {
 		vulns = vulns[:3]
 	}
 	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
+		q, err := testcorpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatalf("compile query %s: %v", v.Alias, err)
 		}
@@ -176,7 +176,7 @@ func TestProbeScalingSmoke(t *testing.T) {
 	}
 	tcs := testToolchains(t, "gcc-4.9", "clang-3.5")
 	build := func(synth int) *DB {
-		procs, err := corpus.Build(corpus.BuildConfig{
+		procs, err := testcorpus.Build(testcorpus.BuildConfig{
 			Toolchains:     tcs,
 			IncludePatched: true,
 			SynthVariants:  synth,
@@ -198,7 +198,7 @@ func TestProbeScalingSmoke(t *testing.T) {
 	big := build(32)
 
 	qtc, _ := compile.ByName("clang-3.5")
-	q, err := corpus.CompileVuln(corpus.Vulns()[0], qtc, false)
+	q, err := testcorpus.CompileVuln(testcorpus.Vulns()[0], qtc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

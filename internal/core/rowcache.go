@@ -25,7 +25,7 @@ const (
 // numbers [0, len(fwd)): fwd[j] = VCP(q, u_j), rev[j] = VCP(u_j, q), both
 // final where known holds bit j and zero elsewhere. A pair's VCP is a pure
 // function of the two strands (DESIGN §10.7), so a known column never goes
-// stale; what can change is the numbering, which DB.rowEpoch tracks.
+// stale; what can change is the numbering, which rowEpoch tracks.
 //
 // A row is immutable once published: queries hand its slices straight to
 // QueryPartial.Rows, so every change — new columns after a live add,
@@ -44,8 +44,8 @@ type vcpRow struct {
 	// credits the per-pair counters without a walk.
 	tally [numKinds]int
 	// h0 is the one thing a published row still learns: its H0 estimate
-	// (weight unset) under the counts of DB.countsVer == ver, left by the
-	// last query to finalize over it.
+	// (weight unset) under the counts of the corpus version whose countsVer
+	// is ver, left by the last query to finalize over it.
 	h0 atomic.Pointer[rowH0]
 }
 
@@ -185,8 +185,8 @@ func (r *vcpRow) remap(newIdx []int, n int) *vcpRow {
 
 // lookupRows fetches the cached row of every query strand key in one
 // visit to the cache lock. A query whose numbering epoch is not the
-// cache's (it snapshotted the corpus before a renumbering compaction)
-// gets nothing and works from scratch.
+// cache's (it loaded its corpus before a renumbering compaction published
+// the next) gets nothing and works from scratch.
 func (db *DB) lookupRows(states []vcpRowState, epoch uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -229,8 +229,8 @@ func (db *DB) publishRows(states []vcpRowState, epoch uint64) {
 // remappedRows renumbers every cached row for a renumbering compaction.
 // It runs under writeMu only: the heavy copy happens while queries keep
 // using — and publishing to — the old cache; installRemapped swaps the
-// result in together with the new numbering. Rows published in between
-// are not carried over (an ordinary miss later).
+// result in together with the corpus of the new numbering. Rows published
+// in between are not carried over (an ordinary miss later).
 func (db *DB) remappedRows(newIdx []int, n int) map[string]*vcpRow {
 	db.mu.Lock()
 	rows := make(map[string]*vcpRow, db.rows.Stats().Entries)
@@ -242,13 +242,15 @@ func (db *DB) remappedRows(newIdx []int, n int) map[string]*vcpRow {
 	return rows
 }
 
-// installRemapped replaces the cache with rows in the new numbering and
-// moves the epoch. The caller holds cfgMu for writing, so no query can
-// pair the new numbering with the old cache or the reverse.
-func (db *DB) installRemapped(rows map[string]*vcpRow) {
+// installRemapped replaces the cache with rows in next's numbering, moves
+// the epoch to next's and publishes next, all under the cache lock: a query
+// that loads next finds the cache already in its epoch, and one still on
+// the old numbering meets an epoch that is not its own — at lookup and again
+// at publication, both under this lock — and leaves the cache alone.
+func (db *DB) installRemapped(rows map[string]*vcpRow, next *corpus) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.rowEpoch++
+	db.rowEpoch = next.rowEpoch
 	// Walk the store, not rows: a key evicted since remappedRows copied the
 	// cache must stay gone, and the survivors keep their age.
 	db.rows.Each(func(k string, _ *vcpRow) {
@@ -258,4 +260,5 @@ func (db *DB) installRemapped(rows map[string]*vcpRow) {
 			db.rows.Drop(k)
 		}
 	})
+	db.corpus.Store(next)
 }

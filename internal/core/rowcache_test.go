@@ -103,8 +103,8 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			}
 			_, sp := telemetry.StartSpan(context.Background(), "vcp")
 			if allocs := testing.AllocsPerRun(50, func() {
-				qc := db.snapshotConfig()
-				if _, _, _, err := db.vcpRows(kept, sp, &qc); err != nil {
+				qc := db.corpus.Load()
+				if _, _, _, err := db.vcpRows(kept, sp, qc); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs > 6 {
@@ -233,7 +233,7 @@ func TestDeadColumnsForgottenOnce(t *testing.T) {
 	del := []wop{delOp("synth_2")}
 	applyScript(t, db, del, false)
 	stale := func() (n int) {
-		qc := db.snapshotConfig()
+		qc := db.corpus.Load()
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		db.rows.Each(func(_ string, r *vcpRow) {

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/corpus"
+	testcorpus "repro/internal/corpus"
 	"repro/internal/smt"
 )
 
@@ -26,7 +26,7 @@ func TestColdQueryScratchBounded(t *testing.T) {
 		t.Skip("corpus queries are slow")
 	}
 	build := func(toolchains ...string) []*asm.Proc {
-		procs, err := corpus.Build(corpus.BuildConfig{Toolchains: testToolchains(t, toolchains...)})
+		procs, err := testcorpus.Build(testcorpus.BuildConfig{Toolchains: testToolchains(t, toolchains...)})
 		if err != nil {
 			t.Fatal(err)
 		}

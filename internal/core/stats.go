@@ -7,9 +7,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// initMetrics builds the DB's metrics registry. Index-size gauge funcs
-// take cfgMu.RLock: the live write path mutates those fields at serve
-// time, so a scrape concurrent with ApplyAdd must see a consistent view.
+// initMetrics builds the DB's metrics registry. The index-size and
+// write-state gauges each read the corpus version current at the scrape.
 func (db *DB) initMetrics() {
 	reg := telemetry.NewRegistry()
 	db.reg = reg
@@ -100,19 +99,13 @@ func (db *DB) initMetrics() {
 		return float64(h) / float64(h+m)
 	})
 	reg.GaugeFunc("esh_index_targets", "Indexed target procedures.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(len(db.targets))
+		return float64(db.NumTargets())
 	})
 	reg.GaugeFunc("esh_index_unique_strands", "Distinct strands in the index.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(len(db.uniq))
+		return float64(db.NumUniqueStrands())
 	})
 	reg.GaugeFunc("esh_index_total_strands", "Corpus strand count |T| (H0 denominator).", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.total)
+		return float64(db.TotalStrands())
 	})
 	db.mWritesAdd = reg.Counter("esh_writes_applied_total", "Live corpus writes applied in memory.", "op", "add")
 	db.mWritesDel = reg.Counter("esh_writes_applied_total", "Live corpus writes applied in memory.", "op", "delete")
@@ -120,19 +113,13 @@ func (db *DB) initMetrics() {
 	db.hCompact = reg.Histogram("esh_compaction_seconds",
 		"Wall time per compaction (remap + snapshot persistence + swap).", nil)
 	reg.GaugeFunc("esh_index_generation", "Data generation: bumped by every compaction.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.generation)
+		return float64(db.DataGeneration())
 	})
 	reg.GaugeFunc("esh_index_pending_writes", "Live writes applied since the last compaction (or load).", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.pendingWrites)
+		return float64(db.PendingWrites())
 	})
 	reg.GaugeFunc("esh_index_tombstones", "Tombstoned (dead but uncompacted) targets.", func() float64 {
-		db.cfgMu.RLock()
-		defer db.cfgMu.RUnlock()
-		return float64(db.tombstones)
+		return float64(db.Tombstones())
 	})
 }
 
@@ -153,15 +140,10 @@ type DBStats struct {
 	Targets       int
 	UniqueStrands int
 	TotalStrands  int
-	// Live write-path state: LiveTargets excludes tombstoned targets;
-	// Generation is the compaction generation; WALSeq the sequence of
-	// the last applied journal record; PendingWrites/Tombstones the
-	// uncompacted write and tombstone counts.
-	LiveTargets   int
-	Generation    uint64
-	WALSeq        uint64
-	PendingWrites int
-	Tombstones    int
+	// Live write-path state, of the same corpus version as the sizes
+	// above: LiveTargets excludes tombstoned targets.
+	LiveTargets int
+	WriteState
 	// VCPCache is the row cache's store: Held counts row entries (the sum
 	// of its rows' widths) against Budget, Entries the rows, one per
 	// distinct query strand.
@@ -246,28 +228,16 @@ func (s DBStats) VCPCacheHitRate() float64 {
 }
 
 // Stats returns current occupancy counters. Index sizes and write-path
-// state are read under cfgMu (the live write path mutates them at serve
-// time); the cache counters are read under the cache lock.
+// state are those of one corpus version; the cache counters are read under
+// the cache lock.
 func (db *DB) Stats() DBStats {
-	db.cfgMu.RLock()
-	retr := db.retr
-	nTargets := len(db.targets)
-	nUniq := len(db.uniq)
-	total := db.total
-	tombstones := db.tombstones
-	generation := db.generation
-	walSeq := db.walSeq
-	pending := db.pendingWrites
-	db.cfgMu.RUnlock()
+	c := db.corpus.Load()
 	s := DBStats{
-		Targets:                  nTargets,
-		UniqueStrands:            nUniq,
-		TotalStrands:             total,
-		LiveTargets:              nTargets - tombstones,
-		Generation:               generation,
-		WALSeq:                   walSeq,
-		PendingWrites:            pending,
-		Tombstones:               tombstones,
+		Targets:                  len(c.targets),
+		UniqueStrands:            len(c.uniq),
+		TotalStrands:             c.total,
+		LiveTargets:              len(c.targets) - c.Tombstones,
+		WriteState:               c.WriteState,
 		VCPCache:                 db.rowCacheStats(),
 		VCPCacheHits:             db.mCacheHits.Value(),
 		VCPCacheMisses:           db.mCacheMisses.Value(),
@@ -298,8 +268,8 @@ func (db *DB) Stats() DBStats {
 		Queries:                  db.mQueries.Value(),
 		StageSeconds:             make(map[string]float64, len(queryStages)),
 	}
-	if retr != nil {
-		rst := retr.Stats()
+	if rx := c.builtTable(); rx != nil {
+		rst := rx.Stats()
 		s.RetrievalTableBuckets = rst.Buckets
 		s.RetrievalTableMaxPost = rst.MaxPosting
 		s.RetrievalTableMeanPost = rst.MeanPosting

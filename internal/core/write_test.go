@@ -404,7 +404,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 					}
 				}
 				q := parse(t, genProc(2))
-				qc := live.snapshotConfig()
+				qc := live.corpus.Load()
 				if when == "lookup-after" {
 					compact()
 				} else {
@@ -414,7 +414,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 						return vcp.NewEvaluator(p, cfg)
 					}
 				}
-				qp, _, err := live.partialQuery(context.Background(), pl, &qc)
+				qp, _, err := live.partialQuery(context.Background(), pl, qc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -425,7 +425,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffReports(t, "in-flight query", qp.finalize(qc.counts, qc.h0Order, nil, 0), want)
+				diffReports(t, "in-flight query", qp.finalize(qc, nil), want)
 				live.mu.Lock()
 				for key := range dedupStrands(t, live, q) {
 					if _, cached := live.rows.Get(key); cached {

@@ -81,32 +81,18 @@ var (
 		"Body size of the most recently loaded or saved snapshot.")
 )
 
-// Save writes a snapshot of the database to w. It is SaveCtx with a
-// background context.
+// Save writes a snapshot of the database to w.
 func Save(w io.Writer, db *core.DB) error {
-	return SaveCtx(context.Background(), w, db)
-}
-
-// SaveCtx writes a snapshot of the database to w, recording an
-// "index.save" telemetry span under the one carried by ctx (if any).
-func SaveCtx(ctx context.Context, w io.Writer, db *core.DB) error {
-	_, err := SaveInfoCtx(ctx, w, db)
+	_, err := SaveExportCtx(context.Background(), w, db.Export())
 	return err
 }
 
-// SaveInfoCtx is SaveCtx returning the written snapshot's identity
-// (checksum, size, shard) for manifest construction.
-func SaveInfoCtx(ctx context.Context, w io.Writer, db *core.DB) (Info, error) {
-	return saveExport(ctx, w, db.Export())
-}
-
 // SaveExportCtx writes a snapshot of already-exported state — the shard
-// splitter's path, which never materializes a prepared DB per shard.
+// splitter's path, which never materializes a prepared DB per shard —
+// recording an "index.save" telemetry span under the one carried by ctx (if
+// any). It returns the written snapshot's identity (checksum, size, shard)
+// for manifest construction.
 func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
-	return saveExport(ctx, w, ex)
-}
-
-func saveExport(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
 	_, sp := telemetry.StartSpan(ctx, "index.save")
 	defer func() { mSaveSeconds.Observe(sp.End().Seconds()) }()
 	body := encodeBody(ex)
@@ -123,20 +109,16 @@ func saveExport(ctx context.Context, w io.Writer, ex *core.Export) (Info, error)
 	return info, nil
 }
 
-// SaveFile writes a snapshot atomically: to a temp file in the target
-// directory, then rename.
+// SaveFile writes a snapshot of the database to path; see SaveExportFile.
 func SaveFile(path string, db *core.DB) error {
-	_, err := saveFileExport(path, db.Export())
+	_, err := SaveExportFile(path, db.Export())
 	return err
 }
 
-// SaveExportFile is SaveFile over already-exported state, returning the
+// SaveExportFile writes a snapshot of already-exported state atomically —
+// to a temp file in the target directory, then rename — returning the
 // snapshot identity.
 func SaveExportFile(path string, ex *core.Export) (Info, error) {
-	return saveFileExport(path, ex)
-}
-
-func saveFileExport(path string, ex *core.Export) (Info, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".eshidx-*")
 	if err != nil {
@@ -144,7 +126,7 @@ func saveFileExport(path string, ex *core.Export) (Info, error) {
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	info, err := saveExport(context.Background(), bw, ex)
+	info, err := SaveExportCtx(context.Background(), bw, ex)
 	if err != nil {
 		tmp.Close()
 		return Info{}, err
@@ -230,14 +212,8 @@ func LoadFileInfoCtx(ctx context.Context, path string, override Override) (*core
 	return db, info, nil
 }
 
-// LoadExport reads and verifies a snapshot, returning the decoded state
-// without preparing strands.
-func LoadExport(r io.Reader) (*core.Export, error) {
-	ex, _, err := LoadExportInfo(r)
-	return ex, err
-}
-
-// LoadExportInfo is LoadExport returning the snapshot identity.
+// LoadExportInfo reads and verifies a snapshot, returning the decoded state
+// without preparing strands, and the snapshot identity.
 func LoadExportInfo(r io.Reader) (*core.Export, Info, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')

@@ -689,8 +689,10 @@ type WriteRequest struct {
 // WriteResponse is the reply of the write endpoints. Added lists the
 // target names indexed by a POST (in order; on error the prefix that
 // was durably applied before the failure). Removed counts tombstoned
-// targets. WALSeq is the journal high-water mark after the write and
-// PendingWrites the uncompacted write count.
+// targets. Generation, WALSeq (the journal high-water mark) and
+// PendingWrites (the uncompacted write count) are read off one corpus
+// version at or after the write: together they are a state the database
+// was in, whatever other writers and compactions are doing.
 type WriteResponse struct {
 	Added         []string `json:"added,omitempty"`
 	Removed       int      `json:"removed,omitempty"`
@@ -700,9 +702,8 @@ type WriteResponse struct {
 }
 
 func (s *Server) fillWriteState(resp *WriteResponse) {
-	resp.Generation = s.db.DataGeneration()
-	resp.WALSeq = s.db.WALSeq()
-	resp.PendingWrites = s.db.PendingWrites()
+	ws := s.db.WriteState()
+	resp.Generation, resp.WALSeq, resp.PendingWrites = ws.Generation, ws.WALSeq, ws.PendingWrites
 }
 
 // writeStatus maps a write-path error to its HTTP status: duplicate
@@ -819,7 +820,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	rid := RequestID(r.Context())
 	start := time.Now()
 	_, root := telemetry.StartSpan(context.Background(), "compact")
-	gen, hwm, err := s.cfg.Compact()
+	gen, _, err := s.cfg.Compact()
 	root.SetAttr("generation", float64(gen))
 	root.End()
 	if err != nil {
@@ -828,11 +829,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.record("compact", rid, "completed", "", start, root)
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"generation":     gen,
-		"wal_seq":        hwm,
-		"pending_writes": s.db.PendingWrites(),
-	})
+	resp := &WriteResponse{}
+	s.fillWriteState(resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // StatsResponse is the GET /v1/stats reply.

@@ -288,3 +288,99 @@ endp`, wID, i, 3+2*(wID*perWriter+i), 0x21+wID+i*5, 1+(i%7))
 		t.Fatalf("final query: status %d", resp.StatusCode)
 	}
 }
+
+// seqJournal numbers records the way a WAL does, so write replies carry a
+// moving wal_seq. Appends come one at a time: the engine journals under its
+// write lock.
+type seqJournal struct{ seq uint64 }
+
+func (j *seqJournal) LogAdd(string, string) (uint64, error) { j.seq++; return j.seq, nil }
+func (j *seqJournal) LogRemove(string) (uint64, error)      { j.seq++; return j.seq, nil }
+
+// TestWriteRepliesOneState: a write reply's generation, wal_seq and
+// pending_writes come off one version of the corpus, so they describe a
+// state the database was in whatever lands beside the write. With one
+// writer every journaled write moves wal_seq and pending_writes together,
+// and a compaction zeroes the pending count under a new generation: across
+// all replies — adds, deletes and compactions, with a compactor running
+// against the writer — wal_seq − pending_writes (the journal position the
+// generation was folded at) is a single-valued function of generation. A
+// reply assembled from three separate reads breaks it: the old generation
+// with the new pending count.
+func TestWriteRepliesOneState(t *testing.T) {
+	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}})
+	p, err := asm.ParseProc(iccStyle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTarget(p); err != nil {
+		t.Fatal(err)
+	}
+	db.SetJournal(&seqJournal{})
+	_, ts := newTestServer(t, db, writeConfig(db), nil)
+
+	var mu sync.Mutex
+	var replies []WriteResponse
+	call := func(method, path, asm string) { // also off the test's goroutine: no t.Fatal
+		body, _ := json.Marshal(WriteRequest{Asm: asm})
+		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return
+		}
+		defer resp.Body.Close()
+		var wr WriteResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d, %v", method, path, resp.StatusCode, err)
+			return
+		}
+		mu.Lock()
+		replies = append(replies, wr)
+		mu.Unlock()
+	}
+	done := make(chan struct{})
+	var compactor sync.WaitGroup
+	compactor.Add(1)
+	go func() {
+		defer compactor.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				call(http.MethodPost, "/v1/compact", "")
+			}
+		}
+	}()
+	const writes = 48
+	for i := 0; i < writes; i++ {
+		src := fmt.Sprintf(`proc scripted_%d
+	mov rax, rdi
+	imul rax, %d
+	add rax, 0x%x
+	shr rax, %d
+	xor rax, rdi
+	ret
+endp`, i, 3+2*i, 0x21+i*5, 1+(i%7))
+		call(http.MethodPost, "/v1/targets", src)
+		if i%3 == 2 {
+			call(http.MethodDelete, fmt.Sprintf("/v1/targets/scripted_%d", i), "")
+		}
+	}
+	close(done)
+	compactor.Wait()
+
+	foldedAt := map[uint64]uint64{} // generation -> wal_seq − pending_writes
+	for _, r := range replies {
+		at := r.WALSeq - uint64(r.PendingWrites)
+		if prev, seen := foldedAt[r.Generation]; seen && prev != at {
+			t.Fatalf("generation %d was folded at journal position %d by one reply and %d by another (%+v): a reply mixes two states",
+				r.Generation, prev, at, r)
+		}
+		foldedAt[r.Generation] = at
+	}
+	if ws := db.WriteState(); ws.WALSeq != writes+writes/3 || len(foldedAt) < 2 {
+		t.Fatalf("test premise broken: journal at %d after %d writes, %d generations seen", ws.WALSeq, writes+writes/3, len(foldedAt))
+	}
+}
