@@ -60,9 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -96,16 +94,10 @@ func main() {
 	compactPending := flag.Int("compact-pending", 0, "with -wal: compact as soon as this many writes are pending (0 = no threshold)")
 	flag.Parse()
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fail("unknown -log-format %q (text, json)", *logFormat)
+	logger, err := server.NewLogger(*logFormat)
+	if err != nil {
+		fail("%v", err)
 	}
-	logger := slog.New(handler)
 	if *indexPath == "" {
 		fail("pass -index snapshot.eshidx (create one with: eshcorpus -save snapshot.eshidx)")
 	}
@@ -186,20 +178,7 @@ func main() {
 		logger.Info("retrieval=probe has no effect at -lsh-min-containment 0: the sound tier scans and builds no probe table")
 	}
 
-	if *pprofAddr != "" {
-		pprofMux := http.NewServeMux()
-		pprofMux.HandleFunc("/debug/pprof/", pprof.Index)
-		pprofMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pprofMux); err != nil {
-				logger.Error("pprof listener failed", "err", err)
-			}
-		}()
-	}
+	server.ServePprof(*pprofAddr, logger)
 
 	// The compact hook persists the folded corpus over -index (atomic
 	// temp+rename), swaps it live, then rewrites the WAL down to its

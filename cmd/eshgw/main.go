@@ -16,7 +16,9 @@
 // -shards lists replica base URLs per shard: ';' separates shards (in
 // shard-ID order, one group per manifest shard), ',' separates replicas
 // of one shard. Extra replicas enable hedging (a duplicate request
-// races the straggler after -hedge-after) and retries.
+// races the straggler after -hedge-after) and retries. A shard gets one
+// attempt per replica plus -retries more after failures: -retries 0
+// retries nothing, and a negative value is refused at startup.
 //
 // At startup the gateway checks every replica's /v1/stats against the
 // manifest — fleet generation, shard coordinates, snapshot checksum,
@@ -47,9 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -77,16 +78,10 @@ func main() {
 	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "fan-outs at or above this duration keep their span tree in /debug/slow (negative = disabled)")
 	flag.Parse()
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fail("unknown -log-format %q (text, json)", *logFormat)
+	logger, err := server.NewLogger(*logFormat)
+	if err != nil {
+		fail("%v", err)
 	}
-	logger := slog.New(handler)
 	if *manifestPath == "" {
 		fail("pass -manifest corpus.eshidx.manifest (create one with: eshcorpus -save corpus.eshidx -save-shards N)")
 	}
@@ -126,20 +121,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	if *pprofAddr != "" {
-		pprofMux := http.NewServeMux()
-		pprofMux.HandleFunc("/debug/pprof/", pprof.Index)
-		pprofMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pprofMux); err != nil {
-				logger.Error("pprof listener failed", "err", err)
-			}
-		}()
-	}
+	server.ServePprof(*pprofAddr, logger)
 
 	// Verify the fleet before serving: a replica with the wrong
 	// snapshot would merge into silently wrong scores.

@@ -25,7 +25,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,8 +50,9 @@ type Config struct {
 	// is launched on the next replica (default 300ms). Hedging needs a
 	// second replica; with one replica per shard it never triggers.
 	HedgeAfter time.Duration
-	// MaxRetries bounds extra attempts per shard after a failed request
-	// (default 2; hedges do not count as retries).
+	// MaxRetries bounds extra attempts per shard after a failed request:
+	// 0 (the zero value) means none, a negative value is refused by New.
+	// Hedges do not count as retries.
 	MaxRetries int
 	// RetryBackoff is the wait before retry k, scaled linearly: k×backoff
 	// (default 100ms).
@@ -62,10 +62,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing fan-outs; excess
 	// requests get 429 (default 16).
 	MaxInFlight int
-	// MaxBodyBytes bounds the request body (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxTop caps the top parameter (default 1000).
-	MaxTop int
 	// Logger receives one structured line per request (default
 	// slog.Default).
 	Logger *slog.Logger
@@ -82,10 +78,6 @@ type Config struct {
 	// as slow (full fan-out span tree retained, exposed at /debug/slow).
 	// Default 1s; negative disables slow capture.
 	SlowQueryThreshold time.Duration
-	// RecorderSize / SlowLogSize bound the flight-recorder rings
-	// (defaults telemetry.DefaultRecorderSize / DefaultSlowLogSize).
-	RecorderSize int
-	SlowLogSize  int
 }
 
 func (c Config) withDefaults() Config {
@@ -95,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeAfter <= 0 {
 		c.HedgeAfter = 300 * time.Millisecond
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
 	}
@@ -106,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 16
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxTop <= 0 {
-		c.MaxTop = 1000
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -129,12 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.ScrapeInterval <= 0 {
 		c.ScrapeInterval = 15 * time.Second
 	}
-	if c.SlowQueryThreshold == 0 {
-		c.SlowQueryThreshold = time.Second
-	}
-	if c.SlowQueryThreshold < 0 {
-		c.SlowQueryThreshold = 0 // disabled
-	}
 	return c
 }
 
@@ -144,8 +121,8 @@ var gwResults = [...]string{"completed", "partial", "failure", "rejected", "bad_
 
 // Gateway coordinates a fleet of eshd shards.
 type Gateway struct {
-	cfg Config
-	sem chan struct{}
+	cfg   Config
+	front *server.Front
 
 	// ready[i][j] is replica j of shard i's last observed /readyz state
 	// (true until the prober learns otherwise, so an unstarted prober
@@ -157,21 +134,10 @@ type Gateway struct {
 	probeOnce sync.Once
 
 	reg      *telemetry.Registry
-	outcomes map[string]*telemetry.Counter
 	hedges   *telemetry.Counter
 	retries  *telemetry.Counter
-	latency  *telemetry.Histogram
-	shardLat []*telemetry.Histogram // per shard
+	shardLat []*server.Latency      // per shard, of the winning fan-out leg
 	frameLen []*telemetry.Histogram // per shard, bytes of each winning partial frame
-	started  time.Time
-
-	// Flight recorder and streaming latency quantiles, mirroring the
-	// shard server's: every fan-out leaves a record with its per-shard
-	// outcomes; slow ones keep the whole fan-out span tree.
-	rec    *telemetry.Recorder
-	lat    *telemetry.Quantiles
-	shardQ []*telemetry.Quantiles // per shard fan-out leg latency
-	slowQ  *telemetry.Counter
 
 	// Federation state: scrapes[i] holds shard i's last /metrics scrape
 	// (atomically swapped whole, so renders never see a half-written
@@ -201,6 +167,9 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Manifest == nil {
 		return nil, errors.New("gateway: no manifest")
 	}
+	if cfg.MaxRetries < 0 {
+		return nil, fmt.Errorf("gateway: %d retries per shard; want 0 or more", cfg.MaxRetries)
+	}
 	if len(cfg.Shards) != len(cfg.Manifest.Shards) {
 		return nil, fmt.Errorf("gateway: manifest has %d shards, %d replica sets configured", len(cfg.Manifest.Shards), len(cfg.Shards))
 	}
@@ -214,11 +183,9 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.MaxInFlight),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 		reg:       telemetry.NewRegistry(),
-		started:   time.Now(),
 	}
 	g.ready = make([][]atomic.Bool, len(cfg.Shards))
 	for i, reps := range cfg.Shards {
@@ -227,26 +194,38 @@ func New(cfg Config) (*Gateway, error) {
 			g.ready[i][j].Store(true)
 		}
 	}
-	g.outcomes = make(map[string]*telemetry.Counter, len(gwResults))
-	for _, res := range gwResults {
-		g.outcomes[res] = g.reg.Counter("esh_gw_queries_total",
-			"Gateway queries by terminal outcome.", "result", res)
-	}
+	man := cfg.Manifest
+	g.front = server.NewFront(g.reg, server.FrontConfig{
+		Prefix:             "esh_gw",
+		Outcomes:           gwResults[:],
+		MaxInFlight:        cfg.MaxInFlight,
+		Logger:             cfg.Logger,
+		SlowQueryThreshold: cfg.SlowQueryThreshold,
+		Generation:         man.Generation,
+		Prefilter:          man.Prefilter,
+		Retrieval:          man.Retrieval,
+	})
 	g.hedges = g.reg.Counter("esh_gw_hedges_total", "Hedge requests launched.")
 	g.retries = g.reg.Counter("esh_gw_retries_total", "Retry requests launched after a shard failure.")
-	g.latency = g.reg.Histogram("esh_gw_query_seconds",
-		"End-to-end latency of merged queries.", nil)
-	g.shardLat = make([]*telemetry.Histogram, len(cfg.Shards))
-	for i := range cfg.Shards {
-		g.shardLat[i] = g.reg.Histogram("esh_gw_shard_seconds",
-			"Per-shard fan-out latency (first winning attempt).", nil,
-			"shard", fmt.Sprint(i))
-	}
+	g.shardLat = make([]*server.Latency, len(cfg.Shards))
 	g.frameLen = make([]*telemetry.Histogram, len(cfg.Shards))
+	g.scrapes = make([]atomic.Pointer[scrapeResult], len(cfg.Shards))
+	g.scrapeOK = make([]*telemetry.Counter, len(cfg.Shards))
+	g.scrapeErr = make([]*telemetry.Counter, len(cfg.Shards))
 	for i := range cfg.Shards {
+		g.shardLat[i] = server.NewLatency(g.reg, "esh_gw_shard",
+			"Per-shard fan-out latency (first winning attempt).",
+			"Streaming per-shard fan-out latency quantiles (P2 estimator).",
+			"shard", fmt.Sprint(i))
 		g.frameLen[i] = g.reg.Histogram("esh_gw_partial_bytes",
 			"Size of the partial frame a shard leg returned.", frameBuckets,
 			"shard", fmt.Sprint(i))
+		g.scrapeOK[i] = g.reg.Counter("esh_gw_scrapes_total",
+			"Federation scrapes of shard /metrics by result.",
+			"shard", fmt.Sprint(i), "result", "ok")
+		g.scrapeErr[i] = g.reg.Counter("esh_gw_scrapes_total",
+			"Federation scrapes of shard /metrics by result.",
+			"shard", fmt.Sprint(i), "result", "error")
 	}
 	g.reg.GaugeFunc("esh_gw_healthy_replicas", "Replicas currently passing /readyz.",
 		func() float64 {
@@ -260,50 +239,6 @@ func New(cfg Config) (*Gateway, error) {
 			}
 			return float64(n)
 		})
-	g.reg.GaugeFunc("esh_gw_uptime_seconds", "Seconds since the gateway started.",
-		func() float64 { return time.Since(g.started).Seconds() })
-	g.reg.Gauge("esh_process_start_time_seconds",
-		"Unix time the process started.").Set(float64(g.started.UnixNano()) / 1e9)
-	g.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
-		"go_version", runtime.Version(),
-		"prefilter", cfg.Manifest.Prefilter,
-		"retrieval", cfg.Manifest.Retrieval).Set(1)
-	telemetry.RegisterRuntime(g.reg)
-
-	g.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
-	g.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)
-	g.slowQ = g.reg.Counter("esh_gw_slow_queries_total",
-		"Merged queries at or above the slow-query threshold.")
-	g.reg.GaugeFunc("esh_flight_recorder_records",
-		"Query records ever published to the flight recorder.",
-		func() float64 { return float64(g.rec.Total()) })
-	for _, q := range latencyQuantiles {
-		q := q
-		g.reg.GaugeFunc("esh_gw_query_quantile_seconds",
-			"Streaming latency quantiles of merged queries (P2 estimator).",
-			func() float64 { return g.lat.Quantile(q) },
-			"quantile", telemetry.FormatQuantile(q))
-	}
-	g.shardQ = make([]*telemetry.Quantiles, len(cfg.Shards))
-	g.scrapes = make([]atomic.Pointer[scrapeResult], len(cfg.Shards))
-	g.scrapeOK = make([]*telemetry.Counter, len(cfg.Shards))
-	g.scrapeErr = make([]*telemetry.Counter, len(cfg.Shards))
-	for i := range cfg.Shards {
-		g.shardQ[i] = telemetry.NewQuantiles(latencyQuantiles[:]...)
-		for _, q := range latencyQuantiles {
-			i, q := i, q
-			g.reg.GaugeFunc("esh_gw_shard_quantile_seconds",
-				"Streaming per-shard fan-out latency quantiles (P2 estimator).",
-				func() float64 { return g.shardQ[i].Quantile(q) },
-				"shard", fmt.Sprint(i), "quantile", telemetry.FormatQuantile(q))
-		}
-		g.scrapeOK[i] = g.reg.Counter("esh_gw_scrapes_total",
-			"Federation scrapes of shard /metrics by result.",
-			"shard", fmt.Sprint(i), "result", "ok")
-		g.scrapeErr[i] = g.reg.Counter("esh_gw_scrapes_total",
-			"Federation scrapes of shard /metrics by result.",
-			"shard", fmt.Sprint(i), "result", "error")
-	}
 	g.fedDropped = g.reg.Counter("esh_gw_federation_dropped_total",
 		"Scraped families dropped from the federated page for type conflicts (cumulative over renders).")
 	return g, nil
@@ -312,9 +247,6 @@ func New(cfg Config) (*Gateway, error) {
 // frameBuckets bound esh_gw_partial_bytes: 4 KiB to 256 MiB in ×4 steps
 // (a frame is ~8 bytes × query strands × shard strands).
 var frameBuckets = []float64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
-
-// latencyQuantiles mirrors the server's exported percentile set.
-var latencyQuantiles = [...]float64{0.5, 0.95, 0.99}
 
 // StartProber launches the background /readyz prober, which also
 // drives the metrics-federation scraper on its own cadence; StopProber
@@ -598,7 +530,6 @@ func (g *Gateway) scatter(qctx context.Context, body []byte, wantTrace bool) []s
 			}
 			if replies[sid].err == nil {
 				g.shardLat[sid].Observe(elapsed.Seconds())
-				g.shardQ[sid].Observe(elapsed.Seconds())
 				g.frameLen[sid].Observe(float64(replies[sid].bytes))
 				ss.SetAttr("bytes", float64(replies[sid].bytes))
 				ss.AttachRemote(replies[sid].trace)

@@ -25,6 +25,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/vcp"
 )
 
@@ -378,6 +379,48 @@ func TestGatewayRetry(t *testing.T) {
 	}
 }
 
+// TestGatewayNoRetry: MaxRetries 0 — eshgw -retries 0 — means one attempt
+// per replica and no more. A shard whose only replica fails is reported
+// missing after exactly one attempt, with esh_gw_retries_total still 0;
+// a negative budget is refused.
+func TestGatewayNoRetry(t *testing.T) {
+	var attempts atomic.Int64
+	f := startFleet(t, 2, func(cfg *Config) {
+		broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			attempts.Add(1)
+			http.Error(w, "shard on fire", http.StatusInternalServerError)
+		}))
+		t.Cleanup(broken.Close)
+		cfg.Shards[1] = []string{broken.URL}
+		cfg.MaxRetries = 0
+	})
+	got := decodeResponse(t, postQuery(t, f.gwSrv.URL, gccStyle))
+	if !got.Partial || len(got.MissingShards) != 1 || got.MissingShards[0] != 1 {
+		t.Fatalf("partial=%v missing=%v, want shard 1 missing", got.Partial, got.MissingShards)
+	}
+	var recent struct{ Records []*telemetry.QueryRecord }
+	getJSON(t, f.gwSrv.URL+"/debug/queries?n=1", &recent)
+	if leg := recent.Records[0].Shards[1]; leg.Attempts != 1 || leg.Err == "" || attempts.Load() != 1 {
+		t.Fatalf("failed leg %+v, %d requests reached the replica; want one attempt", leg, attempts.Load())
+	}
+	fams, err := telemetry.ParseExposition(getURL(t, f.gwSrv.URL+"/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries := -1.0 // absent
+	for _, fam := range fams {
+		if fam.Name == "esh_gw_retries_total" {
+			retries, _ = fam.Gauge()
+		}
+	}
+	if retries != 0 {
+		t.Fatalf("esh_gw_retries_total = %g, want 0", retries)
+	}
+	if _, err := New(Config{Manifest: f.man, Shards: [][]string{{f.shardSrv[0].URL}, {f.shardSrv[1].URL}}, MaxRetries: -1}); err == nil {
+		t.Fatal("a negative retry budget was accepted")
+	}
+}
+
 // TestGatewayTrace checks fan-out trace stitching: one child span per
 // shard, each carrying the shard's remote server-side trace.
 func TestGatewayTrace(t *testing.T) {
@@ -551,7 +594,9 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 			if !got.Partial || len(got.MissingShards) != 1 || got.MissingShards[0] != 1 {
 				t.Fatalf("partial=%v missing=%v, want shard 1 missing", got.Partial, got.MissingShards)
 			}
-			leg := f.gw.rec.Recent(1)[0].Shards[1]
+			var recent struct{ Records []*telemetry.QueryRecord }
+			getJSON(t, f.gwSrv.URL+"/debug/queries?n=1", &recent)
+			leg := recent.Records[0].Shards[1]
 			if !strings.Contains(leg.Err, tc.wantErr) || !strings.Contains(leg.Err, fmt.Sprint(shard.WireVersion)) {
 				t.Fatalf("leg error %q does not name the received and expected wire versions", leg.Err)
 			}

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -39,15 +36,9 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/query", g.handleQuery)
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /v1/fleet", g.handleFleet)
-	mux.HandleFunc("GET /debug/slow", server.SlowHandler(g.rec))
-	mux.HandleFunc("GET /debug/queries", server.RecentHandler(g.rec))
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc("GET /readyz", g.handleReady)
-	return server.Logged(g.cfg.Logger, mux)
+	return g.front.Handler(mux)
 }
 
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -69,64 +60,15 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-func (g *Gateway) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	server.WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (g *Gateway) count(result string) { g.outcomes[result].Inc() }
-
-// record publishes one fan-out's flight-recorder entry, with the
-// per-shard leg outcomes, and emits the slow-query warning when it
-// crossed the threshold. Only queries that reached the fleet are
-// recorded (bad_input and rejected requests never fanned out).
-func (g *Gateway) record(rid, outcome, errMsg string, start time.Time, root *telemetry.Span, replies []shardReply) {
-	man := g.cfg.Manifest
-	rec := &telemetry.QueryRecord{
-		ID:         rid,
-		Kind:       "gateway",
-		Start:      start,
-		Outcome:    outcome,
-		Err:        errMsg,
-		Generation: man.Generation,
-		Prefilter:  man.Prefilter,
-		Retrieval:  man.Retrieval,
-	}
-	rec.FillFromTrace(root.Snapshot())
-	rec.Shards = make([]telemetry.ShardOutcome, len(replies))
-	for i, rep := range replies {
-		so := telemetry.ShardOutcome{
-			Shard:    rep.sid,
-			Replica:  rep.replica,
-			Millis:   rep.millis,
-			Attempts: rep.attempts,
-			Hedged:   rep.hedged,
-		}
-		if rep.err != nil {
-			so.Err = rep.err.Error()
-		}
-		rec.Shards[i] = so
-	}
-	if g.rec.Record(rec) {
-		g.slowQ.Inc()
-		g.cfg.Logger.Warn("slow query",
-			"request_id", rid,
-			"kind", "gateway",
-			"outcome", outcome,
-			"dur_ms", rec.DurationMS,
-			"threshold_ms", float64(g.rec.SlowThreshold().Microseconds())/1000,
-			"stage_ms", fmt.Sprintf("%v", rec.StageMS),
-		)
-	}
-}
-
 // handleFleet serves GET /v1/fleet: the JSON fleet-health view —
 // generation, readiness, gateway-observed per-shard latency quantiles,
 // and each shard's last federation scrape.
 func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
+	up := g.front.Uptime()
 	fleet := &shard.FleetHealth{
 		Generation:    g.cfg.Manifest.Generation,
-		StartTime:     g.started.UTC(),
-		UptimeSeconds: time.Since(g.started).Seconds(),
+		StartTime:     up.StartTime,
+		UptimeSeconds: up.UptimeSeconds,
 		Ready:         true,
 		Shards:        make([]shard.ShardHealth, len(g.cfg.Shards)),
 	}
@@ -149,9 +91,8 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 		if !anyReady {
 			fleet.Ready = false
 		}
-		sh.P50MS = quantileMS(g.shardQ[sid], 0.5)
-		sh.P95MS = quantileMS(g.shardQ[sid], 0.95)
-		sh.P99MS = quantileMS(g.shardQ[sid], 0.99)
+		q := g.shardLat[sid].QuantilesMS()
+		sh.P50MS, sh.P95MS, sh.P99MS = q["p50"], q["p95"], q["p99"]
 		if sr := g.scrapes[sid].Load(); sr != nil {
 			sh.UptimeSeconds = sr.uptime
 			sh.LastScrape = &shard.ScrapeStatus{
@@ -167,72 +108,29 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, fleet)
 }
 
-// quantileMS reads one quantile as milliseconds, mapping the empty
-// stream's NaN to 0 so the value is JSON-encodable.
-func quantileMS(q *telemetry.Quantiles, p float64) float64 {
-	v := q.Quantile(p)
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v * 1000
-}
-
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		g.count("bad_input")
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			g.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", g.cfg.MaxBodyBytes)
-			return
-		}
-		g.fail(w, http.StatusBadRequest, "decode request: %v", err)
+	req, m, top, ok := g.front.DecodeQuery(w, r)
+	if !ok {
 		return
-	}
-	m, err := server.MethodByName(req.Method)
-	if err != nil {
-		g.count("bad_input")
-		g.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	top := req.Top
-	if top <= 0 {
-		top = 20
-	}
-	if top > g.cfg.MaxTop {
-		top = g.cfg.MaxTop
 	}
 	// Parse locally before burning fleet work: malformed asm fails here
 	// with a 400 instead of N× 400s from the shards.
-	procs, err := asm.Parse(req.Asm)
-	if err != nil {
-		g.count("bad_input")
-		g.fail(w, http.StatusBadRequest, "parse asm: %v", err)
-		return
-	}
-	if len(procs) == 0 {
-		g.count("bad_input")
-		g.fail(w, http.StatusBadRequest, "no procedure in request")
+	if _, ok := g.front.ParseQuery(w, req.Asm); !ok {
 		return
 	}
 	wantTrace := r.URL.Query().Get("trace") == "1"
-
-	select {
-	case g.sem <- struct{}{}:
-		defer func() { <-g.sem }()
-	default:
-		g.count("rejected")
-		w.Header().Set("Retry-After", "1")
-		g.fail(w, http.StatusTooManyRequests, "too many in-flight queries (limit %d)", g.cfg.MaxInFlight)
+	// The slot is held for the whole fan-out: the handler returns with it.
+	release, ok := g.front.Admit(w)
+	if !ok {
 		return
 	}
+	defer release()
 
 	// Forward a canonical body: the query procedure only, ignored
 	// method/top stripped.
 	fwd, err := json.Marshal(server.QueryRequest{Asm: req.Asm})
 	if err != nil {
-		g.fail(w, http.StatusInternalServerError, "encode fan-out body: %v", err)
+		server.Fail(w, http.StatusInternalServerError, "encode fan-out body: %v", err)
 		return
 	}
 
@@ -245,8 +143,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	root.End()
 
 	parts := make([]*shard.Partial, 0, len(replies))
-	for _, rep := range replies {
+	legs := make([]telemetry.ShardOutcome, len(replies))
+	for i, rep := range replies {
+		legs[i] = telemetry.ShardOutcome{Shard: rep.sid, Replica: rep.replica, Millis: rep.millis,
+			Attempts: rep.attempts, Hedged: rep.hedged}
 		if rep.err != nil {
+			legs[i].Err = rep.err.Error()
 			g.cfg.Logger.Warn("shard failed",
 				"request_id", rid,
 				"shard", rep.sid, "attempts", rep.attempts, "err", rep.err.Error())
@@ -256,15 +158,14 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	report, missing, err := shard.Merge(g.cfg.Manifest, parts)
 	if err != nil {
-		g.count("failure")
-		g.record(rid, "failure", err.Error(), start, root, replies)
+		g.front.Finish("gateway", rid, "failure", err.Error(), start, root, legs...)
 		status := http.StatusBadGateway
 		if len(parts) > 0 {
 			// Shards answered but inconsistently — a fleet bug, not a
 			// transient outage.
 			status = http.StatusInternalServerError
 		}
-		g.fail(w, status, "merge: %v", err)
+		server.Fail(w, status, "merge: %v", err)
 		return
 	}
 
@@ -272,10 +173,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if len(missing) > 0 {
 		outcome = "partial"
 	}
-	g.count(outcome)
-	g.latency.Observe(time.Since(start).Seconds())
-	g.lat.Observe(time.Since(start).Seconds())
-	g.record(rid, outcome, "", start, root, replies)
+	g.front.Finish("gateway", rid, outcome, "", start, root, legs...)
 
 	resp := &QueryResponse{
 		QueryResponse: *server.BuildQueryResponse(report, m, top),
@@ -291,9 +189,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse is the gateway's GET /v1/stats reply.
 type StatsResponse struct {
-	StartTime     time.Time `json:"start_time"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
-	Fleet         struct {
+	server.Uptime
+	Fleet struct {
 		Generation string `json:"generation"`
 		Shards     int    `json:"shards"`
 		Targets    int    `json:"targets"`
@@ -314,24 +211,11 @@ type StatsResponse struct {
 	// ShardReady[i] lists per-replica readiness for shard i, in
 	// configured replica order.
 	ShardReady [][]bool `json:"shard_ready"`
-	// LatencyMS buckets end-to-end merged-query latency.
-	LatencyMS map[string]uint64 `json:"latency_ms"`
-	// LatencyQuantilesMS are the streamed P2 estimates behind the
-	// esh_gw_query_quantile_seconds gauges (zero until traffic).
-	LatencyQuantilesMS map[string]float64 `json:"latency_quantiles_ms"`
-	// Recorder summarizes the flight recorder (see /debug/slow).
-	Recorder struct {
-		Records     uint64  `json:"records"`
-		Slow        uint64  `json:"slow"`
-		ThresholdMS float64 `json:"threshold_ms"`
-	} `json:"recorder"`
+	server.Served
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := &StatsResponse{
-		StartTime:     g.started.UTC(),
-		UptimeSeconds: time.Since(g.started).Seconds(),
-	}
+	resp := &StatsResponse{Uptime: g.front.Uptime(), Served: g.front.Served()}
 	resp.Fleet.Generation = g.cfg.Manifest.Generation
 	resp.Fleet.Shards = len(g.cfg.Manifest.Shards)
 	resp.Fleet.Targets = g.cfg.Manifest.NumTargets
@@ -347,35 +231,15 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	resp.Queries.Completed = g.outcomes["completed"].Value()
-	resp.Queries.Partial = g.outcomes["partial"].Value()
-	resp.Queries.Failures = g.outcomes["failure"].Value()
-	resp.Queries.Rejected = g.outcomes["rejected"].Value()
-	resp.Queries.BadInput = g.outcomes["bad_input"].Value()
-	resp.Queries.InFlight = len(g.sem)
+	resp.Queries.Completed = g.front.Total("completed")
+	resp.Queries.Partial = g.front.Total("partial")
+	resp.Queries.Failures = g.front.Total("failure")
+	resp.Queries.Rejected = g.front.Total("rejected")
+	resp.Queries.BadInput = g.front.Total("bad_input")
+	resp.Queries.InFlight = g.front.InFlight()
 	resp.Queries.MaxIn = g.cfg.MaxInFlight
 	resp.Hedges = g.hedges.Value()
 	resp.Retries = g.retries.Value()
-
-	bounds, counts := g.latency.Snapshot()
-	resp.LatencyMS = make(map[string]uint64, len(counts))
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if i < len(bounds) {
-			resp.LatencyMS[fmt.Sprintf("<=%gms", bounds[i]*1000)] = n
-		} else {
-			resp.LatencyMS[fmt.Sprintf(">%gms", bounds[len(bounds)-1]*1000)] = n
-		}
-	}
-	resp.LatencyQuantilesMS = make(map[string]float64, len(latencyQuantiles))
-	for _, q := range latencyQuantiles {
-		resp.LatencyQuantilesMS[fmt.Sprintf("p%g", q*100)] = quantileMS(g.lat, q)
-	}
-	resp.Recorder.Records = g.rec.Total()
-	resp.Recorder.Slow = g.rec.SlowTotal()
-	resp.Recorder.ThresholdMS = float64(g.rec.SlowThreshold().Microseconds()) / 1000
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 

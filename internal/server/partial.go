@@ -58,12 +58,13 @@ func DecodePartialResponse(b []byte) (*PartialResponse, error) {
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // handlePartial runs the shard-local stages of a query and replies with
-// the partial as a binary frame instead of finalized scores. Request
-// shape is the same as /v1/query (method and top are ignored — ranking
-// happens at the gateway), as are admission, timeout, and outcome
-// accounting. Error replies are JSON, like everywhere else.
+// the partial as a binary frame instead of finalized scores. The request
+// is a /v1/query request, decoded by the same front door (method and top
+// are checked, then ignored — ranking happens at the gateway), and shares
+// its admission, timeout, and outcome accounting. Error replies are JSON,
+// like everywhere else.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeQuery(w, r)
+	req, _, _, ok := s.front.DecodeQuery(w, r)
 	if !ok {
 		return
 	}
@@ -82,7 +83,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	defer framePool.Put(buf)
 	frame, err := resp.AppendFrame((*buf)[:0])
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "encode partial: %v", err)
+		Fail(w, http.StatusInternalServerError, "encode partial: %v", err)
 		return
 	}
 	*buf = frame

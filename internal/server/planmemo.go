@@ -13,7 +13,7 @@ import (
 // is 10–50 KB for the corpus's procedures, so it covers a hot set of several
 // hundred, and below a workload's hot set the cost is re-planning, never a
 // different answer. An entry above planMemoMaxEntry is not admitted: the
-// text is the client's (up to MaxBodyBytes), and one such body must not
+// text is the client's (up to maxBodyBytes), and one such body must not
 // flush the procedures worth keeping.
 const (
 	planMemoBudget   = 16 << 20

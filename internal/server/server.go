@@ -14,10 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +37,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing queries; excess
 	// requests are rejected with 429 (default 2×GOMAXPROCS).
 	MaxInFlight int
-	// MaxBodyBytes bounds the request body (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxTop caps the top parameter (default 1000).
-	MaxTop int
 	// Logger receives one structured line per request (default
 	// slog.Default).
 	Logger *slog.Logger
@@ -55,10 +49,9 @@ type Config struct {
 	// up at GET /debug/slow, and emit a structured warning line. Default
 	// 1s; negative disables slow capture (the recorder itself stays on).
 	SlowQueryThreshold time.Duration
-	// RecorderSize / SlowLogSize bound the flight-recorder rings
-	// (defaults telemetry.DefaultRecorderSize / DefaultSlowLogSize).
+	// RecorderSize bounds the flight-recorder ring (default
+	// telemetry.DefaultRecorderSize).
 	RecorderSize int
-	SlowLogSize  int
 	// EnableWrites turns on the live write API (POST /v1/targets,
 	// DELETE /v1/targets/{name}, POST /v1/compact). Off by default:
 	// without a write-ahead log the daemon cannot make writes durable,
@@ -80,20 +73,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxTop <= 0 {
-		c.MaxTop = 1000
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
-	}
-	if c.SlowQueryThreshold == 0 {
-		c.SlowQueryThreshold = time.Second
-	}
-	if c.SlowQueryThreshold < 0 {
-		c.SlowQueryThreshold = 0 // disabled
 	}
 	return c
 }
@@ -105,9 +86,9 @@ var queryResults = [...]string{"completed", "failure", "timeout", "rejected", "b
 // Server serves similarity queries — and, with writes enabled, live
 // corpus mutations — against one DB.
 type Server struct {
-	db  *core.DB
-	cfg Config
-	sem chan struct{}
+	db    *core.DB
+	cfg   Config
+	front *Front
 
 	// snapMu guards the serving snapshot identity: compaction persists a
 	// new snapshot generation under the live daemon and updates it via
@@ -128,25 +109,11 @@ type Server struct {
 	// process is still alive.
 	ready atomic.Bool
 
-	// HTTP-level metrics; engine metrics live in the DB's registry and
-	// both are rendered by /metrics.
-	reg      *telemetry.Registry
-	outcomes map[string]*telemetry.Counter // by queryResults label
-	latency  *telemetry.Histogram
-	started  time.Time
-
-	// Flight recorder: every query that reached the engine leaves a
-	// structured record here whether or not the caller traced it; slow
-	// ones retain their span tree. lat feeds the streaming p50/p95/p99
-	// gauges next to the latency histogram; slowQ counts slow queries.
-	rec   *telemetry.Recorder
-	lat   *telemetry.Quantiles
-	slowQ *telemetry.Counter
+	// HTTP-level metrics (the front door's and the in-flight gauges);
+	// engine metrics live in the DB's registry and both are rendered by
+	// /metrics.
+	reg *telemetry.Registry
 }
-
-// latencyQuantiles are the streamed percentiles exported as gauges and
-// reported in /v1/stats, by both the server and the gateway.
-var latencyQuantiles = [...]float64{0.5, 0.95, 0.99}
 
 // New builds a Server around an indexed database.
 func New(db *core.DB, cfg Config) *Server {
@@ -154,52 +121,29 @@ func New(db *core.DB, cfg Config) *Server {
 	s := &Server{
 		db:        db,
 		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.MaxInFlight),
 		snapshot:  cfg.Snapshot,
 		queryFn:   db.RunPlan,
 		partialFn: db.RunPlanPartial,
 		reg:       telemetry.NewRegistry(),
-		started:   time.Now(),
 	}
 	s.ready.Store(true)
-	s.outcomes = make(map[string]*telemetry.Counter, len(queryResults))
-	for _, res := range queryResults {
-		s.outcomes[res] = s.reg.Counter("esh_http_queries_total",
-			"Query requests by terminal outcome.", "result", res)
-	}
-	s.latency = s.reg.Histogram("esh_http_query_seconds",
-		"End-to-end latency of completed queries.", nil)
+	opts := db.Options()
+	s.front = NewFront(s.reg, FrontConfig{
+		Prefix:             "esh_http",
+		Outcomes:           queryResults[:],
+		MaxInFlight:        cfg.MaxInFlight,
+		Logger:             cfg.Logger,
+		SlowQueryThreshold: cfg.SlowQueryThreshold,
+		RecorderSize:       cfg.RecorderSize,
+		Generation:         db.Shard().Generation,
+		Prefilter:          opts.Prefilter,
+		Retrieval:          opts.Retrieval,
+	})
 	s.reg.GaugeFunc("esh_http_inflight_queries", "Queries executing right now.",
-		func() float64 { return float64(len(s.sem)) })
+		func() float64 { return float64(s.front.InFlight()) })
 	s.reg.GaugeFunc("esh_http_max_inflight", "Configured in-flight query limit.",
 		func() float64 { return float64(cfg.MaxInFlight) })
-	s.reg.GaugeFunc("esh_http_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
-	s.reg.Gauge("esh_process_start_time_seconds",
-		"Unix time the process started.").Set(float64(s.started.UnixNano()) / 1e9)
-	s.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
-		"go_version", runtime.Version(),
-		"prefilter", db.Options().Prefilter,
-		"retrieval", db.Options().Retrieval).Set(1)
-
-	telemetry.RegisterRuntime(s.reg)
-
 	s.plans.init(s.reg)
-
-	s.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
-	s.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)
-	s.slowQ = s.reg.Counter("esh_http_slow_queries_total",
-		"Queries at or above the slow-query threshold.")
-	s.reg.GaugeFunc("esh_flight_recorder_records",
-		"Query records ever published to the flight recorder.",
-		func() float64 { return float64(s.rec.Total()) })
-	for _, q := range latencyQuantiles {
-		q := q
-		s.reg.GaugeFunc("esh_http_query_quantile_seconds",
-			"Streaming latency quantiles of completed queries (P2 estimator).",
-			func() float64 { return s.lat.Quantile(q) },
-			"quantile", telemetry.FormatQuantile(q))
-	}
 	return s
 }
 
@@ -214,15 +158,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/targets/{name}", s.handleDeleteTarget)
 	mux.HandleFunc("POST /v1/compact", s.handleCompact)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /debug/slow", SlowHandler(s.rec))
-	mux.HandleFunc("GET /debug/queries", RecentHandler(s.rec))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	return Logged(s.cfg.Logger, mux)
+	return s.front.Handler(mux)
 }
 
 // SetReady flips the /readyz state. cmd/eshd calls SetReady(false) at
@@ -278,13 +216,13 @@ func WithRequestID(ctx context.Context, rid string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, rid)
 }
 
-// Logged is the request middleware of both daemons: it assigns every
+// logged is the request middleware of both daemons: it assigns every
 // request an ID (the client's X-Request-ID when present, otherwise
 // generated), echoes it in the response header, and emits one structured
 // log line carrying it and the status answered — so a log line, a traced
 // response and a client retry all correlate on one token, and a gateway's
 // line with its shards' (it forwards the ID on every fan-out leg).
-func Logged(logger *slog.Logger, next http.Handler) http.Handler {
+func logged(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-ID")
@@ -327,10 +265,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v) // a write error means the client went away
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // QueryRequest is the POST /v1/query body.
 type QueryRequest struct {
 	// Asm holds one or more procedures in assembler-text form; the
@@ -368,10 +302,9 @@ type QueryResponse struct {
 	Trace *telemetry.SpanData `json:"trace,omitempty"`
 }
 
-// MethodByName maps a wire-form ranking-method name to a stats.Method;
-// "" selects the default (esh). Shared with the gateway, which speaks
-// the same request schema.
-func MethodByName(name string) (stats.Method, error) {
+// methodByName maps a wire-form ranking-method name to a stats.Method;
+// "" selects the default (esh).
+func methodByName(name string) (stats.Method, error) {
 	switch name {
 	case "", "esh":
 		return stats.Esh, nil
@@ -381,99 +314,6 @@ func MethodByName(name string) (stats.Method, error) {
 		return stats.SVCP, nil
 	}
 	return stats.Esh, fmt.Errorf("unknown method %q (esh, slog, svcp)", name)
-}
-
-func (s *Server) count(result string) { s.outcomes[result].Inc() }
-
-// record publishes one query's flight-recorder entry — built from the
-// span tree the handler grows for every query, traced or not — and
-// emits the structured slow-query line when it crossed the threshold.
-// Only queries that reached the engine are recorded; bad_input and
-// rejected requests never ran and leave no record.
-func (s *Server) record(kind, rid, outcome, errMsg string, start time.Time, root *telemetry.Span) {
-	opts := s.db.Options()
-	rec := &telemetry.QueryRecord{
-		ID:         rid,
-		Kind:       kind,
-		Start:      start,
-		Outcome:    outcome,
-		Err:        errMsg,
-		Generation: s.db.Shard().Generation,
-		Prefilter:  opts.Prefilter,
-		Retrieval:  opts.Retrieval,
-	}
-	rec.FillFromTrace(root.Snapshot())
-	if s.rec.Record(rec) {
-		s.slowQ.Inc()
-		s.cfg.Logger.Warn("slow query",
-			"request_id", rid,
-			"kind", kind,
-			"outcome", outcome,
-			"dur_ms", rec.DurationMS,
-			"threshold_ms", float64(s.rec.SlowThreshold().Microseconds())/1000,
-			"pairs", rec.Pairs,
-			"verifier_calls", rec.VerifierCalls,
-			"stage_ms", fmt.Sprintf("%v", rec.StageMS),
-		)
-	}
-}
-
-// SlowResponse is the GET /debug/slow reply: the retained slow-query
-// records, newest first, each with its full span tree.
-type SlowResponse struct {
-	ThresholdMS float64                  `json:"threshold_ms"`
-	Total       uint64                   `json:"total_slow"`
-	Recorded    uint64                   `json:"total_recorded"`
-	Records     []*telemetry.QueryRecord `json:"records"`
-}
-
-// SlowHandler serves GET /debug/slow off rec, on either daemon.
-func SlowHandler(rec *telemetry.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, &SlowResponse{
-			ThresholdMS: float64(rec.SlowThreshold().Microseconds()) / 1000,
-			Total:       rec.SlowTotal(),
-			Recorded:    rec.Total(),
-			Records:     rec.Slow(),
-		})
-	}
-}
-
-// RecentHandler serves GET /debug/queries off rec, on either daemon: the
-// most recent flight-recorder entries (trace-stripped unless slow), newest
-// first. ?n= bounds the count (default 100).
-func RecentHandler(rec *telemetry.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		n := 100
-		if v := r.URL.Query().Get("n"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-				n = parsed
-			}
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{
-			"total":   rec.Total(),
-			"records": rec.Recent(n),
-		})
-	}
-}
-
-// decodeQuery reads the request body both query endpoints share. On a
-// malformed or oversized body it counts bad_input, writes the error
-// reply and returns false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
-	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.count("bad_input")
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			s.fail(w, http.StatusBadRequest, "decode request: %v", err)
-		}
-		return req, false
-	}
-	return req, true
 }
 
 // runQuery is everything /v1/query and /v1/query/partial do between a
@@ -490,29 +330,14 @@ func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText,
 	memoized := s.plans.get(asmText)
 	var proc *asm.Proc
 	if memoized == nil {
-		procs, err := asm.Parse(asmText)
-		if err != nil {
-			s.count("bad_input")
-			s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
+		var ok bool
+		if proc, ok = s.front.ParseQuery(w, asmText); !ok {
 			return zero, nil, false
 		}
-		if len(procs) == 0 {
-			s.count("bad_input")
-			s.fail(w, http.StatusBadRequest, "no procedure in request")
-			return zero, nil, false
-		}
-		proc = procs[0]
 	}
-
-	// Admission: reject rather than queue when the configured number of
-	// queries is already executing — a loaded search service should shed,
-	// not build an unbounded latency backlog.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.count("rejected")
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, "too many in-flight queries (limit %d)", s.cfg.MaxInFlight)
+	// The slot is held until the engine call ends, past a timeout's 504.
+	release, ok := s.front.Admit(w)
+	if !ok {
 		return zero, nil, false
 	}
 
@@ -528,7 +353,7 @@ func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText,
 	// time; the engine hangs the stage spans under it.
 	qctx, root := telemetry.StartSpan(context.Background(), span)
 	go func() {
-		defer func() { <-s.sem }()
+		defer release()
 		var out result
 		pl := memoized
 		if pl != nil {
@@ -549,46 +374,28 @@ func runQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, asmText,
 	select {
 	case out := <-done:
 		if out.err != nil {
-			s.count("failure")
-			s.record(kind, rid, "failure", out.err.Error(), start, root)
-			s.fail(w, http.StatusUnprocessableEntity, "query: %v", out.err)
+			s.front.Finish(kind, rid, "failure", out.err.Error(), start, root)
+			Fail(w, http.StatusUnprocessableEntity, "query: %v", out.err)
 			return zero, nil, false
 		}
-		s.count("completed")
-		secs := time.Since(start).Seconds()
-		s.latency.Observe(secs)
-		s.lat.Observe(secs)
-		s.record(kind, rid, "completed", "", start, root)
+		s.front.Finish(kind, rid, "completed", "", start, root)
 		return out.val, root, true
 	case <-timer.C:
 		// The engine query is not cancellable; it keeps running (and
 		// keeps holding its in-flight slot) while the client gets a 504.
 		// The record snapshots the still-running span tree: elapsed time
 		// so far, with whatever stages have finished.
-		s.count("timeout")
-		s.record(kind, rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
+		msg := fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout)
+		s.front.Finish(kind, rid, "timeout", msg, start, root)
+		Fail(w, http.StatusGatewayTimeout, "%s", msg)
 		return zero, nil, false
 	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeQuery(w, r)
+	req, m, top, ok := s.front.DecodeQuery(w, r)
 	if !ok {
 		return
-	}
-	m, err := MethodByName(req.Method)
-	if err != nil {
-		s.count("bad_input")
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	top := req.Top
-	if top <= 0 {
-		top = 20
-	}
-	if top > s.cfg.MaxTop {
-		top = s.cfg.MaxTop
 	}
 	rep, root, ok := runQuery(s, w, r, req.Asm, "query", "query", s.queryFn)
 	if !ok {
@@ -674,7 +481,7 @@ func (s *Server) SetSnapshotInfo(info index.Info) {
 // daemon has no durable journal.
 func (s *Server) writeEnabled(w http.ResponseWriter) bool {
 	if !s.cfg.EnableWrites {
-		s.fail(w, http.StatusNotImplemented, "live writes are disabled (start eshd with -wal)")
+		Fail(w, http.StatusNotImplemented, "live writes are disabled (start eshd with -wal)")
 		return false
 	}
 	return true
@@ -732,23 +539,13 @@ func (s *Server) handleAddTarget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WriteRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "decode request: %v", err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		Fail(w, status, "%v", err)
 		return
 	}
-	procs, err := asm.Parse(req.Asm)
+	procs, err := parseProcs(req.Asm)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "parse asm: %v", err)
-		return
-	}
-	if len(procs) == 0 {
-		s.fail(w, http.StatusBadRequest, "no procedure in request")
+		Fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rid := RequestID(r.Context())
@@ -758,7 +555,7 @@ func (s *Server) handleAddTarget(w http.ResponseWriter, r *http.Request) {
 	for _, p := range procs {
 		if err := s.db.ApplyAdd(p); err != nil {
 			root.End()
-			s.record("write", rid, "failure", err.Error(), start, root)
+			s.front.record("write", rid, "failure", err.Error(), start, root)
 			s.fillWriteState(resp)
 			status := writeStatus(err)
 			WriteJSON(w, status, map[string]any{
@@ -772,7 +569,7 @@ func (s *Server) handleAddTarget(w http.ResponseWriter, r *http.Request) {
 	}
 	root.SetAttr("targets_added", float64(len(resp.Added)))
 	root.End()
-	s.record("write", rid, "completed", "", start, root)
+	s.front.record("write", rid, "completed", "", start, root)
 	s.fillWriteState(resp)
 	WriteJSON(w, http.StatusOK, resp)
 }
@@ -786,7 +583,7 @@ func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if name == "" {
-		s.fail(w, http.StatusBadRequest, "empty target name")
+		Fail(w, http.StatusBadRequest, "empty target name")
 		return
 	}
 	rid := RequestID(r.Context())
@@ -795,11 +592,11 @@ func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 	n, err := s.db.ApplyRemove(name)
 	root.End()
 	if err != nil {
-		s.record("delete", rid, "failure", err.Error(), start, root)
-		s.fail(w, writeStatus(err), "%v", err)
+		s.front.record("delete", rid, "failure", err.Error(), start, root)
+		Fail(w, writeStatus(err), "%v", err)
 		return
 	}
-	s.record("delete", rid, "completed", "", start, root)
+	s.front.record("delete", rid, "completed", "", start, root)
 	resp := &WriteResponse{Removed: n}
 	s.fillWriteState(resp)
 	WriteJSON(w, http.StatusOK, resp)
@@ -814,7 +611,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.Compact == nil {
-		s.fail(w, http.StatusNotImplemented, "no compaction hook configured")
+		Fail(w, http.StatusNotImplemented, "no compaction hook configured")
 		return
 	}
 	rid := RequestID(r.Context())
@@ -824,11 +621,11 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("generation", float64(gen))
 	root.End()
 	if err != nil {
-		s.record("compact", rid, "failure", err.Error(), start, root)
-		s.fail(w, http.StatusInternalServerError, "compact: %v", err)
+		s.front.record("compact", rid, "failure", err.Error(), start, root)
+		Fail(w, http.StatusInternalServerError, "compact: %v", err)
 		return
 	}
-	s.record("compact", rid, "completed", "", start, root)
+	s.front.record("compact", rid, "completed", "", start, root)
 	resp := &WriteResponse{}
 	s.fillWriteState(resp)
 	WriteJSON(w, http.StatusOK, resp)
@@ -836,9 +633,8 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse is the GET /v1/stats reply.
 type StatsResponse struct {
-	StartTime     time.Time `json:"start_time"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
-	Index         struct {
+	Uptime
+	Index struct {
 		Targets       int `json:"targets"`
 		LiveTargets   int `json:"live_targets"`
 		UniqueStrands int `json:"unique_strands"`
@@ -960,41 +756,12 @@ type StatsResponse struct {
 		InFlight  int    `json:"in_flight"`
 		MaxIn     int    `json:"max_in_flight"`
 	} `json:"queries"`
-	// LatencyMS maps histogram bucket labels ("<=50ms", ">10000ms") to
-	// completed-query counts. Empty buckets are omitted.
-	LatencyMS map[string]uint64 `json:"latency_ms"`
-	// LatencyQuantilesMS are the streamed P2 estimates behind the
-	// esh_http_query_quantile_seconds gauges (zero until traffic).
-	LatencyQuantilesMS map[string]float64 `json:"latency_quantiles_ms"`
-	// Recorder summarizes the flight recorder (see /debug/slow and
-	// /debug/queries for the records themselves).
-	Recorder struct {
-		Records     uint64  `json:"records"`
-		Slow        uint64  `json:"slow"`
-		ThresholdMS float64 `json:"threshold_ms"`
-	} `json:"recorder"`
-}
-
-// quantilesMS shapes a Quantiles estimator as a {"p50": ms, ...} map,
-// dropping NaN (empty-stream) entries so the struct stays JSON-safe.
-func quantilesMS(lat *telemetry.Quantiles) map[string]float64 {
-	out := make(map[string]float64, len(latencyQuantiles))
-	for _, q := range latencyQuantiles {
-		v := lat.Quantile(q)
-		if math.IsNaN(v) {
-			v = 0
-		}
-		out[fmt.Sprintf("p%g", q*100)] = v * 1000
-	}
-	return out
+	Served
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	dbs := s.db.Stats()
-	resp := &StatsResponse{
-		StartTime:     s.started.UTC(),
-		UptimeSeconds: time.Since(s.started).Seconds(),
-	}
+	resp := &StatsResponse{Uptime: s.front.Uptime(), Served: s.front.Served()}
 	resp.Index.Targets = dbs.Targets
 	resp.Index.LiveTargets = dbs.LiveTargets
 	resp.Index.UniqueStrands = dbs.UniqueStrands
@@ -1063,29 +830,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.Memo.BudgetBytes = dbs.Memo.Budget
 	resp.Engine.StageSeconds = dbs.StageSeconds
 
-	resp.Queries.Completed = s.outcomes["completed"].Value()
-	resp.Queries.Failures = s.outcomes["failure"].Value()
-	resp.Queries.Timeouts = s.outcomes["timeout"].Value()
-	resp.Queries.Rejected = s.outcomes["rejected"].Value()
-	resp.Queries.BadInput = s.outcomes["bad_input"].Value()
-	resp.Queries.InFlight = len(s.sem)
+	resp.Queries.Completed = s.front.Total("completed")
+	resp.Queries.Failures = s.front.Total("failure")
+	resp.Queries.Timeouts = s.front.Total("timeout")
+	resp.Queries.Rejected = s.front.Total("rejected")
+	resp.Queries.BadInput = s.front.Total("bad_input")
+	resp.Queries.InFlight = s.front.InFlight()
 	resp.Queries.MaxIn = s.cfg.MaxInFlight
-
-	bounds, counts := s.latency.Snapshot()
-	resp.LatencyMS = make(map[string]uint64, len(counts))
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if i < len(bounds) {
-			resp.LatencyMS[fmt.Sprintf("<=%gms", bounds[i]*1000)] = n
-		} else {
-			resp.LatencyMS[fmt.Sprintf(">%gms", bounds[len(bounds)-1]*1000)] = n
-		}
-	}
-	resp.LatencyQuantilesMS = quantilesMS(s.lat)
-	resp.Recorder.Records = s.rec.Total()
-	resp.Recorder.Slow = s.rec.SlowTotal()
-	resp.Recorder.ThresholdMS = float64(s.rec.SlowThreshold().Microseconds()) / 1000
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -134,8 +134,8 @@ type Recorder struct {
 	slowSlots []atomic.Pointer[QueryRecord]
 	slowNext  atomic.Uint64
 
-	// thresholdNS gates the slow path; <= 0 disables slow capture.
-	thresholdNS atomic.Int64
+	// threshold gates the slow path; <= 0 disables slow capture.
+	threshold time.Duration
 }
 
 // Ring-size defaults: DefaultRecorderSize bounds the main ring (a few
@@ -155,33 +155,22 @@ func NewRecorder(size, slowSize int, threshold time.Duration) *Recorder {
 	if slowSize <= 0 {
 		slowSize = DefaultSlowLogSize
 	}
-	r := &Recorder{
+	return &Recorder{
 		slots:     make([]atomic.Pointer[QueryRecord], size),
 		slowSlots: make([]atomic.Pointer[QueryRecord], slowSize),
+		threshold: threshold,
 	}
-	r.thresholdNS.Store(int64(threshold))
-	return r
 }
 
-// SlowThreshold returns the current slow-query threshold (0 = disabled).
-func (r *Recorder) SlowThreshold() time.Duration {
-	d := r.thresholdNS.Load()
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(d)
-}
-
-// SetSlowThreshold replaces the slow-query threshold at runtime.
-func (r *Recorder) SetSlowThreshold(d time.Duration) { r.thresholdNS.Store(int64(d)) }
+// SlowThreshold returns the slow-query threshold (0 = disabled).
+func (r *Recorder) SlowThreshold() time.Duration { return max(r.threshold, 0) }
 
 // Record classifies rec against the slow threshold, strips the trace
 // from fast records, and publishes rec into the ring(s). It reports
 // whether rec was slow, so the caller can emit a structured log line.
 // rec must not be mutated afterwards.
 func (r *Recorder) Record(rec *QueryRecord) (slow bool) {
-	th := r.thresholdNS.Load()
-	slow = th > 0 && rec.DurationMS*1e6 >= float64(th)
+	slow = r.threshold > 0 && rec.DurationMS*1e6 >= float64(r.threshold)
 	rec.Slow = slow
 	if !slow {
 		rec.Trace = nil

@@ -59,9 +59,8 @@ func TestRecorderSlowCapture(t *testing.T) {
 		t.Fatalf("SlowTotal = %d", r.SlowTotal())
 	}
 	// Threshold 0 disables slow capture entirely.
-	r.SetSlowThreshold(0)
-	if r.Record(mkRecord("later", 500)) {
-		t.Fatal("slow capture still active after SetSlowThreshold(0)")
+	if off := NewRecorder(16, 4, 0); off.Record(mkRecord("later", 500)) || off.SlowTotal() != 0 {
+		t.Fatal("slow capture active at threshold 0")
 	}
 }
 
