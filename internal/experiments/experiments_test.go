@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -72,6 +74,35 @@ func TestTable1Shape(t *testing.T) {
 	text := res.String()
 	if !strings.Contains(text, "Heartbleed") || !strings.Contains(text, "CROC") {
 		t.Error("table rendering incomplete")
+	}
+}
+
+// TestTable1Golden pins Table 1 at Small scale to the character: every
+// method's FP, ROC and CROC on all eight queries. The corpus, toolchains and
+// engine are deterministic, so any diff is a change in what the paper
+// record says — regenerate it deliberately with
+// UPDATE_GOLDEN=1 go test -run TestTable1Golden ./internal/experiments.
+func TestTable1Golden(t *testing.T) {
+	res, err := Table1(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.String()
+	golden := filepath.Join("testdata", "table1_small.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Table 1 differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
