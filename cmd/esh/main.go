@@ -1,7 +1,7 @@
 // Command esh is the search tool of the reproduction: given a query
 // procedure and a target database of procedures in assembler-text form,
 // it prints the targets ranked by the statistical similarity (GES) of the
-// paper, alongside the S-VCP and S-LOG sub-method scores.
+// paper, or by the S-LOG sub-method score.
 //
 // Usage:
 //
@@ -41,7 +41,7 @@ import (
 func main() {
 	queryPath := flag.String("query", "", "file containing the query procedure (first proc is used)")
 	top := flag.Int("top", 20, "number of ranked targets to print")
-	method := flag.String("method", "esh", "ranking method: esh, slog, svcp")
+	method := flag.String("method", "esh", "ranking method: esh, slog")
 	demo := flag.Bool("demo", false, "use the bundled demo corpus as the target database")
 	loadPath := flag.String("load", "", "restore the target database from a strand index snapshot (eshcorpus -save)")
 	timings := flag.Bool("timings", false, "print a per-stage timing and work breakdown to stderr")
@@ -55,10 +55,10 @@ func main() {
 		m = stats.Esh
 	case "slog":
 		m = stats.SLOG
-	case "svcp":
-		m = stats.SVCP
 	default:
-		fail("unknown method %q (esh, slog, svcp)", *method)
+		fmt.Fprintf(os.Stderr, "esh: unknown method %q (esh, slog)\n", *method)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var db *core.DB

@@ -22,7 +22,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/query          {"asm": "...", "method": "esh|slog|svcp", "top": 20}
+//	POST /v1/query          {"asm": "...", "method": "esh|slog", "top": 20}
 //	                        append ?trace=1 for a per-stage timing breakdown
 //	POST /v1/query/partial  shard-local partial scores for an eshgw coordinator: same body as
 //	                        /v1/query, 200-reply is a binary shard.Frame (errors stay JSON)

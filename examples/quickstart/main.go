@@ -107,9 +107,9 @@ func main() {
 	// between the best semantic match in the target and the corpus-wide
 	// random-match hypothesis.
 	fmt.Printf("query %s decomposed into %d strands\n\n", rep.QueryName, rep.NumStrands)
-	fmt.Printf("%-16s %10s %10s %10s\n", "target", "GES", "S-LOG", "S-VCP")
+	fmt.Printf("%-16s %10s %10s\n", "target", "GES", "S-LOG")
 	for _, ts := range rep.Results {
-		fmt.Printf("%-16s %10.3f %10.3f %10.3f\n", ts.Target.Name, ts.GES, ts.SLOG, ts.SVCP)
+		fmt.Printf("%-16s %10.3f %10.3f\n", ts.Target.Name, ts.GES, ts.SLOG)
 	}
 	if rep.Results[0].Target.Name != "checksum_b" {
 		fmt.Println("\nunexpected ranking — see the scores above")

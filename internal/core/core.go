@@ -2,7 +2,9 @@
 // procedures (disassembly → CFG → lifting → strand decomposition →
 // verifier preparation) and answers similarity queries, producing the
 // ranked GES scores the paper's evaluation is built on, for the full
-// method and for the S-VCP / S-LOG sub-method decomposition of §6.2.
+// method and for its S-LOG sub-method (§6.2). The third sub-method, S-VCP,
+// reads the reverse VCP direction, which nothing served needs: package
+// experiments computes it.
 package core
 
 import (
@@ -30,12 +32,12 @@ const (
 	PrefilterOff = "off"
 	// PrefilterLSH gates pairs through the sketch index (package
 	// sketch). Its sound core skips pairs whose typed input counts
-	// make VCP provably zero in both directions, and computes only the
-	// live direction of half-dead pairs — rankings stay byte-identical
-	// to PrefilterOff. An opt-in heuristic tier (LSHMinContainment)
-	// additionally requires an LSH band collision or an estimated
-	// feature-containment level, trading a small measured recall loss
-	// for a larger skip rate.
+	// make VCP provably zero in both directions, and skips the verifier
+	// call of a candidate whose forward direction is dead — rankings stay
+	// byte-identical to PrefilterOff. An opt-in heuristic tier
+	// (LSHMinContainment) additionally requires an LSH band collision or
+	// an estimated feature-containment level, trading a small measured
+	// recall loss for a larger skip rate.
 	PrefilterLSH = "lsh"
 )
 
@@ -124,17 +126,17 @@ type Options struct {
 }
 
 // memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
-// charged to (vcp.MemoPool): the indexed strands' memos, which persist
-// across queries, and each in-flight query's own, which are released
-// when it returns. It is a constant, not a setting: past the corpus's
-// working set more budget buys nothing, below it the cost is
-// re-evaluation, never a different answer (DESIGN §10.6; CHANGES.md has
-// the measured budget-vs-qps curve this value was read off).
+// charged to (vcp.MemoPool). A memo fills only on the query side of a pair,
+// so what is charged is the in-flight queries' strands, each released when
+// its query returns; an indexed strand is only ever matched against and
+// its memo stays empty. It is a constant, not a setting: past the working
+// set of the queries in flight more budget buys nothing, below it the cost
+// is re-evaluation, never a different answer (DESIGN §10.6).
 const memoBudgetBytes = 128 << 20
 
 // rowCachePairs is the row cache's budget in row entries (the sum of its
 // rows' widths: one entry per unique target strand per cached query
-// strand). At 16 bytes and three bits an entry the ceiling is 32.75 MiB; a
+// strand). At 8 bytes and three bits an entry the ceiling is 16.75 MiB; a
 // constant for the same reason as memoBudgetBytes — below a workload's hot
 // set the cost is re-verification, never a different answer.
 const rowCachePairs = 1 << 21
@@ -223,12 +225,12 @@ type DB struct {
 	// query of many strands does not allocate one per strand.
 	markPool sync.Pool
 
-	// rows holds one dense row per query-strand key (rowcache.go): forward
-	// and reverse VCP indexed by unique-strand number, each row charged its
-	// width against rowCachePairs (tests in this package swap in a smaller
-	// store). rowEpoch names the strand numbering the rows are indexed by;
-	// only a renumbering Compact moves it, in the critical section that
-	// swaps the rows and publishes the corpus of that numbering.
+	// rows holds one dense row per query-strand key (rowcache.go): VCP
+	// indexed by unique-strand number, each row charged its width against
+	// rowCachePairs (tests in this package swap in a smaller store).
+	// rowEpoch names the strand numbering the rows are indexed by; only a
+	// renumbering Compact moves it, in the critical section that swaps the
+	// rows and publishes the corpus of that numbering.
 	mu       sync.Mutex
 	rows     *fifo.Store[string, *vcpRow]
 	rowEpoch uint64

@@ -94,12 +94,9 @@ func TestQueryRanksSimilarFirst(t *testing.T) {
 	if rep.Results[0].GES <= rep.Results[1].GES {
 		t.Error("similar target does not outscore unrelated")
 	}
-	// Sub-methods rank it first here too (clean two-target case).
-	for _, m := range []stats.Method{stats.SVCP, stats.SLOG} {
-		ranked := rep.Rank(m)
-		if ranked[0].Target.Name != "checksum_icc" {
-			t.Errorf("%v ranks %s first", m, ranked[0].Target.Name)
-		}
+	// S-LOG ranks it first here too (clean two-target case).
+	if ranked := rep.Rank(stats.SLOG); ranked[0].Target.Name != "checksum_icc" {
+		t.Errorf("S-LOG ranks %s first", ranked[0].Target.Name)
 	}
 }
 

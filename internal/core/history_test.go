@@ -187,8 +187,8 @@ func diffAnswer(t *testing.T, label string, got, want answer) {
 	}
 	for ti, w := range want.qp.Targets {
 		g := got.qp.Targets[ti]
-		if g.Target.Name != w.Target.Name || bits(g.SVCP) != bits(w.SVCP) || len(g.MaxVCP) != len(w.MaxVCP) {
-			t.Fatalf("%s: target %d is %s with S-VCP %v, the rebuild has %s with %v", label, ti, g.Target.Name, g.SVCP, w.Target.Name, w.SVCP)
+		if g.Target.Name != w.Target.Name || len(g.MaxVCP) != len(w.MaxVCP) {
+			t.Fatalf("%s: target %d is %s with %d best VCPs, the rebuild has %s with %d", label, ti, g.Target.Name, len(g.MaxVCP), w.Target.Name, len(w.MaxVCP))
 		}
 		for i := range w.MaxVCP {
 			if bits(g.MaxVCP[i]) != bits(w.MaxVCP[i]) {

@@ -57,7 +57,7 @@ func TestKernelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %s (batch): %v", v.Alias, err)
 		}
-		for _, m := range []stats.Method{stats.Esh, stats.SLOG, stats.SVCP} {
+		for _, m := range []stats.Method{stats.Esh, stats.SLOG} {
 			if s, b := rankingNames(repScalar, m), rankingNames(repBatch, m); s != b {
 				t.Errorf("query %s: %v ranking diverges between kernels", v.Alias, m)
 			}
@@ -69,8 +69,7 @@ func TestKernelDifferential(t *testing.T) {
 			s, b := repScalar.Results[i], repBatch.Results[i]
 			if s.Target.Name != b.Target.Name ||
 				math.Float64bits(s.GES) != math.Float64bits(b.GES) ||
-				math.Float64bits(s.SLOG) != math.Float64bits(b.SLOG) ||
-				math.Float64bits(s.SVCP) != math.Float64bits(b.SVCP) {
+				math.Float64bits(s.SLOG) != math.Float64bits(b.SLOG) {
 				drift = append(drift, fmt.Sprintf(
 					"  %-52s scalar GES=%.9f batch GES=%.9f", s.Target.Name, s.GES, b.GES))
 			}

@@ -27,7 +27,7 @@ func TestSigmoidKChangesEshOnly(t *testing.T) {
 	r10 := build(0) // default k = 10
 	r2 := build(2)
 	for i := range r10.Results {
-		// S-VCP and S-LOG ignore the sigmoid entirely.
+		// S-LOG ignores the sigmoid entirely.
 		var match *TargetScore
 		for j := range r2.Results {
 			if r2.Results[j].Target.Name == r10.Results[i].Target.Name {
@@ -37,8 +37,8 @@ func TestSigmoidKChangesEshOnly(t *testing.T) {
 		if match == nil {
 			t.Fatal("target sets differ")
 		}
-		if match.SVCP != r10.Results[i].SVCP || match.SLOG != r10.Results[i].SLOG {
-			t.Error("sub-method scores changed with k")
+		if match.SLOG != r10.Results[i].SLOG {
+			t.Error("S-LOG score changed with k")
 		}
 		if match.GES == r10.Results[i].GES {
 			t.Errorf("GES of %s identical under k=2 and k=10", match.Target.Name)
@@ -63,7 +63,6 @@ func TestCacheCoherentAcrossQueries(t *testing.T) {
 	}
 	for i := range a1.Results {
 		if a1.Results[i].GES != a2.Results[i].GES ||
-			a1.Results[i].SVCP != a2.Results[i].SVCP ||
 			a1.Results[i].SLOG != a2.Results[i].SLOG {
 			t.Fatalf("cache changed result %d: %+v vs %+v", i, a1.Results[i], a2.Results[i])
 		}
@@ -76,7 +75,7 @@ func TestRankOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []stats.Method{stats.SVCP, stats.SLOG, stats.Esh} {
+	for _, m := range []stats.Method{stats.SLOG, stats.Esh} {
 		ranked := rep.Rank(m)
 		if len(ranked) != len(rep.Results) {
 			t.Fatal("Rank changed length")

@@ -25,10 +25,6 @@ import (
 //     prefilter decisions are per-pair deterministic).
 //   - PartialScore.MaxVCP: a max over the target's own strands — every
 //     input lives on the target's shard.
-//   - PartialScore.SVCP: a sum over the target's own strands of
-//     maxRev[j], where maxRev[j] is a max over *query* strands of
-//     VCP(target strand j, query strand) — and every shard runs the
-//     full query, so maxRev[j] is exact on the shard holding j.
 //   - H0 (the part deferred to Finalize): a corpus-weighted mean over
 //     ALL unique strands in index order. Floating-point addition is not
 //     associative, so per-shard partial sums would NOT merge
@@ -69,8 +65,6 @@ type QueryPartial struct {
 // PartialScore is the shard-exact half of one target's score.
 type PartialScore struct {
 	Target *Target
-	// SVCP is the paper's S-VCP score (exact per shard, see above).
-	SVCP float64
 	// MaxVCP[i] is the best VCP(query strand i, t) over the target's
 	// strands — the Pr(s_q|t) input of the LES.
 	MaxVCP []float64
@@ -141,7 +135,7 @@ func (qp *QueryPartial) finalize(c *corpus, cached []*vcpRow) *Report {
 			slog += s
 			esh += e
 		}
-		scored[ti] = TargetScore{Target: ps.Target, SVCP: ps.SVCP, SLOG: slog, GES: esh}
+		scored[ti] = TargetScore{Target: ps.Target, SLOG: slog, GES: esh}
 		rank[ti] = int32(ti)
 	}
 	// Descending GES, ties in target order: what a stable sort of the

@@ -60,7 +60,7 @@ func TestPathStrandsIncreaseSmallProcCoverage(t *testing.T) {
 	if pathStrands <= blockStrands {
 		t.Errorf("path decomposition added no strands: %d vs %d", pathStrands, blockStrands)
 	}
-	if repPaths.Results[0].GES == 0 && repPaths.Results[0].SVCP == 0 {
+	if repPaths.Results[0].GES == 0 && repPaths.Results[0].SLOG == 0 {
 		t.Error("path strands produced no evidence at all")
 	}
 }

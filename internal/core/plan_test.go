@@ -172,7 +172,7 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s: a row queried three times holds no estimate for version %d", label, qc.countsVer)
 					}
-					fresh := freshH0(row.fwd[:len(qc.uniq)], qc.counts, qc.h0Order, opts.SigmoidK)
+					fresh := freshH0(row.vals[:len(qc.uniq)], qc.counts, qc.h0Order, opts.SigmoidK)
 					if math.Float64bits(ev.H0Esh) != math.Float64bits(fresh.H0Esh) ||
 						math.Float64bits(ev.H0Raw) != math.Float64bits(fresh.H0Raw) || ev.K != fresh.K {
 						t.Errorf("%s: the row holds H0 (%x, %x), a fresh accumulator gives (%x, %x)", label,

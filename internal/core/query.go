@@ -24,25 +24,28 @@ import (
 // DB's metrics registry.
 var queryStages = [...]string{"decompose", "prepare", "vcp", "score"}
 
-// TargetScore is one row of a query result: the three method scores for
-// one target, plus ground-truth provenance for evaluation.
+// TargetScore is one row of a query result: the two method scores the
+// engine computes for one target, plus ground-truth provenance for
+// evaluation. S-VCP, the §6.2 baseline, is not among them: it reads the
+// reverse VCP direction, which nothing served needs, so package
+// experiments computes it on its own.
 type TargetScore struct {
 	Target *Target
-	SVCP   float64
 	SLOG   float64
 	GES    float64 // the full Esh score
 }
 
-// Score returns the score under the requested method.
+// Score returns the score under the requested method, Esh or S-LOG. Any
+// other method is a caller's bug: methods that arrive from outside the
+// program are validated where they enter.
 func (ts TargetScore) Score(m stats.Method) float64 {
 	switch m {
-	case stats.SVCP:
-		return ts.SVCP
 	case stats.SLOG:
 		return ts.SLOG
-	default:
+	case stats.Esh:
 		return ts.GES
 	}
+	panic(fmt.Sprintf("core: the engine does not score %s", m))
 }
 
 // Report is the result of one query against the database.
@@ -189,10 +192,10 @@ func (db *DB) RunPlan(ctx context.Context, pl *QueryPlan) (*Report, error) {
 
 // RunPlanPartial runs the planned query up to (but excluding) the
 // corpus-wide H0 estimate: the VCP pair loop and the order-insensitive
-// per-target reductions (best forward VCP per query strand, S-VCP). The
-// returned QueryPartial carries everything a coordinator needs to merge
-// this shard's view with others' and produce scores bit-identical to a
-// single node holding the union corpus — see QueryPartial.Finalize for the
+// per-target reduction (best VCP per query strand). The returned
+// QueryPartial carries everything a coordinator needs to merge this
+// shard's view with others' and produce scores bit-identical to a single
+// node holding the union corpus — see QueryPartial.Finalize for the
 // exactness argument.
 func (db *DB) RunPlanPartial(ctx context.Context, pl *QueryPlan) (*QueryPartial, error) {
 	qp, _, err := db.partialQuery(ctx, pl, db.corpus.Load())
@@ -216,12 +219,10 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 		Weights:    pl.weights,
 	}
 
-	// Stage 3: vcp — for each unique query strand, the VCP row against
-	// every unique target strand, in both directions. The forward
-	// direction VCP(sq, st) drives S-LOG and Esh; the reverse direction
-	// VCP(st, sq) drives the paper's S-VCP definition (§6.2), which sums
-	// over target strands. Rows come from the row cache where it has them;
-	// the pairs it does not know are verified (see vcpRows).
+	// Stage 3: vcp — for each unique query strand, the row of VCP(sq, st)
+	// against every unique target strand: the one direction S-LOG and Esh
+	// read (§3.3). Rows come from the row cache where it has them; the
+	// pairs it does not know are verified (see vcpRows).
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
 	if db.prefilterOn() {
 		spVCP.SetAttr("prefilter_lsh", 1)
@@ -233,30 +234,16 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	} else {
 		spVCP.SetAttr("retrieval_probe", 0)
 	}
-	rows, revRows, cached, err := db.vcpRows(qs, spVCP, qc)
+	rows, cached, err := db.vcpRows(qs, spVCP, qc)
 	db.observeStage("vcp", spVCP.End())
 	if err != nil {
 		return nil, nil, err
 	}
 	qp.Rows = rows
 
-	// Stage 4: score — the shard-local reductions. Both are exact under
-	// sharding: per-target best-VCP is a max over the target's own
-	// strands, and S-VCP sums maxRev over the target's own strands (a
-	// strand shared between two targets contributes to each target's sum
-	// on whichever shard holds that target, from rows computed against
-	// the full query — so per-shard values equal single-node values).
+	// Stage 4: score — the shard-local reduction, exact under sharding:
+	// per-target best-VCP is a max over the target's own strands.
 	_, spScore := telemetry.StartSpan(ctx, "score")
-
-	// maxRev[j]: the best any query strand contains target strand j.
-	maxRev := make([]float64, len(qc.uniq))
-	for i := range qs {
-		for j, v := range revRows[i] {
-			if v > maxRev[j] {
-				maxRev[j] = v
-			}
-		}
-	}
 
 	// Tombstoned targets are masked here rather than at row level: the
 	// surviving targets in add order are exactly the target order a
@@ -276,11 +263,7 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 				}
 			}
 		}
-		svcp := 0.0
-		for _, j := range t.strandIdx {
-			svcp += maxRev[j]
-		}
-		qp.Targets = append(qp.Targets, PartialScore{Target: t, SVCP: svcp, MaxVCP: best})
+		qp.Targets = append(qp.Targets, PartialScore{Target: t, MaxVCP: best})
 	}
 	qp.DataGeneration = qc.Generation
 	qp.PendingWrites = qc.PendingWrites
@@ -309,9 +292,8 @@ func (db *DB) putMark(m []bool) {
 }
 
 // maxPairChunk caps the number of pairs one work-queue item covers, so
-// the per-chunk bookkeeping (two evaluators) stays noise next to the
-// verifier calls inside. Below the cap the chunk size adapts to the
-// workload — see pairChunk.
+// the per-chunk bookkeeping stays noise next to the verifier calls inside.
+// Below the cap the chunk size adapts to the workload — see pairChunk.
 const maxPairChunk = 64
 
 // minFanOut is the number of pairs to verify below which the calling
@@ -338,14 +320,14 @@ func pairChunk(n, workers int) int {
 // know every pair — the verify list and the private successor row the
 // results are published in.
 type vcpRowState struct {
-	s        *strand.Strand
-	base     *vcpRow   // the cached row at entry (nil: none, or another epoch's)
-	next     *vcpRow   // private successor of base; nil when nothing new was learnt
-	fwd, rev []float64 // n wide; aliases base or next in scan mode, read-only then
+	s    *strand.Strand
+	base *vcpRow   // the cached row at entry (nil: none, or another epoch's)
+	next *vcpRow   // private successor of base; nil when nothing new was learnt
+	vals []float64 // n wide; aliases base or next in scan mode, read-only then
 	// verify lists the columns whose pair needs the verifier; the pair
 	// queue is cut over these lists, so a chunk is all verifier work. q is
 	// prepared only when the list is non-empty. sketched says qSum is
-	// valid and the one-direction injectability test applies.
+	// valid and the injectability test applies.
 	verify   []int32
 	q        *vcp.Prepared
 	qSum     sketch.Summary
@@ -353,8 +335,8 @@ type vcpRowState struct {
 	rs       rowStats
 }
 
-// vcpRows produces VCP(q, u) and VCP(u, q) for every (query strand q,
-// unique target strand u) pair of the query's corpus view, in four steps:
+// vcpRows produces VCP(q, u) for every (query strand q, unique target
+// strand u) pair of the query's corpus view, in four steps:
 //
 //  1. fetch every query strand's cached row in one visit to the cache;
 //  2. plan: a complete row is handed out as it is — no copy, no sketch, no
@@ -370,7 +352,7 @@ type vcpRowState struct {
 // The returned rows may be cached rows shared with other queries: they are
 // read-only (DESIGN §10.7). cached[i] is the cached row rows[i] is, if it
 // is one.
-func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows, revRows [][]float64, cached []*vcpRow, err error) {
+func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows [][]float64, cached []*vcpRow, err error) {
 	n := len(qc.uniq)
 	states := make([]vcpRowState, len(qs))
 	for i, s := range qs {
@@ -398,7 +380,8 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 
 	// The deferred half of stage 2: only a strand that meets a verifier
 	// is prepared. Its γ-fingerprint memo is charged to the DB's budget
-	// and dies with the query; the target strands' stay warm for the next.
+	// and dies with the query: a target strand is only ever the matched
+	// side of a pair, so no other memo is ever charged.
 	var prepared []*vcp.Prepared
 	defer func() { db.memo.Release(prepared...) }()
 	var chunks []verifyRange
@@ -415,7 +398,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 		db.mPrefixInstrs.Add(uint64(pre))
 		db.mKernelInstrs.Add(uint64(tot))
 		if st.q.Err() != nil {
-			return nil, nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
+			return nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
 		}
 		for lo := 0; lo < len(st.verify); lo += size {
 			chunks = append(chunks, verifyRange{row: i, lo: lo, hi: min(lo+size, len(st.verify))})
@@ -431,7 +414,6 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	}
 
 	rows = make([][]float64, len(qs))
-	revRows = make([][]float64, len(qs))
 	cached = make([]*vcpRow, len(qs))
 	for i := range states {
 		st := &states[i]
@@ -439,11 +421,11 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 			// A probe-mode row records verifier results only.
 			st.next = st.base.grow(n)
 			for _, j := range st.verify {
-				st.next.fwd[j], st.next.rev[j] = st.fwd[j], st.rev[j]
+				st.next.vals[j] = st.vals[j]
 				st.next.set(int(j), kindVerified)
 			}
 		}
-		rows[i], revRows[i] = st.fwd, st.rev
+		rows[i] = st.vals
 		// Scan mode only: a probe-mode row is always the query's own.
 		if !probe && st.rs.state == rowComplete && st.next == nil {
 			cached[i] = st.base // handed out as it is
@@ -451,7 +433,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 		db.flushRowStats(st.rs, sp)
 	}
 	db.publishRows(states, qc.rowEpoch)
-	return rows, revRows, cached, nil
+	return rows, cached, nil
 }
 
 // sizeRatio resolves the configured §5.5 size window.
@@ -473,7 +455,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 	switch {
 	case row == nil:
 		st.rs.state = rowAbsent
-	case len(todo) == 0 && len(row.fwd) >= n:
+	case len(todo) == 0 && len(row.vals) >= n:
 		st.rs.state = rowComplete
 	default:
 		// Columns still owed — or none, but the row predates live adds
@@ -493,7 +475,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 		row = st.base.grow(n)
 		st.next = row
 		if stale {
-			for j := range row.fwd[:n] {
+			for j := range row.vals[:n] {
 				if qc.counts[j] == 0 && row.has(j) {
 					row.forget(j)
 				}
@@ -513,11 +495,11 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 			u := qc.uniq[j]
 			switch {
 			case u.Key() == key:
-				row.fwd[j], row.rev[j] = 1.0, 1.0 // identical strands match exactly
+				row.vals[j] = 1.0 // identical strands match exactly
 				row.set(j, kindIdentical)
 			case st.sketched && !cand[j]:
 				row.set(j, kindSkipped)
-			case !vcp.SizeCompatible(st.s, u.S, ratio): // symmetric: gates both directions
+			case !vcp.SizeCompatible(st.s, u.S, ratio):
 				row.set(j, kindPruned)
 			default:
 				// Known once the queue has drained, which is before
@@ -530,7 +512,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 			}
 		}
 	}
-	st.fwd, st.rev = row.fwd[:n:n], row.rev[:n:n]
+	st.vals = row.vals[:n:n]
 	st.rs.pairs = n
 	st.rs.lshOn = db.prefilterOn()
 	st.rs.identical = row.tally[kindIdentical]
@@ -564,8 +546,7 @@ func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
 	st.rs.soundCands = sound + deltaSound
 	st.rs.pairs = len(cands)
 
-	vals := make([]float64, 2*n)
-	st.fwd, st.rev = vals[:n:n], vals[n:]
+	st.vals = make([]float64, n)
 	key, ratio := st.s.CanonicalKey(), db.sizeRatio()
 	for _, j32 := range cands {
 		j := int(j32)
@@ -578,12 +559,12 @@ func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
 		u := qc.uniq[j]
 		switch {
 		case u.Key() == key:
-			st.fwd[j], st.rev[j] = 1.0, 1.0
+			st.vals[j] = 1.0
 			st.rs.identical++
 		case !vcp.SizeCompatible(st.s, u.S, ratio):
 			st.rs.pruned++
 		case st.base.has(j):
-			st.fwd[j], st.rev[j] = st.base.fwd[j], st.base.rev[j]
+			st.vals[j] = st.base.vals[j]
 			st.rs.hits++
 		default:
 			st.verify = append(st.verify, j32)
@@ -608,25 +589,21 @@ type verifyRange struct{ row, lo, hi int }
 // strands spawns no goroutine per strand. A single worker is the calling
 // goroutine itself.
 //
-// Each worker owns two evaluators for the whole drain, so the γ search's
-// scratch — each evaluator's kernel included — belongs to the worker and
-// is sized by the largest strand it meets, not by how many. The forward
-// one stays on the chunk's query strand: once a memo miss has bound its
-// kernel to that strand's program, the binding — and its evaluated
-// γ-invariant prefix — persists until the worker moves to another row.
-// (Evaluators are not concurrency-safe, which is why they are per worker.)
-// The reverse one is moved to each target strand in turn; its kernel is
-// re-bound only if that strand's memo misses, which on a warm corpus it
-// rarely does.
+// Each worker owns one evaluator for the whole drain, so the γ search's
+// scratch — the evaluator's kernel included — belongs to the worker and is
+// sized by the largest strand it meets, not by how many. It stays on the
+// chunk's query strand: once a memo miss has bound its kernel to that
+// strand's program, the binding — and its evaluated γ-invariant prefix —
+// persists until the worker moves to another row. (Evaluators are not
+// concurrency-safe, which is why they are per worker.)
 func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers int, qc *corpus) {
 	work := make([]rowStats, len(chunks))
 	var next atomic.Int64
 	drain := func() {
-		var fwdEval, revEval *vcp.Evaluator
+		var ev *vcp.Evaluator
 		defer func() {
-			if fwdEval != nil {
-				fwdEval.Close()
-				revEval.Close()
+			if ev != nil {
+				ev.Close()
 			}
 		}()
 		row := -1
@@ -638,13 +615,13 @@ func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers i
 			ch := chunks[c]
 			st := &states[ch.row]
 			switch {
-			case fwdEval == nil:
-				fwdEval, revEval = db.newEval(st.q, db.opts.VCP), db.newEval(st.q, db.opts.VCP)
+			case ev == nil:
+				ev = db.newEval(st.q, db.opts.VCP)
 			case ch.row != row:
-				fwdEval.Reset(st.q)
+				ev.Reset(st.q)
 			}
 			row = ch.row
-			work[c] = verifyChunk(st, qc, ch.lo, ch.hi, fwdEval, revEval)
+			work[c] = verifyChunk(st, qc, ch.lo, ch.hi, ev)
 		}
 	}
 	if workers == 1 {
@@ -665,14 +642,22 @@ func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers i
 	}
 }
 
-// verifyChunk runs the verifier, in both live directions, over the pairs
-// verify[lo:hi] of one row and returns the work it did. fwdEval is bound
-// to the row's query strand. Chunks of a row run on concurrent workers and
-// write disjoint columns of a row nobody else can see yet.
-func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, fwdEval, revEval *vcp.Evaluator) rowStats {
-	q := st.q
+// verifyChunk runs the verifier over the pairs verify[lo:hi] of one row and
+// returns the work it did. ev is bound to the row's query strand. Chunks of
+// a row run on concurrent workers and write disjoint columns of a row
+// nobody else can see yet.
+func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator) rowStats {
 	var rs rowStats
-	count := func(vst vcp.Stats) {
+	for _, j := range st.verify[lo:hi] {
+		// With the prefilter on (or a probed candidate set), a candidate
+		// pair can still be injectability-dead in the direction the row
+		// holds: its VCP is exactly 0 and the verifier call is skipped.
+		if st.sketched && !st.qSum.Injects(qc.sums[j]) {
+			rs.deadDirs++
+			st.vals[j] = 0
+			continue
+		}
+		v, vst := ev.Compute(qc.uniq[j])
 		rs.calls++
 		rs.gamma += vst.Correspondences
 		rs.kernelNanos += vst.KernelNanos
@@ -681,34 +666,7 @@ func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, fwdEval, revEval *vcp.
 		rs.gammaSlots += vst.BatchSlots
 		rs.memoHits += vst.MemoHits
 		rs.memoMisses += vst.MemoMisses
-	}
-	for _, j := range st.verify[lo:hi] {
-		u := qc.uniq[j]
-		// With the prefilter on (or a probed candidate set), a candidate
-		// pair can still be injectability-dead in ONE direction: that
-		// direction's VCP is exactly 0 and its verifier call is skipped.
-		fwdLive, revLive := true, true
-		if st.sketched {
-			uSum := qc.sums[j]
-			fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
-		}
-		var fv, rv float64
-		if fwdLive {
-			var vst vcp.Stats
-			fv, vst = fwdEval.Compute(u)
-			count(vst)
-		} else {
-			rs.deadDirs++
-		}
-		if revLive {
-			revEval.Reset(u)
-			var vst vcp.Stats
-			rv, vst = revEval.Compute(q)
-			count(vst)
-		} else {
-			rs.deadDirs++
-		}
-		st.fwd[j], st.rev[j] = fv, rv
+		st.vals[j] = v
 	}
 	return rs
 }

@@ -82,7 +82,6 @@ func compareReportsExact(t *testing.T, alias string, a, b *Report) {
 	for i := range a.Results {
 		ra, rb := a.Results[i], b.Results[i]
 		if ra.Target.Name != rb.Target.Name ||
-			math.Float64bits(ra.SVCP) != math.Float64bits(rb.SVCP) ||
 			math.Float64bits(ra.SLOG) != math.Float64bits(rb.SLOG) ||
 			math.Float64bits(ra.GES) != math.Float64bits(rb.GES) {
 			diffs = append(diffs, fmt.Sprintf(

@@ -14,18 +14,18 @@ import (
 type pairKind uint8
 
 const (
-	kindIdentical pairKind = iota // structurally identical strands: VCP 1 both ways
-	kindSkipped                   // removed by the sketch prefilter: VCP 0 both ways
-	kindPruned                    // outside the §5.5 size window: VCP 0 both ways
-	kindVerified                  // the verifier's answer (a dead direction is its exact 0)
+	kindIdentical pairKind = iota // structurally identical strands: VCP 1
+	kindSkipped                   // removed by the sketch prefilter: VCP 0
+	kindPruned                    // outside the §5.5 size window: VCP 0
+	kindVerified                  // the verifier's answer (a dead pair is its exact 0)
 	numKinds
 )
 
 // vcpRow is one query strand's cached VCP row, dense over unique-strand
-// numbers [0, len(fwd)): fwd[j] = VCP(q, u_j), rev[j] = VCP(u_j, q), both
-// final where known holds bit j and zero elsewhere. A pair's VCP is a pure
-// function of the two strands (DESIGN §10.7), so a known column never goes
-// stale; what can change is the numbering, which rowEpoch tracks.
+// numbers [0, len(vals)): vals[j] = VCP(q, u_j), final where known holds
+// bit j and zero elsewhere. A pair's VCP is a pure function of the two
+// strands (DESIGN §10.7), so a known column never goes stale; what can
+// change is the numbering, which rowEpoch tracks.
 //
 // A row is immutable once published: queries hand its slices straight to
 // QueryPartial.Rows, so every change — new columns after a live add,
@@ -36,8 +36,8 @@ const (
 // is kindVerified): the retrieved candidates decide which columns a query
 // reads, and the cheap filters are re-run over them.
 type vcpRow struct {
-	fwd, rev []float64
-	// known, kindLo and kindHi are bitsets over the columns: 16 bytes and
+	vals []float64
+	// known, kindLo and kindHi are bitsets over the columns: 8 bytes and
 	// three bits per entry is the whole footprint of a row.
 	known, kindLo, kindHi []uint64
 	// tally[k] counts the known columns of kind k, so a complete row
@@ -65,18 +65,17 @@ func (r *vcpRow) h0At(ver uint64) (stats.StrandEvidence, bool) {
 }
 
 func newVCPRow(n int) *vcpRow {
-	vals := make([]float64, 2*n)
 	words := (n + 63) / 64
 	sets := make([]uint64, 3*words)
 	return &vcpRow{
-		fwd: vals[:n:n], rev: vals[n:],
+		vals:  make([]float64, n),
 		known: sets[:words:words], kindLo: sets[words : 2*words : 2*words], kindHi: sets[2*words:],
 	}
 }
 
 // has reports whether column j is known; a nil row knows nothing.
 func (r *vcpRow) has(j int) bool {
-	return r != nil && j < len(r.fwd) && r.known[j>>6]&(1<<(j&63)) != 0
+	return r != nil && j < len(r.vals) && r.known[j>>6]&(1<<(j&63)) != 0
 }
 
 func (r *vcpRow) kind(j int) pairKind {
@@ -106,17 +105,17 @@ func (r *vcpRow) forget(j int) {
 	r.known[w] &^= b
 	r.kindLo[w] &^= b
 	r.kindHi[w] &^= b
-	r.fwd[j], r.rev[j] = 0, 0
+	r.vals[j] = 0
 }
 
-// showsDead reports whether r holds a nonzero forward value in a column
-// whose strand is dead under counts (every owning target tombstoned). Such
-// a row cannot be handed out as it is: see planScan.
+// showsDead reports whether r holds a nonzero value in a column whose
+// strand is dead under counts (every owning target tombstoned). Such a row
+// cannot be handed out as it is: see planScan.
 func (r *vcpRow) showsDead(counts []int) bool {
 	if r == nil {
 		return false
 	}
-	for j, v := range r.fwd[:min(len(r.fwd), len(counts))] {
+	for j, v := range r.vals[:min(len(r.vals), len(counts))] {
 		if v != 0 && counts[j] == 0 {
 			return true
 		}
@@ -160,9 +159,8 @@ func (r *vcpRow) grow(n int) *vcpRow {
 	if r == nil {
 		return newVCPRow(n)
 	}
-	next := newVCPRow(max(n, len(r.fwd)))
-	copy(next.fwd, r.fwd)
-	copy(next.rev, r.rev)
+	next := newVCPRow(max(n, len(r.vals)))
+	copy(next.vals, r.vals)
 	copy(next.known, r.known)
 	copy(next.kindLo, r.kindLo)
 	copy(next.kindHi, r.kindHi)
@@ -174,9 +172,9 @@ func (r *vcpRow) grow(n int) *vcpRow {
 // number → new, -1 for a dropped strand) into a row n wide.
 func (r *vcpRow) remap(newIdx []int, n int) *vcpRow {
 	out := newVCPRow(n)
-	for j := range r.fwd {
+	for j := range r.vals {
 		if k := newIdx[j]; k >= 0 && r.has(j) {
-			out.fwd[k], out.rev[k] = r.fwd[j], r.rev[j]
+			out.vals[k] = r.vals[j]
 			out.set(k, r.kind(j))
 		}
 	}
@@ -219,10 +217,10 @@ func (db *DB) publishRows(states []vcpRowState, epoch uint64) {
 		key := states[i].s.CanonicalKey()
 		cur, _ := db.rows.Get(key)
 		if cur != nil && cur != states[i].base && (cur.resolved() > next.resolved() ||
-			cur.resolved() == next.resolved() && len(cur.fwd) >= len(next.fwd)) {
+			cur.resolved() == next.resolved() && len(cur.vals) >= len(next.vals)) {
 			continue
 		}
-		db.rows.Put(key, next, int64(len(next.fwd)))
+		db.rows.Put(key, next, int64(len(next.vals)))
 	}
 }
 
@@ -255,7 +253,7 @@ func (db *DB) installRemapped(rows map[string]*vcpRow, next *corpus) {
 	// cache must stay gone, and the survivors keep their age.
 	db.rows.Each(func(k string, _ *vcpRow) {
 		if r := rows[k]; r != nil {
-			db.rows.Put(k, r, int64(len(r.fwd)))
+			db.rows.Put(k, r, int64(len(r.vals)))
 		} else {
 			db.rows.Drop(k)
 		}

@@ -70,9 +70,9 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			q := parse(t, threeChains)
 			cold, coldAttrs := vcpSpanAttrs(t, db, q)
 			nq := len(dedupStrands(t, db, q))
-			// One worker — the caller — and its two evaluators, however
+			// One worker — the caller — and its one evaluator, however
 			// many rows and chunks the queue held.
-			if evals != 2 || coldAttrs["workers"] != 1 || db.Stats().QueryPrepares == 0 {
+			if evals != 1 || coldAttrs["workers"] != 1 || db.Stats().QueryPrepares == 0 {
 				t.Fatalf("the cold query did no cold work: %d evaluators, attrs %v", evals, coldAttrs)
 			}
 
@@ -104,7 +104,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			_, sp := telemetry.StartSpan(context.Background(), "vcp")
 			if allocs := testing.AllocsPerRun(50, func() {
 				qc := db.corpus.Load()
-				if _, _, _, err := db.vcpRows(kept, sp, qc); err != nil {
+				if _, _, err := db.vcpRows(kept, sp, qc); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs > 6 {
@@ -158,20 +158,20 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			}
 			old, _ := db.rows.Get(key)
 			j := -1
-			for c := range old.fwd {
+			for c := range old.vals {
 				if old.has(c) && old.kind(c) == kindVerified {
 					j = c
 					break
 				}
 			}
-			holed := newVCPRow(len(old.fwd))
-			for c := range old.fwd {
+			holed := newVCPRow(len(old.vals))
+			for c := range old.vals {
 				if c != j && old.has(c) {
-					holed.fwd[c], holed.rev[c] = old.fwd[c], old.rev[c]
+					holed.vals[c] = old.vals[c]
 					holed.set(c, old.kind(c))
 				}
 			}
-			db.rows.Put(key, holed, int64(len(holed.fwd)))
+			db.rows.Put(key, holed, int64(len(holed.vals)))
 			db.mu.Unlock()
 
 			evals = 0
@@ -182,7 +182,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			if got := after.QueryPrepares - before.QueryPrepares; got != 1 {
 				t.Errorf("one unknown pair prepared %d strands, want 1", got)
 			}
-			if attrs["cache_misses"] != 1 || attrs["rows_complete"] != float64(nq-1) || attrs["workers"] != 1 || evals != 2 {
+			if attrs["cache_misses"] != 1 || attrs["rows_complete"] != float64(nq-1) || attrs["workers"] != 1 || evals != 1 {
 				t.Errorf("one unknown pair: attrs %v, %d evaluators", attrs, evals)
 			}
 
@@ -192,14 +192,14 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			db.mu.Lock()
 			forgotten := 0
 			db.rows.Each(func(k string, r *vcpRow) {
-				holed := r.grow(len(r.fwd))
-				for c := range r.fwd {
+				holed := r.grow(len(r.vals))
+				for c := range r.vals {
 					if r.has(c) && r.kind(c) == kindVerified {
 						holed.forget(c)
 						forgotten++
 					}
 				}
-				db.rows.Put(k, holed, int64(len(holed.fwd)))
+				db.rows.Put(k, holed, int64(len(holed.vals)))
 			})
 			db.mu.Unlock()
 			if forgotten < 2 || forgotten >= minFanOut {
@@ -209,7 +209,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			evals = 0
 			again, attrs = vcpSpanAttrs(t, db, q)
 			diffReports(t, "every verified pair forgotten", again, cold)
-			if attrs["cache_misses"] != float64(forgotten) || attrs["workers"] != 1 || evals != 2 {
+			if attrs["cache_misses"] != float64(forgotten) || attrs["workers"] != 1 || evals != 1 {
 				t.Errorf("%d unknown pairs with 4 workers allowed: attrs %v, %d evaluators", forgotten, attrs, evals)
 			}
 		})

@@ -31,17 +31,17 @@ func (db *DB) initMetrics() {
 	db.mPrepares = reg.Counter("esh_query_strands_prepared_total", "Query strands that reached vcp.Prepare (only those with at least one pair left to verify).")
 	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
-	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations (two per cache miss: forward and reverse).")
+	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one per verified strand pair, in the forward direction (none for a pair whose forward direction cannot inject).")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
 	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
-	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
+	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Verifier calls avoided on pairs that pass the prefilter but whose forward direction is provably zero (the query strand's typed inputs cannot inject into the target strand's).")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
 	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored.")
 	reg.CounterFunc("esh_vcp_memo_evictions_total", "Strands whose γ-fingerprint memo was dropped to keep esh_vcp_memo_bytes within budget.", func() float64 {
 		return float64(db.memo.Stats().Evictions)
 	})
-	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by γ-fingerprint memos (indexed strands plus in-flight queries); never above esh_vcp_memo_budget_bytes.", func() float64 {
+	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by the γ-fingerprint memos of in-flight queries' strands; never above esh_vcp_memo_budget_bytes.", func() float64 {
 		return float64(db.memo.Stats().Held)
 	})
 	reg.GaugeFunc("esh_engine_memo_entries", "Slot assignments the γ-fingerprint memos remember; esh_vcp_memo_bytes over this is the cost of one.", func() float64 {
@@ -149,9 +149,10 @@ type DBStats struct {
 	// distinct query strand.
 	VCPCache fifo.Stats
 	// Lifetime cache traffic: hits reused a cached pair result, misses
-	// computed one (two verifier calls each). VCPRowsComplete counts
-	// query strands whose cached row answered every pair, QueryPrepares
-	// those that reached vcp.Prepare because some pair needed a verifier.
+	// computed one (one verifier call each, none for a dead pair).
+	// VCPRowsComplete counts query strands whose cached row answered every
+	// pair, QueryPrepares those that reached vcp.Prepare because some pair
+	// needed a verifier.
 	VCPCacheHits    uint64
 	VCPCacheMisses  uint64
 	VCPRowsComplete uint64
@@ -166,8 +167,8 @@ type DBStats struct {
 	// LSHBands/LSHRows the sketch geometry; LSHMinContainment the
 	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
 	// the pairs the prefilter removed before any verifier work;
-	// LSHDeadDirections the single verifier directions skipped on
-	// surviving pairs because the typed inputs cannot inject.
+	// LSHDeadDirections the verifier calls skipped on surviving pairs
+	// whose forward direction cannot inject.
 	Prefilter         string
 	LSHBands          int
 	LSHRows           int
@@ -315,8 +316,8 @@ type rowStats struct {
 	identical   int   // short-circuited as structurally identical
 	hits        int   // cache hits (pair results reused)
 	misses      int   // cache misses (pair results computed)
-	calls       int   // vcp.Compute invocations (up to two per miss)
-	deadDirs    int   // per-direction calls avoided as provably zero
+	calls       int   // vcp.Compute invocations (one per live miss)
+	deadDirs    int   // calls avoided as provably zero
 	gamma       int   // input correspondences evaluated inside them
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/asm"
-	"repro/internal/vcp"
 )
 
 // This file is the live write path: durable, crash-safe corpus mutation
@@ -214,21 +213,13 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 		// Everything indexed by strand number is rebuilt over the new
 		// numbers, still on the side: the LSH index, the key map, and the
 		// cached VCP rows (last, so the window in which a freshly published
-		// row misses the carry-over is the row copy alone). Strands the
-		// remap drops take their γ-fingerprint memos with them.
+		// row misses the carry-over is the row copy alone).
 		next.sketchIdx = db.newIndex(next.sums)
 		db.byKey = make(map[string]int, len(next.uniq))
 		for k, p := range next.uniq {
 			db.byKey[p.Key()] = k
 		}
-		var dropped []*vcp.Prepared
-		for j, p := range c.uniq {
-			if newIdx[j] < 0 {
-				dropped = append(dropped, p)
-			}
-		}
 		db.installRemapped(db.remappedRows(newIdx, len(next.uniq)), next)
-		db.memo.Release(dropped...)
 	}
 
 	db.mCompactions.Inc()

@@ -153,7 +153,7 @@ func diffReports(t *testing.T, label string, got, want *Report) {
 		for _, sc := range []struct {
 			field string
 			g, w  float64
-		}{{"GES", g.GES, w.GES}, {"SVCP", g.SVCP, w.SVCP}, {"SLOG", g.SLOG, w.SLOG}} {
+		}{{"GES", g.GES, w.GES}, {"SLOG", g.SLOG, w.SLOG}} {
 			if math.Float64bits(sc.g) != math.Float64bits(sc.w) {
 				t.Fatalf("%s: rank %d (%s) %s = %x, fresh rebuild %x",
 					label, i, g.Target.Name, sc.field, math.Float64bits(sc.g), math.Float64bits(sc.w))

@@ -128,26 +128,29 @@ type MethodEval struct {
 	CROC float64
 }
 
-// Evaluate converts a ranked report into Table-1 metrics for one method,
-// with isPositive supplying ground truth.
+// Evaluate converts a report into Table-1 metrics for one of the engine's
+// methods (Esh or S-LOG), with isPositive supplying ground truth.
 func Evaluate(rep *core.Report, m stats.Method, isPositive func(*core.Target) bool) MethodEval {
-	var samples []rocauc.Sample
-	for _, ts := range rep.Results {
-		samples = append(samples, rocauc.Sample{
-			Score:    ts.Score(m),
-			Positive: isPositive(ts.Target),
-		})
+	scores := make([]float64, len(rep.Results))
+	for i, ts := range rep.Results {
+		scores[i] = ts.Score(m)
+	}
+	return evaluate(rep, scores, isPositive)
+}
+
+// evaluate is Evaluate over scores[i], the score of rep.Results[i] under
+// the method evaluated. The measures rank stably over the results' GES
+// order, so score ties break as Report.Rank breaks them.
+func evaluate(rep *core.Report, scores []float64, isPositive func(*core.Target) bool) MethodEval {
+	samples := make([]rocauc.Sample, len(rep.Results))
+	for i, ts := range rep.Results {
+		samples[i] = rocauc.Sample{Score: scores[i], Positive: isPositive(ts.Target)}
 	}
 	return MethodEval{
 		FP:   rocauc.FalsePositives(samples),
 		ROC:  rocauc.ROC(samples),
 		CROC: rocauc.CROC(samples, rocauc.DefaultAlpha),
 	}
-}
-
-// Methods lists the sub-method decomposition in Table 1 column order.
-func Methods() []stats.Method {
-	return []stats.Method{stats.SVCP, stats.SLOG, stats.Esh}
 }
 
 // fmtEval renders a MethodEval the way Table 1 prints it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/stats"
@@ -42,12 +43,19 @@ func Table1(cfg Config) (*Table1Result, error) {
 	}
 	res := &Table1Result{DBSize: db.NumTargets(), UniqueStrands: db.NumUniqueStrands()}
 
-	for _, v := range corpus.Vulns() {
-		q, err := corpus.CompileVuln(v, cfg.QueryToolchain(), false)
-		if err != nil {
+	vulns := corpus.Vulns()
+	queries := make([]*asm.Proc, len(vulns))
+	for k, v := range vulns {
+		if queries[k], err = corpus.CompileVuln(v, cfg.QueryToolchain(), false); err != nil {
 			return nil, err
 		}
-		rep, err := db.Query(q)
+	}
+	svcp, err := cfg.svcpScores(db, targets, queries)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range vulns {
+		rep, err := db.Query(queries[k])
 		if err != nil {
 			return nil, err
 		}
@@ -58,9 +66,13 @@ func Table1(cfg Config) (*Table1Result, error) {
 			PerMethod:  map[stats.Method]MethodEval{},
 		}
 		isPos := func(t *core.Target) bool { return t.Source.SourceSym == v.FuncName }
-		for _, m := range Methods() {
-			row.PerMethod[m] = Evaluate(rep, m, isPos)
+		scores := make([]float64, len(rep.Results))
+		for i, ts := range rep.Results {
+			scores[i] = svcp[k][ts.Target]
 		}
+		row.PerMethod[stats.SVCP] = evaluate(rep, scores, isPos)
+		row.PerMethod[stats.SLOG] = Evaluate(rep, stats.SLOG, isPos)
+		row.PerMethod[stats.Esh] = Evaluate(rep, stats.Esh, isPos)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

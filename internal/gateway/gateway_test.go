@@ -193,7 +193,7 @@ func requireSameResults(t *testing.T, want, got *QueryResponse, label string) {
 		a, b := want.Results[i], got.Results[i]
 		if !reflect.DeepEqual(a, b) ||
 			!sameBits(a.Score, b.Score) || !sameBits(a.GES, b.GES) ||
-			!sameBits(a.SLOG, b.SLOG) || !sameBits(a.SVCP, b.SVCP) {
+			!sameBits(a.SLOG, b.SLOG) {
 			t.Fatalf("%s: rank %d differs:\nwant %+v\ngot  %+v", label, i, a, b)
 		}
 	}
@@ -201,7 +201,7 @@ func requireSameResults(t *testing.T, want, got *QueryResponse, label string) {
 
 // TestGatewayDifferential is the over-HTTP exact-merge guard: for N in
 // {1,2,4}, the gateway's ranked rows must be identical — names and raw
-// GES/SLOG/SVCP/sigmoid scores to the bit — to a single eshd serving
+// GES/SLOG/sigmoid scores to the bit — to a single eshd serving
 // the union corpus, and the response must not be flagged partial.
 func TestGatewayDifferential(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {

@@ -129,9 +129,9 @@ func TestRoundTrip(t *testing.T) {
 			if a.Target.Name != b.Target.Name {
 				t.Fatalf("rank %d: %s vs %s", i, a.Target.Name, b.Target.Name)
 			}
-			if a.GES != b.GES || a.SLOG != b.SLOG || a.SVCP != b.SVCP {
-				t.Fatalf("rank %d (%s): scores (%v,%v,%v) vs (%v,%v,%v)",
-					i, a.Target.Name, a.GES, a.SLOG, a.SVCP, b.GES, b.SLOG, b.SVCP)
+			if a.GES != b.GES || a.SLOG != b.SLOG {
+				t.Fatalf("rank %d (%s): scores (%v,%v) vs (%v,%v)",
+					i, a.Target.Name, a.GES, a.SLOG, b.GES, b.SLOG)
 			}
 		}
 	}
@@ -559,9 +559,9 @@ func compareReports(t *testing.T, label string, r1, r2 *core.Report) {
 	}
 	for i := range r1.Results {
 		a, b := r1.Results[i], r2.Results[i]
-		if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG || a.SVCP != b.SVCP {
-			t.Fatalf("%s, query %s, rank %d: (%s %v %v %v) vs (%s %v %v %v)", label, r1.QueryName,
-				i, a.Target.Name, a.GES, a.SLOG, a.SVCP, b.Target.Name, b.GES, b.SLOG, b.SVCP)
+		if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG {
+			t.Fatalf("%s, query %s, rank %d: (%s %v %v) vs (%s %v %v)", label, r1.QueryName,
+				i, a.Target.Name, a.GES, a.SLOG, b.Target.Name, b.GES, b.SLOG)
 		}
 	}
 }

@@ -270,7 +270,7 @@ type QueryRequest struct {
 	// Asm holds one or more procedures in assembler-text form; the
 	// first is the query.
 	Asm string `json:"asm"`
-	// Method is the ranking method: "esh" (default), "slog", "svcp".
+	// Method is the ranking method: "esh" (default) or "slog".
 	Method string `json:"method,omitempty"`
 	// Top bounds the number of ranked results (default 20).
 	Top int `json:"top,omitempty"`
@@ -286,7 +286,6 @@ type QueryResult struct {
 	Score     float64 `json:"score"`
 	GES       float64 `json:"ges"`
 	SLOG      float64 `json:"slog"`
-	SVCP      float64 `json:"svcp"`
 }
 
 // QueryResponse is the POST /v1/query reply.
@@ -310,10 +309,8 @@ func methodByName(name string) (stats.Method, error) {
 		return stats.Esh, nil
 	case "slog":
 		return stats.SLOG, nil
-	case "svcp":
-		return stats.SVCP, nil
 	}
-	return stats.Esh, fmt.Errorf("unknown method %q (esh, slog, svcp)", name)
+	return stats.Esh, fmt.Errorf("unknown method %q (esh, slog)", name)
 }
 
 // runQuery is everything /v1/query and /v1/query/partial do between a
@@ -436,7 +433,6 @@ func BuildQueryResponse(rep *core.Report, m stats.Method, top int) *QueryRespons
 			Score:     ts.Score(m),
 			GES:       ts.GES,
 			SLOG:      ts.SLOG,
-			SVCP:      ts.SVCP,
 		})
 	}
 	return resp

@@ -144,9 +144,9 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 	for i, r := range got.Results {
 		w := ranked[i]
-		if r.Target != w.Target.Name || r.GES != w.GES || r.SLOG != w.SLOG || r.SVCP != w.SVCP {
-			t.Fatalf("rank %d: got (%s %v %v %v), want (%s %v %v %v)",
-				i, r.Target, r.GES, r.SLOG, r.SVCP, w.Target.Name, w.GES, w.SLOG, w.SVCP)
+		if r.Target != w.Target.Name || r.GES != w.GES || r.SLOG != w.SLOG {
+			t.Fatalf("rank %d: got (%s %v %v), want (%s %v %v)",
+				i, r.Target, r.GES, r.SLOG, w.Target.Name, w.GES, w.SLOG)
 		}
 	}
 	if got.Results[0].Target != "checksum_icc" {
@@ -493,8 +493,10 @@ func TestStatsAfterQueries(t *testing.T) {
 	if st.Engine.VerifierCalls == 0 {
 		t.Error("verifier calls not reported")
 	}
+	// Only queries in flight hold memos: with all three answered, the
+	// traffic counters have moved and nothing is left charged.
 	if m := st.Engine.Memo; m.Hits+m.Misses == 0 || m.Misses != st.Engine.GammaBatchRows ||
-		m.Bytes <= 0 || m.Bytes > m.BudgetBytes || m.Entries <= 0 || uint64(m.Entries) > m.Misses {
+		m.Bytes != 0 || m.Entries != 0 || m.BudgetBytes != 128<<20 {
 		t.Errorf("memo block %+v (gamma_batch_rows %d)", m, st.Engine.GammaBatchRows)
 	}
 }

@@ -313,7 +313,11 @@ func TestFrontDoorEdgeCases(t *testing.T) {
 		{"malformed JSON", []byte(`{asm}`), http.StatusBadRequest,
 			"decode request: invalid character 'a' looking for beginning of object key string", "bad_input"},
 		{"unknown method", server.QueryRequest{Asm: queryProc, Method: "bogus"}, http.StatusBadRequest,
-			`unknown method "bogus" (esh, slog, svcp)`, "bad_input"},
+			`unknown method "bogus" (esh, slog)`, "bad_input"},
+		// S-VCP reads the reverse VCP direction, which the engine does not
+		// compute: it is an experiments-side baseline, not a served method.
+		{"method svcp", server.QueryRequest{Asm: queryProc, Method: "svcp"}, http.StatusBadRequest,
+			`unknown method "svcp" (esh, slog)`, "bad_input"},
 		{"empty asm", server.QueryRequest{}, http.StatusBadRequest, "no procedure in request", "bad_input"},
 		{"in-flight limit reached", valid, http.StatusTooManyRequests, "too many in-flight queries (limit 1)", "rejected"},
 	}

@@ -13,7 +13,7 @@ import (
 // gateway and its shards must agree on it exactly; there is no
 // negotiation (the endpoint is internal to a fleet, which is deployed
 // as one build).
-const WireVersion = 1
+const WireVersion = 2
 
 // frameMagic opens every frame. Its first byte is not '{', so a JSON
 // body from a pre-frame shard is told apart without parsing it.
@@ -35,7 +35,6 @@ const frameMagic = "eshp"
 //	nq float64 weights
 //	nq×ns float64 rows, row-major
 //	nt × (string name | provenance | uint32 blocks | uint32 strands)
-//	nt float64 S-VCP
 //	nt×nq float64 max-VCP, target-major
 //	uint32 trace length | the span tree as JSON (length 0: untraced)
 type Frame struct {
@@ -67,8 +66,8 @@ func (e *WireVersionError) Error() string {
 const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 4
 
 // minTargetLen is the fewest bytes one target occupies: an empty name,
-// an empty provenance, two counts and its S-VCP.
-const minTargetLen = 4 + (4*4 + 1) + 4 + 4 + 8
+// an empty provenance and two counts.
+const minTargetLen = 4 + (4*4 + 1) + 4 + 4
 
 // AppendTo appends the frame to dst. It refuses a partial whose slabs
 // are not dense (ragged rows, a max-VCP vector not as long as the
@@ -117,7 +116,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	le := binary.LittleEndian
 	// Exact for the header and the slabs; 64 bytes per identity is a
 	// guess that append corrects.
-	dst = slices.Grow(dst, frameFixedLen+8*(nq+nq*ns+nt+nt*nq)+len(f.Trace)+64*(nt+1))
+	dst = slices.Grow(dst, frameFixedLen+8*(nq+nq*ns+nt*nq)+len(f.Trace)+64*(nt+1))
 	dst = append(dst, frameMagic...)
 	dst = le.AppendUint32(dst, WireVersion)
 	dst = le.AppendUint32(dst, uint32(p.ShardID))
@@ -144,9 +143,6 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		dst = appendProvenance(dst, tp.Source)
 		dst = le.AppendUint32(dst, uint32(tp.NumBlocks))
 		dst = le.AppendUint32(dst, uint32(tp.NumStrands))
-	}
-	for k := range p.Targets {
-		dst = le.AppendUint64(dst, math.Float64bits(p.Targets[k].SVCP))
 	}
 	for k := range p.Targets {
 		dst = appendFloats(dst, p.Targets[k].MaxVCP)
@@ -240,9 +236,6 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		tp.Source = r.provenance()
 		tp.NumBlocks = int(r.u32())
 		tp.NumStrands = int(r.u32())
-	}
-	for k := range p.Targets {
-		p.Targets[k].SVCP = math.Float64frombits(r.u64())
 	}
 	maxVCP := r.floats(int(nt * nq))
 	if r.err == nil {

@@ -85,7 +85,7 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 	}
 	for k := range w.Targets {
 		a, b := w.Targets[k], g.Targets[k]
-		if a.Name != b.Name || a.Source != b.Source || a.NumBlocks != b.NumBlocks || a.NumStrands != b.NumStrands || !sameBits(a.SVCP, b.SVCP) {
+		if a.Name != b.Name || a.Source != b.Source || a.NumBlocks != b.NumBlocks || a.NumStrands != b.NumStrands {
 			t.Fatalf("target %d: got %+v, want %+v", k, b, a)
 		}
 		sameFloats("max-VCP", a.MaxVCP, b.MaxVCP)
@@ -143,10 +143,10 @@ func TestFrameFloatBits(t *testing.T) {
 	for i := 0; i < n; i++ { // each row a rotation, so every column sees every value
 		p.Rows = append(p.Rows, append(append([]float64{}, specials[i:]...), specials[:i]...))
 	}
-	for k, v := range specials {
+	for k := range specials {
 		p.Targets = append(p.Targets, TargetPartial{
 			Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"},
-			NumBlocks: k, NumStrands: 2 * k, SVCP: v, MaxVCP: p.Rows[k],
+			NumBlocks: k, NumStrands: 2 * k, MaxVCP: p.Rows[k],
 		})
 	}
 	want := &Frame{RequestID: "rid", Partial: p}
@@ -187,11 +187,19 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 
 // TestFrameWireVersion pins how a reply of the wrong vintage is told
 // apart: a JSON body and a frame of another version both yield a
-// WireVersionError that names the version this build reads.
+// WireVersionError that names the version this build reads. Version 1
+// frames carried a per-target S-VCP lane; a shard of that build must be
+// refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
+	if WireVersion != 2 {
+		t.Fatalf("WireVersion = %d, want 2", WireVersion)
+	}
 	frame := corpusFrames(t)[0]
-	future := append([]byte{}, frame...)
-	binary.LittleEndian.PutUint32(future[4:], WireVersion+6)
+	version := func(v uint32) []byte {
+		b := append([]byte{}, frame...)
+		binary.LittleEndian.PutUint32(b[4:], v)
+		return b
+	}
 	for name, tc := range map[string]struct {
 		body     []byte
 		notFrame bool
@@ -199,7 +207,8 @@ func TestFrameWireVersion(t *testing.T) {
 	}{
 		"json body":      {[]byte(`{"partial": {"shard_id": 0}}`), true, 0},
 		"empty body":     {nil, true, 0},
-		"future version": {future, false, WireVersion + 6},
+		"version 1":      {version(1), false, 1},
+		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body)
 		var wv *WireVersionError
@@ -209,7 +218,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 1") && !strings.Contains(err.Error(), "want 1") {
+		if !strings.Contains(err.Error(), "want wire version 2") && !strings.Contains(err.Error(), "want 2") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}

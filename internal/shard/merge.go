@@ -44,7 +44,6 @@ type TargetPartial struct {
 	Source     asm.Provenance `json:"source"`
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"`
-	SVCP       float64        `json:"svcp"`
 	MaxVCP     []float64      `json:"max_vcp"`
 }
 
@@ -71,7 +70,6 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 			Source:     ps.Target.Source,
 			NumBlocks:  ps.Target.NumBlocks,
 			NumStrands: ps.Target.NumStrands,
-			SVCP:       ps.SVCP,
 			MaxVCP:     ps.MaxVCP,
 		}
 	}
@@ -82,7 +80,7 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 // every shard present the output is bit-identical to core.Query on the
 // union corpus: the global VCP rows are rebuilt in global strand order
 // (each entry computed on some shard, per-pair deterministic), the
-// per-target reductions pass through untouched, the targets are laid
+// per-target reduction passes through untouched, the targets are laid
 // out in global (corpus build) order, and core.QueryPartial.Finalize
 // then runs the same H0/GES float sequence and the same stable sort a
 // single node runs.
@@ -191,7 +189,6 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 				NumBlocks:  tp.NumBlocks,
 				NumStrands: tp.NumStrands,
 			},
-			SVCP:   tp.SVCP,
 			MaxVCP: tp.MaxVCP,
 		})
 	}

@@ -163,12 +163,11 @@ func requireIdentical(t *testing.T, want, got *core.Report, label string) {
 		if a.Target.Name != b.Target.Name || !reflect.DeepEqual(a.Target.Source, b.Target.Source) {
 			t.Fatalf("%s: rank %d is %s, want %s", label, i, b.Target.Name, a.Target.Name)
 		}
-		if !sameBits(a.GES, b.GES) || !sameBits(a.SLOG, b.SLOG) || !sameBits(a.SVCP, b.SVCP) {
-			t.Fatalf("%s: rank %d (%s): scores GES=%x/%x SLOG=%x/%x SVCP=%x/%x differ",
+		if !sameBits(a.GES, b.GES) || !sameBits(a.SLOG, b.SLOG) {
+			t.Fatalf("%s: rank %d (%s): scores GES=%x/%x SLOG=%x/%x differ",
 				label, i, a.Target.Name,
 				math.Float64bits(b.GES), math.Float64bits(a.GES),
-				math.Float64bits(b.SLOG), math.Float64bits(a.SLOG),
-				math.Float64bits(b.SVCP), math.Float64bits(a.SVCP))
+				math.Float64bits(b.SLOG), math.Float64bits(a.SLOG))
 		}
 	}
 }

@@ -14,9 +14,9 @@
 // whenever a's typed input counts cannot inject into b's. A pair that
 // is dead in both directions contributes exactly zero to every score
 // and is skipped outright — rankings stay byte-identical to the
-// exhaustive loop by construction. (The engine additionally uses the
-// same test per direction to avoid the dead half of a live pair's two
-// verifier calls.)
+// exhaustive loop by construction. (The engine additionally runs the
+// forward test on each candidate, and skips the verifier call of a pair
+// whose forward direction is dead.)
 //
 // Heuristic tier (off by default, Config.MinContainment > 0): a live
 // pair is additionally required to share a band bucket (the classic

@@ -33,7 +33,9 @@ type Method uint8
 // Sub-methods, in increasing order of machinery.
 const (
 	// SVCP sums, per query strand, the best VCP over the target's
-	// strands — no statistical significance weighting at all.
+	// strands — no statistical significance weighting at all. Table 1
+	// uses the paper's form, summed over the target's strands in the
+	// reverse VCP direction, which package experiments computes.
 	SVCP Method = iota
 	// SLOG applies the likelihood-ratio framework with Pr(sq|st) taken
 	// to be the raw VCP (no sigmoid).

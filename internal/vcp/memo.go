@@ -230,8 +230,8 @@ func (mp *MemoPool) Attach(p *Prepared) {
 	}
 }
 
-// Release drops the memos of ps and returns their bytes to the budget:
-// the end of a query, or strands leaving the corpus.
+// Release drops the memos of ps and returns their bytes to the budget: the
+// end of the query that evaluated them.
 func (mp *MemoPool) Release(ps ...*Prepared) {
 	mp.mu.Lock()
 	defer mp.mu.Unlock()
