@@ -336,56 +336,50 @@ func BenchmarkFingerprints(b *testing.B) {
 // BenchmarkQuery measures one full query against a small database (the
 // end-to-end figure the paper reports as ~3 minutes per pair on their
 // 8-core machine; see EXPERIMENTS.md for our full-scale timing). The
-// prefilter=off/lsh sub-benchmarks share everything but the sketch
-// prefilter; the reported verifier-calls/op metric is the work the
-// sound injectability core saves (cumulative calls over all iterations
-// divided by N — the VCP memo cache makes iterations after the first
-// nearly call-free, so compare modes at equal -benchtime). memo-hits/op
-// and kernel-rows/op split the first iteration's correspondences by
-// where their fingerprints came from: a strand's γ-fingerprint memo, or
-// a kernel evaluation that then fills it. prepares/op and
-// rows-complete/op say how the iterations split between the two paths:
-// only the first prepares query strands (the ones with pairs to verify),
-// every later one finds all its rows complete in the row cache — so at N
-// iterations prepares/op falls as 1/N and rows-complete/op tends to the
-// query's unique strand count.
+// verifier-calls/op metric is cumulative calls over all iterations
+// divided by N — the VCP row cache makes iterations after the first
+// call-free, so compare runs at equal -benchtime. memo-hits/op and
+// kernel-rows/op split the first iteration's correspondences by where
+// their fingerprints came from: a strand's γ-fingerprint memo, or a
+// kernel evaluation that then fills it. prepares/op and rows-complete/op
+// say how the iterations split between the two paths: only the first
+// prepares query strands (the ones with pairs to verify), every later one
+// finds all its rows complete in the row cache — so at N iterations
+// prepares/op falls as 1/N and rows-complete/op tends to the query's
+// unique strand count.
 func BenchmarkQuery(b *testing.B) {
 	prog := minic.MustParse(microSrc)
 	q := microProc(b, "clang-3.5")
-	for _, mode := range []string{core.PrefilterOff, core.PrefilterLSH} {
-		b.Run("prefilter="+mode, func(b *testing.B) {
-			db := core.NewDB(core.Options{Prefilter: mode})
-			for _, tc := range compile.Toolchains() {
-				p, err := compile.Compile(prog, "bench_fn", tc, compile.O2())
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Name = "bench_fn@" + tc.Name()
-				if err := db.AddTarget(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := db.Stats()
-			b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
-			b.ReportMetric(float64(st.MemoHits)/float64(b.N), "memo-hits/op")
-			b.ReportMetric(float64(st.GammaBatchRows)/float64(b.N), "kernel-rows/op")
-			b.ReportMetric(float64(st.QueryPrepares)/float64(b.N), "prepares/op")
-			b.ReportMetric(float64(st.VCPRowsComplete)/float64(b.N), "rows-complete/op")
-		})
+	db := core.NewDB(core.Options{})
+	for _, tc := range compile.Toolchains() {
+		p, err := compile.Compile(prog, "bench_fn", tc, compile.O2())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Name = "bench_fn@" + tc.Name()
+		if err := db.AddTarget(p); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := db.Stats()
+	b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
+	b.ReportMetric(float64(st.MemoHits)/float64(b.N), "memo-hits/op")
+	b.ReportMetric(float64(st.GammaBatchRows)/float64(b.N), "kernel-rows/op")
+	b.ReportMetric(float64(st.QueryPrepares)/float64(b.N), "prepares/op")
+	b.ReportMetric(float64(st.VCPRowsComplete)/float64(b.N), "rows-complete/op")
 }
 
 // BenchmarkQueryScale measures how query cost scales with corpus size
 // under both retrieval modes. The corpus grows 1x/4x/8x in procedure
 // count via synthetic decoy packages; both modes run the same heuristic
-// prefilter settings (LSH 12x6, suggested containment threshold) so the
+// tier settings (LSH 12x6, suggested containment threshold) so the
 // only difference is stage 3's loop shape: the scan walks every target
 // strand per query strand, the probe looks up band buckets in the
 // retrieval table. The verifier-calls/op and cands/probe metrics are
@@ -426,7 +420,6 @@ func BenchmarkQueryScale(b *testing.B) {
 				}
 				db := core.NewDB(core.Options{
 					Retrieval:         mode,
-					Prefilter:         core.PrefilterLSH,
 					LSHBands:          12,
 					LSHRows:           6,
 					LSHMinContainment: sketch.SuggestedMinContainment,
@@ -472,7 +465,6 @@ func BenchmarkRecorder(b *testing.B) {
 		spVCP.SetAttr("pairs", 128)
 		spVCP.SetAttr("pairs_pruned", 64)
 		spVCP.SetAttr("verifier_calls", 900)
-		spVCP.SetAttr("prefilter_lsh", 1)
 		spVCP.End()
 		_, spStats := telemetry.StartSpan(ctx, "stats")
 		spStats.End()

@@ -16,10 +16,8 @@ import (
 // committed golden byte for byte. The corpus, toolchains, and engine
 // are all deterministic, so any diff is a behavior change — bump the
 // golden deliberately (UPDATE_GOLDEN=1 go test ./cmd/esh) when one is
-// intended. The same query is then repeated with -prefilter=off, which
-// must print the identical ranking: the CLI-level form of the
-// prefilter's soundness guarantee. The tail pins the flag surface:
-// -method svcp is a usage error, the retired -kernel/-gamma-batch are
+// intended. The tail pins the flag surface: -method svcp and the retired
+// -prefilter are usage errors, the retired -kernel/-gamma-batch are
 // undefined, an unset engine flag keeps
 // the loaded snapshot's setting, and -retrieval probe selects the probe
 // at the heuristic tier only.
@@ -88,17 +86,20 @@ func TestCLIGoldenQuery(t *testing.T) {
 		t.Errorf("CLI output diverges from golden %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 	}
 
-	off := run("-load", snap, "-query", queryPath, "-top", "10", "-prefilter", "off")
-	if off != got {
-		t.Errorf("-prefilter=off output differs from the default lsh run:\n--- off ---\n%s--- lsh ---\n%s", off, got)
-	}
-
 	// S-VCP is an experiments-side baseline, not a ranking esh serves:
 	// asking for it is a usage error, exit status 2.
 	svcp := exec.Command(eshBin, "-load", snap, "-query", queryPath, "-method", "svcp")
 	if out, err := svcp.CombinedOutput(); svcp.ProcessState == nil || svcp.ProcessState.ExitCode() != 2 ||
 		!strings.Contains(string(out), `unknown method "svcp" (esh, slog)`) || !strings.Contains(string(out), "Usage") {
 		t.Errorf("esh -method svcp: err %v, output %q; want a usage error", err, out)
+	}
+
+	// Every database tests forward injectability; the flag that chose
+	// how is gone, and naming it is a usage error.
+	prefilter := exec.Command(eshBin, "-load", snap, "-query", queryPath, "-prefilter", "off")
+	if out, err := prefilter.CombinedOutput(); prefilter.ProcessState == nil || prefilter.ProcessState.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -prefilter") {
+		t.Errorf("esh -prefilter off: err %v, output %q; want a usage error", err, out)
 	}
 
 	// The retired speed-only axes are gone from the command line, not

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
-//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-prefilter off|lsh] [-lsh-bands 0]
-//	    [-lsh-rows 0] [-lsh-min-containment 0] [-retrieval scan|probe] [dir-or-file.s ...]
+//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-lsh-bands 0] [-lsh-rows 0]
+//	    [-lsh-min-containment 0] [-retrieval scan|probe] [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of
 // internal/asm (see Proc.String); a file may contain many procedures.

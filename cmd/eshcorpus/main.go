@@ -9,8 +9,7 @@
 //	eshcorpus -describe
 //	eshcorpus -out corpusdir [-scale full] [-patched]
 //	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
-//	          [-prefilter off|lsh] [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0]
-//	          [-retrieval scan|probe]
+//	          [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0] [-retrieval scan|probe]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
 //
 // The engine flags (package engineflags) are baked into the snapshot;

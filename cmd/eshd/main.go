@@ -11,8 +11,8 @@
 //	     [-slow-query-threshold 1s] [-recorder-size 512]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
-//	     [-prefilter off|lsh] [-lsh-bands 0] [-lsh-rows 0]
-//	     [-lsh-min-containment 0] [-retrieval scan|probe]
+//	     [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0]
+//	     [-retrieval scan|probe]
 //
 // The engine flags (the last two lines and -workers; package
 // engineflags) are applied to the snapshot's own options before the
@@ -156,9 +156,9 @@ func main() {
 		"targets", st.Targets,
 		"unique_strands", st.UniqueStrands,
 		"total_strands", st.TotalStrands,
-		"prefilter", st.Prefilter,
 		"lsh_bands", st.LSHBands,
 		"lsh_rows", st.LSHRows,
+		"lsh_min_containment", st.LSHMinContainment,
 		"retrieval", st.Retrieval,
 		"snapshot_version", info.Version,
 		"checksum", info.Checksum,

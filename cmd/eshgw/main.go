@@ -24,9 +24,8 @@
 // manifest — fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k, the heuristic-tier threshold — and refuses to start on a
 // mismatch (merged scores would be silently wrong) unless
-// -allow-degraded is set. At sound settings a prefilter mode difference
-// is score-neutral and only logged, and the retrieval mode has no
-// effect; at the heuristic tier both must match the manifest.
+// -allow-degraded is set. At sound settings the retrieval mode has no
+// effect; at the heuristic tier it must match the manifest.
 //
 // Endpoints:
 //
@@ -126,11 +125,8 @@ func main() {
 	// Verify the fleet before serving: a replica with the wrong
 	// snapshot would merge into silently wrong scores.
 	vctx, vcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	warnings, errs := gw.CheckFleet(vctx)
+	errs := gw.CheckFleet(vctx)
 	vcancel()
-	for _, wmsg := range warnings {
-		logger.Warn("fleet", "msg", wmsg)
-	}
 	for _, e := range errs {
 		logger.Error("fleet verification failed", "err", e.Error())
 	}

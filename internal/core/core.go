@@ -23,41 +23,16 @@ import (
 	"repro/internal/vcp"
 )
 
-// Prefilter modes: which candidate prefilter runs before the §5.5
-// size-ratio window in the VCP pair loop.
-const (
-	// PrefilterOff disables prefiltering: every (query strand, target
-	// strand) pair reaches the size window. The zero Options value and
-	// the empty string select this mode.
-	PrefilterOff = "off"
-	// PrefilterLSH gates pairs through the sketch index (package
-	// sketch). Its sound core skips pairs whose typed input counts
-	// make VCP provably zero in both directions, and skips the verifier
-	// call of a candidate whose forward direction is dead — rankings stay
-	// byte-identical to PrefilterOff. An opt-in heuristic tier
-	// (LSHMinContainment) additionally requires an LSH band collision or
-	// an estimated feature-containment level, trading a small measured
-	// recall loss for a larger skip rate.
-	PrefilterLSH = "lsh"
-)
-
-// NormalizePrefilter maps a user-facing mode string to a canonical
-// value, rejecting unknown modes.
-func NormalizePrefilter(mode string) (string, error) {
-	switch mode {
-	case "", PrefilterOff:
-		return PrefilterOff, nil
-	case PrefilterLSH:
-		return PrefilterLSH, nil
-	}
-	return "", fmt.Errorf("core: unknown prefilter mode %q (off, lsh)", mode)
-}
+// PrefilterLSH is ignored, like the Options.Prefilter field it was a value
+// of; both stay declared only until ROADMAP A removes them from
+// cmd/eshbench.
+const PrefilterLSH = "lsh"
 
 // Retrieval modes: how stage 3 finds the candidate target strands for
 // each query strand.
 const (
 	// RetrievalScan walks every unique target strand per query strand,
-	// consulting the prefilter per pair. The zero Options value and the
+	// testing each pair on its own. The zero Options value and the
 	// empty string select this mode; per-query cost grows linearly with
 	// the corpus.
 	RetrievalScan = "scan"
@@ -103,19 +78,20 @@ type Options struct {
 	PathLen int
 	// PathMaxBlocks bounds the path explosion (0 selects 12).
 	PathMaxBlocks int
-	// Prefilter selects the candidate prefilter consulted before the
-	// size-ratio window: PrefilterOff ("" or "off") or PrefilterLSH
-	// ("lsh").
+	// Prefilter and PrefilterLSH are ignored: every database tests
+	// forward injectability, and LSHMinContainment alone decides whether
+	// the heuristic tier exists. They stay declared only until ROADMAP A
+	// removes them from cmd/eshbench.
 	Prefilter string
 	// LSHBands and LSHRows shape the MinHash signature of the sketch
-	// prefilter (0 selects sketch.DefaultBands / sketch.DefaultRows).
+	// index (0 selects sketch.DefaultBands / sketch.DefaultRows).
 	LSHBands int
 	LSHRows  int
-	// LSHMinContainment, when > 0, enables the heuristic tier of the
-	// lsh prefilter (see sketch.Config.MinContainment;
-	// sketch.SuggestedMinContainment is the calibrated setting). The
-	// default 0 keeps the prefilter sound: rankings are byte-identical
-	// to prefilter-off.
+	// LSHMinContainment, when > 0, enables the heuristic tier (see
+	// sketch.Config.MinContainment; sketch.SuggestedMinContainment is the
+	// calibrated setting): stage 3 also skips pairs the sketches call
+	// dissimilar, so rankings can change. The default 0 is the sound
+	// tier, whose every skip is a provable zero.
 	LSHMinContainment float64
 	// Retrieval selects the heuristic tier's stage-3 candidate source:
 	// RetrievalScan ("" or "scan") or RetrievalProbe ("probe"). It takes
@@ -221,7 +197,7 @@ type DB struct {
 	retrMaxDelta int
 
 	// markPool recycles the n-wide []bool scratch slices stage 3 uses
-	// for prefilter candidate marking and probe deduplication, so a
+	// for heuristic candidate marking and probe deduplication, so a
 	// query of many strands does not allocate one per strand.
 	markPool sync.Pool
 
@@ -251,7 +227,6 @@ type DB struct {
 	mGamma         *telemetry.Counter
 	mQueries       *telemetry.Counter
 	mLSHSkipped    *telemetry.Counter
-	mDeadDirs      *telemetry.Counter
 	mKernelNanos   *telemetry.Counter
 	mMemoHits      *telemetry.Counter
 	mMemoMisses    *telemetry.Counter
@@ -275,7 +250,7 @@ type DB struct {
 }
 
 // NewDB returns an empty database. It panics on a mode string outside
-// the Prefilter*/Retrieval* constants: modes that arrive from outside
+// the Retrieval* constants: modes that arrive from outside
 // the program are validated where they enter (flag parsing, snapshot
 // decoding), so only a caller's bug can get one this far.
 func NewDB(opts Options) *DB {
@@ -292,9 +267,6 @@ func newDB(opts Options) (*DB, error) {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	var err error
-	if opts.Prefilter, err = NormalizePrefilter(opts.Prefilter); err != nil {
-		return nil, err
-	}
 	if opts.Retrieval, err = NormalizeRetrieval(opts.Retrieval); err != nil {
 		return nil, err
 	}
@@ -383,13 +355,15 @@ func (db *DB) Shard() ShardInfo { return db.shard }
 // SketchConfig returns the banding of the DB's sketch index.
 func (db *DB) SketchConfig() sketch.Config { return db.sketchCfg }
 
-func (db *DB) prefilterOn() bool { return db.opts.Prefilter == PrefilterLSH }
+// heuristic reports whether the heuristic tier exists: stage 3 then also
+// skips the pairs the sketches call dissimilar.
+func (db *DB) heuristic() bool { return db.sketchCfg.MinContainment > 0 }
 
 // probeOn reports whether stage 3 probes a retrieval table: the
 // heuristic tier's loop, and the one condition under which a table is
 // ever built.
 func (db *DB) probeOn() bool {
-	return db.opts.Retrieval == RetrievalProbe && db.sketchCfg.MinContainment > 0
+	return db.opts.Retrieval == RetrievalProbe && db.heuristic()
 }
 
 // decompose runs the front half of the pipeline on one procedure and

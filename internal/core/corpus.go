@@ -54,12 +54,13 @@ type corpus struct {
 	// estimate stamped with it (vcpRow.h0) is good for as long as it stands.
 	countsVer uint64
 
-	// Prefilter state: one sketch summary per unique strand (in uniq
-	// order; MinHash signatures are persisted in snapshots, the rest is
-	// recomputed cheaply) and the banded index over them. Maintained
-	// unconditionally: it is cheap next to verifier preparation, and
-	// snapshots persist the signatures whatever mode the corpus was
-	// indexed under.
+	// Sketch state: one sketch summary per unique strand (in uniq order;
+	// MinHash signatures are persisted in snapshots, the rest is
+	// recomputed cheaply) and the banded index over them. Stage 3 reads
+	// the summaries' typed input counts on every query and the rest at
+	// the heuristic tier only. Maintained unconditionally: it is cheap
+	// next to verifier preparation, and snapshots persist the signatures
+	// whatever tier the corpus was indexed under.
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
 	// probe is the retrieval table's handle: non-nil exactly under

@@ -22,7 +22,7 @@ import (
 //   - Rows: VCP(query strand, target strand) is a per-pair computation;
 //     a shard computes exactly the columns for the strands it holds,
 //     bitwise equal to the same columns on a single node (kernel and
-//     prefilter decisions are per-pair deterministic).
+//     candidate decisions are per-pair deterministic).
 //   - PartialScore.MaxVCP: a max over the target's own strands — every
 //     input lives on the target's shard.
 //   - H0 (the part deferred to Finalize): a corpus-weighted mean over

@@ -224,11 +224,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	// read (§3.3). Rows come from the row cache where it has them; the
 	// pairs it does not know are verified (see vcpRows).
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
-	if db.prefilterOn() {
-		spVCP.SetAttr("prefilter_lsh", 1)
-	} else {
-		spVCP.SetAttr("prefilter_lsh", 0)
-	}
 	if db.probeOn() {
 		spVCP.SetAttr("retrieval_probe", 1)
 	} else {
@@ -326,13 +321,10 @@ type vcpRowState struct {
 	vals []float64 // n wide; aliases base or next in scan mode, read-only then
 	// verify lists the columns whose pair needs the verifier; the pair
 	// queue is cut over these lists, so a chunk is all verifier work. q is
-	// prepared only when the list is non-empty. sketched says qSum is
-	// valid and the injectability test applies.
-	verify   []int32
-	q        *vcp.Prepared
-	qSum     sketch.Summary
-	sketched bool
-	rs       rowStats
+	// prepared only when the list is non-empty.
+	verify []int32
+	q      *vcp.Prepared
+	rs     rowStats
 }
 
 // vcpRows produces VCP(q, u) for every (query strand q, unique target
@@ -341,8 +333,9 @@ type vcpRowState struct {
 //  1. fetch every query strand's cached row in one visit to the cache;
 //  2. plan: a complete row is handed out as it is — no copy, no sketch, no
 //     per-pair test; otherwise only the columns the row does not know go
-//     through the cheap filters (dead, identical, prefilter, size window),
-//     and what survives is the strand's verify list;
+//     through the cheap filters (dead, identical, forward injectability,
+//     the heuristic tier if any, size window), and what survives is the
+//     strand's verify list;
 //  3. verify: prepare the strands that have a list, cut the lists into
 //     chunks and drain them with min(Workers, chunks) goroutines — none
 //     when every list is empty;
@@ -361,8 +354,8 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	db.lookupRows(states, qc.rowEpoch)
 
 	probe := qc.probe != nil
-	var scratch []bool // prefilter candidate marks / probe dedup
-	if probe || db.prefilterOn() {
+	var scratch []bool // heuristic candidate marks / probe dedup
+	if db.heuristic() {
 		scratch = db.getMark(n)
 		defer db.putMark(scratch)
 	}
@@ -445,9 +438,9 @@ func (db *DB) sizeRatio() float64 {
 }
 
 // planScan resolves a scan-mode row as far as it can without a verifier.
-// The identical-key short circuit stays ahead of the prefilter so an exact
-// structural match can never be lost to sketch noise. todo is scratch,
-// returned for reuse.
+// The identical-key short circuit stays ahead of the other filters so an
+// exact structural match can never be lost to sketch noise. todo is
+// scratch, returned for reuse.
 func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) []int32 {
 	n := len(qc.uniq)
 	todo = st.base.unknown(n, qc.counts, todo)
@@ -482,13 +475,13 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 			}
 		}
 		key, ratio := st.s.CanonicalKey(), db.sizeRatio()
-		// With the prefilter on, everything unmarked is skipped: pairs
-		// that are injectability-dead in both directions, plus — with the
-		// heuristic tier enabled — pairs the LSH/containment tests
-		// consider dissimilar.
-		if db.prefilterOn() && len(todo) > 0 {
-			st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
-			qc.sketchIdx.CandidatesAmong(st.qSum, todo, cand)
+		// A pair whose forward direction cannot inject is skipped: its VCP
+		// is exactly 0. At the heuristic tier so is every pair the
+		// LSH/containment tests leave unmarked.
+		qn := sketch.Counts(st.s)
+		heuristic := db.heuristic() && len(todo) > 0
+		if heuristic {
+			qc.sketchIdx.CandidatesAmong(sketch.Summarize(st.s, db.sketchCfg), todo, cand)
 		}
 		for _, j32 := range todo {
 			j := int(j32)
@@ -497,7 +490,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 			case u.Key() == key:
 				row.vals[j] = 1.0 // identical strands match exactly
 				row.set(j, kindIdentical)
-			case st.sketched && !cand[j]:
+			case !qn.Injects(qc.sums[j]) || heuristic && !cand[j]:
 				row.set(j, kindSkipped)
 			case !vcp.SizeCompatible(st.s, u.S, ratio):
 				row.set(j, kindPruned)
@@ -507,14 +500,13 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 				row.set(j, kindVerified)
 				st.verify = append(st.verify, j32)
 			}
-			if st.sketched {
+			if heuristic {
 				cand[j] = false // leave the pooled marks clear
 			}
 		}
 	}
 	st.vals = row.vals[:n:n]
 	st.rs.pairs = n
-	st.rs.lshOn = db.prefilterOn()
 	st.rs.identical = row.tally[kindIdentical]
 	st.rs.lshSkipped = row.tally[kindSkipped]
 	st.rs.pruned = row.tally[kindPruned]
@@ -525,21 +517,21 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 
 // planProbe probes the retrieval table for the row's candidates and runs
 // the cheap filters over them; everything outside the candidate list is
-// never touched (its entries stay zero, exactly like a scan-mode prefilter
-// skip), so the work stays sublinear in the corpus. The cached row is
+// never touched (its entries stay zero, exactly like a scan-mode skip), so
+// the work stays sublinear in the corpus. The cached row is
 // consulted per surviving candidate and the output row is private:
 // a candidate set can shrink when the table is rebuilt at heuristic
 // settings, and a column outside it must read zero whatever the cache
 // knows.
 func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
 	n := len(qc.uniq)
-	st.qSum, st.sketched = sketch.Summarize(st.s, db.sketchCfg), true
+	qSum := sketch.Summarize(st.s, db.sketchCfg)
 	start := time.Now()
 	retr := db.table(qc.probe) // over a prefix of qc.sums, whoever built it
-	cands, sound := retr.Probe(st.qSum, scratch, nil)
+	cands, sound := retr.Probe(qSum, scratch, nil)
 	// Delta overlay: the strands past that prefix
 	// (sketch.RetrievalIndex.ProbeDelta has the contract).
-	cands, deltaSound := retr.ProbeDelta(st.qSum, qc.sums[:n], qc.counts, cands)
+	cands, deltaSound := retr.ProbeDelta(qSum, qc.sums[:n], qc.counts, cands)
 	st.rs.probeNanos = time.Since(start).Nanoseconds()
 	st.rs.probeOn = true
 	st.rs.probeCands = len(cands)
@@ -561,6 +553,8 @@ func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
 		case u.Key() == key:
 			st.vals[j] = 1.0
 			st.rs.identical++
+		case !qSum.Injects(qc.sums[j]):
+			st.rs.lshSkipped++
 		case !vcp.SizeCompatible(st.s, u.S, ratio):
 			st.rs.pruned++
 		case st.base.has(j):
@@ -649,14 +643,6 @@ func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers i
 func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator) rowStats {
 	var rs rowStats
 	for _, j := range st.verify[lo:hi] {
-		// With the prefilter on (or a probed candidate set), a candidate
-		// pair can still be injectability-dead in the direction the row
-		// holds: its VCP is exactly 0 and the verifier call is skipped.
-		if st.sketched && !st.qSum.Injects(qc.sums[j]) {
-			rs.deadDirs++
-			st.vals[j] = 0
-			continue
-		}
 		v, vst := ev.Compute(qc.uniq[j])
 		rs.calls++
 		rs.gamma += vst.Correspondences

@@ -112,7 +112,6 @@ func TestRetrievalHeuristicRecall(t *testing.T) {
 	dbScan := NewDB(Options{})
 	dbProbe := NewDB(Options{
 		Retrieval:         RetrievalProbe,
-		Prefilter:         PrefilterLSH,
 		LSHMinContainment: sketch.SuggestedMinContainment,
 	})
 	fillDB(t, dbScan, procs)
@@ -185,7 +184,6 @@ func TestProbeScalingSmoke(t *testing.T) {
 		}
 		db := NewDB(Options{
 			Retrieval:         RetrievalProbe,
-			Prefilter:         PrefilterLSH,
 			LSHBands:          12,
 			LSHRows:           6,
 			LSHMinContainment: sketch.SuggestedMinContainment,

@@ -33,8 +33,7 @@ func (db *DB) initMetrics() {
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one per verified strand pair, in the forward direction (none for a pair whose forward direction cannot inject).")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
-	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
-	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Verifier calls avoided on pairs that pass the prefilter but whose forward direction is provably zero (the query strand's typed inputs cannot inject into the target strand's).")
+	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's, or (heuristic tier) the sketches call them dissimilar.")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
 	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored.")
@@ -58,7 +57,7 @@ func (db *DB) initMetrics() {
 		"Mean γ-batch fill fraction at flush, observed once per query strand row (memo-miss rows carried / (width × flushes)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
 	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
-		"LSH candidate-set size per query strand (prefilter on).",
+		"Candidate-set size per scanned query strand: the pairs not skipped.",
 		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 	db.hSketchBuild = reg.Histogram("esh_sketch_build_seconds",
 		"Wall time spent computing MinHash sketches and LSH buckets (per target at index time, per rebuild at load time).", nil)
@@ -73,12 +72,6 @@ func (db *DB) initMetrics() {
 		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
 	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
 		"Wall time per retrieval-table build (load under probe mode, lazy first probe, a live write past the delta bound, or a compaction).", nil)
-	reg.GaugeFunc("esh_lsh_prefilter_enabled", "1 when the LSH prefilter gates the VCP pair loop.", func() float64 {
-		if db.prefilterOn() {
-			return 1
-		}
-		return 0
-	})
 	reg.GaugeFunc("esh_retrieval_probe_enabled", "1 when stage 3 probes the retrieval table instead of scanning all targets.", func() float64 {
 		if db.probeOn() {
 			return 1
@@ -163,18 +156,14 @@ type DBStats struct {
 	VCPPairsPruned          uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
-	// Prefilter is the active mode (PrefilterOff or PrefilterLSH);
-	// LSHBands/LSHRows the sketch geometry; LSHMinContainment the
+	// LSHBands/LSHRows are the sketch geometry; LSHMinContainment the
 	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
-	// the pairs the prefilter removed before any verifier work;
-	// LSHDeadDirections the verifier calls skipped on surviving pairs
-	// whose forward direction cannot inject.
-	Prefilter         string
+	// the pairs skipped before any verifier work (forward-dead, or
+	// dissimilar at the heuristic tier).
 	LSHBands          int
 	LSHRows           int
 	LSHMinContainment float64
 	LSHPairsSkipped   uint64
-	LSHDeadDirections uint64
 	// Retrieval is the configured stage-3 candidate source
 	// (RetrievalScan or RetrievalProbe; probe takes effect with
 	// LSHMinContainment > 0). RetrievalProbes counts probed query
@@ -247,12 +236,10 @@ func (db *DB) Stats() DBStats {
 		VCPPairsPruned:           db.mPairsPruned.Value(),
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
-		Prefilter:                db.opts.Prefilter,
 		LSHBands:                 db.sketchCfg.Bands,
 		LSHRows:                  db.sketchCfg.Rows,
 		LSHMinContainment:        db.sketchCfg.MinContainment,
 		LSHPairsSkipped:          db.mLSHSkipped.Value(),
-		LSHDeadDirections:        db.mDeadDirs.Value(),
 		Retrieval:                db.opts.Retrieval,
 		RetrievalProbes:          db.mProbes.Value(),
 		RetrievalCandidates:      db.mProbeCands.Value(),
@@ -306,8 +293,7 @@ var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", 
 type rowStats struct {
 	state       rowState
 	pairs       int   // unique target strands examined
-	lshSkipped  int   // skipped by the LSH prefilter
-	lshOn       bool  // prefilter consulted for this row
+	lshSkipped  int   // skipped: forward-dead, or heuristically dissimilar
 	probeOn     bool  // candidates came from a retrieval-table probe
 	probeCands  int   // retrieved candidate-set size (valid when probeOn)
 	soundCands  int   // injectability-live set size (valid when probeOn)
@@ -316,8 +302,7 @@ type rowStats struct {
 	identical   int   // short-circuited as structurally identical
 	hits        int   // cache hits (pair results reused)
 	misses      int   // cache misses (pair results computed)
-	calls       int   // vcp.Compute invocations (one per live miss)
-	deadDirs    int   // calls avoided as provably zero
+	calls       int   // vcp.Compute invocations (one per miss)
 	gamma       int   // input correspondences evaluated inside them
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes
@@ -330,7 +315,6 @@ type rowStats struct {
 // addWork folds one chunk's verifier work into the row accumulator.
 func (rs *rowStats) addWork(d rowStats) {
 	rs.calls += d.calls
-	rs.deadDirs += d.deadDirs
 	rs.gamma += d.gamma
 	rs.kernelNanos += d.kernelNanos
 	rs.gammaB += d.gammaB
@@ -360,10 +344,10 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		db.mGammaRows.Add(uint64(rs.gammaRows))
 		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
 	}
-	// Every column the prefilter did not skip was a candidate.
+	// Every scanned column not skipped was a candidate.
 	lshCands := rs.pairs - rs.lshSkipped
-	if rs.lshOn {
-		db.mLSHSkipped.Add(uint64(rs.lshSkipped))
+	db.mLSHSkipped.Add(uint64(rs.lshSkipped))
+	if !rs.probeOn {
 		db.hLSHCands.Observe(float64(lshCands))
 	}
 	if rs.probeOn {
@@ -373,9 +357,6 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		db.hProbeCands.Observe(float64(rs.probeCands))
 		db.hProbeLatency.Observe(float64(rs.probeNanos) / 1e9)
 	}
-	if rs.lshOn || rs.probeOn {
-		db.mDeadDirs.Add(uint64(rs.deadDirs))
-	}
 	if sp == nil {
 		return
 	}
@@ -383,17 +364,14 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		sp.AddAttr("rows_complete", 1)
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
-	if rs.lshOn {
-		sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
+	sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
+	if !rs.probeOn {
 		sp.AddAttr("lsh_candidates", float64(lshCands))
 	}
 	if rs.probeOn {
 		sp.AddAttr("retrieval_candidates", float64(rs.probeCands))
 		sp.AddAttr("retrieval_sound_candidates", float64(rs.soundCands))
 		sp.AddAttr("probe_nanos", float64(rs.probeNanos))
-	}
-	if rs.lshOn || rs.probeOn {
-		sp.AddAttr("dead_directions", float64(rs.deadDirs))
 	}
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))

@@ -165,7 +165,9 @@ func diffReports(t *testing.T, label string, got, want *Report) {
 func writeTestOptions(mode string) Options {
 	opts := Options{VCP: vcp.Config{MinVars: 3}}
 	if mode == "lsh" {
-		opts.Prefilter = PrefilterLSH
+		// The heuristic tier over a scan: the one loop that reads the
+		// banded sketch index.
+		opts.LSHMinContainment = sketch.SuggestedMinContainment
 	}
 	if mode == "probe" {
 		// A table exists at the heuristic tier only.

@@ -15,8 +15,8 @@ import (
 )
 
 // Scope selects which flags a binary registers beyond the candidate
-// selection flags (-prefilter, -lsh-bands, -lsh-rows,
-// -lsh-min-containment, -retrieval) every engine binary takes.
+// selection flags (-lsh-bands, -lsh-rows, -lsh-min-containment,
+// -retrieval) every engine binary takes.
 type Scope int
 
 const (
@@ -52,18 +52,17 @@ func Register(fs *flag.FlagSet, scope Scope) *Flags {
 	}
 	// Unset means the base value everywhere: Defaults for a fresh
 	// index, the snapshot's own setting for a loaded one.
-	fs.StringVar(&f.set.Prefilter, "prefilter", "", "candidate prefilter for the VCP pair loop: off or lsh (unset: lsh for a fresh index, else the snapshot's; rankings are identical)")
-	fs.IntVar(&f.set.LSHBands, "lsh-bands", 0, "LSH bands of the sketch prefilter (0 = default; unset under a snapshot: its geometry)")
-	fs.IntVar(&f.set.LSHRows, "lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = default; unset under a snapshot: its geometry)")
-	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic prefilter tier at this estimated-containment threshold (0 = sound tier only; rankings can change when > 0)")
+	fs.IntVar(&f.set.LSHBands, "lsh-bands", 0, "LSH bands of the strand sketches (0 = default; unset under a snapshot: its geometry)")
+	fs.IntVar(&f.set.LSHRows, "lsh-rows", 0, "LSH rows per band of the strand sketches (0 = default; unset under a snapshot: its geometry)")
+	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic candidate tier at this estimated-containment threshold (0 = sound tier only; rankings can change when > 0)")
 	fs.StringVar(&f.set.Retrieval, "retrieval", "", "stage-3 candidate retrieval: scan or probe (unset: scan for a fresh index, else the snapshot's; takes effect at the heuristic tier, -lsh-min-containment > 0 — sound settings always scan)")
 	return f
 }
 
 // Defaults returns the options a fresh index is built with when no
-// flag is set: the sound LSH prefilter over a scan.
+// flag is set: the sound tier over a scan.
 func Defaults() core.Options {
-	return core.Options{Prefilter: core.PrefilterLSH, Retrieval: core.RetrievalScan}
+	return core.Options{Retrieval: core.RetrievalScan}
 }
 
 // Build returns the options for an index built by this process:
@@ -93,8 +92,6 @@ func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
 			o.PathLen = f.set.PathLen
 		case "sigmoid-k":
 			o.SigmoidK = f.set.SigmoidK
-		case "prefilter":
-			o.Prefilter = f.set.Prefilter
 		case "lsh-bands":
 			o.LSHBands = f.set.LSHBands
 		case "lsh-rows":
@@ -106,11 +103,6 @@ func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
 		}
 	})
 	var err error
-	if o.Prefilter, err = core.NormalizePrefilter(o.Prefilter); err != nil {
-		return o, err
-	}
-	if o.Retrieval, err = core.NormalizeRetrieval(o.Retrieval); err != nil {
-		return o, err
-	}
-	return o, nil
+	o.Retrieval, err = core.NormalizeRetrieval(o.Retrieval)
+	return o, err
 }

@@ -11,8 +11,8 @@ import (
 
 func TestApply(t *testing.T) {
 	snapshot := core.Options{
-		Prefilter: core.PrefilterOff, Retrieval: core.RetrievalProbe,
-		LSHBands: 8, LSHRows: 8, LSHMinContainment: 0.25, PathLen: 3, SigmoidK: 7,
+		Retrieval: core.RetrievalProbe,
+		LSHBands:  8, LSHRows: 8, LSHMinContainment: 0.25, PathLen: 3, SigmoidK: 7,
 	}
 	for _, tc := range []struct {
 		name    string
@@ -22,23 +22,22 @@ func TestApply(t *testing.T) {
 		wantErr string
 		warns   string
 	}{
-		{name: "fresh build, nothing set: lsh over scan",
-			want: core.Options{Prefilter: core.PrefilterLSH, Retrieval: core.RetrievalScan}},
+		{name: "fresh build, nothing set: scan",
+			want: core.Options{Retrieval: core.RetrievalScan}},
 		{name: "fresh build, set flags override",
-			args: []string{"-prefilter", "off", "-retrieval", "probe", "-workers", "3", "-pathlen", "2", "-lsh-bands", "4"},
-			want: core.Options{Prefilter: core.PrefilterOff, Retrieval: core.RetrievalProbe, Workers: 3, PathLen: 2, LSHBands: 4}},
+			args: []string{"-retrieval", "probe", "-workers", "3", "-pathlen", "2", "-lsh-bands", "4"},
+			want: core.Options{Retrieval: core.RetrievalProbe, Workers: 3, PathLen: 2, LSHBands: 4}},
 		{name: "load, nothing set: the snapshot's options",
 			load: true, want: snapshot},
 		{name: "load, set flags override, explicit zero included",
 			args: []string{"-retrieval", "scan", "-lsh-min-containment", "0", "-workers", "2"}, load: true,
 			want: core.Options{
-				Prefilter: core.PrefilterOff, Retrieval: core.RetrievalScan, Workers: 2,
+				Retrieval: core.RetrievalScan, Workers: 2,
 				LSHBands: 8, LSHRows: 8, PathLen: 3, SigmoidK: 7,
 			}},
 		{name: "load leaves index-time flags to the snapshot",
 			args: []string{"-pathlen", "5", "-sigmoid-k", "2"}, load: true,
 			want: snapshot, warns: "-pathlen is fixed at index time"},
-		{name: "bad prefilter", args: []string{"-prefilter", "lhs"}, wantErr: `unknown prefilter mode "lhs"`},
 		{name: "bad retrieval", args: []string{"-retrieval", "prob"}, load: true, wantErr: `unknown retrieval mode "prob"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,14 +73,16 @@ func TestApply(t *testing.T) {
 
 // TestScope: a binary registers only the flags that mean something for
 // it — eshd (Query) cannot set index-time options, eshcorpus (Index)
-// takes no -workers — and the retired axes are defined nowhere.
+// takes no -workers — and the retired axes, -prefilter among them, are
+// defined nowhere.
 func TestScope(t *testing.T) {
 	for _, tc := range []struct {
 		scope     Scope
 		undefined []string
 	}{
-		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch"}},
-		{Index, []string{"-workers", "-kernel", "-gamma-batch"}},
+		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter"}},
+		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter"}},
+		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter"}},
 	} {
 		for _, name := range tc.undefined {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)

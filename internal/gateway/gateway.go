@@ -202,7 +202,6 @@ func New(cfg Config) (*Gateway, error) {
 		Logger:             cfg.Logger,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		Generation:         man.Generation,
-		Prefilter:          man.Prefilter,
 		Retrieval:          man.Retrieval,
 	})
 	g.hedges = g.reg.Counter("esh_gw_hedges_total", "Hedge requests launched.")
@@ -409,14 +408,11 @@ func (e *FleetError) Error() string {
 // CheckFleet asks every replica for /v1/stats and verifies it against
 // the manifest: fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k and the heuristic-tier threshold must match exactly (a
-// mismatch means merged scores would be silently wrong). Prefilter and
-// retrieval mode pick between loops that return the same bits at sound
-// settings — the differential suites enforce it — so with a sound
-// manifest a prefilter mismatch is a warning and a retrieval mismatch
-// nothing at all (the setting has no effect there); at the heuristic
-// tier each mode has its own candidate rule and either mismatch is an
-// error.
-func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []error) {
+// mismatch means merged scores would be silently wrong). The retrieval
+// mode has no effect at sound settings, so with a sound manifest a
+// mismatch is nothing at all; at the heuristic tier each mode has its own
+// candidate rule and a mismatch is an error.
+func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 	man := g.cfg.Manifest
 	for i, reps := range g.cfg.Shards {
 		for _, u := range reps {
@@ -449,22 +445,14 @@ func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []err
 			if st.Prefilter.MinContainment != man.LSHMinContainment {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("lsh min containment %g, manifest says %g", st.Prefilter.MinContainment, man.LSHMinContainment)})
 			}
-			heuristic := man.LSHMinContainment > 0
-			if st.Prefilter.Mode != man.Prefilter {
-				if heuristic {
-					errs = append(errs, &FleetError{i, u, fmt.Errorf("prefilter %q, manifest built with %q at the heuristic tier", st.Prefilter.Mode, man.Prefilter)})
-				} else {
-					warnings = append(warnings, fmt.Sprintf("shard %d (%s): prefilter %q, manifest built with %q (score-neutral)", i, u, st.Prefilter.Mode, man.Prefilter))
-				}
-			}
 			// Pre-retrieval manifests and replicas report "", which
 			// means scan.
-			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); heuristic && got != want {
+			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); man.LSHMinContainment > 0 && got != want {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("retrieval %q, manifest built with %q at the heuristic tier", got, want)})
 			}
 		}
 	}
-	return warnings, errs
+	return errs
 }
 
 // retrMode canonicalizes a retrieval-mode string: an empty value (a

@@ -600,7 +600,7 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 			if !strings.Contains(leg.Err, tc.wantErr) || !strings.Contains(leg.Err, fmt.Sprint(shard.WireVersion)) {
 				t.Fatalf("leg error %q does not name the received and expected wire versions", leg.Err)
 			}
-			_, errs := f.gw.CheckFleet(context.Background())
+			errs := f.gw.CheckFleet(context.Background())
 			if len(errs) != 1 || !strings.Contains(errs[0].Error(), fmt.Sprintf("wire version %d", tc.version)) {
 				t.Fatalf("CheckFleet = %v, want one wire-version error", errs)
 			}
@@ -624,11 +624,9 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 // and pointing a shard slot at the wrong shard's replica is an error.
 func TestCheckFleet(t *testing.T) {
 	f := startFleet(t, 2, nil)
-	warnings, errs := f.gw.CheckFleet(context.Background())
-	if len(errs) != 0 {
+	if errs := f.gw.CheckFleet(context.Background()); len(errs) != 0 {
 		t.Fatalf("correct fleet: %v", errs)
 	}
-	_ = warnings
 
 	// Cross-wire: shard 1's slot points at shard 0's server.
 	bad, err := New(Config{
@@ -639,7 +637,7 @@ func TestCheckFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := bad.CheckFleet(context.Background()); len(errs) == 0 {
+	if errs := bad.CheckFleet(context.Background()); len(errs) == 0 {
 		t.Fatal("cross-wired fleet passed verification")
 	}
 
@@ -671,7 +669,7 @@ func TestCheckFleet(t *testing.T) {
 		name    string
 		man     *shard.Manifest
 		shards  [2]func(*core.Options)
-		wantErr string // "" = the fleet passes, with no warning
+		wantErr string // "" = the fleet passes
 	}{
 		{"sound fleet, one replica at the heuristic tier", f.man,
 			[2]func(*core.Options){func(*core.Options) {}, heuristic}, "lsh min containment 0.45, manifest says 0"},
@@ -690,10 +688,10 @@ func TestCheckFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warnings, errs := gw.CheckFleet(context.Background())
+		errs := gw.CheckFleet(context.Background())
 		switch {
-		case tc.wantErr == "" && (len(errs) != 0 || len(warnings) != 0):
-			t.Errorf("%s: errors %v, warnings %v; want neither", tc.name, errs, warnings)
+		case tc.wantErr == "" && len(errs) != 0:
+			t.Errorf("%s: errors %v, want none", tc.name, errs)
 		case tc.wantErr != "" && (len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.wantErr)):
 			t.Errorf("%s: errors %v, want one saying %q", tc.name, errs, tc.wantErr)
 		}

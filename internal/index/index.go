@@ -276,10 +276,10 @@ func encodeBody(ex *core.Export) []byte {
 	o := ex.Opts
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
 		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
 		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval)
+		o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -318,7 +318,7 @@ func encodeBody(ex *core.Export) []byte {
 	}
 
 	// Sketch section: per-strand MinHash signatures
-	// so a load can rebuild the LSH prefilter without recomputing
+	// so a load can rebuild the sketch index without recomputing
 	// features. Written empty (count 0) when any signature is missing
 	// or inconsistent; the loader recomputes in that case.
 	cfg := sketch.Config{Bands: ex.Opts.LSHBands, Rows: ex.Opts.LSHRows}.Normalized()
@@ -618,8 +618,6 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			ex.Opts.VCP.SizeRatio = atof()
 		case "vcpmaxcorr":
 			ex.Opts.VCP.MaxCorrespondences = atoi()
-		case "prefilter":
-			ex.Opts.Prefilter, ierr = core.NormalizePrefilter(val)
 		case "lshbands":
 			ex.Opts.LSHBands = atoi()
 		case "lshrows":
@@ -632,7 +630,8 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			// Unknown keys are ignored so minor option additions do not
 			// invalidate old readers within a format version — and so
 			// files that still carry the retired workers=, kernel=,
-			// gammabatch=, retrmaxdelta= and cachepairs= keys keep loading.
+			// gammabatch=, retrmaxdelta=, cachepairs= and prefilter= keys
+			// keep loading.
 		}
 		if ierr != nil {
 			return d.errf("bad option value %q: %v", kv, ierr)

@@ -207,9 +207,9 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 }
 
 // TestRetiredOptionKeys: snapshots that carry workers=, kernel=,
-// gammabatch=, retrmaxdelta= or cachepairs=, option keys of earlier
-// builds, keep loading (unknown keys are ignored), answer identically,
-// and re-save without them. The row cache's bound is no longer the
+// gammabatch=, retrmaxdelta=, cachepairs= or prefilter=, option keys of
+// earlier builds, keep loading (unknown keys are ignored, whatever their
+// value), answer identically, and re-save without them. The row cache's bound is no longer the
 // file's to set: a database loaded from cachepairs=7 serves under the
 // constant.
 func TestRetiredOptionKeys(t *testing.T) {
@@ -217,7 +217,7 @@ func TestRetiredOptionKeys(t *testing.T) {
 	snap := saveBytes(t, db)
 	old := rewrite(t, snap, Version, func(ln string) string {
 		if strings.HasPrefix(ln, "options ") {
-			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7"
+			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7 prefilter=lhs"
 		}
 		return ln
 	})
@@ -241,7 +241,6 @@ func TestRetiredOptionKeys(t *testing.T) {
 func TestBadBodyRejected(t *testing.T) {
 	snap := saveBytes(t, buildDB(t))
 	for _, tc := range []struct{ from, to, want string }{
-		{"prefilter=off", "prefilter=lhs", `line 1: bad option value "prefilter=lhs"`},
 		{"retrieval=scan", "retrieval=prob", `line 1: bad option value "retrieval=prob"`},
 		{"lshbands=", "lshbands=x", `line 1: bad option value "lshbands=x`},
 		{"mults 2", "mults 0", "mults section has 0 records for 2 targets"},
@@ -407,7 +406,7 @@ func TestSoundDatabaseCarriesNoProbeTable(t *testing.T) {
 	procs := compiledCorpus(t)
 	for _, retrieval := range []string{core.RetrievalScan, core.RetrievalProbe} {
 		t.Run(retrieval, func(t *testing.T) {
-			saved := saveBytes(t, fill(t, core.NewDB(core.Options{Prefilter: core.PrefilterLSH, Retrieval: retrieval}), procs))
+			saved := saveBytes(t, fill(t, core.NewDB(core.Options{Retrieval: retrieval}), procs))
 			db, err := Load(bytes.NewReader(saved))
 			if err != nil {
 				t.Fatal(err)

@@ -128,8 +128,8 @@ func TestRecorderAlwaysOn(t *testing.T) {
 	if rec.Slow || rec.Trace != nil {
 		t.Errorf("fast record kept slow state or trace: %+v", rec)
 	}
-	if rec.Prefilter != "off" || rec.Retrieval != "scan" {
-		t.Errorf("engine path = prefilter=%q retrieval=%q, want off/scan", rec.Prefilter, rec.Retrieval)
+	if rec.Retrieval != "scan" {
+		t.Errorf("engine path = retrieval=%q, want scan", rec.Retrieval)
 	}
 	if rec.StageMS["vcp"] <= 0 || rec.StageMS["decompose"] <= 0 {
 		t.Errorf("stage breakdown missing: %v", rec.StageMS)
@@ -208,11 +208,10 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if v, _ := bi.Samples[0].Label("go_version"); v != runtime.Version() {
 		t.Errorf("build_info go_version = %q, want %q", v, runtime.Version())
 	}
-	if v, _ := bi.Samples[0].Label("prefilter"); v != "off" {
-		t.Errorf("build_info prefilter = %q", v)
-	}
-	if _, ok := bi.Samples[0].Label("kernel"); ok {
-		t.Error("build_info still carries a kernel label")
+	for _, retired := range []string{"kernel", "prefilter"} {
+		if _, ok := bi.Samples[0].Label(retired); ok {
+			t.Errorf("build_info still carries a %s label", retired)
+		}
 	}
 	if bi.Samples[0].Value != 1 {
 		t.Errorf("build_info value = %g, want 1", bi.Samples[0].Value)

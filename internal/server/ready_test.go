@@ -153,7 +153,7 @@ func TestStatsSnapshotBlock(t *testing.T) {
 	if st.Snapshot.ShardCount != 0 {
 		t.Fatalf("unsharded corpus reports shard count %d", st.Snapshot.ShardCount)
 	}
-	if st.Prefilter.Mode == "" {
-		t.Fatal("stats omit prefilter mode")
+	if st.Retrieval.Mode == "" {
+		t.Fatal("stats omit retrieval mode")
 	}
 }

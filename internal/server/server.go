@@ -127,7 +127,6 @@ func New(db *core.DB, cfg Config) *Server {
 		reg:       telemetry.NewRegistry(),
 	}
 	s.ready.Store(true)
-	opts := db.Options()
 	s.front = NewFront(s.reg, FrontConfig{
 		Prefix:             "esh_http",
 		Outcomes:           queryResults[:],
@@ -136,8 +135,7 @@ func New(db *core.DB, cfg Config) *Server {
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		RecorderSize:       cfg.RecorderSize,
 		Generation:         db.Shard().Generation,
-		Prefilter:          opts.Prefilter,
-		Retrieval:          opts.Retrieval,
+		Retrieval:          db.Options().Retrieval,
 	})
 	s.reg.GaugeFunc("esh_http_inflight_queries", "Queries executing right now.",
 		func() float64 { return float64(s.front.InFlight()) })
@@ -687,18 +685,15 @@ type StatsResponse struct {
 		Bytes       int    `json:"bytes"`
 		BudgetBytes int    `json:"budget_bytes"`
 	} `json:"plan_memo"`
-	// Prefilter reports the LSH sketch prefilter: active mode, sketch
-	// geometry, the heuristic-tier containment threshold (0 = sound
-	// tier only), and how much work it removed before the verifier —
-	// whole pairs skipped plus single dead directions of surviving
-	// pairs (cumulative across queries).
+	// Prefilter reports stage 3's candidate tests: sketch geometry, the
+	// heuristic-tier containment threshold (0 = sound tier only), and the
+	// pairs skipped before the verifier — forward-dead, or dissimilar at
+	// the heuristic tier (cumulative across queries).
 	Prefilter struct {
-		Mode           string  `json:"mode"`
 		LSHBands       int     `json:"lsh_bands"`
 		LSHRows        int     `json:"lsh_rows"`
 		MinContainment float64 `json:"min_containment"`
 		PairsSkipped   uint64  `json:"pairs_skipped"`
-		DeadDirections uint64  `json:"dead_directions"`
 	} `json:"prefilter"`
 	// Retrieval reports stage-3 candidate retrieval: the active mode
 	// ("scan" walks every unique strand per query strand, "probe" looks
@@ -794,12 +789,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PlanMemo.Evictions = plans.Evictions
 	resp.PlanMemo.Bytes = int(plans.Held)
 	resp.PlanMemo.BudgetBytes = int(plans.Budget)
-	resp.Prefilter.Mode = dbs.Prefilter
 	resp.Prefilter.LSHBands = dbs.LSHBands
 	resp.Prefilter.LSHRows = dbs.LSHRows
 	resp.Prefilter.MinContainment = dbs.LSHMinContainment
 	resp.Prefilter.PairsSkipped = dbs.LSHPairsSkipped
-	resp.Prefilter.DeadDirections = dbs.LSHDeadDirections
 	resp.Retrieval.Mode = dbs.Retrieval
 	resp.Retrieval.Probes = dbs.RetrievalProbes
 	resp.Retrieval.Candidates = dbs.RetrievalCandidates

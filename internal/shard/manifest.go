@@ -33,8 +33,8 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s prefilter=%s lshmincont=%s retrieval=%s\n",
-		ftoa(m.SigmoidK), m.Prefilter, ftoa(m.LSHMinContainment), m.Retrieval)
+	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s retrieval=%s\n",
+		ftoa(m.SigmoidK), ftoa(m.LSHMinContainment), m.Retrieval)
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "counts %d", len(m.Counts))
 	for _, c := range m.Counts {
@@ -207,8 +207,6 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		switch key {
 		case "sigmoidk":
 			m.SigmoidK, err = strconv.ParseFloat(val, 64)
-		case "prefilter":
-			m.Prefilter, err = core.NormalizePrefilter(val)
 		case "lshmincont":
 			m.LSHMinContainment, err = strconv.ParseFloat(val, 64)
 		case "retrieval":

@@ -35,15 +35,14 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK, Prefilter, LSHMinContainment and Retrieval record the
-	// engine options the corpus was built with. SigmoidK and
-	// LSHMinContainment affect scores, so a coordinator refuses shards
-	// reporting different values. At LSHMinContainment 0 Prefilter does
-	// not — the differential suites enforce it — so a mismatch is only
-	// a warning, and Retrieval has no effect; above 0 each mode has its
-	// own candidate rule and a mismatch in either is refused too.
+	// SigmoidK, LSHMinContainment and Retrieval record the engine
+	// options the corpus was built with. SigmoidK and LSHMinContainment
+	// affect scores, so a coordinator refuses shards reporting different
+	// values. At LSHMinContainment 0 Retrieval has no effect; above 0
+	// each mode has its own candidate rule and a mismatch is refused too.
+	// Readers ignore unknown opts keys, so a manifest that still says
+	// prefilter= loads.
 	SigmoidK          float64
-	Prefilter         string
 	LSHMinContainment float64
 	Retrieval         string
 	// Counts[g] is the union corpus's multiplicity of global unique
@@ -114,7 +113,6 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 
 	man := &Manifest{
 		SigmoidK:          ex.Opts.SigmoidK,
-		Prefilter:         ex.Opts.Prefilter,
 		LSHMinContainment: ex.Opts.LSHMinContainment,
 		Retrieval:         ex.Opts.Retrieval,
 		Counts:            make([]int, len(ex.Strands)),

@@ -347,16 +347,17 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
 	}
-	// A manifest written while kernel= was still an option key loads to
-	// the same value; a mode string nothing defines is refused.
+	// A manifest written while kernel= and prefilter= were still option
+	// keys loads to the same value; a mode string nothing defines is
+	// refused.
 	reopts := func(from, to string) []byte {
 		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
 		body = bytes.Replace(body, []byte(from), []byte(to), 1)
 		sum := sha256.Sum256(body)
 		return append([]byte(fmt.Sprintf("%s %d %d %x\n", ManifestMagic, ManifestVersion, len(body), sum)), body...)
 	}
-	if old, err := ReadManifest(bytes.NewReader(reopts(" prefilter=", " kernel=batch prefilter="))); err != nil || !reflect.DeepEqual(man, old) {
-		t.Fatalf("manifest with a retired kernel= key: %v\nwant %+v\ngot  %+v", err, man, old)
+	if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " kernel=batch prefilter=off lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
+		t.Fatalf("manifest with retired kernel= and prefilter= keys: %v\nwant %+v\ngot  %+v", err, man, old)
 	}
 	if _, err := ReadManifest(bytes.NewReader(reopts("retrieval=scan", "retrieval=prob"))); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("manifest with retrieval=prob: error %v, want a line-2 refusal", err)

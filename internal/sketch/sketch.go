@@ -11,12 +11,11 @@
 //
 // Sound core: VCP requires a type-preserving injective correspondence
 // that is total on the first strand's inputs, so VCP(a, b) is exactly 0
-// whenever a's typed input counts cannot inject into b's. A pair that
-// is dead in both directions contributes exactly zero to every score
-// and is skipped outright — rankings stay byte-identical to the
-// exhaustive loop by construction. (The engine additionally runs the
-// forward test on each candidate, and skips the verifier call of a pair
-// whose forward direction is dead.)
+// whenever a's typed input counts cannot inject into b's (Injects). A
+// pair that is dead in both directions is never a candidate. The engine
+// reads only the forward direction and runs that test itself, on typed
+// input counts alone (Counts); it consults this package's MinHash rule
+// only at the heuristic tier.
 //
 // Heuristic tier (off by default, Config.MinContainment > 0): a live
 // pair is additionally required to share a band bucket (the classic
@@ -273,7 +272,16 @@ func adoptSignature(s *strand.Strand, feats []uint64, sig Signature, cfg Config)
 	if len(sig) != cfg.Len() {
 		sig = FromFeatures(feats, cfg)
 	}
-	sum := Summary{Sig: sig, NFeat: len(feats)}
+	sum := Counts(s)
+	sum.Sig, sum.NFeat = sig, len(feats)
+	return sum
+}
+
+// Counts returns the part of the strand's summary the sound
+// injectability test reads, its typed input counts, and nothing else: no
+// features, no signature.
+func Counts(s *strand.Strand) Summary {
+	var sum Summary
 	for _, v := range s.Inputs {
 		if v.Type == ivl.Mem {
 			sum.NMem++

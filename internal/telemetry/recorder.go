@@ -24,10 +24,9 @@ type QueryRecord struct {
 	// timeout, partial.
 	Outcome string `json:"outcome"`
 	Err     string `json:"error,omitempty"`
-	// Generation / Prefilter / Retrieval pin the corpus and engine
-	// configuration the query ran under.
+	// Generation / Retrieval pin the corpus and engine configuration the
+	// query ran under.
 	Generation string `json:"generation,omitempty"`
-	Prefilter  string `json:"prefilter,omitempty"`
 	Retrieval  string `json:"retrieval,omitempty"`
 	// StageMS breaks the duration down by pipeline stage (decompose,
 	// prepare, vcp, score — or shard_N legs at the gateway).

@@ -12,8 +12,8 @@ import (
 // failures reproduce; it covers the shapes the lifter actually emits
 // (mixed Int/Mem inputs, nested arithmetic, loads and stores) plus
 // degenerate ones (no inputs, single statement). The properties are the
-// contracts the rest of the engine builds on — in particular the sound
-// LSH prefilter (internal/sketch) skips verifier work exactly when the
+// contracts the rest of the engine builds on — in particular stage 3 of
+// a query (internal/core) skips verifier work exactly when the
 // typed-input injection property guarantees a zero.
 
 // genStrand returns a random well-formed SSA strand: every variable
@@ -121,7 +121,7 @@ func TestVCPProperties(t *testing.T) {
 					i, j, v, st, v2, st2)
 			}
 
-			// Typed-input injection — the sound-prefilter contract: when
+			// Typed-input injection — the sound-tier contract: when
 			// q's typed inputs cannot inject into u's, VCP is exactly 0
 			// with no verifier work; when they can, at least one
 			// correspondence is always tried.
