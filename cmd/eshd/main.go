@@ -180,11 +180,11 @@ func main() {
 
 	server.ServePprof(*pprofAddr, logger)
 
-	// The compact hook persists the folded corpus over -index (atomic
-	// temp+rename), swaps it live, then rewrites the WAL down to its
-	// tail. It closes over srv (assigned just below) so /v1/stats
-	// reports the new snapshot identity; compaction can only be invoked
-	// once the server is up.
+	// The compact hook persists the folded corpus over -index (a durable
+	// replace: fsync, rename, directory fsync), swaps it live, then
+	// rewrites the WAL down to its tail. It closes over srv (assigned just
+	// below) so /v1/stats reports the new snapshot identity; compaction can
+	// only be invoked once the server is up.
 	var srv *server.Server
 	var compact func() (uint64, uint64, error)
 	if wlog != nil {

@@ -164,10 +164,10 @@ func (db *DB) applyRemove(name string, journal bool, replaySeq uint64) (int, err
 
 // Compact folds the uncompacted writes and tombstones into a new
 // snapshot generation: remap the corpus to its rebuild-equivalent
-// compacted form, persist it (persist is typically index.SaveExportFile —
-// an atomic temp+rename), publish it, then let cleanup truncate the
-// journal up to the persisted high-water mark (typically
-// wal.Log.Rewrite). Queries never block: in-flight ones finish on the
+// compacted form, persist it (persist is typically index.SaveExportFile,
+// which returns only once the snapshot, its rename and its directory are
+// fsynced), publish it, then let cleanup truncate the journal up to the
+// persisted high-water mark (typically wal.Log.Rewrite). Queries never block: in-flight ones finish on the
 // version they loaded, later ones load the new. Writers stall for the
 // duration (writeMu is held throughout, which is also what keeps journal
 // appends from racing the truncation).

@@ -3,35 +3,27 @@
 // (eshd, esh -load) without re-running the disassemble→CFG→lift→strand
 // pipeline.
 //
-// Snapshot layout: a single header line
-//
-//	eshidx <version> <body-length> <sha256-of-body>\n
-//
-// followed by the body — a line-oriented text encoding of the engine
-// options, the unique strands (canonical IVL text, multiplicity), and
-// the targets (provenance plus strand index lists). The header makes
-// corruption detectable before any parsing: a truncated file fails the
-// length check and a bit flip fails the checksum. Verifier preparations
-// are recomputed at load time (they are deterministic functions of the
-// strands), which keeps snapshots small and format-stable.
+// A snapshot is a recfile container with magic "eshidx": a checksummed
+// header, then line records for the engine options, the unique strands
+// (canonical IVL text, multiplicity), and the targets (provenance plus
+// strand index lists). Verifier preparations are recomputed at load time
+// (they are deterministic functions of the strands), which keeps
+// snapshots small and format-stable.
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/ivl"
+	"repro/internal/recfile"
 	"repro/internal/sketch"
 	"repro/internal/strand"
 	"repro/internal/telemetry"
@@ -98,15 +90,11 @@ func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, err
 	body := encodeBody(ex)
 	sp.SetAttr("bytes", float64(len(body)))
 	mSnapshotBytes.Set(float64(len(body)))
-	sum := sha256.Sum256(body)
-	info := Info{Version: Version, BodyLen: len(body), Checksum: hex.EncodeToString(sum[:]), Shard: ex.Shard}
-	if _, err := fmt.Fprintf(w, "%s %d %d %s\n", Magic, Version, len(body), info.Checksum); err != nil {
-		return Info{}, fmt.Errorf("index: write header: %w", err)
+	sum, err := recfile.Write(w, Magic, Version, body)
+	if err != nil {
+		return Info{}, fmt.Errorf("index: %w", err)
 	}
-	if _, err := w.Write(body); err != nil {
-		return Info{}, fmt.Errorf("index: write body: %w", err)
-	}
-	return info, nil
+	return Info{Version: Version, BodyLen: len(body), Checksum: sum, Shard: ex.Shard}, nil
 }
 
 // SaveFile writes a snapshot of the database to path; see SaveExportFile.
@@ -115,31 +103,17 @@ func SaveFile(path string, db *core.DB) error {
 	return err
 }
 
-// SaveExportFile writes a snapshot of already-exported state atomically —
-// to a temp file in the target directory, then rename — returning the
-// snapshot identity.
+// SaveExportFile writes a snapshot of already-exported state durably over
+// path (recfile.Replace: the file and then its directory are fsynced),
+// returning the snapshot identity.
 func SaveExportFile(path string, ex *core.Export) (Info, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".eshidx-*")
+	var info Info
+	err := recfile.Replace(path, func(w io.Writer) (err error) {
+		info, err = SaveExportCtx(context.Background(), w, ex)
+		return err
+	})
 	if err != nil {
-		return Info{}, fmt.Errorf("index: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	info, err := SaveExportCtx(context.Background(), bw, ex)
-	if err != nil {
-		tmp.Close()
 		return Info{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return Info{}, fmt.Errorf("index: flush %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Info{}, fmt.Errorf("index: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return Info{}, fmt.Errorf("index: %w", err)
 	}
 	return info, nil
 }
@@ -205,7 +179,7 @@ func LoadFileInfoCtx(ctx context.Context, path string, override Override) (*core
 		return nil, Info{}, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	db, info, err := LoadInfoCtx(ctx, bufio.NewReaderSize(f, 1<<20), override)
+	db, info, err := LoadInfoCtx(ctx, f, override)
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("index: load %s: %w", path, err)
 	}
@@ -215,44 +189,19 @@ func LoadFileInfoCtx(ctx context.Context, path string, override Override) (*core
 // LoadExportInfo reads and verifies a snapshot, returning the decoded state
 // without preparing strands, and the snapshot identity.
 func LoadExportInfo(r io.Reader) (*core.Export, Info, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	body, sum, err := recfile.Read(r, Magic, Version, "snapshot")
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("index: read header: %w", err)
-	}
-	var magic, sumHex string
-	var version, bodyLen int
-	if _, err := fmt.Sscanf(strings.TrimSuffix(header, "\n"), "%s %d %d %s", &magic, &version, &bodyLen, &sumHex); err != nil {
-		return nil, Info{}, fmt.Errorf("index: malformed header %q", strings.TrimSpace(header))
-	}
-	if magic != Magic {
-		return nil, Info{}, fmt.Errorf("index: not a snapshot (magic %q)", magic)
-	}
-	if version != Version {
-		return nil, Info{}, fmt.Errorf("index: unsupported format version %d (have %d)", version, Version)
-	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, Info{}, fmt.Errorf("index: read body: %w", err)
-	}
-	if len(body) != bodyLen {
-		return nil, Info{}, fmt.Errorf("index: truncated snapshot: body is %d bytes, header says %d", len(body), bodyLen)
-	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != sumHex {
-		return nil, Info{}, fmt.Errorf("index: checksum mismatch: snapshot is corrupted")
+		return nil, Info{}, fmt.Errorf("index: %w", err)
 	}
 	mSnapshotBytes.Set(float64(len(body)))
 	ex, err := decodeBody(body)
 	if err != nil {
-		return nil, Info{}, err
+		return nil, Info{}, fmt.Errorf("index: %w", err)
 	}
-	return ex, Info{Version: version, BodyLen: bodyLen, Checksum: sumHex, Shard: ex.Shard}, nil
+	return ex, Info{Version: Version, BodyLen: len(body), Checksum: sum, Shard: ex.Shard}, nil
 }
 
 // ---- body encoding ----
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 func typeCode(t ivl.Type) int {
 	if t == ivl.Mem {
@@ -277,9 +226,9 @@ func encodeBody(ex *core.Export) []byte {
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
 	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
-		ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
-		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.Retrieval)
+		recfile.Float(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
+		o.VCP.Samples, o.VCP.MinVars, recfile.Float(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
+		o.LSHBands, o.LSHRows, recfile.Float(o.LSHMinContainment), o.Retrieval)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -310,11 +259,7 @@ func encodeBody(ex *core.Export) []byte {
 			t.NumBlocks, t.NumStrands, patched,
 			strconv.Quote(t.Name), strconv.Quote(t.Source.Package), strconv.Quote(t.Source.SourceSym),
 			strconv.Quote(t.Source.Toolchain), strconv.Quote(t.Source.OptLevel))
-		fmt.Fprintf(&b, "x %d", len(t.StrandIdx))
-		for _, idx := range t.StrandIdx {
-			fmt.Fprintf(&b, " %d", idx)
-		}
-		b.WriteByte('\n')
+		recfile.WriteIntList(&b, "x", t.StrandIdx)
 	}
 
 	// Sketch section: per-strand MinHash signatures
@@ -342,114 +287,18 @@ func encodeBody(ex *core.Export) []byte {
 	// to the per-strand counts (core.FromExport checks it on load).
 	fmt.Fprintf(&b, "mults %d\n", len(ex.Targets))
 	for _, t := range ex.Targets {
-		fmt.Fprintf(&b, "m %d", len(t.StrandMult))
-		for _, m := range t.StrandMult {
-			fmt.Fprintf(&b, " %d", m)
-		}
-		b.WriteByte('\n')
+		recfile.WriteIntList(&b, "m", t.StrandMult)
 	}
 	return b.Bytes()
 }
 
 // ---- body decoding ----
 
-type decoder struct {
-	lines []string
-	pos   int // current line number (1-based for errors)
-}
-
-func (d *decoder) next() (string, error) {
-	if d.pos >= len(d.lines) {
-		return "", fmt.Errorf("index: unexpected end of snapshot at line %d", d.pos+1)
-	}
-	d.pos++
-	return d.lines[d.pos-1], nil
-}
-
-func (d *decoder) errf(format string, args ...any) error {
-	return fmt.Errorf("index: line %d: %s", d.pos, fmt.Sprintf(format, args...))
-}
-
-// fields splits a body line into tokens, decoding %q-quoted tokens
-// (which may contain spaces).
-func (d *decoder) fields(line string) ([]string, error) {
-	var out []string
-	for {
-		line = strings.TrimLeft(line, " ")
-		if line == "" {
-			return out, nil
-		}
-		if line[0] == '"' {
-			q, rest, err := quotedPrefix(line)
-			if err != nil {
-				return nil, d.errf("bad quoted token: %v", err)
-			}
-			u, err := strconv.Unquote(q)
-			if err != nil {
-				return nil, d.errf("bad quoted token %s: %v", q, err)
-			}
-			out = append(out, u)
-			line = rest
-			continue
-		}
-		i := strings.IndexByte(line, ' ')
-		if i < 0 {
-			out = append(out, line)
-			return out, nil
-		}
-		out = append(out, line[:i])
-		line = line[i:]
-	}
-}
-
-func quotedPrefix(s string) (quoted, rest string, err error) {
-	q, err := strconv.QuotedPrefix(s)
-	if err != nil {
-		return "", "", err
-	}
-	return q, s[len(q):], nil
-}
-
-func (d *decoder) ints(toks []string) ([]int, error) {
-	out := make([]int, len(toks))
-	for i, t := range toks {
-		n, err := strconv.Atoi(t)
-		if err != nil {
-			return nil, d.errf("bad integer %q", t)
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-// record reads the next line, checks its tag, and returns its fields
-// (tag stripped).
-func (d *decoder) record(tag string, minFields int) ([]string, error) {
-	line, err := d.next()
-	if err != nil {
-		return nil, err
-	}
-	toks, err := d.fields(line)
-	if err != nil {
-		return nil, err
-	}
-	if len(toks) == 0 || toks[0] != tag {
-		return nil, d.errf("expected %q record, got %q", tag, line)
-	}
-	if len(toks)-1 < minFields {
-		return nil, d.errf("%q record has %d fields, want at least %d", tag, len(toks)-1, minFields)
-	}
-	return toks[1:], nil
-}
+type decoder struct{ *recfile.Reader }
 
 func decodeBody(body []byte) (*core.Export, error) {
-	lines := strings.Split(string(body), "\n")
-	if n := len(lines); n > 0 && lines[n-1] == "" {
-		lines = lines[:n-1]
-	}
-	d := &decoder{lines: lines}
+	d := &decoder{recfile.NewReader(body)}
 	ex := &core.Export{}
-
 	for _, section := range []func(*core.Export) error{
 		d.decodeOptions, d.decodeShard, d.decodeWAL, d.decodeStrands,
 		d.decodeTargets, d.decodeSketch, d.decodeMults,
@@ -458,28 +307,25 @@ func decodeBody(body []byte) (*core.Export, error) {
 			return nil, err
 		}
 	}
-	if d.pos != len(d.lines) {
-		return nil, d.errf("trailing data after final section")
-	}
-	return ex, nil
+	return ex, d.End()
 }
 
 // decodeShard reads the shard identity record.
 func (d *decoder) decodeShard(ex *core.Export) error {
-	toks, err := d.record("shard", 3)
+	toks, err := d.Record("shard", 3)
 	if err != nil {
 		return err
 	}
-	nums, err := d.ints(toks[:2])
+	nums, err := d.Ints(toks[:2])
 	if err != nil {
 		return err
 	}
 	ex.Shard = core.ShardInfo{ID: nums[0], Count: nums[1], Generation: toks[2]}
 	if ex.Shard.Count < 0 {
-		return d.errf("negative shard count %d", ex.Shard.Count)
+		return d.Errf("negative shard count %d", ex.Shard.Count)
 	}
 	if ex.Shard.Sharded() && (ex.Shard.ID < 0 || ex.Shard.ID >= ex.Shard.Count) {
-		return d.errf("shard id %d out of range [0,%d)", ex.Shard.ID, ex.Shard.Count)
+		return d.Errf("shard id %d out of range [0,%d)", ex.Shard.ID, ex.Shard.Count)
 	}
 	return nil
 }
@@ -488,17 +334,17 @@ func (d *decoder) decodeShard(ex *core.Export) error {
 // compaction generation and the journal sequence number already folded
 // into the snapshot (startup replay skips records at or below it).
 func (d *decoder) decodeWAL(ex *core.Export) error {
-	toks, err := d.record("wal", 2)
+	toks, err := d.Record("wal", 2)
 	if err != nil {
 		return err
 	}
 	gen, err := strconv.ParseUint(toks[0], 10, 64)
 	if err != nil {
-		return d.errf("bad wal generation %q", toks[0])
+		return d.Errf("bad wal generation %q", toks[0])
 	}
 	seq, err := strconv.ParseUint(toks[1], 10, 64)
 	if err != nil {
-		return d.errf("bad wal sequence %q", toks[1])
+		return d.Errf("bad wal sequence %q", toks[1])
 	}
 	ex.Generation, ex.WALSeq = gen, seq
 	return nil
@@ -506,34 +352,27 @@ func (d *decoder) decodeWAL(ex *core.Export) error {
 
 // decodeMults reads the multiplicity section: one record per target.
 func (d *decoder) decodeMults(ex *core.Export) error {
-	toks, err := d.record("mults", 1)
+	toks, err := d.Record("mults", 1)
 	if err != nil {
 		return err
 	}
-	nums, err := d.ints(toks[:1])
+	nums, err := d.Ints(toks[:1])
 	if err != nil {
 		return err
 	}
 	n := nums[0]
 	if n != len(ex.Targets) {
-		return d.errf("mults section has %d records for %d targets", n, len(ex.Targets))
+		return d.Errf("mults section has %d records for %d targets", n, len(ex.Targets))
 	}
 	for i := 0; i < n; i++ {
-		mtoks, err := d.record("m", 1)
+		mult, err := d.IntList("m")
 		if err != nil {
 			return err
 		}
-		vals, err := d.ints(mtoks)
-		if err != nil {
-			return err
+		if len(mult) != len(ex.Targets[i].StrandIdx) {
+			return d.Errf("target %d: %d multiplicities for %d strand indices", i, len(mult), len(ex.Targets[i].StrandIdx))
 		}
-		if vals[0] != len(vals)-1 {
-			return d.errf("target %d: multiplicity list has %d entries, header says %d", i, len(vals)-1, vals[0])
-		}
-		if len(vals)-1 != len(ex.Targets[i].StrandIdx) {
-			return d.errf("target %d: %d multiplicities for %d strand indices", i, len(vals)-1, len(ex.Targets[i].StrandIdx))
-		}
-		ex.Targets[i].StrandMult = vals[1:]
+		ex.Targets[i].StrandMult = mult
 	}
 	return nil
 }
@@ -541,35 +380,35 @@ func (d *decoder) decodeMults(ex *core.Export) error {
 // decodeSketch reads the sketch section. A zero strand count
 // means signatures were not persisted; core.FromExport recomputes them.
 func (d *decoder) decodeSketch(ex *core.Export) error {
-	toks, err := d.record("sketch", 3)
+	toks, err := d.Record("sketch", 3)
 	if err != nil {
 		return err
 	}
-	nums, err := d.ints(toks[:3])
+	nums, err := d.Ints(toks[:3])
 	if err != nil {
 		return err
 	}
 	n, bands, rows := nums[0], nums[1], nums[2]
 	if n != 0 && n != len(ex.Strands) {
-		return d.errf("sketch section has %d signatures for %d strands", n, len(ex.Strands))
+		return d.Errf("sketch section has %d signatures for %d strands", n, len(ex.Strands))
 	}
 	if bands <= 0 || rows <= 0 {
-		return d.errf("bad sketch geometry %dx%d", bands, rows)
+		return d.Errf("bad sketch geometry %dx%d", bands, rows)
 	}
 	want := bands * rows
 	for i := 0; i < n; i++ {
-		gtoks, err := d.record("g", want)
+		gtoks, err := d.Record("g", want)
 		if err != nil {
 			return err
 		}
 		if len(gtoks) != want {
-			return d.errf("signature %d has %d values, want %d", i, len(gtoks), want)
+			return d.Errf("signature %d has %d values, want %d", i, len(gtoks), want)
 		}
 		sig := make(sketch.Signature, want)
 		for k, t := range gtoks {
 			v, err := strconv.ParseUint(t, 10, 32)
 			if err != nil {
-				return d.errf("bad signature value %q", t)
+				return d.Errf("bad signature value %q", t)
 			}
 			sig[k] = uint32(v)
 		}
@@ -579,14 +418,14 @@ func (d *decoder) decodeSketch(ex *core.Export) error {
 }
 
 func (d *decoder) decodeOptions(ex *core.Export) error {
-	toks, err := d.record("options", 1)
+	toks, err := d.Record("options", 1)
 	if err != nil {
 		return err
 	}
 	for _, kv := range toks {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok {
-			return d.errf("bad option %q", kv)
+			return d.Errf("bad option %q", kv)
 		}
 		var ierr error
 		atoi := func() int {
@@ -634,77 +473,77 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			// keep loading.
 		}
 		if ierr != nil {
-			return d.errf("bad option value %q: %v", kv, ierr)
+			return d.Errf("bad option value %q: %v", kv, ierr)
 		}
 	}
 	return nil
 }
 
 func (d *decoder) decodeStrands(ex *core.Export) error {
-	toks, err := d.record("strands", 1)
+	toks, err := d.Record("strands", 1)
 	if err != nil {
 		return err
 	}
-	counts, err := d.ints(toks[:1])
+	n, err := d.Count(toks[0], "strand")
 	if err != nil {
 		return err
 	}
-	n := counts[0]
-	if n < 0 {
-		return d.errf("negative strand count %d", n)
-	}
-	ex.Strands = make([]core.ExportStrand, 0, n)
 	for si := 0; si < n; si++ {
-		toks, err := d.record("s", 5)
+		toks, err := d.Record("s", 5)
 		if err != nil {
 			return err
 		}
-		nums, err := d.ints(toks[:4])
+		nums, err := d.Ints(toks[:2])
 		if err != nil {
 			return err
 		}
-		count, blockIdx, nIn, nSt := nums[0], nums[1], nums[2], nums[3]
-		if nIn < 0 || nSt < 0 {
-			return d.errf("negative section size in strand %d", si)
+		count, blockIdx := nums[0], nums[1]
+		nIn, err := d.Count(toks[2], "input")
+		if err != nil {
+			return err
+		}
+		nSt, err := d.Count(toks[3], "statement")
+		if err != nil {
+			return err
 		}
 		s := &strand.Strand{ProcName: toks[4], BlockIndex: blockIdx}
 
 		// symtab types variable references in statement right-hand sides:
 		// in SSA, every reference is an input or an earlier definition.
-		symtab := make(map[string]ivl.Type, nIn+nSt)
+		symtab := make(map[string]ivl.Type)
 		for k := 0; k < nIn; k++ {
-			toks, err := d.record("i", 2)
+			toks, err := d.Record("i", 2)
 			if err != nil {
 				return err
 			}
-			tc, err := d.ints(toks[:1])
+			tc, err := d.Ints(toks[:1])
 			if err != nil {
 				return err
 			}
 			typ, err := codeType(tc[0])
 			if err != nil {
-				return d.errf("%v", err)
+				return d.Errf("%v", err)
 			}
 			v := ivl.Var{Name: toks[1], Type: typ}
 			s.Inputs = append(s.Inputs, v)
 			symtab[v.Name] = v.Type
 		}
 		for k := 0; k < nSt; k++ {
-			toks, err := d.record("a", 3)
+			toks, err := d.Record("a", 3)
 			if err != nil {
 				return err
 			}
-			tc, err := d.ints(toks[:1])
+			tc, err := d.Ints(toks[:1])
 			if err != nil {
 				return err
 			}
 			typ, err := codeType(tc[0])
 			if err != nil {
-				return d.errf("%v", err)
+				return d.Errf("%v", err)
 			}
 			rhs, err := ivl.ParseExpr(toks[2])
 			if err != nil {
-				return d.errf("strand %d stmt %d: %v", si, k, err)
+				return d.Errf("strand %d stmt %d: %v", si, k, err)
 			}
 			rhs = ivl.Rename(rhs, func(v ivl.Var) ivl.Var {
 				if t, ok := symtab[v.Name]; ok {
@@ -722,25 +561,20 @@ func (d *decoder) decodeStrands(ex *core.Export) error {
 }
 
 func (d *decoder) decodeTargets(ex *core.Export) error {
-	toks, err := d.record("targets", 1)
+	toks, err := d.Record("targets", 1)
 	if err != nil {
 		return err
 	}
-	counts, err := d.ints(toks[:1])
+	n, err := d.Count(toks[0], "target")
 	if err != nil {
 		return err
 	}
-	n := counts[0]
-	if n < 0 {
-		return d.errf("negative target count %d", n)
-	}
-	ex.Targets = make([]core.ExportTarget, 0, n)
 	for ti := 0; ti < n; ti++ {
-		toks, err := d.record("t", 8)
+		toks, err := d.Record("t", 8)
 		if err != nil {
 			return err
 		}
-		nums, err := d.ints(toks[:3])
+		nums, err := d.Ints(toks[:3])
 		if err != nil {
 			return err
 		}
@@ -756,18 +590,9 @@ func (d *decoder) decodeTargets(ex *core.Export) error {
 				Patched:   nums[2] != 0,
 			},
 		}
-		xtoks, err := d.record("x", 1)
-		if err != nil {
+		if et.StrandIdx, err = d.IntList("x"); err != nil {
 			return err
 		}
-		idx, err := d.ints(xtoks)
-		if err != nil {
-			return err
-		}
-		if idx[0] != len(idx)-1 {
-			return d.errf("target %d: strand index list has %d entries, header says %d", ti, len(idx)-1, idx[0])
-		}
-		et.StrandIdx = idx[1:]
 		ex.Targets = append(ex.Targets, et)
 	}
 	return nil

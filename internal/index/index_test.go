@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -235,23 +236,28 @@ func TestRetiredOptionKeys(t *testing.T) {
 }
 
 // TestBadBodyRejected: a mode string nothing defines must not be read
-// as the slow path, and a snapshot without per-target multiplicities
-// must not be read as all-ones; like a malformed value, each fails with
-// its line.
+// as the slow path, a snapshot without per-target multiplicities must
+// not be read as all-ones, and a section count no body could hold must
+// be refused before anything is allocated for it; like a malformed
+// value, each fails with its line.
 func TestBadBodyRejected(t *testing.T) {
-	snap := saveBytes(t, buildDB(t))
+	db := buildDB(t)
+	snap := saveBytes(t, db)
+	lineError := regexp.MustCompile(`^index: line \d+: `)
 	for _, tc := range []struct{ from, to, want string }{
 		{"retrieval=scan", "retrieval=prob", `line 1: bad option value "retrieval=prob"`},
 		{"lshbands=", "lshbands=x", `line 1: bad option value "lshbands=x`},
 		{"mults 2", "mults 0", "mults section has 0 records for 2 targets"},
+		{fmt.Sprintf("strands %d", db.NumUniqueStrands()), "strands 1000000000000000", "line 4: strand count 1000000000000000 exceeds the"},
+		{"targets 2", "targets 1000000000000000", "target count 1000000000000000 exceeds the"},
 	} {
 		if !bytes.Contains(snap, []byte(tc.from)) {
 			t.Fatalf("%s: snapshot has no %q to corrupt", tc.to, tc.from)
 		}
 		bad := rewrite(t, snap, Version, func(ln string) string { return strings.Replace(ln, tc.from, tc.to, 1) })
 		_, err := Load(bytes.NewReader(bad))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want %q", tc.to, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {
+			t.Errorf("%s: error %v, want %q naming its line", tc.to, err, tc.want)
 		}
 	}
 }

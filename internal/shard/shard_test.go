@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -352,9 +351,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	// refused.
 	reopts := func(from, to string) []byte {
 		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-		body = bytes.Replace(body, []byte(from), []byte(to), 1)
-		sum := sha256.Sum256(body)
-		return append([]byte(fmt.Sprintf("%s %d %d %x\n", ManifestMagic, ManifestVersion, len(body), sum)), body...)
+		return framed(ManifestMagic, ManifestVersion, bytes.Replace(body, []byte(from), []byte(to), 1))
 	}
 	if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " kernel=batch prefilter=off lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
 		t.Fatalf("manifest with retired kernel= and prefilter= keys: %v\nwant %+v\ngot  %+v", err, man, old)

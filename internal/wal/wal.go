@@ -36,7 +36,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"repro/internal/recfile"
 )
 
 // Op is the mutation kind a record carries.
@@ -301,12 +302,12 @@ func (l *Log) LastSeq() uint64 { return l.lastSeq }
 func (l *Log) Stats() Stats { return l.stats }
 
 // Rewrite atomically drops every record with Seq <= hwm — the records
-// a freshly persisted snapshot generation already folds in. It writes
-// the surviving suffix to a temp file, fsyncs, and renames over the
-// log, so a crash at any point leaves either the old or the new log,
-// both of which replay correctly against their snapshot: the old log's
-// already-compacted prefix is skipped at replay by the snapshot's WAL
-// high-water mark.
+// a freshly persisted snapshot generation already folds in. It replaces
+// the log with the surviving suffix through recfile.Replace (fsync, rename,
+// directory fsync), so a crash at any point leaves either the old or the
+// new log, both of which replay correctly against their snapshot: the old
+// log's already-compacted prefix is skipped at replay by the snapshot's
+// WAL high-water mark.
 func (l *Log) Rewrite(hwm uint64) error {
 	data, err := os.ReadFile(l.path)
 	if err != nil {
@@ -319,28 +320,12 @@ func (l *Log) Rewrite(hwm uint64) error {
 			buf = EncodeRecord(buf, r)
 		}
 	}
-	dir, base := filepath.Split(l.path)
-	tmp, err := os.CreateTemp(dir, base+".rewrite-*")
+	err = recfile.Replace(l.path, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("wal: rewrite temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: rewrite write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: rewrite sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: rewrite close: %w", err)
-	}
-	if err := os.Rename(tmpName, l.path); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: rewrite rename: %w", err)
+		return fmt.Errorf("wal: rewrite: %w", err)
 	}
 	// Reopen the append handle on the new inode; the old handle points
 	// at the unlinked file.
