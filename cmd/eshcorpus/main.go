@@ -11,6 +11,7 @@
 //	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
 //	          [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0] [-retrieval scan|probe]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
+//	eshcorpus -save corpus.eshidx -wal corpus.wal  # fold an eshd log in, as eshd replays it
 //
 // The engine flags (package engineflags) are baked into the snapshot;
 // esh -load and eshd serve with them unless their own flags override.
@@ -26,14 +27,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/engineflags"
 	"repro/internal/index"
 	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
 func main() {
@@ -115,33 +114,18 @@ func main() {
 				fail("index %s: %v", p.Name, err)
 			}
 		}
-		// Fold a daemon's WAL into the snapshot: replay every record, so
-		// the saved index carries the live writes (the export is the
-		// remapped live view) and records its high-water mark — a daemon
-		// restarted on this snapshot with the same WAL skips them.
+		// Fold a daemon's WAL into the snapshot by the rule a restarting
+		// daemon replays it with, so the saved index carries the live
+		// writes (the export is the remapped live view) and records their
+		// high-water mark — a daemon restarted on this snapshot with the
+		// same WAL skips them.
 		if *walPath != "" {
-			_, recs, err := wal.Open(*walPath, wal.Options{Sync: wal.SyncNone})
+			n, err := index.Fold(db, *walPath)
 			if err != nil {
-				fail("wal: %v", err)
-			}
-			for _, r := range recs {
-				switch r.Op {
-				case wal.OpAdd:
-					p, err := asm.ParseProc(r.Body)
-					if err != nil {
-						fail("wal seq %d: parse %s: %v", r.Seq, r.Name, err)
-					}
-					if err := db.ReplayAdd(p, r.Seq); err != nil {
-						fail("wal seq %d: add %s: %v", r.Seq, r.Name, err)
-					}
-				case wal.OpDelete:
-					if err := db.ReplayRemove(r.Name, r.Seq); err != nil {
-						fail("wal seq %d: delete %s: %v", r.Seq, r.Name, err)
-					}
-				}
+				fail("%v", err)
 			}
 			fmt.Printf("folded %d WAL records (high-water mark %d) from %s\n",
-				len(recs), db.WALSeq(), *walPath)
+				n, db.WALSeq(), *walPath)
 		}
 		if err := index.SaveFile(*save, db); err != nil {
 			fail("%v", err)

@@ -37,15 +37,15 @@
 //	GET  /healthz           liveness
 //	GET  /readyz            readiness (503 while draining)
 //
-// With -wal, the daemon accepts live corpus writes: each accepted write
-// is appended to the write-ahead log before it is applied (with -fsync
-// always, the default, it is fsynced too — an acknowledged write
-// survives power loss), and on startup any WAL records newer than the
-// snapshot's high-water mark are replayed. Compaction (manual via POST
-// /v1/compact, or automatic via -compact-interval / -compact-pending)
-// folds the accumulated writes into a new snapshot generation at
-// -index, atomically rewrites the WAL down to its tail, and keeps
-// serving queries throughout.
+// The snapshot and the -wal log are one index.Store. With -wal, the daemon
+// accepts live corpus writes: each accepted write is appended to the log
+// before it is applied (with -fsync always, the default, it is fsynced
+// too — an acknowledged write survives power loss), and on startup the
+// records past the snapshot's high-water mark are replayed. Compaction
+// (manual via POST /v1/compact, or automatic via -compact-interval /
+// -compact-pending) folds the accumulated writes into a new snapshot
+// generation at -index, atomically rewrites the WAL down to its tail, and
+// keeps serving queries throughout.
 //
 // With -pprof-addr, net/http/pprof profiling endpoints are served on a
 // separate (normally loopback-only) listener, so profiles are never
@@ -63,11 +63,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/engineflags"
 	"repro/internal/index"
@@ -103,52 +101,17 @@ func main() {
 	}
 
 	lctx, loadSpan := telemetry.StartSpan(context.Background(), "startup")
-	db, info, err := index.LoadFileInfoCtx(lctx, *indexPath, engine.Load)
+	store, err := index.OpenStore(lctx, *indexPath, index.StoreOptions{
+		WAL:      *walPath,
+		Sync:     wal.SyncPolicy(*fsync),
+		Override: engine.Load,
+		Logger:   logger,
+	})
 	loadSpan.End()
 	if err != nil {
 		fail("%v", err)
 	}
-	// With -wal, recover the log, replay any records newer than the
-	// snapshot's high-water mark, and journal all future writes.
-	var wlog *walLog
-	if *walPath != "" {
-		switch wal.SyncPolicy(*fsync) {
-		case wal.SyncAlways, wal.SyncNone:
-		default:
-			fail("unknown -fsync %q (always, none)", *fsync)
-		}
-		log, recs, err := wal.Open(*walPath, wal.Options{Sync: wal.SyncPolicy(*fsync)})
-		if err != nil {
-			fail("wal: %v", err)
-		}
-		replayed := 0
-		for _, r := range recs {
-			if r.Seq <= db.WALSeq() {
-				continue // already folded into the snapshot
-			}
-			switch r.Op {
-			case wal.OpAdd:
-				p, err := asm.ParseProc(r.Body)
-				if err != nil {
-					fail("wal replay seq %d: parse %s: %v", r.Seq, r.Name, err)
-				}
-				if err := db.ReplayAdd(p, r.Seq); err != nil {
-					fail("wal replay seq %d: add %s: %v", r.Seq, r.Name, err)
-				}
-			case wal.OpDelete:
-				if err := db.ReplayRemove(r.Name, r.Seq); err != nil {
-					fail("wal replay seq %d: delete %s: %v", r.Seq, r.Name, err)
-				}
-			}
-			replayed++
-		}
-		wlog = &walLog{log: log}
-		db.SetJournal(wlog)
-		ws := wlog.Stats()
-		logger.Info("wal recovered", "path", *walPath, "fsync", *fsync,
-			"records", ws.Replayed, "replayed", replayed, "last_seq", ws.LastSeq,
-			"truncated_tail", ws.TruncatedTail, "corrupt", ws.Corrupt)
-	}
+	db, info := store.DB(), store.Snapshot()
 
 	st := db.Stats()
 	attrs := []any{
@@ -180,48 +143,13 @@ func main() {
 
 	server.ServePprof(*pprofAddr, logger)
 
-	// The compact hook persists the folded corpus over -index (a durable
-	// replace: fsync, rename, directory fsync), swaps it live, then
-	// rewrites the WAL down to its tail. It closes over srv (assigned just
-	// below) so /v1/stats reports the new snapshot identity; compaction can
-	// only be invoked once the server is up.
-	var srv *server.Server
-	var compact func() (uint64, uint64, error)
-	if wlog != nil {
-		compact = func() (uint64, uint64, error) {
-			var newInfo index.Info
-			persisted := false
-			gen, hwm, err := db.Compact(func(ex *core.Export) error {
-				inf, perr := index.SaveExportFile(*indexPath, ex)
-				if perr != nil {
-					return perr
-				}
-				newInfo, persisted = inf, true
-				return nil
-			}, wlog.Rewrite)
-			if persisted {
-				srv.SetSnapshotInfo(newInfo)
-				logger.Info("compacted", "generation", gen, "wal_hwm", hwm,
-					"checksum", newInfo.Checksum, "err", err)
-			}
-			return gen, hwm, err
-		}
-	}
-
-	cfg := server.Config{
+	srv := server.FromStore(store, server.Config{
 		QueryTimeout:       *timeout,
 		MaxInFlight:        *maxInflight,
 		Logger:             logger,
-		Snapshot:           info,
 		SlowQueryThreshold: *slowThreshold,
 		RecorderSize:       *recorderSize,
-		EnableWrites:       wlog != nil,
-		Compact:            compact,
-	}
-	if wlog != nil {
-		cfg.WALStats = wlog.Stats
-	}
-	srv = server.New(db, cfg)
+	})
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
@@ -234,7 +162,7 @@ func main() {
 	// Background compactor: on a timer, by pending-write threshold, or
 	// both. The threshold is polled every second so a write burst gets
 	// folded promptly without a tight loop.
-	if compact != nil && (*compactInterval > 0 || *compactPending > 0) {
+	if store.Writable() && (*compactInterval > 0 || *compactPending > 0) {
 		go func() {
 			poll := *compactInterval
 			if *compactPending > 0 && (poll <= 0 || poll > time.Second) {
@@ -260,7 +188,7 @@ func main() {
 				if !due {
 					continue
 				}
-				if _, _, err := compact(); err != nil {
+				if _, _, err := store.Compact(); err != nil {
 					logger.Error("compaction failed", "err", err)
 				}
 				last = time.Now()
@@ -292,51 +220,10 @@ func main() {
 		logger.Error("shutdown incomplete", "err", err)
 		os.Exit(1)
 	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			logger.Error("wal close", "err", err)
-		}
+	if err := store.Close(); err != nil {
+		logger.Error("wal close", "err", err)
 	}
 	logger.Info("drained, exiting")
-}
-
-// walLog adapts *wal.Log to core.Journal and serializes it: the engine
-// already serializes journal appends and the compaction rewrite behind
-// its write lock, but /v1/stats reads Stats concurrently, so the
-// adapter owns one mutex for all four.
-type walLog struct {
-	mu  sync.Mutex
-	log *wal.Log
-}
-
-func (w *walLog) LogAdd(name, body string) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Append(wal.OpAdd, name, body)
-}
-
-func (w *walLog) LogRemove(name string) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Append(wal.OpDelete, name, "")
-}
-
-func (w *walLog) Rewrite(hwm uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Rewrite(hwm)
-}
-
-func (w *walLog) Stats() wal.Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Stats()
-}
-
-func (w *walLog) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Close()
 }
 
 func fail(format string, args ...any) {

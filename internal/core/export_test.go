@@ -13,6 +13,23 @@ import (
 // the plan's partial.
 func (pl *QueryPlan) Strands() []*strand.Strand { return pl.strands }
 
+// The crash-recovery tests (replay_test.go) replay through package index,
+// which imports core, so they are in package core_test too; these are the
+// parts of the write harness (write_test.go) they share.
+var (
+	GenProc          = genProc
+	SynthOps         = synthOps
+	DelOp            = delOp
+	ApplyScript      = applyScript
+	Survivors        = survivors
+	BuildFresh       = buildFresh
+	DiffReports      = diffReports
+	WriteTestOptions = writeTestOptions
+)
+
+// GCCStyle is a small single-block procedure the write tests query with.
+const GCCStyle = gccStyle
+
 // ColumnStrands returns the unique target strands in column order, nil
 // where a strand is dead (every target holding it tombstoned).
 func (db *DB) ColumnStrands() []*vcp.Prepared {

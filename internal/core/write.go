@@ -22,10 +22,10 @@ import (
 // so an acknowledged write can never be half-applied.
 
 // Journal is the write-ahead log the DB appends to before applying a
-// write in memory. Implemented by an adapter over internal/wal; kept as
-// an interface so core carries no dependency on the log format and tests
-// can inject failures. Both methods return the record's sequence number;
-// on error nothing may have been written and the write is not applied.
+// write in memory. Implemented by *wal.Log; kept as an interface so core
+// carries no dependency on the log format and tests can inject failures.
+// Both methods return the record's sequence number; on error nothing may
+// have been written and the write is not applied.
 type Journal interface {
 	LogAdd(name, body string) (uint64, error)
 	LogRemove(name string) (uint64, error)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -15,16 +13,15 @@ import (
 	"repro/internal/asm"
 	"repro/internal/sketch"
 	"repro/internal/vcp"
-	"repro/internal/wal"
 )
 
 // The live write path is an optimisation over rebuilding the index, not
 // a new indexing method: after any interleaving of adds, tombstones,
 // and compactions, queries must be bit-identical — same ranking, same
 // Float64bits — to a from-scratch index of the surviving targets in
-// their original add order. This file is that differential harness,
-// plus the crash-recovery bridge: a WAL truncated or garbled at an
-// arbitrary byte recovers a prefix, and the replayed index is again
+// their original add order. This file is that differential harness;
+// replay_test.go is the crash-recovery bridge: a WAL truncated or garbled
+// at an arbitrary byte recovers a prefix, and the replayed index is again
 // bit-identical to a fresh build from the surviving writes.
 
 // genProc emits a small single-block procedure whose strand content
@@ -583,209 +580,6 @@ func TestWriteDifferentialEagerRebuild(t *testing.T) {
 			diffReports(t, "after the compaction", compacted, rebuild)
 		})
 	}
-}
-
-// journalLog adapts *wal.Log to the Journal interface for the
-// crash-recovery bridge (the eshd daemon carries its own copy; tests
-// use this one so core does not import cmd code).
-type journalLog struct{ log *wal.Log }
-
-func (j journalLog) LogAdd(name, body string) (uint64, error) {
-	return j.log.Append(wal.OpAdd, name, body)
-}
-func (j journalLog) LogRemove(name string) (uint64, error) {
-	return j.log.Append(wal.OpDelete, name, "")
-}
-
-// TestCrashRecoveryDifferential journals a write script, then crashes
-// at every byte-boundary of interest: the WAL is cut (or garbled) at
-// each record boundary and mid-record, recovered, replayed into a fresh
-// engine, and the recovered engine's Query must be bit-identical to a
-// from-scratch index of exactly the surviving prefix's targets. This is
-// the acceptance claim: an acknowledged write either survives whole or
-// the tail is dropped cleanly — never a half-applied corpus.
-func TestCrashRecoveryDifferential(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "crash.wal")
-	log, recs, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh WAL replayed %d records", len(recs))
-	}
-
-	ops := append(append(synthOps(1, 2, 3), delOp("synth_2")), append(synthOps(4), delOp("synth_1"))...)
-	db := NewDB(writeTestOptions("scan"))
-	db.SetJournal(journalLog{log})
-	var bounds []int64 // file size after each journaled record
-	for i, op := range ops {
-		switch op.kind {
-		case "add":
-			if err := db.ApplyAdd(parse(t, op.src)); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-		case "del":
-			if _, err := db.ApplyRemove(op.name); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-		}
-		st := log.Stats()
-		bounds = append(bounds, st.Bytes)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(full)) != bounds[len(bounds)-1] {
-		t.Fatalf("WAL is %d bytes, last record ends at %d", len(full), bounds[len(bounds)-1])
-	}
-
-	// Cut points: every record boundary, and three bytes past each (a
-	// torn mid-record tail). A garble run flips a byte in the tail
-	// record instead of cutting.
-	check := func(t *testing.T, data []byte, nSurvive int) {
-		p := filepath.Join(t.TempDir(), "recovered.wal")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rlog, rrecs, err := wal.Open(p, wal.Options{Sync: wal.SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rlog.Close()
-		if len(rrecs) != nSurvive {
-			t.Fatalf("recovered %d records, want %d", len(rrecs), nSurvive)
-		}
-		rec := NewDB(writeTestOptions("scan"))
-		for _, r := range rrecs {
-			switch r.Op {
-			case wal.OpAdd:
-				if err := rec.ReplayAdd(parse(t, r.Body), r.Seq); err != nil {
-					t.Fatal(err)
-				}
-			case wal.OpDelete:
-				if err := rec.ReplayRemove(r.Name, r.Seq); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if rec.WALSeq() != uint64(nSurvive) {
-			t.Fatalf("replayed high-water mark %d, want %d", rec.WALSeq(), nSurvive)
-		}
-		fresh := buildFresh(t, writeTestOptions("scan"), survivors(t, ops[:nSurvive]))
-		for _, qsrc := range []string{gccStyle, genProc(4)} {
-			q := parse(t, qsrc)
-			got, err := rec.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, "post-recovery "+q.Name, got, want)
-		}
-	}
-
-	for k := 0; k <= len(bounds); k++ {
-		cut := int64(0)
-		if k > 0 {
-			cut = bounds[k-1]
-		}
-		t.Run(fmt.Sprintf("cut-at-record-%d", k), func(t *testing.T) {
-			check(t, full[:cut], k)
-		})
-		if cut < int64(len(full)) {
-			t.Run(fmt.Sprintf("torn-after-record-%d", k), func(t *testing.T) {
-				// A torn write 3 bytes into the next record: the tail
-				// frame is incomplete, so exactly k records survive.
-				end := cut + 3
-				if end > int64(len(full)) {
-					end = int64(len(full))
-				}
-				check(t, full[:end], k)
-			})
-			t.Run(fmt.Sprintf("garbled-record-%d", k), func(t *testing.T) {
-				// Flip a byte inside record k+1's frame: CRC rejects it
-				// and everything after it, so k records survive.
-				data := append([]byte(nil), full...)
-				data[cut+5] ^= 0x40
-				check(t, data, k)
-			})
-		}
-	}
-}
-
-// TestCompactPersistCrash simulates SIGKILL during compaction: if the
-// persist callback fails (the snapshot never lands), the engine keeps
-// serving the old generation and the WAL is untouched, so a restart
-// replays every acknowledged write.
-func TestCompactPersistCrash(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "c.wal")
-	log, _, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewDB(writeTestOptions("scan"))
-	db.SetJournal(journalLog{log})
-	for _, i := range []int{1, 2, 3} {
-		if err := db.ApplyAdd(parse(t, genProc(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.ApplyRemove("synth_2"); err != nil {
-		t.Fatal(err)
-	}
-
-	boom := fmt.Errorf("disk full")
-	if _, _, err := db.Compact(func(*Export) error { return boom }, nil); err == nil {
-		t.Fatal("compact with failing persist did not error")
-	}
-	if db.DataGeneration() != 0 || db.PendingWrites() != 4 || db.Tombstones() != 1 {
-		t.Fatalf("failed compaction mutated state: gen=%d pending=%d tombstones=%d",
-			db.DataGeneration(), db.PendingWrites(), db.Tombstones())
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": reopen the WAL and replay into a fresh engine.
-	log2, recs, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	if len(recs) != 4 {
-		t.Fatalf("restart replayed %d records, want 4", len(recs))
-	}
-	rec := NewDB(writeTestOptions("scan"))
-	for _, r := range recs {
-		switch r.Op {
-		case wal.OpAdd:
-			if err := rec.ReplayAdd(parse(t, r.Body), r.Seq); err != nil {
-				t.Fatal(err)
-			}
-		case wal.OpDelete:
-			if err := rec.ReplayRemove(r.Name, r.Seq); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	q := parse(t, gccStyle)
-	got, err := rec.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffReports(t, "post-restart", got, want)
 }
 
 // TestCompactRoundTrip compacts through a persist callback that saves

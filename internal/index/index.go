@@ -73,12 +73,6 @@ var (
 		"Body size of the most recently loaded or saved snapshot.")
 )
 
-// Save writes a snapshot of the database to w.
-func Save(w io.Writer, db *core.DB) error {
-	_, err := SaveExportCtx(context.Background(), w, db.Export())
-	return err
-}
-
 // SaveExportCtx writes a snapshot of already-exported state — the shard
 // splitter's path, which never materializes a prepared DB per shard —
 // recording an "index.save" telemetry span under the one carried by ctx (if
@@ -118,16 +112,10 @@ func SaveExportFile(path string, ex *core.Export) (Info, error) {
 	return info, nil
 }
 
-// Load reads a snapshot and rebuilds a queryable database, re-preparing
-// every strand. The rebuilt DB answers Query identically to the one that
-// was saved.
-func Load(r io.Reader) (*core.DB, error) {
-	db, _, err := LoadInfoCtx(context.Background(), r, nil)
-	return db, err
-}
-
-// LoadInfoCtx is Load with the options override applied between decode
-// and engine construction, returning the snapshot's identity alongside
+// LoadInfoCtx reads a snapshot and rebuilds a queryable database,
+// re-preparing every strand (the rebuilt DB answers Query identically to
+// the one that was saved), with the options override applied between
+// decode and engine construction, returning the snapshot's identity alongside
 // the rebuilt database. It records an "index.load" telemetry span (with
 // decode and prepare child spans) under the one carried by ctx, if any.
 func LoadInfoCtx(ctx context.Context, r io.Reader, override Override) (*core.DB, Info, error) {

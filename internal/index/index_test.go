@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"regexp"
 	"runtime"
@@ -82,6 +83,18 @@ func buildDB(t *testing.T) *core.DB {
 		}
 	}
 	return db
+}
+
+// Save and Load are the in-memory round trip the tests drive; the
+// binaries go through files (SaveExportFile, LoadFileInfoCtx).
+func Save(w io.Writer, db *core.DB) error {
+	_, err := SaveExportCtx(context.Background(), w, db.Export())
+	return err
+}
+
+func Load(r io.Reader) (*core.DB, error) {
+	db, _, err := LoadInfoCtx(context.Background(), r, nil)
+	return db, err
 }
 
 func saveBytes(t *testing.T, db *core.DB) []byte {

@@ -133,27 +133,38 @@ func TestPartialEndpoint(t *testing.T) {
 }
 
 // TestStatsSnapshotBlock checks that /v1/stats surfaces the snapshot
-// identity a gateway verifies the fleet with.
+// identity a gateway verifies the fleet with, and that it follows the
+// snapshot a compaction writes.
 func TestStatsSnapshotBlock(t *testing.T) {
-	cfg := quietConfig()
-	cfg.Snapshot = index.Info{Version: 3, BodyLen: 123, Checksum: "abcdef"}
-	_, ts := newTestServer(t, testDB(t), cfg, nil)
-
-	resp := get(t, ts.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats = %d", resp.StatusCode)
+	_, ts := storeServer(t, testDB(t), true)
+	stats := func() StatsResponse {
+		resp := get(t, ts.URL+"/v1/stats")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stats = %d", resp.StatusCode)
+		}
+		var st StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	loaded := stats()
+	if loaded.Snapshot.Version != index.Version || len(loaded.Snapshot.Checksum) != 64 {
+		t.Fatalf("snapshot block %+v", loaded.Snapshot)
 	}
-	if st.Snapshot.Version != 3 || st.Snapshot.Checksum != "abcdef" {
-		t.Fatalf("snapshot block %+v", st.Snapshot)
+	if loaded.Snapshot.ShardCount != 0 {
+		t.Fatalf("unsharded corpus reports shard count %d", loaded.Snapshot.ShardCount)
 	}
-	if st.Snapshot.ShardCount != 0 {
-		t.Fatalf("unsharded corpus reports shard count %d", st.Snapshot.ShardCount)
-	}
-	if st.Retrieval.Mode == "" {
+	if loaded.Retrieval.Mode == "" {
 		t.Fatal("stats omit retrieval mode")
+	}
+	for _, c := range []struct{ method, path string }{{http.MethodPost, "/v1/targets"}, {http.MethodPost, "/v1/compact"}} {
+		if resp, body := doJSON(t, c.method, ts.URL+c.path, WriteRequest{Asm: gccStyle}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", c.method, c.path, resp.StatusCode, body)
+		}
+	}
+	if compacted := stats(); compacted.Snapshot.Checksum == loaded.Snapshot.Checksum || compacted.Writes.Generation != 1 {
+		t.Fatalf("after a compaction the stats name snapshot %.12s… at generation %d, before it %.12s…",
+			compacted.Snapshot.Checksum, compacted.Writes.Generation, loaded.Snapshot.Checksum)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,10 +39,6 @@ type Config struct {
 	// Logger receives one structured line per request (default
 	// slog.Default).
 	Logger *slog.Logger
-	// Snapshot identifies the index snapshot the DB was loaded from
-	// (version, checksum, shard). Optional — an in-memory corpus has
-	// none — but a gateway needs it in /v1/stats to verify the fleet.
-	Snapshot index.Info
 	// SlowQueryThreshold marks queries at or above this duration as
 	// slow: they keep their full span tree in the flight recorder, show
 	// up at GET /debug/slow, and emit a structured warning line. Default
@@ -52,18 +47,6 @@ type Config struct {
 	// RecorderSize bounds the flight-recorder ring (default
 	// telemetry.DefaultRecorderSize).
 	RecorderSize int
-	// EnableWrites turns on the live write API (POST /v1/targets,
-	// DELETE /v1/targets/{name}, POST /v1/compact). Off by default:
-	// without a write-ahead log the daemon cannot make writes durable,
-	// so cmd/eshd enables it only when -wal is set.
-	EnableWrites bool
-	// Compact, when non-nil, is invoked by POST /v1/compact (and is how
-	// the daemon's background compactor and the API share one code
-	// path). It returns the new generation and folded WAL high-water
-	// mark.
-	Compact func() (gen, hwm uint64, err error)
-	// WALStats, when non-nil, supplies journal statistics for /v1/stats.
-	WALStats func() wal.Stats
 }
 
 func (c Config) withDefaults() Config {
@@ -83,18 +66,14 @@ func (c Config) withDefaults() Config {
 // terminal outcome per query request.
 var queryResults = [...]string{"completed", "failure", "timeout", "rejected", "bad_input"}
 
-// Server serves similarity queries — and, with writes enabled, live
+// Server serves similarity queries — and, over a writable store, live
 // corpus mutations — against one DB.
 type Server struct {
 	db    *core.DB
 	cfg   Config
 	front *Front
 
-	// snapMu guards the serving snapshot identity: compaction persists a
-	// new snapshot generation under the live daemon and updates it via
-	// SetSnapshotInfo while /v1/stats reads it.
-	snapMu   sync.RWMutex
-	snapshot index.Info
+	store *index.Store // the corpus's files; nil serves in memory, read-only
 	// queryFn indirects db.RunPlan so tests can inject slow or failing
 	// queries deterministically; partialFn likewise for db.RunPlanPartial.
 	queryFn   func(context.Context, *core.QueryPlan) (*core.Report, error)
@@ -115,13 +94,12 @@ type Server struct {
 	reg *telemetry.Registry
 }
 
-// New builds a Server around an indexed database.
+// New builds a read-only Server around an in-memory database.
 func New(db *core.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		db:        db,
 		cfg:       cfg,
-		snapshot:  cfg.Snapshot,
 		queryFn:   db.RunPlan,
 		partialFn: db.RunPlanPartial,
 		reg:       telemetry.NewRegistry(),
@@ -142,6 +120,14 @@ func New(db *core.DB, cfg Config) *Server {
 	s.reg.GaugeFunc("esh_http_max_inflight", "Configured in-flight query limit.",
 		func() float64 { return float64(cfg.MaxInFlight) })
 	s.plans.init(s.reg)
+	return s
+}
+
+// FromStore builds a Server around the corpus st owns, as eshd serves it:
+// the write endpoints are on when st has a write-ahead log.
+func FromStore(st *index.Store, cfg Config) *Server {
+	s := New(st.DB(), cfg)
+	s.store = st
 	return s
 }
 
@@ -462,19 +448,10 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"targets": out})
 }
 
-// SetSnapshotInfo replaces the snapshot identity reported by /v1/stats.
-// The daemon calls it after a compaction persists a new snapshot
-// generation under the live server.
-func (s *Server) SetSnapshotInfo(info index.Info) {
-	s.snapMu.Lock()
-	s.snapshot = info
-	s.snapMu.Unlock()
-}
-
 // writeEnabled gates the write API: 501 with a pointer at -wal when the
 // daemon has no durable journal.
 func (s *Server) writeEnabled(w http.ResponseWriter) bool {
-	if !s.cfg.EnableWrites {
+	if s.store == nil || !s.store.Writable() {
 		Fail(w, http.StatusNotImplemented, "live writes are disabled (start eshd with -wal)")
 		return false
 	}
@@ -597,21 +574,15 @@ func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCompact serves POST /v1/compact: fold the journal and
-// tombstones into a new snapshot generation via the daemon's compaction
-// hook. 501 when the daemon wired no hook (no snapshot path to persist
-// to).
+// tombstones into a new snapshot generation through the store.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if !s.writeEnabled(w) {
-		return
-	}
-	if s.cfg.Compact == nil {
-		Fail(w, http.StatusNotImplemented, "no compaction hook configured")
 		return
 	}
 	rid := RequestID(r.Context())
 	start := time.Now()
 	_, root := telemetry.StartSpan(context.Background(), "compact")
-	gen, _, err := s.cfg.Compact()
+	gen, _, err := s.store.Compact()
 	root.SetAttr("generation", float64(gen))
 	root.End()
 	if err != nil {
@@ -757,19 +728,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Index.LiveTargets = dbs.LiveTargets
 	resp.Index.UniqueStrands = dbs.UniqueStrands
 	resp.Index.TotalStrands = dbs.TotalStrands
-	resp.Writes.Enabled = s.cfg.EnableWrites
 	resp.Writes.Generation = dbs.Generation
 	resp.Writes.WALSeq = dbs.WALSeq
 	resp.Writes.PendingWrites = dbs.PendingWrites
 	resp.Writes.Tombstones = dbs.Tombstones
-	if s.cfg.WALStats != nil {
-		ws := s.cfg.WALStats()
-		resp.Writes.WAL = &ws
+	if s.store != nil {
+		resp.Writes.Enabled = s.store.Writable()
+		resp.Writes.WAL = s.store.WALStats()
+		snap := s.store.Snapshot()
+		resp.Snapshot.Version = snap.Version
+		resp.Snapshot.Checksum = snap.Checksum
 	}
-	s.snapMu.RLock()
-	resp.Snapshot.Version = s.snapshot.Version
-	resp.Snapshot.Checksum = s.snapshot.Checksum
-	s.snapMu.RUnlock()
 	si := s.db.Shard()
 	resp.Snapshot.ShardID = si.ID
 	resp.Snapshot.ShardCount = si.Count

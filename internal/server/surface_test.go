@@ -21,6 +21,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/index"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -213,13 +214,17 @@ func TestServedSurfaceGolden(t *testing.T) {
 	mustCall(t, http.MethodPost, readOnly+"/v1/query/partial", query)
 	fmt.Fprintf(&got, "== eshd\n%s", surface(t, readOnly))
 
-	db := surfaceDB(t)
-	writable := serve(t, server.New(db, server.Config{
-		Logger:       quiet,
-		EnableWrites: true,
-		Compact:      func() (uint64, uint64, error) { return db.Compact(nil, nil) },
-		WALStats:     func() wal.Stats { return wal.Stats{} },
-	}).Handler())
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "corpus.eshidx")
+	if err := index.SaveFile(snap, surfaceDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := index.OpenStore(context.Background(), snap, index.StoreOptions{WAL: filepath.Join(dir, "corpus.wal"), Sync: wal.SyncNone, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	writable := serve(t, server.FromStore(st, server.Config{Logger: quiet}).Handler())
 	mustCall(t, http.MethodPost, writable+"/v1/query", query)
 	mustCall(t, http.MethodPost, writable+"/v1/query/partial", query)
 	mustCall(t, http.MethodPost, writable+"/v1/targets", server.WriteRequest{Asm: queryProc})

@@ -2,17 +2,22 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/vcp"
+	"repro/internal/wal"
 )
 
 func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte) {
@@ -41,8 +46,8 @@ func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte)
 	return resp, b
 }
 
-// TestWritesDisabledByDefault: without EnableWrites every write
-// endpoint answers 501, and the read API is untouched.
+// TestWritesDisabledByDefault: an in-memory server (no store) answers 501
+// on every write endpoint, and the read API is untouched.
 func TestWritesDisabledByDefault(t *testing.T) {
 	db := testDB(t)
 	_, ts := newTestServer(t, db, quietConfig(), nil)
@@ -62,16 +67,32 @@ func TestWritesDisabledByDefault(t *testing.T) {
 	}
 }
 
-func writeConfig(db *core.DB) Config {
-	cfg := quietConfig()
-	cfg.EnableWrites = true
-	cfg.Compact = func() (uint64, uint64, error) { return db.Compact(nil, nil) }
-	return cfg
+// storeServer serves db the way eshd does: saved as a snapshot and opened
+// by an index.Store, with a write-ahead log beside it when writable. It
+// returns the store's database, the one the server writes to.
+func storeServer(t *testing.T, db *core.DB, writable bool) (*core.DB, *httptest.Server) {
+	t.Helper()
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "corpus.eshidx")
+	if err := index.SaveFile(snap, db); err != nil {
+		t.Fatal(err)
+	}
+	opts := index.StoreOptions{Sync: wal.SyncNone, Logger: quietConfig().Logger}
+	if writable {
+		opts.WAL = filepath.Join(dir, "corpus.wal")
+	}
+	st, err := index.OpenStore(context.Background(), snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(FromStore(st, quietConfig()).Handler())
+	t.Cleanup(ts.Close)
+	return st.DB(), ts
 }
 
 func TestWriteEndpoints(t *testing.T) {
-	db := testDB(t)
-	_, ts := newTestServer(t, db, writeConfig(db), nil)
+	db, ts := storeServer(t, testDB(t), true)
 
 	// Add: 200, names in order, pending count bumps.
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/targets", WriteRequest{Asm: gccStyle})
@@ -176,16 +197,32 @@ func TestWriteEndpoints(t *testing.T) {
 	}
 }
 
-// TestCompactWithoutHook: writes enabled but no compaction hook wired
-// (a test harness, not eshd) → 501, not a crash.
-func TestCompactWithoutHook(t *testing.T) {
-	db := testDB(t)
-	cfg := quietConfig()
-	cfg.EnableWrites = true
-	_, ts := newTestServer(t, db, cfg, nil)
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/compact", nil)
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("compact without hook: status %d: %s", resp.StatusCode, body)
+// TestCompactWithoutWAL: a snapshot served without a write-ahead log
+// (eshd without -wal) has nothing to make a write durable with, so every
+// write endpoint, compaction included, answers 501, and /v1/stats names
+// the snapshot with writes off.
+func TestCompactWithoutWAL(t *testing.T) {
+	db, ts := storeServer(t, testDB(t), false)
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/compact"},
+		{http.MethodPost, "/v1/targets"},
+		{http.MethodDelete, "/v1/targets/checksum_icc"},
+	} {
+		resp, body := doJSON(t, c.method, ts.URL+c.path, WriteRequest{Asm: gccStyle})
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Errorf("%s %s: status %d, want 501 (%s)", c.method, c.path, resp.StatusCode, body)
+		}
+	}
+	_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
+	var st StatsResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Writes.Enabled || st.Writes.WAL != nil || st.Snapshot.Version != index.Version {
+		t.Fatalf("read-only store: writes %+v, snapshot %+v", st.Writes, st.Snapshot)
+	}
+	if n := db.NumTargets(); n != 2 {
+		t.Fatalf("disabled writes mutated the corpus: %d targets", n)
 	}
 }
 
@@ -205,7 +242,7 @@ func TestCompactionUnderLoad(t *testing.T) {
 	if err := db.AddTarget(p); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, db, writeConfig(db), nil)
+	db, ts := storeServer(t, db, true)
 
 	const writers, perWriter = 4, 8
 	var wg sync.WaitGroup
@@ -289,14 +326,6 @@ endp`, wID, i, 3+2*(wID*perWriter+i), 0x21+wID+i*5, 1+(i%7))
 	}
 }
 
-// seqJournal numbers records the way a WAL does, so write replies carry a
-// moving wal_seq. Appends come one at a time: the engine journals under its
-// write lock.
-type seqJournal struct{ seq uint64 }
-
-func (j *seqJournal) LogAdd(string, string) (uint64, error) { j.seq++; return j.seq, nil }
-func (j *seqJournal) LogRemove(string) (uint64, error)      { j.seq++; return j.seq, nil }
-
 // TestWriteRepliesOneState: a write reply's generation, wal_seq and
 // pending_writes come off one version of the corpus, so they describe a
 // state the database was in whatever lands beside the write. With one
@@ -316,8 +345,7 @@ func TestWriteRepliesOneState(t *testing.T) {
 	if err := db.AddTarget(p); err != nil {
 		t.Fatal(err)
 	}
-	db.SetJournal(&seqJournal{})
-	_, ts := newTestServer(t, db, writeConfig(db), nil)
+	db, ts := storeServer(t, db, true)
 
 	var mu sync.Mutex
 	var replies []WriteResponse

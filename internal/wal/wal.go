@@ -14,9 +14,10 @@
 //	u64 seq | u8 op | u32 len(name) | name | body
 //
 // All integers are little-endian. Sequence numbers are assigned by the
-// log, start at 1, and increase by exactly 1 per record; replay
-// enforces monotonicity so a partially rewritten log cannot silently
-// splice two histories together. The CRC covers the payload only — the
+// log, start at 1 (or past a Rewrite's mark), and increase by exactly 1
+// per record; replay enforces monotonicity so a partially rewritten log
+// cannot silently splice two histories together. The CRC covers the
+// payload only — the
 // length prefix is validated structurally (a frame that runs past EOF
 // is a torn tail, not corruption).
 //
@@ -36,6 +37,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/recfile"
 )
@@ -192,23 +194,21 @@ type Stats struct {
 	Path          string `json:"path"`
 	Records       uint64 `json:"records"`        // appended this process lifetime
 	Replayed      int    `json:"replayed"`       // valid records recovered at Open
-	LastSeq       uint64 `json:"last_seq"`       // highest sequence in the log
+	LastSeq       uint64 `json:"last_seq"`       // last sequence appended, or the last Rewrite's mark if higher
 	Bytes         int64  `json:"bytes"`          // current file size
 	Syncs         uint64 `json:"syncs"`          // fsyncs issued
 	TruncatedTail int64  `json:"truncated_tail"` // bytes dropped at Open (torn tail)
 	Corrupt       bool   `json:"corrupt"`        // tail drop was corruption, not a clean cut
 }
 
-// Log is a single-writer append-only log. Append/Rewrite/Stats are NOT
-// safe for concurrent use; the engine serializes all writers behind
-// its own write lock, and the log inherits that regime.
+// Log is an append-only log and the engine's core.Journal. One mutex
+// orders appends, rewrites and reads of its counters.
 type Log struct {
-	path    string
-	opts    Options
-	f       File
-	size    int64
-	lastSeq uint64
-	stats   Stats
+	mu    sync.Mutex
+	path  string
+	opts  Options
+	f     File
+	stats Stats // stats.LastSeq numbers the next record, stats.Bytes is the file size
 }
 
 // Open recovers the log at path (creating it if absent), truncates any
@@ -217,6 +217,8 @@ type Log struct {
 func Open(path string, opts Options) (*Log, []Record, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
+	} else if opts.Sync != SyncAlways && opts.Sync != SyncNone {
+		return nil, nil, fmt.Errorf("wal: unknown fsync policy %q (always, none)", opts.Sync)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -235,17 +237,15 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{path: path, opts: opts, f: f, size: validLen}
-	if n := len(recs); n > 0 {
-		l.lastSeq = recs[n-1].Seq
-	}
-	l.stats = Stats{
+	l := &Log{path: path, opts: opts, f: f, stats: Stats{
 		Path:          path,
 		Replayed:      len(recs),
-		LastSeq:       l.lastSeq,
 		Bytes:         validLen,
 		TruncatedTail: int64(len(data)) - validLen,
 		Corrupt:       derr != nil && errors.Is(derr, ErrCorrupt),
+	}}
+	if n := len(recs); n > 0 {
+		l.stats.LastSeq = recs[n-1].Seq
 	}
 	return l, recs, nil
 }
@@ -267,7 +267,9 @@ func openAppend(path string, opts Options) (File, error) {
 // partial write will be cut at the next Open) and the caller must not
 // acknowledge the mutation.
 func (l *Log) Append(op Op, name, body string) (uint64, error) {
-	seq := l.lastSeq + 1
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq := l.stats.LastSeq + 1
 	frame := EncodeRecord(nil, Record{Seq: seq, Op: op, Name: name, Body: body})
 	if _, err := l.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
@@ -278,16 +280,22 @@ func (l *Log) Append(op Op, name, body string) (uint64, error) {
 		}
 		l.stats.Syncs++
 	}
-	l.lastSeq = seq
-	l.size += int64(len(frame))
 	l.stats.Records++
 	l.stats.LastSeq = seq
-	l.stats.Bytes = l.size
+	l.stats.Bytes += int64(len(frame))
 	return seq, nil
 }
 
+// LogAdd journals a target add.
+func (l *Log) LogAdd(name, body string) (uint64, error) { return l.Append(OpAdd, name, body) }
+
+// LogRemove journals a tombstone.
+func (l *Log) LogRemove(name string) (uint64, error) { return l.Append(OpDelete, name, "") }
+
 // Sync forces the log to stable storage regardless of policy.
 func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
@@ -295,20 +303,24 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// LastSeq returns the highest sequence number in the log.
-func (l *Log) LastSeq() uint64 { return l.lastSeq }
-
 // Stats returns a snapshot of the log's counters.
-func (l *Log) Stats() Stats { return l.stats }
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
 
 // Rewrite atomically drops every record with Seq <= hwm — the records
-// a freshly persisted snapshot generation already folds in. It replaces
-// the log with the surviving suffix through recfile.Replace (fsync, rename,
-// directory fsync), so a crash at any point leaves either the old or the
-// new log, both of which replay correctly against their snapshot: the old
-// log's already-compacted prefix is skipped at replay by the snapshot's
-// WAL high-water mark.
+// a freshly persisted snapshot generation already folds in — and numbers
+// the next record past hwm (replay skips one at or below it as folded).
+// It replaces the log with the surviving suffix through recfile.Replace
+// (fsync, rename, directory fsync), so a crash at any point leaves either
+// the old or the new log, both of which replay correctly against their
+// snapshot: the old log's already-compacted prefix is skipped at replay by
+// the snapshot's WAL high-water mark.
 func (l *Log) Rewrite(hwm uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	data, err := os.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("wal: rewrite read: %w", err)
@@ -320,26 +332,30 @@ func (l *Log) Rewrite(hwm uint64) error {
 			buf = EncodeRecord(buf, r)
 		}
 	}
-	err = recfile.Replace(l.path, func(w io.Writer) error {
-		_, err := w.Write(buf)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("wal: rewrite: %w", err)
+	if len(buf) < len(data) {
+		err = recfile.Replace(l.path, func(w io.Writer) error {
+			_, err := w.Write(buf)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("wal: rewrite: %w", err)
+		}
+		// Reopen the append handle on the new inode; the old handle
+		// points at the unlinked file.
+		f, err := openAppend(l.path, l.opts)
+		if err != nil {
+			return err
+		}
+		l.f.Close()
+		l.f, l.stats.Bytes = f, int64(len(buf))
 	}
-	// Reopen the append handle on the new inode; the old handle points
-	// at the unlinked file.
-	old := l.f
-	f, err := openAppend(l.path, l.opts)
-	if err != nil {
-		return err
-	}
-	old.Close()
-	l.f = f
-	l.size = int64(len(buf))
-	l.stats.Bytes = l.size
+	l.stats.LastSeq = max(l.stats.LastSeq, hwm)
 	return nil
 }
 
 // Close releases the append handle. The log must not be used after.
-func (l *Log) Close() error { return l.f.Close() }
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.f.Close()
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,8 +57,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
-	if l2.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d, want 3", l2.LastSeq())
+	if l2.Stats().LastSeq != 3 {
+		t.Fatalf("LastSeq = %d, want 3", l2.Stats().LastSeq)
 	}
 	// Appends continue the sequence after recovery.
 	seq, err := l2.Append(OpDelete, "beta", "")
@@ -379,4 +380,12 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("Open recovered %d records, DecodeAll %d", len(fromOpen), len(recs))
 		}
 	})
+}
+
+// TestOpenRefusesUnknownSyncPolicy: a policy that names neither "always"
+// nor "none" is an error, not a silent "none".
+func TestOpenRefusesUnknownSyncPolicy(t *testing.T) {
+	if _, _, err := Open(tmpLog(t), Options{Sync: "sometimes"}); err == nil || !strings.Contains(err.Error(), `"sometimes"`) {
+		t.Fatalf("Open with -fsync sometimes = %v, want an error naming the policy", err)
+	}
 }
