@@ -376,16 +376,11 @@ func BenchmarkQuery(b *testing.B) {
 	b.ReportMetric(float64(st.VCPRowsComplete)/float64(b.N), "rows-complete/op")
 }
 
-// BenchmarkQueryScale measures how query cost scales with corpus size
-// under both retrieval modes. The corpus grows 1x/4x/8x in procedure
-// count via synthetic decoy packages; both modes run the same heuristic
-// tier settings (LSH 12x6, suggested containment threshold) so the
-// only difference is stage 3's loop shape: the scan walks every target
-// strand per query strand, the probe looks up band buckets in the
-// retrieval table. The verifier-calls/op and cands/probe metrics are
-// the scaling story — scan work grows with the corpus, probe work
-// tracks the candidate sets, which banding keeps flat. Recorded in
-// BENCH_retrieval.json; CI's scale-smoke asserts the shape cheaply.
+// BenchmarkQueryScale measures how cold query cost scales with corpus
+// size at the heuristic tier (suggested containment threshold, default
+// banding). The corpus grows 1x/4x/8x in procedure count via synthetic
+// decoy packages; stage 3 walks every unique target strand per query
+// strand, so verifier-calls/op is the scaling story.
 func BenchmarkQueryScale(b *testing.B) {
 	var tcs []compile.Toolchain
 	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
@@ -408,43 +403,33 @@ func BenchmarkQueryScale(b *testing.B) {
 		name  string
 		synth int
 	}{{"1x", 0}, {"4x", 85}, {"8x", 198}}
-	for _, mode := range []string{core.RetrievalScan, core.RetrievalProbe} {
-		for _, sc := range scales {
-			b.Run("retrieval="+mode+"/scale="+sc.name, func(b *testing.B) {
-				procs, err := corpus.Build(corpus.BuildConfig{
-					Toolchains:    tcs,
-					SynthVariants: sc.synth,
-				})
-				if err != nil {
+	for _, sc := range scales {
+		b.Run("scale="+sc.name, func(b *testing.B) {
+			procs, err := corpus.Build(corpus.BuildConfig{
+				Toolchains:    tcs,
+				SynthVariants: sc.synth,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := core.NewDB(core.Options{LSHMinContainment: sketch.SuggestedMinContainment})
+			for _, p := range procs {
+				if err := db.AddTarget(p); err != nil {
 					b.Fatal(err)
 				}
-				db := core.NewDB(core.Options{
-					Retrieval:         mode,
-					LSHBands:          12,
-					LSHRows:           6,
-					LSHMinContainment: sketch.SuggestedMinContainment,
-				})
-				for _, p := range procs {
-					if err := db.AddTarget(p); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(q); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := db.Stats()
-				b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
-				if st.RetrievalProbes > 0 {
-					b.ReportMetric(float64(st.RetrievalCandidates)/float64(st.RetrievalProbes), "cands/probe")
-				}
-				b.ReportMetric(float64(db.NumTargets()), "targets")
-				b.ReportMetric(float64(db.NumUniqueStrands()), "strands")
-			})
-		}
+			}
+			b.StopTimer()
+			st := db.Stats()
+			b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
+			b.ReportMetric(float64(db.NumTargets()), "targets")
+			b.ReportMetric(float64(db.NumUniqueStrands()), "strands")
+		})
 	}
 }
 

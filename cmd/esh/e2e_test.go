@@ -17,10 +17,10 @@ import (
 // are all deterministic, so any diff is a behavior change — bump the
 // golden deliberately (UPDATE_GOLDEN=1 go test ./cmd/esh) when one is
 // intended. The tail pins the flag surface: -method svcp and the retired
-// -prefilter are usage errors, the retired -kernel/-gamma-batch are
-// undefined, an unset engine flag keeps
-// the loaded snapshot's setting, and -retrieval probe selects the probe
-// at the heuristic tier only.
+// -prefilter are usage errors, the retired -kernel/-gamma-batch,
+// -retrieval and -lsh-bands/-lsh-rows are undefined, an unset engine flag
+// keeps the loaded snapshot's setting, and a threshold the engine cannot
+// score with is refused.
 func TestCLIGoldenQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and indexes a corpus")
@@ -102,10 +102,10 @@ func TestCLIGoldenQuery(t *testing.T) {
 		t.Errorf("esh -prefilter off: err %v, output %q; want a usage error", err, out)
 	}
 
-	// The retired speed-only axes are gone from the command line, not
-	// silently accepted.
+	// The retired axes are gone from the command line, not silently
+	// accepted.
 	for _, bin := range []string{eshBin, corpusBin} {
-		for _, flag := range []string{"-kernel", "-gamma-batch"} {
+		for _, flag := range []string{"-kernel", "-gamma-batch", "-retrieval", "-lsh-bands", "-lsh-rows"} {
 			out, err := exec.Command(bin, flag, "1").CombinedOutput()
 			if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+flag) {
 				t.Errorf("%s %s: err %v, output %q; want an undefined-flag failure", filepath.Base(bin), flag, err, out)
@@ -113,38 +113,23 @@ func TestCLIGoldenQuery(t *testing.T) {
 		}
 	}
 
-	// Retrieval is the heuristic tier's setting, and an unset flag keeps
-	// the snapshot's: a snapshot saved with -retrieval probe scans at its
-	// own sound settings and prints the golden (the vcp stage of -timings
-	// says which loop ran), probes once -lsh-min-containment puts it on
-	// the heuristic tier — without -retrieval being repeated — and scans
-	// there too when -retrieval scan overrides it.
-	probeSnap := filepath.Join(dir, "probe.eshidx")
-	if out, err := exec.Command(corpusBin, "-save", probeSnap, "-scale", "small", "-synth", "0", "-retrieval", "probe").CombinedOutput(); err != nil {
-		t.Fatalf("eshcorpus -save -retrieval probe: %v\n%s", err, out)
+	// The heuristic tier is the snapshot's setting, and an unset flag
+	// keeps it: a snapshot saved at -lsh-min-containment 0.45 answers like
+	// the sound one overridden to 0.45 at load, and like the golden once
+	// overridden back to 0.
+	heurSnap := filepath.Join(dir, "heuristic.eshidx")
+	if out, err := exec.Command(corpusBin, "-save", heurSnap, "-scale", "small", "-synth", "0", "-lsh-min-containment", "0.45").CombinedOutput(); err != nil {
+		t.Fatalf("eshcorpus -save -lsh-min-containment 0.45: %v\n%s", err, out)
 	}
-	for _, tc := range []struct {
-		extra  []string
-		want   string
-		golden bool
-	}{
-		{nil, "retrieval_probe=0", true},
-		{[]string{"-lsh-min-containment", "0.45"}, "retrieval_probe=1", false},
-		{[]string{"-lsh-min-containment", "0.45", "-retrieval", "scan"}, "retrieval_probe=0", false},
-	} {
-		args := append([]string{"-load", probeSnap, "-query", queryPath, "-top", "10", "-timings"}, tc.extra...)
-		cmd := exec.Command(eshBin, args...)
-		var timings strings.Builder
-		cmd.Stderr = &timings
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("esh %v: %v\n%s", args, err, timings.String())
-		}
-		if tc.golden && string(out) != got {
-			t.Errorf("esh %v output differs from the golden run:\n%s", args, out)
-		}
-		if !strings.Contains(timings.String(), tc.want) {
-			t.Errorf("esh %v: timings lack %s:\n%s", args, tc.want, timings.String())
-		}
+	heuristic := run("-load", snap, "-query", queryPath, "-top", "10", "-lsh-min-containment", "0.45")
+	if out := run("-load", heurSnap, "-query", queryPath, "-top", "10"); out != heuristic {
+		t.Errorf("esh -load of a heuristic snapshot differs from the sound one overridden to the heuristic tier:\n%s--- want ---\n%s", out, heuristic)
+	}
+	if out := run("-load", heurSnap, "-query", queryPath, "-top", "10", "-lsh-min-containment", "0"); out != got {
+		t.Errorf("esh -load of a heuristic snapshot at -lsh-min-containment 0 differs from the golden run:\n%s", out)
+	}
+	nan := exec.Command(eshBin, "-load", snap, "-query", queryPath, "-lsh-min-containment", "NaN")
+	if out, err := nan.CombinedOutput(); err == nil || !strings.Contains(string(out), "-lsh-min-containment: ") {
+		t.Errorf("esh -lsh-min-containment NaN: err %v, output %q; want a refusal naming the flag", err, out)
 	}
 }

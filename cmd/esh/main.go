@@ -6,8 +6,8 @@
 // Usage:
 //
 //	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
-//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-lsh-bands 0] [-lsh-rows 0]
-//	    [-lsh-min-containment 0] [-retrieval scan|probe] [dir-or-file.s ...]
+//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-lsh-min-containment 0]
+//	    [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of
 // internal/asm (see Proc.String); a file may contain many procedures.
@@ -15,7 +15,7 @@
 // corpus instead of reading files. With -load, the target database is
 // restored from a strand index snapshot written by eshcorpus -save, so
 // the corpus is not re-indexed on every invocation. The engine flags
-// (second and third usage lines; package engineflags) override the
+// (second usage line; package engineflags) override the
 // defaults of a fresh index or the loaded snapshot's own options; an
 // unset flag keeps that base value.
 package main

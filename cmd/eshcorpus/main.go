@@ -9,14 +9,12 @@
 //	eshcorpus -describe
 //	eshcorpus -out corpusdir [-scale full] [-patched]
 //	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
-//	          [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0] [-retrieval scan|probe]
+//	          [-lsh-min-containment 0]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
 //	eshcorpus -save corpus.eshidx -wal corpus.wal  # fold an eshd log in, as eshd replays it
 //
 // The engine flags (package engineflags) are baked into the snapshot;
 // esh -load and eshd serve with them unless their own flags override.
-// The snapshot records the -retrieval setting, never a probe table: a
-// probing daemon derives its table from the signatures when it loads.
 package main
 
 import (

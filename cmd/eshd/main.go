@@ -11,14 +11,11 @@
 //	     [-slow-query-threshold 1s] [-recorder-size 512]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
-//	     [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment 0]
-//	     [-retrieval scan|probe]
+//	     [-lsh-min-containment 0]
 //
-// The engine flags (the last two lines and -workers; package
-// engineflags) are applied to the snapshot's own options before the
-// engine is built from it; an unset flag keeps the snapshot's setting.
-// -retrieval is the heuristic tier's setting: at -lsh-min-containment 0
-// the engine scans whatever it says, and no probe table is built.
+// The engine flags (the last line and -workers; package engineflags)
+// are applied to the snapshot's own options before the engine is built
+// from it; an unset flag keeps the snapshot's setting.
 //
 // Endpoints:
 //
@@ -66,7 +63,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engineflags"
 	"repro/internal/index"
 	"repro/internal/server"
@@ -119,10 +115,7 @@ func main() {
 		"targets", st.Targets,
 		"unique_strands", st.UniqueStrands,
 		"total_strands", st.TotalStrands,
-		"lsh_bands", st.LSHBands,
-		"lsh_rows", st.LSHRows,
 		"lsh_min_containment", st.LSHMinContainment,
-		"retrieval", st.Retrieval,
 		"snapshot_version", info.Version,
 		"checksum", info.Checksum,
 		"load_ms", loadSpan.Duration().Milliseconds(),
@@ -137,9 +130,6 @@ func main() {
 		}
 	}
 	logger.Info("index loaded", attrs...)
-	if st.Retrieval == core.RetrievalProbe && st.LSHMinContainment == 0 {
-		logger.Info("retrieval=probe has no effect at -lsh-min-containment 0: the sound tier scans and builds no probe table")
-	}
 
 	server.ServePprof(*pprofAddr, logger)
 

@@ -24,8 +24,7 @@
 // manifest — fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k, the heuristic-tier threshold — and refuses to start on a
 // mismatch (merged scores would be silently wrong) unless
-// -allow-degraded is set. At sound settings the retrieval mode has no
-// effect; at the heuristic tier it must match the manifest.
+// -allow-degraded is set.
 //
 // Endpoints:
 //

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,39 +28,6 @@ import (
 // of; both stay declared only until ROADMAP A removes them from
 // cmd/eshbench.
 const PrefilterLSH = "lsh"
-
-// Retrieval modes: how stage 3 finds the candidate target strands for
-// each query strand.
-const (
-	// RetrievalScan walks every unique target strand per query strand,
-	// testing each pair on its own. The zero Options value and the
-	// empty string select this mode; per-query cost grows linearly with
-	// the corpus.
-	RetrievalScan = "scan"
-	// RetrievalProbe is the heuristic tier's stage 3: with
-	// LSHMinContainment > 0 it probes the banded-LSH retrieval table
-	// (package sketch, RetrievalIndex) for each query strand's candidate
-	// set — band-bucket collisions, a subset of the scan-mode heuristic
-	// rule — and runs injectability, the size window, and the verifier
-	// only on retrieved pairs, so per-query cost becomes roughly
-	// independent of corpus size. At sound settings (LSHMinContainment
-	// == 0) it selects nothing: the sound candidate set is every
-	// injectability-live strand, a constant fraction of the corpus no
-	// index makes sublinear, so the engine scans and no table exists.
-	RetrievalProbe = "probe"
-)
-
-// NormalizeRetrieval maps a user-facing retrieval mode string to a
-// canonical value, rejecting unknown modes.
-func NormalizeRetrieval(mode string) (string, error) {
-	switch mode {
-	case "", RetrievalScan:
-		return RetrievalScan, nil
-	case RetrievalProbe:
-		return RetrievalProbe, nil
-	}
-	return "", fmt.Errorf("core: unknown retrieval mode %q (scan, probe)", mode)
-}
 
 // Options configures the engine.
 type Options struct {
@@ -83,22 +51,32 @@ type Options struct {
 	// the heuristic tier exists. They stay declared only until ROADMAP A
 	// removes them from cmd/eshbench.
 	Prefilter string
-	// LSHBands and LSHRows shape the MinHash signature of the sketch
-	// index (0 selects sketch.DefaultBands / sketch.DefaultRows).
-	LSHBands int
-	LSHRows  int
 	// LSHMinContainment, when > 0, enables the heuristic tier (see
 	// sketch.Config.MinContainment; sketch.SuggestedMinContainment is the
 	// calibrated setting): stage 3 also skips pairs the sketches call
 	// dissimilar, so rankings can change. The default 0 is the sound
-	// tier, whose every skip is a provable zero.
+	// tier, whose every skip is a provable zero. The sketches always use
+	// the default banding (sketch.DefaultBands × sketch.DefaultRows).
 	LSHMinContainment float64
-	// Retrieval selects the heuristic tier's stage-3 candidate source:
-	// RetrievalScan ("" or "scan") or RetrievalProbe ("probe"). It takes
-	// effect with LSHMinContainment > 0 only; a probing database builds
-	// its table when it is loaded, or on its first query when it was
-	// filled by AddTarget.
-	Retrieval string
+}
+
+// CheckSigmoidK and CheckMinContainment hold the two float options to the
+// values the engine can score with. A NaN or infinite setting turns every
+// score into a NaN that no reply can encode, so they are refused where a
+// value enters the program: flag parsing, snapshot and manifest decoding.
+func CheckSigmoidK(k float64) error {
+	if !(k >= 0) || math.IsInf(k, 1) {
+		return fmt.Errorf("sigmoid steepness %v: want a finite value >= 0", k)
+	}
+	return nil
+}
+
+// CheckMinContainment: see CheckSigmoidK.
+func CheckMinContainment(c float64) error {
+	if !(c >= 0 && c <= 1) {
+		return fmt.Errorf("containment threshold %v: want a value in [0, 1]", c)
+	}
+	return nil
 }
 
 // memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
@@ -116,12 +94,6 @@ const memoBudgetBytes = 128 << 20
 // constant for the same reason as memoBudgetBytes — below a workload's hot
 // set the cost is re-verification, never a different answer.
 const rowCachePairs = 1 << 21
-
-// retrievalMaxDelta bounds how many live-written strands the probe path
-// overlays on the immutable retrieval table before a write rebuilds it:
-// a few hundred overlay strands cost microseconds per probe, far below
-// one verifier call, while keeping write-time table rebuilds rare.
-const retrievalMaxDelta = 256
 
 // Target is one indexed procedure.
 type Target struct {
@@ -192,13 +164,10 @@ type DB struct {
 	journal Journal
 
 	sketchCfg sketch.Config
-	// retrMaxDelta is how many strands a built probe table may fall behind
-	// before a live add rebuilds it (tests in this package shrink it).
-	retrMaxDelta int
 
 	// markPool recycles the n-wide []bool scratch slices stage 3 uses
-	// for heuristic candidate marking and probe deduplication, so a
-	// query of many strands does not allocate one per strand.
+	// for heuristic candidate marking, so a query of many strands does
+	// not allocate one per strand.
 	markPool sync.Pool
 
 	// rows holds one dense row per query-strand key (rowcache.go): VCP
@@ -235,60 +204,30 @@ type DB struct {
 	mGammaBatches  *telemetry.Counter
 	mGammaRows     *telemetry.Counter
 	hGammaOccup    *telemetry.Histogram
-	mProbes        *telemetry.Counter
-	mProbeCands    *telemetry.Counter
-	mProbeSound    *telemetry.Counter
 	hLSHCands      *telemetry.Histogram
 	hSketchBuild   *telemetry.Histogram
-	hProbeCands    *telemetry.Histogram
-	hProbeLatency  *telemetry.Histogram
-	hRetrBuild     *telemetry.Histogram
 	mWritesAdd     *telemetry.Counter
 	mWritesDel     *telemetry.Counter
 	mCompactions   *telemetry.Counter
 	hCompact       *telemetry.Histogram
 }
 
-// NewDB returns an empty database. It panics on a mode string outside
-// the Retrieval* constants: modes that arrive from outside
-// the program are validated where they enter (flag parsing, snapshot
-// decoding), so only a caller's bug can get one this far.
+// NewDB returns an empty database.
 func NewDB(opts Options) *DB {
-	db, err := newDB(opts)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
-// newDB is NewDB reporting a bad mode as an error, for FromExport.
-func newDB(opts Options) (*DB, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	var err error
-	if opts.Retrieval, err = NormalizeRetrieval(opts.Retrieval); err != nil {
-		return nil, err
-	}
-	cfg := sketch.Config{
-		Bands:          opts.LSHBands,
-		Rows:           opts.LSHRows,
-		MinContainment: opts.LSHMinContainment,
-	}.Normalized()
-	opts.LSHBands, opts.LSHRows = cfg.Bands, cfg.Rows
 	db := &DB{
 		opts:      opts,
 		newEval:   vcp.NewEvaluator,
 		memo:      vcp.NewMemoPool(memoBudgetBytes),
 		byKey:     map[string]int{},
 		rows:      fifo.New[string, *vcpRow](rowCachePairs, nil),
-		sketchCfg: cfg,
-
-		retrMaxDelta: retrievalMaxDelta,
+		sketchCfg: sketch.Config{MinContainment: opts.LSHMinContainment}.Normalized(),
 	}
-	db.corpus.Store(&corpus{sketchIdx: db.newIndex(nil), probe: db.newProbeTable(nil, false)})
+	db.corpus.Store(&corpus{sketchIdx: db.newIndex(nil)})
 	db.initMetrics()
-	return db, nil
+	return db
 }
 
 // NumTargets returns the number of indexed procedures (live and
@@ -358,13 +297,6 @@ func (db *DB) SketchConfig() sketch.Config { return db.sketchCfg }
 // heuristic reports whether the heuristic tier exists: stage 3 then also
 // skips the pairs the sketches call dissimilar.
 func (db *DB) heuristic() bool { return db.sketchCfg.MinContainment > 0 }
-
-// probeOn reports whether stage 3 probes a retrieval table: the
-// heuristic tier's loop, and the one condition under which a table is
-// ever built.
-func (db *DB) probeOn() bool {
-	return db.opts.Retrieval == RetrievalProbe && db.heuristic()
-}
 
 // decompose runs the front half of the pipeline on one procedure and
 // returns its strands that survive the minimum-size filter, plus the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asm"
@@ -63,9 +62,6 @@ type corpus struct {
 	// whatever tier the corpus was indexed under.
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
-	// probe is the retrieval table's handle: non-nil exactly under
-	// probeOn().
-	probe *probeTable
 
 	// rowEpoch names the strand numbering uniq is in: the row cache holds
 	// rows of one epoch, and a query compares its corpus's with the
@@ -79,52 +75,6 @@ type WriteState struct {
 	WALSeq        uint64 // sequence of the last journal record applied (zero when none)
 	PendingWrites int    // live writes applied since the last compaction (or load)
 	Tombstones    int    // tombstoned targets not yet compacted away
-}
-
-// probeTable is the immutable probe table of a corpus lineage, built at
-// most once: over base, the summaries of the version the handle was made
-// for. Successors share the handle for as long as they only append to those
-// summaries, so whichever of them builds the table, it covers a prefix of
-// every sharer's sums — the delta overlay (planProbe) covers the rest — and
-// a version that renumbers gets a fresh handle. Held by pointer: versions
-// are copied, a sync.Once must not be.
-type probeTable struct {
-	base []sketch.Summary
-	once sync.Once
-	rx   atomic.Pointer[sketch.RetrievalIndex] // nil until built
-}
-
-// newProbeTable returns a handle over sums, its table built now or left to
-// the first probe: nil unless the database probes, the one condition under
-// which a table is ever built.
-func (db *DB) newProbeTable(sums []sketch.Summary, build bool) *probeTable {
-	if !db.probeOn() {
-		return nil
-	}
-	pt := &probeTable{base: sums}
-	if build {
-		db.table(pt)
-	}
-	return pt
-}
-
-// table returns pt's table, building it if nobody has. Every table comes
-// from here, so esh_retrieval_table_build_seconds counts them all.
-func (db *DB) table(pt *probeTable) *sketch.RetrievalIndex {
-	pt.once.Do(func() {
-		start := time.Now()
-		pt.rx.Store(sketch.BuildRetrieval(pt.base, db.sketchCfg))
-		db.hRetrBuild.Observe(time.Since(start).Seconds())
-	})
-	return pt.rx.Load()
-}
-
-// builtTable returns c's probe table if it has one and somebody built it.
-func (c *corpus) builtTable() *sketch.RetrievalIndex {
-	if c.probe == nil {
-		return nil
-	}
-	return c.probe.rx.Load()
 }
 
 // newIndex builds the banded LSH index over sums, in strand order.
@@ -193,11 +143,8 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 // grown returns c's successor holding t and the novel strands resolve found
 // for it. The live path leaves c as its readers hold it: counts is cloned,
 // and novel strands force a fresh LSH index (sketch.Index is not safe to
-// mutate under concurrent Candidates readers) and, once a built probe table
-// has fallen retrMaxDelta strands behind, a fresh table built here rather
-// than a per-query overlay growing without bound. The bulk path counts and
-// indexes in place, and leaves a table over more strands to the next
-// probing query.
+// mutate under concurrent Candidates readers). The bulk path counts and
+// indexes in place.
 func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 	next := *c
 	if bulk {
@@ -213,18 +160,8 @@ func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 			c.sketchIdx.Add(nv.sum)
 		}
 	}
-	if len(news) > 0 {
-		if !bulk {
-			next.sketchIdx = db.newIndex(next.sums)
-		}
-		// Sharing c's handle is always sound — the new strands are past
-		// its table's length, so the overlay covers them.
-		switch rx := c.builtTable(); {
-		case bulk || rx == nil:
-			next.probe = db.newProbeTable(next.sums, false)
-		case rx.Stale(len(next.sums), db.retrMaxDelta):
-			next.probe = db.newProbeTable(next.sums, true)
-		}
+	if len(news) > 0 && !bulk {
+		next.sketchIdx = db.newIndex(next.sums)
 	}
 	for k, j := range t.strandIdx {
 		next.counts[j] += t.strandMult[k]
@@ -322,8 +259,8 @@ func (c *corpus) order() []int32 {
 // h0Order already is. newIdx maps each old strand number to its new one (-1
 // for a dropped strand); it is nil when there were no tombstones, nothing
 // moved and the arrays alias c's own. A renumbered corpus comes back in the
-// next row epoch and without its LSH index and probe table, which were
-// over the old numbers: Compact builds them, Export has no use for them.
+// next row epoch and without its LSH index, which was over the old numbers:
+// Compact builds it, Export has no use for it.
 func (c *corpus) compacted() (next *corpus, newIdx []int) {
 	next = new(corpus)
 	*next = *c
@@ -365,7 +302,7 @@ func (c *corpus) compacted() (next *corpus, newIdx []int) {
 		next.targets = append(next.targets, nt)
 	}
 	next.live, next.h0Order, next.Tombstones = nil, nil, 0
-	next.sketchIdx, next.probe = nil, nil
+	next.sketchIdx = nil
 	next.rowEpoch++
 	return next, newIdx
 }
@@ -458,10 +395,7 @@ func (db *DB) export(c *corpus) *Export {
 // snapshot's options edits it before calling — and preparation runs in
 // parallel under Opts.Workers.
 func FromExport(ex *Export) (*DB, error) {
-	db, err := newDB(ex.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: import: %w", err)
-	}
+	db := NewDB(ex.Opts)
 	if ex.Shard.Sharded() && (ex.Shard.ID < 0 || ex.Shard.ID >= ex.Shard.Count) {
 		return nil, fmt.Errorf("core: import: shard id %d out of range [0,%d)", ex.Shard.ID, ex.Shard.Count)
 	}
@@ -505,17 +439,12 @@ func FromExport(ex *Export) (*DB, error) {
 		c.total += es.Count
 	}
 
-	// Adopt persisted sketch signatures when they match the configured
-	// geometry; recompute otherwise (deterministic, so equivalent).
+	// Adopt persisted sketch signatures when they have the signature's
+	// length; recompute otherwise (deterministic, so equivalent).
 	start := time.Now()
 	c.sums = db.adoptSketches(c.uniq, ex.Strands)
 	c.sketchIdx = db.newIndex(c.sums)
 	db.hSketchBuild.Observe(time.Since(start).Seconds())
-
-	// The probe table is derived state, never part of an export: a
-	// probing database builds it here, so a served snapshot's first query
-	// does not pay for it; any other builds none.
-	c.probe = db.newProbeTable(c.sums, true)
 
 	// Per-target multiplicities must reproduce the per-strand counts
 	// exactly — the invariant a shard split relies on.
@@ -561,9 +490,9 @@ func FromExport(ex *Export) (*DB, error) {
 }
 
 // adoptSketches builds the summary table over every unique strand of a
-// snapshot being restored. Persisted signatures that match the configured
-// geometry are adopted as-is; otherwise (geometry overridden at load)
-// signatures are re-MinHashed. The rest of each summary (feature-set size,
+// snapshot being restored. Persisted signatures of the signature's length
+// are adopted as-is — a signature does not depend on how it is banded —
+// and any other is re-MinHashed. The rest of each summary (feature-set size,
 // typed input counts) is always recomputed — those walks are cheap next to
 // MinHashing, so they are not persisted.
 func (db *DB) adoptSketches(uniq []*vcp.Prepared, strands []ExportStrand) []sketch.Summary {

@@ -64,7 +64,7 @@ func TestEveryAnswerOneVersion(t *testing.T) {
 		generation uint64
 		pending    int
 	}
-	for _, mode := range []string{"lsh", "probe"} {
+	for _, mode := range []string{"lsh"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := writeTestOptions(mode)
 			serial := newWriteDB(mode)

@@ -21,7 +21,7 @@ import (
 // the plan still reads like one made afresh and still answers like a
 // rebuild of what the writer left.
 func TestSharedPlanReadOnly(t *testing.T) {
-	for _, mode := range []string{"lsh", "probe"} {
+	for _, mode := range []string{"lsh"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := writeTestOptions(mode)
 			db := newWriteDB(mode)

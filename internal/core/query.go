@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/sketch"
@@ -224,11 +223,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	// read (§3.3). Rows come from the row cache where it has them; the
 	// pairs it does not know are verified (see vcpRows).
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
-	if db.probeOn() {
-		spVCP.SetAttr("retrieval_probe", 1)
-	} else {
-		spVCP.SetAttr("retrieval_probe", 0)
-	}
 	rows, cached, err := db.vcpRows(qs, spVCP, qc)
 	db.observeStage("vcp", spVCP.End())
 	if err != nil {
@@ -318,7 +312,7 @@ type vcpRowState struct {
 	s    *strand.Strand
 	base *vcpRow   // the cached row at entry (nil: none, or another epoch's)
 	next *vcpRow   // private successor of base; nil when nothing new was learnt
-	vals []float64 // n wide; aliases base or next in scan mode, read-only then
+	vals []float64 // n wide; aliases base or next, read-only once published
 	// verify lists the columns whose pair needs the verifier; the pair
 	// queue is cut over these lists, so a chunk is all verifier work. q is
 	// prepared only when the list is non-empty.
@@ -353,21 +347,16 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	}
 	db.lookupRows(states, qc.rowEpoch)
 
-	probe := qc.probe != nil
-	var scratch []bool // heuristic candidate marks / probe dedup
+	var cand []bool // heuristic candidate marks
 	if db.heuristic() {
-		scratch = db.getMark(n)
-		defer db.putMark(scratch)
+		cand = db.getMark(n)
+		defer db.putMark(cand)
 	}
 	var todo []int32
 	toVerify := 0
 	for i := range states {
 		st := &states[i]
-		if probe {
-			db.planProbe(st, qc, scratch)
-		} else {
-			todo = db.planScan(st, qc, scratch, todo[:0])
-		}
+		todo = db.planScan(st, qc, cand, todo[:0])
 		toVerify += len(st.verify)
 	}
 
@@ -410,17 +399,8 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	cached = make([]*vcpRow, len(qs))
 	for i := range states {
 		st := &states[i]
-		if probe && len(st.verify) > 0 {
-			// A probe-mode row records verifier results only.
-			st.next = st.base.grow(n)
-			for _, j := range st.verify {
-				st.next.vals[j] = st.vals[j]
-				st.next.set(int(j), kindVerified)
-			}
-		}
 		rows[i] = st.vals
-		// Scan mode only: a probe-mode row is always the query's own.
-		if !probe && st.rs.state == rowComplete && st.next == nil {
+		if st.rs.state == rowComplete && st.next == nil {
 			cached[i] = st.base // handed out as it is
 		}
 		db.flushRowStats(st.rs, sp)
@@ -437,7 +417,7 @@ func (db *DB) sizeRatio() float64 {
 	return vcp.Default().SizeRatio
 }
 
-// planScan resolves a scan-mode row as far as it can without a verifier.
+// planScan resolves a row as far as it can without a verifier.
 // The identical-key short circuit stays ahead of the other filters so an
 // exact structural match can never be lost to sketch noise. todo is
 // scratch, returned for reuse.
@@ -513,64 +493,6 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 	st.rs.misses = len(st.verify)
 	st.rs.hits = row.tally[kindVerified] - st.rs.misses
 	return todo
-}
-
-// planProbe probes the retrieval table for the row's candidates and runs
-// the cheap filters over them; everything outside the candidate list is
-// never touched (its entries stay zero, exactly like a scan-mode skip), so
-// the work stays sublinear in the corpus. The cached row is
-// consulted per surviving candidate and the output row is private:
-// a candidate set can shrink when the table is rebuilt at heuristic
-// settings, and a column outside it must read zero whatever the cache
-// knows.
-func (db *DB) planProbe(st *vcpRowState, qc *corpus, scratch []bool) {
-	n := len(qc.uniq)
-	qSum := sketch.Summarize(st.s, db.sketchCfg)
-	start := time.Now()
-	retr := db.table(qc.probe) // over a prefix of qc.sums, whoever built it
-	cands, sound := retr.Probe(qSum, scratch, nil)
-	// Delta overlay: the strands past that prefix
-	// (sketch.RetrievalIndex.ProbeDelta has the contract).
-	cands, deltaSound := retr.ProbeDelta(qSum, qc.sums[:n], qc.counts, cands)
-	st.rs.probeNanos = time.Since(start).Nanoseconds()
-	st.rs.probeOn = true
-	st.rs.probeCands = len(cands)
-	st.rs.soundCands = sound + deltaSound
-	st.rs.pairs = len(cands)
-
-	st.vals = make([]float64, n)
-	key, ratio := st.s.CanonicalKey(), db.sizeRatio()
-	for _, j32 := range cands {
-		j := int(j32)
-		// Dead strands (every owning target tombstoned) are skipped
-		// before any work — including the identical short circuit — so
-		// scan and probe hand the verifier the same live pair set.
-		if qc.counts[j] == 0 {
-			continue
-		}
-		u := qc.uniq[j]
-		switch {
-		case u.Key() == key:
-			st.vals[j] = 1.0
-			st.rs.identical++
-		case !qSum.Injects(qc.sums[j]):
-			st.rs.lshSkipped++
-		case !vcp.SizeCompatible(st.s, u.S, ratio):
-			st.rs.pruned++
-		case st.base.has(j):
-			st.vals[j] = st.base.vals[j]
-			st.rs.hits++
-		default:
-			st.verify = append(st.verify, j32)
-		}
-	}
-	st.rs.misses = len(st.verify)
-	switch {
-	case st.base == nil:
-		st.rs.state = rowAbsent
-	case len(st.verify) > 0:
-		st.rs.state = rowPartial
-	}
 }
 
 // verifyRange is one item of the pair queue: verify[lo:hi] of a row.

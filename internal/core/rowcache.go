@@ -31,10 +31,6 @@ const (
 // QueryPartial.Rows, so every change — new columns after a live add,
 // columns resolved by a later query — goes through a private successor
 // (grow) that replaces it in the cache.
-//
-// In probe mode a row records verifier results only (every known column
-// is kindVerified): the retrieved candidates decide which columns a query
-// reads, and the cheap filters are re-run over them.
 type vcpRow struct {
 	vals []float64
 	// known, kindLo and kindHi are bitsets over the columns: 8 bytes and

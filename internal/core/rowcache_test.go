@@ -279,7 +279,7 @@ func TestDeadColumnsForgottenOnce(t *testing.T) {
 // remap, the tombstone mask — ever writes one. Each reader also keeps what
 // it was handed and checks at the end that it still reads the same.
 func TestSharedRowReadOnly(t *testing.T) {
-	for _, mode := range []string{"lsh", "probe"} {
+	for _, mode := range []string{"lsh"} {
 		t.Run(mode, func(t *testing.T) {
 			db := newWriteDB(mode)
 			applyScript(t, db, append(synthOps(1, 2, 3), addOp(iccStyle)), false)

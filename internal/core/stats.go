@@ -61,23 +61,6 @@ func (db *DB) initMetrics() {
 		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 	db.hSketchBuild = reg.Histogram("esh_sketch_build_seconds",
 		"Wall time spent computing MinHash sketches and LSH buckets (per target at index time, per rebuild at load time).", nil)
-	db.mProbes = reg.Counter("esh_retrieval_probes_total", "Probe-mode candidate retrievals (one per query strand).")
-	db.mProbeCands = reg.Counter("esh_retrieval_candidates_total", "Candidate target strands retrieved by probe-mode queries.")
-	db.mProbeSound = reg.Counter("esh_retrieval_sound_candidates_total", "Injectability-live target strands for probe-mode query strands (the sound candidate set the heuristic tier's retrieval is a subset of; candidates/sound is the recall proxy).")
-	db.hProbeCands = reg.Histogram("esh_retrieval_candidate_set_size",
-		"Retrieved candidate-set size per probe-mode query strand.",
-		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
-	db.hProbeLatency = reg.Histogram("esh_retrieval_probe_seconds",
-		"Wall time per retrieval-table probe (one per probe-mode query strand).",
-		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
-	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
-		"Wall time per retrieval-table build (load under probe mode, lazy first probe, a live write past the delta bound, or a compaction).", nil)
-	reg.GaugeFunc("esh_retrieval_probe_enabled", "1 when stage 3 probes the retrieval table instead of scanning all targets.", func() float64 {
-		if db.probeOn() {
-			return 1
-		}
-		return 0
-	})
 	reg.GaugeFunc("esh_vcp_cache_pairs", "Row entries held by the VCP cache (the sum of its rows' widths).", func() float64 {
 		return float64(db.rowCacheStats().Held)
 	})
@@ -156,31 +139,11 @@ type DBStats struct {
 	VCPPairsPruned          uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
-	// LSHBands/LSHRows are the sketch geometry; LSHMinContainment the
-	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
-	// the pairs skipped before any verifier work (forward-dead, or
-	// dissimilar at the heuristic tier).
-	LSHBands          int
-	LSHRows           int
+	// LSHMinContainment is the heuristic-tier threshold (0 = sound tier
+	// only); LSHPairsSkipped the pairs skipped before any verifier work
+	// (forward-dead, or dissimilar at the heuristic tier).
 	LSHMinContainment float64
 	LSHPairsSkipped   uint64
-	// Retrieval is the configured stage-3 candidate source
-	// (RetrievalScan or RetrievalProbe; probe takes effect with
-	// LSHMinContainment > 0). RetrievalProbes counts probed query
-	// strands; RetrievalCandidates their cumulative retrieved
-	// candidates; RetrievalSoundCandidates the cumulative
-	// injectability-live set sizes (candidates/sound is the recall
-	// proxy). The table-shape fields are zero while no probe table
-	// exists: always at sound settings and in scan mode, and before the
-	// first probe of a database filled by AddTarget.
-	Retrieval                string
-	RetrievalProbes          uint64
-	RetrievalCandidates      uint64
-	RetrievalSoundCandidates uint64
-	RetrievalTableBuckets    int
-	RetrievalTableMaxPost    int
-	RetrievalTableMeanPost   float64
-	RetrievalTableSkew       float64
 	// KernelNanos is the cumulative wall time γ loops spent inside the
 	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
 	// γ-invariant and total compiled instruction counts across prepared
@@ -223,45 +186,32 @@ func (s DBStats) VCPCacheHitRate() float64 {
 func (db *DB) Stats() DBStats {
 	c := db.corpus.Load()
 	s := DBStats{
-		Targets:                  len(c.targets),
-		UniqueStrands:            len(c.uniq),
-		TotalStrands:             c.total,
-		LiveTargets:              len(c.targets) - c.Tombstones,
-		WriteState:               c.WriteState,
-		VCPCache:                 db.rowCacheStats(),
-		VCPCacheHits:             db.mCacheHits.Value(),
-		VCPCacheMisses:           db.mCacheMisses.Value(),
-		VCPRowsComplete:          db.mRows[rowComplete].Value(),
-		QueryPrepares:            db.mPrepares.Value(),
-		VCPPairsPruned:           db.mPairsPruned.Value(),
-		VerifierCalls:            db.mVerifierCalls.Value(),
-		VerifierCorrespondences:  db.mGamma.Value(),
-		LSHBands:                 db.sketchCfg.Bands,
-		LSHRows:                  db.sketchCfg.Rows,
-		LSHMinContainment:        db.sketchCfg.MinContainment,
-		LSHPairsSkipped:          db.mLSHSkipped.Value(),
-		Retrieval:                db.opts.Retrieval,
-		RetrievalProbes:          db.mProbes.Value(),
-		RetrievalCandidates:      db.mProbeCands.Value(),
-		RetrievalSoundCandidates: db.mProbeSound.Value(),
-		KernelNanos:              db.mKernelNanos.Value(),
-		KernelPrefixInstrs:       db.mPrefixInstrs.Value(),
-		KernelInstrs:             db.mKernelInstrs.Value(),
-		GammaBatches:             db.mGammaBatches.Value(),
-		GammaBatchRows:           db.mGammaRows.Value(),
-		MemoHits:                 db.mMemoHits.Value(),
-		MemoMisses:               db.mMemoMisses.Value(),
-		Memo:                     db.memo.Stats(),
-		MemoAssignments:          db.memo.Assignments(),
-		Queries:                  db.mQueries.Value(),
-		StageSeconds:             make(map[string]float64, len(queryStages)),
-	}
-	if rx := c.builtTable(); rx != nil {
-		rst := rx.Stats()
-		s.RetrievalTableBuckets = rst.Buckets
-		s.RetrievalTableMaxPost = rst.MaxPosting
-		s.RetrievalTableMeanPost = rst.MeanPosting
-		s.RetrievalTableSkew = rst.Skew
+		Targets:                 len(c.targets),
+		UniqueStrands:           len(c.uniq),
+		TotalStrands:            c.total,
+		LiveTargets:             len(c.targets) - c.Tombstones,
+		WriteState:              c.WriteState,
+		VCPCache:                db.rowCacheStats(),
+		VCPCacheHits:            db.mCacheHits.Value(),
+		VCPCacheMisses:          db.mCacheMisses.Value(),
+		VCPRowsComplete:         db.mRows[rowComplete].Value(),
+		QueryPrepares:           db.mPrepares.Value(),
+		VCPPairsPruned:          db.mPairsPruned.Value(),
+		VerifierCalls:           db.mVerifierCalls.Value(),
+		VerifierCorrespondences: db.mGamma.Value(),
+		LSHMinContainment:       db.sketchCfg.MinContainment,
+		LSHPairsSkipped:         db.mLSHSkipped.Value(),
+		KernelNanos:             db.mKernelNanos.Value(),
+		KernelPrefixInstrs:      db.mPrefixInstrs.Value(),
+		KernelInstrs:            db.mKernelInstrs.Value(),
+		GammaBatches:            db.mGammaBatches.Value(),
+		GammaBatchRows:          db.mGammaRows.Value(),
+		MemoHits:                db.mMemoHits.Value(),
+		MemoMisses:              db.mMemoMisses.Value(),
+		Memo:                    db.memo.Stats(),
+		MemoAssignments:         db.memo.Assignments(),
+		Queries:                 db.mQueries.Value(),
+		StageSeconds:            make(map[string]float64, len(queryStages)),
 	}
 	for _, st := range queryStages {
 		s.StageSeconds[st] = db.stageHist[st].Sum()
@@ -294,10 +244,6 @@ type rowStats struct {
 	state       rowState
 	pairs       int   // unique target strands examined
 	lshSkipped  int   // skipped: forward-dead, or heuristically dissimilar
-	probeOn     bool  // candidates came from a retrieval-table probe
-	probeCands  int   // retrieved candidate-set size (valid when probeOn)
-	soundCands  int   // injectability-live set size (valid when probeOn)
-	probeNanos  int64 // wall time inside the probe (valid when probeOn)
 	pruned      int   // rejected by the size-ratio window
 	identical   int   // short-circuited as structurally identical
 	hits        int   // cache hits (pair results reused)
@@ -347,16 +293,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	// Every scanned column not skipped was a candidate.
 	lshCands := rs.pairs - rs.lshSkipped
 	db.mLSHSkipped.Add(uint64(rs.lshSkipped))
-	if !rs.probeOn {
-		db.hLSHCands.Observe(float64(lshCands))
-	}
-	if rs.probeOn {
-		db.mProbes.Inc()
-		db.mProbeCands.Add(uint64(rs.probeCands))
-		db.mProbeSound.Add(uint64(rs.soundCands))
-		db.hProbeCands.Observe(float64(rs.probeCands))
-		db.hProbeLatency.Observe(float64(rs.probeNanos) / 1e9)
-	}
+	db.hLSHCands.Observe(float64(lshCands))
 	if sp == nil {
 		return
 	}
@@ -365,14 +302,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
 	sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
-	if !rs.probeOn {
-		sp.AddAttr("lsh_candidates", float64(lshCands))
-	}
-	if rs.probeOn {
-		sp.AddAttr("retrieval_candidates", float64(rs.probeCands))
-		sp.AddAttr("retrieval_sound_candidates", float64(rs.soundCands))
-		sp.AddAttr("probe_nanos", float64(rs.probeNanos))
-	}
+	sp.AddAttr("lsh_candidates", float64(lshCands))
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))
 	sp.AddAttr("cache_hits", float64(rs.hits))

@@ -204,9 +204,6 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 		}
 	}
 
-	// A probing database's table is rebuilt whether or not strands were
-	// renumbered, which also folds the delta overlay in.
-	next.probe = db.newProbeTable(next.sums, true)
 	if newIdx == nil {
 		db.corpus.Store(next)
 	} else {

@@ -166,28 +166,11 @@ func writeTestOptions(mode string) Options {
 		// banded sketch index.
 		opts.LSHMinContainment = sketch.SuggestedMinContainment
 	}
-	if mode == "probe" {
-		// A table exists at the heuristic tier only.
-		opts.Retrieval = RetrievalProbe
-		opts.LSHMinContainment = sketch.SuggestedMinContainment
-	}
 	return opts
 }
 
-// newWriteDB returns an empty database under writeTestOptions(mode). In
-// probe mode every add that brings a strand rebuilds the table, so each
-// query probes a table over its whole corpus and the claim is the same
-// bit-identity as in the other modes. Between rebuilds the delta overlay
-// passes the strands written since on injectability alone: a superset of
-// what a rebuilt table retrieves — never a lost pair, but not the
-// rebuild's exact set (TestWriteDifferentialEagerRebuild).
-func newWriteDB(mode string) *DB {
-	db := NewDB(writeTestOptions(mode))
-	if mode == "probe" {
-		db.retrMaxDelta = 0
-	}
-	return db
-}
+// newWriteDB returns an empty database under writeTestOptions(mode).
+func newWriteDB(mode string) *DB { return NewDB(writeTestOptions(mode)) }
 
 // TestWriteDifferential checks, after every step of every script, that
 // the live corpus answers like a from-scratch rebuild of the survivors —
@@ -228,7 +211,7 @@ func TestWriteDifferential(t *testing.T) {
 	}
 	queries := []string{gccStyle, genProc(3), genProc(2), unrelated}
 
-	for _, mode := range []string{"scan", "lsh", "probe"} {
+	for _, mode := range []string{"scan", "lsh"} {
 		for _, sc := range scripts {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				opts := writeTestOptions(mode)
@@ -284,7 +267,7 @@ func TestWriteDifferential(t *testing.T) {
 							if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
 								t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
 							}
-							if pass == "cached" && mode != "probe" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
+							if pass == "cached" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
 								t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
 									step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
 							}
@@ -374,7 +357,7 @@ func diffRows(t *testing.T, label string, got, want [][]float64) {
 func TestWriteDifferentialStaleEpoch(t *testing.T) {
 	ops := append(synthOps(1, 2, 3, 4), delOp("synth_1"))
 	warmups := []string{genProc(3), gccStyle}
-	for _, mode := range []string{"scan", "lsh", "probe"} {
+	for _, mode := range []string{"scan", "lsh"} {
 		// "lookup-after": the compaction lands between the snapshot and
 		// the cache lookup, so the query sees another epoch's cache and
 		// works from scratch. "publish-after": it lands while the query is
@@ -477,14 +460,14 @@ func renameProc(src, from, to string) string {
 }
 
 // TestWriteDifferentialRandomized drives fixed-seed random scripts
-// through both modes: every prefix ends with queries compared against a
+// through both tiers: every prefix ends with queries compared against a
 // from-scratch rebuild, so compaction points and tombstone density vary
 // arbitrarily.
 func TestWriteDifferentialRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized differential run is slow")
 	}
-	for _, mode := range []string{"scan", "probe"} {
+	for _, mode := range []string{"scan", "lsh"} {
 		t.Run(mode, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			opts := writeTestOptions(mode)
@@ -518,66 +501,6 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 					diffReports(t, fmt.Sprintf("round %d query %s", round, q.Name), got, want)
 				}
 			}
-		})
-	}
-}
-
-// TestWriteDifferentialEagerRebuild is the probe path between rebuilds,
-// which newWriteDB's always-current table leaves out. Adds land on a built
-// table: with retrMaxDelta 1 the write that brings the second strand since
-// the build rebuilds it, with -1 the overlay runs until the compaction.
-// Whatever the table covers, the overlay loses no pair — every VCP is the
-// rebuild's or, where the rebuild's table retrieves nothing, more — and the
-// compaction's rebuild brings every score back to the rebuild's bits.
-func TestWriteDifferentialEagerRebuild(t *testing.T) {
-	for _, maxDelta := range []int{1, -1} {
-		t.Run(fmt.Sprintf("maxdelta=%d", maxDelta), func(t *testing.T) {
-			opts := writeTestOptions("probe")
-			live := NewDB(opts)
-			live.retrMaxDelta = maxDelta
-			ops := synthOps(1, 2, 3)
-			applyScript(t, live, ops, false)
-			q := parse(t, gccStyle)
-			if _, err := live.Query(q); err != nil { // the first probe builds the table
-				t.Fatal(err)
-			}
-			built := live.hRetrBuild.Count()
-			more := append(synthOps(4, 5, 6), addOp(iccStyle), addOp(unrelated))
-			applyScript(t, live, more, false)
-			ops = append(ops, more...)
-			if rebuilt := live.hRetrBuild.Count() - built; (rebuilt > 0) != (maxDelta == 1) {
-				t.Fatalf("%d table rebuilds while the adds landed", rebuilt)
-			}
-
-			fresh := buildFresh(t, opts, survivors(t, ops))
-			got, err := live.PartialQueryCtx(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.PartialQueryCtx(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Rows {
-				for j, w := range want.Rows[i] {
-					if g := got.Rows[i][j]; math.Float64bits(g) != math.Float64bits(w) && w != 0 {
-						t.Fatalf("row %d column %d = %v over the overlay, the rebuild has %v", i, j, g, w)
-					}
-				}
-			}
-
-			if _, _, err := live.Compact(nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			compacted, err := live.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rebuild, err := fresh.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, "after the compaction", compacted, rebuild)
 		})
 	}
 }

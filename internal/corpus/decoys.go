@@ -71,7 +71,7 @@ func rev_strcmp_%s(a, b) {
 // modulus — so variants do not collapse into shared canonical strands:
 // unique-strand count, the quantity query cost actually scales with,
 // grows near-linearly in n (which is what makes this the corpus-growth
-// knob behind the retrieval scaling benchmark).
+// knob behind the corpus-scaling benchmark, BenchmarkQueryScale).
 func GeneratedVariants(n int) []Package {
 	var out []Package
 	for i := 0; i < n; i++ {

@@ -15,8 +15,7 @@ import (
 )
 
 // Scope selects which flags a binary registers beyond the candidate
-// selection flags (-lsh-bands, -lsh-rows, -lsh-min-containment,
-// -retrieval) every engine binary takes.
+// selection flag (-lsh-min-containment) every engine binary takes.
 type Scope int
 
 const (
@@ -52,17 +51,14 @@ func Register(fs *flag.FlagSet, scope Scope) *Flags {
 	}
 	// Unset means the base value everywhere: Defaults for a fresh
 	// index, the snapshot's own setting for a loaded one.
-	fs.IntVar(&f.set.LSHBands, "lsh-bands", 0, "LSH bands of the strand sketches (0 = default; unset under a snapshot: its geometry)")
-	fs.IntVar(&f.set.LSHRows, "lsh-rows", 0, "LSH rows per band of the strand sketches (0 = default; unset under a snapshot: its geometry)")
-	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic candidate tier at this estimated-containment threshold (0 = sound tier only; rankings can change when > 0)")
-	fs.StringVar(&f.set.Retrieval, "retrieval", "", "stage-3 candidate retrieval: scan or probe (unset: scan for a fresh index, else the snapshot's; takes effect at the heuristic tier, -lsh-min-containment > 0 — sound settings always scan)")
+	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic candidate tier at this estimated-containment threshold in [0, 1] (0 = sound tier only; rankings can change when > 0)")
 	return f
 }
 
 // Defaults returns the options a fresh index is built with when no
-// flag is set: the sound tier over a scan.
+// flag is set: the sound tier.
 func Defaults() core.Options {
-	return core.Options{Retrieval: core.RetrievalScan}
+	return core.Options{}
 }
 
 // Build returns the options for an index built by this process:
@@ -80,6 +76,7 @@ func (f *Flags) Load(snapshot core.Options) (core.Options, error) {
 }
 
 func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
+	var err error
 	f.fs.Visit(func(fl *flag.Flag) {
 		if loading && indexTime[fl.Name] {
 			fmt.Fprintf(f.fs.Output(), "warning: -%s is fixed at index time; the snapshot's value applies\n", fl.Name)
@@ -92,17 +89,15 @@ func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
 			o.PathLen = f.set.PathLen
 		case "sigmoid-k":
 			o.SigmoidK = f.set.SigmoidK
-		case "lsh-bands":
-			o.LSHBands = f.set.LSHBands
-		case "lsh-rows":
-			o.LSHRows = f.set.LSHRows
+			if e := core.CheckSigmoidK(o.SigmoidK); e != nil {
+				err = fmt.Errorf("-sigmoid-k: %w", e)
+			}
 		case "lsh-min-containment":
 			o.LSHMinContainment = f.set.LSHMinContainment
-		case "retrieval":
-			o.Retrieval = f.set.Retrieval
+			if e := core.CheckMinContainment(o.LSHMinContainment); e != nil {
+				err = fmt.Errorf("-lsh-min-containment: %w", e)
+			}
 		}
 	})
-	var err error
-	o.Retrieval, err = core.NormalizeRetrieval(o.Retrieval)
 	return o, err
 }

@@ -10,10 +10,7 @@ import (
 )
 
 func TestApply(t *testing.T) {
-	snapshot := core.Options{
-		Retrieval: core.RetrievalProbe,
-		LSHBands:  8, LSHRows: 8, LSHMinContainment: 0.25, PathLen: 3, SigmoidK: 7,
-	}
+	snapshot := core.Options{LSHMinContainment: 0.25, PathLen: 3, SigmoidK: 7}
 	for _, tc := range []struct {
 		name    string
 		args    []string
@@ -23,22 +20,25 @@ func TestApply(t *testing.T) {
 		warns   string
 	}{
 		{name: "fresh build, nothing set: scan",
-			want: core.Options{Retrieval: core.RetrievalScan}},
+			want: core.Options{}},
 		{name: "fresh build, set flags override",
-			args: []string{"-retrieval", "probe", "-workers", "3", "-pathlen", "2", "-lsh-bands", "4"},
-			want: core.Options{Retrieval: core.RetrievalProbe, Workers: 3, PathLen: 2, LSHBands: 4}},
+			args: []string{"-lsh-min-containment", "0.45", "-workers", "3", "-pathlen", "2"},
+			want: core.Options{LSHMinContainment: 0.45, Workers: 3, PathLen: 2}},
 		{name: "load, nothing set: the snapshot's options",
 			load: true, want: snapshot},
 		{name: "load, set flags override, explicit zero included",
-			args: []string{"-retrieval", "scan", "-lsh-min-containment", "0", "-workers", "2"}, load: true,
-			want: core.Options{
-				Retrieval: core.RetrievalScan, Workers: 2,
-				LSHBands: 8, LSHRows: 8, PathLen: 3, SigmoidK: 7,
-			}},
+			args: []string{"-lsh-min-containment", "0", "-workers", "2"}, load: true,
+			want: core.Options{Workers: 2, PathLen: 3, SigmoidK: 7}},
 		{name: "load leaves index-time flags to the snapshot",
 			args: []string{"-pathlen", "5", "-sigmoid-k", "2"}, load: true,
 			want: snapshot, warns: "-pathlen is fixed at index time"},
-		{name: "bad retrieval", args: []string{"-retrieval", "prob"}, load: true, wantErr: `unknown retrieval mode "prob"`},
+		{name: "NaN containment", args: []string{"-lsh-min-containment", "NaN"}, load: true, wantErr: "-lsh-min-containment: "},
+		{name: "infinite containment", args: []string{"-lsh-min-containment", "Inf"}, wantErr: "-lsh-min-containment: "},
+		{name: "containment above 1", args: []string{"-lsh-min-containment", "1.5"}, wantErr: "-lsh-min-containment: "},
+		{name: "negative containment", args: []string{"-lsh-min-containment", "-0.1"}, wantErr: "-lsh-min-containment: "},
+		{name: "NaN sigmoid k", args: []string{"-sigmoid-k", "NaN"}, wantErr: "-sigmoid-k: "},
+		{name: "infinite sigmoid k", args: []string{"-sigmoid-k", "+Inf"}, wantErr: "-sigmoid-k: "},
+		{name: "negative sigmoid k", args: []string{"-sigmoid-k", "-1"}, wantErr: "-sigmoid-k: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -73,16 +73,16 @@ func TestApply(t *testing.T) {
 
 // TestScope: a binary registers only the flags that mean something for
 // it — eshd (Query) cannot set index-time options, eshcorpus (Index)
-// takes no -workers — and the retired axes, -prefilter among them, are
-// defined nowhere.
+// takes no -workers — and the retired axes, -prefilter, -retrieval and
+// the LSH geometry among them, are defined nowhere.
 func TestScope(t *testing.T) {
 	for _, tc := range []struct {
 		scope     Scope
 		undefined []string
 	}{
-		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter"}},
-		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter"}},
-		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter"}},
+		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
+		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
+		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
 	} {
 		for _, name := range tc.undefined {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)

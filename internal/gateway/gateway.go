@@ -131,7 +131,7 @@ type Gateway struct {
 
 	probeStop chan struct{}
 	probeDone chan struct{}
-	probeOnce sync.Once
+	stopOnce  sync.Once
 
 	reg      *telemetry.Registry
 	hedges   *telemetry.Counter
@@ -202,7 +202,6 @@ func New(cfg Config) (*Gateway, error) {
 		Logger:             cfg.Logger,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		Generation:         man.Generation,
-		Retrieval:          man.Retrieval,
 	})
 	g.hedges = g.reg.Counter("esh_gw_hedges_total", "Hedge requests launched.")
 	g.retries = g.reg.Counter("esh_gw_retries_total", "Retry requests launched after a shard failure.")
@@ -338,7 +337,7 @@ func (g *Gateway) fetchMetrics(ctx context.Context, base string) ([]*telemetry.P
 // StopProber stops the prober and waits for it to exit. Safe to call
 // without StartProber only if StartProber is never called afterwards.
 func (g *Gateway) StopProber() {
-	g.probeOnce.Do(func() { close(g.probeStop) })
+	g.stopOnce.Do(func() { close(g.probeStop) })
 	select {
 	case <-g.probeDone:
 	case <-time.After(5 * time.Second):
@@ -408,10 +407,7 @@ func (e *FleetError) Error() string {
 // CheckFleet asks every replica for /v1/stats and verifies it against
 // the manifest: fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k and the heuristic-tier threshold must match exactly (a
-// mismatch means merged scores would be silently wrong). The retrieval
-// mode has no effect at sound settings, so with a sound manifest a
-// mismatch is nothing at all; at the heuristic tier each mode has its own
-// candidate rule and a mismatch is an error.
+// mismatch means merged scores would be silently wrong).
 func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 	man := g.cfg.Manifest
 	for i, reps := range g.cfg.Shards {
@@ -445,23 +441,9 @@ func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 			if st.Prefilter.MinContainment != man.LSHMinContainment {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("lsh min containment %g, manifest says %g", st.Prefilter.MinContainment, man.LSHMinContainment)})
 			}
-			// Pre-retrieval manifests and replicas report "", which
-			// means scan.
-			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); man.LSHMinContainment > 0 && got != want {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("retrieval %q, manifest built with %q at the heuristic tier", got, want)})
-			}
 		}
 	}
 	return errs
-}
-
-// retrMode canonicalizes a retrieval-mode string: an empty value (a
-// pre-retrieval snapshot, manifest, or replica) means core.RetrievalScan.
-func retrMode(m string) string {
-	if m == "" {
-		return "scan"
-	}
-	return m
 }
 
 func (g *Gateway) fetchStats(ctx context.Context, base string) (*server.StatsResponse, error) {

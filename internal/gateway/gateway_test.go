@@ -643,8 +643,7 @@ func TestCheckFleet(t *testing.T) {
 
 	// The tier is part of the fleet's identity: a replica started at
 	// another -lsh-min-containment merges heuristic scores into sound
-	// ones. The stage-3 modes are checked where they change answers —
-	// at the heuristic tier — and not where they cannot.
+	// ones.
 	_, shardExs, err := shard.Split(buildCorpus(t).Export(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +661,6 @@ func TestCheckFleet(t *testing.T) {
 		return ts.URL
 	}
 	heuristic := func(o *core.Options) { o.LSHMinContainment = 0.45 }
-	heuristicProbe := func(o *core.Options) { o.LSHMinContainment, o.Retrieval = 0.45, core.RetrievalProbe }
 	heuristicMan := *f.man
 	heuristicMan.LSHMinContainment = 0.45
 	for _, tc := range []struct {
@@ -673,12 +671,8 @@ func TestCheckFleet(t *testing.T) {
 	}{
 		{"sound fleet, one replica at the heuristic tier", f.man,
 			[2]func(*core.Options){func(*core.Options) {}, heuristic}, "lsh min containment 0.45, manifest says 0"},
-		{"sound fleet, one replica set to probe", f.man,
-			[2]func(*core.Options){func(*core.Options) {}, func(o *core.Options) { o.Retrieval = core.RetrievalProbe }}, ""},
 		{"heuristic fleet", &heuristicMan,
 			[2]func(*core.Options){heuristic, heuristic}, ""},
-		{"heuristic fleet, one replica probing", &heuristicMan,
-			[2]func(*core.Options){heuristic, heuristicProbe}, `retrieval "probe", manifest built with "scan"`},
 	} {
 		gw, err := New(Config{
 			Manifest: tc.man,

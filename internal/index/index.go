@@ -35,9 +35,7 @@ import (
 // journal high-water mark, what lets a restarting daemon skip
 // already-folded journal records), per-strand MinHash signatures,
 // and per-target strand multiplicities (what lets a corpus split into
-// shards whose local strand counts sum exactly to the union's). The
-// banded-LSH probe table is derived state and not in the file: a
-// probing database builds it from the signatures when it loads.
+// shards whose local strand counts sum exactly to the union's).
 // Versions 1–5 are refused: no fleet holds them.
 const (
 	Magic   = "eshidx"
@@ -213,10 +211,10 @@ func encodeBody(ex *core.Export) []byte {
 	o := ex.Opts
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshbands=%d lshrows=%d lshmincont=%s retrieval=%s\n",
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshmincont=%s\n",
 		recfile.Float(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
 		o.VCP.Samples, o.VCP.MinVars, recfile.Float(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.LSHBands, o.LSHRows, recfile.Float(o.LSHMinContainment), o.Retrieval)
+		recfile.Float(o.LSHMinContainment))
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -250,11 +248,12 @@ func encodeBody(ex *core.Export) []byte {
 		recfile.WriteIntList(&b, "x", t.StrandIdx)
 	}
 
-	// Sketch section: per-strand MinHash signatures
-	// so a load can rebuild the sketch index without recomputing
-	// features. Written empty (count 0) when any signature is missing
-	// or inconsistent; the loader recomputes in that case.
-	cfg := sketch.Config{Bands: ex.Opts.LSHBands, Rows: ex.Opts.LSHRows}.Normalized()
+	// Sketch section: per-strand MinHash signatures and the banding they
+	// are cut into (always the default), so a load can rebuild the sketch
+	// index without recomputing features. Written empty (count 0) when any
+	// signature is missing or inconsistent; the loader recomputes in that
+	// case.
+	cfg := sketch.Config{}.Normalized()
 	n := len(ex.Strands)
 	for _, es := range ex.Strands {
 		if len(es.Sig) != cfg.Len() {
@@ -432,7 +431,9 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 		}
 		switch key {
 		case "sigmoidk":
-			ex.Opts.SigmoidK = atof()
+			if ex.Opts.SigmoidK = atof(); ierr == nil {
+				ierr = core.CheckSigmoidK(ex.Opts.SigmoidK)
+			}
 		case "pathlen":
 			ex.Opts.PathLen = atoi()
 		case "pathmaxblocks":
@@ -445,20 +446,16 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			ex.Opts.VCP.SizeRatio = atof()
 		case "vcpmaxcorr":
 			ex.Opts.VCP.MaxCorrespondences = atoi()
-		case "lshbands":
-			ex.Opts.LSHBands = atoi()
-		case "lshrows":
-			ex.Opts.LSHRows = atoi()
 		case "lshmincont":
-			ex.Opts.LSHMinContainment = atof()
-		case "retrieval":
-			ex.Opts.Retrieval, ierr = core.NormalizeRetrieval(val)
+			if ex.Opts.LSHMinContainment = atof(); ierr == nil {
+				ierr = core.CheckMinContainment(ex.Opts.LSHMinContainment)
+			}
 		default:
 			// Unknown keys are ignored so minor option additions do not
 			// invalidate old readers within a format version — and so
 			// files that still carry the retired workers=, kernel=,
-			// gammabatch=, retrmaxdelta=, cachepairs= and prefilter= keys
-			// keep loading.
+			// gammabatch=, retrmaxdelta=, cachepairs=, prefilter=,
+			// lshbands=, lshrows= and retrieval= keys keep loading.
 		}
 		if ierr != nil {
 			return d.Errf("bad option value %q: %v", kv, ierr)

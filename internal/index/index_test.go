@@ -221,45 +221,62 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 }
 
 // TestRetiredOptionKeys: snapshots that carry workers=, kernel=,
-// gammabatch=, retrmaxdelta=, cachepairs= or prefilter=, option keys of
-// earlier builds, keep loading (unknown keys are ignored, whatever their
-// value), answer identically, and re-save without them. The row cache's bound is no longer the
-// file's to set: a database loaded from cachepairs=7 serves under the
-// constant.
+// gammabatch=, retrmaxdelta=, cachepairs=, prefilter=, retrieval=,
+// lshbands= or lshrows=, option keys of earlier builds, keep loading
+// (unknown keys are ignored, whatever their value), answer identically,
+// and re-save without them. The row cache's bound is no longer the file's
+// to set: a database loaded from cachepairs=7 serves under the constant.
+// Nor is the banding: a snapshot saved at 12×6 carries the same 72-value
+// signatures, cut into other bands, and they are adopted as they are.
 func TestRetiredOptionKeys(t *testing.T) {
 	db := buildDB(t)
 	snap := saveBytes(t, db)
-	old := rewrite(t, snap, Version, func(ln string) string {
-		if strings.HasPrefix(ln, "options ") {
-			ln += " workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7 prefilter=lhs"
+	sketchRecord := fmt.Sprintf("sketch %d %d %d", db.NumUniqueStrands(), sketch.DefaultBands, sketch.DefaultRows)
+	if !bytes.Contains(snap, []byte(sketchRecord)) {
+		t.Fatalf("snapshot has no %q record", sketchRecord)
+	}
+	for _, tc := range []struct{ keys, sketch string }{
+		{"workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7 prefilter=lhs", sketchRecord},
+		{"retrieval=probe lshbands=12 lshrows=6", fmt.Sprintf("sketch %d 12 6", db.NumUniqueStrands())},
+	} {
+		old := rewrite(t, snap, Version, func(ln string) string {
+			if strings.HasPrefix(ln, "options ") {
+				ln += " " + tc.keys
+			}
+			return strings.Replace(ln, sketchRecord, tc.sketch, 1)
+		})
+		db2, err := Load(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("load snapshot with %s: %v", tc.keys, err)
 		}
-		return ln
-	})
-	db2, err := Load(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("load snapshot with retired keys: %v", err)
-	}
-	compareQueries(t, db, db2)
-	if c := db2.Stats().VCPCache; c.Budget != 1<<21 || c.Held == 0 {
-		t.Fatalf("row cache after serving a snapshot that says cachepairs=7: %+v, want rows held under the fixed 2^21", c)
-	}
-	if !bytes.Equal(saveBytes(t, db2), snap) {
-		t.Fatal("re-saved snapshot differs from one that never had the retired keys")
+		compareQueries(t, db, db2)
+		if c := db2.Stats().VCPCache; c.Budget != 1<<21 || c.Held == 0 {
+			t.Fatalf("row cache after serving a snapshot that says %s: %+v, want rows held under the fixed 2^21", tc.keys, c)
+		}
+		if !bytes.Equal(saveBytes(t, db2), snap) {
+			t.Fatalf("re-saved snapshot with %s differs from one that never had the retired keys", tc.keys)
+		}
 	}
 }
 
-// TestBadBodyRejected: a mode string nothing defines must not be read
-// as the slow path, a snapshot without per-target multiplicities must
-// not be read as all-ones, and a section count no body could hold must
-// be refused before anything is allocated for it; like a malformed
+// TestBadBodyRejected: a float option the engine cannot score with (a
+// NaN or an infinity, which would turn every reply into one nothing can
+// encode) must not load, a snapshot without per-target multiplicities
+// must not be read as all-ones, and a section count no body could hold
+// must be refused before anything is allocated for it; like a malformed
 // value, each fails with its line.
 func TestBadBodyRejected(t *testing.T) {
 	db := buildDB(t)
 	snap := saveBytes(t, db)
 	lineError := regexp.MustCompile(`^index: line \d+: `)
 	for _, tc := range []struct{ from, to, want string }{
-		{"retrieval=scan", "retrieval=prob", `line 1: bad option value "retrieval=prob"`},
-		{"lshbands=", "lshbands=x", `line 1: bad option value "lshbands=x`},
+		{"lshmincont=", "lshmincont=x", `line 1: bad option value "lshmincont=x`},
+		{"sigmoidk=0", "sigmoidk=NaN", `line 1: bad option value "sigmoidk=NaN"`},
+		{"sigmoidk=0", "sigmoidk=+Inf", `line 1: bad option value "sigmoidk=+Inf"`},
+		{"sigmoidk=0", "sigmoidk=-1", `line 1: bad option value "sigmoidk=-1"`},
+		{"lshmincont=0", "lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},
+		{"lshmincont=0", "lshmincont=Inf", `line 1: bad option value "lshmincont=Inf"`},
+		{"lshmincont=0", "lshmincont=1.5", `line 1: bad option value "lshmincont=1.5"`},
 		{"mults 2", "mults 0", "mults section has 0 records for 2 targets"},
 		{fmt.Sprintf("strands %d", db.NumUniqueStrands()), "strands 1000000000000000", "line 4: strand count 1000000000000000 exceeds the"},
 		{"targets 2", "targets 1000000000000000", "target count 1000000000000000 exceeds the"},
@@ -276,7 +293,7 @@ func TestBadBodyRejected(t *testing.T) {
 }
 
 // TestOldVersionRefused: formats before 6 are no longer decoded — v5,
-// the last to carry a retrieval section, included.
+// the last to carry a persisted probe table, included.
 func TestOldVersionRefused(t *testing.T) {
 	old := rewrite(t, saveBytes(t, buildDB(t)), Version-1, func(ln string) string { return ln })
 	_, err := Load(bytes.NewReader(old))
@@ -392,12 +409,6 @@ endp`, i, 3+2*i, 0x11+i*7, 1+(i%7), 0xff+i)
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// hasRetrievalRecord reports whether a snapshot body carries a record
-// tagged "retrieval" (the options line's retrieval= key is not one).
-func hasRetrievalRecord(snap []byte) bool {
-	return bytes.Contains(snap, []byte("\nretrieval "))
-}
-
 // compactInto compacts db, returning the snapshot the compaction persists.
 func compactInto(t *testing.T, db *core.DB) []byte {
 	t.Helper()
@@ -414,85 +425,29 @@ func compactInto(t *testing.T, db *core.DB) []byte {
 	return buf.Bytes()
 }
 
-// TestSoundDatabaseCarriesNoProbeTable: the probe table is heuristic-tier
-// state. A database at sound settings — the default deployment, or one
-// whose -retrieval says probe — scans, so nothing it does may build a
-// table or put one in a snapshot: not the save, not the load, not a
-// stream of live adds long enough to outrun any delta bound, not the
-// compaction. The hazard is derived state creeping back into the file or
-// into a deployment that never reads it.
-func TestSoundDatabaseCarriesNoProbeTable(t *testing.T) {
+// TestHeuristicOverrideAtLoad: a database gets the heuristic tier from its
+// options alone, so its answers cannot depend on how it was reached. The
+// same corpus at the heuristic tier, reached three ways — indexed by
+// AddTarget; loaded from a snapshot a sound database saved, with the
+// threshold overridden at load; loaded from a snapshot of half of it, the
+// rest added live and compacted — must skip the same pairs and return
+// bit-identical rows and scores.
+func TestHeuristicOverrideAtLoad(t *testing.T) {
 	procs := compiledCorpus(t)
-	for _, retrieval := range []string{core.RetrievalScan, core.RetrievalProbe} {
-		t.Run(retrieval, func(t *testing.T) {
-			saved := saveBytes(t, fill(t, core.NewDB(core.Options{Retrieval: retrieval}), procs))
-			db, err := Load(bytes.NewReader(saved))
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := db.NumUniqueStrands()
-			for i := 0; i < 300; i++ {
-				if err := db.ApplyAdd(parse(t, novelProc(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if grew := db.NumUniqueStrands() - before; grew < 300 {
-				t.Fatalf("test premise broken: 300 adds brought %d novel strands", grew)
-			}
-			if _, err := db.Query(procs[0]); err != nil {
-				t.Fatal(err)
-			}
-			compacted := compactInto(t, db)
-			if _, err := db.Query(procs[0]); err != nil {
-				t.Fatal(err)
-			}
-
-			st := db.Stats()
-			if st.Retrieval != retrieval || st.LSHMinContainment != 0 {
-				t.Fatalf("test premise broken: retrieval %q at containment %g", st.Retrieval, st.LSHMinContainment)
-			}
-			if st.RetrievalTableBuckets != 0 || st.RetrievalProbes != 0 {
-				t.Errorf("a sound database holds a probe table of %d buckets and probed it %d times", st.RetrievalTableBuckets, st.RetrievalProbes)
-			}
-			if builds := db.Metrics().Histogram("esh_retrieval_table_build_seconds", "", nil).Count(); builds != 0 {
-				t.Errorf("esh_retrieval_table_build_seconds counts %d builds, want 0", builds)
-			}
-			if hasRetrievalRecord(saved) || hasRetrievalRecord(compacted) {
-				t.Error("a snapshot carries a retrieval record")
-			}
-		})
-	}
-}
-
-// TestProbeOverrideRebuildsTable: a probing database derives its table,
-// so its answers cannot depend on how it was reached. The same corpus
-// under the same heuristic-probe options, reached three ways — indexed
-// by AddTarget; loaded from a snapshot a scan-mode database saved, with
-// the options overridden at load; loaded from a snapshot of half of it,
-// the rest added live and compacted — must retrieve identical candidate
-// sets and return bit-identical rows and scores.
-func TestProbeOverrideRebuildsTable(t *testing.T) {
-	procs := compiledCorpus(t)
-	probing := func(o core.Options) (core.Options, error) {
-		o.Retrieval, o.LSHMinContainment = core.RetrievalProbe, sketch.SuggestedMinContainment
+	heuristic := func(o core.Options) (core.Options, error) {
+		o.LSHMinContainment = sketch.SuggestedMinContainment
 		return o, nil
 	}
 	load := func(snap []byte) *core.DB {
 		t.Helper()
-		if hasRetrievalRecord(snap) {
-			t.Fatal("a snapshot carries a retrieval record")
-		}
-		db, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), probing)
+		db, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), heuristic)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if st := db.Stats(); st.Retrieval != core.RetrievalProbe || st.RetrievalTableBuckets == 0 {
-			t.Fatalf("after override: retrieval %q with %d table buckets, want a resident probe table", st.Retrieval, st.RetrievalTableBuckets)
 		}
 		return db
 	}
 
-	opts, _ := probing(core.Options{})
+	opts, _ := heuristic(core.Options{})
 	indexed := fill(t, core.NewDB(opts), procs)
 	loaded := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs)))
 	grown := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs[:len(procs)/2])))
@@ -501,32 +456,33 @@ func TestProbeOverrideRebuildsTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hasRetrievalRecord(compactInto(t, grown)) {
-		t.Fatal("the compaction's snapshot carries a retrieval record")
-	}
+	compactInto(t, grown)
 
 	others := map[string]*core.DB{"loaded": loaded, "loaded, grown and compacted": grown}
+	skipped := map[string]uint64{}
 	qtc, _ := compile.ByName("clang-3.5")
 	for _, v := range corpus.Vulns()[:3] {
 		q, err := corpus.CompileVuln(v, qtc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := indexed.Stats().LSHPairsSkipped
 		want, err := indexed.PartialQueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		skipped["indexed"] += indexed.Stats().LSHPairsSkipped - before
 		a, err := indexed.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, db := range others {
+			before := db.Stats().LSHPairsSkipped
 			got, err := db.PartialQueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A column outside the candidate set reads zero, so equal
-			// rows are equal candidate sets with equal VCPs.
+			skipped[name] += db.Stats().LSHPairsSkipped - before
 			for i := range want.Rows {
 				if !slices.EqualFunc(got.Rows[i], want.Rows[i], sameBits) {
 					t.Fatalf("%s, query %s: row %d differs from the indexed database's", name, v.Alias, i)
@@ -539,15 +495,20 @@ func TestProbeOverrideRebuildsTable(t *testing.T) {
 			compareReports(t, "indexed vs "+name, a, b)
 		}
 	}
-	want := indexed.Stats()
-	if want.RetrievalProbes == 0 || want.RetrievalCandidates >= want.RetrievalSoundCandidates {
-		t.Fatalf("test premise broken: %d probes retrieved %d of %d sound candidates; the heuristic probe is to drop some",
-			want.RetrievalProbes, want.RetrievalCandidates, want.RetrievalSoundCandidates)
+	sound := fill(t, core.NewDB(core.Options{}), procs)
+	for _, v := range corpus.Vulns()[:3] {
+		q, _ := corpus.CompileVuln(v, qtc, false)
+		if _, err := sound.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for name, db := range others {
-		if got := db.Stats(); got.RetrievalCandidates != want.RetrievalCandidates || got.RetrievalTableBuckets != want.RetrievalTableBuckets {
-			t.Errorf("%s: %d candidates from a table of %d buckets, the indexed database %d from %d", name,
-				got.RetrievalCandidates, got.RetrievalTableBuckets, want.RetrievalCandidates, want.RetrievalTableBuckets)
+	if skipped["indexed"] <= sound.Stats().LSHPairsSkipped {
+		t.Fatalf("test premise broken: the heuristic tier skipped %d pairs, the sound tier %d; it is to skip more",
+			skipped["indexed"], sound.Stats().LSHPairsSkipped)
+	}
+	for name := range others {
+		if skipped[name] != skipped["indexed"] {
+			t.Errorf("%s: %d pairs skipped, the indexed database %d", name, skipped[name], skipped["indexed"])
 		}
 	}
 }
@@ -577,7 +538,7 @@ func compareReports(t *testing.T, label string, r1, r2 *core.Report) {
 	}
 	for i := range r1.Results {
 		a, b := r1.Results[i], r2.Results[i]
-		if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG {
+		if a.Target.Name != b.Target.Name || !sameBits(a.GES, b.GES) || !sameBits(a.SLOG, b.SLOG) {
 			t.Fatalf("%s, query %s, rank %d: (%s %v %v) vs (%s %v %v)", label, r1.QueryName,
 				i, a.Target.Name, a.GES, a.SLOG, b.Target.Name, b.GES, b.SLOG)
 		}

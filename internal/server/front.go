@@ -105,9 +105,9 @@ type FrontConfig struct {
 	// RecorderSize bounds the flight recorder's ring (0 selects
 	// telemetry.DefaultRecorderSize).
 	RecorderSize int
-	// Generation and Retrieval name what the daemon serves: the labels of
-	// esh_build_info and the stamp on every record.
-	Generation, Retrieval string
+	// Generation names the corpus the daemon serves: the stamp on every
+	// record.
+	Generation string
 }
 
 // Front is the front door of both daemons: everything a served query passes
@@ -152,7 +152,7 @@ func NewFront(reg *telemetry.Registry, cfg FrontConfig) *Front {
 	reg.Gauge("esh_process_start_time_seconds",
 		"Unix time the process started.").Set(float64(f.started.UnixNano()) / 1e9)
 	reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
-		"go_version", runtime.Version(), "retrieval", cfg.Retrieval).Set(1)
+		"go_version", runtime.Version()).Set(1)
 	telemetry.RegisterRuntime(reg)
 	f.slow = reg.Counter(cfg.Prefix+"_slow_queries_total", "Queries at or above the slow-query threshold.")
 	reg.GaugeFunc("esh_flight_recorder_records", "Query records ever published to the flight recorder.",
@@ -285,7 +285,6 @@ func (f *Front) record(kind, rid, outcome, errMsg string, start time.Time, root 
 		Outcome:    outcome,
 		Err:        errMsg,
 		Generation: f.cfg.Generation,
-		Retrieval:  f.cfg.Retrieval,
 		Shards:     shards,
 	}
 	rec.FillFromTrace(root.Snapshot())

@@ -128,9 +128,6 @@ func TestRecorderAlwaysOn(t *testing.T) {
 	if rec.Slow || rec.Trace != nil {
 		t.Errorf("fast record kept slow state or trace: %+v", rec)
 	}
-	if rec.Retrieval != "scan" {
-		t.Errorf("engine path = retrieval=%q, want scan", rec.Retrieval)
-	}
 	if rec.StageMS["vcp"] <= 0 || rec.StageMS["decompose"] <= 0 {
 		t.Errorf("stage breakdown missing: %v", rec.StageMS)
 	}

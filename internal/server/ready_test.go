@@ -155,9 +155,6 @@ func TestStatsSnapshotBlock(t *testing.T) {
 	if loaded.Snapshot.ShardCount != 0 {
 		t.Fatalf("unsharded corpus reports shard count %d", loaded.Snapshot.ShardCount)
 	}
-	if loaded.Retrieval.Mode == "" {
-		t.Fatal("stats omit retrieval mode")
-	}
 	for _, c := range []struct{ method, path string }{{http.MethodPost, "/v1/targets"}, {http.MethodPost, "/v1/compact"}} {
 		if resp, body := doJSON(t, c.method, ts.URL+c.path, WriteRequest{Asm: gccStyle}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s %s: status %d: %s", c.method, c.path, resp.StatusCode, body)

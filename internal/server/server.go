@@ -113,7 +113,6 @@ func New(db *core.DB, cfg Config) *Server {
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		RecorderSize:       cfg.RecorderSize,
 		Generation:         db.Shard().Generation,
-		Retrieval:          db.Options().Retrieval,
 	})
 	s.reg.GaugeFunc("esh_http_inflight_queries", "Queries executing right now.",
 		func() float64 { return float64(s.front.InFlight()) })
@@ -656,30 +655,14 @@ type StatsResponse struct {
 		Bytes       int    `json:"bytes"`
 		BudgetBytes int    `json:"budget_bytes"`
 	} `json:"plan_memo"`
-	// Prefilter reports stage 3's candidate tests: sketch geometry, the
-	// heuristic-tier containment threshold (0 = sound tier only), and the
-	// pairs skipped before the verifier — forward-dead, or dissimilar at
-	// the heuristic tier (cumulative across queries).
+	// Prefilter reports stage 3's candidate tests: the heuristic-tier
+	// containment threshold (0 = sound tier only), and the pairs skipped
+	// before the verifier — forward-dead, or dissimilar at the heuristic
+	// tier (cumulative across queries).
 	Prefilter struct {
-		LSHBands       int     `json:"lsh_bands"`
-		LSHRows        int     `json:"lsh_rows"`
 		MinContainment float64 `json:"min_containment"`
 		PairsSkipped   uint64  `json:"pairs_skipped"`
 	} `json:"prefilter"`
-	// Retrieval reports stage-3 candidate retrieval: the active mode
-	// ("scan" walks every unique strand per query strand, "probe" looks
-	// candidates up in the ANN table), cumulative probe counters, and
-	// the probe table's shape (zeros until the table is built).
-	Retrieval struct {
-		Mode            string  `json:"mode"`
-		Probes          uint64  `json:"probes"`
-		Candidates      uint64  `json:"candidates"`
-		SoundCandidates uint64  `json:"sound_candidates"`
-		TableBuckets    int     `json:"table_buckets"`
-		TableMaxPosting int     `json:"table_max_posting"`
-		TableMeanPost   float64 `json:"table_mean_posting"`
-		TableSkew       float64 `json:"table_skew"`
-	} `json:"retrieval"`
 	// Engine aggregates pipeline work across all queries: verifier
 	// effort, pruning effectiveness, evaluation-kernel time,
 	// γ-invariant hoisting coverage, and cumulative per-stage wall time.
@@ -758,18 +741,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PlanMemo.Evictions = plans.Evictions
 	resp.PlanMemo.Bytes = int(plans.Held)
 	resp.PlanMemo.BudgetBytes = int(plans.Budget)
-	resp.Prefilter.LSHBands = dbs.LSHBands
-	resp.Prefilter.LSHRows = dbs.LSHRows
 	resp.Prefilter.MinContainment = dbs.LSHMinContainment
 	resp.Prefilter.PairsSkipped = dbs.LSHPairsSkipped
-	resp.Retrieval.Mode = dbs.Retrieval
-	resp.Retrieval.Probes = dbs.RetrievalProbes
-	resp.Retrieval.Candidates = dbs.RetrievalCandidates
-	resp.Retrieval.SoundCandidates = dbs.RetrievalSoundCandidates
-	resp.Retrieval.TableBuckets = dbs.RetrievalTableBuckets
-	resp.Retrieval.TableMaxPosting = dbs.RetrievalTableMaxPost
-	resp.Retrieval.TableMeanPost = dbs.RetrievalTableMeanPost
-	resp.Retrieval.TableSkew = dbs.RetrievalTableSkew
 	resp.Engine.Queries = dbs.Queries
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
 	resp.Engine.VerifierCalls = dbs.VerifierCalls

@@ -25,8 +25,8 @@ const (
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s retrieval=%s\n",
-		recfile.Float(m.SigmoidK), recfile.Float(m.LSHMinContainment), m.Retrieval)
+	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s\n",
+		recfile.Float(m.SigmoidK), recfile.Float(m.LSHMinContainment))
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	recfile.WriteIntList(&b, "counts", m.Counts)
 	fmt.Fprintf(&b, "shards %d\n", len(m.Shards))
@@ -96,11 +96,13 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		}
 		switch key {
 		case "sigmoidk":
-			m.SigmoidK, err = strconv.ParseFloat(val, 64)
+			if m.SigmoidK, err = strconv.ParseFloat(val, 64); err == nil {
+				err = core.CheckSigmoidK(m.SigmoidK)
+			}
 		case "lshmincont":
-			m.LSHMinContainment, err = strconv.ParseFloat(val, 64)
-		case "retrieval":
-			m.Retrieval, err = core.NormalizeRetrieval(val)
+			if m.LSHMinContainment, err = strconv.ParseFloat(val, 64); err == nil {
+				err = core.CheckMinContainment(m.LSHMinContainment)
+			}
 		}
 		if err != nil {
 			return nil, r.Errf("bad option %q: %v", kv, err)

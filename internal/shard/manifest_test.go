@@ -29,6 +29,14 @@ func TestManifestBadBodyRejected(t *testing.T) {
 		{"generation \"x\"\nopts\ntargets\n", `line 3: "targets" record has 0 fields, want at least 1`},
 		{"generation \"x\"\nopts\ntargets 1\ncounts 0\nshards\n", `line 5: "shards" record has 0 fields, want at least 1`},
 		{"generation \"x\"\nopts\ntargets 0\ncounts 0\nshards 1000000000000000\n", "line 5: shard count 1000000000000000 exceeds the 0 lines left"},
+		// A float option the engine cannot score with: a NaN also never
+		// equals a replica's value, so every fleet check would fail on it.
+		{"generation \"x\"\nopts sigmoidk=NaN lshmincont=0\n", `line 2: bad option "sigmoidk=NaN"`},
+		{"generation \"x\"\nopts sigmoidk=+Inf lshmincont=0\n", `line 2: bad option "sigmoidk=+Inf"`},
+		{"generation \"x\"\nopts sigmoidk=-1 lshmincont=0\n", `line 2: bad option "sigmoidk=-1"`},
+		{"generation \"x\"\nopts sigmoidk=0 lshmincont=NaN\n", `line 2: bad option "lshmincont=NaN"`},
+		{"generation \"x\"\nopts sigmoidk=0 lshmincont=Inf\n", `line 2: bad option "lshmincont=Inf"`},
+		{"generation \"x\"\nopts sigmoidk=0 lshmincont=2\n", `line 2: bad option "lshmincont=2"`},
 	} {
 		_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(tc.body))))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {

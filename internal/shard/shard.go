@@ -35,16 +35,12 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK, LSHMinContainment and Retrieval record the engine
-	// options the corpus was built with. SigmoidK and LSHMinContainment
-	// affect scores, so a coordinator refuses shards reporting different
-	// values. At LSHMinContainment 0 Retrieval has no effect; above 0
-	// each mode has its own candidate rule and a mismatch is refused too.
-	// Readers ignore unknown opts keys, so a manifest that still says
-	// prefilter= loads.
+	// SigmoidK and LSHMinContainment record the engine options the
+	// corpus was built with. Both affect scores, so a coordinator refuses
+	// shards reporting different values. Readers ignore unknown opts
+	// keys, so a manifest that still says prefilter= or retrieval= loads.
 	SigmoidK          float64
 	LSHMinContainment float64
-	Retrieval         string
 	// Counts[g] is the union corpus's multiplicity of global unique
 	// strand g — the exact weights of the single-node H0 estimate.
 	Counts []int
@@ -114,7 +110,6 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	man := &Manifest{
 		SigmoidK:          ex.Opts.SigmoidK,
 		LSHMinContainment: ex.Opts.LSHMinContainment,
-		Retrieval:         ex.Opts.Retrieval,
 		Counts:            make([]int, len(ex.Strands)),
 		NumTargets:        len(ex.Targets),
 		Shards:            make([]ShardEntry, n),

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -346,18 +345,17 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
 	}
-	// A manifest written while kernel= and prefilter= were still option
-	// keys loads to the same value; a mode string nothing defines is
-	// refused.
+	// A manifest written while kernel=, prefilter= or retrieval= were
+	// still option keys loads to the same value, so a gateway reading it
+	// checks and merges exactly as it does under this build's manifest.
 	reopts := func(from, to string) []byte {
 		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
 		return framed(ManifestMagic, ManifestVersion, bytes.Replace(body, []byte(from), []byte(to), 1))
 	}
-	if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " kernel=batch prefilter=off lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
-		t.Fatalf("manifest with retired kernel= and prefilter= keys: %v\nwant %+v\ngot  %+v", err, man, old)
-	}
-	if _, err := ReadManifest(bytes.NewReader(reopts("retrieval=scan", "retrieval=prob"))); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("manifest with retrieval=prob: error %v, want a line-2 refusal", err)
+	for _, keys := range []string{"kernel=batch prefilter=off", "retrieval=probe"} {
+		if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " "+keys+" lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
+			t.Fatalf("manifest with retired %s: %v\nwant %+v\ngot  %+v", keys, err, man, old)
+		}
 	}
 	// Corruption must be detected.
 	raw := buf.Bytes()

@@ -52,7 +52,8 @@ import (
 
 // Defaults shape the signature (Bands×Rows hash functions) and the
 // heuristic tier. The banding puts the LSH S-curve threshold near
-// Jaccard 0.3; SuggestedMinContainment was calibrated with the
+// Jaccard 0.3, and it is the one the engine uses: no flag or snapshot
+// setting changes it. SuggestedMinContainment was calibrated with the
 // ground-truth sweep in internal/core (RUN_GEOM_SWEEP): nearly every
 // pair with true VCP >= 0.5 has feature containment >= 0.5, so gating
 // at 0.45 leaves headroom for MinHash estimation noise.
@@ -353,11 +354,15 @@ func (ix *Index) Len() int { return len(ix.sums) }
 // Summary returns the id-th strand's summary.
 func (ix *Index) Summary(id int) Summary { return ix.sums[id] }
 
-// bandKey hashes one band's rows of the signature. It delegates to the
-// shared bandKeyFor so the scan-mode index and the retrieval table
-// always bucket identically.
+// bandKey hashes one band's rows of the signature.
 func (ix *Index) bandKey(sig Signature, b int) uint64 {
-	return bandKeyFor(sig, ix.cfg.Rows, b)
+	rows := ix.cfg.Rows
+	h := uint64(14695981039346656037) ^ uint64(b)<<32
+	for _, v := range sig[b*rows : (b+1)*rows] {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Add inserts the next strand's summary; ids are assigned sequentially.

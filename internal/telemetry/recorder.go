@@ -24,10 +24,8 @@ type QueryRecord struct {
 	// timeout, partial.
 	Outcome string `json:"outcome"`
 	Err     string `json:"error,omitempty"`
-	// Generation / Retrieval pin the corpus and engine configuration the
-	// query ran under.
+	// Generation pins the corpus the query ran under.
 	Generation string `json:"generation,omitempty"`
-	Retrieval  string `json:"retrieval,omitempty"`
 	// StageMS breaks the duration down by pipeline stage (decompose,
 	// prepare, vcp, score — or shard_N legs at the gateway).
 	StageMS map[string]float64 `json:"stage_ms,omitempty"`
