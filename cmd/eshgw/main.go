@@ -20,11 +20,13 @@
 // attempt per replica plus -retries more after failures: -retries 0
 // retries nothing, and a negative value is refused at startup.
 //
-// At startup the gateway checks every replica's /v1/stats against the
-// manifest — fleet generation, shard coordinates, snapshot checksum,
-// sigmoid k, the heuristic-tier threshold — and refuses to start on a
-// mismatch (merged scores would be silently wrong) unless
-// -allow-degraded is set.
+// Every shard answer carries its identity — shard coordinates, fleet
+// generation, snapshot checksum, sigmoid k, the heuristic-tier threshold,
+// live-write drift — and one rule (shard.Manifest.CheckShard) judges it
+// against the manifest: on every query, where a mismatch fails the query
+// with a 500, and at startup over every replica's /v1/stats, where it
+// refuses to start (merged scores would be silently wrong) unless
+// -allow-degraded is set. Both report the same message.
 //
 // Endpoints:
 //

@@ -79,6 +79,38 @@ func CheckMinContainment(c float64) error {
 	return nil
 }
 
+// CheckSizeRatio: see CheckSigmoidK. The §5.5 window keeps target strands
+// of [r, 1/r] times the query's variables, so a ratio above 1 (or an
+// infinite one) keeps none and every pair is pruned unverified; 0 selects
+// the paper's 0.5.
+func CheckSizeRatio(r float64) error {
+	if !(r >= 0 && r <= 1) {
+		return fmt.Errorf("size ratio %v: want a value in [0, 1]", r)
+	}
+	return nil
+}
+
+// Ceilings for CheckCount on the two VCP counts that size work rather
+// than select behaviour: Samples is the length of every kernel lane vector
+// (times the γ-batch width and the program's registers), MaxCorrespondences
+// the γ enumeration of one pair (eight inputs have 8! = 40,320).
+const (
+	MaxVCPSamples         = 1 << 10
+	MaxVCPCorrespondences = 1 << 16
+)
+
+// CheckCount holds an integer option to [0, ceiling] (math.MaxInt where a
+// count has no ceiling): no count is negative, and 0 selects the default.
+func CheckCount(n, ceiling int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("count %d: want a value >= 0", n)
+	case n > ceiling:
+		return fmt.Errorf("count %d: want at most %d", n, ceiling)
+	}
+	return nil
+}
+
 // memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
 // charged to (vcp.MemoPool). A memo fills only on the query side of a pair,
 // so what is charged is the in-flight queries' strands, each released when

@@ -36,9 +36,9 @@ type QueryPartial struct {
 	NumBlocks  int
 	NumStrands int // query strands surviving the size filter
 	// SigmoidK is the engine's Esh steepness override (0 = paper's
-	// k=10); a coordinator must refuse to merge partials computed under
-	// different k.
-	SigmoidK float64
+	// k=10) and MinContainment its tier (0 = sound): a coordinator must
+	// refuse to merge partials computed under other settings.
+	SigmoidK, MinContainment float64
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,
 	// which depends only on the query text — all databases handed the

@@ -210,12 +210,13 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	db.mQueries.Inc()
 	qs := pl.strands
 	qp := &QueryPartial{
-		QueryName:  pl.QueryName,
-		Source:     pl.Source,
-		NumBlocks:  pl.NumBlocks,
-		NumStrands: pl.NumStrands,
-		SigmoidK:   db.opts.SigmoidK,
-		Weights:    pl.weights,
+		QueryName:      pl.QueryName,
+		Source:         pl.Source,
+		NumBlocks:      pl.NumBlocks,
+		NumStrands:     pl.NumStrands,
+		SigmoidK:       db.opts.SigmoidK,
+		Weights:        pl.weights,
+		MinContainment: db.opts.LSHMinContainment,
 	}
 
 	// Stage 3: vcp — for each unique query strand, the row of VCP(sq, st)

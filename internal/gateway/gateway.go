@@ -315,7 +315,21 @@ func (g *Gateway) scrapeShard(ctx context.Context, sid int) {
 func (g *Gateway) fetchMetrics(ctx context.Context, base string) ([]*telemetry.ParsedFamily, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	body, err := g.get(ctx, base+"/metrics", 16<<20)
+	if err != nil {
+		return nil, err
+	}
+	fams, err := telemetry.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("parse exposition: %w", err)
+	}
+	return fams, nil
+}
+
+// get fetches url and returns the body of its 200 reply, read up to limit
+// bytes: the one GET the prober, the fleet check and the scraper share.
+func (g *Gateway) get(ctx context.Context, url string, limit int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -324,14 +338,11 @@ func (g *Gateway) fetchMetrics(ctx context.Context, base string) ([]*telemetry.P
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: HTTP %d", resp.StatusCode)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: HTTP %d", req.URL.Path, resp.StatusCode)
 	}
-	fams, err := telemetry.ParseExposition(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("parse exposition: %w", err)
-	}
-	return fams, nil
+	return body, err
 }
 
 // StopProber stops the prober and waits for it to exit. Safe to call
@@ -361,17 +372,8 @@ func (g *Gateway) probeAll() {
 func (g *Gateway) probe(base string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.cfg.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, err := g.get(ctx, base+"/readyz", 1<<10)
+	return err == nil
 }
 
 // replicaOrder returns shard sid's replica indices, ready ones first,
@@ -393,77 +395,40 @@ func (g *Gateway) replicaOrder(sid int) []int {
 	return order
 }
 
-// FleetError describes one replica failing fleet verification.
-type FleetError struct {
-	Shard   int
-	Replica string
-	Err     error
-}
-
-func (e *FleetError) Error() string {
-	return fmt.Sprintf("shard %d (%s): %v", e.Shard, e.Replica, e.Err)
-}
-
-// CheckFleet asks every replica for /v1/stats and verifies it against
-// the manifest: fleet generation, shard coordinates, snapshot checksum,
-// sigmoid k and the heuristic-tier threshold must match exactly (a
-// mismatch means merged scores would be silently wrong).
+// CheckFleet asks every replica for /v1/stats and judges the identity it
+// reports by Manifest.CheckShard, the rule Merge applies to every
+// partial, and its partial wire version by this build's. Each error names
+// the shard and the replica.
 func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
-	man := g.cfg.Manifest
 	for i, reps := range g.cfg.Shards {
 		for _, u := range reps {
-			st, err := g.fetchStats(ctx, u)
+			var st server.StatsResponse
+			body, err := g.get(ctx, u+"/v1/stats", 4<<20)
+			if err == nil {
+				err = json.Unmarshal(body, &st)
+			}
 			if err != nil {
-				errs = append(errs, &FleetError{i, u, err})
+				errs = append(errs, fmt.Errorf("shard %d: stats: %w (replica %s)", i, err, u))
 				continue
 			}
-			if st.Snapshot.Generation != man.Generation {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("generation %q, manifest is %q", st.Snapshot.Generation, man.Generation)})
-			}
-			if st.Snapshot.ShardID != i || st.Snapshot.ShardCount != len(man.Shards) {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("serves shard %d/%d, expected %d/%d", st.Snapshot.ShardID, st.Snapshot.ShardCount, i, len(man.Shards))})
-			}
 			if st.PartialWire != shard.WireVersion {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("replies in partial wire version %d, this gateway reads %d (0 is the JSON form of older builds)", st.PartialWire, shard.WireVersion)})
+				errs = append(errs, fmt.Errorf("shard %d: partial wire version %d, this gateway reads %d; 0 is the JSON form of older builds (replica %s)", i, st.PartialWire, shard.WireVersion, u))
 			}
-			if st.Snapshot.Checksum != "" && man.Shards[i].Checksum != "" && st.Snapshot.Checksum != man.Shards[i].Checksum {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("snapshot checksum %.12s…, manifest says %.12s…", st.Snapshot.Checksum, man.Shards[i].Checksum)})
-			}
-			// Live writes drift a shard's corpus away from the counts the
-			// manifest was split with; merging its partials would corrupt
-			// scores, so this is an error, not a warning.
-			if st.Writes.Generation > 0 || st.Writes.PendingWrites > 0 {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("live writes drifted from snapshot (data generation %d, %d pending writes); re-split the corpus", st.Writes.Generation, st.Writes.PendingWrites)})
-			}
-			if st.Engine.SigmoidK != man.SigmoidK {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("sigmoid k=%g, manifest says %g", st.Engine.SigmoidK, man.SigmoidK)})
-			}
-			if st.Prefilter.MinContainment != man.LSHMinContainment {
-				errs = append(errs, &FleetError{i, u, fmt.Errorf("lsh min containment %g, manifest says %g", st.Prefilter.MinContainment, man.LSHMinContainment)})
+			if err := g.cfg.Manifest.CheckShard(i, shard.Identity{
+				ShardID:        st.Snapshot.ShardID,
+				ShardCount:     st.Snapshot.ShardCount,
+				Generation:     st.Snapshot.Generation,
+				Checksum:       st.Snapshot.Checksum,
+				SigmoidK:       st.Engine.SigmoidK,
+				MinContainment: st.Prefilter.MinContainment,
+				DataGeneration: st.Writes.Generation,
+				PendingWrites:  st.Writes.PendingWrites,
+			}); err != nil {
+				errs = append(errs, fmt.Errorf("%w (replica %s)", err, u))
 			}
 		}
 	}
 	return errs
-}
-
-func (g *Gateway) fetchStats(ctx context.Context, base string) (*server.StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats: HTTP %d", resp.StatusCode)
-	}
-	var st server.StatsResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("decode stats: %w", err)
-	}
-	return &st, nil
 }
 
 // shardReply is one shard's fan-out outcome.

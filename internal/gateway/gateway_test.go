@@ -95,6 +95,7 @@ func buildCorpus(t *testing.T) *core.DB {
 // the single-node reference server, and the gateway in front.
 type fleet struct {
 	man      *shard.Manifest
+	shardDB  []*core.DB
 	shardSrv []*httptest.Server
 	single   *httptest.Server
 	gw       *Gateway
@@ -122,6 +123,7 @@ func startFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
 		}
 		ts := httptest.NewServer(server.New(sdb, scfg).Handler())
 		t.Cleanup(ts.Close)
+		f.shardDB = append(f.shardDB, sdb)
 		f.shardSrv = append(f.shardSrv, ts)
 		urls = append(urls, []string{ts.URL})
 	}
@@ -570,8 +572,9 @@ func skewedShard(t *testing.T, real string, wireVersion int, partialBody []byte)
 // degrades to partial when there is none — and CheckFleet reports the
 // replica at startup.
 func TestGatewayWireVersionSkew(t *testing.T) {
-	oldJSON, _ := json.Marshal(server.PartialResponse{Partial: &shard.Partial{ShardCount: 2}})
-	future, err := (&server.PartialResponse{Partial: &shard.Partial{ShardCount: 2}}).AppendFrame(nil)
+	stub := &shard.Partial{Identity: shard.Identity{ShardCount: 2}}
+	oldJSON, _ := json.Marshal(server.PartialResponse{Partial: stub})
+	future, err := (&server.PartialResponse{Partial: stub}).AppendFrame(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -429,23 +430,30 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			}
 			return f
 		}
+		count := func(dst *int, ceiling int) {
+			if *dst = atoi(); ierr == nil {
+				ierr = core.CheckCount(*dst, ceiling)
+			}
+		}
 		switch key {
 		case "sigmoidk":
 			if ex.Opts.SigmoidK = atof(); ierr == nil {
 				ierr = core.CheckSigmoidK(ex.Opts.SigmoidK)
 			}
 		case "pathlen":
-			ex.Opts.PathLen = atoi()
+			count(&ex.Opts.PathLen, math.MaxInt)
 		case "pathmaxblocks":
-			ex.Opts.PathMaxBlocks = atoi()
+			count(&ex.Opts.PathMaxBlocks, math.MaxInt)
 		case "vcpsamples":
-			ex.Opts.VCP.Samples = atoi()
+			count(&ex.Opts.VCP.Samples, core.MaxVCPSamples)
 		case "vcpminvars":
-			ex.Opts.VCP.MinVars = atoi()
+			count(&ex.Opts.VCP.MinVars, math.MaxInt)
 		case "vcpsizeratio":
-			ex.Opts.VCP.SizeRatio = atof()
+			if ex.Opts.VCP.SizeRatio = atof(); ierr == nil {
+				ierr = core.CheckSizeRatio(ex.Opts.VCP.SizeRatio)
+			}
 		case "vcpmaxcorr":
-			ex.Opts.VCP.MaxCorrespondences = atoi()
+			count(&ex.Opts.VCP.MaxCorrespondences, core.MaxVCPCorrespondences)
 		case "lshmincont":
 			if ex.Opts.LSHMinContainment = atof(); ierr == nil {
 				ierr = core.CheckMinContainment(ex.Opts.LSHMinContainment)

@@ -261,7 +261,9 @@ func TestRetiredOptionKeys(t *testing.T) {
 
 // TestBadBodyRejected: a float option the engine cannot score with (a
 // NaN or an infinity, which would turn every reply into one nothing can
-// encode) must not load, a snapshot without per-target multiplicities
+// encode) must not load, nor a VCP setting that silently changes every
+// answer (a size ratio outside [0, 1] prunes every pair unverified), a
+// negative count or a count above its ceiling; a snapshot without per-target multiplicities
 // must not be read as all-ones, and a section count no body could hold
 // must be refused before anything is allocated for it; like a malformed
 // value, each fails with its line.
@@ -277,6 +279,17 @@ func TestBadBodyRejected(t *testing.T) {
 		{"lshmincont=0", "lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},
 		{"lshmincont=0", "lshmincont=Inf", `line 1: bad option value "lshmincont=Inf"`},
 		{"lshmincont=0", "lshmincont=1.5", `line 1: bad option value "lshmincont=1.5"`},
+		{"vcpsizeratio=0 ", "vcpsizeratio=+Inf ", `line 1: bad option value "vcpsizeratio=+Inf"`},
+		{"vcpsizeratio=0 ", "vcpsizeratio=2 ", `line 1: bad option value "vcpsizeratio=2"`},
+		{"vcpsizeratio=0 ", "vcpsizeratio=NaN ", `line 1: bad option value "vcpsizeratio=NaN"`},
+		{"vcpsizeratio=0 ", "vcpsizeratio=-0.5 ", `line 1: bad option value "vcpsizeratio=-0.5"`},
+		{"pathlen=0", "pathlen=-2", `line 1: bad option value "pathlen=-2"`},
+		{"pathmaxblocks=0", "pathmaxblocks=-1", `line 1: bad option value "pathmaxblocks=-1"`},
+		{"vcpsamples=0", "vcpsamples=-1", `line 1: bad option value "vcpsamples=-1"`},
+		{"vcpsamples=0", fmt.Sprintf("vcpsamples=%d", core.MaxVCPSamples+1), `line 1: bad option value "vcpsamples=1025"`},
+		{"vcpminvars=3", "vcpminvars=-3", `line 1: bad option value "vcpminvars=-3"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=-1", `line 1: bad option value "vcpmaxcorr=-1"`},
+		{"vcpmaxcorr=0", fmt.Sprintf("vcpmaxcorr=%d", core.MaxVCPCorrespondences+1), `line 1: bad option value "vcpmaxcorr=65537"`},
 		{"mults 2", "mults 0", "mults section has 0 records for 2 targets"},
 		{fmt.Sprintf("strands %d", db.NumUniqueStrands()), "strands 1000000000000000", "line 4: strand count 1000000000000000 exceeds the"},
 		{"targets 2", "targets 1000000000000000", "target count 1000000000000000 exceeds the"},
@@ -289,6 +302,14 @@ func TestBadBodyRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {
 			t.Errorf("%s: error %v, want %q naming its line", tc.to, err, tc.want)
 		}
+	}
+	// The bounds themselves load.
+	edge := fmt.Sprintf("vcpsamples=%d vcpminvars=3 vcpsizeratio=1 vcpmaxcorr=%d", core.MaxVCPSamples, core.MaxVCPCorrespondences)
+	ok := rewrite(t, snap, Version, func(ln string) string {
+		return strings.Replace(ln, "vcpsamples=0 vcpminvars=3 vcpsizeratio=0 vcpmaxcorr=0", edge, 1)
+	})
+	if db, err := Load(bytes.NewReader(ok)); err != nil || db.Options().VCP.MaxCorrespondences != core.MaxVCPCorrespondences {
+		t.Errorf("%s: %v", edge, err)
 	}
 }
 

@@ -76,6 +76,9 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		RequestID: RequestID(r.Context()),
 		Partial:   shard.FromQueryPartial(qp, s.db.Shard()),
 	}
+	if s.store != nil {
+		resp.Partial.Checksum = s.store.Snapshot().Checksum
+	}
 	if r.URL.Query().Get("trace") == "1" {
 		resp.Trace = root.Snapshot()
 	}

@@ -13,7 +13,7 @@ import (
 // gateway and its shards must agree on it exactly; there is no
 // negotiation (the endpoint is internal to a fleet, which is deployed
 // as one build).
-const WireVersion = 2
+const WireVersion = 3
 
 // frameMagic opens every frame. Its first byte is not '{', so a JSON
 // body from a pre-frame shard is told apart without parsing it.
@@ -29,9 +29,9 @@ const frameMagic = "eshp"
 //	magic "eshp" | uint32 wire version
 //	uint32 shard id | uint32 shard count
 //	uint64 data generation | uint64 pending writes
-//	uint32 query blocks | uint32 query strands | float64 sigmoid k
+//	uint32 query blocks | uint32 query strands | float64 sigmoid k | float64 min containment
 //	uint32 nq (unique query strands) | uint32 ns (row width) | uint32 nt (targets)
-//	string generation | string request id | string query name | provenance
+//	string generation | string checksum | string request id | string query name | provenance
 //	nq float64 weights
 //	nq×ns float64 rows, row-major
 //	nt × (string name | provenance | uint32 blocks | uint32 strands)
@@ -63,7 +63,7 @@ func (e *WireVersionError) Error() string {
 }
 
 // frameFixedLen is the magic, the version and the scalar header.
-const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 4
+const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4 + 4
 
 // minTargetLen is the fewest bytes one target occupies: an empty name,
 // an empty provenance and two counts.
@@ -126,10 +126,12 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = le.AppendUint32(dst, uint32(p.NumBlocks))
 	dst = le.AppendUint32(dst, uint32(p.NumStrands))
 	dst = le.AppendUint64(dst, math.Float64bits(p.SigmoidK))
+	dst = le.AppendUint64(dst, math.Float64bits(p.MinContainment))
 	dst = le.AppendUint32(dst, uint32(nq))
 	dst = le.AppendUint32(dst, uint32(ns))
 	dst = le.AppendUint32(dst, uint32(nt))
 	dst = appendString(dst, p.Generation)
+	dst = appendString(dst, p.Checksum)
 	dst = appendString(dst, f.RequestID)
 	dst = appendString(dst, p.QueryName)
 	dst = appendProvenance(dst, p.Source)
@@ -189,11 +191,11 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, &WireVersionError{Got: v}
 	}
 	r := frameReader{b: b[8:]}
-	p := &Partial{
+	p := &Partial{Identity: Identity{
 		ShardID:        int(r.u32()),
 		ShardCount:     int(r.u32()),
 		DataGeneration: r.u64(),
-	}
+	}}
 	pending := r.u64()
 	if pending > math.MaxInt {
 		return nil, fmt.Errorf("shard: decode frame: pending writes %d out of range", pending)
@@ -202,10 +204,12 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	p.NumBlocks = int(r.u32())
 	p.NumStrands = int(r.u32())
 	p.SigmoidK = math.Float64frombits(r.u64())
+	p.MinContainment = math.Float64frombits(r.u64())
 	nq, ns, nt := uint64(r.u32()), uint64(r.u32()), uint64(r.u32())
 
 	f := &Frame{Partial: p}
 	p.Generation = r.str()
+	p.Checksum = r.str()
 	f.RequestID = r.str()
 	p.QueryName = r.str()
 	p.Source = r.provenance()

@@ -59,10 +59,11 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		t.Fatalf("envelope: request id %q/%q, trace %q/%q", got.RequestID, want.RequestID, got.Trace, want.Trace)
 	}
 	w, g := want.Partial, got.Partial
-	if w.ShardID != g.ShardID || w.ShardCount != g.ShardCount || w.Generation != g.Generation ||
+	wi, gi := w.Identity, g.Identity
+	wi.SigmoidK, wi.MinContainment, gi.SigmoidK, gi.MinContainment = 0, 0, 0, 0
+	if wi != gi || !sameBits(w.SigmoidK, g.SigmoidK) || !sameBits(w.MinContainment, g.MinContainment) ||
 		w.QueryName != g.QueryName || w.Source != g.Source || w.NumBlocks != g.NumBlocks ||
-		w.NumStrands != g.NumStrands || !sameBits(w.SigmoidK, g.SigmoidK) ||
-		w.DataGeneration != g.DataGeneration || w.PendingWrites != g.PendingWrites {
+		w.NumStrands != g.NumStrands {
 		t.Fatalf("header differs:\nwant %+v\ngot  %+v", w, g)
 	}
 	sameFloats := func(what string, a, b []float64) {
@@ -135,10 +136,11 @@ func TestFrameFloatBits(t *testing.T) {
 	}
 	n := len(specials)
 	p := &Partial{
-		ShardID: 1, ShardCount: 2, Generation: "g", QueryName: "q",
-		Source:   asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
-		SigmoidK: specials[1], DataGeneration: math.MaxUint64, PendingWrites: 3,
-		Weights: specials,
+		Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: "c",
+			SigmoidK: specials[1], MinContainment: specials[2], DataGeneration: math.MaxUint64, PendingWrites: 3},
+		QueryName: "q",
+		Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
+		Weights:   specials,
 	}
 	for i := 0; i < n; i++ { // each row a rotation, so every column sees every value
 		p.Rows = append(p.Rows, append(append([]float64{}, specials[i:]...), specials[:i]...))
@@ -176,7 +178,7 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 		"ragged rows":   {Weights: []float64{1, 1}, Rows: [][]float64{{1, 2}, {1}}},
 		"missing row":   {Weights: []float64{1, 1}, Rows: [][]float64{{1, 2}}},
 		"short max-VCP": {Weights: []float64{1}, Rows: [][]float64{{1}}, Targets: []TargetPartial{{Name: "t"}}},
-		"negative id":   {ShardID: -1},
+		"negative id":   {Identity: Identity{ShardID: -1}},
 		"no partial":    nil,
 	} {
 		if _, err := (&Frame{Partial: p}).AppendTo(nil); err == nil {
@@ -188,11 +190,11 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 // TestFrameWireVersion pins how a reply of the wrong vintage is told
 // apart: a JSON body and a frame of another version both yield a
 // WireVersionError that names the version this build reads. Version 1
-// frames carried a per-target S-VCP lane; a shard of that build must be
-// refused, not misread.
+// frames carried a per-target S-VCP lane, version 2 frames no checksum
+// and no tier; a shard of either build must be refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
-	if WireVersion != 2 {
-		t.Fatalf("WireVersion = %d, want 2", WireVersion)
+	if WireVersion != 3 {
+		t.Fatalf("WireVersion = %d, want 3", WireVersion)
 	}
 	frame := corpusFrames(t)[0]
 	version := func(v uint32) []byte {
@@ -208,6 +210,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"json body":      {[]byte(`{"partial": {"shard_id": 0}}`), true, 0},
 		"empty body":     {nil, true, 0},
 		"version 1":      {version(1), false, 1},
+		"version 2":      {version(2), false, 2},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body)
@@ -218,7 +221,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 2") && !strings.Contains(err.Error(), "want 2") {
+		if !strings.Contains(err.Error(), "want wire version 3") && !strings.Contains(err.Error(), "want 3") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}
@@ -272,6 +275,11 @@ func FuzzPartialFrame(f *testing.F) {
 	for _, b := range corpusFrames(f) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
+	}
+	// A version 3 frame whose identity fills both fields version 2 lacked.
+	v3 := &Partial{Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: strings.Repeat("c", 64), MinContainment: 0.45}}
+	if b, err := (&Frame{Partial: v3}).AppendTo(nil); err == nil {
+		f.Add(b)
 	}
 	f.Add([]byte(`{"partial":{}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -8,27 +8,18 @@ import (
 )
 
 // Partial is one shard's contribution to a scattered query: the
-// flattening of core.QueryPartial plus the shard identity the
-// coordinator checks against its manifest. Between eshd and eshgw it
-// travels as a Frame. The JSON tags serve tools that store or inspect
-// partials; float64 round-trips exactly through Go's JSON too
-// (shortest-representation encoding), though only for finite values.
+// flattening of core.QueryPartial plus the identity the coordinator
+// judges by Manifest.CheckShard. Between eshd and eshgw it travels as a
+// Frame. The JSON tags serve tools that store or inspect partials;
+// float64 round-trips exactly through Go's JSON too (shortest-
+// representation encoding), though only for finite values.
 type Partial struct {
-	ShardID    int    `json:"shard_id"`
-	ShardCount int    `json:"shard_count"`
-	Generation string `json:"generation"`
+	Identity
 
 	QueryName  string         `json:"query_name"`
 	Source     asm.Provenance `json:"source"`
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"`
-	SigmoidK   float64        `json:"sigmoid_k"`
-	// DataGeneration and PendingWrites report live-write drift on the
-	// answering shard: a nonzero value means its corpus no longer
-	// matches the manifest's counts, and Merge refuses rather than
-	// finalize against stale multiplicities.
-	DataGeneration uint64 `json:"data_generation,omitempty"`
-	PendingWrites  int    `json:"pending_writes,omitempty"`
 	// Weights and Rows are indexed by unique query strand, in the
 	// decomposition order every shard derives identically from the
 	// query text; Rows' second index is the shard-local strand order
@@ -36,6 +27,23 @@ type Partial struct {
 	Weights []float64       `json:"weights"`
 	Rows    [][]float64     `json:"rows"`
 	Targets []TargetPartial `json:"targets"`
+}
+
+// Identity is what a shard's answer says about where it came from: its
+// fleet slot, the snapshot and engine settings it was computed under, and
+// how far live writes have moved its corpus since the split.
+type Identity struct {
+	ShardID    int    `json:"shard_id"`
+	ShardCount int    `json:"shard_count"`
+	Generation string `json:"generation"`
+	// Checksum is the served snapshot's; "" if the shard loaded no file.
+	Checksum       string  `json:"checksum,omitempty"`
+	SigmoidK       float64 `json:"sigmoid_k"`
+	MinContainment float64 `json:"min_containment"`
+	// DataGeneration (compactions) and PendingWrites (uncompacted live
+	// writes) are nonzero once the corpus left the manifest's counts.
+	DataGeneration uint64 `json:"data_generation,omitempty"`
+	PendingWrites  int    `json:"pending_writes,omitempty"`
 }
 
 // TargetPartial is one target's shard-exact reductions in wire form.
@@ -47,22 +55,26 @@ type TargetPartial struct {
 	MaxVCP     []float64      `json:"max_vcp"`
 }
 
-// FromQueryPartial converts an engine partial to wire form.
+// FromQueryPartial converts an engine partial to wire form; the caller
+// stamps the snapshot checksum.
 func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 	p := &Partial{
-		ShardID:        si.ID,
-		ShardCount:     si.Count,
-		Generation:     si.Generation,
-		DataGeneration: qp.DataGeneration,
-		PendingWrites:  qp.PendingWrites,
-		QueryName:      qp.QueryName,
-		Source:         qp.Source,
-		NumBlocks:      qp.NumBlocks,
-		NumStrands:     qp.NumStrands,
-		SigmoidK:       qp.SigmoidK,
-		Weights:        qp.Weights,
-		Rows:           qp.Rows,
-		Targets:        make([]TargetPartial, len(qp.Targets)),
+		Identity: Identity{
+			ShardID:        si.ID,
+			ShardCount:     si.Count,
+			Generation:     si.Generation,
+			SigmoidK:       qp.SigmoidK,
+			MinContainment: qp.MinContainment,
+			DataGeneration: qp.DataGeneration,
+			PendingWrites:  qp.PendingWrites,
+		},
+		QueryName:  qp.QueryName,
+		Source:     qp.Source,
+		NumBlocks:  qp.NumBlocks,
+		NumStrands: qp.NumStrands,
+		Weights:    qp.Weights,
+		Rows:       qp.Rows,
+		Targets:    make([]TargetPartial, len(qp.Targets)),
 	}
 	for i, ps := range qp.Targets {
 		p.Targets[i] = TargetPartial{
@@ -90,23 +102,17 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 // the H0 estimate by zeroing their counts (an H0Accumulator.Add with
 // multiplicity 0 is a no-op), so the surviving targets' scores are the
 // best estimate available from the reachable corpus. The returned slice
-// lists the missing shard IDs (nil when the fleet was complete).
+// lists the missing shard IDs (nil when the fleet was complete). A
+// partial that fails Manifest.CheckShard fails the merge.
 func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
-	n := len(man.Shards)
-	byShard := make([]*Partial, n)
+	byShard := make([]*Partial, len(man.Shards))
 	var first *Partial
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		if p.ShardID < 0 || p.ShardID >= n {
-			return nil, nil, fmt.Errorf("shard: merge: shard id %d out of range [0,%d)", p.ShardID, n)
-		}
-		if p.ShardCount != n {
-			return nil, nil, fmt.Errorf("shard: merge: shard %d reports fleet of %d, manifest has %d", p.ShardID, p.ShardCount, n)
-		}
-		if p.Generation != man.Generation {
-			return nil, nil, fmt.Errorf("shard: merge: shard %d is generation %q, manifest is %q", p.ShardID, p.Generation, man.Generation)
+		if err := man.CheckShard(p.ShardID, p.Identity); err != nil {
+			return nil, nil, fmt.Errorf("shard: merge: %w", err)
 		}
 		if byShard[p.ShardID] != nil {
 			return nil, nil, fmt.Errorf("shard: merge: two partials for shard %d", p.ShardID)
@@ -131,15 +137,25 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		}
 	}
 
-	// Rebuild the dense global rows in one slab. A strand shared by two
-	// shards is written twice with bitwise-equal values (same
-	// deterministic pair computation), so overwrite order is irrelevant.
+	// One pass over the responders. Their rows are spliced into one dense
+	// global slab: a strand shared by two shards is written twice with
+	// bitwise-equal values (same deterministic pair computation), so
+	// overwrite order is irrelevant. With shards missing, only responders'
+	// strands keep their counts. Their targets are laid out in global
+	// corpus order — the single-node pre-sort order, so the stable GES
+	// sort breaks ties identically; the manifest assigns every global
+	// target to exactly one shard, so indexing by it replaces a sort.
 	nq, ng := len(first.Weights), len(man.Counts)
 	slab := make([]float64, nq*ng)
 	rows := make([][]float64, nq)
 	for i := range rows {
 		rows[i] = slab[i*ng : (i+1)*ng : (i+1)*ng]
 	}
+	counts := man.Counts
+	if len(missing) > 0 {
+		counts = make([]int, ng)
+	}
+	at := make([]*TargetPartial, man.NumTargets)
 	for s, p := range byShard {
 		if p == nil {
 			continue
@@ -150,28 +166,10 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 				dst[strands[j]] = v
 			}
 		}
-	}
-	counts := man.Counts
-	if len(missing) > 0 {
-		counts = make([]int, ng)
-		for s, p := range byShard {
-			if p == nil {
-				continue
-			}
-			for _, g := range man.Shards[s].Strands {
+		if len(missing) > 0 {
+			for _, g := range strands {
 				counts[g] = man.Counts[g]
 			}
-		}
-	}
-
-	// Lay the targets out in global corpus order — the single-node
-	// pre-sort order, so the stable GES sort breaks ties identically.
-	// The manifest assigns every global target to exactly one shard, so
-	// indexing by global target replaces a sort.
-	at := make([]*TargetPartial, man.NumTargets)
-	for s, p := range byShard {
-		if p == nil {
-			continue
 		}
 		for k, ti := range man.Shards[s].Targets {
 			at[ti] = &p.Targets[k]
@@ -206,21 +204,11 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	return qp.Finalize(counts), missing, nil
 }
 
-// checkPartial validates one shard's partial against the manifest and
-// the fleet-wide query view (every shard must derive the identical
-// query decomposition, or rows cannot be merged by index).
+// checkPartial validates the shape of one shard's partial against the
+// manifest and the fleet-wide query view (every shard must derive the
+// identical query decomposition, or rows cannot be merged by index).
 func checkPartial(man *Manifest, first, p *Partial) error {
 	s := p.ShardID
-	if p.DataGeneration != 0 || p.PendingWrites != 0 {
-		// Live writes mutated the shard since its snapshot was split:
-		// the manifest's union counts no longer describe its corpus, so
-		// finalizing against them would silently corrupt scores.
-		return fmt.Errorf("shard: merge: shard %d has drifted from its snapshot (data generation %d, %d pending writes); re-split the corpus",
-			s, p.DataGeneration, p.PendingWrites)
-	}
-	if p.SigmoidK != man.SigmoidK {
-		return fmt.Errorf("shard: merge: shard %d ran sigmoid k=%g, manifest says %g", s, p.SigmoidK, man.SigmoidK)
-	}
 	if p.QueryName != first.QueryName || p.NumStrands != first.NumStrands || len(p.Weights) != len(first.Weights) {
 		return fmt.Errorf("shard: merge: shard %d answered a different query (%q, %d strands) than shard %d (%q, %d strands)",
 			s, p.QueryName, len(p.Weights), first.ShardID, first.QueryName, len(first.Weights))

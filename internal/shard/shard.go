@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -31,12 +32,13 @@ import (
 // next to the shard snapshots by SaveShards and read by the gateway.
 type Manifest struct {
 	// Generation identifies the split: a hash of the partition content
-	// (target assignments, strand counts). It is baked into each shard
+	// (target assignments, strand counts), not of the options, so two
+	// splits at different settings share it. It is baked into each shard
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
 	// SigmoidK and LSHMinContainment record the engine options the
-	// corpus was built with. Both affect scores, so a coordinator refuses
+	// corpus was built with. Both affect scores, so CheckShard refuses
 	// shards reporting different values. Readers ignore unknown opts
 	// keys, so a manifest that still says prefilter= or retrieval= loads.
 	SigmoidK          float64
@@ -63,6 +65,42 @@ type ShardEntry struct {
 	// strand. Local order is ascending in global index, but consumers
 	// should not rely on that.
 	Strands []int
+}
+
+// CheckShard is the fleet rule, the one place a shard's identity meets
+// the manifest: an answer from a shard reporting id may enter a merge as
+// shard sid only if id names that slot of this split, no live write has
+// moved its corpus, its snapshot is the one named here (unless either
+// checksum is unknown), and it scored at the manifest's sigmoid k and
+// tier. The error names the shard and each field that differs, both values.
+func (m *Manifest) CheckShard(sid int, id Identity) error {
+	if sid < 0 || sid >= len(m.Shards) {
+		return fmt.Errorf("shard %d: out of range [0,%d)", sid, len(m.Shards))
+	}
+	var bad []string
+	differs := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	if id.ShardID != sid || id.ShardCount != len(m.Shards) {
+		differs("serves shard %d/%d, manifest slot is %d/%d", id.ShardID, id.ShardCount, sid, len(m.Shards))
+	}
+	if id.Generation != m.Generation {
+		differs("generation %q, manifest says %q", id.Generation, m.Generation)
+	}
+	if id.DataGeneration != 0 || id.PendingWrites != 0 {
+		differs("drifted from its snapshot (data generation %d, %d pending writes), re-split the corpus", id.DataGeneration, id.PendingWrites)
+	}
+	if want := m.Shards[sid].Checksum; id.Checksum != "" && want != "" && id.Checksum != want {
+		differs("snapshot checksum %.12s…, manifest says %.12s…", id.Checksum, want)
+	}
+	if id.SigmoidK != m.SigmoidK {
+		differs("sigmoid k %g, manifest says %g", id.SigmoidK, m.SigmoidK)
+	}
+	if id.MinContainment != m.LSHMinContainment {
+		differs("lsh min containment %g, manifest says %g", id.MinContainment, m.LSHMinContainment)
+	}
+	if bad == nil {
+		return nil
+	}
+	return fmt.Errorf("shard %d: %s", sid, strings.Join(bad, "; "))
 }
 
 // Assign deterministically maps a target to one of n shards: SHA-256

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -300,26 +301,73 @@ func TestMergeMissingShard(t *testing.T) {
 	_ = want
 }
 
+// TestMergeRejectsMixedFleet: Merge judges every partial by
+// Manifest.CheckShard, so a partial computed at another tier, from
+// another snapshot, on a drifted corpus, at another sigmoid k or in
+// another fleet fails the merge with an error naming the shard, the field
+// and both values. A checksum nobody knows (an in-memory shard, or a
+// manifest without one) is not compared.
 func TestMergeRejectsMixedFleet(t *testing.T) {
 	ex := buildSmallDB(t).Export()
-	man, dbs := splitDBs(t, ex, 2)
+	man, shardExs, err := Split(ex, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Shards[0].Checksum, man.Shards[1].Checksum = "aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"
 	q := parse(t, gccStyle)
-	var parts []*Partial
-	for _, db := range dbs {
-		qp, err := db.PartialQueryCtx(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+	partials := func(edit func(*core.Options)) []*Partial {
+		var parts []*Partial
+		for s, se := range shardExs {
+			se := *se
+			if s == 1 {
+				edit(&se.Opts)
+			}
+			db, err := core.FromExport(&se)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qp, err := db.PartialQueryCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, FromQueryPartial(qp, db.Shard()))
 		}
-		parts = append(parts, FromQueryPartial(qp, db.Shard()))
+		return parts
 	}
-	parts[1].Generation = "deadbeefdeadbeef"
-	if _, _, err := Merge(man, parts); err == nil {
-		t.Fatal("merge accepted a shard from another fleet generation")
+	sound := func(*core.Options) {}
+	if _, _, err := Merge(man, partials(sound)); err != nil {
+		t.Fatalf("consistent fleet without checksums: %v", err)
 	}
-	parts[1].Generation = man.Generation
-	parts[1].SigmoidK = 7
-	if _, _, err := Merge(man, parts); err == nil {
-		t.Fatal("merge accepted a shard with a different sigmoid k")
+	for _, tc := range []struct {
+		name    string
+		opts    func(*core.Options)
+		id      func(*Identity)
+		wantErr string // "" = merges
+	}{
+		{"heuristic tier", func(o *core.Options) { o.LSHMinContainment = 0.45 }, func(*Identity) {},
+			"shard 1: lsh min containment 0.45, manifest says 0"},
+		{"other snapshot", sound, func(id *Identity) { id.Checksum = "cccccccccccccccc" },
+			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…"},
+		{"its own snapshot", sound, func(id *Identity) { id.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
+		{"drifted", sound, func(id *Identity) { id.DataGeneration, id.PendingWrites = 1, 2 },
+			"shard 1: drifted from its snapshot (data generation 1, 2 pending writes), re-split the corpus"},
+		{"other sigmoid k", sound, func(id *Identity) { id.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
+		{"other generation", sound, func(id *Identity) { id.Generation = "deadbeef" },
+			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
+		{"other fleet size", sound, func(id *Identity) { id.ShardCount = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
+		{"no such shard", sound, func(id *Identity) { id.ShardID = 2 }, "shard 2: out of range [0,2)"},
+		{"two fields", sound, func(id *Identity) { id.SigmoidK, id.MinContainment = 7, 0.5 },
+			"shard 1: sigmoid k 7, manifest says 0; lsh min containment 0.5, manifest says 0"},
+	} {
+		parts := partials(tc.opts)
+		tc.id(&parts[1].Identity)
+		_, _, err := Merge(man, parts)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one saying %q", tc.name, err, tc.wantErr)
+		}
 	}
 	if _, _, err := Merge(man, nil); err == nil {
 		t.Fatal("merge of zero partials succeeded")

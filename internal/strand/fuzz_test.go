@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/lift"
+	"repro/internal/smt"
 )
 
 // maxStmtsPerInst bounds the IVL statements the lifter emits for one
@@ -23,7 +24,9 @@ const maxStmtsPerInst = 16
 // each block of I_b instructions lifts to at most maxStmtsPerInst·I_b
 // statements, and decomposes into at most that many strands of at most
 // that many statements each — so a procedure yields at most
-// maxStmtsPerInst·I strands. The seed corpus (testdata/fuzz) holds
+// maxStmtsPerInst·I strands. Every strand must compile to a program the
+// batched kernel accepts (smt.Program.BatchOK): vcp's scalar fallback
+// serves no lifted strand. The seed corpus (testdata/fuzz) holds
 // procedures of the test-bed corpus.
 func FuzzQueryPipeline(f *testing.F) {
 	f.Add("proc p\n\tmov rax, rdi\n\tadd rax, 1\n\tret\nendp\n")
@@ -60,6 +63,9 @@ func FuzzQueryPipeline(f *testing.F) {
 					}
 					if s.CanonicalKey() == "" {
 						t.Fatalf("%s block %d: empty canonical key", p.Name, bi)
+					}
+					if prog, err := smt.CompileStrand(s.Stmts, s.Inputs); err != nil || !prog.BatchOK() {
+						t.Fatalf("%s block %d: strand does not run on the batched kernel (%v)", p.Name, bi, err)
 					}
 				}
 				insts += len(g.Blocks[bi].Insts)
