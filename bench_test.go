@@ -265,10 +265,7 @@ func BenchmarkFingerprints(b *testing.B) {
 	}
 	prog, err := smt.CompileStrand(best.Stmts, best.Inputs)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if !prog.BatchOK() {
-		b.Fatal("bench strand rejected by the kernel's static typing")
+		b.Fatalf("bench strand refused: %v", err)
 	}
 	slots := make([]int, len(best.Inputs))
 	for i := range slots {

@@ -313,6 +313,24 @@ func TestBadBodyRejected(t *testing.T) {
 	}
 }
 
+// TestIllTypedStrandRefused: the batched kernel is the only evaluator, so
+// a snapshot carrying a strand it cannot type — here a statement declared
+// an integer that holds a memory, behind a valid checksum — is refused at
+// load, naming the strand and the statement.
+func TestIllTypedStrandRefused(t *testing.T) {
+	snap := saveBytes(t, buildDB(t))
+	const from, to = `a 0 "rax_1" "rsi_0"`, `a 0 "rax_1" "mem_0"`
+	if !bytes.Contains(snap, []byte(from)) {
+		t.Fatalf("snapshot has no %q to retype", from)
+	}
+	bad := rewrite(t, snap, Version, func(ln string) string { return strings.Replace(ln, from, to, 1) })
+	_, err := Load(bytes.NewReader(bad))
+	want := "import strand 1: smt: statement 3 (rax_1): declared bv64 but holds a mem value"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("load: error %v, want one containing %q", err, want)
+	}
+}
+
 // TestOldVersionRefused: formats before 6 are no longer decoded — v5,
 // the last to carry a persisted probe table, included.
 func TestOldVersionRefused(t *testing.T) {

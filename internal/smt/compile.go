@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ivl"
@@ -13,7 +14,8 @@ import (
 //
 // Compilation also performs the static analyses the batched kernel
 // (kernel.go) relies on: a type per register (memory-typedness is static
-// in well-formed IVL), and a reordering of the code into a γ-invariant
+// in well-formed IVL, and CompileStrand refuses a program where it is
+// not), and a reordering of the code into a γ-invariant
 // prefix — instructions whose transitive operands touch no input slot,
 // so their values cannot depend on the slot assignment — followed by the
 // γ-dependent suffix. Only the suffix re-runs per correspondence.
@@ -37,18 +39,12 @@ type Program struct {
 	varRegs   []defInfo
 	varying   []DefClass
 	constDefs []int
-	// memReg is the static type per register (true = memory). Valid for
-	// all registers when batchOK; the scalar path never consults it.
+	// memReg is the static type per register (true = memory).
 	memReg []bool
 	// prefixLen splits code: code[:prefixLen] is the γ-invariant prefix.
 	prefixLen int
 	// hasMem reports whether any register is memory-typed.
 	hasMem bool
-	// batchOK reports whether the static typing above fully describes
-	// the program. Ill-typed programs (e.g. an ite mixing memory and
-	// integer branches, or integer operators applied to memories) keep
-	// the dynamic scalar semantics and fall back to Fingerprints.
-	batchOK bool
 }
 
 // DefClass is one distinct γ-dependent register among a program's
@@ -90,38 +86,49 @@ type cinstr struct {
 }
 
 // CompileStrand flattens an SSA assignment list into a Program. Inputs
-// occupy registers [0, len(inputs)).
+// occupy registers [0, len(inputs)). It refuses a program the batched
+// kernel's static typing cannot describe — an integer operator over a
+// memory, an ite mixing a memory and an integer branch, a load or store
+// through an integer, a statement whose declared type is not the type
+// its value has — naming the statement and the reason.
 func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
-	p := &Program{Inputs: inputs}
+	p := &Program{Inputs: inputs, memReg: make([]bool, len(inputs))}
 	regOf := make(map[string]int, len(inputs)+len(stmts))
 	for i, in := range inputs {
 		regOf[in.Name] = i
+		p.memReg[i] = in.Type == ivl.Mem
 	}
-	p.nregs = len(inputs)
+
+	// emit types the instruction, gives it a fresh destination register
+	// and appends it. Code is in SSA order, so its operands are typed.
+	emit := func(in cinstr) (int, error) {
+		mem, err := p.resultType(&in)
+		if err != nil {
+			return 0, err
+		}
+		in.dst = len(p.memReg)
+		p.memReg = append(p.memReg, mem)
+		p.code = append(p.code, in)
+		return in.dst, nil
+	}
 
 	var compile func(e ivl.Expr) (int, error)
-	alloc := func() int { r := p.nregs; p.nregs++; return r }
-
 	compile = func(e ivl.Expr) (int, error) {
 		switch t := e.(type) {
 		case ivl.VarExpr:
 			r, ok := regOf[t.V.Name]
 			if !ok {
-				return 0, fmt.Errorf("smt: unbound variable %q", t.V.Name)
+				return 0, fmt.Errorf("unbound variable %q", t.V.Name)
 			}
 			return r, nil
 		case ivl.ConstExpr:
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cConst, dst: r, val: t.Val})
-			return r, nil
+			return emit(cinstr{op: cConst, val: t.Val})
 		case ivl.UnExpr:
 			a, err := compile(t.X)
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cUn, dst: r, a: a, un: t.Op})
-			return r, nil
+			return emit(cinstr{op: cUn, a: a, un: t.Op})
 		case ivl.BinExpr:
 			a, err := compile(t.X)
 			if err != nil {
@@ -131,9 +138,7 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cBin, dst: r, a: a, b: b, bin: t.Op})
-			return r, nil
+			return emit(cinstr{op: cBin, a: a, b: b, bin: t.Op})
 		case ivl.IteExpr:
 			c, err := compile(t.Cond)
 			if err != nil {
@@ -147,25 +152,19 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cIte, dst: r, c: c, a: a, b: b})
-			return r, nil
+			return emit(cinstr{op: cIte, c: c, a: a, b: b})
 		case ivl.TruncExpr:
 			a, err := compile(t.X)
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cTrunc, dst: r, a: a, bits: t.Bits})
-			return r, nil
+			return emit(cinstr{op: cTrunc, a: a, bits: t.Bits})
 		case ivl.SextExpr:
 			a, err := compile(t.X)
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cSext, dst: r, a: a, bits: t.Bits})
-			return r, nil
+			return emit(cinstr{op: cSext, a: a, bits: t.Bits})
 		case ivl.LoadExpr:
 			m, err := compile(t.Mem)
 			if err != nil {
@@ -175,9 +174,7 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cLoad, dst: r, a: m, b: a, w: t.W})
-			return r, nil
+			return emit(cinstr{op: cLoad, a: m, b: a, w: t.W})
 		case ivl.StoreExpr:
 			m, err := compile(t.Mem)
 			if err != nil {
@@ -191,9 +188,7 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 			if err != nil {
 				return 0, err
 			}
-			r := alloc()
-			p.code = append(p.code, cinstr{op: cStore, dst: r, a: m, b: a, c: v, w: t.W})
-			return r, nil
+			return emit(cinstr{op: cStore, a: m, b: a, c: v, w: t.W})
 		case ivl.CallExpr:
 			args := make([]int, len(t.Args))
 			for i, arg := range t.Args {
@@ -203,25 +198,65 @@ func CompileStrand(stmts []ivl.Stmt, inputs []ivl.Var) (*Program, error) {
 				}
 				args[i] = ar
 			}
-			r := alloc()
 			isMem := len(t.Sym) >= 7 && t.Sym[:7] == "callmem"
-			p.code = append(p.code, cinstr{op: cCall, dst: r, args: args,
-				sym: mix64(hashString(t.Sym)), memC: isMem})
-			return r, nil
+			return emit(cinstr{op: cCall, args: args, sym: mix64(hashString(t.Sym)), memC: isMem})
 		}
-		return 0, fmt.Errorf("smt: cannot compile %T", e)
+		return 0, fmt.Errorf("cannot compile %T", e)
 	}
 
-	for _, s := range stmts {
+	for i, s := range stmts {
 		r, err := compile(s.Rhs)
+		if err == nil && (s.Dst.Type == ivl.Mem) != p.memReg[r] {
+			err = fmt.Errorf("declared %s but holds a %s value", s.Dst.Type, typeName(p.memReg[r]))
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("smt: statement %d (%s): %w", i, s.Dst.Name, err)
 		}
 		regOf[s.Dst.Name] = r
-		p.defRegs = append(p.defRegs, defInfo{reg: r, isMem: s.Dst.Type == ivl.Mem})
+		p.defRegs = append(p.defRegs, defInfo{reg: r, isMem: p.memReg[r]})
 	}
+	p.nregs = len(p.memReg)
 	p.analyze()
 	return p, nil
+}
+
+// resultType reports whether the instruction's result is a memory, or why
+// the static typing cannot describe it. Memory operands of cBin are legal:
+// memories compare for (in)equality, and the result is an integer.
+func (p *Program) resultType(in *cinstr) (bool, error) {
+	m := p.memReg
+	switch in.op {
+	case cUn, cTrunc, cSext:
+		if m[in.a] {
+			return false, errors.New("integer operator over a memory")
+		}
+	case cIte:
+		if m[in.c] {
+			return false, errors.New("ite condition is a memory")
+		}
+		if m[in.a] != m[in.b] {
+			return false, errors.New("ite branches mix a memory and an integer")
+		}
+		return m[in.a], nil
+	case cLoad, cStore:
+		if !m[in.a] {
+			return false, errors.New("load or store through an integer")
+		}
+		if m[in.b] || (in.op == cStore && m[in.c]) {
+			return false, errors.New("memory used as an address or stored value")
+		}
+		return in.op == cStore, nil
+	case cCall:
+		return in.memC, nil
+	}
+	return false, nil
+}
+
+func typeName(mem bool) string {
+	if mem {
+		return ivl.Mem.String()
+	}
+	return ivl.Int.String()
 }
 
 // srcs appends the operand registers the instruction actually reads.
@@ -246,51 +281,11 @@ func (in *cinstr) srcs(buf []int) []int {
 	return buf
 }
 
-// analyze computes the static register types and the γ-invariant prefix
-// split the batched kernel needs. Code is in SSA order (every operand is
-// defined before use), so one forward pass suffices for both.
+// analyze computes the γ-invariant prefix split the batched kernel
+// needs. Code is in SSA order (every operand is defined before use), so
+// one forward pass suffices.
 func (p *Program) analyze() {
-	memReg := make([]bool, p.nregs)
-	for i, in := range p.Inputs {
-		memReg[i] = in.Type == ivl.Mem
-	}
-	ok := true
-	for i := range p.code {
-		in := &p.code[i]
-		switch in.op {
-		case cConst, cBin:
-			// Integer result. Memory operands of cBin are legal (the
-			// scalar path compares them); the result is still integer.
-		case cUn, cTrunc, cSext:
-			if memReg[in.a] {
-				ok = false // scalar reads .Bits (0) of a memory value
-			}
-		case cIte:
-			if memReg[in.c] || memReg[in.a] != memReg[in.b] {
-				ok = false
-			}
-			memReg[in.dst] = memReg[in.a]
-		case cLoad:
-			if !memReg[in.a] || memReg[in.b] {
-				ok = false
-			}
-		case cStore:
-			if !memReg[in.a] || memReg[in.b] || memReg[in.c] {
-				ok = false
-			}
-			memReg[in.dst] = true
-		case cCall:
-			memReg[in.dst] = in.memC
-		}
-	}
-	for _, di := range p.defRegs {
-		if di.isMem != memReg[di.reg] {
-			ok = false // declared type disagrees with the computed one
-		}
-	}
-	p.memReg = memReg
-	p.batchOK = ok
-	for _, m := range memReg {
+	for _, m := range p.memReg {
 		if m {
 			p.hasMem = true
 			break
@@ -347,10 +342,6 @@ func (p *Program) analyze() {
 	}
 }
 
-// BatchOK reports whether the batched SoA kernel supports this program.
-// The rare ill-typed programs it rejects keep the scalar path.
-func (p *Program) BatchOK() bool { return p.batchOK }
-
 // InstrCounts returns how many instructions were hoisted into the
 // γ-invariant prefix and the total instruction count, for telemetry.
 func (p *Program) InstrCounts() (prefix, total int) {
@@ -381,11 +372,13 @@ func hashString(s string) uint64 {
 // SSA definition, in definition order. Memory fingerprints live in a
 // separate hash domain from integers.
 //
-// This is the scalar reference path: one interpreter pass per sample
-// over boxed ivl.Value registers. The batched SoA kernel (kernel.go) is
-// the production path; this implementation is kept as the differential
-// oracle tests reach through vcp.NewReferenceEvaluator and as the
-// fallback for the rare programs the kernel's static typing rejects.
+// This is the scalar reference: one interpreter pass per sample over
+// boxed ivl.Value registers. The batched SoA kernel (kernel.go) is the
+// only code a binary evaluates a strand with; this interpreter is the
+// oracle its differentials compare against, in this package and — through
+// vcp.NewReferenceEvaluator at width 0 — in vcp and core. It is exported,
+// in a non-test file, because a _test.go file is visible only to its own
+// package.
 func (p *Program) Fingerprints(slotOf []int, k int) []uint64 {
 	fps := make([]uint64, len(p.defRegs))
 	regs := make([]ivl.Value, p.nregs)

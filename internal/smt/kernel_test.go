@@ -3,6 +3,7 @@ package smt
 import (
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ivl"
@@ -119,10 +120,7 @@ func TestKernelMatchesScalar(t *testing.T) {
 		stmts, inputs := randomKernelStrand(rng, 2+rng.Intn(4), 5+rng.Intn(12))
 		prog, err := CompileStrand(stmts, inputs)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if !prog.BatchOK() {
-			t.Fatalf("trial %d: well-typed program rejected by the kernel's static typing", trial)
+			t.Fatalf("trial %d: well-typed program refused: %v", trial, err)
 		}
 		kern := bindKernel(prog, DefaultSamples, 1)
 		for g := 0; g < 6; g++ {
@@ -250,28 +248,38 @@ func TestKernelSampleCountChange(t *testing.T) {
 	}
 }
 
-// TestKernelRejectsIllTyped: programs whose static typing cannot
-// describe the dynamic scalar semantics must be flagged so callers fall
-// back to the scalar path.
+// TestKernelRejectsIllTyped: a program whose static typing cannot
+// describe its semantics is refused at compile time, with an error naming
+// the statement (index and destination) and the reason — the batched
+// kernel is the only evaluator, so there is nothing to fall back to.
 func TestKernelRejectsIllTyped(t *testing.T) {
 	iv := func(n string) ivl.Var { return ivl.Var{Name: n, Type: ivl.Int} }
 	mem := ivl.VarExpr{V: ivl.Var{Name: "m", Type: ivl.Mem}}
 	inputs := []ivl.Var{{Name: "m", Type: ivl.Mem}, iv("x")}
-	cases := []ivl.Stmt{
+	ok := ivl.Assign(iv("y"), ivl.Bin(ivl.Add, ivl.IntVar("x"), ivl.C(1)))
+	cases := []struct {
+		s      ivl.Stmt
+		reason string
+	}{
 		// ite mixing a memory and an integer branch
-		ivl.Assign(iv("d"), ivl.IteExpr{Cond: ivl.IntVar("x"), Then: mem, Else: ivl.IntVar("x")}),
+		{ivl.Assign(iv("d"), ivl.IteExpr{Cond: ivl.IntVar("x"), Then: mem, Else: ivl.IntVar("x")}), "ite branches"},
 		// unary operator over a memory value
-		ivl.Assign(iv("d"), ivl.Un(ivl.Not, mem)),
+		{ivl.Assign(iv("d"), ivl.Un(ivl.Not, mem)), "over a memory"},
 		// load with a memory-typed address
-		ivl.Assign(iv("d"), ivl.LoadExpr{Mem: mem, Addr: mem, W: 8}),
+		{ivl.Assign(iv("d"), ivl.LoadExpr{Mem: mem, Addr: mem, W: 8}), "as an address"},
+		// a statement declared integer whose value is a memory
+		{ivl.Assign(iv("d"), mem), "declared bv64 but holds a mem"},
+		// and the converse
+		{ivl.Assign(ivl.Var{Name: "d", Type: ivl.Mem}, ivl.IntVar("y")), "declared mem but holds a bv64"},
 	}
-	for i, s := range cases {
-		prog, err := CompileStrand([]ivl.Stmt{s}, inputs)
-		if err != nil {
-			continue // rejection at compile time is fine too
+	for i, c := range cases {
+		_, err := CompileStrand([]ivl.Stmt{ok, c.s}, inputs)
+		if err == nil {
+			t.Errorf("case %d (%s): ill-typed program compiled", i, c.s)
+			continue
 		}
-		if prog.BatchOK() {
-			t.Errorf("case %d (%s): ill-typed program accepted by the batch kernel", i, s)
+		if msg := err.Error(); !strings.Contains(msg, "statement 1 (d)") || !strings.Contains(msg, c.reason) {
+			t.Errorf("case %d (%s): error %q does not name statement 1 (d) and %q", i, c.s, msg, c.reason)
 		}
 	}
 }
@@ -290,10 +298,7 @@ func FuzzKernel(f *testing.F) {
 		stmts, inputs := randomKernelStrand(rng, 1+rng.Intn(5), 1+rng.Intn(20))
 		prog, err := CompileStrand(stmts, inputs)
 		if err != nil {
-			t.Fatalf("generated program failed to compile: %v", err)
-		}
-		if !prog.BatchOK() {
-			t.Fatal("generated well-typed program rejected by static typing")
+			t.Fatalf("generated well-typed program refused: %v", err)
 		}
 		srng := rand.New(rand.NewSource(int64(slotSeed)))
 		kern := bindKernel(prog, DefaultSamples, 1)

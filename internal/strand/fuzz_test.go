@@ -24,10 +24,10 @@ const maxStmtsPerInst = 16
 // each block of I_b instructions lifts to at most maxStmtsPerInst·I_b
 // statements, and decomposes into at most that many strands of at most
 // that many statements each — so a procedure yields at most
-// maxStmtsPerInst·I strands. Every strand must compile to a program the
-// batched kernel accepts (smt.Program.BatchOK): vcp's scalar fallback
-// serves no lifted strand. The seed corpus (testdata/fuzz) holds
-// procedures of the test-bed corpus.
+// maxStmtsPerInst·I strands. Every strand must compile: smt.CompileStrand
+// refuses a program the batched kernel, the only evaluator, cannot type.
+// The seed corpus (testdata/fuzz) holds procedures of the test-bed
+// corpus.
 func FuzzQueryPipeline(f *testing.F) {
 	f.Add("proc p\n\tmov rax, rdi\n\tadd rax, 1\n\tret\nendp\n")
 	f.Fuzz(func(t *testing.T, src string) {
@@ -64,8 +64,8 @@ func FuzzQueryPipeline(f *testing.F) {
 					if s.CanonicalKey() == "" {
 						t.Fatalf("%s block %d: empty canonical key", p.Name, bi)
 					}
-					if prog, err := smt.CompileStrand(s.Stmts, s.Inputs); err != nil || !prog.BatchOK() {
-						t.Fatalf("%s block %d: strand does not run on the batched kernel (%v)", p.Name, bi, err)
+					if _, err := smt.CompileStrand(s.Stmts, s.Inputs); err != nil {
+						t.Fatalf("%s block %d: strand does not compile for the batched kernel: %v", p.Name, bi, err)
 					}
 				}
 				insts += len(g.Blocks[bi].Insts)

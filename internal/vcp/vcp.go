@@ -182,8 +182,9 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// Prepare compiles the strand and evaluates it under its own slot
-// assignment.
+// Prepare compiles the strand and evaluates it on the batched kernel under
+// its own slot assignment. A strand CompileStrand refuses is kept with
+// its error (Err) and scores 0 against everything.
 func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	cfg = cfg.normalized()
 	p := &Prepared{S: s, key: s.CanonicalKey()}
@@ -197,18 +198,10 @@ func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	for i := range identity {
 		identity[i] = i
 	}
-	// The batched SoA kernel (smt.Kernel) serves every program its
-	// static typing accepts; the scalar interpreter is the fallback for
-	// the rest. Both produce byte-identical fingerprints.
-	var fps []uint64
-	if prog.BatchOK() {
-		kern := smt.AcquireKernel()
-		defer smt.ReleaseKernel(kern) // fps aliases kernel buffers
-		kern.Bind(prog, cfg.Samples, 1)
-		fps = kern.Fingerprints(identity)
-	} else {
-		fps = prog.Fingerprints(identity, cfg.Samples)
-	}
+	kern := smt.AcquireKernel()
+	defer smt.ReleaseKernel(kern) // fps aliases kernel buffers
+	kern.Bind(prog, cfg.Samples, 1)
+	fps := kern.Fingerprints(identity)
 	p.fpSet = newFPSet(fps)
 	p.varying, p.samples = prog.Varying(), cfg.Samples
 	for _, d := range prog.ConstDefs() {
@@ -249,13 +242,13 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // evaluation vectors were matched against the target (each one is a
 // probabilistic-verifier invocation, whether its vector was computed
 // here or found in the memo); KernelNanos is the wall time spent
-// strictly inside kernel/interpreter evaluation — batch flushes,
-// including binding the kernel to the strand and staging the rows, or
-// scalar interpreter passes — excluding candidate ordering, the
-// enumeration itself, memo traffic and fpSet matching, so the metric
-// built on it does not overcount. MemoHits and MemoMisses split the
-// enumeration leaves the batched path buffered by whether the memo
-// already held their fingerprints; only misses reach the kernel.
+// strictly inside kernel evaluation — batch flushes, including binding
+// the kernel to the strand and staging the rows — excluding candidate
+// ordering, the enumeration itself, memo traffic and fpSet matching, so
+// the metric built on it does not overcount (a reference evaluator at
+// width 0 times its interpreter calls instead). MemoHits and MemoMisses
+// split the enumeration leaves the batched path buffered by whether the
+// memo already held their fingerprints; only misses reach the kernel.
 // Batches counts kernel flushes (a buffer of nothing but hits runs
 // none), BatchRows the miss rows they carried and BatchSlots the rows
 // they had room for (width × Batches); BatchRows/BatchSlots is the mean
@@ -299,10 +292,11 @@ func ComputeWithStats(q, t *Prepared, cfg Config) (float64, Stats) {
 type Evaluator struct {
 	q   *Prepared
 	cfg Config
-	// width is the requested γ-batch width and g the effective one:
-	// leaves are buffered and scored g at a time; g = 0 is the scalar
-	// interpreter, which buffers nothing and never consults the memo.
-	width, g int
+	// g is the γ-batch width, fixed at construction: leaves are buffered
+	// and scored g at a time. g = 0, which only NewReferenceEvaluator can
+	// set, is the scalar reference: it buffers nothing and never consults
+	// the memo.
+	g int
 	// kern is the evaluator's kernel (nil until the first miss) and bound
 	// whether it is bound to q's program.
 	kern  *smt.Kernel
@@ -334,35 +328,31 @@ type Evaluator struct {
 }
 
 // NewEvaluator prepares a reusable evaluator for the query strand: the
-// batched kernel at gammaWidth behind the strand's memo, or the scalar
-// interpreter for a program the kernel's static typing rejects. Callers
-// must Close it to return its kernel, if it took one, to smt's pool.
+// batched kernel at gammaWidth behind the strand's memo. Callers must
+// Close it to return its kernel, if it took one, to smt's pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
 	return NewReferenceEvaluator(q, cfg, gammaWidth)
 }
 
 // NewReferenceEvaluator is NewEvaluator at a chosen γ-batch width; width
-// 0 forces the scalar interpreter (one full pass per sample, one
-// evaluation per correspondence, no memo). It exists so tests can hold
-// the production path to its references; nothing a binary or an input
-// can set reaches it.
+// 0 is the scalar interpreter, smt.Program.Fingerprints (one full pass
+// per sample, one evaluation per correspondence, no memo). It exists so
+// tests can hold the production path to its references; nothing a binary
+// or an input can set reaches it. It is exported, in a non-test file,
+// because core's differentials reach it too, and a _test.go file is
+// visible only to its own package.
 func NewReferenceEvaluator(q *Prepared, cfg Config, width int) *Evaluator {
-	ev := &Evaluator{cfg: cfg.normalized(), width: width}
+	ev := &Evaluator{cfg: cfg.normalized(), g: width}
 	ev.Reset(q)
 	return ev
 }
 
 // Reset moves the evaluator to another query strand, keeping its
-// configuration, width, scratch and kernel; the kernel is re-bound when
-// the new strand first misses its memo. The memo and the strand's
-// constant fingerprints are at the Prepare-time sample count, so an
-// evaluator configured for another count runs the scalar interpreter.
+// configuration, width, scratch and kernel; the kernel is re-bound, at
+// the strand's Prepare-time sample count, when the new strand first
+// misses its memo.
 func (ev *Evaluator) Reset(q *Prepared) {
 	ev.q, ev.bound = q, false
-	ev.g = 0
-	if ev.width > 0 && q.err == nil && q.prog.BatchOK() && q.samples == ev.cfg.Samples {
-		ev.g = ev.width
-	}
 }
 
 // Close returns the evaluator's kernel, if it took one, to smt's pool.
@@ -384,13 +374,13 @@ func sized[T any](s []T, n int) []T {
 
 // Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
 // and Correspondences counts are Float64bits-identical across every
-// γ-batch width, a cold, warm or evicted memo, and the scalar
-// interpreter: γ candidates are enumerated in the same order and scored
-// in that order, a buffered leaf past a perfect match or the
-// MaxCorrespondences cap is discarded uncounted at flush — exactly the
-// candidates the unbatched loop would never have evaluated — and the
-// fingerprints scored for a leaf are bit-equal to a lone evaluation
-// under its assignment, whether they come from the kernel or the memo.
+// γ-batch width, a cold, warm or evicted memo, and the scalar reference:
+// γ candidates are enumerated in the same order and scored in that
+// order, a buffered leaf past a perfect match or the MaxCorrespondences
+// cap is discarded uncounted at flush — exactly the candidates the
+// unbatched loop would never have evaluated — and the fingerprints
+// scored for a leaf are bit-equal to a lone evaluation under its
+// assignment, whether they come from the kernel or the memo.
 func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	q := ev.q
 	if q.err != nil || t.err != nil || q.S.NumVars() == 0 {
@@ -463,14 +453,14 @@ func (ev *Evaluator) enumerate(i int) {
 	}
 }
 
-// leaf takes one complete assignment: the scalar interpreter evaluates
-// and scores it on the spot (only the interpreter call is timed); the
-// batched path buffers it and flushes every g leaves.
+// leaf takes one complete assignment: the batched path buffers it and
+// flushes every g leaves; the scalar reference (g = 0) evaluates and
+// scores it on the spot (only the interpreter call is timed).
 func (ev *Evaluator) leaf() {
 	if ev.g == 0 {
 		ev.tried++
 		t0 := time.Now()
-		fps := ev.q.prog.Fingerprints(ev.assignment, ev.cfg.Samples)
+		fps := ev.q.prog.Fingerprints(ev.assignment, ev.q.samples)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
 		matched := 0
 		for _, h := range fps { // per definition: the reference form
@@ -523,7 +513,7 @@ func (ev *Evaluator) flush() {
 			ev.kern = smt.AcquireKernel()
 		}
 		if !ev.bound {
-			ev.kern.Bind(q.prog, ev.cfg.Samples, ev.g)
+			ev.kern.Bind(q.prog, q.samples, ev.g)
 			ev.bound = true
 		}
 		for r, i := range ev.missIdx {
