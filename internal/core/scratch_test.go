@@ -17,10 +17,10 @@ import (
 // with the number of strands it touched. Twenty procedures of a held-out
 // toolchain run cold against a two-toolchain corpus (each query's memos
 // are released when it returns, so nothing but its cached rows may keep
-// what it computed). With one kernel pool per smt.Program a query re-made
-// a kernel for most strands whose memo missed — 31 MiB allocated per query
-// on this corpus, against under 1 MiB now, most of it memo chunks — and
-// 8 MiB of them were still on the heap after a collection.
+// what it computed). So each cold query must allocate at most a few MiB,
+// the heap beyond the memo gauge must stay within a few MiB of where it
+// was after load, and no smt.Program field may reach a kernel or a pool
+// of them.
 func TestColdQueryScratchBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus queries are slow")

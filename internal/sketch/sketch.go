@@ -1,10 +1,10 @@
-// Package sketch implements a MinHash/LSH prefilter over strand
-// features, the syntactic first stage the binary-similarity literature
-// places in front of expensive semantic comparison (GitZ-style
-// statistical prefiltering; see PAPERS.md). A strand is summarized once
-// at index time into a short MinHash signature over cheap syntactic
-// features — operator bag, input/variable counts, constant set, and
-// expression-tree shape shingles — and signatures are bucketed with
+// Package sketch holds the engine's candidate tests over strand summaries:
+// the sound typed-input test (Counts, Injects), always run, and the opt-in
+// heuristic candidate tier, a MinHash/LSH sketch — the syntactic first
+// stage the binary-similarity literature places in front of semantic
+// comparison (GitZ and its successors; see PAPERS.md). A strand is
+// summarized once at index time into a short MinHash signature over cheap
+// syntactic features (Features), and signatures are bucketed with
 // banded locality-sensitive hashing.
 //
 // The candidate rule has a sound core and an optional heuristic tier.
@@ -61,9 +61,9 @@ const (
 	DefaultBands = 24
 	DefaultRows  = 3
 	// SuggestedMinContainment is the calibrated setting for the
-	// opt-in heuristic tier. It is intentionally NOT the default:
-	// MinContainment = 0 keeps the prefilter sound (rankings
-	// byte-identical to the exhaustive loop).
+	// opt-in heuristic candidate tier. It is intentionally NOT the
+	// default: at MinContainment = 0 only the sound Counts/Injects test
+	// skips pairs (rankings byte-identical to the exhaustive loop).
 	SuggestedMinContainment = 0.45
 	// SmallSetFeatures is the feature-set size at or under which a
 	// strand's sketch is considered too noisy to gate on: pairs where
@@ -81,8 +81,8 @@ type Config struct {
 	Rows int
 	// MinContainment, when > 0, enables the heuristic tier: a live
 	// pair with no band collision and an estimated feature containment
-	// below this level is not a candidate. 0 (the default) keeps the
-	// prefilter sound — only provably-zero pairs are skipped.
+	// below this level is not a candidate. 0 (the default) turns the tier
+	// off: only the sound Counts/Injects test skips pairs, provably-zero ones.
 	MinContainment float64
 }
 
