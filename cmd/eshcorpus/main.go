@@ -132,7 +132,7 @@ func main() {
 			db.NumTargets(), db.NumUniqueStrands(), time.Since(start).Round(time.Millisecond), *save)
 		if *saveShards > 0 {
 			manifest := *save + ".manifest"
-			man, err := shard.SaveShards(manifest, db.Export(), *saveShards)
+			man, shards, err := shard.SaveShards(manifest, db.Export(), *saveShards)
 			if err != nil {
 				fail("%v", err)
 			}
@@ -140,7 +140,7 @@ func main() {
 				len(man.Shards), man.Generation, manifest)
 			for id, se := range man.Shards {
 				fmt.Printf("  shard %d: %4d targets, %6d unique strands  %s\n",
-					id, len(se.Targets), len(se.Strands), se.File)
+					id, len(se.Targets), len(shards[id].Strands), se.File)
 			}
 		}
 	} else if *saveShards > 0 {

@@ -14,7 +14,7 @@ import (
 
 // corpus is one version of the indexed database: everything a reader may
 // see, as one immutable value. DB.corpus points at the current one. A query
-// loads it once and runs every stage, and finalize, against it; a writer
+// loads it once and runs every stage against it; a writer
 // (serialized by writeMu) builds the successor in this file and publishes
 // it with one pointer store. A successor shares what it can with its
 // parent, under the rules that keep a loaded value stable for as long as
@@ -22,8 +22,8 @@ import (
 //
 //   - uniq, sums, targets and live only grow by appending beyond the
 //     lengths older versions hold; nothing below those lengths is written;
-//   - counts and h0Order are fresh slices in every version that changes
-//     them, and so is live when a tombstone flips one of its entries;
+//   - counts is a fresh slice in every version that changes it, and so is
+//     live when a tombstone flips one of its entries;
 //   - a renumbering compaction shares no array indexed by strand number,
 //     and moves rowEpoch.
 //
@@ -41,16 +41,11 @@ type corpus struct {
 
 	// Tombstone state. live[ti] is target ti's liveness; nil means "all
 	// live" (the common, tombstone-free case — a corpus that never saw a
-	// remove never materializes it). h0Order, non-nil exactly when live
-	// is, is the H0 iteration permutation: the surviving strands in the
-	// first-seen order a from-scratch rebuild of the live targets would
-	// assign, which is what keeps post-tombstone scores bit-identical to
-	// that rebuild (float addition is order-sensitive, so masking dead
-	// strands is not enough — see QueryPartial.finalize).
-	live    []bool
-	h0Order []int32
-	// countsVer moves with every change of counts or h0Order: an H0
-	// estimate stamped with it (vcpRow.h0) is good for as long as it stands.
+	// remove never materializes it). A strand every owner of which is
+	// tombstoned is dead: its count is 0, so no H0 histogram counts it.
+	live []bool
+	// countsVer moves with every change of counts: an H0 histogram
+	// stamped with it (vcpRow.h0) is good for as long as it stands.
 	countsVer uint64
 
 	// Sketch state: one sketch summary per unique strand (in uniq order;
@@ -171,7 +166,6 @@ func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 	next.targets = append(c.targets, t)
 	if c.live != nil {
 		next.live = append(c.live, true)
-		next.h0Order = next.order()
 	}
 	return &next
 }
@@ -225,42 +219,18 @@ func (c *corpus) without(hits []int) *corpus {
 	}
 	next.countsVer++
 	next.Tombstones += len(hits)
-	next.h0Order = next.order()
 	return &next
-}
-
-// order derives the H0 accumulation permutation for c's tombstone state:
-// the surviving strands in the first-seen order a from-scratch rebuild of
-// the live targets (in add order) would assign them. Within a target,
-// strandIdx is already first-occurrence order, so walking live targets in
-// order and taking each strand's first appearance reproduces the rebuild's
-// AddTarget order exactly. c.live must not be nil (without tombstones index
-// order is already the rebuild order).
-func (c *corpus) order() []int32 {
-	order := make([]int32, 0, len(c.uniq))
-	seen := make([]bool, len(c.uniq))
-	for ti, t := range c.targets {
-		if !c.live[ti] {
-			continue
-		}
-		for _, j := range t.strandIdx {
-			if !seen[j] {
-				seen[j] = true
-				order = append(order, int32(j))
-			}
-		}
-	}
-	return order
 }
 
 // compacted returns the rebuild-equivalent form of a possibly-dirty corpus:
 // dead targets dropped, dead strands dropped, surviving strands renumbered
-// into the first-seen order a from-scratch rebuild would use — which
-// h0Order already is. newIdx maps each old strand number to its new one (-1
-// for a dropped strand); it is nil when there were no tombstones, nothing
-// moved and the arrays alias c's own. A renumbered corpus comes back in the
-// next row epoch and without its LSH index, which was over the old numbers:
-// Compact builds it, Export has no use for it.
+// into the first-seen order a from-scratch rebuild of the live targets (in
+// add order) would assign — within a target, strandIdx is already
+// first-occurrence order. newIdx maps each old strand number to its new one
+// (-1 for a dropped strand); it is nil when there were no tombstones,
+// nothing moved and the arrays alias c's own. A renumbered corpus comes
+// back in the next row epoch and without its LSH index, which was over the
+// old numbers: Compact builds it, Export has no use for it.
 func (c *corpus) compacted() (next *corpus, newIdx []int) {
 	next = new(corpus)
 	*next = *c
@@ -271,18 +241,7 @@ func (c *corpus) compacted() (next *corpus, newIdx []int) {
 	for i := range newIdx {
 		newIdx[i] = -1
 	}
-	n := len(c.h0Order)
-	next.uniq = make([]*vcp.Prepared, n)
-	next.counts = make([]int, n)
-	next.sums = make([]sketch.Summary, n)
-	next.total = 0
-	for k, j := range c.h0Order {
-		newIdx[j] = k
-		next.uniq[k] = c.uniq[j]
-		next.counts[k] = c.counts[j]
-		next.sums[k] = c.sums[j]
-		next.total += c.counts[j]
-	}
+	next.uniq, next.counts, next.sums, next.total = nil, nil, nil, 0
 	next.targets = make([]*Target, 0, len(c.targets)-c.Tombstones)
 	for ti, t := range c.targets {
 		if !c.live[ti] {
@@ -297,11 +256,18 @@ func (c *corpus) compacted() (next *corpus, newIdx []int) {
 			strandMult: append([]int(nil), t.strandMult...),
 		}
 		for k, j := range t.strandIdx {
+			if newIdx[j] < 0 {
+				newIdx[j] = len(next.uniq)
+				next.uniq = append(next.uniq, c.uniq[j])
+				next.counts = append(next.counts, c.counts[j])
+				next.sums = append(next.sums, c.sums[j])
+				next.total += c.counts[j]
+			}
 			nt.strandIdx[k] = newIdx[j]
 		}
 		next.targets = append(next.targets, nt)
 	}
-	next.live, next.h0Order, next.Tombstones = nil, nil, 0
+	next.live, next.Tombstones = nil, 0
 	next.sketchIdx = nil
 	next.rowEpoch++
 	return next, newIdx

@@ -1,17 +1,32 @@
 package core
 
 import (
+	"context"
+
+	"repro/internal/asm"
 	"repro/internal/strand"
 	"repro/internal/vcp"
 )
 
 // This file exports to package core_test what an oracle outside the
-// package needs to recompute a query row: which strand each row and each
-// column stands for.
+// package needs to recompute a query row: the rows a query computes, and
+// which strand each row and each column stands for.
 
 // Strands returns the plan's unique query strands: strand i is row i of
 // the plan's partial.
 func (pl *QueryPlan) Strands() []*strand.Strand { return pl.strands }
+
+// QueryRows runs a query and returns the VCP rows it computed: rows[i][j] =
+// VCP(query strand i, unique strand j), read-only. A dead column holds
+// whatever the row knew when its strand died.
+func (db *DB) QueryRows(ctx context.Context, p *asm.Proc) ([][]float64, error) {
+	pl, err := db.Plan(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	_, rows, err := db.partialQuery(ctx, pl, db.corpus.Load())
+	return rows, err
+}
 
 // The crash-recovery tests (replay_test.go) replay through package index,
 // which imports core, so they are in package core_test too; these are the

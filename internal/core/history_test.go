@@ -13,21 +13,22 @@ import (
 )
 
 // answer is what RunPlan computes, with the pieces kept: the corpus version
-// the query loaded, its partial, and the report finalized over that version.
+// the query loaded, its VCP rows, its partial, and the report.
 type answer struct {
 	query int
 	qc    *corpus
+	rows  [][]float64
 	qp    *QueryPartial
 	rep   *Report
 }
 
 func answerPlan(db *DB, query int, pl *QueryPlan) (answer, error) {
 	qc := db.corpus.Load()
-	qp, cached, err := db.partialQuery(context.Background(), pl, qc)
+	qp, rows, err := db.partialQuery(context.Background(), pl, qc)
 	if err != nil {
 		return answer{}, err
 	}
-	return answer{query, qc, qp, qp.finalize(qc, cached)}, nil
+	return answer{query, qc, rows, qp, qp.Finalize()}, nil
 }
 
 // TestEveryAnswerOneVersion is the history check the sharing tests leave
@@ -39,9 +40,8 @@ func answerPlan(db *DB, query int, pl *QueryPlan) (answer, error) {
 // step — and what a from-scratch rebuild of the survivors answers. The same
 // script then runs against four readers, and each partial they were handed
 // must carry a stamp the serial run produced and equal that step's rebuild
-// bit for bit: rows (the rebuild's column k is the live corpus's h0Order[k],
-// and a dead column reads zero), per-target reductions, finalized scores and
-// ranking.
+// bit for bit: rows over the live strands (matched by canonical key), H0
+// histograms, per-target reductions, finalized scores and ranking.
 func TestEveryAnswerOneVersion(t *testing.T) {
 	script := append(synthOps(1, 2, 3), addOp(iccStyle))
 	const setup = 4 // steps applied before the readers start
@@ -153,36 +153,26 @@ func TestEveryAnswerOneVersion(t *testing.T) {
 func diffAnswer(t *testing.T, label string, got, want answer) {
 	t.Helper()
 	bits := math.Float64bits
-	order := got.qc.h0Order
-	if len(got.qp.Rows) != len(want.qp.Rows) {
-		t.Fatalf("%s: %d rows, the rebuild has %d", label, len(got.qp.Rows), len(want.qp.Rows))
+	live := map[string]int{} // canonical key -> column, live strands only
+	for j, u := range got.qc.uniq {
+		if got.qc.counts[j] > 0 {
+			live[u.Key()] = j
+		}
 	}
-	for i, wrow := range want.qp.Rows {
-		grow := got.qp.Rows[i]
-		if live := len(grow); order != nil && len(order) != len(wrow) || order == nil && live != len(wrow) {
-			t.Fatalf("%s: row %d covers %d strands (%d live), the rebuild has %d", label, i, live, len(order), len(wrow))
-		}
-		nonzero := 0
+	if len(live) != len(want.qc.uniq) || len(got.rows) != len(want.rows) {
+		t.Fatalf("%s: %d rows over %d live strands, the rebuild has %d over %d", label, len(got.rows), len(live), len(want.rows), len(want.qc.uniq))
+	}
+	for i, wrow := range want.rows {
 		for k, w := range wrow {
-			j := k
-			if order != nil {
-				j = int(order[k])
+			j, ok := live[want.qc.uniq[k].Key()]
+			if !ok {
+				t.Fatalf("%s: the rebuild's strand %d is not live here", label, k)
 			}
-			if bits(grow[j]) != bits(w) {
-				t.Fatalf("%s: row %d column %d = %v, the rebuild's column %d has %v", label, i, j, grow[j], k, w)
-			}
-			if w != 0 {
-				nonzero++
+			if bits(got.rows[i][j]) != bits(w) {
+				t.Fatalf("%s: row %d column %d = %v, the rebuild's column %d has %v", label, i, j, got.rows[i][j], k, w)
 			}
 		}
-		for _, g := range grow {
-			if g != 0 {
-				nonzero--
-			}
-		}
-		if nonzero != 0 {
-			t.Fatalf("%s: row %d shows %d values in dead columns", label, i, -nonzero)
-		}
+		diffH0(t, fmt.Sprintf("%s, strand %d", label, i), got.qp.H0[i], want.qp.H0[i])
 	}
 	if len(got.qp.Targets) != len(want.qp.Targets) {
 		t.Fatalf("%s: %d targets, the rebuild has %d", label, len(got.qp.Targets), len(want.qp.Targets))

@@ -9,27 +9,21 @@ import (
 )
 
 // QueryPartial is one database's half-finished view of a query: the
-// output of every pipeline stage whose result is exact under sharding,
-// stopping just short of the one quantity that is not — the corpus-wide
-// H0 estimate. A shard returns its QueryPartial (serialized by the
-// server layer); a coordinator splices the shards' rows and reductions
-// back into the union corpus's strand order and calls Finalize with the
-// union counts, running the same float operations in the same order a
-// single node holding the whole corpus would.
+// output of every pipeline stage, stopping just short of scoring. A shard
+// returns its QueryPartial (serialized by the server layer); a coordinator
+// adds the shards' H0 histograms per strand, lays their targets out in
+// corpus order and calls Finalize, which is the one scoring body of a
+// single node and a fleet.
 //
 // Exactness under sharding, piece by piece:
 //
-//   - Rows: VCP(query strand, target strand) is a per-pair computation;
-//     a shard computes exactly the columns for the strands it holds,
-//     bitwise equal to the same columns on a single node (kernel and
-//     candidate decisions are per-pair deterministic).
+//   - H0[i]: the multiplicity of each distinct VCP(query strand i, target
+//     strand) over the database's corpus. A pair's VCP is per-pair
+//     deterministic and a strand's corpus multiplicity is the sum of its
+//     shard-local ones, so the shards' histograms add up to the single
+//     node's exactly, and Evidence reads only the histogram.
 //   - PartialScore.MaxVCP: a max over the target's own strands — every
 //     input lives on the target's shard.
-//   - H0 (the part deferred to Finalize): a corpus-weighted mean over
-//     ALL unique strands in index order. Floating-point addition is not
-//     associative, so per-shard partial sums would NOT merge
-//     bit-identically; instead the coordinator rebuilds the dense
-//     global rows and recomputes the mean in global order.
 type QueryPartial struct {
 	QueryName  string
 	Source     asm.Provenance
@@ -42,22 +36,21 @@ type QueryPartial struct {
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,
 	// which depends only on the query text — all databases handed the
-	// same query agree on it, so rows merge by index. Read-only: the
-	// slice is the query plan's, shared by every query of the procedure.
+	// same query agree on it, so histograms merge by index. Read-only:
+	// the slice is the query plan's, shared by every query of the
+	// procedure.
 	Weights []float64
-	// Rows[i][j] = VCP(query strand i, target strand j), dense over
-	// this database's unique-strand index order. Read-only: a row may be
-	// the engine's cached row, shared with every other query of the same
-	// strand.
-	Rows [][]float64
+	// H0[i] is query strand i's H0 histogram over this database's live
+	// corpus (§3.3.2). Read-only: it may be the one kept with the cached
+	// row, shared with every other query of the same strand.
+	H0 []*stats.H0Accumulator
 	// Targets holds the exact per-target reductions, in index order.
 	Targets []PartialScore
 	// DataGeneration is the compaction generation the partial was
 	// computed under; PendingWrites the number of uncompacted live
 	// writes. A coordinator merging shard partials must refuse either
-	// being nonzero: its manifest's union counts describe the shards'
-	// generation-zero snapshots, so a drifted shard would finalize
-	// against stale multiplicities and corrupt scores.
+	// being nonzero: it places targets by its manifest's target lists,
+	// which describe the shards' generation-zero snapshots.
 	DataGeneration uint64
 	PendingWrites  int
 }
@@ -70,58 +63,14 @@ type PartialScore struct {
 	MaxVCP []float64
 }
 
-// Finalize turns the partial into a ranked Report by estimating H0 from
-// the rows under the given per-strand corpus multiplicities (counts[j]
-// weights Rows[i][j]; §3.3.2) and composing GES per method. It is a
-// pure function of (qp, counts): the single-node Query path and a
-// coordinator that reassembled global rows from shards call it with
-// bit-identical inputs and therefore produce bit-identical scores and
-// rankings.
-func (qp *QueryPartial) Finalize(counts []int) *Report {
-	return qp.finalize(&corpus{counts: counts}, nil)
-}
-
-// finalize is Finalize as the database calls it on its own partial, over
-// the corpus version c the partial was computed against.
-//
-// c.h0Order, when non-nil, is the H0 accumulation order: its k-th entry
-// indexes the k-th strand to fold into the H0 mean. The live write path sets
-// it after tombstones: floating-point addition is order-sensitive, so
-// bit-identity with a from-scratch rebuild of the surviving corpus requires
-// replaying the rebuild's first-seen strand order, not the dirty index order
-// with dead strands (counts 0, absent from the order) masked.
-//
-// cached[i], when non-nil, is the cached row Rows[i] was handed out of. The
-// strand's H0 means are read off the row if it holds them for c.countsVer
-// and left with it otherwise: the same accumulator over the same columns in
-// the same order, so the same bits, summed once per write instead of once
-// per query.
-func (qp *QueryPartial) finalize(c *corpus, cached []*vcpRow) *Report {
-	counts, order, ver := c.counts, c.h0Order, c.countsVer
+// Finalize turns the partial into a ranked Report: each strand's H0
+// evidence from its histogram, then GES per method (§3.4). It is a pure
+// function of qp, so a single node and a coordinator that merged the
+// same histograms and targets produce bit-identical scores and rankings.
+func (qp *QueryPartial) Finalize() *Report {
 	scorers := make([]stats.Scorer, len(qp.Weights))
 	for i, w := range qp.Weights {
-		var row *vcpRow
-		if cached != nil {
-			row = cached[i]
-		}
-		ev, ok := row.h0At(ver)
-		if !ok {
-			h0 := stats.H0Accumulator{K: qp.SigmoidK}
-			if order == nil {
-				for j, v := range qp.Rows[i] {
-					h0.Add(v, counts[j])
-				}
-			} else {
-				for _, j := range order {
-					h0.Add(qp.Rows[i][j], counts[j])
-				}
-			}
-			ev = h0.Evidence(0)
-			if row != nil {
-				row.h0.Store(&rowH0{ver, ev})
-			}
-		}
-		ev.Weight = w
+		ev := qp.H0[i].Evidence(w, qp.SigmoidK)
 		scorers[i] = ev.Scorer()
 	}
 	// The two GES sums of stats.GES, term for term in strand order, with

@@ -106,28 +106,21 @@ func TestSharedPlanReadOnly(t *testing.T) {
 	}
 }
 
-// freshH0 is the H0 estimate of one row as Finalize has always summed
-// it: a new accumulator over the row, in index order or in the given one.
-func freshH0(row []float64, counts []int, order []int32, k float64) stats.StrandEvidence {
-	h0 := stats.H0Accumulator{K: k}
-	if order == nil {
-		for j, v := range row {
-			h0.Add(v, counts[j])
-		}
-	} else {
-		for _, j := range order {
-			h0.Add(row[j], counts[j])
-		}
+// freshH0 is the H0 histogram of one row summed anew.
+func freshH0(row []float64, counts []int) *stats.H0Accumulator {
+	h0 := new(stats.H0Accumulator)
+	for j, v := range row {
+		h0.Add(v, counts[j])
 	}
-	return h0.Evidence(0)
+	return h0
 }
 
-// TestRowH0MatchesAccumulator pins the H0 estimate kept with a cached row
+// TestRowH0MatchesAccumulator pins the H0 histogram kept with a cached row
 // to a fresh accumulator run, bit for bit, and to the version of the corpus
 // counts it was summed under: a write that changes nothing but the counts
-// (a second copy of an indexed target: no new strand, no new column) and a
-// tombstone (h0Order set) must each be followed by a re-summed estimate,
-// never the one stamped before them.
+// (a second copy of an indexed target: no new strand, no new column), a
+// tombstone and a compaction must each be followed by a re-summed
+// histogram, never the one stamped before them.
 func TestRowH0MatchesAccumulator(t *testing.T) {
 	for _, mode := range []string{"scan", "lsh"} {
 		t.Run(mode, func(t *testing.T) {
@@ -142,14 +135,14 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			var lastVer uint64
-			check := func(label string, wantOrder bool) {
+			check := func(label string, wantTombstones bool) {
 				t.Helper()
 				want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The first run after a write completes or re-sums the
-				// rows, the second leaves the estimate with them, the
+				// rows, the second leaves the histogram with them, the
 				// third reads it.
 				for run := 0; run < 3; run++ {
 					got, err := db.RunPlan(context.Background(), pl)
@@ -159,26 +152,20 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 					diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
 				}
 				qc := db.corpus.Load()
-				if (qc.h0Order != nil) != wantOrder || qc.countsVer == lastVer {
-					t.Fatalf("%s: test premise broken: h0Order set %v, counts version %d after %d",
-						label, qc.h0Order != nil, qc.countsVer, lastVer)
+				if (qc.live != nil) != wantTombstones || qc.countsVer == lastVer {
+					t.Fatalf("%s: test premise broken: tombstones %v, counts version %d after %d",
+						label, qc.live != nil, qc.countsVer, lastVer)
 				}
 				lastVer = qc.countsVer
 				db.mu.Lock()
 				defer db.mu.Unlock()
 				for _, s := range pl.strands {
 					row, _ := db.rows.Get(s.CanonicalKey())
-					ev, ok := row.h0At(qc.countsVer)
-					if !ok {
-						t.Fatalf("%s: a row queried three times holds no estimate for version %d", label, qc.countsVer)
+					h0 := row.h0At(qc.countsVer)
+					if h0 == nil {
+						t.Fatalf("%s: a row queried three times holds no histogram for version %d", label, qc.countsVer)
 					}
-					fresh := freshH0(row.vals[:len(qc.uniq)], qc.counts, qc.h0Order, opts.SigmoidK)
-					if math.Float64bits(ev.H0Esh) != math.Float64bits(fresh.H0Esh) ||
-						math.Float64bits(ev.H0Raw) != math.Float64bits(fresh.H0Raw) || ev.K != fresh.K {
-						t.Errorf("%s: the row holds H0 (%x, %x), a fresh accumulator gives (%x, %x)", label,
-							math.Float64bits(ev.H0Esh), math.Float64bits(ev.H0Raw),
-							math.Float64bits(fresh.H0Esh), math.Float64bits(fresh.H0Raw))
-					}
+					diffH0(t, label, h0, freshH0(row.vals[:len(qc.uniq)], qc.counts))
 				}
 			}
 			write := func(more ...wop) {
@@ -207,14 +194,15 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 // no-match score) in target order, NaNs last in target order.
 func TestFinalizeRankOrder(t *testing.T) {
 	levels := []float64{0, 0, 0, 0.25, 0.25, 0.5, 1, math.NaN()}
-	qp := &QueryPartial{Weights: []float64{2}, Rows: [][]float64{{0.5, 0, 1}}}
+	h0 := freshH0([]float64{0.5, 0, 1}, []int{1, 2, 3})
+	qp := &QueryPartial{Weights: []float64{2}, H0: []*stats.H0Accumulator{h0}}
 	targets := make([]*Target, 300)
 	for ti := range targets {
 		targets[ti] = &Target{Name: fmt.Sprintf("t%d", ti)}
 		v := levels[(ti*7+ti/5)%len(levels)]
 		qp.Targets = append(qp.Targets, PartialScore{Target: targets[ti], MaxVCP: []float64{v}})
 	}
-	got := qp.Finalize([]int{1, 2, 3}).Results
+	got := qp.Finalize().Results
 	want := make([]TargetScore, len(targets))
 	for _, ts := range got {
 		ti := slices.Index(targets, ts.Target)

@@ -140,7 +140,7 @@ func (db *DB) Plan(ctx context.Context, p *asm.Proc) (*QueryPlan, error) {
 	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
 	// LES weight). The dedup order is first-seen, which is deterministic
 	// in the query text — every shard handed the same query builds the
-	// same row order, so a coordinator can merge rows by index. Verifier
+	// same strand order, so a coordinator can merge by index. Verifier
 	// preparation is not done here: stage 3 prepares a strand only once
 	// it has found a pair the strand must be verified against.
 	_, spPrep := telemetry.StartSpan(ctx, "prepare")
@@ -173,40 +173,35 @@ func (db *DB) TracePlanReuse(ctx context.Context) {
 	}
 }
 
-// RunPlan runs stages 3–4 of a planned query and finalizes against the
-// database's own corpus counts: RunPlanPartial plus finalize, the code a
-// gateway runs over merged shard partials, which is what makes a merge
-// provably score-identical to a single node.
+// RunPlan runs stages 3–4 of a planned query and finalizes it:
+// RunPlanPartial plus QueryPartial.Finalize, the code a gateway runs over
+// merged shard partials, which is what makes a merge provably
+// score-identical to a single node.
 func (db *DB) RunPlan(ctx context.Context, pl *QueryPlan) (*Report, error) {
-	qc := db.corpus.Load()
-	qp, cached, err := db.partialQuery(ctx, pl, qc)
+	qp, err := db.RunPlanPartial(ctx, pl)
 	if err != nil {
 		return nil, err
 	}
-	// Against the same version the pair loop ran under: a live write
-	// between the two would otherwise hand finalize counts that are longer
-	// (or, post-tombstone, differently weighted) than the rows.
-	return qp.finalize(qc, cached), nil
+	return qp.Finalize(), nil
 }
 
-// RunPlanPartial runs the planned query up to (but excluding) the
-// corpus-wide H0 estimate: the VCP pair loop and the order-insensitive
-// per-target reduction (best VCP per query strand). The returned
-// QueryPartial carries everything a coordinator needs to merge this
-// shard's view with others' and produce scores bit-identical to a single
-// node holding the union corpus — see QueryPartial.Finalize for the
-// exactness argument.
+// RunPlanPartial runs the planned query up to (but excluding) scoring:
+// the VCP pair loop, each query strand's H0 histogram and the per-target
+// best VCP per query strand. The returned QueryPartial carries everything
+// a coordinator needs to merge this shard's view with others' and produce
+// scores bit-identical to a single node holding the union corpus — see
+// QueryPartial for the exactness argument.
 func (db *DB) RunPlanPartial(ctx context.Context, pl *QueryPlan) (*QueryPartial, error) {
 	qp, _, err := db.partialQuery(ctx, pl, db.corpus.Load())
 	return qp, err
 }
 
-// partialQuery is the pipeline from the plan on, shared by RunPlan and
-// RunPlanPartial: both load the corpus exactly once and run every stage —
-// and, for RunPlan, finalization — against that version qc, so a live
-// write landing mid-query can never mix two corpus states. cached is
-// vcpRows's, for finalize.
-func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*QueryPartial, []*vcpRow, error) {
+// partialQuery is the pipeline from the plan on, run against one corpus
+// version qc, so a live write landing mid-query can never mix two corpus
+// states. rows are the query's VCP rows (rows[i][j] = VCP(query strand i,
+// unique strand j), read-only), which stay in the engine: only what is
+// computed from them leaves.
+func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*QueryPartial, [][]float64, error) {
 	db.mQueries.Inc()
 	qs := pl.strands
 	qp := &QueryPartial{
@@ -229,11 +224,26 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	if err != nil {
 		return nil, nil, err
 	}
-	qp.Rows = rows
 
-	// Stage 4: score — the shard-local reduction, exact under sharding:
-	// per-target best-VCP is a max over the target's own strands.
+	// Stage 4: score — the shard-local reductions, exact under sharding:
+	// per-target best-VCP is a max over the target's own strands, and a
+	// strand's H0 histogram counts each column at its corpus multiplicity
+	// (a dead strand's is 0, so it counts nowhere).
 	_, spScore := telemetry.StartSpan(ctx, "score")
+	qp.H0 = make([]*stats.H0Accumulator, len(qs))
+	for i, row := range rows {
+		if qp.H0[i] = cached[i].h0At(qc.countsVer); qp.H0[i] != nil {
+			continue
+		}
+		h0 := new(stats.H0Accumulator)
+		for j, v := range row {
+			h0.Add(v, qc.counts[j])
+		}
+		qp.H0[i] = h0
+		if cached[i] != nil {
+			cached[i].h0.Store(&rowH0{qc.countsVer, h0})
+		}
+	}
 
 	// Tombstoned targets are masked here rather than at row level: the
 	// surviving targets in add order are exactly the target order a
@@ -259,7 +269,7 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	qp.PendingWrites = qc.PendingWrites
 	spScore.SetAttr("targets", float64(len(qp.Targets)))
 	db.observeStage("score", spScore.End())
-	return qp, cached, nil
+	return qp, rows, nil
 }
 
 // getMark fetches an all-false scratch slice of length n from the pool.
@@ -339,7 +349,7 @@ type vcpRowState struct {
 //
 // The returned rows may be cached rows shared with other queries: they are
 // read-only (DESIGN §10.7). cached[i] is the cached row rows[i] is, if it
-// is one.
+// is one, and nil otherwise.
 func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows [][]float64, cached []*vcpRow, err error) {
 	n := len(qc.uniq)
 	states := make([]vcpRowState, len(qs))
@@ -436,25 +446,9 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 		// whose strands have since died, and is simply too short.
 		st.rs.state = rowPartial
 	}
-	// A row that learnt a value while its strand was live keeps it when
-	// the strand dies. No score reads a dead column (h0Order lists live
-	// strands only and stage 4 walks live targets' strand lists), but
-	// QueryPartial.Rows is handed to callers and must not depend on what
-	// the cache happened to know: the first query to meet such a row
-	// forgets its dead columns in the successor it publishes, and every
-	// later one is handed that row as it is. (A forgotten column is
-	// verified again if a re-add brings the strand back.)
-	stale := qc.live != nil && row.showsDead(qc.counts)
-	if st.rs.state != rowComplete || stale {
+	if st.rs.state != rowComplete {
 		row = st.base.grow(n)
 		st.next = row
-		if stale {
-			for j := range row.vals[:n] {
-				if qc.counts[j] == 0 && row.has(j) {
-					row.forget(j)
-				}
-			}
-		}
 		key, ratio := st.s.CanonicalKey(), db.sizeRatio()
 		// A pair whose forward direction cannot inject is skipped: its VCP
 		// is exactly 0. At the heuristic tier so is every pair the

@@ -27,10 +27,11 @@ const (
 // strands (DESIGN §10.7), so a known column never goes stale; what can
 // change is the numbering, which rowEpoch tracks.
 //
-// A row is immutable once published: queries hand its slices straight to
-// QueryPartial.Rows, so every change — new columns after a live add,
-// columns resolved by a later query — goes through a private successor
-// (grow) that replaces it in the cache.
+// A row is immutable once published: concurrent queries read its slices
+// without a lock, so every change — new columns after a live add, columns
+// resolved by a later query — goes through a private successor (grow) that
+// replaces it in the cache. A column whose strand has died keeps whatever
+// it held: its multiplicity is 0, so nothing reads it.
 type vcpRow struct {
 	vals []float64
 	// known, kindLo and kindHi are bitsets over the columns: 8 bytes and
@@ -39,25 +40,26 @@ type vcpRow struct {
 	// tally[k] counts the known columns of kind k, so a complete row
 	// credits the per-pair counters without a walk.
 	tally [numKinds]int
-	// h0 is the one thing a published row still learns: its H0 estimate
-	// (weight unset) under the counts of the corpus version whose countsVer
-	// is ver, left by the last query to finalize over it.
+	// h0 is the one thing a published row still learns: its H0 histogram
+	// under the counts of the corpus version whose countsVer is ver, left
+	// by the last query handed the row as it is.
 	h0 atomic.Pointer[rowH0]
 }
 
 type rowH0 struct {
 	ver uint64
-	ev  stats.StrandEvidence
+	acc *stats.H0Accumulator
 }
 
-// h0At returns the row's H0 estimate for version ver, if it holds that one.
-func (r *vcpRow) h0At(ver uint64) (stats.StrandEvidence, bool) {
+// h0At returns the row's H0 histogram for version ver, nil if it holds
+// none for that version.
+func (r *vcpRow) h0At(ver uint64) *stats.H0Accumulator {
 	if r != nil {
 		if h := r.h0.Load(); h != nil && h.ver == ver {
-			return h.ev, true
+			return h.acc
 		}
 	}
-	return stats.StrandEvidence{}, false
+	return nil
 }
 
 func newVCPRow(n int) *vcpRow {
@@ -91,32 +93,6 @@ func (r *vcpRow) set(j int, k pairKind) {
 		r.kindHi[w] |= b
 	}
 	r.tally[k]++
-}
-
-// forget makes column j unknown again and zeroes it. Only a row still
-// private to its builder may be written.
-func (r *vcpRow) forget(j int) {
-	r.tally[r.kind(j)]--
-	w, b := j>>6, uint64(1)<<(j&63)
-	r.known[w] &^= b
-	r.kindLo[w] &^= b
-	r.kindHi[w] &^= b
-	r.vals[j] = 0
-}
-
-// showsDead reports whether r holds a nonzero value in a column whose
-// strand is dead under counts (every owning target tombstoned). Such a row
-// cannot be handed out as it is: see planScan.
-func (r *vcpRow) showsDead(counts []int) bool {
-	if r == nil {
-		return false
-	}
-	for j, v := range r.vals[:min(len(r.vals), len(counts))] {
-		if v != 0 && counts[j] == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // resolved returns the number of known columns.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/vcp"
 )
@@ -164,13 +167,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 					break
 				}
 			}
-			holed := newVCPRow(len(old.vals))
-			for c := range old.vals {
-				if c != j && old.has(c) {
-					holed.vals[c] = old.vals[c]
-					holed.set(c, old.kind(c))
-				}
-			}
+			holed := holedRow(old, func(c int) bool { return c == j })
 			db.rows.Put(key, holed, int64(len(holed.vals)))
 			db.mu.Unlock()
 
@@ -192,13 +189,8 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			db.mu.Lock()
 			forgotten := 0
 			db.rows.Each(func(k string, r *vcpRow) {
-				holed := r.grow(len(r.vals))
-				for c := range r.vals {
-					if r.has(c) && r.kind(c) == kindVerified {
-						holed.forget(c)
-						forgotten++
-					}
-				}
+				holed := holedRow(r, func(c int) bool { return r.kind(c) == kindVerified })
+				forgotten += r.resolved() - holed.resolved()
 				db.rows.Put(k, holed, int64(len(holed.vals)))
 			})
 			db.mu.Unlock()
@@ -216,68 +208,25 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 	}
 }
 
-// TestDeadColumnsForgottenOnce: a delete leaves the cached rows showing the
-// values they learnt in columns that are now dead. The first query to meet
-// such a row publishes a successor that has forgotten them; the next is
-// handed the cached slices themselves — the mask costs one row copy per
-// delete, not one per query — and both read what a never-queried DB reads.
-func TestDeadColumnsForgottenOnce(t *testing.T) {
-	opts := writeTestOptions("lsh")
-	script := synthOps(1, 2, 3)
-	db := NewDB(opts)
-	applyScript(t, db, script, false)
-	q := parse(t, genProc(2)) // identical to synth_2: its column reads 1
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	del := []wop{delOp("synth_2")}
-	applyScript(t, db, del, false)
-	stale := func() (n int) {
-		qc := db.corpus.Load()
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		db.rows.Each(func(_ string, r *vcpRow) {
-			if r.showsDead(qc.counts) {
-				n++
-			}
-		})
-		return n
-	}
-	if stale() == 0 {
-		t.Fatal("test premise broken: no cached row shows a value in a dead column after the delete")
-	}
-	first, err := db.PartialQueryCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := stale(); n != 0 {
-		t.Errorf("%d cached rows still show dead columns after a query met them", n)
-	}
-	second, err := db.PartialQueryCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unqueried := NewDB(opts)
-	applyScript(t, unqueried, append(script, del...), false)
-	want, err := unqueried.PartialQueryCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffRows(t, "first query after the delete", first.Rows, want.Rows)
-	diffRows(t, "second query after the delete", second.Rows, want.Rows)
-	for i := range second.Rows {
-		if &second.Rows[i][0] != &first.Rows[i][0] {
-			t.Errorf("row %d: the second query was handed a copy, not the published row", i)
+// holedRow copies r without the known columns drop selects.
+func holedRow(r *vcpRow, drop func(c int) bool) *vcpRow {
+	holed := newVCPRow(len(r.vals))
+	for c := range r.vals {
+		if r.has(c) && !drop(c) {
+			holed.vals[c] = r.vals[c]
+			holed.set(c, r.kind(c))
 		}
 	}
+	return holed
 }
 
 // TestSharedRowReadOnly has four readers query the same procedures while
 // a writer adds, deletes and compacts under them. Published rows are
-// shared between the readers and handed out as QueryPartial.Rows; the
-// race detector is the assertion that nobody — the successor builder, the
-// remap, the tombstone mask — ever writes one. Each reader also keeps what
-// it was handed and checks at the end that it still reads the same.
+// shared between the readers, and so are the H0 histograms kept with them
+// and handed out as QueryPartial.H0; the race detector is the assertion
+// that nobody — the successor builder, the remap, a later query — ever
+// writes one. Each reader also keeps what it read and checks at the end
+// that it still reads the same.
 func TestSharedRowReadOnly(t *testing.T) {
 	for _, mode := range []string{"lsh"} {
 		t.Run(mode, func(t *testing.T) {
@@ -292,7 +241,11 @@ func TestSharedRowReadOnly(t *testing.T) {
 				readers.Add(1)
 				go func() {
 					defer readers.Done()
-					type held struct{ row, copy []float64 }
+					type held struct {
+						row, copy []float64
+						h0        *stats.H0Accumulator
+						h0copy    []byte
+					}
 					var kept []held
 					for i := 0; ; i++ {
 						select {
@@ -301,21 +254,30 @@ func TestSharedRowReadOnly(t *testing.T) {
 								if !slices.EqualFunc(h.row, h.copy, func(a, b float64) bool {
 									return math.Float64bits(a) == math.Float64bits(b)
 								}) {
-									t.Error("a row handed to a query changed afterwards")
+									t.Error("a row a query read changed afterwards")
+								}
+								if b, _ := json.Marshal(h.h0); !bytes.Equal(b, h.h0copy) {
+									t.Error("an H0 histogram handed to a query changed afterwards")
 								}
 							}
 							return
 						default:
 						}
-						qp, err := db.PartialQueryCtx(context.Background(), queries[i%len(queries)])
+						q := queries[i%len(queries)]
+						pl, err := db.Plan(context.Background(), q)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						for _, row := range qp.Rows {
-							kept = append(kept, held{row, slices.Clone(row)})
+						a, err := answerPlan(db, i, pl) // finalized: reads every histogram
+						if err != nil {
+							t.Error(err)
+							return
 						}
-						qp.Finalize(make([]int, len(qp.Rows[0]))) // reads every column
+						for k, row := range a.rows {
+							b, _ := json.Marshal(a.qp.H0[k])
+							kept = append(kept, held{row, slices.Clone(row), a.qp.H0[k], b})
+						}
 						served.Add(1)
 					}
 				}()

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/vcp"
 )
 
@@ -280,8 +281,8 @@ func TestWriteDifferential(t *testing.T) {
 							t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
 						}
 						diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
-						// Rows are handed to callers: they must not depend
-						// on what the cache knew — a dead column reads 0.
+						// What a partial hands out must not depend on what
+						// the cache knew.
 						warm, err := live.PartialQueryCtx(context.Background(), q)
 						if err != nil {
 							t.Fatal(err)
@@ -290,7 +291,7 @@ func TestWriteDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						diffRows(t, fmt.Sprintf("step %d query %d", step, qi), warm.Rows, cold.Rows)
+						diffPartials(t, fmt.Sprintf("step %d query %d", step, qi), warm, cold)
 					}
 				}
 			})
@@ -330,20 +331,35 @@ func dedupStrands(t *testing.T, db *DB, q *asm.Proc) map[string]bool {
 	return keys
 }
 
-// diffRows fails unless two sets of VCP rows are bit-identical.
-func diffRows(t *testing.T, label string, got, want [][]float64) {
+// diffPartials fails unless two partials hand out bit-identical H0
+// histograms and per-target best VCPs.
+func diffPartials(t *testing.T, label string, got, want *QueryPartial) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	if len(got.H0) != len(want.H0) || len(got.Targets) != len(want.Targets) {
+		t.Fatalf("%s: %d histograms and %d targets, want %d and %d", label, len(got.H0), len(got.Targets), len(want.H0), len(want.Targets))
 	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: row %d is %d wide, want %d", label, i, len(got[i]), len(want[i]))
+	for i := range got.H0 {
+		diffH0(t, fmt.Sprintf("%s, strand %d", label, i), got.H0[i], want.H0[i])
+	}
+	for ti, w := range want.Targets {
+		if !slices.EqualFunc(got.Targets[ti].MaxVCP, w.MaxVCP, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: target %d best VCPs %v, want %v", label, ti, got.Targets[ti].MaxVCP, w.MaxVCP)
 		}
-		for j := range got[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("%s: row %d column %d = %v, want %v", label, i, j, got[i][j], want[i][j])
-			}
+	}
+}
+
+// diffH0 fails unless two H0 histograms hold the same VCPs, bit for bit,
+// at the same multiplicities.
+func diffH0(t *testing.T, label string, got, want *stats.H0Accumulator) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: H0 histogram has %d values, want %d", label, got.Len(), want.Len())
+	}
+	for k := 0; k < got.Len(); k++ {
+		gv, gm := got.At(k)
+		wv, wm := want.At(k)
+		if math.Float64bits(gv) != math.Float64bits(wv) || gm != wm {
+			t.Fatalf("%s: H0 entry %d is %v×%d, want %v×%d", label, k, gv, gm, wv, wm)
 		}
 	}
 }
@@ -407,7 +423,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffReports(t, "in-flight query", qp.finalize(qc, nil), want)
+				diffReports(t, "in-flight query", qp.Finalize(), want)
 				live.mu.Lock()
 				for key := range dedupStrands(t, live, q) {
 					if _, cached := live.rows.Get(key); cached {

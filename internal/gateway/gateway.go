@@ -243,7 +243,8 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // frameBuckets bound esh_gw_partial_bytes: 4 KiB to 256 MiB in ×4 steps
-// (a frame is ~8 bytes × query strands × shard strands).
+// (a frame is ~8 bytes × query strands × the shard's targets, plus 16
+// bytes per distinct VCP of each query strand's H0 histogram).
 var frameBuckets = []float64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
 
 // StartProber launches the background /readyz prober, which also
@@ -545,7 +546,7 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 }
 
 // maxFrameBytes bounds one partial frame the gateway will buffer (a
-// paper-sized corpus ships a few hundred KB per shard).
+// paper-sized corpus ships tens of KB per shard).
 const maxFrameBytes = 1 << 30
 
 // framePool recycles the buffers shard replies are read into; decoding

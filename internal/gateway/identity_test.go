@@ -96,7 +96,7 @@ func TestGatewayRefusesSwappedReplica(t *testing.T) {
 
 	dir := t.TempDir()
 	ex := db.Export()
-	man, err := shard.SaveShards(filepath.Join(dir, "a"), ex, 2)
+	man, _, err := shard.SaveShards(filepath.Join(dir, "a"), ex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestGatewayRefusesSwappedReplica(t *testing.T) {
 	// another one is a fleet of the same generation, other snapshots.
 	resplit := *ex
 	resplit.Opts.VCP.Samples = 41
-	reman, err := shard.SaveShards(filepath.Join(dir, "b"), &resplit, 2)
+	reman, _, err := shard.SaveShards(filepath.Join(dir, "b"), &resplit, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

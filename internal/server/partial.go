@@ -53,7 +53,7 @@ func DecodePartialResponse(b []byte) (*PartialResponse, error) {
 	return pr, nil
 }
 
-// framePool recycles reply buffers: a frame is a few hundred KB on a
+// framePool recycles reply buffers: a frame is tens of KB on a
 // paper-sized corpus, written once and dropped.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 

@@ -88,12 +88,17 @@ func TestPartialEndpoint(t *testing.T) {
 	if len(p.Targets) != db.NumTargets() {
 		t.Fatalf("%d target partials, corpus has %d", len(p.Targets), db.NumTargets())
 	}
-	if len(p.Rows) != len(p.Weights) {
-		t.Fatalf("%d rows for %d query strands", len(p.Rows), len(p.Weights))
+	if len(p.H0) != len(p.Weights) {
+		t.Fatalf("%d H0 histograms for %d query strands", len(p.H0), len(p.Weights))
 	}
-	for i, row := range p.Rows {
-		if len(row) != db.NumUniqueStrands() {
-			t.Fatalf("row %d has %d entries, corpus has %d unique strands", i, len(row), db.NumUniqueStrands())
+	for i, h := range p.H0 {
+		total := 0
+		for k := 0; k < h.Len(); k++ {
+			_, m := h.At(k)
+			total += m
+		}
+		if total != db.Stats().TotalStrands {
+			t.Fatalf("histogram %d counts %d target strands, corpus has %d", i, total, db.Stats().TotalStrands)
 		}
 	}
 	for _, tp := range p.Targets {

@@ -7,13 +7,14 @@ import (
 	"slices"
 
 	"repro/internal/asm"
+	"repro/internal/stats"
 )
 
 // WireVersion is the version of the /v1/query/partial reply frame. A
 // gateway and its shards must agree on it exactly; there is no
 // negotiation (the endpoint is internal to a fleet, which is deployed
 // as one build).
-const WireVersion = 3
+const WireVersion = 4
 
 // frameMagic opens every frame. Its first byte is not '{', so a JSON
 // body from a pre-frame shard is told apart without parsing it.
@@ -30,10 +31,10 @@ const frameMagic = "eshp"
 //	uint32 shard id | uint32 shard count
 //	uint64 data generation | uint64 pending writes
 //	uint32 query blocks | uint32 query strands | float64 sigmoid k | float64 min containment
-//	uint32 nq (unique query strands) | uint32 ns (row width) | uint32 nt (targets)
+//	uint32 nq (unique query strands) | uint32 nt (targets)
 //	string generation | string checksum | string request id | string query name | provenance
 //	nq float64 weights
-//	nq×ns float64 rows, row-major
+//	nq × (uint32 n | n × (float64 VCP | uint64 multiplicity)), the H0 histograms, VCPs ascending
 //	nt × (string name | provenance | uint32 blocks | uint32 strands)
 //	nt×nq float64 max-VCP, target-major
 //	uint32 trace length | the span tree as JSON (length 0: untraced)
@@ -63,34 +64,27 @@ func (e *WireVersionError) Error() string {
 }
 
 // frameFixedLen is the magic, the version and the scalar header.
-const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4 + 4
+const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4
+
+// h0EntryLen is one histogram entry: a VCP and its multiplicity.
+const h0EntryLen = 8 + 8
 
 // minTargetLen is the fewest bytes one target occupies: an empty name,
 // an empty provenance and two counts.
 const minTargetLen = 4 + (4*4 + 1) + 4 + 4
 
-// AppendTo appends the frame to dst. It refuses a partial whose slabs
-// are not dense (ragged rows, a max-VCP vector not as long as the
-// weights) — shapes Merge would refuse anyway — or whose counts do not
-// fit the header, so a reply is either a well-formed frame or an error
-// before the first byte is sent.
+// AppendTo appends the frame to dst. It refuses a partial whose shape
+// Merge would refuse anyway — a histogram or a max-VCP vector missing for
+// a query strand — or whose counts do not fit the header, so a reply is
+// either a well-formed frame or an error before the first byte is sent.
 func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	p := f.Partial
 	if p == nil {
 		return dst, fmt.Errorf("shard: encode frame: no partial")
 	}
 	nq, nt := len(p.Weights), len(p.Targets)
-	if len(p.Rows) != nq {
-		return dst, fmt.Errorf("shard: encode frame: %d rows for %d query strands", len(p.Rows), nq)
-	}
-	ns := 0
-	if nq > 0 {
-		ns = len(p.Rows[0])
-	}
-	for i, row := range p.Rows {
-		if len(row) != ns {
-			return dst, fmt.Errorf("shard: encode frame: row %d has %d entries, row 0 has %d", i, len(row), ns)
-		}
+	if len(p.H0) != nq || slices.Contains(p.H0, nil) {
+		return dst, fmt.Errorf("shard: encode frame: H0 histograms do not match the %d query strands", nq)
 	}
 	fits := func(vs ...int) bool {
 		for _, v := range vs {
@@ -100,8 +94,12 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		}
 		return true
 	}
-	if !fits(p.ShardID, p.ShardCount, p.NumBlocks, p.NumStrands, nq, ns, nt, len(f.Trace)) || p.PendingWrites < 0 {
+	if !fits(p.ShardID, p.ShardCount, p.NumBlocks, p.NumStrands, nq, nt, len(f.Trace)) || p.PendingWrites < 0 {
 		return dst, fmt.Errorf("shard: encode frame: a header count does not fit its field")
+	}
+	entries := 0
+	for _, h := range p.H0 {
+		entries += h.Len()
 	}
 	for k := range p.Targets {
 		tp := &p.Targets[k]
@@ -116,7 +114,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	le := binary.LittleEndian
 	// Exact for the header and the slabs; 64 bytes per identity is a
 	// guess that append corrects.
-	dst = slices.Grow(dst, frameFixedLen+8*(nq+nq*ns+nt*nq)+len(f.Trace)+64*(nt+1))
+	dst = slices.Grow(dst, frameFixedLen+12*nq+h0EntryLen*entries+8*nt*nq+len(f.Trace)+64*(nt+1))
 	dst = append(dst, frameMagic...)
 	dst = le.AppendUint32(dst, WireVersion)
 	dst = le.AppendUint32(dst, uint32(p.ShardID))
@@ -128,7 +126,6 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = le.AppendUint64(dst, math.Float64bits(p.SigmoidK))
 	dst = le.AppendUint64(dst, math.Float64bits(p.MinContainment))
 	dst = le.AppendUint32(dst, uint32(nq))
-	dst = le.AppendUint32(dst, uint32(ns))
 	dst = le.AppendUint32(dst, uint32(nt))
 	dst = appendString(dst, p.Generation)
 	dst = appendString(dst, p.Checksum)
@@ -136,8 +133,13 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = appendString(dst, p.QueryName)
 	dst = appendProvenance(dst, p.Source)
 	dst = appendFloats(dst, p.Weights)
-	for _, row := range p.Rows {
-		dst = appendFloats(dst, row)
+	for _, h := range p.H0 {
+		dst = le.AppendUint32(dst, uint32(h.Len()))
+		for i := 0; i < h.Len(); i++ {
+			v, m := h.At(i)
+			dst = le.AppendUint64(dst, math.Float64bits(v))
+			dst = le.AppendUint64(dst, uint64(m))
+		}
 	}
 	for k := range p.Targets {
 		tp := &p.Targets[k]
@@ -181,8 +183,11 @@ func appendFloats(dst []byte, fs []float64) []byte {
 // DecodeFrame parses one frame. Every length field is checked against
 // the bytes that remain before anything is allocated from it, so a
 // truncated or hostile body yields an error, never a panic, and never
-// more than a small constant times len(b) of memory. The partial's
-// float slabs and strings are copies; only Trace aliases b.
+// more than a small constant times len(b) of memory. A histogram must be
+// what an engine sends (stats.H0Accumulator.Append): VCPs in [0, 1],
+// strictly ascending, multiplicities positive and summing to at most
+// 2^53. The partial's float slabs and strings are copies; only Trace
+// aliases b.
 func DecodeFrame(b []byte) (*Frame, error) {
 	if len(b) < 8 || string(b[:4]) != frameMagic {
 		return nil, &WireVersionError{NotFrame: true}
@@ -205,7 +210,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	p.NumStrands = int(r.u32())
 	p.SigmoidK = math.Float64frombits(r.u64())
 	p.MinContainment = math.Float64frombits(r.u64())
-	nq, ns, nt := uint64(r.u32()), uint64(r.u32()), uint64(r.u32())
+	nq, nt := uint64(r.u32()), uint64(r.u32())
 
 	f := &Frame{Partial: p}
 	p.Generation = r.str()
@@ -214,24 +219,33 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	p.QueryName = r.str()
 	p.Source = r.provenance()
 
-	// The three slabs and the targets' minimum footprint must all fit
-	// in what is left. nq, ns and nt are below 2^32, so a product of two
-	// cannot wrap; bounding each product first keeps the sum from
-	// wrapping either.
+	// The weights, one histogram length per strand, the max-VCP slab and
+	// the targets' minimum footprint must all fit in what is left. nq and
+	// nt are below 2^32, so their product cannot wrap; bounding each term
+	// first keeps the sum from wrapping either.
 	rem := uint64(len(r.b))
-	if r.err == nil && (nq*ns > rem/8 || nt*nq > rem/8 || nt > rem/minTargetLen ||
-		8*(nq+nq*ns+nt*nq)+nt*minTargetLen > rem) {
-		r.err = fmt.Errorf("shard: decode frame: %d query strands × %d columns and %d targets do not fit the remaining %d bytes", nq, ns, nt, rem)
+	if r.err == nil && (nt*nq > rem/8 || nq > rem/12 || nt > rem/minTargetLen ||
+		12*nq+8*nt*nq+nt*minTargetLen > rem) {
+		r.err = fmt.Errorf("shard: decode frame: %d query strands and %d targets do not fit the remaining %d bytes", nq, nt, rem)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 
 	p.Weights = r.floats(int(nq))
-	rows := r.floats(int(nq * ns))
-	p.Rows = make([][]float64, nq)
-	for i := range p.Rows {
-		p.Rows[i] = rows[uint64(i)*ns : uint64(i+1)*ns : uint64(i+1)*ns]
+	p.H0 = make([]*stats.H0Accumulator, nq)
+	for i := range p.H0 {
+		p.H0[i] = new(stats.H0Accumulator)
+		n := uint64(r.u32())
+		if r.err == nil && n > uint64(len(r.b))/h0EntryLen {
+			r.err = fmt.Errorf("shard: decode frame: query strand %d: %d H0 values do not fit the remaining %d bytes", i, n, len(r.b))
+		}
+		for ; n > 0 && r.err == nil; n-- {
+			v, m := math.Float64frombits(r.u64()), r.u64()
+			if err := p.H0[i].Append(v, m); err != nil && r.err == nil {
+				r.err = fmt.Errorf("shard: decode frame: query strand %d: %w", i, err)
+			}
+		}
 	}
 	p.Targets = make([]TargetPartial, nt)
 	for k := range p.Targets {

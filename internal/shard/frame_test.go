@@ -11,7 +11,53 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/stats"
 )
+
+// h0Frame is a frame of one query strand whose histogram lane holds the
+// given (VCP bits, multiplicity) entries verbatim, valid or not.
+func h0Frame(t testing.TB, entries [][2]uint64) []byte {
+	t.Helper()
+	p := &Partial{Weights: []float64{1}, H0: []*stats.H0Accumulator{new(stats.H0Accumulator)}}
+	b, err := (&Frame{Partial: p}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The lane is the empty histogram's count, followed by the trace length.
+	at := len(b) - 8
+	out := binary.LittleEndian.AppendUint32(append([]byte{}, b[:at]...), uint32(len(entries)))
+	for _, e := range entries {
+		out = binary.LittleEndian.AppendUint64(out, e[0])
+		out = binary.LittleEndian.AppendUint64(out, e[1])
+	}
+	return append(out, b[at+4:]...)
+}
+
+// hostileH0Frames holds one frame per histogram the decoder must refuse.
+func hostileH0Frames(t testing.TB) map[string][]byte {
+	bits := math.Float64bits
+	half := bits(0.5)
+	frames := map[string][]byte{}
+	for name, entries := range map[string][][2]uint64{
+		"NaN VCP":           {{bits(math.NaN()), 1}},
+		"+Inf VCP":          {{bits(math.Inf(1)), 1}},
+		"-Inf VCP":          {{bits(math.Inf(-1)), 1}},
+		"negative VCP":      {{bits(-0.25), 1}},
+		"VCP above one":     {{bits(1.5), 1}},
+		"repeated VCP":      {{half, 1}, {half, 1}},
+		"descending VCPs":   {{half, 1}, {bits(0.25), 1}},
+		"zero multiplicity": {{half, 0}},
+		"sum overflows":     {{0, 1 << 53}, {half, 1}},
+		"wrapping sum":      {{0, math.MaxUint64}, {half, 2}},
+	} {
+		frames[name] = h0Frame(t, entries)
+	}
+	// A count promising more entries than the bytes left.
+	b := h0Frame(t, [][2]uint64{{half, 1}})
+	binary.LittleEndian.PutUint32(b[len(b)-4-16-4:], 1<<30)
+	frames["count beyond the body"] = b
+	return frames
+}
 
 // corpusFrames encodes real replies: every query of the hand-written
 // corpus against each shard of a 2-way split, one of them traced.
@@ -78,11 +124,20 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		}
 	}
 	sameFloats("weights", w.Weights, g.Weights)
-	if len(w.Rows) != len(g.Rows) || len(w.Targets) != len(g.Targets) {
-		t.Fatalf("%d rows / %d targets, want %d / %d", len(g.Rows), len(g.Targets), len(w.Rows), len(w.Targets))
+	if len(w.H0) != len(g.H0) || len(w.Targets) != len(g.Targets) {
+		t.Fatalf("%d histograms / %d targets, want %d / %d", len(g.H0), len(g.Targets), len(w.H0), len(w.Targets))
 	}
-	for i := range w.Rows {
-		sameFloats("row", w.Rows[i], g.Rows[i])
+	for i := range w.H0 {
+		if w.H0[i].Len() != g.H0[i].Len() {
+			t.Fatalf("histogram %d: %d values, want %d", i, g.H0[i].Len(), w.H0[i].Len())
+		}
+		for k := 0; k < w.H0[i].Len(); k++ {
+			wv, wm := w.H0[i].At(k)
+			gv, gm := g.H0[i].At(k)
+			if !sameBits(wv, gv) || wm != gm {
+				t.Fatalf("histogram %d entry %d: %x×%d, want %x×%d", i, k, math.Float64bits(gv), gm, math.Float64bits(wv), wm)
+			}
+		}
 	}
 	for k := range w.Targets {
 		a, b := w.Targets[k], g.Targets[k]
@@ -119,6 +174,13 @@ func TestFrameTruncatedEveryPrefix(t *testing.T) {
 			t.Fatal("a trailing byte was accepted")
 		}
 	}
+	for name, bad := range hostileH0Frames(t) {
+		for cut := 0; cut <= len(bad); cut++ {
+			if _, err := DecodeFrame(bad[:cut:cut]); err == nil {
+				t.Fatalf("%s, cut=%d of %d: decoded", name, cut, len(bad))
+			}
+		}
+	}
 }
 
 // TestFrameFloatBits is the property JSON cannot offer: every float64
@@ -134,7 +196,6 @@ func TestFrameFloatBits(t *testing.T) {
 		math.Float64frombits(0x000fffffffffffff), // largest subnormal
 		math.MaxFloat64, 0.1, 1,
 	}
-	n := len(specials)
 	p := &Partial{
 		Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: "c",
 			SigmoidK: specials[1], MinContainment: specials[2], DataGeneration: math.MaxUint64, PendingWrites: 3},
@@ -142,13 +203,19 @@ func TestFrameFloatBits(t *testing.T) {
 		Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
 		Weights:   specials,
 	}
-	for i := 0; i < n; i++ { // each row a rotation, so every column sees every value
-		p.Rows = append(p.Rows, append(append([]float64{}, specials[i:]...), specials[:i]...))
+	// A histogram holds VCPs, so only the specials inside [0, 1] fit one.
+	inUnit := []float64{0, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 0.1, 1}
+	for i := range specials {
+		h := new(stats.H0Accumulator)
+		for k, v := range inUnit[:i%len(inUnit)+1] {
+			h.Add(v, 1+k*i)
+		}
+		p.H0 = append(p.H0, h)
 	}
-	for k := range specials {
+	for k := range specials { // each a rotation, so every position sees every value
 		p.Targets = append(p.Targets, TargetPartial{
 			Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"},
-			NumBlocks: k, NumStrands: 2 * k, MaxVCP: p.Rows[k],
+			NumBlocks: k, NumStrands: 2 * k, MaxVCP: append(append([]float64{}, specials[k:]...), specials[:k]...),
 		})
 	}
 	want := &Frame{RequestID: "rid", Partial: p}
@@ -174,12 +241,13 @@ func TestFrameFloatBits(t *testing.T) {
 }
 
 func TestFrameRefusesRaggedPartial(t *testing.T) {
+	h := new(stats.H0Accumulator)
 	for name, p := range map[string]*Partial{
-		"ragged rows":   {Weights: []float64{1, 1}, Rows: [][]float64{{1, 2}, {1}}},
-		"missing row":   {Weights: []float64{1, 1}, Rows: [][]float64{{1, 2}}},
-		"short max-VCP": {Weights: []float64{1}, Rows: [][]float64{{1}}, Targets: []TargetPartial{{Name: "t"}}},
-		"negative id":   {Identity: Identity{ShardID: -1}},
-		"no partial":    nil,
+		"missing histogram": {Weights: []float64{1, 1}, H0: []*stats.H0Accumulator{h}},
+		"nil histogram":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{nil}},
+		"short max-VCP":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []TargetPartial{{Name: "t"}}},
+		"negative id":       {Identity: Identity{ShardID: -1}},
+		"no partial":        nil,
 	} {
 		if _, err := (&Frame{Partial: p}).AppendTo(nil); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -191,10 +259,11 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 // apart: a JSON body and a frame of another version both yield a
 // WireVersionError that names the version this build reads. Version 1
 // frames carried a per-target S-VCP lane, version 2 frames no checksum
-// and no tier; a shard of either build must be refused, not misread.
+// and no tier, version 3 frames dense VCP rows instead of H0 histograms;
+// a shard of any of these builds must be refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
-	if WireVersion != 3 {
-		t.Fatalf("WireVersion = %d, want 3", WireVersion)
+	if WireVersion != 4 {
+		t.Fatalf("WireVersion = %d, want 4", WireVersion)
 	}
 	frame := corpusFrames(t)[0]
 	version := func(v uint32) []byte {
@@ -211,6 +280,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"empty body":     {nil, true, 0},
 		"version 1":      {version(1), false, 1},
 		"version 2":      {version(2), false, 2},
+		"version 3":      {version(3), false, 3},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body)
@@ -221,7 +291,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 3") && !strings.Contains(err.Error(), "want 3") {
+		if !strings.Contains(err.Error(), "want wire version 4") && !strings.Contains(err.Error(), "want 4") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}
@@ -236,20 +306,30 @@ func TestFrameHostileLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nqOff = frameFixedLen - 12 // nq, ns, nt close the fixed header
-	for name, dims := range map[string][3]uint32{
-		"huge nq":        {1 << 31, 0, 0},
-		"huge nq×ns":     {1 << 16, 1 << 16, 0},
-		"wrapping nq×ns": {math.MaxUint32, math.MaxUint32, 0},
-		"huge nt":        {0, 0, 1 << 31},
-		"huge nt×nq":     {1, 0, 1 << 28},
-		"all maximal":    {math.MaxUint32, math.MaxUint32, math.MaxUint32},
+	const nqOff = frameFixedLen - 8 // nq and nt close the fixed header
+	for name, dims := range map[string][2]uint32{
+		"huge nq":     {1 << 31, 0},
+		"huge nt":     {0, 1 << 31},
+		"huge nt×nq":  {1, 1 << 28},
+		"all maximal": {math.MaxUint32, math.MaxUint32},
 	} {
 		b := append([]byte{}, base...)
 		b = append(b, make([]byte, 64)...) // a little body, nowhere near enough
 		for i, v := range dims {
 			binary.LittleEndian.PutUint32(b[nqOff+4*i:], v)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeFrame(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes for a %d-byte body", name, grew, len(b))
+		}
+	}
+	for name, b := range hostileH0Frames(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := DecodeFrame(b)
@@ -276,9 +356,15 @@ func FuzzPartialFrame(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
-	// A version 3 frame whose identity fills both fields version 2 lacked.
+	// A frame whose identity fills both fields version 2 lacked.
 	v3 := &Partial{Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: strings.Repeat("c", 64), MinContainment: 0.45}}
 	if b, err := (&Frame{Partial: v3}).AppendTo(nil); err == nil {
+		f.Add(b)
+	}
+	// The histogram lane: one valid frame at its edges, and one frame per
+	// thing the decoder refuses there.
+	f.Add(h0Frame(f, [][2]uint64{{0, 3}, {math.Float64bits(0.5), 1}, {math.Float64bits(1), 1<<53 - 4}}))
+	for _, b := range hostileH0Frames(f) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"partial":{}}`))

@@ -15,10 +15,11 @@ import (
 )
 
 // ManifestMagic identifies manifest files; ManifestVersion is the
-// current format. A manifest is a recfile container, like a snapshot.
+// current format, the only one read. A manifest is a recfile container,
+// like a snapshot.
 const (
 	ManifestMagic   = "eshmani"
-	ManifestVersion = 1
+	ManifestVersion = 2
 )
 
 // WriteManifest encodes the manifest to w.
@@ -28,12 +29,10 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s\n",
 		recfile.Float(m.SigmoidK), recfile.Float(m.LSHMinContainment))
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
-	recfile.WriteIntList(&b, "counts", m.Counts)
 	fmt.Fprintf(&b, "shards %d\n", len(m.Shards))
 	for id, se := range m.Shards {
 		fmt.Fprintf(&b, "shard %d %s %s\n", id, strconv.Quote(se.File), strconv.Quote(se.Checksum))
 		recfile.WriteIntList(&b, "st", se.Targets)
-		recfile.WriteIntList(&b, "ss", se.Strands)
 	}
 	if _, err := recfile.Write(w, ManifestMagic, ManifestVersion, b.Bytes()); err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
@@ -117,9 +116,6 @@ func decodeManifest(body []byte) (*Manifest, error) {
 	if err != nil || m.NumTargets < 0 {
 		return nil, r.Errf("bad target count %q", toks[0])
 	}
-	if m.Counts, err = r.IntList("counts"); err != nil {
-		return nil, err
-	}
 
 	toks, err = r.Record("shards", 1)
 	if err != nil {
@@ -160,14 +156,6 @@ func decodeManifest(body []byte) (*Manifest, error) {
 			}
 			seenTarget[ti] = true
 		}
-		if se.Strands, err = r.IntList("ss"); err != nil {
-			return nil, err
-		}
-		for _, g := range se.Strands {
-			if g < 0 || g >= len(m.Counts) {
-				return nil, r.Errf("shard %d strand index %d out of range [0,%d)", id, g, len(m.Counts))
-			}
-		}
 	}
 	if len(seenTarget) < m.NumTargets {
 		ti := 0 // every seen index is in range, so one of the first len+1 is missing
@@ -180,25 +168,26 @@ func decodeManifest(body []byte) (*Manifest, error) {
 }
 
 // SaveShards splits the corpus n ways and writes the manifest at path
-// with the shard snapshots alongside it (path.0 … path.N-1). Each
-// snapshot's checksum lands in the manifest, so loading the manifest is
-// enough to verify the fleet a gateway is about to trust.
-func SaveShards(path string, ex *core.Export, n int) (*Manifest, error) {
+// with the shard snapshots alongside it (path.0 … path.N-1), returning the
+// manifest and the shard exports. Each snapshot's checksum lands in the
+// manifest, so loading the manifest is enough to verify the fleet a
+// gateway is about to trust.
+func SaveShards(path string, ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	man, shards, err := Split(ex, n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for s, se := range shards {
 		file := fmt.Sprintf("%s.%d", filepath.Base(path), s)
 		info, err := index.SaveExportFile(filepath.Join(filepath.Dir(path), file), se)
 		if err != nil {
-			return nil, fmt.Errorf("shard: save shard %d: %w", s, err)
+			return nil, nil, fmt.Errorf("shard: save shard %d: %w", s, err)
 		}
 		man.Shards[s].File = file
 		man.Shards[s].Checksum = info.Checksum
 	}
 	if err := SaveManifest(path, man); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return man, nil
+	return man, shards, nil
 }

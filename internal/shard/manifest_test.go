@@ -27,8 +27,11 @@ func TestManifestBadBodyRejected(t *testing.T) {
 	lineError := regexp.MustCompile(`^shard: manifest: line \d+: `)
 	for _, tc := range []struct{ body, want string }{
 		{"generation \"x\"\nopts\ntargets\n", `line 3: "targets" record has 0 fields, want at least 1`},
-		{"generation \"x\"\nopts\ntargets 1\ncounts 0\nshards\n", `line 5: "shards" record has 0 fields, want at least 1`},
-		{"generation \"x\"\nopts\ntargets 0\ncounts 0\nshards 1000000000000000\n", "line 5: shard count 1000000000000000 exceeds the 0 lines left"},
+		{"generation \"x\"\nopts\ntargets 1\nshards\n", `line 4: "shards" record has 0 fields, want at least 1`},
+		{"generation \"x\"\nopts\ntargets 0\nshards 1000000000000000\n", "line 4: shard count 1000000000000000 exceeds the 0 lines left"},
+		// A version 1 body under a version 2 header: the union counts and
+		// the strand maps are not records of this format.
+		{"generation \"x\"\nopts\ntargets 1\ncounts 1\nshards 1\nshard 0 \"f\" \"c\"\nst 0\nss 0\n", `line 4: expected "shards" record, got "counts 1"`},
 		// A float option the engine cannot score with: a NaN also never
 		// equals a replica's value, so every fleet check would fail on it.
 		{"generation \"x\"\nopts sigmoidk=NaN lshmincont=0\n", `line 2: bad option "sigmoidk=NaN"`},
@@ -44,7 +47,7 @@ func TestManifestBadBodyRejected(t *testing.T) {
 		}
 	}
 	// A target count nothing lists is refused without allocating for it.
-	huge := "generation \"x\"\nopts\ntargets 1000000000000000\ncounts 0\nshards 1\nshard 0 \"f\" \"c\"\nst 1 0\nss 0\n"
+	huge := "generation \"x\"\nopts\ntargets 1000000000000000\nshards 1\nshard 0 \"f\" \"c\"\nst 1 0\n"
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(huge))))
@@ -63,18 +66,25 @@ func TestManifestBadBodyRejected(t *testing.T) {
 // input, whatever counts the body declares.
 func FuzzDecodeBodies(f *testing.F) {
 	ex := buildSmallDB(f).Export()
-	var snap, man bytes.Buffer
+	var snap bytes.Buffer
 	if _, err := index.SaveExportCtx(context.Background(), &snap, ex); err != nil {
 		f.Fatal(err)
 	}
-	m, _, err := Split(ex, 2)
-	if err != nil {
-		f.Fatal(err)
+	files := [][]byte{snap.Bytes()}
+	// Version 2 manifests: the corpus split two ways, and four ways (some
+	// shard then holds no target, an empty "st" list).
+	for _, n := range []int{2, 4} {
+		m, _, err := Split(ex, n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var man bytes.Buffer
+		if err := WriteManifest(&man, m); err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, man.Bytes())
 	}
-	if err := WriteManifest(&man, m); err != nil {
-		f.Fatal(err)
-	}
-	for _, file := range [][]byte{snap.Bytes(), man.Bytes()} {
+	for _, file := range files {
 		_, body, _ := bytes.Cut(file, []byte("\n"))
 		f.Add(body)
 	}

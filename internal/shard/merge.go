@@ -2,9 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // Partial is one shard's contribution to a scattered query: the
@@ -20,13 +22,13 @@ type Partial struct {
 	Source     asm.Provenance `json:"source"`
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"`
-	// Weights and Rows are indexed by unique query strand, in the
+	// Weights and H0 are indexed by unique query strand, in the
 	// decomposition order every shard derives identically from the
-	// query text; Rows' second index is the shard-local strand order
-	// the manifest's Strands map translates to global.
-	Weights []float64       `json:"weights"`
-	Rows    [][]float64     `json:"rows"`
-	Targets []TargetPartial `json:"targets"`
+	// query text. H0[i] is the strand's histogram over the shard's corpus
+	// (core.QueryPartial.H0), read-only.
+	Weights []float64              `json:"weights"`
+	H0      []*stats.H0Accumulator `json:"h0"`
+	Targets []TargetPartial        `json:"targets"`
 }
 
 // Identity is what a shard's answer says about where it came from: its
@@ -41,7 +43,7 @@ type Identity struct {
 	SigmoidK       float64 `json:"sigmoid_k"`
 	MinContainment float64 `json:"min_containment"`
 	// DataGeneration (compactions) and PendingWrites (uncompacted live
-	// writes) are nonzero once the corpus left the manifest's counts.
+	// writes) are nonzero once the corpus left the split's snapshot.
 	DataGeneration uint64 `json:"data_generation,omitempty"`
 	PendingWrites  int    `json:"pending_writes,omitempty"`
 }
@@ -73,7 +75,7 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 		NumBlocks:  qp.NumBlocks,
 		NumStrands: qp.NumStrands,
 		Weights:    qp.Weights,
-		Rows:       qp.Rows,
+		H0:         qp.H0,
 		Targets:    make([]TargetPartial, len(qp.Targets)),
 	}
 	for i, ps := range qp.Targets {
@@ -88,20 +90,17 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 	return p
 }
 
-// Merge reassembles shard partials into the single-node result. With
-// every shard present the output is bit-identical to core.Query on the
-// union corpus: the global VCP rows are rebuilt in global strand order
-// (each entry computed on some shard, per-pair deterministic), the
-// per-target reduction passes through untouched, the targets are laid
-// out in global (corpus build) order, and core.QueryPartial.Finalize
-// then runs the same H0/GES float sequence and the same stable sort a
-// single node runs.
+// Merge reassembles shard partials into the single-node result. Each
+// query strand's H0 histogram is the sum of the responders' (a strand's
+// corpus multiplicity is the sum of its shard-local ones), the per-target
+// reductions pass through untouched, the targets are laid out in global
+// (corpus build) order, and core.QueryPartial.Finalize then runs the
+// scoring a single node runs. With every shard present the result is
+// bit-identical to core.Query on the union corpus.
 //
-// Missing shards degrade gracefully: their targets are absent from the
-// report, and strands covered only by missing shards are excluded from
-// the H0 estimate by zeroing their counts (an H0Accumulator.Add with
-// multiplicity 0 is a no-op), so the surviving targets' scores are the
-// best estimate available from the reachable corpus. The returned slice
+// With shards missing it is bit-identical to a single node holding only
+// the responders' targets: their targets are absent from the report, and
+// the histograms count only the responders' strands. The returned slice
 // lists the missing shard IDs (nil when the fleet was complete). A
 // partial that fails Manifest.CheckShard fails the merge.
 func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
@@ -126,7 +125,17 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		return nil, nil, fmt.Errorf("shard: merge: no shard responded")
 	}
 
+	// One pass over the responders: their histograms are added per
+	// strand, and their targets laid out in global corpus order — the
+	// single-node pre-sort order, so the stable GES sort breaks ties
+	// identically; the manifest assigns every global target to exactly
+	// one shard, so indexing by it replaces a sort.
 	var missing []int
+	h0 := make([]*stats.H0Accumulator, len(first.Weights))
+	for i := range h0 {
+		h0[i] = new(stats.H0Accumulator)
+	}
+	at := make([]*TargetPartial, man.NumTargets)
 	for s, p := range byShard {
 		if p == nil {
 			missing = append(missing, s)
@@ -135,41 +144,8 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		if err := checkPartial(man, first, p); err != nil {
 			return nil, nil, err
 		}
-	}
-
-	// One pass over the responders. Their rows are spliced into one dense
-	// global slab: a strand shared by two shards is written twice with
-	// bitwise-equal values (same deterministic pair computation), so
-	// overwrite order is irrelevant. With shards missing, only responders'
-	// strands keep their counts. Their targets are laid out in global
-	// corpus order — the single-node pre-sort order, so the stable GES
-	// sort breaks ties identically; the manifest assigns every global
-	// target to exactly one shard, so indexing by it replaces a sort.
-	nq, ng := len(first.Weights), len(man.Counts)
-	slab := make([]float64, nq*ng)
-	rows := make([][]float64, nq)
-	for i := range rows {
-		rows[i] = slab[i*ng : (i+1)*ng : (i+1)*ng]
-	}
-	counts := man.Counts
-	if len(missing) > 0 {
-		counts = make([]int, ng)
-	}
-	at := make([]*TargetPartial, man.NumTargets)
-	for s, p := range byShard {
-		if p == nil {
-			continue
-		}
-		strands := man.Shards[s].Strands
-		for i, dst := range rows {
-			for j, v := range p.Rows[i] {
-				dst[strands[j]] = v
-			}
-		}
-		if len(missing) > 0 {
-			for _, g := range strands {
-				counts[g] = man.Counts[g]
-			}
+		for i, h := range p.H0 {
+			h0[i].Merge(h)
 		}
 		for k, ti := range man.Shards[s].Targets {
 			at[ti] = &p.Targets[k]
@@ -198,15 +174,15 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		NumStrands: first.NumStrands,
 		SigmoidK:   first.SigmoidK,
 		Weights:    first.Weights,
-		Rows:       rows,
+		H0:         h0,
 		Targets:    targets,
 	}
-	return qp.Finalize(counts), missing, nil
+	return qp.Finalize(), missing, nil
 }
 
 // checkPartial validates the shape of one shard's partial against the
 // manifest and the fleet-wide query view (every shard must derive the
-// identical query decomposition, or rows cannot be merged by index).
+// identical query decomposition, or histograms cannot be merged by index).
 func checkPartial(man *Manifest, first, p *Partial) error {
 	s := p.ShardID
 	if p.QueryName != first.QueryName || p.NumStrands != first.NumStrands || len(p.Weights) != len(first.Weights) {
@@ -218,13 +194,11 @@ func checkPartial(man *Manifest, first, p *Partial) error {
 			return fmt.Errorf("shard: merge: shard %d disagrees on query strand %d weight (%g vs %g)", s, i, w, first.Weights[i])
 		}
 	}
-	if len(p.Rows) != len(p.Weights) {
-		return fmt.Errorf("shard: merge: shard %d returned %d rows for %d query strands", s, len(p.Rows), len(p.Weights))
+	if len(p.H0) != len(p.Weights) {
+		return fmt.Errorf("shard: merge: shard %d returned %d H0 histograms for %d query strands", s, len(p.H0), len(p.Weights))
 	}
-	for i, row := range p.Rows {
-		if len(row) != len(man.Shards[s].Strands) {
-			return fmt.Errorf("shard: merge: shard %d row %d has %d entries, manifest maps %d strands", s, i, len(row), len(man.Shards[s].Strands))
-		}
+	if i := slices.Index(p.H0, nil); i >= 0 {
+		return fmt.Errorf("shard: merge: shard %d returned no H0 histogram for query strand %d", s, i)
 	}
 	if len(p.Targets) != len(man.Shards[s].Targets) {
 		return fmt.Errorf("shard: merge: shard %d returned %d targets, manifest assigns %d", s, len(p.Targets), len(man.Shards[s].Targets))

@@ -6,11 +6,11 @@
 // target's name and provenance assigns it to one of N shards, and each
 // shard's snapshot contains exactly the unique strands its targets
 // reference, with shard-local multiplicities that sum (across shards)
-// to the union corpus's counts. A manifest ties the fleet together: the
-// global strand counts (for the corpus-wide H0 estimate), each shard's
-// local→global strand and target maps (so a coordinator can splice
-// partial rows back into global order), and each shard snapshot's
-// checksum (so a coordinator can refuse a mixed-version fleet).
+// to the union corpus's counts — so the shards' H0 histograms add up to
+// the union's. A manifest ties the fleet together: each shard's global
+// target indices (so a coordinator can lay targets out in corpus order)
+// and each shard snapshot's checksum (so a coordinator can refuse a
+// mixed-version fleet).
 //
 // Everything downstream of the split is exact, not approximate — see
 // Merge and core.QueryPartial for the argument.
@@ -21,7 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/asm"
@@ -32,7 +32,7 @@ import (
 // next to the shard snapshots by SaveShards and read by the gateway.
 type Manifest struct {
 	// Generation identifies the split: a hash of the partition content
-	// (target assignments, strand counts), not of the options, so two
+	// (target assignments, union strand counts), not of the options, so two
 	// splits at different settings share it. It is baked into each shard
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
@@ -43,9 +43,6 @@ type Manifest struct {
 	// keys, so a manifest that still says prefilter= or retrieval= loads.
 	SigmoidK          float64
 	LSHMinContainment float64
-	// Counts[g] is the union corpus's multiplicity of global unique
-	// strand g — the exact weights of the single-node H0 estimate.
-	Counts []int
 	// NumTargets is the union corpus's target count; global target
 	// indices below index into that order (the corpus build order, which
 	// is also the single-node pre-sort result order).
@@ -61,10 +58,6 @@ type ShardEntry struct {
 	Checksum string
 	// Targets[k] is the global target index of the shard's k-th target.
 	Targets []int
-	// Strands[j] is the global strand index of the shard's j-th unique
-	// strand. Local order is ascending in global index, but consumers
-	// should not rely on that.
-	Strands []int
 }
 
 // CheckShard is the fleet rule, the one place a shard's identity meets
@@ -148,12 +141,8 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	man := &Manifest{
 		SigmoidK:          ex.Opts.SigmoidK,
 		LSHMinContainment: ex.Opts.LSHMinContainment,
-		Counts:            make([]int, len(ex.Strands)),
 		NumTargets:        len(ex.Targets),
 		Shards:            make([]ShardEntry, n),
-	}
-	for j, es := range ex.Strands {
-		man.Counts[j] = es.Count
 	}
 	assign := make([]int, len(ex.Targets))
 	for ti, t := range ex.Targets {
@@ -175,15 +164,13 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 				inShard[idx] = true
 			}
 		}
-		if len(inShard) > 0 {
-			entry.Strands = make([]int, 0, len(inShard))
-			for g := range inShard {
-				entry.Strands = append(entry.Strands, g)
-			}
-			sort.Ints(entry.Strands)
+		strands := make([]int, 0, len(inShard))
+		for g := range inShard {
+			strands = append(strands, g)
 		}
-		local := make(map[int]int, len(entry.Strands))
-		for j, g := range entry.Strands {
+		slices.Sort(strands)
+		local := make(map[int]int, len(strands))
+		for j, g := range strands {
 			local[g] = j
 		}
 
@@ -191,8 +178,8 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 			Opts:  ex.Opts,
 			Shard: core.ShardInfo{ID: s, Count: n, Generation: man.Generation},
 		}
-		se.Strands = make([]core.ExportStrand, len(entry.Strands))
-		for j, g := range entry.Strands {
+		se.Strands = make([]core.ExportStrand, len(strands))
+		for j, g := range strands {
 			se.Strands[j] = core.ExportStrand{S: ex.Strands[g].S, Sig: ex.Strands[g].Sig}
 		}
 		for _, ti := range entry.Targets {

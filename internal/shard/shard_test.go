@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/stats"
 	"repro/internal/vcp"
 )
 
@@ -202,26 +203,29 @@ func TestSplitInvariants(t *testing.T) {
 		if man.NumTargets != len(ex.Targets) {
 			t.Fatalf("n=%d: manifest has %d targets, corpus %d", n, man.NumTargets, len(ex.Targets))
 		}
-		// Shard-local strand counts must sum to the union counts.
-		sum := make([]int, len(ex.Strands))
+		// Shard-local strand counts must sum to the union counts, strand
+		// by canonical key.
+		union := map[string]int{}
+		for _, es := range ex.Strands {
+			union[es.S.CanonicalKey()] = es.Count
+		}
+		sum := map[string]int{}
 		targets := 0
 		for s, se := range shardExs {
 			targets += len(se.Targets)
 			for j, es := range se.Strands {
-				g := man.Shards[s].Strands[j]
-				sum[g] += es.Count
-				if es.S != ex.Strands[g].S {
-					t.Fatalf("n=%d shard %d strand %d: wrong strand aliased", n, s, j)
+				key := es.S.CanonicalKey()
+				if _, ok := union[key]; !ok {
+					t.Fatalf("n=%d shard %d strand %d: not a strand of the corpus", n, s, j)
 				}
+				sum[key] += es.Count
 			}
 		}
 		if targets != len(ex.Targets) {
 			t.Fatalf("n=%d: shards hold %d targets, corpus has %d", n, targets, len(ex.Targets))
 		}
-		for g, c := range sum {
-			if c != ex.Strands[g].Count {
-				t.Fatalf("n=%d: strand %d shard counts sum to %d, union count %d", n, g, c, ex.Strands[g].Count)
-			}
+		if !reflect.DeepEqual(sum, union) {
+			t.Fatalf("n=%d: shard strand counts sum to %v, union counts %v", n, sum, union)
 		}
 		// Assignment is the deterministic hash.
 		for s, entry := range man.Shards {
@@ -262,43 +266,80 @@ func TestMergeDifferential(t *testing.T) {
 	}
 }
 
-func TestMergeMissingShard(t *testing.T) {
-	ex := buildSmallDB(t).Export()
-	single, err := core.FromExport(ex)
+// keepTargets is ex cut down to the targets keep selects, in global order,
+// with the strands they hold in first-seen order and their counts summed
+// from the kept targets: the corpus of a single node holding only them.
+func keepTargets(ex *core.Export, keep func(ti int) bool) *core.Export {
+	out := &core.Export{Opts: ex.Opts}
+	local := map[int]int{}
+	for ti, et := range ex.Targets {
+		if !keep(ti) {
+			continue
+		}
+		kt := et
+		kt.StrandIdx = make([]int, len(et.StrandIdx))
+		for k, g := range et.StrandIdx {
+			j, ok := local[g]
+			if !ok {
+				j = len(out.Strands)
+				local[g] = j
+				out.Strands = append(out.Strands, core.ExportStrand{S: ex.Strands[g].S, Sig: ex.Strands[g].Sig})
+			}
+			out.Strands[j].Count += et.StrandMult[k]
+			kt.StrandIdx[k] = j
+		}
+		out.Targets = append(out.Targets, kt)
+	}
+	return out
+}
+
+// requireDegradedExact asserts that the merge with shard drop missing is
+// byte-identical, ranking and scores, to a single node holding only the
+// responding shards' targets.
+func requireDegradedExact(t *testing.T, ex *core.Export, man *Manifest, dbs []*core.DB, q *asm.Proc, drop int) {
+	t.Helper()
+	dropped := map[int]bool{}
+	for _, ti := range man.Shards[drop].Targets {
+		dropped[ti] = true
+	}
+	single, err := core.FromExport(keepTargets(ex, func(ti int) bool { return !dropped[ti] }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := parse(t, gccStyle)
 	want, err := single.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 2
-	man, dbs := splitDBs(t, ex, n)
-	// Find a shard that actually holds targets, and drop the other one
-	// first to exercise the degraded path with survivors.
-	for drop := 0; drop < n; drop++ {
-		if len(man.Shards[drop].Targets) == len(ex.Targets) {
-			continue // dropping it would leave no responders' targets... still valid, skip for assert simplicity
-		}
-		rep, missing := scatterQuery(t, man, dbs, q, drop)
-		if len(missing) != 1 || missing[0] != drop {
-			t.Fatalf("drop=%d: missing=%v", drop, missing)
-		}
-		wantNames := map[string]bool{}
-		for _, ti := range man.Shards[drop].Targets {
-			wantNames[ex.Targets[ti].Name] = true
-		}
-		if len(rep.Results) != len(ex.Targets)-len(man.Shards[drop].Targets) {
-			t.Fatalf("drop=%d: %d results, want %d", drop, len(rep.Results), len(ex.Targets)-len(man.Shards[drop].Targets))
-		}
-		for _, ts := range rep.Results {
-			if wantNames[ts.Target.Name] {
-				t.Fatalf("drop=%d: result includes %s from the dropped shard", drop, ts.Target.Name)
+	got, missing := scatterQuery(t, man, dbs, q, drop)
+	if len(missing) != 1 || missing[0] != drop {
+		t.Fatalf("drop=%d: missing=%v", drop, missing)
+	}
+	requireIdentical(t, want, got, fmt.Sprintf("%s with shard %d of %d missing", q.Name, drop, len(dbs)))
+}
+
+// TestMergeMissingShard: a degraded reply is the single node over the
+// reachable shards, bit for bit — the H0 histograms count only the
+// responders' strands, including those a missing shard shares.
+func TestMergeMissingShard(t *testing.T) {
+	db := buildSmallDB(t)
+	for _, src := range []string{gccStyle, iccStyle, memStyle} {
+		for k := 0; k < 3; k++ { // copies spread the shared strands over every shard
+			p := parse(t, src)
+			p.Name = fmt.Sprintf("%s_%d", p.Name, k)
+			if err := db.AddTarget(p); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	_ = want
+	ex := db.Export()
+	for _, n := range []int{2, 4} {
+		man, dbs := splitDBs(t, ex, n)
+		for drop := 0; drop < n; drop++ {
+			for _, src := range []string{gccStyle, memStyle} {
+				requireDegradedExact(t, ex, man, dbs, parse(t, src), drop)
+			}
+		}
+	}
 }
 
 // TestMergeRejectsMixedFleet: Merge judges every partial by
@@ -372,6 +413,17 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 	if _, _, err := Merge(man, nil); err == nil {
 		t.Fatal("merge of zero partials succeeded")
 	}
+	// A partial whose histograms do not match its query strands.
+	for name, edit := range map[string]func(*Partial){
+		"a histogram short": func(p *Partial) { p.H0 = p.H0[:len(p.H0)-1] },
+		"a nil histogram":   func(p *Partial) { p.H0 = append([]*stats.H0Accumulator{nil}, p.H0[1:]...) },
+	} {
+		parts := partials(sound)
+		edit(parts[1])
+		if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "H0 histogram") {
+			t.Errorf("%s: error %v, want one naming shard 1's H0 histograms", name, err)
+		}
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -404,6 +456,12 @@ func TestManifestRoundTrip(t *testing.T) {
 		if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " "+keys+" lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
 			t.Fatalf("manifest with retired %s: %v\nwant %+v\ngot  %+v", keys, err, man, old)
 		}
+	}
+	// A version 1 manifest (union counts and strand maps) is refused like
+	// an old snapshot: the fleet is re-split, not read.
+	_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	if _, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, 1, body))); err == nil || !strings.Contains(err.Error(), "unsupported format version 1 (have 2)") {
+		t.Fatalf("version 1 manifest: error %v", err)
 	}
 	// Corruption must be detected.
 	raw := buf.Bytes()
@@ -454,7 +512,7 @@ func TestSaveShardsDifferential(t *testing.T) {
 
 	for _, n := range []int{1, 2, 4} {
 		dir := t.TempDir()
-		man, err := SaveShards(dir+"/corpus.eshmani", ex, n)
+		man, _, err := SaveShards(dir+"/corpus.eshmani", ex, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,13 +537,7 @@ func TestSaveShardsDifferential(t *testing.T) {
 		}
 		requireIdentical(t, want, got, q.Name)
 		if n > 1 {
-			got, missing = scatterQuery(t, man, dbs, q, 0)
-			if len(missing) != 1 || missing[0] != 0 {
-				t.Fatalf("n=%d: degraded merge missing=%v", n, missing)
-			}
-			if len(got.Results) != len(want.Results)-len(man.Shards[0].Targets) {
-				t.Fatalf("n=%d: degraded merge has %d results", n, len(got.Results))
-			}
+			requireDegradedExact(t, ex, man, dbs, q, 0)
 		}
 	}
 }

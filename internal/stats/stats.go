@@ -6,7 +6,12 @@
 // evaluation.
 package stats
 
-import "math"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Sigmoid parameters from §3.3.1: midpoint 0.5 (VCP ranges over [0,1])
 // and steepness k = 10, found experimentally by the authors.
@@ -165,44 +170,129 @@ func (sc *Scorer) Scores(maxVCP float64) (slog, esh float64) {
 	return slog, esh
 }
 
-// H0Accumulator incrementally estimates Pr(sq|H0) for one query strand as
-// the corpus-weighted mean of Pr(sq|st) over every target strand
-// (§3.3.2), tracked for both the sigmoid and the raw probability model.
-// K overrides the sigmoid steepness (0 selects DefaultSigmoidK).
+// H0Accumulator estimates Pr(sq|H0) for one query strand as the
+// corpus-weighted mean of Pr(sq|st) over every target strand (§3.3.2),
+// for both the sigmoid and the raw probability model. It keeps the exact
+// integer multiplicity of each distinct VCP, so the estimate depends on
+// the multiset of observations only: any order of the same Add calls, and
+// any partition of them into accumulators merged back with Merge, give the
+// same bits. A row's VCPs are a handful of fractions, mostly zero, so the
+// histogram stays a few entries long however large the corpus.
 type H0Accumulator struct {
-	K              float64
-	sumEsh, sumRaw float64
-	count          float64
-	sigmoid0       float64 // SigmoidWithK(0, k), once Add has met a zero
+	n     int       // total multiplicity
+	vals  []float64 // the distinct VCPs, ascending
+	mults []int     // mults[i] is the multiplicity of vals[i]
 }
 
-// Add records a VCP observation with the given corpus multiplicity. Most
-// of a row is zero (skipped, pruned or unmatched pairs), so the sigmoid of
-// zero is taken once; the sums see the same terms in the same order.
+// maxMultiplicity bounds an accumulator's total multiplicity where it is
+// decoded: up to it, every count and every partial sum of counts is exact
+// as a float64.
+const maxMultiplicity = 1 << 53
+
+// Add records a VCP observation with the given corpus multiplicity. An
+// observation of multiplicity 0 (a dead strand) records nothing.
 func (h *H0Accumulator) Add(vcp float64, multiplicity int) {
-	k := h.K
-	if k == 0 {
-		k = DefaultSigmoidK
+	if multiplicity == 0 {
+		return
 	}
-	pr := h.sigmoid0
-	if vcp != 0 {
-		pr = SigmoidWithK(vcp, k)
-	} else if pr == 0 { // a sigmoid is never zero: not taken yet
-		pr = SigmoidWithK(0, k)
-		h.sigmoid0 = pr
+	h.n += multiplicity
+	// Most of a row is 0, the smallest value: it is found without a search.
+	i, found := 0, len(h.vals) > 0 && h.vals[0] == vcp
+	if !found {
+		i, found = slices.BinarySearch(h.vals, vcp)
 	}
-	w := float64(multiplicity)
-	h.sumEsh += pr * w
-	h.sumRaw += vcp * w
-	h.count += w
+	if !found {
+		h.vals = slices.Insert(h.vals, i, vcp)
+		h.mults = slices.Insert(h.mults, i, 0)
+	}
+	h.mults[i] += multiplicity
 }
 
-// Evidence finalizes the estimate for a strand with the given weight.
-func (h *H0Accumulator) Evidence(weight float64) StrandEvidence {
-	ev := StrandEvidence{Weight: weight, K: h.K}
-	if h.count > 0 {
-		ev.H0Esh = h.sumEsh / h.count
-		ev.H0Raw = h.sumRaw / h.count
+// Merge adds every observation o recorded into h.
+func (h *H0Accumulator) Merge(o *H0Accumulator) {
+	for i, v := range o.vals {
+		h.Add(v, o.mults[i])
 	}
+}
+
+// Len returns the number of distinct VCPs recorded.
+func (h *H0Accumulator) Len() int { return len(h.vals) }
+
+// At returns the i-th distinct VCP recorded, in ascending order, and its
+// multiplicity.
+func (h *H0Accumulator) At(i int) (vcp float64, multiplicity int) { return h.vals[i], h.mults[i] }
+
+// Append records a VCP above every one recorded so far: the way in for a
+// decoder, which refuses what no engine produces — a VCP outside [0, 1]
+// (NaN and the infinities included), one not above its predecessor, a zero
+// multiplicity, or a total above 2^53 (past it a count is not exact as a
+// float64).
+func (h *H0Accumulator) Append(vcp float64, multiplicity uint64) error {
+	switch last := len(h.vals) - 1; {
+	case !(vcp >= 0 && vcp <= 1):
+		return fmt.Errorf("VCP %v outside [0, 1]", vcp)
+	case last >= 0 && !(vcp > h.vals[last]):
+		return fmt.Errorf("VCP %v not above its predecessor %v", vcp, h.vals[last])
+	case multiplicity == 0:
+		return fmt.Errorf("VCP %v has multiplicity 0", vcp)
+	case multiplicity > maxMultiplicity-uint64(h.n):
+		return fmt.Errorf("multiplicities sum past %d", uint64(maxMultiplicity))
+	}
+	h.Add(vcp, int(multiplicity))
+	return nil
+}
+
+// Evidence finalizes the estimate for a strand with the given weight at
+// sigmoid steepness k (0 selects DefaultSigmoidK): the sums run over the
+// distinct VCPs in ascending order, each term the probability times the
+// exact multiplicity.
+func (h *H0Accumulator) Evidence(weight, k float64) StrandEvidence {
+	ev := StrandEvidence{Weight: weight, K: k}
+	if h.n == 0 {
+		return ev
+	}
+	k = ev.k()
+	sumEsh, sumRaw := 0.0, 0.0
+	for i, v := range h.vals {
+		w := float64(h.mults[i])
+		sumEsh += SigmoidWithK(v, k) * w
+		sumRaw += v * w
+	}
+	ev.H0Esh = sumEsh / float64(h.n)
+	ev.H0Raw = sumRaw / float64(h.n)
 	return ev
+}
+
+// histogramJSON is an accumulator's JSON form: the distinct VCPs in
+// ascending order and their multiplicities.
+type histogramJSON struct {
+	VCP  []float64 `json:"vcp"`
+	Mult []uint64  `json:"mult"`
+}
+
+// MarshalJSON encodes the histogram.
+func (h *H0Accumulator) MarshalJSON() ([]byte, error) {
+	j := histogramJSON{VCP: h.vals, Mult: make([]uint64, len(h.mults))}
+	for i, m := range h.mults {
+		j.Mult[i] = uint64(m)
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes a histogram under Append's rules.
+func (h *H0Accumulator) UnmarshalJSON(b []byte) error {
+	var j histogramJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	if len(j.VCP) != len(j.Mult) {
+		return fmt.Errorf("stats: %d VCPs, %d multiplicities", len(j.VCP), len(j.Mult))
+	}
+	*h = H0Accumulator{}
+	for i, v := range j.VCP {
+		if err := h.Append(v, j.Mult[i]); err != nil {
+			return fmt.Errorf("stats: %w", err)
+		}
+	}
+	return nil
 }

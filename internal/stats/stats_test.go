@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,7 +84,7 @@ func TestH0Accumulator(t *testing.T) {
 	var h H0Accumulator
 	h.Add(1.0, 1)
 	h.Add(0.0, 3)
-	ev := h.Evidence(1)
+	ev := h.Evidence(1, 0)
 	if math.Abs(ev.H0Raw-0.25) > 1e-12 {
 		t.Errorf("H0Raw = %v, want 0.25", ev.H0Raw)
 	}
@@ -92,7 +94,7 @@ func TestH0Accumulator(t *testing.T) {
 	}
 	// Empty accumulator yields zero evidence (floored downstream).
 	var empty H0Accumulator
-	if ev := empty.Evidence(1); ev.H0Esh != 0 || ev.H0Raw != 0 {
+	if ev := empty.Evidence(1, 0); ev.H0Esh != 0 || ev.H0Raw != 0 {
 		t.Error("empty accumulator not zero")
 	}
 }
@@ -149,46 +151,159 @@ func TestGESDiscriminates(t *testing.T) {
 	}
 }
 
-// referenceAdd is H0Accumulator.Add as first written: one sigmoid per
-// observation. The production Add takes the sigmoid of zero once.
-func referenceAdd(h *H0Accumulator, vcp float64, multiplicity int) {
-	k := h.K
-	if k == 0 {
-		k = DefaultSigmoidK
-	}
-	w := float64(multiplicity)
-	h.sumEsh += SigmoidWithK(vcp, k) * w
-	h.sumRaw += vcp * w
-	h.count += w
+// engineRow draws n observations shaped like an engine row: mostly zero,
+// the rest fractions k/den, multiplicities 0 (a dead strand) to 4.
+type obs struct {
+	v float64
+	m int
 }
 
-// TestHoistedFinalizeBitIdentical holds the two Finalize shortcuts — the
-// zero-column sigmoid in Add and the per-strand Scorer — to the plain
-// per-observation code, Float64bits for Float64bits, on rows shaped like
-// the engine's: mostly zero, a handful of distinct fractions.
+func engineRow(rng *rand.Rand, n int) []obs {
+	den := 5 + rng.Intn(40)
+	row := make([]obs, n)
+	for j := range row {
+		if rng.Intn(4) == 0 {
+			row[j].v = float64(rng.Intn(den+1)) / float64(den)
+		}
+		row[j].m = rng.Intn(5)
+	}
+	return row
+}
+
+func accumulate(row []obs) *H0Accumulator {
+	h := new(H0Accumulator)
+	for _, o := range row {
+		h.Add(o.v, o.m)
+	}
+	return h
+}
+
+func sameEvidence(a, b StrandEvidence) bool {
+	return math.Float64bits(a.H0Esh) == math.Float64bits(b.H0Esh) &&
+		math.Float64bits(a.H0Raw) == math.Float64bits(b.H0Raw) && a.Weight == b.Weight && a.K == b.K
+}
+
+// TestH0AccumulatorOrderFree holds Evidence to the multiset of
+// observations, Float64bits for Float64bits: any permutation of the same
+// Add calls, any partition of them into accumulators merged back with
+// Merge, the zero-multiplicity adds dropped or doubled, and a trip through
+// JSON or through Len/At/Append all give the same H0.
+func TestH0AccumulatorOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []float64{0, 1, 10, 40, 1e6} {
+		for trial := 0; trial < 50; trial++ {
+			row := engineRow(rng, 300)
+			want := accumulate(row).Evidence(1, k)
+			check := func(what string, h *H0Accumulator) {
+				t.Helper()
+				if got := h.Evidence(1, k); !sameEvidence(got, want) {
+					t.Fatalf("k=%v trial %d, %s: H0 (%x, %x), in row order (%x, %x)", k, trial, what,
+						math.Float64bits(got.H0Esh), math.Float64bits(got.H0Raw),
+						math.Float64bits(want.H0Esh), math.Float64bits(want.H0Raw))
+				}
+			}
+
+			perm := slices.Clone(row)
+			rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+			check("permuted", accumulate(perm))
+
+			parts := make([][]obs, 1+rng.Intn(5))
+			for _, o := range perm {
+				p := rng.Intn(len(parts))
+				parts[p] = append(parts[p], o)
+			}
+			merged := new(H0Accumulator)
+			for _, p := range rng.Perm(len(parts)) {
+				merged.Merge(accumulate(parts[p]))
+			}
+			check("partitioned and merged", merged)
+			into := accumulate(parts[0])
+			for _, p := range parts[1:] {
+				into.Merge(accumulate(p))
+			}
+			check("merged into the first part", into)
+
+			var live, dead []obs
+			for _, o := range row {
+				if o.m > 0 {
+					live = append(live, o)
+				} else {
+					dead = append(dead, o, obs{v: float64(rng.Intn(3)) / 2})
+				}
+			}
+			check("dead adds dropped", accumulate(live))
+			check("dead adds doubled", accumulate(append(dead, row...)))
+
+			b, err := json.Marshal(accumulate(row))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back H0Accumulator
+			if err := json.Unmarshal(b, &back); err != nil {
+				t.Fatal(err)
+			}
+			check("JSON round trip", &back)
+			h, appended := accumulate(perm), new(H0Accumulator)
+			for i := 0; i < h.Len(); i++ {
+				v, m := h.At(i)
+				if err := appended.Append(v, uint64(m)); err != nil {
+					t.Fatalf("Append(At(%d)): %v", i, err)
+				}
+			}
+			check("At and Append", appended)
+		}
+	}
+}
+
+// TestH0AccumulatorAppendRefuses pins what a decoder may not hand an
+// accumulator.
+func TestH0AccumulatorAppendRefuses(t *testing.T) {
+	for name, tc := range map[string]struct {
+		prefix []float64
+		v      float64
+		m      uint64
+	}{
+		"NaN":                {nil, math.NaN(), 1},
+		"+Inf":               {nil, math.Inf(1), 1},
+		"-Inf":               {nil, math.Inf(-1), 1},
+		"negative":           {nil, -0.25, 1},
+		"above one":          {nil, 1.5, 1},
+		"zero multiplicity":  {nil, 0.5, 0},
+		"repeated":           {[]float64{0, 0.5}, 0.5, 1},
+		"descending":         {[]float64{0.5}, 0.25, 1},
+		"zero after nonzero": {[]float64{0.5}, 0, 1},
+		"sum overflows":      {[]float64{0}, 0.5, maxMultiplicity},
+	} {
+		var h H0Accumulator
+		for _, v := range tc.prefix {
+			if err := h.Append(v, 1); err != nil {
+				t.Fatalf("%s: prefix %v: %v", name, v, err)
+			}
+		}
+		if err := h.Append(tc.v, tc.m); err == nil {
+			t.Errorf("%s: Append(%v, %d) accepted", name, tc.v, tc.m)
+		}
+	}
+	var h H0Accumulator
+	if err := h.Append(0, maxMultiplicity); err != nil {
+		t.Errorf("a total of exactly 2^53: %v", err)
+	}
+	if err := json.Unmarshal([]byte(`{"vcp":[0.5,0.25],"mult":[1,1]}`), &h); err == nil {
+		t.Error("UnmarshalJSON accepted a descending histogram")
+	}
+	if err := json.Unmarshal([]byte(`{"vcp":[0.5],"mult":[1,1]}`), &h); err == nil {
+		t.Error("UnmarshalJSON accepted more multiplicities than VCPs")
+	}
+}
+
+// TestHoistedFinalizeBitIdentical holds the per-strand Scorer, Finalize's
+// shortcut, to the plain per-target Score, Float64bits for Float64bits,
+// on H0 estimates from rows shaped like the engine's.
 func TestHoistedFinalizeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []float64{0, 1, 10, 40, 1e6} {
 		for trial := 0; trial < 50; trial++ {
-			den := float64(5 + rng.Intn(40))
-			got, want := H0Accumulator{K: k}, H0Accumulator{K: k}
-			for j := 0; j < 300; j++ {
-				v := 0.0
-				if rng.Intn(4) == 0 {
-					v = float64(rng.Intn(int(den)+1)) / den
-				}
-				mult := rng.Intn(5)
-				got.Add(v, mult)
-				referenceAdd(&want, v, mult)
-			}
-			ev, wantEv := got.Evidence(float64(1+rng.Intn(3))), want.Evidence(1)
-			wantEv.Weight = ev.Weight
-			if math.Float64bits(ev.H0Esh) != math.Float64bits(wantEv.H0Esh) ||
-				math.Float64bits(ev.H0Raw) != math.Float64bits(wantEv.H0Raw) {
-				t.Fatalf("k=%v: H0 (%x, %x), reference (%x, %x)", k,
-					math.Float64bits(ev.H0Esh), math.Float64bits(ev.H0Raw),
-					math.Float64bits(wantEv.H0Esh), math.Float64bits(wantEv.H0Raw))
-			}
+			ev := accumulate(engineRow(rng, 300)).Evidence(float64(1+rng.Intn(3)), k)
 			sc := ev.Scorer()
 			// More distinct values than the Scorer remembers, each asked
 			// for repeatedly.
