@@ -1,8 +1,7 @@
 package core
 
 import (
-	"cmp"
-	"slices"
+	"math"
 
 	"repro/internal/asm"
 	"repro/internal/stats"
@@ -74,9 +73,11 @@ func (qp *QueryPartial) Finalize() *Report {
 		scorers[i] = ev.Scorer()
 	}
 	// The two GES sums of stats.GES, term for term in strand order, with
-	// each term taken from the strand's Scorer.
-	scored := make([]TargetScore, len(qp.Targets))
-	rank := make([]int32, len(qp.Targets))
+	// each term taken from the strand's Scorer; each target's rank key is
+	// built as it is scored.
+	n := len(qp.Targets)
+	scored := make([]TargetScore, n)
+	slab := make([]rankEntry, 2*n)
 	for ti, ps := range qp.Targets {
 		slog, esh := 0.0, 0.0
 		for i, v := range ps.MaxVCP {
@@ -85,25 +86,82 @@ func (qp *QueryPartial) Finalize() *Report {
 			esh += e
 		}
 		scored[ti] = TargetScore{Target: ps.Target, SLOG: slog, GES: esh}
-		rank[ti] = int32(ti)
+		slab[ti] = rankEntry{rankKey(esh), int32(ti)}
 	}
-	// Descending GES, ties in target order: what a stable sort of the
-	// results gives, from an unstable sort of their 4-byte positions.
-	slices.SortFunc(rank, func(a, b int32) int {
-		if c := cmp.Compare(scored[b].GES, scored[a].GES); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 	rep := &Report{
 		QueryName:  qp.QueryName,
 		Source:     qp.Source,
 		NumBlocks:  qp.NumBlocks,
 		NumStrands: qp.NumStrands,
-		Results:    make([]TargetScore, len(rank)),
+		Results:    make([]TargetScore, n),
 	}
-	for k, ti := range rank {
-		rep.Results[k] = scored[ti]
+	for k, r := range radixRank(slab[:n], slab[n:]) {
+		rep.Results[k] = scored[r.pos]
 	}
 	return rep
+}
+
+// rankEntry is one row of a ranking: its order key and its position in
+// the list being ranked.
+type rankEntry struct {
+	key uint64
+	pos int32
+}
+
+// rankKey maps a score to a key whose ascending order is the ranking's:
+// descending by cmp.Compare, so −0 and +0 are equal and every NaN sorts
+// last. A negative float's bits already fall as its value rises; a
+// non-negative one's are flipped below the sign bit, so they fall too
+// and stay under every negative's.
+func rankKey(x float64) uint64 {
+	if x != x {
+		return math.MaxUint64
+	}
+	b := math.Float64bits(x)
+	if x == 0 {
+		b = 0
+	}
+	return b ^ (^uint64(int64(b)>>63) >> 1)
+}
+
+// radixRank sorts e stably by ascending key: an LSD radix pass over the
+// keys' eight bytes, skipping any byte every key shares. scratch has e's
+// length; the result is whichever of the two holds the sorted entries.
+// Entries that start in position order therefore keep it among equal
+// keys.
+func radixRank(e, scratch []rankEntry) []rankEntry {
+	if len(e) < 2 {
+		return e
+	}
+	var counts [8][256]int32
+	for _, r := range e {
+		k := r.key
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := e[0].key
+	for d := range counts {
+		c := &counts[d]
+		if int(c[byte(first>>(8*d))]) == len(e) {
+			continue
+		}
+		var sum int32
+		for i, k := range c {
+			c[i] = sum
+			sum += k
+		}
+		for _, r := range e {
+			b := byte(r.key >> (8 * d))
+			scratch[c[b]] = r
+			c[b]++
+		}
+		e, scratch = scratch, e
+	}
+	return e
 }

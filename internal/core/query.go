@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,12 +56,19 @@ type Report struct {
 	Results []TargetScore
 }
 
-// Rank returns the results re-sorted by the given method's score
-// (descending). The receiver is unchanged.
+// Rank returns the results re-sorted by the given method's score under
+// Finalize's rule: descending, −0 equal to +0, NaNs last, ties in their
+// GES order. The receiver is unchanged.
 func (r *Report) Rank(m stats.Method) []TargetScore {
-	out := make([]TargetScore, len(r.Results))
-	copy(out, r.Results)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score(m) > out[j].Score(m) })
+	n := len(r.Results)
+	slab := make([]rankEntry, 2*n)
+	for i, ts := range r.Results {
+		slab[i] = rankEntry{rankKey(ts.Score(m)), int32(i)}
+	}
+	out := make([]TargetScore, n)
+	for k, e := range radixRank(slab[:n], slab[n:]) {
+		out[k] = r.Results[e.pos]
+	}
 	return out
 }
 

@@ -137,7 +137,9 @@ func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 	var order []*ParsedFamily
 	seen := map[string]bool{} // family -> samples have begun
 	closed := map[string]bool{}
-	cur := "" // family of the previous sample line
+	type seriesKey struct{ family, id string }
+	series := map[seriesKey]bool{} // every series seen, by family
+	cur := ""                      // family of the previous sample line
 	lineNo := 0
 
 	get := func(name string) *ParsedFamily {
@@ -209,12 +211,11 @@ func ParseExposition(r io.Reader) ([]*ParsedFamily, error) {
 				return nil, fmt.Errorf("line %d: histogram bucket %s without le label", lineNo, s.Name)
 			}
 		}
-		key := s.Name + s.labelKey()
-		for _, prev := range f.Samples {
-			if prev.Name+prev.labelKey() == key {
-				return nil, fmt.Errorf("line %d: duplicate series %s%s", lineNo, s.Name, s.labelKey())
-			}
+		key := seriesKey{famName, s.Name + s.labelKey()}
+		if series[key] {
+			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, key.id)
 		}
+		series[key] = true
 		f.Samples = append(f.Samples, s)
 	}
 	if err := sc.Err(); err != nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -185,4 +186,30 @@ lat_count 2
 	if len(m1[1].Samples) != len(m2[1].Samples) {
 		t.Fatalf("repeated merge grew scraped family: %d vs %d", len(m1[1].Samples), len(m2[1].Samples))
 	}
+}
+
+// TestParseExpositionLinearAllocs parses one family of n labelled series
+// at two sizes: the allocations per series must not grow with n, as they
+// do when each sample is checked for duplicates against every earlier
+// one.
+func TestParseExpositionLinearAllocs(t *testing.T) {
+	perSeries := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("# HELP t_hits_total Hits.\n# TYPE t_hits_total counter\n")
+		for i := range n {
+			fmt.Fprintf(&b, "t_hits_total{path=\"/v1/q\\\"%d\\\"\",shard=\"%d\"} %d\n", i, i%4, i)
+		}
+		page := b.String()
+		return testing.AllocsPerRun(5, func() {
+			fams, err := ParseExposition(strings.NewReader(page))
+			if err != nil || len(fams) != 1 || len(fams[0].Samples) != n {
+				t.Fatalf("n=%d: %d families, err %v", n, len(fams), err)
+			}
+		}) / float64(n)
+	}
+	small, large := perSeries(100), perSeries(1000)
+	if large > small {
+		t.Fatalf("allocations per series grow with the page: %.2f at 100 series, %.2f at 1,000", small, large)
+	}
+	t.Logf("allocations per series: %.2f at 100, %.2f at 1,000", small, large)
 }

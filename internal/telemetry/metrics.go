@@ -183,10 +183,9 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// escapeLabel applies Prometheus label-value escaping. A Replacer is
+// safe for concurrent use, so one, built once, serves every call.
+var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
 
 // get returns the family, creating it with the given type, and the
 // sample for the label set (creating it via mk). It panics if the name
