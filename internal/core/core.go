@@ -127,12 +127,13 @@ const memoBudgetBytes = 128 << 20
 // set the cost is re-verification, never a different answer.
 const rowCachePairs = 1 << 21
 
-// Target is one indexed procedure.
+// Target is one indexed procedure. The JSON tags name its identity where
+// a shard partial is dumped as JSON; the strand lists stay in the engine.
 type Target struct {
-	Name       string
-	Source     asm.Provenance
-	NumBlocks  int
-	NumStrands int // strands surviving the minimum-size filter
+	Name       string         `json:"name"`
+	Source     asm.Provenance `json:"source"`
+	NumBlocks  int            `json:"num_blocks"`
+	NumStrands int            `json:"num_strands"` // strands surviving the minimum-size filter
 	strandIdx  []int
 	// strandMult[k] is how many times strandIdx[k] occurs in this
 	// target (strandIdx is deduplicated). Σ strandMult == NumStrands,

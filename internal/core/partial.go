@@ -56,10 +56,10 @@ type QueryPartial struct {
 
 // PartialScore is the shard-exact half of one target's score.
 type PartialScore struct {
-	Target *Target
+	Target *Target `json:"target"`
 	// MaxVCP[i] is the best VCP(query strand i, t) over the target's
 	// strands — the Pr(s_q|t) input of the LES.
-	MaxVCP []float64
+	MaxVCP []float64 `json:"max_vcp"`
 }
 
 // Finalize turns the partial into a ranked Report: each strand's H0

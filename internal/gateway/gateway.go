@@ -138,6 +138,9 @@ type Gateway struct {
 	retries  *telemetry.Counter
 	shardLat []*server.Latency      // per shard, of the winning fan-out leg
 	frameLen []*telemetry.Histogram // per shard, bytes of each winning partial frame
+	// tables[i] is shard slot i's last decoded target identity table,
+	// shared by every replica of the slot (shard.TargetTable).
+	tables []shard.TargetTable
 
 	// Federation state: scrapes[i] holds shard i's last /metrics scrape
 	// (atomically swapped whole, so renders never see a half-written
@@ -207,6 +210,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.retries = g.reg.Counter("esh_gw_retries_total", "Retry requests launched after a shard failure.")
 	g.shardLat = make([]*server.Latency, len(cfg.Shards))
 	g.frameLen = make([]*telemetry.Histogram, len(cfg.Shards))
+	g.tables = make([]shard.TargetTable, len(cfg.Shards))
 	g.scrapes = make([]atomic.Pointer[scrapeResult], len(cfg.Shards))
 	g.scrapeOK = make([]*telemetry.Counter, len(cfg.Shards))
 	g.scrapeErr = make([]*telemetry.Counter, len(cfg.Shards))
@@ -244,7 +248,9 @@ func New(cfg Config) (*Gateway, error) {
 
 // frameBuckets bound esh_gw_partial_bytes: 4 KiB to 256 MiB in ×4 steps
 // (a frame is ~8 bytes × query strands × the shard's targets, plus 16
-// bytes per distinct VCP of each query strand's H0 histogram).
+// bytes per distinct VCP of each query strand's H0 histogram, plus the
+// target identity table: 29 bytes per target and the bytes of its name
+// and provenance strings, often the larger part).
 var frameBuckets = []float64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
 
 // StartProber launches the background /readyz prober, which also
@@ -313,10 +319,13 @@ func (g *Gateway) scrapeShard(ctx context.Context, sid int) {
 	g.scrapes[sid].Store(res)
 }
 
+// maxMetricsBytes bounds one scraped /metrics page.
+const maxMetricsBytes = 16 << 20
+
 func (g *Gateway) fetchMetrics(ctx context.Context, base string) ([]*telemetry.ParsedFamily, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeInterval)
 	defer cancel()
-	body, err := g.get(ctx, base+"/metrics", 16<<20)
+	body, err := g.get(ctx, base+"/metrics", maxMetricsBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -327,8 +336,9 @@ func (g *Gateway) fetchMetrics(ctx context.Context, base string) ([]*telemetry.P
 	return fams, nil
 }
 
-// get fetches url and returns the body of its 200 reply, read up to limit
-// bytes: the one GET the prober, the fleet check and the scraper share.
+// get fetches url and returns the body of its 200 reply: the one GET the
+// prober, the fleet check and the scraper share. A body over limit bytes
+// is an error, never a truncated page.
 func (g *Gateway) get(ctx context.Context, url string, limit int64) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -339,9 +349,13 @@ func (g *Gateway) get(ctx context.Context, url string, limit int64) ([]byte, err
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	if err == nil && resp.StatusCode != http.StatusOK {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	switch {
+	case err != nil:
+	case resp.StatusCode != http.StatusOK:
 		err = fmt.Errorf("GET %s: HTTP %d", req.URL.Path, resp.StatusCode)
+	case int64(len(body)) > limit:
+		err = fmt.Errorf("GET %s: body exceeds %d bytes", url, limit)
 	}
 	return body, err
 }
@@ -502,7 +516,7 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 		u := reps[order[launched%len(order)]]
 		launched++
 		go func() {
-			pr, n, err := g.postPartial(ctx, u, body, wantTrace)
+			pr, n, err := g.postPartial(ctx, u, &g.tables[sid], body, wantTrace)
 			results <- attempt{pr, n, u, err}
 		}()
 	}
@@ -554,11 +568,12 @@ const maxFrameBytes = 1 << 30
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // postPartial posts the query to one replica's /v1/query/partial and
-// decodes the reply frame, returning its size with it. A 200 whose body
-// is not a frame of this build's wire version (a JSON body from an older
-// eshd, say) fails this leg with a *shard.WireVersionError, like any
-// other bad reply: the shard is retried elsewhere or reported missing.
-func (g *Gateway) postPartial(ctx context.Context, base string, body []byte, wantTrace bool) (*server.PartialResponse, int, error) {
+// decodes the reply frame through its slot's target table, returning its
+// size with it. A 200 whose body is not a frame of this build's wire
+// version (a JSON body from an older eshd, say) fails this leg with a
+// *shard.WireVersionError, like any other bad reply: the shard is retried
+// elsewhere or reported missing.
+func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.TargetTable, body []byte, wantTrace bool) (*server.PartialResponse, int, error) {
 	url := base + "/v1/query/partial"
 	if wantTrace {
 		url += "?trace=1"
@@ -592,7 +607,7 @@ func (g *Gateway) postPartial(ctx context.Context, base string, body []byte, wan
 	if buf.Len() > maxFrameBytes {
 		return nil, 0, fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
 	}
-	pr, err := server.DecodePartialResponse(buf.Bytes())
+	pr, err := server.DecodePartialResponse(buf.Bytes(), tab)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -198,6 +198,73 @@ esh_index_targets 2
 	}
 }
 
+// TestGatewayGetRefusesOversizedBody: a body over get's limit is an error
+// naming the URL and the limit, never the page cut short — a cut
+// exposition can parse clean with a wrong value. A scrape of such a page
+// counts as a failed scrape and drops the shard's series.
+func TestGatewayGetRefusesOversizedBody(t *testing.T) {
+	// Without its last byte the page still parses, with esh_x = 1234.
+	const head, tail = "# TYPE esh_x gauge\n", `esh_x{a="b"} 12345`
+	page := func(size int) string {
+		var b strings.Builder
+		b.WriteString(head)
+		for b.Len()+len(tail) < size {
+			line := min(1<<10, size-len(tail)-b.Len())
+			b.WriteString("#" + strings.Repeat(" ", line-2) + "\n")
+		}
+		b.WriteString(tail)
+		return b.String()
+	}
+	var body string
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, body)
+	}))
+	t.Cleanup(replica.Close)
+	f := startFleet(t, 2, nil)
+	g, err := New(Config{Manifest: f.man, Shards: [][]string{{f.shardSrv[0].URL}, {replica.URL}}, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const limit = 100
+	for size, ok := range map[int]bool{limit: true, limit + 1: false} {
+		body = page(size)
+		if len(body) != size {
+			t.Fatalf("built a %d-byte page, want %d", len(body), size)
+		}
+		got, err := g.get(context.Background(), replica.URL+"/metrics", limit)
+		if ok && (err != nil || string(got) != body) {
+			t.Errorf("%d-byte page under a %d-byte limit: %v", size, limit, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), replica.URL+"/metrics") || !strings.Contains(err.Error(), fmt.Sprint(limit))) {
+			t.Errorf("%d-byte page under a %d-byte limit: error %v does not refuse it by URL and limit", size, limit, err)
+		}
+	}
+
+	body = page(maxMetricsBytes + 1)
+	if _, err := telemetry.ParseExposition(strings.NewReader(body[:maxMetricsBytes])); err != nil {
+		t.Fatalf("the cut page should parse clean, or the test shows nothing: %v", err)
+	}
+	g.ScrapeFleet(context.Background())
+	if n := g.scrapeErr[1].Value(); n != 1 {
+		t.Errorf("esh_gw_scrapes_total{shard=\"1\",result=\"error\"} = %d, want 1", n)
+	}
+	if res := g.scrapes[1].Load(); res == nil || res.fams != nil || !strings.Contains(res.err, "exceeds") {
+		t.Errorf("oversized scrape kept: %+v", res)
+	}
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+	fams, err := telemetry.ParseExposition(getURL(t, ts.URL+"/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range fams {
+		if fam.Name == "esh_x" {
+			t.Error("the oversized page's series reached the federated page")
+		}
+	}
+}
+
 // TestGatewayRequestLogStatus: eshgw's request line comes from the one
 // middleware both daemons share, so it says what was answered. (Served
 // without a listener: the line is written after the handler returns, which

@@ -37,9 +37,10 @@ func (pr *PartialResponse) AppendFrame(dst []byte) ([]byte, error) {
 }
 
 // DecodePartialResponse parses a /v1/query/partial 200-reply body. The
-// result does not alias b.
-func DecodePartialResponse(b []byte) (*PartialResponse, error) {
-	f, err := shard.DecodeFrame(b)
+// result does not alias b. tab is the answering shard slot's target table
+// (shard.DecodeFrame), or nil.
+func DecodePartialResponse(b []byte, tab *shard.TargetTable) (*PartialResponse, error) {
+	f, err := shard.DecodeFrame(b, tab)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func TestPartialEndpoint(t *testing.T) {
 	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(frame)) {
 		t.Fatalf("Content-Length %q, frame is %d bytes", got, len(frame))
 	}
-	pr, err := DecodePartialResponse(frame)
+	pr, err := DecodePartialResponse(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPartialEndpoint(t *testing.T) {
 	}
 	for _, tp := range p.Targets {
 		if len(tp.MaxVCP) != len(p.Weights) {
-			t.Fatalf("target %s has %d max-VCP entries", tp.Name, len(tp.MaxVCP))
+			t.Fatalf("target %s has %d max-VCP entries", tp.Target.Name, len(tp.MaxVCP))
 		}
 	}
 
@@ -114,7 +114,7 @@ func TestPartialEndpoint(t *testing.T) {
 	}
 	defer resp3.Body.Close()
 	frame, _ = io.ReadAll(resp3.Body)
-	if pr, err = DecodePartialResponse(frame); err != nil {
+	if pr, err = DecodePartialResponse(frame, nil); err != nil {
 		t.Fatal(err)
 	}
 	if pr.Trace == nil || pr.Trace.Name != "query_partial" || len(pr.Trace.Children) == 0 {

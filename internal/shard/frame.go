@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -101,12 +103,14 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	for _, h := range p.H0 {
 		entries += h.Len()
 	}
-	for k := range p.Targets {
-		tp := &p.Targets[k]
-		if len(tp.MaxVCP) != nq {
-			return dst, fmt.Errorf("shard: encode frame: target %d has %d max-VCP entries for %d query strands", k, len(tp.MaxVCP), nq)
+	for k, ps := range p.Targets {
+		if ps.Target == nil {
+			return dst, fmt.Errorf("shard: encode frame: target %d has no identity", k)
 		}
-		if !fits(tp.NumBlocks, tp.NumStrands) {
+		if len(ps.MaxVCP) != nq {
+			return dst, fmt.Errorf("shard: encode frame: target %d has %d max-VCP entries for %d query strands", k, len(ps.MaxVCP), nq)
+		}
+		if !fits(ps.Target.NumBlocks, ps.Target.NumStrands) {
 			return dst, fmt.Errorf("shard: encode frame: target %d counts do not fit their fields", k)
 		}
 	}
@@ -141,15 +145,15 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 			dst = le.AppendUint64(dst, uint64(m))
 		}
 	}
-	for k := range p.Targets {
-		tp := &p.Targets[k]
-		dst = appendString(dst, tp.Name)
-		dst = appendProvenance(dst, tp.Source)
-		dst = le.AppendUint32(dst, uint32(tp.NumBlocks))
-		dst = le.AppendUint32(dst, uint32(tp.NumStrands))
+	for _, ps := range p.Targets {
+		t := ps.Target
+		dst = appendString(dst, t.Name)
+		dst = appendProvenance(dst, t.Source)
+		dst = le.AppendUint32(dst, uint32(t.NumBlocks))
+		dst = le.AppendUint32(dst, uint32(t.NumStrands))
 	}
-	for k := range p.Targets {
-		dst = appendFloats(dst, p.Targets[k].MaxVCP)
+	for _, ps := range p.Targets {
+		dst = appendFloats(dst, ps.MaxVCP)
 	}
 	dst = le.AppendUint32(dst, uint32(len(f.Trace)))
 	return append(dst, f.Trace...), nil
@@ -180,6 +184,25 @@ func appendFloats(dst []byte, fs []float64) []byte {
 	return dst
 }
 
+// TargetTable is the target identity table last decoded for one shard
+// slot. A slot answers every query with the same targets, so DecodeFrame
+// decodes them once: it reuses the table for a frame with as many targets
+// whose identity section is byte-equal to the bytes the table was decoded
+// from, and otherwise decodes afresh and replaces the table. Equal bytes
+// decode to equal targets, so a reused table is exact whatever replica
+// sent the frame; nothing else about the frame is trusted. The zero value
+// is an empty table, safe for concurrent use.
+type TargetTable struct {
+	last atomic.Pointer[targetTable]
+}
+
+// targetTable is one decoded identity section, immutable once built: the
+// section's bytes and the targets they encode, in frame order.
+type targetTable struct {
+	raw     string
+	targets []core.Target
+}
+
 // DecodeFrame parses one frame. Every length field is checked against
 // the bytes that remain before anything is allocated from it, so a
 // truncated or hostile body yields an error, never a panic, and never
@@ -188,7 +211,12 @@ func appendFloats(dst []byte, fs []float64) []byte {
 // strictly ascending, multiplicities positive and summing to at most
 // 2^53. The partial's float slabs and strings are copies; only Trace
 // aliases b.
-func DecodeFrame(b []byte) (*Frame, error) {
+//
+// tab, if not nil, is the sending slot's TargetTable: the partial's
+// targets then point into it and are shared with every other partial
+// decoded through it, read-only. A frame that fails to decode leaves the
+// table as it was.
+func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 	if len(b) < 8 || string(b[:4]) != frameMagic {
 		return nil, &WireVersionError{NotFrame: true}
 	}
@@ -247,18 +275,15 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			}
 		}
 	}
-	p.Targets = make([]TargetPartial, nt)
-	for k := range p.Targets {
-		tp := &p.Targets[k]
-		tp.Name = r.str()
-		tp.Source = r.provenance()
-		tp.NumBlocks = int(r.u32())
-		tp.NumStrands = int(r.u32())
-	}
+	tt, fresh := r.identities(nt, tab)
 	maxVCP := r.floats(int(nt * nq))
 	if r.err == nil {
+		p.Targets = make([]core.PartialScore, nt)
 		for k := range p.Targets {
-			p.Targets[k].MaxVCP = maxVCP[uint64(k)*nq : uint64(k+1)*nq : uint64(k+1)*nq]
+			p.Targets[k] = core.PartialScore{
+				Target: &tt.targets[k],
+				MaxVCP: maxVCP[uint64(k)*nq : uint64(k+1)*nq : uint64(k+1)*nq],
+			}
 		}
 	}
 	f.Trace = r.bytes()
@@ -268,7 +293,37 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if fresh && tab != nil {
+		tab.last.Store(tt)
+	}
 	return f, nil
+}
+
+// identities reads the frame's nt target identities: tab's table when the
+// section starts with the bytes it was decoded from (the section is
+// self-delimiting, so that is the whole section), otherwise a fresh
+// decode, which fresh reports.
+func (r *frameReader) identities(nt uint64, tab *TargetTable) (tt *targetTable, fresh bool) {
+	if tab != nil {
+		tt = tab.last.Load()
+		if tt != nil && uint64(len(tt.targets)) == nt && len(tt.raw) <= len(r.b) && string(r.b[:len(tt.raw)]) == tt.raw {
+			r.b = r.b[len(tt.raw):]
+			return tt, false
+		}
+	}
+	section := r.b
+	targets := make([]core.Target, nt)
+	for k := range targets {
+		t := &targets[k]
+		t.Name = r.str()
+		t.Source = r.provenance()
+		t.NumBlocks = int(r.u32())
+		t.NumStrands = int(r.u32())
+	}
+	if r.err != nil {
+		return nil, false
+	}
+	return &targetTable{raw: string(section[:len(section)-len(r.b)]), targets: targets}, true
 }
 
 // frameReader consumes a frame body front to back. The first short read

@@ -140,11 +140,11 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		}
 	}
 	for k := range w.Targets {
-		a, b := w.Targets[k], g.Targets[k]
+		a, b := w.Targets[k].Target, g.Targets[k].Target
 		if a.Name != b.Name || a.Source != b.Source || a.NumBlocks != b.NumBlocks || a.NumStrands != b.NumStrands {
 			t.Fatalf("target %d: got %+v, want %+v", k, b, a)
 		}
-		sameFloats("max-VCP", a.MaxVCP, b.MaxVCP)
+		sameFloats("max-VCP", w.Targets[k].MaxVCP, g.Targets[k].MaxVCP)
 	}
 }
 
@@ -154,7 +154,7 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 // decode back to itself.
 func TestFrameTruncatedEveryPrefix(t *testing.T) {
 	for _, full := range corpusFrames(t) {
-		want, err := DecodeFrame(full)
+		want, err := DecodeFrame(full, nil)
 		if err != nil {
 			t.Fatalf("full frame: %v", err)
 		}
@@ -166,17 +166,17 @@ func TestFrameTruncatedEveryPrefix(t *testing.T) {
 			t.Fatal("decode → encode did not reproduce the frame bytes")
 		}
 		for cut := 0; cut < len(full); cut++ {
-			if f, err := DecodeFrame(full[:cut:cut]); err == nil {
+			if f, err := DecodeFrame(full[:cut:cut], nil); err == nil {
 				t.Fatalf("cut=%d of %d: decoded a frame with %d targets from a truncated body", cut, len(full), len(f.Partial.Targets))
 			}
 		}
-		if _, err := DecodeFrame(append(full[:len(full):len(full)], 0)); err == nil {
+		if _, err := DecodeFrame(append(full[:len(full):len(full)], 0), nil); err == nil {
 			t.Fatal("a trailing byte was accepted")
 		}
 	}
 	for name, bad := range hostileH0Frames(t) {
 		for cut := 0; cut <= len(bad); cut++ {
-			if _, err := DecodeFrame(bad[:cut:cut]); err == nil {
+			if _, err := DecodeFrame(bad[:cut:cut], nil); err == nil {
 				t.Fatalf("%s, cut=%d of %d: decoded", name, cut, len(bad))
 			}
 		}
@@ -213,9 +213,9 @@ func TestFrameFloatBits(t *testing.T) {
 		p.H0 = append(p.H0, h)
 	}
 	for k := range specials { // each a rotation, so every position sees every value
-		p.Targets = append(p.Targets, TargetPartial{
-			Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"},
-			NumBlocks: k, NumStrands: 2 * k, MaxVCP: append(append([]float64{}, specials[k:]...), specials[:k]...),
+		p.Targets = append(p.Targets, core.PartialScore{
+			Target: &core.Target{Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"}, NumBlocks: k, NumStrands: 2 * k},
+			MaxVCP: append(append([]float64{}, specials[k:]...), specials[:k]...),
 		})
 	}
 	want := &Frame{RequestID: "rid", Partial: p}
@@ -223,7 +223,7 @@ func TestFrameFloatBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(b)
+	got, err := DecodeFrame(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFrameFloatBits(t *testing.T) {
 	if b, err = empty.AppendTo(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = DecodeFrame(b); err != nil {
+	if got, err = DecodeFrame(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireSameFrame(t, empty, got)
@@ -245,7 +245,8 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 	for name, p := range map[string]*Partial{
 		"missing histogram": {Weights: []float64{1, 1}, H0: []*stats.H0Accumulator{h}},
 		"nil histogram":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{nil}},
-		"short max-VCP":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []TargetPartial{{Name: "t"}}},
+		"short max-VCP":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{Target: &core.Target{Name: "t"}}}},
+		"no identity":       {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{MaxVCP: []float64{0}}}},
 		"negative id":       {Identity: Identity{ShardID: -1}},
 		"no partial":        nil,
 	} {
@@ -283,7 +284,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"version 3":      {version(3), false, 3},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
-		_, err := DecodeFrame(tc.body)
+		_, err := DecodeFrame(tc.body, nil)
 		var wv *WireVersionError
 		if !errors.As(err, &wv) {
 			t.Fatalf("%s: error %v is not a WireVersionError", name, err)
@@ -320,7 +321,7 @@ func TestFrameHostileLengths(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeFrame(b)
+		_, err := DecodeFrame(b, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -332,7 +333,7 @@ func TestFrameHostileLengths(t *testing.T) {
 	for name, b := range hostileH0Frames(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeFrame(b)
+		_, err := DecodeFrame(b, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -344,17 +345,24 @@ func TestFrameHostileLengths(t *testing.T) {
 	// A string length past the end of the body.
 	b := append([]byte{}, base...)
 	binary.LittleEndian.PutUint32(b[frameFixedLen:], math.MaxUint32)
-	if _, err := DecodeFrame(b); err == nil {
+	if _, err := DecodeFrame(b, nil); err == nil {
 		t.Error("string length beyond the body accepted")
 	}
 }
 
 // FuzzPartialFrame: DecodeFrame must never panic on arbitrary bytes, and
-// whatever it accepts must survive encode → decode unchanged.
+// whatever it accepts must survive encode → decode unchanged. Through a
+// TargetTable primed from a real frame it must return the same partial,
+// or the same error, as without one.
 func FuzzPartialFrame(f *testing.F) {
-	for _, b := range corpusFrames(f) {
+	corpus := corpusFrames(f)
+	for _, b := range corpus {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
+	}
+	var primed TargetTable
+	if _, err := DecodeFrame(corpus[len(corpus)-1], &primed); err != nil {
+		f.Fatal(err)
 	}
 	// A frame whose identity fills both fields version 2 lacked.
 	v3 := &Partial{Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: strings.Repeat("c", 64), MinContainment: 0.45}}
@@ -369,15 +377,22 @@ func FuzzPartialFrame(f *testing.F) {
 	}
 	f.Add([]byte(`{"partial":{}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := DecodeFrame(b)
+		got, err := DecodeFrame(b, nil)
+		var tab TargetTable
+		tab.last.Store(primed.last.Load())
+		viaTable, tabErr := DecodeFrame(b, &tab)
+		if (err == nil) != (tabErr == nil) || err != nil && err.Error() != tabErr.Error() {
+			t.Fatalf("without a table: %v; through one: %v", err, tabErr)
+		}
 		if err != nil {
 			return
 		}
+		requireSameFrame(t, got, viaTable)
 		again, err := got.AppendTo(nil)
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v", err)
 		}
-		back, err := DecodeFrame(again)
+		back, err := DecodeFrame(again, nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

@@ -28,7 +28,10 @@ type Partial struct {
 	// (core.QueryPartial.H0), read-only.
 	Weights []float64              `json:"weights"`
 	H0      []*stats.H0Accumulator `json:"h0"`
-	Targets []TargetPartial        `json:"targets"`
+	// Targets holds each target's identity and shard-exact reductions,
+	// in the shard's target order. The identities may be shared with the
+	// engine or with other partials (TargetTable): read-only.
+	Targets []core.PartialScore `json:"targets"`
 }
 
 // Identity is what a shard's answer says about where it came from: its
@@ -48,19 +51,10 @@ type Identity struct {
 	PendingWrites  int    `json:"pending_writes,omitempty"`
 }
 
-// TargetPartial is one target's shard-exact reductions in wire form.
-type TargetPartial struct {
-	Name       string         `json:"name"`
-	Source     asm.Provenance `json:"source"`
-	NumBlocks  int            `json:"num_blocks"`
-	NumStrands int            `json:"num_strands"`
-	MaxVCP     []float64      `json:"max_vcp"`
-}
-
-// FromQueryPartial converts an engine partial to wire form; the caller
-// stamps the snapshot checksum.
+// FromQueryPartial converts an engine partial to wire form, sharing its
+// slices; the caller stamps the snapshot checksum.
 func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
-	p := &Partial{
+	return &Partial{
 		Identity: Identity{
 			ShardID:        si.ID,
 			ShardCount:     si.Count,
@@ -76,18 +70,8 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 		NumStrands: qp.NumStrands,
 		Weights:    qp.Weights,
 		H0:         qp.H0,
-		Targets:    make([]TargetPartial, len(qp.Targets)),
+		Targets:    qp.Targets,
 	}
-	for i, ps := range qp.Targets {
-		p.Targets[i] = TargetPartial{
-			Name:       ps.Target.Name,
-			Source:     ps.Target.Source,
-			NumBlocks:  ps.Target.NumBlocks,
-			NumStrands: ps.Target.NumStrands,
-			MaxVCP:     ps.MaxVCP,
-		}
-	}
-	return p
 }
 
 // Merge reassembles shard partials into the single-node result. Each
@@ -135,7 +119,7 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	for i := range h0 {
 		h0[i] = new(stats.H0Accumulator)
 	}
-	at := make([]*TargetPartial, man.NumTargets)
+	targets := make([]core.PartialScore, man.NumTargets)
 	for s, p := range byShard {
 		if p == nil {
 			missing = append(missing, s)
@@ -148,24 +132,11 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 			h0[i].Merge(h)
 		}
 		for k, ti := range man.Shards[s].Targets {
-			at[ti] = &p.Targets[k]
+			targets[ti] = p.Targets[k]
 		}
 	}
-	targets := make([]core.PartialScore, 0, man.NumTargets)
-	for _, tp := range at {
-		if tp == nil {
-			continue // its shard is missing
-		}
-		targets = append(targets, core.PartialScore{
-			Target: &core.Target{
-				Name:       tp.Name,
-				Source:     tp.Source,
-				NumBlocks:  tp.NumBlocks,
-				NumStrands: tp.NumStrands,
-			},
-			MaxVCP: tp.MaxVCP,
-		})
-	}
+	// A missing shard's targets are absent; the rest keep their order.
+	targets = slices.DeleteFunc(targets, func(ps core.PartialScore) bool { return ps.Target == nil })
 
 	qp := &core.QueryPartial{
 		QueryName:  first.QueryName,
@@ -203,9 +174,12 @@ func checkPartial(man *Manifest, first, p *Partial) error {
 	if len(p.Targets) != len(man.Shards[s].Targets) {
 		return fmt.Errorf("shard: merge: shard %d returned %d targets, manifest assigns %d", s, len(p.Targets), len(man.Shards[s].Targets))
 	}
-	for k, tp := range p.Targets {
-		if len(tp.MaxVCP) != len(p.Weights) {
-			return fmt.Errorf("shard: merge: shard %d target %d has %d max-VCP entries for %d query strands", s, k, len(tp.MaxVCP), len(p.Weights))
+	for k, ps := range p.Targets {
+		if ps.Target == nil {
+			return fmt.Errorf("shard: merge: shard %d target %d has no identity", s, k)
+		}
+		if len(ps.MaxVCP) != len(p.Weights) {
+			return fmt.Errorf("shard: merge: shard %d target %d has %d max-VCP entries for %d query strands", s, k, len(ps.MaxVCP), len(p.Weights))
 		}
 	}
 	return nil

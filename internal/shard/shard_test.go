@@ -118,7 +118,7 @@ func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := DecodeFrame(wire)
+		f, err := DecodeFrame(wire, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,6 +423,13 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 		if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "H0 histogram") {
 			t.Errorf("%s: error %v, want one naming shard 1's H0 histograms", name, err)
 		}
+	}
+	// A target with no identity (a JSON partial's "target": null).
+	parts := partials(sound)
+	parts[1].Targets = append([]core.PartialScore{}, parts[1].Targets...)
+	parts[1].Targets[0].Target = nil
+	if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), "shard 1 target 0 has no identity") {
+		t.Errorf("a target without identity: error %v", err)
 	}
 }
 
