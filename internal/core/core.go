@@ -198,11 +198,6 @@ type DB struct {
 
 	sketchCfg sketch.Config
 
-	// markPool recycles the n-wide []bool scratch slices stage 3 uses
-	// for heuristic candidate marking, so a query of many strands does
-	// not allocate one per strand.
-	markPool sync.Pool
-
 	// rows holds one dense row per query-strand key (rowcache.go): VCP
 	// indexed by unique-strand number, each row charged its width against
 	// rowCachePairs (tests in this package swap in a smaller store).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/stats"
@@ -52,6 +53,22 @@ type QueryPartial struct {
 	// which describe the shards' generation-zero snapshots.
 	DataGeneration uint64
 	PendingWrites  int
+
+	// targets and maxVCP are the pooled slabs Targets and its MaxVCPs were
+	// cut from, which Release hands back; nil when the partial drew none.
+	targets []PartialScore
+	maxVCP  []float64
+}
+
+// Release hands the partial's per-target slabs back to their pools, for a
+// later query to reuse; the caller must be done with Targets, which it
+// clears. Only a partial the engine built draws slabs: H0 and Weights are
+// shared with the row cache and the plan and are never pooled. A partial
+// that is never released leaves its slabs to the collector.
+func (qp *QueryPartial) Release() {
+	partialScoreSlabs.Put(qp.targets)
+	floatSlabs.Put(qp.maxVCP)
+	qp.Targets, qp.targets, qp.maxVCP = nil, nil, nil
 }
 
 // PartialScore is the shard-exact half of one target's score.
@@ -66,8 +83,9 @@ type PartialScore struct {
 // evidence from its histogram, then GES per method (§3.4). It is a pure
 // function of qp, so a single node and a coordinator that merged the
 // same histograms and targets produce bit-identical scores and rankings.
+// The report's Results come from a pool: see Report.Release.
 func (qp *QueryPartial) Finalize() *Report {
-	scorers := make([]stats.Scorer, len(qp.Weights))
+	scorers := scorerSlabs.Get(len(qp.Weights))
 	for i, w := range qp.Weights {
 		ev := qp.H0[i].Evidence(w, qp.SigmoidK)
 		scorers[i] = ev.Scorer()
@@ -76,8 +94,8 @@ func (qp *QueryPartial) Finalize() *Report {
 	// each term taken from the strand's Scorer; each target's rank key is
 	// built as it is scored.
 	n := len(qp.Targets)
-	scored := make([]TargetScore, n)
-	slab := make([]rankEntry, 2*n)
+	scored := targetScoreSlabs.Get(n)
+	slab := rankSlabs.Get(2 * n)
 	for ti, ps := range qp.Targets {
 		slog, esh := 0.0, 0.0
 		for i, v := range ps.MaxVCP {
@@ -93,11 +111,15 @@ func (qp *QueryPartial) Finalize() *Report {
 		Source:     qp.Source,
 		NumBlocks:  qp.NumBlocks,
 		NumStrands: qp.NumStrands,
-		Results:    make([]TargetScore, n),
+		Results:    targetScoreSlabs.Get(n),
 	}
+	rep.results = rep.Results
 	for k, r := range radixRank(slab[:n], slab[n:]) {
 		rep.Results[k] = scored[r.pos]
 	}
+	scorerSlabs.Put(scorers)
+	targetScoreSlabs.Put(scored)
+	rankSlabs.Put(slab)
 	return rep
 }
 
@@ -165,3 +187,65 @@ func radixRank(e, scratch []rankEntry) []rankEntry {
 	}
 	return e
 }
+
+// SlabPool recycles slices whose length grows with the corpus — one entry
+// per target, or per target and query strand — so that a served query's
+// garbage does not. Every slab has one owner, the code that is last to read
+// it, which hands it back with Put; a slab never handed back is left to the
+// collector. The zero value is an empty pool, safe for concurrent use.
+//
+// It is a free list rather than a sync.Pool: under the race detector a
+// sync.Pool drops a random quarter of what it is handed, which would make
+// what a warm query allocates vary from run to run in exactly the builds
+// its allocation guards run in. The list needs no bound of its own. Get
+// makes a slab only when it takes none from the list, so the slabs listed
+// and the slabs out together never outnumber the most that were out at
+// once: an idle pool holds no more than its busiest moment held, which the
+// daemons' admission limits bound, and no slab larger than the largest
+// asked for.
+type SlabPool[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// Get returns a zeroed slice of length n, like make: the most recently
+// pooled slab if it is large enough, else a new one (the slab taken is
+// left to the collector).
+func (sp *SlabPool[T]) Get(n int) []T {
+	var s []T
+	sp.mu.Lock()
+	if k := len(sp.free) - 1; k >= 0 {
+		s = sp.free[k]
+		sp.free[k] = nil
+		sp.free = sp.free[:k]
+	}
+	sp.mu.Unlock()
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Put zeroes s, so no pooled slab keeps a target alive or leaks a value
+// into its next user, and pools it. s must be a slice Get returned, whole,
+// and its owner must not touch it again.
+func (sp *SlabPool[T]) Put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	clear(s)
+	sp.mu.Lock()
+	sp.free = append(sp.free, s)
+	sp.mu.Unlock()
+}
+
+// The engine's slab pools. A slab is private to the query that got it
+// until it is put back.
+var (
+	partialScoreSlabs SlabPool[PartialScore]
+	floatSlabs        SlabPool[float64]
+	scorerSlabs       SlabPool[stats.Scorer]
+	targetScoreSlabs  SlabPool[TargetScore]
+	rankSlabs         SlabPool[rankEntry]
+	markSlabs         SlabPool[bool]
+)

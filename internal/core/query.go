@@ -54,22 +54,42 @@ type Report struct {
 	NumStrands int // query strands surviving the size filter
 	// Results holds one entry per target, sorted by descending GES.
 	Results []TargetScore
+
+	// results is the pooled slab behind Results, which Release hands back.
+	results []TargetScore
 }
 
 // Rank returns the results re-sorted by the given method's score under
 // Finalize's rule: descending, −0 equal to +0, NaNs last, ties in their
 // GES order. The receiver is unchanged.
 func (r *Report) Rank(m stats.Method) []TargetScore {
+	return r.RankInto(make([]TargetScore, len(r.Results)), m)
+}
+
+// RankInto is Rank writing into dst, which must hold len(Results) entries:
+// a caller that ranks every query passes a slab it owns and pools.
+func (r *Report) RankInto(dst []TargetScore, m stats.Method) []TargetScore {
 	n := len(r.Results)
-	slab := make([]rankEntry, 2*n)
+	dst = dst[:n]
+	slab := rankSlabs.Get(2 * n)
 	for i, ts := range r.Results {
 		slab[i] = rankEntry{rankKey(ts.Score(m)), int32(i)}
 	}
-	out := make([]TargetScore, n)
 	for k, e := range radixRank(slab[:n], slab[n:]) {
-		out[k] = r.Results[e.pos]
+		dst[k] = r.Results[e.pos]
 	}
-	return out
+	rankSlabs.Put(slab)
+	return dst
+}
+
+// Release hands the slab behind Results back to the pool for a later query
+// to reuse, and clears Results. The caller must hold nothing it read from
+// it: a served reply is built first (BuildQueryResponse copies what it
+// shows), then released. A report that is never released leaves its slab
+// to the collector.
+func (r *Report) Release() {
+	targetScoreSlabs.Put(r.results)
+	r.Results, r.results = nil, nil
 }
 
 // Query scores every indexed target against the query procedure. It is
@@ -188,7 +208,9 @@ func (db *DB) RunPlan(ctx context.Context, pl *QueryPlan) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return qp.Finalize(), nil
+	rep := qp.Finalize()
+	qp.Release()
+	return rep, nil
 }
 
 // RunPlanPartial runs the planned query up to (but excluding) scoring:
@@ -254,8 +276,10 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	// Tombstoned targets are masked here rather than at row level: the
 	// surviving targets in add order are exactly the target order a
 	// from-scratch rebuild of the live corpus would produce.
-	qp.Targets = make([]PartialScore, 0, len(qc.targets))
-	maxVCPs := make([]float64, len(qc.targets)*len(qs)) // every target's MaxVCP, one allocation
+	qp.targets = partialScoreSlabs.Get(len(qc.targets))
+	qp.maxVCP = floatSlabs.Get(len(qc.targets) * len(qs)) // every target's MaxVCP, one slab
+	qp.Targets = qp.targets[:0]
+	maxVCPs := qp.maxVCP
 	for ti, t := range qc.targets {
 		if qc.live != nil && !qc.live[ti] {
 			continue
@@ -276,25 +300,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	spScore.SetAttr("targets", float64(len(qp.Targets)))
 	db.observeStage("score", spScore.End())
 	return qp, rows, nil
-}
-
-// getMark fetches an all-false scratch slice of length n from the pool.
-func (db *DB) getMark(n int) []bool {
-	if v := db.markPool.Get(); v != nil {
-		if m := *(v.(*[]bool)); len(m) >= n {
-			return m[:n]
-		}
-	}
-	return make([]bool, n)
-}
-
-// putMark clears a scratch slice and returns it to the pool. The clear
-// costs the same memset the old per-row allocation paid, without the
-// garbage.
-func (db *DB) putMark(m []bool) {
-	m = m[:cap(m)]
-	clear(m)
-	db.markPool.Put(&m)
 }
 
 // maxPairChunk caps the number of pairs one work-queue item covers, so
@@ -366,8 +371,8 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 
 	var cand []bool // heuristic candidate marks
 	if db.heuristic() {
-		cand = db.getMark(n)
-		defer db.putMark(cand)
+		cand = markSlabs.Get(n)
+		defer markSlabs.Put(cand)
 	}
 	var todo []int32
 	toVerify := 0

@@ -157,6 +157,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		parts = append(parts, rep.partial)
 	}
 	report, missing, err := shard.Merge(g.cfg.Manifest, parts)
+	for _, p := range parts {
+		p.Release() // Merge copied what it read
+	}
 	if err != nil {
 		g.front.Finish("gateway", rid, "failure", err.Error(), start, root, legs...)
 		status := http.StatusBadGateway
@@ -180,6 +183,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Partial:       len(missing) > 0,
 		MissingShards: missing,
 	}
+	report.Release() // resp holds copies of what it shows
 	resp.RequestID = server.RequestID(r.Context())
 	if wantTrace {
 		resp.Trace = root.Snapshot()

@@ -86,6 +86,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	buf := framePool.Get().(*[]byte)
 	defer framePool.Put(buf)
 	frame, err := resp.AppendFrame((*buf)[:0])
+	qp.Release() // the frame holds copies of everything the partial's slabs did
 	if err != nil {
 		Fail(w, http.StatusInternalServerError, "encode partial: %v", err)
 		return

@@ -382,12 +382,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BuildQueryResponse(rep, m, top)
+	rep.Release() // resp holds copies of what it shows
 	resp.RequestID = RequestID(r.Context())
 	if r.URL.Query().Get("trace") == "1" {
 		resp.Trace = root.Snapshot()
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
+
+// rankedSlabs holds the per-target rankings BuildQueryResponse sorts for a
+// method other than esh.
+var rankedSlabs core.SlabPool[core.TargetScore]
 
 // BuildQueryResponse ranks a report and shapes it as the wire response.
 // Exported so the gateway renders merged reports through the exact same
@@ -401,10 +406,12 @@ func BuildQueryResponse(rep *core.Report, m stats.Method, top int) *QueryRespons
 		NumStrands: rep.NumStrands,
 		Results:    []QueryResult{},
 	}
-	// A report is ranked by GES already; only the other methods re-sort.
+	// A report is ranked by GES already; only the other methods re-sort,
+	// into a slab this function owns and hands back once it has copied it.
 	ranked := rep.Results
 	if m != stats.Esh {
-		ranked = rep.Rank(m)
+		ranked = rep.RankInto(rankedSlabs.Get(len(rep.Results)), m)
+		defer rankedSlabs.Put(ranked)
 	}
 	for i, ts := range ranked[:min(top, len(ranked))] {
 		resp.Results = append(resp.Results, QueryResult{

@@ -210,7 +210,8 @@ type targetTable struct {
 // what an engine sends (stats.H0Accumulator.Append): VCPs in [0, 1],
 // strictly ascending, multiplicities positive and summing to at most
 // 2^53. The partial's float slabs and strings are copies; only Trace
-// aliases b.
+// aliases b. Its target and max-VCP slabs come from pools, for
+// Partial.Release to hand back.
 //
 // tab, if not nil, is the sending slot's TargetTable: the partial's
 // targets then point into it and are shared with every other partial
@@ -260,7 +261,7 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 		return nil, r.err
 	}
 
-	p.Weights = r.floats(int(nq))
+	p.Weights = r.floats(make([]float64, nq))
 	p.H0 = make([]*stats.H0Accumulator, nq)
 	for i := range p.H0 {
 		p.H0[i] = new(stats.H0Accumulator)
@@ -276,9 +277,10 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 		}
 	}
 	tt, fresh := r.identities(nt, tab)
-	maxVCP := r.floats(int(nt * nq))
+	maxVCP := r.floats(floatSlabs.Get(int(nt * nq)))
 	if r.err == nil {
-		p.Targets = make([]core.PartialScore, nt)
+		p.targets, p.maxVCP = partialScoreSlabs.Get(int(nt)), maxVCP
+		p.Targets = p.targets
 		for k := range p.Targets {
 			p.Targets[k] = core.PartialScore{
 				Target: &tt.targets[k],
@@ -376,14 +378,14 @@ func (r *frameReader) provenance() asm.Provenance {
 	return src
 }
 
-// floats reads n float64s into a fresh slice. The caller has already
-// bounded n by the bytes remaining.
-func (r *frameReader) floats(n int) []float64 {
-	b := r.take(8 * uint64(n))
+// floats fills out with the next len(out) float64s and returns it, or nil
+// after a short read. The caller has already bounded len(out) by the bytes
+// remaining.
+func (r *frameReader) floats(out []float64) []float64 {
+	b := r.take(8 * uint64(len(out)))
 	if b == nil {
 		return nil
 	}
-	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

@@ -32,7 +32,32 @@ type Partial struct {
 	// in the shard's target order. The identities may be shared with the
 	// engine or with other partials (TargetTable): read-only.
 	Targets []core.PartialScore `json:"targets"`
+
+	// targets and maxVCP are the pooled slabs DecodeFrame cut Targets and
+	// their MaxVCPs from, which Release hands back; nil for a partial
+	// built any other way.
+	targets []core.PartialScore
+	maxVCP  []float64
 }
+
+// Release hands the per-target slabs DecodeFrame drew for the partial back
+// to their pools and clears Targets; the caller must be done with them.
+// Merge copies what it reads, so a coordinator releases its partials once
+// Merge has returned. Nothing else is pooled: the identities are the slot's
+// TargetTable's. A partial that is never released leaves its slabs to the
+// collector, and one not decoded by DecodeFrame has none to release.
+func (p *Partial) Release() {
+	partialScoreSlabs.Put(p.targets)
+	floatSlabs.Put(p.maxVCP)
+	p.Targets, p.targets, p.maxVCP = nil, nil, nil
+}
+
+// The fleet path's slab pools: DecodeFrame's, and Merge's laid-out target
+// slab, which Merge hands back itself once Finalize has read it.
+var (
+	partialScoreSlabs core.SlabPool[core.PartialScore]
+	floatSlabs        core.SlabPool[float64]
+)
 
 // Identity is what a shard's answer says about where it came from: its
 // fleet slot, the snapshot and engine settings it was computed under, and
@@ -119,7 +144,8 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	for i := range h0 {
 		h0[i] = new(stats.H0Accumulator)
 	}
-	targets := make([]core.PartialScore, man.NumTargets)
+	laid := partialScoreSlabs.Get(man.NumTargets)
+	defer partialScoreSlabs.Put(laid)
 	for s, p := range byShard {
 		if p == nil {
 			missing = append(missing, s)
@@ -132,11 +158,11 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 			h0[i].Merge(h)
 		}
 		for k, ti := range man.Shards[s].Targets {
-			targets[ti] = p.Targets[k]
+			laid[ti] = p.Targets[k]
 		}
 	}
 	// A missing shard's targets are absent; the rest keep their order.
-	targets = slices.DeleteFunc(targets, func(ps core.PartialScore) bool { return ps.Target == nil })
+	targets := slices.DeleteFunc(laid, func(ps core.PartialScore) bool { return ps.Target == nil })
 
 	qp := &core.QueryPartial{
 		QueryName:  first.QueryName,

@@ -224,3 +224,49 @@ func TestDecodeMergeAllocsFlat(t *testing.T) {
 		t.Fatalf("decode + merge of one query: %v allocations at 100 targets per shard, %v at 1000", small, large)
 	}
 }
+
+// TestDecodeMergeBytesFlat is TestDecodeMergeAllocsFlat's byte twin: with
+// each slot's table primed, decoding a query's frames, merging them and
+// releasing the partials and the report as eshgw does allocates the same
+// bytes at 100 and at 1,000 targets per shard. The per-target slabs —
+// DecodeFrame's scores and max-VCPs, Merge's laid-out targets, Finalize's
+// and the report's — all come from pools.
+func TestDecodeMergeBytesFlat(t *testing.T) {
+	perQuery := func(n int) int64 {
+		man, frames := syntheticFleet(t, n, 0)
+		tabs := make([]TargetTable, len(frames))
+		parts := make([]*Partial, len(frames))
+		run := func(tb testing.TB) {
+			for s, b := range frames {
+				f, err := DecodeFrame(b, &tabs[s])
+				if err != nil {
+					tb.Fatal(err)
+				}
+				parts[s] = f.Partial
+			}
+			rep, _, err := Merge(man, parts)
+			for _, p := range parts {
+				p.Release()
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+			rep.Release()
+		}
+		run(t) // primes the tables and the pools
+		return testing.Benchmark(func(b *testing.B) {
+			for range b.N {
+				run(b)
+			}
+		}).AllocedBytesPerOp()
+	}
+	small, large := perQuery(100), perQuery(1000)
+	t.Logf("decode + merge of one query: %d B at 100 targets per shard, %d B at 1000", small, large)
+	// A slice header or two of slack; unpooled, the slabs cost about 150 B
+	// per target here.
+	const slack = 64
+	if d := large - small; d > slack || d < -slack {
+		t.Errorf("decode + merge of one query allocates %d B at 100 targets per shard and %d B at 1000, want within %d B",
+			small, large, slack)
+	}
+}
