@@ -178,8 +178,8 @@ type DB struct {
 	newEval func(*vcp.Prepared, vcp.Config) *vcp.Evaluator
 
 	// memo is the byte budget shared by the γ-fingerprint memos of every
-	// strand this DB prepares (see prepare); tests in this package shrink
-	// it before indexing.
+	// query strand this DB prepares (see prepare); tests in this package
+	// shrink it before indexing.
 	memo *vcp.MemoPool
 
 	// corpus is the current version of everything a reader may see.
@@ -367,8 +367,9 @@ func decompose(p *asm.Proc, opts Options) ([]*strand.Strand, int, error) {
 	return kept, len(g.Blocks), nil
 }
 
-// prepare builds a strand's verifier preparation, its γ-fingerprint memo
-// charged to the DB's budget.
+// prepare builds a query strand's verifier preparation, its γ-fingerprint
+// memo charged to the DB's budget. Indexed strands go through vcp.Index:
+// they are only ever matched against, and keep no program and no memo.
 func (db *DB) prepare(s *strand.Strand) *vcp.Prepared {
 	p := vcp.Prepare(s, db.opts.VCP)
 	db.memo.Attach(p)

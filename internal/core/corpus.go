@@ -34,8 +34,8 @@ type corpus struct {
 	// thing about a corpus a client is told (write replies, /v1/stats).
 	WriteState
 
-	uniq    []*vcp.Prepared // unique strands across all targets
-	counts  []int           // corpus multiplicity per unique strand
+	uniq    []*vcp.Indexed // unique strands across all targets
+	counts  []int          // corpus multiplicity per unique strand
 	targets []*Target
 	total   int // Σ counts: |T|, the H0 denominator
 
@@ -83,12 +83,12 @@ func (db *DB) newIndex(sums []sketch.Summary) *sketch.Index {
 
 // novel is a strand an add brings that no indexed target holds yet.
 type novel struct {
-	prep *vcp.Prepared
+	prep *vcp.Indexed
 	sum  sketch.Summary
 }
 
 // resolve runs everything about an add that can fail — decompose, then
-// prepare and summarize the strands no target holds yet — and returns the
+// index and summarize the strands no target holds yet — and returns the
 // target, its strand list tallied in c's numbering extended by news
 // (news[k] will be strand len(c.uniq)+k). The corpus is untouched. Callers
 // hold writeMu, which is what keeps byKey in step with c.
@@ -113,7 +113,7 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 			idx, ok = newByKey[key]
 		}
 		if !ok {
-			prep := db.prepare(s)
+			prep := vcp.Index(s, db.opts.VCP)
 			if prep.Err() != nil {
 				return nil, nil, fmt.Errorf("core: add %s: prepare strand: %w", p.Name, prep.Err())
 			}
@@ -175,9 +175,6 @@ func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 func (db *DB) publishAdd(next *corpus, news []novel) {
 	for k, nv := range news {
 		db.byKey[nv.prep.Key()] = len(next.uniq) - len(news) + k
-		pre, tot := nv.prep.InstrCounts()
-		db.mPrefixInstrs.Add(uint64(pre))
-		db.mKernelInstrs.Add(uint64(tot))
 	}
 	db.corpus.Store(next)
 }
@@ -276,9 +273,8 @@ func (c *corpus) compacted() (next *corpus, newIdx []int) {
 // Export is the serializable state of an indexed DB: everything needed
 // to rebuild a database that answers queries identically, without
 // re-running the disassemble→lift→strand pipeline over the corpus.
-// Verifier preparations (compiled programs, fingerprints) are derived
-// deterministically from the strands at import time, so they are not
-// part of the exported state.
+// Each strand's fingerprints are derived deterministically from it at
+// import time (vcp.Index), so they are not part of the exported state.
 type Export struct {
 	Opts Options
 	// Shard identifies this snapshot's slice of a split corpus (zero
@@ -354,12 +350,12 @@ func (db *DB) export(c *corpus) *Export {
 	return ex
 }
 
-// FromExport rebuilds a queryable DB from exported state, re-preparing
-// every strand (compilation + fingerprints are deterministic, so the
-// rebuilt DB produces reports identical to the original). ex.Opts is the
-// whole configuration of the new DB — a loader that overrides a
-// snapshot's options edits it before calling — and preparation runs in
-// parallel under Opts.Workers.
+// FromExport rebuilds a queryable DB from exported state, re-indexing
+// every strand (vcp.Index compiles it, keeps its fingerprints and drops
+// the program; both are deterministic, so the rebuilt DB produces reports
+// identical to the original). ex.Opts is the whole configuration of the
+// new DB — a loader that overrides a snapshot's options edits it before
+// calling — and indexing runs in parallel under Opts.Workers.
 func FromExport(ex *Export) (*DB, error) {
 	db := NewDB(ex.Opts)
 	if ex.Shard.Sharded() && (ex.Shard.ID < 0 || ex.Shard.ID >= ex.Shard.Count) {
@@ -368,7 +364,7 @@ func FromExport(ex *Export) (*DB, error) {
 	db.shard = ex.Shard
 	c := &corpus{
 		WriteState: WriteState{Generation: ex.Generation, WALSeq: ex.WALSeq},
-		uniq:       make([]*vcp.Prepared, len(ex.Strands)),
+		uniq:       make([]*vcp.Indexed, len(ex.Strands)),
 		counts:     make([]int, len(ex.Strands)),
 	}
 
@@ -380,7 +376,7 @@ func FromExport(ex *Export) (*DB, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			c.uniq[i] = db.prepare(s)
+			c.uniq[i] = vcp.Index(s, db.opts.VCP)
 		}(i, es.S)
 	}
 	wg.Wait()
@@ -390,9 +386,6 @@ func FromExport(ex *Export) (*DB, error) {
 		if err := prep.Err(); err != nil {
 			return nil, fmt.Errorf("core: import strand %d: %w", i, err)
 		}
-		pre, tot := prep.InstrCounts()
-		db.mPrefixInstrs.Add(uint64(pre))
-		db.mKernelInstrs.Add(uint64(tot))
 		if es.Count < 1 {
 			return nil, fmt.Errorf("core: import strand %d: multiplicity %d", i, es.Count)
 		}
@@ -461,7 +454,7 @@ func FromExport(ex *Export) (*DB, error) {
 // and any other is re-MinHashed. The rest of each summary (feature-set size,
 // typed input counts) is always recomputed — those walks are cheap next to
 // MinHashing, so they are not persisted.
-func (db *DB) adoptSketches(uniq []*vcp.Prepared, strands []ExportStrand) []sketch.Summary {
+func (db *DB) adoptSketches(uniq []*vcp.Indexed, strands []ExportStrand) []sketch.Summary {
 	sums := make([]sketch.Summary, len(uniq))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, db.opts.Workers)

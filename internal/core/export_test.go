@@ -47,9 +47,9 @@ const GCCStyle = gccStyle
 
 // ColumnStrands returns the unique target strands in column order, nil
 // where a strand is dead (every target holding it tombstoned).
-func (db *DB) ColumnStrands() []*vcp.Prepared {
+func (db *DB) ColumnStrands() []*vcp.Indexed {
 	c := db.corpus.Load()
-	out := make([]*vcp.Prepared, len(c.uniq))
+	out := make([]*vcp.Indexed, len(c.uniq))
 	for j, u := range c.uniq {
 		if c.counts[j] > 0 {
 			out[j] = u

@@ -8,6 +8,7 @@ import (
 	testcorpus "repro/internal/corpus"
 	"repro/internal/ivl"
 	"repro/internal/sketch"
+	"repro/internal/strand"
 	"repro/internal/vcp"
 )
 
@@ -58,7 +59,7 @@ func TestGeomSweep(t *testing.T) {
 				continue
 			}
 			fv := vcp.Compute(qp, u, base.opts.VCP)
-			rv := vcp.Compute(u, qp, base.opts.VCP)
+			rv := vcp.Compute(vcp.Prepare(u.S, base.opts.VCP), qp, base.opts.VCP)
 			eligible = append(eligible, pair{qp, j, fv, rv})
 		}
 	}
@@ -78,15 +79,15 @@ func TestGeomSweep(t *testing.T) {
 		}
 		return
 	}
-	fits := func(a, b *vcp.Prepared) bool {
-		ai, am := count(a.S.Inputs)
-		bi, bm := count(b.S.Inputs)
+	fits := func(a, b *strand.Strand) bool {
+		ai, am := count(a.Inputs)
+		bi, bm := count(b.Inputs)
 		return ai <= bi && am <= bm
 	}
 	fwdDead, revDead, bothDead, unsound := 0, 0, 0, 0
 	for _, p := range eligible {
 		u := uniq[p.j]
-		fd, rd := !fits(p.q, u), !fits(u, p.q)
+		fd, rd := !fits(p.q.S, u.S), !fits(u.S, p.q.S)
 		if fd {
 			fwdDead++
 			if p.fv != 0 {

@@ -145,7 +145,7 @@ func TestSoundRowsMatchExhaustivePairs(t *testing.T) {
 
 // exhaustiveRow is the oracle's row of VCP(s, u) over the columns cols
 // (nil: a dead column).
-func exhaustiveRow(s *strand.Strand, cols []*vcp.Prepared) []float64 {
+func exhaustiveRow(s *strand.Strand, cols []*vcp.Indexed) []float64 {
 	var cfg vcp.Config
 	q := vcp.Prepare(s, cfg)
 	row := make([]float64, len(cols))

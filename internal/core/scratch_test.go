@@ -81,3 +81,68 @@ func TestColdQueryScratchBounded(t *testing.T) {
 		t.Errorf("%d KiB beyond the memo stayed on the heap after the queries, bound %d KiB", left>>10, maxLeft>>10)
 	}
 }
+
+// TestLoadedStrandBytesBounded guards what a loaded corpus keeps per
+// strand. An indexed strand is only ever the matched side of a pair, so it
+// holds its fingerprint set, role signatures and key, but no compiled
+// program and no memo: those belong to query strands and die with their
+// query. The diff corpus goes through Export and FromExport, everything
+// but the loaded DB is dropped, and the heap it keeps after GC — strands,
+// targets, sketches and all — is divided by its unique strands.
+func TestLoadedStrandBytesBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus build is slow")
+	}
+	// No field of an indexed strand may reach a program or a memo.
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		if n := ty.String(); n == "smt.Program" || n == "vcp.memo" {
+			t.Errorf("%s reaches a %s", path, n)
+		}
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path)
+		case reflect.Map:
+			walk(ty.Key(), path)
+			walk(ty.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(corpus{}.uniq).Elem(), "corpus.uniq[i]")
+
+	var ms runtime.MemStats
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the kernel pool
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	db := func() *DB {
+		built := NewDB(Options{})
+		fillDB(t, built, buildDiffCorpus(t))
+		loaded, err := FromExport(built.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}()
+	per := (heap() - before) / int64(db.NumUniqueStrands())
+	t.Logf("%d unique strands loaded: %.1f KiB retained per strand", db.NumUniqueStrands(), float64(per)/1024)
+	// With a compiled program kept per strand this read 7.8–8.3 KiB on
+	// this corpus (1,196 strands), without it 4.4–4.9 KiB.
+	const maxPerStrand = 6 << 10
+	if per > maxPerStrand {
+		t.Errorf("a loaded corpus keeps %.1f KiB per strand, bound %d KiB: is a compiled program reachable from an indexed strand?",
+			float64(per)/1024, maxPerStrand>>10)
+	}
+	runtime.KeepAlive(db)
+}

@@ -49,8 +49,8 @@ func (db *DB) initMetrics() {
 	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte budget of the γ-fingerprint memos.", func() float64 {
 		return float64(db.memo.Stats().Budget)
 	})
-	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared strands (hoisted out of the γ loop by the batched kernel).")
-	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared strands.")
+	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared query strands (hoisted out of the γ loop by the batched kernel).")
+	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared query strands (indexed strands keep no program and are not counted).")
 	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel flushes (one suffix execution each; correspondences/batches is the mean rows per flush).")
 	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes: γ-fingerprint memo misses only (includes rows discarded uncounted after a perfect match or the cap).")
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
@@ -147,8 +147,8 @@ type DBStats struct {
 	// KernelNanos is the cumulative wall time γ loops spent inside the
 	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
 	// γ-invariant and total compiled instruction counts across prepared
-	// strands (their ratio is the fraction of evaluation work hoisted
-	// out of the γ loop).
+	// query strands — the only programs a γ loop runs (their ratio is the
+	// fraction of evaluation work hoisted out of it).
 	KernelNanos        uint64
 	KernelPrefixInstrs uint64
 	KernelInstrs       uint64

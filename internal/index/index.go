@@ -112,7 +112,7 @@ func SaveExportFile(path string, ex *core.Export) (Info, error) {
 }
 
 // LoadInfoCtx reads a snapshot and rebuilds a queryable database,
-// re-preparing every strand (the rebuilt DB answers Query identically to
+// re-indexing every strand (the rebuilt DB answers Query identically to
 // the one that was saved), with the options override applied between
 // decode and engine construction, returning the snapshot's identity alongside
 // the rebuilt database. It records an "index.load" telemetry span (with
@@ -135,8 +135,8 @@ func LoadInfoCtx(ctx context.Context, r io.Reader, override Override) (*core.DB,
 		}
 	}
 
-	// FromExport re-prepares every strand for the verifier — usually the
-	// dominant cost of a load, hence its own child span.
+	// FromExport compiles every strand once for its fingerprints — usually
+	// the dominant cost of a load, hence its own child span.
 	_, spPrep := telemetry.StartSpan(lctx, "prepare")
 	db, err := core.FromExport(ex)
 	spPrep.End()

@@ -18,7 +18,7 @@ package smt
 // keeping its lane buffers and arena — they only ever grow — so scratch
 // is sized by the largest program a worker has seen, not by the number
 // of programs in the corpus. An owner that evaluates for a moment
-// (vcp.Prepare) borrows one from the package pool
+// (vcp.Index, vcp.Prepare) borrows one from the package pool
 // (AcquireKernel/ReleaseKernel); a vcp.Evaluator keeps one from its first
 // memo miss until Close. Between binds, a kernel is reused across γ
 // correspondences: the γ-invariant prefix (Program.prefixLen) — its lanes

@@ -23,16 +23,23 @@ import (
 
 // corpusStrands decomposes a two-toolchain corpus into unique strands.
 func corpusStrands(t *testing.T) []*strand.Strand {
+	return uniqueBlockStrands(t, false, "gcc-4.9", "clang-3.5")
+}
+
+// uniqueBlockStrands builds a corpus and decomposes it into its unique
+// block strands of at least five variables: what core indexes under the
+// default options.
+func uniqueBlockStrands(t *testing.T, patched bool, toolchains ...string) []*strand.Strand {
 	t.Helper()
 	var tcs []compile.Toolchain
-	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
+	for _, n := range toolchains {
 		tc, ok := compile.ByName(n)
 		if !ok {
 			t.Fatalf("unknown toolchain %q", n)
 		}
 		tcs = append(tcs, tc)
 	}
-	procs, err := corpus.Build(corpus.BuildConfig{Toolchains: tcs})
+	procs, err := corpus.Build(corpus.BuildConfig{Toolchains: tcs, IncludePatched: patched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +55,10 @@ func corpusStrands(t *testing.T) []*strand.Strand {
 			t.Fatal(err)
 		}
 		for _, s := range strand.FromProc(lp) {
-			if s.NumVars() < 5 {
-				continue
+			if key := s.CanonicalKey(); s.NumVars() >= vcp.Default().MinVars && !seen[key] {
+				seen[key] = true
+				out = append(out, s)
 			}
-			key := s.CanonicalKey()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, s)
 		}
 	}
 	if len(out) == 0 {

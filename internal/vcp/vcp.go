@@ -73,17 +73,34 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Prepared caches a strand's compiled evaluation program and — under the
-// identity slot assignment, used when the strand is the target — the set
-// of its variables' value-vector fingerprints. Preparation happens once
-// per unique strand; VCP computations against many counterparts reuse it.
-type Prepared struct {
+// Indexed is a strand as the matched side of a pair reads it: its
+// variables' value-vector fingerprints under the identity slot assignment,
+// its inputs' role signatures and its key. It holds no compiled program
+// and no memo — a target strand is never evaluated under any γ but its
+// own — so a corpus of them costs what matching needs and no more.
+type Indexed struct {
 	S *strand.Strand
-	// prog is the strand compiled to flat code (query-side evaluation).
-	prog *smt.Program
 	// fpSet is the set of variable-vector fingerprints under the
 	// identity slot assignment (target-side matching).
 	fpSet fpSet
+	// sigs holds one syntactic role signature per input (by input
+	// index): a hash of the operator contexts the input appears in.
+	// Matching inputs across strands almost always have equal
+	// signatures, so the γ search tries equal-signature slots first.
+	sigs []uint64
+	// key is the strand's canonical structural key (for caching).
+	key string
+	err error
+}
+
+// Prepared is a strand as the query side of a pair evaluates it: its
+// Indexed half plus the compiled program, the split of its definitions and
+// the γ-fingerprint memo. Only query strands are prepared; a Prepared can
+// also be matched against, through its Indexed half.
+type Prepared struct {
+	Indexed
+	// prog is the strand compiled to flat code (query-side evaluation).
+	prog *smt.Program
 	// varying and consts split the strand's definitions by what a score
 	// needs of them on the query side: varying lists the distinct
 	// γ-dependent definition registers with the number of definitions
@@ -99,15 +116,13 @@ type Prepared struct {
 	// evaluated so far with this strand on the query side (see memo.go).
 	// It is shared by every Evaluator over this Prepared.
 	memo *memo
-	// sigs holds one syntactic role signature per input (by input
-	// index): a hash of the operator contexts the input appears in.
-	// Matching inputs across strands almost always have equal
-	// signatures, so the γ search tries equal-signature slots first.
-	sigs []uint64
-	// key is the strand's canonical structural key (for caching).
-	key string
-	err error
 }
+
+// Matched is the target side of a VCP computation: an *Indexed or a
+// *Prepared, of which only the Indexed half is read.
+type Matched interface{ indexed() *Indexed }
+
+func (x *Indexed) indexed() *Indexed { return x }
 
 // roleSignatures computes a context hash per strand input. The input
 // set is materialized once up front: the expression walk consults it per
@@ -182,41 +197,65 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// Prepare compiles the strand and evaluates it on the batched kernel under
-// its own slot assignment. A strand CompileStrand refuses is kept with
-// its error (Err) and scores 0 against everything.
+// Index compiles the strand, evaluates it on a pooled kernel under its own
+// slot assignment and keeps the fingerprint set, not the program. A
+// strand CompileStrand refuses is kept with its error (Err) and scores 0
+// against everything.
+func Index(s *strand.Strand, cfg Config) *Indexed {
+	x := new(Indexed)
+	x.build(s, cfg.normalized(), nil)
+	return x
+}
+
+// Prepare is Index plus what evaluating the strand on the query side
+// needs: the program, its definitions split by γ-dependence, and an empty
+// memo.
 func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	cfg = cfg.normalized()
-	p := &Prepared{S: s, key: s.CanonicalKey()}
+	p := new(Prepared)
+	p.prog = p.build(s, cfg, func(prog *smt.Program, fps []uint64) {
+		p.varying, p.samples = prog.Varying(), cfg.Samples
+		for _, d := range prog.ConstDefs() {
+			p.consts = append(p.consts, fps[d])
+		}
+	})
+	if p.prog != nil {
+		p.memo = &memo{nIn: len(s.Inputs), nd: len(p.varying)}
+	}
+	return p
+}
+
+// build fills x from s and returns the compiled program, nil when
+// CompileStrand refuses it. use, if non-nil, sees the identity-assignment
+// fingerprints before the kernel they alias goes back to the pool.
+func (x *Indexed) build(s *strand.Strand, cfg Config, use func(*smt.Program, []uint64)) *smt.Program {
+	x.S, x.key = s, s.CanonicalKey()
 	prog, err := smt.CompileStrand(s.Stmts, s.Inputs)
 	if err != nil {
-		p.err = err
-		return p
+		x.err = err
+		return nil
 	}
-	p.prog = prog
 	identity := make([]int, len(s.Inputs))
 	for i := range identity {
 		identity[i] = i
 	}
 	kern := smt.AcquireKernel()
-	defer smt.ReleaseKernel(kern) // fps aliases kernel buffers
+	defer smt.ReleaseKernel(kern)
 	kern.Bind(prog, cfg.Samples, 1)
 	fps := kern.Fingerprints(identity)
-	p.fpSet = newFPSet(fps)
-	p.varying, p.samples = prog.Varying(), cfg.Samples
-	for _, d := range prog.ConstDefs() {
-		p.consts = append(p.consts, fps[d])
+	x.fpSet = newFPSet(fps)
+	if use != nil {
+		use(prog, fps)
 	}
-	p.memo = &memo{nIn: len(s.Inputs), nd: len(p.varying)}
-	p.sigs = roleSignatures(s)
-	return p
+	x.sigs = roleSignatures(s)
+	return prog
 }
 
 // Key returns the canonical structural key of the underlying strand.
-func (p *Prepared) Key() string { return p.key }
+func (x *Indexed) Key() string { return x.key }
 
 // Err returns any evaluation error captured at preparation time.
-func (p *Prepared) Err() error { return p.err }
+func (x *Indexed) Err() error { return x.err }
 
 // InstrCounts returns the compiled program's γ-invariant prefix length
 // and total instruction count (0, 0 when preparation failed), for the
@@ -268,14 +307,14 @@ type Stats struct {
 // an input-output-equivalent variable in t over all type-preserving,
 // injective, total-on-q input correspondences. It returns 0 when no
 // valid correspondence exists.
-func Compute(q, t *Prepared, cfg Config) float64 {
+func Compute(q *Prepared, t Matched, cfg Config) float64 {
 	v, _ := ComputeWithStats(q, t, cfg)
 	return v
 }
 
 // ComputeWithStats is Compute plus a work report, so call sites can
 // account verifier effort without a second pass.
-func ComputeWithStats(q, t *Prepared, cfg Config) (float64, Stats) {
+func ComputeWithStats(q *Prepared, t Matched, cfg Config) (float64, Stats) {
 	ev := NewEvaluator(q, cfg)
 	defer ev.Close()
 	return ev.Compute(t)
@@ -303,7 +342,7 @@ type Evaluator struct {
 	bound bool
 
 	// State of the Compute call in progress.
-	t         *Prepared
+	t         *Indexed
 	constHits int // q.consts found in t: the γ-independent part of every score
 	best      float64
 	tried     int
@@ -372,17 +411,18 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
-// and Correspondences counts are Float64bits-identical across every
-// γ-batch width, a cold, warm or evicted memo, and the scalar reference:
+// Compute returns VCP(ev.q, m) plus the work report; of m only the
+// Indexed half is read. Scores, rankings and Correspondences counts are
+// Float64bits-identical across every γ-batch width, a cold, warm or
+// evicted memo, an Indexed or a Prepared m, and the scalar reference:
 // γ candidates are enumerated in the same order and scored in that
 // order, a buffered leaf past a perfect match or the MaxCorrespondences
 // cap is discarded uncounted at flush — exactly the candidates the
 // unbatched loop would never have evaluated — and the fingerprints
 // scored for a leaf are bit-equal to a lone evaluation under its
 // assignment, whether they come from the kernel or the memo.
-func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
-	q := ev.q
+func (ev *Evaluator) Compute(m Matched) (float64, Stats) {
+	q, t := ev.q, m.indexed()
 	if q.err != nil || t.err != nil || q.S.NumVars() == 0 {
 		return 0, Stats{}
 	}

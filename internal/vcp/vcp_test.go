@@ -284,18 +284,20 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestPrepareErrorPropagates(t *testing.T) {
 	// A strand referencing an unbound variable (broken inputs) errors at
-	// Prepare and yields VCP 0.
+	// Prepare and at Index, and yields VCP 0 either way.
 	broken := &strand.Strand{
 		Stmts: []ivl.Stmt{ivl.Assign(iv("a"), ivl.IntVar("ghost"))},
 	}
 	cfg := Config{MinVars: 1}
-	p := Prepare(broken, cfg)
-	if p.Err() == nil {
-		t.Error("broken strand prepared without error")
+	p, x := Prepare(broken, cfg), Index(broken, cfg)
+	if p.Err() == nil || x.Err() == nil {
+		t.Errorf("broken strand prepared (%v) or indexed (%v) without error", p.Err(), x.Err())
 	}
 	q := mkStrand([]string{"x"}, ivl.Assign(iv("a"), ivl.IntVar("x")))
-	if got := Compute(Prepare(q, cfg), p, cfg); got != 0 {
-		t.Errorf("VCP against broken target = %v, want 0", got)
+	for _, tgt := range []Matched{p, x} {
+		if got := Compute(Prepare(q, cfg), tgt, cfg); got != 0 {
+			t.Errorf("VCP against broken target %T = %v, want 0", tgt, got)
+		}
 	}
 }
 
