@@ -10,7 +10,7 @@ import (
 
 // QueryPartial is one database's half-finished view of a query: the
 // output of every pipeline stage, stopping just short of scoring. A shard
-// returns its QueryPartial (serialized by the server layer); a coordinator
+// returns its QueryPartial (the body of its reply frame); a coordinator
 // adds the shards' H0 histograms per strand, lays their targets out in
 // corpus order and calls Finalize, which is the one scoring body of a
 // single node and a fleet.
@@ -54,17 +54,36 @@ type QueryPartial struct {
 	DataGeneration uint64
 	PendingWrites  int
 
-	// targets and maxVCP are the pooled slabs Targets and its MaxVCPs were
-	// cut from, which Release hands back; nil when the partial drew none.
+	// targets and maxVCP are the pooled slabs DrawTargets cut Targets and
+	// its MaxVCPs from, which Release hands back; nil when it drew none.
 	targets []PartialScore
 	maxVCP  []float64
 }
 
-// Release hands the partial's per-target slabs back to their pools, for a
+// DrawTargets sets Targets to n zero entries from the engine's pools and,
+// for width > 0, cuts each a MaxVCP of width entries, in order, from one
+// pooled float slab, which it returns for the caller to fill (nil for
+// width 0). Every partial's per-target slabs come from here — the
+// engine's, a decoded frame's, a merge's — so Release is their one way
+// back. Slabs qp already held are replaced, not released.
+func (qp *QueryPartial) DrawTargets(n, width int) []float64 {
+	qp.targets = partialScoreSlabs.Get(n)
+	qp.Targets = qp.targets
+	qp.maxVCP = nil
+	if width > 0 {
+		qp.maxVCP = floatSlabs.Get(n * width)
+		for k := range qp.Targets {
+			qp.Targets[k].MaxVCP = qp.maxVCP[k*width : (k+1)*width : (k+1)*width]
+		}
+	}
+	return qp.maxVCP
+}
+
+// Release hands the slabs DrawTargets drew back to their pools, for a
 // later query to reuse; the caller must be done with Targets, which it
-// clears. Only a partial the engine built draws slabs: H0 and Weights are
-// shared with the row cache and the plan and are never pooled. A partial
-// that is never released leaves its slabs to the collector.
+// clears. H0 and Weights are shared with the row cache and the plan and
+// are never pooled. A partial that is never released leaves its slabs to
+// the collector.
 func (qp *QueryPartial) Release() {
 	partialScoreSlabs.Put(qp.targets)
 	floatSlabs.Put(qp.maxVCP)

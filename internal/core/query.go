@@ -276,16 +276,13 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	// Tombstoned targets are masked here rather than at row level: the
 	// surviving targets in add order are exactly the target order a
 	// from-scratch rebuild of the live corpus would produce.
-	qp.targets = partialScoreSlabs.Get(len(qc.targets))
-	qp.maxVCP = floatSlabs.Get(len(qc.targets) * len(qs)) // every target's MaxVCP, one slab
-	qp.Targets = qp.targets[:0]
-	maxVCPs := qp.maxVCP
+	qp.DrawTargets(len(qc.targets), len(qs))
+	live := qp.Targets[:0]
 	for ti, t := range qc.targets {
 		if qc.live != nil && !qc.live[ti] {
 			continue
 		}
-		best := maxVCPs[:len(qs):len(qs)]
-		maxVCPs = maxVCPs[len(qs):]
+		best := qp.Targets[len(live)].MaxVCP // the slot this append fills
 		for i, row := range rows {
 			for _, j := range t.strandIdx {
 				if row[j] > best[i] {
@@ -293,8 +290,9 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 				}
 			}
 		}
-		qp.Targets = append(qp.Targets, PartialScore{Target: t, MaxVCP: best})
+		live = append(live, PartialScore{Target: t, MaxVCP: best})
 	}
+	qp.Targets = live
 	qp.DataGeneration = qc.Generation
 	qp.PendingWrites = qc.PendingWrites
 	spScore.SetAttr("targets", float64(len(qp.Targets)))

@@ -446,7 +446,8 @@ func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 	return errs
 }
 
-// shardReply is one shard's fan-out outcome.
+// shardReply is one shard's fan-out outcome, or one attempt's while the
+// replicas race.
 type shardReply struct {
 	sid      int
 	partial  *shard.Partial
@@ -503,21 +504,16 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 	reps := g.cfg.Shards[sid]
 	maxAttempts := len(order) + g.cfg.MaxRetries
 
-	type attempt struct {
-		reply   *server.PartialResponse
-		bytes   int
-		replica string
-		err     error
-	}
-	results := make(chan attempt, maxAttempts)
+	results := make(chan shardReply, maxAttempts)
 	launched, failed := 0, 0
 	hedged := false
 	launch := func() {
 		u := reps[order[launched%len(order)]]
 		launched++
 		go func() {
-			pr, n, err := g.postPartial(ctx, u, &g.tables[sid], body, wantTrace)
-			results <- attempt{pr, n, u, err}
+			a, err := g.postPartial(ctx, u, &g.tables[sid], body, wantTrace)
+			a.replica, a.err = u, err
+			results <- a
 		}()
 	}
 	launch()
@@ -530,8 +526,8 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 		select {
 		case a := <-results:
 			if a.err == nil {
-				return shardReply{sid: sid, partial: a.reply.Partial, trace: a.reply.Trace, bytes: a.bytes,
-					replica: a.replica, attempts: launched, hedged: hedged}
+				a.sid, a.attempts, a.hedged = sid, launched, hedged
+				return a
 			}
 			lastErr = fmt.Errorf("%s: %w", a.replica, a.err)
 			failed++
@@ -568,19 +564,19 @@ const maxFrameBytes = 1 << 30
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // postPartial posts the query to one replica's /v1/query/partial and
-// decodes the reply frame through its slot's target table, returning its
-// size with it. A 200 whose body is not a frame of this build's wire
-// version (a JSON body from an older eshd, say) fails this leg with a
+// decodes the reply frame through its slot's target table: the reply's
+// partial, trace and size. A 200 whose body is not a frame of this build's
+// wire version (a JSON body from an older eshd, say) fails this leg with a
 // *shard.WireVersionError, like any other bad reply: the shard is retried
 // elsewhere or reported missing.
-func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.TargetTable, body []byte, wantTrace bool) (*server.PartialResponse, int, error) {
+func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.TargetTable, body []byte, wantTrace bool) (shardReply, error) {
 	url := base + "/v1/query/partial"
 	if wantTrace {
 		url += "?trace=1"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return shardReply{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if rid := server.RequestID(ctx); rid != "" {
@@ -588,12 +584,12 @@ func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.Targe
 	}
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return shardReply{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		return shardReply{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 	buf := framePool.Get().(*bytes.Buffer)
 	defer framePool.Put(buf)
@@ -602,14 +598,22 @@ func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.Targe
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without regrowing
 	}
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxFrameBytes+1)); err != nil {
-		return nil, 0, fmt.Errorf("read partial: %w", err)
+		return shardReply{}, fmt.Errorf("read partial: %w", err)
 	}
 	if buf.Len() > maxFrameBytes {
-		return nil, 0, fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
+		return shardReply{}, fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
 	}
-	pr, err := server.DecodePartialResponse(buf.Bytes(), tab)
+	f, err := shard.DecodeFrame(buf.Bytes(), tab)
 	if err != nil {
-		return nil, 0, err
+		return shardReply{}, err
 	}
-	return pr, buf.Len(), nil
+	rep := shardReply{partial: f.Partial, bytes: buf.Len()}
+	if len(f.Trace) > 0 { // it aliases buf: unmarshal it before buf goes back
+		rep.trace = new(telemetry.SpanData)
+		if err := json.Unmarshal(f.Trace, rep.trace); err != nil {
+			f.Partial.Release()
+			return shardReply{}, fmt.Errorf("decode frame trace: %w", err)
+		}
+	}
+	return rep, nil
 }

@@ -572,9 +572,9 @@ func skewedShard(t *testing.T, real string, wireVersion int, partialBody []byte)
 // degrades to partial when there is none — and CheckFleet reports the
 // replica at startup.
 func TestGatewayWireVersionSkew(t *testing.T) {
-	stub := &shard.Partial{Identity: shard.Identity{ShardCount: 2}}
+	stub := &shard.Partial{Shard: core.ShardInfo{Count: 2}}
 	oldJSON, _ := json.Marshal(server.PartialResponse{Partial: stub})
-	future, err := (&server.PartialResponse{Partial: stub}).AppendFrame(nil)
+	future, err := (&server.PartialResponse{Partial: stub}).AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,57 +2,19 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"repro/internal/shard"
-	"repro/internal/telemetry"
 )
 
 // PartialResponse is the POST /v1/query/partial reply: one shard's
-// contribution to a scattered query, for a gateway to merge. The shard
-// identity inside lets the gateway check the reply against its manifest.
-// On the wire it is a shard.Frame (AppendFrame / DecodePartialResponse);
-// the JSON tags are for tools that dump a reply.
-type PartialResponse struct {
-	RequestID string         `json:"request_id,omitempty"`
-	Partial   *shard.Partial `json:"partial"`
-	// Trace is the per-query span tree, present with ?trace=1; the
-	// gateway grafts it into its fan-out trace.
-	Trace *telemetry.SpanData `json:"trace,omitempty"`
-}
-
-// AppendFrame appends the reply's wire form to dst.
-func (pr *PartialResponse) AppendFrame(dst []byte) ([]byte, error) {
-	f := shard.Frame{RequestID: pr.RequestID, Partial: pr.Partial}
-	if pr.Trace != nil {
-		var err error
-		if f.Trace, err = json.Marshal(pr.Trace); err != nil {
-			return dst, fmt.Errorf("encode trace: %w", err)
-		}
-	}
-	return f.AppendTo(dst)
-}
-
-// DecodePartialResponse parses a /v1/query/partial 200-reply body. The
-// result does not alias b. tab is the answering shard slot's target table
-// (shard.DecodeFrame), or nil.
-func DecodePartialResponse(b []byte, tab *shard.TargetTable) (*PartialResponse, error) {
-	f, err := shard.DecodeFrame(b, tab)
-	if err != nil {
-		return nil, err
-	}
-	pr := &PartialResponse{RequestID: f.RequestID, Partial: f.Partial}
-	if len(f.Trace) > 0 {
-		pr.Trace = new(telemetry.SpanData)
-		if err := json.Unmarshal(f.Trace, pr.Trace); err != nil {
-			return nil, fmt.Errorf("decode frame trace: %w", err)
-		}
-	}
-	return pr, nil
-}
+// contribution to a scattered query, for a gateway to merge, with the
+// request ID and, under ?trace=1, the span tree as JSON. It is the frame
+// itself; the shard identity inside lets the gateway check the reply
+// against its manifest.
+type PartialResponse = shard.Frame
 
 // framePool recycles reply buffers: a frame is tens of KB on a
 // paper-sized corpus, written once and dropped.
@@ -73,19 +35,20 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := &PartialResponse{
-		RequestID: RequestID(r.Context()),
-		Partial:   shard.FromQueryPartial(qp, s.db.Shard()),
-	}
+	f := PartialResponse{RequestID: RequestID(r.Context()), Partial: shard.FromQueryPartial(qp, s.db.Shard())}
 	if s.store != nil {
-		resp.Partial.Checksum = s.store.Snapshot().Checksum
+		f.Partial.Checksum = s.store.Snapshot().Checksum
 	}
+	var err error
 	if r.URL.Query().Get("trace") == "1" {
-		resp.Trace = root.Snapshot()
+		f.Trace, err = json.Marshal(root.Snapshot())
 	}
 	buf := framePool.Get().(*[]byte)
 	defer framePool.Put(buf)
-	frame, err := resp.AppendFrame((*buf)[:0])
+	frame := (*buf)[:0]
+	if err == nil {
+		frame, err = f.AppendTo(frame)
+	}
 	qp.Release() // the frame holds copies of everything the partial's slabs did
 	if err != nil {
 		Fail(w, http.StatusInternalServerError, "encode partial: %v", err)

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/shard"
+	"repro/internal/telemetry"
 )
 
 func get(t *testing.T, url string) *http.Response {
@@ -68,22 +70,22 @@ func TestPartialEndpoint(t *testing.T) {
 	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(frame)) {
 		t.Fatalf("Content-Length %q, frame is %d bytes", got, len(frame))
 	}
-	pr, err := DecodePartialResponse(frame, nil)
+	pr, err := shard.DecodeFrame(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.RequestID == "" || pr.RequestID != resp.Header.Get("X-Request-ID") {
 		t.Fatalf("frame request id %q, header %q", pr.RequestID, resp.Header.Get("X-Request-ID"))
 	}
-	if pr.Trace != nil {
+	if len(pr.Trace) != 0 {
 		t.Fatal("untraced request got a trace section")
 	}
 	p := pr.Partial
 	if p.QueryName != "checksum_gcc" {
 		t.Fatalf("partial query name %q", p.QueryName)
 	}
-	if p.ShardCount != 0 {
-		t.Fatalf("unsharded corpus reports shard %d/%d", p.ShardID, p.ShardCount)
+	if p.Shard.Count != 0 {
+		t.Fatalf("unsharded corpus reports shard %d/%d", p.Shard.ID, p.Shard.Count)
 	}
 	if len(p.Targets) != db.NumTargets() {
 		t.Fatalf("%d target partials, corpus has %d", len(p.Targets), db.NumTargets())
@@ -114,11 +116,12 @@ func TestPartialEndpoint(t *testing.T) {
 	}
 	defer resp3.Body.Close()
 	frame, _ = io.ReadAll(resp3.Body)
-	if pr, err = DecodePartialResponse(frame, nil); err != nil {
+	if pr, err = shard.DecodeFrame(frame, nil); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Trace == nil || pr.Trace.Name != "query_partial" || len(pr.Trace.Children) == 0 {
-		t.Fatalf("traced frame carries trace %+v", pr.Trace)
+	var trace telemetry.SpanData
+	if err := json.Unmarshal(pr.Trace, &trace); err != nil || trace.Name != "query_partial" || len(trace.Children) == 0 {
+		t.Fatalf("traced frame carries trace %s (%v)", pr.Trace, err)
 	}
 
 	// Malformed asm is rejected like on /v1/query, and in JSON.

@@ -96,7 +96,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		}
 		return true
 	}
-	if !fits(p.ShardID, p.ShardCount, p.NumBlocks, p.NumStrands, nq, nt, len(f.Trace)) || p.PendingWrites < 0 {
+	if !fits(p.Shard.ID, p.Shard.Count, p.NumBlocks, p.NumStrands, nq, nt, len(f.Trace)) || p.PendingWrites < 0 {
 		return dst, fmt.Errorf("shard: encode frame: a header count does not fit its field")
 	}
 	entries := 0
@@ -121,8 +121,8 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, frameFixedLen+12*nq+h0EntryLen*entries+8*nt*nq+len(f.Trace)+64*(nt+1))
 	dst = append(dst, frameMagic...)
 	dst = le.AppendUint32(dst, WireVersion)
-	dst = le.AppendUint32(dst, uint32(p.ShardID))
-	dst = le.AppendUint32(dst, uint32(p.ShardCount))
+	dst = le.AppendUint32(dst, uint32(p.Shard.ID))
+	dst = le.AppendUint32(dst, uint32(p.Shard.Count))
 	dst = le.AppendUint64(dst, p.DataGeneration)
 	dst = le.AppendUint64(dst, uint64(p.PendingWrites))
 	dst = le.AppendUint32(dst, uint32(p.NumBlocks))
@@ -131,7 +131,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = le.AppendUint64(dst, math.Float64bits(p.MinContainment))
 	dst = le.AppendUint32(dst, uint32(nq))
 	dst = le.AppendUint32(dst, uint32(nt))
-	dst = appendString(dst, p.Generation)
+	dst = appendString(dst, p.Shard.Generation)
 	dst = appendString(dst, p.Checksum)
 	dst = appendString(dst, f.RequestID)
 	dst = appendString(dst, p.QueryName)
@@ -210,8 +210,8 @@ type targetTable struct {
 // what an engine sends (stats.H0Accumulator.Append): VCPs in [0, 1],
 // strictly ascending, multiplicities positive and summing to at most
 // 2^53. The partial's float slabs and strings are copies; only Trace
-// aliases b. Its target and max-VCP slabs come from pools, for
-// Partial.Release to hand back.
+// aliases b. Its target and max-VCP slabs come from the engine's pools
+// (core.QueryPartial.DrawTargets), for Release to hand back.
 //
 // tab, if not nil, is the sending slot's TargetTable: the partial's
 // targets then point into it and are shared with every other partial
@@ -225,11 +225,8 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 		return nil, &WireVersionError{Got: v}
 	}
 	r := frameReader{b: b[8:]}
-	p := &Partial{Identity: Identity{
-		ShardID:        int(r.u32()),
-		ShardCount:     int(r.u32()),
-		DataGeneration: r.u64(),
-	}}
+	p := &Partial{Shard: core.ShardInfo{ID: int(r.u32()), Count: int(r.u32())}}
+	p.DataGeneration = r.u64()
 	pending := r.u64()
 	if pending > math.MaxInt {
 		return nil, fmt.Errorf("shard: decode frame: pending writes %d out of range", pending)
@@ -242,7 +239,7 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 	nq, nt := uint64(r.u32()), uint64(r.u32())
 
 	f := &Frame{Partial: p}
-	p.Generation = r.str()
+	p.Shard.Generation = r.str()
 	p.Checksum = r.str()
 	f.RequestID = r.str()
 	p.QueryName = r.str()
@@ -277,15 +274,10 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 		}
 	}
 	tt, fresh := r.identities(nt, tab)
-	maxVCP := r.floats(floatSlabs.Get(int(nt * nq)))
 	if r.err == nil {
-		p.targets, p.maxVCP = partialScoreSlabs.Get(int(nt)), maxVCP
-		p.Targets = p.targets
+		r.floats(p.DrawTargets(int(nt), int(nq)))
 		for k := range p.Targets {
-			p.Targets[k] = core.PartialScore{
-				Target: &tt.targets[k],
-				MaxVCP: maxVCP[uint64(k)*nq : uint64(k+1)*nq : uint64(k+1)*nq],
-			}
+			p.Targets[k].Target = &tt.targets[k]
 		}
 	}
 	f.Trace = r.bytes()
@@ -293,6 +285,7 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 		r.err = fmt.Errorf("shard: decode frame: %d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
+		p.Release()
 		return nil, r.err
 	}
 	if fresh && tab != nil {

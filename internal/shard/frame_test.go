@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,7 +22,7 @@ import (
 // given (VCP bits, multiplicity) entries verbatim, valid or not.
 func h0Frame(t testing.TB, entries [][2]uint64) []byte {
 	t.Helper()
-	p := &Partial{Weights: []float64{1}, H0: []*stats.H0Accumulator{new(stats.H0Accumulator)}}
+	p := &Partial{QueryPartial: core.QueryPartial{Weights: []float64{1}, H0: []*stats.H0Accumulator{new(stats.H0Accumulator)}}}
 	b, err := (&Frame{Partial: p}).AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +109,7 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		t.Fatalf("envelope: request id %q/%q, trace %q/%q", got.RequestID, want.RequestID, got.Trace, want.Trace)
 	}
 	w, g := want.Partial, got.Partial
-	wi, gi := w.Identity, g.Identity
+	wi, gi := w.Identity(), g.Identity()
 	wi.SigmoidK, wi.MinContainment, gi.SigmoidK, gi.MinContainment = 0, 0, 0, 0
 	if wi != gi || !sameBits(w.SigmoidK, g.SigmoidK) || !sameBits(w.MinContainment, g.MinContainment) ||
 		w.QueryName != g.QueryName || w.Source != g.Source || w.NumBlocks != g.NumBlocks ||
@@ -197,11 +201,14 @@ func TestFrameFloatBits(t *testing.T) {
 		math.MaxFloat64, 0.1, 1,
 	}
 	p := &Partial{
-		Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: "c",
-			SigmoidK: specials[1], MinContainment: specials[2], DataGeneration: math.MaxUint64, PendingWrites: 3},
-		QueryName: "q",
-		Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
-		Weights:   specials,
+		QueryPartial: core.QueryPartial{
+			SigmoidK: specials[1], MinContainment: specials[2], DataGeneration: math.MaxUint64, PendingWrites: 3,
+			QueryName: "q",
+			Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
+			Weights:   specials,
+		},
+		Shard:    core.ShardInfo{ID: 1, Count: 2, Generation: "g"},
+		Checksum: "c",
 	}
 	// A histogram holds VCPs, so only the specials inside [0, 1] fit one.
 	inUnit := []float64{0, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 0.1, 1}
@@ -243,11 +250,11 @@ func TestFrameFloatBits(t *testing.T) {
 func TestFrameRefusesRaggedPartial(t *testing.T) {
 	h := new(stats.H0Accumulator)
 	for name, p := range map[string]*Partial{
-		"missing histogram": {Weights: []float64{1, 1}, H0: []*stats.H0Accumulator{h}},
-		"nil histogram":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{nil}},
-		"short max-VCP":     {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{Target: &core.Target{Name: "t"}}}},
-		"no identity":       {Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{MaxVCP: []float64{0}}}},
-		"negative id":       {Identity: Identity{ShardID: -1}},
+		"missing histogram": {QueryPartial: core.QueryPartial{Weights: []float64{1, 1}, H0: []*stats.H0Accumulator{h}}},
+		"nil histogram":     {QueryPartial: core.QueryPartial{Weights: []float64{1}, H0: []*stats.H0Accumulator{nil}}},
+		"short max-VCP":     {QueryPartial: core.QueryPartial{Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{Target: &core.Target{Name: "t"}}}}},
+		"no identity":       {QueryPartial: core.QueryPartial{Weights: []float64{1}, H0: []*stats.H0Accumulator{h}, Targets: []core.PartialScore{{MaxVCP: []float64{0}}}}},
+		"negative id":       {Shard: core.ShardInfo{ID: -1}},
 		"no partial":        nil,
 	} {
 		if _, err := (&Frame{Partial: p}).AppendTo(nil); err == nil {
@@ -365,7 +372,7 @@ func FuzzPartialFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	// A frame whose identity fills both fields version 2 lacked.
-	v3 := &Partial{Identity: Identity{ShardID: 1, ShardCount: 2, Generation: "g", Checksum: strings.Repeat("c", 64), MinContainment: 0.45}}
+	v3 := &Partial{QueryPartial: core.QueryPartial{MinContainment: 0.45}, Shard: core.ShardInfo{ID: 1, Count: 2, Generation: "g"}, Checksum: strings.Repeat("c", 64)}
 	if b, err := (&Frame{Partial: v3}).AppendTo(nil); err == nil {
 		f.Add(b)
 	}
@@ -398,4 +405,58 @@ func FuzzPartialFrame(f *testing.F) {
 		}
 		requireSameFrame(t, got, back)
 	})
+}
+
+// TestFrameBytesGolden pins the exact bytes of every frame corpusFrames
+// encodes, by length and SHA-256 (testdata/frames.golden), so a change to
+// the types a frame is built from cannot move a byte unnoticed. Each frame
+// must also come back byte for byte after a decode through its slot's
+// primed TargetTable — the path eshgw takes — and a re-encode.
+// Regenerate the golden only for a deliberate wire change (which bumps
+// WireVersion): UPDATE_GOLDEN=1 go test -run TestFrameBytesGolden
+// ./internal/shard.
+func TestFrameBytesGolden(t *testing.T) {
+	frames := corpusFrames(t)
+	var sb strings.Builder
+	for _, b := range frames {
+		fmt.Fprintf(&sb, "%d %x\n", len(b), sha256.Sum256(b))
+	}
+	const path = "testdata/frames.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("frame bytes moved:\ngot\n%swant\n%s", sb.String(), want)
+	}
+
+	// corpusFrames holds two queries per shard, shard by shard: prime each
+	// slot's table with its other query's frame, then decode through it.
+	perSlot := len(frames) / 2
+	for i, b := range frames {
+		var tab TargetTable
+		if _, err := DecodeFrame(frames[i/perSlot*perSlot+(i+1)%perSlot], &tab); err != nil {
+			t.Fatal(err)
+		}
+		primed := tab.last.Load()
+		f, err := DecodeFrame(b, &tab)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if tab.last.Load() != primed {
+			t.Fatalf("frame %d: the primed table was not reused", i)
+		}
+		again, err := f.AppendTo(nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("frame %d: decode through a primed table → encode changed the bytes", i)
+		}
+	}
 }

@@ -4,60 +4,23 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
 
-// Partial is one shard's contribution to a scattered query: the
-// flattening of core.QueryPartial plus the identity the coordinator
-// judges by Manifest.CheckShard. Between eshd and eshgw it travels as a
-// Frame. The JSON tags serve tools that store or inspect partials;
-// float64 round-trips exactly through Go's JSON too (shortest-
-// representation encoding), though only for finite values.
+// Partial is one shard's contribution to a scattered query: the engine's
+// core.QueryPartial, plus the two things the engine does not hold — the
+// fleet slot it answered as and the served snapshot's checksum. Between
+// eshd and eshgw it travels as a Frame. Its slabs are the QueryPartial's:
+// a decoded partial's come from the engine's pools (DecodeFrame), for
+// Release to hand back once Merge has returned. It declares no JSON tags;
+// only the benchmark's per-layer timing and a merge test marshal it.
 type Partial struct {
-	Identity
-
-	QueryName  string         `json:"query_name"`
-	Source     asm.Provenance `json:"source"`
-	NumBlocks  int            `json:"num_blocks"`
-	NumStrands int            `json:"num_strands"`
-	// Weights and H0 are indexed by unique query strand, in the
-	// decomposition order every shard derives identically from the
-	// query text. H0[i] is the strand's histogram over the shard's corpus
-	// (core.QueryPartial.H0), read-only.
-	Weights []float64              `json:"weights"`
-	H0      []*stats.H0Accumulator `json:"h0"`
-	// Targets holds each target's identity and shard-exact reductions,
-	// in the shard's target order. The identities may be shared with the
-	// engine or with other partials (TargetTable): read-only.
-	Targets []core.PartialScore `json:"targets"`
-
-	// targets and maxVCP are the pooled slabs DecodeFrame cut Targets and
-	// their MaxVCPs from, which Release hands back; nil for a partial
-	// built any other way.
-	targets []core.PartialScore
-	maxVCP  []float64
+	core.QueryPartial
+	Shard core.ShardInfo
+	// Checksum is the served snapshot's; "" if the shard loaded no file.
+	Checksum string
 }
-
-// Release hands the per-target slabs DecodeFrame drew for the partial back
-// to their pools and clears Targets; the caller must be done with them.
-// Merge copies what it reads, so a coordinator releases its partials once
-// Merge has returned. Nothing else is pooled: the identities are the slot's
-// TargetTable's. A partial that is never released leaves its slabs to the
-// collector, and one not decoded by DecodeFrame has none to release.
-func (p *Partial) Release() {
-	partialScoreSlabs.Put(p.targets)
-	floatSlabs.Put(p.maxVCP)
-	p.Targets, p.targets, p.maxVCP = nil, nil, nil
-}
-
-// The fleet path's slab pools: DecodeFrame's, and Merge's laid-out target
-// slab, which Merge hands back itself once Finalize has read it.
-var (
-	partialScoreSlabs core.SlabPool[core.PartialScore]
-	floatSlabs        core.SlabPool[float64]
-)
 
 // Identity is what a shard's answer says about where it came from: its
 // fleet slot, the snapshot and engine settings it was computed under, and
@@ -76,27 +39,25 @@ type Identity struct {
 	PendingWrites  int    `json:"pending_writes,omitempty"`
 }
 
-// FromQueryPartial converts an engine partial to wire form, sharing its
-// slices; the caller stamps the snapshot checksum.
-func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
-	return &Partial{
-		Identity: Identity{
-			ShardID:        si.ID,
-			ShardCount:     si.Count,
-			Generation:     si.Generation,
-			SigmoidK:       qp.SigmoidK,
-			MinContainment: qp.MinContainment,
-			DataGeneration: qp.DataGeneration,
-			PendingWrites:  qp.PendingWrites,
-		},
-		QueryName:  qp.QueryName,
-		Source:     qp.Source,
-		NumBlocks:  qp.NumBlocks,
-		NumStrands: qp.NumStrands,
-		Weights:    qp.Weights,
-		H0:         qp.H0,
-		Targets:    qp.Targets,
+// Identity is the partial's identity, for Manifest.CheckShard.
+func (p *Partial) Identity() Identity {
+	return Identity{
+		ShardID:        p.Shard.ID,
+		ShardCount:     p.Shard.Count,
+		Generation:     p.Shard.Generation,
+		Checksum:       p.Checksum,
+		SigmoidK:       p.SigmoidK,
+		MinContainment: p.MinContainment,
+		DataGeneration: p.DataGeneration,
+		PendingWrites:  p.PendingWrites,
 	}
+}
+
+// FromQueryPartial wraps an engine partial answered as slot si, sharing
+// its slices and taking over its slabs: release the one or the other,
+// once. The caller stamps the snapshot checksum.
+func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
+	return &Partial{QueryPartial: *qp, Shard: si}
 }
 
 // Merge reassembles shard partials into the single-node result. Each
@@ -119,13 +80,14 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		if p == nil {
 			continue
 		}
-		if err := man.CheckShard(p.ShardID, p.Identity); err != nil {
+		sid := p.Shard.ID
+		if err := man.CheckShard(sid, p.Identity()); err != nil {
 			return nil, nil, fmt.Errorf("shard: merge: %w", err)
 		}
-		if byShard[p.ShardID] != nil {
-			return nil, nil, fmt.Errorf("shard: merge: two partials for shard %d", p.ShardID)
+		if byShard[sid] != nil {
+			return nil, nil, fmt.Errorf("shard: merge: two partials for shard %d", sid)
 		}
-		byShard[p.ShardID] = p
+		byShard[sid] = p
 		if first == nil {
 			first = p
 		}
@@ -134,18 +96,21 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		return nil, nil, fmt.Errorf("shard: merge: no shard responded")
 	}
 
-	// One pass over the responders: their histograms are added per
-	// strand, and their targets laid out in global corpus order — the
-	// single-node pre-sort order, so the stable GES sort breaks ties
-	// identically; the manifest assigns every global target to exactly
-	// one shard, so indexing by it replaces a sort.
-	var missing []int
-	h0 := make([]*stats.H0Accumulator, len(first.Weights))
-	for i := range h0 {
-		h0[i] = new(stats.H0Accumulator)
+	// The merged partial keeps the first responder's query header, which
+	// checkPartial holds every other responder to. One pass over the
+	// responders adds their histograms per strand and lays their targets
+	// out in global corpus order — the single-node pre-sort order, so the
+	// stable GES sort breaks ties identically; the manifest assigns every
+	// global target to exactly one shard, so indexing by it replaces a
+	// sort.
+	qp := first.QueryPartial
+	qp.H0 = make([]*stats.H0Accumulator, len(qp.Weights))
+	for i := range qp.H0 {
+		qp.H0[i] = new(stats.H0Accumulator)
 	}
-	laid := partialScoreSlabs.Get(man.NumTargets)
-	defer partialScoreSlabs.Put(laid)
+	qp.DrawTargets(man.NumTargets, 0)
+	defer qp.Release()
+	var missing []int
 	for s, p := range byShard {
 		if p == nil {
 			missing = append(missing, s)
@@ -155,25 +120,14 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 			return nil, nil, err
 		}
 		for i, h := range p.H0 {
-			h0[i].Merge(h)
+			qp.H0[i].Merge(h)
 		}
 		for k, ti := range man.Shards[s].Targets {
-			laid[ti] = p.Targets[k]
+			qp.Targets[ti] = p.Targets[k]
 		}
 	}
 	// A missing shard's targets are absent; the rest keep their order.
-	targets := slices.DeleteFunc(laid, func(ps core.PartialScore) bool { return ps.Target == nil })
-
-	qp := &core.QueryPartial{
-		QueryName:  first.QueryName,
-		Source:     first.Source,
-		NumBlocks:  first.NumBlocks,
-		NumStrands: first.NumStrands,
-		SigmoidK:   first.SigmoidK,
-		Weights:    first.Weights,
-		H0:         h0,
-		Targets:    targets,
-	}
+	qp.Targets = slices.DeleteFunc(qp.Targets, func(ps core.PartialScore) bool { return ps.Target == nil })
 	return qp.Finalize(), missing, nil
 }
 
@@ -181,10 +135,10 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 // manifest and the fleet-wide query view (every shard must derive the
 // identical query decomposition, or histograms cannot be merged by index).
 func checkPartial(man *Manifest, first, p *Partial) error {
-	s := p.ShardID
+	s := p.Shard.ID
 	if p.QueryName != first.QueryName || p.NumStrands != first.NumStrands || len(p.Weights) != len(first.Weights) {
 		return fmt.Errorf("shard: merge: shard %d answered a different query (%q, %d strands) than shard %d (%q, %d strands)",
-			s, p.QueryName, len(p.Weights), first.ShardID, first.QueryName, len(first.Weights))
+			s, p.QueryName, len(p.Weights), first.Shard.ID, first.QueryName, len(first.Weights))
 	}
 	for i, w := range p.Weights {
 		if w != first.Weights[i] {

@@ -382,26 +382,26 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		opts    func(*core.Options)
-		id      func(*Identity)
+		id      func(*Partial)
 		wantErr string // "" = merges
 	}{
-		{"heuristic tier", func(o *core.Options) { o.LSHMinContainment = 0.45 }, func(*Identity) {},
+		{"heuristic tier", func(o *core.Options) { o.LSHMinContainment = 0.45 }, func(*Partial) {},
 			"shard 1: lsh min containment 0.45, manifest says 0"},
-		{"other snapshot", sound, func(id *Identity) { id.Checksum = "cccccccccccccccc" },
+		{"other snapshot", sound, func(p *Partial) { p.Checksum = "cccccccccccccccc" },
 			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…"},
-		{"its own snapshot", sound, func(id *Identity) { id.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
-		{"drifted", sound, func(id *Identity) { id.DataGeneration, id.PendingWrites = 1, 2 },
+		{"its own snapshot", sound, func(p *Partial) { p.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
+		{"drifted", sound, func(p *Partial) { p.DataGeneration, p.PendingWrites = 1, 2 },
 			"shard 1: drifted from its snapshot (data generation 1, 2 pending writes), re-split the corpus"},
-		{"other sigmoid k", sound, func(id *Identity) { id.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
-		{"other generation", sound, func(id *Identity) { id.Generation = "deadbeef" },
+		{"other sigmoid k", sound, func(p *Partial) { p.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
+		{"other generation", sound, func(p *Partial) { p.Shard.Generation = "deadbeef" },
 			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
-		{"other fleet size", sound, func(id *Identity) { id.ShardCount = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
-		{"no such shard", sound, func(id *Identity) { id.ShardID = 2 }, "shard 2: out of range [0,2)"},
-		{"two fields", sound, func(id *Identity) { id.SigmoidK, id.MinContainment = 7, 0.5 },
+		{"other fleet size", sound, func(p *Partial) { p.Shard.Count = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
+		{"no such shard", sound, func(p *Partial) { p.Shard.ID = 2 }, "shard 2: out of range [0,2)"},
+		{"two fields", sound, func(p *Partial) { p.SigmoidK, p.MinContainment = 7, 0.5 },
 			"shard 1: sigmoid k 7, manifest says 0; lsh min containment 0.5, manifest says 0"},
 	} {
 		parts := partials(tc.opts)
-		tc.id(&parts[1].Identity)
+		tc.id(parts[1])
 		_, _, err := Merge(man, parts)
 		switch {
 		case tc.wantErr == "" && err != nil:

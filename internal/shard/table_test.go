@@ -164,11 +164,13 @@ func syntheticFleet(t *testing.T, n, q int) (*Manifest, [][]byte) {
 	var frames [][]byte
 	for s := range man.Shards {
 		p := &Partial{
-			Identity:   Identity{ShardID: s, ShardCount: 2, Generation: "g"},
-			QueryName:  "q",
-			NumBlocks:  4,
-			NumStrands: 4,
-			Weights:    []float64{1, 2, 1},
+			QueryPartial: core.QueryPartial{
+				QueryName:  "q",
+				NumBlocks:  4,
+				NumStrands: 4,
+				Weights:    []float64{1, 2, 1},
+			},
+			Shard: core.ShardInfo{ID: s, Count: 2, Generation: "g"},
 		}
 		for range p.Weights {
 			h := new(stats.H0Accumulator)
