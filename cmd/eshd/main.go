@@ -60,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -123,13 +124,7 @@ func main() {
 	if si := db.Shard(); si.Sharded() {
 		attrs = append(attrs, "shard", si.ID, "shard_count", si.Count, "generation", si.Generation)
 	}
-	// The index.load child span carries the decode/prepare split.
-	if snap := loadSpan.Snapshot(); len(snap.Children) == 1 {
-		for _, c := range snap.Children[0].Children {
-			attrs = append(attrs, c.Name+"_ms", c.DurationMS)
-		}
-	}
-	logger.Info("index loaded", attrs...)
+	logger.Info("index loaded", append(attrs, stepAttrs(loadSpan.Snapshot())...)...)
 
 	server.ServePprof(*pprofAddr, logger)
 
@@ -219,4 +214,20 @@ func main() {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "eshd: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// stepAttrs splits load_ms into its steps: one "<step>_ms" attribute per
+// leaf of the startup span tree, named by the leaf's last dot-separated
+// segment — decode and prepare under index.load, and replay (wal.replay)
+// when there is a WAL.
+func stepAttrs(sd *telemetry.SpanData) []any {
+	var attrs []any
+	for _, c := range sd.Children {
+		if len(c.Children) > 0 {
+			attrs = append(attrs, stepAttrs(c)...)
+			continue
+		}
+		attrs = append(attrs, c.Name[strings.LastIndex(c.Name, ".")+1:]+"_ms", c.DurationMS)
+	}
+	return attrs
 }

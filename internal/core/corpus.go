@@ -27,8 +27,9 @@ import (
 //   - a renumbering compaction shares no array indexed by strand number,
 //     and moves rowEpoch.
 //
-// The bulk path (AddTarget) counts in place and appends to the LSH index in
-// place, which is why it alone is not safe concurrently with readers.
+// The bulk paths (AddTarget, and startup replay: ReplayAdd, ReplayRemove)
+// count and tombstone in place and append to the LSH index in place, which
+// is why they are not safe concurrently with readers.
 type corpus struct {
 	// WriteState is the version's position on the write path: the one
 	// thing about a corpus a client is told (write replies, /v1/stats).
@@ -139,7 +140,7 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 // for it. The live path leaves c as its readers hold it: counts is cloned,
 // and novel strands force a fresh LSH index (sketch.Index is not safe to
 // mutate under concurrent Candidates readers). The bulk path counts and
-// indexes in place.
+// indexes in place, so its cost follows the add, not the corpus.
 func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 	next := *c
 	if bulk {
@@ -194,18 +195,24 @@ func (db *DB) AddTarget(p *asm.Proc) error {
 	return nil
 }
 
-// without returns c's successor with the targets at hits tombstoned.
-func (c *corpus) without(hits []int) *corpus {
+// without returns c's successor with the targets at hits tombstoned. The
+// live path clones live and counts, as grown clones counts; the bulk path
+// flips and decrements them in place (live is materialized once, by the
+// first tombstone).
+func (c *corpus) without(hits []int, bulk bool) *corpus {
 	next := *c
-	next.live = make([]bool, len(c.targets))
-	if c.live == nil {
+	switch {
+	case c.live == nil:
+		next.live = make([]bool, len(c.targets))
 		for i := range next.live {
 			next.live[i] = true
 		}
-	} else {
-		copy(next.live, c.live)
+	case !bulk:
+		next.live = slices.Clone(c.live)
 	}
-	next.counts = slices.Clone(c.counts)
+	if !bulk {
+		next.counts = slices.Clone(c.counts)
+	}
 	for _, ti := range hits {
 		next.live[ti] = false
 		t := c.targets[ti]
@@ -451,14 +458,21 @@ func FromExport(ex *Export) (*DB, error) {
 // adoptSketches builds the summary table over every unique strand of a
 // snapshot being restored. Persisted signatures of the signature's length
 // are adopted as-is — a signature does not depend on how it is banded —
-// and any other is re-MinHashed. The rest of each summary (feature-set size,
-// typed input counts) is always recomputed — those walks are cheap next to
-// MinHashing, so they are not persisted.
+// and any other is re-MinHashed from the strand's feature set. The typed
+// input counts are always recomputed (a walk over the inputs). The
+// feature-set size is recomputed only where something reads it — at the
+// heuristic tier, or where the features are walked anyway to re-MinHash;
+// a sound-tier summary with an adopted signature skips the feature walk.
 func (db *DB) adoptSketches(uniq []*vcp.Indexed, strands []ExportStrand) []sketch.Summary {
 	sums := make([]sketch.Summary, len(uniq))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, db.opts.Workers)
 	for i, p := range uniq {
+		if sig := strands[i].Sig; !db.heuristic() && len(sig) == db.sketchCfg.Len() {
+			sums[i] = sketch.Counts(p.S)
+			sums[i].Sig = sig
+			continue
+		}
 		wg.Add(1)
 		go func(i int, s *strand.Strand) {
 			defer wg.Done()

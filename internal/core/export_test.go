@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/asm"
+	"repro/internal/sketch"
 	"repro/internal/strand"
 	"repro/internal/vcp"
 )
@@ -42,8 +43,16 @@ var (
 	WriteTestOptions = writeTestOptions
 )
 
-// GCCStyle is a small single-block procedure the write tests query with.
-const GCCStyle = gccStyle
+// GCCStyle is a small single-block procedure the write tests query with;
+// Unrelated is a loop over memory, whose strands have memory inputs.
+const (
+	GCCStyle  = gccStyle
+	Unrelated = unrelated
+)
+
+// Summaries returns the sketch summary of every unique strand, in strand
+// order; read-only.
+func (db *DB) Summaries() []sketch.Summary { return db.corpus.Load().sums }
 
 // ColumnStrands returns the unique target strands in column order, nil
 // where a strand is dead (every target holding it tombstoned).

@@ -14,6 +14,8 @@ import (
 // journals and builds the successor corpus (corpus.go) while queries keep
 // flowing over the current one, then publishes it with one pointer store;
 // an in-flight query keeps the version it loaded for its whole lifetime.
+// Startup replay is the exception: it runs before anything is served, so
+// it grows the corpus in place, the way AddTarget builds one.
 //
 // Durability is write-ahead: a write is acknowledged only after its
 // journal record is on disk (per the journal's fsync policy) AND applied
@@ -44,9 +46,14 @@ var ErrTargetNotFound = errors.New("core: target not found")
 // not applied).
 var ErrJournal = errors.New("core: journal append failed")
 
+// errReplayServing refuses a replay once a journal is installed: from then
+// on the corpus may be served, and replay mutates it in place.
+var errReplayServing = errors.New("core: replay after a journal was installed (the corpus may be served)")
+
 // SetJournal installs the write-ahead journal acknowledged writes are
 // logged to. A nil journal (the default) makes writes memory-only —
-// the replay path and tests use that.
+// the replay path and tests use that. Once one is installed, ReplayAdd
+// and ReplayRemove refuse.
 func (db *DB) SetJournal(j Journal) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -60,17 +67,22 @@ func (db *DB) SetJournal(j Journal) {
 func (db *DB) ApplyAdd(p *asm.Proc) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	_, err := db.applyAdd(p, true, 0)
+	_, err := db.applyAdd(p, false, 0)
 	return err
 }
 
-// ReplayAdd re-applies a journaled add during startup replay: identical
-// in-memory effect to the ApplyAdd that produced the record, minus the
-// journaling. seq becomes the new high-water mark.
+// ReplayAdd re-applies a journaled add during startup replay, before the
+// corpus is served: it builds, in place, the same corpus value the ApplyAdd
+// that produced the record built as a copy, minus the journaling. seq
+// becomes the new high-water mark. It refuses once SetJournal has
+// installed a journal, the only state in which readers may exist.
 func (db *DB) ReplayAdd(p *asm.Proc, seq uint64) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	_, err := db.applyAdd(p, false, seq)
+	if db.journal != nil {
+		return errReplayServing
+	}
+	_, err := db.applyAdd(p, true, seq)
 	return err
 }
 
@@ -82,14 +94,18 @@ func (db *DB) ReplayAdd(p *asm.Proc, seq uint64) error {
 func (db *DB) ApplyRemove(name string) (int, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	return db.applyRemove(name, true, 0)
+	return db.applyRemove(name, false, 0)
 }
 
-// ReplayRemove re-applies a journaled tombstone during startup replay.
+// ReplayRemove re-applies a journaled tombstone during startup replay, in
+// place and under ReplayAdd's precondition.
 func (db *DB) ReplayRemove(name string, seq uint64) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	_, err := db.applyRemove(name, false, seq)
+	if db.journal != nil {
+		return errReplayServing
+	}
+	_, err := db.applyRemove(name, true, seq)
 	return err
 }
 
@@ -98,8 +114,9 @@ func (db *DB) ReplayRemove(name string, seq uint64) error {
 // (2) run every fallible step (resolve) and build the successor (grown —
 // the heavy part, index and table rebuilds included, while queries run on
 // the current corpus), (3) journal, (4) publish — step 4 cannot fail, so a
-// journaled write is always fully applied before it is acknowledged.
-func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, error) {
+// journaled write is always fully applied before it is acknowledged. A
+// replay journals nothing and grows the corpus in place (grown's bulk path).
+func (db *DB) applyAdd(p *asm.Proc, replay bool, replaySeq uint64) (uint64, error) {
 	c := db.corpus.Load()
 	for ti, t := range c.targets {
 		if t.Name == p.Name && (c.live == nil || c.live[ti]) {
@@ -110,10 +127,10 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 	if err != nil {
 		return 0, err
 	}
-	next := db.grown(c, t, news, false)
+	next := db.grown(c, t, news, replay)
 
 	seq := replaySeq
-	if journal && db.journal != nil {
+	if !replay && db.journal != nil {
 		seq, err = db.journal.LogAdd(p.Name, p.String())
 		if err != nil {
 			return 0, fmt.Errorf("%w: add %s: %v", ErrJournal, p.Name, err)
@@ -130,8 +147,8 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 
 // applyRemove is the shared body of ApplyRemove and ReplayRemove;
 // callers hold writeMu. Same ordering as applyAdd: journal first, then
-// an infallible in-memory apply.
-func (db *DB) applyRemove(name string, journal bool, replaySeq uint64) (int, error) {
+// an infallible in-memory apply (in place on replay).
+func (db *DB) applyRemove(name string, replay bool, replaySeq uint64) (int, error) {
 	c := db.corpus.Load()
 	var hits []int
 	for ti, t := range c.targets {
@@ -144,7 +161,7 @@ func (db *DB) applyRemove(name string, journal bool, replaySeq uint64) (int, err
 	}
 
 	seq := replaySeq
-	if journal && db.journal != nil {
+	if !replay && db.journal != nil {
 		var err error
 		seq, err = db.journal.LogRemove(name)
 		if err != nil {
@@ -152,7 +169,7 @@ func (db *DB) applyRemove(name string, journal bool, replaySeq uint64) (int, err
 		}
 	}
 
-	next := c.without(hits)
+	next := c.without(hits, replay)
 	next.PendingWrites++
 	if seq != 0 {
 		next.WALSeq = seq

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -585,5 +586,58 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 	if gen2 != 1 {
 		t.Fatalf("no-op compaction moved generation to %d", gen2)
+	}
+}
+
+// TestReplayBytesFlat is startup replay's byte contract: a replayed add
+// allocates for the strands it brings, not for the corpus it lands on. The
+// same 8 records are replayed onto a loaded 50-target corpus and onto a
+// loaded 250-target one, and the cheapest add must allocate the same bytes
+// on both. Rebuilding the LSH index and cloning the counts per record, as
+// the live path does, grows every add with the corpus. What legitimately
+// grows with it is amortized — the one move of the loaded arrays that the
+// first append makes, a map doubling — and so are the buffers a sync.Pool
+// drops at random under the race detector: each lands on some adds, never
+// on all of them.
+func TestReplayBytesFlat(t *testing.T) {
+	const records = 8
+	var procs []*asm.Proc
+	for i := 0; i < records; i++ {
+		procs = append(procs, parse(t, genProc(1000+i)))
+	}
+	perAdd := func(n int) int64 {
+		var srcs []string
+		for i := 0; i < n; i++ {
+			srcs = append(srcs, genProc(i))
+		}
+		ex := buildFresh(t, writeTestOptions("scan"), srcs).Export()
+		least := int64(math.MaxInt64)
+		for run := 0; run < 3; run++ {
+			db, err := FromExport(ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range procs {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := db.ReplayAdd(p, uint64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
+			}
+		}
+		return least
+	}
+	small, large := perAdd(50), perAdd(250)
+	t.Logf("a replayed add allocates at least %d B onto 50 targets, %d B onto 250", small, large)
+	// Under the race detector the cheapest add still moves by a few hundred
+	// bytes from run to run. Cloning the counts alone would cost 1.6 kB
+	// more for the 200 more strands, and the whole per-record rebuild
+	// about 180 kB.
+	const slack = 512
+	if d := large - small; d > slack || d < -slack {
+		t.Errorf("a replayed add allocates at least %d B onto 50 targets and %d B onto 250: %d B more for 200 more targets, want at most %d",
+			small, large, d, slack)
 	}
 }

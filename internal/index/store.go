@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -34,7 +35,11 @@ type StoreOptions struct {
 }
 
 // OpenStore loads the snapshot at path. With a WAL it recovers the log,
-// replays it and installs it as the database's journal.
+// replays it and installs it as the database's journal. The load and the
+// replay are traced as the "index.load" and "wal.replay" spans under the
+// one carried by ctx, if any. Replay runs before the journal is installed
+// and before anything can serve the database: it grows the corpus in
+// place (core.DB.ReplayAdd).
 func OpenStore(ctx context.Context, path string, opts StoreOptions) (*Store, error) {
 	db, info, err := LoadFileInfoCtx(ctx, path, opts.Override)
 	if err != nil {
@@ -49,7 +54,9 @@ func OpenStore(ctx context.Context, path string, opts StoreOptions) (*Store, err
 	if err != nil {
 		return nil, err
 	}
+	_, sp := telemetry.StartSpan(ctx, "wal.replay")
 	replayed, err := replay(db, recs)
+	sp.End()
 	// A log that ends below the mark (a compaction emptied it) must number
 	// on from the mark, not from its own last record.
 	if hwm := db.WALSeq(); err == nil && log.Stats().LastSeq < hwm {

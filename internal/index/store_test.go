@@ -160,3 +160,33 @@ func TestReplayRefusesGap(t *testing.T) {
 		t.Fatal("the post-compaction snapshot and its log lost a write")
 	}
 }
+
+// TestReplayRefusedAfterJournal: replay grows the corpus in place, which
+// is safe only while nothing can read it. OpenStore replays before it
+// installs the journal, and once a journal is installed the database may
+// be served, so both replay methods refuse and leave the corpus as it was.
+func TestReplayRefusedAfterJournal(t *testing.T) {
+	snap, log := storeFiles(t)
+	st := openStore(t, snap, log)
+	if err := st.DB().ApplyAdd(liveProc(t, "live_a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openStore(t, snap, log) // replays live_a, then journals
+	defer st.Close()
+	db := st.DB()
+	before := db.WriteState()
+	if err := db.ReplayAdd(liveProc(t, "live_b"), 2); err == nil {
+		t.Error("ReplayAdd on a journaled database succeeded")
+	}
+	if err := db.ReplayRemove("live_a", 2); err == nil {
+		t.Error("ReplayRemove on a journaled database succeeded")
+	}
+	if ws := db.WriteState(); ws != before || !hasTarget(st, "live_a") || hasTarget(st, "live_b") {
+		t.Errorf("refused replays changed the corpus: write state %+v (was %+v), live_a=%v live_b=%v",
+			ws, before, hasTarget(st, "live_a"), hasTarget(st, "live_b"))
+	}
+}

@@ -244,7 +244,11 @@ func Compute(s *strand.Strand, cfg Config) Signature {
 // estimate), and its typed input counts (for the sound injectability
 // test).
 type Summary struct {
-	Sig   Signature
+	Sig Signature
+	// NFeat is set only where the heuristic tier may read it (candidate's
+	// containment estimate): Summarize and AdoptSignature set it, and a
+	// sound-tier snapshot load, which adopts the signature onto Counts,
+	// leaves it 0. Nothing at the sound tier reads it.
 	NFeat int
 	NInt  int // inputs of bitvector type
 	NMem  int // inputs of memory type
