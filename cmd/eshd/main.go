@@ -57,6 +57,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -144,42 +145,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Background compactor: on a timer, by pending-write threshold, or
-	// both. The threshold is polled every second so a write burst gets
-	// folded promptly without a tight loop.
-	if store.Writable() && (*compactInterval > 0 || *compactPending > 0) {
-		go func() {
-			poll := *compactInterval
-			if *compactPending > 0 && (poll <= 0 || poll > time.Second) {
-				poll = time.Second
-			}
-			ticker := time.NewTicker(poll)
-			defer ticker.Stop()
-			last := time.Now()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-				}
-				pending := db.PendingWrites()
-				if pending == 0 {
-					continue
-				}
-				due := *compactInterval > 0 && time.Since(last) >= *compactInterval
-				if *compactPending > 0 && pending >= *compactPending {
-					due = true
-				}
-				if !due {
-					continue
-				}
-				if _, _, err := store.Compact(); err != nil {
-					logger.Error("compaction failed", "err", err)
-				}
-				last = time.Now()
-			}
-		}()
-	}
+	compactor := compactInBackground(ctx, store, *compactInterval, *compactPending, logger)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -205,10 +171,55 @@ func main() {
 		logger.Error("shutdown incomplete", "err", err)
 		os.Exit(1)
 	}
+	if compactor != nil {
+		<-compactor // a compaction in progress finishes before the log closes
+	}
 	if err := store.Close(); err != nil {
 		logger.Error("wal close", "err", err)
 	}
 	logger.Info("drained, exiting")
+}
+
+// compactInBackground starts the background compactor of a writable
+// store: it compacts when writes are pending and interval has passed since
+// the last compaction (interval > 0), or as soon as pending writes reach
+// pending (pending > 0). The threshold is polled every second so a write
+// burst gets folded promptly without a tight loop. It returns nil when
+// nothing starts — a read-only store, or both settings 0 — and otherwise a
+// channel closed once ctx is done and the compactor has stopped.
+func compactInBackground(ctx context.Context, store *index.Store, interval time.Duration, pending int, logger *slog.Logger) <-chan struct{} {
+	if !store.Writable() || (interval <= 0 && pending <= 0) {
+		return nil
+	}
+	poll := interval
+	if pending > 0 && (poll <= 0 || poll > time.Second) {
+		poll = time.Second
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(poll)
+		defer ticker.Stop()
+		last := time.Now()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
+			n := store.DB().PendingWrites()
+			if n == 0 {
+				continue
+			}
+			if (interval > 0 && time.Since(last) >= interval) || (pending > 0 && n >= pending) {
+				if _, _, err := store.Compact(); err != nil {
+					logger.Error("compaction failed", "err", err)
+				}
+				last = time.Now()
+			}
+		}
+	}()
+	return done
 }
 
 func fail(format string, args ...any) {

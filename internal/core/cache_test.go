@@ -18,7 +18,7 @@ func TestVCPCacheEviction(t *testing.T) {
 		}
 	}
 	width := int64(db.NumUniqueStrands())
-	db.rows = fifo.New[string, *vcpRow](width, nil)
+	db.rows = fifo.New[string, *vcpRow](width)
 	if _, err := db.Query(parse(t, gccStyle)); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestVCPCacheRoomy(t *testing.T) {
 // scores, only recomputation cost.
 func TestQueryAfterEvictionDeterministic(t *testing.T) {
 	bounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
-	bounded.rows = fifo.New[string, *vcpRow](1, nil) // below one row: nothing is ever kept
+	bounded.rows = fifo.New[string, *vcpRow](1) // below one row: nothing is ever kept
 	unbounded := NewDB(Options{VCP: vcp.Config{MinVars: 3}})
 	for _, src := range []string{iccStyle, unrelated} {
 		if err := bounded.AddTarget(parse(t, src)); err != nil {

@@ -111,13 +111,12 @@ func CheckCount(n, ceiling int) error {
 	return nil
 }
 
-// memoBudgetBytes is the one budget every γ-fingerprint memo in a DB is
-// charged to (vcp.MemoPool). A memo fills only on the query side of a pair,
-// so what is charged is the in-flight queries' strands, each released when
-// its query returns; an indexed strand is only ever matched against and
-// its memo stays empty. It is a constant, not a setting: past the working
-// set of the queries in flight more budget buys nothing, below it the cost
-// is re-evaluation, never a different answer (DESIGN §10.6).
+// memoBudgetBytes is the one ceiling every γ-fingerprint memo in a DB is
+// charged to (vcp.MemoPool). Only query strands own a memo, so what is
+// charged is the in-flight queries' strands, each released when its query
+// returns. It is a constant, not a setting: the queries in flight hold a
+// few MiB (DESIGN §9.6), so it binds only on a hostile query, and there
+// the cost is re-evaluation, never a different answer.
 const memoBudgetBytes = 128 << 20
 
 // rowCachePairs is the row cache's budget in row entries (the sum of its
@@ -177,9 +176,9 @@ type DB struct {
 	// reference evaluator; nothing outside it can.
 	newEval func(*vcp.Prepared, vcp.Config) *vcp.Evaluator
 
-	// memo is the byte budget shared by the γ-fingerprint memos of every
+	// memo is the byte ceiling shared by the γ-fingerprint memos of every
 	// query strand this DB prepares (see prepare); tests in this package
-	// shrink it before indexing.
+	// shrink it before querying.
 	memo *vcp.MemoPool
 
 	// corpus is the current version of everything a reader may see.
@@ -250,7 +249,7 @@ func NewDB(opts Options) *DB {
 		newEval:   vcp.NewEvaluator,
 		memo:      vcp.NewMemoPool(memoBudgetBytes),
 		byKey:     map[string]int{},
-		rows:      fifo.New[string, *vcpRow](rowCachePairs, nil),
+		rows:      fifo.New[string, *vcpRow](rowCachePairs),
 		sketchCfg: sketch.Config{MinContainment: opts.LSHMinContainment}.Normalized(),
 	}
 	db.corpus.Store(&corpus{sketchIdx: db.newIndex(nil)})
@@ -368,7 +367,7 @@ func decompose(p *asm.Proc, opts Options) ([]*strand.Strand, int, error) {
 }
 
 // prepare builds a query strand's verifier preparation, its γ-fingerprint
-// memo charged to the DB's budget. Indexed strands go through vcp.Index:
+// memo charged to the DB's ceiling. Indexed strands go through vcp.Index:
 // they are only ever matched against, and keep no program and no memo.
 func (db *DB) prepare(s *strand.Strand) *vcp.Prepared {
 	p := vcp.Prepare(s, db.opts.VCP)

@@ -381,7 +381,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	}
 
 	// The deferred half of stage 2: only a strand that meets a verifier
-	// is prepared. Its γ-fingerprint memo is charged to the DB's budget
+	// is prepared. Its γ-fingerprint memo is charged to the DB's ceiling
 	// and dies with the query: a target strand is only ever the matched
 	// side of a pair, an Indexed with no memo to charge.
 	var prepared []*vcp.Prepared

@@ -69,7 +69,7 @@ func TestColdQueryScratchBounded(t *testing.T) {
 	}
 	left := heapLessMemo() - loaded
 	t.Logf("%d cold queries: %d KiB allocated per query; heap beyond the memo moved by %d KiB (memo %d KiB, %d entries)",
-		len(queries), perQuery>>10, left>>10, st.Memo.Held>>10, st.MemoAssignments)
+		len(queries), perQuery>>10, left>>10, st.Memo.Held>>10, st.Memo.Entries)
 
 	// What may stay is the package pool's few kernels, each grown to the
 	// largest program its worker met (about 1 MiB here).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fifo"
 	"repro/internal/telemetry"
+	"repro/internal/vcp"
 )
 
 // initMetrics builds the DB's metrics registry. The index-size and
@@ -36,17 +37,14 @@ func (db *DB) initMetrics() {
 	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's, or (heuristic tier) the sketches call them dissimilar.")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
-	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored.")
-	reg.CounterFunc("esh_vcp_memo_evictions_total", "Strands whose γ-fingerprint memo was dropped to keep esh_vcp_memo_bytes within budget.", func() float64 {
-		return float64(db.memo.Stats().Evictions)
-	})
+	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored unless the memo ceiling refuses them.")
 	reg.GaugeFunc("esh_vcp_memo_bytes", "Bytes held by the γ-fingerprint memos of in-flight queries' strands; never above esh_vcp_memo_budget_bytes.", func() float64 {
 		return float64(db.memo.Stats().Held)
 	})
 	reg.GaugeFunc("esh_engine_memo_entries", "Slot assignments the γ-fingerprint memos remember; esh_vcp_memo_bytes over this is the cost of one.", func() float64 {
-		return float64(db.memo.Assignments())
+		return float64(db.memo.Stats().Entries)
 	})
-	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte budget of the γ-fingerprint memos.", func() float64 {
+	reg.GaugeFunc("esh_vcp_memo_budget_bytes", "The fixed byte ceiling of the γ-fingerprint memos: past it a memo stops remembering new assignments.", func() float64 {
 		return float64(db.memo.Stats().Budget)
 	})
 	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared query strands (hoisted out of the γ loop by the batched kernel).")
@@ -159,12 +157,11 @@ type DBStats struct {
 	// MemoHits / MemoMisses split the enumerated correspondences by
 	// whether a strand's γ-fingerprint memo already held their
 	// fingerprints (only misses reach the kernel). Memo is the pool's
-	// store: bytes held against the fixed budget, an entry and an eviction
-	// per strand; MemoAssignments is what the held memos remember for it.
-	MemoHits        uint64
-	MemoMisses      uint64
-	Memo            fifo.Stats
-	MemoAssignments int64
+	// account: bytes held against the fixed ceiling, and the slot
+	// assignments the held memos remember for them.
+	MemoHits   uint64
+	MemoMisses uint64
+	Memo       vcp.MemoStats
 	// Queries is the number of Query calls answered; StageSeconds holds
 	// the cumulative wall-clock seconds each pipeline stage has consumed
 	// across them.
@@ -209,7 +206,6 @@ func (db *DB) Stats() DBStats {
 		MemoHits:                db.mMemoHits.Value(),
 		MemoMisses:              db.mMemoMisses.Value(),
 		Memo:                    db.memo.Stats(),
-		MemoAssignments:         db.memo.Assignments(),
 		Queries:                 db.mQueries.Value(),
 		StageSeconds:            make(map[string]float64, len(queryStages)),
 	}

@@ -87,8 +87,17 @@ func TestTable1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.String()
-	golden := filepath.Join("testdata", "table1_small.golden")
+	checkGolden(t, "table1_small.golden", res.String())
+}
+
+// checkGolden compares an experiment's rendering with testdata/name, or
+// rewrites the file first when UPDATE_GOLDEN is set. Table 2, Table 3,
+// Figure 5 and Figure 6 are pinned inside their shape tests, so each
+// experiment runs once: regenerate them with
+// UPDATE_GOLDEN=1 go test -run 'Golden|Shape' ./internal/experiments.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -102,7 +111,7 @@ func TestTable1Golden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("Table 1 differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+		t.Errorf("rendering differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
@@ -114,6 +123,7 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table2_small.golden", res.String())
 	if len(res.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(res.Rows))
 	}
@@ -157,6 +167,7 @@ func TestTable3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table3_small.golden", res.String())
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -199,6 +210,7 @@ func TestFig5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig5_small.golden", res.String())
 	if len(res.Bars) < 50 {
 		t.Fatalf("bars = %d", len(res.Bars))
 	}
@@ -230,6 +242,7 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6_small.golden", res.String())
 	n := len(res.Labels)
 	if n < 15 {
 		t.Fatalf("matrix too small: %d", n)

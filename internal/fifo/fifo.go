@@ -1,7 +1,6 @@
 // Package fifo is the one budgeted store behind the engine's caches: the
-// plan memo (package server), the VCP row cache (package core) and the
-// γ-fingerprint memo pool (package vcp) each hold a Store and differ only
-// in what an entry is and what it is charged.
+// plan memo (package server) and the VCP row cache (package core) each
+// hold a Store and differ only in what an entry is and what it is charged.
 package fifo
 
 // Store maps keys to values, each charged a cost, first in first out under
@@ -20,7 +19,6 @@ type Store[K comparable, V any] struct {
 	// The queue, oldest at head. An entry taken off it keeps its next
 	// pointer, which is what lets Each walk on through fn's own removals.
 	head, tail *entry[K, V]
-	onEvict    func(K, V)
 }
 
 type entry[K comparable, V any] struct {
@@ -39,11 +37,9 @@ type Stats struct {
 	Evictions uint64
 }
 
-// New returns an empty store that keeps Held within budget. onEvict, if not
-// nil, is called with every entry the eviction rule removes, the one being
-// Put included.
-func New[K comparable, V any](budget int64, onEvict func(K, V)) *Store[K, V] {
-	return &Store[K, V]{budget: budget, entries: map[K]*entry[K, V]{}, onEvict: onEvict}
+// New returns an empty store that keeps Held within budget.
+func New[K comparable, V any](budget int64) *Store[K, V] {
+	return &Store[K, V]{budget: budget, entries: map[K]*entry[K, V]{}}
 }
 
 // Get returns the value held for k.
@@ -79,9 +75,6 @@ func (s *Store[K, V]) Put(k K, v V, cost int64) {
 		}
 		s.remove(victim)
 		s.evictions++
-		if s.onEvict != nil {
-			s.onEvict(victim.key, victim.val)
-		}
 	}
 }
 

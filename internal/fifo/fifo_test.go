@@ -42,8 +42,10 @@ func check(t *testing.T, step string, s *Store[string, int64]) {
 	}
 }
 
-// TestPolicy is the one statement of the eviction rule the plan memo, the
-// row cache and the γ-memo pool share. Budget 10 throughout.
+// TestPolicy is the one statement of the eviction rule the plan memo and
+// the row cache share. Budget 10 throughout. A Put's evictions are read
+// off the store: every other key it held before and not after, oldest
+// first, then the key just put if it went too.
 func TestPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -82,7 +84,7 @@ func TestPolicy(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var evicted []string
-			s := New(10, func(k string, _ int64) { evicted = append(evicted, k) })
+			s := New[string, int64](10)
 			for i, o := range tc.ops {
 				step := fmt.Sprintf("step %d %+v", i, o)
 				if o.cost < 0 {
@@ -91,7 +93,18 @@ func TestPolicy(t *testing.T) {
 						t.Fatalf("%s: Drop reports %v for a key Get reports %v", step, !held, held)
 					}
 				} else {
+					var before []string
+					s.Each(func(k string, _ int64) {
+						if k != o.key {
+							before = append(before, k)
+						}
+					})
 					s.Put(o.key, o.cost, o.cost)
+					for _, k := range append(before, o.key) {
+						if _, held := s.Get(k); !held {
+							evicted = append(evicted, k)
+						}
+					}
 				}
 				check(t, step, s)
 			}
@@ -110,7 +123,7 @@ func TestPolicy(t *testing.T) {
 // from inside its own visit. The survivors keep their order, and a
 // recharge that evicts entries ahead of the walk does not derail it.
 func TestEachUnderMutation(t *testing.T) {
-	s := New[string, int64](10, nil)
+	s := New[string, int64](10)
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		s.Put(k, 2, 2)
 	}

@@ -138,15 +138,18 @@ func (s *Store) WALStats() *wal.Stats {
 
 // Compact folds the pending writes of a writable store into a new snapshot
 // generation: DB.Compact persists it over the snapshot with a durable
-// replace, then rewrites the log down to the records it lacks.
+// replace, then rewrites the log down to the records it lacks. The new
+// identity is published inside persist, under DB.Compact's writer lock,
+// so racing compactions publish in the order they wrote their files.
 func (s *Store) Compact() (gen, hwm uint64, err error) {
 	var info Info // zero unless a snapshot was written
 	gen, hwm, err = s.db.Compact(func(ex *core.Export) (err error) {
-		info, err = SaveExportFile(s.path, ex)
+		if info, err = SaveExportFile(s.path, ex); err == nil {
+			s.info.Store(&info)
+		}
 		return err
 	}, s.log.Rewrite)
 	if info.Checksum != "" {
-		s.info.Store(&info)
 		s.logger.Info("compacted", "generation", gen, "wal_hwm", hwm, "checksum", info.Checksum, "err", err)
 	}
 	return gen, hwm, err

@@ -2,12 +2,15 @@ package index
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/wal"
@@ -188,5 +191,90 @@ func TestReplayRefusedAfterJournal(t *testing.T) {
 	if ws := db.WriteState(); ws != before || !hasTarget(st, "live_a") || hasTarget(st, "live_b") {
 		t.Errorf("refused replays changed the corpus: write state %+v (was %+v), live_a=%v live_b=%v",
 			ws, before, hasTarget(st, "live_a"), hasTarget(st, "live_b"))
+	}
+}
+
+// TestRacingCompactionsServeDiskIdentity: Snapshot is the identity eshd
+// serves in /v1/stats and stamps on every partial frame, so it must name
+// the file on disk. Two compactions with a write between them race in
+// each round; afterwards Snapshot must equal the file's checksum. A
+// poller meanwhile holds the identity to the corpus it describes: once
+// DataGeneration reads G, Snapshot must not name an older generation's
+// file — which it did while a compaction rewrote the log, when the
+// identity was published only after the writer lock was released.
+func TestRacingCompactionsServeDiskIdentity(t *testing.T) {
+	snap, log := storeFiles(t)
+	st := openStore(t, snap, log)
+	defer st.Close()
+	diskSum := func() string {
+		t.Helper()
+		f, err := os.Open(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		_, info, err := LoadExportInfo(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Checksum
+	}
+	// genOf maps each round's last snapshot to its generation; the poller's
+	// readings are checked against it once every round is over.
+	genOf := map[string]uint64{diskSum(): 0}
+	type reading struct {
+		gen uint64
+		sum string
+	}
+	var readings []reading
+	done := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+			gen := st.DB().DataGeneration()
+			readings = append(readings, reading{gen, st.Snapshot().Checksum})
+		}
+	}()
+
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if err := st.DB().ApplyAdd(liveProc(t, fmt.Sprintf("live_%d_%d", round, g))); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := st.Compact(); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		got, want := st.Snapshot().Checksum, diskSum()
+		if got != want {
+			t.Fatalf("round %d: the store serves snapshot %s, the file on disk is %s", round, got, want)
+		}
+		genOf[want] = st.DB().DataGeneration()
+	}
+	close(done)
+	poller.Wait()
+
+	if gen := st.DB().DataGeneration(); gen < rounds {
+		t.Fatalf("%d rounds reached generation %d: the compactions did not all write", rounds, gen)
+	}
+	for _, r := range readings {
+		if g, ok := genOf[r.sum]; ok && g < r.gen {
+			t.Fatalf("at data generation %d the store served generation %d's snapshot %s", r.gen, g, r.sum)
+		}
 	}
 }

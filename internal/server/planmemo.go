@@ -33,7 +33,7 @@ type planMemo struct {
 }
 
 func (m *planMemo) init(reg *telemetry.Registry) {
-	m.plans = fifo.New[string, *core.QueryPlan](planMemoBudget, nil)
+	m.plans = fifo.New[string, *core.QueryPlan](planMemoBudget)
 	m.hits = reg.Counter("esh_plan_memo_hits_total", "Queries whose plan (pipeline stages 1-2) came from the plan memo: no parse, no decompose.")
 	m.misses = reg.Counter("esh_plan_memo_misses_total", "Queries whose request text the plan memo did not hold.")
 	reg.CounterFunc("esh_plan_memo_evictions_total", "Plans dropped, oldest first, to keep esh_plan_memo_bytes within budget.",

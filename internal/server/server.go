@@ -686,14 +686,13 @@ type StatsResponse struct {
 		GammaBatchRows          uint64             `json:"gamma_batch_rows"`
 		StageSeconds            map[string]float64 `json:"stage_seconds"`
 		// Memo is the γ-fingerprint memo: correspondences answered from
-		// it (hits) or evaluated by the kernel and stored (misses — what
-		// kernel_seconds and the gamma_batch figures cover), the bytes it
-		// holds against its fixed budget for how many remembered
-		// assignments (entries), and strands evicted to stay within it.
+		// it (hits) or evaluated by the kernel (misses — what
+		// kernel_seconds and the gamma_batch figures cover), and the
+		// bytes the in-flight queries' memos hold against its fixed
+		// ceiling for how many remembered assignments (entries).
 		Memo struct {
 			Hits        uint64 `json:"hits"`
 			Misses      uint64 `json:"misses"`
-			Evictions   uint64 `json:"evictions"`
 			Bytes       int64  `json:"bytes"`
 			Entries     int64  `json:"entries"`
 			BudgetBytes int64  `json:"budget_bytes"`
@@ -762,9 +761,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
 	resp.Engine.Memo.Hits = dbs.MemoHits
 	resp.Engine.Memo.Misses = dbs.MemoMisses
-	resp.Engine.Memo.Evictions = dbs.Memo.Evictions
 	resp.Engine.Memo.Bytes = dbs.Memo.Held
-	resp.Engine.Memo.Entries = dbs.MemoAssignments
+	resp.Engine.Memo.Entries = dbs.Memo.Entries
 	resp.Engine.Memo.BudgetBytes = dbs.Memo.Budget
 	resp.Engine.StageSeconds = dbs.StageSeconds
 

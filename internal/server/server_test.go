@@ -323,7 +323,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"esh_verifier_calls_total",
 		"# TYPE esh_vcp_memo_hits_total counter",
 		"# TYPE esh_vcp_memo_misses_total counter",
-		"# TYPE esh_vcp_memo_evictions_total counter",
 		"# TYPE esh_vcp_memo_bytes gauge",
 		"# TYPE esh_vcp_memo_budget_bytes gauge",
 		"# TYPE esh_plan_memo_hits_total counter",

@@ -3,8 +3,6 @@ package vcp
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/fifo"
 )
 
 // The γ-fingerprint memo. A correspondence γ binds each input of the
@@ -24,25 +22,25 @@ import (
 
 // memo maps slot assignments of one strand's inputs to the strand's
 // reduced fingerprints under them. Entries are append-only, never
-// rewritten and never moved: they live in chunks that are filled once
-// and then only read, so a fingerprint slice handed out by find stays
-// valid after the lock is dropped — while later entries go to new chunks,
-// and through eviction (reset drops the chunks, it does not reuse them).
+// rewritten, never moved and never dropped: they live in chunks that are
+// filled once and then only read, so a fingerprint slice handed out by
+// find stays valid after the lock is dropped while later entries go to
+// new chunks.
 type memo struct {
 	// nIn is the strand's input count and nd the length of its reduced
 	// fingerprint vector (both may be 0).
 	nIn, nd int
-	// pool, when non-nil, is charged for every byte the memo holds and
-	// counts every entry.
-	pool *MemoPool
 
 	mu sync.RWMutex
+	// pool, when non-nil, is charged for every byte the memo allocates
+	// and counts every entry, until Release detaches it.
+	pool *MemoPool
 	// chunks holds the entries; the last chunk has tailLen of its tailCap
 	// entry places filled, every earlier one is full. table is
 	// open-addressed over entry reference + 1 (0 = empty) with linear
 	// probing; its length is a power of two at least twice the entry
-	// count n. bytes is what chunks and table hold (see footprint); it
-	// changes only when a chunk is added or the table doubles.
+	// count n. bytes is what chunks and table hold (capacity, not length:
+	// that is what the heap pays for).
 	chunks           []memoChunk
 	tailLen, tailCap int
 	table            []int32
@@ -60,7 +58,7 @@ type memoChunk struct {
 }
 
 // An entry reference is chunk<<memoChunkBits | place. A chunk holds a
-// quarter of the entries before it — the slack the budget pays for stays
+// quarter of the entries before it — the slack the ceiling pays for stays
 // under a fifth of the memo, as when slabs grew by a quarter — between
 // memoMinChunk, so a strand with a handful of assignments pays for a
 // handful, and 1<<memoChunkBits, so a large memo's slack is bounded in
@@ -114,21 +112,35 @@ probe:
 // add stores freshly computed fingerprint rows: the r-th is buffer row
 // i = idx[r], with assignment rows[i*nIn:], hash hashes[i] and
 // fingerprints fresh[r*nd:]. A row another evaluator stored in the
-// meantime is skipped. The pool, if any, is charged only when the
-// footprint moved, and afterwards — outside mu, so the lock order is
-// always pool.mu before memo.mu.
+// meantime is skipped. An entry that needs a new chunk or a larger table
+// first reserves those bytes from the pool, if any; when the pool
+// refuses, the memo stops here and the remaining rows go unremembered —
+// their fingerprints were already computed and are scored all the same.
 func (m *memo) add(rows []int, idx []int, hashes []uint64, fresh []uint64) {
 	m.mu.Lock()
-	before, had := m.bytes, m.n
+	defer m.mu.Unlock()
+	had := m.n
 	for r, i := range idx {
 		a := rows[i*m.nIn : (i+1)*m.nIn]
 		if _, ok := m.find(a, hashes[i]); ok {
 			continue
 		}
-		if 2*(m.n+1) > len(m.table) {
+		grow, chunk := 2*(m.n+1) > len(m.table), m.tailLen == m.tailCap
+		var cost int64
+		if grow {
+			cost += int64(4 * max(8, len(m.table)))
+		}
+		if chunk {
+			cost += int64(m.chunkLen()*(4*m.nIn+8*m.nd)) + memoChunkHeader
+		}
+		if cost > 0 && m.pool != nil && !m.pool.reserve(cost) {
+			break
+		}
+		m.bytes += cost
+		if grow {
 			m.grow()
 		}
-		if m.tailLen == m.tailCap {
+		if chunk {
 			m.addChunk()
 		}
 		c := &m.chunks[len(m.chunks)-1]
@@ -140,26 +152,25 @@ func (m *memo) add(rows []int, idx []int, hashes []uint64, fresh []uint64) {
 		m.tailLen++
 		m.n++
 	}
-	grew := m.bytes != before
 	if m.pool != nil {
-		m.pool.assignments.Add(int64(m.n - had))
-	}
-	m.mu.Unlock()
-	if grew && m.pool != nil {
-		m.pool.charge(m)
+		m.pool.entries.Add(int64(m.n - had))
 	}
 }
 
-// addChunk appends an empty chunk with room for a quarter of the entries
-// held so far, within [memoMinChunk, 1<<memoChunkBits].
+// chunkLen is the entry places of the next chunk: a quarter of the
+// entries held so far, within [memoMinChunk, 1<<memoChunkBits].
+func (m *memo) chunkLen() int {
+	return min(max(m.n/4, memoMinChunk), 1<<memoChunkBits)
+}
+
+// addChunk appends an empty chunk of chunkLen entry places.
 func (m *memo) addChunk() {
-	n := min(max(m.n/4, memoMinChunk), 1<<memoChunkBits)
+	n := m.chunkLen()
 	m.chunks = append(m.chunks, memoChunk{
 		keys: make([]int32, 0, n*m.nIn),
 		fps:  make([]uint64, 0, n*m.nd),
 	})
 	m.tailLen, m.tailCap = 0, n
-	m.bytes += int64(n*(4*m.nIn+8*m.nd)) + memoChunkHeader
 }
 
 // place writes table value v at the first free probe position.
@@ -176,7 +187,6 @@ func (m *memo) place(h uint64, v int32) {
 func (m *memo) grow() {
 	old := m.table
 	m.table = make([]int32, max(8, 2*len(old)))
-	m.bytes += int64(4 * (len(m.table) - len(old)))
 	for _, v := range old {
 		if v != 0 {
 			key, _ := m.entry(v - 1)
@@ -185,41 +195,32 @@ func (m *memo) grow() {
 	}
 }
 
-// footprint is the bytes the chunks and the table hold (capacity, not
-// length: that is what the heap pays for).
-func (m *memo) footprint() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.bytes
-}
-
-// reset forgets every entry and lets the chunks go. Only a pool resets
-// the memos attached to it.
-func (m *memo) reset() {
-	m.mu.Lock()
-	m.pool.assignments.Add(-int64(m.n))
-	m.chunks, m.table = nil, nil
-	m.tailLen, m.tailCap, m.n, m.bytes = 0, 0, 0, 0
-	m.mu.Unlock()
-}
-
-// MemoPool is one byte budget shared by the γ-fingerprint memos of every
-// Prepared attached to it: a fifo.Store of whole strands' memos, each
-// charged its footprint, aged from its first charge. An evicted memo is
-// emptied, which only costs re-evaluation, never correctness. Safe for
-// concurrent use.
+// MemoPool is one byte ceiling shared by the γ-fingerprint memos of every
+// Prepared attached to it. A memo reserves its bytes before it allocates
+// them, and one the ceiling would not admit stops remembering new
+// assignments: that costs re-evaluation, never a different answer. No
+// memo is emptied while attached, so a query's memos keep everything they
+// stored until Release. Safe for concurrent use: the account is atomic,
+// and no lock is held across the pool and a memo.
 type MemoPool struct {
-	mu      sync.Mutex
-	charged *fifo.Store[*memo, struct{}]
-	// assignments is Σ memo.n over the attached memos, kept by add and
-	// reset so that reading it walks nothing.
-	assignments atomic.Int64
+	ceiling int64
+	// held is the bytes the attached memos hold, entries the slot
+	// assignments they remember; add and Release keep both, so reading
+	// them walks nothing.
+	held, entries atomic.Int64
 }
 
-// NewMemoPool returns a pool that keeps its memos within budget bytes.
-func NewMemoPool(budget int64) *MemoPool {
-	return &MemoPool{charged: fifo.New(budget, func(m *memo, _ struct{}) { m.reset() })}
+// MemoStats is a point-in-time reading of a MemoPool.
+type MemoStats struct {
+	// Held is the bytes the attached memos hold; it never exceeds Budget,
+	// the pool's ceiling. Entries is the slot assignments they remember,
+	// so Held over Entries is the cost of remembering one.
+	Held, Budget, Entries int64
 }
+
+// NewMemoPool returns a pool whose memos hold at most ceiling bytes
+// together.
+func NewMemoPool(ceiling int64) *MemoPool { return &MemoPool{ceiling: ceiling} }
 
 // Attach makes the pool account for p's memo. Call it before p is
 // shared; a Prepared never attached keeps an uncharged memo that lives
@@ -230,39 +231,38 @@ func (mp *MemoPool) Attach(p *Prepared) {
 	}
 }
 
-// Release drops the memos of ps and returns their bytes to the budget: the
-// end of the query that evaluated them.
+// Release hands the bytes and entries of ps's memos back to the pool and
+// detaches them: the end of the query that evaluated them.
 func (mp *MemoPool) Release(ps ...*Prepared) {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
 	for _, p := range ps {
-		if p.memo != nil && mp.charged.Drop(p.memo) {
-			p.memo.reset()
+		if m := p.memo; m != nil {
+			m.mu.Lock()
+			if m.pool == mp {
+				mp.held.Add(-m.bytes)
+				mp.entries.Add(-int64(m.n))
+				m.pool = nil
+			}
+			m.mu.Unlock()
 		}
 	}
 }
 
-// Stats reads the pool's account: bytes held of the budget, memos holding
-// them, memos evicted.
-func (mp *MemoPool) Stats() fifo.Stats {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	return mp.charged.Stats()
+// Stats reads the pool's account.
+func (mp *MemoPool) Stats() MemoStats {
+	return MemoStats{Held: mp.held.Load(), Budget: mp.ceiling, Entries: mp.entries.Load()}
 }
 
-// Assignments counts the slot assignments the attached memos remember, so
-// Stats().Held over it is the cost of remembering one.
-func (mp *MemoPool) Assignments() int64 { return mp.assignments.Load() }
-
-// charge brings the pool's account of m up to its current footprint. The
-// footprint is read here, under mp.mu, rather than passed in: an eviction
-// between the caller's add and this call has already emptied m, and a
-// stale figure would charge bytes that no longer exist.
-func (mp *MemoPool) charge(m *memo) {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if size := m.footprint(); size > 0 {
-		mp.charged.Put(m, struct{}{}, size)
+// reserve charges n more bytes if the ceiling has room for them, and
+// reports whether it did.
+func (mp *MemoPool) reserve(n int64) bool {
+	for {
+		held := mp.held.Load()
+		if held+n > mp.ceiling {
+			return false
+		}
+		if mp.held.CompareAndSwap(held, held+n) {
+			return true
+		}
 	}
 }
 

@@ -352,7 +352,7 @@ type Evaluator struct {
 	// q input index → target slot; slot candidates for input i are
 	// cands[candOff[i]:candOff[i+1]]. rows buffers up to g complete
 	// assignments (row r at rows[r*nIn:]) and hash[r] its memo hash;
-	// hit[r] is row r's varying fingerprints during a flush (nil between
+	// hit[r] is row r's varying fingerprints during a flush (stale between
 	// flushes), from the memo or — for the rows missIdx lists, the r-th of
 	// them being kernel row r — fresh from the kernel.
 	assignment []int
@@ -414,7 +414,7 @@ func sized[T any](s []T, n int) []T {
 // Compute returns VCP(ev.q, m) plus the work report; of m only the
 // Indexed half is read. Scores, rankings and Correspondences counts are
 // Float64bits-identical across every γ-batch width, a cold, warm or
-// evicted memo, an Indexed or a Prepared m, and the scalar reference:
+// full memo, an Indexed or a Prepared m, and the scalar reference:
 // γ candidates are enumerated in the same order and scored in that
 // order, a buffered leaf past a perfect match or the MaxCorrespondences
 // cap is discarded uncounted at flush — exactly the candidates the
@@ -572,7 +572,6 @@ func (ev *Evaluator) flush() {
 
 	for r := 0; r < n; r++ {
 		fps := ev.hit[r]
-		ev.hit[r] = nil // do not pin an evicted chunk past this pair
 		// A perfect match or the cap mid-buffer discards the remaining
 		// leaves uncounted: the unbuffered loop would have stopped
 		// before evaluating them.
