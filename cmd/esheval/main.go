@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "table1", "experiment: table1, table2, table3, fig5, fig6, census, crossopt, ablation, all")
+	exp := flag.String("exp", "table1", "experiment: table1, table2, table3, fig5, fig6, census, crossopt, ablation, accuracy, all")
 	scale := flag.String("scale", "full", "corpus scale: small, medium, full")
 	csv := flag.Bool("csv", false, "emit fig6 matrix as CSV")
 	flag.Parse()
@@ -71,6 +71,11 @@ func main() {
 		case "ablation":
 			var r *experiments.AblationResult
 			if r, err = experiments.Ablation(cfg); err == nil {
+				fmt.Println(r)
+			}
+		case "accuracy":
+			var r *experiments.AccuracyResult
+			if r, err = experiments.Accuracy(cfg); err == nil {
 				fmt.Println(r)
 			}
 		case "crossopt":

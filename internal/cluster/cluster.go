@@ -53,18 +53,7 @@ func PairwiseGES(procs []*asm.Proc, opts core.Options) (*Matrix, error) {
 		raw[i] = make([]float64, n)
 		self := ges[p.Name]
 		for j, t := range procs {
-			v := ges[t.Name]
-			switch {
-			case self <= 0:
-				raw[i][j] = 0
-			case v <= 0:
-				raw[i][j] = 0
-			default:
-				raw[i][j] = v / self
-				if raw[i][j] > 1 {
-					raw[i][j] = 1
-				}
-			}
+			raw[i][j] = SelfNormalized(ges[t.Name], self)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -74,6 +63,15 @@ func PairwiseGES(procs []*asm.Proc, opts core.Options) (*Matrix, error) {
 		}
 	}
 	return m, nil
+}
+
+// SelfNormalized is a query's GES for one target divided by its GES for
+// itself, clamped into [0, 1]: 0 when either score is not positive.
+func SelfNormalized(ges, self float64) float64 {
+	if self <= 0 || ges <= 0 {
+		return 0
+	}
+	return min(ges/self, 1)
 }
 
 // Agglomerate groups indices by average-linkage agglomerative

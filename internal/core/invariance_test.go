@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -286,4 +289,128 @@ func untouchedReg(b *lift.Block) (asm.Reg, bool) {
 		}
 	}
 	return 0, false
+}
+
+// TestOtherTargetsRankNothing is R(e): a target's score for a query reads
+// its own strands and the corpus's H0, and H0 shifts every target of the
+// query alike (TestH0ShiftsEveryTargetAlike), so adding or removing other
+// targets can never reorder two that stay. Each Table 1 query, compiled
+// by a toolchain C1 does not hold (gcc-4.6), is scored against C1; then a
+// seeded random third of C1 is tombstoned and compacted away, ten
+// generated decoy packages are added through the write path, and the
+// query is scored again. Every surviving target must keep its H0-free key
+// bit for bit, and every pair of survivors the two GES orders invert must
+// hold adjacent key values (no survivor's key strictly between theirs)
+// within TestRankingIgnoresH0's bound of 1e-12 of their terms' magnitudes.
+func TestOtherTargetsRankNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus queries are slow")
+	}
+	const bound, decoyPackages = 1e-12, 10
+	procs := buildDiffCorpus(t)
+	grown, err := testcorpus.Build(testcorpus.BuildConfig{
+		Toolchains:     testToolchains(t, "gcc-4.9", "clang-3.5", "icc-15.0.1"),
+		IncludePatched: true,
+		SynthVariants:  decoyPackages,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoys := grown[len(procs):] // Build appends the generated packages last
+	db := NewDB(Options{})
+	fillDB(t, db, procs)
+	qtc, ok := compile.ByName("gcc-4.6")
+	if !ok {
+		t.Fatal("no gcc-4.6 toolchain")
+	}
+	type scored struct{ ges, key, mag float64 }
+	score := func(q *asm.Proc) map[string]scored {
+		qp, err := db.PartialQueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]scored, len(qp.Targets))
+		for _, ps := range qp.Targets {
+			key, mag := h0FreeKey(qp, ps)
+			out[ps.Target.Name] = scored{key: key, mag: mag}
+		}
+		for _, ts := range qp.Finalize().Results {
+			s := out[ts.Target.Name]
+			s.ges = ts.GES
+			out[ts.Target.Name] = s
+		}
+		return out
+	}
+	var queries []*asm.Proc
+	var before []map[string]scored
+	for _, v := range testcorpus.Vulns() {
+		q, err := testcorpus.CompileVuln(v, qtc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+		before = append(before, score(q))
+	}
+
+	removed := map[string]bool{}
+	for _, i := range rand.New(rand.NewPCG(48, 3)).Perm(len(procs))[:len(procs)/3] {
+		if n, err := db.ApplyRemove(procs[i].Name); err != nil || n != 1 {
+			t.Fatalf("remove %s: %d removed, %v", procs[i].Name, n, err)
+		}
+		removed[procs[i].Name] = true
+	}
+	if _, _, err := db.Compact(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range decoys {
+		if err := db.ApplyAdd(p); err != nil {
+			t.Fatalf("add %s: %v", p.Name, err)
+		}
+	}
+	var survivors []string
+	for _, p := range procs {
+		if !removed[p.Name] {
+			survivors = append(survivors, p.Name)
+		}
+	}
+	if want := len(procs) - len(removed) + len(decoys); db.NumTargets() != want || len(decoys) == 0 {
+		t.Fatalf("%d targets after the writes, want %d (%d decoys)", db.NumTargets(), want, len(decoys))
+	}
+
+	inverted, worst := 0, 0.0
+	for k, q := range queries {
+		after := score(q)
+		// level[name] numbers the survivors' distinct key values in order.
+		byKey := slices.Clone(survivors)
+		slices.SortFunc(byKey, func(a, b string) int { return cmp.Compare(after[a].key, after[b].key) })
+		level := make(map[string]int, len(byKey))
+		for r, name := range byKey {
+			if r > 0 {
+				level[name] = level[byKey[r-1]]
+				if after[name].key != after[byKey[r-1]].key {
+					level[name]++
+				}
+			}
+		}
+		for i, a := range survivors {
+			if before[k][a].key != after[a].key {
+				t.Errorf("%s vs %s: H0-free key %v before the writes, %v after", q.Name, a, before[k][a].key, after[a].key)
+			}
+			for _, b := range survivors[i+1:] {
+				if cmp.Compare(before[k][a].ges, before[k][b].ges) == cmp.Compare(after[a].ges, after[b].ges) {
+					continue
+				}
+				inverted++
+				rel := math.Abs(after[a].key-after[b].key) / (after[a].mag + after[b].mag)
+				worst = max(worst, rel)
+				if d := level[a] - level[b]; d > 1 || d < -1 || rel > bound {
+					t.Errorf("%s: survivors %s and %s change order (GES %v, %v before; %v, %v after) with keys %v and %v, %d key values apart (relative %.3g, bound %g)",
+						q.Name, a, b, before[k][a].ges, before[k][b].ges, after[a].ges, after[b].ges,
+						after[a].key, after[b].key, max(d, -d), rel, bound)
+				}
+			}
+		}
+	}
+	t.Logf("%d survivors, %d removed, %d decoys added: %d pairs change order, keys within %.3g of their terms' magnitudes",
+		len(survivors), len(removed), len(decoys), inverted, worst)
 }

@@ -90,6 +90,24 @@ func TestTable1Golden(t *testing.T) {
 	checkGolden(t, "table1_small.golden", res.String())
 }
 
+// TestAccuracyGolden pins ROADMAP Z's accuracy judge at Small scale: the
+// 109 held-out queries against C1 and against C1 plus 100 generated decoy
+// packages (C4), every per-query ROC, CROC, FP and top-1/top-10 hit, their
+// means, the five worst queries and the three pooled rankings, each as an
+// exact %.17g value — an answer-preserving change moves no character.
+// Regenerate it deliberately with
+// UPDATE_GOLDEN=1 go test -run TestAccuracyGolden ./internal/experiments.
+func TestAccuracyGolden(t *testing.T) {
+	res, err := Accuracy(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Corpora) != 2 || len(res.Corpora[0].Queries) != 109 {
+		t.Fatalf("want 109 queries on two corpora, got %d corpora", len(res.Corpora))
+	}
+	checkGolden(t, "accuracy_small.golden", res.String())
+}
+
 // checkGolden compares an experiment's rendering with testdata/name, or
 // rewrites the file first when UPDATE_GOLDEN is set. Table 2, Table 3,
 // Figure 5 and Figure 6 are pinned inside their shape tests, so each
