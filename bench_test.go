@@ -28,7 +28,6 @@ import (
 	"repro/internal/minic"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/sketch"
 	"repro/internal/smt"
 	"repro/internal/strand"
 	"repro/internal/telemetry"
@@ -374,8 +373,7 @@ func BenchmarkQuery(b *testing.B) {
 }
 
 // BenchmarkQueryScale measures how cold query cost scales with corpus
-// size at the heuristic tier (suggested containment threshold, default
-// banding). The corpus grows 1x/4x/8x in procedure count via synthetic
+// size. The corpus grows 1x/4x/8x in procedure count via synthetic
 // decoy packages; stage 3 walks every unique target strand per query
 // strand, so verifier-calls/op is the scaling story.
 func BenchmarkQueryScale(b *testing.B) {
@@ -409,7 +407,7 @@ func BenchmarkQueryScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			db := core.NewDB(core.Options{LSHMinContainment: sketch.SuggestedMinContainment})
+			db := core.NewDB(core.Options{})
 			for _, p := range procs {
 				if err := db.AddTarget(p); err != nil {
 					b.Fatal(err)

@@ -102,34 +102,15 @@ func TestCLIGoldenQuery(t *testing.T) {
 		t.Errorf("esh -prefilter off: err %v, output %q; want a usage error", err, out)
 	}
 
-	// The retired axes are gone from the command line, not silently
-	// accepted.
+	// The retired axes, the heuristic tier among them, are gone from the
+	// command line, not silently accepted: a usage error, exit status 2.
 	for _, bin := range []string{eshBin, corpusBin} {
-		for _, flag := range []string{"-kernel", "-gamma-batch", "-retrieval", "-lsh-bands", "-lsh-rows"} {
-			out, err := exec.Command(bin, flag, "1").CombinedOutput()
-			if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+		for _, flag := range []string{"-kernel", "-gamma-batch", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"} {
+			cmd := exec.Command(bin, flag, "0.45")
+			out, err := cmd.CombinedOutput()
+			if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: "+flag) {
 				t.Errorf("%s %s: err %v, output %q; want an undefined-flag failure", filepath.Base(bin), flag, err, out)
 			}
 		}
-	}
-
-	// The heuristic tier is the snapshot's setting, and an unset flag
-	// keeps it: a snapshot saved at -lsh-min-containment 0.45 answers like
-	// the sound one overridden to 0.45 at load, and like the golden once
-	// overridden back to 0.
-	heurSnap := filepath.Join(dir, "heuristic.eshidx")
-	if out, err := exec.Command(corpusBin, "-save", heurSnap, "-scale", "small", "-synth", "0", "-lsh-min-containment", "0.45").CombinedOutput(); err != nil {
-		t.Fatalf("eshcorpus -save -lsh-min-containment 0.45: %v\n%s", err, out)
-	}
-	heuristic := run("-load", snap, "-query", queryPath, "-top", "10", "-lsh-min-containment", "0.45")
-	if out := run("-load", heurSnap, "-query", queryPath, "-top", "10"); out != heuristic {
-		t.Errorf("esh -load of a heuristic snapshot differs from the sound one overridden to the heuristic tier:\n%s--- want ---\n%s", out, heuristic)
-	}
-	if out := run("-load", heurSnap, "-query", queryPath, "-top", "10", "-lsh-min-containment", "0"); out != got {
-		t.Errorf("esh -load of a heuristic snapshot at -lsh-min-containment 0 differs from the golden run:\n%s", out)
-	}
-	nan := exec.Command(eshBin, "-load", snap, "-query", queryPath, "-lsh-min-containment", "NaN")
-	if out, err := nan.CombinedOutput(); err == nil || !strings.Contains(string(out), "-lsh-min-containment: ") {
-		t.Errorf("esh -lsh-min-containment NaN: err %v, output %q; want a refusal naming the flag", err, out)
 	}
 }

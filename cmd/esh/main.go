@@ -6,7 +6,7 @@
 // Usage:
 //
 //	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
-//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0] [-lsh-min-containment 0]
+//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0]
 //	    [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of

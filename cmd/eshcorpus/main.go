@@ -9,7 +9,6 @@
 //	eshcorpus -describe
 //	eshcorpus -out corpusdir [-scale full] [-patched]
 //	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
-//	          [-lsh-min-containment 0]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
 //	eshcorpus -save corpus.eshidx -wal corpus.wal  # fold an eshd log in, as eshd replays it
 //

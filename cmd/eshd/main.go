@@ -11,11 +11,10 @@
 //	     [-slow-query-threshold 1s] [-recorder-size 512]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
-//	     [-lsh-min-containment 0]
 //
-// The engine flags (the last line and -workers; package engineflags)
-// are applied to the snapshot's own options before the engine is built
-// from it; an unset flag keeps the snapshot's setting.
+// The engine flag -workers (package engineflags) is applied to the
+// snapshot's own options before the engine is built from it; unset, it
+// keeps the snapshot's setting.
 //
 // Endpoints:
 //
@@ -117,7 +116,6 @@ func main() {
 		"targets", st.Targets,
 		"unique_strands", st.UniqueStrands,
 		"total_strands", st.TotalStrands,
-		"lsh_min_containment", st.LSHMinContainment,
 		"snapshot_version", info.Version,
 		"checksum", info.Checksum,
 		"load_ms", loadSpan.Duration().Milliseconds(),

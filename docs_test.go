@@ -101,7 +101,7 @@ func checkRules(t *testing.T, s *liveSurface) {
 		name, doc, want string
 	}{
 		{"live names pass", "Run `esh -load x.eshidx -top 5`, read `esh_vcp_memo_{hits,misses}_total`, " +
-			"`esh_http_query_seconds_bucket`, `esh_go_*`, `.engine.memo.bytes`, `index.load_s`, `sketch.Index.CandidatesAmong`, " +
+			"`esh_http_query_seconds_bucket`, `esh_go_*`, `.engine.memo.bytes`, `index.load_s`, `sketch.Index.Candidates`, " +
 			"`TestCINamesTests`, `internal/core/rowcache.go`, `ci_test.go`, `_test.go` and `go test -race -count=10 ./internal/core`.\n" +
 			"```sh\n./eshd -index corpus.eshidx -wal corpus.wal | jq -c .writes\n```\n", ""},
 		{"stale flag in a span", "Use `-lsh-bands 12`.\n", "flag -lsh-bands"},

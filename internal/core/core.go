@@ -47,34 +47,18 @@ type Options struct {
 	// PathMaxBlocks bounds the path explosion (0 selects 12).
 	PathMaxBlocks int
 	// Prefilter and PrefilterLSH are ignored: every database tests
-	// forward injectability, and LSHMinContainment alone decides whether
-	// the heuristic tier exists. They stay declared only until ROADMAP A
-	// removes them from cmd/eshbench.
+	// forward injectability and nothing else. They stay declared only
+	// until ROADMAP A removes them from cmd/eshbench.
 	Prefilter string
-	// LSHMinContainment, when > 0, enables the heuristic tier (see
-	// sketch.Config.MinContainment; sketch.SuggestedMinContainment is the
-	// calibrated setting): stage 3 also skips pairs the sketches call
-	// dissimilar, so rankings can change. The default 0 is the sound
-	// tier, whose every skip is a provable zero. The sketches always use
-	// the default banding (sketch.DefaultBands × sketch.DefaultRows).
-	LSHMinContainment float64
 }
 
-// CheckSigmoidK and CheckMinContainment hold the two float options to the
-// values the engine can score with. A NaN or infinite setting turns every
-// score into a NaN that no reply can encode, so they are refused where a
-// value enters the program: flag parsing, snapshot and manifest decoding.
+// CheckSigmoidK holds the sigmoid steepness to the values the engine can
+// score with. A NaN or infinite setting turns every score into a NaN that
+// no reply can encode, so it is refused where a value enters the program:
+// flag parsing, snapshot and manifest decoding.
 func CheckSigmoidK(k float64) error {
 	if !(k >= 0) || math.IsInf(k, 1) {
 		return fmt.Errorf("sigmoid steepness %v: want a finite value >= 0", k)
-	}
-	return nil
-}
-
-// CheckMinContainment: see CheckSigmoidK.
-func CheckMinContainment(c float64) error {
-	if !(c >= 0 && c <= 1) {
-		return fmt.Errorf("containment threshold %v: want a value in [0, 1]", c)
 	}
 	return nil
 }
@@ -159,8 +143,8 @@ func (si ShardInfo) Sharded() bool { return si.Count > 0 }
 // DB is an indexed target database. Create with NewDB, populate with
 // AddTarget, then issue Query calls; or serve it and write through
 // ApplyAdd, ApplyRemove and Compact while it answers. The configuration is
-// decided before the DB exists and never changes: opts and sketchCfg are
-// written once, by NewDB. What changes is the corpus, and it changes by
+// decided before the DB exists and never changes: opts is written once,
+// by NewDB. What changes is the corpus, and it changes by
 // replacement: everything a reader may see is one immutable corpus value
 // (corpus.go) behind one pointer. A query loads it once; a writer builds
 // the successor under writeMu and stores it. Query is safe for concurrent
@@ -194,8 +178,6 @@ type DB struct {
 	writeMu sync.Mutex
 	byKey   map[string]int
 	journal Journal
-
-	sketchCfg sketch.Config
 
 	// rows holds one dense row per query-strand key (rowcache.go): VCP
 	// indexed by unique-strand number, each row charged its width against
@@ -245,12 +227,11 @@ func NewDB(opts Options) *DB {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	db := &DB{
-		opts:      opts,
-		newEval:   vcp.NewEvaluator,
-		memo:      vcp.NewMemoPool(memoBudgetBytes),
-		byKey:     map[string]int{},
-		rows:      fifo.New[string, *vcpRow](rowCachePairs),
-		sketchCfg: sketch.Config{MinContainment: opts.LSHMinContainment}.Normalized(),
+		opts:    opts,
+		newEval: vcp.NewEvaluator,
+		memo:    vcp.NewMemoPool(memoBudgetBytes),
+		byKey:   map[string]int{},
+		rows:    fifo.New[string, *vcpRow](rowCachePairs),
 	}
 	db.corpus.Store(&corpus{sketchIdx: db.newIndex(nil)})
 	db.initMetrics()
@@ -319,11 +300,7 @@ func (db *DB) Options() Options { return db.opts }
 func (db *DB) Shard() ShardInfo { return db.shard }
 
 // SketchConfig returns the banding of the DB's sketch index.
-func (db *DB) SketchConfig() sketch.Config { return db.sketchCfg }
-
-// heuristic reports whether the heuristic tier exists: stage 3 then also
-// skips the pairs the sketches call dissimilar.
-func (db *DB) heuristic() bool { return db.sketchCfg.MinContainment > 0 }
+func (db *DB) SketchConfig() sketch.Config { return sketchCfg }
 
 // decompose runs the front half of the pipeline on one procedure and
 // returns its strands that survive the minimum-size filter, plus the

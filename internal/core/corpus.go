@@ -50,12 +50,10 @@ type corpus struct {
 	countsVer uint64
 
 	// Sketch state: one sketch summary per unique strand (in uniq order;
-	// MinHash signatures are persisted in snapshots, the rest is
-	// recomputed cheaply) and the banded index over them. Stage 3 reads
-	// the summaries' typed input counts on every query and the rest at
-	// the heuristic tier only. Maintained unconditionally: it is cheap
-	// next to verifier preparation, and snapshots persist the signatures
-	// whatever tier the corpus was indexed under.
+	// MinHash signatures are persisted in snapshots, the typed input
+	// counts recomputed cheaply) and the banded index over them. Stage 3
+	// reads the typed input counts on every query; no query reads the
+	// signatures or the index (see grown).
 	sums      []sketch.Summary
 	sketchIdx *sketch.Index
 
@@ -73,9 +71,13 @@ type WriteState struct {
 	Tombstones    int    // tombstoned targets not yet compacted away
 }
 
+// sketchCfg is the one signature banding (24×3): no flag or snapshot
+// setting changes it.
+var sketchCfg = sketch.Config{}.Normalized()
+
 // newIndex builds the banded LSH index over sums, in strand order.
 func (db *DB) newIndex(sums []sketch.Summary) *sketch.Index {
-	idx := sketch.NewIndex(db.sketchCfg)
+	idx := sketch.NewIndex(sketchCfg)
 	for _, sum := range sums {
 		idx.Add(sum)
 	}
@@ -119,7 +121,7 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 				return nil, nil, fmt.Errorf("core: add %s: prepare strand: %w", p.Name, prep.Err())
 			}
 			skStart := time.Now()
-			sum := sketch.Summarize(s, db.sketchCfg)
+			sum := sketch.Summarize(s, sketchCfg)
 			db.hSketchBuild.Observe(time.Since(skStart).Seconds())
 			idx = len(c.uniq) + len(news)
 			newByKey[key] = idx
@@ -139,8 +141,15 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 // grown returns c's successor holding t and the novel strands resolve found
 // for it. The live path leaves c as its readers hold it: counts is cloned,
 // and novel strands force a fresh LSH index (sketch.Index is not safe to
-// mutate under concurrent Candidates readers). The bulk path counts and
+// mutate while a published corpus holds it). The bulk path counts and
 // indexes in place, so its cost follows the add, not the corpus.
+//
+// No query reads the signatures resolve computes or the band maps built
+// here; they stay on purpose. Dropping them makes every live add cheaper,
+// and the benchmark's ingest_mixed workload, whose write script runs a
+// fixed number of writes, then crowds its readers' window with adds
+// (ROADMAP A(2)). ROADMAP N(2) removes this work, the snapshot's sketch
+// section with it, once that window is time-boxed.
 func (db *DB) grown(c *corpus, t *Target, news []novel, bulk bool) *corpus {
 	next := *c
 	if bulk {
@@ -458,19 +467,15 @@ func FromExport(ex *Export) (*DB, error) {
 // adoptSketches builds the summary table over every unique strand of a
 // snapshot being restored. Persisted signatures of the signature's length
 // are adopted as-is — a signature does not depend on how it is banded —
-// and any other is re-MinHashed from the strand's feature set. The typed
-// input counts are always recomputed (a walk over the inputs). The
-// feature-set size is recomputed only where something reads it — at the
-// heuristic tier, or where the features are walked anyway to re-MinHash;
-// a sound-tier summary with an adopted signature skips the feature walk.
+// with the typed input counts recomputed (a walk over the inputs); any
+// other strand is re-MinHashed from its feature set.
 func (db *DB) adoptSketches(uniq []*vcp.Indexed, strands []ExportStrand) []sketch.Summary {
 	sums := make([]sketch.Summary, len(uniq))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, db.opts.Workers)
 	for i, p := range uniq {
-		if sig := strands[i].Sig; !db.heuristic() && len(sig) == db.sketchCfg.Len() {
-			sums[i] = sketch.Counts(p.S)
-			sums[i].Sig = sig
+		if sig := strands[i].Sig; len(sig) == sketchCfg.Len() {
+			sums[i] = sketch.AdoptSignature(p.S, sig, sketchCfg)
 			continue
 		}
 		wg.Add(1)
@@ -478,8 +483,7 @@ func (db *DB) adoptSketches(uniq []*vcp.Indexed, strands []ExportStrand) []sketc
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// AdoptSignature re-MinHashes on length mismatch.
-			sums[i] = sketch.AdoptSignature(s, strands[i].Sig, db.sketchCfg)
+			sums[i] = sketch.Summarize(s, sketchCfg)
 		}(i, p.S)
 	}
 	wg.Wait()

@@ -22,89 +22,87 @@ import (
 // the plan still reads like one made afresh and still answers like a
 // rebuild of what the writer left.
 func TestSharedPlanReadOnly(t *testing.T) {
-	for _, mode := range []string{"lsh"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := writeTestOptions(mode)
-			db := newWriteDB(mode)
-			ops := append(synthOps(1, 2, 3), addOp(iccStyle))
-			applyScript(t, db, ops, false)
-			q := parse(t, threeChains)
-			pl, err := db.Plan(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("scan", func(t *testing.T) {
+		opts := writeTestOptions()
+		db := newWriteDB()
+		ops := append(synthOps(1, 2, 3), addOp(iccStyle))
+		applyScript(t, db, ops, false)
+		q := parse(t, threeChains)
+		pl, err := db.Plan(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			done := make(chan struct{})
-			var served atomic.Int64
-			var readers sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				readers.Add(1)
-				go func(r int) {
-					defer readers.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						var err error
-						if (i+r)%2 == 0 {
-							db.TracePlanReuse(context.Background())
-							_, err = db.RunPlan(context.Background(), pl)
-						} else {
-							_, err = db.RunPlanPartial(context.Background(), pl)
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						served.Add(1)
+		done := make(chan struct{})
+		var served atomic.Int64
+		var readers sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
 					}
-				}(r)
-			}
-			step := func(more ...wop) {
-				applyScript(t, db, more, false)
-				ops = append(ops, more...)
-				for until := served.Load() + 8; served.Load() < until && !t.Failed(); {
-					runtime.Gosched()
+					var err error
+					if (i+r)%2 == 0 {
+						db.TracePlanReuse(context.Background())
+						_, err = db.RunPlan(context.Background(), pl)
+					} else {
+						_, err = db.RunPlanPartial(context.Background(), pl)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					served.Add(1)
 				}
+			}(r)
+		}
+		step := func(more ...wop) {
+			applyScript(t, db, more, false)
+			ops = append(ops, more...)
+			for until := served.Load() + 8; served.Load() < until && !t.Failed(); {
+				runtime.Gosched()
 			}
-			for i := 10; i < 18; i++ {
-				step(addOp(genProc(i)))
-				if i%2 == 1 {
-					step(delOp(fmt.Sprintf("synth_%d", i)))
-				}
-				if i%4 == 3 {
-					step(delOp(fmt.Sprintf("synth_%d", i-1)), compactOp())
-				}
+		}
+		for i := 10; i < 18; i++ {
+			step(addOp(genProc(i)))
+			if i%2 == 1 {
+				step(delOp(fmt.Sprintf("synth_%d", i)))
 			}
-			close(done)
-			readers.Wait()
+			if i%4 == 3 {
+				step(delOp(fmt.Sprintf("synth_%d", i-1)), compactOp())
+			}
+		}
+		close(done)
+		readers.Wait()
 
-			again, err := db.Plan(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
+		again, err := db.Plan(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pl.strands) != len(again.strands) || !slices.Equal(pl.weights, again.weights) {
+			t.Fatalf("the shared plan has %d strands weighted %v, a fresh one %d weighted %v",
+				len(pl.strands), pl.weights, len(again.strands), again.weights)
+		}
+		for i, s := range pl.strands {
+			if s.CanonicalKey() != again.strands[i].CanonicalKey() {
+				t.Errorf("strand %d of the shared plan changed its key", i)
 			}
-			if len(pl.strands) != len(again.strands) || !slices.Equal(pl.weights, again.weights) {
-				t.Fatalf("the shared plan has %d strands weighted %v, a fresh one %d weighted %v",
-					len(pl.strands), pl.weights, len(again.strands), again.weights)
-			}
-			for i, s := range pl.strands {
-				if s.CanonicalKey() != again.strands[i].CanonicalKey() {
-					t.Errorf("strand %d of the shared plan changed its key", i)
-				}
-			}
-			got, err := db.RunPlan(context.Background(), pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, "shared plan after the writer", got, want)
-		})
-	}
+		}
+		got, err := db.RunPlan(context.Background(), pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffReports(t, "shared plan after the writer", got, want)
+	})
 }
 
 // freshH0 is the H0 histogram of one row summed anew.
@@ -123,71 +121,69 @@ func freshH0(row []float64, counts []int) *stats.H0Accumulator {
 // tombstone and a compaction must each be followed by a re-summed
 // histogram, never the one stamped before them.
 func TestRowH0MatchesAccumulator(t *testing.T) {
-	for _, mode := range []string{"scan", "lsh"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := writeTestOptions(mode)
-			opts.SigmoidK = 7
-			db := NewDB(opts)
-			ops := append(synthOps(1, 2, 3), addOp(iccStyle), addOp(unrelated))
-			applyScript(t, db, ops, false)
-			q := parse(t, gccStyle)
-			pl, err := db.Plan(context.Background(), q)
+	t.Run("scan", func(t *testing.T) {
+		opts := writeTestOptions()
+		opts.SigmoidK = 7
+		db := NewDB(opts)
+		ops := append(synthOps(1, 2, 3), addOp(iccStyle), addOp(unrelated))
+		applyScript(t, db, ops, false)
+		q := parse(t, gccStyle)
+		pl, err := db.Plan(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lastVer uint64
+		check := func(label string, wantTombstones bool) {
+			t.Helper()
+			want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var lastVer uint64
-			check := func(label string, wantTombstones bool) {
-				t.Helper()
-				want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
+			// The first run after a write completes or re-sums the
+			// rows, the second leaves the histogram with them, the
+			// third reads it.
+			for run := 0; run < 3; run++ {
+				got, err := db.RunPlan(context.Background(), pl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The first run after a write completes or re-sums the
-				// rows, the second leaves the histogram with them, the
-				// third reads it.
-				for run := 0; run < 3; run++ {
-					got, err := db.RunPlan(context.Background(), pl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
-				}
-				qc := db.corpus.Load()
-				if (qc.live != nil) != wantTombstones || qc.countsVer == lastVer {
-					t.Fatalf("%s: test premise broken: tombstones %v, counts version %d after %d",
-						label, qc.live != nil, qc.countsVer, lastVer)
-				}
-				lastVer = qc.countsVer
-				db.mu.Lock()
-				defer db.mu.Unlock()
-				for _, s := range pl.strands {
-					row, _ := db.rows.Get(s.CanonicalKey())
-					h0 := row.h0At(qc.countsVer)
-					if h0 == nil {
-						t.Fatalf("%s: a row queried three times holds no histogram for version %d", label, qc.countsVer)
-					}
-					diffH0(t, label, h0, freshH0(row.vals[:len(qc.uniq)], qc.counts))
-				}
+				diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
 			}
-			write := func(more ...wop) {
-				applyScript(t, db, more, false)
-				ops = append(ops, more...)
+			qc := db.corpus.Load()
+			if (qc.live != nil) != wantTombstones || qc.countsVer == lastVer {
+				t.Fatalf("%s: test premise broken: tombstones %v, counts version %d after %d",
+					label, qc.live != nil, qc.countsVer, lastVer)
 			}
-			check("as indexed", false)
-			uniq := db.NumUniqueStrands()
-			write(addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")))
-			if db.NumUniqueStrands() != uniq {
-				t.Fatal("test premise broken: the copy brought new strands")
+			lastVer = qc.countsVer
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			for _, s := range pl.strands {
+				row, _ := db.rows.Get(s.CanonicalKey())
+				h0 := row.h0At(qc.countsVer)
+				if h0 == nil {
+					t.Fatalf("%s: a row queried three times holds no histogram for version %d", label, qc.countsVer)
+				}
+				diffH0(t, label, h0, freshH0(row.vals[:len(qc.uniq)], qc.counts))
 			}
-			check("counts-only add", false)
-			write(delOp("synth_2"))
-			check("tombstone", true)
-			write(delOp("checksum_icc"))
-			check("second tombstone", true)
-			write(compactOp())
-			check("compacted", false)
-		})
-	}
+		}
+		write := func(more ...wop) {
+			applyScript(t, db, more, false)
+			ops = append(ops, more...)
+		}
+		check("as indexed", false)
+		uniq := db.NumUniqueStrands()
+		write(addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")))
+		if db.NumUniqueStrands() != uniq {
+			t.Fatal("test premise broken: the copy brought new strands")
+		}
+		check("counts-only add", false)
+		write(delOp("synth_2"))
+		check("tombstone", true)
+		write(delOp("checksum_icc"))
+		check("second tombstone", true)
+		write(compactOp())
+		check("compacted", false)
+	})
 }
 
 // stableRanking is the reference ranking: the positions of scores under a

@@ -233,13 +233,12 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	db.mQueries.Inc()
 	qs := pl.strands
 	qp := &QueryPartial{
-		QueryName:      pl.QueryName,
-		Source:         pl.Source,
-		NumBlocks:      pl.NumBlocks,
-		NumStrands:     pl.NumStrands,
-		SigmoidK:       db.opts.SigmoidK,
-		Weights:        pl.weights,
-		MinContainment: db.opts.LSHMinContainment,
+		QueryName:  pl.QueryName,
+		Source:     pl.Source,
+		NumBlocks:  pl.NumBlocks,
+		NumStrands: pl.NumStrands,
+		SigmoidK:   db.opts.SigmoidK,
+		Weights:    pl.weights,
 	}
 
 	// Stage 3: vcp — for each unique query strand, the row of VCP(sq, st)
@@ -348,7 +347,7 @@ type vcpRowState struct {
 //  2. plan: a complete row is handed out as it is — no copy, no sketch, no
 //     per-pair test; otherwise only the columns the row does not know go
 //     through the cheap filters (dead, identical, forward injectability,
-//     the heuristic tier if any, size window), and what survives is the
+//     size window), and what survives is the
 //     strand's verify list;
 //  3. verify: prepare the strands that have a list, cut the lists into
 //     chunks and drain them with min(Workers, chunks) goroutines — none
@@ -360,23 +359,17 @@ type vcpRowState struct {
 // read-only (DESIGN §10.7). cached[i] is the cached row rows[i] is, if it
 // is one, and nil otherwise.
 func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows [][]float64, cached []*vcpRow, err error) {
-	n := len(qc.uniq)
 	states := make([]vcpRowState, len(qs))
 	for i, s := range qs {
 		states[i].s = s
 	}
 	db.lookupRows(states, qc.rowEpoch)
 
-	var cand []bool // heuristic candidate marks
-	if db.heuristic() {
-		cand = markSlabs.Get(n)
-		defer markSlabs.Put(cand)
-	}
 	var todo []int32
 	toVerify := 0
 	for i := range states {
 		st := &states[i]
-		todo = db.planScan(st, qc, cand, todo[:0])
+		todo = db.planScan(st, qc, todo[:0])
 		toVerify += len(st.verify)
 	}
 
@@ -437,11 +430,10 @@ func (db *DB) sizeRatio() float64 {
 	return vcp.Default().SizeRatio
 }
 
-// planScan resolves a row as far as it can without a verifier.
-// The identical-key short circuit stays ahead of the other filters so an
-// exact structural match can never be lost to sketch noise. todo is
-// scratch, returned for reuse.
-func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) []int32 {
+// planScan resolves a row as far as it can without a verifier, by stage
+// 3's one candidate rule: identical key, then forward injectability, then
+// the §5.5 size window. todo is scratch, returned for reuse.
+func (db *DB) planScan(st *vcpRowState, qc *corpus, todo []int32) []int32 {
 	n := len(qc.uniq)
 	todo = st.base.unknown(n, qc.counts, todo)
 	row := st.base
@@ -460,13 +452,8 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 		st.next = row
 		key, ratio := st.s.CanonicalKey(), db.sizeRatio()
 		// A pair whose forward direction cannot inject is skipped: its VCP
-		// is exactly 0. At the heuristic tier so is every pair the
-		// LSH/containment tests leave unmarked.
+		// is exactly 0.
 		qn := sketch.Counts(st.s)
-		heuristic := db.heuristic() && len(todo) > 0
-		if heuristic {
-			qc.sketchIdx.CandidatesAmong(sketch.Summarize(st.s, db.sketchCfg), todo, cand)
-		}
 		for _, j32 := range todo {
 			j := int(j32)
 			u := qc.uniq[j]
@@ -474,7 +461,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 			case u.Key() == key:
 				row.vals[j] = 1.0 // identical strands match exactly
 				row.set(j, kindIdentical)
-			case !qn.Injects(qc.sums[j]) || heuristic && !cand[j]:
+			case !qn.Injects(qc.sums[j]):
 				row.set(j, kindSkipped)
 			case !vcp.SizeCompatible(st.s, u.S, ratio):
 				row.set(j, kindPruned)
@@ -483,9 +470,6 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, cand []bool, todo []int32) [
 				// anyone else can see the row.
 				row.set(j, kindVerified)
 				st.verify = append(st.verify, j32)
-			}
-			if heuristic {
-				cand[j] = false // leave the pooled marks clear
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 
 	ops := append(append(core.SynthOps(1, 2, 3), core.DelOp("synth_2")), append(core.SynthOps(4), core.DelOp("synth_1"))...)
-	opts := core.WriteTestOptions("scan")
+	opts := core.WriteTestOptions()
 	db := core.NewDB(opts)
 	db.SetJournal(log)
 	var bounds []int64 // file size after each journaled record
@@ -138,7 +138,7 @@ func TestCompactPersistCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.WriteTestOptions("scan")
+	opts := core.WriteTestOptions()
 	db := core.NewDB(opts)
 	db.SetJournal(log)
 	core.ApplyScript(t, db, append(core.SynthOps(1, 2, 3), core.DelOp("synth_2")), false)
@@ -183,10 +183,10 @@ func snapshot(t *testing.T, db *core.DB) []byte {
 	return buf.Bytes()
 }
 
-// load rebuilds a database from snapshot bytes under the options override.
-func load(t *testing.T, snap []byte, override index.Override) *core.DB {
+// load rebuilds a database from snapshot bytes.
+func load(t *testing.T, snap []byte) *core.DB {
 	t.Helper()
-	db, _, err := index.LoadInfoCtx(context.Background(), bytes.NewReader(snap), override)
+	db, _, err := index.LoadInfoCtx(context.Background(), bytes.NewReader(snap), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,8 @@ func load(t *testing.T, snap []byte, override index.Override) *core.DB {
 // and tombstones is applied live through a real WAL onto a loaded
 // snapshot — whose arrays are exactly sized, so the first in-place append
 // moves them — and the same WAL is folded into a second load of that
-// snapshot. The two must save byte-identical snapshots and answer
-// bit-identically, at the sound tier and at the heuristic tier, which is
-// the one that reads the extended band maps.
+// snapshot. The two must save byte-identical snapshots (the extended band
+// maps' signatures among them) and answer bit-identically.
 func TestReplayMatchesLiveApply(t *testing.T) {
 	var base []string
 	for i := 100; i < 110; i++ {
@@ -209,67 +208,57 @@ func TestReplayMatchesLiveApply(t *testing.T) {
 	}
 	ops := append(core.SynthOps(1, 2, 3, 4), core.DelOp("synth_102"), core.DelOp("synth_2"))
 	ops = append(ops, append(core.SynthOps(5, 2, 6), core.DelOp("synth_5"), core.DelOp("synth_105"))...)
-	for _, mode := range []string{"scan", "lsh"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := core.WriteTestOptions(mode)
-			snap := snapshot(t, core.BuildFresh(t, opts, base))
+	t.Run("scan", func(t *testing.T) {
+		opts := core.WriteTestOptions()
+		snap := snapshot(t, core.BuildFresh(t, opts, base))
 
-			walPath := filepath.Join(t.TempDir(), "live.wal")
-			log, _, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
+		walPath := filepath.Join(t.TempDir(), "live.wal")
+		log, _, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := load(t, snap)
+		live.SetJournal(log)
+		core.ApplyScript(t, live, ops, false)
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		rec := load(t, snap)
+		if n, err := index.Fold(rec, walPath); err != nil || n != len(ops) {
+			t.Fatalf("folded %d records (%v), want %d", n, err, len(ops))
+		}
+		if g, l := rec.WriteState(), live.WriteState(); g != l {
+			t.Errorf("replayed write state %+v, live %+v", g, l)
+		}
+		if !bytes.Equal(snapshot(t, rec), snapshot(t, live)) {
+			t.Error("the replayed corpus saves a different snapshot from the live one")
+		}
+		for _, qsrc := range []string{core.GCCStyle, core.GenProc(4)} {
+			q := mustParse(t, qsrc)
+			got, err := rec.Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := load(t, snap, nil)
-			live.SetJournal(log)
-			core.ApplyScript(t, live, ops, false)
-			if err := log.Close(); err != nil {
+			want, err := live.Query(q)
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			rec := load(t, snap, nil)
-			if n, err := index.Fold(rec, walPath); err != nil || n != len(ops) {
-				t.Fatalf("folded %d records (%v), want %d", n, err, len(ops))
-			}
-			if g, l := rec.WriteState(), live.WriteState(); g != l {
-				t.Errorf("replayed write state %+v, live %+v", g, l)
-			}
-			if !bytes.Equal(snapshot(t, rec), snapshot(t, live)) {
-				t.Error("the replayed corpus saves a different snapshot from the live one")
-			}
-			for _, qsrc := range []string{core.GCCStyle, core.GenProc(4)} {
-				q := mustParse(t, qsrc)
-				got, err := rec.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := live.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				core.DiffReports(t, "replayed vs live "+q.Name, got, want)
-			}
-		})
-	}
+			core.DiffReports(t, "replayed vs live "+q.Name, got, want)
+		}
+	})
 }
 
-// TestLoadedSummariesMatchBuilt: a snapshot load keeps of each strand's
-// summary what its tier reads. At the sound tier that is the signature
-// (persisted) and the typed input counts; the heuristic tier also reads
-// the feature-set size, so there the loaded summary is the built one
-// whole, whether the tier was set at index time or by a load override. A
-// persisted signature of the wrong length is re-MinHashed, which walks the
-// features anyway: that summary is whole at either tier.
+// TestLoadedSummariesMatchBuilt: a snapshot load rebuilds each strand's
+// summary whole — the persisted signature and the typed input counts —
+// and a persisted signature of the wrong length is re-MinHashed into the
+// one the strand builds.
 func TestLoadedSummariesMatchBuilt(t *testing.T) {
 	srcs := []string{core.GCCStyle, core.Unrelated}
 	for i := 0; i < 20; i++ {
 		srcs = append(srcs, core.GenProc(i))
 	}
-	heuristic := func(o core.Options) (core.Options, error) {
-		o.LSHMinContainment = sketch.SuggestedMinContainment
-		return o, nil
-	}
-	sound := core.BuildFresh(t, core.WriteTestOptions("scan"), srcs)
-	atIndex := core.BuildFresh(t, core.WriteTestOptions("lsh"), srcs)
+	sound := core.BuildFresh(t, core.WriteTestOptions(), srcs)
 	unsigned := sound.Export()
 	for i := range unsigned.Strands {
 		unsigned.Strands[i].Sig = nil
@@ -281,26 +270,19 @@ func TestLoadedSummariesMatchBuilt(t *testing.T) {
 	if !slices.ContainsFunc(sound.Summaries(), func(s sketch.Summary) bool { return s.NMem > 0 }) {
 		t.Fatal("no strand has a memory input, so NMem is never compared")
 	}
-	whole := func(a, b sketch.Summary) bool { return reflect.DeepEqual(a, b) }
-	read := func(a, b sketch.Summary) bool {
-		return slices.Equal(a.Sig, b.Sig) && a.NInt == b.NInt && a.NMem == b.NMem
-	}
 	for _, c := range []struct {
-		name          string
-		built, loaded *core.DB
-		equal         func(a, b sketch.Summary) bool
+		name   string
+		loaded *core.DB
 	}{
-		{"sound", sound, load(t, snapshot(t, sound), nil), read},
-		{"heuristic at index time", atIndex, load(t, snapshot(t, atIndex), nil), whole},
-		{"heuristic by load override", sound, load(t, snapshot(t, sound), heuristic), whole},
-		{"sound, signatures re-MinHashed", sound, resigned, whole},
+		{"sound", load(t, snapshot(t, sound))},
+		{"sound, signatures re-MinHashed", resigned},
 	} {
-		built, loaded := c.built.Summaries(), c.loaded.Summaries()
+		built, loaded := sound.Summaries(), c.loaded.Summaries()
 		if len(built) != len(loaded) {
 			t.Fatalf("%s: %d summaries loaded, %d built", c.name, len(loaded), len(built))
 		}
 		for j := range built {
-			if !c.equal(loaded[j], built[j]) {
+			if !reflect.DeepEqual(loaded[j], built[j]) {
 				t.Errorf("%s: strand %d loads summary %+v, built %+v", c.name, j, loaded[j], built[j])
 			}
 		}

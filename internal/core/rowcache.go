@@ -15,7 +15,7 @@ type pairKind uint8
 
 const (
 	kindIdentical pairKind = iota // structurally identical strands: VCP 1
-	kindSkipped                   // forward-dead, or heuristically dissimilar: VCP 0
+	kindSkipped                   // forward-dead: VCP 0
 	kindPruned                    // outside the §5.5 size window: VCP 0
 	kindVerified                  // the verifier's answer (a dead pair is its exact 0)
 	numKinds

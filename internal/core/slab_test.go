@@ -38,7 +38,7 @@ func TestWarmQueryBytesFlat(t *testing.T) {
 		for i := 0; len(srcs) < n; i++ {
 			srcs = append(srcs, genProc(i))
 		}
-		db := buildFresh(t, writeTestOptions("scan"), srcs)
+		db := buildFresh(t, writeTestOptions(), srcs)
 		pl, err := db.Plan(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)

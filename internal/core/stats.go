@@ -34,7 +34,7 @@ func (db *DB) initMetrics() {
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one per verified strand pair, in the forward direction (none for a pair whose forward direction cannot inject).")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
-	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's, or (heuristic tier) the sketches call them dissimilar.")
+	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's.")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
 	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored unless the memo ceiling refuses them.")
@@ -137,11 +137,9 @@ type DBStats struct {
 	VCPPairsPruned          uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
-	// LSHMinContainment is the heuristic-tier threshold (0 = sound tier
-	// only); LSHPairsSkipped the pairs skipped before any verifier work
-	// (forward-dead, or dissimilar at the heuristic tier).
-	LSHMinContainment float64
-	LSHPairsSkipped   uint64
+	// LSHPairsSkipped counts the pairs skipped before any verifier work:
+	// forward-dead ones.
+	LSHPairsSkipped uint64
 	// KernelNanos is the cumulative wall time γ loops spent inside the
 	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
 	// γ-invariant and total compiled instruction counts across prepared
@@ -196,7 +194,6 @@ func (db *DB) Stats() DBStats {
 		VCPPairsPruned:          db.mPairsPruned.Value(),
 		VerifierCalls:           db.mVerifierCalls.Value(),
 		VerifierCorrespondences: db.mGamma.Value(),
-		LSHMinContainment:       db.sketchCfg.MinContainment,
 		LSHPairsSkipped:         db.mLSHSkipped.Value(),
 		KernelNanos:             db.mKernelNanos.Value(),
 		KernelPrefixInstrs:      db.mPrefixInstrs.Value(),
@@ -239,7 +236,7 @@ var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", 
 type rowStats struct {
 	state       rowState
 	pairs       int   // unique target strands examined
-	lshSkipped  int   // skipped: forward-dead, or heuristically dissimilar
+	lshSkipped  int   // skipped: forward-dead
 	pruned      int   // rejected by the size-ratio window
 	identical   int   // short-circuited as structurally identical
 	hits        int   // cache hits (pair results reused)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/vcp"
 )
@@ -161,18 +160,10 @@ func diffReports(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-func writeTestOptions(mode string) Options {
-	opts := Options{VCP: vcp.Config{MinVars: 3}}
-	if mode == "lsh" {
-		// The heuristic tier over a scan: the one loop that reads the
-		// banded sketch index.
-		opts.LSHMinContainment = sketch.SuggestedMinContainment
-	}
-	return opts
-}
+func writeTestOptions() Options { return Options{VCP: vcp.Config{MinVars: 3}} }
 
-// newWriteDB returns an empty database under writeTestOptions(mode).
-func newWriteDB(mode string) *DB { return NewDB(writeTestOptions(mode)) }
+// newWriteDB returns an empty database under writeTestOptions.
+func newWriteDB() *DB { return NewDB(writeTestOptions()) }
 
 // TestWriteDifferential checks, after every step of every script, that
 // the live corpus answers like a from-scratch rebuild of the survivors —
@@ -213,90 +204,88 @@ func TestWriteDifferential(t *testing.T) {
 	}
 	queries := []string{gccStyle, genProc(3), genProc(2), unrelated}
 
-	for _, mode := range []string{"scan", "lsh"} {
-		for _, sc := range scripts {
-			t.Run(mode+"/"+sc.name, func(t *testing.T) {
-				opts := writeTestOptions(mode)
-				live := newWriteDB(mode)
-				// Planned against the empty corpus and run after every
-				// step: nothing in a plan depends on the corpus, so a
-				// server may keep one for as long as it likes.
-				plans := make([]*QueryPlan, len(queries))
+	for _, sc := range scripts {
+		t.Run("scan/"+sc.name, func(t *testing.T) {
+			opts := writeTestOptions()
+			live := newWriteDB()
+			// Planned against the empty corpus and run after every
+			// step: nothing in a plan depends on the corpus, so a
+			// server may keep one for as long as it likes.
+			plans := make([]*QueryPlan, len(queries))
+			for qi, qsrc := range queries {
+				var err error
+				if plans[qi], err = live.Plan(context.Background(), parse(t, qsrc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for step := range sc.ops {
+				prefix := sc.ops[:step+1]
+				applyScript(t, live, prefix[step:], false)
+				if slices.Contains(sc.quiet, step) {
+					continue
+				}
+				fresh := buildFresh(t, opts, survivors(t, prefix))
+				if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
+					t.Fatalf("step %d: live corpus has %d live targets, fresh rebuild %d",
+						step, live.NumTargets()-live.Tombstones(), fresh.NumTargets())
+				}
+				// The same steps with no query in between: what the
+				// write path answers from an empty row cache.
+				unqueried := newWriteDB()
+				applyScript(t, unqueried, prefix, false)
 				for qi, qsrc := range queries {
-					var err error
-					if plans[qi], err = live.Plan(context.Background(), parse(t, qsrc)); err != nil {
+					q := parse(t, qsrc)
+					walkedBefore := pairCounts(fresh)
+					want, err := fresh.Query(q)
+					if err != nil {
+						t.Fatalf("step %d query %d (fresh): %v", step, qi, err)
+					}
+					walked := pairCounts(fresh).sub(walkedBefore)
+					for _, pass := range []string{"first", "cached"} {
+						before, creditedBefore := live.Stats(), pairCounts(live)
+						got, err := live.Query(q)
+						if err != nil {
+							t.Fatalf("step %d query %d (%s): %v", step, qi, pass, err)
+						}
+						diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
+						after := live.Stats()
+						if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
+							t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
+								step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
+						}
+						// Without tombstones the per-pair counters read what
+						// a walk of every pair reads, although nothing was
+						// walked: the rows' tallies vouch for the pairs.
+						if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
+							t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
+						}
+						if pass == "cached" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
+							t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
+								step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
+						}
+					}
+					// The third answer is the one a serving daemon gives:
+					// from the kept plan, over rows that now carry their
+					// H0 estimate (the "cached" pass left it with them).
+					planned, err := live.RunPlan(context.Background(), plans[qi])
+					if err != nil {
+						t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
+					}
+					diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
+					// What a partial hands out must not depend on what
+					// the cache knew.
+					warm, err := live.PartialQueryCtx(context.Background(), q)
+					if err != nil {
 						t.Fatal(err)
 					}
+					cold, err := unqueried.PartialQueryCtx(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffPartials(t, fmt.Sprintf("step %d query %d", step, qi), warm, cold)
 				}
-				for step := range sc.ops {
-					prefix := sc.ops[:step+1]
-					applyScript(t, live, prefix[step:], false)
-					if slices.Contains(sc.quiet, step) {
-						continue
-					}
-					fresh := buildFresh(t, opts, survivors(t, prefix))
-					if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
-						t.Fatalf("step %d: live corpus has %d live targets, fresh rebuild %d",
-							step, live.NumTargets()-live.Tombstones(), fresh.NumTargets())
-					}
-					// The same steps with no query in between: what the
-					// write path answers from an empty row cache.
-					unqueried := newWriteDB(mode)
-					applyScript(t, unqueried, prefix, false)
-					for qi, qsrc := range queries {
-						q := parse(t, qsrc)
-						walkedBefore := pairCounts(fresh)
-						want, err := fresh.Query(q)
-						if err != nil {
-							t.Fatalf("step %d query %d (fresh): %v", step, qi, err)
-						}
-						walked := pairCounts(fresh).sub(walkedBefore)
-						for _, pass := range []string{"first", "cached"} {
-							before, creditedBefore := live.Stats(), pairCounts(live)
-							got, err := live.Query(q)
-							if err != nil {
-								t.Fatalf("step %d query %d (%s): %v", step, qi, pass, err)
-							}
-							diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
-							after := live.Stats()
-							if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
-								t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
-									step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
-							}
-							// Without tombstones the per-pair counters read what
-							// a walk of every pair reads, although nothing was
-							// walked: the rows' tallies vouch for the pairs.
-							if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
-								t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
-							}
-							if pass == "cached" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
-								t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
-									step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
-							}
-						}
-						// The third answer is the one a serving daemon gives:
-						// from the kept plan, over rows that now carry their
-						// H0 estimate (the "cached" pass left it with them).
-						planned, err := live.RunPlan(context.Background(), plans[qi])
-						if err != nil {
-							t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
-						}
-						diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
-						// What a partial hands out must not depend on what
-						// the cache knew.
-						warm, err := live.PartialQueryCtx(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cold, err := unqueried.PartialQueryCtx(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						diffPartials(t, fmt.Sprintf("step %d query %d", step, qi), warm, cold)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -374,85 +363,83 @@ func diffH0(t *testing.T, label string, got, want *stats.H0Accumulator) {
 func TestWriteDifferentialStaleEpoch(t *testing.T) {
 	ops := append(synthOps(1, 2, 3, 4), delOp("synth_1"))
 	warmups := []string{genProc(3), gccStyle}
-	for _, mode := range []string{"scan", "lsh"} {
-		// "lookup-after": the compaction lands between the snapshot and
-		// the cache lookup, so the query sees another epoch's cache and
-		// works from scratch. "publish-after": it lands while the query is
-		// verifying, after a lookup that found the old epoch's rows.
-		for _, when := range []string{"lookup-after", "publish-after"} {
-			t.Run(mode+"/"+when, func(t *testing.T) {
-				opts := writeTestOptions(mode)
-				live := newWriteDB(mode)
-				// genProc(2) is not cached: the in-flight query has pairs
-				// to verify and rows to publish. Its plan is older than
-				// every target.
-				pl, err := live.Plan(context.Background(), parse(t, genProc(2)))
-				if err != nil {
+	// "lookup-after": the compaction lands between the snapshot and
+	// the cache lookup, so the query sees another epoch's cache and
+	// works from scratch. "publish-after": it lands while the query is
+	// verifying, after a lookup that found the old epoch's rows.
+	for _, when := range []string{"lookup-after", "publish-after"} {
+		t.Run("scan/"+when, func(t *testing.T) {
+			opts := writeTestOptions()
+			live := newWriteDB()
+			// genProc(2) is not cached: the in-flight query has pairs
+			// to verify and rows to publish. Its plan is older than
+			// every target.
+			pl, err := live.Plan(context.Background(), parse(t, genProc(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyScript(t, live, ops, false)
+			fresh := buildFresh(t, opts, survivors(t, ops))
+			for _, src := range warmups {
+				if _, err := live.Query(parse(t, src)); err != nil {
 					t.Fatal(err)
 				}
-				applyScript(t, live, ops, false)
-				fresh := buildFresh(t, opts, survivors(t, ops))
-				for _, src := range warmups {
-					if _, err := live.Query(parse(t, src)); err != nil {
-						t.Fatal(err)
-					}
+			}
+			compact := func() {
+				if _, _, err := live.Compact(nil, nil); err != nil {
+					t.Error(err)
 				}
-				compact := func() {
-					if _, _, err := live.Compact(nil, nil); err != nil {
-						t.Error(err)
-					}
+			}
+			q := parse(t, genProc(2))
+			qc := live.corpus.Load()
+			if when == "lookup-after" {
+				compact()
+			} else {
+				var once sync.Once
+				live.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
+					once.Do(compact)
+					return vcp.NewEvaluator(p, cfg)
 				}
-				q := parse(t, genProc(2))
-				qc := live.corpus.Load()
-				if when == "lookup-after" {
-					compact()
-				} else {
-					var once sync.Once
-					live.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
-						once.Do(compact)
-						return vcp.NewEvaluator(p, cfg)
-					}
+			}
+			qp, _, err := live.partialQuery(context.Background(), pl, qc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.DataGeneration() != 1 {
+				t.Fatalf("the compaction did not land mid-query (generation %d)", live.DataGeneration())
+			}
+			want, err := fresh.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReports(t, "in-flight query", qp.Finalize(), want)
+			live.mu.Lock()
+			for key := range dedupStrands(t, live, q) {
+				if _, cached := live.rows.Get(key); cached {
+					t.Errorf("a row indexed by the old numbering reached the remapped cache")
 				}
-				qp, _, err := live.partialQuery(context.Background(), pl, qc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if live.DataGeneration() != 1 {
-					t.Fatalf("the compaction did not land mid-query (generation %d)", live.DataGeneration())
-				}
-				want, err := fresh.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffReports(t, "in-flight query", qp.Finalize(), want)
-				live.mu.Lock()
-				for key := range dedupStrands(t, live, q) {
-					if _, cached := live.rows.Get(key); cached {
-						t.Errorf("a row indexed by the old numbering reached the remapped cache")
-					}
-				}
-				live.mu.Unlock()
+			}
+			live.mu.Unlock()
 
-				// The remapped rows answer the warm-up queries without a
-				// verifier, and everything still equals the rebuild.
-				for _, src := range append(warmups, genProc(2)) {
-					p := parse(t, src)
-					before := live.Stats()
-					got, err := live.Query(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := fresh.Query(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffReports(t, "after compaction: "+p.Name, got, want)
-					if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
-						t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
-					}
+			// The remapped rows answer the warm-up queries without a
+			// verifier, and everything still equals the rebuild.
+			for _, src := range append(warmups, genProc(2)) {
+				p := parse(t, src)
+				before := live.Stats()
+				got, err := live.Query(p)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				want, err := fresh.Query(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, "after compaction: "+p.Name, got, want)
+				if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
+					t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
+				}
+			}
+		})
 	}
 }
 
@@ -484,49 +471,47 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized differential run is slow")
 	}
-	for _, mode := range []string{"scan", "lsh"} {
-		t.Run(mode, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			opts := writeTestOptions(mode)
-			var ops []wop
-			next := 0
-			for round := 0; round < 4; round++ {
-				for step := 0; step < 8; step++ {
-					switch r := rng.Intn(10); {
-					case r < 6:
-						ops = append(ops, addOp(genProc(next)))
-						next++
-					case r < 9 && next > 0:
-						ops = append(ops, delOp(fmt.Sprintf("synth_%d", rng.Intn(next))))
-					default:
-						ops = append(ops, compactOp())
-					}
-				}
-				live := newWriteDB(mode)
-				applyScript(t, live, ops, true)
-				fresh := buildFresh(t, opts, survivors(t, ops))
-				for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
-					q := parse(t, qsrc)
-					got, err := live.Query(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := fresh.Query(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffReports(t, fmt.Sprintf("round %d query %s", round, q.Name), got, want)
+	t.Run("scan", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		opts := writeTestOptions()
+		var ops []wop
+		next := 0
+		for round := 0; round < 4; round++ {
+			for step := 0; step < 8; step++ {
+				switch r := rng.Intn(10); {
+				case r < 6:
+					ops = append(ops, addOp(genProc(next)))
+					next++
+				case r < 9 && next > 0:
+					ops = append(ops, delOp(fmt.Sprintf("synth_%d", rng.Intn(next))))
+				default:
+					ops = append(ops, compactOp())
 				}
 			}
-		})
-	}
+			live := newWriteDB()
+			applyScript(t, live, ops, true)
+			fresh := buildFresh(t, opts, survivors(t, ops))
+			for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
+				q := parse(t, qsrc)
+				got, err := live.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, fmt.Sprintf("round %d query %s", round, q.Name), got, want)
+			}
+		}
+	})
 }
 
 // TestCompactRoundTrip compacts through a persist callback that saves
 // the export, then reloads it: the reloaded engine carries the new
 // generation and high-water mark and answers bit-identically.
 func TestCompactRoundTrip(t *testing.T) {
-	db := NewDB(writeTestOptions("scan"))
+	db := NewDB(writeTestOptions())
 	for _, i := range []int{1, 2, 3, 4} {
 		if err := db.ApplyAdd(parse(t, genProc(i))); err != nil {
 			t.Fatal(err)
@@ -610,7 +595,7 @@ func TestReplayBytesFlat(t *testing.T) {
 		for i := 0; i < n; i++ {
 			srcs = append(srcs, genProc(i))
 		}
-		ex := buildFresh(t, writeTestOptions("scan"), srcs).Export()
+		ex := buildFresh(t, writeTestOptions(), srcs).Export()
 		least := int64(math.MaxInt64)
 		for run := 0; run < 3; run++ {
 			db, err := FromExport(ex)

@@ -14,8 +14,7 @@ import (
 	"repro/internal/core"
 )
 
-// Scope selects which flags a binary registers beyond the candidate
-// selection flag (-lsh-min-containment) every engine binary takes.
+// Scope selects which flags a binary registers.
 type Scope int
 
 const (
@@ -49,14 +48,11 @@ func Register(fs *flag.FlagSet, scope Scope) *Flags {
 		fs.IntVar(&f.set.PathLen, "pathlen", 0, "when indexing: decompose small procedures over control-flow paths of this many blocks (0 = off)")
 		fs.Float64Var(&f.set.SigmoidK, "sigmoid-k", 0, "when indexing: Esh sigmoid steepness (0 = paper's k=10)")
 	}
-	// Unset means the base value everywhere: Defaults for a fresh
-	// index, the snapshot's own setting for a loaded one.
-	fs.Float64Var(&f.set.LSHMinContainment, "lsh-min-containment", 0, "heuristic candidate tier at this estimated-containment threshold in [0, 1] (0 = sound tier only; rankings can change when > 0)")
 	return f
 }
 
 // Defaults returns the options a fresh index is built with when no
-// flag is set: the sound tier.
+// flag is set.
 func Defaults() core.Options {
 	return core.Options{}
 }
@@ -91,11 +87,6 @@ func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
 			o.SigmoidK = f.set.SigmoidK
 			if e := core.CheckSigmoidK(o.SigmoidK); e != nil {
 				err = fmt.Errorf("-sigmoid-k: %w", e)
-			}
-		case "lsh-min-containment":
-			o.LSHMinContainment = f.set.LSHMinContainment
-			if e := core.CheckMinContainment(o.LSHMinContainment); e != nil {
-				err = fmt.Errorf("-lsh-min-containment: %w", e)
 			}
 		}
 	})

@@ -10,7 +10,7 @@ import (
 )
 
 func TestApply(t *testing.T) {
-	snapshot := core.Options{LSHMinContainment: 0.25, PathLen: 3, SigmoidK: 7}
+	snapshot := core.Options{Workers: 4, PathLen: 3, SigmoidK: 7}
 	for _, tc := range []struct {
 		name    string
 		args    []string
@@ -22,20 +22,16 @@ func TestApply(t *testing.T) {
 		{name: "fresh build, nothing set: scan",
 			want: core.Options{}},
 		{name: "fresh build, set flags override",
-			args: []string{"-lsh-min-containment", "0.45", "-workers", "3", "-pathlen", "2"},
-			want: core.Options{LSHMinContainment: 0.45, Workers: 3, PathLen: 2}},
+			args: []string{"-workers", "3", "-pathlen", "2"},
+			want: core.Options{Workers: 3, PathLen: 2}},
 		{name: "load, nothing set: the snapshot's options",
 			load: true, want: snapshot},
 		{name: "load, set flags override, explicit zero included",
-			args: []string{"-lsh-min-containment", "0", "-workers", "2"}, load: true,
-			want: core.Options{Workers: 2, PathLen: 3, SigmoidK: 7}},
+			args: []string{"-workers", "0"}, load: true,
+			want: core.Options{PathLen: 3, SigmoidK: 7}},
 		{name: "load leaves index-time flags to the snapshot",
 			args: []string{"-pathlen", "5", "-sigmoid-k", "2"}, load: true,
 			want: snapshot, warns: "-pathlen is fixed at index time"},
-		{name: "NaN containment", args: []string{"-lsh-min-containment", "NaN"}, load: true, wantErr: "-lsh-min-containment: "},
-		{name: "infinite containment", args: []string{"-lsh-min-containment", "Inf"}, wantErr: "-lsh-min-containment: "},
-		{name: "containment above 1", args: []string{"-lsh-min-containment", "1.5"}, wantErr: "-lsh-min-containment: "},
-		{name: "negative containment", args: []string{"-lsh-min-containment", "-0.1"}, wantErr: "-lsh-min-containment: "},
 		{name: "NaN sigmoid k", args: []string{"-sigmoid-k", "NaN"}, wantErr: "-sigmoid-k: "},
 		{name: "infinite sigmoid k", args: []string{"-sigmoid-k", "+Inf"}, wantErr: "-sigmoid-k: "},
 		{name: "negative sigmoid k", args: []string{"-sigmoid-k", "-1"}, wantErr: "-sigmoid-k: "},
@@ -73,16 +69,17 @@ func TestApply(t *testing.T) {
 
 // TestScope: a binary registers only the flags that mean something for
 // it — eshd (Query) cannot set index-time options, eshcorpus (Index)
-// takes no -workers — and the retired axes, -prefilter, -retrieval and
-// the LSH geometry among them, are defined nowhere.
+// takes no -workers — and the retired axes, -prefilter, -retrieval, the
+// LSH geometry and the heuristic tier's -lsh-min-containment among them,
+// are defined nowhere.
 func TestScope(t *testing.T) {
 	for _, tc := range []struct {
 		scope     Scope
 		undefined []string
 	}{
-		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
-		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
-		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows"}},
+		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
+		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
+		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
 	} {
 		for _, name := range tc.undefined {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -435,7 +435,6 @@ func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 				Generation:     st.Snapshot.Generation,
 				Checksum:       st.Snapshot.Checksum,
 				SigmoidK:       st.Engine.SigmoidK,
-				MinContainment: st.Prefilter.MinContainment,
 				DataGeneration: st.Writes.Generation,
 				PendingWrites:  st.Writes.PendingWrites,
 			}); err != nil {

@@ -566,8 +566,8 @@ func skewedShard(t *testing.T, real string, wireVersion int, partialBody []byte)
 }
 
 // TestGatewayWireVersionSkew covers a shard of another build on a fan-out
-// leg: a JSON body (what eshd replied before frames) and a frame of an
-// unknown version each fail that leg only, with an error naming both
+// leg: a JSON body (what eshd replied before frames), a frame of the
+// previous version and one of an unknown version each fail that leg only, with an error naming both
 // versions — so the query falls through to a healthy replica, or
 // degrades to partial when there is none — and CheckFleet reports the
 // replica at startup.
@@ -579,6 +579,9 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(future[4:], shard.WireVersion+1)
+	// Version 4 frames carried the retired heuristic tier's min containment.
+	v4 := append([]byte(nil), future...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
 
 	for name, tc := range map[string]struct {
 		version int
@@ -587,6 +590,7 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 	}{
 		"json body":       {0, oldJSON, "not a frame"},
 		"unknown version": {shard.WireVersion + 1, future, fmt.Sprintf("wire version %d, want %d", shard.WireVersion+1, shard.WireVersion)},
+		"version 4":       {4, v4, fmt.Sprintf("wire version 4, want %d", shard.WireVersion)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			// Alone on shard 1: the leg fails, the query degrades.
@@ -642,56 +646,6 @@ func TestCheckFleet(t *testing.T) {
 	}
 	if errs := bad.CheckFleet(context.Background()); len(errs) == 0 {
 		t.Fatal("cross-wired fleet passed verification")
-	}
-
-	// The tier is part of the fleet's identity: a replica started at
-	// another -lsh-min-containment merges heuristic scores into sound
-	// ones.
-	_, shardExs, err := shard.Split(buildCorpus(t).Export(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica := func(s int, edit func(*core.Options)) string {
-		t.Helper()
-		se := *shardExs[s]
-		edit(&se.Opts)
-		sdb, err := core.FromExport(&se)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(server.New(sdb, server.Config{Logger: quietLogger()}).Handler())
-		t.Cleanup(ts.Close)
-		return ts.URL
-	}
-	heuristic := func(o *core.Options) { o.LSHMinContainment = 0.45 }
-	heuristicMan := *f.man
-	heuristicMan.LSHMinContainment = 0.45
-	for _, tc := range []struct {
-		name    string
-		man     *shard.Manifest
-		shards  [2]func(*core.Options)
-		wantErr string // "" = the fleet passes
-	}{
-		{"sound fleet, one replica at the heuristic tier", f.man,
-			[2]func(*core.Options){func(*core.Options) {}, heuristic}, "lsh min containment 0.45, manifest says 0"},
-		{"heuristic fleet", &heuristicMan,
-			[2]func(*core.Options){heuristic, heuristic}, ""},
-	} {
-		gw, err := New(Config{
-			Manifest: tc.man,
-			Shards:   [][]string{{replica(0, tc.shards[0])}, {replica(1, tc.shards[1])}},
-			Logger:   quietLogger(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		errs := gw.CheckFleet(context.Background())
-		switch {
-		case tc.wantErr == "" && len(errs) != 0:
-			t.Errorf("%s: errors %v, want none", tc.name, errs)
-		case tc.wantErr != "" && (len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.wantErr)):
-			t.Errorf("%s: errors %v, want one saying %q", tc.name, errs, tc.wantErr)
-		}
 	}
 }
 

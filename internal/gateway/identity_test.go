@@ -32,11 +32,10 @@ func (s *swappable) ServeHTTP(w http.ResponseWriter, r *http.Request) { (*s.h.Lo
 
 func (s *swappable) set(h http.Handler) { s.h.Store(&h) }
 
-// storeReplica serves a shard snapshot the way eshd -index does, under an
-// options override (nil: the snapshot's own).
-func storeReplica(t *testing.T, path string, override index.Override) http.Handler {
+// storeReplica serves a shard snapshot the way eshd -index does.
+func storeReplica(t *testing.T, path string) http.Handler {
 	t.Helper()
-	st, err := index.OpenStore(context.Background(), path, index.StoreOptions{Override: override, Logger: quietLogger()})
+	st, err := index.OpenStore(context.Background(), path, index.StoreOptions{Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +65,10 @@ func resultsOf(t testing.TB, body []byte) []byte {
 }
 
 // TestGatewayRefusesSwappedReplica: the fleet rule holds on every query,
-// not only at boot. A replica that passed CheckFleet and then restarts at
-// the heuristic tier (eshd -lsh-min-containment 0.45 on its own
-// snapshot), or on a re-split snapshot of the same generation, fails the
-// query with a 500 naming the shard, the field and both values — the
-// message a fresh CheckFleet gives for the same replica.
+// not only at boot. A replica that passed CheckFleet and then restarts on
+// a re-split snapshot of the same generation fails the query with a 500
+// naming the shard, the field and both values — the message a fresh
+// CheckFleet gives for the same replica.
 func TestGatewayRefusesSwappedReplica(t *testing.T) {
 	var tcs []compile.Toolchain
 	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
@@ -112,53 +110,19 @@ func TestGatewayRefusesSwappedReplica(t *testing.T) {
 		t.Fatalf("re-split: generation %s/%s, checksum %s/%s", reman.Generation, man.Generation, reman.Shards[1].Checksum, man.Shards[1].Checksum)
 	}
 	shardPath := func(prefix string, s int) string { return filepath.Join(dir, fmt.Sprintf("%s.%d", prefix, s)) }
-	heuristic := func(o core.Options) (core.Options, error) {
-		o.LSHMinContainment = 0.45
-		return o, nil
-	}
-
-	// What a merge that let the heuristic replica in would answer: its
-	// partial, passed off as sound, beside shard 0's — not the single
-	// node's answer.
-	var parts []*shard.Partial
-	for s, override := range []index.Override{nil, heuristic} {
-		sdb, _, err := index.LoadFileInfoCtx(context.Background(), shardPath("a", s), override)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qp, err := sdb.PartialQueryCtx(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, shard.FromQueryPartial(qp, sdb.Shard()))
-	}
-	parts[1].MinContainment = 0
-	mixed, _, err := shard.Merge(man, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.Results[0].GES == want.Results[0].GES {
-		t.Fatalf("the heuristic replica does not move the top score (%g): the case tests nothing", want.Results[0].GES)
-	}
-
 	for _, tc := range []struct {
 		name    string
 		swap    http.Handler
 		wantErr string
 	}{
-		{"heuristic tier", storeReplica(t, shardPath("a", 1), heuristic), "shard 1: lsh min containment 0.45, manifest says 0"},
-		{"re-split snapshot", storeReplica(t, shardPath("b", 1), nil),
+		{"re-split snapshot", storeReplica(t, shardPath("b", 1)),
 			fmt.Sprintf("shard 1: snapshot checksum %.12s…, manifest says %.12s…", reman.Shards[1].Checksum, man.Shards[1].Checksum)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var urls [][]string
 			var replica1 swappable
 			for s := range man.Shards {
-				var h http.Handler = storeReplica(t, shardPath("a", s), nil)
+				var h http.Handler = storeReplica(t, shardPath("a", s))
 				if s == 1 {
 					replica1.set(h)
 					h = &replica1

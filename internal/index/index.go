@@ -212,10 +212,9 @@ func encodeBody(ex *core.Export) []byte {
 	o := ex.Opts
 	// Options.Workers is a deployment setting, not corpus state: the
 	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshmincont=%s\n",
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d\n",
 		recfile.Float(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
-		o.VCP.Samples, o.VCP.MinVars, recfile.Float(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		recfile.Float(o.LSHMinContainment))
+		o.VCP.Samples, o.VCP.MinVars, recfile.Float(o.VCP.SizeRatio), o.VCP.MaxCorrespondences)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -454,16 +453,16 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			}
 		case "vcpmaxcorr":
 			count(&ex.Opts.VCP.MaxCorrespondences, core.MaxVCPCorrespondences)
-		case "lshmincont":
-			if ex.Opts.LSHMinContainment = atof(); ierr == nil {
-				ierr = core.CheckMinContainment(ex.Opts.LSHMinContainment)
-			}
 		default:
 			// Unknown keys are ignored so minor option additions do not
-			// invalidate old readers within a format version — and so
-			// files that still carry the retired workers=, kernel=,
-			// gammabatch=, retrmaxdelta=, cachepairs=, prefilter=,
-			// lshbands=, lshrows= and retrieval= keys keep loading.
+			// invalidate old readers within a format version — and so files
+			// that still carry the retired workers=, kernel=, gammabatch=,
+			// retrmaxdelta=, cachepairs=, prefilter=, lshbands=, lshrows=,
+			// retrieval= and lshmincont=0 keys keep loading. A snapshot
+			// saved to answer at the retired heuristic tier is refused.
+			if key == "lshmincont" && atof() != 0 && ierr == nil {
+				ierr = fmt.Errorf("the heuristic candidate tier is retired; re-save the corpus at the sound tier")
+			}
 		}
 		if ierr != nil {
 			return d.Errf("bad option value %q: %v", kv, ierr)

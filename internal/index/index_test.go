@@ -5,13 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"regexp"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -225,7 +223,8 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 // gammabatch=, retrmaxdelta=, cachepairs=, prefilter=, retrieval=,
 // lshbands= or lshrows=, option keys of earlier builds, keep loading
 // (unknown keys are ignored, whatever their value), answer identically,
-// and re-save without them. The row cache's bound is no longer the file's
+// and re-save without them; so does lshmincont=0, the retired heuristic
+// tier's sound setting (above 0 it is refused: TestBadBodyRejected). The row cache's bound is no longer the file's
 // to set: a database loaded from cachepairs=7 serves under the constant.
 // Nor is the banding: a snapshot saved at 12×6 carries the same 72-value
 // signatures, cut into other bands, and they are adopted as they are.
@@ -239,6 +238,7 @@ func TestRetiredOptionKeys(t *testing.T) {
 	for _, tc := range []struct{ keys, sketch string }{
 		{"workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7 prefilter=lhs", sketchRecord},
 		{"retrieval=probe lshbands=12 lshrows=6", fmt.Sprintf("sketch %d 12 6", db.NumUniqueStrands())},
+		{"lshmincont=0", sketchRecord},
 	} {
 		old := rewrite(t, snap, Version, func(ln string) string {
 			if strings.HasPrefix(ln, "options ") {
@@ -273,13 +273,13 @@ func TestBadBodyRejected(t *testing.T) {
 	snap := saveBytes(t, db)
 	lineError := regexp.MustCompile(`^index: line \d+: `)
 	for _, tc := range []struct{ from, to, want string }{
-		{"lshmincont=", "lshmincont=x", `line 1: bad option value "lshmincont=x`},
 		{"sigmoidk=0", "sigmoidk=NaN", `line 1: bad option value "sigmoidk=NaN"`},
 		{"sigmoidk=0", "sigmoidk=+Inf", `line 1: bad option value "sigmoidk=+Inf"`},
 		{"sigmoidk=0", "sigmoidk=-1", `line 1: bad option value "sigmoidk=-1"`},
-		{"lshmincont=0", "lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},
-		{"lshmincont=0", "lshmincont=Inf", `line 1: bad option value "lshmincont=Inf"`},
-		{"lshmincont=0", "lshmincont=1.5", `line 1: bad option value "lshmincont=1.5"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=x", `line 1: bad option value "lshmincont=x"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=0.45", `line 1: bad option value "lshmincont=0.45": the heuristic candidate tier is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=1.5", `line 1: bad option value "lshmincont=1.5"`},
 		{"vcpsizeratio=0 ", "vcpsizeratio=+Inf ", `line 1: bad option value "vcpsizeratio=+Inf"`},
 		{"vcpsizeratio=0 ", "vcpsizeratio=2 ", `line 1: bad option value "vcpsizeratio=2"`},
 		{"vcpsizeratio=0 ", "vcpsizeratio=NaN ", `line 1: bad option value "vcpsizeratio=NaN"`},
@@ -463,99 +463,6 @@ func compactInto(t *testing.T, db *core.DB) []byte {
 		t.Fatal("the compaction persisted nothing")
 	}
 	return buf.Bytes()
-}
-
-// TestHeuristicOverrideAtLoad: a database gets the heuristic tier from its
-// options alone, so its answers cannot depend on how it was reached. The
-// same corpus at the heuristic tier, reached three ways — indexed by
-// AddTarget; loaded from a snapshot a sound database saved, with the
-// threshold overridden at load; loaded from a snapshot of half of it, the
-// rest added live and compacted — must skip the same pairs and return
-// bit-identical rows and scores.
-func TestHeuristicOverrideAtLoad(t *testing.T) {
-	procs := compiledCorpus(t)
-	heuristic := func(o core.Options) (core.Options, error) {
-		o.LSHMinContainment = sketch.SuggestedMinContainment
-		return o, nil
-	}
-	load := func(snap []byte) *core.DB {
-		t.Helper()
-		db, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), heuristic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-
-	opts, _ := heuristic(core.Options{})
-	indexed := fill(t, core.NewDB(opts), procs)
-	loaded := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs)))
-	grown := load(saveBytes(t, fill(t, core.NewDB(core.Options{}), procs[:len(procs)/2])))
-	for _, p := range procs[len(procs)/2:] {
-		if err := grown.ApplyAdd(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compactInto(t, grown)
-
-	others := map[string]*core.DB{"loaded": loaded, "loaded, grown and compacted": grown}
-	skipped := map[string]uint64{}
-	qtc, _ := compile.ByName("clang-3.5")
-	for _, v := range corpus.Vulns()[:3] {
-		q, err := corpus.CompileVuln(v, qtc, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := indexed.Stats().LSHPairsSkipped
-		want, err := indexed.PartialQueryCtx(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		skipped["indexed"] += indexed.Stats().LSHPairsSkipped - before
-		a, err := indexed.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, db := range others {
-			before := db.Stats().LSHPairsSkipped
-			got, err := db.PartialQueryCtx(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			skipped[name] += db.Stats().LSHPairsSkipped - before
-			gotJSON, _ := json.Marshal(got.H0)
-			wantJSON, _ := json.Marshal(want.H0)
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Fatalf("%s, query %s: H0 histograms differ from the indexed database's", name, v.Alias)
-			}
-			for k, tp := range want.Targets {
-				if !slices.EqualFunc(got.Targets[k].MaxVCP, tp.MaxVCP, sameBits) {
-					t.Fatalf("%s, query %s: target %d best VCPs differ from the indexed database's", name, v.Alias, k)
-				}
-			}
-			b, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReports(t, "indexed vs "+name, a, b)
-		}
-	}
-	sound := fill(t, core.NewDB(core.Options{}), procs)
-	for _, v := range corpus.Vulns()[:3] {
-		q, _ := corpus.CompileVuln(v, qtc, false)
-		if _, err := sound.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if skipped["indexed"] <= sound.Stats().LSHPairsSkipped {
-		t.Fatalf("test premise broken: the heuristic tier skipped %d pairs, the sound tier %d; it is to skip more",
-			skipped["indexed"], sound.Stats().LSHPairsSkipped)
-	}
-	for name := range others {
-		if skipped[name] != skipped["indexed"] {
-			t.Errorf("%s: %d pairs skipped, the indexed database %d", name, skipped[name], skipped["indexed"])
-		}
-	}
 }
 
 // compareQueries runs the shared query set against both databases and

@@ -662,13 +662,11 @@ type StatsResponse struct {
 		Bytes       int    `json:"bytes"`
 		BudgetBytes int    `json:"budget_bytes"`
 	} `json:"plan_memo"`
-	// Prefilter reports stage 3's candidate tests: the heuristic-tier
-	// containment threshold (0 = sound tier only), and the pairs skipped
-	// before the verifier — forward-dead, or dissimilar at the heuristic
-	// tier (cumulative across queries).
+	// Prefilter reports stage 3's candidate test: the pairs skipped before
+	// the verifier because they are forward-dead (cumulative across
+	// queries).
 	Prefilter struct {
-		MinContainment float64 `json:"min_containment"`
-		PairsSkipped   uint64  `json:"pairs_skipped"`
+		PairsSkipped uint64 `json:"pairs_skipped"`
 	} `json:"prefilter"`
 	// Engine aggregates pipeline work across all queries: verifier
 	// effort, pruning effectiveness, evaluation-kernel time,
@@ -747,7 +745,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PlanMemo.Evictions = plans.Evictions
 	resp.PlanMemo.Bytes = int(plans.Held)
 	resp.PlanMemo.BudgetBytes = int(plans.Budget)
-	resp.Prefilter.MinContainment = dbs.LSHMinContainment
 	resp.Prefilter.PairsSkipped = dbs.LSHPairsSkipped
 	resp.Engine.Queries = dbs.Queries
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned

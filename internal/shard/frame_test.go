@@ -110,8 +110,8 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 	}
 	w, g := want.Partial, got.Partial
 	wi, gi := w.Identity(), g.Identity()
-	wi.SigmoidK, wi.MinContainment, gi.SigmoidK, gi.MinContainment = 0, 0, 0, 0
-	if wi != gi || !sameBits(w.SigmoidK, g.SigmoidK) || !sameBits(w.MinContainment, g.MinContainment) ||
+	wi.SigmoidK, gi.SigmoidK = 0, 0
+	if wi != gi || !sameBits(w.SigmoidK, g.SigmoidK) ||
 		w.QueryName != g.QueryName || w.Source != g.Source || w.NumBlocks != g.NumBlocks ||
 		w.NumStrands != g.NumStrands {
 		t.Fatalf("header differs:\nwant %+v\ngot  %+v", w, g)
@@ -202,7 +202,7 @@ func TestFrameFloatBits(t *testing.T) {
 	}
 	p := &Partial{
 		QueryPartial: core.QueryPartial{
-			SigmoidK: specials[1], MinContainment: specials[2], DataGeneration: math.MaxUint64, PendingWrites: 3,
+			SigmoidK: specials[1], DataGeneration: math.MaxUint64, PendingWrites: 3,
 			QueryName: "q",
 			Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
 			Weights:   specials,
@@ -267,11 +267,12 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 // apart: a JSON body and a frame of another version both yield a
 // WireVersionError that names the version this build reads. Version 1
 // frames carried a per-target S-VCP lane, version 2 frames no checksum
-// and no tier, version 3 frames dense VCP rows instead of H0 histograms;
-// a shard of any of these builds must be refused, not misread.
+// and no tier, version 3 frames dense VCP rows instead of H0 histograms,
+// version 4 frames the retired heuristic tier's min containment; a shard
+// of any of these builds must be refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
-	if WireVersion != 4 {
-		t.Fatalf("WireVersion = %d, want 4", WireVersion)
+	if WireVersion != 5 {
+		t.Fatalf("WireVersion = %d, want 5", WireVersion)
 	}
 	frame := corpusFrames(t)[0]
 	version := func(v uint32) []byte {
@@ -289,6 +290,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"version 1":      {version(1), false, 1},
 		"version 2":      {version(2), false, 2},
 		"version 3":      {version(3), false, 3},
+		"version 4":      {version(4), false, 4},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body, nil)
@@ -299,7 +301,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 4") && !strings.Contains(err.Error(), "want 4") {
+		if !strings.Contains(err.Error(), "want wire version 5") && !strings.Contains(err.Error(), "want 5") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}
@@ -371,8 +373,8 @@ func FuzzPartialFrame(f *testing.F) {
 	if _, err := DecodeFrame(corpus[len(corpus)-1], &primed); err != nil {
 		f.Fatal(err)
 	}
-	// A frame whose identity fills both fields version 2 lacked.
-	v3 := &Partial{QueryPartial: core.QueryPartial{MinContainment: 0.45}, Shard: core.ShardInfo{ID: 1, Count: 2, Generation: "g"}, Checksum: strings.Repeat("c", 64)}
+	// A frame whose identity fills the checksum version 2 lacked.
+	v3 := &Partial{Shard: core.ShardInfo{ID: 1, Count: 2, Generation: "g"}, Checksum: strings.Repeat("c", 64)}
 	if b, err := (&Frame{Partial: v3}).AppendTo(nil); err == nil {
 		f.Add(b)
 	}

@@ -26,8 +26,7 @@ const (
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s\n",
-		recfile.Float(m.SigmoidK), recfile.Float(m.LSHMinContainment))
+	fmt.Fprintf(&b, "opts sigmoidk=%s\n", recfile.Float(m.SigmoidK))
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "shards %d\n", len(m.Shards))
 	for id, se := range m.Shards {
@@ -97,10 +96,6 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		case "sigmoidk":
 			if m.SigmoidK, err = strconv.ParseFloat(val, 64); err == nil {
 				err = core.CheckSigmoidK(m.SigmoidK)
-			}
-		case "lshmincont":
-			if m.LSHMinContainment, err = strconv.ParseFloat(val, 64); err == nil {
-				err = core.CheckMinContainment(m.LSHMinContainment)
 			}
 		}
 		if err != nil {

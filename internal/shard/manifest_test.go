@@ -34,12 +34,9 @@ func TestManifestBadBodyRejected(t *testing.T) {
 		{"generation \"x\"\nopts\ntargets 1\ncounts 1\nshards 1\nshard 0 \"f\" \"c\"\nst 0\nss 0\n", `line 4: expected "shards" record, got "counts 1"`},
 		// A float option the engine cannot score with: a NaN also never
 		// equals a replica's value, so every fleet check would fail on it.
-		{"generation \"x\"\nopts sigmoidk=NaN lshmincont=0\n", `line 2: bad option "sigmoidk=NaN"`},
-		{"generation \"x\"\nopts sigmoidk=+Inf lshmincont=0\n", `line 2: bad option "sigmoidk=+Inf"`},
-		{"generation \"x\"\nopts sigmoidk=-1 lshmincont=0\n", `line 2: bad option "sigmoidk=-1"`},
-		{"generation \"x\"\nopts sigmoidk=0 lshmincont=NaN\n", `line 2: bad option "lshmincont=NaN"`},
-		{"generation \"x\"\nopts sigmoidk=0 lshmincont=Inf\n", `line 2: bad option "lshmincont=Inf"`},
-		{"generation \"x\"\nopts sigmoidk=0 lshmincont=2\n", `line 2: bad option "lshmincont=2"`},
+		{"generation \"x\"\nopts sigmoidk=NaN\n", `line 2: bad option "sigmoidk=NaN"`},
+		{"generation \"x\"\nopts sigmoidk=+Inf\n", `line 2: bad option "sigmoidk=+Inf"`},
+		{"generation \"x\"\nopts sigmoidk=-1\n", `line 2: bad option "sigmoidk=-1"`},
 	} {
 		_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(tc.body))))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {

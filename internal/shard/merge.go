@@ -30,9 +30,8 @@ type Identity struct {
 	ShardCount int    `json:"shard_count"`
 	Generation string `json:"generation"`
 	// Checksum is the served snapshot's; "" if the shard loaded no file.
-	Checksum       string  `json:"checksum,omitempty"`
-	SigmoidK       float64 `json:"sigmoid_k"`
-	MinContainment float64 `json:"min_containment"`
+	Checksum string  `json:"checksum,omitempty"`
+	SigmoidK float64 `json:"sigmoid_k"`
 	// DataGeneration (compactions) and PendingWrites (uncompacted live
 	// writes) are nonzero once the corpus left the split's snapshot.
 	DataGeneration uint64 `json:"data_generation,omitempty"`
@@ -47,7 +46,6 @@ func (p *Partial) Identity() Identity {
 		Generation:     p.Shard.Generation,
 		Checksum:       p.Checksum,
 		SigmoidK:       p.SigmoidK,
-		MinContainment: p.MinContainment,
 		DataGeneration: p.DataGeneration,
 		PendingWrites:  p.PendingWrites,
 	}

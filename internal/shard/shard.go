@@ -37,12 +37,11 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK and LSHMinContainment record the engine options the
-	// corpus was built with. Both affect scores, so CheckShard refuses
-	// shards reporting different values. Readers ignore unknown opts
-	// keys, so a manifest that still says prefilter= or retrieval= loads.
-	SigmoidK          float64
-	LSHMinContainment float64
+	// SigmoidK records the engine option the corpus was built with. It
+	// affects scores, so CheckShard refuses shards reporting another
+	// value. Readers ignore unknown opts keys, so a manifest that still
+	// says prefilter=, retrieval= or lshmincont= loads.
+	SigmoidK float64
 	// NumTargets is the union corpus's target count; global target
 	// indices below index into that order (the corpus build order, which
 	// is also the single-node pre-sort result order).
@@ -64,8 +63,8 @@ type ShardEntry struct {
 // the manifest: an answer from a shard reporting id may enter a merge as
 // shard sid only if id names that slot of this split, no live write has
 // moved its corpus, its snapshot is the one named here (unless either
-// checksum is unknown), and it scored at the manifest's sigmoid k and
-// tier. The error names the shard and each field that differs, both values.
+// checksum is unknown), and it scored at the manifest's sigmoid k. The
+// error names the shard and each field that differs, both values.
 func (m *Manifest) CheckShard(sid int, id Identity) error {
 	if sid < 0 || sid >= len(m.Shards) {
 		return fmt.Errorf("shard %d: out of range [0,%d)", sid, len(m.Shards))
@@ -86,9 +85,6 @@ func (m *Manifest) CheckShard(sid int, id Identity) error {
 	}
 	if id.SigmoidK != m.SigmoidK {
 		differs("sigmoid k %g, manifest says %g", id.SigmoidK, m.SigmoidK)
-	}
-	if id.MinContainment != m.LSHMinContainment {
-		differs("lsh min containment %g, manifest says %g", id.MinContainment, m.LSHMinContainment)
 	}
 	if bad == nil {
 		return nil
@@ -139,10 +135,9 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	}
 
 	man := &Manifest{
-		SigmoidK:          ex.Opts.SigmoidK,
-		LSHMinContainment: ex.Opts.LSHMinContainment,
-		NumTargets:        len(ex.Targets),
-		Shards:            make([]ShardEntry, n),
+		SigmoidK:   ex.Opts.SigmoidK,
+		NumTargets: len(ex.Targets),
+		Shards:     make([]ShardEntry, n),
 	}
 	assign := make([]int, len(ex.Targets))
 	for ti, t := range ex.Targets {

@@ -343,7 +343,7 @@ func TestMergeMissingShard(t *testing.T) {
 }
 
 // TestMergeRejectsMixedFleet: Merge judges every partial by
-// Manifest.CheckShard, so a partial computed at another tier, from
+// Manifest.CheckShard, so a partial computed from
 // another snapshot, on a drifted corpus, at another sigmoid k or in
 // another fleet fails the merge with an error naming the shard, the field
 // and both values. A checksum nobody knows (an in-memory shard, or a
@@ -356,14 +356,10 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 	}
 	man.Shards[0].Checksum, man.Shards[1].Checksum = "aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"
 	q := parse(t, gccStyle)
-	partials := func(edit func(*core.Options)) []*Partial {
+	partials := func() []*Partial {
 		var parts []*Partial
-		for s, se := range shardExs {
-			se := *se
-			if s == 1 {
-				edit(&se.Opts)
-			}
-			db, err := core.FromExport(&se)
+		for _, se := range shardExs {
+			db, err := core.FromExport(se)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,32 +371,28 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 		}
 		return parts
 	}
-	sound := func(*core.Options) {}
-	if _, _, err := Merge(man, partials(sound)); err != nil {
+	if _, _, err := Merge(man, partials()); err != nil {
 		t.Fatalf("consistent fleet without checksums: %v", err)
 	}
 	for _, tc := range []struct {
 		name    string
-		opts    func(*core.Options)
 		id      func(*Partial)
 		wantErr string // "" = merges
 	}{
-		{"heuristic tier", func(o *core.Options) { o.LSHMinContainment = 0.45 }, func(*Partial) {},
-			"shard 1: lsh min containment 0.45, manifest says 0"},
-		{"other snapshot", sound, func(p *Partial) { p.Checksum = "cccccccccccccccc" },
+		{"other snapshot", func(p *Partial) { p.Checksum = "cccccccccccccccc" },
 			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…"},
-		{"its own snapshot", sound, func(p *Partial) { p.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
-		{"drifted", sound, func(p *Partial) { p.DataGeneration, p.PendingWrites = 1, 2 },
+		{"its own snapshot", func(p *Partial) { p.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
+		{"drifted", func(p *Partial) { p.DataGeneration, p.PendingWrites = 1, 2 },
 			"shard 1: drifted from its snapshot (data generation 1, 2 pending writes), re-split the corpus"},
-		{"other sigmoid k", sound, func(p *Partial) { p.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
-		{"other generation", sound, func(p *Partial) { p.Shard.Generation = "deadbeef" },
+		{"other sigmoid k", func(p *Partial) { p.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
+		{"other generation", func(p *Partial) { p.Shard.Generation = "deadbeef" },
 			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
-		{"other fleet size", sound, func(p *Partial) { p.Shard.Count = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
-		{"no such shard", sound, func(p *Partial) { p.Shard.ID = 2 }, "shard 2: out of range [0,2)"},
-		{"two fields", sound, func(p *Partial) { p.SigmoidK, p.MinContainment = 7, 0.5 },
-			"shard 1: sigmoid k 7, manifest says 0; lsh min containment 0.5, manifest says 0"},
+		{"other fleet size", func(p *Partial) { p.Shard.Count = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
+		{"no such shard", func(p *Partial) { p.Shard.ID = 2 }, "shard 2: out of range [0,2)"},
+		{"two fields", func(p *Partial) { p.Checksum, p.SigmoidK = "cccccccccccccccc", 7 },
+			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…; sigmoid k 7, manifest says 0"},
 	} {
-		parts := partials(tc.opts)
+		parts := partials()
 		tc.id(parts[1])
 		_, _, err := Merge(man, parts)
 		switch {
@@ -418,14 +410,14 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 		"a histogram short": func(p *Partial) { p.H0 = p.H0[:len(p.H0)-1] },
 		"a nil histogram":   func(p *Partial) { p.H0 = append([]*stats.H0Accumulator{nil}, p.H0[1:]...) },
 	} {
-		parts := partials(sound)
+		parts := partials()
 		edit(parts[1])
 		if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "H0 histogram") {
 			t.Errorf("%s: error %v, want one naming shard 1's H0 histograms", name, err)
 		}
 	}
 	// A target with no identity (a JSON partial's "target": null).
-	parts := partials(sound)
+	parts := partials()
 	parts[1].Targets = append([]core.PartialScore{}, parts[1].Targets...)
 	parts[1].Targets[0].Target = nil
 	if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), "shard 1 target 0 has no identity") {
@@ -452,15 +444,17 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
 	}
-	// A manifest written while kernel=, prefilter= or retrieval= were
-	// still option keys loads to the same value, so a gateway reading it
-	// checks and merges exactly as it does under this build's manifest.
+	// A manifest written while kernel=, prefilter=, retrieval= or
+	// lshmincont= were still option keys loads to the same value, so a
+	// gateway reading it checks and merges exactly as it does under this
+	// build's manifest. A heuristic shard's lshmincont= is ignored too: its
+	// snapshot is refused at load.
 	reopts := func(from, to string) []byte {
 		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
 		return framed(ManifestMagic, ManifestVersion, bytes.Replace(body, []byte(from), []byte(to), 1))
 	}
-	for _, keys := range []string{"kernel=batch prefilter=off", "retrieval=probe"} {
-		if old, err := ReadManifest(bytes.NewReader(reopts(" lshmincont=", " "+keys+" lshmincont="))); err != nil || !reflect.DeepEqual(man, old) {
+	for _, keys := range []string{"kernel=batch prefilter=off", "retrieval=probe", "lshmincont=0", "lshmincont=0.45"} {
+		if old, err := ReadManifest(bytes.NewReader(reopts("\ntargets ", " "+keys+"\ntargets "))); err != nil || !reflect.DeepEqual(man, old) {
 			t.Fatalf("manifest with retired %s: %v\nwant %+v\ngot  %+v", keys, err, man, old)
 		}
 	}

@@ -1,37 +1,19 @@
-// Package sketch holds the engine's candidate tests over strand summaries:
-// the sound typed-input test (Counts, Injects), always run, and the opt-in
-// heuristic candidate tier, a MinHash/LSH sketch — the syntactic first
-// stage the binary-similarity literature places in front of semantic
-// comparison (GitZ and its successors; see PAPERS.md). A strand is
-// summarized once at index time into a short MinHash signature over cheap
-// syntactic features (Features), and signatures are bucketed with
-// banded locality-sensitive hashing.
+// Package sketch holds the engine's candidate test over strand summaries
+// and the MinHash signatures the write path still builds beside it.
 //
-// The candidate rule has a sound core and an optional heuristic tier.
+// The candidate test is sound: VCP requires a type-preserving injective
+// correspondence that is total on the first strand's inputs, so VCP(a, b)
+// is exactly 0 whenever a's typed input counts cannot inject into b's
+// (Injects). The engine reads only the forward direction and runs that
+// test itself, on typed input counts alone (Counts); Index.Candidates
+// applies it both ways. Everything skipped here is rejected before the
+// §5.5 size-ratio window even runs.
 //
-// Sound core: VCP requires a type-preserving injective correspondence
-// that is total on the first strand's inputs, so VCP(a, b) is exactly 0
-// whenever a's typed input counts cannot inject into b's (Injects). A
-// pair that is dead in both directions is never a candidate. The engine
-// reads only the forward direction and runs that test itself, on typed
-// input counts alone (Counts); it consults this package's MinHash rule
-// only at the heuristic tier.
-//
-// Heuristic tier (off by default, Config.MinContainment > 0): a live
-// pair is additionally required to share a band bucket (the classic
-// symmetric-Jaccard LSH test) or to clear an estimated feature
-// containment. Containment rather than plain Jaccard because VCP is
-// asymmetric: a small strand embedded in a larger one scores high VCP
-// while its feature Jaccard stays low; the estimate divides the
-// Jaccard-derived intersection by the smaller set size. Strand pairs
-// where either side has a tiny feature set are always candidates: their
-// sketches are too noisy to trust and their VCP is cheap anyway. The
-// heuristic tier trades a small, measured recall loss (see the
-// differential harness in internal/core) for a larger skip rate, so it
-// is opt-in.
-//
-// Everything skipped here is rejected before the §5.5 size-ratio window
-// even runs.
+// Signatures: every indexed strand is also summarized into a short
+// MinHash signature over cheap syntactic features (Features) and entered
+// into a banded LSH index. No query reads either any more (DESIGN §8);
+// they are built on every add, persisted in snapshots and rebuilt at load
+// and compaction until the write path stops building them.
 //
 // Everything here is deterministic: the same strand always produces the
 // same signature (fixed seeds, no map-iteration dependence), so
@@ -50,44 +32,23 @@ import (
 	"repro/internal/strand"
 )
 
-// Defaults shape the signature (Bands×Rows hash functions) and the
-// heuristic tier. The banding puts the LSH S-curve threshold near
-// Jaccard 0.3, and it is the one the engine uses: no flag or snapshot
-// setting changes it. SuggestedMinContainment was calibrated with the
-// ground-truth sweep in internal/core (RUN_GEOM_SWEEP): nearly every
-// pair with true VCP >= 0.5 has feature containment >= 0.5, so gating
-// at 0.45 leaves headroom for MinHash estimation noise.
+// Defaults shape the signature (Bands×Rows hash functions). The banding
+// is the one the engine uses: no flag or snapshot setting changes it.
 const (
 	DefaultBands = 24
 	DefaultRows  = 3
-	// SuggestedMinContainment is the calibrated setting for the
-	// opt-in heuristic candidate tier. It is intentionally NOT the
-	// default: at MinContainment = 0 only the sound Counts/Injects test
-	// skips pairs (rankings byte-identical to the exhaustive loop).
-	SuggestedMinContainment = 0.45
-	// SmallSetFeatures is the feature-set size at or under which a
-	// strand's sketch is considered too noisy to gate on: pairs where
-	// either side is this small always pass the heuristic tier.
-	SmallSetFeatures = 12
 )
 
-// Config shapes the MinHash signature, its LSH banding, and the
-// heuristic tier of the candidate rule.
+// Config shapes the MinHash signature and its LSH banding.
 type Config struct {
 	// Bands is the number of LSH bands (0 selects DefaultBands).
 	Bands int
 	// Rows is the number of signature rows per band (0 selects
 	// DefaultRows). The signature length is Bands*Rows.
 	Rows int
-	// MinContainment, when > 0, enables the heuristic tier: a live
-	// pair with no band collision and an estimated feature containment
-	// below this level is not a candidate. 0 (the default) turns the tier
-	// off: only the sound Counts/Injects test skips pairs, provably-zero ones.
-	MinContainment float64
 }
 
-// Normalized fills in zero fields with the defaults. MinContainment is
-// left alone: zero is a meaningful setting (heuristic tier off).
+// Normalized fills in zero fields with the defaults.
 func (c Config) Normalized() Config {
 	if c.Bands <= 0 {
 		c.Bands = DefaultBands
@@ -239,46 +200,36 @@ func Compute(s *strand.Strand, cfg Config) Signature {
 	return FromFeatures(Features(s), cfg)
 }
 
-// Summary is everything the candidate rule knows about one strand: its
-// MinHash signature, its feature-set size (for the containment
-// estimate), and its typed input counts (for the sound injectability
-// test).
+// Summary is one strand's entry in the index: its MinHash signature and
+// its typed input counts (for the sound injectability test).
 type Summary struct {
-	Sig Signature
-	// NFeat is set only where the heuristic tier may read it (candidate's
-	// containment estimate): Summarize and AdoptSignature set it, and a
-	// sound-tier snapshot load, which adopts the signature onto Counts,
-	// leaves it 0. Nothing at the sound tier reads it.
-	NFeat int
-	NInt  int // inputs of bitvector type
-	NMem  int // inputs of memory type
+	Sig  Signature
+	NInt int // inputs of bitvector type
+	NMem int // inputs of memory type
 }
 
-// Summarize builds the strand's candidate-rule summary under cfg.
+// Summarize builds the strand's summary under cfg.
 func Summarize(s *strand.Strand, cfg Config) Summary {
-	feats := Features(s)
-	return FromFeatureSet(s, feats, cfg)
+	return FromFeatureSet(s, Features(s), cfg)
 }
 
 // FromFeatureSet assembles a Summary from an already-extracted feature
-// set, optionally adopting a persisted signature: when sig is non-nil
-// and the right length it is used as-is instead of re-MinHashing (the
-// snapshot-restore path).
+// set.
 func FromFeatureSet(s *strand.Strand, feats []uint64, cfg Config) Summary {
-	return adoptSignature(s, feats, nil, cfg)
+	sum := Counts(s)
+	sum.Sig = FromFeatures(feats, cfg)
+	return sum
 }
 
-// AdoptSignature is FromFeatureSet with a persisted signature.
+// AdoptSignature is Summarize with a persisted signature: sig is used
+// as-is when it has cfg's length (the snapshot-restore path), and
+// recomputed from the strand otherwise.
 func AdoptSignature(s *strand.Strand, sig Signature, cfg Config) Summary {
-	return adoptSignature(s, Features(s), sig, cfg)
-}
-
-func adoptSignature(s *strand.Strand, feats []uint64, sig Signature, cfg Config) Summary {
 	if len(sig) != cfg.Len() {
-		sig = FromFeatures(feats, cfg)
+		sig = Compute(s, cfg)
 	}
 	sum := Counts(s)
-	sum.Sig, sum.NFeat = sig, len(feats)
+	sum.Sig = sig
 	return sum
 }
 
@@ -328,11 +279,10 @@ func FromFeatures(feats []uint64, cfg Config) Signature {
 }
 
 // Index is a banded LSH index over strand summaries, plus the flat
-// summary table the injectability and containment tests scan. Strands
-// are added with sequential ids (0, 1, 2, ...) matching their position
-// in the engine's unique-strand table. Add is not safe for concurrent
-// use; Candidates is safe concurrently with other Candidates calls once
-// building is done.
+// summary table the injectability test scans. Strands are added with
+// sequential ids (0, 1, 2, ...) matching their position in the engine's
+// unique-strand table. Add is not safe for concurrent use; Candidates is
+// safe concurrently with other Candidates calls once building is done.
 type Index struct {
 	cfg   Config
 	bands []map[uint64][]int32
@@ -354,9 +304,6 @@ func (ix *Index) Config() Config { return ix.cfg }
 
 // Len returns the number of summaries added.
 func (ix *Index) Len() int { return len(ix.sums) }
-
-// Summary returns the id-th strand's summary.
-func (ix *Index) Summary(id int) Summary { return ix.sums[id] }
 
 // bandKey hashes one band's rows of the signature.
 func (ix *Index) bandKey(sig Signature, b int) uint64 {
@@ -387,88 +334,17 @@ func (ix *Index) Add(sum Summary) int {
 
 // Candidates marks every indexed strand that is a verifier candidate
 // for the strand summarized by sum (mark[id] = true; len(mark) must be
-// at least Len()) and returns the number of candidates marked. A pair
-// that is injectability-dead in both directions is never a candidate
-// (its VCP is exactly 0 both ways). With the heuristic tier enabled
-// (cfg.MinContainment > 0), a live pair must additionally collide in a
-// band, clear the containment estimate, or involve a tiny feature set.
+// at least Len()) and returns the number of candidates marked: every
+// pair that is live in either direction. A pair that is
+// injectability-dead in both directions is never a candidate (its VCP is
+// exactly 0 both ways).
 func (ix *Index) Candidates(sum Summary, mark []bool) int {
-	banded := ix.banded(sum)
 	count := 0
-	for id := range ix.sums {
-		if ix.candidate(sum, id, banded) && !mark[id] {
+	for id, ts := range ix.sums {
+		if (sum.Injects(ts) || ts.Injects(sum)) && !mark[id] {
 			mark[id] = true
 			count++
 		}
 	}
 	return count
-}
-
-// CandidatesAmong is Candidates restricted to the listed strands: it
-// applies the same rule to each of ids and touches no other entry of
-// mark, so a caller that owes only a few columns pays for those.
-func (ix *Index) CandidatesAmong(sum Summary, ids []int32, mark []bool) {
-	banded := ix.banded(sum)
-	for _, id := range ids {
-		if ix.candidate(sum, int(id), banded) {
-			mark[id] = true
-		}
-	}
-}
-
-// banded marks the strands that share an LSH band bucket with sum; nil
-// at the sound tier, which never consults the bands.
-func (ix *Index) banded(sum Summary) []bool {
-	if len(sum.Sig) != ix.cfg.Len() {
-		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
-			len(sum.Sig), ix.cfg.Bands, ix.cfg.Rows))
-	}
-	if ix.cfg.MinContainment <= 0 {
-		return nil
-	}
-	banded := make([]bool, len(ix.sums))
-	for b := range ix.bands {
-		for _, id := range ix.bands[b][ix.bandKey(sum.Sig, b)] {
-			banded[id] = true
-		}
-	}
-	return banded
-}
-
-// candidate is the candidate rule for one indexed strand.
-func (ix *Index) candidate(sum Summary, id int, banded []bool) bool {
-	ts := ix.sums[id]
-	if !sum.Injects(ts) && !ts.Injects(sum) {
-		return false // provably zero in both directions
-	}
-	return banded == nil || banded[id] || sum.NFeat <= SmallSetFeatures || ts.NFeat <= SmallSetFeatures ||
-		estContainment(sum.Sig, ts.Sig, sum.NFeat, ts.NFeat) >= ix.cfg.MinContainment
-}
-
-// estContainment estimates |A∩B| / min(|A|,|B|) of the two underlying
-// feature sets from the signature agreement rate. The agreement rate of
-// two MinHash signatures is an unbiased estimate of the Jaccard J =
-// |A∩B| / |A∪B|; with the exact set sizes stored alongside, the
-// intersection follows as J/(1+J)·(|A|+|B|), and dividing by the
-// smaller set turns the symmetric estimate into the asymmetric overlap
-// the VCP loop actually cares about.
-func estContainment(a, b Signature, na, nb int) float64 {
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	if eq == len(a) {
-		return 1
-	}
-	min := na
-	if nb < min {
-		min = nb
-	}
-	if min <= 0 {
-		return 0
-	}
-	j := float64(eq) / float64(len(a))
-	return j / (1 + j) * float64(na+nb) / float64(min)
 }

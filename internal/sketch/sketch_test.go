@@ -95,7 +95,7 @@ func memStrand() *strand.Strand {
 
 // arithStrand shares the hash loop's input typing (two Int inputs) but
 // none of its operators, constants, or shape — a live pair the sound
-// core must keep and the heuristic tier should cut.
+// core must keep however dissimilar.
 func arithStrand() *strand.Strand {
 	v := func(name string) ivl.Var { return ivl.Var{Name: name, Type: ivl.Int} }
 	return &strand.Strand{
@@ -136,69 +136,6 @@ func TestIndexSoundCoreDropsTypeDeadPairs(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("candidate count = %d, want 1", n)
-	}
-}
-
-func TestIndexHeuristicTierSeparatesDissimilarStrands(t *testing.T) {
-	// With the heuristic tier enabled, a live pair with no band
-	// collision and low estimated containment is cut even though the
-	// sound core keeps it.
-	cfg := Config{MinContainment: SuggestedMinContainment}.Normalized()
-	hash := mkStrand("a", "b", "c", "d", "e")
-	other := arithStrand()
-	// Both strands must be over the tiny-feature-set rescue for the
-	// similarity tests to apply at all.
-	if nf := len(Features(hash)); nf <= SmallSetFeatures {
-		t.Fatalf("hash-loop strand has only %d features", nf)
-	}
-	if nf := len(Features(other)); nf <= SmallSetFeatures {
-		t.Fatalf("arith strand has only %d features", nf)
-	}
-	ix := NewIndex(cfg)
-	ix.Add(Summarize(hash, cfg))
-	mark := make([]bool, ix.Len())
-	if n := ix.Candidates(Summarize(other, cfg), mark); n != 0 {
-		t.Errorf("dissimilar strand produced %d candidates, want 0", n)
-	}
-	// The same strand alpha-renamed still collides in every band.
-	mark = make([]bool, ix.Len())
-	if n := ix.Candidates(Summarize(mkStrand("p", "q", "r", "s", "t"), cfg), mark); n != 1 {
-		t.Errorf("alpha-renamed twin produced %d candidates, want 1", n)
-	}
-}
-
-// TestCandidatesAmongMatchesCandidates holds the restricted form to the
-// full scan at both tiers: over any id list it marks exactly the listed
-// strands Candidates marks, and nothing else.
-func TestCandidatesAmongMatchesCandidates(t *testing.T) {
-	for _, cfg := range []Config{Config{}.Normalized(), Config{MinContainment: SuggestedMinContainment}.Normalized()} {
-		strands := []*strand.Strand{
-			mkStrand("a", "b", "c", "d", "e"), memStrand(), arithStrand(),
-			mkStrand("p", "q", "r", "s", "t"), arithStrand(), memStrand(),
-		}
-		ix := NewIndex(cfg)
-		for _, s := range strands {
-			ix.Add(Summarize(s, cfg))
-		}
-		for _, q := range strands {
-			sum := Summarize(q, cfg)
-			want := make([]bool, ix.Len())
-			ix.Candidates(sum, want)
-			for _, ids := range [][]int32{{}, {4}, {1, 3}, {0, 1, 2, 3, 4, 5}} {
-				got := make([]bool, ix.Len())
-				ix.CandidatesAmong(sum, ids, got)
-				listed := make([]bool, ix.Len())
-				for _, id := range ids {
-					listed[id] = true
-				}
-				for id := range got {
-					if got[id] != (want[id] && listed[id]) {
-						t.Errorf("MinContainment %v, ids %v: mark[%d] = %v, Candidates says %v",
-							cfg.MinContainment, ids, id, got[id], want[id])
-					}
-				}
-			}
-		}
 	}
 }
 
