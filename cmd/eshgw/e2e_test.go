@@ -26,9 +26,8 @@ import (
 // snapshot. Then one shard is killed and the gateway must keep
 // answering 200 with the partial flag and the dead shard listed.
 //
-// The fleet is the default one: every flag unset, so the union node and
-// both shards serve the sound tier, scanning, as BENCHMARK.json's
-// fleet_warm does.
+// The fleet is the default one: every flag unset, as BENCHMARK.json's
+// fleet_warm runs it.
 func TestClusterE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries, indexes a corpus, and runs a process-level cluster")

@@ -21,11 +21,12 @@
 // retries nothing, and a negative value is refused at startup.
 //
 // Every shard answer carries its identity — shard coordinates, fleet
-// generation, snapshot checksum, sigmoid k, live-write drift — and one rule (shard.Manifest.CheckShard) judges it
-// against the manifest: on every query, where a mismatch fails the query
-// with a 500, and at startup over every replica's /v1/stats, where it
-// refuses to start (merged scores would be silently wrong) unless
-// -allow-degraded is set. Both report the same message.
+// generation, snapshot checksum, sigmoid k, live-write drift — and one
+// rule (shard.Manifest.CheckShard) judges it against the manifest: on
+// every query, where a mismatch fails the query with a 500, and at
+// startup over every replica's /v1/stats, where it refuses to start
+// (merged scores would be silently wrong) unless -allow-degraded is set.
+// Both report the same message.
 //
 // Endpoints:
 //

@@ -140,9 +140,9 @@ func (db *DB) resolve(c *corpus, p *asm.Proc) (*Target, []novel, error) {
 
 // grown returns c's successor holding t and the novel strands resolve found
 // for it. The live path leaves c as its readers hold it: counts is cloned,
-// and novel strands force a fresh LSH index (sketch.Index is not safe to
-// mutate while a published corpus holds it). The bulk path counts and
-// indexes in place, so its cost follows the add, not the corpus.
+// and novel strands force a fresh LSH index (a published corpus, its index
+// included, is never mutated). The bulk path counts and indexes in place,
+// so its cost follows the add, not the corpus.
 //
 // No query reads the signatures resolve computes or the band maps built
 // here; they stay on purpose. Dropping them makes every live add cheaper,

@@ -61,9 +61,9 @@ func TestSelfMatchRanksFirst(t *testing.T) {
 // evidence, because Pr(s_q|t) reads a max over the target's strands. A
 // fixed stride of C1 targets each get one dead instruction appended to one
 // block (deadCopyVariant), which must add a strand and keep every other:
-// the variant's strand keys are a strict superset of the original's. Then,
-// at the sound tier, every Table 1 query strand's MaxVCP against the
-// variant must be >= its MaxVCP against the original.
+// the variant's strand keys are a strict superset of the original's. Then
+// every Table 1 query strand's MaxVCP against the variant must be >= its
+// MaxVCP against the original.
 func TestMonotoneEvidence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus census is slow")

@@ -14,10 +14,10 @@ import (
 	"repro/internal/vcp"
 )
 
-// TestSoundRowsMatchExhaustivePairs is the oracle for stage 3 at the sound
-// tier. A loop in this test computes every row the slow way: an identical
-// strand scores 1, a pair outside the §5.5 size window 0, and every other
-// pair vcp.Compute. It runs no injectability test, reads no sketch and
+// TestSoundRowsMatchExhaustivePairs is the oracle for stage 3. A loop in
+// this test computes every row the slow way: an identical strand scores 1,
+// a pair outside the §5.5 size window 0, and every other pair
+// vcp.Compute. It runs no injectability test, reads no sketch and
 // keeps no cache. Every live column of every row a database computes must
 // equal it bit for bit, on a fresh corpus and again after tombstones kill
 // columns the rows already knew (a dead column has multiplicity 0 and no

@@ -347,8 +347,7 @@ type vcpRowState struct {
 //  2. plan: a complete row is handed out as it is — no copy, no sketch, no
 //     per-pair test; otherwise only the columns the row does not know go
 //     through the cheap filters (dead, identical, forward injectability,
-//     size window), and what survives is the
-//     strand's verify list;
+//     size window), and what survives is the strand's verify list;
 //  3. verify: prepare the strands that have a list, cut the lists into
 //     chunks and drain them with min(Workers, chunks) goroutines — none
 //     when every list is empty;

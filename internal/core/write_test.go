@@ -463,10 +463,9 @@ func renameProc(src, from, to string) string {
 	return out
 }
 
-// TestWriteDifferentialRandomized drives fixed-seed random scripts
-// through both tiers: every prefix ends with queries compared against a
-// from-scratch rebuild, so compaction points and tombstone density vary
-// arbitrarily.
+// TestWriteDifferentialRandomized drives fixed-seed random scripts: every
+// prefix ends with queries compared against a from-scratch rebuild, so
+// compaction points and tombstone density vary arbitrarily.
 func TestWriteDifferentialRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized differential run is slow")

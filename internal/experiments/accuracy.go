@@ -97,8 +97,9 @@ func Accuracy(cfg Config) (*AccuracyResult, error) {
 // heldOutQueries builds the query population Accuracy documents.
 func (c Config) heldOutQueries() ([]*asm.Proc, error) {
 	var held []compile.Toolchain
+	inCorpus := c.Toolchains()
 	for _, tc := range compile.Toolchains() {
-		if !slices.ContainsFunc(c.Toolchains(), func(in compile.Toolchain) bool { return in.Name() == tc.Name() }) {
+		if !slices.ContainsFunc(inCorpus, func(in compile.Toolchain) bool { return in.Name() == tc.Name() }) {
 			held = append(held, tc)
 		}
 	}
@@ -208,16 +209,22 @@ func (r *AccuracyResult) String() string {
 		n := float64(len(c.Queries))
 		fmt.Fprintf(&b, "Accuracy — %d held-out queries on %s (%d targets, %d unique strands)\n",
 			len(c.Queries), c.Label, c.Targets, c.UniqueStrands)
-		var roc, croc, fp, top1, top10 float64
+		var roc, croc float64
+		var fp, top1, top10 int
 		for _, q := range c.Queries {
 			fmt.Fprintf(&b, "  %-60s %s top1=%t top10=%t\n", q.Name, eval(q.Eval), q.Top1, q.Top10)
 			roc += q.Eval.ROC
 			croc += q.Eval.CROC
-			fp += float64(q.Eval.FP)
-			top1 += b2f(q.Top1)
-			top10 += b2f(q.Top10)
+			fp += q.Eval.FP
+			if q.Top1 {
+				top1++
+			}
+			if q.Top10 {
+				top10++
+			}
 		}
-		fmt.Fprintf(&b, "  mean: ROC=%s CROC=%s FP=%s top1=%s top10=%s\n", g(roc/n), g(croc/n), g(fp/n), g(top1/n), g(top10/n))
+		fmt.Fprintf(&b, "  mean: ROC=%s CROC=%s FP=%s top1=%s top10=%s\n",
+			g(roc/n), g(croc/n), g(float64(fp)/n), g(float64(top1)/n), g(float64(top10)/n))
 		worst := slices.Clone(c.Queries)
 		slices.SortStableFunc(worst, func(a, b AccuracyQuery) int {
 			return cmp.Or(cmp.Compare(a.Eval.ROC, b.Eval.ROC), cmp.Compare(a.Eval.CROC, b.Eval.CROC))
@@ -231,11 +238,4 @@ func (r *AccuracyResult) String() string {
 		fmt.Fprintf(&b, "  pooled by GES/self-GES:  %s\n", eval(c.BySelf))
 	}
 	return b.String()
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -224,8 +224,9 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 // lshbands= or lshrows=, option keys of earlier builds, keep loading
 // (unknown keys are ignored, whatever their value), answer identically,
 // and re-save without them; so does lshmincont=0, the retired heuristic
-// tier's sound setting (above 0 it is refused: TestBadBodyRejected). The row cache's bound is no longer the file's
-// to set: a database loaded from cachepairs=7 serves under the constant.
+// tier's off setting (above 0 it is refused: TestBadBodyRejected). The
+// row cache's bound is no longer the file's to set: a database loaded
+// from cachepairs=7 serves under the constant.
 // Nor is the banding: a snapshot saved at 12×6 carries the same 72-value
 // signatures, cut into other bands, and they are adopted as they are.
 func TestRetiredOptionKeys(t *testing.T) {

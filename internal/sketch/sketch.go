@@ -11,9 +11,9 @@
 //
 // Signatures: every indexed strand is also summarized into a short
 // MinHash signature over cheap syntactic features (Features) and entered
-// into a banded LSH index. No query reads either any more (DESIGN §8);
-// they are built on every add, persisted in snapshots and rebuilt at load
-// and compaction until the write path stops building them.
+// into a banded LSH index. No query reads either (DESIGN §8.2); they are
+// built on every add, persisted in snapshots, and rebuilt at load and
+// compaction.
 //
 // Everything here is deterministic: the same strand always produces the
 // same signature (fixed seeds, no map-iteration dependence), so
