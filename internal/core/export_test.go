@@ -41,6 +41,8 @@ var (
 	BuildFresh       = buildFresh
 	DiffReports      = diffReports
 	WriteTestOptions = writeTestOptions
+	WriteModes       = writeModes
+	CheckSketchState = checkSketchState
 )
 
 // GCCStyle is a small single-block procedure the write tests query with;

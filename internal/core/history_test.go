@@ -216,152 +216,157 @@ func (j *numberingJournal) LogRemove(name string) (uint64, error) {
 func TestLinearizableHistory(t *testing.T) {
 	const writers, perWriter = 2, 9
 	queries := []string{gccStyle, genProc(23)}
-	t.Run("scan", func(t *testing.T) {
-		opts := writeTestOptions()
-		db := NewDB(opts)
-		journal := &numberingJournal{}
-		db.SetJournal(journal)
-		plans := make([]*QueryPlan, len(queries))
-		for qi, src := range queries {
-			var err error
-			if plans[qi], err = db.Plan(context.Background(), parse(t, src)); err != nil {
-				t.Fatal(err)
+	for _, mode := range writeModes {
+		t.Run(mode, func(t *testing.T) {
+			opts := writeTestOptions()
+			db := NewDB(opts)
+			journal := &numberingJournal{}
+			db.SetJournal(journal)
+			plans := make([]*QueryPlan, len(queries))
+			for qi, src := range queries {
+				var err error
+				if plans[qi], err = db.Plan(context.Background(), parse(t, src)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		// Writer w adds synth_{10(w+1)+i} and deletes every third of
-		// its own adds again: names never collide across writers, so
-		// every write succeeds whatever the interleaving.
-		procs := make([][]*asm.Proc, writers)
-		for w := range procs {
-			for i := 0; i < perWriter; i++ {
-				procs[w] = append(procs[w], parse(t, genProc(10*(w+1)+i)))
+			// Writer w adds synth_{10(w+1)+i} and deletes every third of
+			// its own adds again: names never collide across writers, so
+			// every write succeeds whatever the interleaving.
+			procs := make([][]*asm.Proc, writers)
+			for w := range procs {
+				for i := 0; i < perWriter; i++ {
+					procs[w] = append(procs[w], parse(t, genProc(10*(w+1)+i)))
+				}
 			}
-		}
 
-		type observed struct {
-			query  int
-			lo, hi uint64
-			rep    *Report
-		}
-		var mu sync.Mutex
-		var seen []observed
-		var served atomic.Int64
-		var writing, others sync.WaitGroup
-		done := make(chan struct{})
-		for w := range procs {
-			writing.Add(1)
-			go func(w int) {
-				defer writing.Done()
-				for i, p := range procs[w] {
-					gen := db.DataGeneration()
-					if err := db.ApplyAdd(p); err != nil {
-						t.Error(err)
-						return
-					}
-					if i%3 == 2 {
-						if _, err := db.ApplyRemove(procs[w][i-1].Name); err != nil {
+			type observed struct {
+				query  int
+				lo, hi uint64
+				rep    *Report
+			}
+			var mu sync.Mutex
+			var seen []observed
+			var served atomic.Int64
+			var writing, others sync.WaitGroup
+			done := make(chan struct{})
+			for w := range procs {
+				writing.Add(1)
+				go func(w int) {
+					defer writing.Done()
+					for i, p := range procs[w] {
+						gen := db.DataGeneration()
+						if err := db.ApplyAdd(p); err != nil {
 							t.Error(err)
 							return
 						}
+						if i%3 == 2 {
+							if _, err := db.ApplyRemove(procs[w][i-1].Name); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						// Let the readers answer and the compactor fold in
+						// between, so the history has many invoke points.
+						for until := served.Load() + 2; served.Load() < until && !t.Failed(); {
+							runtime.Gosched()
+						}
+						for i%3 == 0 && db.DataGeneration() == gen && !t.Failed() {
+							runtime.Gosched()
+						}
 					}
-					// Let the readers answer and the compactor fold in
-					// between, so the history has many invoke points.
-					for until := served.Load() + 2; served.Load() < until && !t.Failed(); {
-						runtime.Gosched()
-					}
-					for i%3 == 0 && db.DataGeneration() == gen && !t.Failed() {
-						runtime.Gosched()
-					}
-				}
-			}(w)
-		}
-		others.Add(1)
-		go func() {
-			defer others.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if _, _, err := db.Compact(nil, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				runtime.Gosched()
+				}(w)
 			}
-		}()
-		for r := 0; r < 2; r++ {
 			others.Add(1)
-			go func(r int) {
+			go func() {
 				defer others.Done()
-				for i := r; ; i++ {
+				for {
 					select {
 					case <-done:
 						return
 					default:
 					}
-					qi := i % len(plans)
-					lo := db.WALSeq()
-					rep, err := db.RunPlan(context.Background(), plans[qi])
-					hi := db.WALSeq()
-					if err != nil {
+					if _, _, err := db.Compact(nil, nil); err != nil {
 						t.Error(err)
 						return
 					}
-					mu.Lock()
-					seen = append(seen, observed{qi, lo, hi, rep})
-					mu.Unlock()
-					served.Add(1)
+					runtime.Gosched()
 				}
-			}(r)
-		}
-		writing.Wait()
-		close(done)
-		others.Wait()
-		if t.Failed() {
-			return
-		}
+			}()
+			for r := 0; r < 2; r++ {
+				others.Add(1)
+				go func(r int) {
+					defer others.Done()
+					for i := r; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						qi := i % len(plans)
+						lo := db.WALSeq()
+						rep, err := db.RunPlan(context.Background(), plans[qi])
+						hi := db.WALSeq()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						seen = append(seen, observed{qi, lo, hi, rep})
+						mu.Unlock()
+						served.Add(1)
+					}
+				}(r)
+			}
+			writing.Wait()
+			close(done)
+			others.Wait()
+			if t.Failed() {
+				return
+			}
 
-		history := journal.history
-		if want := writers * (perWriter + perWriter/3); len(history) != want {
-			t.Fatalf("journal holds %d writes, want %d", len(history), want)
-		}
-		// rebuilds[k][q] is query q's answer over writes 1..k.
-		rebuilds := map[uint64][]*Report{}
-		at := func(k uint64) []*Report {
-			if reps, ok := rebuilds[k]; ok {
+			history := journal.history
+			if want := writers * (perWriter + perWriter/3); len(history) != want {
+				t.Fatalf("journal holds %d writes, want %d", len(history), want)
+			}
+			if mode == "lsh" {
+				checkSketchState(t, "after the concurrent history", db)
+			}
+			// rebuilds[k][q] is query q's answer over writes 1..k.
+			rebuilds := map[uint64][]*Report{}
+			at := func(k uint64) []*Report {
+				if reps, ok := rebuilds[k]; ok {
+					return reps
+				}
+				fresh := buildFresh(t, opts, survivors(t, history[:k]))
+				var reps []*Report
+				for _, pl := range plans {
+					rep, err := fresh.RunPlan(context.Background(), pl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reps = append(reps, rep)
+				}
+				rebuilds[k] = reps
 				return reps
 			}
-			fresh := buildFresh(t, opts, survivors(t, history[:k]))
-			var reps []*Report
-			for _, pl := range plans {
-				rep, err := fresh.RunPlan(context.Background(), pl)
-				if err != nil {
-					t.Fatal(err)
+			invokes := map[uint64]bool{}
+			for n, o := range seen {
+				invokes[o.lo] = true
+				found := false
+				for k := o.lo; k <= o.hi && !found; k++ {
+					found = sameAnswer(o.rep, at(k)[o.query])
 				}
-				reps = append(reps, rep)
+				if !found {
+					t.Fatalf("answer %d (query %d, invoked at write %d, returned at write %d) equals no rebuild of writes 1..k for k in [%d, %d]",
+						n, o.query, o.lo, o.hi, o.lo, o.hi)
+				}
 			}
-			rebuilds[k] = reps
-			return reps
-		}
-		invokes := map[uint64]bool{}
-		for n, o := range seen {
-			invokes[o.lo] = true
-			found := false
-			for k := o.lo; k <= o.hi && !found; k++ {
-				found = sameAnswer(o.rep, at(k)[o.query])
+			if len(invokes) < len(history)/4 || db.DataGeneration() < writers {
+				t.Fatalf("test premise broken: %d answers invoked at only %d distinct writes, %d compactions",
+					len(seen), len(invokes), db.DataGeneration())
 			}
-			if !found {
-				t.Fatalf("answer %d (query %d, invoked at write %d, returned at write %d) equals no rebuild of writes 1..k for k in [%d, %d]",
-					n, o.query, o.lo, o.hi, o.lo, o.hi)
-			}
-		}
-		if len(invokes) < len(history)/4 || db.DataGeneration() < writers {
-			t.Fatalf("test premise broken: %d answers invoked at only %d distinct writes, %d compactions",
-				len(seen), len(invokes), db.DataGeneration())
-		}
-	})
+		})
+	}
 }
 
 // sameAnswer reports whether two reports rank the same targets with

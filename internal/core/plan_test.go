@@ -121,69 +121,74 @@ func freshH0(row []float64, counts []int) *stats.H0Accumulator {
 // tombstone and a compaction must each be followed by a re-summed
 // histogram, never the one stamped before them.
 func TestRowH0MatchesAccumulator(t *testing.T) {
-	t.Run("scan", func(t *testing.T) {
-		opts := writeTestOptions()
-		opts.SigmoidK = 7
-		db := NewDB(opts)
-		ops := append(synthOps(1, 2, 3), addOp(iccStyle), addOp(unrelated))
-		applyScript(t, db, ops, false)
-		q := parse(t, gccStyle)
-		pl, err := db.Plan(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var lastVer uint64
-		check := func(label string, wantTombstones bool) {
-			t.Helper()
-			want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
+	for _, mode := range writeModes {
+		t.Run(mode, func(t *testing.T) {
+			opts := writeTestOptions()
+			opts.SigmoidK = 7
+			db := NewDB(opts)
+			ops := append(synthOps(1, 2, 3), addOp(iccStyle), addOp(unrelated))
+			applyScript(t, db, ops, false)
+			q := parse(t, gccStyle)
+			pl, err := db.Plan(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The first run after a write completes or re-sums the
-			// rows, the second leaves the histogram with them, the
-			// third reads it.
-			for run := 0; run < 3; run++ {
-				got, err := db.RunPlan(context.Background(), pl)
+			var lastVer uint64
+			check := func(label string, wantTombstones bool) {
+				t.Helper()
+				want, err := buildFresh(t, opts, survivors(t, ops)).Query(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
-			}
-			qc := db.corpus.Load()
-			if (qc.live != nil) != wantTombstones || qc.countsVer == lastVer {
-				t.Fatalf("%s: test premise broken: tombstones %v, counts version %d after %d",
-					label, qc.live != nil, qc.countsVer, lastVer)
-			}
-			lastVer = qc.countsVer
-			db.mu.Lock()
-			defer db.mu.Unlock()
-			for _, s := range pl.strands {
-				row, _ := db.rows.Get(s.CanonicalKey())
-				h0 := row.h0At(qc.countsVer)
-				if h0 == nil {
-					t.Fatalf("%s: a row queried three times holds no histogram for version %d", label, qc.countsVer)
+				// The first run after a write completes or re-sums the
+				// rows, the second leaves the histogram with them, the
+				// third reads it.
+				for run := 0; run < 3; run++ {
+					got, err := db.RunPlan(context.Background(), pl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffReports(t, fmt.Sprintf("%s, run %d", label, run), got, want)
 				}
-				diffH0(t, label, h0, freshH0(row.vals[:len(qc.uniq)], qc.counts))
+				qc := db.corpus.Load()
+				if (qc.live != nil) != wantTombstones || qc.countsVer == lastVer {
+					t.Fatalf("%s: test premise broken: tombstones %v, counts version %d after %d",
+						label, qc.live != nil, qc.countsVer, lastVer)
+				}
+				lastVer = qc.countsVer
+				if mode == "lsh" {
+					checkSketchState(t, label, db)
+				}
+				db.mu.Lock()
+				defer db.mu.Unlock()
+				for _, s := range pl.strands {
+					row, _ := db.rows.Get(s.CanonicalKey())
+					h0 := row.h0At(qc.countsVer)
+					if h0 == nil {
+						t.Fatalf("%s: a row queried three times holds no histogram for version %d", label, qc.countsVer)
+					}
+					diffH0(t, label, h0, freshH0(row.vals[:len(qc.uniq)], qc.counts))
+				}
 			}
-		}
-		write := func(more ...wop) {
-			applyScript(t, db, more, false)
-			ops = append(ops, more...)
-		}
-		check("as indexed", false)
-		uniq := db.NumUniqueStrands()
-		write(addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")))
-		if db.NumUniqueStrands() != uniq {
-			t.Fatal("test premise broken: the copy brought new strands")
-		}
-		check("counts-only add", false)
-		write(delOp("synth_2"))
-		check("tombstone", true)
-		write(delOp("checksum_icc"))
-		check("second tombstone", true)
-		write(compactOp())
-		check("compacted", false)
-	})
+			write := func(more ...wop) {
+				applyScript(t, db, more, false)
+				ops = append(ops, more...)
+			}
+			check("as indexed", false)
+			uniq := db.NumUniqueStrands()
+			write(addOp(renameProc(iccStyle, "checksum_icc", "checksum_copy")))
+			if db.NumUniqueStrands() != uniq {
+				t.Fatal("test premise broken: the copy brought new strands")
+			}
+			check("counts-only add", false)
+			write(delOp("synth_2"))
+			check("tombstone", true)
+			write(delOp("checksum_icc"))
+			check("second tombstone", true)
+			write(compactOp())
+			check("compacted", false)
+		})
+	}
 }
 
 // stableRanking is the reference ranking: the positions of scores under a

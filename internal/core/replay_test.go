@@ -200,7 +200,8 @@ func load(t *testing.T, snap []byte) *core.DB {
 // snapshot — whose arrays are exactly sized, so the first in-place append
 // moves them — and the same WAL is folded into a second load of that
 // snapshot. The two must save byte-identical snapshots (the extended band
-// maps' signatures among them) and answer bit-identically.
+// maps' signatures among them) and answer bit-identically; the "lsh" run
+// also checks both corpora's band maps against a fresh build.
 func TestReplayMatchesLiveApply(t *testing.T) {
 	var base []string
 	for i := 100; i < 110; i++ {
@@ -208,45 +209,51 @@ func TestReplayMatchesLiveApply(t *testing.T) {
 	}
 	ops := append(core.SynthOps(1, 2, 3, 4), core.DelOp("synth_102"), core.DelOp("synth_2"))
 	ops = append(ops, append(core.SynthOps(5, 2, 6), core.DelOp("synth_5"), core.DelOp("synth_105"))...)
-	t.Run("scan", func(t *testing.T) {
-		opts := core.WriteTestOptions()
-		snap := snapshot(t, core.BuildFresh(t, opts, base))
+	for _, mode := range core.WriteModes {
+		t.Run(mode, func(t *testing.T) {
+			opts := core.WriteTestOptions()
+			snap := snapshot(t, core.BuildFresh(t, opts, base))
 
-		walPath := filepath.Join(t.TempDir(), "live.wal")
-		log, _, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := load(t, snap)
-		live.SetJournal(log)
-		core.ApplyScript(t, live, ops, false)
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		rec := load(t, snap)
-		if n, err := index.Fold(rec, walPath); err != nil || n != len(ops) {
-			t.Fatalf("folded %d records (%v), want %d", n, err, len(ops))
-		}
-		if g, l := rec.WriteState(), live.WriteState(); g != l {
-			t.Errorf("replayed write state %+v, live %+v", g, l)
-		}
-		if !bytes.Equal(snapshot(t, rec), snapshot(t, live)) {
-			t.Error("the replayed corpus saves a different snapshot from the live one")
-		}
-		for _, qsrc := range []string{core.GCCStyle, core.GenProc(4)} {
-			q := mustParse(t, qsrc)
-			got, err := rec.Query(q)
+			walPath := filepath.Join(t.TempDir(), "live.wal")
+			log, _, err := wal.Open(walPath, wal.Options{Sync: wal.SyncNone})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := live.Query(q)
-			if err != nil {
+			live := load(t, snap)
+			live.SetJournal(log)
+			core.ApplyScript(t, live, ops, false)
+			if err := log.Close(); err != nil {
 				t.Fatal(err)
 			}
-			core.DiffReports(t, "replayed vs live "+q.Name, got, want)
-		}
-	})
+
+			rec := load(t, snap)
+			if n, err := index.Fold(rec, walPath); err != nil || n != len(ops) {
+				t.Fatalf("folded %d records (%v), want %d", n, err, len(ops))
+			}
+			if g, l := rec.WriteState(), live.WriteState(); g != l {
+				t.Errorf("replayed write state %+v, live %+v", g, l)
+			}
+			if !bytes.Equal(snapshot(t, rec), snapshot(t, live)) {
+				t.Error("the replayed corpus saves a different snapshot from the live one")
+			}
+			if mode == "lsh" {
+				core.CheckSketchState(t, "live", live)
+				core.CheckSketchState(t, "replayed", rec)
+			}
+			for _, qsrc := range []string{core.GCCStyle, core.GenProc(4)} {
+				q := mustParse(t, qsrc)
+				got, err := rec.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := live.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				core.DiffReports(t, "replayed vs live "+q.Name, got, want)
+			}
+		})
+	}
 }
 
 // TestLoadedSummariesMatchBuilt: a snapshot load rebuilds each strand's

@@ -61,149 +61,158 @@ func vcpSpanAttrs(t *testing.T, db *DB, q *asm.Proc) (*Report, map[string]float6
 // handful of objects per query strand; a query that lacks exactly one pair
 // prepares exactly the one strand that pair belongs to.
 func TestWarmQueryDoesNoColdWork(t *testing.T) {
-	t.Run("scan", func(t *testing.T) {
-		db := buildFresh(t, writeTestOptions(), append([]string{iccStyle, unrelated}, genProc(1), genProc(2), genProc(3)))
-		evals := 0
-		db.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
-			evals++ // cold queries below run one at a time, on one worker or under wg.Wait
-			return vcp.NewEvaluator(p, cfg)
-		}
-		db.opts.Workers = 1
-		q := parse(t, threeChains)
-		cold, coldAttrs := vcpSpanAttrs(t, db, q)
-		nq := len(dedupStrands(t, db, q))
-		// One worker — the caller — and its one evaluator, however
-		// many rows and chunks the queue held.
-		if evals != 1 || coldAttrs["workers"] != 1 || db.Stats().QueryPrepares == 0 {
-			t.Fatalf("the cold query did no cold work: %d evaluators, attrs %v", evals, coldAttrs)
-		}
+	for _, mode := range writeModes {
+		t.Run(mode, func(t *testing.T) {
+			db := buildFresh(t, writeTestOptions(), append([]string{iccStyle, unrelated}, genProc(1), genProc(2), genProc(3)))
+			if mode == "lsh" {
+				checkSketchState(t, "as built", db)
+			}
+			evals := 0
+			db.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
+				evals++ // cold queries below run one at a time, on one worker or under wg.Wait
+				return vcp.NewEvaluator(p, cfg)
+			}
+			db.opts.Workers = 1
+			q := parse(t, threeChains)
+			cold, coldAttrs := vcpSpanAttrs(t, db, q)
+			nq := len(dedupStrands(t, db, q))
+			// One worker — the caller — and its one evaluator, however
+			// many rows and chunks the queue held.
+			if evals != 1 || coldAttrs["workers"] != 1 || db.Stats().QueryPrepares == 0 {
+				t.Fatalf("the cold query did no cold work: %d evaluators, attrs %v", evals, coldAttrs)
+			}
 
-		evals = 0
-		before := db.Stats()
-		warm, attrs := vcpSpanAttrs(t, db, q)
-		diffReports(t, "warm vs cold", warm, cold)
-		after := db.Stats()
-		if after.QueryPrepares != before.QueryPrepares || evals != 0 || attrs["workers"] != 0 ||
-			after.VerifierCalls != before.VerifierCalls || after.Memo.Held != before.Memo.Held {
-			t.Errorf("warm query: %d prepares, %d evaluators, %v workers, %d verifier calls",
-				after.QueryPrepares-before.QueryPrepares, evals, attrs["workers"], after.VerifierCalls-before.VerifierCalls)
-		}
-		if attrs["rows_complete"] != float64(nq) || attrs["cache_misses"] != 0 ||
-			attrs["cache_hits"] != coldAttrs["cache_hits"]+coldAttrs["cache_misses"] ||
-			attrs["pairs"] != coldAttrs["pairs"] || attrs["pairs_pruned"] != coldAttrs["pairs_pruned"] ||
-			attrs["pairs_identical"] != coldAttrs["pairs_identical"] || attrs["lsh_skipped"] != coldAttrs["lsh_skipped"] {
-			t.Errorf("warm vcp span %v does not account for the pairs of the cold one %v", attrs, coldAttrs)
-		}
+			evals = 0
+			before := db.Stats()
+			warm, attrs := vcpSpanAttrs(t, db, q)
+			diffReports(t, "warm vs cold", warm, cold)
+			after := db.Stats()
+			if after.QueryPrepares != before.QueryPrepares || evals != 0 || attrs["workers"] != 0 ||
+				after.VerifierCalls != before.VerifierCalls || after.Memo.Held != before.Memo.Held {
+				t.Errorf("warm query: %d prepares, %d evaluators, %v workers, %d verifier calls",
+					after.QueryPrepares-before.QueryPrepares, evals, attrs["workers"], after.VerifierCalls-before.VerifierCalls)
+			}
+			if attrs["rows_complete"] != float64(nq) || attrs["cache_misses"] != 0 ||
+				attrs["cache_hits"] != coldAttrs["cache_hits"]+coldAttrs["cache_misses"] ||
+				attrs["pairs"] != coldAttrs["pairs"] || attrs["pairs_pruned"] != coldAttrs["pairs_pruned"] ||
+				attrs["pairs_identical"] != coldAttrs["pairs_identical"] || attrs["lsh_skipped"] != coldAttrs["lsh_skipped"] {
+				t.Errorf("warm vcp span %v does not account for the pairs of the cold one %v", attrs, coldAttrs)
+			}
 
-		// Stage 3 on cached rows allocates its own bookkeeping — the
-		// row states, the two slices of row headers, the pooled mark
-		// slice's header — and nothing per strand or per pair (the
-		// old path copied a map entry for each cached pair).
-		kept, _, err := decompose(q, db.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sp := telemetry.StartSpan(context.Background(), "vcp")
-		if allocs := testing.AllocsPerRun(50, func() {
-			qc := db.corpus.Load()
-			if _, _, err := db.vcpRows(kept, sp, qc); err != nil {
+			// Stage 3 on cached rows allocates its own bookkeeping — the
+			// row states, the two slices of row headers, the pooled mark
+			// slice's header — and nothing per strand or per pair (the
+			// old path copied a map entry for each cached pair).
+			kept, _, err := decompose(q, db.opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}); allocs > 6 {
-			t.Errorf("stage 3 over %d cached rows allocates %.0f objects, want at most 6", len(kept), allocs)
-		}
+			_, sp := telemetry.StartSpan(context.Background(), "vcp")
+			if allocs := testing.AllocsPerRun(50, func() {
+				qc := db.corpus.Load()
+				if _, _, err := db.vcpRows(kept, sp, qc); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 6 {
+				t.Errorf("stage 3 over %d cached rows allocates %.0f objects, want at most 6", len(kept), allocs)
+			}
 
-		// The other half of a warm query is its plan: run again from a
-		// kept one, nothing is decomposed (the stage histogram counts
-		// the decompositions that ran), the trace still names four
-		// stages, and the whole engine call — stages 3–4, Finalize,
-		// the ranking — allocates a few dozen objects, none per pair or per target.
-		pl, err := db.Plan(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decomposed := db.stageHist["decompose"].Count()
-		ctx, root := telemetry.StartSpan(context.Background(), "query")
-		db.TracePlanReuse(ctx)
-		kept2, err := db.RunPlan(ctx, pl)
-		root.End()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffReports(t, "kept plan vs cold", kept2, cold)
-		tr := root.Snapshot()
-		if len(tr.Children) != len(queryStages) || tr.Children[0].Attrs["plan_memo_hit"] != 1 || tr.Children[1].Attrs["plan_memo_hit"] != 1 {
-			t.Errorf("a query from a kept plan traces %d stages, the first two %v and %v", len(tr.Children), tr.Children[0].Attrs, tr.Children[1].Attrs)
-		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			db.TracePlanReuse(context.Background())
-			if _, err := db.RunPlan(context.Background(), pl); err != nil {
+			// The other half of a warm query is its plan: run again from a
+			// kept one, nothing is decomposed (the stage histogram counts
+			// the decompositions that ran), the trace still names four
+			// stages, and the whole engine call — stages 3–4, Finalize,
+			// the ranking — allocates a few dozen objects, none per pair or per target.
+			pl, err := db.Plan(context.Background(), q)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}); allocs > 48 {
-			t.Errorf("a warm query from a kept plan allocates %.0f objects, want at most 48", allocs)
-		}
-		if n := db.stageHist["decompose"].Count(); n != decomposed {
-			t.Errorf("queries from a kept plan decomposed %d times", n-decomposed)
-		}
+			decomposed := db.stageHist["decompose"].Count()
+			ctx, root := telemetry.StartSpan(context.Background(), "query")
+			db.TracePlanReuse(ctx)
+			kept2, err := db.RunPlan(ctx, pl)
+			root.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReports(t, "kept plan vs cold", kept2, cold)
+			tr := root.Snapshot()
+			if len(tr.Children) != len(queryStages) || tr.Children[0].Attrs["plan_memo_hit"] != 1 || tr.Children[1].Attrs["plan_memo_hit"] != 1 {
+				t.Errorf("a query from a kept plan traces %d stages, the first two %v and %v", len(tr.Children), tr.Children[0].Attrs, tr.Children[1].Attrs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				db.TracePlanReuse(context.Background())
+				if _, err := db.RunPlan(context.Background(), pl); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 48 {
+				t.Errorf("a warm query from a kept plan allocates %.0f objects, want at most 48", allocs)
+			}
+			if n := db.stageHist["decompose"].Count(); n != decomposed {
+				t.Errorf("queries from a kept plan decomposed %d times", n-decomposed)
+			}
 
-		// Forget exactly one verified pair of one strand.
-		db.mu.Lock()
-		var key string
-		db.rows.Each(func(k string, r *vcpRow) {
-			if r.tally[kindVerified] > 0 && (key == "" || k < key) {
-				key = k
+			// Forget exactly one verified pair of one strand.
+			db.mu.Lock()
+			var key string
+			db.rows.Each(func(k string, r *vcpRow) {
+				if r.tally[kindVerified] > 0 && (key == "" || k < key) {
+					key = k
+				}
+			})
+			if key == "" {
+				t.Fatal("no cached row holds a verified pair")
+			}
+			old, _ := db.rows.Get(key)
+			j := -1
+			for c := range old.vals {
+				if old.has(c) && old.kind(c) == kindVerified {
+					j = c
+					break
+				}
+			}
+			holed := holedRow(old, func(c int) bool { return c == j })
+			db.rows.Put(key, holed, int64(len(holed.vals)))
+			db.mu.Unlock()
+
+			evals = 0
+			before = db.Stats()
+			again, attrs := vcpSpanAttrs(t, db, q)
+			diffReports(t, "one pair forgotten", again, cold)
+			after = db.Stats()
+			if got := after.QueryPrepares - before.QueryPrepares; got != 1 {
+				t.Errorf("one unknown pair prepared %d strands, want 1", got)
+			}
+			if attrs["cache_misses"] != 1 || attrs["rows_complete"] != float64(nq-1) || attrs["workers"] != 1 || evals != 1 {
+				t.Errorf("one unknown pair: attrs %v, %d evaluators", attrs, evals)
+			}
+
+			// Forget every verified pair of every strand: several chunks,
+			// but far fewer than minFanOut pairs, so the caller drains them
+			// alone whatever Workers allows.
+			db.mu.Lock()
+			forgotten := 0
+			db.rows.Each(func(k string, r *vcpRow) {
+				holed := holedRow(r, func(c int) bool { return r.kind(c) == kindVerified })
+				forgotten += r.resolved() - holed.resolved()
+				db.rows.Put(k, holed, int64(len(holed.vals)))
+			})
+			db.mu.Unlock()
+			if forgotten < 2 || forgotten >= minFanOut {
+				t.Fatalf("test premise broken: %d verified pairs cached, want 2..%d", forgotten, minFanOut-1)
+			}
+			db.opts.Workers = 4
+			evals = 0
+			again, attrs = vcpSpanAttrs(t, db, q)
+			diffReports(t, "every verified pair forgotten", again, cold)
+			if attrs["cache_misses"] != float64(forgotten) || attrs["workers"] != 1 || evals != 1 {
+				t.Errorf("%d unknown pairs with 4 workers allowed: attrs %v, %d evaluators", forgotten, attrs, evals)
+			}
+			// Queries and the cache's surgery leave the LSH state as built.
+			if mode == "lsh" {
+				checkSketchState(t, "after the queries", db)
 			}
 		})
-		if key == "" {
-			t.Fatal("no cached row holds a verified pair")
-		}
-		old, _ := db.rows.Get(key)
-		j := -1
-		for c := range old.vals {
-			if old.has(c) && old.kind(c) == kindVerified {
-				j = c
-				break
-			}
-		}
-		holed := holedRow(old, func(c int) bool { return c == j })
-		db.rows.Put(key, holed, int64(len(holed.vals)))
-		db.mu.Unlock()
-
-		evals = 0
-		before = db.Stats()
-		again, attrs := vcpSpanAttrs(t, db, q)
-		diffReports(t, "one pair forgotten", again, cold)
-		after = db.Stats()
-		if got := after.QueryPrepares - before.QueryPrepares; got != 1 {
-			t.Errorf("one unknown pair prepared %d strands, want 1", got)
-		}
-		if attrs["cache_misses"] != 1 || attrs["rows_complete"] != float64(nq-1) || attrs["workers"] != 1 || evals != 1 {
-			t.Errorf("one unknown pair: attrs %v, %d evaluators", attrs, evals)
-		}
-
-		// Forget every verified pair of every strand: several chunks,
-		// but far fewer than minFanOut pairs, so the caller drains them
-		// alone whatever Workers allows.
-		db.mu.Lock()
-		forgotten := 0
-		db.rows.Each(func(k string, r *vcpRow) {
-			holed := holedRow(r, func(c int) bool { return r.kind(c) == kindVerified })
-			forgotten += r.resolved() - holed.resolved()
-			db.rows.Put(k, holed, int64(len(holed.vals)))
-		})
-		db.mu.Unlock()
-		if forgotten < 2 || forgotten >= minFanOut {
-			t.Fatalf("test premise broken: %d verified pairs cached, want 2..%d", forgotten, minFanOut-1)
-		}
-		db.opts.Workers = 4
-		evals = 0
-		again, attrs = vcpSpanAttrs(t, db, q)
-		diffReports(t, "every verified pair forgotten", again, cold)
-		if attrs["cache_misses"] != float64(forgotten) || attrs["workers"] != 1 || evals != 1 {
-			t.Errorf("%d unknown pairs with 4 workers allowed: attrs %v, %d evaluators", forgotten, attrs, evals)
-		}
-	})
+	}
 }
 
 // holedRow copies r without the known columns drop selects.

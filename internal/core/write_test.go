@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/vcp"
 )
@@ -165,6 +167,34 @@ func writeTestOptions() Options { return Options{VCP: vcp.Config{MinVars: 3}} }
 // newWriteDB returns an empty database under writeTestOptions.
 func newWriteDB() *DB { return NewDB(writeTestOptions()) }
 
+// writeModes are the two runs of each write-path script. Both check the
+// answers; "lsh" also checks, at every point where the script looks, the
+// LSH state the write path keeps beside the corpus (checkSketchState).
+// No query reads that state, so only a direct look catches an add, a
+// delete, a compaction or a load that leaves it behind the strands.
+var writeModes = []string{"scan", "lsh"}
+
+// checkSketchState fails unless db's corpus holds one sketch summary per
+// unique strand, each the one that strand builds, and a banded LSH index
+// equal to one built afresh over those summaries in strand order: the
+// signatures and band maps the write path keeps (see grown) are the ones a
+// rebuild of its strands would have.
+func checkSketchState(t *testing.T, label string, db *DB) {
+	t.Helper()
+	c := db.corpus.Load()
+	if len(c.sums) != len(c.uniq) {
+		t.Fatalf("%s: %d sketch summaries for %d unique strands", label, len(c.sums), len(c.uniq))
+	}
+	for i, p := range c.uniq {
+		if want := sketch.Summarize(p.S, sketchCfg); !reflect.DeepEqual(c.sums[i], want) {
+			t.Fatalf("%s: strand %d's sketch summary is not the one it builds", label, i)
+		}
+	}
+	if !reflect.DeepEqual(c.sketchIdx, db.newIndex(c.sums)) {
+		t.Fatalf("%s: the LSH index over %d summaries differs from one built afresh", label, len(c.sums))
+	}
+}
+
 // TestWriteDifferential checks, after every step of every script, that
 // the live corpus answers like a from-scratch rebuild of the survivors —
 // and asks each question twice, so the second answer comes from the row
@@ -204,88 +234,96 @@ func TestWriteDifferential(t *testing.T) {
 	}
 	queries := []string{gccStyle, genProc(3), genProc(2), unrelated}
 
-	for _, sc := range scripts {
-		t.Run("scan/"+sc.name, func(t *testing.T) {
-			opts := writeTestOptions()
-			live := newWriteDB()
-			// Planned against the empty corpus and run after every
-			// step: nothing in a plan depends on the corpus, so a
-			// server may keep one for as long as it likes.
-			plans := make([]*QueryPlan, len(queries))
-			for qi, qsrc := range queries {
-				var err error
-				if plans[qi], err = live.Plan(context.Background(), parse(t, qsrc)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for step := range sc.ops {
-				prefix := sc.ops[:step+1]
-				applyScript(t, live, prefix[step:], false)
-				if slices.Contains(sc.quiet, step) {
-					continue
-				}
-				fresh := buildFresh(t, opts, survivors(t, prefix))
-				if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
-					t.Fatalf("step %d: live corpus has %d live targets, fresh rebuild %d",
-						step, live.NumTargets()-live.Tombstones(), fresh.NumTargets())
-				}
-				// The same steps with no query in between: what the
-				// write path answers from an empty row cache.
-				unqueried := newWriteDB()
-				applyScript(t, unqueried, prefix, false)
+	for _, mode := range writeModes {
+		for _, sc := range scripts {
+			t.Run(mode+"/"+sc.name, func(t *testing.T) {
+				opts := writeTestOptions()
+				live := newWriteDB()
+				// Planned against the empty corpus and run after every
+				// step: nothing in a plan depends on the corpus, so a
+				// server may keep one for as long as it likes.
+				plans := make([]*QueryPlan, len(queries))
 				for qi, qsrc := range queries {
-					q := parse(t, qsrc)
-					walkedBefore := pairCounts(fresh)
-					want, err := fresh.Query(q)
-					if err != nil {
-						t.Fatalf("step %d query %d (fresh): %v", step, qi, err)
-					}
-					walked := pairCounts(fresh).sub(walkedBefore)
-					for _, pass := range []string{"first", "cached"} {
-						before, creditedBefore := live.Stats(), pairCounts(live)
-						got, err := live.Query(q)
-						if err != nil {
-							t.Fatalf("step %d query %d (%s): %v", step, qi, pass, err)
-						}
-						diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
-						after := live.Stats()
-						if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
-							t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
-								step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
-						}
-						// Without tombstones the per-pair counters read what
-						// a walk of every pair reads, although nothing was
-						// walked: the rows' tallies vouch for the pairs.
-						if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
-							t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
-						}
-						if pass == "cached" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
-							t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
-								step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
-						}
-					}
-					// The third answer is the one a serving daemon gives:
-					// from the kept plan, over rows that now carry their
-					// H0 estimate (the "cached" pass left it with them).
-					planned, err := live.RunPlan(context.Background(), plans[qi])
-					if err != nil {
-						t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
-					}
-					diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
-					// What a partial hands out must not depend on what
-					// the cache knew.
-					warm, err := live.PartialQueryCtx(context.Background(), q)
-					if err != nil {
+					var err error
+					if plans[qi], err = live.Plan(context.Background(), parse(t, qsrc)); err != nil {
 						t.Fatal(err)
 					}
-					cold, err := unqueried.PartialQueryCtx(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffPartials(t, fmt.Sprintf("step %d query %d", step, qi), warm, cold)
 				}
-			}
-		})
+				for step := range sc.ops {
+					prefix := sc.ops[:step+1]
+					applyScript(t, live, prefix[step:], false)
+					if mode == "lsh" {
+						checkSketchState(t, fmt.Sprintf("step %d", step), live)
+					}
+					if slices.Contains(sc.quiet, step) {
+						continue
+					}
+					fresh := buildFresh(t, opts, survivors(t, prefix))
+					if live.NumTargets()-live.Tombstones() != fresh.NumTargets() {
+						t.Fatalf("step %d: live corpus has %d live targets, fresh rebuild %d",
+							step, live.NumTargets()-live.Tombstones(), fresh.NumTargets())
+					}
+					// The same steps with no query in between: what the
+					// write path answers from an empty row cache.
+					unqueried := newWriteDB()
+					applyScript(t, unqueried, prefix, false)
+					if mode == "lsh" {
+						checkSketchState(t, fmt.Sprintf("step %d (unqueried)", step), unqueried)
+					}
+					for qi, qsrc := range queries {
+						q := parse(t, qsrc)
+						walkedBefore := pairCounts(fresh)
+						want, err := fresh.Query(q)
+						if err != nil {
+							t.Fatalf("step %d query %d (fresh): %v", step, qi, err)
+						}
+						walked := pairCounts(fresh).sub(walkedBefore)
+						for _, pass := range []string{"first", "cached"} {
+							before, creditedBefore := live.Stats(), pairCounts(live)
+							got, err := live.Query(q)
+							if err != nil {
+								t.Fatalf("step %d query %d (%s): %v", step, qi, pass, err)
+							}
+							diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
+							after := live.Stats()
+							if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
+								t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
+									step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
+							}
+							// Without tombstones the per-pair counters read what
+							// a walk of every pair reads, although nothing was
+							// walked: the rows' tallies vouch for the pairs.
+							if credited := pairCounts(live).sub(creditedBefore); pass == "cached" && live.Tombstones() == 0 && credited != walked {
+								t.Fatalf("step %d query %d: the repeat counted %+v, a walk counts %+v", step, qi, credited, walked)
+							}
+							if pass == "cached" && int(after.VCPRowsComplete-before.VCPRowsComplete) != len(dedupStrands(t, live, q)) {
+								t.Fatalf("step %d query %d: the repeat found %d complete rows for %d query strands",
+									step, qi, after.VCPRowsComplete-before.VCPRowsComplete, len(dedupStrands(t, live, q)))
+							}
+						}
+						// The third answer is the one a serving daemon gives:
+						// from the kept plan, over rows that now carry their
+						// H0 estimate (the "cached" pass left it with them).
+						planned, err := live.RunPlan(context.Background(), plans[qi])
+						if err != nil {
+							t.Fatalf("step %d query %d (kept plan): %v", step, qi, err)
+						}
+						diffReports(t, fmt.Sprintf("step %d query %d (kept plan)", step, qi), planned, want)
+						// What a partial hands out must not depend on what
+						// the cache knew.
+						warm, err := live.PartialQueryCtx(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold, err := unqueried.PartialQueryCtx(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						diffPartials(t, fmt.Sprintf("step %d query %d", step, qi), warm, cold)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -367,79 +405,84 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 	// the cache lookup, so the query sees another epoch's cache and
 	// works from scratch. "publish-after": it lands while the query is
 	// verifying, after a lookup that found the old epoch's rows.
-	for _, when := range []string{"lookup-after", "publish-after"} {
-		t.Run("scan/"+when, func(t *testing.T) {
-			opts := writeTestOptions()
-			live := newWriteDB()
-			// genProc(2) is not cached: the in-flight query has pairs
-			// to verify and rows to publish. Its plan is older than
-			// every target.
-			pl, err := live.Plan(context.Background(), parse(t, genProc(2)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			applyScript(t, live, ops, false)
-			fresh := buildFresh(t, opts, survivors(t, ops))
-			for _, src := range warmups {
-				if _, err := live.Query(parse(t, src)); err != nil {
+	for _, mode := range writeModes {
+		for _, when := range []string{"lookup-after", "publish-after"} {
+			t.Run(mode+"/"+when, func(t *testing.T) {
+				opts := writeTestOptions()
+				live := newWriteDB()
+				// genProc(2) is not cached: the in-flight query has pairs
+				// to verify and rows to publish. Its plan is older than
+				// every target.
+				pl, err := live.Plan(context.Background(), parse(t, genProc(2)))
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			compact := func() {
-				if _, _, err := live.Compact(nil, nil); err != nil {
-					t.Error(err)
+				applyScript(t, live, ops, false)
+				fresh := buildFresh(t, opts, survivors(t, ops))
+				for _, src := range warmups {
+					if _, err := live.Query(parse(t, src)); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			q := parse(t, genProc(2))
-			qc := live.corpus.Load()
-			if when == "lookup-after" {
-				compact()
-			} else {
-				var once sync.Once
-				live.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
-					once.Do(compact)
-					return vcp.NewEvaluator(p, cfg)
+				compact := func() {
+					if _, _, err := live.Compact(nil, nil); err != nil {
+						t.Error(err)
+					}
 				}
-			}
-			qp, _, err := live.partialQuery(context.Background(), pl, qc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if live.DataGeneration() != 1 {
-				t.Fatalf("the compaction did not land mid-query (generation %d)", live.DataGeneration())
-			}
-			want, err := fresh.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, "in-flight query", qp.Finalize(), want)
-			live.mu.Lock()
-			for key := range dedupStrands(t, live, q) {
-				if _, cached := live.rows.Get(key); cached {
-					t.Errorf("a row indexed by the old numbering reached the remapped cache")
+				q := parse(t, genProc(2))
+				qc := live.corpus.Load()
+				if when == "lookup-after" {
+					compact()
+				} else {
+					var once sync.Once
+					live.newEval = func(p *vcp.Prepared, cfg vcp.Config) *vcp.Evaluator {
+						once.Do(compact)
+						return vcp.NewEvaluator(p, cfg)
+					}
 				}
-			}
-			live.mu.Unlock()
+				qp, _, err := live.partialQuery(context.Background(), pl, qc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live.DataGeneration() != 1 {
+					t.Fatalf("the compaction did not land mid-query (generation %d)", live.DataGeneration())
+				}
+				want, err := fresh.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffReports(t, "in-flight query", qp.Finalize(), want)
+				live.mu.Lock()
+				for key := range dedupStrands(t, live, q) {
+					if _, cached := live.rows.Get(key); cached {
+						t.Errorf("a row indexed by the old numbering reached the remapped cache")
+					}
+				}
+				live.mu.Unlock()
+				if mode == "lsh" {
+					checkSketchState(t, "after the mid-query compaction", live)
+				}
 
-			// The remapped rows answer the warm-up queries without a
-			// verifier, and everything still equals the rebuild.
-			for _, src := range append(warmups, genProc(2)) {
-				p := parse(t, src)
-				before := live.Stats()
-				got, err := live.Query(p)
-				if err != nil {
-					t.Fatal(err)
+				// The remapped rows answer the warm-up queries without a
+				// verifier, and everything still equals the rebuild.
+				for _, src := range append(warmups, genProc(2)) {
+					p := parse(t, src)
+					before := live.Stats()
+					got, err := live.Query(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Query(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffReports(t, "after compaction: "+p.Name, got, want)
+					if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
+						t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
+					}
 				}
-				want, err := fresh.Query(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffReports(t, "after compaction: "+p.Name, got, want)
-				if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
-					t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -470,40 +513,45 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized differential run is slow")
 	}
-	t.Run("scan", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(42))
-		opts := writeTestOptions()
-		var ops []wop
-		next := 0
-		for round := 0; round < 4; round++ {
-			for step := 0; step < 8; step++ {
-				switch r := rng.Intn(10); {
-				case r < 6:
-					ops = append(ops, addOp(genProc(next)))
-					next++
-				case r < 9 && next > 0:
-					ops = append(ops, delOp(fmt.Sprintf("synth_%d", rng.Intn(next))))
-				default:
-					ops = append(ops, compactOp())
+	for _, mode := range writeModes {
+		t.Run(mode, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			opts := writeTestOptions()
+			var ops []wop
+			next := 0
+			for round := 0; round < 4; round++ {
+				for step := 0; step < 8; step++ {
+					switch r := rng.Intn(10); {
+					case r < 6:
+						ops = append(ops, addOp(genProc(next)))
+						next++
+					case r < 9 && next > 0:
+						ops = append(ops, delOp(fmt.Sprintf("synth_%d", rng.Intn(next))))
+					default:
+						ops = append(ops, compactOp())
+					}
+				}
+				live := newWriteDB()
+				applyScript(t, live, ops, true)
+				if mode == "lsh" {
+					checkSketchState(t, fmt.Sprintf("round %d", round), live)
+				}
+				fresh := buildFresh(t, opts, survivors(t, ops))
+				for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
+					q := parse(t, qsrc)
+					got, err := live.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffReports(t, fmt.Sprintf("round %d query %s", round, q.Name), got, want)
 				}
 			}
-			live := newWriteDB()
-			applyScript(t, live, ops, true)
-			fresh := buildFresh(t, opts, survivors(t, ops))
-			for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
-				q := parse(t, qsrc)
-				got, err := live.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffReports(t, fmt.Sprintf("round %d query %s", round, q.Name), got, want)
-			}
-		}
-	})
+		})
+	}
 }
 
 // TestCompactRoundTrip compacts through a persist callback that saves
