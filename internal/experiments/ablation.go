@@ -18,7 +18,11 @@ type AblationRow struct {
 	ROC     float64
 	CROC    float64
 	FP      int
-	Elapsed time.Duration
+	// Strands is the engine's unique indexed strand count and
+	// QueryStrands the query's strands surviving the size filter: what
+	// shows a setting reached the engine when every row ranks alike.
+	Strands, QueryStrands int
+	Elapsed               time.Duration
 }
 
 // AblationResult collects the §5.5 / DESIGN.md ablations: the sigmoid
@@ -59,6 +63,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		res.Rows = append(res.Rows, AblationRow{
 			Knob: knob, Setting: setting,
 			ROC: ev.ROC, CROC: ev.CROC, FP: ev.FP,
+			Strands: db.NumUniqueStrands(), QueryStrands: rep.NumStrands,
 			Elapsed: time.Since(start),
 		})
 		return nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -316,6 +317,37 @@ func TestCensusShape(t *testing.T) {
 			t.Error("census not sorted by count")
 		}
 	}
+}
+
+// TestCensusGolden pins the §6.2 census at Small scale: the strand totals
+// and the five most common strands, each with its counts and text.
+// Regenerate it deliberately with
+// UPDATE_GOLDEN=1 go test -run TestCensusGolden ./internal/experiments.
+func TestCensusGolden(t *testing.T) {
+	res, err := Census(small(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "census_small.golden", res.String())
+}
+
+// TestAblationGolden pins every ablation row at Small scale: ROC, CROC and
+// FP as exact %.17g values, and the indexed unique-strand and query strand
+// counts. At this scale every row ranks alike to three decimals, so the
+// counts are what show each min-strand-vars and path-strands setting
+// reaching the engine. There is no time column. Regenerate it deliberately
+// with UPDATE_GOLDEN=1 go test -run TestAblationGolden ./internal/experiments.
+func TestAblationGolden(t *testing.T) {
+	res, err := Ablation(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, r := range res.Rows {
+		fmt.Fprintf(&b, "%s %s roc=%.17g croc=%.17g fp=%d strands=%d query_strands=%d\n",
+			r.Knob, r.Setting, r.ROC, r.CROC, r.FP, r.Strands, r.QueryStrands)
+	}
+	checkGolden(t, "ablation_small.golden", b.String())
 }
 
 func TestConfigScales(t *testing.T) {
