@@ -49,9 +49,9 @@ func TestDocsNameLiveSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.flags) <= len(goToolFlags) || len(s.families) == 0 || len(s.stats) == 0 || len(s.ledger) == 0 {
-		t.Fatalf("surface has %d flags, %d metric families, %d stats keys, %d ledger rows: the scan itself is broken",
-			len(s.flags)-len(goToolFlags), len(s.families), len(s.stats), len(s.ledger))
+	if len(s.flags) <= len(goToolFlags) || len(s.families) == 0 || len(s.stats) == 0 || len(s.ledger) == 0 || len(s.retiredKs) == 0 {
+		t.Fatalf("surface has %d flags, %d metric families, %d stats keys, %d ledger rows, %d retired option keys: the scan itself is broken",
+			len(s.flags)-len(goToolFlags), len(s.families), len(s.stats), len(s.ledger), len(s.retiredKs))
 	}
 
 	t.Run("rules", func(t *testing.T) { checkRules(t, s) })
@@ -122,15 +122,35 @@ func checkRules(t *testing.T, s *liveSurface) {
 			"retired snapshot key sigmoidk= is read or written"},
 		{"retired row of no known kind", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `x` | gadget | never | 1 |\n", `kind "gadget"`},
 	}
-	for _, c := range cases {
-		r := s.check("case.md", c.doc)
+	judge := func(name, want string, r docReport) {
 		got := strings.Join(r.problems, "\n")
 		switch {
-		case c.want == "" && got != "":
-			t.Errorf("%s: want no problem, got:\n%s", c.name, got)
-		case c.want != "" && !strings.Contains(got, c.want):
-			t.Errorf("%s: want a problem naming %q, got:\n%s", c.name, c.want, got)
+		case want == "" && got != "":
+			t.Errorf("%s: want no problem, got:\n%s", name, got)
+		case want != "" && !strings.Contains(got, want):
+			t.Errorf("%s: want a problem naming %q, got:\n%s", name, want, got)
 		}
+	}
+	for _, c := range cases {
+		judge(c.name, c.want, s.check("case.md", c.doc))
+	}
+	// The retired-key rules judge a doc against a surface of one Go file,
+	// read as internal/index.
+	retiredDoc := "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `lshmincont=` | snapshot key | never | 1 |\n"
+	for _, c := range []struct{ name, src, want string }{
+		{"retired key compared for use", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}}\n" +
+			"func read(key, val string) bool { return key == \"lshmincont\" && val != \"0\" }\n", "retired snapshot key lshmincont= is read or written"},
+		{"retired key with no row", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}, \"workers\": {}}\n",
+			"no row for retired snapshot key workers="},
+		{"retired key in the table", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}}\n", ""},
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), "case.go", c.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sc := newSurface()
+		sc.addFile("internal/index/case.go", f)
+		judge(c.name, c.want, sc.check("case.md", retiredDoc))
 	}
 }
 
@@ -149,16 +169,21 @@ type liveSurface struct {
 	dirs      []string                   // cmd/* and internal/*
 	files     map[string]bool            // every file and directory path, and every base name
 	optKeys   map[string]bool            // option keys the snapshot and manifest codecs read or write
+	retiredKs map[string]bool            // option keys of internal/index's retiredKeys table
 	binaries  map[string]bool            // cmd/* names
 }
 
-func loadSurface(root string) (*liveSurface, error) {
-	s := &liveSurface{
+func newSurface() *liveSurface {
+	return &liveSurface{
 		flags: map[string]bool{}, families: map[string]string{}, stats: map[string]bool{}, statsTop: map[string]bool{},
 		ledger: map[string]bool{}, ledgerTop: map[string]bool{}, spans: map[string]bool{}, decls: map[string]map[string]bool{},
 		consts: map[string]map[string]int{}, funcs: map[string]bool{}, files: map[string]bool{}, optKeys: map[string]bool{},
-		binaries: map[string]bool{},
+		retiredKs: map[string]bool{}, binaries: map[string]bool{},
 	}
+}
+
+func loadSurface(root string) (*liveSurface, error) {
+	s := newSurface()
 	for _, f := range goToolFlags {
 		s.flags[f] = true
 	}
@@ -246,6 +271,9 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 				case *ast.ValueSpec:
 					for i, name := range spec.Names {
 						declare(name.Name)
+						if pkg == "index" && !test && name.Name == "retiredKeys" && i < len(spec.Values) {
+							s.addRetiredKeys(spec.Values[i])
+						}
 						if d.Tok != token.CONST || i >= len(spec.Values) || pkg == "" {
 							continue
 						}
@@ -290,6 +318,18 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 					s.optKeys[v] = true
 				}
 			}
+		case *ast.BinaryExpr:
+			// key == "name" reads an option as surely as a case clause.
+			if codec && (n.Op == token.EQL || n.Op == token.NEQ) {
+				for _, pair := range [][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+					id, isIdent := pair[0].(*ast.Ident)
+					lit, isLit := pair[1].(*ast.BasicLit)
+					if isIdent && id.Name == "key" && isLit && lit.Kind == token.STRING {
+						v, _ := strconv.Unquote(lit.Value)
+						s.optKeys[v] = true
+					}
+				}
+			}
 		case *ast.BasicLit:
 			if n.Kind != token.STRING {
 				return true
@@ -313,6 +353,22 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// addRetiredKeys records the keys of the retiredKeys map literal.
+func (s *liveSurface) addRetiredKeys(table ast.Expr) {
+	lit, ok := table.(*ast.CompositeLit)
+	if !ok {
+		return
+	}
+	for _, e := range lit.Elts {
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			if k, ok := kv.Key.(*ast.BasicLit); ok && k.Kind == token.STRING {
+				v, _ := strconv.Unquote(k.Value)
+				s.retiredKs[v] = true
+			}
+		}
+	}
 }
 
 func isFlagFunc(name string) bool {
@@ -425,6 +481,7 @@ type docReport struct {
 	problems      []string
 	seen          tally
 	retiredTables int
+	retiredRows   map[string]bool // snapshot keys the Retired table has a row for
 	inventory     bool
 }
 
@@ -554,6 +611,13 @@ func (s *liveSurface) check(name, text string) docReport {
 		s.checkRetired(&r, cells, func(format string, args ...any) {
 			r.problems = append(r.problems, fmt.Sprintf("%s:%d: %s", name, i+1, fmt.Sprintf(format, args...)))
 		})
+	}
+	if r.retiredTables > 0 {
+		for k := range s.retiredKs {
+			if !r.retiredRows[k] {
+				r.problems = append(r.problems, fmt.Sprintf("%s: Retired surface table has no row for retired snapshot key %s=", name, k))
+			}
+		}
 	}
 	sort.Strings(r.problems)
 	return r
@@ -739,7 +803,12 @@ func (s *liveSurface) checkRetired(r *docReport, cells []string, report func(str
 				}
 			}
 		case "snapshot key":
-			live = s.optKeys[strings.TrimSuffix(name, "=")]
+			key := strings.TrimSuffix(name, "=")
+			live = s.optKeys[key]
+			if r.retiredRows == nil {
+				r.retiredRows = map[string]bool{}
+			}
+			r.retiredRows[key] = true
 		case "metric family":
 			for _, f := range expandBraces(name) {
 				live = live || s.family(f)

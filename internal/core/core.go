@@ -44,13 +44,17 @@ type Options struct {
 	// paths of PathLen blocks — the paper's §6.6 mitigation for small
 	// procedures whose individual blocks carry no significant strands.
 	PathLen int
-	// PathMaxBlocks bounds the path explosion (0 selects 12).
+	// PathMaxBlocks bounds the path explosion (0 selects DefaultPathMaxBlocks).
 	PathMaxBlocks int
 	// Prefilter and PrefilterLSH are ignored: every database tests
 	// forward injectability and nothing else. They stay declared only
 	// until ROADMAP A removes them from cmd/eshbench.
 	Prefilter string
 }
+
+// DefaultPathMaxBlocks is the engine's bound on the procedures that get
+// §6.6 path strands: those of at most this many basic blocks.
+const DefaultPathMaxBlocks = 12
 
 // CheckSigmoidK holds the sigmoid steepness to the values the engine can
 // score with. A NaN or infinite setting turns every score into a NaN that
@@ -59,17 +63,6 @@ type Options struct {
 func CheckSigmoidK(k float64) error {
 	if !(k >= 0) || math.IsInf(k, 1) {
 		return fmt.Errorf("sigmoid steepness %v: want a finite value >= 0", k)
-	}
-	return nil
-}
-
-// CheckSizeRatio: see CheckSigmoidK. The §5.5 window keeps target strands
-// of [r, 1/r] times the query's variables, so a ratio above 1 (or an
-// infinite one) keeps none and every pair is pruned unverified; 0 selects
-// the paper's 0.5.
-func CheckSizeRatio(r float64) error {
-	if !(r >= 0 && r <= 1) {
-		return fmt.Errorf("size ratio %v: want a value in [0, 1]", r)
 	}
 	return nil
 }
@@ -318,7 +311,7 @@ func decompose(p *asm.Proc, opts Options) ([]*strand.Strand, int, error) {
 	if opts.PathLen >= 2 {
 		limit := opts.PathMaxBlocks
 		if limit <= 0 {
-			limit = 12
+			limit = DefaultPathMaxBlocks
 		}
 		if len(g.Blocks) <= limit {
 			paths, err := lift.LiftPaths(g, opts.PathLen)

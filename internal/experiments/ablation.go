@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/stats"
+	"repro/internal/vcp"
 )
 
 // AblationRow is one setting of one ablated design choice, evaluated on
@@ -71,32 +72,27 @@ func Ablation(cfg Config) (*AblationResult, error) {
 
 	// Sigmoid steepness (paper §3.3.1 chose k = 10 experimentally).
 	for _, k := range []float64{1, 5, 10, 20} {
-		opts := core.Options{VCP: cfg.VCP, Workers: cfg.Workers, SigmoidK: k}
-		if err := run("sigmoid-k", fmt.Sprintf("k=%g", k), opts); err != nil {
+		if err := run("sigmoid-k", fmt.Sprintf("k=%g", k), core.Options{SigmoidK: k}); err != nil {
 			return nil, err
 		}
 	}
 	// Minimum strand size (paper §5.5 uses 5).
 	for _, mv := range []int{2, 5, 8} {
-		vc := cfg.VCP
-		vc.MinVars = mv
-		opts := core.Options{VCP: vc, Workers: cfg.Workers}
+		opts := core.Options{VCP: vcp.Config{MinVars: mv}}
 		if err := run("min-strand-vars", fmt.Sprintf("min=%d", mv), opts); err != nil {
 			return nil, err
 		}
 	}
 	// Size-ratio window (paper §5.5 uses 0.5; 0.01 ≈ disabled).
 	for _, ratio := range []float64{0.01, 0.5, 0.8} {
-		vc := cfg.VCP
-		vc.SizeRatio = ratio
-		opts := core.Options{VCP: vc, Workers: cfg.Workers}
+		opts := core.Options{VCP: vcp.Config{SizeRatio: ratio}}
 		if err := run("size-ratio", fmt.Sprintf("ratio=%.2f", ratio), opts); err != nil {
 			return nil, err
 		}
 	}
 	// Path strands (the §6.6 extension for small procedures).
 	for _, pl := range []int{0, 2} {
-		opts := core.Options{VCP: cfg.VCP, Workers: cfg.Workers, PathLen: pl, PathMaxBlocks: 20}
+		opts := core.Options{PathLen: pl, PathMaxBlocks: 20}
 		if err := run("path-strands", fmt.Sprintf("k=%d", pl), opts); err != nil {
 			return nil, err
 		}

@@ -34,10 +34,6 @@ func Census(c Config, topN int) (*CensusResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	minVars := c.VCP.MinVars
-	if minVars <= 0 {
-		minVars = vcp.Default().MinVars
-	}
 	counts := map[string]int{}
 	inProcs := map[string]int{}
 	samples := map[string]string{}
@@ -53,7 +49,7 @@ func Census(c Config, topN int) (*CensusResult, error) {
 		}
 		seen := map[string]bool{}
 		for _, s := range strand.FromProc(lp) {
-			if s.NumVars() < minVars {
+			if s.NumVars() < vcp.Default().MinVars {
 				continue
 			}
 			key := s.CanonicalKey()

@@ -55,7 +55,7 @@ func CrossOpt(cfg Config) (*CrossOptResult, error) {
 	}
 
 	run := func(queryOpt, targetOpt compile.Options, label string) error {
-		db := core.NewDB(core.Options{VCP: cfg.VCP, Workers: cfg.Workers})
+		db := core.NewDB(core.Options{})
 		for _, tc := range cfg.Toolchains() {
 			p, err := build(tc, targetOpt)
 			if err != nil {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/rocauc"
 	"repro/internal/stats"
-	"repro/internal/vcp"
 )
 
 // Scale selects the corpus size.
@@ -50,10 +49,7 @@ func (s Scale) String() string {
 
 // Config parameterizes an experiment run.
 type Config struct {
-	Scale   Scale
-	Workers int
-	// VCP overrides the verifier configuration (zero = paper defaults).
-	VCP vcp.Config
+	Scale Scale
 }
 
 // Toolchains returns the scale's toolchain set. The query toolchain
@@ -112,7 +108,7 @@ func (c Config) BuildCorpus() ([]*asm.Proc, error) {
 
 // NewDB builds an Esh engine database over the given targets.
 func (c Config) NewDB(targets []*asm.Proc) (*core.DB, error) {
-	db := core.NewDB(core.Options{VCP: c.VCP, Workers: c.Workers})
+	db := core.NewDB(core.Options{})
 	for _, p := range targets {
 		if err := db.AddTarget(p); err != nil {
 			return nil, err

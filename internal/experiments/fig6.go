@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/minic"
 	"repro/internal/rocauc"
@@ -87,11 +86,9 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		}
 	}
 
-	db := core.NewDB(core.Options{VCP: cfg.VCP, Workers: cfg.Workers})
-	for _, p := range procs {
-		if err := db.AddTarget(p); err != nil {
-			return nil, err
-		}
+	db, err := cfg.NewDB(procs)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Fig6Result{}

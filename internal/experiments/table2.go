@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/minic"
 	"repro/internal/rocauc"
@@ -133,16 +132,13 @@ func Table2(cfg Config) (*Table2Result, error) {
 	}
 
 	// One shared database (variant positives + decoys); rows filter it.
-	db := core.NewDB(core.Options{VCP: cfg.VCP, Workers: cfg.Workers})
+	targets := make([]*asm.Proc, 0, len(variants)+len(negatives))
 	for _, vr := range variants {
-		if err := db.AddTarget(vr.proc); err != nil {
-			return nil, err
-		}
+		targets = append(targets, vr.proc)
 	}
-	for _, p := range negatives {
-		if err := db.AddTarget(p); err != nil {
-			return nil, err
-		}
+	db, err := cfg.NewDB(append(targets, negatives...))
+	if err != nil {
+		return nil, err
 	}
 	rep, err := db.Query(query)
 	if err != nil {

@@ -14,10 +14,12 @@ package index
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,6 +30,7 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/strand"
 	"repro/internal/telemetry"
+	"repro/internal/vcp"
 )
 
 // Magic identifies snapshot files; Version is the one format read and
@@ -76,8 +79,15 @@ var (
 // splitter's path, which never materializes a prepared DB per shard —
 // recording an "index.save" telemetry span under the one carried by ctx (if
 // any). It returns the written snapshot's identity (checksum, size, shard)
-// for manifest construction.
+// for manifest construction. Every saver comes through here.
 func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
+	// An engine the ablation built in process at a retired setting no load
+	// admits would reload answering differently: refuse it, writing nothing.
+	for key, v := range map[string]float64{"vcpsizeratio": ex.Opts.VCP.SizeRatio, "pathmaxblocks": float64(ex.Opts.PathMaxBlocks)} {
+		if rk := retiredKeys[key]; !slices.Contains(rk.loads, v) {
+			return Info{}, fmt.Errorf("index: cannot save %s=%g: %s", key, v, rk.why)
+		}
+	}
 	_, sp := telemetry.StartSpan(ctx, "index.save")
 	defer func() { mSaveSeconds.Observe(sp.End().Seconds()) }()
 	body := encodeBody(ex)
@@ -210,11 +220,9 @@ func codeType(c int) (ivl.Type, error) {
 func encodeBody(ex *core.Export) []byte {
 	var b bytes.Buffer
 	o := ex.Opts
-	// Options.Workers is a deployment setting, not corpus state: the
-	// loading process picks it.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d pathmaxblocks=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d\n",
-		recfile.Float(o.SigmoidK), o.PathLen, o.PathMaxBlocks,
-		o.VCP.Samples, o.VCP.MinVars, recfile.Float(o.VCP.SizeRatio), o.VCP.MaxCorrespondences)
+	// No retired key (retiredKeys) is written, workers= among them.
+	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d vcpsamples=%d vcpminvars=%d vcpmaxcorr=%d\n",
+		recfile.Float(o.SigmoidK), o.PathLen, o.VCP.Samples, o.VCP.MinVars, o.VCP.MaxCorrespondences)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -404,6 +412,30 @@ func (d *decoder) decodeSketch(ex *core.Export) error {
 	return nil
 }
 
+// retiredKeys are the option keys earlier builds wrote and this one does
+// not, each with why it went (DESIGN §16 has a row for each). A snapshot
+// that still carries one loads with the key ignored if its value is in
+// loads, one this engine answers identically at; nil loads admits any.
+var retiredKeys = map[string]struct {
+	loads []float64
+	why   string
+}{
+	"workers":      {why: "a deployment setting: the loading process picks it"},
+	"kernel":       {why: "the batched kernel is the one evaluator"},
+	"gammabatch":   {why: "one γ width is production"},
+	"retrmaxdelta": {why: "went with the probe table"},
+	"cachepairs":   {why: "the row cache budget is a constant"},
+	"prefilter":    {why: "forward injectability is always tested"},
+	"lshbands":     {why: "the banding is the constant 24×3"},
+	"lshrows":      {why: "the banding is the constant 24×3"},
+	"retrieval":    {why: "went with the probe table"},
+	"lshmincont":   {[]float64{0}, "the heuristic candidate tier is retired; re-save the corpus at the sound tier"},
+	"vcpsizeratio": {[]float64{0, vcp.Default().SizeRatio}, fmt.Sprintf(
+		"the §5.5 size window (VCP.SizeRatio) is retired as an option: a snapshot holds the engine's %g", vcp.Default().SizeRatio)},
+	"pathmaxblocks": {[]float64{0, core.DefaultPathMaxBlocks}, fmt.Sprintf(
+		"the path-strand block limit (PathMaxBlocks) is retired as an option: a snapshot holds the engine's %d", core.DefaultPathMaxBlocks)},
+}
+
 func (d *decoder) decodeOptions(ex *core.Export) error {
 	toks, err := d.Record("options", 1)
 	if err != nil {
@@ -415,13 +447,6 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			return d.Errf("bad option %q", kv)
 		}
 		var ierr error
-		atoi := func() int {
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				ierr = err
-			}
-			return n
-		}
 		atof := func() float64 {
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {
@@ -430,7 +455,7 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			return f
 		}
 		count := func(dst *int, ceiling int) {
-			if *dst = atoi(); ierr == nil {
+			if *dst, ierr = strconv.Atoi(val); ierr == nil {
 				ierr = core.CheckCount(*dst, ceiling)
 			}
 		}
@@ -441,27 +466,20 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			}
 		case "pathlen":
 			count(&ex.Opts.PathLen, math.MaxInt)
-		case "pathmaxblocks":
-			count(&ex.Opts.PathMaxBlocks, math.MaxInt)
 		case "vcpsamples":
 			count(&ex.Opts.VCP.Samples, core.MaxVCPSamples)
 		case "vcpminvars":
 			count(&ex.Opts.VCP.MinVars, math.MaxInt)
-		case "vcpsizeratio":
-			if ex.Opts.VCP.SizeRatio = atof(); ierr == nil {
-				ierr = core.CheckSizeRatio(ex.Opts.VCP.SizeRatio)
-			}
 		case "vcpmaxcorr":
 			count(&ex.Opts.VCP.MaxCorrespondences, core.MaxVCPCorrespondences)
 		default:
 			// Unknown keys are ignored so minor option additions do not
-			// invalidate old readers within a format version — and so files
-			// that still carry the retired workers=, kernel=, gammabatch=,
-			// retrmaxdelta=, cachepairs=, prefilter=, lshbands=, lshrows=,
-			// retrieval= and lshmincont=0 keys keep loading. A snapshot
-			// saved to answer at the retired heuristic tier is refused.
-			if key == "lshmincont" && atof() != 0 && ierr == nil {
-				ierr = fmt.Errorf("the heuristic candidate tier is retired; re-save the corpus at the sound tier")
+			// invalidate old readers within a format version; a retired
+			// key loads at the values its table entry admits.
+			if rk, ok := retiredKeys[key]; ok && rk.loads != nil {
+				if v := atof(); ierr == nil && !slices.Contains(rk.loads, v) {
+					ierr = errors.New(rk.why)
+				}
 			}
 		}
 		if ierr != nil {

@@ -10,6 +10,7 @@ import (
 	"math"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestRoundTripStable(t *testing.T) {
 
 func TestOptionsPersist(t *testing.T) {
 	db := core.NewDB(core.Options{
-		VCP:      vcp.Config{MinVars: 3, SizeRatio: 0.25},
+		VCP:      vcp.Config{MinVars: 3},
 		SigmoidK: 7.5,
 		PathLen:  2,
 		Workers:  runtime.GOMAXPROCS(0) + 3,
@@ -181,7 +182,7 @@ func TestOptionsPersist(t *testing.T) {
 	}
 	got, want := db2.Options(), db.Options()
 	if got.SigmoidK != want.SigmoidK || got.PathLen != want.PathLen ||
-		got.VCP.MinVars != want.VCP.MinVars || got.VCP.SizeRatio != want.VCP.SizeRatio {
+		got.VCP.MinVars != want.VCP.MinVars {
 		t.Fatalf("options %+v, want %+v", got, want)
 	}
 	// Workers is the loading process's to choose: the build host's value
@@ -219,13 +220,12 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 	return []byte(fmt.Sprintf("%s %d %d %s\n%s", Magic, version, len(body), hex.EncodeToString(sum[:]), body))
 }
 
-// TestRetiredOptionKeys: snapshots that carry workers=, kernel=,
-// gammabatch=, retrmaxdelta=, cachepairs=, prefilter=, retrieval=,
-// lshbands= or lshrows=, option keys of earlier builds, keep loading
-// (unknown keys are ignored, whatever their value), answer identically,
-// and re-save without them; so does lshmincont=0, the retired heuristic
-// tier's off setting (above 0 it is refused: TestBadBodyRejected). The
-// row cache's bound is no longer the file's to set: a database loaded
+// TestRetiredOptionKeys: a snapshot that carries a key of retiredKeys
+// keeps loading at every value the table admits — any value of a key such
+// as workers= or kernel=, 0 or the engine's own value of lshmincont=,
+// vcpsizeratio= and pathmaxblocks= (others are refused:
+// TestBadBodyRejected) — answers identically, and re-saves without it.
+// The row cache's bound is no longer the file's to set: a database loaded
 // from cachepairs=7 serves under the constant.
 // Nor is the banding: a snapshot saved at 12×6 carries the same 72-value
 // signatures, cut into other bands, and they are adopted as they are.
@@ -236,11 +236,31 @@ func TestRetiredOptionKeys(t *testing.T) {
 	if !bytes.Contains(snap, []byte(sketchRecord)) {
 		t.Fatalf("snapshot has no %q record", sketchRecord)
 	}
-	for _, tc := range []struct{ keys, sketch string }{
-		{"workers=1 kernel=scalar gammabatch=16 retrmaxdelta=64 cachepairs=7 prefilter=lhs", sketchRecord},
+	// What earlier builds wrote for the keys that load at any value.
+	written := map[string]string{
+		"workers": "1", "kernel": "scalar", "gammabatch": "16", "retrmaxdelta": "64", "cachepairs": "7",
+		"prefilter": "lhs", "retrieval": "probe", "lshbands": "24", "lshrows": "3",
+	}
+	type retiredCase struct{ keys, sketch string }
+	cases := []retiredCase{
 		{"retrieval=probe lshbands=12 lshrows=6", fmt.Sprintf("sketch %d 12 6", db.NumUniqueStrands())},
-		{"lshmincont=0", sketchRecord},
-	} {
+		{"vcpsizeratio=0.5 pathmaxblocks=12", sketchRecord},
+	}
+	for key, rk := range retiredKeys {
+		vals := []string{written[key]}
+		if rk.loads != nil {
+			vals = nil
+			for _, v := range rk.loads {
+				vals = append(vals, strconv.FormatFloat(v, 'g', -1, 64))
+			}
+		} else if vals[0] == "" {
+			t.Fatalf("retired key %s= loads at any value: give it one an earlier build wrote", key)
+		}
+		for _, v := range vals {
+			cases = append(cases, retiredCase{key + "=" + v, sketchRecord})
+		}
+	}
+	for _, tc := range cases {
 		old := rewrite(t, snap, Version, func(ln string) string {
 			if strings.HasPrefix(ln, "options ") {
 				ln += " " + tc.keys
@@ -263,8 +283,8 @@ func TestRetiredOptionKeys(t *testing.T) {
 
 // TestBadBodyRejected: a float option the engine cannot score with (a
 // NaN or an infinity, which would turn every reply into one nothing can
-// encode) must not load, nor a VCP setting that silently changes every
-// answer (a size ratio outside [0, 1] prunes every pair unverified), a
+// encode) must not load, nor a retired setting off the engine's own value
+// (it would silently change every answer), a
 // negative count or a count above its ceiling; a snapshot without per-target multiplicities
 // must not be read as all-ones, and a section count no body could hold
 // must be refused before anything is allocated for it; like a malformed
@@ -281,12 +301,14 @@ func TestBadBodyRejected(t *testing.T) {
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=0.45", `line 1: bad option value "lshmincont=0.45": the heuristic candidate tier is retired`},
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=1.5", `line 1: bad option value "lshmincont=1.5"`},
-		{"vcpsizeratio=0 ", "vcpsizeratio=+Inf ", `line 1: bad option value "vcpsizeratio=+Inf"`},
-		{"vcpsizeratio=0 ", "vcpsizeratio=2 ", `line 1: bad option value "vcpsizeratio=2"`},
-		{"vcpsizeratio=0 ", "vcpsizeratio=NaN ", `line 1: bad option value "vcpsizeratio=NaN"`},
-		{"vcpsizeratio=0 ", "vcpsizeratio=-0.5 ", `line 1: bad option value "vcpsizeratio=-0.5"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 vcpsizeratio=+Inf", `line 1: bad option value "vcpsizeratio=+Inf": the §5.5 size window (VCP.SizeRatio) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 vcpsizeratio=2", `line 1: bad option value "vcpsizeratio=2": the §5.5 size window (VCP.SizeRatio) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 vcpsizeratio=NaN", `line 1: bad option value "vcpsizeratio=NaN": the §5.5 size window (VCP.SizeRatio) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 vcpsizeratio=-0.5", `line 1: bad option value "vcpsizeratio=-0.5": the §5.5 size window (VCP.SizeRatio) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 vcpsizeratio=0.25", `line 1: bad option value "vcpsizeratio=0.25": the §5.5 size window (VCP.SizeRatio) is retired`},
 		{"pathlen=0", "pathlen=-2", `line 1: bad option value "pathlen=-2"`},
-		{"pathmaxblocks=0", "pathmaxblocks=-1", `line 1: bad option value "pathmaxblocks=-1"`},
+		{"pathlen=0", "pathlen=0 pathmaxblocks=-1", `line 1: bad option value "pathmaxblocks=-1": the path-strand block limit (PathMaxBlocks) is retired`},
+		{"pathlen=0", "pathlen=0 pathmaxblocks=20", `line 1: bad option value "pathmaxblocks=20": the path-strand block limit (PathMaxBlocks) is retired`},
 		{"vcpsamples=0", "vcpsamples=-1", `line 1: bad option value "vcpsamples=-1"`},
 		{"vcpsamples=0", fmt.Sprintf("vcpsamples=%d", core.MaxVCPSamples+1), `line 1: bad option value "vcpsamples=1025"`},
 		{"vcpminvars=3", "vcpminvars=-3", `line 1: bad option value "vcpminvars=-3"`},
@@ -306,9 +328,9 @@ func TestBadBodyRejected(t *testing.T) {
 		}
 	}
 	// The bounds themselves load.
-	edge := fmt.Sprintf("vcpsamples=%d vcpminvars=3 vcpsizeratio=1 vcpmaxcorr=%d", core.MaxVCPSamples, core.MaxVCPCorrespondences)
+	edge := fmt.Sprintf("vcpsamples=%d vcpminvars=3 vcpmaxcorr=%d", core.MaxVCPSamples, core.MaxVCPCorrespondences)
 	ok := rewrite(t, snap, Version, func(ln string) string {
-		return strings.Replace(ln, "vcpsamples=0 vcpminvars=3 vcpsizeratio=0 vcpmaxcorr=0", edge, 1)
+		return strings.Replace(ln, "vcpsamples=0 vcpminvars=3 vcpmaxcorr=0", edge, 1)
 	})
 	if db, err := Load(bytes.NewReader(ok)); err != nil || db.Options().VCP.MaxCorrespondences != core.MaxVCPCorrespondences {
 		t.Errorf("%s: %v", edge, err)

@@ -41,7 +41,7 @@ func TestLiftedStrandsRunBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pathLen, pathMaxBlocks = 2, 12 // core.Options.PathMaxBlocks's default
+	const pathLen, pathMaxBlocks = 2, 12 // core.DefaultPathMaxBlocks
 	blocks, paths := 0, 0
 	var kern smt.Kernel
 	for _, p := range procs {
