@@ -83,9 +83,10 @@ var (
 func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
 	// An engine the ablation built in process at a retired setting no load
 	// admits would reload answering differently: refuse it, writing nothing.
-	for key, v := range map[string]float64{"vcpsizeratio": ex.Opts.VCP.SizeRatio, "pathmaxblocks": float64(ex.Opts.PathMaxBlocks)} {
-		if rk := retiredKeys[key]; !slices.Contains(rk.loads, v) {
-			return Info{}, fmt.Errorf("index: cannot save %s=%g: %s", key, v, rk.why)
+	held := [...]float64{ex.Opts.VCP.SizeRatio, float64(ex.Opts.PathMaxBlocks)}
+	for i, key := range [...]string{"vcpsizeratio", "pathmaxblocks"} {
+		if rk := retiredKeys[key]; !slices.Contains(rk.loads, held[i]) {
+			return Info{}, fmt.Errorf("index: cannot save %s=%g: %s", key, held[i], rk.why)
 		}
 	}
 	_, sp := telemetry.StartSpan(ctx, "index.save")
