@@ -138,11 +138,11 @@ func checkRules(t *testing.T, s *liveSurface) {
 	// read as internal/index.
 	retiredDoc := "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `lshmincont=` | snapshot key | never | 1 |\n"
 	for _, c := range []struct{ name, src, want string }{
-		{"retired key compared for use", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}}\n" +
+		{"retired key compared for use", "package index\nvar retiredKeys = map[string]struct{}{\"lshmincont\": {}}\n" +
 			"func read(key, val string) bool { return key == \"lshmincont\" && val != \"0\" }\n", "retired snapshot key lshmincont= is read or written"},
-		{"retired key with no row", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}, \"workers\": {}}\n",
+		{"retired key with no row", "package index\nvar retiredKeys = map[string]struct{}{\"lshmincont\": {}, \"workers\": {}}\n",
 			"no row for retired snapshot key workers="},
-		{"retired key in the table", "package index\nvar retiredKeys = map[string]retiredKey{\"lshmincont\": {}}\n", ""},
+		{"retired key in the table", "package index\nvar retiredKeys = map[string]struct{}{\"lshmincont\": {}}\n", ""},
 	} {
 		f, err := parser.ParseFile(token.NewFileSet(), "case.go", c.src, parser.SkipObjectResolution)
 		if err != nil {
