@@ -53,10 +53,10 @@ type AccuracyResult struct {
 // queries, on the scale's corpus and on that corpus grown by
 // accuracyDecoys generated decoy packages. The population: every
 // unpatched corpus source compiled by each toolchain the corpus does not
-// hold, grouped by source (Package:SourceSym); sources whose body repeats
-// an earlier one are dropped, and source i is queried in variant i mod
-// the variants (at Small scale, the 109 queries eshbench's search_cold
-// sends). The label rule: a target is positive for a query iff it shares
+// hold, grouped by source (Package:SourceSym); a source whose first
+// variant's body repeats an earlier one is dropped in every variant, and
+// source i is queried in variant i mod the variants (at Small scale, 101
+// queries). The label rule: a target is positive for a query iff it shares
 // the query's Package:SourceSym — patched variants of a vulnerable
 // procedure included, as in Table 1.
 func Accuracy(cfg Config) (*AccuracyResult, error) {
@@ -111,15 +111,19 @@ func (c Config) heldOutQueries() ([]*asm.Proc, error) {
 		return nil, err
 	}
 	seen := map[string]bool{}
-	group := map[string]int{}
+	group := map[string]int{} // a dropped source's key maps to -1
 	var sources [][]*asm.Proc
 	for _, p := range procs {
 		key := p.Source.Package + ":" + p.Source.SourceSym
 		g, ok := group[key]
+		if g < 0 {
+			continue
+		}
 		if !ok {
 			text := p.String()
 			body := text[strings.IndexByte(text, '\n'):]
 			if seen[body] {
+				group[key] = -1 // its other variants must not start a group
 				continue
 			}
 			seen[body] = true

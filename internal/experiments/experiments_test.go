@@ -92,7 +92,7 @@ func TestTable1Golden(t *testing.T) {
 }
 
 // TestAccuracyGolden pins ROADMAP Z's accuracy judge at Small scale: the
-// 109 held-out queries against C1 and against C1 plus 100 generated decoy
+// 101 held-out queries against C1 and against C1 plus 100 generated decoy
 // packages (C4), every per-query ROC, CROC, FP and top-1/top-10 hit, their
 // means, the five worst queries and the three pooled rankings, each as an
 // exact %.17g value — an answer-preserving change moves no character.
@@ -103,8 +103,8 @@ func TestAccuracyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Corpora) != 2 || len(res.Corpora[0].Queries) != 109 {
-		t.Fatalf("want 109 queries on two corpora, got %d corpora", len(res.Corpora))
+	if len(res.Corpora) != 2 || len(res.Corpora[0].Queries) != 101 {
+		t.Fatalf("want 101 queries on two corpora, got %d corpora", len(res.Corpora))
 	}
 	checkGolden(t, "accuracy_small.golden", res.String())
 }
