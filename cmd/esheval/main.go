@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "table1", "experiment: table1, table2, table3, fig5, fig6, census, crossopt, ablation, accuracy, all")
+	exp := flag.String("exp", "table1", "experiment: table1, table2, table3, fig5, fig6, census, crossopt, ablation, accuracy, work, all")
 	scale := flag.String("scale", "full", "corpus scale: small, medium, full")
 	csv := flag.Bool("csv", false, "emit fig6 matrix as CSV")
 	flag.Parse()
@@ -76,6 +76,11 @@ func main() {
 		case "accuracy":
 			var r *experiments.AccuracyResult
 			if r, err = experiments.Accuracy(cfg); err == nil {
+				fmt.Println(r)
+			}
+		case "work":
+			var r *experiments.WorkResult
+			if r, err = experiments.Work(cfg); err == nil {
 				fmt.Println(r)
 			}
 		case "crossopt":

@@ -131,10 +131,12 @@ type DBStats struct {
 	VCPCacheMisses  uint64
 	VCPRowsComplete uint64
 	QueryPrepares   uint64
-	// VCPPairsPruned counts pairs rejected by the size-ratio window;
+	// VCPPairsPruned counts pairs rejected by the size-ratio window,
+	// VCPPairsIdentical those short-circuited as structurally identical;
 	// VerifierCalls counts vcp.Compute invocations;
 	// VerifierCorrespondences counts γ evaluations inside them.
 	VCPPairsPruned          uint64
+	VCPPairsIdentical       uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
 	// LSHPairsSkipped counts the pairs skipped before any verifier work:
@@ -192,6 +194,7 @@ func (db *DB) Stats() DBStats {
 		VCPRowsComplete:         db.mRows[rowComplete].Value(),
 		QueryPrepares:           db.mPrepares.Value(),
 		VCPPairsPruned:          db.mPairsPruned.Value(),
+		VCPPairsIdentical:       db.mPairsIdent.Value(),
 		VerifierCalls:           db.mVerifierCalls.Value(),
 		VerifierCorrespondences: db.mGamma.Value(),
 		LSHPairsSkipped:         db.mLSHSkipped.Value(),

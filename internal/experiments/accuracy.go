@@ -42,6 +42,8 @@ type AccuracyCorpus struct {
 	// GES normalised by the query's self-score the way internal/cluster
 	// normalises it.
 	ByGES, ByKey, BySelf MethodEval
+	// Work is the engine's counters once every query has run (see Work).
+	Work core.DBStats
 }
 
 // AccuracyResult is the judge over both corpora.
@@ -89,6 +91,7 @@ func Accuracy(cfg Config) (*AccuracyResult, error) {
 			return nil, err
 		}
 		ac.Label = c.label
+		ac.Work = db.Stats()
 		res.Corpora = append(res.Corpora, *ac)
 	}
 	return res, nil

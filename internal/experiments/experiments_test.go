@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -99,15 +100,35 @@ func TestTable1Golden(t *testing.T) {
 // Regenerate it deliberately with
 // UPDATE_GOLDEN=1 go test -run TestAccuracyGolden ./internal/experiments.
 func TestAccuracyGolden(t *testing.T) {
-	res, err := Accuracy(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smallAccuracy(t)
 	if len(res.Corpora) != 2 || len(res.Corpora[0].Queries) != 101 {
 		t.Fatalf("want 101 queries on two corpora, got %d corpora", len(res.Corpora))
 	}
 	checkGolden(t, "accuracy_small.golden", res.String())
 }
+
+// TestWorkGolden pins ROADMAP Y's work ledger at Small scale: the engine's
+// scheduling-independent work counters after the accuracy judge's queries
+// on C1 and C4 (the judge's own databases). A change that moves no work
+// moves no character; a change that saves work regenerates it and states
+// the deltas. Regenerate it deliberately with
+// UPDATE_GOLDEN=1 go test -run TestWorkGolden ./internal/experiments.
+func TestWorkGolden(t *testing.T) {
+	checkGolden(t, "work_small.golden", (*WorkResult)(smallAccuracy(t)).String())
+}
+
+// smallAccuracy runs the accuracy judge at Small scale once for both tests
+// that read it.
+func smallAccuracy(t *testing.T) *AccuracyResult {
+	t.Helper()
+	res, err := smallAccuracyRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+var smallAccuracyRun = sync.OnceValues(func() (*AccuracyResult, error) { return Accuracy(small()) })
 
 // checkGolden compares an experiment's rendering with testdata/name, or
 // rewrites the file first when UPDATE_GOLDEN is set. Table 2, Table 3,
