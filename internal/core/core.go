@@ -197,7 +197,7 @@ type DB struct {
 	mVerifierCalls *telemetry.Counter
 	mGamma         *telemetry.Counter
 	mQueries       *telemetry.Counter
-	mLSHSkipped    *telemetry.Counter
+	mForwardDead   *telemetry.Counter
 	mKernelNanos   *telemetry.Counter
 	mMemoHits      *telemetry.Counter
 	mMemoMisses    *telemetry.Counter

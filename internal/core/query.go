@@ -475,7 +475,7 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, todo []int32) []int32 {
 	st.vals = row.vals[:n:n]
 	st.rs.pairs = n
 	st.rs.identical = row.tally[kindIdentical]
-	st.rs.lshSkipped = row.tally[kindSkipped]
+	st.rs.forwardDead = row.tally[kindSkipped]
 	st.rs.pruned = row.tally[kindPruned]
 	st.rs.misses = len(st.verify)
 	st.rs.hits = row.tally[kindVerified] - st.rs.misses

@@ -34,7 +34,7 @@ func (db *DB) initMetrics() {
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one per verified strand pair, in the forward direction (none for a pair whose forward direction cannot inject).")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
-	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's.")
+	db.mForwardDead = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's.")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
 	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored unless the memo ceiling refuses them.")
@@ -139,9 +139,11 @@ type DBStats struct {
 	VCPPairsIdentical       uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
-	// LSHPairsSkipped counts the pairs skipped before any verifier work:
-	// forward-dead ones.
-	LSHPairsSkipped uint64
+	// ForwardDeadPairs counts the pairs skipped before any verifier work
+	// because the query strand's typed inputs cannot inject into the
+	// target strand's. It is served as prefilter.pairs_skipped and
+	// esh_lsh_pairs_skipped_total.
+	ForwardDeadPairs uint64
 	// KernelNanos is the cumulative wall time γ loops spent inside the
 	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
 	// γ-invariant and total compiled instruction counts across prepared
@@ -197,7 +199,7 @@ func (db *DB) Stats() DBStats {
 		VCPPairsIdentical:       db.mPairsIdent.Value(),
 		VerifierCalls:           db.mVerifierCalls.Value(),
 		VerifierCorrespondences: db.mGamma.Value(),
-		LSHPairsSkipped:         db.mLSHSkipped.Value(),
+		ForwardDeadPairs:        db.mForwardDead.Value(),
 		KernelNanos:             db.mKernelNanos.Value(),
 		KernelPrefixInstrs:      db.mPrefixInstrs.Value(),
 		KernelInstrs:            db.mKernelInstrs.Value(),
@@ -239,7 +241,7 @@ var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", 
 type rowStats struct {
 	state       rowState
 	pairs       int   // unique target strands examined
-	lshSkipped  int   // skipped: forward-dead
+	forwardDead int   // skipped: forward-dead
 	pruned      int   // rejected by the size-ratio window
 	identical   int   // short-circuited as structurally identical
 	hits        int   // cache hits (pair results reused)
@@ -287,8 +289,8 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
 	}
 	// Every scanned column not skipped was a candidate.
-	lshCands := rs.pairs - rs.lshSkipped
-	db.mLSHSkipped.Add(uint64(rs.lshSkipped))
+	lshCands := rs.pairs - rs.forwardDead
+	db.mForwardDead.Add(uint64(rs.forwardDead))
 	db.hLSHCands.Observe(float64(lshCands))
 	if sp == nil {
 		return
@@ -297,7 +299,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		sp.AddAttr("rows_complete", 1)
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
-	sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
+	sp.AddAttr("lsh_skipped", float64(rs.forwardDead))
 	sp.AddAttr("lsh_candidates", float64(lshCands))
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))

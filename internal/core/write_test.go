@@ -335,7 +335,7 @@ type pairCount struct{ identical, skipped, pruned, resolved uint64 }
 func pairCounts(db *DB) pairCount {
 	return pairCount{
 		identical: db.mPairsIdent.Value(),
-		skipped:   db.mLSHSkipped.Value(),
+		skipped:   db.mForwardDead.Value(),
 		pruned:    db.mPairsPruned.Value(),
 		resolved:  db.mCacheHits.Value() + db.mCacheMisses.Value(),
 	}

@@ -36,7 +36,7 @@ func (r *WorkResult) String() string {
 			n    uint64
 		}{
 			{"identical pairs", w.VCPPairsIdentical},
-			{"forward-dead pairs skipped", w.LSHPairsSkipped},
+			{"forward-dead pairs skipped", w.ForwardDeadPairs},
 			{"size-window pairs pruned", w.VCPPairsPruned},
 			{"row-cache hits", w.VCPCacheHits},
 			{"row-cache misses", w.VCPCacheMisses},

@@ -745,7 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PlanMemo.Evictions = plans.Evictions
 	resp.PlanMemo.Bytes = int(plans.Held)
 	resp.PlanMemo.BudgetBytes = int(plans.Budget)
-	resp.Prefilter.PairsSkipped = dbs.LSHPairsSkipped
+	resp.Prefilter.PairsSkipped = dbs.ForwardDeadPairs
 	resp.Engine.Queries = dbs.Queries
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
 	resp.Engine.VerifierCalls = dbs.VerifierCalls
