@@ -104,26 +104,3 @@ func TestQueryAgainstEmptyDB(t *testing.T) {
 		t.Errorf("results from empty DB: %d", len(rep.Results))
 	}
 }
-
-func TestWorkersOption(t *testing.T) {
-	// Worker count must not change results.
-	mk := func(workers int) *Report {
-		db := NewDB(Options{VCP: vcp.Config{MinVars: 3}, Workers: workers})
-		for _, src := range []string{iccStyle, unrelated} {
-			if err := db.AddTarget(parse(t, src)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep, err := db.Query(parse(t, gccStyle))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	r1, r4 := mk(1), mk(4)
-	for i := range r1.Results {
-		if r1.Results[i].GES != r4.Results[i].GES {
-			t.Fatal("worker count changed scores")
-		}
-	}
-}

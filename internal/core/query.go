@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -299,11 +300,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 	return qp, rows, nil
 }
 
-// maxPairChunk caps the number of pairs one work-queue item covers, so
-// the per-chunk bookkeeping stays noise next to the verifier calls inside.
-// Below the cap the chunk size adapts to the workload — see pairChunk.
-const maxPairChunk = 64
-
 // minFanOut is the number of pairs to verify below which the calling
 // goroutine drains the queue alone: a few dozen verifier calls are shorter
 // than the wait for a second core on a machine that is serving writes too,
@@ -311,16 +307,14 @@ const maxPairChunk = 64
 // the same whatever else is running.
 const minFanOut = 32
 
-// pairChunk picks the work-queue chunk size for n pairs to verify: small
-// enough that even a few pairs cut into several chunks per worker (so the
-// machine saturates on the pair population, not the strand count), capped
-// at maxPairChunk for large corpora.
-func pairChunk(n, workers int) int {
-	chunk := (n + 4*workers - 1) / (4 * workers)
-	if chunk < 1 {
-		chunk = 1
+// fanOut is the number of workers that drain toVerify pairs: none for
+// none, the calling goroutine alone below minFanOut, and never more
+// workers than pairs.
+func fanOut(toVerify, workers int) int {
+	if toVerify < minFanOut {
+		workers = 1
 	}
-	return min(chunk, maxPairChunk)
+	return min(workers, toVerify)
 }
 
 // vcpRowState carries one query strand through stage 3: the row the cache
@@ -332,9 +326,9 @@ type vcpRowState struct {
 	base *vcpRow   // the cached row at entry (nil: none, or another epoch's)
 	next *vcpRow   // private successor of base; nil when nothing new was learnt
 	vals []float64 // n wide; aliases base or next, read-only once published
-	// verify lists the columns whose pair needs the verifier; the pair
-	// queue is cut over these lists, so a chunk is all verifier work. q is
-	// prepared only when the list is non-empty.
+	// verify lists the columns whose pair needs the verifier: the row the
+	// pair queue hands a worker. q is prepared only when the list is
+	// non-empty.
 	verify []int32
 	q      *vcp.Prepared
 	rs     rowStats
@@ -348,9 +342,9 @@ type vcpRowState struct {
 //     per-pair test; otherwise only the columns the row does not know go
 //     through the cheap filters (dead, identical, forward injectability,
 //     size window), and what survives is the strand's verify list;
-//  3. verify: prepare the strands that have a list, cut the lists into
-//     chunks and drain them with min(Workers, chunks) goroutines — none
-//     when every list is empty;
+//  3. verify: prepare the strands that have a list and drain the lists
+//     through the pair queue with fanOut goroutines — none when every list
+//     is empty;
 //  4. publish the successor rows, and flush each row's counts into sp (the
 //     shared vcp stage span) and the DB counters.
 //
@@ -378,8 +372,7 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	// side of a pair, an Indexed with no memo to charge.
 	var prepared []*vcp.Prepared
 	defer func() { db.memo.Release(prepared...) }()
-	var chunks []verifyRange
-	size := pairChunk(toVerify, db.opts.Workers)
+	sizes := make([]int, len(states))
 	for i := range states {
 		st := &states[i]
 		if len(st.verify) == 0 {
@@ -394,17 +387,12 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 		if st.q.Err() != nil {
 			return nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
 		}
-		for lo := 0; lo < len(st.verify); lo += size {
-			chunks = append(chunks, verifyRange{row: i, lo: lo, hi: min(lo+size, len(st.verify))})
-		}
+		sizes[i] = len(st.verify)
 	}
-	workers := min(db.opts.Workers, len(chunks))
-	if toVerify < minFanOut {
-		workers = min(workers, 1)
-	}
+	workers := fanOut(toVerify, db.opts.Workers)
 	sp.SetAttr("workers", float64(workers))
 	if workers > 0 {
-		db.verifyChunks(states, chunks, workers, qc)
+		db.verifyRows(states, newPairQueue(sizes), workers, qc)
 	}
 
 	rows = make([][]float64, len(qs))
@@ -482,75 +470,127 @@ func (db *DB) planScan(st *vcpRowState, qc *corpus, todo []int32) []int32 {
 	return todo
 }
 
-// verifyRange is one item of the pair queue: verify[lo:hi] of a row.
-type verifyRange struct{ row, lo, hi int }
+// pairStep is how many pairs a worker takes from a row's cursor at a
+// time. A worker has its row to itself until every row is claimed, so the
+// step matters at a query's tail, where a small one shares a row's last
+// pairs out evenly; each step costs one atomic add beside its verifier
+// calls.
+const pairStep = 4
 
-// verifyChunks drains the pair queue with the given number of workers
-// and folds each chunk's work into its row's stats. Parallelism comes from
-// the pair population rather than the strand count: a query with fewer
-// strands than workers leaves no core idle, and one with thousands of
-// strands spawns no goroutine per strand. A single worker is the calling
-// goroutine itself.
+// pairQueue hands a query's verify lists — its rows — to workers, one row
+// to one worker: a worker claims a whole row, largest list first, and
+// takes its pairs pairStep at a time from the row's cursor. Only once no
+// row is left unclaimed does a worker that runs dry join the row with the
+// most pairs left. So a row's γ memo, and the kernel binding a memo miss
+// makes, stay with one worker until the tail of the query.
+type pairQueue struct {
+	sizes, order []int // pairs per row; every row, largest first
+	claimed      atomic.Int64
+	cursors      []rowCursor
+}
+
+// rowCursor is the index of a row's next unclaimed pair, alone on its cache
+// line so that workers on different rows never write a shared line.
+type rowCursor struct {
+	next atomic.Int64
+	_    [56]byte
+}
+
+func newPairQueue(sizes []int) *pairQueue {
+	q := &pairQueue{sizes: sizes, order: make([]int, len(sizes)), cursors: make([]rowCursor, len(sizes))}
+	for i := range q.order {
+		q.order[i] = i
+	}
+	slices.SortStableFunc(q.order, func(a, b int) int { return sizes[b] - sizes[a] })
+	return q
+}
+
+// take returns the next pairs [lo, hi) of a row for a worker last on row
+// (-1 before its first): more of that row while it has any, else the
+// largest unclaimed row, else the row with the most pairs left. It returns
+// row -1 once every pair has been handed out.
+func (q *pairQueue) take(row int) (int, int, int) {
+	for {
+		if row >= 0 {
+			if lo := int(q.cursors[row].next.Add(pairStep)) - pairStep; lo < q.sizes[row] {
+				return row, lo, min(lo+pairStep, q.sizes[row])
+			}
+		}
+		if c := int(q.claimed.Add(1)) - 1; c < len(q.order) {
+			row = q.order[c]
+			continue
+		}
+		row = -1
+		most := 0
+		for _, i := range q.order {
+			if left := q.sizes[i] - int(q.cursors[i].next.Load()); left > most {
+				row, most = i, left
+			}
+		}
+		if row < 0 {
+			return -1, 0, 0
+		}
+	}
+}
+
+// verifyRows drains the pair queue with the given number of workers and
+// adds each worker's work on a row to the row's stats as it leaves it.
+// Parallelism comes from the pair population rather than the strand
+// count: a query with fewer strands than workers leaves no core idle, and
+// one with thousands of strands spawns no goroutine per strand. A single
+// worker is the calling goroutine itself.
 //
 // Each worker owns one evaluator for the whole drain, so the γ search's
 // scratch — the evaluator's kernel included — belongs to the worker and is
 // sized by the largest strand it meets, not by how many. It stays on the
-// chunk's query strand: once a memo miss has bound its kernel to that
+// row's query strand: once a memo miss has bound its kernel to that
 // strand's program, the binding — and its evaluated γ-invariant prefix —
 // persists until the worker moves to another row. (Evaluators are not
 // concurrency-safe, which is why they are per worker.)
-func (db *DB) verifyChunks(states []vcpRowState, chunks []verifyRange, workers int, qc *corpus) {
-	work := make([]rowStats, len(chunks))
-	var next atomic.Int64
+func (db *DB) verifyRows(states []vcpRowState, q *pairQueue, workers int, qc *corpus) {
+	var mu sync.Mutex // guards states[*].rs while the queue drains
 	drain := func() {
-		var ev *vcp.Evaluator
-		defer func() {
-			if ev != nil {
-				ev.Close()
+		ev := db.newEval(nil, db.opts.VCP)
+		defer ev.Close()
+		var rs rowStats
+		for row := -1; ; {
+			r, lo, hi := q.take(row)
+			if r != row && row >= 0 {
+				mu.Lock()
+				states[row].rs.addWork(rs)
+				mu.Unlock()
+				rs = rowStats{}
 			}
-		}()
-		row := -1
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= len(chunks) {
+			if r < 0 {
 				return
 			}
-			ch := chunks[c]
-			st := &states[ch.row]
-			switch {
-			case ev == nil:
-				ev = db.newEval(st.q, db.opts.VCP)
-			case ch.row != row:
-				ev.Reset(st.q)
+			if r != row {
+				ev.Reset(states[r].q)
+				row = r
 			}
-			row = ch.row
-			work[c] = verifyChunk(st, qc, ch.lo, ch.hi, ev)
+			verifyPairs(&states[r], qc, lo, hi, ev, &rs)
 		}
 	}
 	if workers == 1 {
 		drain()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				drain()
-			}()
-		}
-		wg.Wait()
+		return
 	}
-	for c, ch := range chunks {
-		states[ch.row].rs.addWork(work[c])
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
 	}
+	wg.Wait()
 }
 
-// verifyChunk runs the verifier over the pairs verify[lo:hi] of one row and
-// returns the work it did. ev is bound to the row's query strand. Chunks of
-// a row run on concurrent workers and write disjoint columns of a row
-// nobody else can see yet.
-func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator) rowStats {
-	var rs rowStats
+// verifyPairs runs the verifier over the pairs verify[lo:hi] of one row and
+// adds the work it did to rs. ev is bound to the row's query strand. At a
+// query's tail several workers may share a row: they write disjoint
+// columns of a row nobody else can see yet.
+func verifyPairs(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator, rs *rowStats) {
 	for _, j := range st.verify[lo:hi] {
 		v, vst := ev.Compute(qc.uniq[j])
 		rs.calls++
@@ -563,5 +603,4 @@ func verifyChunk(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator) row
 		rs.memoMisses += vst.MemoMisses
 		st.vals[j] = v
 	}
-	return rs
 }

@@ -77,7 +77,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			cold, coldAttrs := vcpSpanAttrs(t, db, q)
 			nq := len(dedupStrands(t, db, q))
 			// One worker — the caller — and its one evaluator, however
-			// many rows and chunks the queue held.
+			// many rows the queue held.
 			if evals != 1 || coldAttrs["workers"] != 1 || db.Stats().QueryPrepares == 0 {
 				t.Fatalf("the cold query did no cold work: %d evaluators, attrs %v", evals, coldAttrs)
 			}
@@ -186,7 +186,7 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 				t.Errorf("one unknown pair: attrs %v, %d evaluators", attrs, evals)
 			}
 
-			// Forget every verified pair of every strand: several chunks,
+			// Forget every verified pair of every strand: several rows,
 			// but far fewer than minFanOut pairs, so the caller drains them
 			// alone whatever Workers allows.
 			db.mu.Lock()

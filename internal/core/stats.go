@@ -234,10 +234,10 @@ const (
 
 var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", rowAbsent: "absent"}
 
-// rowStats is the per-row telemetry accumulator: each chunk counts its
-// verifier work locally, the chunks of a row are folded once the queue
-// has drained, and the row flushes once — so the pair loop never touches
-// an atomic or a span lock.
+// rowStats is the per-row telemetry accumulator: a worker counts its
+// verifier work on a row locally and adds it to the row's as it leaves
+// the row, and the row flushes once the queue has drained — so the pair
+// loop never touches an atomic or a span lock.
 type rowStats struct {
 	state       rowState
 	pairs       int   // unique target strands examined
@@ -256,7 +256,8 @@ type rowStats struct {
 	memoMisses  int64 // enumeration leaves evaluated by the kernel
 }
 
-// addWork folds one chunk's verifier work into the row accumulator.
+// addWork folds one worker's verifier work on a row into the row
+// accumulator.
 func (rs *rowStats) addWork(d rowStats) {
 	rs.calls += d.calls
 	rs.gamma += d.gamma

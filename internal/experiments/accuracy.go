@@ -62,7 +62,7 @@ type AccuracyResult struct {
 // the query's Package:SourceSym — patched variants of a vulnerable
 // procedure included, as in Table 1.
 func Accuracy(cfg Config) (*AccuracyResult, error) {
-	queries, err := cfg.heldOutQueries()
+	queries, err := cfg.HeldOutQueries()
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +97,8 @@ func Accuracy(cfg Config) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// heldOutQueries builds the query population Accuracy documents.
-func (c Config) heldOutQueries() ([]*asm.Proc, error) {
+// HeldOutQueries builds the query population Accuracy documents.
+func (c Config) HeldOutQueries() ([]*asm.Proc, error) {
 	var held []compile.Toolchain
 	inCorpus := c.Toolchains()
 	for _, tc := range compile.Toolchains() {
