@@ -537,8 +537,8 @@ func (q *pairQueue) take(row int) (int, int, int) {
 // adds each worker's work on a row to the row's stats as it leaves it.
 // Parallelism comes from the pair population rather than the strand
 // count: a query with fewer strands than workers leaves no core idle, and
-// one with thousands of strands spawns no goroutine per strand. A single
-// worker is the calling goroutine itself.
+// one with thousands of strands spawns no goroutine per strand. The
+// calling goroutine is one of the workers, so a single worker starts none.
 //
 // Each worker owns one evaluator for the whole drain, so the γ search's
 // scratch — the evaluator's kernel included — belongs to the worker and is
@@ -571,18 +571,12 @@ func (db *DB) verifyRows(states []vcpRowState, q *pairQueue, workers int, qc *co
 			verifyPairs(&states[r], qc, lo, hi, ev, &rs)
 		}
 	}
-	if workers == 1 {
-		drain()
-		return
-	}
 	var wg sync.WaitGroup
-	for range workers {
+	for range workers - 1 {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
+		go func() { defer wg.Done(); drain() }()
 	}
+	drain()
 	wg.Wait()
 }
 

@@ -65,19 +65,15 @@ func TestPairQueueHandsOutEachPairOnce(t *testing.T) {
 					}
 				}
 			}
-			if workers == 1 {
-				drain()
-			} else {
-				var wg sync.WaitGroup
-				for range workers {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						drain()
-					}()
-				}
-				wg.Wait()
+			var wg sync.WaitGroup
+			for range workers - 1 {
+				wg.Add(1)
+				go func() { defer wg.Done(); drain() }()
 			}
+			if workers > 0 {
+				drain()
+			}
+			wg.Wait()
 			for i, row := range taken {
 				if n := calls[i].Load(); n != int64(tc.sizes[i]) {
 					t.Errorf("row %d: %d calls for %d listed pairs", i, n, tc.sizes[i])
