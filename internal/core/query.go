@@ -372,7 +372,6 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 	// side of a pair, an Indexed with no memo to charge.
 	var prepared []*vcp.Prepared
 	defer func() { db.memo.Release(prepared...) }()
-	sizes := make([]int, len(states))
 	for i := range states {
 		st := &states[i]
 		if len(st.verify) == 0 {
@@ -387,12 +386,11 @@ func (db *DB) vcpRows(qs []*strand.Strand, sp *telemetry.Span, qc *corpus) (rows
 		if st.q.Err() != nil {
 			return nil, nil, fmt.Errorf("core: prepare query strand: %w", st.q.Err())
 		}
-		sizes[i] = len(st.verify)
 	}
 	workers := fanOut(toVerify, db.opts.Workers)
 	sp.SetAttr("workers", float64(workers))
 	if workers > 0 {
-		db.verifyRows(states, newPairQueue(sizes), workers, qc)
+		db.verifyRows(states, newPairQueue(states), workers, qc)
 	}
 
 	rows = make([][]float64, len(qs))
@@ -496,12 +494,13 @@ type rowCursor struct {
 	_    [56]byte
 }
 
-func newPairQueue(sizes []int) *pairQueue {
-	q := &pairQueue{sizes: sizes, order: make([]int, len(sizes)), cursors: make([]rowCursor, len(sizes))}
-	for i := range q.order {
-		q.order[i] = i
+func newPairQueue(states []vcpRowState) *pairQueue {
+	n := len(states)
+	q := &pairQueue{sizes: make([]int, n), order: make([]int, n), cursors: make([]rowCursor, n)}
+	for i := range states {
+		q.sizes[i], q.order[i] = len(states[i].verify), i
 	}
-	slices.SortStableFunc(q.order, func(a, b int) int { return sizes[b] - sizes[a] })
+	slices.SortStableFunc(q.order, func(a, b int) int { return q.sizes[b] - q.sizes[a] })
 	return q
 }
 

@@ -47,7 +47,11 @@ func TestPairQueueHandsOutEachPairOnce(t *testing.T) {
 			for i, n := range tc.sizes {
 				taken[i] = make([]atomic.Int32, n)
 			}
-			q := newPairQueue(tc.sizes)
+			states := make([]vcpRowState, len(tc.sizes))
+			for i, n := range tc.sizes {
+				states[i].verify = make([]int32, n)
+			}
+			q := newPairQueue(states)
 			var visits []int // rows in the order a lone worker meets them
 			drain := func() {
 				for row := -1; ; {
