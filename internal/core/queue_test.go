@@ -42,14 +42,12 @@ func TestPairQueueHandsOutEachPairOnce(t *testing.T) {
 			if workers != tc.fanOut {
 				t.Fatalf("fanOut(%d, %d) = %d, want %d", total, tc.workers, workers, tc.fanOut)
 			}
+			states := make([]vcpRowState, len(tc.sizes))
 			taken := make([][]atomic.Int32, len(tc.sizes)) // per pair
 			calls := make([]atomic.Int64, len(tc.sizes))   // per row
 			for i, n := range tc.sizes {
-				taken[i] = make([]atomic.Int32, n)
-			}
-			states := make([]vcpRowState, len(tc.sizes))
-			for i, n := range tc.sizes {
 				states[i].verify = make([]int32, n)
+				taken[i] = make([]atomic.Int32, n)
 			}
 			q := newPairQueue(states)
 			var visits []int // rows in the order a lone worker meets them
