@@ -212,6 +212,8 @@ type DB struct {
 	mWritesDel     *telemetry.Counter
 	mCompactions   *telemetry.Counter
 	hCompact       *telemetry.Histogram
+	// Work counters DBStats reports and nothing serves.
+	scoredLeaves, fpProbes, kernelLanes atomic.Uint64
 }
 
 // NewDB returns an empty database.

@@ -594,6 +594,9 @@ func verifyPairs(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator, rs 
 		rs.gammaSlots += vst.BatchSlots
 		rs.memoHits += vst.MemoHits
 		rs.memoMisses += vst.MemoMisses
+		rs.leaves += vst.Leaves
+		rs.probes += vst.Probes
+		rs.lanes += vst.KernelLanes
 		st.vals[j] = v
 	}
 }

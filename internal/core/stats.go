@@ -164,6 +164,15 @@ type DBStats struct {
 	MemoHits   uint64
 	MemoMisses uint64
 	Memo       vcp.MemoStats
+	// ScoredLeaves counts the correspondences scored against a target and
+	// FPProbes the target fingerprint-set lookups that scoring made (see
+	// vcp.Stats); both are fixed by the queries and the corpus. KernelLanes
+	// counts the kernel's suffix instructions × lanes: fixed at one worker,
+	// it moves with which worker meets a slot assignment first at more.
+	// None of the three is served.
+	ScoredLeaves uint64
+	FPProbes     uint64
+	KernelLanes  uint64
 	// Queries is the number of Query calls answered; StageSeconds holds
 	// the cumulative wall-clock seconds each pipeline stage has consumed
 	// across them.
@@ -208,6 +217,9 @@ func (db *DB) Stats() DBStats {
 		MemoHits:                db.mMemoHits.Value(),
 		MemoMisses:              db.mMemoMisses.Value(),
 		Memo:                    db.memo.Stats(),
+		ScoredLeaves:            db.scoredLeaves.Load(),
+		FPProbes:                db.fpProbes.Load(),
+		KernelLanes:             db.kernelLanes.Load(),
 		Queries:                 db.mQueries.Value(),
 		StageSeconds:            make(map[string]float64, len(queryStages)),
 	}
@@ -254,6 +266,9 @@ type rowStats struct {
 	gammaSlots  int64 // rows those flushes had room for (for occupancy)
 	memoHits    int64 // enumeration leaves answered by a γ-fingerprint memo
 	memoMisses  int64 // enumeration leaves evaluated by the kernel
+	leaves      int64 // correspondences scored against a target
+	probes      int64 // target fingerprint-set lookups while scoring
+	lanes       int64 // kernel suffix instructions × lanes executed
 }
 
 // addWork folds one worker's verifier work on a row into the row
@@ -267,6 +282,9 @@ func (rs *rowStats) addWork(d rowStats) {
 	rs.gammaSlots += d.gammaSlots
 	rs.memoHits += d.memoHits
 	rs.memoMisses += d.memoMisses
+	rs.leaves += d.leaves
+	rs.probes += d.probes
+	rs.lanes += d.lanes
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
@@ -284,6 +302,9 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mKernelNanos.Add(uint64(rs.kernelNanos))
 	db.mMemoHits.Add(uint64(rs.memoHits))
 	db.mMemoMisses.Add(uint64(rs.memoMisses))
+	db.scoredLeaves.Add(uint64(rs.leaves))
+	db.fpProbes.Add(uint64(rs.probes))
+	db.kernelLanes.Add(uint64(rs.lanes))
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
 		db.mGammaRows.Add(uint64(rs.gammaRows))

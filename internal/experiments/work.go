@@ -11,8 +11,9 @@ import (
 // queries, the corpus and the engine's rules — not by the machine, the
 // worker count or how the pair queue interleaved — so a change that moves
 // no work leaves the rendering unchanged, and a change that saves work
-// shows how much. The γ-batch flushes and the γ-memo split are left out:
-// which worker meets a slot assignment first decides them.
+// shows how much. The γ-batch flushes, the γ-memo split and the kernel's
+// lanes are left out: which worker meets a slot assignment first decides
+// them.
 type WorkResult AccuracyResult
 
 // Work runs the accuracy judge (see Accuracy) and keeps its ledger.
@@ -45,6 +46,8 @@ func (r *WorkResult) String() string {
 			{"kernel prefix instructions", w.KernelPrefixInstrs},
 			{"verifier calls", w.VerifierCalls},
 			{"γ evaluated", w.VerifierCorrespondences},
+			{"scored leaves", w.ScoredLeaves},
+			{"fingerprint-set probes", w.FPProbes},
 		} {
 			fmt.Fprintf(&b, "  %-28s %d\n", row.name, row.n)
 		}

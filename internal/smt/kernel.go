@@ -115,6 +115,9 @@ type Kernel struct {
 	// be refilled — the delta-refill that makes consecutive γ
 	// assignments sharing most bindings nearly free to stage.
 	lastSlot []int
+	// lanesRun counts suffix instructions × lanes executed over the
+	// kernel's life, across binds (LanesExecuted).
+	lanesRun uint64
 }
 
 // kernelPool lends kernels to owners that evaluate one program for a
@@ -174,6 +177,11 @@ func (kn *Kernel) Bind(p *Program, k, g int) {
 	clear(kn.rootBase)
 }
 
+// LanesExecuted returns the suffix instructions × lanes the kernel has
+// executed since it was made, across every binding: the work measure a
+// caller reads before and after a run.
+func (kn *Kernel) LanesExecuted() uint64 { return kn.lanesRun }
+
 // BatchWidth returns the kernel's γ-batch width g.
 func (kn *Kernel) BatchWidth() int { return kn.g }
 
@@ -221,6 +229,7 @@ func (kn *Kernel) RunRows(rows int) {
 		}
 	}
 	kn.exec(kn.p.prefixLen, len(kn.p.code), 0, rows*k)
+	kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * rows * k)
 }
 
 // internRoots returns the arena index of slot's block of k background

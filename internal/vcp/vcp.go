@@ -293,6 +293,12 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // they had room for (width × Batches); BatchRows/BatchSlots is the mean
 // occupancy. Leaves buffered past a perfect match or the cap are
 // discarded uncounted, so BatchRows + MemoHits ≥ Correspondences.
+// Leaves counts the correspondences scored against the target and Probes
+// the target fingerprint-set lookups that scoring made (the
+// γ-invariant definitions' once per pair, then one per varying register
+// per leaf); KernelLanes counts the suffix instructions × lanes the
+// kernel executed for the misses. All three are fixed by the pair and
+// the memo's state, not by the machine.
 type Stats struct {
 	Correspondences int
 	KernelNanos     int64
@@ -301,6 +307,9 @@ type Stats struct {
 	BatchSlots      int64
 	MemoHits        int64
 	MemoMisses      int64
+	Leaves          int64
+	Probes          int64
+	KernelLanes     int64
 }
 
 // Compute returns VCP(q, t): the maximal fraction of q's variables with
@@ -432,6 +441,7 @@ func (ev *Evaluator) Compute(m Matched) (float64, Stats) {
 	}
 	ev.t, ev.best, ev.tried, ev.st = t, 0, 0, Stats{}
 	ev.constHits = 0
+	ev.st.Probes = int64(len(q.consts))
 	for _, h := range q.consts {
 		if t.fpSet.has(h) {
 			ev.constHits++
@@ -502,6 +512,8 @@ func (ev *Evaluator) leaf() {
 		t0 := time.Now()
 		fps := ev.q.prog.Fingerprints(ev.assignment, ev.q.samples)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
+		ev.st.Leaves++
+		ev.st.Probes += int64(len(fps))
 		matched := 0
 		for _, h := range fps { // per definition: the reference form
 			if ev.t.fpSet.has(h) {
@@ -559,8 +571,10 @@ func (ev *Evaluator) flush() {
 		for r, i := range ev.missIdx {
 			ev.kern.BindRow(r, ev.rows[i*nIn:(i+1)*nIn])
 		}
+		lanes := ev.kern.LanesExecuted()
 		fresh := ev.kern.VaryingRows(misses)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
+		ev.st.KernelLanes += int64(ev.kern.LanesExecuted() - lanes)
 		ev.st.Batches++
 		ev.st.BatchRows += int64(misses)
 		ev.st.BatchSlots += int64(ev.g)
@@ -579,6 +593,8 @@ func (ev *Evaluator) flush() {
 			continue
 		}
 		ev.tried++
+		ev.st.Leaves++
+		ev.st.Probes += int64(len(fps))
 		matched := ev.constHits
 		for i, h := range fps {
 			if ev.t.fpSet.has(h) {
