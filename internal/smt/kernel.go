@@ -38,6 +38,15 @@ package smt
 // overlap across rows. A partial batch (rows < g) executes only rows·k
 // lanes — the trailing rows cost nothing. g = 1 degenerates to the
 // classic Run/Fingerprints path bit for bit.
+//
+// The all-same block: on lanes s < iv = min(k, allSameSpecials) every
+// integer input reads specials[s] whatever its slot, and every kernel op
+// is lane-wise, so there each register is a function of μ alone — the
+// slots the row gives the memory inputs. A fold runs from lane 0 upward,
+// so a register's accumulator after lane iv-1 depends only on (binding,
+// μ). The binding keeps one accumulator per folded register for each μ it
+// has met (tupleTable); a row whose μ is known runs the suffix and the
+// fold over lanes [iv, k) only, starting from the recorded accumulator.
 
 import (
 	"sync"
@@ -118,6 +127,70 @@ type Kernel struct {
 	// lanesRun counts suffix instructions × lanes executed over the
 	// kernel's life, across binds (LanesExecuted).
 	lanesRun uint64
+	// iv is the all-same block's width, min(k, allSameSpecials); memIn
+	// lists the indices of the program's memory inputs, whose slots form
+	// a row's μ. tabs hold the accumulators at lane iv per μ, one table
+	// per fold list (FingerprintsRows, VaryingRows). During a run, row r
+	// reads entry rowEnt[r] of the list's table; a row with rowNew[r] set
+	// met its μ first in this run, so it runs all k lanes and records the
+	// entry. spans is the active lane ranges of one execution.
+	iv     int
+	memIn  []int
+	tabs   [2]tupleTable
+	rowEnt []int
+	rowNew []bool
+	spans  []laneSpan
+}
+
+// laneSpan is one range [lo, hi) of a register's lanes that exec runs.
+type laneSpan struct{ lo, hi int }
+
+// tupleTable maps each memory-slot tuple μ a binding has met to the fold
+// accumulators of one register list after the all-same block: entry e has
+// key keys[e*len(μ):] and accumulators accs[e*nd:]. Tuples are compared
+// slot by slot. Bind empties it and keeps its buffers.
+type tupleTable struct {
+	keys []int
+	accs []uint64
+	n    int
+	last int // the entry the previous lookup found
+}
+
+// entry returns the index of the entry whose key is slots[memIn[j]] for
+// every j, adding one with room for nd accumulators when there is none;
+// added reports that it did.
+func (t *tupleTable) entry(slots, memIn []int, nd int) (e int, added bool) {
+	nm := len(memIn)
+	match := func(e int) bool {
+		key := t.keys[e*nm : (e+1)*nm]
+		for j, i := range memIn {
+			if key[j] != slots[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if t.last < t.n && match(t.last) {
+		return t.last, false
+	}
+	for e := 0; e < t.n; e++ {
+		if match(e) {
+			t.last = e
+			return e, false
+		}
+	}
+	for _, i := range memIn {
+		t.keys = append(t.keys, slots[i])
+	}
+	t.accs = append(t.accs, make([]uint64, nd)...)
+	t.last = t.n
+	t.n++
+	return t.last, true
+}
+
+// reset empties the table, keeping its buffers.
+func (t *tupleTable) reset() {
+	t.keys, t.accs, t.n, t.last = t.keys[:0], t.accs[:0], 0, 0
 }
 
 // kernelPool lends kernels to owners that evaluate one program for a
@@ -175,6 +248,17 @@ func (kn *Kernel) Bind(p *Program, k, g int) {
 	kn.arena = kn.arena[:0]
 	kn.persist, kn.prefixRows = 0, 0
 	clear(kn.rootBase)
+	kn.iv = min(k, allSameSpecials)
+	kn.memIn = kn.memIn[:0]
+	for i, in := range p.Inputs {
+		if in.Type == ivl.Mem {
+			kn.memIn = append(kn.memIn, i)
+		}
+	}
+	kn.tabs[0].reset()
+	kn.tabs[1].reset()
+	kn.rowEnt = sized(kn.rowEnt, g)
+	kn.rowNew = sized(kn.rowNew, g)
 }
 
 // LanesExecuted returns the suffix instructions × lanes the kernel has
@@ -193,18 +277,21 @@ func (kn *Kernel) BindRow(r int, slotOf []int) {
 	copy(kn.rowSlots[r*nIn:(r+1)*nIn], slotOf)
 }
 
-// RunRows evaluates the compiled code over batch rows [0, rows), whose
-// assignments must have been staged with BindRow: one suffix execution
-// — one instruction dispatch per rows·k lanes — covering every staged γ
-// candidate. Rows this binding has not run before first get the
-// γ-invariant prefix (it depends on neither slots nor samples, so it
-// stays valid in a row's lanes until the next Bind); input rows whose
-// slot binding is unchanged since their last run are not refilled.
-func (kn *Kernel) RunRows(rows int) {
+// runRows evaluates the compiled code over batch rows [0, rows), whose
+// assignments must have been staged with BindRow and looked up in a tuple
+// table (lookup): one suffix execution — one instruction dispatch per
+// lane span — covering every staged γ candidate, over all k lanes of a
+// row whose μ is new and lanes [iv, k) of one whose μ is known. Rows this
+// binding has not run before first get the γ-invariant prefix (it depends
+// on neither slots nor samples, so it stays valid in a row's lanes until
+// the next Bind); input rows whose slot binding is unchanged since their
+// last run are not refilled.
+func (kn *Kernel) runRows(rows int) {
 	kn.arena = kn.arena[:kn.persist]
 	k, L := kn.k, kn.lanes
 	if rows > kn.prefixRows {
-		kn.exec(0, kn.p.prefixLen, kn.prefixRows*k, rows*k)
+		kn.spans = append(kn.spans[:0], laneSpan{kn.prefixRows * k, rows * k})
+		kn.exec(0, kn.p.prefixLen, kn.spans)
 		kn.prefixRows = rows
 		kn.persist = len(kn.arena)
 	}
@@ -228,8 +315,36 @@ func (kn *Kernel) RunRows(rows int) {
 			}
 		}
 	}
-	kn.exec(kn.p.prefixLen, len(kn.p.code), 0, rows*k)
-	kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * rows * k)
+	kn.spans = kn.spans[:0]
+	width := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := r*k, (r+1)*k
+		if !kn.rowNew[r] {
+			lo += kn.iv
+		}
+		if lo == hi {
+			continue
+		}
+		width += hi - lo
+		if n := len(kn.spans); n > 0 && kn.spans[n-1].hi == lo {
+			kn.spans[n-1].hi = hi
+		} else {
+			kn.spans = append(kn.spans, laneSpan{lo, hi})
+		}
+	}
+	kn.exec(kn.p.prefixLen, len(kn.p.code), kn.spans)
+	kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * width)
+}
+
+// lookup finds each staged row's μ in tab, the table of a list of nd
+// registers, adding the tuples it has not met: the first row with a new
+// μ records it (rowNew), and a later row with the same μ, in this batch
+// or a later one, reads it.
+func (kn *Kernel) lookup(rows int, tab *tupleTable, nd int) {
+	nIn := len(kn.p.Inputs)
+	for r := 0; r < rows; r++ {
+		kn.rowEnt[r], kn.rowNew[r] = tab.entry(kn.rowSlots[r*nIn:(r+1)*nIn], kn.memIn, nd)
+	}
 }
 
 // internRoots returns the arena index of slot's block of k background
@@ -273,8 +388,7 @@ func (kn *Kernel) Fingerprints(slotOf []int) []uint64 {
 // lone Fingerprints call under that row's assignment. The returned
 // slice is kernel scratch, overwritten by the next call.
 func (kn *Kernel) FingerprintsRows(rows int) []uint64 {
-	kn.RunRows(rows)
-	return kn.foldRows(kn.p.defRegs, rows)
+	return kn.evalRows(rows, kn.p.defRegs, &kn.tabs[0])
 }
 
 // VaryingRows is FingerprintsRows reduced to what varies with the
@@ -285,28 +399,60 @@ func (kn *Kernel) FingerprintsRows(rows int) []uint64 {
 // definitions are not folded at all. This is the form the production γ
 // loop scores and memoizes.
 func (kn *Kernel) VaryingRows(rows int) []uint64 {
-	kn.RunRows(rows)
-	return kn.foldRows(kn.p.varRegs, rows)
+	return kn.evalRows(rows, kn.p.varRegs, &kn.tabs[1])
+}
+
+// evalRows runs the staged rows and folds the listed registers, reading
+// and filling tab, the list's tuple table.
+func (kn *Kernel) evalRows(rows int, regs []defInfo, tab *tupleTable) []uint64 {
+	kn.lookup(rows, tab, len(regs))
+	kn.runRows(rows)
+	return kn.foldRows(regs, rows, tab)
 }
 
 // foldRows reduces each active row's lane vectors of the listed
-// registers to fingerprints. The per-row fold is a serial hash chain
-// (multiply, xor, mix per sample); folding rows interleaved — inner loop
-// over rows — overlaps those chains' latencies, which is where most of
-// the γ-batch amortization comes from.
-func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
-	k, L := kn.k, kn.lanes
+// registers to fingerprints, through tab, the list's tuple table: a row
+// that met its μ first in this run folds lanes [0, iv) from 0 into its
+// entry, then every row folds lanes [iv, k) on from its entry's
+// accumulator. The per-row fold is a serial hash chain (multiply, xor,
+// mix per sample); folding rows interleaved — inner loop over rows —
+// overlaps those chains' latencies, which is where most of the γ-batch
+// amortization comes from.
+func (kn *Kernel) foldRows(regs []defInfo, rows int, tab *tupleTable) []uint64 {
+	k, L, iv := kn.k, kn.lanes, kn.iv
 	nd := len(regs)
 	fps := kn.fps[:rows*nd]
 	accs := kn.accs[:rows]
+	ents := kn.rowEnt[:rows]
+	for r := range ents {
+		if !kn.rowNew[r] {
+			continue
+		}
+		rec := tab.accs[ents[r]*nd : (ents[r]+1)*nd]
+		for d := range regs {
+			base := regs[d].reg*L + r*k
+			var acc uint64
+			if regs[d].isMem {
+				for _, m := range kn.mems[base : base+iv] {
+					acc = mix64(acc*fpPrime ^ mix64(kn.arena[m].hash^memHashTag))
+				}
+			} else {
+				for _, v := range kn.ints[base : base+iv] {
+					acc = mix64(acc*fpPrime ^ v)
+				}
+			}
+			rec[d] = acc
+		}
+	}
+	start := func(r, d int) uint64 { return tab.accs[ents[r]*nd+d] }
 	for d := range regs {
 		di := &regs[d]
 		base := di.reg * L
 		if di.isMem {
 			switch rows {
 			case 1:
-				lane := kn.mems[base : base+k]
-				var acc uint64
+				lane := kn.mems[base+iv : base+k]
+				acc := start(0, d)
 				for _, m := range lane {
 					h := mix64(kn.arena[m].hash ^ memHashTag)
 					acc = mix64(acc*fpPrime ^ h)
@@ -322,8 +468,9 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 				l2, l3 := kn.mems[base+2*k:base+3*k], kn.mems[base+3*k:base+4*k]
 				l4, l5 := kn.mems[base+4*k:base+5*k], kn.mems[base+5*k:base+6*k]
 				l6, l7 := kn.mems[base+6*k:base+7*k], kn.mems[base+7*k:base+8*k]
-				var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-				for s := 0; s < k; s++ {
+				a0, a1, a2, a3 := start(0, d), start(1, d), start(2, d), start(3, d)
+				a4, a5, a6, a7 := start(4, d), start(5, d), start(6, d), start(7, d)
+				for s := iv; s < k; s++ {
 					a0 = mix64(a0*fpPrime ^ mix64(arena[l0[s]].hash^memHashTag))
 					a1 = mix64(a1*fpPrime ^ mix64(arena[l1[s]].hash^memHashTag))
 					a2 = mix64(a2*fpPrime ^ mix64(arena[l2[s]].hash^memHashTag))
@@ -339,9 +486,9 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 				mlane := kn.mems[base : base+rows*k]
 				arena := kn.arena
 				for r := range accs {
-					accs[r] = 0
+					accs[r] = start(r, d)
 				}
-				for s := 0; s < k; s++ {
+				for s := iv; s < k; s++ {
 					for r := 0; r < rows; r++ {
 						h := mix64(arena[mlane[r*k+s]].hash ^ memHashTag)
 						accs[r] = mix64(accs[r]*fpPrime ^ h)
@@ -355,8 +502,8 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 		}
 		switch rows {
 		case 1:
-			lane := kn.ints[base : base+k]
-			var acc uint64
+			lane := kn.ints[base+iv : base+k]
+			acc := start(0, d)
 			for _, v := range lane {
 				acc = mix64(acc*fpPrime ^ v)
 			}
@@ -366,8 +513,9 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 			l2, l3 := kn.ints[base+2*k:base+3*k], kn.ints[base+3*k:base+4*k]
 			l4, l5 := kn.ints[base+4*k:base+5*k], kn.ints[base+5*k:base+6*k]
 			l6, l7 := kn.ints[base+6*k:base+7*k], kn.ints[base+7*k:base+8*k]
-			var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-			for s := 0; s < k; s++ {
+			a0, a1, a2, a3 := start(0, d), start(1, d), start(2, d), start(3, d)
+			a4, a5, a6, a7 := start(4, d), start(5, d), start(6, d), start(7, d)
+			for s := iv; s < k; s++ {
 				a0 = mix64(a0*fpPrime ^ l0[s])
 				a1 = mix64(a1*fpPrime ^ l1[s])
 				a2 = mix64(a2*fpPrime ^ l2[s])
@@ -382,9 +530,9 @@ func (kn *Kernel) foldRows(regs []defInfo, rows int) []uint64 {
 		default:
 			lane := kn.ints[base : base+rows*k]
 			for r := range accs {
-				accs[r] = 0
+				accs[r] = start(r, d)
 			}
-			for s := 0; s < k; s++ {
+			for s := iv; s < k; s++ {
 				for r := 0; r < rows; r++ {
 					accs[r] = mix64(accs[r]*fpPrime ^ lane[r*k+s])
 				}
@@ -455,155 +603,159 @@ func (kn *Kernel) load(idx int32, addr uint64, w uint) uint64 {
 	return v
 }
 
-// exec runs code[lo:hi] over lanes [l0, l1) of each register: one
-// dispatch per instruction, one tight loop per lane vector. The lane
-// stride is kn.lanes (g×k); a partial γ batch passes l1 = rows·k so the
-// unused trailing rows cost nothing. Lanes beyond the range may hold
-// stale values (including dangling arena indices from a previous, longer
-// run or an earlier binding); they are never read, because every
-// consumer — exec itself and foldRows — bounds its sweeps by the same
-// active lane count.
-func (kn *Kernel) exec(lo, hi, l0, l1 int) {
+// exec runs code[lo:hi] over the lane spans of each register: one
+// instruction decode per instruction, one tight loop per span. The lane
+// stride is kn.lanes (g×k); a partial γ batch spans at most rows·k lanes
+// so the unused trailing rows cost nothing, and a row whose μ is known
+// spans only lanes [iv, k). Lanes outside the spans may hold stale
+// values (including dangling arena indices from a previous, longer run or
+// an earlier binding); they are never read, because every op is
+// lane-wise and foldRows reads a row's lanes [0, iv) only in the run that
+// spans them.
+func (kn *Kernel) exec(lo, hi int, spans []laneSpan) {
 	L := kn.lanes
 	code := kn.p.code
 	memReg := kn.p.memReg
 	for idx := lo; idx < hi; idx++ {
 		in := &code[idx]
 		d := in.dst * L
-		switch in.op {
-		case cConst:
-			lane := kn.ints[d+l0 : d+l1]
-			v := in.val
-			for s := range lane {
-				lane[s] = v
-			}
-		case cBin:
-			if memReg[in.a] || memReg[in.b] {
-				kn.execBinMem(in, d, l0, l1)
-				continue
-			}
-			evalBinLanes(in.bin, kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1])
-		case cUn:
-			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-			switch in.un {
-			case ivl.Not:
-				for s := range dst {
-					dst[s] = ^x[s]
+		for _, sp := range spans {
+			l0, l1 := sp.lo, sp.hi
+			switch in.op {
+			case cConst:
+				lane := kn.ints[d+l0 : d+l1]
+				v := in.val
+				for s := range lane {
+					lane[s] = v
 				}
-			case ivl.Neg:
-				for s := range dst {
-					dst[s] = -x[s]
+			case cBin:
+				if memReg[in.a] || memReg[in.b] {
+					kn.execBinMem(in, d, l0, l1)
+					continue
 				}
-			default: // BoolNot
-				for s := range dst {
-					dst[s] = boolBit(x[s] == 0)
-				}
-			}
-		case cIte:
-			c := kn.ints[in.c*L+l0 : in.c*L+l1]
-			if memReg[in.dst] {
-				dst := kn.mems[d+l0 : d+l1]
-				a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
-				for s := range dst {
-					if c[s] != 0 {
-						dst[s] = a[s]
-					} else {
-						dst[s] = b[s]
+				evalBinLanes(in.bin, kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1])
+			case cUn:
+				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+				switch in.un {
+				case ivl.Not:
+					for s := range dst {
+						dst[s] = ^x[s]
+					}
+				case ivl.Neg:
+					for s := range dst {
+						dst[s] = -x[s]
+					}
+				default: // BoolNot
+					for s := range dst {
+						dst[s] = boolBit(x[s] == 0)
 					}
 				}
-			} else {
-				dst := kn.ints[d+l0 : d+l1]
-				a, b := kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
-				for s := range dst {
-					if c[s] != 0 {
-						dst[s] = a[s]
-					} else {
-						dst[s] = b[s]
-					}
-				}
-			}
-		case cTrunc:
-			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-			if in.bits >= 64 {
-				copy(dst, x)
-			} else {
-				mask := (uint64(1) << in.bits) - 1
-				for s := range dst {
-					dst[s] = x[s] & mask
-				}
-			}
-		case cSext:
-			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-			sh := 64 - in.bits
-			for s := range dst {
-				dst[s] = uint64(int64(x[s]<<sh) >> sh)
-			}
-		case cLoad:
-			dst := kn.ints[d+l0 : d+l1]
-			m, a := kn.mems[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
-			w := in.w
-			for s := range dst {
-				dst[s] = kn.load(m[s], a[s], w)
-			}
-		case cStore:
-			dst := kn.mems[d+l0 : d+l1]
-			m := kn.mems[in.a*L+l0 : in.a*L+l1]
-			a, v := kn.ints[in.b*L+l0:in.b*L+l1], kn.ints[in.c*L+l0:in.c*L+l1]
-			w := in.w
-			// One overlay per lane, appended as a block: grow the arena
-			// once and write by index, so the hot store loop carries no
-			// per-lane append or capacity checks. Semantics and hash
-			// construction mirror ivl.MemVal.Store exactly.
-			arena := kn.arena
-			base, nl := len(arena), l1-l0
-			if cap(arena) < base+nl {
-				na := make([]memNode, base, 2*cap(arena)+nl)
-				copy(na, arena)
-				arena = na
-			}
-			arena = arena[:base+nl]
-			mask := ^uint64(0)
-			if w < 8 {
-				mask = (uint64(1) << (8 * w)) - 1
-			}
-			for s := range dst {
-				val := v[s] & mask
-				arena[base+s] = memNode{
-					addr:   a[s],
-					val:    val,
-					w:      uint8(w),
-					parent: m[s],
-					hash:   mix64(arena[m[s]].hash ^ mix64(a[s])*3 ^ mix64(val) ^ uint64(w)),
-				}
-				dst[s] = int32(base + s)
-			}
-			kn.arena = arena
-		case cCall:
-			h := kn.argHash[:l1-l0]
-			sym := in.sym
-			for s := range h {
-				h[s] = sym
-			}
-			for _, ar := range in.args {
-				if memReg[ar] {
-					lane := kn.mems[ar*L+l0 : ar*L+l1]
-					for s := range h {
-						h[s] = mix64(h[s] ^ kn.arena[lane[s]].hash)
+			case cIte:
+				c := kn.ints[in.c*L+l0 : in.c*L+l1]
+				if memReg[in.dst] {
+					dst := kn.mems[d+l0 : d+l1]
+					a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
+					for s := range dst {
+						if c[s] != 0 {
+							dst[s] = a[s]
+						} else {
+							dst[s] = b[s]
+						}
 					}
 				} else {
-					lane := kn.ints[ar*L+l0 : ar*L+l1]
-					for s := range h {
-						h[s] = mix64(h[s] ^ lane[s])
+					dst := kn.ints[d+l0 : d+l1]
+					a, b := kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
+					for s := range dst {
+						if c[s] != 0 {
+							dst[s] = a[s]
+						} else {
+							dst[s] = b[s]
+						}
 					}
 				}
-			}
-			if in.memC {
-				dst := kn.mems[d+l0 : d+l1]
-				for s := range dst {
-					dst[s] = kn.newRoot(h[s])
+			case cTrunc:
+				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+				if in.bits >= 64 {
+					copy(dst, x)
+				} else {
+					mask := (uint64(1) << in.bits) - 1
+					for s := range dst {
+						dst[s] = x[s] & mask
+					}
 				}
-			} else {
-				copy(kn.ints[d+l0:d+l1], h)
+			case cSext:
+				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+				sh := 64 - in.bits
+				for s := range dst {
+					dst[s] = uint64(int64(x[s]<<sh) >> sh)
+				}
+			case cLoad:
+				dst := kn.ints[d+l0 : d+l1]
+				m, a := kn.mems[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
+				w := in.w
+				for s := range dst {
+					dst[s] = kn.load(m[s], a[s], w)
+				}
+			case cStore:
+				dst := kn.mems[d+l0 : d+l1]
+				m := kn.mems[in.a*L+l0 : in.a*L+l1]
+				a, v := kn.ints[in.b*L+l0:in.b*L+l1], kn.ints[in.c*L+l0:in.c*L+l1]
+				w := in.w
+				// One overlay per lane, appended as a block: grow the arena
+				// once and write by index, so the hot store loop carries no
+				// per-lane append or capacity checks. Semantics and hash
+				// construction mirror ivl.MemVal.Store exactly.
+				arena := kn.arena
+				base, nl := len(arena), l1-l0
+				if cap(arena) < base+nl {
+					na := make([]memNode, base, 2*cap(arena)+nl)
+					copy(na, arena)
+					arena = na
+				}
+				arena = arena[:base+nl]
+				mask := ^uint64(0)
+				if w < 8 {
+					mask = (uint64(1) << (8 * w)) - 1
+				}
+				for s := range dst {
+					val := v[s] & mask
+					arena[base+s] = memNode{
+						addr:   a[s],
+						val:    val,
+						w:      uint8(w),
+						parent: m[s],
+						hash:   mix64(arena[m[s]].hash ^ mix64(a[s])*3 ^ mix64(val) ^ uint64(w)),
+					}
+					dst[s] = int32(base + s)
+				}
+				kn.arena = arena
+			case cCall:
+				h := kn.argHash[:l1-l0]
+				sym := in.sym
+				for s := range h {
+					h[s] = sym
+				}
+				for _, ar := range in.args {
+					if memReg[ar] {
+						lane := kn.mems[ar*L+l0 : ar*L+l1]
+						for s := range h {
+							h[s] = mix64(h[s] ^ kn.arena[lane[s]].hash)
+						}
+					} else {
+						lane := kn.ints[ar*L+l0 : ar*L+l1]
+						for s := range h {
+							h[s] = mix64(h[s] ^ lane[s])
+						}
+					}
+				}
+				if in.memC {
+					dst := kn.mems[d+l0 : d+l1]
+					for s := range dst {
+						dst[s] = kn.newRoot(h[s])
+					}
+				} else {
+					copy(kn.ints[d+l0:d+l1], h)
+				}
 			}
 		}
 	}

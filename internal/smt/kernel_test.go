@@ -2,19 +2,33 @@ package smt
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ivl"
 )
 
+// kernelSampleCounts are the sample counts the kernel tests bind at: each
+// side of the all-same block's end (allSameSpecials = 22), a count inside
+// it, the default and a wider battery.
+var kernelSampleCounts = []int{3, 21, 22, 23, DefaultSamples, 64}
+
 // randomKernelStrand builds a random SSA assignment list exercising the
 // whole instruction surface the kernel implements: integer operators,
 // constants, ites, truncation/extension, loads, stores (which define new
 // memory variables), integer calls and memory-producing calls, and
-// memory (in)equality comparisons.
+// memory (in)equality comparisons. Its one memory input is the last.
 func randomKernelStrand(rng *rand.Rand, nIn, nStmts int) ([]ivl.Stmt, []ivl.Var) {
+	return randomMemStrand(rng, nIn, 1, nStmts)
+}
+
+// randomMemStrand is randomKernelStrand with nMem memory inputs after the
+// nIn integer ones. With none, memory comes only from memory-producing
+// calls, and the memory operators wait until one has been made.
+func randomMemStrand(rng *rand.Rand, nIn, nMem, nStmts int) ([]ivl.Stmt, []ivl.Var) {
 	var inputs []ivl.Var
 	var intVars, memVars []string
 	for i := 0; i < nIn; i++ {
@@ -22,8 +36,11 @@ func randomKernelStrand(rng *rand.Rand, nIn, nStmts int) ([]ivl.Stmt, []ivl.Var)
 		inputs = append(inputs, v)
 		intVars = append(intVars, v.Name)
 	}
-	inputs = append(inputs, ivl.Var{Name: "mem", Type: ivl.Mem})
-	memVars = append(memVars, "mem")
+	for i := 0; i < nMem; i++ {
+		name := "mem" + strings.Repeat("'", i)
+		inputs = append(inputs, ivl.Var{Name: name, Type: ivl.Mem})
+		memVars = append(memVars, name)
+	}
 
 	ops := []ivl.BinOp{ivl.Add, ivl.Sub, ivl.Mul, ivl.And, ivl.Or, ivl.Xor,
 		ivl.Shl, ivl.LShr, ivl.AShr, ivl.Eq, ivl.Ne, ivl.SLt, ivl.SLe,
@@ -44,7 +61,11 @@ func randomKernelStrand(rng *rand.Rand, nIn, nStmts int) ([]ivl.Stmt, []ivl.Var)
 	for i := 0; i < nStmts; i++ {
 		var rhs ivl.Expr
 		dstType := ivl.Int
-		switch rng.Intn(12) {
+		op := rng.Intn(12)
+		if len(memVars) == 0 && op >= 4 && op <= 9 && op != 7 {
+			op = 10 // no memory to read yet: a binary operator instead
+		}
+		switch op {
 		case 0:
 			rhs = ivl.Un([]ivl.UnOp{ivl.Not, ivl.Neg, ivl.BoolNot}[rng.Intn(3)], pickInt())
 		case 1:
@@ -61,7 +82,11 @@ func randomKernelStrand(rng *rand.Rand, nIn, nStmts int) ([]ivl.Stmt, []ivl.Var)
 		case 6:
 			rhs = ivl.CallExpr{Sym: "call/2", Args: []ivl.Expr{pickInt(), pickInt()}}
 		case 7:
-			rhs = ivl.CallExpr{Sym: "callmem/2", Args: []ivl.Expr{pickMem(), pickInt()}}
+			arg := pickInt()
+			if len(memVars) > 0 {
+				arg = pickMem()
+			}
+			rhs = ivl.CallExpr{Sym: "callmem/2", Args: []ivl.Expr{arg, pickInt()}}
 			dstType = ivl.Mem
 		case 8:
 			// Memory (in)equality: an integer-valued comparison of memories.
@@ -226,7 +251,9 @@ func TestKernelPoolReuse(t *testing.T) {
 }
 
 // TestKernelSampleCountChange: a kernel re-bound with a different sample
-// count must resize correctly.
+// count must resize correctly — on both sides of the all-same block's end
+// — and its second run, whose memory slot the first already bound, must
+// read the cached block right.
 func TestKernelSampleCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	stmts, inputs := randomKernelStrand(rng, 2, 8)
@@ -234,17 +261,112 @@ func TestKernelSampleCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := randomSlots(rng, len(inputs))
-	for _, k := range []int{DefaultSamples, 7, DefaultSamples, 3} {
-		want := prog.Fingerprints(slots, k)
-		kern := bindKernel(prog, k, 1)
-		got := kern.Fingerprints(slots)
-		for d := range want {
-			if got[d] != want[d] {
-				t.Fatalf("k=%d def %d: batch %#x scalar %#x", k, d, got[d], want[d])
+	first := randomSlots(rng, len(inputs))
+	second := randomSlots(rng, len(inputs))
+	second[len(second)-1] = first[len(first)-1] // same memory slot, other integers
+	kern := AcquireKernel()
+	defer ReleaseKernel(kern)
+	for _, k := range append(slices.Clone(kernelSampleCounts), 7, 40, 3) {
+		kern.Bind(prog, k, 1)
+		for _, slots := range [][]int{first, second} {
+			want := prog.Fingerprints(slots, k)
+			got := kern.Fingerprints(slots)
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("k=%d slots %v def %d: batch %#x scalar %#x", k, slots, d, got[d], want[d])
+				}
 			}
 		}
-		ReleaseKernel(kern)
+	}
+}
+
+// TestKernelMemorySlotTuples holds the cached all-same block to the
+// scalar reference over strands with 0, 1 and 2 memory inputs, at every
+// kernelSampleCounts count and several widths: one binding runs batch
+// after batch, each drawing its memory slots from a set that grows run by
+// run, so a batch mixes tuples the binding has met with new ones (and a
+// new one twice). Both fold forms must match the reference, and the lanes
+// the kernel executes must be exactly all k for a row whose tuple is new
+// to the binding and k − min(k, allSameSpecials) for one it has met.
+func TestKernelMemorySlotTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	mixed := 0
+	for _, nMem := range []int{0, 1, 2} {
+		for _, k := range kernelSampleCounts {
+			iv := min(k, allSameSpecials)
+			for trial := 0; trial < 4; trial++ {
+				stmts, inputs := randomMemStrand(rng, 1+rng.Intn(3), nMem, 4+rng.Intn(14))
+				prog, err := CompileStrand(stmts, inputs)
+				if err != nil {
+					t.Fatalf("well-typed program refused: %v", err)
+				}
+				prefix, total := prog.InstrCounts()
+				for _, g := range []int{1, 3, 8} {
+					kern := bindKernel(prog, k, g)
+					seen := map[string]bool{}
+					for run := 0; run < 5; run++ {
+						rows := 1 + rng.Intn(g)
+						staged := make([][]int, rows)
+						lanes, news := 0, 0
+						for r := range staged {
+							slots := randomSlots(rng, len(inputs))
+							var key []int
+							for i, in := range inputs {
+								if in.Type == ivl.Mem {
+									slots[i] = rng.Intn(1 + run)
+									key = append(key, slots[i])
+								}
+							}
+							if mu := fmt.Sprint(key); seen[mu] {
+								lanes += k - iv
+							} else {
+								seen[mu] = true
+								lanes += k
+								news++
+							}
+							staged[r] = slots
+							kern.BindRow(r, slots)
+						}
+						if news > 0 && news < rows {
+							mixed++
+						}
+						what := fmt.Sprintf("nMem=%d k=%d trial %d g=%d run %d", nMem, k, trial, g, run)
+						before := kern.LanesExecuted()
+						fps := kern.FingerprintsRows(rows)
+						if got, want := kern.LanesExecuted()-before, uint64((total-prefix)*lanes); got != want {
+							t.Fatalf("%s: %d lanes executed, want %d", what, got, want)
+						}
+						nd := len(fps) / rows
+						wants := make([][]uint64, rows)
+						for r := range staged {
+							wants[r] = prog.Fingerprints(staged[r], k)
+							for d, w := range wants[r] {
+								if fps[r*nd+d] != w {
+									t.Fatalf("%s row %d def %d: batch %#x scalar %#x", what, r, d, fps[r*nd+d], w)
+								}
+							}
+						}
+						before = kern.LanesExecuted()
+						vfps := kern.VaryingRows(rows)
+						if got, want := kern.LanesExecuted()-before, uint64((total-prefix)*lanes); got != want {
+							t.Fatalf("%s: varying form executed %d lanes, want %d", what, got, want)
+						}
+						nv := len(prog.Varying())
+						for r := range staged {
+							for i, c := range prog.Varying() {
+								if vfps[r*nv+i] != wants[r][c.Def] {
+									t.Fatalf("%s row %d varying %d: batch %#x scalar %#x", what, r, i, vfps[r*nv+i], wants[r][c.Def])
+								}
+							}
+						}
+					}
+					ReleaseKernel(kern)
+				}
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no batch mixed met and new memory-slot tuples")
 	}
 }
 
@@ -294,80 +416,97 @@ func FuzzKernel(f *testing.F) {
 	f.Add(uint64(1<<40), uint64(0))
 	f.Add(binary.LittleEndian.Uint64([]byte("kernelfz")), uint64(7))
 	f.Fuzz(func(t *testing.T, progSeed, slotSeed uint64) {
-		rng := rand.New(rand.NewSource(int64(progSeed)))
-		stmts, inputs := randomKernelStrand(rng, 1+rng.Intn(5), 1+rng.Intn(20))
-		prog, err := CompileStrand(stmts, inputs)
-		if err != nil {
-			t.Fatalf("generated well-typed program refused: %v", err)
+		for _, k := range kernelSampleCounts {
+			fuzzKernelAt(t, progSeed, slotSeed, k)
 		}
-		srng := rand.New(rand.NewSource(int64(slotSeed)))
-		kern := bindKernel(prog, DefaultSamples, 1)
-		defer ReleaseKernel(kern)
-		for g := 0; g < 3; g++ {
-			slots := randomSlots(srng, len(inputs))
-			want := prog.Fingerprints(slots, DefaultSamples)
-			got := kern.Fingerprints(slots)
-			for d := range want {
-				if got[d] != want[d] {
-					t.Fatalf("def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d γ=%d)",
-						d, got[d], want[d], progSeed, slotSeed, g)
-				}
+	})
+}
+
+// fuzzKernelAt is one FuzzKernel input at sample count k.
+func fuzzKernelAt(t *testing.T, progSeed, slotSeed uint64, k int) {
+	rng := rand.New(rand.NewSource(int64(progSeed)))
+	stmts, inputs := randomMemStrand(rng, 1+rng.Intn(5), int(progSeed%3), 1+rng.Intn(20))
+	prog, err := CompileStrand(stmts, inputs)
+	if err != nil {
+		t.Fatalf("generated well-typed program refused: %v", err)
+	}
+	srng := rand.New(rand.NewSource(int64(slotSeed)))
+	kern := bindKernel(prog, k, 1)
+	defer ReleaseKernel(kern)
+	for g := 0; g < 3; g++ {
+		slots := randomSlots(srng, len(inputs))
+		want := prog.Fingerprints(slots, k)
+		got := kern.Fingerprints(slots)
+		for d := range want {
+			if got[d] != want[d] {
+				t.Fatalf("def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d k=%d γ=%d)",
+					d, got[d], want[d], progSeed, slotSeed, k, g)
 			}
 		}
-		// γ-batched rows: a partial batch through one suffix execution
-		// must match the scalar reference per row.
-		width := 2 + int(progSeed%7)
-		bkern := bindKernel(prog, DefaultSamples, width)
-		defer ReleaseKernel(bkern)
-		rows := 1 + int(slotSeed%uint64(width))
-		staged := make([][]int, rows)
+	}
+	// γ-batched rows: a partial batch through one suffix execution
+	// must match the scalar reference per row — and so must a second
+	// batch that keeps each row's memory slots and redraws the rest, whose
+	// rows read the all-same block the first batch cached.
+	width := 2 + int(progSeed%7)
+	bkern := bindKernel(prog, k, width)
+	defer ReleaseKernel(bkern)
+	rows := 1 + int(slotSeed%uint64(width))
+	staged := make([][]int, rows)
+	for flush := 0; flush < 2; flush++ {
 		for r := 0; r < rows; r++ {
-			staged[r] = randomSlots(srng, len(inputs))
+			slots := randomSlots(srng, len(inputs))
+			for i, in := range inputs {
+				if flush > 0 && in.Type == ivl.Mem {
+					slots[i] = staged[r][i]
+				}
+			}
+			staged[r] = slots
 			bkern.BindRow(r, staged[r])
 		}
 		fps := bkern.FingerprintsRows(rows)
 		nd := len(fps) / rows
 		for r := 0; r < rows; r++ {
-			want := prog.Fingerprints(staged[r], DefaultSamples)
+			want := prog.Fingerprints(staged[r], k)
 			for d := range want {
 				if fps[r*nd+d] != want[d] {
-					t.Fatalf("row %d def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d width=%d)",
-						r, d, fps[r*nd+d], want[d], progSeed, slotSeed, width)
+					t.Fatalf("flush %d row %d def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d k=%d width=%d)",
+						flush, r, d, fps[r*nd+d], want[d], progSeed, slotSeed, k, width)
 				}
 			}
 		}
-		// Re-bind: the same batched kernel, still holding the first
-		// program's lanes, arena, interned roots and slot bindings, moves
-		// to an unrelated program at another width and then back. Both
-		// forms — per definition and reduced to what varies — must match
-		// the scalar reference as if the kernel were new.
-		other, otherIn := randomKernelStrand(srng, 1+srng.Intn(5), 1+srng.Intn(20))
-		oprog, err := CompileStrand(other, otherIn)
-		if err != nil {
-			t.Fatalf("generated program failed to compile: %v", err)
-		}
-		for _, step := range []struct {
-			p *Program
-			g int
-		}{{oprog, 1 + int(slotSeed%5)}, {prog, width}} {
-			bkern.Bind(step.p, DefaultSamples, step.g)
-			slots := randomSlots(srng, len(step.p.Inputs))
-			want := step.p.Fingerprints(slots, DefaultSamples)
-			bkern.BindRow(0, slots)
-			got := bkern.FingerprintsRows(1)
-			for d := range want {
-				if got[d] != want[d] {
-					t.Fatalf("after re-bind, def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
-						d, got[d], want[d], progSeed, slotSeed)
-				}
-			}
-			got = bkern.VaryingRows(1)
-			for i, c := range step.p.Varying() {
-				if got[i] != want[c.Def] {
-					t.Fatalf("after re-bind, varying %d (def %d): batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
-						i, c.Def, got[i], want[c.Def], progSeed, slotSeed)
-				}
+	}
+	// Re-bind: the same batched kernel, still holding the first
+	// program's lanes, arena, interned roots and slot bindings, moves
+	// to an unrelated program at another width and then back. Both
+	// forms — per definition and reduced to what varies — must match
+	// the scalar reference as if the kernel were new.
+	other, otherIn := randomKernelStrand(srng, 1+srng.Intn(5), 1+srng.Intn(20))
+	oprog, err := CompileStrand(other, otherIn)
+	if err != nil {
+		t.Fatalf("generated program failed to compile: %v", err)
+	}
+	for _, step := range []struct {
+		p *Program
+		g int
+	}{{oprog, 1 + int(slotSeed%5)}, {prog, width}} {
+		bkern.Bind(step.p, k, step.g)
+		slots := randomSlots(srng, len(step.p.Inputs))
+		want := step.p.Fingerprints(slots, k)
+		bkern.BindRow(0, slots)
+		got := bkern.FingerprintsRows(1)
+		for d := range want {
+			if got[d] != want[d] {
+				t.Fatalf("after re-bind, def %d: batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
+					d, got[d], want[d], progSeed, slotSeed)
 			}
 		}
-	})
+		got = bkern.VaryingRows(1)
+		for i, c := range step.p.Varying() {
+			if got[i] != want[c.Def] {
+				t.Fatalf("after re-bind, varying %d (def %d): batch %#x scalar %#x (progSeed=%d slotSeed=%d)",
+					i, c.Def, got[i], want[c.Def], progSeed, slotSeed)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ivl"
@@ -37,6 +38,40 @@ func TestSlotValueCoversZeroAndAllSame(t *testing.T) {
 		if SlotValue(s, 0, ivl.Int).Bits != SlotValue(s, 5, ivl.Int).Bits {
 			t.Errorf("sample %d not slot-uniform", s)
 		}
+	}
+}
+
+// TestBatteryAllSameBlock pins what the kernel's cached all-same block
+// assumes of the battery: on every sample below allSameSpecials an
+// integer input reads one value whatever its slot (SlotBits and the
+// FillSlotBits lanes the kernel reads alike), while a memory input's
+// background seed still tells the slots apart — which is why the cache
+// is keyed by the memory inputs' slots. A battery change that breaks
+// either half must fail here, not change fingerprints silently.
+func TestBatteryAllSameBlock(t *testing.T) {
+	const slots = 64
+	lane := make([]uint64, DefaultSamples)
+	lanes := make([][]uint64, slots)
+	for slot := range lanes {
+		FillSlotBits(lane, slot)
+		lanes[slot] = slices.Clone(lane)
+	}
+	for s := 0; s < min(DefaultSamples, allSameSpecials); s++ {
+		seeds := map[uint64]int{}
+		for slot := 0; slot < slots; slot++ {
+			if SlotBits(s, slot) != SlotBits(s, 0) || lanes[slot][s] != SlotBits(s, 0) {
+				t.Fatalf("sample %d: slot %d reads %#x (filled %#x), slot 0 reads %#x",
+					s, slot, SlotBits(s, slot), lanes[slot][s], SlotBits(s, 0))
+			}
+			seed := SlotMemSeed(s, slot)
+			if prev, dup := seeds[seed]; dup {
+				t.Fatalf("sample %d: memory slots %d and %d share background seed %#x", s, prev, slot, seed)
+			}
+			seeds[seed] = slot
+		}
+	}
+	if SlotBits(allSameSpecials, 0) == SlotBits(allSameSpecials, 1) {
+		t.Fatalf("sample %d, past the all-same block, does not tell slots 0 and 1 apart", allSameSpecials)
 	}
 }
 
