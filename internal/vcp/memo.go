@@ -270,9 +270,13 @@ func (mp *MemoPool) reserve(n int64) bool {
 // power-of-two table at most half full, probed linearly from the
 // fingerprint's low bits (fingerprints are mix64 outputs, so those are
 // already well spread). Zero marks an empty slot; a zero fingerprint is
-// carried by hasZero.
+// carried by hasZero. filter has bit h>>58 set for every member h (bit 0
+// for the zero fingerprint): most probes miss, and a probe whose bit is
+// clear misses without touching the table. It is built with the set and
+// never stored.
 type fpSet struct {
 	slots   []uint64
+	filter  uint64
 	hasZero bool
 }
 
@@ -285,6 +289,7 @@ func newFPSet(fps []uint64) fpSet {
 	mask := uint64(size - 1)
 insert:
 	for _, h := range fps {
+		s.filter |= 1 << (h >> 58)
 		if h == 0 {
 			s.hasZero = true
 			continue
@@ -302,6 +307,9 @@ insert:
 }
 
 func (s *fpSet) has(h uint64) bool {
+	if s.filter&(1<<(h>>58)) == 0 {
+		return false
+	}
 	if h == 0 {
 		return s.hasZero
 	}

@@ -303,7 +303,8 @@ func TestPrepareErrorPropagates(t *testing.T) {
 
 // TestFPSet pins the flat fingerprint set against a map on the inputs
 // its encoding has to get right: the zero fingerprint (zero also marks
-// an empty slot), duplicates, colliding low bits, and the empty set.
+// an empty slot), duplicates, colliding low bits, the empty set, and
+// probes whose top six bits — the filter word's index — a member shares.
 func TestFPSet(t *testing.T) {
 	for _, fps := range [][]uint64{
 		nil,
@@ -311,13 +312,14 @@ func TestFPSet(t *testing.T) {
 		{0, 0, 5, 5},
 		{8, 16, 24, 32, 40, 48, 56, 64, 72}, // equal low bits: one long probe run
 		{1, 2, 3, ^uint64(0), 1 << 63},
+		{1<<58 | 7, 63 << 58}, // filter bits 1 and 63 only
 	} {
 		set := newFPSet(fps)
 		want := map[uint64]bool{}
 		for _, h := range fps {
 			want[h] = true
 		}
-		for _, h := range append([]uint64{0, 4, 7, 80, 1<<63 + 1}, fps...) {
+		for _, h := range append([]uint64{0, 4, 7, 80, 1<<63 + 1, 1 << 58, 62 << 58, 63<<58 | 1}, fps...) {
 			if set.has(h) != want[h] {
 				t.Fatalf("set %v: has(%d) = %v", fps, h, set.has(h))
 			}
