@@ -291,7 +291,7 @@ func BenchmarkFingerprints(b *testing.B) {
 		}
 	})
 	// The γ-batch sweep: each iteration binds G distinct assignments and
-	// flushes them through one suffix execution and folds what varies,
+	// flushes them through one kernel run and folds what varies,
 	// the steady-state shape of the production γ loop. ns/op is per
 	// flush; the ns/γ metric is the amortized per-correspondence cost the
 	// dispatch floor bounds — compare it across widths (the benchmark

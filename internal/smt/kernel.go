@@ -31,13 +31,12 @@ package smt
 // γ-batched lanes: a kernel bound with Bind(p, k, g) carries g×k lanes
 // per register — g complete γ candidate assignments side by side, each
 // owning a contiguous k-lane row. BindRow stages one assignment per row;
-// RunRows executes the compiled suffix ONCE over all staged rows (one
-// instruction dispatch per g·k lanes instead of per k), and
-// FingerprintsRows extracts one fingerprint vector per row, folding the
-// per-row hash chains interleaved so their serial multiply/mix latencies
-// overlap across rows. A partial batch (rows < g) executes only rows·k
-// lanes — the trailing rows cost nothing. g = 1 degenerates to the
-// classic Run/Fingerprints path bit for bit.
+// FingerprintsRows runs the compiled suffix over every staged row and
+// extracts one fingerprint vector per row, folding the per-row hash
+// chains interleaved so their serial multiply/mix latencies overlap
+// across rows. A partial batch (rows < g) executes only its rows — the
+// trailing rows cost nothing. g = 1 degenerates to the classic
+// Run/Fingerprints path bit for bit.
 //
 // The all-same block: on lanes s < iv = min(k, allSameSpecials) every
 // integer input reads specials[s] whatever its slot, and every kernel op
@@ -98,7 +97,7 @@ type Kernel struct {
 	// rows evaluated so far plus one interned block of k background roots
 	// per input slot seen (rootBase maps slot to the block's first index)
 	// — and survive every run; the arena is truncated back to persist at
-	// the start of each RunRows, discarding only the transient store
+	// the start of each run, discarding only the transient store
 	// overlays the previous suffix execution built.
 	arena    []memNode
 	persist  int
@@ -114,7 +113,7 @@ type Kernel struct {
 	// argHash is scratch for cCall argument hashing (lanes entries).
 	argHash []uint64
 	// rowSlots stages the slot assignment per (row, input) between
-	// BindRow and RunRows.
+	// BindRow and the run.
 	rowSlots []int
 	// lastSlot remembers the slot each (row, input) was last bound to.
 	// Input registers are never written by exec (every assignment
@@ -133,17 +132,13 @@ type Kernel struct {
 	// per fold list (FingerprintsRows, VaryingRows). During a run, row r
 	// reads entry rowEnt[r] of the list's table; a row with rowNew[r] set
 	// met its μ first in this run, so it runs all k lanes and records the
-	// entry. spans is the active lane ranges of one execution.
+	// entry.
 	iv     int
 	memIn  []int
 	tabs   [2]tupleTable
 	rowEnt []int
 	rowNew []bool
-	spans  []laneSpan
 }
-
-// laneSpan is one range [lo, hi) of a register's lanes that exec runs.
-type laneSpan struct{ lo, hi int }
 
 // tupleTable maps each memory-slot tuple μ a binding has met to the fold
 // accumulators of one register list after the all-same block: entry e has
@@ -153,7 +148,6 @@ type tupleTable struct {
 	keys []int
 	accs []uint64
 	n    int
-	last int // the entry the previous lookup found
 }
 
 // entry returns the index of the entry whose key is slots[memIn[j]] for
@@ -161,36 +155,27 @@ type tupleTable struct {
 // added reports that it did.
 func (t *tupleTable) entry(slots, memIn []int, nd int) (e int, added bool) {
 	nm := len(memIn)
-	match := func(e int) bool {
+next:
+	for e = 0; e < t.n; e++ {
 		key := t.keys[e*nm : (e+1)*nm]
 		for j, i := range memIn {
 			if key[j] != slots[i] {
-				return false
+				continue next
 			}
 		}
-		return true
-	}
-	if t.last < t.n && match(t.last) {
-		return t.last, false
-	}
-	for e := 0; e < t.n; e++ {
-		if match(e) {
-			t.last = e
-			return e, false
-		}
+		return e, false
 	}
 	for _, i := range memIn {
 		t.keys = append(t.keys, slots[i])
 	}
 	t.accs = append(t.accs, make([]uint64, nd)...)
-	t.last = t.n
 	t.n++
-	return t.last, true
+	return e, true
 }
 
 // reset empties the table, keeping its buffers.
 func (t *tupleTable) reset() {
-	t.keys, t.accs, t.n, t.last = t.keys[:0], t.accs[:0], 0, 0
+	t.keys, t.accs, t.n = t.keys[:0], t.accs[:0], 0
 }
 
 // kernelPool lends kernels to owners that evaluate one program for a
@@ -270,7 +255,7 @@ func (kn *Kernel) LanesExecuted() uint64 { return kn.lanesRun }
 func (kn *Kernel) BatchWidth() int { return kn.g }
 
 // BindRow stages the slot assignment for batch row r (0 <= r < g). The
-// lanes are not filled until RunRows, which is what lets a partial
+// lanes are not filled until the run, which is what lets a partial
 // batch skip its unused trailing rows entirely.
 func (kn *Kernel) BindRow(r int, slotOf []int) {
 	nIn := len(kn.p.Inputs)
@@ -279,9 +264,8 @@ func (kn *Kernel) BindRow(r int, slotOf []int) {
 
 // runRows evaluates the compiled code over batch rows [0, rows), whose
 // assignments must have been staged with BindRow and looked up in a tuple
-// table (lookup): one suffix execution — one instruction dispatch per
-// lane span — covering every staged γ candidate, over all k lanes of a
-// row whose μ is new and lanes [iv, k) of one whose μ is known. Rows this
+// table (lookup): the suffix runs over all k lanes of a row whose μ is
+// new and over lanes [iv, k) of one whose μ is known. Rows this
 // binding has not run before first get the γ-invariant prefix (it depends
 // on neither slots nor samples, so it stays valid in a row's lanes until
 // the next Bind); input rows whose slot binding is unchanged since their
@@ -290,8 +274,7 @@ func (kn *Kernel) runRows(rows int) {
 	kn.arena = kn.arena[:kn.persist]
 	k, L := kn.k, kn.lanes
 	if rows > kn.prefixRows {
-		kn.spans = append(kn.spans[:0], laneSpan{kn.prefixRows * k, rows * k})
-		kn.exec(0, kn.p.prefixLen, kn.spans)
+		kn.exec(0, kn.p.prefixLen, kn.prefixRows*k, rows*k)
 		kn.prefixRows = rows
 		kn.persist = len(kn.arena)
 	}
@@ -315,25 +298,16 @@ func (kn *Kernel) runRows(rows int) {
 			}
 		}
 	}
-	kn.spans = kn.spans[:0]
-	width := 0
 	for r := 0; r < rows; r++ {
 		lo, hi := r*k, (r+1)*k
 		if !kn.rowNew[r] {
 			lo += kn.iv
 		}
-		if lo == hi {
-			continue
-		}
-		width += hi - lo
-		if n := len(kn.spans); n > 0 && kn.spans[n-1].hi == lo {
-			kn.spans[n-1].hi = hi
-		} else {
-			kn.spans = append(kn.spans, laneSpan{lo, hi})
+		if lo < hi {
+			kn.exec(kn.p.prefixLen, len(kn.p.code), lo, hi)
+			kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * (hi - lo))
 		}
 	}
-	kn.exec(kn.p.prefixLen, len(kn.p.code), kn.spans)
-	kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * width)
 }
 
 // lookup finds each staged row's μ in tab, the table of a list of nd
@@ -603,159 +577,156 @@ func (kn *Kernel) load(idx int32, addr uint64, w uint) uint64 {
 	return v
 }
 
-// exec runs code[lo:hi] over the lane spans of each register: one
-// instruction decode per instruction, one tight loop per span. The lane
-// stride is kn.lanes (g×k); a partial γ batch spans at most rows·k lanes
+// exec runs code[lo:hi] over lanes [l0, l1) of each register: one
+// dispatch per instruction, one tight loop per lane vector. The lane
+// stride is kn.lanes (g×k); a partial γ batch runs at most rows·k lanes
 // so the unused trailing rows cost nothing, and a row whose μ is known
-// spans only lanes [iv, k). Lanes outside the spans may hold stale
-// values (including dangling arena indices from a previous, longer run or
-// an earlier binding); they are never read, because every op is
-// lane-wise and foldRows reads a row's lanes [0, iv) only in the run that
-// spans them.
-func (kn *Kernel) exec(lo, hi int, spans []laneSpan) {
+// only its lanes [iv, k). Lanes outside the range may hold stale values
+// (including dangling arena indices from a previous, longer run or an
+// earlier binding); they are never read, because every op is lane-wise
+// and foldRows reads a row's lanes [0, iv) only in the run that swept
+// them.
+func (kn *Kernel) exec(lo, hi, l0, l1 int) {
 	L := kn.lanes
 	code := kn.p.code
 	memReg := kn.p.memReg
 	for idx := lo; idx < hi; idx++ {
 		in := &code[idx]
 		d := in.dst * L
-		for _, sp := range spans {
-			l0, l1 := sp.lo, sp.hi
-			switch in.op {
-			case cConst:
-				lane := kn.ints[d+l0 : d+l1]
-				v := in.val
-				for s := range lane {
-					lane[s] = v
-				}
-			case cBin:
-				if memReg[in.a] || memReg[in.b] {
-					kn.execBinMem(in, d, l0, l1)
-					continue
-				}
-				evalBinLanes(in.bin, kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1])
-			case cUn:
-				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-				switch in.un {
-				case ivl.Not:
-					for s := range dst {
-						dst[s] = ^x[s]
-					}
-				case ivl.Neg:
-					for s := range dst {
-						dst[s] = -x[s]
-					}
-				default: // BoolNot
-					for s := range dst {
-						dst[s] = boolBit(x[s] == 0)
-					}
-				}
-			case cIte:
-				c := kn.ints[in.c*L+l0 : in.c*L+l1]
-				if memReg[in.dst] {
-					dst := kn.mems[d+l0 : d+l1]
-					a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
-					for s := range dst {
-						if c[s] != 0 {
-							dst[s] = a[s]
-						} else {
-							dst[s] = b[s]
-						}
-					}
-				} else {
-					dst := kn.ints[d+l0 : d+l1]
-					a, b := kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
-					for s := range dst {
-						if c[s] != 0 {
-							dst[s] = a[s]
-						} else {
-							dst[s] = b[s]
-						}
-					}
-				}
-			case cTrunc:
-				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-				if in.bits >= 64 {
-					copy(dst, x)
-				} else {
-					mask := (uint64(1) << in.bits) - 1
-					for s := range dst {
-						dst[s] = x[s] & mask
-					}
-				}
-			case cSext:
-				dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
-				sh := 64 - in.bits
+		switch in.op {
+		case cConst:
+			lane := kn.ints[d+l0 : d+l1]
+			v := in.val
+			for s := range lane {
+				lane[s] = v
+			}
+		case cBin:
+			if memReg[in.a] || memReg[in.b] {
+				kn.execBinMem(in, d, l0, l1)
+				continue
+			}
+			evalBinLanes(in.bin, kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1])
+		case cUn:
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+			switch in.un {
+			case ivl.Not:
 				for s := range dst {
-					dst[s] = uint64(int64(x[s]<<sh) >> sh)
+					dst[s] = ^x[s]
 				}
-			case cLoad:
-				dst := kn.ints[d+l0 : d+l1]
-				m, a := kn.mems[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
-				w := in.w
+			case ivl.Neg:
 				for s := range dst {
-					dst[s] = kn.load(m[s], a[s], w)
+					dst[s] = -x[s]
 				}
-			case cStore:
+			default: // BoolNot
+				for s := range dst {
+					dst[s] = boolBit(x[s] == 0)
+				}
+			}
+		case cIte:
+			c := kn.ints[in.c*L+l0 : in.c*L+l1]
+			if memReg[in.dst] {
 				dst := kn.mems[d+l0 : d+l1]
-				m := kn.mems[in.a*L+l0 : in.a*L+l1]
-				a, v := kn.ints[in.b*L+l0:in.b*L+l1], kn.ints[in.c*L+l0:in.c*L+l1]
-				w := in.w
-				// One overlay per lane, appended as a block: grow the arena
-				// once and write by index, so the hot store loop carries no
-				// per-lane append or capacity checks. Semantics and hash
-				// construction mirror ivl.MemVal.Store exactly.
-				arena := kn.arena
-				base, nl := len(arena), l1-l0
-				if cap(arena) < base+nl {
-					na := make([]memNode, base, 2*cap(arena)+nl)
-					copy(na, arena)
-					arena = na
-				}
-				arena = arena[:base+nl]
-				mask := ^uint64(0)
-				if w < 8 {
-					mask = (uint64(1) << (8 * w)) - 1
-				}
+				a, b := kn.mems[in.a*L+l0:in.a*L+l1], kn.mems[in.b*L+l0:in.b*L+l1]
 				for s := range dst {
-					val := v[s] & mask
-					arena[base+s] = memNode{
-						addr:   a[s],
-						val:    val,
-						w:      uint8(w),
-						parent: m[s],
-						hash:   mix64(arena[m[s]].hash ^ mix64(a[s])*3 ^ mix64(val) ^ uint64(w)),
-					}
-					dst[s] = int32(base + s)
-				}
-				kn.arena = arena
-			case cCall:
-				h := kn.argHash[:l1-l0]
-				sym := in.sym
-				for s := range h {
-					h[s] = sym
-				}
-				for _, ar := range in.args {
-					if memReg[ar] {
-						lane := kn.mems[ar*L+l0 : ar*L+l1]
-						for s := range h {
-							h[s] = mix64(h[s] ^ kn.arena[lane[s]].hash)
-						}
+					if c[s] != 0 {
+						dst[s] = a[s]
 					} else {
-						lane := kn.ints[ar*L+l0 : ar*L+l1]
-						for s := range h {
-							h[s] = mix64(h[s] ^ lane[s])
-						}
+						dst[s] = b[s]
 					}
 				}
-				if in.memC {
-					dst := kn.mems[d+l0 : d+l1]
-					for s := range dst {
-						dst[s] = kn.newRoot(h[s])
+			} else {
+				dst := kn.ints[d+l0 : d+l1]
+				a, b := kn.ints[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
+				for s := range dst {
+					if c[s] != 0 {
+						dst[s] = a[s]
+					} else {
+						dst[s] = b[s]
+					}
+				}
+			}
+		case cTrunc:
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+			if in.bits >= 64 {
+				copy(dst, x)
+			} else {
+				mask := (uint64(1) << in.bits) - 1
+				for s := range dst {
+					dst[s] = x[s] & mask
+				}
+			}
+		case cSext:
+			dst, x := kn.ints[d+l0:d+l1], kn.ints[in.a*L+l0:in.a*L+l1]
+			sh := 64 - in.bits
+			for s := range dst {
+				dst[s] = uint64(int64(x[s]<<sh) >> sh)
+			}
+		case cLoad:
+			dst := kn.ints[d+l0 : d+l1]
+			m, a := kn.mems[in.a*L+l0:in.a*L+l1], kn.ints[in.b*L+l0:in.b*L+l1]
+			w := in.w
+			for s := range dst {
+				dst[s] = kn.load(m[s], a[s], w)
+			}
+		case cStore:
+			dst := kn.mems[d+l0 : d+l1]
+			m := kn.mems[in.a*L+l0 : in.a*L+l1]
+			a, v := kn.ints[in.b*L+l0:in.b*L+l1], kn.ints[in.c*L+l0:in.c*L+l1]
+			w := in.w
+			// One overlay per lane, appended as a block: grow the arena
+			// once and write by index, so the hot store loop carries no
+			// per-lane append or capacity checks. Semantics and hash
+			// construction mirror ivl.MemVal.Store exactly.
+			arena := kn.arena
+			base, nl := len(arena), l1-l0
+			if cap(arena) < base+nl {
+				na := make([]memNode, base, 2*cap(arena)+nl)
+				copy(na, arena)
+				arena = na
+			}
+			arena = arena[:base+nl]
+			mask := ^uint64(0)
+			if w < 8 {
+				mask = (uint64(1) << (8 * w)) - 1
+			}
+			for s := range dst {
+				val := v[s] & mask
+				arena[base+s] = memNode{
+					addr:   a[s],
+					val:    val,
+					w:      uint8(w),
+					parent: m[s],
+					hash:   mix64(arena[m[s]].hash ^ mix64(a[s])*3 ^ mix64(val) ^ uint64(w)),
+				}
+				dst[s] = int32(base + s)
+			}
+			kn.arena = arena
+		case cCall:
+			h := kn.argHash[:l1-l0]
+			sym := in.sym
+			for s := range h {
+				h[s] = sym
+			}
+			for _, ar := range in.args {
+				if memReg[ar] {
+					lane := kn.mems[ar*L+l0 : ar*L+l1]
+					for s := range h {
+						h[s] = mix64(h[s] ^ kn.arena[lane[s]].hash)
 					}
 				} else {
-					copy(kn.ints[d+l0:d+l1], h)
+					lane := kn.ints[ar*L+l0 : ar*L+l1]
+					for s := range h {
+						h[s] = mix64(h[s] ^ lane[s])
+					}
 				}
+			}
+			if in.memC {
+				dst := kn.mems[d+l0 : d+l1]
+				for s := range dst {
+					dst[s] = kn.newRoot(h[s])
+				}
+			} else {
+				copy(kn.ints[d+l0:d+l1], h)
 			}
 		}
 	}

@@ -444,10 +444,10 @@ func fuzzKernelAt(t *testing.T, progSeed, slotSeed uint64, k int) {
 			}
 		}
 	}
-	// γ-batched rows: a partial batch through one suffix execution
-	// must match the scalar reference per row — and so must a second
-	// batch that keeps each row's memory slots and redraws the rest, whose
-	// rows read the all-same block the first batch cached.
+	// γ-batched rows: a partial batch through one kernel run must match
+	// the scalar reference per row — and so must a second batch that
+	// keeps each row's memory slots and redraws the rest, whose rows read
+	// the all-same block the first batch cached.
 	width := 2 + int(progSeed%7)
 	bkern := bindKernel(prog, k, width)
 	defer ReleaseKernel(bkern)

@@ -36,10 +36,9 @@ type Config struct {
 }
 
 // gammaWidth is the γ-batch width G: the batched kernel accumulates up
-// to G complete correspondences and evaluates them through one suffix
-// execution over G×Samples lanes. 8 is wide enough to amortize
-// instruction dispatch and overlap the fingerprint fold chains, narrow
-// enough that a typical pair (a handful of correspondences) still fills
+// to G complete correspondences and evaluates them in one kernel run,
+// folding their fingerprint chains interleaved. 8 is wide enough to
+// overlap those chains, narrow enough that a typical pair (a handful of correspondences) still fills
 // most of its final batch. Every width produces byte-identical scores
 // and Correspondences counts (NewReferenceEvaluator is how tests vary
 // it) — batching changes dispatch, not semantics.
@@ -531,7 +530,7 @@ func (ev *Evaluator) leaf() {
 }
 
 // flush resolves the buffered leaves — memo hits under one read lock,
-// the misses through ONE kernel suffix execution over misses·k lanes,
+// the misses through ONE kernel run over their rows,
 // their rows then copied into the memo — and scores all of them in
 // enumeration order. The order is what keeps the result exact: best and
 // tried must advance leaf by leaf as the unbuffered loop's would, so
