@@ -264,7 +264,7 @@ func (kn *Kernel) BindRow(r int, slotOf []int) {
 
 // runRows evaluates the compiled code over batch rows [0, rows), whose
 // assignments must have been staged with BindRow and looked up in a tuple
-// table (lookup): the suffix runs over all k lanes of a row whose μ is
+// table (evalRows): the suffix runs over all k lanes of a row whose μ is
 // new and over lanes [iv, k) of one whose μ is known. Rows this
 // binding has not run before first get the γ-invariant prefix (it depends
 // on neither slots nor samples, so it stays valid in a row's lanes until
@@ -307,17 +307,6 @@ func (kn *Kernel) runRows(rows int) {
 			kn.exec(kn.p.prefixLen, len(kn.p.code), lo, hi)
 			kn.lanesRun += uint64((len(kn.p.code) - kn.p.prefixLen) * (hi - lo))
 		}
-	}
-}
-
-// lookup finds each staged row's μ in tab, the table of a list of nd
-// registers, adding the tuples it has not met: the first row with a new
-// μ records it (rowNew), and a later row with the same μ, in this batch
-// or a later one, reads it.
-func (kn *Kernel) lookup(rows int, tab *tupleTable, nd int) {
-	nIn := len(kn.p.Inputs)
-	for r := 0; r < rows; r++ {
-		kn.rowEnt[r], kn.rowNew[r] = tab.entry(kn.rowSlots[r*nIn:(r+1)*nIn], kn.memIn, nd)
 	}
 }
 
@@ -376,10 +365,16 @@ func (kn *Kernel) VaryingRows(rows int) []uint64 {
 	return kn.evalRows(rows, kn.p.varRegs, &kn.tabs[1])
 }
 
-// evalRows runs the staged rows and folds the listed registers, reading
-// and filling tab, the list's tuple table.
+// evalRows runs the staged rows and folds the listed registers through
+// tab, the list's tuple table. It first looks each row's μ up, adding the
+// tuples the binding has not met: the first row with a new μ records it
+// (rowNew), and a later row with the same μ, in this batch or a later
+// one, reads it.
 func (kn *Kernel) evalRows(rows int, regs []defInfo, tab *tupleTable) []uint64 {
-	kn.lookup(rows, tab, len(regs))
+	nIn := len(kn.p.Inputs)
+	for r := 0; r < rows; r++ {
+		kn.rowEnt[r], kn.rowNew[r] = tab.entry(kn.rowSlots[r*nIn:(r+1)*nIn], kn.memIn, len(regs))
+	}
 	kn.runRows(rows)
 	return kn.foldRows(regs, rows, tab)
 }
