@@ -367,7 +367,7 @@ func BenchmarkQuery(b *testing.B) {
 	st := db.Stats()
 	b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
 	b.ReportMetric(float64(st.MemoHits)/float64(b.N), "memo-hits/op")
-	b.ReportMetric(float64(st.GammaBatchRows)/float64(b.N), "kernel-rows/op")
+	b.ReportMetric(float64(st.MemoMisses)/float64(b.N), "kernel-rows/op")
 	b.ReportMetric(float64(st.QueryPrepares)/float64(b.N), "prepares/op")
 	b.ReportMetric(float64(st.VCPRowsComplete)/float64(b.N), "rows-complete/op")
 }

@@ -204,7 +204,6 @@ type DB struct {
 	mPrefixInstrs  *telemetry.Counter
 	mKernelInstrs  *telemetry.Counter
 	mGammaBatches  *telemetry.Counter
-	mGammaRows     *telemetry.Counter
 	hGammaOccup    *telemetry.Histogram
 	hLSHCands      *telemetry.Histogram
 	hSketchBuild   *telemetry.Histogram
@@ -213,7 +212,7 @@ type DB struct {
 	mCompactions   *telemetry.Counter
 	hCompact       *telemetry.Histogram
 	// Work counters DBStats reports and nothing serves.
-	scoredLeaves, fpProbes, kernelLanes atomic.Uint64
+	fpProbes, kernelLanes atomic.Uint64
 }
 
 // NewDB returns an empty database.

@@ -91,8 +91,8 @@ func TestKernelDifferential(t *testing.T) {
 	if ss.GammaBatches != 0 {
 		t.Errorf("scalar reference flushed %d γ batches", ss.GammaBatches)
 	}
-	if bs.GammaBatches == 0 || bs.GammaBatchRows < bs.GammaBatches {
-		t.Errorf("batch engine not engaged: %d batches, %d rows", bs.GammaBatches, bs.GammaBatchRows)
+	if bs.GammaBatches == 0 || bs.MemoMisses < bs.GammaBatches {
+		t.Errorf("batch engine not engaged: %d batches, %d rows", bs.GammaBatches, bs.MemoMisses)
 	}
 	if bs.KernelInstrs == 0 || bs.KernelPrefixInstrs == 0 {
 		t.Errorf("hoisting telemetry empty: prefix=%d total=%d",

@@ -85,9 +85,9 @@ func TestMemoAccounting(t *testing.T) {
 	}
 	// The ceiling's refusals show as misses: the tight DB evaluates what
 	// it could not remember.
-	if rs.MemoHits == 0 || rs.MemoMisses != rs.GammaBatchRows || rs.MemoMisses >= ts.MemoMisses {
-		t.Errorf("memo traffic: roomy %d hits, %d misses, %d kernel rows; tight %d misses (want more: refusals)",
-			rs.MemoHits, rs.MemoMisses, rs.GammaBatchRows, ts.MemoMisses)
+	if rs.MemoHits == 0 || rs.MemoMisses >= ts.MemoMisses {
+		t.Errorf("memo traffic: roomy %d hits, %d misses; tight %d misses (want more: refusals)",
+			rs.MemoHits, rs.MemoMisses, ts.MemoMisses)
 	}
 	if rs.Memo.Budget != memoBudgetBytes {
 		t.Errorf("roomy ceiling %d, want %d", rs.Memo.Budget, memoBudgetBytes)

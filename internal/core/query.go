@@ -551,14 +551,14 @@ func (db *DB) verifyRows(states []vcpRowState, q *pairQueue, workers int, qc *co
 	drain := func() {
 		ev := db.newEval(nil, db.opts.VCP)
 		defer ev.Close()
-		var rs rowStats
+		var work vcp.Stats
 		for row := -1; ; {
 			r, lo, hi := q.take(row)
 			if r != row && row >= 0 {
 				mu.Lock()
-				states[row].rs.addWork(rs)
+				states[row].rs.work.Add(work)
 				mu.Unlock()
-				rs = rowStats{}
+				work = vcp.Stats{}
 			}
 			if r < 0 {
 				return
@@ -567,7 +567,7 @@ func (db *DB) verifyRows(states []vcpRowState, q *pairQueue, workers int, qc *co
 				ev.Reset(states[r].q)
 				row = r
 			}
-			verifyPairs(&states[r], qc, lo, hi, ev, &rs)
+			verifyPairs(&states[r], qc, lo, hi, ev, &work)
 		}
 	}
 	var wg sync.WaitGroup
@@ -580,23 +580,13 @@ func (db *DB) verifyRows(states []vcpRowState, q *pairQueue, workers int, qc *co
 }
 
 // verifyPairs runs the verifier over the pairs verify[lo:hi] of one row and
-// adds the work it did to rs. ev is bound to the row's query strand. At a
+// adds the work it did to work. ev is bound to the row's query strand. At a
 // query's tail several workers may share a row: they write disjoint
 // columns of a row nobody else can see yet.
-func verifyPairs(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator, rs *rowStats) {
+func verifyPairs(st *vcpRowState, qc *corpus, lo, hi int, ev *vcp.Evaluator, work *vcp.Stats) {
 	for _, j := range st.verify[lo:hi] {
 		v, vst := ev.Compute(qc.uniq[j])
-		rs.calls++
-		rs.gamma += vst.Correspondences
-		rs.kernelNanos += vst.KernelNanos
-		rs.gammaB += vst.Batches
-		rs.gammaRows += vst.BatchRows
-		rs.gammaSlots += vst.BatchSlots
-		rs.memoHits += vst.MemoHits
-		rs.memoMisses += vst.MemoMisses
-		rs.leaves += vst.Leaves
-		rs.probes += vst.Probes
-		rs.lanes += vst.KernelLanes
+		work.Add(vst)
 		st.vals[j] = v
 	}
 }

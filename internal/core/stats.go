@@ -49,10 +49,9 @@ func (db *DB) initMetrics() {
 	})
 	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared query strands (hoisted out of the γ loop by the batched kernel).")
 	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared query strands (indexed strands keep no program and are not counted).")
-	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel flushes (one suffix execution each; correspondences/batches is the mean rows per flush).")
-	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes: γ-fingerprint memo misses only (includes rows discarded uncounted after a perfect match or the cap).")
+	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel runs, each over up to vcp.GammaWidth γ-fingerprint memo-miss rows; esh_vcp_memo_misses_total over this is the mean rows per run.")
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
-		"Mean γ-batch fill fraction at flush, observed once per query strand row (memo-miss rows carried / (width × flushes)).",
+		"Mean γ-batch fill fraction, observed once per query strand row that ran the kernel (memo misses / (vcp.GammaWidth × kernel runs)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
 	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
 		"Candidate-set size per scanned query strand: the pairs not skipped.",
@@ -152,27 +151,25 @@ type DBStats struct {
 	KernelNanos        uint64
 	KernelPrefixInstrs uint64
 	KernelInstrs       uint64
-	// GammaBatches is the cumulative kernel flushes and GammaBatchRows
-	// the correspondences those flushes carried.
-	GammaBatches   uint64
-	GammaBatchRows uint64
+	// GammaBatches is the cumulative kernel runs, each over up to
+	// vcp.GammaWidth memo-miss rows.
+	GammaBatches uint64
 	// MemoHits / MemoMisses split the enumerated correspondences by
 	// whether a strand's γ-fingerprint memo already held their
-	// fingerprints (only misses reach the kernel). Memo is the pool's
+	// fingerprints (only misses reach the kernel, so MemoMisses is also
+	// the rows the kernel runs carried). Memo is the pool's
 	// account: bytes held against the fixed ceiling, and the slot
 	// assignments the held memos remember for them.
 	MemoHits   uint64
 	MemoMisses uint64
 	Memo       vcp.MemoStats
-	// ScoredLeaves counts the correspondences scored against a target and
-	// FPProbes the target fingerprint-set lookups that scoring made (see
-	// vcp.Stats); both are fixed by the queries and the corpus. KernelLanes
-	// counts the kernel's suffix instructions × lanes: fixed at one worker,
-	// it moves with which worker meets a slot assignment first at more.
-	// None of the three is served.
-	ScoredLeaves uint64
-	FPProbes     uint64
-	KernelLanes  uint64
+	// FPProbes counts the target fingerprint-set lookups that scoring the
+	// VerifierCorrespondences made (see vcp.Stats); it is fixed by the
+	// queries and the corpus. KernelLanes counts the kernel's suffix
+	// instructions × lanes: fixed at one worker, it moves with which
+	// worker meets a slot assignment first at more. Neither is served.
+	FPProbes    uint64
+	KernelLanes uint64
 	// Queries is the number of Query calls answered; StageSeconds holds
 	// the cumulative wall-clock seconds each pipeline stage has consumed
 	// across them.
@@ -213,11 +210,9 @@ func (db *DB) Stats() DBStats {
 		KernelPrefixInstrs:      db.mPrefixInstrs.Value(),
 		KernelInstrs:            db.mKernelInstrs.Value(),
 		GammaBatches:            db.mGammaBatches.Value(),
-		GammaBatchRows:          db.mGammaRows.Value(),
 		MemoHits:                db.mMemoHits.Value(),
 		MemoMisses:              db.mMemoMisses.Value(),
 		Memo:                    db.memo.Stats(),
-		ScoredLeaves:            db.scoredLeaves.Load(),
 		FPProbes:                db.fpProbes.Load(),
 		KernelLanes:             db.kernelLanes.Load(),
 		Queries:                 db.mQueries.Value(),
@@ -246,45 +241,19 @@ const (
 
 var rowStateNames = [...]string{rowComplete: "complete", rowPartial: "partial", rowAbsent: "absent"}
 
-// rowStats is the per-row telemetry accumulator: a worker counts its
-// verifier work on a row locally and adds it to the row's as it leaves
-// the row, and the row flushes once the queue has drained — so the pair
-// loop never touches an atomic or a span lock.
+// rowStats is the per-row telemetry accumulator: the planner's tallies,
+// and the verifier's work, which a worker counts locally and adds to the
+// row's as it leaves the row. The row flushes once the queue has drained —
+// so the pair loop never touches an atomic or a span lock.
 type rowStats struct {
 	state       rowState
-	pairs       int   // unique target strands examined
-	forwardDead int   // skipped: forward-dead
-	pruned      int   // rejected by the size-ratio window
-	identical   int   // short-circuited as structurally identical
-	hits        int   // cache hits (pair results reused)
-	misses      int   // cache misses (pair results computed)
-	calls       int   // vcp.Compute invocations (one per miss)
-	gamma       int   // input correspondences evaluated inside them
-	kernelNanos int64 // wall time inside the evaluation kernel
-	gammaB      int64 // γ-batch kernel flushes
-	gammaRows   int64 // correspondences those flushes carried
-	gammaSlots  int64 // rows those flushes had room for (for occupancy)
-	memoHits    int64 // enumeration leaves answered by a γ-fingerprint memo
-	memoMisses  int64 // enumeration leaves evaluated by the kernel
-	leaves      int64 // correspondences scored against a target
-	probes      int64 // target fingerprint-set lookups while scoring
-	lanes       int64 // kernel suffix instructions × lanes executed
-}
-
-// addWork folds one worker's verifier work on a row into the row
-// accumulator.
-func (rs *rowStats) addWork(d rowStats) {
-	rs.calls += d.calls
-	rs.gamma += d.gamma
-	rs.kernelNanos += d.kernelNanos
-	rs.gammaB += d.gammaB
-	rs.gammaRows += d.gammaRows
-	rs.gammaSlots += d.gammaSlots
-	rs.memoHits += d.memoHits
-	rs.memoMisses += d.memoMisses
-	rs.leaves += d.leaves
-	rs.probes += d.probes
-	rs.lanes += d.lanes
+	pairs       int // unique target strands examined
+	forwardDead int // skipped: forward-dead
+	pruned      int // rejected by the size-ratio window
+	identical   int // short-circuited as structurally identical
+	hits        int // cache hits (pair results reused)
+	misses      int // cache misses: one vcp.Compute call each
+	work        vcp.Stats
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
@@ -297,23 +266,21 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mPairsIdent.Add(uint64(rs.identical))
 	db.mCacheHits.Add(uint64(rs.hits))
 	db.mCacheMisses.Add(uint64(rs.misses))
-	db.mVerifierCalls.Add(uint64(rs.calls))
-	db.mGamma.Add(uint64(rs.gamma))
-	db.mKernelNanos.Add(uint64(rs.kernelNanos))
-	db.mMemoHits.Add(uint64(rs.memoHits))
-	db.mMemoMisses.Add(uint64(rs.memoMisses))
-	db.scoredLeaves.Add(uint64(rs.leaves))
-	db.fpProbes.Add(uint64(rs.probes))
-	db.kernelLanes.Add(uint64(rs.lanes))
-	if rs.gammaB > 0 {
-		db.mGammaBatches.Add(uint64(rs.gammaB))
-		db.mGammaRows.Add(uint64(rs.gammaRows))
-		db.hGammaOccup.Observe(float64(rs.gammaRows) / float64(rs.gammaSlots))
+	db.mVerifierCalls.Add(uint64(rs.misses))
+	w := rs.work
+	db.mGamma.Add(uint64(w.Correspondences))
+	db.mKernelNanos.Add(uint64(w.KernelNanos))
+	db.mMemoHits.Add(uint64(w.MemoHits))
+	db.mMemoMisses.Add(uint64(w.MemoMisses))
+	db.fpProbes.Add(uint64(w.Probes))
+	db.kernelLanes.Add(uint64(w.KernelLanes))
+	if w.Batches > 0 {
+		db.mGammaBatches.Add(uint64(w.Batches))
+		db.hGammaOccup.Observe(float64(w.MemoMisses) / float64(vcp.GammaWidth*w.Batches))
 	}
-	// Every scanned column not skipped was a candidate.
-	lshCands := rs.pairs - rs.forwardDead
 	db.mForwardDead.Add(uint64(rs.forwardDead))
-	db.hLSHCands.Observe(float64(lshCands))
+	// Every scanned column not skipped was a candidate.
+	db.hLSHCands.Observe(float64(rs.pairs - rs.forwardDead))
 	if sp == nil {
 		return
 	}
@@ -322,15 +289,14 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
 	sp.AddAttr("lsh_skipped", float64(rs.forwardDead))
-	sp.AddAttr("lsh_candidates", float64(lshCands))
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))
 	sp.AddAttr("cache_hits", float64(rs.hits))
 	sp.AddAttr("cache_misses", float64(rs.misses))
-	sp.AddAttr("verifier_calls", float64(rs.calls))
-	sp.AddAttr("correspondences", float64(rs.gamma))
-	sp.AddAttr("kernel_nanos", float64(rs.kernelNanos))
-	sp.AddAttr("gamma_batches", float64(rs.gammaB))
-	sp.AddAttr("gamma_batch_rows", float64(rs.gammaRows))
-	sp.AddAttr("memo_hits", float64(rs.memoHits))
+	sp.AddAttr("verifier_calls", float64(rs.misses))
+	sp.AddAttr("correspondences", float64(w.Correspondences))
+	sp.AddAttr("kernel_nanos", float64(w.KernelNanos))
+	sp.AddAttr("gamma_batches", float64(w.Batches))
+	sp.AddAttr("memo_hits", float64(w.MemoHits))
+	sp.AddAttr("memo_misses", float64(w.MemoMisses))
 }

@@ -46,7 +46,6 @@ func (r *WorkResult) String() string {
 			{"kernel prefix instructions", w.KernelPrefixInstrs},
 			{"verifier calls", w.VerifierCalls},
 			{"γ evaluated", w.VerifierCorrespondences},
-			{"scored leaves", w.ScoredLeaves},
 			{"fingerprint-set probes", w.FPProbes},
 		} {
 			fmt.Fprintf(&b, "  %-28s %d\n", row.name, row.n)

@@ -681,11 +681,10 @@ type StatsResponse struct {
 		KernelPrefixInstrs      uint64             `json:"kernel_prefix_instrs"`
 		KernelInstrs            uint64             `json:"kernel_instrs"`
 		GammaBatches            uint64             `json:"gamma_batches"`
-		GammaBatchRows          uint64             `json:"gamma_batch_rows"`
 		StageSeconds            map[string]float64 `json:"stage_seconds"`
 		// Memo is the γ-fingerprint memo: correspondences answered from
 		// it (hits) or evaluated by the kernel (misses — what
-		// kernel_seconds and the gamma_batch figures cover), and the
+		// kernel_seconds and gamma_batches cover), and the
 		// bytes the in-flight queries' memos hold against its fixed
 		// ceiling for how many remembered assignments (entries).
 		Memo struct {
@@ -755,7 +754,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.KernelPrefixInstrs = dbs.KernelPrefixInstrs
 	resp.Engine.KernelInstrs = dbs.KernelInstrs
 	resp.Engine.GammaBatches = dbs.GammaBatches
-	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
 	resp.Engine.Memo.Hits = dbs.MemoHits
 	resp.Engine.Memo.Misses = dbs.MemoMisses
 	resp.Engine.Memo.Bytes = dbs.Memo.Held

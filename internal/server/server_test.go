@@ -494,8 +494,8 @@ func TestStatsAfterQueries(t *testing.T) {
 	}
 	// Only queries in flight hold memos: with all three answered, the
 	// traffic counters have moved and nothing is left charged.
-	if m := st.Engine.Memo; m.Hits+m.Misses == 0 || m.Misses != st.Engine.GammaBatchRows ||
+	if m := st.Engine.Memo; m.Hits+m.Misses == 0 ||
 		m.Bytes != 0 || m.Entries != 0 || m.BudgetBytes != 128<<20 {
-		t.Errorf("memo block %+v (gamma_batch_rows %d)", m, st.Engine.GammaBatchRows)
+		t.Errorf("memo block %+v", m)
 	}
 }

@@ -35,8 +35,8 @@ package smt
 // extracts one fingerprint vector per row, folding the per-row hash
 // chains interleaved so their serial multiply/mix latencies overlap
 // across rows. A partial batch (rows < g) executes only its rows — the
-// trailing rows cost nothing. g = 1 degenerates to the classic
-// Run/Fingerprints path bit for bit.
+// trailing rows cost nothing. Every width, g = 1 included, matches the
+// scalar Program.Fingerprints bit for bit.
 //
 // The all-same block: on lanes s < iv = min(k, allSameSpecials) every
 // integer input reads specials[s] whatever its slot, and every kernel op
@@ -250,9 +250,6 @@ func (kn *Kernel) Bind(p *Program, k, g int) {
 // executed since it was made, across every binding: the work measure a
 // caller reads before and after a run.
 func (kn *Kernel) LanesExecuted() uint64 { return kn.lanesRun }
-
-// BatchWidth returns the kernel's γ-batch width g.
-func (kn *Kernel) BatchWidth() int { return kn.g }
 
 // BindRow stages the slot assignment for batch row r (0 <= r < g). The
 // lanes are not filled until the run, which is what lets a partial

@@ -7,11 +7,11 @@ import (
 	"repro/internal/ivl"
 )
 
-// TestKernelBatchRowsMatchScalar: FingerprintsRows over every batch
+// TestKernelRowsMatchScalar: FingerprintsRows over every batch
 // width and fill level must reproduce the scalar reference per row —
 // including partial final batches (rows < g), interleaved with full
 // ones, over programs that exercise memory, calls, and every operator.
-func TestKernelBatchRowsMatchScalar(t *testing.T) {
+func TestKernelRowsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(515151))
 	for trial := 0; trial < 80; trial++ {
 		stmts, inputs := randomKernelStrand(rng, 2+rng.Intn(4), 5+rng.Intn(12))
@@ -21,8 +21,8 @@ func TestKernelBatchRowsMatchScalar(t *testing.T) {
 		}
 		for _, g := range []int{1, 2, 3, 8, 16} {
 			kern := bindKernel(prog, DefaultSamples, g)
-			if kern.BatchWidth() != g {
-				t.Fatalf("BatchWidth = %d, want %d", kern.BatchWidth(), g)
+			if kern.g != g {
+				t.Fatalf("bound width = %d, want %d", kern.g, g)
 			}
 			// Several flushes per kernel: full batches, then a partial
 			// one, exercising prefix reuse and the delta input refill

@@ -41,8 +41,8 @@ type QueryRecord struct {
 	RowsComplete    int64   `json:"rows_complete,omitempty"`
 	KernelMS        float64 `json:"kernel_ms,omitempty"`
 	GammaBatches    int64   `json:"gamma_batches,omitempty"`
-	GammaBatchRows  int64   `json:"gamma_batch_rows,omitempty"`
 	MemoHits        int64   `json:"memo_hits,omitempty"`
+	MemoMisses      int64   `json:"memo_misses,omitempty"`
 	// Shards holds the per-shard fan-out outcomes of a gateway query.
 	Shards []ShardOutcome `json:"shards,omitempty"`
 	// Slow marks records at or above the recorder's threshold; only
@@ -88,10 +88,10 @@ func (rec *QueryRecord) adoptAttrs(attrs map[string]float64) {
 			rec.KernelMS += v / 1e6
 		case "gamma_batches":
 			rec.GammaBatches += int64(v)
-		case "gamma_batch_rows":
-			rec.GammaBatchRows += int64(v)
 		case "memo_hits":
 			rec.MemoHits += int64(v)
+		case "memo_misses":
+			rec.MemoMisses += int64(v)
 		}
 	}
 }

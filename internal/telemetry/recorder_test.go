@@ -140,7 +140,7 @@ func TestFillFromTrace(t *testing.T) {
 			{Name: "vcp", DurationMS: 10, Attrs: map[string]float64{
 				"pairs": 100, "pairs_pruned": 40, "verifier_calls": 30,
 				"cache_hits": 10, "cache_misses": 20, "correspondences": 900,
-				"kernel_nanos": 2.5e6, "lsh_skipped": 15, "memo_hits": 850, "rows_complete": 7,
+				"kernel_nanos": 2.5e6, "lsh_skipped": 15, "memo_hits": 850, "memo_misses": 50, "rows_complete": 7,
 			}},
 			{Name: "score", DurationMS: 0.25},
 		},
@@ -155,7 +155,7 @@ func TestFillFromTrace(t *testing.T) {
 	}
 	if rec.Pairs != 100 || rec.PairsPruned != 40 || rec.VerifierCalls != 30 ||
 		rec.CacheHits != 10 || rec.CacheMisses != 20 || rec.Correspondences != 900 ||
-		rec.PairsSkipped != 15 || rec.KernelMS != 2.5 || rec.MemoHits != 850 || rec.RowsComplete != 7 {
+		rec.PairsSkipped != 15 || rec.KernelMS != 2.5 || rec.MemoHits != 850 || rec.MemoMisses != 50 || rec.RowsComplete != 7 {
 		t.Fatalf("counters wrong: %+v", rec)
 	}
 }

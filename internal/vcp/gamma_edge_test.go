@@ -77,9 +77,9 @@ func TestGammaBatchPartialFlush(t *testing.T) {
 			t.Errorf("G=%d: tried %d γ, want all 6", g, st.Correspondences)
 		}
 		wantBatches := int64((6 + g - 1) / g)
-		if st.Batches != wantBatches || st.BatchRows != 6 {
+		if st.Batches != wantBatches || st.MemoMisses != 6 {
 			t.Errorf("G=%d: %d batches / %d rows, want %d / 6",
-				g, st.Batches, st.BatchRows, wantBatches)
+				g, st.Batches, st.MemoMisses, wantBatches)
 		}
 	}
 }
@@ -100,10 +100,10 @@ func TestGammaBatchEarlyExit(t *testing.T) {
 		if st.Correspondences != 4 {
 			t.Errorf("G=%d: tried %d γ, want 4 (early exit)", g, st.Correspondences)
 		}
-		if st.BatchRows != wantRows[g] {
-			t.Errorf("G=%d: %d batch rows, want %d", g, st.BatchRows, wantRows[g])
+		if st.MemoMisses != wantRows[g] {
+			t.Errorf("G=%d: %d batch rows, want %d", g, st.MemoMisses, wantRows[g])
 		}
-		if extra := st.BatchRows - int64(st.Correspondences); g >= 3 && extra != 2 {
+		if extra := st.MemoMisses - int64(st.Correspondences); g >= 3 && extra != 2 {
 			t.Errorf("G=%d: %d rows discarded after the perfect match, want 2", g, extra)
 		}
 	}
@@ -125,9 +125,9 @@ func TestGammaBatchCapMidBatch(t *testing.T) {
 		if st.Correspondences != 3 {
 			t.Errorf("G=%d: tried %d γ, want the cap (3)", g, st.Correspondences)
 		}
-		if st.Batches != wantBatches[g] || st.BatchRows != 3 {
+		if st.Batches != wantBatches[g] || st.MemoMisses != 3 {
 			t.Errorf("G=%d: %d batches / %d rows, want %d / 3 (no work past the cap)",
-				g, st.Batches, st.BatchRows, wantBatches[g])
+				g, st.Batches, st.MemoMisses, wantBatches[g])
 		}
 	}
 }

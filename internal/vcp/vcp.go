@@ -35,14 +35,14 @@ type Config struct {
 	MaxCorrespondences int
 }
 
-// gammaWidth is the γ-batch width G: the batched kernel accumulates up
+// GammaWidth is the γ-batch width G: the batched kernel accumulates up
 // to G complete correspondences and evaluates them in one kernel run,
 // folding their fingerprint chains interleaved. 8 is wide enough to
 // overlap those chains, narrow enough that a typical pair (a handful of correspondences) still fills
 // most of its final batch. Every width produces byte-identical scores
 // and Correspondences counts (NewReferenceEvaluator is how tests vary
 // it) — batching changes dispatch, not semantics.
-const gammaWidth = 8
+const GammaWidth = 8
 
 // Default returns the configuration used in the paper's experiments.
 func Default() Config {
@@ -287,28 +287,34 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // width 0 times its interpreter calls instead). MemoHits and MemoMisses
 // split the enumeration leaves the batched path buffered by whether the
 // memo already held their fingerprints; only misses reach the kernel.
-// Batches counts kernel flushes (a buffer of nothing but hits runs
-// none), BatchRows the miss rows they carried and BatchSlots the rows
-// they had room for (width × Batches); BatchRows/BatchSlots is the mean
-// occupancy. Leaves buffered past a perfect match or the cap are
-// discarded uncounted, so BatchRows + MemoHits ≥ Correspondences.
-// Leaves counts the correspondences scored against the target and Probes
-// the target fingerprint-set lookups that scoring made (the
-// γ-invariant definitions' once per pair, then one per varying register
-// per leaf); KernelLanes counts the suffix instructions × lanes the
-// kernel executed for the misses. All three are fixed by the pair and
-// the memo's state, not by the machine.
+// Batches counts kernel runs, each over at most width (GammaWidth in
+// production) miss rows; a buffer of nothing but hits runs none, so
+// MemoMisses / (width × Batches) is the mean occupancy. Leaves buffered past a perfect match or
+// the cap are discarded uncounted, so MemoHits + MemoMisses ≥
+// Correspondences. Probes counts the target fingerprint-set lookups that
+// scoring made (the γ-invariant definitions' once per pair, then one per
+// varying register per scored correspondence); KernelLanes counts the
+// suffix instructions × lanes the kernel executed for the misses. Both
+// are fixed by the pair and the memo's state, not by the machine.
 type Stats struct {
 	Correspondences int
 	KernelNanos     int64
 	Batches         int64
-	BatchRows       int64
-	BatchSlots      int64
 	MemoHits        int64
 	MemoMisses      int64
-	Leaves          int64
 	Probes          int64
 	KernelLanes     int64
+}
+
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
+	s.Correspondences += o.Correspondences
+	s.KernelNanos += o.KernelNanos
+	s.Batches += o.Batches
+	s.MemoHits += o.MemoHits
+	s.MemoMisses += o.MemoMisses
+	s.Probes += o.Probes
+	s.KernelLanes += o.KernelLanes
 }
 
 // Compute returns VCP(q, t): the maximal fraction of q's variables with
@@ -375,10 +381,10 @@ type Evaluator struct {
 }
 
 // NewEvaluator prepares a reusable evaluator for the query strand: the
-// batched kernel at gammaWidth behind the strand's memo. Callers must
+// batched kernel at GammaWidth behind the strand's memo. Callers must
 // Close it to return its kernel, if it took one, to smt's pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
-	return NewReferenceEvaluator(q, cfg, gammaWidth)
+	return NewReferenceEvaluator(q, cfg, GammaWidth)
 }
 
 // NewReferenceEvaluator is NewEvaluator at a chosen γ-batch width; width
@@ -511,7 +517,6 @@ func (ev *Evaluator) leaf() {
 		t0 := time.Now()
 		fps := ev.q.prog.Fingerprints(ev.assignment, ev.q.samples)
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
-		ev.st.Leaves++
 		ev.st.Probes += int64(len(fps))
 		matched := 0
 		for _, h := range fps { // per definition: the reference form
@@ -575,8 +580,6 @@ func (ev *Evaluator) flush() {
 		ev.st.KernelNanos += time.Since(t0).Nanoseconds()
 		ev.st.KernelLanes += int64(ev.kern.LanesExecuted() - lanes)
 		ev.st.Batches++
-		ev.st.BatchRows += int64(misses)
-		ev.st.BatchSlots += int64(ev.g)
 		m.add(ev.rows, ev.missIdx, ev.hash, fresh)
 		for r, i := range ev.missIdx {
 			ev.hit[i] = fresh[r*m.nd : (r+1)*m.nd]
@@ -592,7 +595,6 @@ func (ev *Evaluator) flush() {
 			continue
 		}
 		ev.tried++
-		ev.st.Leaves++
 		ev.st.Probes += int64(len(fps))
 		matched := ev.constHits
 		for i, h := range fps {
