@@ -6,7 +6,7 @@
 // Usage:
 //
 //	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
-//	    [-workers 0] [-pathlen 0] [-sigmoid-k 0]
+//	    [-workers 0] [-pathlen 0]
 //	    [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of
@@ -73,11 +73,7 @@ func main() {
 				*loadPath, si.ID, si.Count, si.Generation)
 		}
 	} else {
-		opts, err := engine.Build()
-		if err != nil {
-			fail("%v", err)
-		}
-		db = core.NewDB(opts)
+		db = core.NewDB(engine.Build())
 	}
 	var query *asm.Proc
 

@@ -8,7 +8,7 @@
 //
 //	eshcorpus -describe
 //	eshcorpus -out corpusdir [-scale full] [-patched]
-//	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0] [-sigmoid-k 0]
+//	eshcorpus -save corpus.eshidx [-scale full] [-patched] [-pathlen 0]
 //	eshcorpus -save corpus.eshidx -save-shards 2   # + corpus.eshidx.manifest{,.0,.1}
 //	eshcorpus -save corpus.eshidx -wal corpus.wal  # fold an eshd log in, as eshd replays it
 //
@@ -44,10 +44,7 @@ func main() {
 	walPath := flag.String("wal", "", "with -save: fold this write-ahead log (from eshd -wal) into the snapshot before saving")
 	flag.Parse()
 
-	opts, err := engine.Build()
-	if err != nil {
-		fail("%v", err)
-	}
+	opts := engine.Build()
 
 	// Scales match the experiments package: small = one toolchain per
 	// vendor, medium = five, full = all seven.

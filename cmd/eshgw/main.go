@@ -21,7 +21,7 @@
 // retries nothing, and a negative value is refused at startup.
 //
 // Every shard answer carries its identity — shard coordinates, fleet
-// generation, snapshot checksum, sigmoid k, live-write drift — and one
+// generation, snapshot checksum, live-write drift — and one
 // rule (shard.Manifest.CheckShard) judges it against the manifest: on
 // every query, where a mismatch fails the query with a 500, and at
 // startup over every replica's /v1/stats, where it refuses to start

@@ -112,14 +112,15 @@ func checkRules(t *testing.T, s *liveSurface) {
 		{"missing test", "Pinned by `TestNoSuchGuard`.\n", "TestNoSuchGuard"},
 		{"undeclared identifier", "Built by `sketch.RetrievalIndex`.\n", "sketch.RetrievalIndex"},
 		{"undeclared field", "Set `core.Options.Retrieval`.\n", "core.Options.Retrieval"},
+		{"undeclared nested field", "Read `server.StatsResponse.Engine.Retrieval`.\n", "server.StatsResponse.Retrieval"},
 		{"missing package", "See internal/verifier.\n", "internal/verifier"},
 		{"missing path", "See `internal/sketch/retrieval.go`.\n", "path internal/sketch/retrieval.go"},
 		{"missing file", "Read `BENCH_cluster.json`.\n", "file BENCH_cluster.json"},
 		{"missing directory in the inventory", inventory, "no row for internal/wal"},
 		{"retired name still live", "## 15. Retired surface\n\n| name | kind | why it went | PR |\n|---|---|---|---|\n" +
-			"| `-workers` | flag | never | 1 |\n| `sigmoidk=` | snapshot key | never | 1 |\n", "retired flag -workers is registered"},
-		{"retired snapshot key still read", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `sigmoidk=` | snapshot key | never | 1 |\n",
-			"retired snapshot key sigmoidk= is read or written"},
+			"| `-workers` | flag | never | 1 |\n| `pathlen=` | snapshot key | never | 1 |\n", "retired flag -workers is registered"},
+		{"retired snapshot key still read", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `pathlen=` | snapshot key | never | 1 |\n",
+			"retired snapshot key pathlen= is read or written"},
 		{"retired row of no known kind", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `x` | gadget | never | 1 |\n", `kind "gadget"`},
 	}
 	judge := func(name, want string, r docReport) {
@@ -489,7 +490,7 @@ var (
 	spanRE      = regexp.MustCompile("`([^`]+)`")
 	familyRE    = regexp.MustCompile(`\besh((?:_\{[a-z0-9_,]+\}|_[a-z0-9]+)+)(_?\*)?`)
 	dottedRE    = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/.$\-])\.?([A-Za-z][A-Za-z0-9_]*(?:\.(?:[A-Za-z0-9_]+\*?|\*))+)`)
-	identRE     = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Z][A-Za-z0-9_]*))?`)
+	identRE     = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Z][A-Za-z0-9_]*))*`)
 	testRE      = regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z0-9][A-Za-z0-9_]*\*?)`)
 	internalRE  = regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
 	flagRE      = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=.*)?$`)

@@ -73,22 +73,6 @@ func (m *Machine) WriteMem(addr uint64, w Width, v uint64) {
 	}
 }
 
-// WriteBytes copies b into memory at addr.
-func (m *Machine) WriteBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		m.mem[addr+uint64(i)] = c
-	}
-}
-
-// ReadBytes copies n bytes of memory starting at addr.
-func (m *Machine) ReadBytes(addr uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = m.mem[addr+uint64(i)]
-	}
-	return b
-}
-
 // effAddr computes the effective address of a memory operand.
 func (m *Machine) effAddr(o Operand) uint64 {
 	var a uint64

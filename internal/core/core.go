@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,17 +54,6 @@ type Options struct {
 // DefaultPathMaxBlocks is the engine's bound on the procedures that get
 // §6.6 path strands: those of at most this many basic blocks.
 const DefaultPathMaxBlocks = 12
-
-// CheckSigmoidK holds the sigmoid steepness to the values the engine can
-// score with. A NaN or infinite setting turns every score into a NaN that
-// no reply can encode, so it is refused where a value enters the program:
-// flag parsing, snapshot and manifest decoding.
-func CheckSigmoidK(k float64) error {
-	if !(k >= 0) || math.IsInf(k, 1) {
-		return fmt.Errorf("sigmoid steepness %v: want a finite value >= 0", k)
-	}
-	return nil
-}
 
 // Ceilings for CheckCount on the two VCP counts that size work rather
 // than select behaviour: Samples is the length of every kernel lane vector

@@ -30,8 +30,8 @@ type QueryPartial struct {
 	NumBlocks  int
 	NumStrands int // query strands surviving the size filter
 	// SigmoidK is the engine's Esh steepness override (0 = paper's
-	// k=10): a coordinator must refuse to merge partials computed under
-	// another setting.
+	// k=10), which only the in-process ablation sets: no frame carries
+	// it, so a merged partial scores at the paper's k.
 	SigmoidK float64
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,

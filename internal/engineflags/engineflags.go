@@ -18,16 +18,12 @@ import (
 type Scope int
 
 const (
-	// Index adds the flags that shape an index as it is built and are
-	// fixed in its snapshot afterwards: -pathlen and -sigmoid-k.
+	// Index adds the flag that shapes an index as it is built and is
+	// fixed in its snapshot afterwards: -pathlen.
 	Index Scope = 1 << iota
 	// Query adds -workers, for binaries that answer queries.
 	Query
 )
-
-// indexTime names the Index-scope flags; Load leaves them to the
-// snapshot.
-var indexTime = map[string]bool{"pathlen": true, "sigmoid-k": true}
 
 // Flags is the set of engine flags registered on one FlagSet.
 type Flags struct {
@@ -46,7 +42,6 @@ func Register(fs *flag.FlagSet, scope Scope) *Flags {
 	}
 	if scope&Index != 0 {
 		fs.IntVar(&f.set.PathLen, "pathlen", 0, "when indexing: decompose small procedures over control-flow paths of this many blocks (0 = off)")
-		fs.Float64Var(&f.set.SigmoidK, "sigmoid-k", 0, "when indexing: Esh sigmoid steepness (0 = paper's k=10)")
 	}
 	return f
 }
@@ -59,36 +54,30 @@ func Defaults() core.Options {
 
 // Build returns the options for an index built by this process:
 // Defaults with every explicitly-set flag applied.
-func (f *Flags) Build() (core.Options, error) {
+func (f *Flags) Build() core.Options {
 	return f.apply(Defaults(), false)
 }
 
 // Load returns the options for a snapshot loaded by this process: the
-// snapshot's own with every explicitly-set flag applied, except the
-// index-time ones, which the snapshot fixes (a warning says so). It is
-// an index.Override.
-func (f *Flags) Load(snapshot core.Options) (core.Options, error) {
+// snapshot's own with every explicitly-set flag applied, except
+// -pathlen, which the snapshot fixes (a warning says so). It is an
+// index.Override.
+func (f *Flags) Load(snapshot core.Options) core.Options {
 	return f.apply(snapshot, true)
 }
 
-func (f *Flags) apply(o core.Options, loading bool) (core.Options, error) {
-	var err error
+func (f *Flags) apply(o core.Options, loading bool) core.Options {
 	f.fs.Visit(func(fl *flag.Flag) {
-		if loading && indexTime[fl.Name] {
-			fmt.Fprintf(f.fs.Output(), "warning: -%s is fixed at index time; the snapshot's value applies\n", fl.Name)
-			return
-		}
 		switch fl.Name {
 		case "workers":
 			o.Workers = f.set.Workers
 		case "pathlen":
-			o.PathLen = f.set.PathLen
-		case "sigmoid-k":
-			o.SigmoidK = f.set.SigmoidK
-			if e := core.CheckSigmoidK(o.SigmoidK); e != nil {
-				err = fmt.Errorf("-sigmoid-k: %w", e)
+			if loading {
+				fmt.Fprintf(f.fs.Output(), "warning: -%s is fixed at index time; the snapshot's value applies\n", fl.Name)
+				return
 			}
+			o.PathLen = f.set.PathLen
 		}
 	})
-	return o, err
+	return o
 }

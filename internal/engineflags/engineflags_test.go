@@ -10,14 +10,13 @@ import (
 )
 
 func TestApply(t *testing.T) {
-	snapshot := core.Options{Workers: 4, PathLen: 3, SigmoidK: 7}
+	snapshot := core.Options{Workers: 4, PathLen: 3}
 	for _, tc := range []struct {
-		name    string
-		args    []string
-		load    bool // Load(snapshot) instead of Build()
-		want    core.Options
-		wantErr string
-		warns   string
+		name  string
+		args  []string
+		load  bool // Load(snapshot) instead of Build()
+		want  core.Options
+		warns string
 	}{
 		{name: "fresh build, nothing set: scan",
 			want: core.Options{}},
@@ -28,13 +27,10 @@ func TestApply(t *testing.T) {
 			load: true, want: snapshot},
 		{name: "load, set flags override, explicit zero included",
 			args: []string{"-workers", "0"}, load: true,
-			want: core.Options{PathLen: 3, SigmoidK: 7}},
+			want: core.Options{PathLen: 3}},
 		{name: "load leaves index-time flags to the snapshot",
-			args: []string{"-pathlen", "5", "-sigmoid-k", "2"}, load: true,
+			args: []string{"-pathlen", "5"}, load: true,
 			want: snapshot, warns: "-pathlen is fixed at index time"},
-		{name: "NaN sigmoid k", args: []string{"-sigmoid-k", "NaN"}, wantErr: "-sigmoid-k: "},
-		{name: "infinite sigmoid k", args: []string{"-sigmoid-k", "+Inf"}, wantErr: "-sigmoid-k: "},
-		{name: "negative sigmoid k", args: []string{"-sigmoid-k", "-1"}, wantErr: "-sigmoid-k: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -44,18 +40,9 @@ func TestApply(t *testing.T) {
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.Build()
+			got := f.Build()
 			if tc.load {
-				got, err = f.Load(snapshot)
-			}
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %v, want %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
+				got = f.Load(snapshot)
 			}
 			if got != tc.want {
 				t.Errorf("options %+v\nwant    %+v", got, tc.want)
@@ -70,16 +57,16 @@ func TestApply(t *testing.T) {
 // TestScope: a binary registers only the flags that mean something for
 // it — eshd (Query) cannot set index-time options, eshcorpus (Index)
 // takes no -workers — and the retired axes, -prefilter, -retrieval, the
-// LSH geometry and the heuristic tier's -lsh-min-containment among them,
-// are defined nowhere.
+// LSH geometry, the heuristic tier's -lsh-min-containment and the sigmoid
+// steepness -sigmoid-k among them, are defined nowhere.
 func TestScope(t *testing.T) {
 	for _, tc := range []struct {
 		scope     Scope
 		undefined []string
 	}{
-		{Query, []string{"-pathlen", "-sigmoid-k", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
-		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
-		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment"}},
+		{Query, []string{"-pathlen", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment", "-sigmoid-k"}},
+		{Index, []string{"-workers", "-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment", "-sigmoid-k"}},
+		{Index | Query, []string{"-kernel", "-gamma-batch", "-prefilter", "-retrieval", "-lsh-bands", "-lsh-rows", "-lsh-min-containment", "-sigmoid-k"}},
 	} {
 		for _, name := range tc.undefined {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -434,7 +434,6 @@ func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 				ShardCount:     st.Snapshot.ShardCount,
 				Generation:     st.Snapshot.Generation,
 				Checksum:       st.Snapshot.Checksum,
-				SigmoidK:       st.Engine.SigmoidK,
 				DataGeneration: st.Writes.Generation,
 				PendingWrites:  st.Writes.PendingWrites,
 			}); err != nil {

@@ -566,8 +566,8 @@ func skewedShard(t *testing.T, real string, wireVersion int, partialBody []byte)
 }
 
 // TestGatewayWireVersionSkew covers a shard of another build on a fan-out
-// leg: a JSON body (what eshd replied before frames), a frame of the
-// previous version and one of an unknown version each fail that leg only, with an error naming both
+// leg: a JSON body (what eshd replied before frames), a frame of an
+// earlier version and one of an unknown version each fail that leg only, with an error naming both
 // versions — so the query falls through to a healthy replica, or
 // degrades to partial when there is none — and CheckFleet reports the
 // replica at startup.
@@ -579,9 +579,12 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(future[4:], shard.WireVersion+1)
-	// Version 4 frames carried the retired heuristic tier's min containment.
+	// Version 4 frames carried the retired heuristic tier's min
+	// containment, version 5 frames the sigmoid steepness.
 	v4 := append([]byte(nil), future...)
 	binary.LittleEndian.PutUint32(v4[4:], 4)
+	v5 := append([]byte(nil), future...)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
 
 	for name, tc := range map[string]struct {
 		version int
@@ -591,6 +594,7 @@ func TestGatewayWireVersionSkew(t *testing.T) {
 		"json body":       {0, oldJSON, "not a frame"},
 		"unknown version": {shard.WireVersion + 1, future, fmt.Sprintf("wire version %d, want %d", shard.WireVersion+1, shard.WireVersion)},
 		"version 4":       {4, v4, fmt.Sprintf("wire version 4, want %d", shard.WireVersion)},
+		"version 5":       {5, v5, fmt.Sprintf("wire version 5, want %d", shard.WireVersion)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			// Alone on shard 1: the leg fails, the query degrades.

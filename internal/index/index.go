@@ -28,6 +28,7 @@ import (
 	"repro/internal/ivl"
 	"repro/internal/recfile"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/strand"
 	"repro/internal/telemetry"
 	"repro/internal/vcp"
@@ -50,7 +51,7 @@ const (
 // engine is built from them (core.FromExport) — how a binary's
 // explicitly-set flags reach a loaded database. Nil keeps the
 // snapshot's options.
-type Override func(core.Options) (core.Options, error)
+type Override func(core.Options) core.Options
 
 // Info identifies one snapshot: the format version, body size, body
 // checksum, and the shard identity baked into it. The checksum is what
@@ -83,8 +84,8 @@ var (
 func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
 	// An engine the ablation built in process at a retired setting no load
 	// admits would reload answering differently: refuse it, writing nothing.
-	held := [...]float64{ex.Opts.VCP.SizeRatio, float64(ex.Opts.PathMaxBlocks)}
-	for i, key := range [...]string{"vcpsizeratio", "pathmaxblocks"} {
+	held := [...]float64{ex.Opts.SigmoidK, ex.Opts.VCP.SizeRatio, float64(ex.Opts.PathMaxBlocks)}
+	for i, key := range [...]string{"sigmoidk", "vcpsizeratio", "pathmaxblocks"} {
 		if rk := retiredKeys[key]; !slices.Contains(rk.loads, held[i]) {
 			return Info{}, fmt.Errorf("index: cannot save %s=%g: %s", key, held[i], rk.why)
 		}
@@ -141,9 +142,7 @@ func LoadInfoCtx(ctx context.Context, r io.Reader, override Override) (*core.DB,
 	sp.SetAttr("strands", float64(len(ex.Strands)))
 	sp.SetAttr("targets", float64(len(ex.Targets)))
 	if override != nil {
-		if ex.Opts, err = override(ex.Opts); err != nil {
-			return nil, Info{}, fmt.Errorf("index: %w", err)
-		}
+		ex.Opts = override(ex.Opts)
 	}
 
 	// FromExport compiles every strand once for its fingerprints — usually
@@ -222,8 +221,8 @@ func encodeBody(ex *core.Export) []byte {
 	var b bytes.Buffer
 	o := ex.Opts
 	// No retired key (retiredKeys) is written, workers= among them.
-	fmt.Fprintf(&b, "options sigmoidk=%s pathlen=%d vcpsamples=%d vcpminvars=%d vcpmaxcorr=%d\n",
-		recfile.Float(o.SigmoidK), o.PathLen, o.VCP.Samples, o.VCP.MinVars, o.VCP.MaxCorrespondences)
+	fmt.Fprintf(&b, "options pathlen=%d vcpsamples=%d vcpminvars=%d vcpmaxcorr=%d\n",
+		o.PathLen, o.VCP.Samples, o.VCP.MinVars, o.VCP.MaxCorrespondences)
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -435,6 +434,8 @@ var retiredKeys = map[string]struct {
 		"the §5.5 size window (VCP.SizeRatio) is retired as an option: a snapshot holds the engine's %g", vcp.Default().SizeRatio)},
 	"pathmaxblocks": {[]float64{0, core.DefaultPathMaxBlocks}, fmt.Sprintf(
 		"the path-strand block limit (PathMaxBlocks) is retired as an option: a snapshot holds the engine's %d", core.DefaultPathMaxBlocks)},
+	"sigmoidk": {[]float64{0, stats.DefaultSigmoidK}, fmt.Sprintf(
+		"the sigmoid steepness (SigmoidK) is retired as an option: a snapshot holds the paper's k = %g", stats.DefaultSigmoidK)},
 }
 
 func (d *decoder) decodeOptions(ex *core.Export) error {
@@ -448,23 +449,12 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			return d.Errf("bad option %q", kv)
 		}
 		var ierr error
-		atof := func() float64 {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				ierr = err
-			}
-			return f
-		}
 		count := func(dst *int, ceiling int) {
 			if *dst, ierr = strconv.Atoi(val); ierr == nil {
 				ierr = core.CheckCount(*dst, ceiling)
 			}
 		}
 		switch key {
-		case "sigmoidk":
-			if ex.Opts.SigmoidK = atof(); ierr == nil {
-				ierr = core.CheckSigmoidK(ex.Opts.SigmoidK)
-			}
 		case "pathlen":
 			count(&ex.Opts.PathLen, math.MaxInt)
 		case "vcpsamples":
@@ -478,7 +468,8 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			// invalidate old readers within a format version; a retired
 			// key loads at the values its table entry admits.
 			if rk, ok := retiredKeys[key]; ok && rk.loads != nil {
-				if v := atof(); ierr == nil && !slices.Contains(rk.loads, v) {
+				var v float64
+				if v, ierr = strconv.ParseFloat(val, 64); ierr == nil && !slices.Contains(rk.loads, v) {
 					ierr = errors.New(rk.why)
 				}
 			}

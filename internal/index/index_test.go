@@ -167,10 +167,9 @@ func TestRoundTripStable(t *testing.T) {
 
 func TestOptionsPersist(t *testing.T) {
 	db := core.NewDB(core.Options{
-		VCP:      vcp.Config{MinVars: 3},
-		SigmoidK: 7.5,
-		PathLen:  2,
-		Workers:  runtime.GOMAXPROCS(0) + 3,
+		VCP:     vcp.Config{MinVars: 3},
+		PathLen: 2,
+		Workers: runtime.GOMAXPROCS(0) + 3,
 	})
 	if err := db.AddTarget(parse(t, iccStyle)); err != nil {
 		t.Fatal(err)
@@ -181,8 +180,7 @@ func TestOptionsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, want := db2.Options(), db.Options()
-	if got.SigmoidK != want.SigmoidK || got.PathLen != want.PathLen ||
-		got.VCP.MinVars != want.VCP.MinVars {
+	if got.PathLen != want.PathLen || got.VCP.MinVars != want.VCP.MinVars {
 		t.Fatalf("options %+v, want %+v", got, want)
 	}
 	// Workers is the loading process's to choose: the build host's value
@@ -190,9 +188,9 @@ func TestOptionsPersist(t *testing.T) {
 	if bytes.Contains(snap, []byte("workers=")) || got.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("build host's workers leaked into the snapshot: loaded Workers = %d", got.Workers)
 	}
-	db3, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), func(o core.Options) (core.Options, error) {
+	db3, _, err := LoadInfoCtx(context.Background(), bytes.NewReader(snap), func(o core.Options) core.Options {
 		o.Workers = 3
-		return o, nil
+		return o
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +221,7 @@ func rewrite(t *testing.T, snap []byte, version int, edit func(ln string) string
 // TestRetiredOptionKeys: a snapshot that carries a key of retiredKeys
 // keeps loading at every value the table admits — any value of a key such
 // as workers= or kernel=, 0 or the engine's own value of lshmincont=,
-// vcpsizeratio= and pathmaxblocks= (others are refused:
+// vcpsizeratio=, pathmaxblocks= and sigmoidk= (others are refused:
 // TestBadBodyRejected) — answers identically, and re-saves without it.
 // The row cache's bound is no longer the file's to set: a database loaded
 // from cachepairs=7 serves under the constant.
@@ -244,7 +242,7 @@ func TestRetiredOptionKeys(t *testing.T) {
 	type retiredCase struct{ keys, sketch string }
 	cases := []retiredCase{
 		{"retrieval=probe lshbands=12 lshrows=6", fmt.Sprintf("sketch %d 12 6", db.NumUniqueStrands())},
-		{"vcpsizeratio=0.5 pathmaxblocks=12", sketchRecord},
+		{"sigmoidk=0 vcpsizeratio=0.5 pathmaxblocks=12", sketchRecord},
 	}
 	for key, rk := range retiredKeys {
 		vals := []string{written[key]}
@@ -281,22 +279,21 @@ func TestRetiredOptionKeys(t *testing.T) {
 	}
 }
 
-// TestBadBodyRejected: a float option the engine cannot score with (a
-// NaN or an infinity, which would turn every reply into one nothing can
-// encode) must not load, nor a retired setting off the engine's own value
-// (it would silently change every answer), a
-// negative count or a count above its ceiling; a snapshot without per-target multiplicities
-// must not be read as all-ones, and a section count no body could hold
-// must be refused before anything is allocated for it; like a malformed
-// value, each fails with its line.
+// TestBadBodyRejected: a retired setting off the engine's own value (it
+// would silently change every answer; a NaN or an infinity among them),
+// a negative count or a count above its ceiling must not load; a snapshot
+// without per-target multiplicities must not be read as all-ones, and a
+// section count no body could hold must be refused before anything is
+// allocated for it; like a malformed value, each fails with its line.
 func TestBadBodyRejected(t *testing.T) {
 	db := buildDB(t)
 	snap := saveBytes(t, db)
 	lineError := regexp.MustCompile(`^index: line \d+: `)
 	for _, tc := range []struct{ from, to, want string }{
-		{"sigmoidk=0", "sigmoidk=NaN", `line 1: bad option value "sigmoidk=NaN"`},
-		{"sigmoidk=0", "sigmoidk=+Inf", `line 1: bad option value "sigmoidk=+Inf"`},
-		{"sigmoidk=0", "sigmoidk=-1", `line 1: bad option value "sigmoidk=-1"`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 sigmoidk=NaN", `line 1: bad option value "sigmoidk=NaN": the sigmoid steepness (SigmoidK) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 sigmoidk=+Inf", `line 1: bad option value "sigmoidk=+Inf": the sigmoid steepness (SigmoidK) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 sigmoidk=-1", `line 1: bad option value "sigmoidk=-1": the sigmoid steepness (SigmoidK) is retired`},
+		{"vcpmaxcorr=0", "vcpmaxcorr=0 sigmoidk=7", `line 1: bad option value "sigmoidk=7": the sigmoid steepness (SigmoidK) is retired`},
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=x", `line 1: bad option value "lshmincont=x"`},
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=0.45", `line 1: bad option value "lshmincont=0.45": the heuristic candidate tier is retired`},
 		{"vcpmaxcorr=0", "vcpmaxcorr=0 lshmincont=NaN", `line 1: bad option value "lshmincont=NaN"`},

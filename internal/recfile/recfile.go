@@ -72,9 +72,6 @@ func Read(r io.Reader, magic string, version int, name string) ([]byte, string, 
 	return body, sumHex, nil
 }
 
-// Float formats f the way bodies store floats: shortest exact form.
-func Float(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
 // WriteIntList appends the record `<tag> <n> <v1> … <vn>` that
 // Reader.IntList reads.
 func WriteIntList(b *bytes.Buffer, tag string, vals []int) {

@@ -676,7 +676,6 @@ type StatsResponse struct {
 		PairsPruned             uint64             `json:"pairs_pruned"`
 		VerifierCalls           uint64             `json:"verifier_calls"`
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
-		SigmoidK                float64            `json:"sigmoid_k"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
 		KernelPrefixInstrs      uint64             `json:"kernel_prefix_instrs"`
 		KernelInstrs            uint64             `json:"kernel_instrs"`
@@ -749,7 +748,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
 	resp.Engine.VerifierCalls = dbs.VerifierCalls
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
-	resp.Engine.SigmoidK = s.db.Options().SigmoidK
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9
 	resp.Engine.KernelPrefixInstrs = dbs.KernelPrefixInstrs
 	resp.Engine.KernelInstrs = dbs.KernelInstrs

@@ -16,7 +16,7 @@ import (
 // gateway and its shards must agree on it exactly; there is no
 // negotiation (the endpoint is internal to a fleet, which is deployed
 // as one build).
-const WireVersion = 5
+const WireVersion = 6
 
 // frameMagic opens every frame. Its first byte is not '{', so a JSON
 // body from a pre-frame shard is told apart without parsing it.
@@ -32,7 +32,7 @@ const frameMagic = "eshp"
 //	magic "eshp" | uint32 wire version
 //	uint32 shard id | uint32 shard count
 //	uint64 data generation | uint64 pending writes
-//	uint32 query blocks | uint32 query strands | float64 sigmoid k
+//	uint32 query blocks | uint32 query strands
 //	uint32 nq (unique query strands) | uint32 nt (targets)
 //	string generation | string checksum | string request id | string query name | provenance
 //	nq float64 weights
@@ -66,7 +66,7 @@ func (e *WireVersionError) Error() string {
 }
 
 // frameFixedLen is the magic, the version and the scalar header.
-const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 4
+const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4
 
 // h0EntryLen is one histogram entry: a VCP and its multiplicity.
 const h0EntryLen = 8 + 8
@@ -127,7 +127,6 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = le.AppendUint64(dst, uint64(p.PendingWrites))
 	dst = le.AppendUint32(dst, uint32(p.NumBlocks))
 	dst = le.AppendUint32(dst, uint32(p.NumStrands))
-	dst = le.AppendUint64(dst, math.Float64bits(p.SigmoidK))
 	dst = le.AppendUint32(dst, uint32(nq))
 	dst = le.AppendUint32(dst, uint32(nt))
 	dst = appendString(dst, p.Shard.Generation)
@@ -233,7 +232,6 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 	p.PendingWrites = int(pending)
 	p.NumBlocks = int(r.u32())
 	p.NumStrands = int(r.u32())
-	p.SigmoidK = math.Float64frombits(r.u64())
 	nq, nt := uint64(r.u32()), uint64(r.u32())
 
 	f := &Frame{Partial: p}

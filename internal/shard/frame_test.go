@@ -109,11 +109,8 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		t.Fatalf("envelope: request id %q/%q, trace %q/%q", got.RequestID, want.RequestID, got.Trace, want.Trace)
 	}
 	w, g := want.Partial, got.Partial
-	wi, gi := w.Identity(), g.Identity()
-	wi.SigmoidK, gi.SigmoidK = 0, 0
-	if wi != gi || !sameBits(w.SigmoidK, g.SigmoidK) ||
-		w.QueryName != g.QueryName || w.Source != g.Source || w.NumBlocks != g.NumBlocks ||
-		w.NumStrands != g.NumStrands {
+	if w.Identity() != g.Identity() || w.QueryName != g.QueryName || w.Source != g.Source ||
+		w.NumBlocks != g.NumBlocks || w.NumStrands != g.NumStrands {
 		t.Fatalf("header differs:\nwant %+v\ngot  %+v", w, g)
 	}
 	sameFloats := func(what string, a, b []float64) {
@@ -202,7 +199,7 @@ func TestFrameFloatBits(t *testing.T) {
 	}
 	p := &Partial{
 		QueryPartial: core.QueryPartial{
-			SigmoidK: specials[1], DataGeneration: math.MaxUint64, PendingWrites: 3,
+			DataGeneration: math.MaxUint64, PendingWrites: 3,
 			QueryName: "q",
 			Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
 			Weights:   specials,
@@ -268,11 +265,12 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 // WireVersionError that names the version this build reads. Version 1
 // frames carried a per-target S-VCP lane, version 2 frames no checksum
 // and no tier, version 3 frames dense VCP rows instead of H0 histograms,
-// version 4 frames the retired heuristic tier's min containment; a shard
-// of any of these builds must be refused, not misread.
+// version 4 frames the retired heuristic tier's min containment, version
+// 5 frames the sigmoid steepness; a shard of any of these builds must be
+// refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
-	if WireVersion != 5 {
-		t.Fatalf("WireVersion = %d, want 5", WireVersion)
+	if WireVersion != 6 {
+		t.Fatalf("WireVersion = %d, want 6", WireVersion)
 	}
 	frame := corpusFrames(t)[0]
 	version := func(v uint32) []byte {
@@ -291,6 +289,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"version 2":      {version(2), false, 2},
 		"version 3":      {version(3), false, 3},
 		"version 4":      {version(4), false, 4},
+		"version 5":      {version(5), false, 5},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body, nil)
@@ -301,7 +300,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 5") && !strings.Contains(err.Error(), "want 5") {
+		if !strings.Contains(err.Error(), "want wire version 6") && !strings.Contains(err.Error(), "want 6") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -19,14 +18,13 @@ import (
 // like a snapshot.
 const (
 	ManifestMagic   = "eshmani"
-	ManifestVersion = 2
+	ManifestVersion = 3
 )
 
 // WriteManifest encodes the manifest to w.
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s\n", recfile.Float(m.SigmoidK))
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "shards %d\n", len(m.Shards))
 	for id, se := range m.Shards {
@@ -82,26 +80,6 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		return nil, r.Errf("malformed generation record")
 	}
 	m.Generation = toks[0]
-
-	toks, err = r.Record("opts", 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, kv := range toks {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, r.Errf("bad option %q", kv)
-		}
-		switch key {
-		case "sigmoidk":
-			if m.SigmoidK, err = strconv.ParseFloat(val, 64); err == nil {
-				err = core.CheckSigmoidK(m.SigmoidK)
-			}
-		}
-		if err != nil {
-			return nil, r.Errf("bad option %q: %v", kv, err)
-		}
-	}
 
 	toks, err = r.Record("targets", 1)
 	if err != nil {

@@ -26,17 +26,14 @@ func framed(magic string, version int, body []byte) []byte {
 func TestManifestBadBodyRejected(t *testing.T) {
 	lineError := regexp.MustCompile(`^shard: manifest: line \d+: `)
 	for _, tc := range []struct{ body, want string }{
-		{"generation \"x\"\nopts\ntargets\n", `line 3: "targets" record has 0 fields, want at least 1`},
-		{"generation \"x\"\nopts\ntargets 1\nshards\n", `line 4: "shards" record has 0 fields, want at least 1`},
-		{"generation \"x\"\nopts\ntargets 0\nshards 1000000000000000\n", "line 4: shard count 1000000000000000 exceeds the 0 lines left"},
-		// A version 1 body under a version 2 header: the union counts and
-		// the strand maps are not records of this format.
-		{"generation \"x\"\nopts\ntargets 1\ncounts 1\nshards 1\nshard 0 \"f\" \"c\"\nst 0\nss 0\n", `line 4: expected "shards" record, got "counts 1"`},
-		// A float option the engine cannot score with: a NaN also never
-		// equals a replica's value, so every fleet check would fail on it.
-		{"generation \"x\"\nopts sigmoidk=NaN\n", `line 2: bad option "sigmoidk=NaN"`},
-		{"generation \"x\"\nopts sigmoidk=+Inf\n", `line 2: bad option "sigmoidk=+Inf"`},
-		{"generation \"x\"\nopts sigmoidk=-1\n", `line 2: bad option "sigmoidk=-1"`},
+		{"generation \"x\"\ntargets\n", `line 2: "targets" record has 0 fields, want at least 1`},
+		{"generation \"x\"\ntargets 1\nshards\n", `line 3: "shards" record has 0 fields, want at least 1`},
+		{"generation \"x\"\ntargets 0\nshards 1000000000000000\n", "line 3: shard count 1000000000000000 exceeds the 0 lines left"},
+		// A version 1 body under this version's header: the union counts
+		// and the strand maps are not records of this format.
+		{"generation \"x\"\ntargets 1\ncounts 1\nshards 1\nshard 0 \"f\" \"c\"\nst 0\nss 0\n", `line 3: expected "shards" record, got "counts 1"`},
+		// Nor is a version 2 body's opts record.
+		{"generation \"x\"\nopts sigmoidk=0\ntargets 0\nshards 1\nshard 0 \"f\" \"c\"\nst 0\n", `line 2: expected "targets" record, got "opts sigmoidk=0"`},
 	} {
 		_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(tc.body))))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {
@@ -44,7 +41,7 @@ func TestManifestBadBodyRejected(t *testing.T) {
 		}
 	}
 	// A target count nothing lists is refused without allocating for it.
-	huge := "generation \"x\"\nopts\ntargets 1000000000000000\nshards 1\nshard 0 \"f\" \"c\"\nst 1 0\n"
+	huge := "generation \"x\"\ntargets 1000000000000000\nshards 1\nshard 0 \"f\" \"c\"\nst 1 0\n"
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(huge))))
@@ -68,7 +65,7 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Fatal(err)
 	}
 	files := [][]byte{snap.Bytes()}
-	// Version 2 manifests: the corpus split two ways, and four ways (some
+	// Manifests: the corpus split two ways, and four ways (some
 	// shard then holds no target, an empty "st" list).
 	for _, n := range []int{2, 4} {
 		m, _, err := Split(ex, n)

@@ -23,15 +23,14 @@ type Partial struct {
 }
 
 // Identity is what a shard's answer says about where it came from: its
-// fleet slot, the snapshot and engine settings it was computed under, and
+// fleet slot, the snapshot it was computed under, and
 // how far live writes have moved its corpus since the split.
 type Identity struct {
 	ShardID    int    `json:"shard_id"`
 	ShardCount int    `json:"shard_count"`
 	Generation string `json:"generation"`
 	// Checksum is the served snapshot's; "" if the shard loaded no file.
-	Checksum string  `json:"checksum,omitempty"`
-	SigmoidK float64 `json:"sigmoid_k"`
+	Checksum string `json:"checksum,omitempty"`
 	// DataGeneration (compactions) and PendingWrites (uncompacted live
 	// writes) are nonzero once the corpus left the split's snapshot.
 	DataGeneration uint64 `json:"data_generation,omitempty"`
@@ -45,7 +44,6 @@ func (p *Partial) Identity() Identity {
 		ShardCount:     p.Shard.Count,
 		Generation:     p.Shard.Generation,
 		Checksum:       p.Checksum,
-		SigmoidK:       p.SigmoidK,
 		DataGeneration: p.DataGeneration,
 		PendingWrites:  p.PendingWrites,
 	}

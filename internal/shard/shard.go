@@ -37,11 +37,6 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK records the engine option the corpus was built with. It
-	// affects scores, so CheckShard refuses shards reporting another
-	// value. Readers ignore unknown opts keys, so a manifest that still
-	// says prefilter=, retrieval= or lshmincont= loads.
-	SigmoidK float64
 	// NumTargets is the union corpus's target count; global target
 	// indices below index into that order (the corpus build order, which
 	// is also the single-node pre-sort result order).
@@ -63,8 +58,8 @@ type ShardEntry struct {
 // the manifest: an answer from a shard reporting id may enter a merge as
 // shard sid only if id names that slot of this split, no live write has
 // moved its corpus, its snapshot is the one named here (unless either
-// checksum is unknown), and it scored at the manifest's sigmoid k. The
-// error names the shard and each field that differs, both values.
+// checksum is unknown). The error names the shard and each field that
+// differs, both values.
 func (m *Manifest) CheckShard(sid int, id Identity) error {
 	if sid < 0 || sid >= len(m.Shards) {
 		return fmt.Errorf("shard %d: out of range [0,%d)", sid, len(m.Shards))
@@ -82,9 +77,6 @@ func (m *Manifest) CheckShard(sid int, id Identity) error {
 	}
 	if want := m.Shards[sid].Checksum; id.Checksum != "" && want != "" && id.Checksum != want {
 		differs("snapshot checksum %.12s…, manifest says %.12s…", id.Checksum, want)
-	}
-	if id.SigmoidK != m.SigmoidK {
-		differs("sigmoid k %g, manifest says %g", id.SigmoidK, m.SigmoidK)
 	}
 	if bad == nil {
 		return nil
@@ -135,7 +127,6 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	}
 
 	man := &Manifest{
-		SigmoidK:   ex.Opts.SigmoidK,
 		NumTargets: len(ex.Targets),
 		Shards:     make([]ShardEntry, n),
 	}

@@ -344,8 +344,7 @@ func TestMergeMissingShard(t *testing.T) {
 
 // TestMergeRejectsMixedFleet: Merge judges every partial by
 // Manifest.CheckShard, so a partial computed from
-// another snapshot, on a drifted corpus, at another sigmoid k or in
-// another fleet fails the merge with an error naming the shard, the field
+// another snapshot, on a drifted corpus or in another fleet fails the merge with an error naming the shard, the field
 // and both values. A checksum nobody knows (an in-memory shard, or a
 // manifest without one) is not compared.
 func TestMergeRejectsMixedFleet(t *testing.T) {
@@ -384,13 +383,12 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 		{"its own snapshot", func(p *Partial) { p.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
 		{"drifted", func(p *Partial) { p.DataGeneration, p.PendingWrites = 1, 2 },
 			"shard 1: drifted from its snapshot (data generation 1, 2 pending writes), re-split the corpus"},
-		{"other sigmoid k", func(p *Partial) { p.SigmoidK = 7 }, "shard 1: sigmoid k 7, manifest says 0"},
 		{"other generation", func(p *Partial) { p.Shard.Generation = "deadbeef" },
 			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
 		{"other fleet size", func(p *Partial) { p.Shard.Count = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
 		{"no such shard", func(p *Partial) { p.Shard.ID = 2 }, "shard 2: out of range [0,2)"},
-		{"two fields", func(p *Partial) { p.Checksum, p.SigmoidK = "cccccccccccccccc", 7 },
-			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…; sigmoid k 7, manifest says 0"},
+		{"two fields", func(p *Partial) { p.Checksum, p.Shard.Generation = "cccccccccccccccc", "deadbeef" },
+			fmt.Sprintf("shard 1: generation %q, manifest says %q; snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…", "deadbeef", man.Generation)},
 	} {
 		parts := partials()
 		tc.id(parts[1])
@@ -444,25 +442,16 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
 	}
-	// A manifest written while kernel=, prefilter=, retrieval= or
-	// lshmincont= were still option keys loads to the same value, so a
-	// gateway reading it checks and merges exactly as it does under this
-	// build's manifest. A heuristic shard's lshmincont= is ignored too: its
-	// snapshot is refused at load.
-	reopts := func(from, to string) []byte {
-		_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-		return framed(ManifestMagic, ManifestVersion, bytes.Replace(body, []byte(from), []byte(to), 1))
-	}
-	for _, keys := range []string{"kernel=batch prefilter=off", "retrieval=probe", "lshmincont=0", "lshmincont=0.45"} {
-		if old, err := ReadManifest(bytes.NewReader(reopts("\ntargets ", " "+keys+"\ntargets "))); err != nil || !reflect.DeepEqual(man, old) {
-			t.Fatalf("manifest with retired %s: %v\nwant %+v\ngot  %+v", keys, err, man, old)
-		}
-	}
-	// A version 1 manifest (union counts and strand maps) is refused like
-	// an old snapshot: the fleet is re-split, not read.
+	// A manifest of an earlier version — version 1 (union counts and
+	// strand maps), version 2 (an opts record) — is refused like an old
+	// snapshot: the fleet is re-split, not read.
 	_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-	if _, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, 1, body))); err == nil || !strings.Contains(err.Error(), "unsupported format version 1 (have 2)") {
-		t.Fatalf("version 1 manifest: error %v", err)
+	v2 := bytes.Replace(body, []byte("\ntargets "), []byte("\nopts sigmoidk=0\ntargets "), 1)
+	for v, b := range map[int][]byte{1: body, 2: v2} {
+		want := fmt.Sprintf("unsupported format version %d (have 3)", v)
+		if _, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, v, b))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d manifest: error %v, want %q", v, err, want)
+		}
 	}
 	// Corruption must be detected.
 	raw := buf.Bytes()

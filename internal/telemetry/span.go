@@ -44,12 +44,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // End marks the span finished and returns its duration. Calling End
 // twice keeps the first end time.
 func (s *Span) End() time.Duration {
