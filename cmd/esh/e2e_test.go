@@ -18,9 +18,9 @@ import (
 // golden deliberately (UPDATE_GOLDEN=1 go test ./cmd/esh) when one is
 // intended. The tail pins the flag surface: -method svcp and the retired
 // -prefilter are usage errors, the retired -kernel/-gamma-batch,
-// -retrieval and -lsh-bands/-lsh-rows are undefined, an unset engine flag
-// keeps the loaded snapshot's setting, and a threshold the engine cannot
-// score with is refused.
+// -retrieval, -lsh-bands/-lsh-rows and -lsh-min-containment are
+// undefined, and an engine flag a snapshot could not carry is refused
+// before anything is written.
 func TestCLIGoldenQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and indexes a corpus")
@@ -112,5 +112,17 @@ func TestCLIGoldenQuery(t *testing.T) {
 				t.Errorf("%s %s: err %v, output %q; want an undefined-flag failure", filepath.Base(bin), flag, err, out)
 			}
 		}
+	}
+
+	// A path length the snapshot codec refuses on load is refused as the
+	// flag is parsed: a usage error, and no snapshot is written.
+	neg := filepath.Join(dir, "neg.eshidx")
+	negSave := exec.Command(corpusBin, "-scale", "small", "-synth", "0", "-pathlen", "-1", "-save", neg)
+	if out, err := negSave.CombinedOutput(); negSave.ProcessState == nil || negSave.ProcessState.ExitCode() != 2 ||
+		!strings.Contains(string(out), `invalid value "-1" for flag -pathlen: count -1: want a value >= 0`) {
+		t.Errorf("eshcorpus -pathlen -1: err %v, output %q; want a usage error", err, out)
+	}
+	if _, err := os.Stat(neg); !os.IsNotExist(err) {
+		t.Errorf("eshcorpus -pathlen -1 left %s behind (stat: %v)", neg, err)
 	}
 }

@@ -35,9 +35,6 @@ type Options struct {
 	// Workers bounds query and load parallelism; 0 selects GOMAXPROCS.
 	// It is a deployment setting: snapshots do not carry it.
 	Workers int
-	// SigmoidK overrides the Esh sigmoid steepness (0 = paper's k=10);
-	// it exists for the k-ablation experiment.
-	SigmoidK float64
 	// PathLen, when >= 2, additionally decomposes procedures with at
 	// most PathMaxBlocks basic blocks into strands over control-flow
 	// paths of PathLen blocks — the paper's §6.6 mitigation for small

@@ -42,12 +42,8 @@ func eachTable1Partial(t *testing.T, fn func(v testcorpus.Vuln, qp *QueryPartial
 // h0FreeKey is a target's GES without its H0 sum, Σᵢ wᵢ log max(σ(MaxVCPᵢ), ε),
 // and the summed magnitudes of its terms.
 func h0FreeKey(qp *QueryPartial, ps PartialScore) (key, mag float64) {
-	k := qp.SigmoidK
-	if k == 0 {
-		k = stats.DefaultSigmoidK
-	}
 	for i, v := range ps.MaxVCP {
-		l := math.Log(math.Max(stats.SigmoidWithK(v, k), stats.Epsilon))
+		l := math.Log(math.Max(stats.Sigmoid(v), stats.Epsilon))
 		key += qp.Weights[i] * l
 		mag += qp.Weights[i] * math.Abs(l)
 	}
@@ -76,7 +72,7 @@ func TestH0ShiftsEveryTargetAlike(t *testing.T) {
 		}
 		shift, shiftMag := 0.0, 0.0 // −Σᵢ wᵢ log max(H0ᵢ, ε) and its terms' magnitudes
 		for i, w := range qp.Weights {
-			l := math.Log(math.Max(qp.H0[i].Evidence(w, qp.SigmoidK).H0Esh, stats.Epsilon))
+			l := math.Log(math.Max(qp.H0[i].Evidence(w, stats.DefaultSigmoidK).H0Esh, stats.Epsilon))
 			shift -= w * l
 			shiftMag += w * math.Abs(l)
 		}

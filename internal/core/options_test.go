@@ -7,44 +7,8 @@ import (
 	"repro/internal/vcp"
 )
 
-// Additional engine-level behaviours: the sigmoid-k option, cache
-// coherence across repeated and interleaved queries, and ranking.
-
-func TestSigmoidKChangesEshOnly(t *testing.T) {
-	build := func(k float64) *Report {
-		db := NewDB(Options{VCP: vcp.Config{MinVars: 3}, SigmoidK: k})
-		for _, src := range []string{iccStyle, unrelated} {
-			if err := db.AddTarget(parse(t, src)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep, err := db.Query(parse(t, gccStyle))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	r10 := build(0) // default k = 10
-	r2 := build(2)
-	for i := range r10.Results {
-		// S-LOG ignores the sigmoid entirely.
-		var match *TargetScore
-		for j := range r2.Results {
-			if r2.Results[j].Target.Name == r10.Results[i].Target.Name {
-				match = &r2.Results[j]
-			}
-		}
-		if match == nil {
-			t.Fatal("target sets differ")
-		}
-		if match.SLOG != r10.Results[i].SLOG {
-			t.Error("S-LOG score changed with k")
-		}
-		if match.GES == r10.Results[i].GES {
-			t.Errorf("GES of %s identical under k=2 and k=10", match.Target.Name)
-		}
-	}
-}
+// Additional engine-level behaviours: cache coherence across repeated
+// and interleaved queries, and ranking.
 
 func TestCacheCoherentAcrossQueries(t *testing.T) {
 	db := buildDB(t)

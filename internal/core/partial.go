@@ -29,10 +29,6 @@ type QueryPartial struct {
 	Source     asm.Provenance
 	NumBlocks  int
 	NumStrands int // query strands surviving the size filter
-	// SigmoidK is the engine's Esh steepness override (0 = paper's
-	// k=10), which only the in-process ablation sets: no frame carries
-	// it, so a merged partial scores at the paper's k.
-	SigmoidK float64
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,
 	// which depends only on the query text — all databases handed the
@@ -99,14 +95,15 @@ type PartialScore struct {
 }
 
 // Finalize turns the partial into a ranked Report: each strand's H0
-// evidence from its histogram, then GES per method (§3.4). It is a pure
-// function of qp, so a single node and a coordinator that merged the
-// same histograms and targets produce bit-identical scores and rankings.
-// The report's Results come from a pool: see Report.Release.
+// evidence from its histogram at the paper's sigmoid k, then GES per
+// method (§3.4). It is a pure function of qp, so a single node and a
+// coordinator that merged the same histograms and targets produce
+// bit-identical scores and rankings. The report's Results come from a
+// pool: see Report.Release.
 func (qp *QueryPartial) Finalize() *Report {
 	scorers := scorerSlabs.Get(len(qp.Weights))
 	for i, w := range qp.Weights {
-		ev := qp.H0[i].Evidence(w, qp.SigmoidK)
+		ev := qp.H0[i].Evidence(w, stats.DefaultSigmoidK)
 		scorers[i] = ev.Scorer()
 	}
 	// The two GES sums of stats.GES, term for term in strand order, with

@@ -124,7 +124,6 @@ func TestRowH0MatchesAccumulator(t *testing.T) {
 	for _, mode := range writeModes {
 		t.Run(mode, func(t *testing.T) {
 			opts := writeTestOptions()
-			opts.SigmoidK = 7
 			db := NewDB(opts)
 			ops := append(synthOps(1, 2, 3), addOp(iccStyle), addOp(unrelated))
 			applyScript(t, db, ops, false)

@@ -238,7 +238,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 		Source:     pl.Source,
 		NumBlocks:  pl.NumBlocks,
 		NumStrands: pl.NumStrands,
-		SigmoidK:   db.opts.SigmoidK,
 		Weights:    pl.weights,
 	}
 

@@ -10,6 +10,8 @@ package engineflags
 import (
 	"flag"
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/core"
 )
@@ -38,12 +40,31 @@ type Flags struct {
 func Register(fs *flag.FlagSet, scope Scope) *Flags {
 	f := &Flags{fs: fs}
 	if scope&Query != 0 {
-		fs.IntVar(&f.set.Workers, "workers", 0, "query and snapshot-load parallelism (0 = GOMAXPROCS)")
+		fs.Var((*count)(&f.set.Workers), "workers", "query and snapshot-load parallelism: this many `workers` (0 = GOMAXPROCS)")
 	}
 	if scope&Index != 0 {
-		fs.IntVar(&f.set.PathLen, "pathlen", 0, "when indexing: decompose small procedures over control-flow paths of this many blocks (0 = off)")
+		fs.Var((*count)(&f.set.PathLen), "pathlen", "when indexing: decompose small procedures over control-flow paths of this many `blocks` (0 = off)")
 	}
 	return f
+}
+
+// count is an int flag held to the snapshot codec's own bound on a count
+// (core.CheckCount): a value a snapshot could not carry is refused as the
+// flag is parsed, before any engine is built or anything is written.
+type count int
+
+func (c *count) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *count) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err
+	}
+	if err := core.CheckCount(int(n), math.MaxInt); err != nil {
+		return err
+	}
+	*c = count(n)
+	return nil
 }
 
 // Defaults returns the options a fresh index is built with when no

@@ -155,7 +155,7 @@ func judge(db *core.DB, queries []*asm.Proc) (*AccuracyCorpus, error) {
 		evidence := make([]stats.StrandEvidence, len(qp.Weights))
 		selfGES := 0.0 // the query scored as a target holding every one of its strands
 		for i, w := range qp.Weights {
-			evidence[i] = qp.H0[i].Evidence(w, qp.SigmoidK)
+			evidence[i] = qp.H0[i].Evidence(w, stats.DefaultSigmoidK)
 			selfGES += stats.Score(stats.Esh, 1, evidence[i])
 		}
 		keys := make(map[*core.Target]float64, len(qp.Targets))
@@ -177,7 +177,7 @@ func judge(db *core.DB, queries []*asm.Proc) (*AccuracyCorpus, error) {
 		}
 		ac.Queries = append(ac.Queries, row)
 	}
-	ac.ByGES, ac.ByKey, ac.BySelf = pooled(ges), pooled(key), pooled(self)
+	ac.ByGES, ac.ByKey, ac.BySelf = measure(ges), measure(key), measure(self)
 	return ac, nil
 }
 
@@ -186,21 +186,9 @@ func judge(db *core.DB, queries []*asm.Proc) (*AccuracyCorpus, error) {
 func h0FreeKey(maxVCP []float64, evidence []stats.StrandEvidence) float64 {
 	key := 0.0
 	for i, v := range maxVCP {
-		k := evidence[i].K
-		if k == 0 {
-			k = stats.DefaultSigmoidK
-		}
-		key += evidence[i].Weight * math.Log(math.Max(stats.SigmoidWithK(v, k), stats.Epsilon))
+		key += evidence[i].Weight * math.Log(math.Max(stats.Sigmoid(v), stats.Epsilon))
 	}
 	return key
-}
-
-func pooled(samples []rocauc.Sample) MethodEval {
-	return MethodEval{
-		FP:   rocauc.FalsePositives(samples),
-		ROC:  rocauc.ROC(samples),
-		CROC: rocauc.CROC(samples, rocauc.DefaultAlpha),
-	}
 }
 
 // worstAccuracy is how many of the lowest-ROC queries String names.

@@ -142,6 +142,12 @@ func evaluate(rep *core.Report, scores []float64, isPositive func(*core.Target) 
 	for i, ts := range rep.Results {
 		samples[i] = rocauc.Sample{Score: scores[i], Positive: isPositive(ts.Target)}
 	}
+	return measure(samples)
+}
+
+// measure is the Table-1 triple over samples, which rank stably: ties keep
+// the samples' order.
+func measure(samples []rocauc.Sample) MethodEval {
 	return MethodEval{
 		FP:   rocauc.FalsePositives(samples),
 		ROC:  rocauc.ROC(samples),

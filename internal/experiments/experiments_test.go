@@ -1,13 +1,19 @@
 package experiments
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/stats"
 )
 
@@ -369,6 +375,60 @@ func TestAblationGolden(t *testing.T) {
 			r.Knob, r.Setting, r.ROC, r.CROC, r.FP, r.Strands, r.QueryStrands)
 	}
 	checkGolden(t, "ablation_small.golden", b.String())
+}
+
+// TestRescoreSigmoidK pins the re-scoring the ablation's sigmoid-k rows
+// read, on the partial of the Heartbleed query against C1. At the paper's
+// k = 10 every target's GES and S-LOG are bit-identical to Finalize's, and
+// ranked stably in index order they give Finalize's ranking. At k = 2
+// S-LOG, which takes no sigmoid, is unchanged, and every GES moves.
+func TestRescoreSigmoidK(t *testing.T) {
+	cfg := small()
+	targets, err := cfg.BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cfg.NewDB(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := corpus.CompileVuln(corpus.Vulns()[0], cfg.QueryToolchain(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := db.PartialQueryCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at10, at2 := Rescore(qp, stats.DefaultSigmoidK), Rescore(qp, 2)
+	rep := qp.Finalize()
+	if len(rep.Results) != len(at10) || len(at10) < 400 {
+		t.Fatalf("%d targets re-scored, %d finalized", len(at10), len(rep.Results))
+	}
+	final := make(map[*core.Target]core.TargetScore, len(rep.Results))
+	for _, ts := range rep.Results {
+		final[ts.Target] = ts
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, got := range at10 {
+		want := final[got.Target]
+		if !same(got.GES, want.GES) || !same(got.SLOG, want.SLOG) {
+			t.Errorf("%s at k = 10: GES %v, S-LOG %v; Finalize %v, %v", got.Target.Name, got.GES, got.SLOG, want.GES, want.SLOG)
+		}
+		if !same(at2[i].SLOG, got.SLOG) {
+			t.Errorf("%s: S-LOG %v at k = 2, %v at k = 10", got.Target.Name, at2[i].SLOG, got.SLOG)
+		}
+		if same(at2[i].GES, got.GES) {
+			t.Errorf("%s: GES %v at both k = 2 and k = 10", got.Target.Name, got.GES)
+		}
+	}
+	ranked := slices.Clone(at10)
+	slices.SortStableFunc(ranked, func(a, b core.TargetScore) int { return cmp.Compare(b.GES, a.GES) })
+	for r, ts := range ranked {
+		if ts.Target != rep.Results[r].Target {
+			t.Fatalf("rank %d: re-scored %s, Finalize %s", r, ts.Target.Name, rep.Results[r].Target.Name)
+		}
+	}
 }
 
 func TestConfigScales(t *testing.T) {

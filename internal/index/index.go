@@ -84,8 +84,8 @@ var (
 func SaveExportCtx(ctx context.Context, w io.Writer, ex *core.Export) (Info, error) {
 	// An engine the ablation built in process at a retired setting no load
 	// admits would reload answering differently: refuse it, writing nothing.
-	held := [...]float64{ex.Opts.SigmoidK, ex.Opts.VCP.SizeRatio, float64(ex.Opts.PathMaxBlocks)}
-	for i, key := range [...]string{"sigmoidk", "vcpsizeratio", "pathmaxblocks"} {
+	held := [...]float64{ex.Opts.VCP.SizeRatio, float64(ex.Opts.PathMaxBlocks)}
+	for i, key := range [...]string{"vcpsizeratio", "pathmaxblocks"} {
 		if rk := retiredKeys[key]; !slices.Contains(rk.loads, held[i]) {
 			return Info{}, fmt.Errorf("index: cannot save %s=%g: %s", key, held[i], rk.why)
 		}

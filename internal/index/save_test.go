@@ -15,10 +15,9 @@ import (
 	"repro/internal/vcp"
 )
 
-// TestSaveRefusesRetiredSettings: an engine built at a size window, a
-// path-strand block limit or a sigmoid steepness other than the engine's
-// own (the ablation's, in process) cannot be saved, since no snapshot key
-// holds any of them any more.
+// TestSaveRefusesRetiredSettings: an engine built at a size window or a
+// path-strand block limit other than the engine's own (the ablation's, in
+// process) cannot be saved, since no snapshot key holds either any more.
 // Every saver refuses it naming the setting, and writes nothing: the
 // stream stays empty, and a snapshot or shard file already at the target
 // path is left as it was, with no temporary file beside it and no manifest.
@@ -40,7 +39,6 @@ func TestSaveRefusesRetiredSettings(t *testing.T) {
 	}{
 		{core.Options{VCP: vcp.Config{MinVars: 3, SizeRatio: 0.25}}, "cannot save vcpsizeratio=0.25: the §5.5 size window (VCP.SizeRatio) is retired"},
 		{core.Options{VCP: vcp.Config{MinVars: 3}, PathLen: 2, PathMaxBlocks: 20}, "cannot save pathmaxblocks=20: the path-strand block limit (PathMaxBlocks) is retired"},
-		{core.Options{VCP: vcp.Config{MinVars: 3}, SigmoidK: 7}, "cannot save sigmoidk=7: the sigmoid steepness (SigmoidK) is retired"},
 	} {
 		db := core.NewDB(tc.opts)
 		for _, p := range procs {
