@@ -8,7 +8,7 @@
 //	eshd -index corpus.eshidx [-addr :8710] [-timeout 60s]
 //	     [-max-inflight 16] [-workers 0] [-drain 30s]
 //	     [-log-format text|json] [-pprof-addr 127.0.0.1:6060]
-//	     [-slow-query-threshold 1s] [-recorder-size 512]
+//	     [-slow-query-threshold 1s]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
 //
@@ -27,8 +27,8 @@
 //	DELETE /v1/targets/{name}  tombstone a target (requires -wal)
 //	POST /v1/compact        fold WAL + tombstones into a new snapshot generation
 //	GET  /v1/stats          index size, snapshot identity, query counters, latency
-//	GET  /debug/queries     flight recorder: recent queries with stage timings
-//	GET  /debug/slow        slow-query log: full span trees, no ?trace=1 needed
+//	GET  /debug/queries     flight recorder: recent queries with their span trees
+//	GET  /debug/slow        slow-query log: the records at or past -slow-query-threshold
 //	GET  /metrics           Prometheus text-format exposition
 //	GET  /healthz           liveness
 //	GET  /readyz            readiness (503 while draining)
@@ -80,8 +80,7 @@ func main() {
 	notice := flag.Duration("ready-notice", 0, "hold /readyz at 503 this long before closing the listener, so pollers route away first")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "queries at or above this duration keep their span tree in /debug/slow (negative = disabled)")
-	recorderSize := flag.Int("recorder-size", 0, "flight-recorder ring size (0 = default 512)")
+	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "queries at or above this duration enter /debug/slow and log a warning (negative = disabled)")
 	engine := engineflags.Register(flag.CommandLine, engineflags.Query)
 	walPath := flag.String("wal", "", "write-ahead log path; enables the live write endpoints (empty = read-only serving)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (acknowledged writes survive power loss) or none (survive process crash only)")
@@ -132,7 +131,6 @@ func main() {
 		MaxInFlight:        *maxInflight,
 		Logger:             logger,
 		SlowQueryThreshold: *slowThreshold,
-		RecorderSize:       *recorderSize,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -37,7 +37,7 @@
 //	GET  /v1/stats      fleet health, hedge/retry counters, latency
 //	GET  /v1/fleet      JSON fleet view: readiness, per-shard p99, scrapes
 //	GET  /debug/queries flight recorder: recent fan-outs with shard legs
-//	GET  /debug/slow    slow-query log: full fan-out span trees
+//	GET  /debug/slow    slow-query log: the fan-outs at or past -slow-query-threshold
 //	GET  /metrics       federated exposition: gateway series plus each
 //	                    shard's scraped series re-labeled shard="<id>"
 //	GET  /healthz       liveness
@@ -75,7 +75,7 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	scrapeInterval := flag.Duration("scrape-interval", 15*time.Second, "metrics-federation scrape period for shard /metrics pages")
-	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "fan-outs at or above this duration keep their span tree in /debug/slow (negative = disabled)")
+	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "fan-outs at or above this duration enter /debug/slow and log a warning (negative = disabled)")
 	flag.Parse()
 
 	logger, err := server.NewLogger(*logFormat)

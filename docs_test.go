@@ -28,7 +28,7 @@ var goToolFlags = []string{"bench", "benchmem", "benchtime", "count", "cover", "
 // name, each with its own test of liveness.
 var retiredKinds = map[string]bool{
 	"flag": true, "snapshot key": true, "metric family": true, "stats key": true,
-	"type or package": true, "file": true, "format or wire version": true,
+	"type or package": true, "file": true, "format or wire version": true, "span attribute": true,
 }
 
 // fileExts mark a dotted word as a file name, not a stats key or ledger row.
@@ -121,6 +121,8 @@ func checkRules(t *testing.T, s *liveSurface) {
 			"| `-workers` | flag | never | 1 |\n| `pathlen=` | snapshot key | never | 1 |\n", "retired flag -workers is registered"},
 		{"retired snapshot key still read", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `pathlen=` | snapshot key | never | 1 |\n",
 			"retired snapshot key pathlen= is read or written"},
+		{"retired span attribute still set", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `pairs` | span attribute | never | 1 |\n",
+			"retired span attribute pairs is set on a span"},
 		{"retired row of no known kind", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `x` | gadget | never | 1 |\n", `kind "gadget"`},
 	}
 	judge := func(name, want string, r docReport) {
@@ -164,6 +166,7 @@ type liveSurface struct {
 	ledger    map[string]bool            // eshbench ledger rows
 	ledgerTop map[string]bool            // their first segments
 	spans     map[string]bool            // span names the code starts
+	attrs     map[string]bool            // span attributes the code sets
 	decls     map[string]map[string]bool // package → declared identifiers, methods and fields
 	consts    map[string]map[string]int  // package → integer constants
 	funcs     map[string]bool            // Test, Fuzz and Benchmark functions
@@ -177,7 +180,7 @@ type liveSurface struct {
 func newSurface() *liveSurface {
 	return &liveSurface{
 		flags: map[string]bool{}, families: map[string]string{}, stats: map[string]bool{}, statsTop: map[string]bool{},
-		ledger: map[string]bool{}, ledgerTop: map[string]bool{}, spans: map[string]bool{}, decls: map[string]map[string]bool{},
+		ledger: map[string]bool{}, ledgerTop: map[string]bool{}, spans: map[string]bool{}, attrs: map[string]bool{}, decls: map[string]map[string]bool{},
 		consts: map[string]map[string]int{}, funcs: map[string]bool{}, files: map[string]bool{}, optKeys: map[string]bool{},
 		retiredKs: map[string]bool{}, binaries: map[string]bool{},
 	}
@@ -310,6 +313,10 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 			case !test && name == "StartSpan":
 				if v, ok := stringArg(n, 1); ok {
 					s.spans[v] = true
+				}
+			case !test && (name == "SetAttr" || name == "AddAttr"):
+				if v, ok := stringArg(n, 0); ok {
+					s.attrs[v] = true
 				}
 			}
 		case *ast.CaseClause:
@@ -833,12 +840,14 @@ func (s *liveSurface) checkRetired(r *docReport, cells []string, report func(str
 			live = s.files[strings.TrimPrefix(name, "./")]
 		case "format or wire version":
 			live = s.versionLive(name, report)
+		case "span attribute":
+			live = s.attrs[name]
 		}
 		if live {
 			verb := map[string]string{
 				"flag": "is registered by a binary", "snapshot key": "is read or written by a codec",
 				"metric family": "is served", "stats key": "is served", "type or package": "is declared",
-				"file": "exists", "format or wire version": "is current",
+				"file": "exists", "format or wire version": "is current", "span attribute": "is set on a span",
 			}[kind]
 			report("retired %s %s %s", kind, name, verb)
 		}

@@ -171,31 +171,30 @@ type DB struct {
 	// (tests, blue/green index swaps) do not share counters. Per-pair
 	// work is accumulated locally in vcpRow and flushed here once per
 	// query strand, so the hot loop never touches an atomic.
-	reg            *telemetry.Registry
-	stageHist      map[string]*telemetry.Histogram
-	mCacheHits     *telemetry.Counter
-	mCacheMisses   *telemetry.Counter
-	mRows          [3]*telemetry.Counter // by rowState
-	mPrepares      *telemetry.Counter
-	mPairsPruned   *telemetry.Counter
-	mPairsIdent    *telemetry.Counter
-	mVerifierCalls *telemetry.Counter
-	mGamma         *telemetry.Counter
-	mQueries       *telemetry.Counter
-	mForwardDead   *telemetry.Counter
-	mKernelNanos   *telemetry.Counter
-	mMemoHits      *telemetry.Counter
-	mMemoMisses    *telemetry.Counter
-	mPrefixInstrs  *telemetry.Counter
-	mKernelInstrs  *telemetry.Counter
-	mGammaBatches  *telemetry.Counter
-	hGammaOccup    *telemetry.Histogram
-	hLSHCands      *telemetry.Histogram
-	hSketchBuild   *telemetry.Histogram
-	mWritesAdd     *telemetry.Counter
-	mWritesDel     *telemetry.Counter
-	mCompactions   *telemetry.Counter
-	hCompact       *telemetry.Histogram
+	reg           *telemetry.Registry
+	stageHist     map[string]*telemetry.Histogram
+	mCacheHits    *telemetry.Counter
+	mCacheMisses  *telemetry.Counter
+	mRows         [3]*telemetry.Counter // by rowState
+	mPrepares     *telemetry.Counter
+	mPairsPruned  *telemetry.Counter
+	mPairsIdent   *telemetry.Counter
+	mGamma        *telemetry.Counter
+	mQueries      *telemetry.Counter
+	mForwardDead  *telemetry.Counter
+	mKernelNanos  *telemetry.Counter
+	mMemoHits     *telemetry.Counter
+	mMemoMisses   *telemetry.Counter
+	mPrefixInstrs *telemetry.Counter
+	mKernelInstrs *telemetry.Counter
+	mGammaBatches *telemetry.Counter
+	hGammaOccup   *telemetry.Histogram
+	hRowCands     *telemetry.Histogram
+	hSketchBuild  *telemetry.Histogram
+	mWritesAdd    *telemetry.Counter
+	mWritesDel    *telemetry.Counter
+	mCompactions  *telemetry.Counter
+	hCompact      *telemetry.Histogram
 	// Work counters DBStats reports and nothing serves.
 	fpProbes, kernelLanes atomic.Uint64
 }

@@ -39,7 +39,6 @@ func TestVCPSpanMatchesCounters(t *testing.T) {
 		{"cache_hits", func(s core.DBStats) uint64 { return s.VCPCacheHits }},
 		{"cache_misses", func(s core.DBStats) uint64 { return s.VCPCacheMisses }},
 		{"rows_complete", func(s core.DBStats) uint64 { return s.VCPRowsComplete }},
-		{"verifier_calls", func(s core.DBStats) uint64 { return s.VerifierCalls }},
 		{"correspondences", func(s core.DBStats) uint64 { return s.VerifierCorrespondences }},
 		{"kernel_nanos", func(s core.DBStats) uint64 { return s.KernelNanos }},
 		{"gamma_batches", func(s core.DBStats) uint64 { return s.GammaBatches }},
@@ -47,7 +46,7 @@ func TestVCPSpanMatchesCounters(t *testing.T) {
 		{"memo_misses", func(s core.DBStats) uint64 { return s.MemoMisses }},
 		{"pairs_pruned", func(s core.DBStats) uint64 { return s.VCPPairsPruned }},
 		{"pairs_identical", func(s core.DBStats) uint64 { return s.VCPPairsIdentical }},
-		{"lsh_skipped", func(s core.DBStats) uint64 { return s.ForwardDeadPairs }},
+		{"pairs_forward_dead", func(s core.DBStats) uint64 { return s.ForwardDeadPairs }},
 	}
 	for _, workers := range []int{1, 2} {
 		db := core.NewDB(core.Options{Workers: workers})
@@ -66,7 +65,7 @@ func TestVCPSpanMatchesCounters(t *testing.T) {
 			}
 			after := db.Stats()
 			attrs := root.Snapshot().Find("vcp").Attrs
-			if pass == 0 && (attrs["workers"] != float64(workers) || attrs["verifier_calls"] == 0 || attrs["memo_misses"] == 0) {
+			if pass == 0 && (attrs["workers"] != float64(workers) || attrs["cache_misses"] == 0 || attrs["memo_misses"] == 0) {
 				t.Fatalf("workers=%d: the cold query did not fan out over the verifier: %v", workers, attrs)
 			}
 			for _, c := range counters {

@@ -110,7 +110,7 @@ func TestSoundRowsMatchExhaustivePairs(t *testing.T) {
 
 	before := check("fresh corpus")
 	for _, d := range dbs {
-		if calls := d.db.Stats().VerifierCalls; calls != 13792 {
+		if calls := d.db.Stats().VCPCacheMisses; calls != 13792 {
 			t.Errorf("%s: %d verifier calls, want 13792", d.name, calls)
 		}
 	}

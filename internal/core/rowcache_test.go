@@ -88,14 +88,14 @@ func TestWarmQueryDoesNoColdWork(t *testing.T) {
 			diffReports(t, "warm vs cold", warm, cold)
 			after := db.Stats()
 			if after.QueryPrepares != before.QueryPrepares || evals != 0 || attrs["workers"] != 0 ||
-				after.VerifierCalls != before.VerifierCalls || after.Memo.Held != before.Memo.Held {
+				after.VCPCacheMisses != before.VCPCacheMisses || after.Memo.Held != before.Memo.Held {
 				t.Errorf("warm query: %d prepares, %d evaluators, %v workers, %d verifier calls",
-					after.QueryPrepares-before.QueryPrepares, evals, attrs["workers"], after.VerifierCalls-before.VerifierCalls)
+					after.QueryPrepares-before.QueryPrepares, evals, attrs["workers"], after.VCPCacheMisses-before.VCPCacheMisses)
 			}
 			if attrs["rows_complete"] != float64(nq) || attrs["cache_misses"] != 0 ||
 				attrs["cache_hits"] != coldAttrs["cache_hits"]+coldAttrs["cache_misses"] ||
 				attrs["pairs"] != coldAttrs["pairs"] || attrs["pairs_pruned"] != coldAttrs["pairs_pruned"] ||
-				attrs["pairs_identical"] != coldAttrs["pairs_identical"] || attrs["lsh_skipped"] != coldAttrs["lsh_skipped"] {
+				attrs["pairs_identical"] != coldAttrs["pairs_identical"] || attrs["pairs_forward_dead"] != coldAttrs["pairs_forward_dead"] {
 				t.Errorf("warm vcp span %v does not account for the pairs of the cold one %v", attrs, coldAttrs)
 			}
 

@@ -20,7 +20,7 @@ func (db *DB) initMetrics() {
 	}
 	db.mQueries = reg.Counter("esh_engine_queries_total", "Queries answered by the engine.")
 	db.mCacheHits = reg.Counter("esh_vcp_cache_hits_total", "Verified strand pairs whose result came from a cached VCP row.")
-	db.mCacheMisses = reg.Counter("esh_vcp_cache_misses_total", "Strand pairs no cached VCP row knew: verified, then published in the row.")
+	db.mCacheMisses = reg.Counter("esh_vcp_cache_misses_total", "Strand pairs no cached VCP row knew: verified (one vcp.Compute call each, in the forward direction), then published in the row.")
 	reg.CounterFunc("esh_vcp_cache_evictions_total", "Query-strand rows evicted from the VCP cache.", func() float64 {
 		return float64(db.rowCacheStats().Evictions)
 	})
@@ -32,9 +32,8 @@ func (db *DB) initMetrics() {
 	db.mPrepares = reg.Counter("esh_query_strands_prepared_total", "Query strands that reached vcp.Prepare (only those with at least one pair left to verify).")
 	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
-	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one per verified strand pair, in the forward direction (none for a pair whose forward direction cannot inject).")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
-	db.mForwardDead = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's.")
+	db.mForwardDead = reg.Counter("esh_vcp_pairs_forward_dead_total", "Strand pairs skipped before any verifier work: the query strand's typed inputs cannot inject into the target strand's.")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel (γ-fingerprint memo misses only; hits never reach it).")
 	db.mMemoHits = reg.Counter("esh_vcp_memo_hits_total", "Enumerated correspondences whose fingerprints came from a strand's γ-fingerprint memo.")
 	db.mMemoMisses = reg.Counter("esh_vcp_memo_misses_total", "Enumerated correspondences the memo did not hold: evaluated by the kernel, then stored unless the memo ceiling refuses them.")
@@ -53,8 +52,8 @@ func (db *DB) initMetrics() {
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
 		"Mean γ-batch fill fraction, observed once per query strand row that ran the kernel (memo misses / (vcp.GammaWidth × kernel runs)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
-	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
-		"Candidate-set size per scanned query strand: the pairs not skipped.",
+	db.hRowCands = reg.Histogram("esh_vcp_row_candidates",
+		"Candidates per query strand: its pairs not skipped as forward-dead, walked or vouched for by a cached row's tallies.",
 		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 	db.hSketchBuild = reg.Histogram("esh_sketch_build_seconds",
 		"Wall time spent computing MinHash sketches and LSH buckets (per target at index time, per rebuild at load time).", nil)
@@ -122,7 +121,8 @@ type DBStats struct {
 	// distinct query strand.
 	VCPCache fifo.Stats
 	// Lifetime cache traffic: hits reused a cached pair result, misses
-	// computed one (one verifier call each, none for a dead pair).
+	// computed one: each miss is one vcp.Compute call, and no other count
+	// keeps the verifier calls (none for a dead pair).
 	// VCPRowsComplete counts query strands whose cached row answered every
 	// pair, QueryPrepares those that reached vcp.Prepare because some pair
 	// needed a verifier.
@@ -132,16 +132,15 @@ type DBStats struct {
 	QueryPrepares   uint64
 	// VCPPairsPruned counts pairs rejected by the size-ratio window,
 	// VCPPairsIdentical those short-circuited as structurally identical;
-	// VerifierCalls counts vcp.Compute invocations;
-	// VerifierCorrespondences counts γ evaluations inside them.
+	// VerifierCorrespondences counts γ evaluations inside the verifier
+	// calls.
 	VCPPairsPruned          uint64
 	VCPPairsIdentical       uint64
-	VerifierCalls           uint64
 	VerifierCorrespondences uint64
 	// ForwardDeadPairs counts the pairs skipped before any verifier work
 	// because the query strand's typed inputs cannot inject into the
 	// target strand's. It is served as prefilter.pairs_skipped and
-	// esh_lsh_pairs_skipped_total.
+	// esh_vcp_pairs_forward_dead_total.
 	ForwardDeadPairs uint64
 	// KernelNanos is the cumulative wall time γ loops spent inside the
 	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
@@ -203,7 +202,6 @@ func (db *DB) Stats() DBStats {
 		QueryPrepares:           db.mPrepares.Value(),
 		VCPPairsPruned:          db.mPairsPruned.Value(),
 		VCPPairsIdentical:       db.mPairsIdent.Value(),
-		VerifierCalls:           db.mVerifierCalls.Value(),
 		VerifierCorrespondences: db.mGamma.Value(),
 		ForwardDeadPairs:        db.mForwardDead.Value(),
 		KernelNanos:             db.mKernelNanos.Value(),
@@ -266,7 +264,6 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mPairsIdent.Add(uint64(rs.identical))
 	db.mCacheHits.Add(uint64(rs.hits))
 	db.mCacheMisses.Add(uint64(rs.misses))
-	db.mVerifierCalls.Add(uint64(rs.misses))
 	w := rs.work
 	db.mGamma.Add(uint64(w.Correspondences))
 	db.mKernelNanos.Add(uint64(w.KernelNanos))
@@ -280,7 +277,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	}
 	db.mForwardDead.Add(uint64(rs.forwardDead))
 	// Every scanned column not skipped was a candidate.
-	db.hLSHCands.Observe(float64(rs.pairs - rs.forwardDead))
+	db.hRowCands.Observe(float64(rs.pairs - rs.forwardDead))
 	if sp == nil {
 		return
 	}
@@ -288,12 +285,11 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		sp.AddAttr("rows_complete", 1)
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
-	sp.AddAttr("lsh_skipped", float64(rs.forwardDead))
+	sp.AddAttr("pairs_forward_dead", float64(rs.forwardDead))
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))
 	sp.AddAttr("cache_hits", float64(rs.hits))
 	sp.AddAttr("cache_misses", float64(rs.misses))
-	sp.AddAttr("verifier_calls", float64(rs.misses))
 	sp.AddAttr("correspondences", float64(w.Correspondences))
 	sp.AddAttr("kernel_nanos", float64(w.KernelNanos))
 	sp.AddAttr("gamma_batches", float64(w.Batches))

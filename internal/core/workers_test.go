@@ -63,14 +63,14 @@ func TestWorkersOption(t *testing.T) {
 		return answers, db.Stats()
 	}
 	// work is the part of DBStats no scheduling decision can move.
-	work := func(s core.DBStats) [12]uint64 {
+	work := func(s core.DBStats) [11]uint64 {
 		return [...]uint64{s.Queries, s.VCPCacheHits, s.VCPCacheMisses, s.VCPRowsComplete,
 			s.QueryPrepares, s.VCPPairsPruned, s.VCPPairsIdentical, s.ForwardDeadPairs,
-			s.VerifierCalls, s.VerifierCorrespondences, s.KernelInstrs, s.KernelPrefixInstrs}
+			s.VerifierCorrespondences, s.KernelInstrs, s.KernelPrefixInstrs}
 	}
 	want, wantStats := run(1)
-	if wantStats.VerifierCalls == 0 || wantStats.VerifierCalls != wantStats.VCPCacheMisses {
-		t.Fatalf("one worker: %d verifier calls for %d listed pairs", wantStats.VerifierCalls, wantStats.VCPCacheMisses)
+	if wantStats.VCPCacheMisses == 0 {
+		t.Fatal("one worker: no pair reached the verifier")
 	}
 	for _, workers := range []int{2, 5} {
 		got, gotStats := run(workers)
@@ -93,5 +93,5 @@ func TestWorkersOption(t *testing.T) {
 			t.Errorf("Workers=%d: work counters %v, one worker %v", workers, g, w)
 		}
 	}
-	t.Logf("%d queries, %d verifier calls, %d γ", len(queries), wantStats.VerifierCalls, wantStats.VerifierCorrespondences)
+	t.Logf("%d queries, %d verifier calls, %d γ", len(queries), wantStats.VCPCacheMisses, wantStats.VerifierCorrespondences)
 }

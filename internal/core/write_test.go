@@ -286,9 +286,9 @@ func TestWriteDifferential(t *testing.T) {
 							}
 							diffReports(t, fmt.Sprintf("step %d query %d (%s)", step, qi, pass), got, want)
 							after := live.Stats()
-							if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VerifierCalls != before.VerifierCalls) {
+							if pass == "cached" && (after.QueryPrepares != before.QueryPrepares || after.VCPCacheMisses != before.VCPCacheMisses) {
 								t.Fatalf("step %d query %d: the repeat prepared %d strands and made %d verifier calls",
-									step, qi, after.QueryPrepares-before.QueryPrepares, after.VerifierCalls-before.VerifierCalls)
+									step, qi, after.QueryPrepares-before.QueryPrepares, after.VCPCacheMisses-before.VCPCacheMisses)
 							}
 							// Without tombstones the per-pair counters read what
 							// a walk of every pair reads, although nothing was
@@ -477,7 +477,7 @@ func TestWriteDifferentialStaleEpoch(t *testing.T) {
 						t.Fatal(err)
 					}
 					diffReports(t, "after compaction: "+p.Name, got, want)
-					if calls := live.Stats().VerifierCalls - before.VerifierCalls; src != genProc(2) && calls != 0 {
+					if calls := live.Stats().VCPCacheMisses - before.VCPCacheMisses; src != genProc(2) && calls != 0 {
 						t.Errorf("%s: %d verifier calls after the compaction; its rows were to be remapped, not dropped", p.Name, calls)
 					}
 				}

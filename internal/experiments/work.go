@@ -44,7 +44,6 @@ func (r *WorkResult) String() string {
 			{"query strands prepared", w.QueryPrepares},
 			{"kernel instructions", w.KernelInstrs},
 			{"kernel prefix instructions", w.KernelPrefixInstrs},
-			{"verifier calls", w.VerifierCalls},
 			{"γ evaluated", w.VerifierCorrespondences},
 			{"fingerprint-set probes", w.FPProbes},
 		} {

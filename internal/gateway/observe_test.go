@@ -328,8 +328,8 @@ func TestGatewaySlowQueryCapture(t *testing.T) {
 			t.Errorf("shard outcome %+v", so)
 		}
 	}
-	if rec.StageMS["shard_0"] <= 0 || rec.StageMS["shard_1"] <= 0 {
-		t.Errorf("stage breakdown missing shard legs: %v", rec.StageMS)
+	if rec.Trace.Find("shard_0").DurationMS <= 0 || rec.Trace.Find("shard_1").DurationMS <= 0 {
+		t.Errorf("stage breakdown missing shard legs: %+v", rec.Trace)
 	}
 
 	// Stats and fleet views reflect the traffic.

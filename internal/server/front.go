@@ -99,12 +99,9 @@ type FrontConfig struct {
 	// MaxInFlight bounds the queries admitted at once.
 	MaxInFlight int
 	Logger      *slog.Logger
-	// SlowQueryThreshold marks records slow: they keep their span tree and
+	// SlowQueryThreshold marks records slow: they enter the slow ring and
 	// log a warning. 0 selects 1s; negative disables slow capture.
 	SlowQueryThreshold time.Duration
-	// RecorderSize bounds the flight recorder's ring (0 selects
-	// telemetry.DefaultRecorderSize).
-	RecorderSize int
 	// Generation names the corpus the daemon serves: the stamp on every
 	// record.
 	Generation string
@@ -124,7 +121,6 @@ type Front struct {
 	latency  *Latency
 	started  time.Time
 	rec      *telemetry.Recorder
-	slow     *telemetry.Counter
 }
 
 // NewFront registers the front door's families on reg: outcome counters,
@@ -139,7 +135,7 @@ func NewFront(reg *telemetry.Registry, cfg FrontConfig) *Front {
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		outcomes: make(map[string]*telemetry.Counter, len(cfg.Outcomes)),
 		started:  time.Now(),
-		rec:      telemetry.NewRecorder(cfg.RecorderSize, 0, cfg.SlowQueryThreshold),
+		rec:      telemetry.NewRecorder(0, 0, cfg.SlowQueryThreshold),
 	}
 	f.release = func() { <-f.sem }
 	for _, res := range cfg.Outcomes {
@@ -154,7 +150,8 @@ func NewFront(reg *telemetry.Registry, cfg FrontConfig) *Front {
 	reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
 		"go_version", runtime.Version()).Set(1)
 	telemetry.RegisterRuntime(reg)
-	f.slow = reg.Counter(cfg.Prefix+"_slow_queries_total", "Queries at or above the slow-query threshold.")
+	reg.CounterFunc(cfg.Prefix+"_slow_queries_total", "Queries at or above the slow-query threshold.",
+		func() float64 { return float64(f.rec.SlowTotal()) })
 	reg.GaugeFunc("esh_flight_recorder_records", "Query records ever published to the flight recorder.",
 		func() float64 { return float64(f.rec.Total()) })
 	return f
@@ -273,10 +270,10 @@ func (f *Front) Finish(kind, rid, outcome, errMsg string, start time.Time, root 
 	f.record(kind, rid, outcome, errMsg, start, root, shards...)
 }
 
-// record publishes one flight-recorder entry, built from the span tree the
-// daemon grows for every request, traced or not, and logs the slow-query
-// warning when it crossed the threshold. Refused requests never ran and
-// leave no record.
+// record publishes one flight-recorder entry, the span tree the daemon
+// grows for every request, traced or not, and logs the slow-query warning
+// when it crossed the threshold. Refused requests never ran and leave no
+// record.
 func (f *Front) record(kind, rid, outcome, errMsg string, start time.Time, root *telemetry.Span, shards ...telemetry.ShardOutcome) {
 	rec := &telemetry.QueryRecord{
 		ID:         rid,
@@ -288,19 +285,21 @@ func (f *Front) record(kind, rid, outcome, errMsg string, start time.Time, root 
 		Shards:     shards,
 	}
 	rec.FillFromTrace(root.Snapshot())
-	if f.rec.Record(rec) {
-		f.slow.Inc()
-		f.cfg.Logger.Warn("slow query",
-			"request_id", rid,
-			"kind", kind,
-			"outcome", outcome,
-			"dur_ms", rec.DurationMS,
-			"threshold_ms", f.thresholdMS(),
-			"pairs", rec.Pairs,
-			"verifier_calls", rec.VerifierCalls,
-			"stage_ms", fmt.Sprintf("%v", rec.StageMS),
-		)
+	if !f.rec.Record(rec) {
+		return
 	}
+	// The warning reads the kept tree: each stage's milliseconds (shard_N
+	// legs at the gateway) and an engine query's pairs and cache misses,
+	// one verifier call each.
+	args := []any{"request_id", rid, "kind", kind, "outcome", outcome,
+		"dur_ms", rec.DurationMS, "threshold_ms", f.thresholdMS()}
+	for _, c := range rec.Trace.Children {
+		args = append(args, c.Name+"_ms", c.DurationMS)
+		if c.Name == "vcp" {
+			args = append(args, "pairs", c.Attrs["pairs"], "cache_misses", c.Attrs["cache_misses"])
+		}
+	}
+	f.cfg.Logger.Warn("slow query", args...)
 }
 
 func (f *Front) thresholdMS() float64 {
@@ -364,7 +363,7 @@ func (f *Front) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecent serves GET /debug/queries: the most recent flight-recorder
-// entries (trace-stripped unless slow), newest first. ?n= bounds the count
+// entries, each with its span tree, newest first. ?n= bounds the count
 // (default 100).
 func (f *Front) handleRecent(w http.ResponseWriter, r *http.Request) {
 	n := 100

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -39,15 +41,16 @@ func getJSON(t *testing.T, url string, out any) {
 func TestSlowQueryCaptureWithoutTrace(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SlowQueryThreshold = 5 * time.Millisecond
-	_, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *core.QueryPlan) (*core.Report, error) {
-		// Simulate an engine with one instrumented stage, like QueryCtx.
+	// Simulate an engine with one instrumented stage, like QueryCtx.
+	engine := func(ctx context.Context, p *core.QueryPlan) (*core.Report, error) {
 		_, sp := telemetry.StartSpan(ctx, "vcp")
 		sp.SetAttr("pairs", 42)
-		sp.SetAttr("verifier_calls", 7)
+		sp.SetAttr("cache_misses", 7)
 		time.Sleep(20 * time.Millisecond)
 		sp.End()
 		return &core.Report{QueryName: p.QueryName}, nil
-	})
+	}
+	_, ts := newTestServer(t, testDB(t), cfg, engine)
 
 	// Plain query: no trace parameter anywhere.
 	resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle})
@@ -84,14 +87,15 @@ func TestSlowQueryCaptureWithoutTrace(t *testing.T) {
 	if rec.Trace == nil || rec.Trace.Name != "query" {
 		t.Fatalf("slow record lost its span tree: %+v", rec.Trace)
 	}
-	if rec.Trace.Find("vcp") == nil {
+	vcp := rec.Trace.Find("vcp")
+	if vcp == nil {
 		t.Fatalf("span tree missing vcp stage: %+v", rec.Trace)
 	}
-	if rec.StageMS["vcp"] < 20 {
-		t.Errorf("stage_ms[vcp] = %g, want >= 20", rec.StageMS["vcp"])
+	if vcp.DurationMS < 20 {
+		t.Errorf("vcp stage took %gms, want >= 20", vcp.DurationMS)
 	}
-	if rec.Pairs != 42 || rec.VerifierCalls != 7 {
-		t.Errorf("work counters not adopted from span attrs: %+v", rec)
+	if vcp.Attrs["pairs"] != 42 || vcp.Attrs["cache_misses"] != 7 {
+		t.Errorf("vcp stage lost its work counts: %v", vcp.Attrs)
 	}
 
 	// The stats view agrees.
@@ -106,11 +110,43 @@ func TestSlowQueryCaptureWithoutTrace(t *testing.T) {
 	if st.LatencyQuantilesMS["p50"] < 20 {
 		t.Errorf("latency_quantiles_ms = %v, want p50 >= 20", st.LatencyQuantilesMS)
 	}
+	// So does the slow counter, which reads the recorder.
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(page), "\nesh_http_slow_queries_total 1\n") {
+		t.Errorf("/metrics does not count the slow query:\n%s", page)
+	}
+
+	// The warning line reads its numbers off the kept tree. (Served
+	// without a listener, so the log is written before ServeHTTP returns.)
+	var log bytes.Buffer
+	cfg.Logger = slog.New(slog.NewJSONHandler(&log, nil))
+	s, _ := newTestServer(t, testDB(t), cfg, engine)
+	body, _ := json.Marshal(QueryRequest{Asm: gccStyle})
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body)))
+	var warn struct {
+		Msg         string
+		VCPMS       float64 `json:"vcp_ms"`
+		Pairs       float64 `json:"pairs"`
+		CacheMisses float64 `json:"cache_misses"`
+	}
+	for dec := json.NewDecoder(&log); warn.Msg != "slow query"; {
+		if err := dec.Decode(&warn); err != nil {
+			t.Fatalf("no slow-query warning logged: %v", err)
+		}
+	}
+	if warn.VCPMS < 20 || warn.Pairs != 42 || warn.CacheMisses != 7 {
+		t.Errorf("slow-query warning %+v, want vcp_ms >= 20, pairs 42, cache_misses 7", warn)
+	}
 }
 
 // TestRecorderAlwaysOn runs a real (fast) engine query at the default
-// threshold and checks it leaves a trace-stripped record in
-// GET /debug/queries, with the engine path pinned from the vcp span.
+// threshold and checks it leaves a record in GET /debug/queries, with its
+// span tree, and none in GET /debug/slow.
 func TestRecorderAlwaysOn(t *testing.T) {
 	_, ts := newTestServer(t, testDB(t), quietConfig(), nil)
 	if resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle}); resp.StatusCode != http.StatusOK {
@@ -125,11 +161,11 @@ func TestRecorderAlwaysOn(t *testing.T) {
 		t.Fatalf("recent: total=%d records=%d, want 1 each", recent.Total, len(recent.Records))
 	}
 	rec := recent.Records[0]
-	if rec.Slow || rec.Trace != nil {
-		t.Errorf("fast record kept slow state or trace: %+v", rec)
+	if rec.Slow {
+		t.Errorf("fast record marked slow: %+v", rec)
 	}
-	if rec.StageMS["vcp"] <= 0 || rec.StageMS["decompose"] <= 0 {
-		t.Errorf("stage breakdown missing: %v", rec.StageMS)
+	if rec.Trace.Find("vcp") == nil || rec.Trace.Find("decompose") == nil {
+		t.Errorf("stage breakdown missing: %+v", rec.Trace)
 	}
 	var slow SlowResponse
 	getJSON(t, ts.URL+"/debug/slow", &slow)

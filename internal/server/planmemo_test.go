@@ -109,7 +109,7 @@ func TestPlanMemo(t *testing.T) {
 		Records []*telemetry.QueryRecord `json:"records"`
 	}
 	getJSON(t, ts.URL+"/debug/queries?n=1", &recent)
-	if len(recent.Records) != 1 || len(recent.Records[0].StageMS) != 4 {
+	if len(recent.Records) != 1 || recent.Records[0].Trace == nil || len(recent.Records[0].Trace.Children) != 4 {
 		t.Errorf("flight record of a hit: %+v", recent.Records)
 	}
 

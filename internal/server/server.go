@@ -40,13 +40,11 @@ type Config struct {
 	// slog.Default).
 	Logger *slog.Logger
 	// SlowQueryThreshold marks queries at or above this duration as
-	// slow: they keep their full span tree in the flight recorder, show
-	// up at GET /debug/slow, and emit a structured warning line. Default
-	// 1s; negative disables slow capture (the recorder itself stays on).
+	// slow: they enter the flight recorder's slow ring, show up at GET
+	// /debug/slow, and emit a structured warning line. Default 1s;
+	// negative disables slow capture (the recorder itself stays on, and
+	// every record keeps its span tree).
 	SlowQueryThreshold time.Duration
-	// RecorderSize bounds the flight-recorder ring (default
-	// telemetry.DefaultRecorderSize).
-	RecorderSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -111,7 +109,6 @@ func New(db *core.DB, cfg Config) *Server {
 		MaxInFlight:        cfg.MaxInFlight,
 		Logger:             cfg.Logger,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
-		RecorderSize:       cfg.RecorderSize,
 		Generation:         db.Shard().Generation,
 	})
 	s.reg.GaugeFunc("esh_http_inflight_queries", "Queries executing right now.",
@@ -672,8 +669,10 @@ type StatsResponse struct {
 	// effort, pruning effectiveness, evaluation-kernel time,
 	// γ-invariant hoisting coverage, and cumulative per-stage wall time.
 	Engine struct {
-		Queries                 uint64             `json:"queries"`
-		PairsPruned             uint64             `json:"pairs_pruned"`
+		Queries     uint64 `json:"queries"`
+		PairsPruned uint64 `json:"pairs_pruned"`
+		// VerifierCalls reads vcp_cache.misses: each miss is one
+		// vcp.Compute call.
 		VerifierCalls           uint64             `json:"verifier_calls"`
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
@@ -746,7 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Prefilter.PairsSkipped = dbs.ForwardDeadPairs
 	resp.Engine.Queries = dbs.Queries
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
-	resp.Engine.VerifierCalls = dbs.VerifierCalls
+	resp.Engine.VerifierCalls = dbs.VCPCacheMisses
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9
 	resp.Engine.KernelPrefixInstrs = dbs.KernelPrefixInstrs

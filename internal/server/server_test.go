@@ -320,7 +320,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE esh_vcp_cache_hit_ratio gauge",
 		"esh_vcp_cache_pairs ",
 		"esh_index_targets 2",
-		"esh_verifier_calls_total",
+		"esh_vcp_cache_misses_total",
 		"# TYPE esh_vcp_memo_hits_total counter",
 		"# TYPE esh_vcp_memo_misses_total counter",
 		"# TYPE esh_vcp_memo_bytes gauge",
@@ -396,8 +396,8 @@ func TestQueryTrace(t *testing.T) {
 	if vcpSpan.Attrs["pairs"] <= 0 {
 		t.Errorf("vcp span missing pairs attr: %v", vcpSpan.Attrs)
 	}
-	if math.IsNaN(vcpSpan.Attrs["verifier_calls"]) || vcpSpan.Attrs["verifier_calls"] <= 0 {
-		t.Errorf("vcp span missing verifier_calls attr: %v", vcpSpan.Attrs)
+	if math.IsNaN(vcpSpan.Attrs["cache_misses"]) || vcpSpan.Attrs["cache_misses"] <= 0 {
+		t.Errorf("vcp span missing cache_misses attr: %v", vcpSpan.Attrs)
 	}
 
 	// Without ?trace=1 the response carries no trace.

@@ -26,28 +26,12 @@ type QueryRecord struct {
 	Err     string `json:"error,omitempty"`
 	// Generation pins the corpus the query ran under.
 	Generation string `json:"generation,omitempty"`
-	// StageMS breaks the duration down by pipeline stage (decompose,
-	// prepare, vcp, score — or shard_N legs at the gateway).
-	StageMS map[string]float64 `json:"stage_ms,omitempty"`
-	// Work counters, extracted from the span attributes the engine
-	// accumulates per query (zero when the stage never ran).
-	Pairs           int64   `json:"pairs,omitempty"`
-	PairsPruned     int64   `json:"pairs_pruned,omitempty"`
-	PairsSkipped    int64   `json:"pairs_skipped,omitempty"`
-	VerifierCalls   int64   `json:"verifier_calls,omitempty"`
-	Correspondences int64   `json:"correspondences,omitempty"`
-	CacheHits       int64   `json:"cache_hits,omitempty"`
-	CacheMisses     int64   `json:"cache_misses,omitempty"`
-	RowsComplete    int64   `json:"rows_complete,omitempty"`
-	KernelMS        float64 `json:"kernel_ms,omitempty"`
-	GammaBatches    int64   `json:"gamma_batches,omitempty"`
-	MemoHits        int64   `json:"memo_hits,omitempty"`
-	MemoMisses      int64   `json:"memo_misses,omitempty"`
 	// Shards holds the per-shard fan-out outcomes of a gateway query.
 	Shards []ShardOutcome `json:"shards,omitempty"`
-	// Slow marks records at or above the recorder's threshold; only
-	// those retain Trace, the full span tree.
-	Slow  bool      `json:"slow,omitempty"`
+	// Slow marks records at or above the recorder's threshold.
+	Slow bool `json:"slow,omitempty"`
+	// Trace is the query's span tree: its stages' durations, and the
+	// work each stage did as that span's attributes.
 	Trace *SpanData `json:"trace,omitempty"`
 }
 
@@ -63,58 +47,16 @@ type ShardOutcome struct {
 	Err      string  `json:"error,omitempty"`
 }
 
-// spanCounters maps the engine's span attribute names to QueryRecord
-// counter fields.
-func (rec *QueryRecord) adoptAttrs(attrs map[string]float64) {
-	for k, v := range attrs {
-		switch k {
-		case "pairs":
-			rec.Pairs += int64(v)
-		case "pairs_pruned":
-			rec.PairsPruned += int64(v)
-		case "lsh_skipped":
-			rec.PairsSkipped += int64(v)
-		case "verifier_calls":
-			rec.VerifierCalls += int64(v)
-		case "correspondences":
-			rec.Correspondences += int64(v)
-		case "cache_hits":
-			rec.CacheHits += int64(v)
-		case "cache_misses":
-			rec.CacheMisses += int64(v)
-		case "rows_complete":
-			rec.RowsComplete += int64(v)
-		case "kernel_nanos":
-			rec.KernelMS += v / 1e6
-		case "gamma_batches":
-			rec.GammaBatches += int64(v)
-		case "memo_hits":
-			rec.MemoHits += int64(v)
-		case "memo_misses":
-			rec.MemoMisses += int64(v)
-		}
-	}
-}
-
-// FillFromTrace populates duration, per-stage timings, and work
-// counters from a snapshotted span tree (the engine's root query span).
-// The trace is attached to the record; Recorder.Record drops it again
-// for fast queries, which is what makes slow-query capture retroactive:
-// the tree is always built, but only slow records keep it.
+// FillFromTrace keeps a snapshotted span tree (the engine's root query
+// span, or the gateway's fan-out span) as the record's Trace, and its
+// duration as the record's. The tree is the record of the query's work:
+// the serving layer builds it for every request, traced or not.
 func (rec *QueryRecord) FillFromTrace(root *SpanData) {
 	if root == nil {
 		return
 	}
 	rec.Trace = root
 	rec.DurationMS = root.DurationMS
-	if len(root.Children) > 0 {
-		rec.StageMS = make(map[string]float64, len(root.Children))
-	}
-	for _, c := range root.Children {
-		rec.StageMS[c.Name] += c.DurationMS
-		rec.adoptAttrs(c.Attrs)
-	}
-	rec.adoptAttrs(root.Attrs)
 }
 
 // Recorder is the always-on query flight recorder: a fixed-size ring of
@@ -135,8 +77,9 @@ type Recorder struct {
 	threshold time.Duration
 }
 
-// Ring-size defaults: DefaultRecorderSize bounds the main ring (a few
-// hundred KB of records), DefaultSlowLogSize the retained slow queries.
+// Ring-size defaults: DefaultRecorderSize bounds the main ring (each
+// record keeps its span tree, about 2 KB for an engine query, so about
+// 1 MB in all), DefaultSlowLogSize the retained slow queries.
 const (
 	DefaultRecorderSize = 512
 	DefaultSlowLogSize  = 64
@@ -144,7 +87,7 @@ const (
 
 // NewRecorder builds a recorder with the given ring sizes (values <= 0
 // select the defaults) and slow-query threshold (<= 0 disables slow
-// capture; every record still lands in the main ring, trace-stripped).
+// capture; every record still lands in the main ring).
 func NewRecorder(size, slowSize int, threshold time.Duration) *Recorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
@@ -162,16 +105,13 @@ func NewRecorder(size, slowSize int, threshold time.Duration) *Recorder {
 // SlowThreshold returns the slow-query threshold (0 = disabled).
 func (r *Recorder) SlowThreshold() time.Duration { return max(r.threshold, 0) }
 
-// Record classifies rec against the slow threshold, strips the trace
-// from fast records, and publishes rec into the ring(s). It reports
+// Record classifies rec against the slow threshold and publishes rec
+// into the main ring and, when slow, the slow ring. It reports
 // whether rec was slow, so the caller can emit a structured log line.
 // rec must not be mutated afterwards.
 func (r *Recorder) Record(rec *QueryRecord) (slow bool) {
 	slow = r.threshold > 0 && rec.DurationMS*1e6 >= float64(r.threshold)
 	rec.Slow = slow
-	if !slow {
-		rec.Trace = nil
-	}
 	i := r.next.Add(1) - 1
 	r.slots[i%uint64(len(r.slots))].Store(rec)
 	if slow {
