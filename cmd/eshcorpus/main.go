@@ -136,7 +136,7 @@ func main() {
 				len(man.Shards), man.Generation, manifest)
 			for id, se := range man.Shards {
 				fmt.Printf("  shard %d: %4d targets, %6d unique strands  %s\n",
-					id, len(se.Targets), len(shards[id].Strands), se.File)
+					id, se.NumTargets, len(shards[id].Strands), se.File)
 			}
 		}
 	} else if *saveShards > 0 {

@@ -123,6 +123,10 @@ func checkRules(t *testing.T, s *liveSurface) {
 			"retired snapshot key pathlen= is read or written"},
 		{"retired span attribute still set", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `pairs` | span attribute | never | 1 |\n",
 			"retired span attribute pairs is set on a span"},
+		{"retired field of a type that declares it", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `shard.ShardHealth.Targets` | type or package | never | 1 |\n",
+			"retired type or package shard.ShardHealth.Targets is declared"},
+		{"retired method still declared", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `core.QueryPartial.Release` | type or package | never | 1 |\n",
+			"retired type or package core.QueryPartial.Release is declared"},
 		{"retired row of no known kind", "## Retired surface\n\n| name | kind | why | PR |\n|---|---|---|---|\n| `x` | gadget | never | 1 |\n", `kind "gadget"`},
 	}
 	judge := func(name, want string, r docReport) {
@@ -167,7 +171,7 @@ type liveSurface struct {
 	ledgerTop map[string]bool            // their first segments
 	spans     map[string]bool            // span names the code starts
 	attrs     map[string]bool            // span attributes the code sets
-	decls     map[string]map[string]bool // package → declared identifiers, methods and fields
+	decls     map[string]map[string]bool // package → declared identifiers, methods and fields, each also as Type.Name
 	consts    map[string]map[string]int  // package → integer constants
 	funcs     map[string]bool            // Test, Fuzz and Benchmark functions
 	dirs      []string                   // cmd/* and internal/*
@@ -256,6 +260,18 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			declare(d.Name.Name)
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if generic, ok := recv.(*ast.IndexExpr); ok {
+					recv = generic.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					declare(id.Name + "." + d.Name.Name)
+				}
+			}
 			if test && d.Recv == nil && testRE.MatchString(d.Name.Name) {
 				s.funcs[d.Name.Name] = true
 			}
@@ -268,6 +284,7 @@ func (s *liveSurface) addFile(rel string, f *ast.File) {
 						if field, ok := n.(*ast.Field); ok {
 							for _, name := range field.Names {
 								declare(name.Name)
+								declare(spec.Name.Name + "." + name.Name)
 							}
 						}
 						return true
@@ -827,8 +844,8 @@ func (s *liveSurface) checkRetired(r *docReport, cells []string, report func(str
 			if d, ok := strings.CutPrefix(name, "internal/"); ok {
 				live = s.files["internal/"+d]
 			} else if id := identRE.FindStringSubmatch(name); id != nil {
-				if id[3] != "" {
-					live = s.decls[id[1]][id[3]]
+				if id[3] != "" { // a field or method of that type, nested fields included
+					live = s.decls[id[1]][id[2]+"."+id[3]]
 				} else {
 					live = s.decls[id[1]][id[2]]
 				}

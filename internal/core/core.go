@@ -95,7 +95,12 @@ type Target struct {
 	Source     asm.Provenance `json:"source"`
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"` // strands surviving the minimum-size filter
-	strandIdx  []int
+	// SplitPos is the target's 1-based position in the corpus a shard
+	// split divided, which a coordinator lays the fleet's targets out by;
+	// 0 for a target no split placed (a live add, or any target of an
+	// unsharded corpus). It survives compaction, export and replay.
+	SplitPos  int `json:"split_pos,omitempty"`
+	strandIdx []int
 	// strandMult[k] is how many times strandIdx[k] occurs in this
 	// target (strandIdx is deduplicated). Σ strandMult == NumStrands,
 	// and summing per-target multiplicities over all targets

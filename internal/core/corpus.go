@@ -265,6 +265,7 @@ func (c *corpus) compacted() (next *corpus, newIdx []int) {
 			Source:     t.Source,
 			NumBlocks:  t.NumBlocks,
 			NumStrands: t.NumStrands,
+			SplitPos:   t.SplitPos,
 			strandIdx:  make([]int, len(t.strandIdx)),
 			strandMult: append([]int(nil), t.strandMult...),
 		}
@@ -325,6 +326,7 @@ type ExportTarget struct {
 	Source     asm.Provenance
 	NumBlocks  int
 	NumStrands int
+	SplitPos   int // Target.SplitPos
 	StrandIdx  []int
 	// StrandMult[k] is the target's multiplicity of StrandIdx[k].
 	StrandMult []int
@@ -359,6 +361,7 @@ func (db *DB) export(c *corpus) *Export {
 			Source:     t.Source,
 			NumBlocks:  t.NumBlocks,
 			NumStrands: t.NumStrands,
+			SplitPos:   t.SplitPos,
 			StrandIdx:  t.strandIdx,
 			StrandMult: t.strandMult,
 		}
@@ -430,6 +433,7 @@ func FromExport(ex *Export) (*DB, error) {
 			Source:     et.Source,
 			NumBlocks:  et.NumBlocks,
 			NumStrands: et.NumStrands,
+			SplitPos:   et.SplitPos,
 		}
 		if len(et.StrandMult) != len(et.StrandIdx) {
 			return nil, fmt.Errorf("core: import target %d (%s): %d multiplicities for %d strand indices",

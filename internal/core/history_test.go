@@ -39,9 +39,10 @@ func answerPlan(db *DB, query int, pl *QueryPlan) (answer, error) {
 // (DataGeneration, PendingWrites) stamp — one writer, so a stamp names a
 // step — and what a from-scratch rebuild of the survivors answers. The same
 // script then runs against four readers, and each partial they were handed
-// must carry a stamp the serial run produced and equal that step's rebuild
-// bit for bit: rows over the live strands (matched by canonical key), H0
-// histograms, per-target reductions, finalized scores and ranking.
+// must come from a version whose stamp the serial run produced and equal
+// that step's rebuild bit for bit: rows over the live strands (matched by
+// canonical key), H0 histograms, per-target reductions, finalized scores
+// and ranking.
 func TestEveryAnswerOneVersion(t *testing.T) {
 	script := append(synthOps(1, 2, 3), addOp(iccStyle))
 	const setup = 4 // steps applied before the readers start
@@ -132,7 +133,7 @@ func TestEveryAnswerOneVersion(t *testing.T) {
 
 		seen := map[stamp]bool{}
 		for n, g := range got {
-			at := stamp{g.qp.DataGeneration, g.qp.PendingWrites}
+			at := stamp{g.qc.Generation, g.qc.PendingWrites}
 			steps, ok := want[at]
 			if !ok {
 				t.Fatalf("answer %d carries the stamp %+v, which no step of the serial run produced", n, at)

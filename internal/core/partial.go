@@ -42,13 +42,6 @@ type QueryPartial struct {
 	H0 []*stats.H0Accumulator
 	// Targets holds the exact per-target reductions, in index order.
 	Targets []PartialScore
-	// DataGeneration is the compaction generation the partial was
-	// computed under; PendingWrites the number of uncompacted live
-	// writes. A coordinator merging shard partials must refuse either
-	// being nonzero: it places targets by its manifest's target lists,
-	// which describe the shards' generation-zero snapshots.
-	DataGeneration uint64
-	PendingWrites  int
 
 	// targets and maxVCP are the pooled slabs DrawTargets cut Targets and
 	// its MaxVCPs from, which Release hands back; nil when it drew none.

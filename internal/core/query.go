@@ -292,8 +292,6 @@ func (db *DB) partialQuery(ctx context.Context, pl *QueryPlan, qc *corpus) (*Que
 		live = append(live, PartialScore{Target: t, MaxVCP: best})
 	}
 	qp.Targets = live
-	qp.DataGeneration = qc.Generation
-	qp.PendingWrites = qc.PendingWrites
 	spScore.SetAttr("targets", float64(len(qp.Targets)))
 	db.observeStage("score", spScore.End())
 	return qp, rows, nil

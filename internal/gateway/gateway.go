@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -429,13 +430,10 @@ func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 			if st.PartialWire != shard.WireVersion {
 				errs = append(errs, fmt.Errorf("shard %d: partial wire version %d, this gateway reads %d; 0 is the JSON form of older builds (replica %s)", i, st.PartialWire, shard.WireVersion, u))
 			}
-			if err := g.cfg.Manifest.CheckShard(i, shard.Identity{
-				ShardID:        st.Snapshot.ShardID,
-				ShardCount:     st.Snapshot.ShardCount,
-				Generation:     st.Snapshot.Generation,
-				Checksum:       st.Snapshot.Checksum,
-				DataGeneration: st.Writes.Generation,
-				PendingWrites:  st.Writes.PendingWrites,
+			if err := g.cfg.Manifest.CheckShard(i, core.ShardInfo{
+				ID:         st.Snapshot.ShardID,
+				Count:      st.Snapshot.ShardCount,
+				Generation: st.Snapshot.Generation,
 			}); err != nil {
 				errs = append(errs, fmt.Errorf("%w (replica %s)", err, u))
 			}

@@ -295,7 +295,7 @@ func TestGatewayShardDown(t *testing.T) {
 	if len(got.MissingShards) != 1 || got.MissingShards[0] != down {
 		t.Fatalf("missing_shards = %v, want [%d]", got.MissingShards, down)
 	}
-	if want := f.man.NumTargets - len(f.man.Shards[down].Targets); len(got.Results) != want {
+	if want := f.man.NumTargets - f.man.Shards[down].NumTargets; len(got.Results) != want {
 		t.Fatalf("%d results with shard %d down, want %d", len(got.Results), down, want)
 	}
 	st := fetchGatewayStats(t, f.gwSrv.URL)

@@ -75,7 +75,7 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	for sid, reps := range g.cfg.Shards {
 		sh := shard.ShardHealth{
 			ID:       sid,
-			Targets:  len(g.cfg.Manifest.Shards[sid].Targets),
+			Targets:  g.cfg.Manifest.Shards[sid].NumTargets,
 			Replicas: make([]shard.ReplicaHealth, len(reps)),
 		}
 		anyReady := false

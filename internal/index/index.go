@@ -40,11 +40,12 @@ import (
 // journal high-water mark, what lets a restarting daemon skip
 // already-folded journal records), per-strand MinHash signatures,
 // and per-target strand multiplicities (what lets a corpus split into
-// shards whose local strand counts sum exactly to the union's).
-// Versions 1–5 are refused: no fleet holds them.
+// shards whose local strand counts sum exactly to the union's); a shard
+// snapshot also carries each target's split position. Versions 1–6 are
+// refused: no fleet holds them.
 const (
 	Magic   = "eshidx"
-	Version = 6
+	Version = 7
 )
 
 // Override adjusts the options a snapshot was saved with before the
@@ -54,9 +55,9 @@ const (
 type Override func(core.Options) core.Options
 
 // Info identifies one snapshot: the format version, body size, body
-// checksum, and the shard identity baked into it. The checksum is what
-// a gateway compares against its manifest to refuse serving a query
-// across a mixed-version shard fleet.
+// checksum, and the shard identity baked into it. The checksum names the
+// file on disk (eshd logs it, /v1/stats reports it); a fleet is named by
+// the shard identity's generation.
 type Info struct {
 	Version  int
 	BodyLen  int
@@ -217,12 +218,18 @@ func codeType(c int) (ivl.Type, error) {
 	return ivl.Int, fmt.Errorf("unknown type code %d", c)
 }
 
+// OptionsRecord is the snapshot record of the engine options o: every
+// setting a snapshot holds, so also what a shard split's generation
+// hashes of them. No retired key (retiredKeys) is written, workers=
+// among them.
+func OptionsRecord(o core.Options) string {
+	return fmt.Sprintf("options pathlen=%d vcpsamples=%d vcpminvars=%d vcpmaxcorr=%d\n",
+		o.PathLen, o.VCP.Samples, o.VCP.MinVars, o.VCP.MaxCorrespondences)
+}
+
 func encodeBody(ex *core.Export) []byte {
 	var b bytes.Buffer
-	o := ex.Opts
-	// No retired key (retiredKeys) is written, workers= among them.
-	fmt.Fprintf(&b, "options pathlen=%d vcpsamples=%d vcpminvars=%d vcpmaxcorr=%d\n",
-		o.PathLen, o.VCP.Samples, o.VCP.MinVars, o.VCP.MaxCorrespondences)
+	b.WriteString(OptionsRecord(ex.Opts))
 
 	// Shard identity. All zero/empty for an unsharded corpus.
 	fmt.Fprintf(&b, "shard %d %d %s\n", ex.Shard.ID, ex.Shard.Count, strconv.Quote(ex.Shard.Generation))
@@ -284,6 +291,16 @@ func encodeBody(ex *core.Export) []byte {
 	for _, t := range ex.Targets {
 		recfile.WriteIntList(&b, "m", t.StrandMult)
 	}
+
+	// A shard snapshot's split positions (core.Target.SplitPos), one per
+	// target, 0 for a live add. An unsharded corpus has none to write.
+	if ex.Shard.Sharded() {
+		pos := make([]int, len(ex.Targets))
+		for i, t := range ex.Targets {
+			pos[i] = t.SplitPos
+		}
+		recfile.WriteIntList(&b, "p", pos)
+	}
 	return b.Bytes()
 }
 
@@ -296,7 +313,7 @@ func decodeBody(body []byte) (*core.Export, error) {
 	ex := &core.Export{}
 	for _, section := range []func(*core.Export) error{
 		d.decodeOptions, d.decodeShard, d.decodeWAL, d.decodeStrands,
-		d.decodeTargets, d.decodeSketch, d.decodeMults,
+		d.decodeTargets, d.decodeSketch, d.decodeMults, d.decodePositions,
 	} {
 		if err := section(ex); err != nil {
 			return nil, err
@@ -370,6 +387,24 @@ func (d *decoder) decodeMults(ex *core.Export) error {
 		ex.Targets[i].StrandMult = mult
 	}
 	return nil
+}
+
+// decodePositions reads a shard snapshot's split positions.
+func (d *decoder) decodePositions(ex *core.Export) error {
+	if !ex.Shard.Sharded() {
+		return nil
+	}
+	pos, err := d.IntList("p")
+	if err == nil && len(pos) != len(ex.Targets) {
+		err = d.Errf("%d split positions for %d targets", len(pos), len(ex.Targets))
+	}
+	for i := 0; err == nil && i < len(pos); i++ {
+		if pos[i] < 0 {
+			err = d.Errf("target %d: negative split position %d", i, pos[i])
+		}
+		ex.Targets[i].SplitPos = pos[i]
+	}
+	return err
 }
 
 // decodeSketch reads the sketch section. A zero strand count

@@ -10,6 +10,7 @@ import (
 	"math"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -352,13 +353,57 @@ func TestIllTypedStrandRefused(t *testing.T) {
 	}
 }
 
-// TestOldVersionRefused: formats before 6 are no longer decoded — v5,
-// the last to carry a persisted probe table, included.
+// TestOldVersionRefused: formats before 7 are no longer decoded — v5,
+// the last to carry a persisted probe table, and v6, the last whose shard
+// snapshots held no split positions, included.
 func TestOldVersionRefused(t *testing.T) {
-	old := rewrite(t, saveBytes(t, buildDB(t)), Version-1, func(ln string) string { return ln })
-	_, err := Load(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "unsupported format version 5") {
-		t.Fatalf("v5 snapshot: error %v, want unsupported format version", err)
+	for _, v := range []int{5, 6} {
+		old := rewrite(t, saveBytes(t, buildDB(t)), v, func(ln string) string { return ln })
+		_, err := Load(bytes.NewReader(old))
+		if want := fmt.Sprintf("unsupported format version %d (have 7)", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d snapshot: error %v, want %q", v, err, want)
+		}
+	}
+}
+
+// TestSplitPositionsPersist: a shard snapshot records every target's split
+// position, 0 for a live add, and loads them back; an unsharded snapshot
+// has no such record, so its body is the same whatever positions the
+// export holds. A position record that does not fit its targets is
+// refused with its line.
+func TestSplitPositionsPersist(t *testing.T) {
+	save := func(ex *core.Export) []byte {
+		var buf bytes.Buffer
+		if _, err := SaveExportCtx(context.Background(), &buf, ex); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain := buildDB(t).Export()
+	ex := *plain
+	ex.Targets = slices.Clone(plain.Targets)
+	ex.Targets[0].SplitPos = 7
+	if !bytes.Equal(save(&ex), save(plain)) {
+		t.Fatal("split positions moved an unsharded snapshot's bytes")
+	}
+	ex.Shard = core.ShardInfo{ID: 1, Count: 2, Generation: "g"}
+	snap := save(&ex)
+	back, _, err := LoadExportInfo(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []int{back.Targets[0].SplitPos, back.Targets[1].SplitPos}; got[0] != 7 || got[1] != 0 {
+		t.Fatalf("split positions %v after a round trip, want [7 0]", got)
+	}
+	for to, want := range map[string]string{
+		"p 2 7 -1": "target 1: negative split position -1",
+		"p 1 7":    "1 split positions for 2 targets",
+		"":         `expected "p" record`,
+	} {
+		bad := rewrite(t, snap, Version, func(ln string) string { return strings.Replace(ln, "p 2 7 0", to, 1) })
+		if _, _, err := LoadExportInfo(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", to, err, want)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // PartialResponse is the POST /v1/query/partial reply: one shard's
 // contribution to a scattered query, for a gateway to merge, with the
 // request ID and, under ?trace=1, the span tree as JSON. It is the frame
-// itself; the shard identity inside lets the gateway check the reply
-// against its manifest.
+// itself; the shard slot inside lets the gateway check the reply against
+// its manifest.
 type PartialResponse = shard.Frame
 
 // framePool recycles reply buffers: a frame is tens of KB on a
@@ -36,9 +36,6 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f := PartialResponse{RequestID: RequestID(r.Context()), Partial: shard.FromQueryPartial(qp, s.db.Shard())}
-	if s.store != nil {
-		f.Partial.Checksum = s.store.Snapshot().Checksum
-	}
 	var err error
 	if r.URL.Query().Get("trace") == "1" {
 		f.Trace, err = json.Marshal(root.Snapshot())

@@ -611,9 +611,8 @@ type StatsResponse struct {
 	// Writes reports the live write path: whether it is enabled, the
 	// data generation (bumped per compaction), the journal high-water
 	// mark, uncompacted write and tombstone counts, and — when a WAL is
-	// attached — its on-disk statistics. A gateway refuses to merge
-	// partials from a shard with nonzero pending writes or generation
-	// (its manifest no longer describes that shard's corpus).
+	// attached — its on-disk statistics. A shard that took writes still
+	// merges exactly: its targets carry their split positions.
 	Writes struct {
 		Enabled       bool       `json:"enabled"`
 		Generation    uint64     `json:"generation"`
@@ -625,8 +624,8 @@ type StatsResponse struct {
 	// Snapshot identifies the index snapshot this replica serves —
 	// format version, body checksum, and (when the corpus is one shard
 	// of a split) the shard coordinates and fleet generation. A gateway
-	// compares these across replicas to detect a mixed fleet before
-	// trusting merged scores.
+	// holds the coordinates and generation to its manifest to detect a
+	// mixed fleet before trusting merged scores.
 	Snapshot struct {
 		Version    int    `json:"version,omitempty"`
 		Checksum   string `json:"checksum,omitempty"`

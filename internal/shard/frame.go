@@ -16,7 +16,7 @@ import (
 // gateway and its shards must agree on it exactly; there is no
 // negotiation (the endpoint is internal to a fleet, which is deployed
 // as one build).
-const WireVersion = 6
+const WireVersion = 7
 
 // frameMagic opens every frame. Its first byte is not '{', so a JSON
 // body from a pre-frame shard is told apart without parsing it.
@@ -31,13 +31,12 @@ const frameMagic = "eshp"
 //
 //	magic "eshp" | uint32 wire version
 //	uint32 shard id | uint32 shard count
-//	uint64 data generation | uint64 pending writes
 //	uint32 query blocks | uint32 query strands
 //	uint32 nq (unique query strands) | uint32 nt (targets)
-//	string generation | string checksum | string request id | string query name | provenance
+//	string generation | string request id | string query name | provenance
 //	nq float64 weights
 //	nq × (uint32 n | n × (float64 VCP | uint64 multiplicity)), the H0 histograms, VCPs ascending
-//	nt × (string name | provenance | uint32 blocks | uint32 strands)
+//	nt × (string name | provenance | uint32 blocks | uint32 strands | uint32 split position)
 //	nt×nq float64 max-VCP, target-major
 //	uint32 trace length | the span tree as JSON (length 0: untraced)
 type Frame struct {
@@ -66,14 +65,14 @@ func (e *WireVersionError) Error() string {
 }
 
 // frameFixedLen is the magic, the version and the scalar header.
-const frameFixedLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4
+const frameFixedLen = 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4
 
 // h0EntryLen is one histogram entry: a VCP and its multiplicity.
 const h0EntryLen = 8 + 8
 
 // minTargetLen is the fewest bytes one target occupies: an empty name,
-// an empty provenance and two counts.
-const minTargetLen = 4 + (4*4 + 1) + 4 + 4
+// an empty provenance, two counts and the split position.
+const minTargetLen = 4 + (4*4 + 1) + 4 + 4 + 4
 
 // AppendTo appends the frame to dst. It refuses a partial whose shape
 // Merge would refuse anyway — a histogram or a max-VCP vector missing for
@@ -96,7 +95,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		}
 		return true
 	}
-	if !fits(p.Shard.ID, p.Shard.Count, p.NumBlocks, p.NumStrands, nq, nt, len(f.Trace)) || p.PendingWrites < 0 {
+	if !fits(p.Shard.ID, p.Shard.Count, p.NumBlocks, p.NumStrands, nq, nt, len(f.Trace)) {
 		return dst, fmt.Errorf("shard: encode frame: a header count does not fit its field")
 	}
 	entries := 0
@@ -110,7 +109,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		if len(ps.MaxVCP) != nq {
 			return dst, fmt.Errorf("shard: encode frame: target %d has %d max-VCP entries for %d query strands", k, len(ps.MaxVCP), nq)
 		}
-		if !fits(ps.Target.NumBlocks, ps.Target.NumStrands) {
+		if !fits(ps.Target.NumBlocks, ps.Target.NumStrands, ps.Target.SplitPos) {
 			return dst, fmt.Errorf("shard: encode frame: target %d counts do not fit their fields", k)
 		}
 	}
@@ -123,14 +122,11 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	dst = le.AppendUint32(dst, WireVersion)
 	dst = le.AppendUint32(dst, uint32(p.Shard.ID))
 	dst = le.AppendUint32(dst, uint32(p.Shard.Count))
-	dst = le.AppendUint64(dst, p.DataGeneration)
-	dst = le.AppendUint64(dst, uint64(p.PendingWrites))
 	dst = le.AppendUint32(dst, uint32(p.NumBlocks))
 	dst = le.AppendUint32(dst, uint32(p.NumStrands))
 	dst = le.AppendUint32(dst, uint32(nq))
 	dst = le.AppendUint32(dst, uint32(nt))
 	dst = appendString(dst, p.Shard.Generation)
-	dst = appendString(dst, p.Checksum)
 	dst = appendString(dst, f.RequestID)
 	dst = appendString(dst, p.QueryName)
 	dst = appendProvenance(dst, p.Source)
@@ -149,6 +145,7 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 		dst = appendProvenance(dst, t.Source)
 		dst = le.AppendUint32(dst, uint32(t.NumBlocks))
 		dst = le.AppendUint32(dst, uint32(t.NumStrands))
+		dst = le.AppendUint32(dst, uint32(t.SplitPos))
 	}
 	for _, ps := range p.Targets {
 		dst = appendFloats(dst, ps.MaxVCP)
@@ -207,9 +204,10 @@ type targetTable struct {
 // more than a small constant times len(b) of memory. A histogram must be
 // what an engine sends (stats.H0Accumulator.Append): VCPs in [0, 1],
 // strictly ascending, multiplicities positive and summing to at most
-// 2^53. The partial's float slabs and strings are copies; only Trace
-// aliases b. Its target and max-VCP slabs come from the engine's pools
-// (core.QueryPartial.DrawTargets), for Release to hand back.
+// 2^53. A target's split position is taken as sent: Merge judges it
+// against the manifest. The partial's float slabs and strings are copies;
+// only Trace aliases b. Its target and max-VCP slabs come from the
+// engine's pools (core.QueryPartial.DrawTargets), for Release to hand back.
 //
 // tab, if not nil, is the sending slot's TargetTable: the partial's
 // targets then point into it and are shared with every other partial
@@ -224,19 +222,12 @@ func DecodeFrame(b []byte, tab *TargetTable) (*Frame, error) {
 	}
 	r := frameReader{b: b[8:]}
 	p := &Partial{Shard: core.ShardInfo{ID: int(r.u32()), Count: int(r.u32())}}
-	p.DataGeneration = r.u64()
-	pending := r.u64()
-	if pending > math.MaxInt {
-		return nil, fmt.Errorf("shard: decode frame: pending writes %d out of range", pending)
-	}
-	p.PendingWrites = int(pending)
 	p.NumBlocks = int(r.u32())
 	p.NumStrands = int(r.u32())
 	nq, nt := uint64(r.u32()), uint64(r.u32())
 
 	f := &Frame{Partial: p}
 	p.Shard.Generation = r.str()
-	p.Checksum = r.str()
 	f.RequestID = r.str()
 	p.QueryName = r.str()
 	p.Source = r.provenance()
@@ -310,6 +301,7 @@ func (r *frameReader) identities(nt uint64, tab *TargetTable) (tt *targetTable, 
 		t.Source = r.provenance()
 		t.NumBlocks = int(r.u32())
 		t.NumStrands = int(r.u32())
+		t.SplitPos = int(r.u32())
 	}
 	if r.err != nil {
 		return nil, false

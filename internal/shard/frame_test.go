@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +64,74 @@ func hostileH0Frames(t testing.TB) map[string][]byte {
 	return frames
 }
 
+// hostilePositions is a two-shard split of the copies corpus and, per
+// case, both shards' reply frames to one query, in which shard 1 claims
+// split positions Merge must refuse, with the text the refusal must hold.
+// The decoder takes every one of them: positions are Merge's to judge.
+func hostilePositions(t testing.TB) (*Manifest, map[string]struct {
+	frames [2][]byte
+	want   string
+}) {
+	t.Helper()
+	man, shardExs, err := Split(indexProcs(t, copiesCorpus(t)).Export(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := parse(t, gccStyle)
+	var sent [2]*Partial
+	for s, se := range shardExs {
+		db, err := core.FromExport(se)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp, err := db.PartialQueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent[s] = FromQueryPartial(qp, db.Shard())
+	}
+	if len(sent[0].Targets) < 1 || len(sent[1].Targets) < 2 {
+		t.Fatal("the test needs a target on shard 0 and two on shard 1")
+	}
+	encode := func(p *Partial) []byte {
+		b, err := (&Frame{Partial: p}).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// claim is shard 1's frame with its target k at position pos.
+	claim := func(k, pos int) []byte {
+		p := *sent[1]
+		p.Targets = slices.Clone(p.Targets)
+		tg := *p.Targets[k].Target
+		tg.SplitPos = pos
+		p.Targets[k].Target = &tg
+		return encode(&p)
+	}
+	// No query strand, but every target of the split and a thousand more.
+	empty := &Partial{Shard: sent[1].Shard}
+	empty.QueryName = sent[1].QueryName
+	for k := 0; k < man.NumTargets+1000; k++ {
+		empty.Targets = append(empty.Targets, core.PartialScore{Target: &core.Target{Name: fmt.Sprint("t", k), SplitPos: k%man.NumTargets + 1}})
+	}
+	t0, t1 := sent[0].Targets[0].Target, sent[1].Targets[1].Target
+	first := encode(sent[0])
+	return man, map[string]struct {
+		frames [2][]byte
+		want   string
+	}{
+		"position beyond the split": {[2][]byte{first, claim(0, math.MaxUint32)},
+			fmt.Sprintf("shard 1 target 0 (%s) claims split position 4294967295, the split has %d targets", sent[1].Targets[0].Target.Name, man.NumTargets)},
+		"position repeated within a shard": {[2][]byte{first, claim(0, t1.SplitPos)},
+			fmt.Sprintf("shard 1 target 1 (%s) claims split position %d, which %s already holds", t1.Name, t1.SplitPos, sent[1].Targets[0].Target.Name)},
+		"position claimed by two shards": {[2][]byte{first, claim(0, t0.SplitPos)},
+			fmt.Sprintf("shard 1 target 0 (%s) claims split position %d, which %s already holds", sent[1].Targets[0].Target.Name, t0.SplitPos, t0.Name)},
+		"no query strand, many targets": {[2][]byte{first, encode(empty)},
+			"shard 1 answered a different query"},
+	}
+}
+
 // corpusFrames encodes real replies: every query of the hand-written
 // corpus against each shard of a 2-way split, one of them traced.
 func corpusFrames(t testing.TB) [][]byte {
@@ -109,7 +178,7 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 		t.Fatalf("envelope: request id %q/%q, trace %q/%q", got.RequestID, want.RequestID, got.Trace, want.Trace)
 	}
 	w, g := want.Partial, got.Partial
-	if w.Identity() != g.Identity() || w.QueryName != g.QueryName || w.Source != g.Source ||
+	if w.Shard != g.Shard || w.QueryName != g.QueryName || w.Source != g.Source ||
 		w.NumBlocks != g.NumBlocks || w.NumStrands != g.NumStrands {
 		t.Fatalf("header differs:\nwant %+v\ngot  %+v", w, g)
 	}
@@ -142,7 +211,7 @@ func requireSameFrame(t testing.TB, want, got *Frame) {
 	}
 	for k := range w.Targets {
 		a, b := w.Targets[k].Target, g.Targets[k].Target
-		if a.Name != b.Name || a.Source != b.Source || a.NumBlocks != b.NumBlocks || a.NumStrands != b.NumStrands {
+		if a.Name != b.Name || a.Source != b.Source || a.NumBlocks != b.NumBlocks || a.NumStrands != b.NumStrands || a.SplitPos != b.SplitPos {
 			t.Fatalf("target %d: got %+v, want %+v", k, b, a)
 		}
 		sameFloats("max-VCP", w.Targets[k].MaxVCP, g.Targets[k].MaxVCP)
@@ -199,13 +268,11 @@ func TestFrameFloatBits(t *testing.T) {
 	}
 	p := &Partial{
 		QueryPartial: core.QueryPartial{
-			DataGeneration: math.MaxUint64, PendingWrites: 3,
 			QueryName: "q",
 			Source:    asm.Provenance{Package: "pkg", SourceSym: "sym", Toolchain: "tc", OptLevel: "-O2", Patched: true},
 			Weights:   specials,
 		},
-		Shard:    core.ShardInfo{ID: 1, Count: 2, Generation: "g"},
-		Checksum: "c",
+		Shard: core.ShardInfo{ID: 1, Count: 2, Generation: "g"},
 	}
 	// A histogram holds VCPs, so only the specials inside [0, 1] fit one.
 	inUnit := []float64{0, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 0.1, 1}
@@ -218,7 +285,7 @@ func TestFrameFloatBits(t *testing.T) {
 	}
 	for k := range specials { // each a rotation, so every position sees every value
 		p.Targets = append(p.Targets, core.PartialScore{
-			Target: &core.Target{Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"}, NumBlocks: k, NumStrands: 2 * k},
+			Target: &core.Target{Name: strings.Repeat("t", k), Source: asm.Provenance{Toolchain: "x"}, NumBlocks: k, NumStrands: 2 * k, SplitPos: k * 1e8},
 			MaxVCP: append(append([]float64{}, specials[k:]...), specials[:k]...),
 		})
 	}
@@ -266,11 +333,12 @@ func TestFrameRefusesRaggedPartial(t *testing.T) {
 // frames carried a per-target S-VCP lane, version 2 frames no checksum
 // and no tier, version 3 frames dense VCP rows instead of H0 histograms,
 // version 4 frames the retired heuristic tier's min containment, version
-// 5 frames the sigmoid steepness; a shard of any of these builds must be
-// refused, not misread.
+// 5 frames the sigmoid steepness, version 6 frames a drift stamp and a
+// snapshot checksum and no split positions; a shard of any of these builds
+// must be refused, not misread.
 func TestFrameWireVersion(t *testing.T) {
-	if WireVersion != 6 {
-		t.Fatalf("WireVersion = %d, want 6", WireVersion)
+	if WireVersion != 7 {
+		t.Fatalf("WireVersion = %d, want 7", WireVersion)
 	}
 	frame := corpusFrames(t)[0]
 	version := func(v uint32) []byte {
@@ -290,6 +358,7 @@ func TestFrameWireVersion(t *testing.T) {
 		"version 3":      {version(3), false, 3},
 		"version 4":      {version(4), false, 4},
 		"version 5":      {version(5), false, 5},
+		"version 6":      {version(6), false, 6},
 		"future version": {version(WireVersion + 6), false, WireVersion + 6},
 	} {
 		_, err := DecodeFrame(tc.body, nil)
@@ -300,7 +369,7 @@ func TestFrameWireVersion(t *testing.T) {
 		if wv.NotFrame != tc.notFrame || wv.Got != tc.got {
 			t.Errorf("%s: %+v", name, wv)
 		}
-		if !strings.Contains(err.Error(), "want wire version 6") && !strings.Contains(err.Error(), "want 6") {
+		if !strings.Contains(err.Error(), "want wire version 7") && !strings.Contains(err.Error(), "want 7") {
 			t.Errorf("%s: %q does not name the expected version", name, err)
 		}
 	}
@@ -350,6 +419,50 @@ func TestFrameHostileLengths(t *testing.T) {
 			t.Errorf("%s: decoder allocated %d bytes for a %d-byte body", name, grew, len(b))
 		}
 	}
+	// Split positions Merge must refuse: whatever a frame claims, the
+	// merge allocates by the manifest and the frames' own bytes.
+	man, cases := hostilePositions(t)
+	for name, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var parts []*Partial
+		for _, b := range tc.frames {
+			f, err := DecodeFrame(b, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			parts = append(parts, f.Partial)
+		}
+		_, _, err := Merge(man, parts)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one saying %q", name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decode and merge allocated %d bytes for %d + %d frame bytes", name, grew, len(tc.frames[0]), len(tc.frames[1]))
+		}
+	}
+	// Nor does a manifest's target count size the merge.
+	huge, frames := syntheticFleet(t, 100, 0)
+	huge.NumTargets = 1 << 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var parts []*Partial
+	for _, b := range frames {
+		f, err := DecodeFrame(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, f.Partial)
+	}
+	rep, _, err := Merge(huge, parts)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(rep.Results) != 200 {
+		t.Errorf("a manifest of 2^40 targets over 200: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a manifest of 2^40 targets: decode and merge allocated %d bytes", grew)
+	}
 	// A string length past the end of the body.
 	b := append([]byte{}, base...)
 	binary.LittleEndian.PutUint32(b[frameFixedLen:], math.MaxUint32)
@@ -372,10 +485,10 @@ func FuzzPartialFrame(f *testing.F) {
 	if _, err := DecodeFrame(corpus[len(corpus)-1], &primed); err != nil {
 		f.Fatal(err)
 	}
-	// A frame whose identity fills the checksum version 2 lacked.
-	v3 := &Partial{Shard: core.ShardInfo{ID: 1, Count: 2, Generation: "g"}, Checksum: strings.Repeat("c", 64)}
-	if b, err := (&Frame{Partial: v3}).AppendTo(nil); err == nil {
-		f.Add(b)
+	// Frames claiming split positions Merge refuses, which decode.
+	_, cases := hostilePositions(f)
+	for _, tc := range cases {
+		f.Add(tc.frames[1])
 	}
 	// The histogram lane: one valid frame at its edges, and one frame per
 	// thing the decoder refuses there.

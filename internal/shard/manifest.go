@@ -18,7 +18,7 @@ import (
 // like a snapshot.
 const (
 	ManifestMagic   = "eshmani"
-	ManifestVersion = 3
+	ManifestVersion = 4
 )
 
 // WriteManifest encodes the manifest to w.
@@ -28,8 +28,7 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "shards %d\n", len(m.Shards))
 	for id, se := range m.Shards {
-		fmt.Fprintf(&b, "shard %d %s %s\n", id, strconv.Quote(se.File), strconv.Quote(se.Checksum))
-		recfile.WriteIntList(&b, "st", se.Targets)
+		fmt.Fprintf(&b, "shard %d %s %d\n", id, strconv.Quote(se.File), se.NumTargets)
 	}
 	if _, err := recfile.Write(w, ManifestMagic, ManifestVersion, b.Bytes()); err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
@@ -101,9 +100,7 @@ func decodeManifest(body []byte) (*Manifest, error) {
 	if n < 1 {
 		return nil, r.Errf("bad shard count %q", toks[0])
 	}
-	// Keyed by target index, so nothing is allocated from the declared
-	// target count before the shard lists account for it.
-	seenTarget := make(map[int]bool)
+	sum := 0
 	for id := 0; id < n; id++ {
 		toks, err := r.Record("shard", 3)
 		if err != nil {
@@ -115,36 +112,22 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		if got, _ := strconv.Atoi(toks[0]); got != id {
 			return nil, r.Errf("shard record %s out of order (want %d)", toks[0], id)
 		}
-		m.Shards = append(m.Shards, ShardEntry{File: toks[1], Checksum: toks[2]})
-		se := &m.Shards[id]
-		if se.Targets, err = r.IntList("st"); err != nil {
-			return nil, err
+		nt, err := strconv.Atoi(toks[2])
+		if err != nil || nt < 0 || nt > m.NumTargets-sum {
+			return nil, r.Errf("shard %d target count %q does not fit the %d targets", id, toks[2], m.NumTargets)
 		}
-		for _, ti := range se.Targets {
-			if ti < 0 || ti >= m.NumTargets {
-				return nil, r.Errf("shard %d target index %d out of range [0,%d)", id, ti, m.NumTargets)
-			}
-			if seenTarget[ti] {
-				return nil, r.Errf("target %d assigned to two shards", ti)
-			}
-			seenTarget[ti] = true
-		}
+		sum += nt
+		m.Shards = append(m.Shards, ShardEntry{File: toks[1], NumTargets: nt})
 	}
-	if len(seenTarget) < m.NumTargets {
-		ti := 0 // every seen index is in range, so one of the first len+1 is missing
-		for seenTarget[ti] {
-			ti++
-		}
-		return nil, fmt.Errorf("target %d assigned to no shard", ti)
+	if sum != m.NumTargets {
+		return nil, fmt.Errorf("the shards hold %d targets, the manifest says %d", sum, m.NumTargets)
 	}
 	return m, r.End()
 }
 
 // SaveShards splits the corpus n ways and writes the manifest at path
 // with the shard snapshots alongside it (path.0 … path.N-1), returning the
-// manifest and the shard exports. Each snapshot's checksum lands in the
-// manifest, so loading the manifest is enough to verify the fleet a
-// gateway is about to trust.
+// manifest and the shard exports.
 func SaveShards(path string, ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	man, shards, err := Split(ex, n)
 	if err != nil {
@@ -152,12 +135,10 @@ func SaveShards(path string, ex *core.Export, n int) (*Manifest, []*core.Export,
 	}
 	for s, se := range shards {
 		file := fmt.Sprintf("%s.%d", filepath.Base(path), s)
-		info, err := index.SaveExportFile(filepath.Join(filepath.Dir(path), file), se)
-		if err != nil {
+		if _, err := index.SaveExportFile(filepath.Join(filepath.Dir(path), file), se); err != nil {
 			return nil, nil, fmt.Errorf("shard: save shard %d: %w", s, err)
 		}
 		man.Shards[s].File = file
-		man.Shards[s].Checksum = info.Checksum
 	}
 	if err := SaveManifest(path, man); err != nil {
 		return nil, nil, err

@@ -34,20 +34,26 @@ func TestManifestBadBodyRejected(t *testing.T) {
 		{"generation \"x\"\ntargets 1\ncounts 1\nshards 1\nshard 0 \"f\" \"c\"\nst 0\nss 0\n", `line 3: expected "shards" record, got "counts 1"`},
 		// Nor is a version 2 body's opts record.
 		{"generation \"x\"\nopts sigmoidk=0\ntargets 0\nshards 1\nshard 0 \"f\" \"c\"\nst 0\n", `line 2: expected "targets" record, got "opts sigmoidk=0"`},
+		// Nor a version 3 body's checksum and target list.
+		{"generation \"x\"\ntargets 0\nshards 1\nshard 0 \"f\" \"c\"\nst 0\n", `line 4: shard 0 target count "c"`},
+		// Shard target counts that do not fit the manifest's.
+		{"generation \"x\"\ntargets 3\nshards 2\nshard 0 \"f\" 2\nshard 1 \"g\" 2\n", `line 5: shard 1 target count "2" does not fit the 3 targets`},
+		{"generation \"x\"\ntargets 3\nshards 1\nshard 0 \"f\" -1\n", `line 4: shard 0 target count "-1"`},
 	} {
 		_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(tc.body))))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !lineError.MatchString(err.Error()) {
 			t.Errorf("%q: error %v, want %q", tc.body, err, tc.want)
 		}
 	}
-	// A target count nothing lists is refused without allocating for it.
-	huge := "generation \"x\"\ntargets 1000000000000000\nshards 1\nshard 0 \"f\" \"c\"\nst 1 0\n"
+	// A target count the shards do not hold is refused without
+	// allocating for it.
+	huge := "generation \"x\"\ntargets 1000000000000000\nshards 1\nshard 0 \"f\" 1\n"
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, ManifestVersion, []byte(huge))))
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "target 1 assigned to no shard") {
-		t.Errorf("huge target count: error %v, want target 1 assigned to no shard", err)
+	if want := "the shards hold 1 targets, the manifest says 1000000000000000"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("huge target count: error %v, want %q", err, want)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("huge target count: decoder allocated %d bytes", grew)
@@ -65,10 +71,11 @@ func FuzzDecodeBodies(f *testing.F) {
 		f.Fatal(err)
 	}
 	files := [][]byte{snap.Bytes()}
-	// Manifests: the corpus split two ways, and four ways (some
-	// shard then holds no target, an empty "st" list).
+	// Manifests: the corpus split two ways, and four ways (some shard
+	// then holds no target); and a shard snapshot, split positions and
+	// all.
 	for _, n := range []int{2, 4} {
-		m, _, err := Split(ex, n)
+		m, shardExs, err := Split(ex, n)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -77,6 +84,13 @@ func FuzzDecodeBodies(f *testing.F) {
 			f.Fatal(err)
 		}
 		files = append(files, man.Bytes())
+		if n == 2 {
+			var shard bytes.Buffer
+			if _, err := index.SaveExportCtx(context.Background(), &shard, shardExs[1]); err != nil {
+				f.Fatal(err)
+			}
+			files = append(files, shard.Bytes())
+		}
 	}
 	for _, file := range files {
 		_, body, _ := bytes.Cut(file, []byte("\n"))

@@ -9,49 +9,20 @@ import (
 )
 
 // Partial is one shard's contribution to a scattered query: the engine's
-// core.QueryPartial, plus the two things the engine does not hold — the
-// fleet slot it answered as and the served snapshot's checksum. Between
-// eshd and eshgw it travels as a Frame. Its slabs are the QueryPartial's:
-// a decoded partial's come from the engine's pools (DecodeFrame), for
-// Release to hand back once Merge has returned. It declares no JSON tags;
-// only the benchmark's per-layer timing and a merge test marshal it.
+// core.QueryPartial plus the fleet slot it answered as, which the engine
+// does not hold. Between eshd and eshgw it travels as a Frame. Its slabs
+// are the QueryPartial's: a decoded partial's come from the engine's pools
+// (DecodeFrame), for Release to hand back once Merge has returned. It
+// declares no JSON tags; only the benchmark's per-layer timing and a merge
+// test marshal it.
 type Partial struct {
 	core.QueryPartial
 	Shard core.ShardInfo
-	// Checksum is the served snapshot's; "" if the shard loaded no file.
-	Checksum string
-}
-
-// Identity is what a shard's answer says about where it came from: its
-// fleet slot, the snapshot it was computed under, and
-// how far live writes have moved its corpus since the split.
-type Identity struct {
-	ShardID    int    `json:"shard_id"`
-	ShardCount int    `json:"shard_count"`
-	Generation string `json:"generation"`
-	// Checksum is the served snapshot's; "" if the shard loaded no file.
-	Checksum string `json:"checksum,omitempty"`
-	// DataGeneration (compactions) and PendingWrites (uncompacted live
-	// writes) are nonzero once the corpus left the split's snapshot.
-	DataGeneration uint64 `json:"data_generation,omitempty"`
-	PendingWrites  int    `json:"pending_writes,omitempty"`
-}
-
-// Identity is the partial's identity, for Manifest.CheckShard.
-func (p *Partial) Identity() Identity {
-	return Identity{
-		ShardID:        p.Shard.ID,
-		ShardCount:     p.Shard.Count,
-		Generation:     p.Shard.Generation,
-		Checksum:       p.Checksum,
-		DataGeneration: p.DataGeneration,
-		PendingWrites:  p.PendingWrites,
-	}
 }
 
 // FromQueryPartial wraps an engine partial answered as slot si, sharing
 // its slices and taking over its slabs: release the one or the other,
-// once. The caller stamps the snapshot checksum.
+// once.
 func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 	return &Partial{QueryPartial: *qp, Shard: si}
 }
@@ -59,16 +30,19 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 // Merge reassembles shard partials into the single-node result. Each
 // query strand's H0 histogram is the sum of the responders' (a strand's
 // corpus multiplicity is the sum of its shard-local ones), the per-target
-// reductions pass through untouched, the targets are laid out in global
-// (corpus build) order, and core.QueryPartial.Finalize then runs the
-// scoring a single node runs. With every shard present the result is
-// bit-identical to core.Query on the union corpus.
+// reductions pass through untouched, and core.QueryPartial.Finalize then
+// runs the scoring a single node runs. Targets are laid out in the
+// fleet's canonical order: the split's by their split positions, holes
+// (tombstoned or missing targets) dropped, then each shard's live adds,
+// shard 0's first. A single node that indexed the fleet's live targets in
+// that order — for an unwritten fleet, the corpus — answers bit for bit
+// the same, its stable GES sort breaking ties alike.
 //
 // With shards missing it is bit-identical to a single node holding only
-// the responders' targets: their targets are absent from the report, and
-// the histograms count only the responders' strands. The returned slice
-// lists the missing shard IDs (nil when the fleet was complete). A
-// partial that fails Manifest.CheckShard fails the merge.
+// the responders' live targets. The returned slice lists the missing
+// shard IDs (nil when the fleet was complete). A partial that fails
+// Manifest.CheckShard, or claims a split position out of range or already
+// claimed, fails the merge.
 func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	byShard := make([]*Partial, len(man.Shards))
 	var first *Partial
@@ -77,7 +51,7 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 			continue
 		}
 		sid := p.Shard.ID
-		if err := man.CheckShard(sid, p.Identity()); err != nil {
+		if err := man.CheckShard(sid, p.Shard); err != nil {
 			return nil, nil, fmt.Errorf("shard: merge: %w", err)
 		}
 		if byShard[sid] != nil {
@@ -91,46 +65,71 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	if first == nil {
 		return nil, nil, fmt.Errorf("shard: merge: no shard responded")
 	}
-
-	// The merged partial keeps the first responder's query header, which
-	// checkPartial holds every other responder to. One pass over the
-	// responders adds their histograms per strand and lays their targets
-	// out in global corpus order — the single-node pre-sort order, so the
-	// stable GES sort breaks ties identically; the manifest assigns every
-	// global target to exactly one shard, so indexing by it replaces a
-	// sort.
-	qp := first.QueryPartial
-	qp.H0 = make([]*stats.H0Accumulator, len(qp.Weights))
-	for i := range qp.H0 {
-		qp.H0[i] = new(stats.H0Accumulator)
-	}
-	qp.DrawTargets(man.NumTargets, 0)
-	defer qp.Release()
 	var missing []int
+	responded := 0 // targets, a bound on those no split placed
+	top := 0       // the highest split position claimed: the layout needs no more
 	for s, p := range byShard {
 		if p == nil {
 			missing = append(missing, s)
 			continue
 		}
-		if err := checkPartial(man, first, p); err != nil {
+		if err := checkPartial(first, p); err != nil {
 			return nil, nil, err
+		}
+		responded += len(p.Targets)
+		for _, ps := range p.Targets {
+			top = max(top, ps.Target.SplitPos)
+		}
+	}
+
+	// The merged partial keeps the first responder's query header, which
+	// checkPartial holds every other responder to. One pass over the
+	// responders adds their histograms per strand and lays their targets
+	// out: the split's at their positions, the rest after them in
+	// shard order.
+	qp := first.QueryPartial
+	qp.H0 = make([]*stats.H0Accumulator, len(qp.Weights))
+	for i := range qp.H0 {
+		qp.H0[i] = new(stats.H0Accumulator)
+	}
+	placed := min(top, man.NumTargets)
+	qp.DrawTargets(placed+responded, 0)
+	defer qp.Release()
+	next := placed
+	for s, p := range byShard {
+		if p == nil {
+			continue
 		}
 		for i, h := range p.H0 {
 			qp.H0[i].Merge(h)
 		}
-		for k, ti := range man.Shards[s].Targets {
-			qp.Targets[ti] = p.Targets[k]
+		for k, ps := range p.Targets {
+			pos := ps.Target.SplitPos
+			switch {
+			case pos == 0:
+				qp.Targets[next] = ps
+				next++
+				continue
+			case pos < 0 || pos > man.NumTargets:
+				return nil, nil, fmt.Errorf("shard: merge: shard %d target %d (%s) claims split position %d, the split has %d targets",
+					s, k, ps.Target.Name, pos, man.NumTargets)
+			case qp.Targets[pos-1].Target != nil:
+				return nil, nil, fmt.Errorf("shard: merge: shard %d target %d (%s) claims split position %d, which %s already holds",
+					s, k, ps.Target.Name, pos, qp.Targets[pos-1].Target.Name)
+			}
+			qp.Targets[pos-1] = ps
 		}
 	}
-	// A missing shard's targets are absent; the rest keep their order.
+	// Tombstoned and missing targets and unused slots leave holes; the
+	// rest keep their order.
 	qp.Targets = slices.DeleteFunc(qp.Targets, func(ps core.PartialScore) bool { return ps.Target == nil })
 	return qp.Finalize(), missing, nil
 }
 
 // checkPartial validates the shape of one shard's partial against the
-// manifest and the fleet-wide query view (every shard must derive the
-// identical query decomposition, or histograms cannot be merged by index).
-func checkPartial(man *Manifest, first, p *Partial) error {
+// fleet-wide query view (every shard must derive the identical query
+// decomposition, or histograms cannot be merged by index).
+func checkPartial(first, p *Partial) error {
 	s := p.Shard.ID
 	if p.QueryName != first.QueryName || p.NumStrands != first.NumStrands || len(p.Weights) != len(first.Weights) {
 		return fmt.Errorf("shard: merge: shard %d answered a different query (%q, %d strands) than shard %d (%q, %d strands)",
@@ -146,9 +145,6 @@ func checkPartial(man *Manifest, first, p *Partial) error {
 	}
 	if i := slices.Index(p.H0, nil); i >= 0 {
 		return fmt.Errorf("shard: merge: shard %d returned no H0 histogram for query strand %d", s, i)
-	}
-	if len(p.Targets) != len(man.Shards[s].Targets) {
-		return fmt.Errorf("shard: merge: shard %d returned %d targets, manifest assigns %d", s, len(p.Targets), len(man.Shards[s].Targets))
 	}
 	for k, ps := range p.Targets {
 		if ps.Target == nil {

@@ -1,16 +1,17 @@
-// Package shard splits an indexed corpus into N immutable shards and
-// merges per-shard query partials back into scores bit-identical to a
-// single node holding the whole corpus.
+// Package shard splits an indexed corpus into N shards and merges
+// per-shard query partials back into scores bit-identical to a single
+// node holding the whole corpus.
 //
 // The split is by target procedure: a deterministic hash of the
 // target's name and provenance assigns it to one of N shards, and each
 // shard's snapshot contains exactly the unique strands its targets
 // reference, with shard-local multiplicities that sum (across shards)
 // to the union corpus's counts — so the shards' H0 histograms add up to
-// the union's. A manifest ties the fleet together: each shard's global
-// target indices (so a coordinator can lay targets out in corpus order)
-// and each shard snapshot's checksum (so a coordinator can refuse a
-// mixed-version fleet).
+// the union's. Every target the split places carries its position in
+// the union corpus (core.Target.SplitPos), so a coordinator lays targets
+// out in corpus order whatever the shards have written since. A manifest
+// ties the fleet together: the split's generation, which every shard
+// snapshot records, and its size.
 //
 // Everything downstream of the split is exact, not approximate — see
 // Merge and core.QueryPartial for the argument.
@@ -22,24 +23,22 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/index"
 )
 
 // Manifest describes one split of a corpus into shards. It is written
 // next to the shard snapshots by SaveShards and read by the gateway.
 type Manifest struct {
-	// Generation identifies the split: a hash of the partition content
-	// (target assignments, union strand counts), not of the options, so two
-	// splits at different settings share it. It is baked into each shard
-	// snapshot's header before encoding, so a snapshot and a manifest
-	// can vouch for each other without a checksum cycle.
+	// Generation identifies the split: a hash of everything the split
+	// holds (options, strands, targets, assignment). It is baked into each
+	// shard snapshot's header, so a shard and a manifest vouch for each
+	// other by it.
 	Generation string
-	// NumTargets is the union corpus's target count; global target
-	// indices below index into that order (the corpus build order, which
-	// is also the single-node pre-sort result order).
+	// NumTargets is the union corpus's target count, which bounds every
+	// split position.
 	NumTargets int
 	Shards     []ShardEntry
 }
@@ -48,40 +47,25 @@ type Manifest struct {
 type ShardEntry struct {
 	// File is the snapshot's file name, relative to the manifest.
 	File string
-	// Checksum is the snapshot body's sha256 (index.Info.Checksum).
-	Checksum string
-	// Targets[k] is the global target index of the shard's k-th target.
-	Targets []int
+	// NumTargets is how many targets the split gave the shard.
+	NumTargets int
 }
 
 // CheckShard is the fleet rule, the one place a shard's identity meets
-// the manifest: an answer from a shard reporting id may enter a merge as
-// shard sid only if id names that slot of this split, no live write has
-// moved its corpus, its snapshot is the one named here (unless either
-// checksum is unknown). The error names the shard and each field that
-// differs, both values.
-func (m *Manifest) CheckShard(sid int, id Identity) error {
-	if sid < 0 || sid >= len(m.Shards) {
+// the manifest: an answer from a shard reporting si may enter a merge as
+// shard sid only if si names that slot of this split. Live writes do not
+// matter: Merge places a written shard's targets exactly. The error names
+// the shard, the field that differs and both values.
+func (m *Manifest) CheckShard(sid int, si core.ShardInfo) error {
+	switch {
+	case sid < 0 || sid >= len(m.Shards):
 		return fmt.Errorf("shard %d: out of range [0,%d)", sid, len(m.Shards))
+	case si.ID != sid || si.Count != len(m.Shards):
+		return fmt.Errorf("shard %d: serves shard %d/%d, manifest slot is %d/%d", sid, si.ID, si.Count, sid, len(m.Shards))
+	case si.Generation != m.Generation:
+		return fmt.Errorf("shard %d: generation %q, manifest says %q", sid, si.Generation, m.Generation)
 	}
-	var bad []string
-	differs := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	if id.ShardID != sid || id.ShardCount != len(m.Shards) {
-		differs("serves shard %d/%d, manifest slot is %d/%d", id.ShardID, id.ShardCount, sid, len(m.Shards))
-	}
-	if id.Generation != m.Generation {
-		differs("generation %q, manifest says %q", id.Generation, m.Generation)
-	}
-	if id.DataGeneration != 0 || id.PendingWrites != 0 {
-		differs("drifted from its snapshot (data generation %d, %d pending writes), re-split the corpus", id.DataGeneration, id.PendingWrites)
-	}
-	if want := m.Shards[sid].Checksum; id.Checksum != "" && want != "" && id.Checksum != want {
-		differs("snapshot checksum %.12s…, manifest says %.12s…", id.Checksum, want)
-	}
-	if bad == nil {
-		return nil
-	}
-	return fmt.Errorf("shard %d: %s", sid, strings.Join(bad, "; "))
+	return nil
 }
 
 // Assign deterministically maps a target to one of n shards: SHA-256
@@ -100,10 +84,10 @@ func Assign(name string, src asm.Provenance, n int) int {
 }
 
 // Split partitions exported corpus state into n shard exports plus the
-// manifest tying them together. Checksums and file names in the
-// returned manifest are empty; SaveShards fills them in. The input must
-// carry real per-target multiplicities (anything built by AddTarget
-// does; a corpus round-tripped through a pre-v3 snapshot does not).
+// manifest tying them together; file names in the returned manifest are
+// empty, SaveShards fills them in. Each shard target carries its 1-based
+// position in ex (core.Target.SplitPos). The input must carry real
+// per-target multiplicities, which every snapshot a binary loads does.
 func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("shard: split into %d shards", n)
@@ -114,7 +98,7 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	multSum := make([]int, len(ex.Strands))
 	for ti, t := range ex.Targets {
 		if len(t.StrandMult) != len(t.StrandIdx) {
-			return nil, nil, fmt.Errorf("shard: target %d (%s) has no per-target strand multiplicities (pre-v3 snapshot?)", ti, t.Name)
+			return nil, nil, fmt.Errorf("shard: target %d (%s) has %d multiplicities for %d strands", ti, t.Name, len(t.StrandMult), len(t.StrandIdx))
 		}
 		for k, idx := range t.StrandIdx {
 			multSum[idx] += t.StrandMult[k]
@@ -131,21 +115,22 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 		Shards:     make([]ShardEntry, n),
 	}
 	assign := make([]int, len(ex.Targets))
+	members := make([][]int, n) // per shard, its targets' indices in ex
 	for ti, t := range ex.Targets {
-		assign[ti] = Assign(t.Name, t.Source, n)
-		man.Shards[assign[ti]].Targets = append(man.Shards[assign[ti]].Targets, ti)
+		s := Assign(t.Name, t.Source, n)
+		assign[ti] = s
+		members[s] = append(members[s], ti)
+		man.Shards[s].NumTargets++
 	}
 	man.Generation = generation(ex, assign, n)
 
 	shards := make([]*core.Export, n)
 	for s := 0; s < n; s++ {
-		entry := &man.Shards[s]
-
 		// The shard's unique-strand set: the union of its targets'
 		// strands, kept in ascending global order so the local order is
 		// deterministic.
 		inShard := make(map[int]bool)
-		for _, ti := range entry.Targets {
+		for _, ti := range members[s] {
 			for _, idx := range ex.Targets[ti].StrandIdx {
 				inShard[idx] = true
 			}
@@ -168,13 +153,14 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 		for j, g := range strands {
 			se.Strands[j] = core.ExportStrand{S: ex.Strands[g].S, Sig: ex.Strands[g].Sig}
 		}
-		for _, ti := range entry.Targets {
+		for _, ti := range members[s] {
 			t := ex.Targets[ti]
 			st := core.ExportTarget{
 				Name:       t.Name,
 				Source:     t.Source,
 				NumBlocks:  t.NumBlocks,
 				NumStrands: t.NumStrands,
+				SplitPos:   ti + 1,
 				StrandIdx:  make([]int, len(t.StrandIdx)),
 				StrandMult: append([]int(nil), t.StrandMult...),
 			}
@@ -189,10 +175,13 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 	return man, shards, nil
 }
 
-// generation hashes the partition content: shard count, per-target
-// assignment, and the global strand counts. 16 hex digits are plenty to
-// distinguish fleet generations (this is an identity, not an integrity
-// check — the snapshot and manifest checksums carry integrity).
+// generation hashes what the split holds: the shard count, every option
+// a snapshot records, every strand's canonical text and count, every
+// target with its strands and its shard. A split of the same corpus at
+// other settings gets another generation, so the generation alone tells
+// a coordinator whether a shard belongs to its fleet. 16 hex digits are
+// plenty to tell fleets apart (this is an identity, not an integrity
+// check: the snapshot and manifest checksums carry integrity).
 func generation(ex *core.Export, assign []int, n int) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -200,18 +189,29 @@ func generation(ex *core.Export, assign []int, n int) string {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	put(n)
-	put(len(ex.Targets))
-	for ti, t := range ex.Targets {
-		h.Write([]byte(t.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(t.Source.Key()))
-		h.Write([]byte{0})
-		put(assign[ti])
+	str := func(s string) {
+		put(len(s))
+		h.Write([]byte(s))
 	}
+	put(n)
+	str(index.OptionsRecord(ex.Opts))
 	put(len(ex.Strands))
 	for _, es := range ex.Strands {
+		str(es.S.CanonicalKey())
 		put(es.Count)
+	}
+	put(len(ex.Targets))
+	for ti, t := range ex.Targets {
+		str(t.Name)
+		str(t.Source.Key())
+		put(t.NumBlocks)
+		put(t.NumStrands)
+		put(len(t.StrandIdx))
+		for k, idx := range t.StrandIdx {
+			put(idx)
+			put(t.StrandMult[k])
+		}
+		put(assign[ti])
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -19,17 +19,14 @@ import (
 	"repro/internal/vcp"
 )
 
-// loadShard loads one shard snapshot and verifies it against the
-// manifest checksum — the trust chain eshd+eshgw rely on.
-func loadShard(path, wantSum string) (*core.DB, error) {
-	db, info, err := index.LoadFileInfoCtx(context.Background(), path, nil)
+// loadShard loads shard sid's snapshot and holds it to the manifest's
+// fleet rule, as eshgw holds the eshd serving it.
+func loadShard(man *Manifest, dir string, sid int) (*core.DB, error) {
+	db, info, err := index.LoadFileInfoCtx(context.Background(), dir+"/"+man.Shards[sid].File, nil)
 	if err != nil {
 		return nil, err
 	}
-	if info.Checksum != wantSum {
-		return nil, fmt.Errorf("snapshot %s checksum %s, manifest says %s", path, info.Checksum, wantSum)
-	}
-	return db, nil
+	return db, man.CheckShard(sid, info.Shard)
 }
 
 const gccStyle = `proc checksum_gcc
@@ -84,15 +81,42 @@ func parse(t testing.TB, src string) *asm.Proc {
 	return p
 }
 
-func buildSmallDB(t testing.TB) *core.DB {
+// indexProcs indexes procs, in order, the way every test corpus here is
+// built.
+func indexProcs(t testing.TB, procs []*asm.Proc) *core.DB {
 	t.Helper()
 	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, Workers: 2})
-	for _, src := range []string{gccStyle, iccStyle, memStyle} {
-		if err := db.AddTarget(parse(t, src)); err != nil {
+	for _, p := range procs {
+		if err := db.AddTarget(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db
+}
+
+func buildSmallDB(t testing.TB) *core.DB {
+	t.Helper()
+	return indexProcs(t, []*asm.Proc{parse(t, gccStyle), parse(t, iccStyle), parse(t, memStyle)})
+}
+
+// copiesCorpus is the hand-written corpus followed by three renamed
+// copies of each procedure, which spread the shared strands over every
+// shard.
+func copiesCorpus(t testing.TB) []*asm.Proc {
+	t.Helper()
+	srcs := []string{gccStyle, iccStyle, memStyle}
+	var procs []*asm.Proc
+	for _, src := range srcs {
+		procs = append(procs, parse(t, src))
+	}
+	for _, src := range srcs {
+		for k := 0; k < 3; k++ {
+			p := parse(t, src)
+			p.Name = fmt.Sprintf("%s_%d", p.Name, k)
+			procs = append(procs, p)
+		}
+	}
+	return procs
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -227,13 +251,22 @@ func TestSplitInvariants(t *testing.T) {
 		if !reflect.DeepEqual(sum, union) {
 			t.Fatalf("n=%d: shard strand counts sum to %v, union counts %v", n, sum, union)
 		}
-		// Assignment is the deterministic hash.
-		for s, entry := range man.Shards {
-			for _, ti := range entry.Targets {
-				et := ex.Targets[ti]
-				if got := Assign(et.Name, et.Source, n); got != s {
-					t.Fatalf("n=%d: target %s on shard %d, Assign says %d", n, et.Name, s, got)
+		// Assignment is the deterministic hash, and every target of the
+		// corpus is on one shard, at its corpus position.
+		placed := make([]bool, len(ex.Targets))
+		for s, se := range shardExs {
+			if man.Shards[s].NumTargets != len(se.Targets) {
+				t.Fatalf("n=%d shard %d: manifest counts %d targets, the shard holds %d", n, s, man.Shards[s].NumTargets, len(se.Targets))
+			}
+			for _, st := range se.Targets {
+				if got := Assign(st.Name, st.Source, n); got != s {
+					t.Fatalf("n=%d: target %s on shard %d, Assign says %d", n, st.Name, s, got)
 				}
+				ti := st.SplitPos - 1
+				if ti < 0 || ti >= len(ex.Targets) || placed[ti] || ex.Targets[ti].Name != st.Name {
+					t.Fatalf("n=%d shard %d: target %s at split position %d", n, s, st.Name, st.SplitPos)
+				}
+				placed[ti] = true
 			}
 		}
 	}
@@ -299,8 +332,8 @@ func keepTargets(ex *core.Export, keep func(ti int) bool) *core.Export {
 func requireDegradedExact(t *testing.T, ex *core.Export, man *Manifest, dbs []*core.DB, q *asm.Proc, drop int) {
 	t.Helper()
 	dropped := map[int]bool{}
-	for _, ti := range man.Shards[drop].Targets {
-		dropped[ti] = true
+	for _, st := range dbs[drop].Export().Targets {
+		dropped[st.SplitPos-1] = true
 	}
 	single, err := core.FromExport(keepTargets(ex, func(ti int) bool { return !dropped[ti] }))
 	if err != nil {
@@ -321,17 +354,7 @@ func requireDegradedExact(t *testing.T, ex *core.Export, man *Manifest, dbs []*c
 // reachable shards, bit for bit — the H0 histograms count only the
 // responders' strands, including those a missing shard shares.
 func TestMergeMissingShard(t *testing.T) {
-	db := buildSmallDB(t)
-	for _, src := range []string{gccStyle, iccStyle, memStyle} {
-		for k := 0; k < 3; k++ { // copies spread the shared strands over every shard
-			p := parse(t, src)
-			p.Name = fmt.Sprintf("%s_%d", p.Name, k)
-			if err := db.AddTarget(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ex := db.Export()
+	ex := indexProcs(t, copiesCorpus(t)).Export()
 	for _, n := range []int{2, 4} {
 		man, dbs := splitDBs(t, ex, n)
 		for drop := 0; drop < n; drop++ {
@@ -343,61 +366,77 @@ func TestMergeMissingShard(t *testing.T) {
 }
 
 // TestMergeRejectsMixedFleet: Merge judges every partial by
-// Manifest.CheckShard, so a partial computed from
-// another snapshot, on a drifted corpus or in another fleet fails the merge with an error naming the shard, the field
-// and both values. A checksum nobody knows (an in-memory shard, or a
-// manifest without one) is not compared.
+// Manifest.CheckShard, so a partial computed in another fleet — another
+// slot, another fleet size, another split of the corpus or the same split
+// at other settings — fails the merge with an error naming the shard, the
+// field and both values. So does a partial whose split positions do not
+// fit the manifest's split.
 func TestMergeRejectsMixedFleet(t *testing.T) {
 	ex := buildSmallDB(t).Export()
 	man, shardExs, err := Split(ex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Shards[0].Checksum, man.Shards[1].Checksum = "aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"
+	// The same partition at another sample count: another generation.
+	other := *ex
+	other.Opts.VCP.Samples = 41
+	otherMan, otherExs, err := Split(&other, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otherMan.Generation == man.Generation {
+		t.Fatal("a split at another sample count kept the generation")
+	}
 	q := parse(t, gccStyle)
-	partials := func() []*Partial {
-		var parts []*Partial
-		for _, se := range shardExs {
-			db, err := core.FromExport(se)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qp, err := db.PartialQueryCtx(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, FromQueryPartial(qp, db.Shard()))
+	partial := func(se *core.Export) *Partial {
+		db, err := core.FromExport(se)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return parts
+		qp, err := db.PartialQueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromQueryPartial(qp, db.Shard())
+	}
+	partials := func() []*Partial {
+		return []*Partial{partial(shardExs[0]), partial(shardExs[1])}
 	}
 	if _, _, err := Merge(man, partials()); err != nil {
-		t.Fatalf("consistent fleet without checksums: %v", err)
+		t.Fatalf("consistent fleet: %v", err)
 	}
 	for _, tc := range []struct {
 		name    string
 		id      func(*Partial)
-		wantErr string // "" = merges
+		wantErr string
 	}{
-		{"other snapshot", func(p *Partial) { p.Checksum = "cccccccccccccccc" },
-			"shard 1: snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…"},
-		{"its own snapshot", func(p *Partial) { p.Checksum = "bbbbbbbbbbbbbbbb" }, ""},
-		{"drifted", func(p *Partial) { p.DataGeneration, p.PendingWrites = 1, 2 },
-			"shard 1: drifted from its snapshot (data generation 1, 2 pending writes), re-split the corpus"},
 		{"other generation", func(p *Partial) { p.Shard.Generation = "deadbeef" },
 			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
+		{"split at other settings", func(p *Partial) { *p = *partial(otherExs[1]) },
+			fmt.Sprintf("shard 1: generation %q, manifest says %q", otherMan.Generation, man.Generation)},
 		{"other fleet size", func(p *Partial) { p.Shard.Count = 3 }, "shard 1: serves shard 1/3, manifest slot is 1/2"},
 		{"no such shard", func(p *Partial) { p.Shard.ID = 2 }, "shard 2: out of range [0,2)"},
-		{"two fields", func(p *Partial) { p.Checksum, p.Shard.Generation = "cccccccccccccccc", "deadbeef" },
-			fmt.Sprintf("shard 1: generation %q, manifest says %q; snapshot checksum cccccccccccc…, manifest says bbbbbbbbbbbb…", "deadbeef", man.Generation)},
 	} {
 		parts := partials()
 		tc.id(parts[1])
-		_, _, err := Merge(man, parts)
-		switch {
-		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+		if _, _, err := Merge(man, parts); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one saying %q", tc.name, err, tc.wantErr)
+		}
+	}
+	// Split positions out of range or claimed twice, and a shard with
+	// no query strands but many targets, each through the frame.
+	posMan, cases := hostilePositions(t)
+	for name, tc := range cases {
+		var parts []*Partial
+		for _, b := range tc.frames {
+			f, err := DecodeFrame(b, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			parts = append(parts, f.Partial)
+		}
+		if _, _, err := Merge(posMan, parts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one saying %q", name, err, tc.want)
 		}
 	}
 	if _, _, err := Merge(man, nil); err == nil {
@@ -429,8 +468,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Shards[0].File, man.Shards[0].Checksum = "corpus.eshidx.0", "aa"
-	man.Shards[1].File, man.Shards[1].Checksum = "corpus.eshidx.1", "bb"
+	man.Shards[0].File = "corpus.eshidx.0"
+	man.Shards[1].File = "corpus.eshidx.1"
 	var buf bytes.Buffer
 	if err := WriteManifest(&buf, man); err != nil {
 		t.Fatal(err)
@@ -443,12 +482,13 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
 	}
 	// A manifest of an earlier version — version 1 (union counts and
-	// strand maps), version 2 (an opts record) — is refused like an old
-	// snapshot: the fleet is re-split, not read.
+	// strand maps), version 2 (an opts record), version 3 (per-shard
+	// target lists and checksums) — is refused like an old snapshot: the
+	// fleet is re-split, not read.
 	_, body, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
 	v2 := bytes.Replace(body, []byte("\ntargets "), []byte("\nopts sigmoidk=0\ntargets "), 1)
-	for v, b := range map[int][]byte{1: body, 2: v2} {
-		want := fmt.Sprintf("unsupported format version %d (have 3)", v)
+	for v, b := range map[int][]byte{1: body, 2: v2, 3: body} {
+		want := fmt.Sprintf("unsupported format version %d (have 4)", v)
 		if _, err := ReadManifest(bytes.NewReader(framed(ManifestMagic, v, b))); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d manifest: error %v, want %q", v, err, want)
 		}
@@ -514,9 +554,9 @@ func TestSaveShardsDifferential(t *testing.T) {
 			t.Fatalf("n=%d: manifest did not round-trip through disk", n)
 		}
 		dbs := make([]*core.DB, n)
-		for s, se := range man.Shards {
+		for s := range man.Shards {
 			var err error
-			dbs[s], err = loadShard(dir+"/"+se.File, se.Checksum)
+			dbs[s], err = loadShard(man, dir, s)
 			if err != nil {
 				t.Fatalf("n=%d shard %d: %v", n, s, err)
 			}

@@ -83,6 +83,12 @@ func TestFrameTargetTableReuse(t *testing.T) {
 			ts[len(ts)-1].Target = &tg
 			return ts
 		},
+		"a split position": func(ts []core.PartialScore) []core.PartialScore {
+			tg := *ts[0].Target
+			tg.SplitPos = 0
+			ts[0].Target = &tg
+			return ts
+		},
 	} {
 		var tab TargetTable
 		orig := decodeVia(t, slot[1], &tab)
@@ -160,7 +166,7 @@ func TestFrameTargetTableReuse(t *testing.T) {
 // q differ in their histograms and max-VCPs, never in the identities.
 func syntheticFleet(t *testing.T, n, q int) (*Manifest, [][]byte) {
 	t.Helper()
-	man := &Manifest{Generation: "g", NumTargets: 2 * n, Shards: make([]ShardEntry, 2)}
+	man := &Manifest{Generation: "g", NumTargets: 2 * n, Shards: []ShardEntry{{NumTargets: n}, {NumTargets: n}}}
 	var frames [][]byte
 	for s := range man.Shards {
 		p := &Partial{
@@ -180,11 +186,11 @@ func syntheticFleet(t *testing.T, n, q int) (*Manifest, [][]byte) {
 			p.H0 = append(p.H0, h)
 		}
 		for k := 0; k < n; k++ {
-			man.Shards[s].Targets = append(man.Shards[s].Targets, 2*k+s)
 			p.Targets = append(p.Targets, core.PartialScore{
 				Target: &core.Target{
-					Name:   fmt.Sprintf("f%d_%d", s, k),
-					Source: asm.Provenance{Package: "pkg", SourceSym: fmt.Sprintf("f%d", k), Toolchain: "gcc-4.9", OptLevel: "-O2"},
+					Name:     fmt.Sprintf("f%d_%d", s, k),
+					Source:   asm.Provenance{Package: "pkg", SourceSym: fmt.Sprintf("f%d", k), Toolchain: "gcc-4.9", OptLevel: "-O2"},
+					SplitPos: 2*k + s + 1,
 				},
 				MaxVCP: []float64{float64((k+q)%3) / 2, 1, 0},
 			})
