@@ -22,11 +22,10 @@
 //
 // Every shard answer carries its identity — shard coordinates and fleet
 // generation — and one rule (shard.Manifest.CheckShard) judges it against
-// the manifest: on
-// every query, where a mismatch fails the query with a 500, and at
-// startup over every replica's /v1/stats, where it refuses to start
-// (merged scores would be silently wrong) unless -allow-degraded is set.
-// Both report the same message.
+// the manifest: on every leg, where a mismatch fails that attempt like a
+// 5xx (the shard is retried on another replica or reported missing), and
+// at startup over every replica's /v1/stats, where it refuses to start
+// unless -allow-degraded is set. Both report the same message.
 //
 // Endpoints:
 //

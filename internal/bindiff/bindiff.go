@@ -199,13 +199,3 @@ func structuralSimilarity(a, b *Features) float64 {
 	}
 	return s
 }
-
-// FindMatch reports how Diff paired the given query procedure, if at all.
-func FindMatch(matches []Match, queryName string) (Match, bool) {
-	for _, m := range matches {
-		if m.Query.Name == queryName {
-			return m, true
-		}
-	}
-	return Match{}, false
-}

@@ -124,14 +124,3 @@ func TestStructuralSimilarityBounds(t *testing.T) {
 		t.Errorf("self structural similarity = %v", s)
 	}
 }
-
-func TestFindMatch(t *testing.T) {
-	lib := buildLib(t, "gcc-4.9", false)
-	matches := Diff(lib, lib)
-	if _, ok := FindMatch(matches, lib[0].Name); !ok {
-		t.Error("FindMatch missed an existing match")
-	}
-	if _, ok := FindMatch(matches, "nothing"); ok {
-		t.Error("FindMatch invented a match")
-	}
-}

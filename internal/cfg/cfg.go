@@ -160,50 +160,6 @@ func (g *Graph) NumCalls() int {
 	return n
 }
 
-// Reachable returns the set of block indices reachable from the entry.
-func (g *Graph) Reachable() map[int]bool {
-	seen := map[int]bool{}
-	var walk func(int)
-	walk = func(i int) {
-		if seen[i] {
-			return
-		}
-		seen[i] = true
-		for _, s := range g.Blocks[i].Succs {
-			walk(s)
-		}
-	}
-	if len(g.Blocks) > 0 {
-		walk(0)
-	}
-	return seen
-}
-
-// HasLoop reports whether the CFG contains a cycle among reachable blocks.
-func (g *Graph) HasLoop() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(g.Blocks))
-	var visit func(int) bool
-	visit = func(i int) bool {
-		color[i] = gray
-		for _, s := range g.Blocks[i].Succs {
-			if color[s] == gray {
-				return true
-			}
-			if color[s] == white && visit(s) {
-				return true
-			}
-		}
-		color[i] = black
-		return false
-	}
-	return len(g.Blocks) > 0 && visit(0)
-}
-
 // String renders the graph for debugging.
 func (g *Graph) String() string {
 	var b strings.Builder

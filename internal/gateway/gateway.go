@@ -10,10 +10,13 @@
 // another replica and the first success wins — and failures are
 // retried with backoff against the remaining replicas. A background
 // prober polls every replica's /readyz so draining or dead replicas
-// are deprioritized before a query ever waits on them. When a shard
-// stays unreachable the gateway degrades instead of failing: it merges
-// what it has and flags the response partial with the missing shard
-// IDs.
+// are deprioritized before a query ever waits on them. A leg is judged
+// where it lands, by one rule: a reply that is not a frame of this
+// build's wire version, or that answers as another slot, fleet size or
+// generation (shard.Manifest.CheckShard), is a failed attempt like a 5xx.
+// When a shard has no good replica the gateway degrades instead of
+// failing: it merges what it has and flags the response partial with the
+// missing shard IDs.
 package gateway
 
 import (
@@ -412,8 +415,8 @@ func (g *Gateway) replicaOrder(sid int) []int {
 }
 
 // CheckFleet asks every replica for /v1/stats and judges the identity it
-// reports by Manifest.CheckShard, the rule Merge applies to every
-// partial, and its partial wire version by this build's. Each error names
+// reports by Manifest.CheckShard, the rule postPartial applies to every
+// leg, and its partial wire version by this build's. Each error names
 // the shard and the replica.
 func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 	for i, reps := range g.cfg.Shards {
@@ -507,7 +510,7 @@ func (g *Gateway) queryShard(ctx context.Context, sid int, body []byte, wantTrac
 		u := reps[order[launched%len(order)]]
 		launched++
 		go func() {
-			a, err := g.postPartial(ctx, u, &g.tables[sid], body, wantTrace)
+			a, err := g.postPartial(ctx, u, sid, body, wantTrace)
 			a.replica, a.err = u, err
 			results <- a
 		}()
@@ -559,13 +562,15 @@ const maxFrameBytes = 1 << 30
 // copies everything out, so a buffer goes back as soon as it is parsed.
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// postPartial posts the query to one replica's /v1/query/partial and
-// decodes the reply frame through its slot's target table: the reply's
-// partial, trace and size. A 200 whose body is not a frame of this build's
-// wire version (a JSON body from an older eshd, say) fails this leg with a
-// *shard.WireVersionError, like any other bad reply: the shard is retried
-// elsewhere or reported missing.
-func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.TargetTable, body []byte, wantTrace bool) (shardReply, error) {
+// postPartial posts the query to one replica of slot sid's
+// /v1/query/partial and decodes the reply frame through the slot's target
+// table: the reply's partial, trace and size. A 200 that is not a frame of
+// this build's wire version (a JSON body from an older eshd, say, a
+// *shard.WireVersionError), or whose partial Manifest.CheckShard refuses
+// for the slot (another slot, fleet size or generation), fails this leg
+// like any other bad reply: the shard is retried elsewhere or reported
+// missing.
+func (g *Gateway) postPartial(ctx context.Context, base string, sid int, body []byte, wantTrace bool) (shardReply, error) {
 	url := base + "/v1/query/partial"
 	if wantTrace {
 		url += "?trace=1"
@@ -599,8 +604,12 @@ func (g *Gateway) postPartial(ctx context.Context, base string, tab *shard.Targe
 	if buf.Len() > maxFrameBytes {
 		return shardReply{}, fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
 	}
-	f, err := shard.DecodeFrame(buf.Bytes(), tab)
+	f, err := shard.DecodeFrame(buf.Bytes(), &g.tables[sid])
 	if err != nil {
+		return shardReply{}, err
+	}
+	if err := g.cfg.Manifest.CheckShard(sid, f.Partial.Shard); err != nil {
+		f.Partial.Release()
 		return shardReply{}, err
 	}
 	rep := shardReply{partial: f.Partial, bytes: buf.Len()}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 )
 
 // swappable serves whatever handler it holds now: a replica that restarts
@@ -64,11 +66,59 @@ func resultsOf(t testing.TB, body []byte) []byte {
 	return r.Results
 }
 
-// TestGatewayRefusesSwappedReplica: the fleet rule holds on every query,
+// relabeled serves h, but answers as the identity edit makes of its own:
+// every partial frame goes through DecodeFrame, the edit of Partial.Shard
+// and AppendTo, and /v1/stats reports the edited identity too. It stands
+// for a replica of another slot, fleet size or generation.
+func relabeled(t testing.TB, h http.Handler, edit func(*core.ShardInfo)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			switch r.URL.Path {
+			case "/v1/query/partial":
+				body = relabelFrame(t, body, edit)
+			case "/v1/stats":
+				var st server.StatsResponse
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Error(err)
+				}
+				si := core.ShardInfo{ID: st.Snapshot.ShardID, Count: st.Snapshot.ShardCount, Generation: st.Snapshot.Generation}
+				edit(&si)
+				st.Snapshot.ShardID, st.Snapshot.ShardCount, st.Snapshot.Generation = si.ID, si.Count, si.Generation
+				body, _ = json.Marshal(&st)
+			}
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// relabelFrame re-encodes a partial frame with its shard identity edited.
+func relabelFrame(t testing.TB, frame []byte, edit func(*core.ShardInfo)) []byte {
+	f, err := shard.DecodeFrame(frame, nil)
+	if err != nil {
+		t.Error(err)
+		return frame
+	}
+	defer f.Partial.Release()
+	edit(&f.Partial.Shard)
+	out, err := f.AppendTo(nil)
+	if err != nil {
+		t.Error(err)
+	}
+	return out
+}
+
+// TestGatewayRefusesSwappedReplica: the fleet rule holds on every leg,
 // not only at boot. A replica that passed CheckFleet and then restarts on
-// a snapshot of the same partition split at other settings fails the
-// query with a 500 naming the shard, the field and both values — the
-// message a fresh CheckFleet gives for the same replica.
+// a snapshot of the same partition split at other settings, or answers as
+// another generation, fleet size or slot, fails its leg like any bad
+// reply: with a good second replica the query is a 200 with the healthy
+// fleet's results, byte for byte; alone on its slot the slot is reported
+// missing, and the leg's error names the shard, the field, both values and
+// the replica — the message a fresh CheckFleet gives for it.
 func TestGatewayRefusesSwappedReplica(t *testing.T) {
 	var tcs []compile.Toolchain
 	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
@@ -110,6 +160,14 @@ func TestGatewayRefusesSwappedReplica(t *testing.T) {
 		t.Fatalf("re-split at another sample count: generation %s both times", man.Generation)
 	}
 	shardPath := func(prefix string, s int) string { return filepath.Join(dir, fmt.Sprintf("%s.%d", prefix, s)) }
+	serve := func(h http.Handler) string {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	shard1 := storeReplica(t, shardPath("a", 1))
+	shard0URL, spareURL := serve(storeReplica(t, shardPath("a", 0))), serve(shard1)
+	relabel := func(edit func(*core.ShardInfo)) http.Handler { return relabeled(t, shard1, edit) }
 	for _, tc := range []struct {
 		name    string
 		swap    http.Handler
@@ -117,45 +175,62 @@ func TestGatewayRefusesSwappedReplica(t *testing.T) {
 	}{
 		{"re-split snapshot", storeReplica(t, shardPath("b", 1)),
 			fmt.Sprintf("shard 1: generation %q, manifest says %q", reman.Generation, man.Generation)},
+		{"other generation", relabel(func(si *core.ShardInfo) { si.Generation = "deadbeef" }),
+			fmt.Sprintf("shard 1: generation %q, manifest says %q", "deadbeef", man.Generation)},
+		{"other fleet size", relabel(func(si *core.ShardInfo) { si.Count = 3 }), "shard 1: serves shard 1/3, manifest slot is 1/2"},
+		{"other slot", relabel(func(si *core.ShardInfo) { si.ID = 0 }), "shard 1: serves shard 0/2, manifest slot is 1/2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var urls [][]string
 			var replica1 swappable
-			for s := range man.Shards {
-				var h http.Handler = storeReplica(t, shardPath("a", s))
-				if s == 1 {
-					replica1.set(h)
-					h = &replica1
+			replica1.set(shard1)
+			swapped := serve(&replica1)
+			gateway := func(slot1 ...string) (*Gateway, string) {
+				gw, err := New(Config{Manifest: man, Shards: [][]string{{shard0URL}, slot1},
+					RetryBackoff: time.Millisecond, Logger: quietLogger()})
+				if err != nil {
+					t.Fatal(err)
 				}
-				ts := httptest.NewServer(h)
-				t.Cleanup(ts.Close)
-				urls = append(urls, []string{ts.URL})
+				if errs := gw.CheckFleet(context.Background()); len(errs) != 0 {
+					t.Fatalf("fleet before the swap: %v", errs)
+				}
+				return gw, serve(gw.Handler())
 			}
-			gw, err := New(Config{Manifest: man, Shards: urls, Logger: quietLogger()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gwSrv := httptest.NewServer(gw.Handler())
-			t.Cleanup(gwSrv.Close)
-			if errs := gw.CheckFleet(context.Background()); len(errs) != 0 {
-				t.Fatalf("fleet before the swap: %v", errs)
-			}
-			if status, body, err := post(gwSrv.URL, query); err != nil || status != http.StatusOK {
-				t.Fatalf("before the swap: %d %s %v", status, body, err)
+			paired, pairedURL := gateway(swapped, spareURL)
+			alone, aloneURL := gateway(swapped)
+			status, healthy, err := post(pairedURL, query)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("before the swap: %d %s %v", status, healthy, err)
 			}
 
 			replica1.set(tc.swap)
-			status, body, err := post(gwSrv.URL, query)
-			if err != nil {
-				t.Fatal(err)
+			// Ahead of a good replica: the retry answers, byte for byte.
+			retries := paired.retries.Value()
+			status, body, err := post(pairedURL, query)
+			var reply QueryResponse
+			if err != nil || status != http.StatusOK || json.Unmarshal(body, &reply) != nil || reply.Partial {
+				t.Fatalf("after the swap, with a good replica: %d %.300s %v, want a complete 200", status, body, err)
 			}
-			var reply struct{ Error string }
-			if status != http.StatusInternalServerError || json.Unmarshal(body, &reply) != nil || !strings.Contains(reply.Error, tc.wantErr) {
-				t.Fatalf("after the swap: %d %.300s, want 500 saying %q", status, body, tc.wantErr)
+			if got, want := resultsOf(t, body), resultsOf(t, healthy); !bytes.Equal(got, want) {
+				t.Fatalf("after the swap, with a good replica: results\n%s\nthe healthy fleet's\n%s", got, want)
 			}
-			errs := gw.CheckFleet(context.Background())
-			if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.wantErr) {
-				t.Fatalf("CheckFleet after the swap = %v, want one error saying %q", errs, tc.wantErr)
+			if paired.retries.Value() != retries+1 {
+				t.Fatalf("esh_gw_retries_total moved by %d, want 1 for the refused leg", paired.retries.Value()-retries)
+			}
+			// Alone on its slot: the slot is missing, and the leg says why.
+			status, body, err = post(aloneURL, query)
+			reply = QueryResponse{}
+			if err != nil || status != http.StatusOK || json.Unmarshal(body, &reply) != nil ||
+				!reply.Partial || !slices.Equal(reply.MissingShards, []int{1}) {
+				t.Fatalf("after the swap, alone: %d %.300s %v, want a 200 missing shard 1", status, body, err)
+			}
+			var recent struct{ Records []*telemetry.QueryRecord }
+			getJSON(t, aloneURL+"/debug/queries?n=1", &recent)
+			if leg := recent.Records[0].Shards[1]; !strings.Contains(leg.Err, tc.wantErr) || !strings.Contains(leg.Err, swapped) {
+				t.Fatalf("leg error %q, want one naming replica %s and saying %q", leg.Err, swapped, tc.wantErr)
+			}
+			want := fmt.Sprintf("%s (replica %s)", tc.wantErr, swapped)
+			if errs := alone.CheckFleet(context.Background()); len(errs) != 1 || errs[0].Error() != want {
+				t.Fatalf("CheckFleet after the swap = %v, want one error %q", errs, want)
 			}
 		})
 	}

@@ -40,9 +40,13 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 //
 // With shards missing it is bit-identical to a single node holding only
 // the responders' live targets. The returned slice lists the missing
-// shard IDs (nil when the fleet was complete). A partial that fails
-// Manifest.CheckShard, or claims a split position out of range or already
-// claimed, fails the merge.
+// shard IDs (nil when the fleet was complete). Merge judges only what
+// needs more than one partial, or keeps its own indexing safe: a slot out
+// of range or answered twice, partials that disagree on the query
+// (checkPartial), or a split position out of range or already claimed
+// fails the merge. Whether a partial belongs to this fleet at all
+// (Manifest.CheckShard) is the caller's to judge, per partial, before it
+// gets here: the gateway refuses a foreign leg as a failed attempt.
 func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	byShard := make([]*Partial, len(man.Shards))
 	var first *Partial
@@ -51,8 +55,8 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 			continue
 		}
 		sid := p.Shard.ID
-		if err := man.CheckShard(sid, p.Shard); err != nil {
-			return nil, nil, fmt.Errorf("shard: merge: %w", err)
+		if sid < 0 || sid >= len(byShard) {
+			return nil, nil, fmt.Errorf("shard: merge: shard %d: out of range [0,%d)", sid, len(byShard))
 		}
 		if byShard[sid] != nil {
 			return nil, nil, fmt.Errorf("shard: merge: two partials for shard %d", sid)

@@ -53,9 +53,10 @@ type ShardEntry struct {
 
 // CheckShard is the fleet rule, the one place a shard's identity meets
 // the manifest: an answer from a shard reporting si may enter a merge as
-// shard sid only if si names that slot of this split. Live writes do not
-// matter: Merge places a written shard's targets exactly. The error names
-// the shard, the field that differs and both values.
+// shard sid only if si names that slot of this split. The gateway applies
+// it to every leg it receives and to every replica at boot. Live writes do
+// not matter: Merge places a written shard's targets exactly. The error
+// names the shard, the field that differs and both values.
 func (m *Manifest) CheckShard(sid int, si core.ShardInfo) error {
 	switch {
 	case sid < 0 || sid >= len(m.Shards):

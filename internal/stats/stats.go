@@ -60,17 +60,6 @@ func (m Method) String() string {
 	}
 }
 
-// Pr converts a VCP into the method's strand-match probability. For SVCP
-// the "probability" is the VCP itself (the method never takes logs).
-func Pr(m Method, vcp float64) float64 {
-	switch m {
-	case Esh:
-		return Sigmoid(vcp)
-	default:
-		return vcp
-	}
-}
-
 // LES is the Local Evidence Score (§3.4): the log likelihood-ratio
 // between the best match in the target and the random hypothesis:
 // log Pr(sq|t) − log Pr(sq|H0). Inputs are floored at Epsilon.

@@ -71,15 +71,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestPrPerMethod(t *testing.T) {
-	if Pr(Esh, 0.75) != Sigmoid(0.75) {
-		t.Error("Esh Pr is not the sigmoid")
-	}
-	if Pr(SLOG, 0.75) != 0.75 || Pr(SVCP, 0.75) != 0.75 {
-		t.Error("sub-method Pr is not raw VCP")
-	}
-}
-
 func TestH0Accumulator(t *testing.T) {
 	var h H0Accumulator
 	h.Add(1.0, 1)

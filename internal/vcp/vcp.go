@@ -289,8 +289,8 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // memo already held their fingerprints; only misses reach the kernel.
 // Batches counts kernel runs, each over at most width (GammaWidth in
 // production) miss rows; a buffer of nothing but hits runs none, so
-// MemoMisses / (width × Batches) is the mean occupancy. Leaves buffered past a perfect match or
-// the cap are discarded uncounted, so MemoHits + MemoMisses ≥
+// MemoMisses / (width × Batches) is the mean occupancy. Leaves buffered
+// past a perfect match are discarded uncounted, so MemoHits + MemoMisses ≥
 // Correspondences. Probes counts the target fingerprint-set lookups that
 // scoring made (the γ-invariant definitions' once per pair, then one per
 // varying register per scored correspondence); KernelLanes counts the
@@ -430,11 +430,12 @@ func sized[T any](s []T, n int) []T {
 // Float64bits-identical across every γ-batch width, a cold, warm or
 // full memo, an Indexed or a Prepared m, and the scalar reference:
 // γ candidates are enumerated in the same order and scored in that
-// order, a buffered leaf past a perfect match or the MaxCorrespondences
-// cap is discarded uncounted at flush — exactly the candidates the
-// unbatched loop would never have evaluated — and the fingerprints
-// scored for a leaf are bit-equal to a lone evaluation under its
-// assignment, whether they come from the kernel or the memo.
+// order, enumeration stops at the MaxCorrespondences cap counting
+// buffered leaves, a buffered leaf past a perfect match is discarded
+// uncounted at flush — exactly the candidates the unbatched loop would
+// never have evaluated — and the fingerprints scored for a leaf are
+// bit-equal to a lone evaluation under its assignment, whether they come
+// from the kernel or the memo.
 func (ev *Evaluator) Compute(m Matched) (float64, Stats) {
 	q, t := ev.q, m.indexed()
 	if q.err != nil || t.err != nil || q.S.NumVars() == 0 {
@@ -537,9 +538,10 @@ func (ev *Evaluator) leaf() {
 // flush resolves the buffered leaves — memo hits under one read lock,
 // the misses through ONE kernel run over their rows,
 // their rows then copied into the memo — and scores all of them in
-// enumeration order. The order is what keeps the result exact: best and
-// tried must advance leaf by leaf as the unbuffered loop's would, so
-// that a perfect match or the cap discards exactly the leaves behind it.
+// enumeration order. The order is what keeps the result exact: best must
+// advance leaf by leaf as the unbuffered loop's would, so that a perfect
+// match discards exactly the leaves behind it. The cap needs no check
+// here: enumerate buffers a leaf only while tried+buffered is under it.
 func (ev *Evaluator) flush() {
 	n := ev.buffered
 	if n == 0 {
@@ -587,13 +589,13 @@ func (ev *Evaluator) flush() {
 	}
 
 	for r := 0; r < n; r++ {
-		fps := ev.hit[r]
-		// A perfect match or the cap mid-buffer discards the remaining
-		// leaves uncounted: the unbuffered loop would have stopped
-		// before evaluating them.
-		if ev.best >= 1.0 || ev.tried >= ev.cfg.MaxCorrespondences {
-			continue
+		// A perfect match mid-buffer discards the remaining leaves
+		// uncounted: the unbuffered loop would have stopped before
+		// evaluating them.
+		if ev.best >= 1.0 {
+			break
 		}
+		fps := ev.hit[r]
 		ev.tried++
 		ev.st.Probes += int64(len(fps))
 		matched := ev.constHits
